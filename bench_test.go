@@ -318,6 +318,13 @@ func BenchmarkAblationQuantizeVsCopy(b *testing.B) {
 	})
 }
 
+// handleOne drives one packet through the switch's vectored handler,
+// recycling dl across calls the way a fabric does.
+func handleOne(sw *aggservice.Switch, dl *transport.DeliveryList, worker int, pkt []byte) {
+	dl.Reset()
+	sw.HandleBatch(worker, [][]byte{pkt}, dl)
+}
+
 // BenchmarkShardedSwitch measures aggregation-service packet throughput
 // as the shard count grows: every packet still runs the full FPISA
 // pipeline simulation, but with N shards packets for different slots only
@@ -337,9 +344,10 @@ func BenchmarkShardedSwitch(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				vals := []float32{1.5}
+				var dl transport.DeliveryList
 				for pb.Next() {
 					c := uint32(next.Add(1) - 1)
-					sw.Handle(0, aggservice.EncodeAdd(0, c, vals))
+					handleOne(sw, &dl, 0, aggservice.EncodeAddProfile(0, c, 0, core.DefaultProfile, vals))
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -361,9 +369,10 @@ func BenchmarkShardedSwitch(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			vals := []float32{1.5}
+			var dl transport.DeliveryList
 			for pb.Next() {
 				c := uint32(next.Add(1) - 1)
-				sw.Handle(0, aggservice.EncodeAddProfile(0, c, 0, prof, vals))
+				handleOne(sw, &dl, 0, aggservice.EncodeAddProfile(0, c, 0, prof, vals))
 			}
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -371,11 +380,9 @@ func BenchmarkShardedSwitch(b *testing.B) {
 }
 
 // BenchmarkFabricThroughput measures raw fabric packet throughput at 8
-// workers: the ring-backed vectored path (SendBatch/RecvBatch with
-// reusable buffers) against the legacy copying shim (one packet, one
-// allocation, one lock round per call). The handler answers every request
-// with a canned immutable reply, so the numbers isolate fabric overhead —
-// the gap is the PR's zero-copy payoff.
+// workers over the ring-backed vectored path (SendBatch/RecvBatch with
+// reusable buffers). The handler answers every request with a canned
+// immutable reply, so the numbers isolate fabric overhead.
 func BenchmarkFabricThroughput(b *testing.B) {
 	const (
 		workers  = 8
@@ -417,20 +424,6 @@ func BenchmarkFabricThroughput(b *testing.B) {
 		b.ReportMetric(0, "syscalls/op")
 	}
 
-	b.Run("legacy-shim", func(b *testing.B) {
-		run(b, paySize, func(fab *transport.Memory, w, n int) {
-			for i := 0; i < n; i++ {
-				if err := transport.Send(fab, w, payload); err != nil {
-					b.Error(err)
-					return
-				}
-				if _, err := transport.Recv(fab, w, time.Second); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
 	b.Run("batched-ring", func(b *testing.B) {
 		pkts := make([][]byte, batch)
 		for i := range pkts {
@@ -661,11 +654,12 @@ func BenchmarkMultiJobSwitch(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				vals := []float32{1.5}
+				var dl transport.DeliveryList
 				for pb.Next() {
 					n := next.Add(1) - 1
 					job := int(n) % jobs
 					c := uint32(n) / uint32(jobs)
-					sw.Handle(cfg.Port(job, 0), aggservice.EncodeAdd(job, c, vals))
+					handleOne(sw, &dl, cfg.Port(job, 0), aggservice.EncodeAddProfile(job, c, 0, core.DefaultProfile, vals))
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -773,6 +767,7 @@ func BenchmarkTreeAggregation(b *testing.B) {
 					Fabric: spineFab, LeafID: li, Leaves: nLeaves,
 					Control: aggservice.SwitchControl{Parent: spine},
 					Push:    fab,
+					Retries: -1, // default budget; 0 evicts on the first late aggregate
 				}
 				if leaves[li], err = aggservice.NewSwitch(cfg); err != nil {
 					b.Fatal(err)

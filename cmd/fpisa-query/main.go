@@ -32,19 +32,15 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
 	"time"
 
 	"fpisa/internal/aggservice"
 	"fpisa/internal/core"
-	"fpisa/internal/transport"
-
 	"fpisa/internal/query"
 )
 
@@ -143,82 +139,11 @@ func main() {
 	fmt.Printf("modeled time:   baseline %.2fs, FPISA %.2fs (%.2fx)\n", b, s, b/s)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// probeAttempts bounds retries for the observer exchanges: the probe
-// datagram is as droppable as any other.
-const probeAttempts = 5
-
-// observerExchange sends one observer-framed request and hands each reply
-// to decode until decode reports it handled (done), retrying on timeout
-// or stray datagrams. decode receives the zero-based send attempt the
-// reply arrived under (attempt > 0 means the request was retransmitted,
-// so the switch may have applied an earlier copy); its error on a handled
-// reply is the final result — a definitive refusal is not retried away.
-func observerExchange(addr string, req []byte, timeout time.Duration, decode func(pkt []byte, attempt int) (done bool, err error)) error {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	conn, err := net.DialUDP("udp", nil, udpAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	frame := append([]byte{transport.ObserverID}, req...)
-	buf := make([]byte, 256)
-	for attempt := 0; attempt < probeAttempts; attempt++ {
-		if _, err := conn.Write(frame); err != nil {
-			return err
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		if done, derr := decode(buf[:n], attempt); done {
-			return derr
-		}
-	}
-	return fmt.Errorf("no usable reply from %s after %d attempts", addr, probeAttempts)
-}
-
 // queryJobStats probes a running fpisa-switch for one job's counters. A
 // switch that reports the job as unknown is an error (non-zero exit), not
 // a silent empty result.
 func queryJobStats(w io.Writer, addr string, job int, timeout time.Duration) error {
-	if job < 0 || job >= aggservice.MaxJobs {
-		return fmt.Errorf("job %d outside the 16-bit job-id space", job)
-	}
-	var st aggservice.JobStats
-	err := observerExchange(addr, aggservice.EncodeStatsReq(job), timeout, func(pkt []byte, _ int) (bool, error) {
-		// The switch answers stats requests for unknown jobs with an
-		// explicit lifecycle ack; surface it as the scriptable error.
-		if len(pkt) >= 2 && pkt[0] == aggservice.WireVersion && pkt[1] == aggservice.MsgJobAck {
-			gotJob, status, _, _, err := aggservice.DecodeJobAck(pkt)
-			if err != nil || gotJob != job {
-				return false, nil // stray or garbled ack: keep listening
-			}
-			return true, fmt.Errorf("switch %s refuses stats for job %d: %w", addr, job, status.Err())
-		}
-		gotJob, got, err := aggservice.DecodeStatsReply(pkt)
-		if err != nil || gotJob != job {
-			return false, nil
-		}
-		st = got
-		return true, nil
-	})
+	st, err := aggservice.Observer{Addr: addr, Timeout: timeout}.Stats(job)
 	if err != nil {
 		return err
 	}
@@ -238,47 +163,6 @@ func queryJobStats(w io.Writer, addr string, job int, timeout time.Duration) err
 	return nil
 }
 
-// lifecycleExchange drives one admit or evict round trip against a running
-// switch and returns the acknowledged status plus the echoed incarnation
-// epoch, scheduler weight and numeric profile. Error statuses (unknown
-// job, no capacity, lifecycle disabled, …) become the returned error. The
-// operation is read from the request frame itself, so the diagnostics can
-// never disagree with what was sent.
-func lifecycleExchange(addr string, req []byte, job int, timeout time.Duration) (status aggservice.AckStatus, epoch uint8, weight int, prof core.NumericProfile, class aggservice.AdmitClass, err error) {
-	msgType := req[1]
-	verb := "admit"
-	if msgType == aggservice.MsgJobEvict {
-		verb = "evict"
-	}
-	err = observerExchange(addr, req, timeout, func(pkt []byte, attempt int) (bool, error) {
-		gotJob, got, gotEpoch, gotWeight, gotProf, gotClass, derr := aggservice.DecodeJobAckClass(pkt)
-		if derr != nil || gotJob != job {
-			return false, nil
-		}
-		status, epoch, weight, prof, class = got, gotEpoch, gotWeight, gotProf, gotClass
-		serr := got.Err()
-		if serr == nil {
-			return true, nil
-		}
-		// Admit/evict are retransmitted when an ack is lost, so a retry's
-		// reply may find the switch already in the requested state: that
-		// is success, not a refusal — a script gating on the exit code
-		// must not see a completed operation as failed.
-		if attempt > 0 {
-			if msgType == aggservice.MsgJobAdmit && errors.Is(serr, aggservice.ErrAlreadyAdmitted) {
-				status = aggservice.AckAdmitted
-				return true, nil
-			}
-			if msgType == aggservice.MsgJobEvict && errors.Is(serr, aggservice.ErrNotAdmitted) {
-				status = aggservice.AckEvicting
-				return true, nil
-			}
-		}
-		return true, fmt.Errorf("switch %s refuses to %s job %d: %w", addr, verb, job, serr)
-	})
-	return status, epoch, weight, prof, class, err
-}
-
 // admitRequest admits a job with a fair-scheduler weight and a numeric
 // profile, and reports the weight, profile and incarnation epoch the
 // switch actually applied (echoed in the ack). A requested weight of 0
@@ -287,9 +171,6 @@ func lifecycleExchange(addr string, req []byte, job int, timeout time.Duration) 
 // something the switch did not grant, and a script must see that rather
 // than a silently re-negotiated tenant.
 func admitRequest(w io.Writer, addr string, job, weight int, profile, class string, timeout time.Duration) error {
-	if job < 0 || job >= aggservice.MaxJobs {
-		return fmt.Errorf("job %d outside the 16-bit job-id space", job)
-	}
 	if weight < 0 || weight > aggservice.MaxWeight {
 		return fmt.Errorf("weight %d outside the 16-bit weight space", weight)
 	}
@@ -304,8 +185,8 @@ func admitRequest(w io.Writer, addr string, job, weight int, profile, class stri
 	if err != nil {
 		return err
 	}
-	req := aggservice.EncodeJobAdmitClass(job, weight, prof, ac)
-	status, epoch, gotWeight, gotProf, gotClass, err := lifecycleExchange(addr, req, job, timeout)
+	ack, err := aggservice.Observer{Addr: addr, Timeout: timeout}.Admit(job,
+		aggservice.JobSpec{Weight: weight, Profile: prof, Class: ac})
 	if err != nil {
 		return err
 	}
@@ -316,39 +197,33 @@ func admitRequest(w io.Writer, addr string, job, weight int, profile, class stri
 	// will actually enforce, and the class names the data path the switch
 	// provisioned.
 	fmt.Fprintf(w, "switch %s: job %d %s (weight %d, profile %s, class %v, epoch %d)\n",
-		addr, job, status, gotWeight, gotProf, gotClass, epoch)
-	if weight == 0 && gotWeight != 0 {
-		return fmt.Errorf("switch %s clamped the requested weight 0 to %d for job %d", addr, gotWeight, job)
+		addr, job, ack.Status, ack.Weight, ack.Profile, ack.Class, ack.Epoch)
+	if weight == 0 && ack.Weight != 0 {
+		return fmt.Errorf("switch %s clamped the requested weight 0 to %d for job %d", addr, ack.Weight, job)
 	}
-	if gotProf != prof {
-		return fmt.Errorf("switch %s applied profile %s for job %d, not the requested %s", addr, gotProf, job, prof)
+	if ack.Profile != prof {
+		return fmt.Errorf("switch %s applied profile %s for job %d, not the requested %s", addr, ack.Profile, job, prof)
 	}
-	if gotClass != ac {
-		return fmt.Errorf("switch %s applied class %v for job %d, not the requested %v", addr, gotClass, job, ac)
+	if ack.Class != ac {
+		return fmt.Errorf("switch %s applied class %v for job %d, not the requested %v", addr, ack.Class, job, ac)
 	}
 	return nil
 }
 
 // evictRequest drives one evict round trip and reports the transition.
 func evictRequest(w io.Writer, addr string, job int, timeout time.Duration) error {
-	if job < 0 || job >= aggservice.MaxJobs {
-		return fmt.Errorf("job %d outside the 16-bit job-id space", job)
-	}
-	status, epoch, _, _, _, err := lifecycleExchange(addr, aggservice.EncodeJobEvict(job), job, timeout)
+	ack, err := aggservice.Observer{Addr: addr, Timeout: timeout}.Evict(job)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "switch %s: job %d %s (epoch %d)\n", addr, job, status, epoch)
+	fmt.Fprintf(w, "switch %s: job %d %s (epoch %d)\n", addr, job, ack.Status, ack.Epoch)
 	return nil
 }
 
 // drainRequest harvests one kind of analytics state from a running switch
-// (read-and-reset on the switch; the library layer retries by nonce, so a
+// (read-and-reset on the switch; Observer.Drain retries by nonce, so a
 // lost reply never costs the interval) and prints the entries.
 func drainRequest(w io.Writer, addr string, job int, kindName string, resetPrune bool, timeout time.Duration) error {
-	if job < 0 || job >= aggservice.MaxJobs {
-		return fmt.Errorf("job %d outside the 16-bit job-id space", job)
-	}
 	var kind aggservice.DrainKind
 	switch kindName {
 	case "groups":
@@ -364,7 +239,7 @@ func drainRequest(w io.Writer, addr string, job int, kindName string, resetPrune
 	if resetPrune {
 		flags |= aggservice.DrainFlagResetPrune
 	}
-	entries, err := aggservice.ObserverDrain(addr, job, kind, flags, timeout)
+	entries, err := aggservice.Observer{Addr: addr, Timeout: timeout}.Drain(job, kind, flags)
 	if err != nil {
 		return err
 	}

@@ -211,7 +211,8 @@ func TestAdmitWithClassAndDrain(t *testing.T) {
 	// comes back empty.
 	batch := aggservice.EncodeTuples(1, 0, sw.JobEpoch(1), aggservice.OpQueryAgg,
 		[]uint32{3, 3, 7}, []float32{10, 5, 2})
-	if replies := sw.Handle(cfg.Port(1, 0), batch); len(replies) == 0 {
+	var replies transport.DeliveryList
+	if sw.HandleBatch(cfg.Port(1, 0), [][]byte{batch}, &replies); replies.Len() == 0 {
 		t.Fatal("tuple batch produced no ack")
 	}
 	out.Reset()

@@ -1,6 +1,7 @@
 // Command fpisa-switch runs a standalone FPISA aggregation switch daemon
 // over UDP. Workers frame packets with a one-byte worker-port ID followed
-// by the aggservice wire format v2 (single ADDs or MsgBatch frames); the
+// by the aggservice wire format v2 (one message per framed packet; the
+// transport's 0xFE batch frame coalesces several per datagram); the
 // daemon answers results to the senders' addresses (broadcasting
 // completions to every registered worker, or to the owning job's ports
 // when several jobs share the switch).
@@ -219,6 +220,21 @@ func (o *options) switchConfig() (aggservice.Config, error) {
 	return cfg, nil
 }
 
+// uplinkConfig is the leaf role -parent asks for: partial sums climb over
+// fab, finals fan back down through push, and admission is negotiated over
+// the parent's observer frame.
+func (o *options) uplinkConfig(fab transport.Fabric, push transport.Pusher) *aggservice.UplinkConfig {
+	return &aggservice.UplinkConfig{
+		Fabric: fab, LeafID: o.leaf, Leaves: o.leaves,
+		Control: aggservice.Observer{Addr: o.parent},
+		Push:    push,
+		// The zero value means NO retries: the leaf would evict the job the
+		// first time the parent is one uplink timeout late. Negative selects
+		// the default budget, the one Worker runs with.
+		Retries: -1,
+	}
+}
+
 // mode and arch echoes for the startup banner.
 func (o *options) modeName() string {
 	if o.full {
@@ -266,11 +282,7 @@ func main() {
 			log.Fatalf("dial -parent: %v", err)
 		}
 		defer upFab.Close()
-		cfg.Uplink = &aggservice.UplinkConfig{
-			Fabric: upFab, LeafID: o.leaf, Leaves: o.leaves,
-			Control: aggservice.WireControl{Addr: parentAddr},
-			Push:    srv,
-		}
+		cfg.Uplink = o.uplinkConfig(upFab, srv)
 		log.Printf("leaf %d/%d: forwarding aggregates to parent %s", o.leaf, o.leaves, parentAddr)
 	}
 	sw, err := aggservice.NewSwitch(cfg)

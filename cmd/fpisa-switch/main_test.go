@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fpisa/internal/aggservice"
 	"fpisa/internal/transport"
 )
 
@@ -196,5 +197,37 @@ func TestSwitchConfigShardClamp(t *testing.T) {
 	}
 	if cfg.Shards > 2 {
 		t.Fatalf("shards = %d not clamped to the 2 slots", cfg.Shards)
+	}
+}
+
+// TestParentGetsDefaultRetryBudget is the regression test for a leaf that
+// evicted its job on the first late uplink round: UplinkConfig.Retries == 0
+// means NO retries, so -parent must ask for the default budget (negative),
+// and the resulting config must validate.
+func TestParentGetsDefaultRetryBudget(t *testing.T) {
+	o, err := parseOptions([]string{"-parent", "127.0.0.1:9099", "-leaf", "1", "-leaves", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := o.switchConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := transport.NewMemory(transport.MemoryConfig{
+		Workers: 2, BatchHandler: func(int, [][]byte, *transport.DeliveryList) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Uplink = o.uplinkConfig(fab, fab)
+	if cfg.Uplink.Retries >= 0 {
+		t.Fatalf("uplink retries = %d: the leaf would give up after that many stalls instead of the default budget", cfg.Uplink.Retries)
+	}
+	if cfg.Uplink.LeafID != 1 || cfg.Uplink.Leaves != 2 ||
+		cfg.Uplink.Control != (aggservice.Observer{Addr: "127.0.0.1:9099"}) {
+		t.Fatalf("uplink: %+v", cfg.Uplink)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("leaf config does not validate: %v", err)
 	}
 }

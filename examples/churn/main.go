@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"sync"
 	"time"
 
@@ -66,30 +65,7 @@ func main() {
 	// switch socket, exactly what `fpisa-query -admit/-evict` sends. The
 	// ack echoes the job's incarnation epoch — the octet the admitted
 	// job's workers must stamp into their ADDs.
-	control := func(req []byte) (aggservice.AckStatus, uint8, int) {
-		conn, err := net.DialUDP("udp", nil, fab.SwitchAddr())
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer conn.Close()
-		frame := append([]byte{transport.ObserverID}, req...)
-		buf := make([]byte, 64)
-		for attempt := 0; attempt < 5; attempt++ {
-			if _, err := conn.Write(frame); err != nil {
-				log.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue
-			}
-			if _, status, epoch, w, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
-				return status, epoch, w
-			}
-		}
-		log.Fatal("control plane: no ack")
-		return 0, 0, 0
-	}
+	operator := aggservice.Observer{Addr: fab.SwitchAddr().String()}
 
 	reduce := func(job int, epoch uint8, vecs [][]float32) ([][]float32, []error) {
 		out := make([][]float32, workers)
@@ -112,13 +88,19 @@ func main() {
 		// The admit names the tenant's scheduler weight; the ack echoes the
 		// weight the switch applied alongside the incarnation epoch — both
 		// are what the operator hands to the job's workers.
-		status, epoch, w := control(aggservice.EncodeJobAdmitWeight(job, *weight))
-		fmt.Printf("  [operator] admit job %d: %v (weight %d, epoch %d)\n", job, status, w, epoch)
-		return epoch
+		ack, err := operator.Admit(job, aggservice.JobSpec{Weight: *weight})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  [operator] admit job %d: %v (weight %d, epoch %d)\n", job, ack.Status, ack.Weight, ack.Epoch)
+		return ack.Epoch
 	}
 	evict := func(job int) {
-		status, _, _ := control(aggservice.EncodeJobEvict(job))
-		fmt.Printf("  [operator] evict job %d: %v\n", job, status)
+		ack, err := operator.Evict(job)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  [operator] evict job %d: %v\n", job, ack.Status)
 	}
 
 	// Job 0: the long-lived tenant, reducing throughout the churn below.

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +101,7 @@ func main() {
 			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
 				time.Sleep(time.Millisecond)
 			}
-			if err := sw.Admit(0); err != nil {
+			if err := sw.Admit(0, aggservice.JobSpec{}); err != nil {
 				log.Fatalf("training recycle admit: %v", err)
 			}
 			trainEpoch = sw.JobEpoch(0)
@@ -114,10 +113,15 @@ func main() {
 	// (top-10) plus the largest group bank (1024 groups); read-and-reset
 	// drains recycle both between queries.
 	ac := aggservice.AdmitClass{Class: aggservice.ClassQuery, TopN: 10, Groups: 1024}
-	epoch, err := admitClass(addr, 1, ac)
+	operator := aggservice.Observer{Addr: addr, Timeout: time.Second}
+	ack, err := operator.Admit(1, aggservice.JobSpec{Class: ac})
 	if err != nil {
 		log.Fatal(err)
 	}
+	if ack.Class != ac {
+		log.Fatalf("switch applied class %v, not %v", ack.Class, ac)
+	}
+	epoch := ack.Epoch
 	fmt.Printf("admitted job 1 as %v (epoch %d)\n\n", ac, epoch)
 
 	eng := query.NewEngine(query.Generate(query.DefaultScale(), workers, 7))
@@ -164,8 +168,7 @@ func main() {
 		var rowsToMaster int
 		// Harvest and recycle: read-and-reset the group bank and clear the
 		// pruning registers so the next query starts from zero state.
-		entries, err := aggservice.ObserverDrain(addr, 1, aggservice.DrainGroups,
-			aggservice.DrainFlagResetPrune, time.Second)
+		entries, err := operator.Drain(1, aggservice.DrainGroups, aggservice.DrainFlagResetPrune)
 		if err != nil {
 			log.Fatalf("%s drain: %v", q.Desc.Name, err)
 		}
@@ -241,87 +244,8 @@ func main() {
 	if rounds.Load() == 0 {
 		log.Fatal("training tenant made no progress while queries ran")
 	}
-	if err := evictJob(addr, 1); err != nil {
+	if _, err := operator.Evict(1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("evicted job 1 — slot range back in the free list")
-}
-
-// admitClass admits job with a workload-class descriptor over the observer
-// frame and returns the incarnation epoch to stamp into tuple batches.
-func admitClass(addr string, job int, ac aggservice.AdmitClass) (uint8, error) {
-	req := aggservice.EncodeJobAdmitClass(job, 1, core.DefaultProfile, ac)
-	var epoch uint8
-	err := observerExchange(addr, req, func(pkt []byte) (bool, error) {
-		j, status, ep, _, _, gotAC, derr := aggservice.DecodeJobAckClass(pkt)
-		if derr != nil || j != job {
-			return false, nil
-		}
-		if serr := status.Err(); serr != nil {
-			return true, fmt.Errorf("switch refuses job %d: %w", job, serr)
-		}
-		if gotAC != ac {
-			return true, fmt.Errorf("switch applied class %v, not %v", gotAC, ac)
-		}
-		epoch = ep
-		return true, nil
-	})
-	return epoch, err
-}
-
-// evictJob releases the job's slot range over the observer frame.
-func evictJob(addr string, job int) error {
-	return observerExchange(addr, aggservice.EncodeJobEvict(job), func(pkt []byte) (bool, error) {
-		j, status, _, _, derr := aggservice.DecodeJobAck(pkt)
-		if derr != nil || j != job {
-			return false, nil
-		}
-		if serr := status.Err(); serr != nil {
-			return true, fmt.Errorf("switch refuses to evict job %d: %w", job, serr)
-		}
-		return true, nil
-	})
-}
-
-// observerExchange sends one observer-framed control request and hands
-// replies to decode until it reports the exchange done, retrying on
-// timeout (the control datagram is as droppable as any other).
-func observerExchange(addr string, req []byte, decode func(pkt []byte) (bool, error)) error {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	conn, err := net.DialUDP("udp", nil, udpAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	frame := append([]byte{transport.ObserverID}, req...)
-	buf := make([]byte, 256)
-	for attempt := 0; attempt < 5; attempt++ {
-		if _, err := conn.Write(frame); err != nil {
-			return err
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
-			return err
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		if done, derr := decode(buf[:n]); done {
-			return derr
-		}
-	}
-	return fmt.Errorf("no usable control reply from %s", addr)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

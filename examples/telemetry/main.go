@@ -57,9 +57,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer fab.Close()
-	addr := fab.SwitchAddr().String()
+	operator := aggservice.Observer{Addr: fab.SwitchAddr().String(), Timeout: time.Second}
 	fmt.Printf("FPISA switch on %s: training tenant (job 0) + telemetry tenant (job 1, %v)\n",
-		addr, sw.JobClass(1))
+		operator.Addr, sw.JobClass(1))
 
 	// The training tenant allreduces for the whole run; telemetry must not
 	// disturb it, nor it the telemetry sketches.
@@ -103,7 +103,7 @@ func main() {
 			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
 				time.Sleep(time.Millisecond)
 			}
-			if err := sw.Admit(0); err != nil {
+			if err := sw.Admit(0, aggservice.JobSpec{}); err != nil {
 				log.Fatalf("training recycle admit: %v", err)
 			}
 			epoch = sw.JobEpoch(0)
@@ -161,7 +161,7 @@ func main() {
 			if _, err := cl.Send(aggservice.OpTelemetry, keys[base:end], vals[base:end]); err != nil {
 				log.Fatalf("interval %d: %v", it, err)
 			}
-			entries, err := aggservice.ObserverDrain(addr, 1, aggservice.DrainGroups, 0, time.Second)
+			entries, err := operator.Drain(1, aggservice.DrainGroups, 0)
 			if err != nil {
 				log.Fatalf("interval %d drain: %v", it, err)
 			}
@@ -184,7 +184,7 @@ func main() {
 
 	// The heavy-hitter table accumulated across the whole run: the two
 	// dominant flows must own the top rows.
-	hh, err := aggservice.ObserverDrain(addr, 1, aggservice.DrainHeavyHitters, 0, time.Second)
+	hh, err := operator.Drain(1, aggservice.DrainHeavyHitters, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func main() {
 
 	// The sample-size histogram: drained bins must match the host mirror
 	// bin for bin (counting is integer — no tolerance needed).
-	hd, err := aggservice.ObserverDrain(addr, 1, aggservice.DrainHistogram, 0, time.Second)
+	hd, err := operator.Drain(1, aggservice.DrainHistogram, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

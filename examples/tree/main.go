@@ -115,8 +115,11 @@ func main() {
 		cfg := leafCfg
 		cfg.Uplink = &aggservice.UplinkConfig{
 			Fabric: upFab, LeafID: i, Leaves: nLeaves,
-			Control: aggservice.WireControl{Addr: spineAddr},
+			Control: aggservice.Observer{Addr: spineAddr.String()},
 			Push:    fab,
+			// Zero would mean no retries (evict on the first late
+			// aggregate); negative selects the default budget.
+			Retries: -1,
 		}
 		if leaves[i], err = aggservice.NewSwitch(cfg); err != nil {
 			log.Fatal(err)
@@ -202,30 +205,18 @@ func main() {
 	}
 
 	// The operator's control path — the same observer frame fpisa-query
-	// sends, dialed at whichever switch the verb targets.
-	control := func(addr *net.UDPAddr, req []byte) aggservice.AckStatus {
-		conn, err := net.DialUDP("udp", nil, addr)
-		if err != nil {
+	// sends, dialed at whichever switch the verb targets. A level the
+	// eviction already reached refuses a second evict; that is fine, the
+	// waitVacant that follows is the check that matters.
+	operator := func(addr *net.UDPAddr) aggservice.Observer {
+		return aggservice.Observer{Addr: addr.String()}
+	}
+	evict := func(addr *net.UDPAddr) aggservice.AckStatus {
+		ack, err := operator(addr).Evict(0)
+		if err != nil && !errors.Is(err, aggservice.ErrNotAdmitted) && !errors.Is(err, aggservice.ErrJobDraining) {
 			log.Fatal(err)
 		}
-		defer conn.Close()
-		frame := append([]byte{transport.ObserverID}, req...)
-		buf := make([]byte, 64)
-		for attempt := 0; attempt < 5; attempt++ {
-			if _, err := conn.Write(frame); err != nil {
-				log.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue
-			}
-			if _, status, _, _, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
-				return status
-			}
-		}
-		log.Fatal("control plane: no ack")
-		return 0
+		return ack.Status
 	}
 	waitVacant := func(switches ...*aggservice.Switch) {
 		for _, s := range switches {
@@ -241,16 +232,19 @@ func main() {
 	// first leaf and joined by the second.
 	recycle := func() [nLeaves]uint8 {
 		for _, fab := range leafFabs {
-			control(fab.SwitchAddr(), aggservice.EncodeJobEvict(0))
+			evict(fab.SwitchAddr())
 		}
-		control(spineAddr, aggservice.EncodeJobEvict(0))
+		evict(spineAddr)
 		waitVacant(append([]*aggservice.Switch{spine}, leaves...)...)
 		var epochs [nLeaves]uint8
 		for i, fab := range leafFabs {
-			st := control(fab.SwitchAddr(), aggservice.EncodeJobAdmit(0))
-			epochs[i] = leaves[i].JobEpoch(0)
+			ack, err := operator(fab.SwitchAddr()).Admit(0, aggservice.JobSpec{})
+			if err != nil {
+				log.Fatal(err)
+			}
+			epochs[i] = ack.Epoch
 			fmt.Printf("  [operator] admit job 0 at leaf %d: %v (leaf epoch %d, spine epoch %d)\n",
-				i, st, epochs[i], spine.JobEpoch(0))
+				i, ack.Status, epochs[i], spine.JobEpoch(0))
 		}
 		return epochs
 	}
@@ -291,8 +285,7 @@ func main() {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	status := control(spineAddr, aggservice.EncodeJobEvict(0))
-	fmt.Printf("  [operator] evict job 0 at the spine: %v\n", status)
+	fmt.Printf("  [operator] evict job 0 at the spine: %v\n", evict(spineAddr))
 	nEvicted := 0
 	for _, err := range <-aborted {
 		if errors.Is(err, aggservice.ErrJobEvicted) {

@@ -34,7 +34,7 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smlFab, err := transport.NewMemory(transport.MemoryConfig{Workers: workers, Handler: smlSwitch.Handle})
+	smlFab, err := transport.NewMemory(transport.MemoryConfig{Workers: workers, BatchHandler: smlSwitch.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpFab, err := transport.NewMemory(transport.MemoryConfig{Workers: workers, Handler: fpSwitch.Handle})
+	fpFab, err := transport.NewMemory(transport.MemoryConfig{Workers: workers, BatchHandler: fpSwitch.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestStaleNoticeDoesNotKillFreshWorker(t *testing.T) {
 	if err := sw.Evict(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Admit(0); err != nil {
+	if err := sw.Admit(0, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if e := sw.JobEpoch(0); e != 1 {
@@ -117,7 +117,7 @@ func TestStaleNoticeDoesNotKillFreshWorker(t *testing.T) {
 	// fresh worker reduces. Each bounces with an epoch-0 notice the fresh
 	// worker must ignore.
 	for i := 0; i < 20; i++ {
-		if err := transport.Send(fab, 0, EncodeAddEpoch(0, uint32(100+i), 0, []float32{1})); err != nil {
+		if err := fab.SendBatch(0, [][]byte{EncodeAddProfile(0, uint32(100+i), 0, core.DefaultProfile, []float32{1})}); err != nil {
 			t.Fatal(err)
 		}
 	}

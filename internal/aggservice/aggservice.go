@@ -13,52 +13,15 @@ import (
 	"fpisa/internal/transport"
 )
 
-// WireVersion is the leading octet of every v2 wire message. Its value is
-// chosen from a range disjoint from the v1 type bytes (0..2), so a legacy
-// single-job datagram is recognized by its first byte and rejected with
-// ErrLegacyWire instead of being misparsed. See doc.go for the full layout.
-const WireVersion = 0xF2
-
-// Message types (the second octet of every v2 message).
-const (
-	MsgAdd        = 0 // worker → switch: chunk values
-	MsgResult     = 1 // switch → workers: aggregated chunk
-	MsgBatch      = 2 // either direction: several messages in one datagram
-	MsgStats      = 3 // observer/worker → switch: per-job stats request
-	MsgStatsReply = 4 // switch → requester: per-job stats snapshot
-	MsgJobAdmit   = 5 // observer → switch: admit a job at runtime
-	MsgJobEvict   = 6 // observer → switch: evict (drain) a job at runtime
-	MsgJobAck     = 7 // switch → requester/worker: lifecycle status
-	MsgResultRun  = 8 // switch → workers: a run of consecutive aggregated chunks
-	MsgTuple      = 9 // analytics worker → switch: (key, value) rows to fold
-	MsgTupleAck   = 10 // switch → analytics worker: folded batch + survivor bitmap
-	MsgDrain      = 11 // observer → switch: harvest-and-reset analytics state
-	MsgDrainReply = 12 // switch → observer: harvested (key, value) entries
-)
-
 // MaxJobs bounds the job-id space: the wire carries a 16-bit job field.
 const MaxJobs = 1 << 16
 
-// ObserverWorker is the pseudo worker index a transport passes to Handle
-// for out-of-band observers (the UDP fabric's 0xFF frame). Observers may
-// only request stats; deliveries addressed to ObserverWorker are routed
-// back to the requesting address.
+// ObserverWorker is the pseudo worker index a transport passes to
+// HandleBatch for out-of-band observers (the UDP fabric's 0xFF frame).
+// Observers may only drive the control plane (stats, lifecycle, drains);
+// deliveries addressed to ObserverWorker are routed back to the requesting
+// address.
 const ObserverWorker = transport.ObserverWorker
-
-// Wire-format errors. Handlers count these (see WireRejects); decoders
-// return them wrapped so callers can errors.Is on the cause.
-var (
-	// ErrLegacyWire marks a v1 (pre-job-id) datagram: the old framing had
-	// no version octet, so its first byte is a v1 type (0..2).
-	ErrLegacyWire = errors.New("aggservice: legacy v1 wire framing (no job id); upgrade the client to wire v2")
-	// ErrNestedBatch marks a MsgBatch framed inside a MsgBatch, which the
-	// decoder rejects outright to bound decode work to one level.
-	ErrNestedBatch = errors.New("aggservice: nested batch rejected")
-	// ErrTruncated marks a fixed-layout message (stats reply, lifecycle
-	// ack) shorter than its declared fields — decoders return it wrapped
-	// instead of indexing past the packet.
-	ErrTruncated = errors.New("aggservice: truncated message")
-)
 
 // Config parameterizes the service.
 type Config struct {
@@ -107,7 +70,7 @@ type Config struct {
 	// Weights assigns deficit-round-robin scheduler weights to the
 	// initially admitted jobs: job j gets Weights[j]. Missing entries and
 	// zero mean weight 1; jobs admitted at runtime carry the weight named
-	// in their admit request (Switch.AdmitWeighted / MsgJobAdmit). A
+	// in their admit request (JobSpec.Weight). A
 	// weight-w tenant's new-chunk binds converge to w shares of pipeline
 	// time under contention.
 	Weights []int
@@ -115,15 +78,15 @@ type Config struct {
 	// job j computes under Profiles[j]. Missing entries mean the zero
 	// profile (f32, no guard bits, truncating read-out — the paper's
 	// standard arithmetic); jobs admitted at runtime carry the profile
-	// named in their admit request (Switch.AdmitProfile / MsgJobAdmit).
+	// named in their admit request (JobSpec.Profile).
 	// Where Weights share pipeline time, Profiles share precision: each
 	// tenant's slots run the arithmetic it negotiated.
 	Profiles []core.NumericProfile
 	// Classes assigns workload classes to the initially admitted jobs:
 	// job j serves Classes[j]. Missing entries mean the zero descriptor
 	// (a training job — today's behavior); jobs admitted at runtime carry
-	// the class named in their admit request (Switch.AdmitWorkload /
-	// MsgJobAdmit). Query and telemetry jobs fold MsgTuple streams into
+	// the class named in their admit request (JobSpec.Class). Query and
+	// telemetry jobs fold MsgTuple streams into
 	// per-range analytics registers instead of ADDs into chunk slots,
 	// scheduled by the same deficit-round-robin ledger (see analytics.go).
 	Classes []AdmitClass
@@ -302,389 +265,6 @@ func (c *Config) ClampShards() {
 // Port maps (job, worker-in-job) to the transport port.
 func (c Config) Port(job, worker int) int { return job*c.Workers + worker }
 
-// Wire layout (see doc.go for the rationale):
-//
-//	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
-//	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
-//	run    = [ver(1) type(1) job(2) start(4) count(2)
-//	          { values(W·M) overflow(1) }·count]
-//	batch  = [ver(1) type(1) count(2) { len(2) msg }·count]
-//	stats  = [ver(1) type(1) job(2)]
-//	reply  = [ver(1) type(1) job(2) phase(1) weight(2) fmt(1) guard(1)
-//	          round(1) class(1) topn(2) groups(2) adds(8) retrans(8)
-//	          done(8) drops(8) defers(8) outstanding(8) cacheHits(8)
-//	          cacheBytes(8) coalesced(8)]
-//	admit  = [ver(1) type(1) job(2) weight(2) fmt(1) guard(1) round(1)
-//	          class(1) topn(2) groups(2)]
-//	evict  = [ver(1) type(1) job(2)]
-//	ack    = [ver(1) type(1) job(2) status(1) epoch(1) weight(2) fmt(1)
-//	          guard(1) round(1) class(1) topn(2) groups(2)]
-//	tuple  = [ver(1) type(1) job(2) seq(4) epoch(1) op(1) count(2)
-//	          { key(4) valbits(4) }·count]
-//	tack   = [ver(1) type(1) job(2) seq(4) count(2) bitmap(⌈count/8⌉)]
-//	drain  = [ver(1) type(1) job(2) kind(1) flags(1) nonce(4)]
-//	dreply = [ver(1) type(1) job(2) kind(1) count(2)
-//	          { key(4) valbits(4) }·count]
-//
-// W is the job's negotiated value width: 4 bytes under the default f32
-// profile, 2 under the 16-bit formats — so a bf16 tenant's ADDs carry half
-// the payload. The fmt/guard/round octets are the job's NumericProfile
-// descriptor (core.ProfileFormat, guard-bit count, core.ProfileRounding),
-// negotiated in the admit request and echoed in acks and stats replies.
-//
-// The class/topn/groups octets are the job's AdmitClass descriptor — the
-// workload class the admission negotiated (training/query/telemetry) plus
-// its analytics register ask — echoed in acks and stats replies just like
-// the numeric profile.
-//
-// The ADD's (and TUPLE's) epoch octet is the job's incarnation: it is
-// compared against
-// the switch's release counter (mod 256), so a datagram buffered from an
-// evicted incarnation of a re-admitted job id is rejected as stale instead
-// of binding a chunk into the fresh range. Lifecycle acks echo the
-// incarnation so newly admitted workers learn the octet to carry.
-const hdrBytes = 8
-
-// addValOff is the offset of an ADD's value vector: the shared header plus
-// the incarnation epoch octet.
-const addValOff = hdrBytes + 1
-
-// batchHdrBytes is the batch frame header; each framed message adds a
-// two-byte length prefix.
-const batchHdrBytes = 4
-
-// statsReqBytes and statsReplyBytes size the stats exchange;
-// lifecycleReqBytes (evict), jobAdmitBytes (admit, which also carries the
-// scheduler weight) and jobAckBytes size the control plane's.
-const (
-	statsReqBytes     = 4
-	statsReplyBytes   = 4 + 1 + 2 + profileBytes + classBytes + 9*8
-	lifecycleReqBytes = 4
-	jobAdmitBytes     = 6 + profileBytes + classBytes
-	jobAckBytes       = 8 + profileBytes + classBytes
-)
-
-// classBytes is the wire width of an AdmitClass descriptor: the workload
-// class octet plus the two 16-bit analytics register counts.
-const classBytes = 5
-
-// runHdrBytes is the MsgResultRun header: the shared [ver type job chunk]
-// header (chunk = the run's first chunk id) plus a two-byte item count.
-const runHdrBytes = hdrBytes + 2
-
-// profileBytes is the wire width of a NumericProfile descriptor: one octet
-// each for format, guard bits and rounding.
-const profileBytes = 3
-
-// putProfile/getProfile move a profile descriptor through its three wire
-// octets. getProfile returns the octets as carried: decoders never validate
-// or clamp (round trips stay byte-exact); the admission path validates.
-func putProfile(dst []byte, p core.NumericProfile) {
-	dst[0] = uint8(p.Format)
-	dst[1] = p.Guard
-	dst[2] = uint8(p.Rounding)
-}
-
-func getProfile(src []byte) core.NumericProfile {
-	return core.NumericProfile{
-		Format:   core.ProfileFormat(src[0]),
-		Guard:    src[1],
-		Rounding: core.ProfileRounding(src[2]),
-	}
-}
-
-// maxDatagram is the largest payload the UDP fabric can carry.
-const maxDatagram = 65507
-
-// addBytes/resultBytes size the default-profile (f32) messages; the
-// profile-aware forms size a job's negotiated wire format.
-func addBytes(modules int) int    { return addValOff + 4*modules }
-func resultBytes(modules int) int { return hdrBytes + 4*modules + 1 }
-
-func addBytesProf(modules int, prof core.NumericProfile) int {
-	return addValOff + prof.ValueBytes()*modules
-}
-func resultBytesProf(modules int, prof core.NumericProfile) int {
-	return hdrBytes + prof.ValueBytes()*modules + 1
-}
-
-// maxBatchChunks bounds how many chunks ride one wire batch. The binding
-// constraint is the *downlink*: a full ADD batch can complete every chunk
-// at once, and the coalesced RESULT vector (one byte larger per message,
-// two bytes of length prefix each, four bytes of transport batch-frame
-// header) must still fit a datagram — an undeliverable result batch would
-// stall the protocol for good. The transport's own frame splitting keeps
-// the vectored path safe regardless; this bound also caps the legacy
-// MsgBatch coalescing, which cannot split after the fact.
-func maxBatchChunks(modules int) int {
-	const frameHdr = 4 // transport batch-frame header (≥ MsgBatch's too)
-	n := (maxDatagram - frameHdr) / (2 + resultBytes(modules))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// putHeader writes the shared [ver type job chunk] message header.
-func putHeader(pkt []byte, typ byte, job int, chunk uint32) {
-	pkt[0] = WireVersion
-	pkt[1] = typ
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	binary.BigEndian.PutUint32(pkt[4:], chunk)
-}
-
-// wireType classifies a message: it returns the v2 type byte, ErrLegacyWire
-// for v1 framing, or a generic error for garbage.
-func wireType(pkt []byte) (byte, error) {
-	if len(pkt) < 2 {
-		return 0, fmt.Errorf("aggservice: %d-byte message", len(pkt))
-	}
-	if pkt[0] != WireVersion {
-		if pkt[0] <= MsgBatch {
-			return 0, ErrLegacyWire
-		}
-		return 0, fmt.Errorf("aggservice: unknown wire version 0x%02x", pkt[0])
-	}
-	return pkt[1], nil
-}
-
-// EncodeAdd builds a worker ADD packet for one job's chunk, carrying
-// incarnation epoch 0 — the first incarnation of every job id. Workers of
-// re-admitted jobs use EncodeAddEpoch with the octet echoed in the admit
-// ack.
-func EncodeAdd(job int, chunk uint32, vals []float32) []byte {
-	return EncodeAddEpoch(job, chunk, 0, vals)
-}
-
-// EncodeAddEpoch builds a worker ADD packet stamped with the job's
-// incarnation epoch, carrying f32 (default-profile) values.
-func EncodeAddEpoch(job int, chunk uint32, epoch uint8, vals []float32) []byte {
-	return EncodeAddProfile(job, chunk, epoch, core.DefaultProfile, vals)
-}
-
-// EncodeAddProfile builds a worker ADD packet with the values narrowed to
-// the job's negotiated wire format — 16-bit formats halve the payload.
-func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
-	w := prof.ValueBytes()
-	pkt := make([]byte, addValOff+w*len(vals))
-	putHeader(pkt, MsgAdd, job, chunk)
-	pkt[hdrBytes] = epoch
-	for i, v := range vals {
-		prof.PutValue(pkt[addValOff+w*i:], v)
-	}
-	return pkt
-}
-
-// DecodeResult parses a RESULT packet carrying f32 (default-profile)
-// values.
-func DecodeResult(pkt []byte, modules int) (job int, chunk uint32, vals []float32, overflow bool, err error) {
-	return DecodeResultProfile(pkt, modules, core.DefaultProfile)
-}
-
-// DecodeResultProfile parses a RESULT packet in the job's negotiated wire
-// format, widening 16-bit values to float32 exactly.
-func DecodeResultProfile(pkt []byte, modules int, prof core.NumericProfile) (job int, chunk uint32, vals []float32, overflow bool, err error) {
-	w := prof.ValueBytes()
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, false, fmt.Errorf("bad result packet: %w", terr)
-	} else if typ != MsgResult {
-		return 0, 0, nil, false, fmt.Errorf("aggservice: bad result packet")
-	}
-	if n := resultBytesProf(modules, prof); len(pkt) != n {
-		if len(pkt) < n {
-			return 0, 0, nil, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
-		}
-		return 0, 0, nil, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	chunk = binary.BigEndian.Uint32(pkt[4:])
-	vals = make([]float32, modules)
-	for i := range vals {
-		vals[i] = prof.GetValue(pkt[hdrBytes+w*i:])
-	}
-	overflow = pkt[hdrBytes+w*modules] != 0
-	return job, chunk, vals, overflow, nil
-}
-
-// encodeResultRun splices consecutive chunks' RESULT payloads into one
-// run-length MsgResultRun reply: items[i] is chunk start+i's cached RESULT
-// packet, whose values+overflow tail is carried verbatim (the tail is
-// already in the job's wire format, so the splice is a copy, not a
-// re-encode).
-func encodeResultRun(job int, start uint32, items [][]byte) []byte {
-	n := runHdrBytes
-	for _, p := range items {
-		n += len(p) - hdrBytes
-	}
-	run := make([]byte, runHdrBytes, n)
-	putHeader(run, MsgResultRun, job, start)
-	binary.BigEndian.PutUint16(run[hdrBytes:], uint16(len(items)))
-	for _, p := range items {
-		run = append(run, p[hdrBytes:]...)
-	}
-	return run
-}
-
-// DecodeResultRun parses a MsgResultRun reply in the job's negotiated wire
-// format: item i carries chunk start+i's aggregated values and overflow
-// flag. Safe on arbitrary input — the item count is validated against the
-// packet length before anything is read.
-func DecodeResultRun(pkt []byte, modules int, prof core.NumericProfile) (job int, start uint32, vals [][]float32, ovfs []bool, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, nil, fmt.Errorf("bad result run: %w", terr)
-	} else if typ != MsgResultRun {
-		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run type")
-	}
-	if len(pkt) < runHdrBytes {
-		return 0, 0, nil, nil, fmt.Errorf("result run %d of %d header bytes: %w", len(pkt), runHdrBytes, ErrTruncated)
-	}
-	w := prof.ValueBytes()
-	item := w*modules + 1
-	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
-	if count < 1 || len(pkt) != runHdrBytes+count*item {
-		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run (%d items, %d bytes)", count, len(pkt))
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	start = binary.BigEndian.Uint32(pkt[4:])
-	vals = make([][]float32, count)
-	ovfs = make([]bool, count)
-	for i := 0; i < count; i++ {
-		body := pkt[runHdrBytes+i*item:]
-		vs := make([]float32, modules)
-		for m := range vs {
-			vs[m] = prof.GetValue(body[w*m:])
-		}
-		vals[i] = vs
-		ovfs[i] = body[w*modules] != 0
-	}
-	return job, start, vals, ovfs, nil
-}
-
-// EncodeBatch frames several messages into one BATCH datagram.
-func EncodeBatch(msgs [][]byte) []byte {
-	n := batchHdrBytes
-	for _, m := range msgs {
-		n += 2 + len(m)
-	}
-	pkt := make([]byte, batchHdrBytes, n)
-	pkt[0] = WireVersion
-	pkt[1] = MsgBatch
-	binary.BigEndian.PutUint16(pkt[2:], uint16(len(msgs)))
-	for _, m := range msgs {
-		var l [2]byte
-		binary.BigEndian.PutUint16(l[:], uint16(len(m)))
-		pkt = append(pkt, l[:]...)
-		pkt = append(pkt, m...)
-	}
-	return pkt
-}
-
-// DecodeBatch splits a BATCH datagram into its framed messages. The
-// returned slices alias pkt. A batch framed inside a batch is rejected
-// with ErrNestedBatch — the decoder never recurses, so a hostile frame
-// cannot amplify decode work beyond one level.
-func DecodeBatch(pkt []byte) ([][]byte, error) {
-	typ, err := wireType(pkt)
-	if err != nil {
-		return nil, fmt.Errorf("bad batch packet: %w", err)
-	}
-	if typ != MsgBatch {
-		return nil, fmt.Errorf("aggservice: bad batch packet")
-	}
-	if len(pkt) < batchHdrBytes {
-		return nil, fmt.Errorf("batch header %d of %d bytes: %w", len(pkt), batchHdrBytes, ErrTruncated)
-	}
-	count := int(binary.BigEndian.Uint16(pkt[2:]))
-	msgs := make([][]byte, 0, count)
-	off := batchHdrBytes
-	for i := 0; i < count; i++ {
-		if off+2 > len(pkt) {
-			return nil, fmt.Errorf("batch truncated at message %d: %w", i, ErrTruncated)
-		}
-		l := int(binary.BigEndian.Uint16(pkt[off:]))
-		off += 2
-		if off+l > len(pkt) {
-			return nil, fmt.Errorf("batch message %d of %d bytes exceeds packet: %w", i, l, ErrTruncated)
-		}
-		m := pkt[off : off+l]
-		if len(m) >= 2 && m[0] == WireVersion && m[1] == MsgBatch {
-			return nil, fmt.Errorf("batch message %d: %w", i, ErrNestedBatch)
-		}
-		msgs = append(msgs, m)
-		off += l
-	}
-	if off != len(pkt) {
-		return nil, fmt.Errorf("aggservice: %d trailing bytes after batch", len(pkt)-off)
-	}
-	return msgs, nil
-}
-
-// EncodeStatsReq builds a per-job stats request.
-func EncodeStatsReq(job int) []byte {
-	pkt := make([]byte, statsReqBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgStats
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	return pkt
-}
-
-// DecodeStatsReply parses a MsgStatsReply packet. Every field is
-// bounds-checked before it is read: a truncated reply returns a wire error
-// wrapping ErrTruncated instead of panicking the caller (fpisa-query feeds
-// this whatever the socket produced).
-func DecodeStatsReply(pkt []byte) (job int, st JobStats, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, JobStats{}, fmt.Errorf("bad stats reply: %w", terr)
-	} else if typ != MsgStatsReply {
-		return 0, JobStats{}, fmt.Errorf("aggservice: bad stats reply type")
-	}
-	if len(pkt) < statsReplyBytes {
-		return 0, JobStats{}, fmt.Errorf("stats reply %d of %d bytes: %w", len(pkt), statsReplyBytes, ErrTruncated)
-	}
-	if len(pkt) > statsReplyBytes {
-		return 0, JobStats{}, fmt.Errorf("aggservice: %d trailing bytes after stats reply", len(pkt)-statsReplyBytes)
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	if pkt[4] > uint8(PhaseDraining) {
-		return 0, JobStats{}, fmt.Errorf("aggservice: unknown job phase %d in stats reply", pkt[4])
-	}
-	st.Phase = JobPhase(pkt[4])
-	st.Weight = int(binary.BigEndian.Uint16(pkt[5:]))
-	st.Profile = getProfile(pkt[7:])
-	st.Class = getAdmitClass(pkt[10:])
-	st.Adds = binary.BigEndian.Uint64(pkt[15:])
-	st.Retransmits = binary.BigEndian.Uint64(pkt[23:])
-	st.Completions = binary.BigEndian.Uint64(pkt[31:])
-	st.QuotaDrops = binary.BigEndian.Uint64(pkt[39:])
-	st.SchedDefers = binary.BigEndian.Uint64(pkt[47:])
-	st.Outstanding = int64(binary.BigEndian.Uint64(pkt[55:]))
-	st.CacheHits = binary.BigEndian.Uint64(pkt[63:])
-	st.CacheBytes = binary.BigEndian.Uint64(pkt[71:])
-	st.Coalesced = binary.BigEndian.Uint64(pkt[79:])
-	return job, st, nil
-}
-
-func encodeStatsReply(job int, st JobStats) []byte {
-	pkt := make([]byte, statsReplyBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgStatsReply
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	pkt[4] = uint8(st.Phase)
-	binary.BigEndian.PutUint16(pkt[5:], uint16(st.Weight))
-	putProfile(pkt[7:], st.Profile)
-	putAdmitClass(pkt[10:], st.Class)
-	binary.BigEndian.PutUint64(pkt[15:], st.Adds)
-	binary.BigEndian.PutUint64(pkt[23:], st.Retransmits)
-	binary.BigEndian.PutUint64(pkt[31:], st.Completions)
-	binary.BigEndian.PutUint64(pkt[39:], st.QuotaDrops)
-	binary.BigEndian.PutUint64(pkt[47:], st.SchedDefers)
-	binary.BigEndian.PutUint64(pkt[55:], uint64(st.Outstanding))
-	binary.BigEndian.PutUint64(pkt[63:], st.CacheHits)
-	binary.BigEndian.PutUint64(pkt[71:], st.CacheBytes)
-	binary.BigEndian.PutUint64(pkt[79:], st.Coalesced)
-	return pkt
-}
-
 // aggregator is the pipeline surface a shard drives — the seam that lets
 // tests inject pipeline faults.
 type aggregator interface {
@@ -740,11 +320,12 @@ type JobStats struct {
 	Coalesced uint64
 }
 
-// WireRejects counts datagrams Handle refused, by cause.
+// WireRejects counts datagrams HandleBatch refused, by cause.
 type WireRejects struct {
 	// Legacy counts v1 (unversioned) datagrams.
 	Legacy uint64
-	// Malformed counts short, truncated, mistyped or nested-batch frames.
+	// Malformed counts short, truncated or mistyped frames, including the
+	// reserved message type 2.
 	Malformed uint64
 	// BadJob counts messages naming a job the switch does not admit
 	// (outside the capacity, or a vacant/evicted job id).
@@ -835,8 +416,9 @@ func (js *jobState) quantum() int64 { return int64(js.weight.Load()) * drrQuantu
 // protocol state (the seen-bitmap and result cache a production P4 program
 // holds in additional registers). The global pool is first partitioned by
 // tenant job — job j owns the contiguous slots [j·2·Pool, (j+1)·2·Pool) —
-// and each job's range is striped across the shard replicas. Handle may be
-// called concurrently; packets for different shards proceed in parallel.
+// and each job's range is striped across the shard replicas. HandleBatch
+// may be called concurrently; packets for different shards proceed in
+// parallel.
 type Switch struct {
 	cfg      Config
 	nsh      int
@@ -1003,9 +585,9 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		for j := 0; j < njobs; j++ {
 			var pe uint8
 			if u.Control != nil {
-				if pe, err = u.Control.AdmitUp(j, cfg.weightOf(j), cfg.profileOf(j)); err != nil {
+				if pe, err = admitUp(u.Control, j, JobSpec{Weight: cfg.weightOf(j), Profile: cfg.profileOf(j)}); err != nil {
 					s.Close()
-					return nil, fmt.Errorf("aggservice: job %d parent admit: %w", j, err)
+					return nil, err
 				}
 			}
 			//fpisa:ignore lockedcall constructor: s is not yet published, and locking lifeMu here would deadlock the error path through Close
@@ -1049,18 +631,9 @@ func (s *Switch) slotOf(ri int, chunk uint32) int {
 	return ri*2*s.cfg.Pool + int(chunk%pool+pool*(chunk/pool%2))
 }
 
-// Handle is the single-packet compatibility shim over HandleBatch, kept
-// for per-packet fabric paths and tests; it allocates the returned slice
-// per call, which the vectored path avoids.
-func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
-	var dl transport.DeliveryList
-	s.HandleBatch(worker, [][]byte{pkt}, &dl)
-	return dl.Take()
-}
-
 // HandleBatch implements transport.BatchHandler: it ingests one worker's
-// whole packet vector per invocation. ADDs (bare or riding a MsgBatch
-// frame) are validated, grouped by destination shard, and each shard's
+// whole packet vector per invocation. ADDs are validated, grouped by
+// destination shard, and each shard's
 // group is processed under ONE lock acquisition — one lock round per shard
 // per batch instead of one per chunk — so a full protocol window costs as
 // many lock rounds as it spans shards. It is safe for concurrent use:
@@ -1098,28 +671,6 @@ func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryL
 			continue
 		}
 		switch typ {
-		case MsgBatch:
-			// Legacy wire batching: flatten the framed ADDs into the same
-			// shard groups a vectored uplink produces. Only ADDs may ride
-			// in a batch; DecodeBatch already refused nested batches, and
-			// stats traffic is kept out-of-band.
-			msgs, err := DecodeBatch(pkt)
-			if err != nil {
-				s.countWireErr(err)
-				continue
-			}
-			for _, m := range msgs {
-				mt, merr := wireType(m)
-				if merr != nil {
-					s.countWireErr(merr)
-					continue
-				}
-				if mt != MsgAdd {
-					s.rejMalformed.Add(1)
-					continue
-				}
-				s.classifyAdd(worker, m, sc, out)
-			}
 		case MsgAdd:
 			s.classifyAdd(worker, pkt, sc, out)
 		case MsgTuple:
@@ -1225,14 +776,14 @@ func (s *Switch) countWireErr(err error) {
 // MsgJobAck error (and counted), so a probe can distinguish "unknown job"
 // from a lost datagram.
 func (s *Switch) handleStats(worker int, pkt []byte, out *transport.DeliveryList) {
-	if len(pkt) != statsReqBytes {
+	if len(pkt) != jobReqBytes {
 		s.rejMalformed.Add(1)
 		return
 	}
 	job := int(binary.BigEndian.Uint16(pkt[2:]))
 	if job >= s.ncap {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrUnknownJob, 0, 0))
+		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
 		return
 	}
 	st, _ := s.JobStats(job)
@@ -1278,7 +829,7 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		// An evicted (or never-admitted) job id on its own port: tell the
 		// worker so it can fail fast instead of retransmitting blind.
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
 		return
 	}
 	if pkt[hdrBytes] != uint8(epoch) {
@@ -1286,7 +837,7 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		// of this (re-admitted) job id: without the epoch octet it would
 		// bind a stale chunk into the fresh range (see doc.go).
 		s.rejStale.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
 		return
 	}
 	if unpackClass(js.classBits.Load()).Class != ClassTraining {
@@ -1294,7 +845,7 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		// registers and group accumulators, not chunk slots — ADDs have
 		// nothing to bind into.
 		s.rejClass.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
 		return
 	}
 	// Exact-length check against the incarnation's profile: an oversized
@@ -1303,7 +854,7 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 	// re-admitted under a different profile between the epoch snapshot and
 	// here, the packet is at worst mis-measured and dropped — the epoch
 	// revalidation under the shard lock keeps state safe.)
-	if len(pkt) != addBytesProf(s.cfg.Modules, prof) {
+	if len(pkt) != addBytes(s.cfg.Modules, prof) {
 		s.rejMalformed.Add(1)
 		return
 	}
@@ -1390,7 +941,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// Notice epoch = the packet's incarnation (see classifyAdd), so
 		// only that incarnation's workers abort on it.
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(a.job, AckEvicted, uint8(a.epoch), 0))
+		out.Unicast(worker, jobNotice(a.job, AckEvicted, uint8(a.epoch), 0))
 		return
 	}
 	agg := sh.agg[a.ri]
@@ -1414,7 +965,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// nothing new — that is what lets its range quiesce.
 		if JobPhase(js.phase.Load()) == PhaseDraining {
 			s.rejDraining.Add(1)
-			out.Unicast(worker, EncodeJobAck(a.job, AckDraining, uint8(a.epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(a.job, AckDraining, uint8(a.epoch), int(js.weight.Load())))
 			return
 		}
 		// Binding a new chunk is the unit of pipeline time the deficit-
@@ -1427,7 +978,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		if !sh.sched.charge(a.job, js.quantum()) {
 			s.rejBackpressure.Add(1)
 			js.schedDefers.Add(1)
-			out.Unicast(worker, EncodeJobAck(a.job, AckBackpressure, uint8(a.epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(a.job, AckBackpressure, uint8(a.epoch), int(js.weight.Load())))
 			return
 		}
 		// The bind is also charged against the job's admission quota before
@@ -1509,12 +1060,9 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		js.outstanding.Add(-1)
 		st.outstanding = false
 	}
-	var anyOvf byte
+	anyOvf := false
 	for _, o := range res.Overflow {
-		if o {
-			anyOvf = 1
-			break
-		}
+		anyOvf = anyOvf || o
 	}
 	// Every worker sent chunk c, so every worker holds chunk c−Pool's
 	// result: the bank partner's cache (if it still holds c−Pool) can go.
@@ -1544,23 +1092,11 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// retransmits silently until the parent's aggregate returns and
 		// installs the final RESULT (see installFinal).
 		st.upPending = true
-		up := make([]byte, addBytesProf(len(res.Values), a.prof))
-		putHeader(up, MsgAdd, a.job, chunk)
-		for i, v := range res.Values {
-			a.prof.PutValue(up[addValOff+vw*i:], v)
-		}
-		sc.ups = append(sc.ups, upReq{job: a.job, epoch: a.epoch, chunk: chunk, pkt: up, ovf: anyOvf != 0})
+		up := EncodeAddProfile(a.job, chunk, 0, a.prof, res.Values)
+		sc.ups = append(sc.ups, upReq{job: a.job, epoch: a.epoch, chunk: chunk, pkt: up, ovf: anyOvf})
 		return
 	}
-	// The RESULT travels in the job's wire format too: the values are
-	// already representable in it (the aggregator read them out under the
-	// profile), so the re-narrowing is the identity.
-	pkt := make([]byte, resultBytesProf(len(vals), a.prof))
-	putHeader(pkt, MsgResult, a.job, chunk)
-	for i, v := range res.Values {
-		a.prof.PutValue(pkt[hdrBytes+vw*i:], v)
-	}
-	pkt[hdrBytes+vw*len(vals)] = anyOvf
+	pkt := encodeResult(a.job, chunk, a.prof, res.Values, anyOvf)
 	st.cached = pkt
 	js.cacheBytes.Add(int64(len(pkt)))
 	// Delivery is deferred to the batch-end pass so consecutive chunks
@@ -1991,10 +1527,10 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		nDone := 0
 		stalls := 0
 		bufs := make([][]byte, recvVec)
-		var one [1][]byte
-		// mark completes chunk c with its aggregated values, shared by the
-		// per-chunk RESULT and run-reply paths.
-		mark := func(c int, vals []float32) {
+		// mark completes a chunk with its aggregated values, whichever
+		// downlink message carried them.
+		mark := func(chunk uint32, vals []float32, _ bool) {
+			c := int(chunk)
 			if c >= nChunks || done[c] {
 				return
 			}
@@ -2029,63 +1565,30 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 				abort()
 				return
 			}
-			for _, pkt := range bufs[:k] {
-				one[0] = pkt
-				msgs := one[:]
-				if typ, terr := wireType(pkt); terr == nil && typ == MsgBatch {
-					if msgs, err = DecodeBatch(pkt); err != nil {
-						continue
-					}
+			for _, msg := range bufs[:k] {
+				notice, ok := readDownlink(msg, w.Job, w.Epoch, modules, prof, mark)
+				if !ok {
+					continue
 				}
-				for _, msg := range msgs {
-					if len(msg) >= 2 && msg[0] == WireVersion && msg[1] == MsgJobAck {
-						// Lifecycle or scheduler notice. Only notices for
-						// OUR incarnation count: the switch echoes the
-						// offending ADD's epoch, so a notice bounced off a
-						// stale straggler's datagram must not steer this
-						// (fresh) worker.
-						j, status, ep, _, aerr := DecodeJobAck(msg)
-						if aerr != nil || j != w.Job || ep != w.Epoch {
-							continue
-						}
-						switch status {
-						case AckEvicted, AckDraining:
-							// The switch refuses our chunks because the job
-							// is draining or already evicted. There is no
-							// recovering by retransmit — fail fast.
-							recvErr = fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, ErrJobEvicted)
-							abort()
-							return
-						case AckBackpressure:
-							// The scheduler deferred a bind: signal the
-							// sender to back its batch off. The switch is
-							// demonstrably alive and the job admitted, so
-							// this round of waiting must not eat the
-							// retry budget.
-							bpAcks++
-							stalls = 0
-							select {
-							case bpc <- struct{}{}:
-							default:
-							}
-						}
-						continue
+				switch notice {
+				case AckEvicted, AckDraining:
+					// The switch refuses our chunks because the job is
+					// draining or already evicted. There is no recovering
+					// by retransmit — fail fast.
+					recvErr = fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, ErrJobEvicted)
+					abort()
+					return
+				case AckBackpressure:
+					// The scheduler deferred a bind: signal the sender to
+					// back its batch off. The switch is demonstrably alive
+					// and the job admitted, so this round of waiting must
+					// not eat the retry budget.
+					bpAcks++
+					stalls = 0
+					select {
+					case bpc <- struct{}{}:
+					default:
 					}
-					if mt, _ := wireType(msg); mt == MsgResultRun {
-						job, start, rvals, _, rerr := DecodeResultRun(msg, modules, prof)
-						if rerr != nil || job != w.Job {
-							continue
-						}
-						for i := range rvals {
-							mark(int(start)+i, rvals[i])
-						}
-						continue
-					}
-					job, chunk, vals, _, err := DecodeResultProfile(msg, modules, prof)
-					if err != nil || job != w.Job {
-						continue // not for us
-					}
-					mark(int(chunk), vals)
 				}
 			}
 		}

@@ -12,6 +12,14 @@ import (
 	"fpisa/internal/transport"
 )
 
+// handle drives one packet through HandleBatch and returns its deliveries:
+// the one-packet-in/deliveries-out view most protocol tests want.
+func handle(s *Switch, worker int, pkt []byte) []transport.Delivery {
+	var dl transport.DeliveryList
+	s.HandleBatch(worker, [][]byte{pkt}, &dl)
+	return dl.Take()
+}
+
 // runReduction drives W workers through one all-reduce over the in-memory
 // fabric and returns each worker's result.
 func runReduction(t *testing.T, cfg Config, vecs [][]float32, loss float64, seed int64) ([][]float32, *Switch, *transport.Memory) {
@@ -21,7 +29,7 @@ func runReduction(t *testing.T, cfg Config, vecs [][]float32, loss float64, seed
 		t.Fatal(err)
 	}
 	fab, err := transport.NewMemory(transport.MemoryConfig{
-		Workers: cfg.Workers, Handler: sw.Handle,
+		Workers: cfg.Workers, BatchHandler: sw.HandleBatch,
 		UplinkLoss: loss, DownlinkLoss: loss, Seed: seed,
 	})
 	if err != nil {
@@ -185,17 +193,17 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestEncodeDecode(t *testing.T) {
-	pkt := EncodeAdd(0, 7, []float32{1.5, -2.5})
+	pkt := EncodeAddProfile(0, 7, 0, core.DefaultProfile, []float32{1.5, -2.5})
 	if pkt[0] != WireVersion || pkt[1] != MsgAdd || len(pkt) != 17 {
 		t.Fatalf("pkt = %v", pkt)
 	}
 	if pkt[hdrBytes] != 0 {
 		t.Fatalf("first-incarnation epoch octet = %d", pkt[hdrBytes])
 	}
-	if withEpoch := EncodeAddEpoch(0, 7, 5, []float32{1.5, -2.5}); withEpoch[hdrBytes] != 5 {
+	if withEpoch := EncodeAddProfile(0, 7, 5, core.DefaultProfile, []float32{1.5, -2.5}); withEpoch[hdrBytes] != 5 {
 		t.Fatalf("epoch octet = %d, want 5", withEpoch[hdrBytes])
 	}
-	if _, _, _, _, err := DecodeResult(pkt, 2); err == nil {
+	if _, _, _, _, err := DecodeResultProfile(pkt, 2, core.DefaultProfile); err == nil {
 		t.Error("DecodeResult accepted an ADD packet")
 	}
 }

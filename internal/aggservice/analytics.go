@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fpisa/internal/core"
@@ -203,24 +201,6 @@ func unpackClass(bits uint64) AdmitClass {
 	}
 }
 
-// putAdmitClass/getAdmitClass move a class descriptor through its five
-// wire octets ([class topn(2) groups(2)]). Like getProfile, the decoder
-// returns the octets as carried — round trips stay byte-exact; the
-// admission path validates.
-func putAdmitClass(dst []byte, ac AdmitClass) {
-	dst[0] = uint8(ac.Class)
-	binary.BigEndian.PutUint16(dst[1:], uint16(ac.TopN))
-	binary.BigEndian.PutUint16(dst[3:], uint16(ac.Groups))
-}
-
-func getAdmitClass(src []byte) AdmitClass {
-	return AdmitClass{
-		Class:  WorkloadClass(src[0]),
-		TopN:   int(binary.BigEndian.Uint16(src[1:])),
-		Groups: int(binary.BigEndian.Uint16(src[3:])),
-	}
-}
-
 // TupleOp selects the register program a MsgTuple batch folds into.
 type TupleOp uint8
 
@@ -287,177 +267,11 @@ func (k DrainKind) String() string {
 // query starts clean.
 const DrainFlagResetPrune = 1
 
-// Analytics wire sizes. The tuple header rides the shared [ver type job(2)
-// seq(4)] header plus [epoch op count(2)]; its ack echoes the seq and adds
-// a survivor bitmap. Drains are observer frames carrying a client nonce so
-// a lost reply can be replayed instead of re-executing the read-and-reset.
-const (
-	tupleHdrBytes      = hdrBytes + 4
-	tupleAckHdrBytes   = hdrBytes + 2
-	drainReqBytes      = 10 // [ver type job(2) kind flags nonce(4)]
-	drainReplyHdrBytes = 7  // [ver type job(2) kind count(2)]
-)
-
-// MaxTuplesPerBatch is how many 8-byte (key, value) tuples fit one
-// datagram after the tuple header.
-const MaxTuplesPerBatch = (maxDatagram - tupleHdrBytes) / 8
-
 // DrainEntry is one harvested register: a key (group index, heavy-hitter
 // key, or histogram bin exponent) and its FP32 value.
 type DrainEntry struct {
 	Key uint32
 	Val float32
-}
-
-// EncodeTuples builds an analytics MsgTuple batch: up to MaxTuplesPerBatch
-// (key, value) rows folded under one op, stamped with the job's
-// incarnation epoch and a stop-and-wait sequence number.
-func EncodeTuples(job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32) []byte {
-	pkt := make([]byte, tupleHdrBytes+8*len(keys))
-	putHeader(pkt, MsgTuple, job, seq)
-	pkt[hdrBytes] = epoch
-	pkt[hdrBytes+1] = uint8(op)
-	binary.BigEndian.PutUint16(pkt[hdrBytes+2:], uint16(len(keys)))
-	for i, k := range keys {
-		off := tupleHdrBytes + 8*i
-		binary.BigEndian.PutUint32(pkt[off:], k)
-		binary.BigEndian.PutUint32(pkt[off+4:], math.Float32bits(vals[i]))
-	}
-	return pkt
-}
-
-// DecodeTuples parses a MsgTuple batch. Safe on arbitrary input: the count
-// is validated against the packet length before any row is read, and
-// truncation returns a wire error wrapping ErrTruncated. The op octet is
-// returned as carried (the switch, not the decoder, validates it against
-// the job's class), so a round trip is byte-exact.
-func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("bad tuple batch: %w", terr)
-	} else if typ != MsgTuple {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch type")
-	}
-	if len(pkt) < tupleHdrBytes {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("tuple batch %d of %d header bytes: %w", len(pkt), tupleHdrBytes, ErrTruncated)
-	}
-	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
-	if count < 1 || len(pkt) != tupleHdrBytes+8*count {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch (%d rows, %d bytes)", count, len(pkt))
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	seq = binary.BigEndian.Uint32(pkt[4:])
-	epoch = pkt[hdrBytes]
-	op = TupleOp(pkt[hdrBytes+1])
-	keys = make([]uint32, count)
-	vals = make([]float32, count)
-	for i := 0; i < count; i++ {
-		off := tupleHdrBytes + 8*i
-		keys[i] = binary.BigEndian.Uint32(pkt[off:])
-		vals[i] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
-	}
-	return job, seq, epoch, op, keys, vals, nil
-}
-
-// encodeTupleAck builds the MsgTupleAck for one folded batch: the echoed
-// sequence number plus the survivor bitmap (bit i set = row i survived
-// pruning; all-zero for fold-only ops).
-func encodeTupleAck(job int, seq uint32, count int, survive func(i int) bool) []byte {
-	pkt := make([]byte, tupleAckHdrBytes+(count+7)/8)
-	putHeader(pkt, MsgTupleAck, job, seq)
-	binary.BigEndian.PutUint16(pkt[hdrBytes:], uint16(count))
-	for i := 0; i < count; i++ {
-		if survive(i) {
-			pkt[tupleAckHdrBytes+i/8] |= 1 << (i % 8)
-		}
-	}
-	return pkt
-}
-
-// DecodeTupleAck parses a MsgTupleAck. Safe on arbitrary input; padding
-// bits past the row count must be zero (so a round trip is byte-exact).
-func DecodeTupleAck(pkt []byte) (job int, seq uint32, survivors []bool, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, fmt.Errorf("bad tuple ack: %w", terr)
-	} else if typ != MsgTupleAck {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad tuple ack type")
-	}
-	if len(pkt) < tupleAckHdrBytes {
-		return 0, 0, nil, fmt.Errorf("tuple ack %d of %d header bytes: %w", len(pkt), tupleAckHdrBytes, ErrTruncated)
-	}
-	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
-	if count < 1 || len(pkt) != tupleAckHdrBytes+(count+7)/8 {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad tuple ack (%d rows, %d bytes)", count, len(pkt))
-	}
-	survivors = make([]bool, count)
-	for i := range survivors {
-		survivors[i] = pkt[tupleAckHdrBytes+i/8]&(1<<(i%8)) != 0
-	}
-	if pad := count % 8; pad != 0 {
-		if pkt[len(pkt)-1]>>pad != 0 {
-			return 0, 0, nil, fmt.Errorf("aggservice: nonzero padding in tuple ack bitmap")
-		}
-	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), survivors, nil
-}
-
-// EncodeDrain builds an observer request to harvest one kind of analytics
-// state. The nonce identifies the request: the switch caches the last
-// reply per job, so a retry with the same nonce replays the harvest
-// instead of re-executing the read-and-reset (drains are not idempotent).
-func EncodeDrain(job int, kind DrainKind, flags uint8, nonce uint32) []byte {
-	pkt := make([]byte, drainReqBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgDrain
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	pkt[4] = uint8(kind)
-	pkt[5] = flags
-	binary.BigEndian.PutUint32(pkt[6:], nonce)
-	return pkt
-}
-
-// encodeDrainReply builds the MsgDrainReply carrying the harvested
-// entries.
-func encodeDrainReply(job int, kind DrainKind, entries []DrainEntry) []byte {
-	pkt := make([]byte, drainReplyHdrBytes+8*len(entries))
-	pkt[0] = WireVersion
-	pkt[1] = MsgDrainReply
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	pkt[4] = uint8(kind)
-	binary.BigEndian.PutUint16(pkt[5:], uint16(len(entries)))
-	for i, e := range entries {
-		off := drainReplyHdrBytes + 8*i
-		binary.BigEndian.PutUint32(pkt[off:], e.Key)
-		binary.BigEndian.PutUint32(pkt[off+4:], math.Float32bits(e.Val))
-	}
-	return pkt
-}
-
-// DecodeDrainReply parses a MsgDrainReply. Safe on arbitrary input: the
-// entry count is validated against the packet length, truncation wraps
-// ErrTruncated, and an unknown kind octet is rejected.
-func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, fmt.Errorf("bad drain reply: %w", terr)
-	} else if typ != MsgDrainReply {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad drain reply type")
-	}
-	if len(pkt) < drainReplyHdrBytes {
-		return 0, 0, nil, fmt.Errorf("drain reply %d of %d header bytes: %w", len(pkt), drainReplyHdrBytes, ErrTruncated)
-	}
-	if pkt[4] > uint8(DrainHistogram) {
-		return 0, 0, nil, fmt.Errorf("aggservice: unknown drain kind %d", pkt[4])
-	}
-	count := int(binary.BigEndian.Uint16(pkt[5:]))
-	if len(pkt) != drainReplyHdrBytes+8*count {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad drain reply (%d entries, %d bytes)", count, len(pkt))
-	}
-	entries = make([]DrainEntry, count)
-	for i := range entries {
-		off := drainReplyHdrBytes + 8*i
-		entries[i].Key = binary.BigEndian.Uint32(pkt[off:])
-		entries[i].Val = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
-	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), DrainKind(pkt[4]), entries, nil
 }
 
 // gmaxReg is one group-max pruning bucket: the ordered-key max tagged with
@@ -768,12 +582,12 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	ri := int(js.rangeIdx.Load())
 	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
 		return
 	}
 	if pkt[hdrBytes] != uint8(epoch) {
 		s.rejStale.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
 		return
 	}
 	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
@@ -789,14 +603,14 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	if js.epoch.Load() != epoch {
 		sh.mu.Unlock()
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, uint8(epoch), 0))
+		out.Unicast(worker, jobNotice(job, AckEvicted, uint8(epoch), 0))
 		return
 	}
 	an := s.analytics[job]
 	if an == nil || !an.opAllowed(op) {
 		sh.mu.Unlock()
 		s.rejClass.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
 		return
 	}
 	switch {
@@ -809,7 +623,7 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 			sh.mu.Unlock()
 			js.schedDefers.Add(1)
 			s.rejBackpressure.Add(1)
-			out.Unicast(worker, EncodeJobAck(job, AckBackpressure, uint8(epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(epoch), int(js.weight.Load())))
 			return
 		}
 		ack := an.fold(job, seq, op, pkt, count)
@@ -851,7 +665,7 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	}
 	if job >= s.ncap {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrUnknownJob, 0, 0))
+		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
 		return
 	}
 	js := &s.jobs[job]
@@ -859,7 +673,7 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	ri := int(js.rangeIdx.Load())
 	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrNotAdmitted, 0, 0))
+		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
 		return
 	}
 	flags := pkt[5]
@@ -869,14 +683,14 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	if js.epoch.Load() != epoch {
 		sh.mu.Unlock()
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrNotAdmitted, 0, 0))
+		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
 		return
 	}
 	an := s.analytics[job]
 	if an == nil {
 		sh.mu.Unlock()
 		s.rejClass.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
 		return
 	}
 	if an.lastDrainPkt != nil && an.lastDrainNonce == nonce {
@@ -1024,17 +838,17 @@ func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int,
 					}
 					return out, nil
 				case MsgJobAck:
-					j, status, ep, _, aerr := DecodeJobAck(msg)
-					if aerr != nil || j != c.Job {
+					ack, aerr := DecodeJobAck(msg)
+					if aerr != nil || ack.Job != c.Job {
 						continue
 					}
-					switch status {
+					switch ack.Status {
 					case AckBackpressure:
 						// Transient: the DRR round turns over on the
 						// switch; fall through to the retransmit clock.
 						c.BackpressureAcks++
 					case AckEvicted, AckDraining:
-						if ep == c.Epoch {
+						if ack.Epoch == c.Epoch {
 							return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
 						}
 					case AckErrBadClass:
@@ -1045,74 +859,4 @@ func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int,
 		}
 	}
 	return nil, fmt.Errorf("aggservice: job %d worker %d tuple batch %d undelivered after %d attempts", c.Job, c.ID, c.seq, retries+1)
-}
-
-// drainNonce seeds ObserverDrain's replay nonces; mixing the process start
-// time keeps a restarted observer from replaying a predecessor's cache.
-var drainNonce atomic.Uint32
-
-func init() {
-	drainNonce.Store(uint32(time.Now().UnixNano()))
-}
-
-// ObserverDrain harvests one kind of analytics state from a switch over
-// its UDP observer frame (read-and-reset on the switch; lost replies are
-// replayed by nonce, so the interval is never silently dropped). flags is
-// 0 or DrainFlagResetPrune.
-func ObserverDrain(addr string, job int, kind DrainKind, flags uint8, timeout time.Duration) ([]DrainEntry, error) {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, udpAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	req := EncodeDrain(job, kind, flags, drainNonce.Add(1))
-	frame := append([]byte{transport.ObserverID}, req...)
-	buf := make([]byte, maxDatagram)
-	const attempts = 5
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if _, err := conn.Write(frame); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		msg := buf[:n]
-		typ, terr := wireType(msg)
-		if terr != nil {
-			lastErr = terr
-			continue
-		}
-		switch typ {
-		case MsgDrainReply:
-			j, k, entries, derr := DecodeDrainReply(msg)
-			if derr != nil || j != job || k != kind {
-				lastErr = derr
-				continue
-			}
-			return entries, nil
-		case MsgJobAck:
-			j, status, _, _, aerr := DecodeJobAck(msg)
-			if aerr != nil || j != job {
-				continue
-			}
-			if serr := status.Err(); serr != nil {
-				return nil, fmt.Errorf("aggservice: drain job %d: %w", job, serr)
-			}
-		}
-	}
-	return nil, fmt.Errorf("aggservice: drain job %d from %s: no reply after %d attempts (last: %v)", job, addr, attempts, lastErr)
 }

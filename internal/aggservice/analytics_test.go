@@ -28,9 +28,9 @@ func TestAdmitClassPackRoundTrip(t *testing.T) {
 		if got := unpackClass(packClass(ac)); got != ac {
 			t.Errorf("unpack(pack(%v)) = %v", ac, got)
 		}
-		buf := make([]byte, classBytes)
-		putAdmitClass(buf, ac)
-		if got := getAdmitClass(buf); got != ac {
+		buf := make([]byte, jobSpecBytes)
+		putJobSpec(buf, JobSpec{Class: ac})
+		if got := getJobSpec(buf).Class; got != ac {
 			t.Errorf("get(put(%v)) = %v", ac, got)
 		}
 	}
@@ -135,32 +135,28 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 	}
 
 	ac := AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}
-	adm := EncodeJobAdmitClass(5, 3, core.DefaultProfile, ac)
+	admit := JobAdmit{Job: 5, JobSpec: JobSpec{Weight: 3, Class: ac}}
+	adm := EncodeJobAdmit(admit)
 	if len(adm) != jobAdmitBytes {
 		t.Fatalf("admit frame %d bytes, want %d", len(adm), jobAdmitBytes)
 	}
-	j, w, prof, ac2, err := DecodeJobAdmitClass(adm)
-	if err != nil || j != 5 || w != 3 || prof != core.DefaultProfile || ac2 != ac {
-		t.Fatalf("admit class round trip: %d %d %v %v %v", j, w, prof, ac2, err)
-	}
-	// The profile-only decoder still reads the widened frame.
-	if _, _, _, err := DecodeJobAdmitProfile(adm); err != nil {
-		t.Fatalf("profile decode of class admit: %v", err)
+	if got, err := DecodeJobAdmit(adm); err != nil || got != admit {
+		t.Fatalf("admit class round trip: %+v %v", got, err)
 	}
 	// The pre-class 9-byte layout is now a truncation error.
-	if _, _, _, _, err := DecodeJobAdmitClass(adm[:9]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAdmit(adm[:9]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("prior-layout admit: %v", err)
 	}
 
-	jack := EncodeJobAckClass(5, AckAdmitted, 1, 3, core.DefaultProfile, ac)
+	wantAck := JobAck{Job: 5, Status: AckAdmitted, Epoch: 1, JobSpec: JobSpec{Weight: 3, Class: ac}}
+	jack := EncodeJobAck(wantAck)
 	if len(jack) != jobAckBytes {
 		t.Fatalf("ack frame %d bytes, want %d", len(jack), jobAckBytes)
 	}
-	kj, st, ep, kw, kp, kac, err := DecodeJobAckClass(jack)
-	if err != nil || kj != 5 || st != AckAdmitted || ep != 1 || kw != 3 || kp != core.DefaultProfile || kac != ac {
-		t.Fatalf("ack class round trip: %d %v %d %d %v %v %v", kj, st, ep, kw, kp, kac, err)
+	if got, err := DecodeJobAck(jack); err != nil || got != wantAck {
+		t.Fatalf("ack class round trip: %+v %v", got, err)
 	}
-	if _, _, _, _, _, _, err := DecodeJobAckClass(jack[:11]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAck(jack[:11]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("prior-layout ack: %v", err)
 	}
 
@@ -194,7 +190,7 @@ func analyticsCfg(workers int, ac AdmitClass) Config {
 // in-process switch.
 func drainVia(t *testing.T, sw *Switch, job int, kind DrainKind, flags uint8, nonce uint32) []DrainEntry {
 	t.Helper()
-	ds := sw.Handle(ObserverWorker, EncodeDrain(job, kind, flags, nonce))
+	ds := handle(sw, ObserverWorker, EncodeDrain(job, kind, flags, nonce))
 	if len(ds) != 1 {
 		t.Fatalf("drain deliveries: %v", ds)
 	}
@@ -228,7 +224,7 @@ func TestQueryEngineOnSwitch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+			fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +315,7 @@ func TestTelemetrySketches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +421,7 @@ func TestDrainNonceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := EncodeTuples(1, 0, 0, OpQueryAgg, []uint32{3}, []float32{2.5})
-	if ds := sw.Handle(cfg.Port(1, 0), pkt); len(ds) != 1 {
+	if ds := handle(sw, cfg.Port(1, 0), pkt); len(ds) != 1 {
 		t.Fatalf("tuple deliveries: %v", ds)
 	}
 	first := drainVia(t, sw, 1, DrainGroups, 0, 77)
@@ -452,8 +448,8 @@ func TestTupleRetransmitReplay(t *testing.T) {
 	}
 	port := cfg.Port(1, 0)
 	pkt := EncodeTuples(1, 0, 0, OpQueryAgg, []uint32{1}, []float32{1})
-	ds1 := sw.Handle(port, pkt)
-	ds2 := sw.Handle(port, pkt) // retransmission
+	ds1 := handle(sw, port, pkt)
+	ds2 := handle(sw, port, pkt) // retransmission
 	if len(ds1) != 1 || len(ds2) != 1 {
 		t.Fatalf("deliveries: %v %v", ds1, ds2)
 	}
@@ -470,7 +466,7 @@ func TestTupleRetransmitReplay(t *testing.T) {
 	// A batch from the future is malformed, not folded.
 	future := EncodeTuples(1, 9, 0, OpQueryAgg, []uint32{1}, []float32{1})
 	before := sw.Rejects().Malformed
-	if ds := sw.Handle(port, future); len(ds) != 0 {
+	if ds := handle(sw, port, future); len(ds) != 0 {
 		t.Fatalf("future batch answered: %v", ds)
 	}
 	if got := sw.Rejects().Malformed; got != before+1 {
@@ -492,27 +488,27 @@ func TestClassEnforcement(t *testing.T) {
 		if len(ds) != 1 {
 			t.Fatalf("deliveries: %v", ds)
 		}
-		if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != want {
-			t.Fatalf("ack = %v (err %v), want %v", status, err, want)
+		if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != want {
+			t.Fatalf("ack = %v (err %v), want %v", ack.Status, err, want)
 		}
 	}
 	before := sw.Rejects().BadClass
 	// ADD to the query job.
-	expectAck(sw.Handle(cfg.Port(1, 0), EncodeAdd(1, 0, []float32{1})), AckErrBadClass)
+	expectAck(handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, 0, 0, core.DefaultProfile, []float32{1})), AckErrBadClass)
 	// Tuple to the training job.
-	expectAck(sw.Handle(cfg.Port(0, 0), EncodeTuples(0, 0, 0, OpQueryTopN, []uint32{1}, []float32{1})), AckErrBadClass)
+	expectAck(handle(sw, cfg.Port(0, 0), EncodeTuples(0, 0, 0, OpQueryTopN, []uint32{1}, []float32{1})), AckErrBadClass)
 	// Unprovisioned op on the query job (no group registers admitted).
-	expectAck(sw.Handle(cfg.Port(1, 0), EncodeTuples(1, 0, 0, OpQueryAgg, []uint32{1}, []float32{1})), AckErrBadClass)
-	expectAck(sw.Handle(cfg.Port(1, 0), EncodeTuples(1, 0, 0, OpTelemetry, []uint32{1}, []float32{1})), AckErrBadClass)
+	expectAck(handle(sw, cfg.Port(1, 0), EncodeTuples(1, 0, 0, OpQueryAgg, []uint32{1}, []float32{1})), AckErrBadClass)
+	expectAck(handle(sw, cfg.Port(1, 0), EncodeTuples(1, 0, 0, OpTelemetry, []uint32{1}, []float32{1})), AckErrBadClass)
 	if got := sw.Rejects().BadClass; got != before+4 {
 		t.Fatalf("BadClass rejects %d → %d, want +4", before, got)
 	}
 	// Drain against a training job.
-	ds := sw.Handle(ObserverWorker, EncodeDrain(0, DrainGroups, 0, 1))
+	ds := handle(sw, ObserverWorker, EncodeDrain(0, DrainGroups, 0, 1))
 	expectAck(ds, AckErrBadClass)
 	// The provisioned op still works.
 	pkt := EncodeTuples(1, 0, 0, OpQueryTopN, []uint32{1}, []float32{1})
-	if ds := sw.Handle(cfg.Port(1, 0), pkt); len(ds) != 1 || ds[0].Packet[1] != MsgTupleAck {
+	if ds := handle(sw, cfg.Port(1, 0), pkt); len(ds) != 1 || ds[0].Packet[1] != MsgTupleAck {
 		t.Fatalf("provisioned op refused: %v", ds)
 	}
 }
@@ -527,11 +523,12 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac := AdmitClass{Class: ClassQuery, TopN: 2, Groups: 8}
-	ds := sw.Handle(ObserverWorker, EncodeJobAdmitClass(1, 2, core.DefaultProfile, ac))
+	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 2, Class: ac}}))
 	if len(ds) != 1 {
 		t.Fatalf("admit deliveries: %v", ds)
 	}
-	_, status, epoch, _, _, gotAC, err := DecodeJobAckClass(ds[0].Packet)
+	ack, err := DecodeJobAck(ds[0].Packet)
+	status, epoch, gotAC := ack.Status, ack.Epoch, ack.Class
 	if err != nil || status != AckAdmitted || gotAC != ac {
 		t.Fatalf("class admit ack: %v %v %v", status, gotAC, err)
 	}
@@ -539,13 +536,13 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatalf("JobClass(1) = %v", sw.JobClass(1))
 	}
 	// A bad descriptor is refused with the new status.
-	ds = sw.Handle(ObserverWorker, EncodeJobAdmitClass(0, 1, core.DefaultProfile, AdmitClass{Class: ClassTelemetry, Groups: 3}))
-	if _, st2, _, _, _ := DecodeJobAck(ds[0].Packet); st2 != AckErrBadClass {
-		t.Fatalf("bad class admit ack: %v", st2)
+	ds = handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: ClassTelemetry, Groups: 3}}}))
+	if ack, _ := DecodeJobAck(ds[0].Packet); ack.Status != AckErrBadClass {
+		t.Fatalf("bad class admit ack: %v", ack.Status)
 	}
 
 	pkt := EncodeTuples(1, 0, epoch, OpQueryAgg, []uint32{5}, []float32{4})
-	if ds := sw.Handle(cfg.Port(1, 0), pkt); len(ds) != 1 || ds[0].Packet[1] != MsgTupleAck {
+	if ds := handle(sw, cfg.Port(1, 0), pkt); len(ds) != 1 || ds[0].Packet[1] != MsgTupleAck {
 		t.Fatalf("tuple after admit: %v", ds)
 	}
 	if err := sw.Evict(1); err != nil {
@@ -558,19 +555,19 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatalf("class survives eviction: %v", got)
 	}
 	// Stale-epoch tuples bounce with an evicted notice.
-	ds = sw.Handle(cfg.Port(1, 0), pkt)
+	ds = handle(sw, cfg.Port(1, 0), pkt)
 	if len(ds) != 1 {
 		t.Fatalf("stale tuple deliveries: %v", ds)
 	}
-	if _, st2, _, _, _ := DecodeJobAck(ds[0].Packet); st2 != AckEvicted {
-		t.Fatalf("stale tuple ack: %v", st2)
+	if ack, _ := DecodeJobAck(ds[0].Packet); ack.Status != AckEvicted {
+		t.Fatalf("stale tuple ack: %v", ack.Status)
 	}
 	// The id is reusable as a training tenant: fresh state, ADDs work.
-	if err := sw.Admit(1); err != nil {
+	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	add := EncodeAddEpoch(1, 0, sw.JobEpoch(1), []float32{7})
-	if ds := sw.Handle(cfg.Port(1, 0), add); len(ds) != 1 || ds[0].Packet[1] != MsgResult {
+	add := EncodeAddProfile(1, 0, sw.JobEpoch(1), core.DefaultProfile, []float32{7})
+	if ds := handle(sw, cfg.Port(1, 0), add); len(ds) != 1 || ds[0].Packet[1] != MsgResult {
 		t.Fatalf("training ADD after class churn: %v", ds)
 	}
 }
@@ -608,7 +605,7 @@ func TestMixedClassFairness(t *testing.T) {
 		// Training tenant: chunks until the scheduler defers the bind.
 		for b := 0; b < burst; b++ {
 			served := false
-			for _, d := range sw.Handle(cfg.Port(0, 0), EncodeAdd(0, units[0], vals)) {
+			for _, d := range handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, units[0], 0, core.DefaultProfile, vals)) {
 				if d.Packet[1] == MsgResult {
 					units[0]++
 					served = true
@@ -627,7 +624,7 @@ func TestMixedClassFairness(t *testing.T) {
 			}
 			for b := 0; b < burst; b++ {
 				served := false
-				for _, d := range sw.Handle(cfg.Port(j, 0), EncodeTuples(j, seqs[j], 0, op, tk, vals)) {
+				for _, d := range handle(sw, cfg.Port(j, 0), EncodeTuples(j, seqs[j], 0, op, tk, vals)) {
 					if d.Packet[1] == MsgTupleAck {
 						units[j]++
 						seqs[j]++

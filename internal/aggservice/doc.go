@@ -36,7 +36,7 @@
 // unit of pipeline time in this protocol is BINDING A NEW CHUNK: a bound
 // chunk owns a slot, its Workers ADD passes, and a result broadcast.
 // Every admitted job therefore carries a Weight (Config.Weights at
-// construction, Switch.AdmitWeighted / the widened MsgJobAdmit at runtime;
+// construction, JobSpec.Weight in Switch.Admit / MsgJobAdmit at runtime;
 // default 1, a requested 0 is clamped to 1 and revealed in the ack), and
 // each shard meters new-chunk binds with a deficit-round-robin ledger it
 // keeps under the shard lock it already holds:
@@ -72,7 +72,7 @@
 // accumulator guard bits (paper Appendix A.1's swamping protection) and
 // the rounding mode (truncate or round-to-nearest-even). Initial jobs take
 // theirs from Config.Profiles (fpisa-switch -profiles); runtime admissions
-// carry one in the widened MsgJobAdmit (Switch.AdmitProfile, fpisa-query
+// carry one in their JobSpec (Switch.Admit, MsgJobAdmit, fpisa-query
 // -admit -profile). The admission validates before any state moves —
 // unknown octets, guard bits that leave the mantissa register no headroom
 // (Headroom() < 1) and RNE without a guard bit to round on are refused
@@ -147,13 +147,14 @@
 // datagram is therefore recognized by its first byte and rejected with
 // ErrLegacyWire rather than misparsed. The second octet is the message
 // type; ADD/RESULT carry a 16-bit big-endian job id next. All integers are
-// big-endian.
+// big-endian. wire.go holds the whole protocol: exactly one encoder and
+// one decoder per message, the admission descriptor (JobSpec) and the
+// JobAdmit/JobAck message structs.
 //
 //	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
 //	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
 //	run    = [ver(1) type(1) job(2) start(4) count(2)
 //	          { values(W·M) overflow(1) }·count]
-//	batch  = [ver(1) type(1) count(2) { len(2) msg }·count]
 //	stats  = [ver(1) type(1) job(2)]
 //	reply  = [ver(1) type(1) job(2) phase(1) weight(2) fmt(1) guard(1)
 //	          round(1) class(1) topn(2) groups(2) adds(8) retransmits(8)
@@ -189,20 +190,17 @@
 // validation is the admission path's job, so a decode/encode round trip is
 // byte-exact even for frames the switch would refuse.
 //
-// A batch frames complete messages (each with its own version octet); a
-// batch framed inside a batch is rejected (ErrNestedBatch), so decoding
-// never recurses. Only ADDs may ride in an uplink batch. Fixed-layout
-// downlink messages (reply, ack) are decoded with full bounds checks: a
-// truncated frame returns a wire error wrapping ErrTruncated rather than
-// panicking the client, and the decoders are fuzzed alongside the batch
-// framing (FuzzDecodeStatsReply, FuzzDecodeJobAck, FuzzDecodeJobAdmit,
-// FuzzDecodeTuples, FuzzDecodeTupleAck, FuzzDecodeDrainReply).
-//
-// MsgBatch remains the in-protocol coalescing format for compatibility,
-// but the hot path no longer needs it: packets cross the transport as
-// VECTORS (transport.BatchHandler / Fabric.SendBatch), and the UDP fabric
-// coalesces a vector into its own batch-framed datagrams below this wire
-// format. Both shapes are accepted on ingest.
+// One datagram-level message is one protocol message: coalescing lives
+// BELOW this wire format — packets cross the transport as VECTORS
+// (transport.BatchHandler / Fabric.SendBatch) and the UDP fabric packs a
+// vector into its own batch-framed datagrams. Message type 2, which once
+// framed several messages inside the protocol, is reserved and rejected as
+// malformed. Fixed-layout messages (reply, admit, ack) are decoded with
+// full bounds checks: a truncated frame returns a wire error wrapping
+// ErrTruncated rather than panicking the client, and the decoders are
+// fuzzed (FuzzDecodeStatsReply, FuzzDecodeJobAck, FuzzDecodeJobAdmit,
+// FuzzDecodeTuples, FuzzDecodeTupleAck, FuzzDecodeDrainReply,
+// FuzzDecodeResultRun).
 //
 // The v2 layouts are versioned against v1, not against each other: they
 // evolve with the repository (this revision widened the stats reply, the
@@ -248,7 +246,7 @@
 // 1:2:4 within 10%, Jain ≥ 0.95).
 //
 // Analytics state leaves the switch through observer drain frames
-// (MsgDrain/MsgDrainReply; ObserverDrain client-side, fpisa-query
+// (MsgDrain/MsgDrainReply; Observer.Drain client-side, fpisa-query
 // -drain): kind selects the grouped registers (query sums, telemetry
 // per-class utilization), the heavy-hitter table or the histogram bins,
 // each read-and-reset. The nonce makes the non-idempotent harvest safe
@@ -279,8 +277,7 @@
 // destination shard, and each shard's share of the batch runs under ONE
 // lock acquisition — one lock round per shard per batch rather than one
 // per chunk, the packet-vector-per-pipeline-pass shape SwitchML-class
-// data planes aggregate at. Switch.Handle remains as the single-packet
-// shim over the same path.
+// data planes aggregate at.
 //
 // # Slot protocol
 //
@@ -312,7 +309,7 @@
 // Lifecycle and numeric-profile semantics thread through the hierarchy.
 // Admitting a job on a leaf first negotiates the same job, weight and
 // profile at the parent (ParentControl: SwitchControl in process,
-// WireControl over the observer frame; a job another leaf already
+// Observer over the observer frame; a job another leaf already
 // admitted is joined, a profile mismatch is refused before any local
 // state moves), and the parent's ack supplies the PARENT-LEVEL
 // incarnation epoch stamped into every uplink ADD — each tree level
@@ -325,7 +322,17 @@
 // does NOT propagate up — sibling leaves may still feed the parent's job.
 // An unreachable parent is bounded by UplinkConfig.Timeout/Retries:
 // after the retry budget passes with aggregates still owed, the leaf
-// evicts the job locally so its workers fail fast.
+// evicts the job locally so its workers fail fast (a zero Retries means
+// no retries at all; deployments set it negative for the default budget).
+//
+// # Control client
+//
+// Observer is the one client of the out-of-band control plane: Admit,
+// Evict, Stats and Drain each run the same observer-framed request/retry
+// exchange (a fixed attempt budget; a definitive refusal is returned, not
+// retried away; a retransmitted admit or evict that finds its work already
+// done reports the success it was). fpisa-query, the examples and a leaf's
+// ParentControl all go through it.
 //
 // # Host side
 //
@@ -337,7 +344,10 @@
 // receiver drains delivery vectors into reusable buffers
 // (Fabric.RecvBatch), so steady-state receiving allocates nothing.
 // Workers carry their job id and incarnation epoch in every ADD and
-// filter results to their own job.
+// filter results to their own job. The receiver's decode step — notices
+// filtered by job and epoch, RESULT and RESULT RUN bodies handed out per
+// chunk — is the same function a tree leaf's uplink uses (readDownlink),
+// so a downlink message is taught to the protocol once.
 //
 // The batch size adapts to the observed ack/retransmit ratio between 1
 // and Worker.Batch: every retransmit round halves it (under loss, smaller

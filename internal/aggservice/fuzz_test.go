@@ -8,53 +8,6 @@ import (
 	"fpisa/internal/core"
 )
 
-// FuzzDecodeBatch fuzzes the framing decoder: it must never panic, never
-// accept legacy or nested framing, and on success the frames must
-// round-trip through EncodeBatch byte for byte.
-func FuzzDecodeBatch(f *testing.F) {
-	// Seed corpus: the interesting shapes the satellite fix targets.
-	valid := EncodeBatch([][]byte{
-		EncodeAdd(0, 1, []float32{1.5}),
-		EncodeAdd(1, 2, []float32{-2.5}),
-	})
-	f.Add(valid)
-	f.Add(EncodeBatch(nil))
-	f.Add(EncodeBatch([][]byte{EncodeBatch([][]byte{EncodeAdd(0, 0, []float32{1})})})) // nested
-	f.Add(valid[:len(valid)-3])                                                        // truncated body
-	f.Add(append(append([]byte(nil), valid...), 1, 2, 3))                              // trailing bytes
-	f.Add([]byte{MsgBatch, 0, 2, 0, 1, 7})                                             // legacy v1 batch
-	f.Add([]byte{WireVersion, MsgBatch, 0xff, 0xff})                                   // count overstates frames
-	f.Add([]byte{WireVersion, MsgBatch, 0, 1, 0, 0})                                   // empty inner message
-	f.Add([]byte{0x00})                                                                // legacy single byte... short
-	f.Add([]byte{WireVersion})                                                         // short v2
-
-	f.Fuzz(func(t *testing.T, pkt []byte) {
-		msgs, err := DecodeBatch(pkt)
-		if err != nil {
-			return
-		}
-		// Invariants of every accepted batch:
-		if pkt[0] != WireVersion || pkt[1] != MsgBatch {
-			t.Fatalf("accepted non-batch header %v", pkt[:2])
-		}
-		total := batchHdrBytes
-		for i, m := range msgs {
-			total += 2 + len(m)
-			if len(m) >= 2 && m[0] == WireVersion && m[1] == MsgBatch {
-				t.Fatalf("message %d: nested batch survived decode", i)
-			}
-		}
-		if total != len(pkt) {
-			t.Fatalf("frames cover %d of %d bytes", total, len(pkt))
-		}
-		// Round trip: re-encoding the decoded frames reproduces the
-		// packet exactly.
-		if re := EncodeBatch(msgs); !bytes.Equal(re, pkt) {
-			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
-		}
-	})
-}
-
 // FuzzDecodeStatsReply fuzzes the stats codec the satellite fix hardened:
 // it must never panic on truncated or oversized replies, identify
 // truncation with ErrTruncated, and round-trip every accepted reply.
@@ -69,8 +22,8 @@ func FuzzDecodeStatsReply(f *testing.F) {
 	})
 	f.Add(valid)
 	f.Add(valid[:10])                                                                     // truncated counters
-	f.Add(valid[:statsReplyBytes-classBytes])                                             // the pre-class width
-	f.Add(valid[:4+1+2+profileBytes+8*8])                                                 // the pre-coalesced width
+	f.Add(valid[:statsReplyBytes-5])                                                      // the pre-class width
+	f.Add(valid[:4+1+2+3+8*8])                                                            // the pre-coalesced width
 	f.Add(valid[:4+1+2+8*8])                                                              // the pre-profile width
 	f.Add(valid[:4+1+7*8])                                                                // the pre-scheduler width
 	f.Add(append(append([]byte(nil), valid...), 0xaa))                                    // trailing byte
@@ -108,23 +61,23 @@ func FuzzDecodeStatsReply(f *testing.F) {
 // every prior (now truncated) layout alongside the current one.
 func FuzzDecodeJobAck(f *testing.F) {
 	rne := core.NumericProfile{Format: core.FormatF16, Guard: 3, Rounding: core.RoundingRNE}
-	f.Add(EncodeJobAck(1, AckAdmitted, 0, 1))
-	f.Add(EncodeJobAckProfile(65535, AckErrDisabled, 255, MaxWeight, rne))
-	f.Add(EncodeJobAckProfile(7, AckBackpressure, 3, 4, core.NumericProfile{Format: core.FormatBF16}))
-	f.Add(EncodeJobAckProfile(2, AckErrBadProfile, 0, 1, core.NumericProfile{Format: 0xFF, Guard: 0xFF, Rounding: 0xFF})) // junk octets: carried, not clamped
-	f.Add(EncodeJobAckClass(3, AckAdmitted, 1, 2, rne, AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}))
-	f.Add(EncodeJobAckClass(4, AckAdmitted, 0, 1, rne, AdmitClass{Class: ClassTelemetry, Groups: 16}))
-	f.Add(EncodeJobAckClass(5, AckErrBadClass, 0, 1, rne, AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535})) // junk class: carried, refused later
-	f.Add(EncodeJobAck(0, AckEvicted, 1, 0)[:3])
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:6])  // the pre-weight 6-byte layout
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:8])  // the pre-profile 8-byte layout
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:11]) // the pre-class 11-byte layout
-	f.Add(append(EncodeJobAckProfile(0, AckDraining, 2, 1, rne), 1, 2))
+	f.Add(EncodeJobAck(JobAck{Job: 1, Status: AckAdmitted, JobSpec: JobSpec{Weight: 1}}))
+	f.Add(EncodeJobAck(JobAck{Job: 65535, Status: AckErrDisabled, Epoch: 255, JobSpec: JobSpec{Weight: MaxWeight, Profile: rne}}))
+	f.Add(EncodeJobAck(JobAck{Job: 7, Status: AckBackpressure, Epoch: 3, JobSpec: JobSpec{Weight: 4, Profile: core.NumericProfile{Format: core.FormatBF16}}}))
+	f.Add(EncodeJobAck(JobAck{Job: 2, Status: AckErrBadProfile, JobSpec: JobSpec{Weight: 1, Profile: core.NumericProfile{Format: 0xFF, Guard: 0xFF, Rounding: 0xFF}}})) // junk octets: carried, not clamped
+	f.Add(EncodeJobAck(JobAck{Job: 3, Status: AckAdmitted, Epoch: 1, JobSpec: JobSpec{Weight: 2, Profile: rne, Class: AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}}}))
+	f.Add(EncodeJobAck(JobAck{Job: 4, Status: AckAdmitted, JobSpec: JobSpec{Weight: 1, Profile: rne, Class: AdmitClass{Class: ClassTelemetry, Groups: 16}}}))
+	f.Add(EncodeJobAck(JobAck{Job: 5, Status: AckErrBadClass, JobSpec: JobSpec{Weight: 1, Profile: rne, Class: AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535}}})) // junk class: carried, refused later
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckEvicted, Epoch: 1, JobSpec: JobSpec{}})[:3])
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 9}})[:6])  // the pre-weight 6-byte layout
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 9}})[:8])  // the pre-profile 8-byte layout
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 9}})[:11]) // the pre-class 11-byte layout
+	f.Add(append(EncodeJobAck(JobAck{Job: 0, Status: AckDraining, Epoch: 2, JobSpec: JobSpec{Weight: 1, Profile: rne}}), 1, 2))
 	f.Add([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0, 0, 0, 0}) // status out of range
 	f.Add([]byte{MsgAdd, 0, 0, 0, 0})                                  // legacy framing
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		job, status, epoch, weight, prof, class, err := DecodeJobAckClass(pkt)
+		ack, err := DecodeJobAck(pkt)
 		if err != nil {
 			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgJobAck &&
 				len(pkt) < jobAckBytes && !errors.Is(err, ErrTruncated) {
@@ -132,11 +85,11 @@ func FuzzDecodeJobAck(f *testing.F) {
 			}
 			return
 		}
-		if re := EncodeJobAckClass(job, status, epoch, weight, prof, class); !bytes.Equal(re, pkt) {
+		if re := EncodeJobAck(ack); !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
 		}
-		if status.Err() == nil && status != AckAdmitted && status != AckEvicting {
-			t.Fatalf("status %v decoded but maps to no error and no success", status)
+		if ack.Status.Err() == nil && ack.Status != AckAdmitted && ack.Status != AckEvicting {
+			t.Fatalf("status %v decoded but maps to no error and no success", ack.Status)
 		}
 	})
 }
@@ -148,26 +101,25 @@ func FuzzDecodeJobAck(f *testing.F) {
 // wire; an invalid profile must survive decoding so the switch can refuse
 // it with AckErrBadProfile).
 func FuzzDecodeJobAdmit(f *testing.F) {
-	f.Add(EncodeJobAdmit(0))
-	f.Add(EncodeJobAdmitWeight(1, 4))
-	f.Add(EncodeJobAdmitProfile(65535, MaxWeight,
-		core.NumericProfile{Format: core.FormatBF16, Guard: 4, Rounding: core.RoundingRNE}))
-	f.Add(EncodeJobAdmitProfile(5, 1, core.NumericProfile{Format: core.FormatF16}))
-	f.Add(EncodeJobAdmitProfile(6, 1, core.NumericProfile{Format: 0x7F, Guard: 0xFF, Rounding: 9})) // invalid: carried, refused later
-	f.Add(EncodeJobAdmitClass(7, 2, core.DefaultProfile, AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}))
-	f.Add(EncodeJobAdmitClass(8, 1, core.DefaultProfile, AdmitClass{Class: ClassTelemetry, Groups: 16}))
-	f.Add(EncodeJobAdmitClass(9, 1, core.DefaultProfile, AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535})) // junk class: carried, refused later
-	f.Add(EncodeJobAdmitWeight(2, 0))                                                                          // weight 0: carried, clamped later
-	f.Add(EncodeJobAdmit(3)[:4])                                                                               // the old weightless layout
-	f.Add(EncodeJobAdmit(3)[:6])                                                                               // the pre-profile layout
-	f.Add(EncodeJobAdmit(3)[:9])                                                                               // the pre-class layout
-	f.Add(EncodeJobAdmit(0)[:1])                                                                               // short v2
-	f.Add(append(EncodeJobAdmit(0), 7))                                                                        // trailing byte
-	f.Add(EncodeJobEvict(1))                                                                                   // wrong type
-	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                             // legacy framing
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 4}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 65535, JobSpec: JobSpec{Weight: MaxWeight, Profile: core.NumericProfile{Format: core.FormatBF16, Guard: 4, Rounding: core.RoundingRNE}}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 5, JobSpec: JobSpec{Weight: 1, Profile: core.NumericProfile{Format: core.FormatF16}}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 6, JobSpec: JobSpec{Weight: 1, Profile: core.NumericProfile{Format: 0x7F, Guard: 0xFF, Rounding: 9}}})) // invalid: carried, refused later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 7, JobSpec: JobSpec{Weight: 2, Class: AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 8, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: ClassTelemetry, Groups: 16}}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 9, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535}}})) // junk class: carried, refused later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 2, JobSpec: JobSpec{}}))                                                                      // weight 0: carried, clamped later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 1}})[:4])                                                         // the old weightless layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 1}})[:6])                                                         // the pre-profile layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 1}})[:9])                                                         // the pre-class layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}})[:1])                                                         // short v2
+	f.Add(append(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}), 7))                                                  // trailing byte
+	f.Add(EncodeJobEvict(1))                                                                                                         // wrong type
+	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                                                   // legacy framing
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		job, weight, prof, class, err := DecodeJobAdmitClass(pkt)
+		adm, err := DecodeJobAdmit(pkt)
 		if err != nil {
 			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgJobAdmit &&
 				len(pkt) < jobAdmitBytes && !errors.Is(err, ErrTruncated) {
@@ -178,7 +130,7 @@ func FuzzDecodeJobAdmit(f *testing.F) {
 		if len(pkt) != jobAdmitBytes {
 			t.Fatalf("accepted a %d-byte admit", len(pkt))
 		}
-		if re := EncodeJobAdmitClass(job, weight, prof, class); !bytes.Equal(re, pkt) {
+		if re := EncodeJobAdmit(adm); !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
 		}
 	})
@@ -334,7 +286,7 @@ func FuzzDecodeResultRun(f *testing.F) {
 	const modules = 3
 	item := func(prof core.NumericProfile, job int, chunk uint32, vals []float32, ovf bool) []byte {
 		w := prof.ValueBytes()
-		pkt := make([]byte, resultBytesProf(len(vals), prof))
+		pkt := make([]byte, resultBytes(len(vals), prof))
 		putHeader(pkt, MsgResult, job, chunk)
 		for i, v := range vals {
 			prof.PutValue(pkt[hdrBytes+w*i:], v)
@@ -355,11 +307,11 @@ func FuzzDecodeResultRun(f *testing.F) {
 		})
 		f.Add(byte(sel), one)
 		f.Add(byte(sel), three)
-		f.Add(byte(sel), three[:len(three)-2])                          // truncated final item
-		f.Add(byte(sel), append(append([]byte(nil), one...), 0xbb))     // trailing byte
-		f.Add(byte(sel), one[:runHdrBytes-1])                           // truncated header
-		f.Add(byte(sel), one[:runHdrBytes])                             // header only, count 1, no items
-		f.Add(byte(sel), func() []byte {                                // count 0
+		f.Add(byte(sel), three[:len(three)-2])                      // truncated final item
+		f.Add(byte(sel), append(append([]byte(nil), one...), 0xbb)) // trailing byte
+		f.Add(byte(sel), one[:runHdrBytes-1])                       // truncated header
+		f.Add(byte(sel), one[:runHdrBytes])                         // header only, count 1, no items
+		f.Add(byte(sel), func() []byte {                            // count 0
 			p := append([]byte(nil), one...)
 			p[hdrBytes] = 0
 			p[hdrBytes+1] = 0
@@ -371,9 +323,9 @@ func FuzzDecodeResultRun(f *testing.F) {
 			return p
 		}())
 	}
-	f.Add(byte(0), []byte{WireVersion, MsgResult, 0, 0})  // wrong type
-	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})            // legacy framing
-	f.Add(byte(0), []byte{WireVersion})                   // short v2
+	f.Add(byte(0), []byte{WireVersion, MsgResult, 0, 0}) // wrong type
+	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})           // legacy framing
+	f.Add(byte(0), []byte{WireVersion})                  // short v2
 
 	f.Fuzz(func(t *testing.T, sel byte, pkt []byte) {
 		prof := profiles[int(sel)%len(profiles)]

@@ -18,7 +18,7 @@ import (
 func reduceJobs(t *testing.T, sw *Switch, cfg Config, vecs map[int][][]float32, loss float64, seed int64) map[int][][]float32 {
 	t.Helper()
 	fab, err := transport.NewMemory(transport.MemoryConfig{
-		Workers: cfg.Ports(), Handler: sw.Handle,
+		Workers: cfg.Ports(), BatchHandler: sw.HandleBatch,
 		UplinkLoss: loss, DownlinkLoss: loss, Seed: seed,
 	})
 	if err != nil {
@@ -173,10 +173,10 @@ func TestQuotaDropsIsolated(t *testing.T) {
 	// Job 0 misbehaves: worker 0 binds chunk 0 (one outstanding slot, the
 	// partner's packet never comes) and then reaches for chunk 1 — over
 	// quota, dropped.
-	if ds := sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 0, []float32{1})); ds != nil {
+	if ds := handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); ds != nil {
 		t.Fatalf("lone add completed: %v", ds)
 	}
-	if ds := sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 1, []float32{2})); ds != nil {
+	if ds := handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{2})); ds != nil {
 		t.Fatalf("over-quota add delivered: %v", ds)
 	}
 	st0, _ := sw.JobStats(0)
@@ -188,7 +188,7 @@ func TestQuotaDropsIsolated(t *testing.T) {
 	// self-clocked window keeps at most one slot outstanding, so the
 	// quota never fires and job 0's pressure never reaches it.
 	const n = 6
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestQuotaRecoversViaRetransmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,20 +299,20 @@ func TestWireRejection(t *testing.T) {
 		get  func(WireRejects) uint64
 	}{
 		{"legacy v1 add", 0, legacyAdd, func(r WireRejects) uint64 { return r.Legacy }},
-		{"legacy v1 batch", 0, []byte{MsgBatch, 0, 0}, func(r WireRejects) uint64 { return r.Legacy }},
+		{"legacy v1 type 2", 0, []byte{legacyMaxType, 0, 0}, func(r WireRejects) uint64 { return r.Legacy }},
 		{"unknown version", 0, []byte{0x7f, MsgAdd, 0, 0}, func(r WireRejects) uint64 { return r.Malformed }},
 		{"short frame", 0, []byte{WireVersion}, func(r WireRejects) uint64 { return r.Malformed }},
-		{"truncated add", 0, EncodeAdd(0, 0, []float32{1})[:6], func(r WireRejects) uint64 { return r.Malformed }},
-		{"oversized add", 0, append(EncodeAdd(0, 0, []float32{1}), 0xde), func(r WireRejects) uint64 { return r.Malformed }},
+		{"truncated add", 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})[:6], func(r WireRejects) uint64 { return r.Malformed }},
+		{"oversized add", 0, append(EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), 0xde), func(r WireRejects) uint64 { return r.Malformed }},
 		{"unknown type", 0, []byte{WireVersion, 9, 0, 0}, func(r WireRejects) uint64 { return r.Malformed }},
-		{"bad job", 0, EncodeAdd(7, 0, []float32{1}), func(r WireRejects) uint64 { return r.BadJob }},
-		{"cross job", 0, EncodeAdd(1, 0, []float32{1}), func(r WireRejects) uint64 { return r.CrossJob }},
-		{"cross job reversed", cfg.Port(1, 0), EncodeAdd(0, 0, []float32{1}), func(r WireRejects) uint64 { return r.CrossJob }},
+		{"bad job", 0, EncodeAddProfile(7, 0, 0, core.DefaultProfile, []float32{1}), func(r WireRejects) uint64 { return r.BadJob }},
+		{"cross job", 0, EncodeAddProfile(1, 0, 0, core.DefaultProfile, []float32{1}), func(r WireRejects) uint64 { return r.CrossJob }},
+		{"cross job reversed", cfg.Port(1, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), func(r WireRejects) uint64 { return r.CrossJob }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.get(sw.Rejects())
-			if ds := sw.Handle(tc.port, tc.pkt); ds != nil {
+			if ds := handle(sw, tc.port, tc.pkt); ds != nil {
 				t.Fatalf("rejected packet produced deliveries: %v", ds)
 			}
 			if after := tc.get(sw.Rejects()); after != before+1 {
@@ -325,24 +325,28 @@ func TestWireRejection(t *testing.T) {
 	}
 }
 
-// TestNestedBatchRejectedByHandle pins the recursion fix at the Handle
-// level: a batch-in-batch datagram is refused wholesale and counted.
-func TestNestedBatchRejectedByHandle(t *testing.T) {
+// TestReservedType2Rejected pins the retired in-protocol batch frame: a
+// well-formed v2 type-2 datagram — one length-prefixed ADD, exactly what
+// the old framing carried — is refused whole on a worker port and on the
+// observer frame, counted malformed once, and never reaches a slot.
+func TestReservedType2Rejected(t *testing.T) {
 	cfg := Config{Workers: 1, Pool: 1, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
-	sw, err := NewSwitch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := EncodeBatch([][]byte{EncodeAdd(0, 0, []float32{1})})
-	nested := EncodeBatch([][]byte{inner})
-	if ds := sw.Handle(0, nested); ds != nil {
-		t.Fatalf("nested batch produced deliveries: %v", ds)
-	}
-	if r := sw.Rejects(); r.Malformed != 1 {
-		t.Fatalf("malformed = %d, want 1", r.Malformed)
-	}
-	if adds, _, _ := sw.Stats(); adds != 0 {
-		t.Fatalf("nested batch reached a slot: adds=%d", adds)
+	add := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})
+	frame := append([]byte{WireVersion, 2, 0, 1, 0, byte(len(add))}, add...)
+	for _, port := range []int{0, ObserverWorker} {
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds := handle(sw, port, frame); ds != nil {
+			t.Fatalf("port %d: type-2 frame produced deliveries: %v", port, ds)
+		}
+		if r := sw.Rejects(); r.Malformed != 1 || r.Legacy != 0 {
+			t.Fatalf("port %d: rejects %+v, want exactly one malformed", port, r)
+		}
+		if adds, _, _ := sw.Stats(); adds != 0 {
+			t.Fatalf("port %d: type-2 frame reached a slot: adds=%d", port, adds)
+		}
 	}
 }
 
@@ -356,11 +360,11 @@ func TestStatsOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One completed chunk for job 1 (single worker completes instantly).
-	if ds := sw.Handle(cfg.Port(1, 0), EncodeAdd(1, 0, []float32{2.5})); len(ds) != 1 {
+	if ds := handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, 0, 0, core.DefaultProfile, []float32{2.5})); len(ds) != 1 {
 		t.Fatalf("deliveries: %v", ds)
 	}
 	for _, port := range []int{0, ObserverWorker} {
-		ds := sw.Handle(port, EncodeStatsReq(1))
+		ds := handle(sw, port, EncodeStatsReq(1))
 		if len(ds) != 1 || ds[0].Broadcast || ds[0].Worker != port {
 			t.Fatalf("port %d: stats deliveries %v", port, ds)
 		}
@@ -374,15 +378,16 @@ func TestStatsOverTheWire(t *testing.T) {
 	}
 	// Observers are read-only; stats for unknown jobs are answered with an
 	// explicit MsgJobAck error (and counted), so probes can gate on it.
-	if ds := sw.Handle(ObserverWorker, EncodeAdd(0, 0, []float32{1})); ds != nil {
+	if ds := handle(sw, ObserverWorker, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); ds != nil {
 		t.Fatalf("observer ADD accepted: %v", ds)
 	}
 	before := sw.Rejects().BadJob
-	ds := sw.Handle(0, EncodeStatsReq(9))
+	ds := handle(sw, 0, EncodeStatsReq(9))
 	if len(ds) != 1 {
 		t.Fatalf("stats for unknown job: deliveries %v", ds)
 	}
-	job, status, _, _, err := DecodeJobAck(ds[0].Packet)
+	ack, err := DecodeJobAck(ds[0].Packet)
+	job, status := ack.Job, ack.Status
 	if err != nil || job != 9 || status != AckErrUnknownJob {
 		t.Fatalf("unknown-job ack: job=%d status=%v err=%v", job, status, err)
 	}
@@ -401,10 +406,10 @@ func TestMultiJobResultDeliveriesScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	const job = 1
-	if ds := sw.Handle(cfg.Port(job, 0), EncodeAdd(job, 0, []float32{1})); ds != nil {
+	if ds := handle(sw, cfg.Port(job, 0), EncodeAddProfile(job, 0, 0, core.DefaultProfile, []float32{1})); ds != nil {
 		t.Fatalf("first add delivered: %v", ds)
 	}
-	ds := sw.Handle(cfg.Port(job, 1), EncodeAdd(job, 0, []float32{2}))
+	ds := handle(sw, cfg.Port(job, 1), EncodeAddProfile(job, 0, 0, core.DefaultProfile, []float32{2}))
 	if len(ds) != cfg.Workers {
 		t.Fatalf("got %d deliveries, want %d", len(ds), cfg.Workers)
 	}
@@ -417,7 +422,7 @@ func TestMultiJobResultDeliveriesScoped(t *testing.T) {
 			t.Fatalf("delivery to port %d leaks outside job %d", d.Worker, job)
 		}
 		seen[d.Worker] = true
-		gotJob, _, vals, _, err := DecodeResult(d.Packet, 1)
+		gotJob, _, vals, _, err := DecodeResultProfile(d.Packet, 1, core.DefaultProfile)
 		if err != nil || gotJob != job || vals[0] != 3 {
 			t.Fatalf("result job=%d vals=%v err=%v", gotJob, vals, err)
 		}
@@ -490,7 +495,7 @@ func TestManyJobsHammerSharded(t *testing.T) {
 				// bind (AckBackpressure), and this loop is the test's stand-
 				// in for the worker's retransmit path.
 				for {
-					ds := sw.Handle(cfg.Port(job, 0), EncodeAdd(job, uint32(c), []float32{float32(c)}))
+					ds := handle(sw, cfg.Port(job, 0), EncodeAddProfile(job, uint32(c), 0, core.DefaultProfile, []float32{float32(c)}))
 					if delivered(ds, MsgResult) {
 						break
 					}
@@ -522,11 +527,11 @@ func TestJobPartitionsDoNotAlias(t *testing.T) {
 	}
 	for job := 0; job < 2; job++ {
 		want := float32(job + 1)
-		ds := sw.Handle(cfg.Port(job, 0), EncodeAdd(job, 0, []float32{want}))
+		ds := handle(sw, cfg.Port(job, 0), EncodeAddProfile(job, 0, 0, core.DefaultProfile, []float32{want}))
 		if len(ds) != 1 {
 			t.Fatalf("job %d chunk 0: %v", job, ds)
 		}
-		gotJob, chunk, vals, _, err := DecodeResult(ds[0].Packet, 1)
+		gotJob, chunk, vals, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile)
 		if err != nil || gotJob != job || chunk != 0 || vals[0] != want {
 			t.Fatalf("job %d: job=%d chunk=%d vals=%v err=%v", job, gotJob, chunk, vals, err)
 		}

@@ -218,157 +218,6 @@ func (a AckStatus) Err() error {
 	return fmt.Errorf("aggservice: unknown ack status %d", uint8(a))
 }
 
-// EncodeJobAdmit builds an operator request to admit job at runtime with
-// the default scheduler weight 1.
-func EncodeJobAdmit(job int) []byte { return EncodeJobAdmitWeight(job, 1) }
-
-// EncodeJobAdmitWeight builds an operator request to admit job with the
-// given deficit-round-robin scheduler weight and the default (f32) numeric
-// profile. The switch clamps weight 0 to 1 (the ack reveals the clamp: it
-// echoes the weight actually applied).
-func EncodeJobAdmitWeight(job, weight int) []byte {
-	return EncodeJobAdmitProfile(job, weight, core.DefaultProfile)
-}
-
-// EncodeJobAdmitProfile builds an operator request to admit job with a
-// scheduler weight and a numeric profile, as a training job. The switch
-// validates the profile at admission (AckErrBadProfile on refusal) and
-// echoes the applied profile in the ack, so the operator learns exactly
-// what arithmetic the job got.
-func EncodeJobAdmitProfile(job, weight int, prof core.NumericProfile) []byte {
-	return EncodeJobAdmitClass(job, weight, prof, AdmitClass{})
-}
-
-// EncodeJobAdmitClass builds an operator request to admit job under a
-// workload class: training (the zero descriptor), query or telemetry. The
-// switch validates the descriptor at admission (AckErrBadClass on refusal)
-// and echoes the applied class in the ack.
-func EncodeJobAdmitClass(job, weight int, prof core.NumericProfile, ac AdmitClass) []byte {
-	pkt := make([]byte, jobAdmitBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgJobAdmit
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	binary.BigEndian.PutUint16(pkt[4:], uint16(weight))
-	putProfile(pkt[6:], prof)
-	putAdmitClass(pkt[6+profileBytes:], ac)
-	return pkt
-}
-
-// DecodeJobAdmit parses a MsgJobAdmit, dropping the profile and class
-// descriptors.
-func DecodeJobAdmit(pkt []byte) (job, weight int, err error) {
-	job, weight, _, _, err = DecodeJobAdmitClass(pkt)
-	return job, weight, err
-}
-
-// DecodeJobAdmitProfile parses a MsgJobAdmit, dropping the class
-// descriptor.
-func DecodeJobAdmitProfile(pkt []byte) (job, weight int, prof core.NumericProfile, err error) {
-	job, weight, prof, _, err = DecodeJobAdmitClass(pkt)
-	return job, weight, prof, err
-}
-
-// DecodeJobAdmitClass parses a MsgJobAdmit. Safe on arbitrary input:
-// truncation returns a wire error wrapping ErrTruncated, oversized frames
-// are rejected. The weight, profile and class are returned as carried —
-// the admission path, not the decoder, clamps weight 0 to 1 and validates
-// the profile and class, so a round trip is byte-exact.
-func DecodeJobAdmitClass(pkt []byte) (job, weight int, prof core.NumericProfile, ac AdmitClass, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, prof, ac, fmt.Errorf("bad job admit: %w", terr)
-	} else if typ != MsgJobAdmit {
-		return 0, 0, prof, ac, fmt.Errorf("aggservice: bad job admit type")
-	}
-	if len(pkt) < jobAdmitBytes {
-		return 0, 0, prof, ac, fmt.Errorf("job admit %d of %d bytes: %w", len(pkt), jobAdmitBytes, ErrTruncated)
-	}
-	if len(pkt) > jobAdmitBytes {
-		return 0, 0, prof, ac, fmt.Errorf("aggservice: %d trailing bytes after job admit", len(pkt)-jobAdmitBytes)
-	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), int(binary.BigEndian.Uint16(pkt[4:])),
-		getProfile(pkt[6:]), getAdmitClass(pkt[6+profileBytes:]), nil
-}
-
-// EncodeJobEvict builds an operator request to evict (drain) job.
-func EncodeJobEvict(job int) []byte {
-	pkt := make([]byte, lifecycleReqBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgJobEvict
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	return pkt
-}
-
-// EncodeJobAck builds a lifecycle status message carrying the job's
-// incarnation epoch octet — the value workers of a (re-)admitted job must
-// stamp into their ADDs (Worker.Epoch) — and its scheduler weight (the
-// weight an admit actually applied; 0 on notices where no live weight
-// exists, e.g. an evicted or unknown job), with the default (zero) numeric
-// profile descriptor.
-func EncodeJobAck(job int, status AckStatus, epoch uint8, weight int) []byte {
-	return EncodeJobAckProfile(job, status, epoch, weight, core.DefaultProfile)
-}
-
-// EncodeJobAckProfile builds a lifecycle status message that also echoes
-// the job's numeric profile — on a successful admit, the profile actually
-// applied, which the operator hands to the job's workers (Worker.Profile) —
-// with the zero (training) class descriptor.
-func EncodeJobAckProfile(job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile) []byte {
-	return EncodeJobAckClass(job, status, epoch, weight, prof, AdmitClass{})
-}
-
-// EncodeJobAckClass builds a lifecycle status message that also echoes the
-// job's workload-class descriptor — on a successful admit, the class
-// actually applied, which the operator hands to the job's tuple clients.
-func EncodeJobAckClass(job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, ac AdmitClass) []byte {
-	pkt := make([]byte, jobAckBytes)
-	pkt[0] = WireVersion
-	pkt[1] = MsgJobAck
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	pkt[4] = uint8(status)
-	pkt[5] = epoch
-	binary.BigEndian.PutUint16(pkt[6:], uint16(weight))
-	putProfile(pkt[8:], prof)
-	putAdmitClass(pkt[8+profileBytes:], ac)
-	return pkt
-}
-
-// DecodeJobAck parses a MsgJobAck, dropping the profile and class
-// descriptors.
-func DecodeJobAck(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, err error) {
-	job, status, epoch, weight, _, _, err = DecodeJobAckClass(pkt)
-	return job, status, epoch, weight, err
-}
-
-// DecodeJobAckProfile parses a MsgJobAck, dropping the class descriptor.
-func DecodeJobAckProfile(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, err error) {
-	job, status, epoch, weight, prof, _, err = DecodeJobAckClass(pkt)
-	return job, status, epoch, weight, prof, err
-}
-
-// DecodeJobAckClass parses a MsgJobAck. Like DecodeStatsReply it is safe
-// on arbitrary input: truncation returns a wire error wrapping ErrTruncated.
-// The profile and class octets are returned as carried (never validated or
-// clamped), so a round trip is byte-exact.
-func DecodeJobAckClass(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, ac AdmitClass, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("bad job ack: %w", terr)
-	} else if typ != MsgJobAck {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: bad job ack type")
-	}
-	if len(pkt) < jobAckBytes {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("job ack %d of %d bytes: %w", len(pkt), jobAckBytes, ErrTruncated)
-	}
-	if len(pkt) > jobAckBytes {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
-	}
-	status = AckStatus(pkt[4])
-	if status > AckErrBadClass {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
-	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), status, pkt[5], int(binary.BigEndian.Uint16(pkt[6:])),
-		getProfile(pkt[8:]), getAdmitClass(pkt[8+profileBytes:]), nil
-}
-
 // handleLifecycle serves a wire MsgJobAdmit/MsgJobEvict. Only the
 // out-of-band observer frame may drive the control plane — a tenant's
 // worker port must not be able to evict another tenant — and only when the
@@ -378,105 +227,95 @@ func (s *Switch) handleLifecycle(worker int, typ byte, pkt []byte, out *transpor
 		s.rejMalformed.Add(1)
 		return
 	}
-	var job, weight int
-	var prof core.NumericProfile
-	var ac AdmitClass
+	var req JobAdmit
 	if typ == MsgJobAdmit {
 		var derr error
-		if job, weight, prof, ac, derr = DecodeJobAdmitClass(pkt); derr != nil {
+		if req, derr = DecodeJobAdmit(pkt); derr != nil {
 			s.rejMalformed.Add(1)
 			return
 		}
 	} else {
-		if len(pkt) != lifecycleReqBytes {
+		if len(pkt) != jobReqBytes {
 			s.rejMalformed.Add(1)
 			return
 		}
-		job = int(binary.BigEndian.Uint16(pkt[2:]))
-	}
-	ack := func(status AckStatus) {
-		// The echoed epoch, weight, profile and class are the incarnation
-		// the request landed on: for a successful admit that is the NEW
-		// incarnation's octet — which the operator hands to the job's
-		// workers — plus the weight, profile and class actually applied (a
-		// requested weight 0 comes back as the clamped 1, so the client
-		// can detect the clamp).
-		out.Unicast(worker, EncodeJobAckClass(job, status, s.JobEpoch(job), s.JobWeight(job), s.JobProfile(job), s.JobClass(job)))
-	}
-	if !s.cfg.Dynamic {
-		ack(AckErrDisabled)
-		return
+		req.Job = int(binary.BigEndian.Uint16(pkt[2:]))
 	}
 	var err error
 	ok := AckAdmitted
-	if typ == MsgJobAdmit {
-		err = s.AdmitWorkload(job, weight, prof, ac)
-	} else {
+	switch {
+	case !s.cfg.Dynamic:
+		err = ErrLifecycleDisabled
+	case typ == MsgJobAdmit:
+		err = s.Admit(req.Job, req.JobSpec)
+	default:
 		ok = AckEvicting
-		err = s.Evict(job)
+		err = s.Evict(req.Job)
 	}
+	out.Unicast(worker, EncodeJobAck(s.jobAck(req.Job, ok, err)))
+}
+
+// jobAck answers a lifecycle request that ended in err (ok is the status a
+// nil err means). The echoed epoch and JobSpec are the incarnation the
+// request landed on: for a successful admit that is the NEW incarnation's
+// octet — which the operator hands to the job's workers — plus the weight,
+// profile and class actually applied; for ErrAlreadyAdmitted, the live
+// incarnation's, so a second negotiator learns them without a second
+// exchange.
+func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
+	status := ok
 	switch {
 	case err == nil:
-		ack(ok)
-	case errors.Is(err, ErrUnknownJob):
-		ack(AckErrUnknownJob)
 	case errors.Is(err, ErrNotAdmitted):
-		ack(AckErrNotAdmitted)
+		status = AckErrNotAdmitted
 	case errors.Is(err, ErrAlreadyAdmitted):
-		ack(AckErrAlreadyAdmitted)
+		status = AckErrAlreadyAdmitted
 	case errors.Is(err, ErrJobDraining):
-		ack(AckErrDraining)
+		status = AckErrDraining
 	case errors.Is(err, ErrNoCapacity):
-		ack(AckErrNoCapacity)
+		status = AckErrNoCapacity
+	case errors.Is(err, ErrLifecycleDisabled):
+		status = AckErrDisabled
 	case errors.Is(err, ErrBadProfile):
-		ack(AckErrBadProfile)
+		status = AckErrBadProfile
 	case errors.Is(err, ErrBadClass):
-		ack(AckErrBadClass)
+		status = AckErrBadClass
 	default:
-		ack(AckErrUnknownJob)
+		status = AckErrUnknownJob
+	}
+	return JobAck{
+		Job: job, Status: status, Epoch: s.JobEpoch(job),
+		JobSpec: JobSpec{Weight: s.JobWeight(job), Profile: s.JobProfile(job), Class: s.JobClass(job)},
 	}
 }
 
-// Admit brings a vacant job id live with the default scheduler weight 1,
-// allocating its slot range from the free-list and zeroing its counters
-// for the new incarnation.
-func (s *Switch) Admit(job int) error { return s.AdmitWeighted(job, 1) }
-
-// AdmitWeighted brings a vacant job id live with the given deficit-round-
-// robin scheduler weight and the default (f32, truncating) numeric profile.
-func (s *Switch) AdmitWeighted(job, weight int) error {
-	return s.AdmitProfile(job, weight, core.DefaultProfile)
-}
-
-// AdmitProfile brings a vacant job id live with the given deficit-round-
-// robin scheduler weight and numeric profile: under contention the job's
-// new-chunk binds get weight shares of pipeline time relative to the other
-// admitted tenants, and every value the job aggregates runs through the
-// arithmetic the profile names. A weight of 0 (the wire's "unspecified") is
-// clamped to 1; weights above MaxWeight are refused with ErrBadWeight; a
-// profile that does not validate (unknown octet, Headroom() < 1, or RNE
-// without guard bits) is refused with ErrBadProfile before any state moves.
+// Admit brings a vacant job id live under a JobSpec, allocating its slot
+// range from the free-list and zeroing its counters for the new
+// incarnation. Under contention the job's new-chunk binds get Weight shares
+// of pipeline time relative to the other admitted tenants, and every value
+// the job aggregates runs through the arithmetic Profile names. A weight of
+// 0 (the wire's "unspecified") is clamped to 1; weights above MaxWeight are
+// refused with ErrBadWeight; a profile that does not validate (unknown
+// octet, Headroom() < 1, or RNE without guard bits) is refused with
+// ErrBadProfile before any state moves.
 //
-// The profile's compiled aggregator is fetched from the switch's per-profile
-// program cache — distinct profiles compile once per switch, and every shard
-// of every job sharing a profile shares the compiled program, replicated
-// into per-range state. The banks are installed under each shard's lock
-// BEFORE the range and phase publish, so the hot path can never observe an
-// admitted job without its arithmetic.
-func (s *Switch) AdmitProfile(job, weight int, prof core.NumericProfile) error {
-	return s.AdmitWorkload(job, weight, prof, AdmitClass{})
-}
-
-// AdmitWorkload brings a vacant job id live under a workload class. The
-// zero descriptor admits a training tenant exactly like AdmitProfile; a
-// query or telemetry descriptor provisions the job's analytics state — the
+// The zero Class admits a training tenant. Its profile's compiled
+// aggregator is fetched from the switch's per-profile program cache —
+// distinct profiles compile once per switch, and every shard of every job
+// sharing a profile shares the compiled program, replicated into per-range
+// state. The banks are installed under each shard's lock BEFORE the range
+// and phase publish, so the hot path can never observe an admitted job
+// without its arithmetic.
+//
+// A query or telemetry Class provisions the job's analytics state — the
 // pruning registers, FPISA group accumulators, LPM classifier, heavy-hitter
 // rows and latency histogram the class calls for — on the job's home shard
 // instead of per-shard training banks. A descriptor that does not validate
 // (see Config.validateClass) is refused with ErrBadClass before any state
 // moves. Analytics classes are refused on tree leaves: tuples carry keys,
 // not slot-addressed partial sums, so they cannot climb an aggregation tree.
-func (s *Switch) AdmitWorkload(job, weight int, prof core.NumericProfile, ac AdmitClass) error {
+func (s *Switch) Admit(job int, spec JobSpec) error {
+	weight, prof, ac := spec.Weight, spec.Profile, spec.Class
 	if job < 0 || job >= s.ncap {
 		return fmt.Errorf("%w: job %d of %d", ErrUnknownJob, job, s.ncap)
 	}
@@ -503,9 +342,9 @@ func (s *Switch) AdmitWorkload(job, weight int, prof core.NumericProfile, ac Adm
 	// path and must not stall other tenants' lifecycle transitions.
 	var parentEpoch uint8
 	if u := s.cfg.Uplink; u != nil && u.Control != nil {
-		pe, err := u.Control.AdmitUp(job, weight, prof)
+		pe, err := admitUp(u.Control, job, JobSpec{Weight: weight, Profile: prof})
 		if err != nil {
-			return fmt.Errorf("aggservice: job %d parent admit: %w", job, err)
+			return err
 		}
 		parentEpoch = pe
 	}

@@ -41,16 +41,16 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 		t.Fatal("vacant job holds a range")
 	}
 
-	if err := sw.Admit(1); err != nil {
+	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatalf("admit 1: %v", err)
 	}
 	if base, n, ok := sw.JobRange(1); !ok || n != 2*cfg.Pool || base%(2*cfg.Pool) != 0 {
 		t.Fatalf("job 1 range: base=%d n=%d ok=%v", base, n, ok)
 	}
-	if err := sw.Admit(1); !errors.Is(err, ErrAlreadyAdmitted) {
+	if err := sw.Admit(1, JobSpec{}); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("re-admit: %v", err)
 	}
-	if err := sw.Admit(9); !errors.Is(err, ErrUnknownJob) {
+	if err := sw.Admit(9, JobSpec{}); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("admit out of capacity: %v", err)
 	}
 	if err := sw.Evict(2); !errors.Is(err, ErrNotAdmitted) {
@@ -59,7 +59,7 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 	if err := sw.Evict(9); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("evict out of capacity: %v", err)
 	}
-	if err := sw.Admit(2); err != nil {
+	if err := sw.Admit(2, JobSpec{}); err != nil {
 		t.Fatalf("admit 2: %v", err)
 	}
 	// Capacity exhausted: all three ranges are held.
@@ -69,18 +69,18 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 	if ph := sw.JobPhaseOf(2); ph != PhaseVacant {
 		t.Fatalf("job 2 after idle evict: %v (drain with nothing outstanding must release at once)", ph)
 	}
-	if err := sw.Admit(2); err != nil {
+	if err := sw.Admit(2, JobSpec{}); err != nil {
 		t.Fatalf("re-admit 2: %v", err)
 	}
 	// Now genuinely full.
 	sw2, _ := NewSwitch(dynCfg(2, 2, 2, 2, 2))
-	if err := sw2.Admit(1); !errors.Is(err, ErrAlreadyAdmitted) {
+	if err := sw2.Admit(1, JobSpec{}); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("full switch admit: %v", err)
 	}
 	if err := sw2.Evict(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw2.Admit(1); err != nil {
+	if err := sw2.Admit(1, JobSpec{}); err != nil {
 		t.Fatalf("free-list did not recycle the evicted range: %v", err)
 	}
 }
@@ -92,13 +92,13 @@ func TestAdmitExhaustsFreeList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Admit(2); err != nil {
+	if err := sw.Admit(2, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Evict(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Admit(0); err != nil {
+	if err := sw.Admit(0, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	// All 3 ranges held by jobs 0..2; no id is vacant, but prove the
@@ -106,7 +106,7 @@ func TestAdmitExhaustsFreeList(t *testing.T) {
 	if err := sw.Evict(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Admit(1); err != nil {
+	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sw.freeRanges); got != 0 {
@@ -125,7 +125,7 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 binds chunk 0; the chunk is now in flight.
-	if ds := sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 0, []float32{1.5})); ds != nil {
+	if ds := handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})); ds != nil {
 		t.Fatalf("lone add delivered: %v", ds)
 	}
 	if err := sw.Evict(0); err != nil {
@@ -135,22 +135,22 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 		t.Fatalf("phase = %v, want draining", ph)
 	}
 	// A new chunk bind during the drain is refused and the worker told.
-	ds := sw.Handle(cfg.Port(0, 1), EncodeAdd(0, 1, []float32{9}))
+	ds := handle(sw, cfg.Port(0, 1), EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{9}))
 	if len(ds) != 1 {
 		t.Fatalf("draining bind: deliveries %v", ds)
 	}
-	if job, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || job != 0 || status != AckDraining {
-		t.Fatalf("draining notice: job=%d status=%v err=%v", job, status, err)
+	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Job != 0 || ack.Status != AckDraining {
+		t.Fatalf("draining notice: job=%d status=%v err=%v", ack.Job, ack.Status, err)
 	}
 	if r := sw.Rejects(); r.Draining != 1 {
 		t.Fatalf("Draining rejects = %d, want 1", r.Draining)
 	}
 	// The in-flight chunk still completes, with the correct sum.
-	ds = sw.Handle(cfg.Port(0, 1), EncodeAdd(0, 0, []float32{2.25}))
+	ds = handle(sw, cfg.Port(0, 1), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{2.25}))
 	if len(ds) != cfg.Workers {
 		t.Fatalf("in-flight completion: deliveries %v", ds)
 	}
-	if _, _, vals, _, err := DecodeResult(ds[0].Packet, 1); err != nil || vals[0] != 3.75 {
+	if _, _, vals, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile); err != nil || vals[0] != 3.75 {
 		t.Fatalf("drained chunk sum: vals=%v err=%v", vals, err)
 	}
 	// That completion quiesced the job: the range is released.
@@ -158,17 +158,17 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 		t.Fatalf("phase after drain = %v, want vacant", ph)
 	}
 	// A straggler ADD for the evicted job gets an AckEvicted notice.
-	ds = sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 0, []float32{7}))
+	ds = handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{7}))
 	if len(ds) != 1 {
 		t.Fatalf("post-evict add: deliveries %v", ds)
 	}
-	if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != AckEvicted {
-		t.Fatalf("post-evict notice: status=%v err=%v", status, err)
+	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != AckEvicted {
+		t.Fatalf("post-evict notice: status=%v err=%v", ack.Status, err)
 	}
 	// Re-admission reuses the freed range and starts clean: chunk 0
 	// aggregates only the new contributions. The fresh incarnation's wire
 	// epoch moved, so its workers must stamp the new octet...
-	if err := sw.Admit(0); err != nil {
+	if err := sw.Admit(0, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	epoch := sw.JobEpoch(0)
@@ -179,22 +179,22 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 	// instead of binding into the fresh range. The notice echoes the
 	// OFFENDING (old) epoch, so only the evicted incarnation's workers
 	// abort on it — never the fresh ones sharing the port.
-	ds = sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 9, []float32{666}))
+	ds = handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 9, 0, core.DefaultProfile, []float32{666}))
 	if len(ds) != 1 {
 		t.Fatalf("stale-epoch add: deliveries %v", ds)
 	}
-	if _, status, ep, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != AckEvicted || ep != 0 {
-		t.Fatalf("stale-epoch notice: status=%v epoch=%d err=%v (want the stale packet's epoch 0)", status, ep, err)
+	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != AckEvicted || ack.Epoch != 0 {
+		t.Fatalf("stale-epoch notice: status=%v epoch=%d err=%v (want the stale packet's epoch 0)", ack.Status, ack.Epoch, err)
 	}
 	if r := sw.Rejects(); r.Stale != 1 {
 		t.Fatalf("Stale rejects = %d, want 1", r.Stale)
 	}
-	sw.Handle(cfg.Port(0, 0), EncodeAddEpoch(0, 0, epoch, []float32{10}))
-	ds = sw.Handle(cfg.Port(0, 1), EncodeAddEpoch(0, 0, epoch, []float32{20}))
+	handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, epoch, core.DefaultProfile, []float32{10}))
+	ds = handle(sw, cfg.Port(0, 1), EncodeAddProfile(0, 0, epoch, core.DefaultProfile, []float32{20}))
 	if len(ds) != cfg.Workers {
 		t.Fatalf("fresh incarnation: deliveries %v", ds)
 	}
-	if _, _, vals, _, err := DecodeResult(ds[0].Packet, 1); err != nil || vals[0] != 30 {
+	if _, _, vals, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile); err != nil || vals[0] != 30 {
 		t.Fatalf("fresh incarnation sum: vals=%v err=%v (stale state leaked across eviction?)", vals, err)
 	}
 	st, _ := sw.JobStats(0)
@@ -212,7 +212,7 @@ func TestDrainTimeoutForcesRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 0, []float32{1})) // bind, partner never arrives
+	handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})) // bind, partner never arrives
 	if err := sw.Evict(0); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDrainTimeoutForcesRelease(t *testing.T) {
 	if st, _ := sw.JobStats(0); st.Outstanding != 0 {
 		t.Fatalf("outstanding after forced release: %+v", st)
 	}
-	if err := sw.Admit(0); err != nil {
+	if err := sw.Admit(0, JobSpec{}); err != nil {
 		t.Fatalf("re-admit after forced release: %v", err)
 	}
 }
@@ -246,7 +246,7 @@ func TestChurnWhileThirdJobReduces(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab, err := transport.NewMemory(transport.MemoryConfig{
-		Workers: cfg.Ports(), Handler: sw.Handle,
+		Workers: cfg.Ports(), BatchHandler: sw.HandleBatch,
 		UplinkLoss: 0.05, DownlinkLoss: 0.05, Seed: 17,
 	})
 	if err != nil {
@@ -274,11 +274,12 @@ func TestChurnWhileThirdJobReduces(t *testing.T) {
 	// wire messages, mid-flight of job 0.
 	control := func(pkt []byte, want AckStatus) {
 		t.Helper()
-		ds := sw.Handle(ObserverWorker, pkt)
+		ds := handle(sw, ObserverWorker, pkt)
 		if len(ds) != 1 {
 			t.Fatalf("control deliveries: %v", ds)
 		}
-		_, status, _, _, err := DecodeJobAck(ds[0].Packet)
+		ack, err := DecodeJobAck(ds[0].Packet)
+		status := ack.Status
 		if err != nil || status != want {
 			t.Fatalf("control ack: status=%v err=%v, want %v", status, err, want)
 		}
@@ -317,10 +318,10 @@ func TestChurnWhileThirdJobReduces(t *testing.T) {
 		}
 	}
 
-	control(EncodeJobAdmit(1), AckAdmitted)
+	control(EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}), AckAdmitted)
 	churnReduce(1, 51)
 	control(EncodeJobEvict(1), AckEvicting)
-	control(EncodeJobAdmit(2), AckAdmitted)
+	control(EncodeJobAdmit(JobAdmit{Job: 2, JobSpec: JobSpec{Weight: 1}}), AckAdmitted)
 	churnReduce(2, 52)
 	control(EncodeJobEvict(2), AckEvicting)
 
@@ -355,7 +356,7 @@ func TestWorkerReduceReturnsErrJobEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,10 +411,10 @@ func TestResultCacheEvictedOnWindowAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := resultBytes(cfg.Modules)
+	one := resultBytes(cfg.Modules, core.DefaultProfile)
 	send := func(chunk uint32) {
 		t.Helper()
-		if ds := sw.Handle(0, EncodeAdd(0, chunk, []float32{float32(chunk)})); len(ds) != 1 {
+		if ds := handle(sw, 0, EncodeAddProfile(0, chunk, 0, core.DefaultProfile, []float32{float32(chunk)})); len(ds) != 1 {
 			t.Fatalf("chunk %d: deliveries %v", chunk, ds)
 		}
 	}
@@ -439,14 +440,14 @@ func TestResultCacheEvictedOnWindowAdvance(t *testing.T) {
 	}
 	// A duplicate of a still-cached chunk replays from cache and counts a
 	// hit; a duplicate of an evicted chunk gets nothing (and no panic).
-	if ds := sw.Handle(0, EncodeAdd(0, 63, []float32{63})); len(ds) != 1 {
+	if ds := handle(sw, 0, EncodeAddProfile(0, 63, 0, core.DefaultProfile, []float32{63})); len(ds) != 1 {
 		t.Fatalf("replay from cache: %v", ds)
 	}
 	st, _ = sw.JobStats(0)
 	if st.CacheHits != 1 {
 		t.Fatalf("cache hits = %d, want 1", st.CacheHits)
 	}
-	if ds := sw.Handle(0, EncodeAdd(0, 60, []float32{60})); ds != nil {
+	if ds := handle(sw, 0, EncodeAddProfile(0, 60, 0, core.DefaultProfile, []float32{60})); ds != nil {
 		t.Fatalf("evicted-cache duplicate produced deliveries: %v", ds)
 	}
 }
@@ -460,7 +461,7 @@ func TestReleaseFreesCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := uint32(0); c < 4; c++ {
-		sw.Handle(0, EncodeAdd(0, c, []float32{1}))
+		handle(sw, 0, EncodeAddProfile(0, c, 0, core.DefaultProfile, []float32{1}))
 	}
 	if st, _ := sw.JobStats(0); st.CacheBytes == 0 {
 		t.Fatal("no cache built up")
@@ -492,14 +493,14 @@ func TestWireLifecycleGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := sw.Handle(ObserverWorker, EncodeJobAdmit(1))
+	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
 	if len(ds) != 1 {
 		t.Fatalf("disabled admit deliveries: %v", ds)
 	}
-	if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != AckErrDisabled {
-		t.Fatalf("disabled admit ack: %v %v", status, err)
+	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != AckErrDisabled {
+		t.Fatalf("disabled admit ack: %v %v", ack.Status, err)
 	}
-	if err := sw.Admit(1); err != nil {
+	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatalf("in-process admit on a static switch: %v", err)
 	}
 
@@ -509,7 +510,7 @@ func TestWireLifecycleGating(t *testing.T) {
 	}
 	// A worker port must not drive the control plane.
 	before := dyn.Rejects().Malformed
-	if ds := dyn.Handle(0, EncodeJobAdmit(1)); ds != nil {
+	if ds := handle(dyn, 0, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}})); ds != nil {
 		t.Fatalf("worker-port admit answered: %v", ds)
 	}
 	if got := dyn.Rejects().Malformed; got != before+1 {
@@ -520,28 +521,28 @@ func TestWireLifecycleGating(t *testing.T) {
 		pkt  []byte
 		want AckStatus
 	}{
-		{EncodeJobAdmit(1), AckAdmitted},
-		{EncodeJobAdmit(1), AckErrAlreadyAdmitted},
+		{EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}), AckAdmitted},
+		{EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}), AckErrAlreadyAdmitted},
 		{EncodeJobEvict(1), AckEvicting},
 		{EncodeJobEvict(1), AckErrNotAdmitted},
-		{EncodeJobAdmit(9), AckErrUnknownJob},
+		{EncodeJobAdmit(JobAdmit{Job: 9, JobSpec: JobSpec{Weight: 1}}), AckErrUnknownJob},
 		{EncodeJobEvict(9), AckErrUnknownJob},
 	} {
-		ds := dyn.Handle(ObserverWorker, step.pkt)
+		ds := handle(dyn, ObserverWorker, step.pkt)
 		if len(ds) != 1 {
 			t.Fatalf("step %v: deliveries %v", step.want, ds)
 		}
-		if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != step.want {
-			t.Fatalf("ack = %v (err %v), want %v", status, err, step.want)
+		if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != step.want {
+			t.Fatalf("ack = %v (err %v), want %v", ack.Status, err, step.want)
 		}
 	}
 	// Admit until the free-list runs dry.
-	dyn.Handle(ObserverWorker, EncodeJobEvict(0))
-	dyn.Handle(ObserverWorker, EncodeJobAdmit(0))
-	dyn.Handle(ObserverWorker, EncodeJobAdmit(1))
-	ds = dyn.Handle(ObserverWorker, EncodeJobAdmit(0))
-	if _, status, _, _, _ := DecodeJobAck(ds[0].Packet); status != AckErrAlreadyAdmitted {
-		t.Fatalf("ack = %v", status)
+	handle(dyn, ObserverWorker, EncodeJobEvict(0))
+	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
+	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
+	ds = handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
+	if ack, _ := DecodeJobAck(ds[0].Packet); ack.Status != AckErrAlreadyAdmitted {
+		t.Fatalf("ack = %v", ack.Status)
 	}
 }
 
@@ -557,7 +558,7 @@ func TestOnLifecycleHook(t *testing.T) {
 	}
 	var got []ev
 	sw.OnLifecycle = func(job int, e LifecycleEvent) { got = append(got, ev{job, e}) }
-	if err := sw.Admit(1); err != nil {
+	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Evict(1); err != nil {
@@ -591,7 +592,7 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-		if cut >= 2 && !errors.Is(err, ErrTruncated) && cut >= statsReqBytes {
+		if cut >= 2 && !errors.Is(err, ErrTruncated) && cut >= jobReqBytes {
 			// Short frames below the header are generic wire errors; once
 			// the type is readable, truncation must be identified as such.
 			t.Fatalf("truncation at %d: %v, want ErrTruncated", cut, err)
@@ -610,22 +611,23 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 // TestJobAckRoundTrip pins the ack codec and its hardening.
 func TestJobAckRoundTrip(t *testing.T) {
 	for status := AckAdmitted; status <= AckBackpressure; status++ {
-		pkt := EncodeJobAck(77, status, 3, 42)
-		job, got, epoch, weight, err := DecodeJobAck(pkt)
+		pkt := EncodeJobAck(JobAck{Job: 77, Status: status, Epoch: 3, JobSpec: JobSpec{Weight: 42}})
+		ack, err := DecodeJobAck(pkt)
+		job, got, epoch, weight := ack.Job, ack.Status, ack.Epoch, ack.Weight
 		if err != nil || job != 77 || got != status || epoch != 3 || weight != 42 {
 			t.Fatalf("status %v: job=%d got=%v epoch=%d weight=%d err=%v", status, job, got, epoch, weight, err)
 		}
 	}
-	if _, _, _, _, err := DecodeJobAck(EncodeJobAck(0, AckAdmitted, 0, 1)[:4]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAck(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 1}})[:4]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated ack: %v", err)
 	}
-	if _, _, _, _, err := DecodeJobAck(append(EncodeJobAck(0, AckAdmitted, 0, 1), 1)); err == nil {
+	if _, err := DecodeJobAck(append(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 1}}), 1)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, _, _, _, err := DecodeJobAck([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0}); err == nil {
+	if _, err := DecodeJobAck([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0}); err == nil {
 		t.Fatal("unknown status accepted")
 	}
-	if _, _, _, _, err := DecodeJobAck([]byte{MsgAdd, 0, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
+	if _, err := DecodeJobAck([]byte{MsgAdd, 0, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
 		t.Fatalf("legacy framing: %v", err)
 	}
 	// Err round trip: every status maps to the sentinel the wire client
@@ -646,26 +648,27 @@ func TestJobAckRoundTrip(t *testing.T) {
 // identified.
 func TestJobAdmitRoundTrip(t *testing.T) {
 	for _, weight := range []int{0, 1, 4, MaxWeight} {
-		pkt := EncodeJobAdmitWeight(513, weight)
-		job, got, err := DecodeJobAdmit(pkt)
+		pkt := EncodeJobAdmit(JobAdmit{Job: 513, JobSpec: JobSpec{Weight: weight}})
+		adm, err := DecodeJobAdmit(pkt)
+		job, got := adm.Job, adm.Weight
 		if err != nil || job != 513 || got != weight {
 			t.Fatalf("weight %d: job=%d got=%d err=%v", weight, job, got, err)
 		}
 	}
 	// The bare EncodeJobAdmit carries the default weight 1.
-	if _, w, err := DecodeJobAdmit(EncodeJobAdmit(3)); err != nil || w != 1 {
-		t.Fatalf("default admit weight = %d, err=%v", w, err)
+	if adm, err := DecodeJobAdmit(EncodeJobAdmit(JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 1}})); err != nil || adm.Weight != 1 {
+		t.Fatalf("default admit weight = %d, err=%v", adm.Weight, err)
 	}
-	if _, _, err := DecodeJobAdmit(EncodeJobAdmit(0)[:5]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAdmit(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}})[:5]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated admit: %v", err)
 	}
-	if _, _, err := DecodeJobAdmit(append(EncodeJobAdmit(0), 9)); err == nil {
+	if _, err := DecodeJobAdmit(append(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}), 9)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, _, err := DecodeJobAdmit(EncodeJobEvict(0)); err == nil {
+	if _, err := DecodeJobAdmit(EncodeJobEvict(0)); err == nil {
 		t.Fatal("evict frame accepted as admit")
 	}
-	if _, _, err := DecodeJobAdmit([]byte{MsgAdd, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
+	if _, err := DecodeJobAdmit([]byte{MsgAdd, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
 		t.Fatalf("legacy framing: %v", err)
 	}
 }
@@ -717,7 +720,7 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab, err := transport.NewMemory(transport.MemoryConfig{
-		Workers: cfg.Ports(), Handler: sw.Handle,
+		Workers: cfg.Ports(), BatchHandler: sw.HandleBatch,
 		UplinkLoss: 0.10, DownlinkLoss: 0.10, Seed: 23,
 	})
 	if err != nil {
@@ -785,7 +788,7 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 
 	// Phase 1: three weighted tenants join and flood alongside job 0.
 	for job, weight := range map[int]int{1: 1, 2: 2, 3: 4} {
-		if err := sw.AdmitWeighted(job, weight); err != nil {
+		if err := sw.Admit(job, JobSpec{Weight: weight}); err != nil {
 			t.Fatalf("admit %d: %v", job, err)
 		}
 		if got := sw.JobWeight(job); got != weight {
@@ -810,10 +813,10 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 		}
 		waitVacant(job)
 	}
-	if err := sw.AdmitWeighted(1, 4); err != nil {
+	if err := sw.Admit(1, JobSpec{Weight: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AdmitWeighted(3, 1); err != nil {
+	if err := sw.Admit(3, JobSpec{Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var wg2 sync.WaitGroup
@@ -905,7 +908,7 @@ func TestLifecycleChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				sw.Handle(cfg.Port(job, 0), EncodeAdd(job, c%64, []float32{1}))
+				handle(sw, cfg.Port(job, 0), EncodeAddProfile(job, c%64, 0, core.DefaultProfile, []float32{1}))
 			}
 		}(g)
 	}
@@ -917,7 +920,7 @@ func TestLifecycleChurnRace(t *testing.T) {
 			if sw.JobPhaseOf(job) == PhaseAdmitted {
 				_ = sw.Evict(job)
 			} else {
-				_ = sw.Admit(job)
+				_ = sw.Admit(job, JobSpec{})
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

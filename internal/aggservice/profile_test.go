@@ -140,7 +140,7 @@ func TestStatsReplyCarriesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := sw.Handle(ObserverWorker, EncodeStatsReq(0))
+	ds := handle(sw, ObserverWorker, EncodeStatsReq(0))
 	if len(ds) != 1 {
 		t.Fatalf("stats query returned %d deliveries", len(ds))
 	}
@@ -175,14 +175,15 @@ func TestAdmitProfileRejections(t *testing.T) {
 	}
 	for _, tc := range bad {
 		// Job 0 is initially admitted; job 1 is the vacant id under test.
-		if err := sw.AdmitProfile(1, 1, tc.prof); !errors.Is(err, ErrBadProfile) {
-			t.Fatalf("%s: AdmitProfile = %v, want ErrBadProfile", tc.name, err)
+		if err := sw.Admit(1, JobSpec{Weight: 1, Profile: tc.prof}); !errors.Is(err, ErrBadProfile) {
+			t.Fatalf("%s: Admit = %v, want ErrBadProfile", tc.name, err)
 		}
-		ds := sw.Handle(ObserverWorker, EncodeJobAdmitProfile(1, 1, tc.prof))
+		ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1, Profile: tc.prof}}))
 		if len(ds) != 1 {
 			t.Fatalf("%s: wire admit returned %d deliveries", tc.name, len(ds))
 		}
-		_, status, _, _, _, err := DecodeJobAckProfile(ds[0].Packet)
+		ack, err := DecodeJobAck(ds[0].Packet)
+		status := ack.Status
 		if err != nil || status != AckErrBadProfile {
 			t.Fatalf("%s: wire admit ack = %v (err %v), want AckErrBadProfile", tc.name, status, err)
 		}
@@ -195,7 +196,7 @@ func TestAdmitProfileRejections(t *testing.T) {
 	}
 	// Refusals above must not have leaked ranges: the one free range still
 	// admits.
-	if err := sw.AdmitProfile(1, 1, profF16RNE); err != nil {
+	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profF16RNE}); err != nil {
 		t.Fatalf("valid admit after refusals: %v", err)
 	}
 	if got := sw.JobProfile(1); got != profF16RNE {
@@ -212,11 +213,12 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := sw.Handle(ObserverWorker, EncodeJobAdmitProfile(1, 3, profBF16))
+	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 3, Profile: profBF16}}))
 	if len(ds) != 1 {
 		t.Fatalf("admit returned %d deliveries", len(ds))
 	}
-	job, status, epoch, weight, prof, err := DecodeJobAckProfile(ds[0].Packet)
+	ack, err := DecodeJobAck(ds[0].Packet)
+	job, status, epoch, weight, prof := ack.Job, ack.Status, ack.Epoch, ack.Weight, ack.Profile
 	if err != nil || job != 1 || status != AckAdmitted {
 		t.Fatalf("ack: job=%d status=%v err=%v", job, status, err)
 	}
@@ -224,7 +226,7 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 		t.Fatalf("ack echoed weight=%d prof=%v, want 3, %v", weight, prof, profBF16)
 	}
 
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 
 	run := func(job int, prof core.NumericProfile) {
 		t.Helper()
-		fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
+		fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), BatchHandler: sw.HandleBatch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +324,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 		return live
 	}
 
-	if err := sw.AdmitProfile(1, 1, profBF16); err != nil {
+	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); err != nil {
 		t.Fatal(err)
 	}
 	base, _, ok := sw.JobRange(1)
@@ -350,7 +352,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 	}
 
 	// Re-admit the SAME id with a DIFFERENT profile.
-	if err := sw.AdmitProfile(1, 1, profF16RNE); err != nil {
+	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profF16RNE}); err != nil {
 		t.Fatalf("re-admit: %v", err)
 	}
 	if got := sw.JobProfile(1); got != profF16RNE {
@@ -370,7 +372,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if err := sw.Evict(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AdmitProfile(1, 1, profBF16); err != nil {
+	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); err != nil {
 		t.Fatal(err)
 	}
 	sw.lifeMu.Lock()
@@ -379,7 +381,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if cached != 3 {
 		t.Fatalf("program cache grew to %d on re-admission of a cached profile", cached)
 	}
-	if err := sw.AdmitProfile(1, 1, profBF16); !errors.Is(err, ErrAlreadyAdmitted) {
+	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("double admit: %v", err)
 	}
 	// Free-list consistency: churning the initially-admitted job 0 (default
@@ -387,7 +389,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if err := sw.Evict(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AdmitProfile(0, 1, profBF16); err != nil {
+	if err := sw.Admit(0, JobSpec{Weight: 1, Profile: profBF16}); err != nil {
 		t.Fatalf("re-admit of the construction-time job: %v", err)
 	}
 }
@@ -406,13 +408,13 @@ func TestWorkerProfileMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// f32-width ADD against a bf16 job: 4 extra bytes per module.
-	if ds := sw.Handle(0, EncodeAdd(0, 0, []float32{1, 2})); ds != nil {
+	if ds := handle(sw, 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1, 2})); ds != nil {
 		t.Fatalf("mismatched ADD produced deliveries: %v", ds)
 	}
 	if adds, _, _ := sw.Stats(); adds != 0 {
 		t.Fatalf("mismatched ADD counted: %d", adds)
 	}
-	if ds := sw.Handle(0, EncodeAddProfile(0, 0, 0, profBF16, []float32{1, 2})); len(ds) != 1 {
+	if ds := handle(sw, 0, EncodeAddProfile(0, 0, 0, profBF16, []float32{1, 2})); len(ds) != 1 {
 		t.Fatalf("matched ADD deliveries: %v", ds)
 	}
 }

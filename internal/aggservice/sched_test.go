@@ -132,7 +132,7 @@ func floodWeighted(t *testing.T, sw *Switch, cfg Config, stop func(chunks []uint
 			t.Fatalf("flood wedged: %v chunks after %d sweeps", chunks, sweep)
 		}
 		for j := 0; j < n; j++ {
-			ds := sw.Handle(cfg.Port(j, 0), EncodeAdd(j, chunks[j], vals))
+			ds := handle(sw, cfg.Port(j, 0), EncodeAddProfile(j, chunks[j], 0, core.DefaultProfile, vals))
 			if delivered(ds, MsgResult) {
 				chunks[j]++
 			}
@@ -242,7 +242,7 @@ func TestSchedulerWorkConserving(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := uint32(0); c < 1024; c++ {
-		if ds := sw.Handle(0, EncodeAdd(0, c, []float32{1})); !delivered(ds, MsgResult) {
+		if ds := handle(sw, 0, EncodeAddProfile(0, c, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 			t.Fatalf("lone tenant's chunk %d did not complete: %v", c, ds)
 		}
 	}
@@ -268,21 +268,21 @@ func TestEvictionReturnsDeficit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Job 0 shows demand and leaves most of its quantum unspent.
-	if ds := sw.Handle(cfg.Port(0, 0), EncodeAdd(0, 0, []float32{1})); !delivered(ds, MsgResult) {
+	if ds := handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 		t.Fatalf("job 0 bind failed: %v", ds)
 	}
 	// Job 1 spends its whole quantum, then defers against job 0's budget.
 	for c := uint32(0); c < drrQuantum; c++ {
-		if ds := sw.Handle(cfg.Port(1, 0), EncodeAdd(1, c, []float32{1})); !delivered(ds, MsgResult) {
+		if ds := handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, c, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 			t.Fatalf("job 1 chunk %d did not complete: %v", c, ds)
 		}
 	}
-	ds := sw.Handle(cfg.Port(1, 0), EncodeAdd(1, drrQuantum, []float32{1}))
+	ds := handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, drrQuantum, 0, core.DefaultProfile, []float32{1}))
 	if !delivered(ds, MsgJobAck) || delivered(ds, MsgResult) {
 		t.Fatalf("over-deficit bind not deferred: %v", ds)
 	}
-	if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != AckBackpressure {
-		t.Fatalf("defer notice: status=%v err=%v", status, err)
+	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != AckBackpressure {
+		t.Fatalf("defer notice: status=%v err=%v", ack.Status, err)
 	}
 	if r := sw.Rejects(); r.Backpressure != 1 {
 		t.Fatalf("Backpressure = %d, want 1", r.Backpressure)
@@ -292,7 +292,7 @@ func TestEvictionReturnsDeficit(t *testing.T) {
 	if err := sw.Evict(0); err != nil {
 		t.Fatal(err)
 	}
-	if ds := sw.Handle(cfg.Port(1, 0), EncodeAdd(1, drrQuantum, []float32{1})); !delivered(ds, MsgResult) {
+	if ds := handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, drrQuantum, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 		t.Fatalf("eviction did not return the blocking deficit: %v", ds)
 	}
 	checkSchedInvariants(t, sw)
@@ -317,7 +317,7 @@ func TestWorkerBacksOffOnBackpressure(t *testing.T) {
 		if deferred.Load() < 6 {
 			for range pkts {
 				deferred.Add(1)
-				out.Unicast(w, EncodeJobAck(0, AckBackpressure, 0, 1))
+				out.Unicast(w, EncodeJobAck(JobAck{Job: 0, Status: AckBackpressure, JobSpec: JobSpec{Weight: 1}}))
 			}
 			return
 		}
@@ -367,7 +367,7 @@ func TestWorkerIgnoresForeignBackpressure(t *testing.T) {
 	}
 	handler := func(w int, pkts [][]byte, out *transport.DeliveryList) {
 		// A stale straggler's notice rides along with every vector.
-		out.Unicast(w, EncodeJobAck(0, AckBackpressure, 9, 1))
+		out.Unicast(w, EncodeJobAck(JobAck{Job: 0, Status: AckBackpressure, Epoch: 9, JobSpec: JobSpec{Weight: 1}}))
 		sw.HandleBatch(w, pkts, out)
 	}
 	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: 1, BatchHandler: handler})

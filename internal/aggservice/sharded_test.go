@@ -24,7 +24,7 @@ func drive(t *testing.T, sw *Switch, vecs [][]float32, modules int) map[uint32][
 		for w := range vecs {
 			vals := make([]float32, modules)
 			copy(vals, vecs[w][c*modules:min(len(vecs[w]), (c+1)*modules)])
-			for _, d := range sw.Handle(w, EncodeAdd(0, uint32(c), vals)) {
+			for _, d := range handle(sw, w, EncodeAddProfile(0, uint32(c), 0, core.DefaultProfile, vals)) {
 				if !d.Broadcast {
 					continue
 				}
@@ -91,7 +91,7 @@ func TestShardedHandleConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for c := g; c < slots; c += goroutines {
-				for _, d := range sw.Handle(0, EncodeAdd(0, uint32(c), []float32{float32(c)})) {
+				for _, d := range handle(sw, 0, EncodeAddProfile(0, uint32(c), 0, core.DefaultProfile, []float32{float32(c)})) {
 					if d.Broadcast {
 						delivered.Add(1)
 					}
@@ -156,8 +156,8 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	sh := sw.shards[0]
 	sh.agg[0] = &flakyAgg{aggregator: sh.agg[0], failNext: 1}
 
-	pkt := EncodeAdd(0, 0, []float32{1.5})
-	if ds := sw.Handle(0, pkt); ds != nil {
+	pkt := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
+	if ds := handle(sw, 0, pkt); ds != nil {
 		t.Fatalf("failed add returned deliveries: %v", ds)
 	}
 	if st := &sh.slot[0]; st.seen[0] || st.nSeen != 0 {
@@ -168,14 +168,14 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	}
 
 	// The retransmit now succeeds and the chunk completes with the right sum.
-	if ds := sw.Handle(0, pkt); ds != nil {
+	if ds := handle(sw, 0, pkt); ds != nil {
 		t.Fatalf("retransmit should not complete the chunk yet: %v", ds)
 	}
-	ds := sw.Handle(1, EncodeAdd(0, 0, []float32{2.25}))
+	ds := handle(sw, 1, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{2.25}))
 	if len(ds) != 1 || !ds[0].Broadcast {
 		t.Fatalf("chunk did not complete: %v", ds)
 	}
-	_, _, vals, _, err := DecodeResult(ds[0].Packet, 1)
+	_, _, vals, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +192,12 @@ func TestOversizedAddRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := EncodeAdd(0, 0, []float32{1})
+	good := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})
 	oversized := append(append([]byte(nil), good...), 0xde, 0xad)
-	if ds := sw.Handle(0, oversized); ds != nil {
+	if ds := handle(sw, 0, oversized); ds != nil {
 		t.Fatalf("oversized ADD accepted: %v", ds)
 	}
-	if ds := sw.Handle(0, good[:len(good)-1]); ds != nil {
+	if ds := handle(sw, 0, good[:len(good)-1]); ds != nil {
 		t.Fatalf("truncated ADD accepted: %v", ds)
 	}
 	if adds, _, _ := sw.Stats(); adds != 0 {
@@ -241,7 +241,7 @@ func (f *holFabric) SendBatch(worker int, pkts [][]byte) error {
 			f.dropped = true
 			continue
 		}
-		out := make([]byte, resultBytes(1))
+		out := make([]byte, resultBytes(1, core.DefaultProfile))
 		putHeader(out, MsgResult, 0, c)
 		copy(out[hdrBytes:], m[addValOff:addValOff+4])
 		f.replies <- out
@@ -327,7 +327,7 @@ func TestNegativeSentinelsApplyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,50 +356,6 @@ func TestNegativeSentinelsApplyDefaults(t *testing.T) {
 	}
 }
 
-// TestBatchEncodeDecode round-trips the batch framing and rejects
-// malformed frames.
-func TestBatchEncodeDecode(t *testing.T) {
-	msgs := [][]byte{
-		EncodeAdd(0, 1, []float32{1.5}),
-		EncodeAdd(0, 2, []float32{-2.5}),
-		EncodeAdd(1, 9, []float32{0.25}),
-	}
-	pkt := EncodeBatch(msgs)
-	if pkt[0] != WireVersion || pkt[1] != MsgBatch {
-		t.Fatalf("header bytes %d %d", pkt[0], pkt[1])
-	}
-	got, err := DecodeBatch(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(msgs) {
-		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
-	}
-	for i := range msgs {
-		if string(got[i]) != string(msgs[i]) {
-			t.Fatalf("message %d mismatch", i)
-		}
-	}
-	for name, bad := range map[string][]byte{
-		"truncated header": pkt[:3],
-		"truncated body":   pkt[:len(pkt)-3],
-		"trailing bytes":   append(append([]byte(nil), pkt...), 1, 2, 3),
-		"wrong type":       {WireVersion, MsgAdd, 0, 1},
-		"legacy v1 batch":  {MsgBatch, 0, 1},
-		"nested batch":     EncodeBatch([][]byte{EncodeBatch([][]byte{msgs[0]})}),
-	} {
-		if _, err := DecodeBatch(bad); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	if _, err := DecodeBatch([]byte{MsgBatch, 0, 1}); !errors.Is(err, ErrLegacyWire) {
-		t.Errorf("legacy batch error = %v, want ErrLegacyWire", err)
-	}
-	if _, err := DecodeBatch(EncodeBatch([][]byte{EncodeBatch(msgs[:1])})); !errors.Is(err, ErrNestedBatch) {
-		t.Errorf("nested batch error = %v, want ErrNestedBatch", err)
-	}
-}
-
 // TestMaxBatchFitsResultDatagram pins the batch bound to the downlink: a
 // full ADD batch can complete every chunk at once, and the coalesced
 // RESULT batch plus the UDP worker-frame byte must still fit a datagram.
@@ -409,7 +365,8 @@ func TestMaxBatchFitsResultDatagram(t *testing.T) {
 		if n < 1 {
 			t.Fatalf("modules=%d: batch bound %d", modules, n)
 		}
-		resultBatch := batchHdrBytes + n*(2+resultBytes(modules))
+		const frameHdr = 4 // transport batch-frame header
+		resultBatch := frameHdr + n*(2+resultBytes(modules, core.DefaultProfile))
 		if resultBatch+1 > maxDatagram {
 			t.Errorf("modules=%d: %d-chunk result batch is %d bytes, exceeds %d",
 				modules, n, resultBatch+1, maxDatagram)
@@ -430,7 +387,7 @@ func TestHandleBatchGroupsShards(t *testing.T) {
 	const n = 8
 	pkts := make([][]byte, n)
 	for c := range pkts {
-		pkts[c] = EncodeAdd(0, uint32(c), []float32{float32(c) + 0.5})
+		pkts[c] = EncodeAddProfile(0, uint32(c), 0, core.DefaultProfile, []float32{float32(c) + 0.5})
 	}
 	var dl transport.DeliveryList
 	sw.HandleBatch(0, pkts, &dl)
@@ -462,7 +419,7 @@ func TestHandleBatchGroupsShards(t *testing.T) {
 			}
 			continue
 		}
-		_, chunk, vals, _, err := DecodeResult(d.Packet, 1)
+		_, chunk, vals, _, err := DecodeResultProfile(d.Packet, 1, core.DefaultProfile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +448,7 @@ func TestWorkerBatchingAmortizesDatagrams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, Handler: sw.Handle})
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

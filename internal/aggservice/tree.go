@@ -3,7 +3,6 @@ package aggservice
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,91 +73,39 @@ type UplinkConfig struct {
 }
 
 // ParentControl negotiates a leaf's job admission with its parent switch.
+// SwitchControl (in-process) and Observer (the parent's UDP control plane,
+// which needs Config.Dynamic there) implement it.
 type ParentControl interface {
-	// AdmitUp admits (job, weight, prof) at the parent and returns the
-	// parent-level incarnation epoch the leaf's uplink ADDs must carry.
-	// An already-admitted parent job is success — another leaf negotiated
-	// first — PROVIDED the live profile matches; a mismatch is an error
-	// (the leaves would feed the parent undecodable ADDs).
-	AdmitUp(job, weight int, prof core.NumericProfile) (epoch uint8, err error)
+	// Admit admits job under spec at the parent. The ack carries the
+	// parent-level incarnation epoch and the spec the parent runs the job
+	// under — also beside ErrAlreadyAdmitted, which only means another leaf
+	// negotiated first.
+	Admit(job int, spec JobSpec) (JobAck, error)
 }
 
 // SwitchControl is the in-process ParentControl: it negotiates directly
 // against a parent Switch in the same process (tests, single-binary demos).
 type SwitchControl struct{ Parent *Switch }
 
-func (c SwitchControl) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, error) {
-	err := c.Parent.AdmitProfile(job, weight, prof)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrAlreadyAdmitted):
-		if got := c.Parent.JobProfile(job); got != prof {
-			return 0, fmt.Errorf("%w: job %d live at the parent under profile %v, leaf wants %v",
-				ErrBadProfile, job, got, prof)
-		}
-	default:
-		return 0, err
-	}
-	return c.Parent.JobEpoch(job), nil
+func (c SwitchControl) Admit(job int, spec JobSpec) (JobAck, error) {
+	err := c.Parent.Admit(job, spec)
+	return c.Parent.jobAck(job, AckAdmitted, err), err
 }
 
-// WireControl is the UDP ParentControl: it drives the parent's observer
-// control plane (the same observer-framed datagrams fpisa-query sends).
-// The parent must enable Config.Dynamic.
-type WireControl struct {
-	// Addr is the parent switch's UDP address.
-	Addr *net.UDPAddr
-	// Timeout is the per-attempt ack deadline (0 means DefaultTimeout);
-	// Retries is the attempt budget (non-positive means 5).
-	Timeout time.Duration
-	Retries int
-}
-
-func (c WireControl) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
+// admitUp admits (job, spec) at the parent and returns the parent-level
+// incarnation epoch the leaf's uplink ADDs must carry. An already-admitted
+// parent job is success PROVIDED the live profile matches; a mismatch is an
+// error (the leaves would feed the parent undecodable ADDs).
+func admitUp(ctl ParentControl, job int, spec JobSpec) (uint8, error) {
+	ack, err := ctl.Admit(job, spec)
+	if err != nil && !errors.Is(err, ErrAlreadyAdmitted) {
+		return 0, fmt.Errorf("aggservice: job %d parent admit: %w", job, err)
 	}
-	retries := c.Retries
-	if retries <= 0 {
-		retries = 5
+	if ack.Profile != spec.Profile {
+		return 0, fmt.Errorf("aggservice: job %d parent admit: %w: live at the parent under profile %v, leaf wants %v",
+			job, ErrBadProfile, ack.Profile, spec.Profile)
 	}
-	conn, err := net.DialUDP("udp", nil, c.Addr)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	frame := append([]byte{transport.ObserverID}, EncodeJobAdmitProfile(job, weight, prof)...)
-	buf := make([]byte, 128)
-	for attempt := 0; attempt < retries; attempt++ {
-		if _, err := conn.Write(frame); err != nil {
-			return 0, err
-		}
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue
-		}
-		j, status, epoch, _, got, aerr := DecodeJobAckProfile(buf[:n])
-		if aerr != nil || j != job {
-			continue
-		}
-		switch status {
-		case AckAdmitted:
-			return epoch, nil
-		case AckErrAlreadyAdmitted:
-			// The ack echoes the LIVE incarnation's epoch and profile, so
-			// the already-admitted case needs no second exchange.
-			if got != prof {
-				return 0, fmt.Errorf("%w: job %d live at the parent under profile %v, leaf wants %v",
-					ErrBadProfile, job, got, prof)
-			}
-			return epoch, nil
-		default:
-			return 0, fmt.Errorf("parent %s: %w", c.Addr, status.Err())
-		}
-	}
-	return 0, fmt.Errorf("parent %s: no admit ack after %d attempts", c.Addr, retries)
+	return ack.Epoch, nil
 }
 
 // uplinkJob is one job's live uplink client on a leaf: the Worker-like
@@ -240,7 +187,6 @@ func (u *uplinkJob) retransmitPending() {
 // over an unreachable parent.
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
-	var one [1][]byte
 	stalls := 0
 	for {
 		select {
@@ -270,55 +216,29 @@ func (u *uplinkJob) run() {
 			return // fabric closed
 		}
 		var finals []resDone
-		for _, pkt := range bufs[:k] {
-			one[0] = pkt
-			msgs := one[:]
-			if typ, terr := wireType(pkt); terr == nil && typ == MsgBatch {
-				if msgs, err = DecodeBatch(pkt); err != nil {
-					continue
-				}
+		final := func(chunk uint32, vals []float32, ovf bool) {
+			stalls = 0
+			finals = u.takeFinal(chunk, vals, ovf, finals)
+		}
+		for _, msg := range bufs[:k] {
+			notice, ok := readDownlink(msg, u.job, u.parentEpoch, u.s.cfg.Modules, u.prof, final)
+			if !ok {
+				continue
 			}
-			for _, msg := range msgs {
-				if len(msg) >= 2 && msg[0] == WireVersion && msg[1] == MsgJobAck {
-					j, status, ep, _, aerr := DecodeJobAck(msg)
-					if aerr != nil || j != u.job || ep != u.parentEpoch {
-						continue // another incarnation's notice
-					}
-					switch status {
-					case AckEvicted, AckDraining:
-						// A mid-tree eviction propagating down: the parent
-						// refuses this job's uplink, so drain the leaf too.
-						// Evict → release → stopUplink closes u.quit; push
-						// what already arrived first.
-						u.s.pushFinals(finals)
-						u.s.Evict(u.job)
-						return
-					case AckBackpressure:
-						// The parent's fair scheduler deferred a bind; the
-						// chunk stays pending and the retransmit clock
-						// recovers it next round. The parent is alive.
-						stalls = 0
-					}
-					continue
-				}
-				switch typ, _ := wireType(msg); typ {
-				case MsgResult:
-					job, chunk, vals, ovf, derr := DecodeResultProfile(msg, u.s.cfg.Modules, u.prof)
-					if derr != nil || job != u.job {
-						continue
-					}
-					stalls = 0
-					finals = u.takeFinal(chunk, vals, ovf, finals)
-				case MsgResultRun:
-					job, start, vals, ovfs, derr := DecodeResultRun(msg, u.s.cfg.Modules, u.prof)
-					if derr != nil || job != u.job {
-						continue
-					}
-					stalls = 0
-					for i := range vals {
-						finals = u.takeFinal(start+uint32(i), vals[i], ovfs[i], finals)
-					}
-				}
+			switch notice {
+			case AckEvicted, AckDraining:
+				// A mid-tree eviction propagating down: the parent refuses
+				// this job's uplink, so drain the leaf too. Evict → release
+				// → stopUplink closes u.quit; push what already arrived
+				// first.
+				u.s.pushFinals(finals)
+				u.s.Evict(u.job)
+				return
+			case AckBackpressure:
+				// The parent's fair scheduler deferred a bind; the chunk
+				// stays pending and the retransmit clock recovers it next
+				// round. The parent is alive.
+				stalls = 0
 			}
 		}
 		u.s.pushFinals(finals)
@@ -371,15 +291,7 @@ func (s *Switch) installFinal(job int, epoch uint64, chunk uint32, vals []float3
 	if st.chunk != int64(chunk) || !st.upPending {
 		return nil, false
 	}
-	w := prof.ValueBytes()
-	pkt := make([]byte, resultBytesProf(len(vals), prof))
-	putHeader(pkt, MsgResult, job, chunk)
-	for i, v := range vals {
-		prof.PutValue(pkt[hdrBytes+w*i:], v)
-	}
-	if ovf {
-		pkt[hdrBytes+w*len(vals)] = 1
-	}
+	pkt := encodeResult(job, chunk, prof, vals, ovf)
 	st.cached = pkt
 	st.upPending = false
 	js.cacheBytes.Add(int64(len(pkt)))

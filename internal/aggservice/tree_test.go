@@ -257,7 +257,7 @@ func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 	// re-run from scratch on the recycled ranges.
 	epochs := make([]uint8, nLeaves)
 	for i, l := range leaves {
-		if err := l.Admit(0); err != nil {
+		if err := l.Admit(0, JobSpec{}); err != nil {
 			t.Fatalf("leaf %d re-admit: %v", i, err)
 		}
 		epochs[i] = l.JobEpoch(0)
@@ -387,7 +387,7 @@ func TestResultRunRoundTrip(t *testing.T) {
 	_ = items
 	// Build cached-RESULT-shaped items the way the switch does.
 	mk := func(chunk uint32, vals []float32, ovf bool) []byte {
-		pkt := make([]byte, resultBytesProf(len(vals), prof))
+		pkt := make([]byte, resultBytes(len(vals), prof))
 		putHeader(pkt, MsgResult, 3, chunk)
 		for i, v := range vals {
 			prof.PutValue(pkt[hdrBytes+4*i:], v)

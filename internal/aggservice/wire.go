@@ -1,0 +1,683 @@
+package aggservice
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"fpisa/internal/core"
+)
+
+// This file is the whole wire protocol: the message types, their layouts,
+// exactly one encoder and one decoder per message, and the one downlink
+// reader every chunk-window client (Worker.Reduce, a tree leaf's uplink)
+// decodes the switch's replies through. See doc.go for the rationale.
+
+// WireVersion is the leading octet of every v2 wire message. Its value is
+// chosen from a range disjoint from the v1 type bytes (0..2), so a legacy
+// single-job datagram is recognized by its first byte and rejected with
+// ErrLegacyWire instead of being misparsed.
+const WireVersion = 0xF2
+
+// Message types (the second octet of every v2 message). Type 2 is reserved:
+// it framed several messages in one datagram before the fabric's own batch
+// frames took that job over, and is rejected as malformed.
+const (
+	MsgAdd        = 0  // worker → switch: chunk values
+	MsgResult     = 1  // switch → workers: aggregated chunk
+	MsgStats      = 3  // observer/worker → switch: per-job stats request
+	MsgStatsReply = 4  // switch → requester: per-job stats snapshot
+	MsgJobAdmit   = 5  // observer → switch: admit a job at runtime
+	MsgJobEvict   = 6  // observer → switch: evict (drain) a job at runtime
+	MsgJobAck     = 7  // switch → requester/worker: lifecycle status
+	MsgResultRun  = 8  // switch → workers: a run of consecutive aggregated chunks
+	MsgTuple      = 9  // analytics worker → switch: (key, value) rows to fold
+	MsgTupleAck   = 10 // switch → analytics worker: folded batch + survivor bitmap
+	MsgDrain      = 11 // observer → switch: harvest-and-reset analytics state
+	MsgDrainReply = 12 // switch → observer: harvested (key, value) entries
+)
+
+// legacyMaxType is the largest v1 type byte: v1 framing had no version
+// octet, so a datagram whose FIRST byte is at most this is a v1 message.
+const legacyMaxType = 2
+
+// Wire-format errors. Handlers count these (see WireRejects); decoders
+// return them wrapped so callers can errors.Is on the cause.
+var (
+	// ErrLegacyWire marks a v1 (pre-job-id) datagram: the old framing had
+	// no version octet, so its first byte is a v1 type (0..2).
+	ErrLegacyWire = errors.New("aggservice: legacy v1 wire framing (no job id); upgrade the client to wire v2")
+	// ErrTruncated marks a fixed-layout message (stats reply, lifecycle
+	// ack) shorter than its declared fields — decoders return it wrapped
+	// instead of indexing past the packet.
+	ErrTruncated = errors.New("aggservice: truncated message")
+)
+
+// Wire layout (see doc.go for the rationale):
+//
+//	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
+//	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
+//	run    = [ver(1) type(1) job(2) start(4) count(2)
+//	          { values(W·M) overflow(1) }·count]
+//	stats  = [ver(1) type(1) job(2)]
+//	reply  = [ver(1) type(1) job(2) phase(1) weight(2) fmt(1) guard(1)
+//	          round(1) class(1) topn(2) groups(2) adds(8) retrans(8)
+//	          done(8) drops(8) defers(8) outstanding(8) cacheHits(8)
+//	          cacheBytes(8) coalesced(8)]
+//	admit  = [ver(1) type(1) job(2) weight(2) fmt(1) guard(1) round(1)
+//	          class(1) topn(2) groups(2)]
+//	evict  = [ver(1) type(1) job(2)]
+//	ack    = [ver(1) type(1) job(2) status(1) epoch(1) weight(2) fmt(1)
+//	          guard(1) round(1) class(1) topn(2) groups(2)]
+//	tuple  = [ver(1) type(1) job(2) seq(4) epoch(1) op(1) count(2)
+//	          { key(4) valbits(4) }·count]
+//	tack   = [ver(1) type(1) job(2) seq(4) count(2) bitmap(⌈count/8⌉)]
+//	drain  = [ver(1) type(1) job(2) kind(1) flags(1) nonce(4)]
+//	dreply = [ver(1) type(1) job(2) kind(1) count(2)
+//	          { key(4) valbits(4) }·count]
+//
+// W is the job's negotiated value width: 4 bytes under the default f32
+// profile, 2 under the 16-bit formats — so a bf16 tenant's ADDs carry half
+// the payload. The fmt/guard/round octets are the job's NumericProfile
+// descriptor (core.ProfileFormat, guard-bit count, core.ProfileRounding),
+// negotiated in the admit request and echoed in acks and stats replies.
+//
+// The class/topn/groups octets are the job's AdmitClass descriptor — the
+// workload class the admission negotiated (training/query/telemetry) plus
+// its analytics register ask — echoed in acks and stats replies just like
+// the numeric profile.
+//
+// The ADD's (and TUPLE's) epoch octet is the job's incarnation: it is
+// compared against the switch's release counter (mod 256), so a datagram
+// buffered from an evicted incarnation of a re-admitted job id is rejected
+// as stale instead of binding a chunk into the fresh range. Lifecycle acks
+// echo the incarnation so newly admitted workers learn the octet to carry.
+const hdrBytes = 8
+
+// addValOff is the offset of an ADD's value vector: the shared header plus
+// the incarnation epoch octet.
+const addValOff = hdrBytes + 1
+
+// jobSpecBytes is the wire width of a JobSpec: the 16-bit scheduler weight,
+// the NumericProfile descriptor (one octet each for format, guard bits and
+// rounding) and the AdmitClass descriptor (the workload class octet plus
+// the two 16-bit analytics register counts).
+const jobSpecBytes = 2 + 3 + 5
+
+// jobReqBytes sizes the requests that name only a job (stats, evict);
+// statsReplyBytes, jobAdmitBytes and jobAckBytes size the control plane's
+// other fixed layouts, each a [ver type job] header around a JobSpec.
+const (
+	jobReqBytes     = 4
+	statsReplyBytes = 4 + 1 + jobSpecBytes + 9*8
+	jobAdmitBytes   = 4 + jobSpecBytes
+	jobAckBytes     = 4 + 2 + jobSpecBytes
+)
+
+// runHdrBytes is the MsgResultRun header: the shared [ver type job chunk]
+// header (chunk = the run's first chunk id) plus a two-byte item count.
+const runHdrBytes = hdrBytes + 2
+
+// Analytics wire sizes. The tuple header rides the shared [ver type job(2)
+// seq(4)] header plus [epoch op count(2)]; its ack echoes the seq and adds
+// a survivor bitmap. Drains are observer frames carrying a client nonce so
+// a lost reply can be replayed instead of re-executing the read-and-reset.
+const (
+	tupleHdrBytes      = hdrBytes + 4
+	tupleAckHdrBytes   = hdrBytes + 2
+	drainReqBytes      = 10 // [ver type job(2) kind flags nonce(4)]
+	drainReplyHdrBytes = 7  // [ver type job(2) kind count(2)]
+)
+
+// maxDatagram is the largest payload the UDP fabric can carry.
+const maxDatagram = 65507
+
+// MaxTuplesPerBatch is how many 8-byte (key, value) tuples fit one
+// datagram after the tuple header.
+const MaxTuplesPerBatch = (maxDatagram - tupleHdrBytes) / 8
+
+// addBytes/resultBytes size a job's ADD and RESULT in its negotiated wire
+// format.
+func addBytes(modules int, prof core.NumericProfile) int {
+	return addValOff + prof.ValueBytes()*modules
+}
+func resultBytes(modules int, prof core.NumericProfile) int {
+	return hdrBytes + prof.ValueBytes()*modules + 1
+}
+
+// maxBatchChunks bounds how many chunks ride one send vector (and one run
+// reply). The binding constraint is the *downlink*: a full ADD vector can
+// complete every chunk at once, and the coalesced RESULT vector (sized for
+// the widest, f32, format: one byte larger per message than its ADD, two
+// bytes of length prefix each, four bytes of transport batch-frame header)
+// must still fit a datagram — a run reply that did not would be
+// undeliverable and stall the protocol for good. The transport's own frame
+// splitting keeps multi-message vectors safe regardless.
+func maxBatchChunks(modules int) int {
+	const frameHdr = 4 // transport batch-frame header
+	n := (maxDatagram - frameHdr) / (2 + resultBytes(modules, core.DefaultProfile))
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// putJobHeader writes the [ver type job] prefix every message starts with.
+func putJobHeader(pkt []byte, typ byte, job int) {
+	pkt[0] = WireVersion
+	pkt[1] = typ
+	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
+}
+
+// putHeader writes the data plane's shared [ver type job chunk] header.
+func putHeader(pkt []byte, typ byte, job int, chunk uint32) {
+	putJobHeader(pkt, typ, job)
+	binary.BigEndian.PutUint32(pkt[4:], chunk)
+}
+
+// jobReq builds a request that names only a job: [ver type job(2)].
+func jobReq(typ byte, job int) []byte {
+	pkt := make([]byte, jobReqBytes)
+	putJobHeader(pkt, typ, job)
+	return pkt
+}
+
+// wireType classifies a message: it returns the v2 type byte, ErrLegacyWire
+// for v1 framing, or a generic error for garbage.
+func wireType(pkt []byte) (byte, error) {
+	if len(pkt) < 2 {
+		return 0, fmt.Errorf("aggservice: %d-byte message", len(pkt))
+	}
+	if pkt[0] != WireVersion {
+		if pkt[0] <= legacyMaxType {
+			return 0, ErrLegacyWire
+		}
+		return 0, fmt.Errorf("aggservice: unknown wire version 0x%02x", pkt[0])
+	}
+	return pkt[1], nil
+}
+
+// JobSpec is what an admission negotiates for a job: its deficit-round-
+// robin scheduler weight, the numeric profile its slots compute under and
+// its workload class. The zero JobSpec is the default tenant — weight 1
+// (the switch clamps 0), f32 truncating arithmetic, training.
+type JobSpec struct {
+	Weight  int
+	Profile core.NumericProfile
+	Class   AdmitClass
+}
+
+// putJobSpec/getJobSpec move a JobSpec through its wire octets ([weight(2)
+// fmt guard round class topn(2) groups(2)]). getJobSpec returns the octets
+// as carried: decoders never validate or clamp (round trips stay
+// byte-exact); the admission path validates.
+func putJobSpec(dst []byte, sp JobSpec) {
+	binary.BigEndian.PutUint16(dst, uint16(sp.Weight))
+	dst[2] = uint8(sp.Profile.Format)
+	dst[3] = sp.Profile.Guard
+	dst[4] = uint8(sp.Profile.Rounding)
+	dst[5] = uint8(sp.Class.Class)
+	binary.BigEndian.PutUint16(dst[6:], uint16(sp.Class.TopN))
+	binary.BigEndian.PutUint16(dst[8:], uint16(sp.Class.Groups))
+}
+
+func getJobSpec(src []byte) JobSpec {
+	return JobSpec{
+		Weight: int(binary.BigEndian.Uint16(src)),
+		Profile: core.NumericProfile{
+			Format:   core.ProfileFormat(src[2]),
+			Guard:    src[3],
+			Rounding: core.ProfileRounding(src[4]),
+		},
+		Class: AdmitClass{
+			Class:  WorkloadClass(src[5]),
+			TopN:   int(binary.BigEndian.Uint16(src[6:])),
+			Groups: int(binary.BigEndian.Uint16(src[8:])),
+		},
+	}
+}
+
+// EncodeAddProfile builds a worker ADD packet stamped with the job's
+// incarnation epoch (0 for a job id's first incarnation; the admit ack
+// echoes the current one), with the values narrowed to the job's negotiated
+// wire format — 16-bit formats halve the payload.
+func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
+	w := prof.ValueBytes()
+	pkt := make([]byte, addValOff+w*len(vals))
+	putHeader(pkt, MsgAdd, job, chunk)
+	pkt[hdrBytes] = epoch
+	for i, v := range vals {
+		prof.PutValue(pkt[addValOff+w*i:], v)
+	}
+	return pkt
+}
+
+// encodeResult builds a chunk's RESULT in the job's wire format. The values
+// are already representable in it (the aggregator read them out under the
+// profile), so the narrowing is the identity.
+func encodeResult(job int, chunk uint32, prof core.NumericProfile, vals []float32, overflow bool) []byte {
+	w := prof.ValueBytes()
+	pkt := make([]byte, resultBytes(len(vals), prof))
+	putHeader(pkt, MsgResult, job, chunk)
+	for i, v := range vals {
+		prof.PutValue(pkt[hdrBytes+w*i:], v)
+	}
+	if overflow {
+		pkt[hdrBytes+w*len(vals)] = 1
+	}
+	return pkt
+}
+
+// DecodeResultProfile parses a RESULT packet in the job's negotiated wire
+// format, widening 16-bit values to float32 exactly.
+func DecodeResultProfile(pkt []byte, modules int, prof core.NumericProfile) (job int, chunk uint32, vals []float32, overflow bool, err error) {
+	w := prof.ValueBytes()
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, nil, false, fmt.Errorf("bad result packet: %w", terr)
+	} else if typ != MsgResult {
+		return 0, 0, nil, false, fmt.Errorf("aggservice: bad result packet")
+	}
+	if n := resultBytes(modules, prof); len(pkt) != n {
+		if len(pkt) < n {
+			return 0, 0, nil, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
+		}
+		return 0, 0, nil, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
+	}
+	job = int(binary.BigEndian.Uint16(pkt[2:]))
+	chunk = binary.BigEndian.Uint32(pkt[4:])
+	vals = make([]float32, modules)
+	for i := range vals {
+		vals[i] = prof.GetValue(pkt[hdrBytes+w*i:])
+	}
+	overflow = pkt[hdrBytes+w*modules] != 0
+	return job, chunk, vals, overflow, nil
+}
+
+// encodeResultRun splices consecutive chunks' RESULT payloads into one
+// run-length MsgResultRun reply: items[i] is chunk start+i's cached RESULT
+// packet, whose values+overflow tail is carried verbatim (the tail is
+// already in the job's wire format, so the splice is a copy, not a
+// re-encode).
+func encodeResultRun(job int, start uint32, items [][]byte) []byte {
+	n := runHdrBytes
+	for _, p := range items {
+		n += len(p) - hdrBytes
+	}
+	run := make([]byte, runHdrBytes, n)
+	putHeader(run, MsgResultRun, job, start)
+	binary.BigEndian.PutUint16(run[hdrBytes:], uint16(len(items)))
+	for _, p := range items {
+		run = append(run, p[hdrBytes:]...)
+	}
+	return run
+}
+
+// DecodeResultRun parses a MsgResultRun reply in the job's negotiated wire
+// format: item i carries chunk start+i's aggregated values and overflow
+// flag. Safe on arbitrary input — the item count is validated against the
+// packet length before anything is read.
+func DecodeResultRun(pkt []byte, modules int, prof core.NumericProfile) (job int, start uint32, vals [][]float32, ovfs []bool, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, nil, nil, fmt.Errorf("bad result run: %w", terr)
+	} else if typ != MsgResultRun {
+		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run type")
+	}
+	if len(pkt) < runHdrBytes {
+		return 0, 0, nil, nil, fmt.Errorf("result run %d of %d header bytes: %w", len(pkt), runHdrBytes, ErrTruncated)
+	}
+	w := prof.ValueBytes()
+	item := w*modules + 1
+	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
+	if count < 1 || len(pkt) != runHdrBytes+count*item {
+		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run (%d items, %d bytes)", count, len(pkt))
+	}
+	job = int(binary.BigEndian.Uint16(pkt[2:]))
+	start = binary.BigEndian.Uint32(pkt[4:])
+	vals = make([][]float32, count)
+	ovfs = make([]bool, count)
+	for i := 0; i < count; i++ {
+		body := pkt[runHdrBytes+i*item:]
+		vs := make([]float32, modules)
+		for m := range vs {
+			vs[m] = prof.GetValue(body[w*m:])
+		}
+		vals[i] = vs
+		ovfs[i] = body[w*modules] != 0
+	}
+	return job, start, vals, ovfs, nil
+}
+
+// EncodeStatsReq builds a per-job stats request.
+func EncodeStatsReq(job int) []byte { return jobReq(MsgStats, job) }
+
+func encodeStatsReply(job int, st JobStats) []byte {
+	pkt := make([]byte, statsReplyBytes)
+	putJobHeader(pkt, MsgStatsReply, job)
+	pkt[4] = uint8(st.Phase)
+	putJobSpec(pkt[5:], JobSpec{Weight: st.Weight, Profile: st.Profile, Class: st.Class})
+	binary.BigEndian.PutUint64(pkt[15:], st.Adds)
+	binary.BigEndian.PutUint64(pkt[23:], st.Retransmits)
+	binary.BigEndian.PutUint64(pkt[31:], st.Completions)
+	binary.BigEndian.PutUint64(pkt[39:], st.QuotaDrops)
+	binary.BigEndian.PutUint64(pkt[47:], st.SchedDefers)
+	binary.BigEndian.PutUint64(pkt[55:], uint64(st.Outstanding))
+	binary.BigEndian.PutUint64(pkt[63:], st.CacheHits)
+	binary.BigEndian.PutUint64(pkt[71:], st.CacheBytes)
+	binary.BigEndian.PutUint64(pkt[79:], st.Coalesced)
+	return pkt
+}
+
+// DecodeStatsReply parses a MsgStatsReply packet. Every field is
+// bounds-checked before it is read: a truncated reply returns a wire error
+// wrapping ErrTruncated instead of panicking the caller (fpisa-query feeds
+// this whatever the socket produced).
+func DecodeStatsReply(pkt []byte) (job int, st JobStats, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, JobStats{}, fmt.Errorf("bad stats reply: %w", terr)
+	} else if typ != MsgStatsReply {
+		return 0, JobStats{}, fmt.Errorf("aggservice: bad stats reply type")
+	}
+	if len(pkt) < statsReplyBytes {
+		return 0, JobStats{}, fmt.Errorf("stats reply %d of %d bytes: %w", len(pkt), statsReplyBytes, ErrTruncated)
+	}
+	if len(pkt) > statsReplyBytes {
+		return 0, JobStats{}, fmt.Errorf("aggservice: %d trailing bytes after stats reply", len(pkt)-statsReplyBytes)
+	}
+	job = int(binary.BigEndian.Uint16(pkt[2:]))
+	if pkt[4] > uint8(PhaseDraining) {
+		return 0, JobStats{}, fmt.Errorf("aggservice: unknown job phase %d in stats reply", pkt[4])
+	}
+	st.Phase = JobPhase(pkt[4])
+	sp := getJobSpec(pkt[5:])
+	st.Weight, st.Profile, st.Class = sp.Weight, sp.Profile, sp.Class
+	st.Adds = binary.BigEndian.Uint64(pkt[15:])
+	st.Retransmits = binary.BigEndian.Uint64(pkt[23:])
+	st.Completions = binary.BigEndian.Uint64(pkt[31:])
+	st.QuotaDrops = binary.BigEndian.Uint64(pkt[39:])
+	st.SchedDefers = binary.BigEndian.Uint64(pkt[47:])
+	st.Outstanding = int64(binary.BigEndian.Uint64(pkt[55:]))
+	st.CacheHits = binary.BigEndian.Uint64(pkt[63:])
+	st.CacheBytes = binary.BigEndian.Uint64(pkt[71:])
+	st.Coalesced = binary.BigEndian.Uint64(pkt[79:])
+	return job, st, nil
+}
+
+// JobAdmit is an operator's request to admit a job at runtime under a
+// JobSpec. The switch clamps weight 0 to 1 and validates the profile and
+// class at admission (AckErrBadProfile / AckErrBadClass on refusal); its ack
+// echoes the spec it actually applied.
+type JobAdmit struct {
+	Job int
+	JobSpec
+}
+
+// EncodeJobAdmit builds a MsgJobAdmit.
+func EncodeJobAdmit(a JobAdmit) []byte {
+	pkt := make([]byte, jobAdmitBytes)
+	putJobHeader(pkt, MsgJobAdmit, a.Job)
+	putJobSpec(pkt[4:], a.JobSpec)
+	return pkt
+}
+
+// DecodeJobAdmit parses a MsgJobAdmit. Safe on arbitrary input: truncation
+// returns a wire error wrapping ErrTruncated, oversized frames are
+// rejected. The weight, profile and class are returned as carried — the
+// admission path, not the decoder, clamps weight 0 to 1 and validates the
+// profile and class, so a round trip is byte-exact.
+func DecodeJobAdmit(pkt []byte) (JobAdmit, error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return JobAdmit{}, fmt.Errorf("bad job admit: %w", terr)
+	} else if typ != MsgJobAdmit {
+		return JobAdmit{}, fmt.Errorf("aggservice: bad job admit type")
+	}
+	if len(pkt) < jobAdmitBytes {
+		return JobAdmit{}, fmt.Errorf("job admit %d of %d bytes: %w", len(pkt), jobAdmitBytes, ErrTruncated)
+	}
+	if len(pkt) > jobAdmitBytes {
+		return JobAdmit{}, fmt.Errorf("aggservice: %d trailing bytes after job admit", len(pkt)-jobAdmitBytes)
+	}
+	return JobAdmit{Job: int(binary.BigEndian.Uint16(pkt[2:])), JobSpec: getJobSpec(pkt[4:])}, nil
+}
+
+// EncodeJobEvict builds an operator request to evict (drain) job.
+func EncodeJobEvict(job int) []byte { return jobReq(MsgJobEvict, job) }
+
+// JobAck is a lifecycle status message. Epoch is the job's incarnation
+// octet — the value workers of a (re-)admitted job must stamp into their
+// ADDs (Worker.Epoch); on an unsolicited worker notice it echoes the
+// offending datagram's octet instead. The JobSpec is what the request
+// landed on: for a successful admit the weight, profile and class actually
+// applied (a requested weight 0 comes back as the clamped 1, so the client
+// can detect the clamp), zero where no live job exists.
+type JobAck struct {
+	Job    int
+	Status AckStatus
+	Epoch  uint8
+	JobSpec
+}
+
+// EncodeJobAck builds a MsgJobAck.
+func EncodeJobAck(a JobAck) []byte {
+	pkt := make([]byte, jobAckBytes)
+	putJobHeader(pkt, MsgJobAck, a.Job)
+	pkt[4] = uint8(a.Status)
+	pkt[5] = a.Epoch
+	putJobSpec(pkt[6:], a.JobSpec)
+	return pkt
+}
+
+// jobNotice builds the MsgJobAck the data plane bounces off a refused
+// datagram: a status, the epoch to echo and the job's live weight (0 where
+// none exists), with the zero profile and class.
+func jobNotice(job int, status AckStatus, epoch uint8, weight int) []byte {
+	return EncodeJobAck(JobAck{Job: job, Status: status, Epoch: epoch, JobSpec: JobSpec{Weight: weight}})
+}
+
+// DecodeJobAck parses a MsgJobAck. Like DecodeStatsReply it is safe on
+// arbitrary input: truncation returns a wire error wrapping ErrTruncated.
+// The profile and class octets are returned as carried (never validated or
+// clamped), so a round trip is byte-exact.
+func DecodeJobAck(pkt []byte) (JobAck, error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return JobAck{}, fmt.Errorf("bad job ack: %w", terr)
+	} else if typ != MsgJobAck {
+		return JobAck{}, fmt.Errorf("aggservice: bad job ack type")
+	}
+	if len(pkt) < jobAckBytes {
+		return JobAck{}, fmt.Errorf("job ack %d of %d bytes: %w", len(pkt), jobAckBytes, ErrTruncated)
+	}
+	if len(pkt) > jobAckBytes {
+		return JobAck{}, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
+	}
+	if AckStatus(pkt[4]) > AckErrBadClass {
+		return JobAck{}, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
+	}
+	return JobAck{
+		Job:     int(binary.BigEndian.Uint16(pkt[2:])),
+		Status:  AckStatus(pkt[4]),
+		Epoch:   pkt[5],
+		JobSpec: getJobSpec(pkt[6:]),
+	}, nil
+}
+
+// EncodeTuples builds an analytics MsgTuple batch: up to MaxTuplesPerBatch
+// (key, value) rows folded under one op, stamped with the job's
+// incarnation epoch and a stop-and-wait sequence number.
+func EncodeTuples(job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32) []byte {
+	pkt := make([]byte, tupleHdrBytes+8*len(keys))
+	putHeader(pkt, MsgTuple, job, seq)
+	pkt[hdrBytes] = epoch
+	pkt[hdrBytes+1] = uint8(op)
+	binary.BigEndian.PutUint16(pkt[hdrBytes+2:], uint16(len(keys)))
+	for i, k := range keys {
+		off := tupleHdrBytes + 8*i
+		binary.BigEndian.PutUint32(pkt[off:], k)
+		binary.BigEndian.PutUint32(pkt[off+4:], math.Float32bits(vals[i]))
+	}
+	return pkt
+}
+
+// DecodeTuples parses a MsgTuple batch. Safe on arbitrary input: the count
+// is validated against the packet length before any row is read, and
+// truncation returns a wire error wrapping ErrTruncated. The op octet is
+// returned as carried (the switch, not the decoder, validates it against
+// the job's class), so a round trip is byte-exact.
+func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, 0, 0, nil, nil, fmt.Errorf("bad tuple batch: %w", terr)
+	} else if typ != MsgTuple {
+		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch type")
+	}
+	if len(pkt) < tupleHdrBytes {
+		return 0, 0, 0, 0, nil, nil, fmt.Errorf("tuple batch %d of %d header bytes: %w", len(pkt), tupleHdrBytes, ErrTruncated)
+	}
+	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
+	if count < 1 || len(pkt) != tupleHdrBytes+8*count {
+		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch (%d rows, %d bytes)", count, len(pkt))
+	}
+	job = int(binary.BigEndian.Uint16(pkt[2:]))
+	seq = binary.BigEndian.Uint32(pkt[4:])
+	epoch = pkt[hdrBytes]
+	op = TupleOp(pkt[hdrBytes+1])
+	keys = make([]uint32, count)
+	vals = make([]float32, count)
+	for i := 0; i < count; i++ {
+		off := tupleHdrBytes + 8*i
+		keys[i] = binary.BigEndian.Uint32(pkt[off:])
+		vals[i] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
+	}
+	return job, seq, epoch, op, keys, vals, nil
+}
+
+// encodeTupleAck builds the MsgTupleAck for one folded batch: the echoed
+// sequence number plus the survivor bitmap (bit i set = row i survived
+// pruning; all-zero for fold-only ops).
+func encodeTupleAck(job int, seq uint32, count int, survive func(i int) bool) []byte {
+	pkt := make([]byte, tupleAckHdrBytes+(count+7)/8)
+	putHeader(pkt, MsgTupleAck, job, seq)
+	binary.BigEndian.PutUint16(pkt[hdrBytes:], uint16(count))
+	for i := 0; i < count; i++ {
+		if survive(i) {
+			pkt[tupleAckHdrBytes+i/8] |= 1 << (i % 8)
+		}
+	}
+	return pkt
+}
+
+// DecodeTupleAck parses a MsgTupleAck. Safe on arbitrary input; padding
+// bits past the row count must be zero (so a round trip is byte-exact).
+func DecodeTupleAck(pkt []byte) (job int, seq uint32, survivors []bool, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, nil, fmt.Errorf("bad tuple ack: %w", terr)
+	} else if typ != MsgTupleAck {
+		return 0, 0, nil, fmt.Errorf("aggservice: bad tuple ack type")
+	}
+	if len(pkt) < tupleAckHdrBytes {
+		return 0, 0, nil, fmt.Errorf("tuple ack %d of %d header bytes: %w", len(pkt), tupleAckHdrBytes, ErrTruncated)
+	}
+	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
+	if count < 1 || len(pkt) != tupleAckHdrBytes+(count+7)/8 {
+		return 0, 0, nil, fmt.Errorf("aggservice: bad tuple ack (%d rows, %d bytes)", count, len(pkt))
+	}
+	survivors = make([]bool, count)
+	for i := range survivors {
+		survivors[i] = pkt[tupleAckHdrBytes+i/8]&(1<<(i%8)) != 0
+	}
+	if pad := count % 8; pad != 0 {
+		if pkt[len(pkt)-1]>>pad != 0 {
+			return 0, 0, nil, fmt.Errorf("aggservice: nonzero padding in tuple ack bitmap")
+		}
+	}
+	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), survivors, nil
+}
+
+// EncodeDrain builds an observer request to harvest one kind of analytics
+// state. The nonce identifies the request: the switch caches the last
+// reply per job, so a retry with the same nonce replays the harvest
+// instead of re-executing the read-and-reset (drains are not idempotent).
+func EncodeDrain(job int, kind DrainKind, flags uint8, nonce uint32) []byte {
+	pkt := make([]byte, drainReqBytes)
+	putJobHeader(pkt, MsgDrain, job)
+	pkt[4] = uint8(kind)
+	pkt[5] = flags
+	binary.BigEndian.PutUint32(pkt[6:], nonce)
+	return pkt
+}
+
+// encodeDrainReply builds the MsgDrainReply carrying the harvested
+// entries.
+func encodeDrainReply(job int, kind DrainKind, entries []DrainEntry) []byte {
+	pkt := make([]byte, drainReplyHdrBytes+8*len(entries))
+	putJobHeader(pkt, MsgDrainReply, job)
+	pkt[4] = uint8(kind)
+	binary.BigEndian.PutUint16(pkt[5:], uint16(len(entries)))
+	for i, e := range entries {
+		off := drainReplyHdrBytes + 8*i
+		binary.BigEndian.PutUint32(pkt[off:], e.Key)
+		binary.BigEndian.PutUint32(pkt[off+4:], math.Float32bits(e.Val))
+	}
+	return pkt
+}
+
+// DecodeDrainReply parses a MsgDrainReply. Safe on arbitrary input: the
+// entry count is validated against the packet length, truncation wraps
+// ErrTruncated, and an unknown kind octet is rejected.
+func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, nil, fmt.Errorf("bad drain reply: %w", terr)
+	} else if typ != MsgDrainReply {
+		return 0, 0, nil, fmt.Errorf("aggservice: bad drain reply type")
+	}
+	if len(pkt) < drainReplyHdrBytes {
+		return 0, 0, nil, fmt.Errorf("drain reply %d of %d header bytes: %w", len(pkt), drainReplyHdrBytes, ErrTruncated)
+	}
+	if pkt[4] > uint8(DrainHistogram) {
+		return 0, 0, nil, fmt.Errorf("aggservice: unknown drain kind %d", pkt[4])
+	}
+	count := int(binary.BigEndian.Uint16(pkt[5:]))
+	if len(pkt) != drainReplyHdrBytes+8*count {
+		return 0, 0, nil, fmt.Errorf("aggservice: bad drain reply (%d entries, %d bytes)", count, len(pkt))
+	}
+	entries = make([]DrainEntry, count)
+	for i := range entries {
+		off := drainReplyHdrBytes + 8*i
+		entries[i].Key = binary.BigEndian.Uint32(pkt[off:])
+		entries[i].Val = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
+	}
+	return int(binary.BigEndian.Uint16(pkt[2:])), DrainKind(pkt[4]), entries, nil
+}
+
+// readDownlink decodes one downlink message for a chunk-window client — a
+// Worker, or a tree leaf's uplink playing the worker role one level up —
+// of (job, epoch) under prof. Each aggregated chunk a RESULT or RESULT RUN
+// carries is handed to result. A lifecycle or scheduler notice is returned
+// with ok set, but only one for the client's OWN incarnation: the switch
+// echoes the offending ADD's epoch, so a notice bounced off a stale
+// straggler's datagram never steers a fresh client sharing the port.
+// Anything else — other jobs' traffic, garbage — is dropped.
+func readDownlink(msg []byte, job int, epoch uint8, modules int, prof core.NumericProfile,
+	result func(chunk uint32, vals []float32, overflow bool)) (notice AckStatus, ok bool) {
+	typ, err := wireType(msg)
+	if err != nil {
+		return 0, false
+	}
+	switch typ {
+	case MsgJobAck:
+		ack, err := DecodeJobAck(msg)
+		return ack.Status, err == nil && ack.Job == job && ack.Epoch == epoch
+	case MsgResult:
+		j, chunk, vals, ovf, err := DecodeResultProfile(msg, modules, prof)
+		if err == nil && j == job {
+			result(chunk, vals, ovf)
+		}
+	case MsgResultRun:
+		j, start, vals, ovfs, err := DecodeResultRun(msg, modules, prof)
+		if err == nil && j == job {
+			for i := range vals {
+				result(start+uint32(i), vals[i], ovfs[i])
+			}
+		}
+	}
+	return 0, false
+}

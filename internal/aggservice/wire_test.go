@@ -1,0 +1,142 @@
+package aggservice
+
+import (
+	"encoding/hex"
+	"reflect"
+	"testing"
+
+	"fpisa/internal/core"
+)
+
+// TestWireGolden pins every message's bytes. The hex literals were printed
+// by the encoders of the commit BEFORE the codecs collapsed to one per
+// message, so "no wire-format change" is checked here, not promised: each
+// encoder must reproduce its golden exactly, and each decoder must read the
+// golden back to the values that produced it.
+func TestWireGolden(t *testing.T) {
+	bf16 := core.NumericProfile{Format: core.FormatBF16}
+	rne := core.NumericProfile{Format: core.FormatF32, Guard: 2, Rounding: core.RoundingRNE}
+	query := AdmitClass{Class: ClassQuery, TopN: 10, Groups: 64}
+	vals := []float32{1.5, -2.25}
+	runVals := [][]float32{{0.5, 8}, {-1, 0.125}}
+	stats := JobStats{
+		Phase: PhaseDraining, Weight: 4, Profile: rne, Class: query,
+		Adds: 0x0102030405060708, Retransmits: 2, Completions: 3, QuotaDrops: 4, SchedDefers: 5,
+		Outstanding: 6, CacheHits: 7, CacheBytes: 8, Coalesced: 9,
+	}
+	admit := JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 4, Profile: rne, Class: query}}
+	ack := JobAck{Job: 3, Status: AckErrAlreadyAdmitted, Epoch: 9,
+		JobSpec: JobSpec{Weight: 4, Profile: bf16, Class: AdmitClass{Class: ClassTelemetry, Groups: 64}}}
+	keys, tvals := []uint32{1, 0xdeadbeef}, []float32{0.5, -3}
+	survive := func(i int) bool { return i%3 == 0 }
+	entries := []DrainEntry{{Key: 5, Val: 2}, {Key: 9, Val: 0.25}}
+
+	// run splices the cached per-chunk RESULTs, exactly as emitResults does.
+	run := func(prof core.NumericProfile) []byte {
+		return encodeResultRun(3, 2, [][]byte{
+			encodeResult(3, 2, prof, runVals[0], false),
+			encodeResult(3, 3, prof, runVals[1], false),
+		})
+	}
+
+	cases := []struct {
+		name, golden string
+		encoded      []byte
+		decode       func(pkt []byte) (got, want any, err error)
+	}{
+		{"add f32", "f200000301020304073fc00000c0100000",
+			EncodeAddProfile(3, 0x01020304, 7, core.DefaultProfile, vals), nil},
+		{"add bf16", "f200000301020304073fc0c010",
+			EncodeAddProfile(3, 0x01020304, 7, bf16, vals), nil},
+		{"result f32", "f2010003000000003fc00000c010000000",
+			encodeResult(3, 0, core.DefaultProfile, vals, false),
+			func(pkt []byte) (any, any, error) {
+				j, c, v, o, err := DecodeResultProfile(pkt, 2, core.DefaultProfile)
+				return []any{j, c, v, o}, []any{3, uint32(0), vals, false}, err
+			}},
+		{"result bf16", "f2010003000000003fc0c01000",
+			encodeResult(3, 0, bf16, vals, false),
+			func(pkt []byte) (any, any, error) {
+				j, c, v, o, err := DecodeResultProfile(pkt, 2, bf16)
+				return []any{j, c, v, o}, []any{3, uint32(0), vals, false}, err
+			}},
+		{"run f32", "f20800030000000200023f0000004100000000bf8000003e00000000",
+			run(core.DefaultProfile),
+			func(pkt []byte) (any, any, error) {
+				j, s, v, o, err := DecodeResultRun(pkt, 2, core.DefaultProfile)
+				return []any{j, s, v, o}, []any{3, uint32(2), runVals, []bool{false, false}}, err
+			}},
+		{"run bf16", "f20800030000000200023f00410000bf803e0000",
+			run(bf16),
+			func(pkt []byte) (any, any, error) {
+				j, s, v, o, err := DecodeResultRun(pkt, 2, bf16)
+				return []any{j, s, v, o}, []any{3, uint32(2), runVals, []bool{false, false}}, err
+			}},
+		{"stats", "f2030003", EncodeStatsReq(3), nil},
+		{"reply", "f204000302000400020101000a0040" +
+			"0102030405060708" + "0000000000000002" + "0000000000000003" + "0000000000000004" +
+			"0000000000000005" + "0000000000000006" + "0000000000000007" + "0000000000000008" +
+			"0000000000000009",
+			encodeStatsReply(3, stats),
+			func(pkt []byte) (any, any, error) {
+				j, st, err := DecodeStatsReply(pkt)
+				return []any{j, st}, []any{3, stats}, err
+			}},
+		{"admit", "f2050003000400020101000a0040", EncodeJobAdmit(admit),
+			func(pkt []byte) (any, any, error) {
+				got, err := DecodeJobAdmit(pkt)
+				return got, admit, err
+			}},
+		{"evict", "f2060003", EncodeJobEvict(3), nil},
+		{"ack", "f2070003060900040200000200000040", EncodeJobAck(ack),
+			func(pkt []byte) (any, any, error) {
+				got, err := DecodeJobAck(pkt)
+				return got, ack, err
+			}},
+		{"tuple", "f20900030a0b0c0d07010002000000013f000000deadbeefc0400000",
+			EncodeTuples(3, 0x0a0b0c0d, 7, OpQueryGroupMax, keys, tvals),
+			func(pkt []byte) (any, any, error) {
+				j, s, e, op, k, v, err := DecodeTuples(pkt)
+				return []any{j, s, e, op, k, v}, []any{3, uint32(0x0a0b0c0d), uint8(7), OpQueryGroupMax, keys, tvals}, err
+			}},
+		{"tack", "f20a00030a0b0c0d000a4902",
+			encodeTupleAck(3, 0x0a0b0c0d, 10, survive),
+			func(pkt []byte) (any, any, error) {
+				j, s, alive, err := DecodeTupleAck(pkt)
+				want := make([]bool, 10)
+				for i := range want {
+					want[i] = survive(i)
+				}
+				return []any{j, s, alive}, []any{3, uint32(0x0a0b0c0d), want}, err
+			}},
+		{"drain", "f20b00030101cafebabe",
+			EncodeDrain(3, DrainHeavyHitters, DrainFlagResetPrune, 0xcafebabe), nil},
+		{"dreply", "f20c00030200020000000540000000000000093e800000",
+			encodeDrainReply(3, DrainHistogram, entries),
+			func(pkt []byte) (any, any, error) {
+				j, k, e, err := DecodeDrainReply(pkt)
+				return []any{j, k, e}, []any{3, DrainHistogram, entries}, err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := hex.EncodeToString(tc.encoded); got != tc.golden {
+				t.Fatalf("encoder drifted from the golden bytes:\n got %s\nwant %s", got, tc.golden)
+			}
+			if tc.decode == nil {
+				return // request-only message: the switch parses it inline
+			}
+			golden, err := hex.DecodeString(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want, err := tc.decode(golden)
+			if err != nil {
+				t.Fatalf("decode golden: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			}
+		})
+	}
+}

@@ -6,7 +6,7 @@ import (
 )
 
 // RetainCap enforces the fabric's buffer-ownership contract from PR 4:
-// packet slices delivered to a Handler/BatchHandler are only valid for the
+// packet slices delivered to a BatchHandler are only valid for the
 // duration of the call — the fabric reuses the backing arrays afterwards.
 // An implementation (or anything it calls inside the package) must
 // therefore never store a delivered packet slice, or a subslice of one,
@@ -24,7 +24,7 @@ var RetainCap = &Analyzer{
 	Name: "retaincap",
 	Doc: `check that packet handlers do not retain delivered buffers
 
-Handler/BatchHandler implementations (and package functions reachable from
+BatchHandler implementations (and package functions reachable from
 them with packet-derived arguments) must not store a delivered packet
 slice or a subslice of one into a struct field, package-level variable,
 channel, goroutine, or DeliveryList. The fabric owns those buffers and

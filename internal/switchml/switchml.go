@@ -97,10 +97,18 @@ func (s *Switch) slotOf(chunk uint32) int {
 	return int(chunk%pool + pool*(chunk/pool%2))
 }
 
-// Handle implements transport.Handler.
-func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
+// HandleBatch implements transport.BatchHandler.
+func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryList) {
+	for _, pkt := range pkts {
+		s.handle(worker, pkt, out)
+	}
+}
+
+// handle runs the slot protocol for one packet, appending any replies to
+// out.
+func (s *Switch) handle(worker int, pkt []byte, out *transport.DeliveryList) {
 	if len(pkt) < hdr || worker >= s.cfg.Workers {
-		return nil
+		return
 	}
 	chunk := binary.BigEndian.Uint32(pkt[1:])
 
@@ -110,7 +118,7 @@ func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
 
 	switch {
 	case int64(chunk) < st.chunk:
-		return nil // stale
+		return // stale
 	case int64(chunk) > st.chunk:
 		st.chunk = int64(chunk)
 		st.maxExp, st.nExp, st.nData = 0, 0, 0
@@ -127,14 +135,14 @@ func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
 	switch pkt[0] {
 	case MsgExponent:
 		if len(pkt) < hdr+2 {
-			return nil
+			return
 		}
 		if st.seenExp[worker] {
 			s.dups++
 			if st.scalePkt != nil {
-				return []transport.Delivery{{Worker: worker, Packet: st.scalePkt}}
+				out.Unicast(worker, st.scalePkt)
 			}
-			return nil
+			return
 		}
 		st.seenExp[worker] = true
 		st.nExp++
@@ -143,26 +151,26 @@ func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
 			st.maxExp = e // integer max — the one FP-ish op the switch can do
 		}
 		if st.nExp < s.cfg.Workers {
-			return nil
+			return
 		}
 		st.scale = payload.ScaleExpFor(st.maxExp, s.cfg.Workers)
-		out := make([]byte, hdr+2)
-		out[0] = MsgScale
-		binary.BigEndian.PutUint32(out[1:], chunk)
-		binary.BigEndian.PutUint16(out[hdr:], uint16(int16(st.scale)))
-		st.scalePkt = out
-		return []transport.Delivery{{Broadcast: true, Packet: out}}
+		scale := make([]byte, hdr+2)
+		scale[0] = MsgScale
+		binary.BigEndian.PutUint32(scale[1:], chunk)
+		binary.BigEndian.PutUint16(scale[hdr:], uint16(int16(st.scale)))
+		st.scalePkt = scale
+		out.Broadcast(scale)
 
 	case MsgData:
 		if len(pkt) < hdr+4*s.cfg.Elems {
-			return nil
+			return
 		}
 		if st.seenData[worker] {
 			s.dups++
 			if st.resultPkt != nil {
-				return []transport.Delivery{{Worker: worker, Packet: st.resultPkt}}
+				out.Unicast(worker, st.resultPkt)
 			}
-			return nil
+			return
 		}
 		st.seenData[worker] = true
 		st.nData++
@@ -176,21 +184,20 @@ func (s *Switch) Handle(worker int, pkt []byte) []transport.Delivery {
 			}
 		}
 		if st.nData < s.cfg.Workers {
-			return nil
+			return
 		}
-		out := make([]byte, hdr+4*s.cfg.Elems+1)
-		out[0] = MsgResult
-		binary.BigEndian.PutUint32(out[1:], chunk)
+		res := make([]byte, hdr+4*s.cfg.Elems+1)
+		res[0] = MsgResult
+		binary.BigEndian.PutUint32(res[1:], chunk)
 		for i, v := range st.sums {
-			binary.BigEndian.PutUint32(out[hdr+4*i:], uint32(v))
+			binary.BigEndian.PutUint32(res[hdr+4*i:], uint32(v))
 		}
 		if st.overflowed {
-			out[hdr+4*s.cfg.Elems] = 1
+			res[hdr+4*s.cfg.Elems] = 1
 		}
-		st.resultPkt = out
-		return []transport.Delivery{{Broadcast: true, Packet: out}}
+		st.resultPkt = res
+		out.Broadcast(res)
 	}
-	return nil
 }
 
 // Stats returns protocol counters.
@@ -253,7 +260,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		pkt[0] = MsgExponent
 		binary.BigEndian.PutUint32(pkt[1:], uint32(c))
 		binary.BigEndian.PutUint16(pkt[hdr:], uint16(payload.MaxBiasedExp(chunkSlice(c))))
-		return transport.Send(w.Fabric, w.ID, pkt)
+		return w.Fabric.SendBatch(w.ID, [][]byte{pkt})
 	}
 	sendData := func(c int) error {
 		w.SentPackets++
@@ -267,13 +274,14 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 			return err
 		}
 		w.QuantizeOps += uint64(cfg.Elems)
-		return transport.Send(w.Fabric, w.ID, pkt)
+		return w.Fabric.SendBatch(w.ID, [][]byte{pkt})
 	}
 	canStart := func(c int) bool {
 		return c < nChunks && !started[c] && (c-cfg.Pool < 0 || stage[c-cfg.Pool] == stageDone)
 	}
 
 	stalls := 0
+	var one [1][]byte // receive buffer, reused across the stop-and-wait rounds
 	for nDone < nChunks {
 		for c := 0; c < nChunks; c++ {
 			if canStart(c) {
@@ -283,7 +291,8 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 				started[c] = true
 			}
 		}
-		pkt, err := transport.Recv(w.Fabric, w.ID, timeout)
+		_, err := w.Fabric.RecvBatch(w.ID, one[:], timeout)
+		pkt := one[0]
 		if err == transport.ErrTimeout {
 			stalls++
 			if stalls > retries {

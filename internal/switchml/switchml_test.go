@@ -17,7 +17,7 @@ func runReduction(t *testing.T, cfg Config, vecs [][]float32, loss float64, seed
 		t.Fatal(err)
 	}
 	fab, err := transport.NewMemory(transport.MemoryConfig{
-		Workers: cfg.Workers, Handler: sw.Handle,
+		Workers: cfg.Workers, BatchHandler: sw.HandleBatch,
 		UplinkLoss: loss, DownlinkLoss: loss, Seed: seed,
 	})
 	if err != nil {

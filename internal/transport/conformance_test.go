@@ -95,7 +95,7 @@ type shimFabric struct{ f Fabric }
 
 func (s shimFabric) SendBatch(worker int, pkts [][]byte) error {
 	for _, pkt := range pkts {
-		if err := Send(s.f, worker, pkt); err != nil {
+		if err := send(s.f, worker, pkt); err != nil {
 			return err
 		}
 	}
@@ -103,7 +103,7 @@ func (s shimFabric) SendBatch(worker int, pkts [][]byte) error {
 }
 
 func (s shimFabric) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error) {
-	pkt, err := Recv(s.f, worker, timeout)
+	pkt, err := recv(s.f, worker, timeout)
 	if err != nil {
 		return 0, err
 	}

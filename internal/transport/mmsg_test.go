@@ -121,7 +121,7 @@ func TestSyscallStatsBackends(t *testing.T) {
 		{"fallback", MmsgOff},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u, err := NewUDP(2, WrapHandler(func(w int, p []byte) []Delivery {
+			u, err := NewUDP(2, perPacket(func(w int, p []byte) []Delivery {
 				return []Delivery{{Worker: w, Packet: p}}
 			}), WithMmsg(tc.mode))
 			if err != nil {
@@ -173,7 +173,7 @@ func TestSyscallStatsBackends(t *testing.T) {
 func TestSendErrorsCounter(t *testing.T) {
 	for _, mode := range []MmsgMode{MmsgOn, MmsgOff} {
 		t.Run(mode.String(), func(t *testing.T) {
-			u, err := NewUDP(1, WrapHandler(func(w int, p []byte) []Delivery { return nil }), WithMmsg(mode))
+			u, err := NewUDP(1, perPacket(func(w int, p []byte) []Delivery { return nil }), WithMmsg(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestSendErrorsCounter(t *testing.T) {
 // failures too: a handler replying with an oversized packet trips the
 // server's SendErrors counter instead of dropping silently.
 func TestDeliverCountsSendErrors(t *testing.T) {
-	u, err := NewUDP(1, WrapHandler(func(w int, p []byte) []Delivery {
+	u, err := NewUDP(1, perPacket(func(w int, p []byte) []Delivery {
 		return []Delivery{{Worker: w, Packet: make([]byte, maxUDPPayload+1)}}
 	}))
 	if err != nil {
@@ -220,7 +220,7 @@ func TestDeliverCountsSendErrors(t *testing.T) {
 // TestMmsgRecvBatchBurst asserts one mmsg-backed RecvBatch call can return
 // packets spanning several wire datagrams.
 func TestMmsgRecvBatchBurst(t *testing.T) {
-	u, err := NewUDP(1, WrapHandler(func(w int, p []byte) []Delivery {
+	u, err := NewUDP(1, perPacket(func(w int, p []byte) []Delivery {
 		// Reply with 3 packets too large to share a frame: the downlink
 		// must emit them as 3 raw datagrams.
 		return []Delivery{

@@ -45,15 +45,6 @@
 //     pkts into a delivery — copy into a fresh buffer instead.
 //   - RecvBatch: packets are copied into the caller's bufs (growing them as
 //     needed, so nil buffers work); the caller owns them outright.
-//
-// # Compatibility shim
-//
-// Single-packet callers keep working through the package-level Send and
-// Recv wrappers, which adapt one packet to a one-element vector (Recv
-// allocates the returned buffer, preserving the historical ownership
-// contract), and through WrapHandler, which lifts a per-packet Handler to a
-// BatchHandler. The shim is the legacy copying path — new code should use
-// the vectored API directly (see BenchmarkFabricThroughput for the gap).
 package transport
 
 import (
@@ -64,11 +55,10 @@ import (
 	"time"
 )
 
-// ErrTimeout is returned by RecvBatch (and the Recv shim) when no packet
-// arrives in time.
+// ErrTimeout is returned by RecvBatch when no packet arrives in time.
 var ErrTimeout = errors.New("transport: receive timeout")
 
-// ErrClosed is returned by SendBatch (and the Send shim) after Close.
+// ErrClosed is returned by SendBatch after Close.
 var ErrClosed = errors.New("transport: fabric closed")
 
 // Delivery routes one switch output packet.
@@ -117,8 +107,8 @@ func (l *DeliveryList) Reset() {
 }
 
 // Take detaches and returns the accumulated deliveries (nil when empty),
-// leaving the list empty. Used by single-packet shims that must hand
-// ownership of the slice to their caller.
+// leaving the list empty, for callers that hand ownership of the slice on
+// (a Pusher's input).
 func (l *DeliveryList) Take() []Delivery {
 	if len(l.ds) == 0 {
 		return nil
@@ -135,23 +125,6 @@ func (l *DeliveryList) Take() []Delivery {
 // own locking (the sharded aggservice switch takes one lock round per shard
 // per batch). See the package comment for the buffer-ownership rules.
 type BatchHandler func(worker int, pkts [][]byte, out *DeliveryList)
-
-// Handler is the legacy per-packet switch function, kept for single-packet
-// protocol stacks (internal/switchml); WrapHandler lifts it to the
-// vectored contract.
-type Handler func(worker int, pkt []byte) []Delivery
-
-// WrapHandler adapts a per-packet Handler to the vectored BatchHandler
-// contract, invoking it once per packet.
-func WrapHandler(h Handler) BatchHandler {
-	return func(worker int, pkts [][]byte, out *DeliveryList) {
-		for _, pkt := range pkts {
-			for _, d := range h(worker, pkt) {
-				out.Append(d)
-			}
-		}
-	}
-}
 
 // Fabric connects workers to one switch through vectored I/O.
 type Fabric interface {
@@ -179,22 +152,6 @@ type Pusher interface {
 	// coalescing, broadcast fan-out). Ownership of every Delivery.Packet
 	// passes to the fabric, as with handler deliveries.
 	Push(ds []Delivery) error
-}
-
-// Send is the single-packet compatibility shim over Fabric.SendBatch.
-func Send(f Fabric, worker int, pkt []byte) error {
-	return f.SendBatch(worker, [][]byte{pkt})
-}
-
-// Recv is the single-packet compatibility shim over Fabric.RecvBatch: it
-// blocks for one delivery and returns it in a freshly allocated buffer the
-// caller owns (the historical Recv contract).
-func Recv(f Fabric, worker int, timeout time.Duration) ([]byte, error) {
-	var one [1][]byte
-	if _, err := f.RecvBatch(worker, one[:], timeout); err != nil {
-		return nil, err
-	}
-	return one[0], nil
 }
 
 // ring is one worker's delivery queue: a fixed-capacity FIFO of packet
@@ -363,12 +320,8 @@ type routeState struct {
 // MemoryConfig configures the in-memory fabric.
 type MemoryConfig struct {
 	Workers int
-	// BatchHandler is the switch's vectored packet function. Exactly one
-	// of BatchHandler and Handler must be set.
+	// BatchHandler is the switch's vectored packet function.
 	BatchHandler BatchHandler
-	// Handler is the legacy per-packet switch function, wrapped via
-	// WrapHandler — the compatibility path for single-packet stacks.
-	Handler      Handler
 	UplinkLoss   float64
 	DownlinkLoss float64
 	Seed         int64
@@ -382,15 +335,8 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("transport: workers %d", cfg.Workers)
 	}
-	handler := cfg.BatchHandler
-	if handler == nil && cfg.Handler != nil {
-		handler = WrapHandler(cfg.Handler)
-	}
-	if handler == nil {
+	if cfg.BatchHandler == nil {
 		return nil, fmt.Errorf("transport: nil handler")
-	}
-	if cfg.BatchHandler != nil && cfg.Handler != nil {
-		return nil, fmt.Errorf("transport: both BatchHandler and Handler set")
 	}
 	if cfg.UplinkLoss < 0 || cfg.UplinkLoss >= 1 || cfg.DownlinkLoss < 0 || cfg.DownlinkLoss >= 1 {
 		return nil, fmt.Errorf("transport: loss probabilities must be in [0,1)")
@@ -401,7 +347,7 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	}
 	m := &Memory{
 		workers: cfg.Workers,
-		handler: handler,
+		handler: cfg.BatchHandler,
 		uplinkP: cfg.UplinkLoss,
 		downP:   cfg.DownlinkLoss,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),

@@ -7,6 +7,32 @@ import (
 	"time"
 )
 
+// perPacket lifts a one-packet-in/deliveries-out function to the vectored
+// BatchHandler contract, invoking it once per packet.
+func perPacket(h func(worker int, pkt []byte) []Delivery) BatchHandler {
+	return func(worker int, pkts [][]byte, out *DeliveryList) {
+		for _, pkt := range pkts {
+			for _, d := range h(worker, pkt) {
+				out.Append(d)
+			}
+		}
+	}
+}
+
+// send submits one packet as a one-element vector.
+func send(f Fabric, worker int, pkt []byte) error {
+	return f.SendBatch(worker, [][]byte{pkt})
+}
+
+// recv blocks for one delivery and returns it in a fresh buffer.
+func recv(f Fabric, worker int, timeout time.Duration) ([]byte, error) {
+	var one [1][]byte
+	if _, err := f.RecvBatch(worker, one[:], timeout); err != nil {
+		return nil, err
+	}
+	return one[0], nil
+}
+
 // echoHandler answers each packet back to its sender, prefixed with the
 // worker index. Replies are fresh buffers: deliveries must not alias the
 // input vector (see the package ownership rules).
@@ -16,22 +42,22 @@ func echoHandler(worker int, pkt []byte) []Delivery {
 }
 
 func TestMemoryEcho(t *testing.T) {
-	m, err := NewMemory(MemoryConfig{Workers: 3, Handler: echoHandler})
+	m, err := NewMemory(MemoryConfig{Workers: 3, BatchHandler: perPacket(echoHandler)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := Send(m, 1, []byte{9, 8}); err != nil {
+	if err := send(m, 1, []byte{9, 8}); err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := Recv(m, 1, time.Second)
+	pkt, err := recv(m, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pkt, []byte{1, 9, 8}) {
 		t.Errorf("pkt = %v", pkt)
 	}
-	if _, err := Recv(m, 2, 10*time.Millisecond); err != ErrTimeout {
+	if _, err := recv(m, 2, 10*time.Millisecond); err != ErrTimeout {
 		t.Errorf("expected timeout, got %v", err)
 	}
 }
@@ -68,15 +94,15 @@ func TestMemoryBatchRoundTrip(t *testing.T) {
 // TestMemoryRecvBatchReusesBuffers pins the zero-copy contract: a second
 // RecvBatch writes into the same backing arrays the first call grew.
 func TestMemoryRecvBatchReusesBuffers(t *testing.T) {
-	m, _ := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler})
+	m, _ := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler)})
 	defer m.Close()
 	bufs := make([][]byte, 1)
-	Send(m, 0, []byte{1, 2, 3})
+	send(m, 0, []byte{1, 2, 3})
 	if _, err := m.RecvBatch(0, bufs, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	first := &bufs[0][0]
-	Send(m, 0, []byte{4, 5, 6})
+	send(m, 0, []byte{4, 5, 6})
 	if _, err := m.RecvBatch(0, bufs, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +115,13 @@ func TestMemoryRecvBatchReusesBuffers(t *testing.T) {
 }
 
 func TestMemoryBroadcast(t *testing.T) {
-	m, _ := NewMemory(MemoryConfig{Workers: 3, Handler: func(w int, pkt []byte) []Delivery {
+	m, _ := NewMemory(MemoryConfig{Workers: 3, BatchHandler: perPacket(func(w int, pkt []byte) []Delivery {
 		return []Delivery{{Broadcast: true, Packet: append([]byte(nil), pkt...)}}
-	}})
+	})})
 	defer m.Close()
-	Send(m, 0, []byte{42})
+	send(m, 0, []byte{42})
 	for w := 0; w < 3; w++ {
-		pkt, err := Recv(m, w, time.Second)
+		pkt, err := recv(m, w, time.Second)
 		if err != nil || pkt[0] != 42 {
 			t.Fatalf("worker %d: %v %v", w, pkt, err)
 		}
@@ -103,10 +129,10 @@ func TestMemoryBroadcast(t *testing.T) {
 }
 
 func TestMemoryLossInjection(t *testing.T) {
-	m, _ := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler, UplinkLoss: 0.5, Seed: 1})
+	m, _ := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), UplinkLoss: 0.5, Seed: 1})
 	defer m.Close()
 	for i := 0; i < 200; i++ {
-		Send(m, 0, []byte{1})
+		send(m, 0, []byte{1})
 	}
 	sent, lostUp, _, delivered := m.Stats()
 	if sent != 200 {
@@ -122,10 +148,10 @@ func TestMemoryLossInjection(t *testing.T) {
 
 func TestMemoryDeterministicLoss(t *testing.T) {
 	run := func() uint64 {
-		m, _ := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler, UplinkLoss: 0.3, Seed: 42})
+		m, _ := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), UplinkLoss: 0.3, Seed: 42})
 		defer m.Close()
 		for i := 0; i < 100; i++ {
-			Send(m, 0, []byte{byte(i)})
+			send(m, 0, []byte{byte(i)})
 		}
 		_, lost, _, _ := m.Stats()
 		return lost
@@ -136,25 +162,21 @@ func TestMemoryDeterministicLoss(t *testing.T) {
 }
 
 func TestMemoryValidation(t *testing.T) {
-	if _, err := NewMemory(MemoryConfig{Workers: 0, Handler: echoHandler}); err == nil {
+	if _, err := NewMemory(MemoryConfig{Workers: 0, BatchHandler: perPacket(echoHandler)}); err == nil {
 		t.Error("0 workers accepted")
 	}
 	if _, err := NewMemory(MemoryConfig{Workers: 1}); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if _, err := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler, UplinkLoss: 1.0}); err == nil {
+	if _, err := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), UplinkLoss: 1.0}); err == nil {
 		t.Error("loss=1 accepted")
 	}
-	if _, err := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler,
-		BatchHandler: WrapHandler(echoHandler)}); err == nil {
-		t.Error("both handler kinds accepted")
-	}
-	m, _ := NewMemory(MemoryConfig{Workers: 1, Handler: echoHandler})
+	m, _ := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler)})
 	defer m.Close()
-	if err := Send(m, 5, nil); err == nil {
+	if err := send(m, 5, nil); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
-	if _, err := Recv(m, -1, time.Millisecond); err == nil {
+	if _, err := recv(m, -1, time.Millisecond); err == nil {
 		t.Error("negative worker accepted")
 	}
 	if _, err := m.RecvBatch(0, nil, time.Millisecond); err == nil {
@@ -214,7 +236,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 }
 
 func TestUDPFabric(t *testing.T) {
-	u, err := NewUDP(2, WrapHandler(func(w int, pkt []byte) []Delivery {
+	u, err := NewUDP(2, perPacket(func(w int, pkt []byte) []Delivery {
 		if len(pkt) > 0 && pkt[0] == 99 {
 			return []Delivery{{Broadcast: true, Packet: []byte{byte(w), 1}}}
 		}
@@ -226,29 +248,29 @@ func TestUDPFabric(t *testing.T) {
 	defer u.Close()
 
 	// Register both workers (the switch learns addresses from traffic).
-	if err := Send(u, 0, []byte{7}); err != nil {
+	if err := send(u, 0, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := Recv(u, 0, time.Second)
+	pkt, err := recv(u, 0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pkt, []byte{0, 7}) {
 		t.Errorf("echo = %v", pkt)
 	}
-	if err := Send(u, 1, []byte{8}); err != nil {
+	if err := send(u, 1, []byte{8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recv(u, 1, time.Second); err != nil {
+	if _, err := recv(u, 1, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// Broadcast reaches both.
-	if err := Send(u, 0, []byte{99}); err != nil {
+	if err := send(u, 0, []byte{99}); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 2; w++ {
-		pkt, err := Recv(u, w, time.Second)
+		pkt, err := recv(u, w, time.Second)
 		if err != nil {
 			t.Fatalf("worker %d missed broadcast: %v", w, err)
 		}
@@ -257,7 +279,7 @@ func TestUDPFabric(t *testing.T) {
 		}
 	}
 
-	if _, err := Recv(u, 0, 20*time.Millisecond); err != ErrTimeout {
+	if _, err := recv(u, 0, 20*time.Millisecond); err != ErrTimeout {
 		t.Errorf("expected timeout, got %v", err)
 	}
 }
