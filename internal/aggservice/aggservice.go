@@ -354,9 +354,61 @@ type WireRejects struct {
 	BadClass uint64
 }
 
-// jobState is a job's live counters plus its lifecycle state; all atomic
-// so shards (and the hot path racing the control plane) touch them without
-// a shared lock.
+// incarnation is one admitted life of a job id: everything the switch binds
+// to the tenant, built by Switch.Admit and never modified afterwards (only
+// the draining flag flips). It is published with one store to jobState.live
+// and retired with one store of nil, so a reader that loaded it holds a
+// whole, consistent tenant — range, arithmetic, class and register state —
+// or none at all. Hot-path entries load it once, carry the pointer, and
+// revalidate under the shard lock by pointer identity: release retires the
+// record BEFORE resetting the range's slots under those same locks, so a
+// section that still sees its pointer live cannot be touching a re-assigned
+// slot, even when the next admission hands the same range back to the same
+// job id.
+type incarnation struct {
+	job int
+	// epoch is the job's release counter at admission; its low octet is
+	// the incarnation's wire epoch.
+	epoch uint64
+	// ri indexes the 2·Pool slot range the free-list assigned.
+	ri int
+	// spec is the admission as applied (weight clamped to ≥ 1).
+	spec JobSpec
+	// banks holds a training job's aggregators, one per shard: the range's
+	// slots striped onto shard k are driven by banks[k], under shard k's
+	// lock. Nil for analytics jobs.
+	banks []aggregator
+	// an is an analytics job's register state, guarded by the home shard's
+	// lock (see homeShard). Nil for training jobs.
+	an *analyticsJob
+	// up is a tree leaf's uplink client for this incarnation (see tree.go).
+	// Nil on a switch without an Uplink.
+	up *uplinkJob
+	// draining is set by Evict: in-flight chunks may complete, new binds
+	// are refused.
+	draining atomic.Bool
+}
+
+// phase is the lifecycle state a (possibly nil) incarnation stands for.
+func (inc *incarnation) phase() JobPhase {
+	switch {
+	case inc == nil:
+		return PhaseVacant
+	case inc.draining.Load():
+		return PhaseDraining
+	}
+	return PhaseAdmitted
+}
+
+// quantum is the incarnation's per-round deficit replenishment: weight · the
+// per-weight-unit bind budget.
+func (inc *incarnation) quantum() int64 { return int64(inc.spec.Weight) * drrQuantum }
+
+// jobState is a job id's live incarnation plus its counters; all atomic so
+// shards (and the hot path racing the control plane) touch them without a
+// shared lock. The counters belong to the id, not the incarnation: an
+// evicted id keeps its last incarnation's totals until the next Admit
+// zeroes them.
 type jobState struct {
 	adds, retransmits, completions, quotaDrops atomic.Uint64
 	schedDefers                                atomic.Uint64
@@ -364,37 +416,15 @@ type jobState struct {
 	coalesced                                  atomic.Uint64
 	cacheBytes                                 atomic.Int64
 	outstanding                                atomic.Int64
-	// weight is the job's scheduler weight for its current incarnation
-	// (0 while vacant); set under lifeMu at admission, read lock-free by
-	// the hot path to size the deficit quantum.
-	weight atomic.Int32
-	// profBits is the job's packed NumericProfile (core.Pack form) for its
-	// current incarnation (the zero profile while vacant); set under
-	// lifeMu at admission before the range publishes, read lock-free by
-	// the hot path to size and decode ADD payloads.
-	profBits atomic.Uint32
-	// classBits is the job's packed AdmitClass descriptor (packClass
-	// form) for its current incarnation (zero — training — while vacant);
-	// set under lifeMu at admission before the range publishes, read
-	// lock-free by the hot path's workload-class guard.
-	classBits atomic.Uint64
-	// phase is the JobPhase; rangeIdx is the indirection-table entry
-	// mapping the job to its 2·Pool slot range (-1 when vacant). The
-	// admit path stores rangeIdx before flipping phase to admitted; the
-	// release path flips phase to vacant (and rangeIdx to -1) before
-	// resetting the slots, and the hot path revalidates under the shard
-	// lock, so a stale read can never touch a re-assigned slot.
-	phase    atomic.Int32
-	rangeIdx atomic.Int32
-	// epoch counts releases: it increments each time the job's range goes
-	// back to the free-list. The hot path snapshots it before loading
-	// rangeIdx and re-checks it under every shard lock it takes, which
-	// catches not only a range moving to another job but the same range
-	// coming back to the SAME job id (a case rangeIdx alone cannot see).
+	// live is the job's current incarnation, nil while the id is vacant.
+	// Stored under lifeMu (Admit publishes, release retires), loaded
+	// lock-free everywhere.
+	live atomic.Pointer[incarnation]
+	// epoch counts releases; it names the next incarnation's wire octet.
 	epoch atomic.Uint64
 }
 
-// reset zeroes a jobState for a fresh incarnation.
+// reset zeroes a jobState's counters for a fresh incarnation.
 func (js *jobState) reset() {
 	js.adds.Store(0)
 	js.retransmits.Store(0)
@@ -406,10 +436,6 @@ func (js *jobState) reset() {
 	js.cacheBytes.Store(0)
 	js.outstanding.Store(0)
 }
-
-// quantum is the job's per-round deficit replenishment: weight · the
-// per-weight-unit bind budget.
-func (js *jobState) quantum() int64 { return int64(js.weight.Load()) * drrQuantum }
 
 // Switch is the service's switch side: N parallel FPISA pipeline replicas,
 // each owning a partition of the global slot pool plus that partition's
@@ -430,13 +456,6 @@ type Switch struct {
 	shards []*shard
 	jobs   []jobState
 
-	// analytics holds each analytics job's register state (nil entries
-	// for training jobs and vacant ids). An entry is installed and
-	// cleared under BOTH lifeMu and the job's home shard lock; the hot
-	// path reads it only under the home shard lock after revalidating the
-	// epoch, mirroring the aggregator-bank discipline.
-	analytics []*analyticsJob
-
 	// protos caches one compiled ProfileAggregator prototype per distinct
 	// numeric profile (guarded by lifeMu): admissions replicate a cached
 	// prototype — fresh registers, shared program — so a profile compiles
@@ -451,18 +470,12 @@ type Switch struct {
 	// call from it).
 	OnLifecycle func(job int, ev LifecycleEvent)
 
-	// lifeMu orders lifecycle transitions; it guards the free-list and
-	// drain timers. Lock order is lifeMu → shard.mu, never the reverse:
-	// the hot path only reads the atomics.
+	// lifeMu orders lifecycle transitions; it guards the free-list, the
+	// drain timers, protos and every store to a jobState.live. Lock order is
+	// lifeMu → shard.mu, never the reverse: the hot path only loads live.
 	lifeMu      sync.Mutex
 	freeRanges  []int
 	drainTimers []*time.Timer
-
-	// upMu guards uplinks, the per-job parent clients a tree leaf runs
-	// (nil / nil entries otherwise; see tree.go). Lock order: lifeMu →
-	// upMu; neither is ever taken under a shard lock.
-	upMu    sync.Mutex
-	uplinks []*uplinkJob
 
 	// scratchPool recycles the per-HandleBatch grouping state so the hot
 	// path does not allocate per packet vector.
@@ -472,16 +485,13 @@ type Switch struct {
 	rejBackpressure, rejClass                                              atomic.Uint64
 }
 
-// shard is a bank of per-job pipeline replicas plus the protocol state for
-// the shard's slots and its deficit-round-robin scheduler instance (all
-// guarded by mu). agg is indexed by slot-range index: range ri's slots on
-// this shard are driven by agg[ri], installed at admission with the job's
-// negotiated profile and nil while the range is free — the slot-range
-// indirection that used to pick a slot inside ONE aggregator now also picks
-// WHICH aggregator, which is what lets tenants run different arithmetic.
+// shard is one pipeline replica's protocol state — its stripe of the global
+// slot pool and its deficit-round-robin scheduler instance — guarded by mu.
+// The aggregators driving a range's slots on this shard hang off the owning
+// job's incarnation (incarnation.banks), which is what lets tenants run
+// different arithmetic.
 type shard struct {
 	mu    sync.Mutex
-	agg   []aggregator
 	slot  []slotState
 	sched drrSched
 }
@@ -501,9 +511,9 @@ type slotState struct {
 	upPending bool
 }
 
-// NewSwitch compiles the FPISA program once per distinct profile and
-// instantiates each admitted job's per-shard replica bank from the cached
-// prototypes.
+// NewSwitch provisions the shards and the slot-range free-list, then admits
+// the initial jobs through Admit — static and runtime tenants are built by
+// the same path.
 func NewSwitch(cfg Config) (*Switch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -523,55 +533,23 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perRange: perRange,
 		util:        pa0.Utilization(),
 		jobs:        make([]jobState, ncap),
-		analytics:   make([]*analyticsJob, ncap),
 		drainTimers: make([]*time.Timer, ncap),
 		protos:      map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
 	}
-	// Initially admitted jobs take the identity ranges; the rest of the
-	// capacity sits in the free-list for runtime admission.
-	for j := 0; j < ncap; j++ {
-		if j < njobs {
-			s.jobs[j].rangeIdx.Store(int32(j))
-			s.jobs[j].weight.Store(int32(cfg.weightOf(j)))
-			s.jobs[j].profBits.Store(cfg.profileOf(j).Pack())
-			s.jobs[j].classBits.Store(packClass(cfg.classOf(j)))
-			s.jobs[j].phase.Store(int32(PhaseAdmitted))
-		} else {
-			s.jobs[j].rangeIdx.Store(-1)
-			s.freeRanges = append(s.freeRanges, j)
-		}
+	// Admit pops the free-list's tail: descending order hands initial job j
+	// range j and leaves the rest of the capacity for runtime admission.
+	for ri := ncap - 1; ri >= 0; ri-- {
+		s.freeRanges = append(s.freeRanges, ri)
 	}
 	for k := 0; k < nsh; k++ {
 		// Shard k owns global slots k, k+nsh, k+2·nsh, …
 		nSlots := (slots - k + nsh - 1) / nsh
-		sh := &shard{agg: make([]aggregator, ncap), slot: make([]slotState, nSlots), sched: newDRRSched(ncap, cfg.schedRoundAge())}
+		sh := &shard{slot: make([]slotState, nSlots), sched: newDRRSched(ncap, cfg.schedRoundAge())}
 		for i := range sh.slot {
 			sh.slot[i].chunk = -1
 			sh.slot[i].seen = make([]bool, cfg.Workers)
 		}
 		s.shards = append(s.shards, sh)
-	}
-	// Install the initially admitted jobs' aggregator banks: distinct
-	// profiles compile once, every (job, shard) bank is a replica.
-	// Analytics jobs get their per-group register state on their home
-	// shard instead of chunk-slot banks.
-	for j := 0; j < njobs; j++ {
-		if ac := cfg.classOf(j); ac.Class != ClassTraining {
-			an, err := s.buildAnalytics(ac, cfg.profileOf(j))
-			if err != nil {
-				return nil, fmt.Errorf("aggservice: job %d class: %w", j, err)
-			}
-			s.analytics[j] = an
-			continue
-		}
-		//fpisa:ignore lockedcall constructor: s is not yet published, and locking lifeMu here would deadlock the error path through Close
-		proto, err := s.getProtoLocked(cfg.profileOf(j))
-		if err != nil {
-			return nil, fmt.Errorf("aggservice: job %d profile: %w", j, err)
-		}
-		for _, sh := range s.shards {
-			sh.agg[j] = proto.Replicate()
-		}
 	}
 	s.scratchPool.New = func() any {
 		return &batchScratch{
@@ -579,27 +557,18 @@ func NewSwitch(cfg Config) (*Switch, error) {
 			vals:    make([]float32, 0, cfg.Modules),
 		}
 	}
-	// A tree leaf negotiates its initially admitted jobs up the tree and
-	// starts their uplink clients before any traffic flows.
-	if u := cfg.Uplink; u != nil {
-		for j := 0; j < njobs; j++ {
-			var pe uint8
-			if u.Control != nil {
-				if pe, err = admitUp(u.Control, j, JobSpec{Weight: cfg.weightOf(j), Profile: cfg.profileOf(j)}); err != nil {
-					s.Close()
-					return nil, err
-				}
-			}
-			//fpisa:ignore lockedcall constructor: s is not yet published, and locking lifeMu here would deadlock the error path through Close
-			s.startUplinkLocked(j, pe)
+	for j := 0; j < njobs; j++ {
+		spec := JobSpec{Weight: cfg.weightOf(j), Profile: cfg.profileOf(j), Class: cfg.classOf(j)}
+		if err := s.Admit(j, spec); err != nil {
+			s.Close()
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
 // getProtoLocked returns (building and caching on first use) the compiled
-// prototype for a profile. Caller holds lifeMu (or is still constructing
-// the switch).
+// prototype for a profile. Caller holds lifeMu.
 func (s *Switch) getProtoLocked(p core.NumericProfile) (*core.ProfileAggregator, error) {
 	if proto, ok := s.protos[p]; ok {
 		return proto, nil
@@ -689,11 +658,11 @@ type batchScratch struct {
 	byShard [][]int // indices into adds, grouped by destination shard
 	touched []int   // shards with pending ADDs, in first-touch order
 	vals    []float32
-	frees   []freeReq // cross-shard cache frees, run after the shard unlock
-	drains  []int     // draining jobs that completed a chunk this round
-	done    []resDone // completed chunks awaiting run-coalesced delivery
-	ups     []upReq   // completed chunks awaiting uplink re-emission (tree leaves)
-	items   [][]byte  // run-splice scratch for emitResults
+	frees   []freeReq      // cross-shard cache frees, run after the shard unlock
+	drains  []*incarnation // draining incarnations that completed a chunk this round
+	done    []resDone      // completed chunks awaiting run-coalesced delivery
+	ups     []upReq        // completed chunks awaiting uplink re-emission (tree leaves)
+	items   [][]byte       // run-splice scratch for emitResults
 }
 
 // resDone is one completed chunk's RESULT waiting for the batch-end
@@ -706,11 +675,10 @@ type resDone struct {
 
 // upReq is one locally-complete chunk whose partial sum must be re-emitted
 // to the parent switch (see tree.go); pkt is the parent-bound ADD with the
-// epoch octet left for submitUplinks to stamp (the parent incarnation lives
-// on the uplink client, not under the shard lock).
+// epoch octet left for the uplink client to stamp (the parent incarnation
+// lives on the client, not under the shard lock).
 type upReq struct {
-	job   int
-	epoch uint64 // leaf incarnation the completion was observed under
+	inc   *incarnation // leaf incarnation the completion was observed under
 	chunk uint32
 	pkt   []byte
 	ovf   bool // leaf-level overflow, ORed into the final RESULT's flag
@@ -719,10 +687,7 @@ type upReq struct {
 // addReq is one validated ADD waiting for its shard's lock round.
 type addReq struct {
 	pkt   []byte
-	job   int
-	ri    int
-	epoch uint64
-	prof  core.NumericProfile
+	inc   *incarnation
 	chunk uint32
 	gs    int
 }
@@ -730,16 +695,13 @@ type addReq struct {
 // freeReq is a deferred cross-shard result-cache free (see
 // freeCachedResult).
 type freeReq struct {
-	js     *jobState
-	epoch  uint64
+	inc    *incarnation
 	gs     int
 	pchunk int64
 }
 
 func (s *Switch) putScratch(sc *batchScratch) {
-	for i := range sc.adds {
-		sc.adds[i].pkt = nil
-	}
+	clear(sc.adds)
 	sc.adds = sc.adds[:0]
 	for _, k := range sc.touched {
 		sc.byShard[k] = sc.byShard[k][:0]
@@ -751,9 +713,7 @@ func (s *Switch) putScratch(sc *batchScratch) {
 		sc.done[i].pkt = nil
 	}
 	sc.done = sc.done[:0]
-	for i := range sc.ups {
-		sc.ups[i].pkt = nil
-	}
+	clear(sc.ups)
 	sc.ups = sc.ups[:0]
 	for i := range sc.items {
 		sc.items[i] = nil
@@ -771,28 +731,95 @@ func (s *Switch) countWireErr(err error) {
 	s.rejMalformed.Add(1)
 }
 
-// handleStats answers a per-job stats request to the requesting port. A
-// job id outside the switch's capacity is answered with an explicit
-// MsgJobAck error (and counted), so a probe can distinguish "unknown job"
-// from a lost datagram.
+// handleStats answers a per-job stats request to the requesting port.
 func (s *Switch) handleStats(worker int, pkt []byte, out *transport.DeliveryList) {
 	if len(pkt) != jobReqBytes {
 		s.rejMalformed.Add(1)
 		return
 	}
-	job := int(binary.BigEndian.Uint16(pkt[2:]))
-	if job >= s.ncap {
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
+	job, ok := s.requestedJob(worker, pkt, out)
+	if !ok {
 		return
 	}
 	st, _ := s.JobStats(job)
 	out.Unicast(worker, encodeStatsReply(job, st))
 }
 
-// classifyAdd validates one ADD message's tenancy and incarnation and
-// queues it for its slot's shard; refusals are counted (and acked) here so
-// the shard lock rounds only see bindable work.
+// requestedJob reads the job id of a stats or drain request. An id outside
+// the switch's capacity is answered with an explicit MsgJobAck error (and
+// counted), so a probe can distinguish "unknown job" from a lost datagram.
+func (s *Switch) requestedJob(worker int, pkt []byte, out *transport.DeliveryList) (job int, ok bool) {
+	job = int(binary.BigEndian.Uint16(pkt[2:]))
+	if job >= s.ncap {
+		s.rejBadJob.Add(1)
+		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
+		return job, false
+	}
+	return job, true
+}
+
+// gate is the worker-port admission check every data-plane message (ADD,
+// TUPLE) passes first: it resolves the message's job header to the live
+// incarnation the packet was sent under, or refuses it (nil) — counted, and
+// where the sender can act on it, noticed. pkt must hold at least the common
+// header through the epoch octet.
+func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *incarnation {
+	job := int(binary.BigEndian.Uint16(pkt[2:]))
+	if job >= s.ncap {
+		s.rejBadJob.Add(1)
+		return nil
+	}
+	// The sending port is bound to its job partition: a packet claiming
+	// another tenant's job id would reach that tenant's slot range, so it
+	// is refused before any slot state is touched.
+	if worker/s.cfg.Workers != job {
+		s.rejCrossJob.Add(1)
+		return nil
+	}
+	// Eviction notices echo the OFFENDING packet's epoch octet, not the
+	// job's current one: a worker aborts only on a notice matching its own
+	// incarnation, so a notice provoked by one stale buffered datagram can
+	// never kill the re-admitted incarnation sharing the port.
+	inc := s.jobs[job].live.Load()
+	if inc == nil {
+		// An evicted (or never-admitted) job id on its own port: tell the
+		// worker so it can fail fast instead of retransmitting blind.
+		s.rejBadJob.Add(1)
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
+		return nil
+	}
+	if pkt[hdrBytes] != uint8(inc.epoch) {
+		// A datagram buffered in the network from an evicted incarnation
+		// of this (re-admitted) job id: without the epoch octet it would
+		// bind a stale chunk into the fresh range (see doc.go).
+		s.rejStale.Add(1)
+		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
+		return nil
+	}
+	return inc
+}
+
+// isLive reports whether inc is still its job's live incarnation — the
+// revalidation every shard-locked section runs before touching the
+// incarnation's slots or registers.
+func (s *Switch) isLive(inc *incarnation) bool { return s.jobs[inc.job].live.Load() == inc }
+
+// retired reports whether a worker's message outlived the incarnation it
+// was gated under and, if so, counts it and bounces it with a notice
+// carrying inc's own epoch octet, so only that incarnation's workers abort
+// on it. Caller holds a shard lock.
+func (s *Switch) retired(worker int, inc *incarnation, out *transport.DeliveryList) bool {
+	if s.isLive(inc) {
+		return false
+	}
+	s.rejBadJob.Add(1)
+	out.Unicast(worker, jobNotice(inc.job, AckEvicted, uint8(inc.epoch), 0))
+	return true
+}
+
+// classifyAdd validates one ADD message against its incarnation and queues
+// it for its slot's shard; refusals are counted (and acked) here so the
+// shard lock rounds only see bindable work.
 func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *transport.DeliveryList) {
 	// The exact payload length depends on the job's negotiated profile, so
 	// only the fixed header (through the epoch octet) is checked before the
@@ -801,66 +828,28 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		s.rejMalformed.Add(1)
 		return
 	}
-	job := int(binary.BigEndian.Uint16(pkt[2:]))
-	if job >= s.ncap {
-		s.rejBadJob.Add(1)
+	inc := s.gate(worker, pkt, out)
+	if inc == nil {
 		return
 	}
-	// The sending port is bound to its job partition: a packet claiming
-	// another tenant's job id would reach that tenant's slot range, so it
-	// is refused before any slot state is touched.
-	if worker/s.cfg.Workers != job {
-		s.rejCrossJob.Add(1)
-		return
-	}
-	js := &s.jobs[job]
-	// Snapshot the incarnation BEFORE the range (and the profile): every
-	// shard-lock section below re-checks the epoch, so state read here can
-	// never be applied to a range that was released (and possibly
-	// re-assigned — even to this same job id) in between.
-	epoch := js.epoch.Load()
-	prof := core.UnpackProfile(js.profBits.Load())
-	ri := int(js.rangeIdx.Load())
-	// Eviction notices echo the OFFENDING packet's epoch octet, not the
-	// job's current one: a worker aborts only on a notice matching its own
-	// incarnation, so a notice provoked by one stale buffered datagram can
-	// never kill the re-admitted incarnation sharing the port.
-	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
-		// An evicted (or never-admitted) job id on its own port: tell the
-		// worker so it can fail fast instead of retransmitting blind.
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
-		return
-	}
-	if pkt[hdrBytes] != uint8(epoch) {
-		// A datagram buffered in the network from an evicted incarnation
-		// of this (re-admitted) job id: without the epoch octet it would
-		// bind a stale chunk into the fresh range (see doc.go).
-		s.rejStale.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
-		return
-	}
-	if unpackClass(js.classBits.Load()).Class != ClassTraining {
+	if inc.an != nil {
 		// An analytics tenant owns this job id: its range holds pruning
 		// registers and group accumulators, not chunk slots — ADDs have
 		// nothing to bind into.
 		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, jobNotice(inc.job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
 		return
 	}
 	// Exact-length check against the incarnation's profile: an oversized
 	// payload would silently truncate a garbage ADD into a plausible one,
-	// so it is rejected outright along with short packets. (If the job was
-	// re-admitted under a different profile between the epoch snapshot and
-	// here, the packet is at worst mis-measured and dropped — the epoch
-	// revalidation under the shard lock keeps state safe.)
-	if len(pkt) != addBytes(s.cfg.Modules, prof) {
+	// so it is rejected outright along with short packets.
+	if len(pkt) != addBytes(s.cfg.Modules, inc.spec.Profile) {
 		s.rejMalformed.Add(1)
 		return
 	}
 	chunk := binary.BigEndian.Uint32(pkt[4:])
-	gs := s.slotOf(ri, chunk)
-	sc.queue(gs%s.nsh, addReq{pkt: pkt, job: job, ri: ri, epoch: epoch, prof: prof, chunk: chunk, gs: gs})
+	gs := s.slotOf(inc.ri, chunk)
+	sc.queue(gs%s.nsh, addReq{pkt: pkt, inc: inc, chunk: chunk, gs: gs})
 }
 
 // queue appends an ADD to its shard's group, tracking first use.
@@ -890,12 +879,14 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 			// bank partner completed): free that slot's cached RESULT.
 			// Done after the owning shard's lock is released — the
 			// partner lives on a different shard.
-			s.freeCachedResult(fr.js, fr.epoch, fr.gs, fr.pchunk)
+			s.freeCachedResult(fr.inc, fr.gs, fr.pchunk)
 		}
+		clear(sc.frees) // the pooled scratch must not pin retired incarnations
 		sc.frees = sc.frees[:0]
-		for _, job := range sc.drains {
-			s.maybeFinishDrain(job)
+		for _, inc := range sc.drains {
+			s.finishDrain(inc, false)
 		}
+		clear(sc.drains)
 		sc.drains = sc.drains[:0]
 	}
 	s.emitResults(sc, out)
@@ -903,20 +894,19 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 }
 
 // freeCachedResult drops a slot's cached RESULT packet if it still holds
-// chunk pchunk, crediting the job's cache gauge — unless the job's range
-// was released (epoch moved) since the caller snapshotted it, in which
-// case the slot may already belong to a fresh incarnation and is left
-// alone.
-func (s *Switch) freeCachedResult(js *jobState, epoch uint64, gs int, pchunk int64) {
+// chunk pchunk, crediting the job's cache gauge — unless inc was retired
+// since the caller queued the free, in which case the slot may already
+// belong to a fresh incarnation and is left alone.
+func (s *Switch) freeCachedResult(inc *incarnation, gs int, pchunk int64) {
 	sh := s.shards[gs%s.nsh]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if js.epoch.Load() != epoch {
+	if !s.isLive(inc) {
 		return
 	}
 	st := &sh.slot[gs/s.nsh]
 	if st.chunk == pchunk && st.cached != nil {
-		js.cacheBytes.Add(-int64(len(st.cached)))
+		s.jobs[inc.job].cacheBytes.Add(-int64(len(st.cached)))
 		st.cached = nil
 	}
 }
@@ -926,31 +916,19 @@ func (s *Switch) freeCachedResult(js *jobState, epoch uint64, gs int, pchunk int
 // appended to out; deferred work that needs other locks (cross-shard cache
 // frees, drain completion) is queued on the scratch for after the unlock.
 func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) {
-	js := &s.jobs[a.job]
+	inc := a.inc
+	if s.retired(worker, inc, out) {
+		return
+	}
+	job, prof := inc.job, inc.spec.Profile
+	js := &s.jobs[job]
 	wij := worker % s.cfg.Workers
 	// The shard-local protocol slot is globally striped; the aggregator
-	// index is local to the range's per-shard bank (consecutive for the
-	// range's slots on this shard).
+	// index is local to the range's bank on this shard (consecutive for the
+	// range's slots here).
 	li := a.gs / s.nsh
-	ai := (a.gs - a.ri*2*s.cfg.Pool) / s.nsh
-	// Revalidate the incarnation under the lock: a release bumps the
-	// epoch before resetting this range's slots under the same locks, so
-	// a racing eviction (even one followed by a re-admission of the very
-	// same range) cannot let this ADD touch a re-assigned slot.
-	if js.epoch.Load() != a.epoch {
-		// Notice epoch = the packet's incarnation (see classifyAdd), so
-		// only that incarnation's workers abort on it.
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(a.job, AckEvicted, uint8(a.epoch), 0))
-		return
-	}
-	agg := sh.agg[a.ri]
-	if agg == nil {
-		// Unreachable while the epoch holds — the bank is installed before
-		// the range publishes — but a nil bank must not panic the switch.
-		s.rejBadJob.Add(1)
-		return
-	}
+	ai := (a.gs - inc.ri*2*s.cfg.Pool) / s.nsh
+	agg := inc.banks[a.gs%s.nsh]
 	st := &sh.slot[li]
 	chunk := a.chunk
 
@@ -963,9 +941,9 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// First packet of a new chunk binds the slot (pool versioning).
 		// A draining job may finish chunks already in flight but binds
 		// nothing new — that is what lets its range quiesce.
-		if JobPhase(js.phase.Load()) == PhaseDraining {
+		if inc.draining.Load() {
 			s.rejDraining.Add(1)
-			out.Unicast(worker, jobNotice(a.job, AckDraining, uint8(a.epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(job, AckDraining, uint8(inc.epoch), inc.spec.Weight))
 			return
 		}
 		// Binding a new chunk is the unit of pipeline time the deficit-
@@ -975,10 +953,10 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// instead of hammering retransmits), and recovers the chunk through
 		// its normal retransmit path in a later round. Retransmits of
 		// in-flight chunks never reach this branch and stay free.
-		if !sh.sched.charge(a.job, js.quantum()) {
+		if !sh.sched.charge(job, inc.quantum()) {
 			s.rejBackpressure.Add(1)
 			js.schedDefers.Add(1)
-			out.Unicast(worker, jobNotice(a.job, AckBackpressure, uint8(a.epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(inc.epoch), inc.spec.Weight))
 			return
 		}
 		// The bind is also charged against the job's admission quota before
@@ -992,7 +970,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 			if q := int64(s.cfg.MaxOutstanding); q > 0 && n > q {
 				js.outstanding.Add(-1)
 				js.quotaDrops.Add(1)
-				sh.sched.refund(a.job)
+				sh.sched.refund(job)
 				return
 			}
 		}
@@ -1000,7 +978,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 			if charge {
 				js.outstanding.Add(-1)
 			}
-			sh.sched.refund(a.job)
+			sh.sched.refund(job)
 			return
 		}
 		st.outstanding = true
@@ -1029,10 +1007,10 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	// Decode the values (widened from the job's wire format — exact for
 	// the 16-bit formats) into the batch's reusable buffer; the pipeline
 	// serializes them into its own packet, so nothing retains the slice.
-	vw := a.prof.ValueBytes()
+	vw := prof.ValueBytes()
 	vals := sc.vals[:0]
 	for i := 0; i < s.cfg.Modules; i++ {
-		vals = append(vals, a.prof.GetValue(a.pkt[addValOff+vw*i:]))
+		vals = append(vals, prof.GetValue(a.pkt[addValOff+vw*i:]))
 	}
 	sc.vals = vals
 
@@ -1070,7 +1048,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	// a worker only sends c after receiving c−Pool's FINAL result, which
 	// required the parent round trip.)
 	if pool := s.cfg.Pool; chunk >= uint32(pool) {
-		pgs := s.slotOf(a.ri, chunk-uint32(pool))
+		pgs := s.slotOf(inc.ri, chunk-uint32(pool))
 		if pgs%s.nsh == a.gs%s.nsh {
 			// Same shard: free inline under the lock already held.
 			pst := &sh.slot[pgs/s.nsh]
@@ -1079,11 +1057,11 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 				pst.cached = nil
 			}
 		} else {
-			sc.frees = append(sc.frees, freeReq{js: js, epoch: a.epoch, gs: pgs, pchunk: int64(chunk) - int64(pool)})
+			sc.frees = append(sc.frees, freeReq{inc: inc, gs: pgs, pchunk: int64(chunk) - int64(pool)})
 		}
 	}
-	if JobPhase(js.phase.Load()) == PhaseDraining {
-		sc.drains = append(sc.drains, a.job)
+	if inc.draining.Load() {
+		sc.drains = append(sc.drains, inc)
 	}
 	if s.cfg.Uplink != nil {
 		// Tree leaf: the local sum is a partial aggregate. Re-emit it as
@@ -1092,16 +1070,16 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// retransmits silently until the parent's aggregate returns and
 		// installs the final RESULT (see installFinal).
 		st.upPending = true
-		up := EncodeAddProfile(a.job, chunk, 0, a.prof, res.Values)
-		sc.ups = append(sc.ups, upReq{job: a.job, epoch: a.epoch, chunk: chunk, pkt: up, ovf: anyOvf})
+		up := EncodeAddProfile(job, chunk, 0, prof, res.Values)
+		sc.ups = append(sc.ups, upReq{inc: inc, chunk: chunk, pkt: up, ovf: anyOvf})
 		return
 	}
-	pkt := encodeResult(a.job, chunk, a.prof, res.Values, anyOvf)
+	pkt := encodeResult(job, chunk, prof, res.Values, anyOvf)
 	st.cached = pkt
 	js.cacheBytes.Add(int64(len(pkt)))
 	// Delivery is deferred to the batch-end pass so consecutive chunks
 	// completing in one batch share a run-length reply (see emitResults).
-	sc.done = append(sc.done, resDone{job: a.job, chunk: chunk, pkt: pkt})
+	sc.done = append(sc.done, resDone{job: job, chunk: chunk, pkt: pkt})
 }
 
 // emitResults delivers a batch's completed chunks, coalescing runs of ≥ 2
@@ -1176,8 +1154,10 @@ func (s *Switch) Stats() (adds, dups, completions uint64) {
 }
 
 // JobStats returns one job's counters; ok is false for a job id outside
-// the switch's capacity. Vacant ids inside the capacity answer with
-// zeroed counters and Phase == PhaseVacant.
+// the switch's capacity. A vacant id inside the capacity answers with
+// Phase == PhaseVacant, a zero Weight/Profile/Class, and the counters its
+// last incarnation ended on (only the Outstanding and CacheBytes gauges
+// are zeroed at release); the next Admit resets them.
 func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 	if job < 0 || job >= s.ncap {
 		return JobStats{}, false
@@ -1187,11 +1167,7 @@ func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 	if cb < 0 {
 		cb = 0 // release zeroes the gauge; racing decrements may transiently undershoot
 	}
-	return JobStats{
-		Phase:       JobPhase(js.phase.Load()),
-		Weight:      int(js.weight.Load()),
-		Profile:     core.UnpackProfile(js.profBits.Load()),
-		Class:       unpackClass(js.classBits.Load()),
+	st = JobStats{
 		Adds:        js.adds.Load(),
 		Retransmits: js.retransmits.Load(),
 		Completions: js.completions.Load(),
@@ -1201,7 +1177,12 @@ func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 		CacheHits:   js.cacheHits.Load(),
 		CacheBytes:  uint64(cb),
 		Coalesced:   js.coalesced.Load(),
-	}, true
+	}
+	if inc := js.live.Load(); inc != nil {
+		st.Phase = inc.phase()
+		st.Weight, st.Profile, st.Class = inc.spec.Weight, inc.spec.Profile, inc.spec.Class
+	}
+	return st, true
 }
 
 // Rejects returns the wire-level reject counters.

@@ -27,10 +27,11 @@ import (
 // ADDs, are charged against the SAME per-shard deficit-round-robin ledger
 // as training binds, and are harvested over observer MsgDrain frames.
 //
-// An analytics job's register state lives on one "home" shard — the shard
-// its slot range's first slot maps to — guarded by that shard's mutex, so
-// the hot path's locking discipline (epoch revalidated under the shard
-// lock, lifeMu → shard.mu order) carries over unchanged.
+// An analytics job's register state hangs off its incarnation record and
+// is guarded by one "home" shard's mutex — the shard its slot range's first
+// slot maps to — so the hot path's locking discipline (incarnation
+// revalidated under the shard lock, lifeMu → shard.mu order) carries over
+// unchanged.
 
 // WorkloadClass is a job's workload class octet, negotiated at admission.
 type WorkloadClass uint8
@@ -160,11 +161,6 @@ func (c Config) validateClass(ac AdmitClass) error {
 		if 2*ac.Groups > MaxAnalyticsRegisters {
 			return fmt.Errorf("%w: telemetry asks %d registers of %d", ErrBadClass, 2*ac.Groups, MaxAnalyticsRegisters)
 		}
-		if c.Uplink != nil {
-			// (unreachable today: the uplink check below covers all
-			// analytics classes; kept explicit for when tree roles grow.)
-			return fmt.Errorf("%w: telemetry on a tree leaf", ErrBadClass)
-		}
 	default:
 		return fmt.Errorf("%w: unknown class %d", ErrBadClass, uint8(ac.Class))
 	}
@@ -184,21 +180,6 @@ func (c Config) classOf(j int) AdmitClass {
 		return AdmitClass{}
 	}
 	return c.Classes[j]
-}
-
-// packClass/unpackClass move an AdmitClass through jobState.classBits: the
-// class octet plus two 16-bit register counts, packed so the hot path
-// reads a job's class with one atomic load.
-func packClass(ac AdmitClass) uint64 {
-	return uint64(ac.Class) | uint64(uint16(ac.TopN))<<8 | uint64(uint16(ac.Groups))<<24
-}
-
-func unpackClass(bits uint64) AdmitClass {
-	return AdmitClass{
-		Class:  WorkloadClass(bits),
-		TopN:   int(uint16(bits >> 8)),
-		Groups: int(uint16(bits >> 24)),
-	}
 }
 
 // TupleOp selects the register program a MsgTuple batch folds into.
@@ -291,11 +272,10 @@ type hhRow struct {
 	used bool
 }
 
-// analyticsJob is one analytics tenant's register state, homed on the
-// shard its slot range's first slot maps to and guarded by that shard's
-// mutex. Per-worker stop-and-wait lanes make tuple folding idempotent
-// under retransmission: a batch folds exactly once, and its ack is cached
-// for replay.
+// analyticsJob is one analytics incarnation's register state, guarded by
+// the mutex of the shard its slot range's first slot maps to. Per-worker
+// stop-and-wait lanes make tuple folding idempotent under retransmission:
+// a batch folds exactly once, and its ack is cached for replay.
 type analyticsJob struct {
 	ac AdmitClass
 
@@ -559,35 +539,17 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 	return entries
 }
 
-// handleTuple serves one analytics MsgTuple batch: tenancy, incarnation
-// and class checks mirror classifyAdd's, then the batch folds under the
-// job's home shard lock — charged against the same deficit-round-robin
-// ledger as a training bind, one charge per batch.
+// handleTuple serves one analytics MsgTuple batch: past the same gate as an
+// ADD, the batch folds under the job's home shard lock — charged against
+// the same deficit-round-robin ledger as a training bind, one charge per
+// batch.
 func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList) {
 	if len(pkt) < tupleHdrBytes {
 		s.rejMalformed.Add(1)
 		return
 	}
-	job := int(binary.BigEndian.Uint16(pkt[2:]))
-	if job >= s.ncap {
-		s.rejBadJob.Add(1)
-		return
-	}
-	if worker/s.cfg.Workers != job {
-		s.rejCrossJob.Add(1)
-		return
-	}
-	js := &s.jobs[job]
-	epoch := js.epoch.Load()
-	ri := int(js.rangeIdx.Load())
-	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
-		return
-	}
-	if pkt[hdrBytes] != uint8(epoch) {
-		s.rejStale.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
+	inc := s.gate(worker, pkt, out)
+	if inc == nil {
 		return
 	}
 	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
@@ -595,22 +557,22 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 		s.rejMalformed.Add(1)
 		return
 	}
+	job := inc.job
+	js := &s.jobs[job]
 	op := TupleOp(pkt[hdrBytes+1])
 	seq := binary.BigEndian.Uint32(pkt[4:])
 	wij := worker % s.cfg.Workers
-	sh := s.shards[s.homeShard(ri)]
+	sh := s.shards[s.homeShard(inc.ri)]
 	sh.mu.Lock()
-	if js.epoch.Load() != epoch {
+	if s.retired(worker, inc, out) {
 		sh.mu.Unlock()
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, uint8(epoch), 0))
 		return
 	}
-	an := s.analytics[job]
+	an := inc.an
 	if an == nil || !an.opAllowed(op) {
 		sh.mu.Unlock()
 		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
 		return
 	}
 	switch {
@@ -619,11 +581,11 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 		// new-chunk bind: over-deficit tenants defer (the client retries
 		// after the round turns over), so mixed-class fairness rides the
 		// same per-shard DRR ledger.
-		if !sh.sched.charge(job, js.quantum()) {
+		if !sh.sched.charge(job, inc.quantum()) {
 			sh.mu.Unlock()
 			js.schedDefers.Add(1)
 			s.rejBackpressure.Add(1)
-			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(epoch), int(js.weight.Load())))
+			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(inc.epoch), inc.spec.Weight))
 			return
 		}
 		ack := an.fold(job, seq, op, pkt, count)
@@ -657,40 +619,36 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 		s.rejMalformed.Add(1)
 		return
 	}
-	job := int(binary.BigEndian.Uint16(pkt[2:]))
 	kind := DrainKind(pkt[4])
 	if kind > DrainHistogram {
 		s.rejMalformed.Add(1)
 		return
 	}
-	if job >= s.ncap {
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
+	job, ok := s.requestedJob(worker, pkt, out)
+	if !ok {
 		return
 	}
 	js := &s.jobs[job]
-	epoch := js.epoch.Load()
-	ri := int(js.rangeIdx.Load())
-	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
+	inc := js.live.Load()
+	if inc == nil {
 		s.rejBadJob.Add(1)
 		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
+		return
+	}
+	an := inc.an
+	if an == nil {
+		s.rejClass.Add(1)
+		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
 		return
 	}
 	flags := pkt[5]
 	nonce := binary.BigEndian.Uint32(pkt[6:])
-	sh := s.shards[s.homeShard(ri)]
+	sh := s.shards[s.homeShard(inc.ri)]
 	sh.mu.Lock()
-	if js.epoch.Load() != epoch {
+	if !s.isLive(inc) {
 		sh.mu.Unlock()
 		s.rejBadJob.Add(1)
 		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
-		return
-	}
-	an := s.analytics[job]
-	if an == nil {
-		sh.mu.Unlock()
-		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
 		return
 	}
 	if an.lastDrainPkt != nil && an.lastDrainNonce == nonce {
@@ -717,10 +675,10 @@ func (s *Switch) homeShard(ri int) int {
 // JobClass reports a job id's workload-class descriptor (training for
 // vacant ids and ids outside the capacity).
 func (s *Switch) JobClass(job int) AdmitClass {
-	if job < 0 || job >= s.ncap {
-		return AdmitClass{}
+	if inc := s.current(job); inc != nil {
+		return inc.spec.Class
 	}
-	return unpackClass(s.jobs[job].classBits.Load())
+	return AdmitClass{}
 }
 
 // TupleClient is an analytics tenant's worker-side sender: a stop-and-wait

@@ -13,29 +13,6 @@ import (
 	"fpisa/internal/transport"
 )
 
-// TestAdmitClassPackRoundTrip covers the atomic and wire packings of the
-// class descriptor.
-func TestAdmitClassPackRoundTrip(t *testing.T) {
-	cases := []AdmitClass{
-		{},
-		{Class: ClassQuery, TopN: 10},
-		{Class: ClassQuery, TopN: 10, Groups: 1024},
-		{Class: ClassQuery, Groups: MaxAnalyticsRegisters},
-		{Class: ClassTelemetry, Groups: 16},
-		{Class: ClassTelemetry, Groups: 2048},
-	}
-	for _, ac := range cases {
-		if got := unpackClass(packClass(ac)); got != ac {
-			t.Errorf("unpack(pack(%v)) = %v", ac, got)
-		}
-		buf := make([]byte, jobSpecBytes)
-		putJobSpec(buf, JobSpec{Class: ac})
-		if got := getJobSpec(buf).Class; got != ac {
-			t.Errorf("get(put(%v)) = %v", ac, got)
-		}
-	}
-}
-
 // TestClassValidation walks every refusal branch of validateClass.
 func TestClassValidation(t *testing.T) {
 	cfg := Config{}

@@ -102,31 +102,41 @@
 //
 //	vacant ──admit──▶ admitted ──evict──▶ draining ──release──▶ vacant
 //
-// Admit (MsgJobAdmit over the observer frame, fpisa-query -admit, or the
-// in-process Switch.Admit) allocates a range from the free-list, zeroes
-// the job's counters and publishes the binding; admission fails with
-// AckErrNoCapacity when every range is held. Evict (MsgJobEvict /
-// Switch.Evict) begins a drain: ADDs that would bind a NEW chunk are
-// refused (counted in WireRejects.Draining, answered with an AckDraining
-// notice) while chunks already in flight complete and deliver normally.
-// When the last outstanding slot completes — or Config.DrainTimeout
-// expires — the range is reset (caches freed, chunks unbound) and returned
-// to the free-list for the next admission. Workers of an evicted job
-// receive MsgJobAck notices (AckDraining/AckEvicted) and surface
-// ErrJobEvicted from Reduce instead of retransmitting forever.
+// A live job is ONE record, the incarnation: its slot range, the JobSpec
+// the admission applied (weight, profile, class), the per-shard aggregator
+// banks or analytics registers behind it, and — on a tree leaf — its
+// uplink client. Admit (MsgJobAdmit over the observer frame, fpisa-query
+// -admit, or the in-process Switch.Admit; Config.Jobs' initial tenants go
+// through the same call) takes a range from the free-list, builds the
+// record, zeroes the job's counters and publishes the record with a single
+// pointer store; admission fails with AckErrNoCapacity when every range is
+// held. Evict (MsgJobEvict / Switch.Evict) flags the record draining: ADDs
+// that would bind a NEW chunk are refused (counted in WireRejects.Draining,
+// answered with an AckDraining notice) while chunks already in flight
+// complete and deliver normally. When the last outstanding slot completes
+// — or Config.DrainTimeout expires — release retires the record with a
+// single store of nil, then resets the range (caches freed, chunks
+// unbound) and returns it to the free-list for the next admission. An
+// evicted id keeps its final counters until it is re-admitted. Workers of
+// an evicted job receive MsgJobAck notices (AckDraining/AckEvicted) and
+// surface ErrJobEvicted from Reduce instead of retransmitting forever.
 //
 // The wire control plane is observer-only (a tenant's worker port cannot
 // evict another tenant) and opt-in via Config.Dynamic (fpisa-switch
 // -dynamic): a switch that does not enable it answers AckErrDisabled.
 // Every transition can be observed in process through Switch.OnLifecycle.
 //
-// In-process, each release bumps an incarnation epoch that every
-// shard-locked section revalidates, so a handler racing an eviction can
-// never touch a re-assigned range. The same incarnation is enforced on
-// the wire: every ADD carries the epoch octet (the release counter mod
-// 256), and an ADD whose octet disagrees with the job's current
-// incarnation is refused as stale (WireRejects.Stale, an AckEvicted
-// notice). A datagram buffered in the network from an evicted incarnation
+// In-process, a handler loads the record once, carries the pointer, and
+// every shard-locked section revalidates it by pointer identity against
+// the job's live record. Because release retires the record before it
+// resets the slots under those same locks, a handler racing an eviction
+// sees one whole incarnation or none and can never touch a re-assigned
+// range — not even when the same range comes straight back to the same
+// job id. Each release also advances the job's epoch counter, which names
+// the next incarnation on the wire: every ADD carries the epoch octet (the
+// release counter mod 256), and an ADD whose octet disagrees with the job's
+// current incarnation is refused as stale (WireRejects.Stale, an
+// AckEvicted notice). A datagram buffered in the network from an evicted incarnation
 // of a re-admitted job id therefore bounces instead of binding a stale
 // chunk into the fresh range — the operator hands the admit ack's epoch
 // (fpisa-query prints it; Switch.JobEpoch serves the in-process path) to

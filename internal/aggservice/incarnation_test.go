@@ -1,0 +1,219 @@
+package aggservice
+
+import (
+	"testing"
+
+	"fpisa/internal/core"
+	"fpisa/internal/pisa"
+	"fpisa/internal/transport"
+)
+
+// evictedNotice returns the epoch octet of the single AckEvicted notice in
+// ds, failing the test when ds holds anything else.
+func evictedNotice(t *testing.T, ds []transport.Delivery, worker int) uint8 {
+	t.Helper()
+	if len(ds) != 1 || ds[0].Broadcast || ds[0].Worker != worker {
+		t.Fatalf("want one unicast notice to port %d, got %+v", worker, ds)
+	}
+	ack, err := DecodeJobAck(ds[0].Packet)
+	if err != nil || ack.Status != AckEvicted {
+		t.Fatalf("want an AckEvicted notice, got %+v (%v)", ack, err)
+	}
+	return ack.Epoch
+}
+
+// TestStaleIncarnationBouncesUnderLock pins the interleaving the pointer-
+// identity revalidation exists for, deterministically: work classified
+// under incarnation N reaches its shard-locked section only after N was
+// retired and the SAME range came back to the SAME job id as N+1.
+func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
+	cfg := Config{Workers: 1, Pool: 2, Modules: 1, Shards: 2, Capacity: 1,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sw.jobs[0].live.Load()
+	oldBase, _, _ := sw.JobRange(0)
+
+	// An ADD passes the gate under incarnation N and waits in the scratch.
+	sc := sw.scratchPool.Get().(*batchScratch)
+	var dl transport.DeliveryList
+	sw.classifyAdd(0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), sc, &dl)
+	if len(sc.adds) != 1 || sc.adds[0].inc != old {
+		t.Fatalf("ADD not queued under the live incarnation: %+v", sc.adds)
+	}
+
+	if err := sw.Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Admit(0, JobSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	cur := sw.jobs[0].live.Load()
+	if base, _, _ := sw.JobRange(0); base != oldBase || cur == old || cur.ri != old.ri {
+		t.Fatalf("want the same range under a new record: base %d→%d", oldBase, base)
+	}
+
+	// The queued ADD now reaches its shard lock: it must bounce with a
+	// notice naming N's epoch octet and leave N+1 untouched.
+	badJob := sw.Rejects().BadJob
+	sw.processAdds(0, sc, &dl)
+	sw.putScratch(sc)
+	if got := evictedNotice(t, dl.Take(), 0); got != uint8(old.epoch) {
+		t.Fatalf("notice carries epoch %d, want the stale incarnation's %d", got, old.epoch)
+	}
+	if st, _ := sw.JobStats(0); st.Adds != 0 || st.Outstanding != 0 {
+		t.Fatalf("stale ADD leaked into the new incarnation: %+v", st)
+	}
+	if got := sw.Rejects().BadJob; got != badJob+1 {
+		t.Fatalf("BadJob = %d, want %d", got, badJob+1)
+	}
+
+	// freeCachedResult: complete chunk 0 under N+1 (one worker), then a
+	// deferred free queued under N must leave its cached RESULT alone.
+	epoch := sw.JobEpoch(0)
+	if ds := handle(sw, 0, EncodeAddProfile(0, 0, epoch, core.DefaultProfile, []float32{2})); !delivered(ds, MsgResult) {
+		t.Fatalf("chunk 0 did not complete: %+v", ds)
+	}
+	gs := sw.slotOf(cur.ri, 0)
+	cached := func(gs int) []byte {
+		sh := sw.shards[gs%sw.nsh]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.slot[gs/sw.nsh].cached
+	}
+	sw.freeCachedResult(old, gs, 0)
+	if cached(gs) == nil {
+		t.Fatal("stale cache-free dropped the new incarnation's RESULT")
+	}
+	sw.freeCachedResult(cur, gs, 0)
+	if st, _ := sw.JobStats(0); cached(gs) != nil || st.CacheBytes != 0 {
+		t.Fatalf("live cache-free left %d bytes cached", st.CacheBytes)
+	}
+
+	// installFinal: a slot of N+1 awaits its parent aggregate; a final
+	// carried by N's uplink client must be dropped, N+1's installed.
+	gs = sw.slotOf(cur.ri, 1)
+	sh := sw.shards[gs%sw.nsh]
+	sh.mu.Lock()
+	sh.slot[gs/sw.nsh].chunk = 1
+	sh.slot[gs/sw.nsh].upPending = true
+	sh.mu.Unlock()
+	if pkt, ok := sw.installFinal(old, 1, []float32{3}, false); ok || pkt != nil || cached(gs) != nil {
+		t.Fatal("stale final installed into the new incarnation's slot")
+	}
+	if _, ok := sw.installFinal(cur, 1, []float32{3}, false); !ok || cached(gs) == nil {
+		t.Fatal("live final not installed")
+	}
+}
+
+// TestEvictedIdKeepsCountersUntilReadmit pins what JobStats documents: an
+// evicted id reports PhaseVacant with its last incarnation's counters (the
+// fpisa-switch lifecycle log prints them); the next Admit zeroes them and
+// advances the wire epoch by one.
+func TestEvictedIdKeepsCountersUntilReadmit(t *testing.T) {
+	cfg := Config{Workers: 1, Pool: 2, Modules: 1, Capacity: 1,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := uint32(0); c < 3; c++ {
+		handle(sw, 0, EncodeAddProfile(0, c, 0, core.DefaultProfile, []float32{1}))
+	}
+	epoch := sw.JobEpoch(0)
+	if err := sw.Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := sw.JobStats(0)
+	want := JobStats{Adds: 3, Completions: 3}
+	if st != want {
+		t.Fatalf("evicted id reports %+v, want %+v", st, want)
+	}
+	if err := sw.Admit(0, JobSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = sw.JobStats(0)
+	want = JobStats{Phase: PhaseAdmitted, Weight: 1}
+	if st != want {
+		t.Fatalf("re-admitted id reports %+v, want %+v", st, want)
+	}
+	if got := sw.JobEpoch(0); got != epoch+1 {
+		t.Fatalf("epoch %d → %d, want +1", epoch, got)
+	}
+}
+
+// countingControl counts the admissions a leaf negotiates upward.
+type countingControl struct {
+	SwitchControl
+	calls map[int]int
+}
+
+func (c countingControl) Admit(job int, spec JobSpec) (JobAck, error) {
+	c.calls[job]++
+	return c.SwitchControl.Admit(job, spec)
+}
+
+// TestStaticAndRuntimeAdmissionAreOnePath: the jobs Config admits at
+// construction are built by Switch.Admit like any runtime tenant.
+func TestStaticAndRuntimeAdmissionAreOnePath(t *testing.T) {
+	bf16 := core.NumericProfile{Format: core.FormatBF16, Guard: 2, Rounding: core.RoundingRNE}
+	query := AdmitClass{Class: ClassQuery, TopN: 4, Groups: 8}
+	cfg := Config{Workers: 2, Pool: 2, Modules: 1, Shards: 2, Jobs: 2, Capacity: 4,
+		Weights:  []int{3, 2},
+		Profiles: []core.NumericProfile{bf16},
+		Classes:  []AdmitClass{query},
+		Mode:     core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 2; j++ {
+		if base, n, ok := sw.JobRange(j); !ok || base != j*2*cfg.Pool || n != 2*cfg.Pool || sw.JobEpoch(j) != 0 {
+			t.Fatalf("initial job %d: range (%d,%d,%v) epoch %d", j, base, n, ok, sw.JobEpoch(j))
+		}
+	}
+	if err := sw.Admit(2, JobSpec{Weight: 3, Profile: bf16, Class: query}); err != nil {
+		t.Fatal(err)
+	}
+	st0, _ := sw.JobStats(0)
+	st2, _ := sw.JobStats(2)
+	if st0 != st2 {
+		t.Fatalf("runtime twin of job 0 differs:\n static %+v\nruntime %+v", st0, st2)
+	}
+	ack0, ack2 := sw.jobAck(0, AckAdmitted, nil), sw.jobAck(2, AckAdmitted, nil)
+	ack2.Job = 0
+	if ack0 != ack2 {
+		t.Fatalf("acks differ:\n static %+v\nruntime %+v", ack0, ack2)
+	}
+	b0, _, _ := sw.JobRange(0)
+	if b2, _, ok := sw.JobRange(2); !ok || b2 == b0 {
+		t.Fatalf("twin's range base %d (ok=%v) vs job 0's %d", b2, ok, b0)
+	}
+
+	// A leaf's construction-time jobs negotiate upward through the same
+	// path: once each.
+	spineCfg := Config{Workers: 1, Pool: 2, Modules: 1, Jobs: 2,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	spine, err := NewSwitch(spineCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spineFab, err := transport.NewMemory(transport.MemoryConfig{
+		Workers: spineCfg.Ports(), BatchHandler: spine.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := countingControl{SwitchControl{Parent: spine}, map[int]int{}}
+	leaf, err := NewSwitch(Config{Workers: 2, Pool: 2, Modules: 1, Jobs: 2,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch(),
+		Uplink: &UplinkConfig{Fabric: spineFab, Leaves: 1, Control: ctl, Retries: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	if len(ctl.calls) != 2 || ctl.calls[0] != 1 || ctl.calls[1] != 1 {
+		t.Fatalf("parent admissions per job = %v, want one each for jobs 0 and 1", ctl.calls)
+	}
+}

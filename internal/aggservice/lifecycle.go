@@ -18,12 +18,15 @@ import (
 //
 //	vacant ──Admit──▶ admitted ──Evict──▶ draining ──release──▶ vacant
 //
-// Admission allocates a 2·Pool slot range from the free-list and binds it
-// through the indirection table (jobState.rangeIdx). Eviction first drains:
-// ADDs that would bind a NEW chunk are refused (counted, answered with an
-// AckDraining notice) while chunks already in flight complete normally;
-// when the last outstanding slot completes — or DrainTimeout passes — the
-// range is reset and returned to the free-list for the next admission.
+// Admission builds one incarnation record — a 2·Pool slot range from the
+// free-list, the applied JobSpec and the aggregators or analytics registers
+// behind it — and publishes it with a single store to jobState.live.
+// Eviction first drains: ADDs that would bind a NEW chunk are refused
+// (counted, answered with an AckDraining notice) while chunks already in
+// flight complete normally; when the last outstanding slot completes — or
+// DrainTimeout passes — release retires the record with a single store of
+// nil, resets the range and returns it to the free-list for the next
+// admission.
 
 // Lifecycle errors. Admit/Evict return these; the wire control plane maps
 // them to AckStatus codes (and back, on the client).
@@ -283,10 +286,11 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 	default:
 		status = AckErrUnknownJob
 	}
-	return JobAck{
-		Job: job, Status: status, Epoch: s.JobEpoch(job),
-		JobSpec: JobSpec{Weight: s.JobWeight(job), Profile: s.JobProfile(job), Class: s.JobClass(job)},
+	ack := JobAck{Job: job, Status: status, Epoch: s.JobEpoch(job)}
+	if inc := s.current(job); inc != nil {
+		ack.JobSpec = inc.spec
 	}
+	return ack
 }
 
 // Admit brings a vacant job id live under a JobSpec, allocating its slot
@@ -302,66 +306,68 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 // The zero Class admits a training tenant. Its profile's compiled
 // aggregator is fetched from the switch's per-profile program cache —
 // distinct profiles compile once per switch, and every shard of every job
-// sharing a profile shares the compiled program, replicated into per-range
-// state. The banks are installed under each shard's lock BEFORE the range
-// and phase publish, so the hot path can never observe an admitted job
-// without its arithmetic.
+// sharing a profile shares the compiled program, replicated into one bank
+// of fresh registers per shard.
 //
 // A query or telemetry Class provisions the job's analytics state — the
 // pruning registers, FPISA group accumulators, LPM classifier, heavy-hitter
-// rows and latency histogram the class calls for — on the job's home shard
-// instead of per-shard training banks. A descriptor that does not validate
-// (see Config.validateClass) is refused with ErrBadClass before any state
-// moves. Analytics classes are refused on tree leaves: tuples carry keys,
-// not slot-addressed partial sums, so they cannot climb an aggregation tree.
+// rows and latency histogram the class calls for — guarded by the job's
+// home shard lock, instead of per-shard training banks. A descriptor that
+// does not validate (see Config.validateClass) is refused with ErrBadClass
+// before any state moves. Analytics classes are refused on tree leaves:
+// tuples carry keys, not slot-addressed partial sums, so they cannot climb
+// an aggregation tree.
+//
+// Admit is the only place an incarnation is built. The record is assembled
+// without touching any shard and published with one store, so the hot path
+// sees the whole tenant or a vacant id — never an admitted job without its
+// arithmetic.
 func (s *Switch) Admit(job int, spec JobSpec) error {
-	weight, prof, ac := spec.Weight, spec.Profile, spec.Class
 	if job < 0 || job >= s.ncap {
 		return fmt.Errorf("%w: job %d of %d", ErrUnknownJob, job, s.ncap)
 	}
-	if weight < 0 || weight > MaxWeight {
-		return fmt.Errorf("%w: job %d weight %d", ErrBadWeight, job, weight)
+	if spec.Weight < 0 || spec.Weight > MaxWeight {
+		return fmt.Errorf("%w: job %d weight %d", ErrBadWeight, job, spec.Weight)
 	}
-	if weight == 0 {
-		weight = 1
+	if spec.Weight == 0 {
+		spec.Weight = 1
 	}
-	if err := prof.Validate(); err != nil {
+	if err := spec.Profile.Validate(); err != nil {
 		return fmt.Errorf("%w: job %d: %v", ErrBadProfile, job, err)
 	}
-	if err := s.cfg.validateClass(ac); err != nil {
+	if err := s.cfg.validateClass(spec.Class); err != nil {
 		return fmt.Errorf("job %d: %w", job, err)
 	}
-	if ac.Class != ClassTraining && s.cfg.Uplink != nil {
-		return fmt.Errorf("%w: job %d: analytics classes cannot run on a tree leaf", ErrBadClass, job)
-	}
+	inc := &incarnation{job: job, spec: spec}
 	// A tree leaf negotiates the admission UP the tree before it takes
 	// effect locally: the parent must run the same job under the same
 	// profile before any partial sum can climb, and its ack names the
 	// parent-level incarnation epoch the uplink ADDs will stamp. Done
 	// before lifeMu — the negotiation is network I/O on a wire control
 	// path and must not stall other tenants' lifecycle transitions.
-	var parentEpoch uint8
-	if u := s.cfg.Uplink; u != nil && u.Control != nil {
-		pe, err := admitUp(u.Control, job, JobSpec{Weight: weight, Profile: prof})
-		if err != nil {
-			return err
+	if u := s.cfg.Uplink; u != nil {
+		var parentEpoch uint8
+		if u.Control != nil {
+			var err error
+			if parentEpoch, err = admitUp(u.Control, job, JobSpec{Weight: spec.Weight, Profile: spec.Profile}); err != nil {
+				return err
+			}
 		}
-		parentEpoch = pe
+		inc.up = newUplinkJob(s, inc, parentEpoch)
 	}
 	// Analytics state (pruning registers, accumulators, LPM, sketch rows)
 	// is built before any lock: the FPISA compile is the slow part and must
 	// not stall other tenants' lifecycle transitions.
-	var an *analyticsJob
-	if ac.Class != ClassTraining {
-		var berr error
-		if an, berr = s.buildAnalytics(ac, prof); berr != nil {
-			return fmt.Errorf("%w: job %d: %v", ErrBadClass, job, berr)
+	if spec.Class.Class != ClassTraining {
+		var err error
+		if inc.an, err = s.buildAnalytics(spec.Class, spec.Profile); err != nil {
+			return fmt.Errorf("%w: job %d: %v", ErrBadClass, job, err)
 		}
 	}
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
 	js := &s.jobs[job]
-	switch JobPhase(js.phase.Load()) {
+	switch js.live.Load().phase() {
 	case PhaseAdmitted:
 		return fmt.Errorf("%w: job %d", ErrAlreadyAdmitted, job)
 	case PhaseDraining:
@@ -370,42 +376,24 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 	if len(s.freeRanges) == 0 {
 		return fmt.Errorf("%w: job %d", ErrNoCapacity, job)
 	}
-	var proto *core.ProfileAggregator
-	if an == nil {
-		var perr error
-		if proto, perr = s.getProtoLocked(prof); perr != nil {
-			return fmt.Errorf("%w: job %d: %v", ErrBadProfile, job, perr)
+	if inc.an == nil {
+		proto, err := s.getProtoLocked(spec.Profile)
+		if err != nil {
+			return fmt.Errorf("%w: job %d: %v", ErrBadProfile, job, err)
+		}
+		inc.banks = make([]aggregator, s.nsh)
+		for k := range inc.banks {
+			inc.banks[k] = proto.Replicate()
 		}
 	}
-	ri := s.freeRanges[len(s.freeRanges)-1]
+	inc.ri = s.freeRanges[len(s.freeRanges)-1]
 	s.freeRanges = s.freeRanges[:len(s.freeRanges)-1]
+	inc.epoch = js.epoch.Load()
 	js.reset()
-	js.weight.Store(int32(weight))
-	js.profBits.Store(prof.Pack())
-	js.classBits.Store(packClass(ac))
-	// Install the range's state before the range publishes: the hot path
-	// loads phase, then the profile, then the range, and revalidates the
-	// epoch under the shard lock — so once it can see the range it is
-	// guaranteed to find the bank (or analytics state) behind it. A
-	// training job gets per-shard aggregator banks; an analytics job's
-	// state lives on its home shard alone, guarded by that shard's lock.
-	if an != nil {
-		hs := s.shards[s.homeShard(ri)]
-		hs.mu.Lock()
-		s.analytics[job] = an
-		hs.mu.Unlock()
-	} else {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.agg[ri] = proto.Replicate()
-			sh.mu.Unlock()
-		}
+	js.live.Store(inc)
+	if inc.up != nil {
+		go inc.up.run()
 	}
-	// Publish range before phase: the hot path loads phase first, so it
-	// never sees an admitted job without its range.
-	js.rangeIdx.Store(int32(ri))
-	js.phase.Store(int32(PhaseAdmitted))
-	s.startUplinkLocked(job, parentEpoch)
 	if s.OnLifecycle != nil {
 		s.OnLifecycle(job, EventAdmitted)
 	}
@@ -424,107 +412,86 @@ func (s *Switch) Evict(job int) error {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
 	js := &s.jobs[job]
-	switch JobPhase(js.phase.Load()) {
+	inc := js.live.Load()
+	switch inc.phase() {
 	case PhaseVacant:
 		return fmt.Errorf("%w: job %d", ErrNotAdmitted, job)
 	case PhaseDraining:
 		return fmt.Errorf("%w: job %d", ErrJobDraining, job)
 	}
-	js.phase.Store(int32(PhaseDraining))
+	inc.draining.Store(true)
 	if s.OnLifecycle != nil {
 		s.OnLifecycle(job, EventDraining)
 	}
 	if js.outstanding.Load() == 0 {
-		s.release(job)
+		s.release(inc)
 		return nil
 	}
-	// The timer closure captures this incarnation's epoch: a callback that
-	// fired during release (Stop raced) and only later wins lifeMu must
-	// not cut short a LATER incarnation's drain.
-	epoch := js.epoch.Load()
-	s.drainTimers[job] = time.AfterFunc(s.cfg.drainTimeout(), func() {
-		s.lifeMu.Lock()
-		defer s.lifeMu.Unlock()
-		if js.epoch.Load() == epoch && JobPhase(js.phase.Load()) == PhaseDraining {
-			s.release(job)
-		}
-	})
+	// The timer is bound to this incarnation: a callback that fired during
+	// release (Stop raced) and only later wins lifeMu must not cut short a
+	// LATER incarnation's drain.
+	s.drainTimers[job] = time.AfterFunc(s.cfg.drainTimeout(), func() { s.finishDrain(inc, true) })
 	return nil
 }
 
-// maybeFinishDrain releases a draining job's range once nothing is
-// outstanding. Called from the hot path after a completion (outside the
-// shard lock — release re-takes every shard lock it needs).
-func (s *Switch) maybeFinishDrain(job int) {
+// finishDrain releases a draining incarnation if it is still the live one
+// and either nothing is outstanding or force is set (the drain timed out:
+// partial sums are discarded). The hot path calls it after a completion,
+// outside the shard lock — release re-takes every shard lock it needs.
+func (s *Switch) finishDrain(inc *incarnation, force bool) {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
-	js := &s.jobs[job]
-	if JobPhase(js.phase.Load()) == PhaseDraining && js.outstanding.Load() == 0 {
-		s.release(job)
+	if s.isLive(inc) && (force || s.jobs[inc.job].outstanding.Load() == 0) {
+		s.release(inc)
 	}
 }
 
-// release returns a job's slot range to the free-list, resetting every
-// slot (freeing cached RESULTs, unbinding chunks, clearing quota charges)
-// so the next admission starts clean. Caller holds lifeMu.
-func (s *Switch) release(job int) {
+// release retires a live incarnation and returns its slot range to the
+// free-list, resetting every slot (freeing cached RESULTs, unbinding
+// chunks, clearing quota charges) so the next admission starts clean.
+// Caller holds lifeMu.
+func (s *Switch) release(inc *incarnation) {
+	job := inc.job
 	js := &s.jobs[job]
-	ri := int(js.rangeIdx.Load())
-	// Unpublish before touching slots: once the epoch moves and the range
-	// entry is cleared, the hot path's under-lock revalidation guarantees
-	// no ADD (and no deferred cache-free) can reach these slots while —
-	// or after — they reset, even if a later admission hands the same
-	// range back to this same job id.
+	// Retire before touching slots: once live no longer points at inc, the
+	// hot path's under-lock revalidation guarantees no ADD, tuple, drain or
+	// deferred cache-free carrying inc can reach these slots while — or
+	// after — they reset, even if a later admission hands the same range
+	// back to this same job id. The banks and analytics registers go with
+	// the record; the compiled program stays cached on the switch.
+	js.live.Store(nil)
 	js.epoch.Add(1)
-	js.phase.Store(int32(PhaseVacant))
-	js.rangeIdx.Store(-1)
 	if t := s.drainTimers[job]; t != nil {
 		t.Stop()
 		s.drainTimers[job] = nil
 	}
-	// Stop the incarnation's uplink client (tree leaves): aggregates the
-	// parent still owed it are stale now — the epoch moved — and a fresh
-	// admission starts a fresh client.
-	s.stopUplink(job)
-	if ri >= 0 {
-		base := ri * 2 * s.cfg.Pool
-		for gs := base; gs < base+2*s.cfg.Pool; gs++ {
-			sh := s.shards[gs%s.nsh]
-			sh.mu.Lock()
-			st := &sh.slot[gs/s.nsh]
-			st.chunk = -1
-			for i := range st.seen {
-				st.seen[i] = false
-			}
-			st.nSeen = 0
-			st.cached = nil
-			st.outstanding = false
-			st.upPending = false
-			sh.mu.Unlock()
-		}
-		s.freeRanges = append(s.freeRanges, ri)
+	// Aggregates the parent still owes the uplink client are stale now; a
+	// fresh admission starts a fresh client.
+	if inc.up != nil {
+		inc.up.stop()
 	}
-	// Return the job's unspent scheduler deficit on every shard, and tear
-	// down the range's aggregator banks — the compiled program stays cached
-	// on the switch (keyed by profile), only this incarnation's per-slot
-	// state is dropped. An analytics incarnation's state is cleared under
-	// its home shard's lock in the same pass, for the same reason the
-	// banks are: the epoch moved above, so no tuple or drain for this
-	// incarnation can fold after its shard section here.
-	for si, sh := range s.shards {
+	base := inc.ri * 2 * s.cfg.Pool
+	for gs := base; gs < base+2*s.cfg.Pool; gs++ {
+		sh := s.shards[gs%s.nsh]
 		sh.mu.Lock()
-		sh.sched.forfeit(job)
-		if ri >= 0 {
-			sh.agg[ri] = nil
-			if si == s.homeShard(ri) {
-				s.analytics[job] = nil
-			}
+		st := &sh.slot[gs/s.nsh]
+		st.chunk = -1
+		for i := range st.seen {
+			st.seen[i] = false
 		}
+		st.nSeen = 0
+		st.cached = nil
+		st.outstanding = false
+		st.upPending = false
 		sh.mu.Unlock()
 	}
-	js.profBits.Store(0)
-	js.classBits.Store(0)
-	js.weight.Store(0)
+	s.freeRanges = append(s.freeRanges, inc.ri)
+	// Return the job's unspent scheduler deficit on every shard.
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.sched.forfeit(job)
+		sh.mu.Unlock()
+	}
 	js.outstanding.Store(0)
 	js.cacheBytes.Store(0)
 	if s.OnLifecycle != nil {
@@ -532,27 +499,28 @@ func (s *Switch) release(job int) {
 	}
 }
 
+// current returns job's live incarnation: nil for vacant ids and ids
+// outside the capacity.
+func (s *Switch) current(job int) *incarnation {
+	if job < 0 || job >= s.ncap {
+		return nil
+	}
+	return s.jobs[job].live.Load()
+}
+
 // JobRange reports the slot range the indirection table currently assigns
 // to job; ok is false when the job holds none (vacant or out of range).
 func (s *Switch) JobRange(job int) (base, n int, ok bool) {
-	if job < 0 || job >= s.ncap {
+	inc := s.current(job)
+	if inc == nil {
 		return 0, 0, false
 	}
-	ri := int(s.jobs[job].rangeIdx.Load())
-	if ri < 0 {
-		return 0, 0, false
-	}
-	return ri * 2 * s.cfg.Pool, 2 * s.cfg.Pool, true
+	return inc.ri * 2 * s.cfg.Pool, 2 * s.cfg.Pool, true
 }
 
 // JobPhaseOf reports a job id's current lifecycle phase (PhaseVacant for
 // ids outside the capacity).
-func (s *Switch) JobPhaseOf(job int) JobPhase {
-	if job < 0 || job >= s.ncap {
-		return PhaseVacant
-	}
-	return JobPhase(s.jobs[job].phase.Load())
-}
+func (s *Switch) JobPhaseOf(job int) JobPhase { return s.current(job).phase() }
 
 // JobEpoch reports a job id's current wire incarnation epoch — the octet
 // its workers must stamp into their ADDs (0 for ids outside the capacity,
@@ -569,18 +537,18 @@ func (s *Switch) JobEpoch(job int) uint8 {
 // admission applied for live jobs, the default (f32) profile for vacant ids
 // and ids outside the capacity.
 func (s *Switch) JobProfile(job int) core.NumericProfile {
-	if job < 0 || job >= s.ncap {
-		return core.DefaultProfile
+	if inc := s.current(job); inc != nil {
+		return inc.spec.Profile
 	}
-	return core.UnpackProfile(s.jobs[job].profBits.Load())
+	return core.DefaultProfile
 }
 
 // JobWeight reports a job id's current deficit-round-robin scheduler
 // weight: 0 for vacant ids (and ids outside the capacity), the weight the
 // admission applied otherwise.
 func (s *Switch) JobWeight(job int) int {
-	if job < 0 || job >= s.ncap {
-		return 0
+	if inc := s.current(job); inc != nil {
+		return inc.spec.Weight
 	}
-	return int(s.jobs[job].weight.Load())
+	return 0
 }

@@ -870,7 +870,8 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 		seen[ri] = true
 	}
 	for j := range sw.jobs {
-		if ri := int(sw.jobs[j].rangeIdx.Load()); ri >= 0 {
+		if inc := sw.jobs[j].live.Load(); inc != nil {
+			ri := inc.ri
 			if seen[ri] {
 				sw.lifeMu.Unlock()
 				t.Fatalf("range %d both free and assigned to job %d", ri, j)
@@ -938,7 +939,8 @@ func TestLifecycleChurnRace(t *testing.T) {
 		seen[ri] = true
 	}
 	for j := range sw.jobs {
-		if ri := int(sw.jobs[j].rangeIdx.Load()); ri >= 0 {
+		if inc := sw.jobs[j].live.Load(); inc != nil {
+			ri := inc.ri
 			if seen[ri] {
 				t.Fatalf("range %d both free and assigned to job %d", ri, j)
 			}

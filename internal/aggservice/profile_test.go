@@ -313,13 +313,15 @@ func TestProfileChurnReadmit(t *testing.T) {
 		}
 	}
 
-	banks := func(ri int) (live int) {
-		for _, sh := range sw.shards {
-			sh.mu.Lock()
-			if sh.agg[ri] != nil {
+	banks := func(job int) (live int) {
+		inc := sw.jobs[job].live.Load()
+		if inc == nil {
+			return 0
+		}
+		for _, b := range inc.banks {
+			if b != nil {
 				live++
 			}
-			sh.mu.Unlock()
 		}
 		return live
 	}
@@ -327,12 +329,10 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); err != nil {
 		t.Fatal(err)
 	}
-	base, _, ok := sw.JobRange(1)
-	ri := base / (2 * cfg.Pool)
-	if !ok {
+	if _, _, ok := sw.JobRange(1); !ok {
 		t.Fatal("admitted job holds no range")
 	}
-	if got := banks(ri); got != sw.nsh {
+	if got := banks(1); got != sw.nsh {
 		t.Fatalf("%d of %d banks live after admit", got, sw.nsh)
 	}
 	run(1, profBF16)
@@ -344,7 +344,7 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if ph := sw.JobPhaseOf(1); ph != PhaseVacant {
 		t.Fatalf("post-evict phase = %v", ph)
 	}
-	if got := banks(ri); got != 0 {
+	if got := banks(1); got != 0 {
 		t.Fatalf("%d banks survive release", got)
 	}
 	if got := sw.JobProfile(1); got != core.DefaultProfile {

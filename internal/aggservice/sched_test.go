@@ -34,7 +34,7 @@ func checkSchedInvariants(t *testing.T, sw *Switch) {
 			}
 			if dj.seenRound == sh.sched.round && dj.deficit > 0 {
 				holders++
-				if JobPhase(sw.jobs[j].phase.Load()) == PhaseVacant {
+				if sw.jobs[j].live.Load() == nil {
 					sh.mu.Unlock()
 					t.Fatalf("shard %d: vacant job %d still holds %d deficit", k, j, dj.deficit)
 				}

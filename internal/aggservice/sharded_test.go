@@ -154,7 +154,8 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := sw.shards[0]
-	sh.agg[0] = &flakyAgg{aggregator: sh.agg[0], failNext: 1}
+	banks := sw.jobs[0].live.Load().banks
+	banks[0] = &flakyAgg{aggregator: banks[0], failNext: 1}
 
 	pkt := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
 	if ds := handle(sw, 0, pkt); ds != nil {

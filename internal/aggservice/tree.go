@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fpisa/internal/core"
 	"fpisa/internal/transport"
 )
 
@@ -108,17 +107,15 @@ func admitUp(ctl ParentControl, job int, spec JobSpec) (uint8, error) {
 	return ack.Epoch, nil
 }
 
-// uplinkJob is one job's live uplink client on a leaf: the Worker-like
-// state machine that re-emits the job's partial sums to the parent,
-// retransmits them on timeout, and installs the parent's aggregates as the
-// job's final RESULTs. One instance serves one LEAF incarnation of the
-// job; release stops it and a re-admission starts a fresh one.
+// uplinkJob is one leaf incarnation's uplink client: the Worker-like state
+// machine that re-emits the job's partial sums to the parent, retransmits
+// them on timeout, and installs the parent's aggregates as the job's final
+// RESULTs. It lives on the incarnation record (incarnation.up): Admit
+// starts it, release stops it, and a re-admission gets a fresh one.
 type uplinkJob struct {
 	s           *Switch
-	job         int
-	epoch       uint64 // leaf incarnation this client serves
-	parentEpoch uint8  // parent incarnation stamped into uplink ADDs
-	prof        core.NumericProfile
+	inc         *incarnation // leaf incarnation this client serves
+	parentEpoch uint8        // parent incarnation stamped into uplink ADDs
 	fab         transport.Fabric
 	port        int // parent port: job·Leaves + LeafID
 	timeout     time.Duration
@@ -131,6 +128,30 @@ type uplinkJob struct {
 	out map[uint32]*upChunk // chunk → uplink ADD awaiting the parent
 
 	retrans atomic.Uint64
+}
+
+// newUplinkJob builds (without starting) the uplink client for a leaf
+// incarnation.
+func newUplinkJob(s *Switch, inc *incarnation, parentEpoch uint8) *uplinkJob {
+	u := s.cfg.Uplink
+	timeout := u.Timeout
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	retries := u.Retries
+	if retries < 0 {
+		retries = DefaultRetries
+	}
+	return &uplinkJob{
+		s: s, inc: inc,
+		parentEpoch: parentEpoch,
+		fab:         u.Fabric,
+		port:        inc.job*u.Leaves + u.LeafID,
+		timeout:     timeout,
+		retries:     retries,
+		quit:        make(chan struct{}),
+		out:         make(map[uint32]*upChunk),
+	}
 }
 
 // upChunk is one in-flight uplink ADD.
@@ -148,9 +169,6 @@ func (u *uplinkJob) submit(reqs []upReq) {
 	u.mu.Lock()
 	msgs := make([][]byte, 0, len(reqs))
 	for _, r := range reqs {
-		if r.epoch != u.epoch {
-			continue // a different leaf incarnation's completion
-		}
 		r.pkt[hdrBytes] = u.parentEpoch
 		u.out[r.chunk] = &upChunk{pkt: r.pkt, ovf: r.ovf}
 		msgs = append(msgs, r.pkt)
@@ -206,7 +224,7 @@ func (u *uplinkJob) run() {
 				// for the whole retry budget: declare it unreachable and
 				// tear the job down locally so the leaf's workers fail
 				// fast instead of stalling forever.
-				u.s.Evict(u.job)
+				u.s.Evict(u.inc.job)
 				return
 			}
 			u.retransmitPending()
@@ -221,7 +239,7 @@ func (u *uplinkJob) run() {
 			finals = u.takeFinal(chunk, vals, ovf, finals)
 		}
 		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, u.job, u.parentEpoch, u.s.cfg.Modules, u.prof, final)
+			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.s.cfg.Modules, u.inc.spec.Profile, final)
 			if !ok {
 				continue
 			}
@@ -229,10 +247,9 @@ func (u *uplinkJob) run() {
 			case AckEvicted, AckDraining:
 				// A mid-tree eviction propagating down: the parent refuses
 				// this job's uplink, so drain the leaf too. Evict → release
-				// → stopUplink closes u.quit; push what already arrived
-				// first.
+				// closes u.quit; push what already arrived first.
 				u.s.pushFinals(finals)
-				u.s.Evict(u.job)
+				u.s.Evict(u.inc.job)
 				return
 			case AckBackpressure:
 				// The parent's fair scheduler deferred a bind; the chunk
@@ -259,42 +276,33 @@ func (u *uplinkJob) takeFinal(chunk uint32, vals []float32, parentOvf bool, fina
 	if !ok {
 		return finals // duplicate parent result; the cache already has it
 	}
-	pkt, ok := u.s.installFinal(u.job, u.epoch, chunk, vals, parentOvf || pc.ovf)
+	pkt, ok := u.s.installFinal(u.inc, chunk, vals, parentOvf || pc.ovf)
 	if !ok {
 		return finals
 	}
-	return append(finals, resDone{job: u.job, chunk: chunk, pkt: pkt})
+	return append(finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
 }
 
 // installFinal writes a parent aggregate into its slot's result cache as
-// the chunk's final RESULT, with the same under-lock epoch revalidation
-// the ADD path uses: if the leaf released the range (or rebound the slot)
+// the chunk's final RESULT, with the same under-lock revalidation the ADD
+// path uses: if the leaf retired the incarnation (or rebound the slot)
 // since the chunk went up, the stale aggregate is dropped.
-func (s *Switch) installFinal(job int, epoch uint64, chunk uint32, vals []float32, ovf bool) ([]byte, bool) {
-	js := &s.jobs[job]
-	if js.epoch.Load() != epoch {
-		return nil, false
-	}
-	prof := core.UnpackProfile(js.profBits.Load())
-	ri := int(js.rangeIdx.Load())
-	if ri < 0 {
-		return nil, false
-	}
-	gs := s.slotOf(ri, chunk)
+func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, ovf bool) ([]byte, bool) {
+	gs := s.slotOf(inc.ri, chunk)
 	sh := s.shards[gs%s.nsh]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if js.epoch.Load() != epoch {
+	if !s.isLive(inc) {
 		return nil, false
 	}
 	st := &sh.slot[gs/s.nsh]
 	if st.chunk != int64(chunk) || !st.upPending {
 		return nil, false
 	}
-	pkt := encodeResult(job, chunk, prof, vals, ovf)
+	pkt := encodeResult(inc.job, chunk, inc.spec.Profile, vals, ovf)
 	st.cached = pkt
 	st.upPending = false
-	js.cacheBytes.Add(int64(len(pkt)))
+	s.jobs[inc.job].cacheBytes.Add(int64(len(pkt)))
 	return pkt, true
 }
 
@@ -317,107 +325,51 @@ func (s *Switch) pushFinals(finals []resDone) {
 	u.Push.Push(dl.Take())
 }
 
-// submitUplinks hands a batch's locally-completed chunks to their jobs'
-// uplink clients. Runs after the shard lock rounds — the clients do
-// fabric I/O.
+// submitUplinks hands a batch's locally-completed chunks to their
+// incarnations' uplink clients. Runs after the shard lock rounds — the
+// clients do fabric I/O.
 func (s *Switch) submitUplinks(sc *batchScratch) {
 	for i := 0; i < len(sc.ups); {
-		job := sc.ups[i].job
+		inc := sc.ups[i].inc
 		j := i + 1
-		for j < len(sc.ups) && sc.ups[j].job == job {
+		for j < len(sc.ups) && sc.ups[j].inc == inc {
 			j++
 		}
-		s.upMu.Lock()
-		var cl *uplinkJob
-		if s.uplinks != nil {
-			cl = s.uplinks[job]
-		}
-		s.upMu.Unlock()
-		if cl != nil {
-			cl.submit(sc.ups[i:j])
+		// A completion observed under an incarnation retired since must
+		// not climb: the parent may already be serving its successor.
+		if s.isLive(inc) {
+			inc.up.submit(sc.ups[i:j])
 		}
 		i = j
 	}
 }
 
-// startUplinkLocked starts a job's uplink client for its current
-// incarnation. Caller holds lifeMu (or is still constructing the switch).
-func (s *Switch) startUplinkLocked(job int, parentEpoch uint8) {
-	u := s.cfg.Uplink
-	if u == nil {
-		return
+// uplinkOf returns the uplink client of job's live incarnation (nil for
+// non-leaves, vacant jobs and ids outside the capacity).
+func (s *Switch) uplinkOf(job int) *uplinkJob {
+	if inc := s.current(job); inc != nil {
+		return inc.up
 	}
-	timeout := u.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	retries := u.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
-	js := &s.jobs[job]
-	cl := &uplinkJob{
-		s: s, job: job,
-		epoch:       js.epoch.Load(),
-		parentEpoch: parentEpoch,
-		prof:        core.UnpackProfile(js.profBits.Load()),
-		fab:         u.Fabric,
-		port:        job*u.Leaves + u.LeafID,
-		timeout:     timeout,
-		retries:     retries,
-		quit:        make(chan struct{}),
-		out:         make(map[uint32]*upChunk),
-	}
-	s.upMu.Lock()
-	if s.uplinks == nil {
-		s.uplinks = make([]*uplinkJob, s.ncap)
-	}
-	s.uplinks[job] = cl
-	s.upMu.Unlock()
-	go cl.run()
-}
-
-// stopUplink detaches and stops a job's uplink client, if any.
-func (s *Switch) stopUplink(job int) {
-	s.upMu.Lock()
-	var cl *uplinkJob
-	if s.uplinks != nil {
-		cl = s.uplinks[job]
-		s.uplinks[job] = nil
-	}
-	s.upMu.Unlock()
-	if cl != nil {
-		cl.stop()
-	}
+	return nil
 }
 
 // UplinkRetransmits reports how many uplink ADDs the job's live uplink
 // client has retransmitted (0 for non-leaves and vacant jobs).
 func (s *Switch) UplinkRetransmits(job int) uint64 {
-	if job < 0 || job >= s.ncap {
-		return 0
+	if u := s.uplinkOf(job); u != nil {
+		return u.retrans.Load()
 	}
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	if s.uplinks == nil || s.uplinks[job] == nil {
-		return 0
-	}
-	return s.uplinks[job].retrans.Load()
+	return 0
 }
 
 // UplinkPending reports how many uplink ADDs await the parent's aggregate
 // (0 for non-leaves and vacant jobs); tests use it to audit that a drain
 // left nothing owed.
 func (s *Switch) UplinkPending(job int) int {
-	if job < 0 || job >= s.ncap {
-		return 0
+	if u := s.uplinkOf(job); u != nil {
+		return u.pending()
 	}
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	if s.uplinks == nil || s.uplinks[job] == nil {
-		return 0
-	}
-	return s.uplinks[job].pending()
+	return 0
 }
 
 // Close stops the switch's background machinery: every live uplink client
@@ -426,19 +378,14 @@ func (s *Switch) UplinkPending(job int) int {
 // shut down cleanly with their process.
 func (s *Switch) Close() {
 	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
 	for j, t := range s.drainTimers {
 		if t != nil {
 			t.Stop()
 			s.drainTimers[j] = nil
 		}
-	}
-	s.lifeMu.Unlock()
-	s.upMu.Lock()
-	cls := append([]*uplinkJob(nil), s.uplinks...)
-	s.upMu.Unlock()
-	for _, cl := range cls {
-		if cl != nil {
-			cl.stop()
+		if u := s.uplinkOf(j); u != nil {
+			u.stop()
 		}
 	}
 }

@@ -166,7 +166,7 @@ func auditSwitch(t *testing.T, name string, s *Switch) {
 	s.lifeMu.Unlock()
 	live := 0
 	for j := 0; j < s.ncap; j++ {
-		if JobPhase(s.jobs[j].phase.Load()) != PhaseVacant {
+		if s.jobs[j].live.Load() != nil {
 			live++
 		}
 	}
