@@ -266,10 +266,12 @@ func (c *Config) ClampShards() {
 func (c Config) Port(job, worker int) int { return job*c.Workers + worker }
 
 // aggregator is the pipeline surface a shard drives — the seam that lets
-// tests inject pipeline faults.
+// tests inject pipeline faults. Both operations decode into res, reusing
+// its slices (core.ProfileAggregator.AddInto); a nil res discards the
+// response unread.
 type aggregator interface {
-	Add(idx int, vals []float32) (core.Result, error)
-	ReadReset(idx int) (core.Result, error)
+	AddInto(idx int, vals []float32, res *core.Result) error
+	ReadResetInto(idx int, res *core.Result) error
 }
 
 // JobStats is one tenant job's protocol counters.
@@ -658,6 +660,7 @@ type batchScratch struct {
 	byShard [][]int // indices into adds, grouped by destination shard
 	touched []int   // shards with pending ADDs, in first-touch order
 	vals    []float32
+	res     core.Result    // the running ADD's sums; encoded into fresh packets, never retained
 	frees   []freeReq      // cross-shard cache frees, run after the shard unlock
 	drains  []*incarnation // draining incarnations that completed a chunk this round
 	done    []resDone      // completed chunks awaiting run-coalesced delivery
@@ -974,7 +977,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 				return
 			}
 		}
-		if _, err := agg.ReadReset(ai); err != nil {
+		if err := agg.ReadResetInto(ai, nil); err != nil {
 			if charge {
 				js.outstanding.Add(-1)
 			}
@@ -1018,8 +1021,8 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	// add, the slot must stay retransmittable — marking the worker seen
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
-	res, err := agg.Add(ai, vals)
-	if err != nil {
+	res := &sc.res
+	if err := agg.AddInto(ai, vals, res); err != nil {
 		return
 	}
 	st.seen[wij] = true
@@ -1295,6 +1298,47 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 	}
 }
 
+// sendVec is a Reduce sender's outgoing ADD vector over the input vector
+// vec. The packets are encoded back to back into one arena that is rewound
+// after every flush — Fabric.SendBatch lets the caller reuse pkts and their
+// backing arrays once it returns — so the steady-state send path allocates
+// nothing per chunk.
+type sendVec struct {
+	job   int
+	epoch uint8
+	prof  core.NumericProfile
+	vec   []float32
+
+	msgs  [][]byte
+	arena []byte
+	vals  []float32 // one chunk's values; the vector's tail chunk is zero-padded
+}
+
+// newSendVec sizes the arena for a full batch, so it never grows.
+func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch int, vec []float32) *sendVec {
+	return &sendVec{
+		job: job, epoch: epoch, prof: prof, vec: vec,
+		msgs:  make([][]byte, 0, batch),
+		arena: make([]byte, 0, batch*addBytes(modules, prof)),
+		vals:  make([]float32, modules),
+	}
+}
+
+// add encodes chunk c of the vector as the next ADD.
+func (sv *sendVec) add(c int) {
+	n := copy(sv.vals, sv.vec[c*len(sv.vals):])
+	clear(sv.vals[n:])
+	start := len(sv.arena)
+	sv.arena = appendAdd(sv.arena, sv.job, uint32(c), sv.epoch, sv.prof, sv.vals)
+	sv.msgs = append(sv.msgs, sv.arena[start:len(sv.arena):len(sv.arena)])
+}
+
+// reset rewinds the vector once SendBatch has returned.
+func (sv *sendVec) reset() {
+	sv.msgs = sv.msgs[:0]
+	sv.arena = sv.arena[:0]
+}
+
 // recvVec is the receiver's reusable buffer-vector size: how many
 // deliveries one RecvBatch may drain. Buffers are recycled across calls,
 // so steady-state receiving allocates nothing.
@@ -1345,12 +1389,6 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		return out, nil
 	}
 
-	chunkVals := func(c int) []float32 {
-		vals := make([]float32, modules)
-		copy(vals, vec[c*modules:min(len(vec), (c+1)*modules)])
-		return vals
-	}
-
 	acks := make(chan int, nChunks) // receiver → sender: completed chunks
 	stallc := make(chan struct{}, 1)
 	bpc := make(chan struct{}, 1) // receiver → sender: scheduler backpressure
@@ -1384,21 +1422,21 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		cleanAcks := 0
 		defer func() { finalBatch = cur }()
 
-		var msgs [][]byte
+		sv := newSendVec(w.Job, w.Epoch, prof, modules, batch, vec)
 		flush := func() error {
-			if len(msgs) == 0 {
+			if len(sv.msgs) == 0 {
 				return nil
 			}
-			sentMsgs += uint64(len(msgs))
+			sentMsgs += uint64(len(sv.msgs))
 			sentDgrams++
-			err := w.Fabric.SendBatch(port, msgs)
-			msgs = msgs[:0]
+			err := w.Fabric.SendBatch(port, sv.msgs)
+			sv.reset()
 			return err
 		}
 		queue := func(c int) error {
-			msgs = append(msgs, EncodeAddProfile(w.Job, uint32(c), w.Epoch, prof, chunkVals(c)))
+			sv.add(c)
 			sent[c] = true
-			if len(msgs) >= cur {
+			if len(sv.msgs) >= cur {
 				return flush()
 			}
 			return nil
@@ -1427,8 +1465,8 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		retransmit := func() error {
 			for c := 0; c < nChunks; c++ {
 				if sent[c] && !done[c] {
-					msgs = append(msgs, EncodeAddProfile(w.Job, uint32(c), w.Epoch, prof, chunkVals(c)))
-					if len(msgs) >= cur {
+					sv.add(c)
+					if len(sv.msgs) >= cur {
 						if err := flush(); err != nil {
 							return err
 						}
@@ -1508,6 +1546,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		nDone := 0
 		stalls := 0
 		bufs := make([][]byte, recvVec)
+		decoded := make([]float32, modules) // readDownlink's reused decode buffer
 		// mark completes a chunk with its aggregated values, whichever
 		// downlink message carried them.
 		mark := func(chunk uint32, vals []float32, _ bool) {
@@ -1547,7 +1586,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 				return
 			}
 			for _, msg := range bufs[:k] {
-				notice, ok := readDownlink(msg, w.Job, w.Epoch, modules, prof, mark)
+				notice, ok := readDownlink(msg, w.Job, w.Epoch, prof, decoded, mark)
 				if !ok {
 					continue
 				}

@@ -437,7 +437,7 @@ func (an *analyticsJob) foldGroupMax(key uint32, val float32) bool {
 func (an *analyticsJob) foldAgg(key uint32, val float32) {
 	g := key % uint32(an.ac.Groups)
 	an.val[0] = val
-	an.acc.Add(int(g), an.val[:]) //nolint:errcheck // slot index is in range by construction
+	an.acc.AddInto(int(g), an.val[:], nil) //nolint:errcheck // slot index is in range by construction
 	an.seen[g] = true
 }
 
@@ -452,7 +452,7 @@ func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
 		}
 	}
 	an.val[0] = val
-	an.acc.Add(class, an.val[:]) //nolint:errcheck // class index is in range by construction
+	an.acc.AddInto(class, an.val[:], nil) //nolint:errcheck // class index is in range by construction
 	an.seen[class] = true
 	row := &an.hh[key%uint32(len(an.hh))]
 	switch {
@@ -498,12 +498,12 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 	var entries []DrainEntry
 	switch kind {
 	case DrainGroups:
+		var r core.Result
 		for g := range an.seen {
 			if !an.seen[g] {
 				continue
 			}
-			r, err := an.acc.ReadReset(g)
-			if err != nil || len(r.Values) == 0 {
+			if err := an.acc.ReadResetInto(g, &r); err != nil || len(r.Values) == 0 {
 				continue
 			}
 			entries = append(entries, DrainEntry{Key: uint32(g), Val: r.Values[0]})

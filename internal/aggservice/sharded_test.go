@@ -135,12 +135,12 @@ type flakyAgg struct {
 	failNext int
 }
 
-func (f *flakyAgg) Add(idx int, vals []float32) (core.Result, error) {
+func (f *flakyAgg) AddInto(idx int, vals []float32, res *core.Result) error {
 	if f.failNext > 0 {
 		f.failNext--
-		return core.Result{}, errors.New("injected pipeline fault")
+		return errors.New("injected pipeline fault")
 	}
-	return f.aggregator.Add(idx, vals)
+	return f.aggregator.AddInto(idx, vals, res)
 }
 
 // TestAddFailureLeavesSlotRetransmittable is the regression test for the

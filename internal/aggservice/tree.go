@@ -205,6 +205,7 @@ func (u *uplinkJob) retransmitPending() {
 // over an unreachable parent.
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
+	vals := make([]float32, u.s.cfg.Modules) // readDownlink's decode buffer
 	stalls := 0
 	for {
 		select {
@@ -239,7 +240,7 @@ func (u *uplinkJob) run() {
 			finals = u.takeFinal(chunk, vals, ovf, finals)
 		}
 		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.s.cfg.Modules, u.inc.spec.Profile, final)
+			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, vals, final)
 			if !ok {
 				continue
 			}
@@ -375,7 +376,9 @@ func (s *Switch) UplinkPending(job int) int {
 // Close stops the switch's background machinery: every live uplink client
 // and every pending drain timer. The switch must not handle traffic after
 // Close; it exists so leaves (whose uplink receivers poll their fabric)
-// shut down cleanly with their process.
+// shut down cleanly with their process. A stopped receiver returns at its
+// next wake-up: at once if the uplink fabric is closed too (every fabric's
+// Close fails a blocked RecvBatch), else when its receive timeout expires.
 func (s *Switch) Close() {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()

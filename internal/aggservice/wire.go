@@ -243,14 +243,23 @@ func getJobSpec(src []byte) JobSpec {
 // echoes the current one), with the values narrowed to the job's negotiated
 // wire format — 16-bit formats halve the payload.
 func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
+	return appendAdd(make([]byte, 0, addBytes(len(vals), prof)), job, chunk, epoch, prof, vals)
+}
+
+// appendAdd appends one ADD (see EncodeAddProfile) to dst and returns the
+// extended slice — the form a sender uses to encode a whole send vector
+// into one reused arena.
+func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
 	w := prof.ValueBytes()
-	pkt := make([]byte, addValOff+w*len(vals))
+	n := len(dst)
+	dst = append(dst, make([]byte, addValOff+w*len(vals))...)
+	pkt := dst[n:]
 	putHeader(pkt, MsgAdd, job, chunk)
 	pkt[hdrBytes] = epoch
 	for i, v := range vals {
 		prof.PutValue(pkt[addValOff+w*i:], v)
 	}
-	return pkt
+	return dst
 }
 
 // encodeResult builds a chunk's RESULT in the job's wire format. The values
@@ -272,26 +281,41 @@ func encodeResult(job int, chunk uint32, prof core.NumericProfile, vals []float3
 // DecodeResultProfile parses a RESULT packet in the job's negotiated wire
 // format, widening 16-bit values to float32 exactly.
 func DecodeResultProfile(pkt []byte, modules int, prof core.NumericProfile) (job int, chunk uint32, vals []float32, overflow bool, err error) {
-	w := prof.ValueBytes()
+	vals = make([]float32, modules)
+	if job, chunk, overflow, err = decodeResultInto(pkt, prof, vals); err != nil {
+		return 0, 0, nil, false, err
+	}
+	return job, chunk, vals, overflow, nil
+}
+
+// decodeResultInto is DecodeResultProfile writing the len(vals) module
+// values into the caller's buffer.
+func decodeResultInto(pkt []byte, prof core.NumericProfile, vals []float32) (job int, chunk uint32, overflow bool, err error) {
+	modules := len(vals)
 	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, false, fmt.Errorf("bad result packet: %w", terr)
+		return 0, 0, false, fmt.Errorf("bad result packet: %w", terr)
 	} else if typ != MsgResult {
-		return 0, 0, nil, false, fmt.Errorf("aggservice: bad result packet")
+		return 0, 0, false, fmt.Errorf("aggservice: bad result packet")
 	}
 	if n := resultBytes(modules, prof); len(pkt) != n {
 		if len(pkt) < n {
-			return 0, 0, nil, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
+			return 0, 0, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
 		}
-		return 0, 0, nil, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
+		return 0, 0, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
 	}
 	job = int(binary.BigEndian.Uint16(pkt[2:]))
 	chunk = binary.BigEndian.Uint32(pkt[4:])
-	vals = make([]float32, modules)
+	return job, chunk, getResultBody(pkt[hdrBytes:], prof, vals), nil
+}
+
+// getResultBody reads one chunk's values+overflow tail — a RESULT's payload
+// or one RESULT RUN item — into vals and returns the overflow flag.
+func getResultBody(body []byte, prof core.NumericProfile, vals []float32) (overflow bool) {
+	w := prof.ValueBytes()
 	for i := range vals {
-		vals[i] = prof.GetValue(pkt[hdrBytes+w*i:])
+		vals[i] = prof.GetValue(body[w*i:])
 	}
-	overflow = pkt[hdrBytes+w*modules] != 0
-	return job, chunk, vals, overflow, nil
+	return body[w*len(vals)] != 0
 }
 
 // encodeResultRun splices consecutive chunks' RESULT payloads into one
@@ -318,34 +342,45 @@ func encodeResultRun(job int, start uint32, items [][]byte) []byte {
 // flag. Safe on arbitrary input — the item count is validated against the
 // packet length before anything is read.
 func DecodeResultRun(pkt []byte, modules int, prof core.NumericProfile) (job int, start uint32, vals [][]float32, ovfs []bool, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, nil, fmt.Errorf("bad result run: %w", terr)
-	} else if typ != MsgResultRun {
-		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run type")
+	job, start, count, err := decodeRunHeader(pkt, modules, prof)
+	if err != nil {
+		return 0, 0, nil, nil, err
 	}
-	if len(pkt) < runHdrBytes {
-		return 0, 0, nil, nil, fmt.Errorf("result run %d of %d header bytes: %w", len(pkt), runHdrBytes, ErrTruncated)
-	}
-	w := prof.ValueBytes()
-	item := w*modules + 1
-	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
-	if count < 1 || len(pkt) != runHdrBytes+count*item {
-		return 0, 0, nil, nil, fmt.Errorf("aggservice: bad result run (%d items, %d bytes)", count, len(pkt))
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	start = binary.BigEndian.Uint32(pkt[4:])
 	vals = make([][]float32, count)
 	ovfs = make([]bool, count)
-	for i := 0; i < count; i++ {
-		body := pkt[runHdrBytes+i*item:]
-		vs := make([]float32, modules)
-		for m := range vs {
-			vs[m] = prof.GetValue(body[w*m:])
-		}
-		vals[i] = vs
-		ovfs[i] = body[w*modules] != 0
+	for i := range vals {
+		vals[i] = make([]float32, modules)
+		ovfs[i] = getResultBody(runItem(pkt, i, modules, prof), prof, vals[i])
 	}
 	return job, start, vals, ovfs, nil
+}
+
+// decodeRunHeader validates a MsgResultRun reply and returns its header;
+// the count items are then read with runItem.
+func decodeRunHeader(pkt []byte, modules int, prof core.NumericProfile) (job int, start uint32, count int, err error) {
+	if typ, terr := wireType(pkt); terr != nil {
+		return 0, 0, 0, fmt.Errorf("bad result run: %w", terr)
+	} else if typ != MsgResultRun {
+		return 0, 0, 0, fmt.Errorf("aggservice: bad result run type")
+	}
+	if len(pkt) < runHdrBytes {
+		return 0, 0, 0, fmt.Errorf("result run %d of %d header bytes: %w", len(pkt), runHdrBytes, ErrTruncated)
+	}
+	count = int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
+	if count < 1 || len(pkt) != runHdrBytes+count*runItemBytes(modules, prof) {
+		return 0, 0, 0, fmt.Errorf("aggservice: bad result run (%d items, %d bytes)", count, len(pkt))
+	}
+	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), count, nil
+}
+
+// runItemBytes is the size of one run item: a RESULT's values+overflow tail.
+func runItemBytes(modules int, prof core.NumericProfile) int {
+	return resultBytes(modules, prof) - hdrBytes
+}
+
+// runItem returns item i's values+overflow body of a validated run reply.
+func runItem(pkt []byte, i, modules int, prof core.NumericProfile) []byte {
+	return pkt[runHdrBytes+i*runItemBytes(modules, prof):]
 }
 
 // EncodeStatsReq builds a per-job stats request.
@@ -651,12 +686,14 @@ func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry
 // readDownlink decodes one downlink message for a chunk-window client — a
 // Worker, or a tree leaf's uplink playing the worker role one level up —
 // of (job, epoch) under prof. Each aggregated chunk a RESULT or RESULT RUN
-// carries is handed to result. A lifecycle or scheduler notice is returned
+// carries is decoded into vals (one entry per module, the client's reused
+// buffer) and handed to result, which must copy what it keeps: the next
+// chunk overwrites vals. A lifecycle or scheduler notice is returned
 // with ok set, but only one for the client's OWN incarnation: the switch
 // echoes the offending ADD's epoch, so a notice bounced off a stale
 // straggler's datagram never steers a fresh client sharing the port.
 // Anything else — other jobs' traffic, garbage — is dropped.
-func readDownlink(msg []byte, job int, epoch uint8, modules int, prof core.NumericProfile,
+func readDownlink(msg []byte, job int, epoch uint8, prof core.NumericProfile, vals []float32,
 	result func(chunk uint32, vals []float32, overflow bool)) (notice AckStatus, ok bool) {
 	typ, err := wireType(msg)
 	if err != nil {
@@ -667,15 +704,16 @@ func readDownlink(msg []byte, job int, epoch uint8, modules int, prof core.Numer
 		ack, err := DecodeJobAck(msg)
 		return ack.Status, err == nil && ack.Job == job && ack.Epoch == epoch
 	case MsgResult:
-		j, chunk, vals, ovf, err := DecodeResultProfile(msg, modules, prof)
+		j, chunk, ovf, err := decodeResultInto(msg, prof, vals)
 		if err == nil && j == job {
 			result(chunk, vals, ovf)
 		}
 	case MsgResultRun:
-		j, start, vals, ovfs, err := DecodeResultRun(msg, modules, prof)
+		j, start, count, err := decodeRunHeader(msg, len(vals), prof)
 		if err == nil && j == job {
-			for i := range vals {
-				result(start+uint32(i), vals[i], ovfs[i])
+			for i := 0; i < count; i++ {
+				ovf := getResultBody(runItem(msg, i, len(vals), prof), prof, vals)
+				result(start+uint32(i), vals, ovf)
 			}
 		}
 	}

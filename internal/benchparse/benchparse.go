@@ -172,20 +172,25 @@ func Compare(baseline, candidate *Report, pattern *regexp.Regexp) []Delta {
 	return CompareMetric(baseline, candidate, pattern, "ns/op")
 }
 
-// metricValue extracts one benchmark's mean for metric: "ns/op" reads the
-// primary summary, anything else reads the secondary-unit table (0 when
-// the benchmark never reported that unit).
-func (b *Benchmark) metricValue(metric string) float64 {
+// metricValue extracts one benchmark's mean for metric and whether the
+// benchmark reported it at all: "ns/op" reads the primary summary, anything
+// else the secondary-unit table. A reported 0 (a `0 allocs/op` column) is
+// present; a unit the benchmark never printed is not.
+func (b *Benchmark) metricValue(metric string) (v float64, ok bool) {
 	if metric == "ns/op" {
-		return b.NsPerOp.Mean
+		return b.NsPerOp.Mean, b.NsPerOp.Mean != 0
 	}
-	return b.Metrics[metric]
+	v, ok = b.Metrics[metric]
+	return v, ok
 }
 
 // CompareMetric is Compare over an arbitrary metric unit — "ns/op",
 // "allocs/op", "syscalls/op", any custom b.ReportMetric unit. Benchmark
-// pairs where either side lacks the metric (value 0) are skipped, so
-// gating a metric only constrains the benchmarks that actually report it.
+// pairs where either side never reported the metric are skipped, so gating
+// a metric only constrains the benchmarks that actually report it. A
+// reported zero is a value like any other: 0 → 0 is flat, and 0 → N > 0
+// is an infinite ratio that fails every threshold — a zero-allocation
+// baseline is exactly the one a gate must hold.
 func CompareMetric(baseline, candidate *Report, pattern *regexp.Regexp, metric string) []Delta {
 	oldBy := map[string]*Benchmark{}
 	for _, b := range baseline.Benchmarks {
@@ -200,16 +205,19 @@ func CompareMetric(baseline, candidate *Report, pattern *regexp.Regexp, metric s
 		if ob == nil {
 			continue
 		}
-		ov, nv := ob.metricValue(metric), nb.metricValue(metric)
-		if ov == 0 || nv == 0 {
+		ov, oldOK := ob.metricValue(metric)
+		nv, newOK := nb.metricValue(metric)
+		if !oldOK || !newOK {
 			continue
 		}
-		ds = append(ds, Delta{
-			Name:  nb.Name,
-			Old:   ov,
-			New:   nv,
-			Ratio: (nv - ov) / ov,
-		})
+		d := Delta{Name: nb.Name, Old: ov, New: nv}
+		switch {
+		case ov != 0:
+			d.Ratio = (nv - ov) / ov
+		case nv > 0:
+			d.Ratio = math.Inf(1)
+		}
+		ds = append(ds, d)
 	}
 	return ds
 }

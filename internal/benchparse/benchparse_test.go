@@ -147,6 +147,49 @@ BenchmarkFabricThroughput/ring-8        100    500 ns/op
 	}
 }
 
+// A reported zero is a baseline, not an absent metric: 0 → N must fail the
+// gate, 0 → 0 must pass it, and a side that never printed the unit is still
+// skipped.
+func TestCompareMetricZeroBaseline(t *testing.T) {
+	oldRep := parse(t, `
+BenchmarkShardedSwitch/1shard-8    100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkShardedSwitch/2shard-8    100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkPipelinePacket-8          100    900 ns/op   72 B/op  3 allocs/op
+BenchmarkCoreAdd-8                 100     40 ns/op
+BenchmarkFabricThroughput/ring-8   100    500 ns/op   0 B/op   0 allocs/op
+`)
+	newRep := parse(t, `
+BenchmarkShardedSwitch/1shard-8    100   1000 ns/op   64 B/op  2 allocs/op
+BenchmarkShardedSwitch/2shard-8    100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkPipelinePacket-8          100    900 ns/op   0 B/op   0 allocs/op
+BenchmarkCoreAdd-8                 100     40 ns/op   0 B/op   0 allocs/op
+BenchmarkFabricThroughput/ring-8   100    500 ns/op
+`)
+	byName := map[string]Delta{}
+	for _, d := range CompareMetric(oldRep, newRep, nil, "allocs/op") {
+		byName[d.Name] = d
+	}
+	if len(byName) != 3 {
+		t.Fatalf("allocs/op deltas: %+v", byName)
+	}
+	if d := byName["BenchmarkShardedSwitch/1shard"]; !d.Regression(0.15) || !d.Regression(1e9) || d.Old != 0 || d.New != 2 {
+		t.Errorf("0 -> 2 allocs/op not a failing delta: %+v", d)
+	}
+	if d := byName["BenchmarkShardedSwitch/2shard"]; d.Regression(0) || d.Ratio != 0 {
+		t.Errorf("0 -> 0 allocs/op flagged: %+v", d)
+	}
+	if d := byName["BenchmarkPipelinePacket"]; d.Regression(0.15) || d.Ratio != -1 {
+		t.Errorf("3 -> 0 allocs/op: %+v", d)
+	}
+	// Absent on either side stays skipped: CoreAdd had no -benchmem columns
+	// in the baseline, the ring row has none in the candidate.
+	for _, name := range []string{"BenchmarkCoreAdd", "BenchmarkFabricThroughput/ring"} {
+		if d, ok := byName[name]; ok {
+			t.Errorf("metric absent on one side was compared: %+v", d)
+		}
+	}
+}
+
 func TestParseRejectsMangledValues(t *testing.T) {
 	if _, err := Parse(strings.NewReader("BenchmarkX-8  10  abc ns/op\n")); err == nil {
 		t.Fatal("mangled value accepted")

@@ -25,6 +25,20 @@
 // and a builder that emits the same algorithm as a pisa.Program, so the
 // pipeline execution can be checked against the model instruction for
 // instruction.
+//
+// # Result storage
+//
+// Both aggregation backends (PipelineAggregator on the compiled pipeline,
+// ProfileAggregator's accumulator bank for non-default profiles) expose one
+// operation set in two forms. AddInto/ReadInto/ReadResetInto decode the
+// response into a Result the caller supplies, reusing its slices, and
+// allocate nothing in steady state; the pipeline scratch they run on (the
+// aggregator's request packet, the pisa.Switch's PHV and deparse buffer) is
+// valid only until the next call on the same replica, which is why the
+// response is copied out into caller storage before the call returns. A
+// nil *Result discards the response undecoded. Add/Read/ReadReset are thin
+// wrappers returning a fresh Result. An aggregator, like the pisa.Switch
+// replica under it, serves one caller at a time.
 package core
 
 import (

@@ -12,9 +12,17 @@ import (
 // real packets: the executable counterpart of the Accumulator software
 // model. Each packet carries one value per compiled module, all addressed
 // to the same slot index.
+//
+// An aggregator is single-threaded, like the pisa.Switch replica it owns:
+// every operation rebuilds the request in the aggregator's own packet
+// buffer and runs it through the switch's scratch (pisa.ProcessScratch).
+// The …Into operations decode the response into storage the caller
+// supplies and allocate nothing in steady state; Add/Read/ReadReset are
+// the same operations returning a fresh Result.
 type PipelineAggregator struct {
 	sw  *pisa.Switch
 	lay Layout
+	req []byte // the request packet, rebuilt in place by every operation
 }
 
 // NewPipelineAggregator builds, compiles and instantiates the FPISA program.
@@ -27,7 +35,7 @@ func NewPipelineAggregator(cfg Config, modules, slots int, arch pisa.Arch) (*Pip
 	if err != nil {
 		return nil, fmt.Errorf("core: FPISA program failed to compile: %w", err)
 	}
-	return &PipelineAggregator{sw: sw, lay: lay}, nil
+	return &PipelineAggregator{sw: sw, lay: lay, req: make([]byte, lay.PacketBytes)}, nil
 }
 
 // Layout returns the compiled layout.
@@ -40,7 +48,7 @@ func (pa *PipelineAggregator) Layout() Layout { return pa.lay }
 // sharded aggregation services. The replica's state is independent:
 // concurrent operations on different replicas are safe.
 func (pa *PipelineAggregator) Replicate() *PipelineAggregator {
-	return &PipelineAggregator{sw: pa.sw.Replicate(), lay: pa.lay}
+	return &PipelineAggregator{sw: pa.sw.Replicate(), lay: pa.lay, req: make([]byte, pa.lay.PacketBytes)}
 }
 
 // Switch exposes the underlying simulated switch (registers, counters).
@@ -60,68 +68,127 @@ type Result struct {
 	Count uint32
 }
 
-// Packet builds a raw FPISA packet; exported for transports and daemons.
-func (pa *PipelineAggregator) Packet(op byte, idx uint32, vals []float32) ([]byte, error) {
-	if len(vals) > pa.lay.Modules {
-		return nil, fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.lay.Modules)
+// resize sets Values and Overflow to one entry per module, reusing their
+// capacity.
+func (r *Result) resize(modules int) {
+	if cap(r.Values) < modules || cap(r.Overflow) < modules {
+		r.Values = make([]float32, modules)
+		r.Overflow = make([]bool, modules)
 	}
-	pkt := make([]byte, pa.lay.PacketBytes)
+	r.Values, r.Overflow = r.Values[:modules], r.Overflow[:modules]
+}
+
+// putPacket builds a raw FPISA packet in pkt (PacketBytes long).
+func (pa *PipelineAggregator) putPacket(pkt []byte, op byte, idx uint32, vals []float32) error {
+	if len(vals) > pa.lay.Modules {
+		return fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.lay.Modules)
+	}
+	clear(pkt)
 	pkt[pktOffOp] = op
 	binary.BigEndian.PutUint32(pkt[pktOffIdx:], idx)
 	for k, v := range vals {
 		binary.BigEndian.PutUint32(pkt[pktOffValues+pktPerModule*k:], math.Float32bits(v))
 	}
+	return nil
+}
+
+// Packet builds a raw FPISA packet; exported for transports and daemons.
+func (pa *PipelineAggregator) Packet(op byte, idx uint32, vals []float32) ([]byte, error) {
+	pkt := make([]byte, pa.lay.PacketBytes)
+	if err := pa.putPacket(pkt, op, idx, vals); err != nil {
+		return nil, err
+	}
 	return pkt, nil
 }
 
-// ParseResponse decodes a response packet.
-func (pa *PipelineAggregator) ParseResponse(pkt []byte) (Result, error) {
+// parseInto decodes a response packet into res, reusing the
+// capacity of res.Values and res.Overflow.
+func (pa *PipelineAggregator) parseInto(pkt []byte, res *Result) error {
 	if len(pkt) < pa.lay.PacketBytes {
-		return Result{}, fmt.Errorf("core: short response: %d < %d", len(pkt), pa.lay.PacketBytes)
+		return fmt.Errorf("core: short response: %d < %d", len(pkt), pa.lay.PacketBytes)
 	}
-	r := Result{
-		Values:   make([]float32, pa.lay.Modules),
-		Overflow: make([]bool, pa.lay.Modules),
-		Count:    binary.BigEndian.Uint32(pkt[pktOffCnt:]),
-	}
+	res.resize(pa.lay.Modules)
+	res.Count = binary.BigEndian.Uint32(pkt[pktOffCnt:])
 	for k := 0; k < pa.lay.Modules; k++ {
 		off := pktOffValues + pktPerModule*k
-		r.Values[k] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off:]))
-		r.Overflow[k] = pkt[off+4] != 0
+		res.Values[k] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off:]))
+		res.Overflow[k] = pkt[off+4] != 0
 	}
-	return r, nil
+	return nil
 }
 
-func (pa *PipelineAggregator) do(op byte, idx int, vals []float32) (Result, error) {
+// ParseResponse decodes a response packet into a fresh Result.
+func (pa *PipelineAggregator) ParseResponse(pkt []byte) (Result, error) {
+	var r Result
+	err := pa.parseInto(pkt, &r)
+	return r, err
+}
+
+// do runs one operation through the pipeline and decodes the response into
+// res; a nil res discards it undecoded (the register side effect is all
+// the caller wanted).
+func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) error {
 	if idx < 0 || idx >= pa.lay.Slots {
-		return Result{}, fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
+		return fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
 	}
-	pkt, err := pa.Packet(op, uint32(idx), vals)
-	if err != nil {
-		return Result{}, err
+	if err := pa.putPacket(pa.req, op, uint32(idx), vals); err != nil {
+		return err
 	}
-	out, err := pa.sw.Process(1, pkt)
+	out, err := pa.sw.ProcessScratch(1, pa.req)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	if len(out) != 1 {
-		return Result{}, fmt.Errorf("core: expected 1 response packet, got %d", len(out))
+		return fmt.Errorf("core: expected 1 response packet, got %d", len(out))
 	}
-	return pa.ParseResponse(out[0].Packet)
+	if res == nil {
+		return nil
+	}
+	return pa.parseInto(out[0].Packet, res)
+}
+
+// AddInto accumulates one value per module into the slot and stores the
+// running sums in res, reusing the capacity of res.Values and
+// res.Overflow; a nil res discards them undecoded. Nothing is allocated
+// once res has grown to the module count. The operation runs on scratch
+// that is valid only until the next call on this replica (the request
+// packet here, the pisa.Switch's PHV and deparse buffer below); res is the
+// caller's storage, decoded before the call returns, and stays valid
+// afterwards.
+func (pa *PipelineAggregator) AddInto(idx int, vals []float32, res *Result) error {
+	return pa.do(PktAdd, idx, vals, res)
+}
+
+// ReadInto stores the slot's renormalized sums in res without modifying
+// state; see AddInto for the storage contract.
+func (pa *PipelineAggregator) ReadInto(idx int, res *Result) error {
+	return pa.do(PktRead, idx, nil, res)
+}
+
+// ReadResetInto stores the sums in res and zeroes the slot and its
+// counters; see AddInto for the storage contract.
+func (pa *PipelineAggregator) ReadResetInto(idx int, res *Result) error {
+	return pa.do(PktReadReset, idx, nil, res)
 }
 
 // Add accumulates one value per module into the slot and returns the
-// running sums.
+// running sums in a fresh Result.
 func (pa *PipelineAggregator) Add(idx int, vals []float32) (Result, error) {
-	return pa.do(PktAdd, idx, vals)
+	var r Result
+	err := pa.AddInto(idx, vals, &r)
+	return r, err
 }
 
 // Read returns the slot's renormalized sums without modifying state.
 func (pa *PipelineAggregator) Read(idx int) (Result, error) {
-	return pa.do(PktRead, idx, nil)
+	var r Result
+	err := pa.ReadInto(idx, &r)
+	return r, err
 }
 
 // ReadReset returns the sums and zeroes the slot and its counters.
 func (pa *PipelineAggregator) ReadReset(idx int) (Result, error) {
-	return pa.do(PktReadReset, idx, nil)
+	var r Result
+	err := pa.ReadResetInto(idx, &r)
+	return r, err
 }

@@ -326,57 +326,74 @@ func (pa *ProfileAggregator) checkIdx(idx int) error {
 	return nil
 }
 
-// read assembles the model path's Result for a slot.
-func (pa *ProfileAggregator) read(idx int) Result {
-	r := Result{
-		Values:   make([]float32, pa.modules),
-		Overflow: make([]bool, pa.modules),
-		Count:    pa.counts[idx],
-	}
+// readInto assembles the model path's Result for a slot.
+func (pa *ProfileAggregator) readInto(idx int, res *Result) {
+	res.resize(pa.modules)
+	res.Count = pa.counts[idx]
 	for k := 0; k < pa.modules; k++ {
 		i := idx*pa.modules + k
-		r.Values[k] = pa.acc.ReadFloat32(i)
-		r.Overflow[k] = pa.acc.Overflowed(i)
+		res.Values[k] = pa.acc.ReadFloat32(i)
+		res.Overflow[k] = pa.acc.Overflowed(i)
 	}
-	return r
 }
 
-// Add accumulates one value per module into the slot and returns the
-// running sums, exactly as PipelineAggregator.Add does. Values arrive as
-// host float32; the model path narrows them to the profile's wire format
-// first, so results are bit-identical to a host reference that feeds
-// AddBits(EncodeValue(v)).
-func (pa *ProfileAggregator) Add(idx int, vals []float32) (Result, error) {
+// AddInto accumulates one value per module into the slot and stores the
+// running sums in res, exactly as PipelineAggregator.AddInto does: res's
+// slices are reused, a nil res discards the sums unread, and nothing is
+// allocated in steady state. Values arrive as host float32; the model path
+// narrows them to the profile's wire format first, so results are
+// bit-identical to a host reference that feeds AddBits(EncodeValue(v)).
+func (pa *ProfileAggregator) AddInto(idx int, vals []float32, res *Result) error {
 	if pa.pipe != nil {
-		return pa.pipe.Add(idx, vals)
+		return pa.pipe.AddInto(idx, vals, res)
 	}
 	if err := pa.checkIdx(idx); err != nil {
-		return Result{}, err
+		return err
 	}
 	if len(vals) > pa.modules {
-		return Result{}, fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.modules)
+		return fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.modules)
 	}
 	for k, v := range vals {
 		if err := pa.acc.AddBits(idx*pa.modules+k, pa.prof.EncodeValue(v)); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
 	pa.counts[idx]++
-	return pa.read(idx), nil
+	if res != nil {
+		pa.readInto(idx, res)
+	}
+	return nil
 }
 
-// ReadReset returns the sums and zeroes the slot and its counter.
-func (pa *ProfileAggregator) ReadReset(idx int) (Result, error) {
+// ReadResetInto stores the sums in res and zeroes the slot and its
+// counter; see AddInto for the storage contract.
+func (pa *ProfileAggregator) ReadResetInto(idx int, res *Result) error {
 	if pa.pipe != nil {
-		return pa.pipe.ReadReset(idx)
+		return pa.pipe.ReadResetInto(idx, res)
 	}
 	if err := pa.checkIdx(idx); err != nil {
-		return Result{}, err
+		return err
 	}
-	r := pa.read(idx)
+	if res != nil {
+		pa.readInto(idx, res)
+	}
 	for k := 0; k < pa.modules; k++ {
 		pa.acc.Reset(idx*pa.modules + k)
 	}
 	pa.counts[idx] = 0
-	return r, nil
+	return nil
+}
+
+// Add is AddInto returning a fresh Result the caller may keep.
+func (pa *ProfileAggregator) Add(idx int, vals []float32) (Result, error) {
+	var r Result
+	err := pa.AddInto(idx, vals, &r)
+	return r, err
+}
+
+// ReadReset is ReadResetInto returning a fresh Result the caller may keep.
+func (pa *ProfileAggregator) ReadReset(idx int) (Result, error) {
+	var r Result
+	err := pa.ReadResetInto(idx, &r)
+	return r, err
 }

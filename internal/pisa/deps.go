@@ -30,8 +30,15 @@ func (c *compiled) checkDependencies() error {
 		parserWritten[id] = true
 	}
 
-	// All tables in declaration order.
+	// All tables in declaration order, and each one's read and write sets,
+	// computed once: placement, the global re-validation and the conflict
+	// check below all consult them.
 	all := c.declared
+	type ioSets struct{ reads, writes map[fieldID]bool }
+	sets := make([]ioSets, len(all))
+	for _, t := range all {
+		sets[t.idx].reads, sets[t.idx].writes = c.tableIO(t)
+	}
 
 	// Register access uniqueness.
 	regUser := make(map[string]string)
@@ -59,13 +66,21 @@ func (c *compiled) checkDependencies() error {
 		}
 	}
 
+	// Fields some ingress table writes: an egress table may read them.
+	ingressWrites := make(map[fieldID]bool)
+	for _, t := range ingress {
+		for f := range sets[t.idx].writes {
+			ingressWrites[f] = true
+		}
+	}
+
 	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, error) {
 		// writersAt[f] = stages (same gress) that write field f.
 		writersAt := make(map[fieldID][]int)
 		out := make([][]*cTable, stages)
 
 		for _, t := range tables {
-			reads, writes := c.tableIO(t)
+			reads, writes := sets[t.idx].reads, sets[t.idx].writes
 
 			// Required stage from stateful register binding.
 			regStage := -1
@@ -121,12 +136,11 @@ func (c *compiled) checkDependencies() error {
 		// earlier-stage reads of later writers are violations only if the
 		// reader's stage <= writer's stage — re-validate globally).
 		for _, t := range tables {
-			reads, _ := c.tableIO(t)
-			for f := range reads {
+			for f := range sets[t.idx].reads {
 				if parserWritten[f] {
 					continue
 				}
-				if gressName == "egress" && c.writtenInIngress(f) {
+				if gressName == "egress" && ingressWrites[f] {
 					continue
 				}
 				ok := false
@@ -151,7 +165,7 @@ func (c *compiled) checkDependencies() error {
 		for s := 0; s < stages; s++ {
 			owner := make(map[fieldID]string)
 			for _, t := range out[s] {
-				_, writes := c.tableIO(t)
+				writes := sets[t.idx].writes
 				ws := make([]fieldID, 0, len(writes))
 				for f := range writes {
 					ws = append(ws, f)
@@ -186,19 +200,6 @@ func regUserName(c *compiled, t *cTable) string {
 		}
 	}
 	return "?"
-}
-
-// writtenInIngress reports whether any ingress table writes field f.
-func (c *compiled) writtenInIngress(f fieldID) bool {
-	for _, st := range c.ingress {
-		for _, t := range st {
-			_, writes := c.tableIO(t)
-			if writes[f] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // tableIO returns the set of fields a table reads (keys, operands,

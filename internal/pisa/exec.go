@@ -36,6 +36,14 @@ type Switch struct {
 	counters Counters
 	// Trace, when set, receives one call per executed table.
 	Trace func(gress string, stage int, table, action string)
+
+	// Per-packet scratch, reused by every ProcessScratch call (see there
+	// for the lifetime contract).
+	phv      Phv        // the packet's PHV
+	spare    []*Phv     // fan-out and recirculation PHVs, see scratchPhv
+	writes   writeSet   // the running stage's pending PHV writes; grows to the busiest stage's count
+	deparsed []byte     // backing store of the emitted packets
+	out      []Emission // the result slice
 }
 
 // tableStat holds one table's observability counters.
@@ -57,7 +65,7 @@ func newInstance(c *compiled) *Switch {
 		c:      c,
 		regs:   c.newRegisterBank(),
 		tstats: make([]tableStat, len(c.declared)),
-		mcast:  make(map[uint16][]uint16),
+		phv:    newPhv(c.ft),
 	}
 }
 
@@ -79,6 +87,9 @@ func (s *Switch) Arch() Arch { return s.c.arch }
 
 // SetMcastGroup installs a traffic-manager multicast group.
 func (s *Switch) SetMcastGroup(id uint16, ports []uint16) {
+	if s.mcast == nil {
+		s.mcast = make(map[uint16][]uint16)
+	}
 	s.mcast[id] = append([]uint16(nil), ports...)
 }
 
@@ -137,90 +148,138 @@ func (s *Switch) ResetRegisters() {
 	}
 }
 
-// Process runs one packet through the full pipeline and returns the emitted
-// packets (possibly none if dropped, several if multicast).
-func (s *Switch) Process(ingressPort uint16, pkt []byte) ([]Emission, error) {
-	return s.process(ingressPort, pkt, 0)
+// ProcessScratch runs one packet through the full pipeline and returns the
+// emitted packets (possibly none if dropped, several if multicast).
+//
+// Nothing is allocated per packet: the PHVs, the stage write set, the
+// deparse buffer and the returned slice are scratch owned by this Switch.
+// The emissions — the slice and every Packet in it — are valid until the
+// next call on this Switch, and pkt must not alias a previous result. That
+// contract is sound because a switch is single-threaded by construction
+// (one replica per shard, driven under the shard lock). Callers that keep
+// a result use Process.
+func (s *Switch) ProcessScratch(ingressPort uint16, pkt []byte) ([]Emission, error) {
+	s.out = s.out[:0]
+	s.deparsed = s.deparsed[:0]
+	if err := s.process(ingressPort, pkt, 0); err != nil {
+		return nil, err
+	}
+	return s.out, nil
 }
 
-func (s *Switch) process(ingressPort uint16, pkt []byte, depth int) ([]Emission, error) {
-	s.counters.Received++
-	phv := newPhv(s.c.ft)
-	id, _ := s.c.ft.lookup(FieldIngressPort)
-	phv.set(id, uint32(ingressPort))
-
-	if err := s.parse(phv, pkt); err != nil {
-		s.counters.ParserErrors++
+// Process is ProcessScratch returning freshly allocated emissions the
+// caller may keep.
+func (s *Switch) Process(ingressPort uint16, pkt []byte) ([]Emission, error) {
+	scratch, err := s.ProcessScratch(ingressPort, pkt)
+	if err != nil || len(scratch) == 0 {
 		return nil, err
 	}
-
-	if err := s.runGress(phv, s.c.ingress, "ingress"); err != nil {
-		s.counters.RuntimeErrors++
-		return nil, err
-	}
-
-	if v, _ := phv.Get(FieldDrop); v != 0 {
-		s.counters.Dropped++
-		return nil, nil
-	}
-
-	// Traffic manager: replicate to the multicast group or unicast.
-	var ports []uint16
-	if g, _ := phv.Get(FieldMcastGroup); g != 0 {
-		ports = s.mcast[uint16(g)]
-		if len(ports) == 0 {
-			s.counters.Dropped++
-			return nil, nil
-		}
-	} else {
-		p, _ := phv.Get(FieldEgressPort)
-		ports = []uint16{uint16(p)}
-	}
-
-	var out []Emission
-	for _, port := range ports {
-		copyPhv := phv.clone()
-		eid, _ := s.c.ft.lookup(FieldEgressPort)
-		copyPhv.set(eid, uint32(port))
-		if err := s.runGress(copyPhv, s.c.egress, "egress"); err != nil {
-			s.counters.RuntimeErrors++
-			return nil, err
-		}
-		if v, _ := copyPhv.Get(FieldDrop); v != 0 {
-			s.counters.Dropped++
-			continue
-		}
-		emitted := s.deparse(copyPhv, pkt)
-		if r, _ := copyPhv.Get(FieldRecirc); r != 0 {
-			if depth >= maxRecirculations {
-				return nil, fmt.Errorf("pisa: recirculation limit %d exceeded", maxRecirculations)
-			}
-			s.counters.Recirculated++
-			more, err := s.process(port, emitted, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, more...)
-			continue
-		}
-		s.counters.Emitted++
-		out = append(out, Emission{Port: port, Packet: emitted})
+	out := make([]Emission, len(scratch))
+	for i, e := range scratch {
+		out[i] = Emission{Port: e.Port, Packet: append([]byte(nil), e.Packet...)}
 	}
 	return out, nil
 }
 
-// runGress executes one pipeline's stages. Each stage matches all its tables
-// against the stage-entry PHV snapshot and applies the writes afterwards —
-// the parallel-MAU semantics the compiler's conflict checks assume.
-func (s *Switch) runGress(phv *Phv, stages [][]*cTable, gress string) error {
-	for si, tables := range stages {
-		if len(tables) == 0 {
-			continue
+// scratchPhv returns the i-th switch-owned PHV: 2·depth is recirculation
+// depth's ingress PHV, 2·depth+1 its per-port copy for a multicast fan-out.
+// Only PHV 0 exists up front; the rest appear the first time a program
+// fans out or recirculates.
+func (s *Switch) scratchPhv(i int) *Phv {
+	if i == 0 {
+		return &s.phv
+	}
+	for len(s.spare) < i {
+		p := newPhv(s.c.ft)
+		s.spare = append(s.spare, &p)
+	}
+	return s.spare[i-1]
+}
+
+// process runs ingress and the traffic manager for one packet at the given
+// recirculation depth, appending what leaves the switch to s.out.
+func (s *Switch) process(ingressPort uint16, pkt []byte, depth int) error {
+	s.counters.Received++
+	phv := s.scratchPhv(2 * depth)
+	clear(phv.vals)
+	phv.set(fidIngressPort, uint32(ingressPort))
+
+	if err := s.parse(phv, pkt); err != nil {
+		s.counters.ParserErrors++
+		return err
+	}
+
+	if err := s.runGress(phv, s.c.ingress, "ingress"); err != nil {
+		s.counters.RuntimeErrors++
+		return err
+	}
+
+	if phv.get(fidDrop) != 0 {
+		s.counters.Dropped++
+		return nil
+	}
+
+	// Traffic manager: replicate to the multicast group or unicast. Only a
+	// real fan-out needs a PHV copy per port; a single destination runs
+	// egress on the ingress PHV, which nothing reads afterwards.
+	g := phv.get(fidMcastGroup)
+	if g == 0 {
+		return s.egress(phv, uint16(phv.get(fidEgressPort)), pkt, depth)
+	}
+	ports := s.mcast[uint16(g)]
+	switch len(ports) {
+	case 0:
+		s.counters.Dropped++
+		return nil
+	case 1:
+		return s.egress(phv, ports[0], pkt, depth)
+	}
+	replica := s.scratchPhv(2*depth + 1)
+	for _, port := range ports {
+		copy(replica.vals, phv.vals)
+		if err := s.egress(replica, port, pkt, depth); err != nil {
+			return err
 		}
-		snapshot := phv.clone()
-		writes := make(map[fieldID]uint32)
+	}
+	return nil
+}
+
+// egress runs the egress pipeline for one output port on phv (consumed)
+// and emits, recirculates or drops the deparsed packet.
+func (s *Switch) egress(phv *Phv, port uint16, pkt []byte, depth int) error {
+	phv.set(fidEgressPort, uint32(port))
+	if err := s.runGress(phv, s.c.egress, "egress"); err != nil {
+		s.counters.RuntimeErrors++
+		return err
+	}
+	if phv.get(fidDrop) != 0 {
+		s.counters.Dropped++
+		return nil
+	}
+	emitted := s.deparse(phv, pkt)
+	if phv.get(fidRecirc) != 0 {
+		if depth >= maxRecirculations {
+			s.counters.RuntimeErrors++
+			return fmt.Errorf("pisa: recirculation limit %d exceeded", maxRecirculations)
+		}
+		s.counters.Recirculated++
+		return s.process(port, emitted, depth+1)
+	}
+	s.counters.Emitted++
+	s.out = append(s.out, Emission{Port: port, Packet: emitted})
+	return nil
+}
+
+// runGress executes one pipeline's stages. Each stage matches all its tables
+// against the stage-entry PHV and applies the writes afterwards — the
+// parallel-MAU semantics the compiler's conflict checks assume. The PHV is
+// not mutated until the stage's write set commits, so tables read it
+// directly.
+func (s *Switch) runGress(phv *Phv, stages [][]*cTable, gress string) error {
+	writes := &s.writes
+	for si, tables := range stages {
 		for _, t := range tables {
-			h, hit := t.match(snapshot)
+			h, hit := t.match(phv)
 			if hit {
 				s.tstats[t.idx].hits++
 			} else {
@@ -234,20 +293,19 @@ func (s *Switch) runGress(phv *Phv, stages [][]*cTable, gress string) error {
 				s.Trace(gress, si, t.decl.Name, a.name)
 			}
 			for i := range a.instrs {
-				val, ok := a.instrs[i].eval(snapshot, h.params)
+				val, ok := a.instrs[i].eval(phv, h.params)
 				if ok {
-					writes[a.instrs[i].dst] = val
+					writes.put(a.instrs[i].dst, val)
 				}
 			}
 			if a.stateful != nil {
-				if err := a.stateful.exec(s.regs, snapshot, writes); err != nil {
+				if err := a.stateful.exec(s.regs, phv, writes); err != nil {
+					*writes = (*writes)[:0] // the failed stage's writes die with the packet
 					return err
 				}
 			}
 		}
-		for f, v := range writes {
-			phv.set(f, v)
-		}
+		writes.commit(phv)
 	}
 	return nil
 }
@@ -303,12 +361,15 @@ func extractBits(pkt []byte, bitOff, bits int) uint32 {
 	return v
 }
 
-// deparse writes PHV fields back into a copy of the original packet.
+// deparse writes PHV fields back into a copy of the original packet,
+// appended to the switch's deparse buffer. parse already refused any packet
+// too short for an extract, so every writeback is in range.
 func (s *Switch) deparse(phv *Phv, pkt []byte) []byte {
-	out := make([]byte, len(pkt))
-	copy(out, pkt)
+	start := len(s.deparsed)
+	s.deparsed = append(s.deparsed, pkt...)
+	out := s.deparsed[start:len(s.deparsed):len(s.deparsed)]
 	for _, e := range s.c.parser {
-		if !e.wb || e.offset+e.bytes > len(out) {
+		if !e.wb {
 			continue
 		}
 		v := phv.get(e.field)

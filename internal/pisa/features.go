@@ -15,6 +15,18 @@
 // The paper's three proposed hardware extensions (§4.2) are modeled as
 // feature flags so programs can be compiled against both the base Tofino-
 // like architecture and the extended one.
+//
+// # Execution and buffer ownership
+//
+// A Switch executes packets on scratch it owns — the PHV, the running
+// stage's write set, the deparse buffer and the result slice — so the
+// per-packet path (ProcessScratch) allocates nothing. What ProcessScratch
+// returns is valid until the next call on the same Switch; Process is the
+// same execution handing out fresh copies. A Switch is therefore
+// single-threaded: replicas (Replicate) share the immutable compiled
+// program and may run concurrently, one caller each. Stage semantics are
+// the Packet-Transactions atom: every table of a stage reads the
+// stage-entry PHV, and the stage's writes commit together afterwards.
 package pisa
 
 // Features describes the optional hardware extensions of paper §4.2.

@@ -29,21 +29,33 @@ const (
 	FieldRecirc = "_recirc"
 )
 
+// builtinFields are registered first, in this order, so their fieldIDs are
+// the compile-time constants below — the executor never looks them up by
+// name.
 var builtinFields = []FieldDecl{
-	{Name: FieldDrop, Width: 8},
-	{Name: FieldEgressPort, Width: 16},
-	{Name: FieldMcastGroup, Width: 16},
-	{Name: FieldIngressPort, Width: 16},
-	{Name: FieldRecirc, Width: 8},
+	fidDrop:        {Name: FieldDrop, Width: 8},
+	fidEgressPort:  {Name: FieldEgressPort, Width: 16},
+	fidMcastGroup:  {Name: FieldMcastGroup, Width: 16},
+	fidIngressPort: {Name: FieldIngressPort, Width: 16},
+	fidRecirc:      {Name: FieldRecirc, Width: 8},
 }
 
 // fieldID indexes into a Phv value slice.
-type fieldID int
+type fieldID int32
+
+const (
+	fidDrop fieldID = iota
+	fidEgressPort
+	fidMcastGroup
+	fidIngressPort
+	fidRecirc
+)
 
 // fieldTable maps names to IDs and carries widths; built at compile time.
 type fieldTable struct {
 	byName map[string]fieldID
 	decls  []FieldDecl
+	masks  []uint32 // widthMask(decls[id].Width), precomputed for Phv.set
 }
 
 func newFieldTable(userFields []FieldDecl) (*fieldTable, error) {
@@ -60,6 +72,7 @@ func newFieldTable(userFields []FieldDecl) (*fieldTable, error) {
 		}
 		ft.byName[d.Name] = fieldID(len(ft.decls))
 		ft.decls = append(ft.decls, d)
+		ft.masks = append(ft.masks, widthMask(d.Width))
 		return nil
 	}
 	for _, d := range builtinFields {
@@ -101,14 +114,14 @@ type Phv struct {
 	ft   *fieldTable
 }
 
-func newPhv(ft *fieldTable) *Phv {
-	return &Phv{vals: make([]uint32, len(ft.decls)), ft: ft}
+func newPhv(ft *fieldTable) Phv {
+	return Phv{vals: make([]uint32, len(ft.decls)), ft: ft}
 }
 
 func (p *Phv) get(id fieldID) uint32 { return p.vals[id] }
 
 func (p *Phv) set(id fieldID, v uint32) {
-	p.vals[id] = v & widthMask(p.ft.width(id))
+	p.vals[id] = v & p.ft.masks[id]
 }
 
 // getSigned returns the container value sign-extended from its declared
@@ -126,18 +139,27 @@ func (p *Phv) getSigned(id fieldID) int32 {
 	return int32(v)
 }
 
-func (p *Phv) clone() *Phv {
-	q := &Phv{vals: make([]uint32, len(p.vals)), ft: p.ft}
-	copy(q.vals, p.vals)
-	return q
+// writeSet is one stage's pending PHV writes, in write order: every table
+// of a stage reads the stage-entry PHV and the writes commit together
+// afterwards (the parallel-MAU semantics the compiler's conflict checks
+// assume). The compiler admits at most one writer per field per stage, so a
+// set holds each field at most once and never outgrows the field count;
+// were a field ever written twice, the later write would win. The backing
+// array grows to the busiest stage's write count over a replica's first
+// packets and is reused from then on.
+type writeSet []phvWrite
+
+type phvWrite struct {
+	id  fieldID
+	val uint32
 }
 
-// Get reads a field by name (test/observability helper on the executable's
-// final PHV snapshot).
-func (p *Phv) Get(name string) (uint32, bool) {
-	id, ok := p.ft.byName[name]
-	if !ok {
-		return 0, false
+func (w *writeSet) put(id fieldID, v uint32) { *w = append(*w, phvWrite{id, v}) }
+
+// commit applies the pending writes to p and empties the set.
+func (w *writeSet) commit(p *Phv) {
+	for _, wr := range *w {
+		p.set(wr.id, wr.val)
 	}
-	return p.vals[id], true
+	*w = (*w)[:0]
 }

@@ -471,8 +471,9 @@ func TestExactMatchTable(t *testing.T) {
 	}
 }
 
-func TestMulticastAndDrop(t *testing.T) {
-	prog := Program{
+// mcastDropProg multicasts mode-1 packets to group 7 and drops mode-2 ones.
+func mcastDropProg() Program {
+	return Program{
 		Fields: []FieldDecl{{Name: "mode", Width: 8}},
 		Parser: []ExtractDecl{{Field: "mode", Offset: 0, Bytes: 1}},
 		Tables: []TableDecl{{
@@ -487,7 +488,10 @@ func TestMulticastAndDrop(t *testing.T) {
 			},
 		}},
 	}
-	sw := mustSwitch(t, prog, BaseArch())
+}
+
+func TestMulticastAndDrop(t *testing.T) {
+	sw := mustSwitch(t, mcastDropProg(), BaseArch())
 	sw.SetMcastGroup(7, []uint16{3, 4, 9})
 
 	out, err := sw.Process(0, []byte{1})
@@ -510,9 +514,9 @@ func TestMulticastAndDrop(t *testing.T) {
 	}
 }
 
-func TestRecirculation(t *testing.T) {
-	// Decrement a counter field; recirculate until zero.
-	prog := Program{
+// recircProg decrements a counter field and recirculates until it is zero.
+func recircProg() Program {
+	return Program{
 		Fields: []FieldDecl{{Name: "n", Width: 8}, {Name: "nz", Width: 8}},
 		Parser: []ExtractDecl{{Field: "n", Offset: 0, Bytes: 1}},
 		Tables: []TableDecl{
@@ -540,7 +544,10 @@ func TestRecirculation(t *testing.T) {
 			},
 		},
 	}
-	sw := mustSwitch(t, prog, BaseArch())
+}
+
+func TestRecirculation(t *testing.T) {
+	sw := mustSwitch(t, recircProg(), BaseArch())
 	out, err := sw.Process(0, []byte{3})
 	if err != nil {
 		t.Fatal(err)
@@ -553,8 +560,9 @@ func TestRecirculation(t *testing.T) {
 	}
 }
 
-func TestRecirculationLimit(t *testing.T) {
-	prog := Program{
+// recircLoopProg recirculates every packet forever.
+func recircLoopProg() Program {
+	return Program{
 		Fields: []FieldDecl{{Name: "x", Width: 8}},
 		Parser: []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}},
 		Tables: []TableDecl{{
@@ -565,9 +573,41 @@ func TestRecirculationLimit(t *testing.T) {
 			Default: "a",
 		}},
 	}
-	sw := mustSwitch(t, prog, BaseArch())
+}
+
+func TestRecirculationLimit(t *testing.T) {
+	sw := mustSwitch(t, recircLoopProg(), BaseArch())
 	if _, err := sw.Process(0, []byte{0}); err == nil {
 		t.Fatal("expected recirculation limit error")
+	}
+	// A looping program is a runtime error like any other: operators
+	// reading Counters() must see it.
+	c := sw.Counters()
+	if c.RuntimeErrors != 1 {
+		t.Errorf("RuntimeErrors = %d, want 1", c.RuntimeErrors)
+	}
+	if c.Recirculated != maxRecirculations || c.Emitted != 0 {
+		t.Errorf("Recirculated = %d, Emitted = %d, want %d, 0", c.Recirculated, c.Emitted, maxRecirculations)
+	}
+}
+
+// The executor addresses the builtin fields by constant fieldID; the
+// constants must agree with what the field table registers.
+func TestBuiltinFieldIDs(t *testing.T) {
+	ft, err := newFieldTable(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]fieldID{
+		FieldDrop: fidDrop, FieldEgressPort: fidEgressPort, FieldMcastGroup: fidMcastGroup,
+		FieldIngressPort: fidIngressPort, FieldRecirc: fidRecirc,
+	} {
+		if got, err := ft.lookup(name); err != nil || got != want {
+			t.Errorf("%s: id %d (%v), want %d", name, got, err, want)
+		}
+	}
+	if len(builtinFields) != int(fidRecirc)+1 {
+		t.Errorf("%d builtin fields, %d constants", len(builtinFields), int(fidRecirc)+1)
 	}
 }
 
@@ -590,6 +630,18 @@ func TestCompileErrors(t *testing.T) {
 					Actions: []ActionDecl{{Name: "y", Instrs: []Instr{{Op: OpMov, Dst: "a", A: F("b")}}}}, Default: "y"},
 			}},
 			"backward",
+		},
+		{
+			// Ingress writes only "a": an egress reader of "b" may lean on
+			// ingress writers, but there is none.
+			"egress reads a field no gress produces",
+			Program{Fields: f, Parser: p, Tables: []TableDecl{
+				{Name: "w", Stage: 0, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpMov, Dst: "a", A: Imm(1)}}}}, Default: "x"},
+				{Name: "r", Stage: 0, Egress: true, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "y", Instrs: []Instr{{Op: OpMov, Dst: "a", A: F("b")}}}}, Default: "y"},
+			}},
+			"nothing produces",
 		},
 		{
 			"same stage write conflict",

@@ -151,11 +151,22 @@ func (c *compiled) compileRegisters(decls []RegisterDecl) error {
 }
 
 // newRegisterBank instantiates fresh (zeroed) runtime storage for the
-// program's register declarations — one bank per pipeline replica.
+// program's register declarations — one bank per pipeline replica. The
+// arrays and their elements come out of one allocation each, so stamping a
+// replica costs the same few allocations however many registers the
+// program declares.
 func (c *compiled) newRegisterBank() []*registerArray {
+	total := 0
+	for _, d := range c.regDecls {
+		total += d.Size
+	}
+	vals := make([]uint32, total)
+	arrays := make([]registerArray, len(c.regDecls))
 	bank := make([]*registerArray, len(c.regDecls))
 	for i, d := range c.regDecls {
-		bank[i] = &registerArray{decl: d, vals: make([]uint32, d.Size)}
+		arrays[i] = registerArray{decl: d, vals: vals[:d.Size:d.Size]}
+		vals = vals[d.Size:]
+		bank[i] = &arrays[i]
 	}
 	return bank
 }

@@ -189,8 +189,8 @@ type cStatefulOp struct {
 
 // exec runs the stateful op against the given register bank: reads the
 // register, evaluates the predicate, applies the selected update, writes
-// back, and returns the PHV writes.
-func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes map[fieldID]uint32) error {
+// back, and adds its PHV outputs to the stage's write set.
+func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes *writeSet) error {
 	r := bank[op.regID]
 	idx := in.get(op.index)
 	old, err := r.get(idx)
@@ -261,14 +261,14 @@ func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes map[fieldID]u
 
 	switch op.output {
 	case OutOld:
-		writes[op.outField] = old
+		writes.put(op.outField, old)
 	case OutNew:
-		writes[op.outField] = newVal
+		writes.put(op.outField, newVal)
 	case OutPred:
-		writes[op.outField] = boolBit(pred)
+		writes.put(op.outField, boolBit(pred))
 	}
 	if op.hasOvField {
-		writes[op.ovField] = boolBit(overflow)
+		writes.put(op.ovField, boolBit(overflow))
 	}
 	return nil
 }

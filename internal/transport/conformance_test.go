@@ -120,6 +120,7 @@ func TestFabricConformance(t *testing.T) {
 			t.Run("timeout", func(t *testing.T) { conformanceTimeout(t, fc) })
 			t.Run("close-barrier", func(t *testing.T) { conformanceCloseBarrier(t, fc) })
 			t.Run("send-close-race", func(t *testing.T) { conformanceSendCloseRace(t, fc) })
+			t.Run("close-wakes-receiver", func(t *testing.T) { conformanceCloseWakesReceiver(t, fc) })
 		})
 	}
 	t.Run("memory-overflow-drop", func(t *testing.T) { conformanceOverflowDrop(t) })
@@ -241,6 +242,47 @@ func conformanceSendCloseRace(t *testing.T, fc fabricCase) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// conformanceCloseWakesReceiver: Close ends a RecvBatch that is blocked on
+// an empty queue with an error other than ErrTimeout, long before its
+// timeout — a receiver goroutine (an aggregation-tree leaf's uplink client)
+// must not outlive its fabric — and what was delivered before Close is
+// still received first.
+func conformanceCloseWakesReceiver(t *testing.T, fc fabricCase) {
+	f := fc.make(t, 2, conformanceEcho)
+	if err := f.SendBatch(1, [][]byte{{7}}); err != nil {
+		t.Fatal(err)
+	}
+	if fc.lossless {
+		// Worker 1's echo is ringed; it must survive the Close below.
+		defer func() {
+			k, err := f.RecvBatch(1, make([][]byte, 2), time.Second)
+			if k != 1 || err != nil {
+				t.Errorf("after Close: %d packets, err %v; want the 1 delivered before it", k, err)
+			}
+			if _, err := f.RecvBatch(1, make([][]byte, 2), time.Second); err != ErrClosed {
+				t.Errorf("drained and closed: err = %v, want ErrClosed", err)
+			}
+		}()
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.RecvBatch(0, make([][]byte, 1), 30*time.Second)
+		errc <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the receiver block
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err == nil || err == ErrTimeout {
+			t.Errorf("blocked RecvBatch returned %v after Close, want a closed-fabric error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RecvBatch still blocked 5s after Close")
+	}
 }
 
 // conformanceOverflowDrop: the Memory ring drops on overflow like a NIC

@@ -58,7 +58,8 @@ import (
 // ErrTimeout is returned by RecvBatch when no packet arrives in time.
 var ErrTimeout = errors.New("transport: receive timeout")
 
-// ErrClosed is returned by SendBatch after Close.
+// ErrClosed is returned by SendBatch after Close, and by the Memory
+// fabric's RecvBatch once it is closed and the worker's ring is empty.
 var ErrClosed = errors.New("transport: fabric closed")
 
 // Delivery routes one switch output packet.
@@ -137,7 +138,9 @@ type Fabric interface {
 	// nil buffer is allocated). It returns the packet count, which is ≥ 1
 	// unless err is non-nil.
 	RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error)
-	// Close releases resources.
+	// Close releases resources and ends receiving: a RecvBatch with nothing
+	// left to deliver, one already blocked included, returns an error other
+	// than ErrTimeout instead of sitting out its timeout.
 	Close() error
 }
 
@@ -163,6 +166,7 @@ type ring struct {
 	buf    [][]byte
 	head   int
 	n      int
+	closed bool          // the fabric closed: an empty ring fails pops instead of blocking
 	notify chan struct{} // capacity 1: wakes a blocked pop
 
 	// popMu serializes poppers so the reusable timer has one owner; a
@@ -198,8 +202,20 @@ func (r *ring) pushN(pkts [][]byte) int {
 	return accepted
 }
 
+// close ends blocking on this ring: what is queued stays poppable, and a pop
+// that finds (or is waiting on) an empty ring returns ErrClosed.
+func (r *ring) close() {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	select {
+	case r.notify <- struct{}{}:
+	default:
+	}
+}
+
 // pop copies up to len(bufs) packets into bufs, blocking up to timeout for
-// the first.
+// the first; on a closed fabric an empty ring returns ErrClosed at once.
 func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 	if len(bufs) == 0 {
 		return 0, fmt.Errorf("transport: RecvBatch needs at least one buffer")
@@ -221,7 +237,11 @@ func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 			r.mu.Unlock()
 			return k, nil
 		}
+		closed := r.closed
 		r.mu.Unlock()
+		if closed {
+			return 0, ErrClosed
+		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return 0, ErrTimeout
@@ -500,13 +520,19 @@ func (m *Memory) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (in
 
 // Close implements Fabric. It waits for in-flight SendBatches (and their
 // handler invocations) to drain; do not call Close from inside a handler.
-// Deliveries already ringed remain receivable.
+// Deliveries already ringed remain receivable; once a ring is empty,
+// RecvBatch returns ErrClosed — at once, and also to a receiver already
+// blocked in it, as closing the sockets does on the UDP fabric — so no
+// receiver goroutine outlives the fabric by its timeout.
 func (m *Memory) Close() error {
 	m.closeMu.Lock()
 	defer m.closeMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
+	m.mu.Unlock()
+	for _, r := range m.rings {
+		r.close()
+	}
 	return nil
 }
 
