@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,38 +28,65 @@ import (
 	"fpisa/internal/train"
 )
 
+// experiments lists the paper artifacts in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(quick bool, scale int) error
+}{
+	{"table1", func(bool, int) error { table1(); return nil }},
+	{"table2", func(bool, int) error { table2(); return nil }},
+	{"table3", func(bool, int) error { return table3() }},
+	{"fig6", func(bool, int) error { fig6(); return nil }},
+	{"fig7", func(q bool, _ int) error { fig7(q); return nil }},
+	{"fig8", func(q bool, _ int) error { return fig8(q) }},
+	{"fig9", func(q bool, _ int) error { return fig9(q) }},
+	{"fig10", func(bool, int) error { fig10(); return nil }},
+	{"fig11", func(bool, int) error { fig11(); return nil }},
+	{"fig13", func(_ bool, s int) error { return fig13(s) }},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+var errUnknownExperiment = errors.New("unknown experiment")
+
+// run executes one experiment, or all of them in order, stopping at the
+// first that fails.
+func run(exp string, quick bool, scale int) error {
+	ran := false
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		ran = true
+		if err := e.run(quick, scale); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	if !ran {
+		return fmt.Errorf("%w %q; choose from %s", errUnknownExperiment, exp, experimentNames())
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, fig6, fig7, fig8, fig9, fig10, fig11, fig13")
-	quick := flag.Bool("quick", false, "reduce workload sizes (fig8/fig9)")
+	exp := flag.String("exp", "all", "experiment: all, "+experimentNames())
+	quick := flag.Bool("quick", false, "reduce workload sizes (fig7/fig8/fig9)")
 	scale := flag.Int("scale", 1, "dataset scale multiplier for fig13")
 	flag.Parse()
 
-	runners := map[string]func(bool, int){
-		"table1": func(bool, int) { table1() },
-		"table2": func(bool, int) { table2() },
-		"table3": func(bool, int) { table3() },
-		"fig6":   func(bool, int) { fig6() },
-		"fig7":   func(q bool, _ int) { fig7(q) },
-		"fig8":   func(q bool, _ int) { fig8(q) },
-		"fig9":   func(q bool, _ int) { fig9(q) },
-		"fig10":  func(bool, int) { fig10() },
-		"fig11":  func(bool, int) { fig11() },
-		"fig13":  func(_ bool, s int) { fig13(s) },
-	}
-	order := []string{"table1", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig13"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			runners[name](*quick, *scale)
+	if err := run(*exp, *quick, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "fpisa-bench:", err)
+		if errors.Is(err, errUnknownExperiment) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
-	r, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from %s\n", *exp, strings.Join(order, ", "))
-		os.Exit(2)
-	}
-	r(*quick, *scale)
 }
 
 func header(title string) {
@@ -89,12 +117,11 @@ func table2() {
 	}
 }
 
-func table3() {
+func table3() error {
 	header("Table 3: FPISA-A resource utilization on the base architecture")
 	pa, err := core.NewPipelineAggregator(core.DefaultFP32(core.ModeApprox), 1, 256, pisa.BaseArch())
 	if err != nil {
-		fmt.Println("compile error:", err)
-		return
+		return fmt.Errorf("compile: %w", err)
 	}
 	fmt.Print(pa.Utilization().String())
 	fmt.Println("(paper: 9/12 stages; VLIW max 96.88% — the variable-shift emulation bottleneck)")
@@ -102,12 +129,12 @@ func table3() {
 	fmt.Println("\nAblation: with the §4.2 VariableShift/RSAW extensions")
 	ext, err := core.NewPipelineAggregator(core.DefaultFP32(core.ModeApprox), core.MaxModules(pisa.ExtendedArch()), 256, pisa.ExtendedArch())
 	if err != nil {
-		fmt.Println("compile error:", err)
-		return
+		return fmt.Errorf("compile: %w", err)
 	}
 	fmt.Printf("modules per pipeline: base=%d extended=%d\n",
 		core.MaxModules(pisa.BaseArch()), core.MaxModules(pisa.ExtendedArch()))
 	fmt.Print(ext.Utilization().String())
+	return nil
 }
 
 func fig6() {
@@ -159,7 +186,7 @@ func fig7(quick bool) {
 	}
 }
 
-func fig8(quick bool) {
+func fig8(quick bool) error {
 	header("Fig. 8: FPISA-A aggregation error distribution (VGG19)")
 	n := 30000
 	if quick {
@@ -171,16 +198,16 @@ func fig8(quick bool) {
 		ws := g.WorkerGradients(8, n)
 		rep, err := gradients.ErrorDistribution(core.DefaultFP32(core.ModeApprox), ws)
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		fmt.Printf("\nEpoch %d: median |err| = %.3g, p95 = %.3g, overwrite share = %.4f%% (paper <0.9%%), left-shift share = %.4f%% (paper <0.1%%)\n",
 			epoch, rep.MedianError, rep.P95Error, rep.OverwriteShare*100, rep.LeftShiftShare*100)
 		fmt.Print(rep.Hist.String())
 	}
+	return nil
 }
 
-func fig9(quick bool) {
+func fig9(quick bool) error {
 	header("Fig. 9: convergence with default vs FPISA-A aggregation")
 	epochs := 40
 	archCount := 4
@@ -203,8 +230,7 @@ func fig9(quick bool) {
 		for _, red := range reducers {
 			res, err := train.Run(arch, trainSet, testSet, cfg, red)
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				return err
 			}
 			series = append(series, res.Accuracy)
 			fmt.Printf("  %-16s final accuracy %.4f\n", res.Reducer, res.Final)
@@ -212,6 +238,7 @@ func fig9(quick bool) {
 		fmt.Println(stats.FormatTable("epoch", series))
 	}
 	fmt.Println("(paper: FPISA-A curves track default addition within 0.1% final accuracy)")
+	return nil
 }
 
 func fig10() {
@@ -233,7 +260,7 @@ func fig11() {
 	fmt.Println("(paper: 85.9/56.3/35.4/20.3/0.9/0.6/0.8% at 2 cores; 31.6/16.7/9.9/0.2/0.3/3.6/0.6% at 8)")
 }
 
-func fig13(scale int) {
+func fig13(scale int) error {
 	header("Fig. 13: distributed query execution time (modeled), baseline vs FPISA")
 	sc := query.DefaultScale()
 	sc.UserVisits *= scale
@@ -248,8 +275,7 @@ func fig13(scale int) {
 		_, bCost := e.RunBaseline(q)
 		_, sCost, err := e.RunSwitch(q)
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			return err
 		}
 		b := bCost.BaselineSeconds(workers)
 		s := sCost.SwitchSeconds(workers)
@@ -257,4 +283,5 @@ func fig13(scale int) {
 			q.Desc.Name, b, s, b/s, bCost.RowsToMaster, sCost.RowsToMaster)
 	}
 	fmt.Println("(paper: 1.9-2.7x over Spark across the five queries)")
+	return nil
 }

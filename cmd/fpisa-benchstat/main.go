@@ -1,14 +1,7 @@
-// Command fpisa-benchstat turns `go test -bench` output into the repo's
-// BENCH_<date>.json trajectory format and gates CI on benchmark
-// regressions.
+// Command fpisa-benchstat gates CI on benchmark regressions between two
+// `go test -bench` outputs (exit status 1 on regression):
 //
-// Summarize a run:
-//
-//	go test -bench . -benchmem -count 5 -run '^$' | tee bench.txt
-//	fpisa-benchstat -summary bench.txt -date 2026-07-27 > BENCH_2026-07-27.json
-//
-// Gate a run against a baseline (exit status 1 on regression):
-//
+//	go test -bench ShardedSwitch -benchmem -count 5 -run '^$' | tee bench.txt
 //	fpisa-benchstat -old baseline.txt -new bench.txt \
 //	    -gate '^BenchmarkShardedSwitch' -threshold 0.15
 //
@@ -21,9 +14,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"regexp"
@@ -32,31 +25,23 @@ import (
 )
 
 func main() {
-	summary := flag.String("summary", "", "bench output file to summarize as JSON on stdout")
-	date := flag.String("date", "", "date stamp (YYYY-MM-DD) for the summary")
-	oldFile := flag.String("old", "", "baseline bench output (with -new)")
-	newFile := flag.String("new", "", "candidate bench output (with -old)")
+	oldFile := flag.String("old", "", "baseline bench output")
+	newFile := flag.String("new", "", "candidate bench output")
 	gate := flag.String("gate", "^BenchmarkShardedSwitch", "regexp of benchmarks the regression gate covers")
 	threshold := flag.Float64("threshold", 0.15, "mean regression ratio that fails the gate")
 	metric := flag.String("metric", "ns/op", "metric unit the gate compares (ns/op, allocs/op, syscalls/op, ...)")
 	flag.Parse()
 
-	switch {
-	case *summary != "":
-		if err := writeSummary(*summary, *date); err != nil {
-			log.Fatal(err)
-		}
-	case *oldFile != "" && *newFile != "":
-		ok, err := runGate(*oldFile, *newFile, *gate, *threshold, *metric)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-	default:
+	if *oldFile == "" || *newFile == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	ok, err := runGate(os.Stdout, *oldFile, *newFile, *gate, *threshold, *metric)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !ok {
+		os.Exit(1)
 	}
 }
 
@@ -69,21 +54,9 @@ func parseFile(path string) (*benchparse.Report, error) {
 	return benchparse.Parse(f)
 }
 
-func writeSummary(path, date string) error {
-	rep, err := parseFile(path)
-	if err != nil {
-		return err
-	}
-	rep.Date = date
-	if len(rep.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmark lines in %s", path)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func runGate(oldPath, newPath, gate string, threshold float64, metric string) (bool, error) {
+// runGate prints the comparison table to w and reports whether the gate
+// holds.
+func runGate(w io.Writer, oldPath, newPath, gate string, threshold float64, metric string) (bool, error) {
 	pat, err := regexp.Compile(gate)
 	if err != nil {
 		return false, fmt.Errorf("bad -gate pattern: %v", err)
@@ -99,22 +72,22 @@ func runGate(oldPath, newPath, gate string, threshold float64, metric string) (b
 	ds := benchparse.CompareMetric(oldRep, newRep, pat, metric)
 	if len(ds) == 0 {
 		// A silent pass on an empty comparison would defeat the gate.
-		fmt.Printf("benchstat gate: no %q benchmarks reporting %s in common between %s and %s; nothing gated\n",
+		fmt.Fprintf(w, "benchstat gate: no %q benchmarks reporting %s in common between %s and %s; nothing gated\n",
 			gate, metric, oldPath, newPath)
 		return true, nil
 	}
 	ok := true
-	fmt.Printf("%-45s %14s %14s %8s\n", "benchmark", "old "+metric, "new "+metric, "delta")
+	fmt.Fprintf(w, "%-45s %14s %14s %8s\n", "benchmark", "old "+metric, "new "+metric, "delta")
 	for _, d := range ds {
 		verdict := ""
 		if d.Regression(threshold) {
 			verdict = "  << REGRESSION"
 			ok = false
 		}
-		fmt.Printf("%-45s %14.1f %14.1f %+7.1f%%%s\n", d.Name, d.Old, d.New, 100*d.Ratio, verdict)
+		fmt.Fprintf(w, "%-45s %14.1f %14.1f %+7.1f%%%s\n", d.Name, d.Old, d.New, 100*d.Ratio, verdict)
 	}
 	if !ok {
-		fmt.Printf("FAIL: gate %q exceeded the +%.0f%% %s threshold\n", gate, 100*threshold, metric)
+		fmt.Fprintf(w, "FAIL: gate %q exceeded the +%.0f%% %s threshold\n", gate, 100*threshold, metric)
 	}
 	return ok, nil
 }

@@ -1221,7 +1221,8 @@ const DefaultDrainTimeout = 2 * time.Second
 // "apply the default" is a negative value — while Timeout and Batch treat
 // anything below their minimum meaningful value as the default (a
 // non-positive receive timeout is not a workable blocking receive on every
-// fabric).
+// fabric). Reduce runs entirely in its caller's goroutine and updates the
+// counters as it goes, so a Worker serves one Reduce at a time.
 type Worker struct {
 	// ID is the worker's index within its job, 0 ≤ ID < Cfg.Workers. The
 	// transport port is Cfg.Port(Job, ID).
@@ -1298,9 +1299,9 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 	}
 }
 
-// sendVec is a Reduce sender's outgoing ADD vector over the input vector
-// vec. The packets are encoded back to back into one arena that is rewound
-// after every flush — Fabric.SendBatch lets the caller reuse pkts and their
+// sendVec is one Reduce's outgoing ADD vector over the input vector vec.
+// The packets are encoded back to back into one arena that is rewound after
+// every flush — Fabric.SendBatch lets the caller reuse pkts and their
 // backing arrays once it returns — so the steady-state send path allocates
 // nothing per chunk.
 type sendVec struct {
@@ -1339,23 +1340,35 @@ func (sv *sendVec) reset() {
 	sv.arena = sv.arena[:0]
 }
 
-// recvVec is the receiver's reusable buffer-vector size: how many
+// recvVec is a receive loop's reusable buffer-vector size: how many
 // deliveries one RecvBatch may drain. Buffers are recycled across calls,
 // so steady-state receiving allocates nothing.
 const recvVec = 64
+
+// retryBudget resolves a client's Timeout/Retries tuning: a non-positive
+// timeout means DefaultTimeout, negative retries mean DefaultRetries (zero
+// retries is fail-fast, not a sentinel).
+func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	if retries < 0 {
+		retries = DefaultRetries
+	}
+	return timeout, retries
+}
 
 // Reduce aggregates vec with the job's other workers and returns the
 // summed vector. All of a job's workers must call Reduce with equal-length
 // vectors.
 //
-// A sender goroutine fills the self-clocked window (batching eligible
-// chunks into shared send vectors the fabric coalesces) while a receiver
-// goroutine drains delivery vectors into reusable buffers and acknowledges
-// completions back to the sender, so uplink transmission overlaps downlink
-// processing. The effective batch size adapts between 1 and Batch: each
-// retransmit round halves it, a clean run of acks doubles it back — loss
-// shrinks bursts, a clean pipe amortizes datagram overhead (see
-// Worker.Batch).
+// It is one run-to-completion loop in the caller's goroutine: send the
+// first Pool chunks, then alternate — receive a delivery vector, copy out
+// every chunk it completes and queue chunk c+Pool for each, flush once. A
+// receive timeout is a stall round: retransmit what is outstanding, give
+// up after Retries of them in a row. The effective batch size adapts
+// between 1 and Batch (see Worker.Batch). The counters and LastBatch are
+// current on every return, errors included.
 func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	if w.Job < 0 || w.Job >= w.Cfg.capacity() {
 		return nil, fmt.Errorf("aggservice: job %d outside the switch's %d-job capacity", w.Job, w.Cfg.capacity())
@@ -1366,22 +1379,12 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	port := w.Cfg.Port(w.Job, w.ID)
 	modules := w.Cfg.Modules
 	pool := w.Cfg.Pool
-	prof := w.Profile
-	timeout := w.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	retries := w.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
+	timeout, retries := retryBudget(w.Timeout, w.Retries)
 	batch := w.Batch
 	if batch < 1 {
 		batch = DefaultBatch
 	}
-	if m := maxBatchChunks(modules); batch > m {
-		batch = m
-	}
+	batch = min(batch, maxBatchChunks(modules))
 
 	nChunks := (len(vec) + modules - 1) / modules
 	out := make([]float32, len(vec))
@@ -1389,243 +1392,139 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		return out, nil
 	}
 
-	acks := make(chan int, nChunks) // receiver → sender: completed chunks
-	stallc := make(chan struct{}, 1)
-	bpc := make(chan struct{}, 1) // receiver → sender: scheduler backpressure
-	quit := make(chan struct{})
-	var quitOnce sync.Once
-	abort := func() { quitOnce.Do(func() { close(quit) }) }
+	// The window: chunk c is outstanding while sent[c] && !done[c]. stalls
+	// counts consecutive receive timeouts, against the retry budget.
+	sent := make([]bool, nChunks)
+	done := make([]bool, nChunks)
+	nDone, stalls := 0, 0
 
-	var sendErr, recvErr error
-	var sentMsgs, sentDgrams uint64
-	var shrinks, grows uint64
-	var bpAcks uint64
-	finalBatch := batch
-	var wg sync.WaitGroup
-	wg.Add(2)
+	// cur is the adaptive batch size, seeded from the last Reduce so a
+	// lossy path stays conservative across rounds; cleanAcks is the
+	// completion streak since the last stall, the grow signal.
+	cur := w.LastBatch
+	if cur < 1 || cur > batch {
+		cur = batch
+	}
+	cleanAcks := 0
+	defer func() { w.LastBatch = cur }()
+	shrink := func() {
+		if cur > 1 {
+			cur /= 2
+			w.BatchShrinks++
+		}
+		cleanAcks = 0
+	}
 
-	// Sender: owns the sent/done window view and the adaptive batch size.
-	go func() {
-		defer wg.Done()
-		defer abort()
-		sent := make([]bool, nChunks)
-		done := make([]bool, nChunks)
-		nDone := 0
+	// The send side: queue encodes chunk c into the send vector, flush
+	// hands the vector to the fabric. The first SendBatch error sticks in
+	// sendErr, turns later flushes into no-ops and ends the loop.
+	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, batch, vec)
+	var sendErr error
+	flush := func() {
+		if len(sv.msgs) > 0 && sendErr == nil {
+			w.SentPackets += uint64(len(sv.msgs))
+			w.SentDatagrams++
+			sendErr = w.Fabric.SendBatch(port, sv.msgs)
+		}
+		sv.reset()
+	}
+	queue := func(c int) {
+		sv.add(c)
+		sent[c] = true
+		if len(sv.msgs) >= cur {
+			flush()
+		}
+	}
 
-		// cur is the adaptive batch size, seeded from the last Reduce so
-		// a lossy path stays conservative across rounds; cleanAcks is the
-		// ack streak since the last stall, the grow signal.
-		cur := w.LastBatch
-		if cur < 1 || cur > batch {
-			cur = batch
-		}
-		cleanAcks := 0
-		defer func() { finalBatch = cur }()
-
-		sv := newSendVec(w.Job, w.Epoch, prof, modules, batch, vec)
-		flush := func() error {
-			if len(sv.msgs) == 0 {
-				return nil
-			}
-			sentMsgs += uint64(len(sv.msgs))
-			sentDgrams++
-			err := w.Fabric.SendBatch(port, sv.msgs)
-			sv.reset()
-			return err
-		}
-		queue := func(c int) error {
-			sv.add(c)
-			sent[c] = true
-			if len(sv.msgs) >= cur {
-				return flush()
-			}
-			return nil
-		}
-		// ack marks chunk c complete and opens exactly chunk c+pool's
-		// window slot — per-slot self-clocking, so one straggling chunk
-		// never blocks the slots behind it. A streak of clean acks twice
-		// the current batch doubles it back toward the ceiling.
-		ack := func(c int) error {
-			done[c] = true
-			nDone++
-			cleanAcks++
-			if cur < batch && cleanAcks >= 2*cur {
-				cur *= 2
-				if cur > batch {
-					cur = batch
-				}
-				grows++
-				cleanAcks = 0
-			}
-			if c+pool < nChunks {
-				return queue(c + pool)
-			}
-			return nil
-		}
-		retransmit := func() error {
-			for c := 0; c < nChunks; c++ {
-				if sent[c] && !done[c] {
-					sv.add(c)
-					if len(sv.msgs) >= cur {
-						if err := flush(); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return flush()
-		}
-
-		// Initial window: the first pool chunks are ungated.
-		for c := 0; c < nChunks && c < pool; c++ {
-			if sendErr = queue(c); sendErr != nil {
-				return
-			}
-		}
-		if sendErr = flush(); sendErr != nil {
+	// complete takes chunk c's aggregated values, whichever downlink
+	// message carried them, and opens exactly chunk c+pool's window slot —
+	// per-slot self-clocking, so one straggling chunk never blocks the
+	// slots behind it. A streak of clean completions twice the current
+	// batch doubles it back toward the ceiling.
+	complete := func(chunk uint32, vals []float32, _ bool) {
+		c := int(chunk)
+		if c >= nChunks || done[c] {
 			return
 		}
-		for {
-			select {
-			case c := <-acks:
-				if sendErr = ack(c); sendErr != nil {
-					return
-				}
-				// Drain whatever else completed so one flush batches the
-				// whole freed window.
-				for drained := false; !drained; {
-					select {
-					case c2 := <-acks:
-						if sendErr = ack(c2); sendErr != nil {
-							return
-						}
-					default:
-						drained = true
-					}
-				}
-				if sendErr = flush(); sendErr != nil {
-					return
-				}
-				if nDone == nChunks {
-					return
-				}
-			case <-stallc:
-				// A stall means retransmits are due: halve the batch so
-				// the recovery burst is small, and restart the streak.
-				if cur > 1 {
-					cur /= 2
-					shrinks++
-				}
-				cleanAcks = 0
-				if sendErr = retransmit(); sendErr != nil {
-					return
-				}
-			case <-bpc:
-				// The switch's scheduler deferred a bind: our job is over
-				// its deficit while other tenants hold budget. Back the
-				// batch off so the next burst fits the replenished deficit,
-				// but do NOT retransmit — the deferred chunk is recovered
-				// by the timeout path once the round turns over, and
-				// hammering it now would only be deferred again.
-				if cur > 1 {
-					cur /= 2
-					shrinks++
-				}
-				cleanAcks = 0
-			case <-quit:
-				return
-			}
+		done[c] = true
+		nDone++
+		stalls = 0
+		copy(out[c*modules:min(len(vec), (c+1)*modules)], vals)
+		cleanAcks++
+		if cur < batch && cleanAcks >= 2*cur {
+			cur = min(2*cur, batch)
+			w.BatchGrows++
+			cleanAcks = 0
 		}
-	}()
+		if c+pool < nChunks {
+			queue(c + pool)
+		}
+	}
 
-	// Receiver: owns the output vector and completion marking, draining
-	// delivery vectors into reusable buffers.
-	go func() {
-		defer wg.Done()
-		done := make([]bool, nChunks)
-		nDone := 0
-		stalls := 0
-		bufs := make([][]byte, recvVec)
-		decoded := make([]float32, modules) // readDownlink's reused decode buffer
-		// mark completes a chunk with its aggregated values, whichever
-		// downlink message carried them.
-		mark := func(chunk uint32, vals []float32, _ bool) {
-			c := int(chunk)
-			if c >= nChunks || done[c] {
-				return
+	// Initial window: the first pool chunks are ungated.
+	for c := 0; c < nChunks && c < pool; c++ {
+		queue(c)
+	}
+	flush()
+
+	bufs := make([][]byte, recvVec)
+	decoded := make([]float32, modules) // readDownlink's reused decode buffer
+	for nDone < nChunks && sendErr == nil {
+		k, err := w.Fabric.RecvBatch(port, bufs, timeout)
+		if err == transport.ErrTimeout {
+			if stalls++; stalls > retries {
+				return nil, fmt.Errorf("aggservice: job %d worker %d gave up after %d stalls", w.Job, w.ID, stalls)
 			}
-			stalls = 0
-			done[c] = true
-			nDone++
-			copy(out[c*modules:min(len(vec), (c+1)*modules)], vals)
-			acks <- c // buffered nChunks deep: never blocks
+			// A stall means retransmits are due: halve the batch so the
+			// recovery burst is small, then resend what is outstanding.
+			shrink()
+			for c := range sent {
+				if sent[c] && !done[c] {
+					queue(c)
+				}
+			}
+			flush()
+			continue
 		}
-		for nDone < nChunks {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			k, err := w.Fabric.RecvBatch(port, bufs, timeout)
-			if err == transport.ErrTimeout {
-				stalls++
-				if stalls > retries {
-					recvErr = fmt.Errorf("aggservice: job %d worker %d gave up after %d stalls", w.Job, w.ID, stalls)
-					abort()
-					return
-				}
-				select {
-				case stallc <- struct{}{}:
-				default:
-				}
+		if err != nil {
+			return nil, err
+		}
+		backedOff := false
+		for _, msg := range bufs[:k] {
+			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, decoded, complete)
+			if !ok {
 				continue
 			}
-			if err != nil {
-				recvErr = err
-				abort()
-				return
-			}
-			for _, msg := range bufs[:k] {
-				notice, ok := readDownlink(msg, w.Job, w.Epoch, prof, decoded, mark)
-				if !ok {
-					continue
-				}
-				switch notice {
-				case AckEvicted, AckDraining:
-					// The switch refuses our chunks because the job is
-					// draining or already evicted. There is no recovering
-					// by retransmit — fail fast.
-					recvErr = fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, ErrJobEvicted)
-					abort()
-					return
-				case AckBackpressure:
-					// The scheduler deferred a bind: signal the sender to
-					// back its batch off. The switch is demonstrably alive
-					// and the job admitted, so this round of waiting must
-					// not eat the retry budget.
-					bpAcks++
-					stalls = 0
-					select {
-					case bpc <- struct{}{}:
-					default:
-					}
+			switch notice {
+			case AckEvicted, AckDraining:
+				// The switch refuses our chunks because the job is
+				// draining or already evicted. There is no recovering by
+				// retransmit — fail fast.
+				return nil, fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, ErrJobEvicted)
+			case AckBackpressure:
+				// The scheduler deferred a bind: our job is over its
+				// deficit while other tenants hold budget. The switch is
+				// demonstrably alive and the job admitted, so this wait
+				// must not eat the retry budget. Back the batch off (once
+				// per received vector, however many notices it carries) so
+				// the next burst fits the replenished deficit, but do NOT
+				// retransmit — the deferred chunk is recovered by the
+				// timeout path once the round turns over, and hammering it
+				// now would only be deferred again.
+				w.BackpressureAcks++
+				stalls = 0
+				if !backedOff {
+					shrink()
+					backedOff = true
 				}
 			}
 		}
-	}()
-
-	wg.Wait()
-	w.SentPackets += sentMsgs
-	w.SentDatagrams += sentDgrams
-	w.BatchShrinks += shrinks
-	w.BatchGrows += grows
-	w.BackpressureAcks += bpAcks
-	w.LastBatch = finalBatch
+		// One flush per received vector: the whole freed window shares
+		// send vectors the fabric coalesces.
+		flush()
+	}
 	if sendErr != nil {
 		return nil, sendErr
-	}
-	if recvErr != nil {
-		return nil, recvErr
 	}
 	return out, nil
 }

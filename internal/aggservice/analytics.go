@@ -666,10 +666,12 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	out.Unicast(worker, reply)
 }
 
-// homeShard maps a slot range to the shard holding its analytics state:
-// the shard its first slot stripes to.
+// homeShard maps a slot range to the shard whose lock guards its analytics
+// state. Ranges spread round-robin so tenants fold and drain in parallel;
+// the shard a range's first slot stripes to would be shard 0 for every
+// range whenever Shards divides 2·Pool, putting all of them behind one lock.
 func (s *Switch) homeShard(ri int) int {
-	return (ri * 2 * s.cfg.Pool) % s.nsh
+	return ri % s.nsh
 }
 
 // JobClass reports a job id's workload-class descriptor (training for
@@ -739,14 +741,7 @@ func (c *TupleClient) Send(op TupleOp, keys []uint32, vals []float32) ([]int, er
 // sendOne delivers one wire batch stop-and-wait, retrying on loss and
 // backing off on scheduler backpressure.
 func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	retries := c.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
+	timeout, retries := retryBudget(c.Timeout, c.Retries)
 	port := c.Cfg.Port(c.Job, c.ID)
 	pkt := EncodeTuples(c.Job, c.seq, c.Epoch, op, keys, vals)
 	if c.bufs == nil {

@@ -163,6 +163,21 @@ func analyticsCfg(workers int, ac AdmitClass) Config {
 	}
 }
 
+// TestAnalyticsRangesSpreadOverShards: neighbouring slot ranges keep their
+// analytics state behind different shard locks. (Under the first-slot rule
+// every range landed on shard 0 whenever Shards divides 2·Pool — as here —
+// so two tenants' folds and drains serialised on one lock.)
+func TestAnalyticsRangesSpreadOverShards(t *testing.T) {
+	sw, err := NewSwitch(analyticsCfg(1, AdmitClass{Class: ClassQuery, Groups: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if a, b := sw.homeShard(0), sw.homeShard(1); a == b {
+		t.Errorf("ranges 0 and 1 share home shard %d of %d", a, sw.Shards())
+	}
+}
+
 // drainVia harvests analytics state through the observer frame against an
 // in-process switch.
 func drainVia(t *testing.T, sw *Switch, job int, kind DrainKind, flags uint8, nonce uint32) []DrainEntry {

@@ -346,23 +346,27 @@
 //
 // # Host side
 //
-// Worker.Reduce overlaps I/O: a sender goroutine fills the self-clocked
-// window while a receiver goroutine drains results, so transmission and
-// completion processing proceed concurrently. Both directions are
-// vectored — the sender submits eligible chunks as one Fabric.SendBatch
-// vector the transport coalesces into batch-framed datagrams, and the
-// receiver drains delivery vectors into reusable buffers
+// Worker.Reduce is one run-to-completion loop in its caller's goroutine —
+// the polling-loop shape of the paper's DPDK worker: it sends the first
+// Pool chunks, then alternates between receiving a delivery vector and
+// sending the chunks that vector freed (a completed chunk c opens exactly
+// chunk c+Pool's slot), with a receive timeout as the retransmit round.
+// It starts no goroutine and makes no channel, so one reduce is a strict
+// send/receive sequence a scripted fabric can step (worker_test.go). Both
+// directions are vectored — the chunks a received vector frees go out as
+// Fabric.SendBatch vectors the transport coalesces into batch-framed
+// datagrams, and deliveries are drained into reusable buffers
 // (Fabric.RecvBatch), so steady-state receiving allocates nothing.
 // Workers carry their job id and incarnation epoch in every ADD and
-// filter results to their own job. The receiver's decode step — notices
-// filtered by job and epoch, RESULT and RESULT RUN bodies handed out per
-// chunk — is the same function a tree leaf's uplink uses (readDownlink),
-// so a downlink message is taught to the protocol once.
+// filter results to their own job. The decode step — notices filtered by
+// job and epoch, RESULT and RESULT RUN bodies handed out per chunk — is
+// the same function a tree leaf's uplink uses (readDownlink), so a
+// downlink message is taught to the protocol once.
 //
 // The batch size adapts to the observed ack/retransmit ratio between 1
 // and Worker.Batch: every retransmit round halves it (under loss, smaller
 // bursts localize the damage and recover faster) and a clean streak of
-// acks doubles it back (on a clean pipe, bigger vectors amortize
+// completions doubles it back (on a clean pipe, bigger vectors amortize
 // per-datagram overhead). The controller's activity is observable as
 // Worker.BatchShrinks/BatchGrows/LastBatch, and the size survives across
 // Reduce calls so a lossy path stays conservative between rounds.

@@ -134,14 +134,7 @@ type uplinkJob struct {
 // incarnation.
 func newUplinkJob(s *Switch, inc *incarnation, parentEpoch uint8) *uplinkJob {
 	u := s.cfg.Uplink
-	timeout := u.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	retries := u.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
+	timeout, retries := retryBudget(u.Timeout, u.Retries)
 	return &uplinkJob{
 		s: s, inc: inc,
 		parentEpoch: parentEpoch,

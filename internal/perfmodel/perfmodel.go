@@ -10,7 +10,7 @@
 //
 // Integration status: analytic only — it predicts goodput from protocol
 // structure and is not yet cross-checked against the measured throughput
-// of the runtime switch (BenchmarkShardedSwitch, BenchmarkTreeAggregation);
+// of the runtime switch (BenchmarkShardedSwitch, bench/'s train-* workloads);
 // closing that loop is a ROADMAP item. Consumed by cmd/fpisa-bench
 // (Fig. 10/11 regeneration) and bench_test.go.
 package perfmodel
