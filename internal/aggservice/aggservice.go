@@ -266,11 +266,13 @@ func (c *Config) ClampShards() {
 func (c Config) Port(job, worker int) int { return job*c.Workers + worker }
 
 // aggregator is the pipeline surface a shard drives — the seam that lets
-// tests inject pipeline faults. Both operations decode into res, reusing
+// tests inject pipeline faults. Every operation decodes into res, reusing
 // its slices (core.ProfileAggregator.AddInto); a nil res discards the
-// response unread.
+// response unread. SetInto is the first ADD of a slot version: it adds
+// into the slot as if freshly zeroed, in the same single pass.
 type aggregator interface {
 	AddInto(idx int, vals []float32, res *core.Result) error
+	SetInto(idx int, vals []float32, res *core.Result) error
 	ReadResetInto(idx int, res *core.Result) error
 }
 
@@ -935,12 +937,14 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	st := &sh.slot[li]
 	chunk := a.chunk
 
+	fresh := int64(chunk) > st.chunk
+	charge := false
 	switch {
 	case int64(chunk) < st.chunk:
 		// Stale retransmit for a chunk every worker already completed
 		// (guaranteed by the self-clocked window); ignore.
 		return
-	case int64(chunk) > st.chunk:
+	case fresh:
 		// First packet of a new chunk binds the slot (pool versioning).
 		// A draining job may finish chunks already in flight but binds
 		// nothing new — that is what lets its range quiesce.
@@ -967,7 +971,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// and recovers through its own retransmit path, never holding a
 		// slot. The scheduler refunds a bind the quota (or the pipeline)
 		// vetoed — the job is not billed for work that never ran.
-		charge := !st.outstanding
+		charge = !st.outstanding
 		if charge {
 			n := js.outstanding.Add(1)
 			if q := int64(s.cfg.MaxOutstanding); q > 0 && n > q {
@@ -977,27 +981,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 				return
 			}
 		}
-		if err := agg.ReadResetInto(ai, nil); err != nil {
-			if charge {
-				js.outstanding.Add(-1)
-			}
-			sh.sched.refund(job)
-			return
-		}
-		st.outstanding = true
-		st.chunk = int64(chunk)
-		st.upPending = false
-		for i := range st.seen {
-			st.seen[i] = false
-		}
-		st.nSeen = 0
-		if st.cached != nil {
-			js.cacheBytes.Add(-int64(len(st.cached)))
-			st.cached = nil
-		}
-	}
-
-	if st.seen[wij] {
+	case st.seen[wij]:
 		js.retransmits.Add(1)
 		if st.cached != nil {
 			// The worker missed the broadcast; replay the result.
@@ -1022,7 +1006,29 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
 	res := &sc.res
-	if err := agg.AddInto(ai, vals, res); err != nil {
+	if fresh {
+		// The first ADD of a slot version binds by overwrite: one pipeline
+		// pass stores the values over whatever the slot's previous chunk
+		// left, and the slot is bound only once that pass has succeeded —
+		// a failed one leaves the slot's protocol state and the job's
+		// ledgers as they were.
+		if err := agg.SetInto(ai, vals, res); err != nil {
+			if charge {
+				js.outstanding.Add(-1)
+			}
+			sh.sched.refund(job)
+			return
+		}
+		st.outstanding = true
+		st.chunk = int64(chunk)
+		st.upPending = false
+		clear(st.seen)
+		st.nSeen = 0
+		if st.cached != nil {
+			js.cacheBytes.Add(-int64(len(st.cached)))
+			st.cached = nil
+		}
+	} else if err := agg.AddInto(ai, vals, res); err != nil {
 		return
 	}
 	st.seen[wij] = true

@@ -302,6 +302,17 @@
 // size and replay hits are tracked per job as CacheBytes/CacheHits), and
 // a released slot range drops its caches wholesale.
 //
+// A slot is recycled by overwrite, not by a reset pass: the first ADD of a
+// new chunk passes the draining, scheduler and quota gates, then runs ONE
+// pipeline pass (the aggregator's SetInto, opcode core.PktSet) that stores
+// its values over whatever the slot's previous chunk left — bit for bit
+// what a read-reset followed by an add would leave. Only when that pass
+// has succeeded is the slot bound to the chunk; a failed pass refunds the
+// quota and the scheduler and leaves the slot unbound, so the sender's
+// retransmit binds it as if nothing had happened. Every later worker's
+// ADD is one AddInto pass, duplicates and replays are answered before the
+// pipeline, so a chunk costs exactly one pass per contribution.
+//
 // # Aggregation trees (uplink role)
 //
 // Switches compose into a multi-level aggregation tree — the paper's

@@ -33,8 +33,9 @@ func (b addBatch) retarget(first uint32) {
 
 // TestHandleBatchAllocations gates the switch side of the hot path on both
 // aggregator backends: an ADD batch that completes nothing allocates
-// nothing (validate, shard lock round, bind-time read-reset and the add all
-// run on pooled or replica-owned scratch), and a completing batch allocates
+// nothing (validate, shard lock round and the SetInto pass that binds each
+// chunk all run on pooled or replica-owned scratch), and a completing batch
+// (the second worker's AddInto passes) allocates
 // only what outlives the call — each chunk's cached RESULT and the run
 // reply that carries consecutive ones.
 func TestHandleBatchAllocations(t *testing.T) {
@@ -92,6 +93,74 @@ func TestHandleBatchAllocations(t *testing.T) {
 		}
 		sw.Close()
 	}
+}
+
+// TestPipelinePassesPerChunk pins the pass count of the slot protocol as an
+// exact number, not a timing: every contribution costs one pipeline pass and
+// nothing else does — the first ADD of a chunk binds its slot by overwrite
+// instead of spending a read-reset pass first. Retransmits, replays and
+// refused binds never reach the pipeline, so the count does not depend on
+// scheduling.
+func TestPipelinePassesPerChunk(t *testing.T) {
+	const n = 64 // chunks (Modules is 1)
+
+	t.Run("flat", func(t *testing.T) {
+		cfg := Config{Workers: 2, Pool: 4, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Close()
+		passes := countPasses(t, sw, 0)
+		fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fab.Close()
+		vecs := gridVecs(cfg.Workers, n)
+		var wg sync.WaitGroup
+		for w := range vecs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if _, err := NewWorker(w, fab, cfg).Reduce(vecs[w]); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got := passes(); got != 2*n {
+			t.Fatalf("%d pipeline passes for %d two-worker chunks, want %d", got, n, 2*n)
+		}
+	})
+
+	// One worker under each of two leaves: a chunk costs one pass per leaf
+	// (each leaf's only contribution binds and completes its slot) and two
+	// at the spine.
+	t.Run("tree", func(t *testing.T) {
+		leafCfg := Config{Workers: 1, Pool: 4, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+		spineCfg := leafCfg
+		spineCfg.Workers = 2
+		spine, leaves, fabs := buildTree(t, leafCfg, spineCfg, 2, 0, 1, 0, -1)
+		counts := []func() uint64{countPasses(t, spine, 0)}
+		for _, l := range leaves {
+			counts = append(counts, countPasses(t, l, 0))
+		}
+		_, errs := treeReduce(leaves, fabs, leafCfg, 0, []uint8{0, 0}, gridVecs(len(leaves), n),
+			50*time.Millisecond, 500)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("tree worker %d: %v", i, err)
+			}
+		}
+		var got uint64
+		for _, c := range counts {
+			got += c()
+		}
+		if got != 4*n {
+			t.Fatalf("%d pipeline passes for %d chunks through 2 leaves and a spine, want %d", got, n, 4*n)
+		}
+	})
 }
 
 // nullFabric accepts and discards send vectors.

@@ -129,24 +129,68 @@ func TestShardedReduceUnderLoss(t *testing.T) {
 	}
 }
 
-// flakyAgg injects pipeline faults into a shard's aggregator.
+// flakyAgg injects pipeline faults into a shard's aggregator: the next
+// failNext adding passes (a slot version's first ADD or a later one) fail.
 type flakyAgg struct {
 	aggregator
 	failNext int
 }
 
-func (f *flakyAgg) AddInto(idx int, vals []float32, res *core.Result) error {
+func (f *flakyAgg) fault() error {
 	if f.failNext > 0 {
 		f.failNext--
 		return errors.New("injected pipeline fault")
 	}
+	return nil
+}
+
+func (f *flakyAgg) AddInto(idx int, vals []float32, res *core.Result) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
 	return f.aggregator.AddInto(idx, vals, res)
 }
 
-// TestAddFailureLeavesSlotRetransmittable is the regression test for the
-// seen-before-add bug: a failed pipeline add must not mark the worker's
-// contribution as arrived, so a retransmit of the same packet can still
-// complete the chunk with the correct sum.
+func (f *flakyAgg) SetInto(idx int, vals []float32, res *core.Result) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.aggregator.SetInto(idx, vals, res)
+}
+
+// countPasses swaps every bank of job's live incarnation for a bare
+// compiled pipeline (core.ProfileAggregator hides its pisa.Switch; the seam
+// takes a *core.PipelineAggregator as it is) and returns a function summing
+// the packets those pipelines received: the exact number of pipeline passes
+// the job's traffic cost this switch. Call it before any traffic flows.
+func countPasses(t *testing.T, sw *Switch, job int) func() uint64 {
+	t.Helper()
+	cfg := sw.cfg
+	proto, err := core.NewPipelineAggregator(core.DefaultFP32(cfg.Mode), cfg.Modules, 2*cfg.Pool, cfg.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banks := sw.jobs[job].live.Load().banks
+	pipes := make([]*core.PipelineAggregator, len(banks))
+	for k := range banks {
+		pipes[k] = proto.Replicate()
+		banks[k] = pipes[k]
+	}
+	return func() (n uint64) {
+		for _, p := range pipes {
+			n += p.Switch().Counters().Received
+		}
+		return n
+	}
+}
+
+// TestAddFailureLeavesSlotRetransmittable covers a failed pipeline pass on
+// both halves of a chunk. A failed FIRST add (the pass that binds the slot
+// by overwrite) must leave the slot unbound and every ledger the bind
+// charged back where it was, so the retransmit binds as if nothing had
+// happened. A failed LATER add must not mark the worker's contribution as
+// arrived (the seen-before-add bug), so its retransmit still completes the
+// chunk with the correct sum.
 func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	cfg := Config{Workers: 2, Pool: 1, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 	sw, err := NewSwitch(cfg)
@@ -154,25 +198,52 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := sw.shards[0]
-	banks := sw.jobs[0].live.Load().banks
-	banks[0] = &flakyAgg{aggregator: banks[0], failNext: 1}
+	inc := sw.jobs[0].live.Load()
+	flaky := &flakyAgg{aggregator: inc.banks[0], failNext: 1}
+	inc.banks[0] = flaky
+	st, js := &sh.slot[0], &sw.jobs[0]
+	unbound := st.chunk
 
-	pkt := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
-	if ds := handle(sw, 0, pkt); ds != nil {
-		t.Fatalf("failed add returned deliveries: %v", ds)
+	pkt0 := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
+	if ds := handle(sw, 0, pkt0); ds != nil {
+		t.Fatalf("failed first add returned deliveries: %v", ds)
 	}
-	if st := &sh.slot[0]; st.seen[0] || st.nSeen != 0 {
-		t.Fatalf("failed add marked worker seen (nSeen=%d)", st.nSeen)
+	if st.chunk != unbound || st.outstanding || st.seen[0] || st.nSeen != 0 {
+		t.Fatalf("failed first add bound the slot: chunk=%d outstanding=%v nSeen=%d", st.chunk, st.outstanding, st.nSeen)
+	}
+	if n := js.outstanding.Load(); n != 0 {
+		t.Fatalf("failed first add left outstanding=%d", n)
+	}
+	if d := sh.sched.jobs[0].deficit; d != inc.quantum() {
+		t.Fatalf("failed first add billed the scheduler: deficit %d of %d", d, inc.quantum())
 	}
 	if adds, _, _ := sw.Stats(); adds != 0 {
+		t.Fatalf("failed first add counted: adds=%d", adds)
+	}
+
+	// The retransmit binds the slot.
+	if ds := handle(sw, 0, pkt0); ds != nil {
+		t.Fatalf("retransmit should not complete the chunk yet: %v", ds)
+	}
+	if st.chunk != 0 || !st.seen[0] || st.nSeen != 1 || js.outstanding.Load() != 1 {
+		t.Fatalf("retransmit did not bind: chunk=%d nSeen=%d outstanding=%d", st.chunk, st.nSeen, js.outstanding.Load())
+	}
+
+	// The second worker's add fails: the slot stays bound, the worker unseen.
+	flaky.failNext = 1
+	pkt1 := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{2.25})
+	if ds := handle(sw, 1, pkt1); ds != nil {
+		t.Fatalf("failed add returned deliveries: %v", ds)
+	}
+	if st.chunk != 0 || st.seen[1] || st.nSeen != 1 {
+		t.Fatalf("failed add marked worker seen or unbound the slot (chunk=%d nSeen=%d)", st.chunk, st.nSeen)
+	}
+	if adds, _, _ := sw.Stats(); adds != 1 {
 		t.Fatalf("failed add counted: adds=%d", adds)
 	}
 
-	// The retransmit now succeeds and the chunk completes with the right sum.
-	if ds := handle(sw, 0, pkt); ds != nil {
-		t.Fatalf("retransmit should not complete the chunk yet: %v", ds)
-	}
-	ds := handle(sw, 1, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{2.25}))
+	// Its retransmit completes the chunk with the right sum.
+	ds := handle(sw, 1, pkt1)
 	if len(ds) != 1 || !ds[0].Broadcast {
 		t.Fatalf("chunk did not complete: %v", ds)
 	}
@@ -181,7 +252,29 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if vals[0] != 3.75 {
-		t.Fatalf("sum = %g, want 3.75 (worker 0's contribution lost?)", vals[0])
+		t.Fatalf("sum = %g, want 3.75 (a contribution lost or doubled?)", vals[0])
+	}
+}
+
+// A first ADD the MaxOutstanding quota vetoes runs no pipeline pass at all:
+// the gates come before the one pass that binds.
+func TestQuotaVetoRunsNoPipelinePass(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 2, Modules: 1, MaxOutstanding: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := countPasses(t, sw, 0)
+	handle(sw, 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}))
+	if n := passes(); n != 1 {
+		t.Fatalf("binding chunk 0 took %d pipeline passes, want 1", n)
+	}
+	handle(sw, 0, EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{2}))
+	if st, _ := sw.JobStats(0); st.QuotaDrops != 1 || st.Outstanding != 1 {
+		t.Fatalf("quotaDrops=%d outstanding=%d, want 1/1", st.QuotaDrops, st.Outstanding)
+	}
+	if n := passes(); n != 1 {
+		t.Fatalf("a quota-vetoed first ADD ran the pipeline: %d passes, want 1", n)
 	}
 }
 

@@ -30,7 +30,7 @@
 //
 // Both aggregation backends (PipelineAggregator on the compiled pipeline,
 // ProfileAggregator's accumulator bank for non-default profiles) expose one
-// operation set in two forms. AddInto/ReadInto/ReadResetInto decode the
+// operation set in two forms. AddInto/SetInto/ReadInto/ReadResetInto decode the
 // response into a Result the caller supplies, reusing its slices, and
 // allocate nothing in steady state; the pipeline scratch they run on (the
 // aggregator's request packet, the pisa.Switch's PHV and deparse buffer) is

@@ -66,7 +66,10 @@ func TestIntoMatchesFreshResults(t *testing.T) {
 // A nil Result discards the response but keeps the register side effect.
 func TestIntoNilResultStillOperates(t *testing.T) {
 	for name, pa := range intoBackends(t) {
-		if err := pa.AddInto(2, []float32{1.5, 2, 3}, nil); err != nil {
+		if err := pa.AddInto(2, []float32{9, 9, 9}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := pa.SetInto(2, []float32{1.5, 2, 3}, nil); err != nil { // overwrites the 9s
 			t.Fatal(err)
 		}
 		r, err := pa.Add(2, []float32{0.5, 0, 0})
@@ -74,7 +77,7 @@ func TestIntoNilResultStillOperates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.Values[0] != 2 || r.Values[2] != 3 || r.Count != 2 {
-			t.Errorf("%s: after a discarded add: %+v", name, r)
+			t.Errorf("%s: after a discarded add and set: %+v", name, r)
 		}
 		if err := pa.ReadResetInto(2, nil); err != nil {
 			t.Fatal(err)
@@ -115,6 +118,12 @@ func TestIntoAllocatesNothing(t *testing.T) {
 			}
 			n++
 		})
+		allocgate.AtMost(t, name+" SetInto", 0, func() {
+			if err := pa.SetInto(n%16, vals, &res); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
 		allocgate.AtMost(t, name+" ReadResetInto", 0, func() {
 			if err := pa.ReadResetInto(n%16, &res); err != nil {
 				t.Fatal(err)
@@ -122,6 +131,9 @@ func TestIntoAllocatesNothing(t *testing.T) {
 			n++
 		})
 		allocgate.AtMost(t, name+" discarding", 0, func() {
+			if err := pa.SetInto(n%16, vals, nil); err != nil {
+				t.Fatal(err)
+			}
 			if err := pa.AddInto(n%16, vals, nil); err != nil {
 				t.Fatal(err)
 			}

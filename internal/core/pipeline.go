@@ -159,6 +159,14 @@ func (pa *PipelineAggregator) AddInto(idx int, vals []float32, res *Result) erro
 	return pa.do(PktAdd, idx, vals, res)
 }
 
+// SetInto is AddInto into a slot treated as freshly zeroed: whatever the
+// slot held is overwritten in the same single pipeline pass (PktSet), and
+// res and the slot's registers end up exactly as ReadResetInto followed by
+// AddInto leave them. See AddInto for the storage contract.
+func (pa *PipelineAggregator) SetInto(idx int, vals []float32, res *Result) error {
+	return pa.do(PktSet, idx, vals, res)
+}
+
 // ReadInto stores the slot's renormalized sums in res without modifying
 // state; see AddInto for the storage contract.
 func (pa *PipelineAggregator) ReadInto(idx int, res *Result) error {

@@ -151,8 +151,8 @@ func TestPipelineOverflowSticky(t *testing.T) {
 }
 
 // TestPipelineEquivalence is the central property test: the pipeline
-// execution must be bit-identical to the software model, add for add and
-// read for read, in both modes.
+// execution must be bit-identical to the software model, add for add, set
+// for set and read for read, in both modes.
 func TestPipelineEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,7 +182,7 @@ func TestPipelineEquivalence(t *testing.T) {
 
 			for step := 0; step < 3000; step++ {
 				slot := rng.Intn(slots)
-				switch rng.Intn(10) {
+				switch roll := rng.Intn(10); roll {
 				case 0: // read
 					r, err := pa.Read(slot)
 					if err != nil {
@@ -202,9 +202,16 @@ func TestPipelineEquivalence(t *testing.T) {
 					if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
 						t.Fatalf("step %d: readreset mismatch", step)
 					}
-				default: // add
+				default: // add; roll 2 is a slot version's first add (PktSet)
 					v := randVal()
-					r, err := pa.Add(slot, []float32{v})
+					var r Result
+					var err error
+					if roll == 2 {
+						model.Reset(slot)
+						err = pa.SetInto(slot, []float32{v}, &r)
+					} else {
+						r, err = pa.Add(slot, []float32{v})
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -365,6 +365,20 @@ func (pa *ProfileAggregator) AddInto(idx int, vals []float32, res *Result) error
 	return nil
 }
 
+// SetInto is AddInto into a slot treated as freshly zeroed — the first ADD
+// of a slot version. The compiled path overwrites the slot in one pipeline
+// pass (PktSet); the model path resets, then adds. Either way res and the
+// slot end up exactly as ReadResetInto followed by AddInto leave them.
+func (pa *ProfileAggregator) SetInto(idx int, vals []float32, res *Result) error {
+	if pa.pipe != nil {
+		return pa.pipe.SetInto(idx, vals, res)
+	}
+	if err := pa.ReadResetInto(idx, nil); err != nil {
+		return err
+	}
+	return pa.AddInto(idx, vals, res)
+}
+
 // ReadResetInto stores the sums in res and zeroes the slot and its
 // counter; see AddInto for the storage contract.
 func (pa *ProfileAggregator) ReadResetInto(idx int, res *Result) error {

@@ -202,7 +202,16 @@ func TestProfileAggregatorModelMatchesAccumulator(t *testing.T) {
 		for k := range vals {
 			vals[k] = float32(rng.NormFloat64()) * float32(math.Pow(2, float64(rng.Intn(8)-4)))
 		}
-		res, err := pa.Add(idx, vals)
+		var res Result
+		if n%5 == 4 {
+			// A slot version's first add: the model resets, then adds.
+			for k := range vals {
+				ref.Reset(idx*modules + k)
+			}
+			err = pa.SetInto(idx, vals, &res)
+		} else {
+			res, err = pa.Add(idx, vals)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,12 @@ const (
 	// PktReadReset returns the values and zeroes the slot (and its
 	// counters) — the aggregation-slot-reuse primitive.
 	PktReadReset = 2
+	// PktSet accumulates the packet's values into the indexed slot as if it
+	// had just been zeroed: the registers are overwritten, not read, so the
+	// first ADD of a slot version needs no reset pass before it. The
+	// response and the slot state are exactly those of PktReadReset followed
+	// by PktAdd.
+	PktSet = 3
 )
 
 // Packet layout constants (see BuildProgram).
@@ -64,6 +70,18 @@ func MaxModules(arch pisa.Arch) int {
 // the mantissa register — a predicated add for FPISA-A, an atomic
 // read-shift-add-write for full FPISA. Egress renormalizes via the Fig. 5
 // LPM count-leading-zeros table and reassembles the FP32 result.
+//
+// The op octet keys one exact table per register (cnt, and exp/man/ovf per
+// module), each holding four register actions: PktAdd accumulates, PktRead
+// reads, PktReadReset reads and zeroes, and PktSet accumulates into the slot
+// as if it were zero — every register is overwritten instead of read, and
+// since exp_set drives no e_old the alignment dataflow sees the 0 a reset
+// would have left. Over the three-opcode program PktSet costs one more
+// entry and action per table and one more VLIW instruction per module
+// (exp_set repeats exp_add's neg_m1): VLIW total 22.66% → 22.92% for one
+// module on the base architecture, 21.61% → 22.40% for three FPISA-A
+// modules on the extended one; every per-stage maximum, every other
+// Table 3 row, the stage count and MaxModules are unchanged.
 //
 // Restrictions: the pipeline build supports FP32 with zero guard bits and
 // truncating read-out (the paper's deployed configuration). Values whose
@@ -149,12 +167,13 @@ func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program,
 				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.UZero,
 				Output: pisa.OutOld, OutputField: "cnt",
 			}},
+			{Name: "cnt_set", Stateful: &pisa.StatefulOp{
+				Register: "cnt_reg", IndexField: "idx", InField: "one",
+				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.USetIn,
+				Output: pisa.OutNew, OutputField: "cnt",
+			}},
 		},
-		Entries: []pisa.EntryDecl{
-			{Value: PktAdd, Action: "cnt_add"},
-			{Value: PktRead, Action: "cnt_read"},
-			{Value: PktReadReset, Action: "cnt_reset"},
-		},
+		Entries: opEntries("cnt"),
 	})
 
 	sh := &sharedInstrs{}
@@ -180,6 +199,18 @@ func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program,
 
 	lay = Layout{Modules: modules, Slots: slots, PacketBytes: PacketBytes(modules), Mode: cfg.Mode}
 	return p, lay, nil
+}
+
+// opEntries maps the four packet opcodes to a register's four actions
+// (<reg>_add, _read, _reset, _set) — four register actions per register is
+// Tofino's limit.
+func opEntries(reg string) []pisa.EntryDecl {
+	return []pisa.EntryDecl{
+		{Value: PktAdd, Action: reg + "_add"},
+		{Value: PktRead, Action: reg + "_read"},
+		{Value: PktReadReset, Action: reg + "_reset"},
+		{Value: PktSet, Action: reg + "_set"},
+	}
 }
 
 // sharedInstrs collects per-module instructions for the shared tables.
@@ -272,12 +303,13 @@ func addModule(p *pisa.Program, cfg Config, k, slots int, full, varShift bool, m
 	if !full {
 		expCond.Off = int64(H) // FPISA-A: overwrite only past the headroom
 	}
+	negM1 := []pisa.Instr{{Op: pisa.OpSub, Dst: n("neg_m1"), A: pisa.Imm(0), B: pisa.F(n("m1"))}}
 	p.Tables = append(p.Tables, pisa.TableDecl{
 		Name: n("exp_op"), Stage: 2, Kind: pisa.MatchExact, Key: []string{"op"},
 		Actions: []pisa.ActionDecl{
 			{
 				Name:   "exp_add",
-				Instrs: []pisa.Instr{{Op: pisa.OpSub, Dst: n("neg_m1"), A: pisa.Imm(0), B: pisa.F(n("m1"))}},
+				Instrs: negM1,
 				Stateful: &pisa.StatefulOp{
 					Register: n("exp_reg"), IndexField: "idx", InField: n("e1"),
 					Cond: expCond, True: pisa.USetIn, False: pisa.UKeepOld,
@@ -294,12 +326,21 @@ func addModule(p *pisa.Program, cfg Config, k, slots int, full, varShift bool, m
 				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.UZero,
 				Output: pisa.OutOld, OutputField: n("e_old"),
 			}},
+			{
+				// exp_add against a stored exponent of 0: the same predicate
+				// with the register operand dropped. No output, so e_old
+				// stays the PHV's 0 and the alignment dataflow downstream
+				// sees what it would after a reset.
+				Name:   "exp_set",
+				Instrs: negM1,
+				Stateful: &pisa.StatefulOp{
+					Register: n("exp_reg"), IndexField: "idx", InField: n("e1"),
+					Cond: pisa.SaluCond{Kind: pisa.CondPhv, Field: n("e1"), Cmp: pisa.CmpGt, Off: expCond.Off},
+					True: pisa.USetIn, False: pisa.UZero,
+				},
+			},
 		},
-		Entries: []pisa.EntryDecl{
-			{Value: PktAdd, Action: "exp_add"},
-			{Value: PktRead, Action: "exp_read"},
-			{Value: PktReadReset, Action: "exp_reset"},
-		},
+		Entries: opEntries("exp"),
 	})
 
 	// MAU3: signed mantissa + exponent difference.
@@ -356,12 +397,13 @@ func addModule(p *pisa.Program, cfg Config, k, slots int, full, varShift bool, m
 				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.UZero,
 				Output: pisa.OutOld, OutputField: n("ovf"),
 			}},
+			{Name: "ovf_set", Stateful: &pisa.StatefulOp{
+				Register: n("ovf_reg"), IndexField: "idx", InField: n("ovf"),
+				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.USetIn,
+				Output: pisa.OutNew, OutputField: n("ovf"),
+			}},
 		},
-		Entries: []pisa.EntryDecl{
-			{Value: PktAdd, Action: "ovf_add"},
-			{Value: PktRead, Action: "ovf_read"},
-			{Value: PktReadReset, Action: "ovf_reset"},
-		},
+		Entries: opEntries("ovf"),
 	})
 	sh.signSplit = append(sh.signSplit,
 		pisa.Instr{Op: pisa.OpLtS, Dst: n("sign_out"), A: pisa.F(n("m_raw")), B: pisa.Imm(0)},
@@ -542,12 +584,16 @@ func addMantissaStateful(p *pisa.Program, n func(string) string, full bool, manS
 				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.UZero,
 				Output: pisa.OutOld, OutputField: n("m_raw"),
 			}},
+			// Adding the aligned mantissa to a zeroed register, in either
+			// mode, stores it unchanged and cannot overflow.
+			{Name: "man_set", Stateful: &pisa.StatefulOp{
+				Register: n("man_reg"), IndexField: "idx", InField: n("m_sh"),
+				Cond: pisa.SaluCond{Kind: pisa.CondAlways}, True: pisa.USetIn,
+				Signed: true, Output: pisa.OutNew, OutputField: n("m_raw"),
+				OverflowField: n("ovf"),
+			}},
 		},
-		Entries: []pisa.EntryDecl{
-			{Value: PktAdd, Action: "man_add"},
-			{Value: PktRead, Action: "man_read"},
-			{Value: PktReadReset, Action: "man_reset"},
-		},
+		Entries: opEntries("man"),
 	})
 }
 

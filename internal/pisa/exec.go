@@ -349,16 +349,16 @@ func (s *Switch) parse(phv *Phv, pkt []byte) error {
 	return nil
 }
 
-// extractBits reads a network-bit-order bit range: bit 0 is the MSB of
-// byte 0.
+// extractBits reads a network-bit-order bit range of 1..32 bits: bit 0 is
+// the MSB of byte 0. The covering bytes (at most five) are loaded into one
+// word, then shifted and masked.
 func extractBits(pkt []byte, bitOff, bits int) uint32 {
-	var v uint32
-	for i := 0; i < bits; i++ {
-		pos := bitOff + i
-		bit := pkt[pos/8] >> (7 - pos%8) & 1
-		v = v<<1 | uint32(bit)
+	first, end := bitOff/8, (bitOff+bits+7)/8
+	var w uint64
+	for _, b := range pkt[first:end] {
+		w = w<<8 | uint64(b)
 	}
-	return v
+	return uint32(w>>uint(end*8-bitOff-bits)) & widthMask(bits)
 }
 
 // deparse writes PHV fields back into a copy of the original packet,

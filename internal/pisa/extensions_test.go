@@ -3,6 +3,7 @@ package pisa
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,27 @@ func TestExtractBitsHelper(t *testing.T) {
 	for _, c := range cases {
 		if got := extractBits(pkt, c.off, c.n); got != c.want {
 			t.Errorf("extractBits(%d,%d) = %#b, want %#b", c.off, c.n, got, c.want)
+		}
+	}
+
+	// Every alignment and width against the one-bit-at-a-time reference.
+	bitLoop := func(pkt []byte, bitOff, bits int) uint32 {
+		var v uint32
+		for pos := bitOff; pos < bitOff+bits; pos++ {
+			v = v<<1 | uint32(pkt[pos/8]>>(7-pos%8)&1)
+		}
+		return v
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		pkt := make([]byte, 9) // 39 + 32 bits end inside byte 8
+		rng.Read(pkt)
+		for off := 0; off < 40; off++ {
+			for n := 1; n <= 32; n++ {
+				if got, want := extractBits(pkt, off, n), bitLoop(pkt, off, n); got != want {
+					t.Fatalf("extractBits(% x, %d, %d) = %#x, want %#x", pkt, off, n, got, want)
+				}
+			}
 		}
 	}
 }

@@ -72,7 +72,7 @@ func fpisaValue(rng *rand.Rand) float32 {
 	}
 }
 
-// TestDifferentialFPISAPrograms runs seeded ADD/READ/READ_RESET mixes over
+// TestDifferentialFPISAPrograms runs seeded ADD/SET/READ/READ_RESET mixes over
 // random slots and values — ±0, denormals, ±Inf, NaN, arbitrary bit
 // patterns, and long same-sign runs into one slot that overflow the
 // mantissa register — through the production and the reference executor on
@@ -107,13 +107,17 @@ func TestDifferentialFPISAPrograms(t *testing.T) {
 						for k := range vals {
 							vals[k] = fpisaValue(rng)
 						}
-						emit(core.PktAdd, slot, vals[:1+rng.Intn(b.modules)])
+						op := byte(core.PktAdd)
+						if r < 15 {
+							op = core.PktSet
+						}
+						emit(op, slot, vals[:1+rng.Intn(b.modules)])
 					case r < 84:
 						emit(core.PktRead, slot, nil)
 					case r < 98:
 						emit(core.PktReadReset, slot, nil)
 					default:
-						emit(3, slot, nil) // no such operation
+						emit(4, slot, nil) // no such operation
 					}
 				}
 				pisa.DiffRun(t, b.prog, b.arch, nil, pkts)
@@ -127,9 +131,10 @@ func TestDifferentialFPISAPrograms(t *testing.T) {
 // deparse all run on switch-owned scratch.
 func TestProcessScratchAllocatesNothing(t *testing.T) {
 	for _, b := range fpisaBuilds(t) {
-		pkts := make([][]byte, 3*fpisaSlots)
+		ops := []byte{core.PktAdd, core.PktRead, core.PktReadReset, core.PktSet}
+		pkts := make([][]byte, len(ops)*fpisaSlots)
 		for i := range pkts {
-			op := []byte{core.PktAdd, core.PktRead, core.PktReadReset}[i%3]
+			op := ops[i%len(ops)]
 			vals := make([]float32, b.modules)
 			for k := range vals {
 				vals[k] = float32(i + k)

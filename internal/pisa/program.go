@@ -278,6 +278,10 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 	if t.keyBits > 64 {
 		return nil, fmt.Errorf("pisa: table %q: key wider than 64 bits unsupported by simulator", d.Name)
 	}
+	for i, shift := 0, t.keyBits; i < len(t.keyIDs); i++ {
+		shift -= c.ft.width(t.keyIDs[i])
+		t.keyShifts = append(t.keyShifts, uint(shift))
+	}
 
 	// Actions.
 	for ai := range d.Actions {

@@ -86,15 +86,18 @@ type cHit struct {
 // compiled table. Immutable after compile; hit/miss counters live in the
 // Switch (indexed by idx) so replicas sharing the program count separately.
 type cTable struct {
-	decl     TableDecl
-	keyIDs   []fieldID
-	keyBits  int
-	actions  map[string]*cAction
-	exact    map[uint64]cHit
-	ternary  *tcam.Table[cHit]
-	lpm      *tcam.LPM[cHit]
-	default_ *cAction
-	stage    int
+	decl   TableDecl
+	keyIDs []fieldID
+	// keyShifts[i] is the bit position of keyIDs[i] in the concatenated
+	// key: the widths of the fields after it.
+	keyShifts []uint
+	keyBits   int
+	actions   map[string]*cAction
+	exact     map[uint64]cHit
+	ternary   *tcam.Table[cHit]
+	lpm       *tcam.LPM[cHit]
+	default_  *cAction
+	stage     int
 	// idx is the table's position in declaration order, the key into the
 	// switch's per-table counters.
 	idx int
@@ -113,9 +116,8 @@ type cAction struct {
 // mirroring hardware key construction.
 func (t *cTable) buildKey(p *Phv) uint64 {
 	var k uint64
-	for _, id := range t.keyIDs {
-		w := p.ft.width(id)
-		k = k<<uint(w) | uint64(p.get(id))
+	for i, id := range t.keyIDs {
+		k |= uint64(p.get(id)) << t.keyShifts[i]
 	}
 	return k
 }
