@@ -154,7 +154,6 @@ func queryJobStats(w io.Writer, addr string, job int, timeout time.Duration) err
 	fmt.Fprintf(w, "%-22s %d\n", "values aggregated", st.Adds)
 	fmt.Fprintf(w, "%-22s %d\n", "chunks completed", st.Completions)
 	fmt.Fprintf(w, "%-22s %d\n", "retransmits observed", st.Retransmits)
-	fmt.Fprintf(w, "%-22s %d\n", "quota drops", st.QuotaDrops)
 	fmt.Fprintf(w, "%-22s %d\n", "scheduler defers", st.SchedDefers)
 	fmt.Fprintf(w, "%-22s %d\n", "slots outstanding", st.Outstanding)
 	fmt.Fprintf(w, "%-22s %d\n", "result-cache hits", st.CacheHits)

@@ -9,8 +9,7 @@
 // The switch is multi-tenant: -jobs admits that many jobs at start, each
 // owning a slot-pool partition through the lifecycle indirection table,
 // -workers workers (job j's worker i sends on port j·workers+i) and its
-// own stats, with -quota capping each job's outstanding slots. Tenants
-// need not be training jobs: -classes assigns comma-separated workload
+// own stats. Tenants need not be training jobs: -classes assigns comma-separated workload
 // classes to the initial jobs (e.g. -jobs 3 -classes
 // training,query:10:1024,telemetry:16; missing entries default to
 // training), provisioning per-range pruning registers and group
@@ -57,7 +56,7 @@
 // that fences every cross-level datagram). Both levels must run the same
 // -pool. See examples/tree for a full 2-level deployment.
 //
-//	fpisa-switch -addr 127.0.0.1:9099 -jobs 2 -workers 4 -pool 8 -shards 4 -quota 8 -dynamic -capacity 4
+//	fpisa-switch -addr 127.0.0.1:9099 -jobs 2 -workers 4 -pool 8 -shards 4 -dynamic -capacity 4
 //	fpisa-switch -addr 127.0.0.1:9100 -workers 3 -parent 127.0.0.1:9099 -leaf 0 -leaves 4
 package main
 
@@ -86,7 +85,6 @@ type options struct {
 	capacity     int
 	workers      int
 	pool         int
-	quota        int
 	weights      []int
 	profiles     []core.NumericProfile
 	classes      []aggservice.AdmitClass
@@ -112,7 +110,6 @@ func parseOptions(args []string) (*options, error) {
 	fs.IntVar(&o.capacity, "capacity", 0, "slot ranges provisioned for runtime admission (0 = jobs, or 2x jobs with -dynamic)")
 	fs.IntVar(&o.workers, "workers", 4, "number of workers per job")
 	fs.IntVar(&o.pool, "pool", 8, "aggregation slot pool per job")
-	fs.IntVar(&o.quota, "quota", 0, "max outstanding slots per job (0 = unlimited)")
 	weights := fs.String("weights", "", "comma-separated fair-scheduler weights for the initial jobs, e.g. 1,2,4 (missing = 1)")
 	profiles := fs.String("profiles", "", "comma-separated numeric profiles for the initial jobs, e.g. f32/rne/g2,bf16/trunc (missing = f32/trunc)")
 	classes := fs.String("classes", "", "comma-separated workload classes for the initial jobs, e.g. training,query:10:1024,telemetry:16 (missing = training)")
@@ -204,7 +201,7 @@ func (o *options) switchConfig() (aggservice.Config, error) {
 	}
 	cfg := aggservice.Config{
 		Workers: o.workers, Pool: o.pool, Modules: o.modules, Shards: o.shards,
-		Jobs: o.jobs, Capacity: capacity, MaxOutstanding: o.quota,
+		Jobs: o.jobs, Capacity: capacity,
 		Weights: o.weights, Profiles: o.profiles, Classes: o.classes,
 		Dynamic: o.dynamic, DrainTimeout: o.drainTimeout,
 		Mode: mode, Arch: arch,
@@ -307,8 +304,8 @@ func main() {
 	if cfg.Dynamic {
 		dyn = "dynamic admit/evict enabled"
 	}
-	log.Printf("fpisa-switch (%s, %s, %d shards) listening on %s: %d/%d jobs admitted x %d workers (quota %d, %s)",
-		o.modeName(), cfg.Arch.Name, sw.Shards(), conn.LocalAddr(), o.jobs, sw.Jobs(), o.workers, o.quota, dyn)
+	log.Printf("fpisa-switch (%s, %s, %d shards) listening on %s: %d/%d jobs admitted x %d workers (%s)",
+		o.modeName(), cfg.Arch.Name, sw.Shards(), conn.LocalAddr(), o.jobs, sw.Jobs(), o.workers, dyn)
 	log.Printf("wire I/O backend: %s (-mmsg %s)", srv.Backend(), o.mmsg)
 	for j := 0; j < sw.Jobs(); j++ {
 		if base, n, ok := sw.JobRange(j); ok {
@@ -328,8 +325,8 @@ func main() {
 					if st.Phase == aggservice.PhaseVacant && st.Adds == 0 {
 						continue
 					}
-					log.Printf("job %d (%s, weight %d): adds=%d retrans=%d chunks=%d quotaDrops=%d schedDefers=%d outstanding=%d cacheHits=%d cacheBytes=%d coalesced=%d",
-						j, st.Phase, st.Weight, st.Adds, st.Retransmits, st.Completions, st.QuotaDrops,
+					log.Printf("job %d (%s, weight %d): adds=%d retrans=%d chunks=%d schedDefers=%d outstanding=%d cacheHits=%d cacheBytes=%d coalesced=%d",
+						j, st.Phase, st.Weight, st.Adds, st.Retransmits, st.Completions,
 						st.SchedDefers, st.Outstanding, st.CacheHits, st.CacheBytes, st.Coalesced)
 				}
 				r := sw.Rejects()

@@ -50,7 +50,7 @@ func TestParseOptionsMmsg(t *testing.T) {
 func TestParseOptionsLifecycleFlags(t *testing.T) {
 	o, err := parseOptions([]string{
 		"-addr", "127.0.0.1:0", "-jobs", "2", "-workers", "3", "-pool", "4",
-		"-dynamic", "-capacity", "5", "-draintimeout", "250ms", "-quota", "7",
+		"-dynamic", "-capacity", "5", "-draintimeout", "250ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestParseOptionsLifecycleFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !cfg.Dynamic || cfg.Capacity != 5 || cfg.DrainTimeout != 250*time.Millisecond ||
-		cfg.Jobs != 2 || cfg.MaxOutstanding != 7 {
+		cfg.Jobs != 2 {
 		t.Fatalf("config: %+v", cfg)
 	}
 	if cfg.Ports() != 5*3 {

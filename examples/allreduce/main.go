@@ -38,9 +38,8 @@ func main() {
 	}
 	cfg := aggservice.Config{
 		Workers: workers, Pool: 8, Modules: 1, Shards: 4, Jobs: jobs,
-		MaxOutstanding: 12, // admission quota per tenant
-		Profiles:       profiles,
-		Mode:           core.ModeApprox, Arch: pisa.BaseArch(),
+		Profiles: profiles,
+		Mode:     core.ModeApprox, Arch: pisa.BaseArch(),
 	}
 	sw, err := aggservice.NewSwitch(cfg)
 	if err != nil {
@@ -118,8 +117,8 @@ func main() {
 			}
 		}
 		st, _ := sw.JobStats(j)
-		fmt.Printf("job %d (%s): adds=%d retrans=%d chunks=%d quotaDrops=%d | element 0: %g (exact %.8g)\n",
-			j, st.Profile, st.Adds, st.Retransmits, st.Completions, st.QuotaDrops, results[j][0][0], exact[0])
+		fmt.Printf("job %d (%s): adds=%d retrans=%d chunks=%d | element 0: %g (exact %.8g)\n",
+			j, st.Profile, st.Adds, st.Retransmits, st.Completions, results[j][0][0], exact[0])
 		// Job 0's rare large errors are FPISA-A overwrite sites (§4.3);
 		// job 1's error floor is its own choice — bfloat16 quantization,
 		// the precision it traded for half-width payloads.

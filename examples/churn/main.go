@@ -39,8 +39,8 @@ func main() {
 	cfg := aggservice.Config{
 		Workers: workers, Pool: 4, Modules: 1, Shards: 4,
 		Jobs: 1, Capacity: 3, Dynamic: true,
-		MaxOutstanding: 8, DrainTimeout: 500 * time.Millisecond,
-		Mode: core.ModeApprox, Arch: pisa.BaseArch(),
+		DrainTimeout: 500 * time.Millisecond,
+		Mode:         core.ModeApprox, Arch: pisa.BaseArch(),
 	}
 	sw, err := aggservice.NewSwitch(cfg)
 	if err != nil {

@@ -59,14 +59,6 @@ type Config struct {
 	// is force-released (partial sums discarded). 0 means
 	// DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// MaxOutstanding caps the slots a single job may hold in the
-	// aggregating state at once — a hard ceiling layered on top of the
-	// deficit-round-robin scheduler for operators who also want an absolute
-	// bound. ADDs that would bind a slot beyond the cap are dropped
-	// (counted as quota drops) and recovered by the sender's normal
-	// retransmit path. 0 disables the cap; fair sharing of pipeline time
-	// does not depend on it (see Weights and sched.go).
-	MaxOutstanding int
 	// Weights assigns deficit-round-robin scheduler weights to the
 	// initially admitted jobs: job j gets Weights[j]. Missing entries and
 	// zero mean weight 1; jobs admitted at runtime carry the weight named
@@ -92,7 +84,7 @@ type Config struct {
 	Classes []AdmitClass
 	// SchedRoundAge bounds a scheduler round's lifetime once a bind has
 	// been deferred: when a tenant that showed demand this round holds
-	// unspent deficit but stops binding (dead workers, quota-blocked),
+	// unspent deficit but stops binding (dead workers),
 	// deferred tenants wait at most this long before the round is forced
 	// over. 0 means DefaultSchedRoundAge.
 	SchedRoundAge time.Duration
@@ -127,9 +119,6 @@ func (c Config) Validate() error {
 	}
 	if c.Jobs > MaxJobs {
 		return fmt.Errorf("aggservice: %d jobs exceed the 16-bit job-id space", c.Jobs)
-	}
-	if c.MaxOutstanding < 0 {
-		return fmt.Errorf("aggservice: max outstanding %d", c.MaxOutstanding)
 	}
 	if len(c.Weights) > c.jobs() {
 		return fmt.Errorf("aggservice: %d weights for %d initially admitted jobs", len(c.Weights), c.jobs())
@@ -300,8 +289,6 @@ type JobStats struct {
 	Retransmits uint64
 	// Completions counts chunks fully aggregated.
 	Completions uint64
-	// QuotaDrops counts ADDs rejected by the MaxOutstanding admission cap.
-	QuotaDrops uint64
 	// SchedDefers counts new-chunk binds deferred by the deficit-round-
 	// robin scheduler (the job was over its deficit while other tenants
 	// held unspent budget); each was answered with an AckBackpressure
@@ -313,9 +300,9 @@ type JobStats struct {
 	// RESULT packet (the loss-recovery replay path).
 	CacheHits uint64
 	// CacheBytes is the gauge of RESULT bytes currently cached for the
-	// job. The cache for chunk c is freed when the window provably
-	// advances past it (chunk c+Pool completes: every worker sent c+Pool,
-	// so every worker received c) and when the job's range is released.
+	// job. A cached RESULT lives exactly as long as its slot version — it
+	// is freed when the slot rebinds to a later chunk and when the job's
+	// range is released — so the gauge is bounded by 2·Pool entries.
 	CacheBytes uint64
 	// Coalesced counts completed chunks whose RESULT rode a run-length
 	// MsgResultRun reply instead of its own per-chunk datagram — chunks
@@ -360,10 +347,10 @@ type WireRejects struct {
 
 // incarnation is one admitted life of a job id: everything the switch binds
 // to the tenant, built by Switch.Admit and never modified afterwards (only
-// the draining flag flips). It is published with one store to jobState.live
-// and retired with one store of nil, so a reader that loaded it holds a
-// whole, consistent tenant — range, arithmetic, class and register state —
-// or none at all. Hot-path entries load it once, carry the pointer, and
+// Evict touches it: the draining flag flips and the drain timer is armed).
+// It is published with one store to jobState.live and retired with one store
+// of nil, so a reader that loaded it holds a whole, consistent tenant —
+// range, arithmetic, class and register state — or none at all. Hot-path entries load it once, carry the pointer, and
 // revalidate under the shard lock by pointer identity: release retires the
 // record BEFORE resetting the range's slots under those same locks, so a
 // section that still sees its pointer live cannot be touching a re-assigned
@@ -391,6 +378,9 @@ type incarnation struct {
 	// draining is set by Evict: in-flight chunks may complete, new binds
 	// are refused.
 	draining atomic.Bool
+	// drainTimer force-releases the incarnation when its drain outlives
+	// Config.DrainTimeout; nil unless Evict armed it. Guarded by lifeMu.
+	drainTimer *time.Timer
 }
 
 // phase is the lifecycle state a (possibly nil) incarnation stands for.
@@ -414,12 +404,12 @@ func (inc *incarnation) quantum() int64 { return int64(inc.spec.Weight) * drrQua
 // evicted id keeps its last incarnation's totals until the next Admit
 // zeroes them.
 type jobState struct {
-	adds, retransmits, completions, quotaDrops atomic.Uint64
-	schedDefers                                atomic.Uint64
-	cacheHits                                  atomic.Uint64
-	coalesced                                  atomic.Uint64
-	cacheBytes                                 atomic.Int64
-	outstanding                                atomic.Int64
+	adds, retransmits, completions atomic.Uint64
+	schedDefers                    atomic.Uint64
+	cacheHits                      atomic.Uint64
+	coalesced                      atomic.Uint64
+	cacheBytes                     atomic.Int64
+	outstanding                    atomic.Int64
 	// live is the job's current incarnation, nil while the id is vacant.
 	// Stored under lifeMu (Admit publishes, release retires), loaded
 	// lock-free everywhere.
@@ -433,7 +423,6 @@ func (js *jobState) reset() {
 	js.adds.Store(0)
 	js.retransmits.Store(0)
 	js.completions.Store(0)
-	js.quotaDrops.Store(0)
 	js.schedDefers.Store(0)
 	js.cacheHits.Store(0)
 	js.coalesced.Store(0)
@@ -474,12 +463,12 @@ type Switch struct {
 	// call from it).
 	OnLifecycle func(job int, ev LifecycleEvent)
 
-	// lifeMu orders lifecycle transitions; it guards the free-list, the
-	// drain timers, protos and every store to a jobState.live. Lock order is
-	// lifeMu → shard.mu, never the reverse: the hot path only loads live.
-	lifeMu      sync.Mutex
-	freeRanges  []int
-	drainTimers []*time.Timer
+	// lifeMu orders lifecycle transitions; it guards the free-list, every
+	// incarnation's drain timer, protos and every store to a jobState.live.
+	// Lock order is lifeMu → shard.mu, never the reverse: the hot path only
+	// loads live.
+	lifeMu     sync.Mutex
+	freeRanges []int
 
 	// scratchPool recycles the per-HandleBatch grouping state so the hot
 	// path does not allocate per packet vector.
@@ -500,19 +489,28 @@ type shard struct {
 	sched drrSched
 }
 
+// slotState is the single owner of a chunk's in-flight life: free (chunk
+// -1) → aggregating (bound, outstanding) → on a tree leaf, uplinked (up set)
+// → final (cached set), until the slot rebinds to a later chunk or its range
+// is released. Nothing else in the switch records where a chunk stands.
 type slotState struct {
 	chunk  int64 // bound chunk id, -1 when free
 	seen   []bool
 	nSeen  int
 	cached []byte // RESULT packet, nil until complete
-	// outstanding marks the slot charged against its job's admission
-	// quota (set at bind, cleared at completion).
+	// outstanding marks the slot counted in its job's Outstanding gauge —
+	// what a drain waits on (set at bind, cleared at completion).
 	outstanding bool
-	// upPending marks a locally-complete chunk whose final aggregate is
-	// still at the parent switch (tree leaves only): the partial sum was
-	// re-emitted up the tree and the slot caches nothing until the
-	// parent's RESULT comes back down (see tree.go).
-	upPending bool
+	// up is a locally-complete chunk's parent-bound ADD while the final
+	// aggregate is still at the parent switch (tree leaves only), nil
+	// otherwise: the partial sum was re-emitted up the tree, the uplink
+	// client retransmits this packet on timeout, and the slot caches nothing
+	// until the parent's RESULT comes back down (see installFinal). The
+	// packet is immutable once encoded — it is sent outside the shard lock.
+	up []byte
+	// upOvf is the leaf-level overflow of the chunk in up, ORed into the
+	// final RESULT's flag.
+	upOvf bool
 }
 
 // NewSwitch provisions the shards and the slot-range free-list, then admits
@@ -535,10 +533,9 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	}
 	s := &Switch{
 		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perRange: perRange,
-		util:        pa0.Utilization(),
-		jobs:        make([]jobState, ncap),
-		drainTimers: make([]*time.Timer, ncap),
-		protos:      map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
+		util:   pa0.Utilization(),
+		jobs:   make([]jobState, ncap),
+		protos: map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
 	}
 	// Admit pops the free-list's tail: descending order hands initial job j
 	// range j and leaves the rest of the capacity for runtime admission.
@@ -663,11 +660,10 @@ type batchScratch struct {
 	touched []int   // shards with pending ADDs, in first-touch order
 	vals    []float32
 	res     core.Result    // the running ADD's sums; encoded into fresh packets, never retained
-	frees   []freeReq      // cross-shard cache frees, run after the shard unlock
 	drains  []*incarnation // draining incarnations that completed a chunk this round
 	done    []resDone      // completed chunks awaiting run-coalesced delivery
 	ups     []upReq        // completed chunks awaiting uplink re-emission (tree leaves)
-	items   [][]byte       // run-splice scratch for emitResults
+	items   [][]byte       // packet-vector scratch: emitResults' run splices, then submitUplinks' send vectors
 }
 
 // resDone is one completed chunk's RESULT waiting for the batch-end
@@ -679,14 +675,11 @@ type resDone struct {
 }
 
 // upReq is one locally-complete chunk whose partial sum must be re-emitted
-// to the parent switch (see tree.go); pkt is the parent-bound ADD with the
-// epoch octet left for the uplink client to stamp (the parent incarnation
-// lives on the client, not under the shard lock).
+// to the parent switch once the shard lock is released (see tree.go); pkt is
+// the slot's parent-bound ADD (slotState.up).
 type upReq struct {
-	inc   *incarnation // leaf incarnation the completion was observed under
-	chunk uint32
-	pkt   []byte
-	ovf   bool // leaf-level overflow, ORed into the final RESULT's flag
+	inc *incarnation // leaf incarnation the completion was observed under
+	pkt []byte
 }
 
 // addReq is one validated ADD waiting for its shard's lock round.
@@ -697,14 +690,6 @@ type addReq struct {
 	gs    int
 }
 
-// freeReq is a deferred cross-shard result-cache free (see
-// freeCachedResult).
-type freeReq struct {
-	inc    *incarnation
-	gs     int
-	pchunk int64
-}
-
 func (s *Switch) putScratch(sc *batchScratch) {
 	clear(sc.adds)
 	sc.adds = sc.adds[:0]
@@ -712,7 +697,6 @@ func (s *Switch) putScratch(sc *batchScratch) {
 		sc.byShard[k] = sc.byShard[k][:0]
 	}
 	sc.touched = sc.touched[:0]
-	sc.frees = sc.frees[:0]
 	sc.drains = sc.drains[:0]
 	for i := range sc.done {
 		sc.done[i].pkt = nil
@@ -868,9 +852,9 @@ func (sc *batchScratch) queue(shard int, a addReq) {
 }
 
 // processAdds drives the queued ADDs shard by shard: one lock round per
-// shard covers that shard's whole share of the batch. Cross-shard cache
-// frees and drain completions collected under a shard's lock run right
-// after it is released (they take other locks).
+// shard covers that shard's whole share of the batch. Drain completions
+// collected under a shard's lock run right after it is released (they take
+// lifeMu and other shard locks).
 func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.DeliveryList) {
 	for _, k := range sc.touched {
 		sh := s.shards[k]
@@ -879,15 +863,6 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 			s.slotHandleLocked(sh, &sc.adds[idx], worker, sc, out)
 		}
 		sh.mu.Unlock()
-		for _, fr := range sc.frees {
-			// The window provably advanced past chunk−Pool (its whole
-			// bank partner completed): free that slot's cached RESULT.
-			// Done after the owning shard's lock is released — the
-			// partner lives on a different shard.
-			s.freeCachedResult(fr.inc, fr.gs, fr.pchunk)
-		}
-		clear(sc.frees) // the pooled scratch must not pin retired incarnations
-		sc.frees = sc.frees[:0]
 		for _, inc := range sc.drains {
 			s.finishDrain(inc, false)
 		}
@@ -898,28 +873,10 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 	s.submitUplinks(sc)
 }
 
-// freeCachedResult drops a slot's cached RESULT packet if it still holds
-// chunk pchunk, crediting the job's cache gauge — unless inc was retired
-// since the caller queued the free, in which case the slot may already
-// belong to a fresh incarnation and is left alone.
-func (s *Switch) freeCachedResult(inc *incarnation, gs int, pchunk int64) {
-	sh := s.shards[gs%s.nsh]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !s.isLive(inc) {
-		return
-	}
-	st := &sh.slot[gs/s.nsh]
-	if st.chunk == pchunk && st.cached != nil {
-		s.jobs[inc.job].cacheBytes.Add(-int64(len(st.cached)))
-		st.cached = nil
-	}
-}
-
 // slotHandleLocked runs the slot protocol for one queued ADD; the caller
 // holds the owning shard's lock for the whole shard group. Deliveries are
-// appended to out; deferred work that needs other locks (cross-shard cache
-// frees, drain completion) is queued on the scratch for after the unlock.
+// appended to out; deferred work that needs other locks or does I/O (drain
+// completion, uplink sends) is queued on the scratch for after the unlock.
 func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) {
 	inc := a.inc
 	if s.retired(worker, inc, out) {
@@ -938,7 +895,6 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	chunk := a.chunk
 
 	fresh := int64(chunk) > st.chunk
-	charge := false
 	switch {
 	case int64(chunk) < st.chunk:
 		// Stale retransmit for a chunk every worker already completed
@@ -965,21 +921,6 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 			js.schedDefers.Add(1)
 			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(inc.epoch), inc.spec.Weight))
 			return
-		}
-		// The bind is also charged against the job's admission quota before
-		// any pipeline state moves: a tenant at its cap is dropped here
-		// and recovers through its own retransmit path, never holding a
-		// slot. The scheduler refunds a bind the quota (or the pipeline)
-		// vetoed — the job is not billed for work that never ran.
-		charge = !st.outstanding
-		if charge {
-			n := js.outstanding.Add(1)
-			if q := int64(s.cfg.MaxOutstanding); q > 0 && n > q {
-				js.outstanding.Add(-1)
-				js.quotaDrops.Add(1)
-				sh.sched.refund(job)
-				return
-			}
 		}
 	case st.seen[wij]:
 		js.retransmits.Add(1)
@@ -1010,18 +951,20 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// The first ADD of a slot version binds by overwrite: one pipeline
 		// pass stores the values over whatever the slot's previous chunk
 		// left, and the slot is bound only once that pass has succeeded —
-		// a failed one leaves the slot's protocol state and the job's
-		// ledgers as they were.
+		// a failed one leaves the slot's protocol state as it was and
+		// refunds the scheduler, so the job is not billed for work that
+		// never ran. Rebinding ends the previous slot version: its cached
+		// RESULT (or its still-owed uplink ADD) goes with it.
 		if err := agg.SetInto(ai, vals, res); err != nil {
-			if charge {
-				js.outstanding.Add(-1)
-			}
 			sh.sched.refund(job)
 			return
 		}
-		st.outstanding = true
+		if !st.outstanding {
+			js.outstanding.Add(1)
+			st.outstanding = true
+		}
 		st.chunk = int64(chunk)
-		st.upPending = false
+		st.up = nil
 		clear(st.seen)
 		st.nSeen = 0
 		if st.cached != nil {
@@ -1051,36 +994,20 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	for _, o := range res.Overflow {
 		anyOvf = anyOvf || o
 	}
-	// Every worker sent chunk c, so every worker holds chunk c−Pool's
-	// result: the bank partner's cache (if it still holds c−Pool) can go.
-	// (On a tree leaf the self-clocked window gives the same guarantee —
-	// a worker only sends c after receiving c−Pool's FINAL result, which
-	// required the parent round trip.)
-	if pool := s.cfg.Pool; chunk >= uint32(pool) {
-		pgs := s.slotOf(inc.ri, chunk-uint32(pool))
-		if pgs%s.nsh == a.gs%s.nsh {
-			// Same shard: free inline under the lock already held.
-			pst := &sh.slot[pgs/s.nsh]
-			if pst.chunk == int64(chunk)-int64(pool) && pst.cached != nil {
-				js.cacheBytes.Add(-int64(len(pst.cached)))
-				pst.cached = nil
-			}
-		} else {
-			sc.frees = append(sc.frees, freeReq{inc: inc, gs: pgs, pchunk: int64(chunk) - int64(pool)})
-		}
-	}
 	if inc.draining.Load() {
 		sc.drains = append(sc.drains, inc)
 	}
 	if s.cfg.Uplink != nil {
 		// Tree leaf: the local sum is a partial aggregate. Re-emit it as
-		// an ADD to the parent (queued for after the shard unlock — the
-		// uplink client does I/O) and cache nothing yet: the slot answers
-		// retransmits silently until the parent's aggregate returns and
-		// installs the final RESULT (see installFinal).
-		st.upPending = true
-		up := EncodeAddProfile(job, chunk, 0, prof, res.Values)
-		sc.ups = append(sc.ups, upReq{inc: inc, chunk: chunk, pkt: up, ovf: anyOvf})
+		// an ADD to the parent, stamped with the parent-level incarnation
+		// epoch (the send is queued for after the shard unlock — it is
+		// fabric I/O) and cache nothing yet: the slot owns the packet,
+		// answers retransmits silently, and the uplink client resends it
+		// on timeout until the parent's aggregate returns and installs the
+		// final RESULT (see installFinal).
+		st.up = EncodeAddProfile(job, chunk, inc.up.parentEpoch, prof, res.Values)
+		st.upOvf = anyOvf
+		sc.ups = append(sc.ups, upReq{inc: inc, pkt: st.up})
 		return
 	}
 	pkt := encodeResult(job, chunk, prof, res.Values, anyOvf)
@@ -1180,7 +1107,6 @@ func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 		Adds:        js.adds.Load(),
 		Retransmits: js.retransmits.Load(),
 		Completions: js.completions.Load(),
-		QuotaDrops:  js.quotaDrops.Load(),
 		SchedDefers: js.schedDefers.Load(),
 		Outstanding: js.outstanding.Load(),
 		CacheHits:   js.cacheHits.Load(),

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"fpisa/internal/core"
-	"fpisa/internal/fpnum"
+	"fpisa/internal/query"
 	"fpisa/internal/stats"
 	"fpisa/internal/tcam"
 	"fpisa/internal/transport"
@@ -255,14 +255,6 @@ type DrainEntry struct {
 	Val float32
 }
 
-// gmaxReg is one group-max pruning bucket: the ordered-key max tagged with
-// the key that owns it — the collision-safe register program shared with
-// the fixed engine pruner (see internal/query.Engine's runPruning).
-type gmaxReg struct {
-	key uint32
-	max uint32
-}
-
 // hhRow is one heavy-hitter table row (a direct-mapped space-saving
 // variant: same key adds, an empty row claims, a colliding key decays the
 // incumbent and takes over once it outweighs it).
@@ -283,10 +275,11 @@ type analyticsJob struct {
 	expect  []uint32
 	lastAck [][]byte
 
-	// Query state: Top-N ordered-key registers and group-max buckets.
-	topReg []uint32
-	topLen int
-	gmax   map[uint32]gmaxReg
+	// Query state: the Top-N and group-max pruning registers — the same
+	// register programs as the fixed engine plan (query/prune.go). Nil
+	// when the class descriptor provisions none.
+	topn *query.TopNPruner
+	gmax *query.GroupMaxPruner
 
 	// Per-group FPISA sum accumulators (query sums / telemetry per-class
 	// utilization): one scalar slot per group, running the job's
@@ -327,10 +320,10 @@ func newAnalyticsJob(ac AdmitClass, workers int, build func(slots int) (aggregat
 		lastAck: make([][]byte, workers),
 	}
 	if ac.TopN > 0 {
-		an.topReg = make([]uint32, ac.TopN)
+		an.topn = query.NewTopNPruner(ac.TopN)
 	}
 	if ac.Groups > 0 {
-		an.gmax = make(map[uint32]gmaxReg, ac.Groups)
+		an.gmax = query.NewGroupMaxPruner(ac.Groups)
 		acc, err := build(ac.Groups)
 		if err != nil {
 			return nil, err
@@ -384,55 +377,6 @@ func (an *analyticsJob) opAllowed(op TupleOp) bool {
 	return false
 }
 
-// foldTopN runs one row through the Top-N pruning registers; it reports
-// whether the row survives. Ties at the boundary are admitted — the
-// master's Finish tiebreaks equal values by key, so a tied row may belong
-// in the exact result.
-func (an *analyticsJob) foldTopN(_ uint32, val float32) bool {
-	k := fpnum.OrderedKey32(val)
-	if an.topLen < len(an.topReg) {
-		an.topReg[an.topLen] = k
-		an.topLen++
-		return true
-	}
-	mi := 0
-	for i := range an.topReg[:an.topLen] {
-		if an.topReg[i] < an.topReg[mi] {
-			mi = i
-		}
-	}
-	if k >= an.topReg[mi] {
-		an.topReg[mi] = k
-		return true
-	}
-	return false
-}
-
-// foldGroupMax runs one row through the owner-key-tagged group-max
-// buckets; a row is pruned only when the bucket max belongs to the row's
-// own key, so a colliding weaker group's max always survives.
-func (an *analyticsJob) foldGroupMax(key uint32, val float32) bool {
-	k := fpnum.OrderedKey32(val)
-	b := key % uint32(an.ac.Groups)
-	cur, ok := an.gmax[b]
-	switch {
-	case !ok:
-		an.gmax[b] = gmaxReg{key: key, max: k}
-		return true
-	case cur.key == key:
-		if k > cur.max {
-			an.gmax[b] = gmaxReg{key: key, max: k}
-			return true
-		}
-		return false
-	default:
-		if k > cur.max {
-			an.gmax[b] = gmaxReg{key: key, max: k}
-		}
-		return true
-	}
-}
-
 // foldAgg adds one row into its group's FPISA sum accumulator.
 func (an *analyticsJob) foldAgg(key uint32, val float32) {
 	g := key % uint32(an.ac.Groups)
@@ -480,9 +424,9 @@ func (an *analyticsJob) fold(job int, seq uint32, op TupleOp, pkt []byte, count 
 		val := math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
 		switch op {
 		case OpQueryTopN:
-			survived[i] = an.foldTopN(key, val)
+			survived[i] = an.topn.Admit(val)
 		case OpQueryGroupMax:
-			survived[i] = an.foldGroupMax(key, val)
+			survived[i] = an.gmax.Admit(key, val)
 		case OpQueryAgg:
 			an.foldAgg(key, val)
 		case OpTelemetry:
@@ -531,9 +475,11 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 		an.hist = stats.MustNewLogHistogram(telemetryHistBase, telemetryHistMinExp, telemetryHistMaxExp)
 	}
 	if resetPrune {
-		an.topLen = 0
+		if an.topn != nil {
+			an.topn.Reset()
+		}
 		if an.gmax != nil {
-			an.gmax = make(map[uint32]gmaxReg, an.ac.Groups)
+			an.gmax.Reset()
 		}
 	}
 	return entries

@@ -147,7 +147,7 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 	if err != nil || sj != 4 || got.Class != stat.Class || got.Adds != stat.Adds {
 		t.Fatalf("stats class round trip: %d %+v %v", sj, got, err)
 	}
-	if _, _, err := DecodeStatsReply(srep[:82]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := DecodeStatsReply(srep[:statsReplyBytes-5]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("prior-layout stats reply: %v", err)
 	}
 }

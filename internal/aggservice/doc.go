@@ -21,14 +21,12 @@
 // tenant's aggregation state.
 //
 // Each job carries its own Stats (values aggregated, retransmits observed,
-// chunks completed, quota drops, scheduler defers, outstanding-slot gauge,
-// result-cache hits and bytes), queryable in process (Switch.JobStats) or
-// over the wire (MsgStats/MsgStatsReply, used by fpisa-query). Pipeline
-// time is shared by the deficit-round-robin scheduler below;
-// Config.MaxOutstanding remains available as a hard per-job ceiling on
-// slots in the aggregating state (ADDs beyond the cap are dropped and
-// counted), and — because the quota, the deficit and every counter are per
-// job — one tenant hitting its limits never stalls another.
+// chunks completed, scheduler defers, outstanding-slot gauge, result-cache
+// hits and bytes), queryable in process (Switch.JobStats) or over the wire
+// (MsgStats/MsgStatsReply, used by fpisa-query). Pipeline time is shared
+// by the deficit-round-robin scheduler below, and — because the deficit
+// and every counter are per job — one tenant hitting its limits never
+// stalls another.
 //
 // # Fair scheduling (deficit round robin)
 //
@@ -55,7 +53,7 @@
 //   - The round advances the moment no demanding tenant holds budget
 //     (work conservation: a lone tenant is never throttled), or after
 //     Config.SchedRoundAge when a budget holder goes quiet mid-round
-//     (dead workers, quota-blocked) so nobody waits on a ghost.
+//     (dead workers) so nobody waits on a ghost.
 //
 // Because every job's slot range is striped evenly across the shards,
 // per-shard fairness composes: under contention each tenant's completed-
@@ -168,8 +166,8 @@
 //	stats  = [ver(1) type(1) job(2)]
 //	reply  = [ver(1) type(1) job(2) phase(1) weight(2) fmt(1) guard(1)
 //	          round(1) class(1) topn(2) groups(2) adds(8) retransmits(8)
-//	          completions(8) quotaDrops(8) schedDefers(8) outstanding(8)
-//	          cacheHits(8) cacheBytes(8) coalesced(8)]
+//	          completions(8) schedDefers(8) outstanding(8) cacheHits(8)
+//	          cacheBytes(8) coalesced(8)]
 //	admit  = [ver(1) type(1) job(2) weight(2) fmt(1) guard(1) round(1)
 //	          class(1) topn(2) groups(2)]
 //	evict  = [ver(1) type(1) job(2)]
@@ -296,19 +294,20 @@
 // mod 2), a worker sends chunk c only after receiving the result of chunk
 // c−pool, and duplicate packets for completed chunks are answered from a
 // per-slot result cache — which makes the protocol robust to packet loss
-// in either direction. The cache is bounded, not leaked: when chunk
-// c+pool completes, every worker necessarily sent c+pool and therefore
-// received chunk c's result, so chunk c's cached packet is freed (its
-// size and replay hits are tracked per job as CacheBytes/CacheHits), and
-// a released slot range drops its caches wholesale.
+// in either direction. The slot is the single owner of a chunk's
+// in-flight state (slotState: free → aggregating → on a tree leaf,
+// uplinked → final): a cached RESULT lives exactly as long as its slot
+// version, freed when chunk c+2·pool rebinds the slot and when the range
+// is released, so a job caches at most 2·pool packets (size and replay
+// hits are tracked per job as CacheBytes/CacheHits).
 //
 // A slot is recycled by overwrite, not by a reset pass: the first ADD of a
-// new chunk passes the draining, scheduler and quota gates, then runs ONE
+// new chunk passes the draining and scheduler gates, then runs ONE
 // pipeline pass (the aggregator's SetInto, opcode core.PktSet) that stores
 // its values over whatever the slot's previous chunk left — bit for bit
 // what a read-reset followed by an add would leave. Only when that pass
 // has succeeded is the slot bound to the chunk; a failed pass refunds the
-// quota and the scheduler and leaves the slot unbound, so the sender's
+// scheduler and leaves the slot unbound, so the sender's
 // retransmit binds it as if nothing had happened. Every later worker's
 // ADD is one AddInto pass, duplicates and replays are answered before the
 // pipeline, so a chunk costs exactly one pass per contribution.
@@ -321,7 +320,9 @@
 // PARTIAL sum, so instead of answering its own workers the leaf re-emits
 // it as an ADD to a parent switch (UplinkConfig.Fabric, parent port
 // job·Leaves + LeafID) and releases the final RESULT downward only when
-// the parent's aggregate returns. The parent needs no tree code: it is an
+// the parent's aggregate returns. Until then the slot holds the uplink ADD
+// itself, which is all the per-chunk state the uplink client's retransmit
+// round needs. The parent needs no tree code: it is an
 // ordinary Switch whose "workers" are the leaves, which is also what lets
 // trees nest — a mid-tier switch is both a parent to its children and a
 // leaf of its own Uplink. Levels must share one Pool so the self-clocked

@@ -17,15 +17,15 @@ func FuzzDecodeStatsReply(f *testing.F) {
 		Profile: core.NumericProfile{Format: core.FormatBF16, Guard: 2, Rounding: core.RoundingRNE},
 		Class:   AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024},
 		Adds:    1, Retransmits: 2, Completions: 3,
-		QuotaDrops: 4, SchedDefers: 9, Outstanding: 5, CacheHits: 6, CacheBytes: 7,
+		SchedDefers: 9, Outstanding: 5, CacheHits: 6, CacheBytes: 7,
 		Coalesced: 8,
 	})
 	f.Add(valid)
 	f.Add(valid[:10])                                                                     // truncated counters
 	f.Add(valid[:statsReplyBytes-5])                                                      // the pre-class width
-	f.Add(valid[:4+1+2+3+8*8])                                                            // the pre-coalesced width
-	f.Add(valid[:4+1+2+8*8])                                                              // the pre-profile width
-	f.Add(valid[:4+1+7*8])                                                                // the pre-scheduler width
+	f.Add(valid[:4+1+2+3+7*8])                                                            // the pre-coalesced width
+	f.Add(valid[:4+1+2+7*8])                                                              // the pre-profile width
+	f.Add(valid[:4+1+6*8])                                                                // the pre-scheduler width
 	f.Add(append(append([]byte(nil), valid...), 0xaa))                                    // trailing byte
 	f.Add([]byte{WireVersion, MsgStatsReply})                                             // header only
 	f.Add([]byte{MsgResult, 0, 0, 0})                                                     // legacy framing

@@ -70,41 +70,35 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 		t.Fatalf("BadJob = %d, want %d", got, badJob+1)
 	}
 
-	// freeCachedResult: complete chunk 0 under N+1 (one worker), then a
-	// deferred free queued under N must leave its cached RESULT alone.
-	epoch := sw.JobEpoch(0)
-	if ds := handle(sw, 0, EncodeAddProfile(0, 0, epoch, core.DefaultProfile, []float32{2})); !delivered(ds, MsgResult) {
-		t.Fatalf("chunk 0 did not complete: %+v", ds)
-	}
-	gs := sw.slotOf(cur.ri, 0)
-	cached := func(gs int) []byte {
-		sh := sw.shards[gs%sw.nsh]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.slot[gs/sw.nsh].cached
-	}
-	sw.freeCachedResult(old, gs, 0)
-	if cached(gs) == nil {
-		t.Fatal("stale cache-free dropped the new incarnation's RESULT")
-	}
-	sw.freeCachedResult(cur, gs, 0)
-	if st, _ := sw.JobStats(0); cached(gs) != nil || st.CacheBytes != 0 {
-		t.Fatalf("live cache-free left %d bytes cached", st.CacheBytes)
-	}
-
-	// installFinal: a slot of N+1 awaits its parent aggregate; a final
-	// carried by N's uplink client must be dropped, N+1's installed.
-	gs = sw.slotOf(cur.ri, 1)
+	// installFinal / owed: a slot of N+1 holds an uplinked chunk (leaf
+	// overflow set); a final carried by N's uplink client must be dropped
+	// and N's retransmit walk must find nothing, N+1's is installed with the
+	// leaf's overflow ORed in and ends the slot's uplinked state.
+	gs := sw.slotOf(cur.ri, 1)
 	sh := sw.shards[gs%sw.nsh]
+	st := &sh.slot[gs/sw.nsh]
+	up := EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{3})
 	sh.mu.Lock()
-	sh.slot[gs/sw.nsh].chunk = 1
-	sh.slot[gs/sw.nsh].upPending = true
+	st.chunk, st.up, st.upOvf = 1, up, true
 	sh.mu.Unlock()
-	if pkt, ok := sw.installFinal(old, 1, []float32{3}, false); ok || pkt != nil || cached(gs) != nil {
+	if pkt, ok := sw.installFinal(old, 1, []float32{3}, false); ok || pkt != nil || st.cached != nil {
 		t.Fatal("stale final installed into the new incarnation's slot")
 	}
-	if _, ok := sw.installFinal(cur, 1, []float32{3}, false); !ok || cached(gs) == nil {
+	if owed := sw.owed(old, nil); len(owed) != 0 {
+		t.Fatalf("retired incarnation still owes %d uplink ADDs", len(owed))
+	}
+	if owed := sw.owed(cur, nil); len(owed) != 1 || &owed[0][0] != &up[0] {
+		t.Fatalf("live incarnation owes %d uplink ADDs, want the slot's one", len(owed))
+	}
+	pkt, ok := sw.installFinal(cur, 1, []float32{3}, false)
+	if !ok || st.cached == nil || st.up != nil {
 		t.Fatal("live final not installed")
+	}
+	if _, _, _, ovf, err := DecodeResultProfile(pkt, 1, core.DefaultProfile); err != nil || !ovf {
+		t.Fatalf("final lost the leaf's overflow flag: ovf=%v err=%v", ovf, err)
+	}
+	if _, ok := sw.installFinal(cur, 1, []float32{3}, false); ok || len(sw.owed(cur, nil)) != 0 {
+		t.Fatal("duplicate parent result re-installed a final slot")
 	}
 }
 

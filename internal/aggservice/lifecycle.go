@@ -157,36 +157,38 @@ const (
 	AckErrBadClass
 )
 
+// ackTable is the one record of every AckStatus: its display name and the
+// sentinel error it stands for (nil for the success acks; the worker notices
+// AckEvicted/AckDraining both mean ErrJobEvicted). String, Err, the
+// error → status mapping in jobAck and DecodeJobAck's range check all read
+// it, so a new status is one new row.
+var ackTable = [...]struct {
+	name string
+	err  error
+}{
+	AckAdmitted:           {"admitted", nil},
+	AckEvicting:           {"evicting", nil},
+	AckEvicted:            {"evicted", ErrJobEvicted},
+	AckDraining:           {"draining", ErrJobEvicted},
+	AckErrUnknownJob:      {"error: unknown job", ErrUnknownJob},
+	AckErrNotAdmitted:     {"error: not admitted", ErrNotAdmitted},
+	AckErrAlreadyAdmitted: {"error: already admitted", ErrAlreadyAdmitted},
+	AckErrDraining:        {"error: draining", ErrJobDraining},
+	AckErrNoCapacity:      {"error: no capacity", ErrNoCapacity},
+	AckErrDisabled:        {"error: lifecycle disabled", ErrLifecycleDisabled},
+	AckBackpressure:       {"backpressure", ErrBackpressure},
+	AckErrBadProfile:      {"error: bad numeric profile", ErrBadProfile},
+	AckErrBadClass:        {"error: bad workload class", ErrBadClass},
+}
+
+// valid reports whether a is a status octet this wire version defines.
+func (a AckStatus) valid() bool { return int(a) < len(ackTable) }
+
 func (a AckStatus) String() string {
-	switch a {
-	case AckAdmitted:
-		return "admitted"
-	case AckEvicting:
-		return "evicting"
-	case AckEvicted:
-		return "evicted"
-	case AckDraining:
-		return "draining"
-	case AckErrUnknownJob:
-		return "error: unknown job"
-	case AckErrNotAdmitted:
-		return "error: not admitted"
-	case AckErrAlreadyAdmitted:
-		return "error: already admitted"
-	case AckErrDraining:
-		return "error: draining"
-	case AckErrNoCapacity:
-		return "error: no capacity"
-	case AckErrDisabled:
-		return "error: lifecycle disabled"
-	case AckBackpressure:
-		return "backpressure"
-	case AckErrBadProfile:
-		return "error: bad numeric profile"
-	case AckErrBadClass:
-		return "error: bad workload class"
+	if !a.valid() {
+		return fmt.Sprintf("AckStatus(%d)", uint8(a))
 	}
-	return fmt.Sprintf("AckStatus(%d)", uint8(a))
+	return ackTable[a].name
 }
 
 // Err maps an ack status back to its sentinel error: nil for the success
@@ -194,31 +196,26 @@ func (a AckStatus) String() string {
 // error otherwise — so a wire client can errors.Is exactly like an
 // in-process caller.
 func (a AckStatus) Err() error {
-	switch a {
-	case AckAdmitted, AckEvicting:
-		return nil
-	case AckEvicted, AckDraining:
-		return ErrJobEvicted
-	case AckErrUnknownJob:
-		return ErrUnknownJob
-	case AckErrNotAdmitted:
-		return ErrNotAdmitted
-	case AckErrAlreadyAdmitted:
-		return ErrAlreadyAdmitted
-	case AckErrDraining:
-		return ErrJobDraining
-	case AckErrNoCapacity:
-		return ErrNoCapacity
-	case AckErrDisabled:
-		return ErrLifecycleDisabled
-	case AckBackpressure:
-		return ErrBackpressure
-	case AckErrBadProfile:
-		return ErrBadProfile
-	case AckErrBadClass:
-		return ErrBadClass
+	if !a.valid() {
+		return fmt.Errorf("aggservice: unknown ack status %d", uint8(a))
 	}
-	return fmt.Errorf("aggservice: unknown ack status %d", uint8(a))
+	return ackTable[a].err
+}
+
+// ackStatusOf maps a lifecycle error to the status octet that carries it:
+// ok for nil, the row whose sentinel err wraps, and AckErrUnknownJob for
+// anything else (ErrUnknownJob itself, and refusals with no octet of their
+// own such as ErrBadWeight).
+func ackStatusOf(ok AckStatus, err error) AckStatus {
+	if err == nil {
+		return ok
+	}
+	for a, row := range ackTable {
+		if row.err != nil && errors.Is(err, row.err) {
+			return AckStatus(a)
+		}
+	}
+	return AckErrUnknownJob
 }
 
 // handleLifecycle serves a wire MsgJobAdmit/MsgJobEvict. Only the
@@ -266,27 +263,7 @@ func (s *Switch) handleLifecycle(worker int, typ byte, pkt []byte, out *transpor
 // incarnation's, so a second negotiator learns them without a second
 // exchange.
 func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
-	status := ok
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrNotAdmitted):
-		status = AckErrNotAdmitted
-	case errors.Is(err, ErrAlreadyAdmitted):
-		status = AckErrAlreadyAdmitted
-	case errors.Is(err, ErrJobDraining):
-		status = AckErrDraining
-	case errors.Is(err, ErrNoCapacity):
-		status = AckErrNoCapacity
-	case errors.Is(err, ErrLifecycleDisabled):
-		status = AckErrDisabled
-	case errors.Is(err, ErrBadProfile):
-		status = AckErrBadProfile
-	case errors.Is(err, ErrBadClass):
-		status = AckErrBadClass
-	default:
-		status = AckErrUnknownJob
-	}
-	ack := JobAck{Job: job, Status: status, Epoch: s.JobEpoch(job)}
+	ack := JobAck{Job: job, Status: ackStatusOf(ok, err), Epoch: s.JobEpoch(job)}
 	if inc := s.current(job); inc != nil {
 		ack.JobSpec = inc.spec
 	}
@@ -427,10 +404,10 @@ func (s *Switch) Evict(job int) error {
 		s.release(inc)
 		return nil
 	}
-	// The timer is bound to this incarnation: a callback that fired during
-	// release (Stop raced) and only later wins lifeMu must not cut short a
-	// LATER incarnation's drain.
-	s.drainTimers[job] = time.AfterFunc(s.cfg.drainTimeout(), func() { s.finishDrain(inc, true) })
+	// A callback that fired during release (Stop raced) and only later wins
+	// lifeMu finds inc retired and cannot cut short a LATER incarnation's
+	// drain.
+	inc.drainTimer = time.AfterFunc(s.cfg.drainTimeout(), func() { s.finishDrain(inc, true) })
 	return nil
 }
 
@@ -447,26 +424,25 @@ func (s *Switch) finishDrain(inc *incarnation, force bool) {
 }
 
 // release retires a live incarnation and returns its slot range to the
-// free-list, resetting every slot (freeing cached RESULTs, unbinding
-// chunks, clearing quota charges) so the next admission starts clean.
-// Caller holds lifeMu.
+// free-list, resetting every slot (freeing cached RESULTs and owed uplink
+// ADDs, unbinding chunks) so the next admission starts clean. Caller holds
+// lifeMu.
 func (s *Switch) release(inc *incarnation) {
 	job := inc.job
 	js := &s.jobs[job]
 	// Retire before touching slots: once live no longer points at inc, the
 	// hot path's under-lock revalidation guarantees no ADD, tuple, drain or
-	// deferred cache-free carrying inc can reach these slots while — or
+	// parent aggregate carrying inc can reach these slots while — or
 	// after — they reset, even if a later admission hands the same range
 	// back to this same job id. The banks and analytics registers go with
 	// the record; the compiled program stays cached on the switch.
 	js.live.Store(nil)
 	js.epoch.Add(1)
-	if t := s.drainTimers[job]; t != nil {
-		t.Stop()
-		s.drainTimers[job] = nil
+	if inc.drainTimer != nil {
+		inc.drainTimer.Stop()
 	}
-	// Aggregates the parent still owes the uplink client are stale now; a
-	// fresh admission starts a fresh client.
+	// Aggregates the parent still owes the range's slots are stale now; a
+	// fresh admission starts a fresh uplink client.
 	if inc.up != nil {
 		inc.up.stop()
 	}
@@ -475,14 +451,8 @@ func (s *Switch) release(inc *incarnation) {
 		sh := s.shards[gs%s.nsh]
 		sh.mu.Lock()
 		st := &sh.slot[gs/s.nsh]
-		st.chunk = -1
-		for i := range st.seen {
-			st.seen[i] = false
-		}
-		st.nSeen = 0
-		st.cached = nil
-		st.outstanding = false
-		st.upPending = false
+		clear(st.seen)
+		*st = slotState{chunk: -1, seen: st.seen}
 		sh.mu.Unlock()
 	}
 	s.freeRanges = append(s.freeRanges, inc.ri)

@@ -400,10 +400,11 @@ func TestWorkerReduceReturnsErrJobEvicted(t *testing.T) {
 	}
 }
 
-// TestResultCacheEvictedOnWindowAdvance is the cache-leak regression test:
-// once chunk c+Pool completes, every worker provably received chunk c's
-// result, so its cached RESULT is freed — CacheBytes stays bounded by the
-// live window instead of growing to the whole slot range.
+// TestResultCacheEvictedOnWindowAdvance is the cache-bound test: a cached
+// RESULT lives exactly as long as its slot version — until chunk c+2·Pool
+// rebinds the slot — so CacheBytes is bounded by the job's 2·Pool slots
+// however long the run, a duplicate of ANY still-bound chunk replays, and a
+// duplicate of a superseded one gets nothing.
 func TestResultCacheEvictedOnWindowAdvance(t *testing.T) {
 	cfg := Config{Workers: 1, Pool: 2, Modules: 1,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
@@ -412,43 +413,44 @@ func TestResultCacheEvictedOnWindowAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := resultBytes(cfg.Modules, core.DefaultProfile)
-	send := func(chunk uint32) {
-		t.Helper()
-		if ds := handle(sw, 0, EncodeAddProfile(0, chunk, 0, core.DefaultProfile, []float32{float32(chunk)})); len(ds) != 1 {
-			t.Fatalf("chunk %d: deliveries %v", chunk, ds)
+	add := func(chunk uint32) []transport.Delivery {
+		return handle(sw, 0, EncodeAddProfile(0, chunk, 0, core.DefaultProfile, []float32{float32(chunk)}))
+	}
+	cacheBytes := func() int {
+		st, _ := sw.JobStats(0)
+		return int(st.CacheBytes)
+	}
+	// The cache fills one entry per slot, then every completion rebinds a
+	// slot and replaces its entry: the gauge never passes 2·Pool entries.
+	const last = 63
+	for c := uint32(0); c <= last; c++ {
+		if ds := add(c); len(ds) != 1 {
+			t.Fatalf("chunk %d: deliveries %v", c, ds)
+		}
+		if got, want := cacheBytes(), min(int(c)+1, 2*cfg.Pool)*one; got != want {
+			t.Fatalf("cache after chunk %d = %d bytes, want %d", c, got, want)
 		}
 	}
-	send(0)
-	send(1)
-	st, _ := sw.JobStats(0)
-	if st.CacheBytes != uint64(2*one) {
-		t.Fatalf("cache after 2 chunks = %d, want %d", st.CacheBytes, 2*one)
+	// Every chunk still bound to a slot replays from its cache…
+	bound := uint32(2 * cfg.Pool)
+	for c := last - bound + 1; c <= last; c++ {
+		ds := add(c)
+		if len(ds) != 1 {
+			t.Fatalf("duplicate of bound chunk %d: deliveries %v", c, ds)
+		}
+		if _, got, _, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile); err != nil || got != c {
+			t.Fatalf("duplicate of chunk %d replayed chunk %d (%v)", c, got, err)
+		}
 	}
-	// Chunk 2 completes: chunk 0's cache (its bank partner) is evicted.
-	send(2)
-	st, _ = sw.JobStats(0)
-	if st.CacheBytes != uint64(2*one) {
-		t.Fatalf("cache after window advance = %d, want %d (chunk 0 not evicted?)", st.CacheBytes, 2*one)
+	if st, _ := sw.JobStats(0); st.CacheHits != uint64(bound) || st.Retransmits != uint64(bound) {
+		t.Fatalf("cache hits = %d, retransmits = %d, want %d each", st.CacheHits, st.Retransmits, bound)
 	}
-	// Drive a long run: the cache must stay bounded at Pool live entries.
-	for c := uint32(3); c < 64; c++ {
-		send(c)
+	// …and a chunk whose slot a later chunk took gets nothing (and no panic).
+	if ds := add(last - bound); ds != nil {
+		t.Fatalf("superseded chunk's duplicate produced deliveries: %v", ds)
 	}
-	st, _ = sw.JobStats(0)
-	if st.CacheBytes != uint64(cfg.Pool*one) {
-		t.Fatalf("cache after 64 chunks = %d, want %d", st.CacheBytes, cfg.Pool*one)
-	}
-	// A duplicate of a still-cached chunk replays from cache and counts a
-	// hit; a duplicate of an evicted chunk gets nothing (and no panic).
-	if ds := handle(sw, 0, EncodeAddProfile(0, 63, 0, core.DefaultProfile, []float32{63})); len(ds) != 1 {
-		t.Fatalf("replay from cache: %v", ds)
-	}
-	st, _ = sw.JobStats(0)
-	if st.CacheHits != 1 {
-		t.Fatalf("cache hits = %d, want 1", st.CacheHits)
-	}
-	if ds := handle(sw, 0, EncodeAddProfile(0, 60, 0, core.DefaultProfile, []float32{60})); ds != nil {
-		t.Fatalf("evicted-cache duplicate produced deliveries: %v", ds)
+	if got := cacheBytes(); got != 2*cfg.Pool*one {
+		t.Fatalf("replays moved the cache gauge: %d bytes, want %d", got, 2*cfg.Pool*one)
 	}
 }
 
@@ -580,7 +582,7 @@ func TestOnLifecycleHook(t *testing.T) {
 func TestStatsReplyRoundTrip(t *testing.T) {
 	in := JobStats{
 		Phase: PhaseDraining, Weight: 4, Adds: 12, Retransmits: 3, Completions: 4,
-		QuotaDrops: 5, SchedDefers: 9, Outstanding: -6, CacheHits: 7, CacheBytes: 80,
+		SchedDefers: 9, Outstanding: -6, CacheHits: 7, CacheBytes: 80,
 	}
 	pkt := encodeStatsReply(259, in)
 	job, out, err := DecodeStatsReply(pkt)
@@ -883,8 +885,7 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("%d of 4 ranges accounted after the soak", len(seen))
 	}
-	t.Logf("soak: %d backpressure defers, %d quota drops, job 0 retransmits %d",
-		r.Backpressure, st0.QuotaDrops, st0.Retransmits)
+	t.Logf("soak: %d backpressure defers, job 0 retransmits %d", r.Backpressure, st0.Retransmits)
 }
 
 // TestLifecycleChurnRace hammers admit/evict against concurrent traffic on

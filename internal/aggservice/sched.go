@@ -3,13 +3,12 @@ package aggservice
 import "time"
 
 // This file is the per-shard deficit-round-robin (DRR) scheduler that
-// shares pipeline time across tenant jobs in weight proportion. It
-// replaces the hard MaxOutstanding cap as the isolation mechanism: instead
-// of a static per-job ceiling an operator must hand-tune, every admitted
-// job carries a Weight and the switch meters NEW chunk binds — the unit of
-// pipeline time in this protocol — so that under contention each tenant's
-// bind throughput converges to its weight share, while an uncontended
-// switch stays work-conserving (a lone tenant is never throttled).
+// shares pipeline time across tenant jobs in weight proportion — the
+// switch's one isolation mechanism: every admitted job carries a Weight and
+// the switch meters NEW chunk binds — the unit of pipeline time in this
+// protocol — so that under contention each tenant's bind throughput
+// converges to its weight share, while an uncontended switch stays
+// work-conserving (a lone tenant is never throttled).
 //
 // Each shard runs its own scheduler instance under the shard lock it
 // already holds for the slot protocol, so the hot path adds no new lock
@@ -34,8 +33,7 @@ import "time"
 //   - The round advances as soon as no demanding job holds deficit — the
 //     work-conserving exit: a lone flooding tenant advances rounds freely —
 //     or after Config.SchedRoundAge, which bounds the stall when a budget-
-//     holding tenant goes quiet mid-round (crashed worker, quota-blocked
-//     job).
+//     holding tenant goes quiet mid-round (crashed worker).
 //
 // Eviction returns unspent deficit: release() forfeits the job's budget on
 // every shard so a dead tenant's leftover deficit can neither block the
@@ -49,9 +47,8 @@ const drrQuantum = 8
 
 // DefaultSchedRoundAge bounds a round's lifetime once a bind has been
 // deferred (Config.SchedRoundAge = 0): if a demanding job holds unspent
-// deficit but stops binding (its workers died, or it is blocked on its
-// MaxOutstanding quota), deferred tenants wait at most this long before
-// the round is forced over. Well under the workers' retransmit timeouts,
+// deficit but stops binding (its workers died), deferred tenants wait at
+// most this long before the round is forced over. Well under the workers' retransmit timeouts,
 // so a forced advance is invisible to the protocol.
 const DefaultSchedRoundAge = 3 * time.Millisecond
 
@@ -124,9 +121,8 @@ func (d *drrSched) charge(job int, quantum int64) bool {
 }
 
 // refund returns one charged bind to job — the undo for a bind that was
-// admitted by the scheduler but then dropped by the MaxOutstanding quota
-// or refused by the pipeline, so the job is not billed for work that never
-// ran. Caller holds the shard lock.
+// admitted by the scheduler but then refused by the pipeline, so the job is
+// not billed for work that never ran. Caller holds the shard lock.
 func (d *drrSched) refund(job int) {
 	j := &d.jobs[job]
 	if j.seenRound != d.round {

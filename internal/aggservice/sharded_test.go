@@ -72,6 +72,30 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestPoolNotMultipleOfShards runs a reduce on a pool the shards do not
+// divide (Pool 3 over 2 shards): a chunk and its bank partner c+Pool then
+// live on DIFFERENT shards, the striping no benchmark workload or example
+// takes. The result must be bit-identical to the single-shard switch's.
+func TestPoolNotMultipleOfShards(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 3, Modules: 1, Shards: 2, Mode: core.ModeFull, Arch: pisa.ExtendedArch()}
+	vecs := gridVecs(cfg.Workers, 41)
+	got, sw, _ := runReduction(t, cfg, vecs, 0, 1)
+	cfg.Shards = 1
+	want, _, _ := runReduction(t, cfg, vecs, 0, 1)
+	for w := range got {
+		for i := range got[w] {
+			if got[w][i] != want[0][i] || got[w][i] != vecs[0][i]+vecs[1][i] {
+				t.Fatalf("worker %d elem %d = %g, single shard says %g, exact %g",
+					w, i, got[w][i], want[0][i], vecs[0][i]+vecs[1][i])
+			}
+		}
+	}
+	if st, _ := sw.JobStats(0); st.Completions != 41 || st.Outstanding != 0 ||
+		st.CacheBytes != uint64(2*cfg.Pool*resultBytes(cfg.Modules, core.DefaultProfile)) {
+		t.Fatalf("stats after the reduce: %+v", st)
+	}
+}
+
 // TestShardedHandleConcurrent hammers Handle from several goroutines with
 // disjoint chunk ranges covering every slot exactly once; run under -race
 // this doubles as the shard-locking race test.
@@ -253,28 +277,6 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	}
 	if vals[0] != 3.75 {
 		t.Fatalf("sum = %g, want 3.75 (a contribution lost or doubled?)", vals[0])
-	}
-}
-
-// A first ADD the MaxOutstanding quota vetoes runs no pipeline pass at all:
-// the gates come before the one pass that binds.
-func TestQuotaVetoRunsNoPipelinePass(t *testing.T) {
-	cfg := Config{Workers: 2, Pool: 2, Modules: 1, MaxOutstanding: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
-	sw, err := NewSwitch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes := countPasses(t, sw, 0)
-	handle(sw, 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}))
-	if n := passes(); n != 1 {
-		t.Fatalf("binding chunk 0 took %d pipeline passes, want 1", n)
-	}
-	handle(sw, 0, EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{2}))
-	if st, _ := sw.JobStats(0); st.QuotaDrops != 1 || st.Outstanding != 1 {
-		t.Fatalf("quotaDrops=%d outstanding=%d, want 1/1", st.QuotaDrops, st.Outstanding)
-	}
-	if n := passes(); n != 1 {
-		t.Fatalf("a quota-vetoed first ADD ran the pipeline: %d passes, want 1", n)
 	}
 }
 

@@ -110,7 +110,9 @@ func admitUp(ctl ParentControl, job int, spec JobSpec) (uint8, error) {
 // uplinkJob is one leaf incarnation's uplink client: the Worker-like state
 // machine that re-emits the job's partial sums to the parent, retransmits
 // them on timeout, and installs the parent's aggregates as the job's final
-// RESULTs. It lives on the incarnation record (incarnation.up): Admit
+// RESULTs. It keeps no per-chunk state of its own — which chunks are owed,
+// and the ADDs to resend for them, live in the incarnation's slots
+// (slotState.up). It lives on the incarnation record (incarnation.up): Admit
 // starts it, release stops it, and a re-admission gets a fresh one.
 type uplinkJob struct {
 	s           *Switch
@@ -123,9 +125,6 @@ type uplinkJob struct {
 
 	quit chan struct{}
 	once sync.Once
-
-	mu  sync.Mutex
-	out map[uint32]*upChunk // chunk → uplink ADD awaiting the parent
 
 	retrans atomic.Uint64
 }
@@ -143,53 +142,27 @@ func newUplinkJob(s *Switch, inc *incarnation, parentEpoch uint8) *uplinkJob {
 		timeout:     timeout,
 		retries:     retries,
 		quit:        make(chan struct{}),
-		out:         make(map[uint32]*upChunk),
 	}
-}
-
-// upChunk is one in-flight uplink ADD.
-type upChunk struct {
-	pkt []byte
-	ovf bool // leaf-level overflow, ORed into the final RESULT's flag
 }
 
 func (u *uplinkJob) stop() { u.once.Do(func() { close(u.quit) }) }
 
-// submit registers a batch of partial sums and sends them up in one
-// vector. Register-then-send: once a chunk is in u.out the retransmit
-// round covers it, so a datagram lost here is recovered like any other.
-func (u *uplinkJob) submit(reqs []upReq) {
-	u.mu.Lock()
-	msgs := make([][]byte, 0, len(reqs))
-	for _, r := range reqs {
-		r.pkt[hdrBytes] = u.parentEpoch
-		u.out[r.chunk] = &upChunk{pkt: r.pkt, ovf: r.ovf}
-		msgs = append(msgs, r.pkt)
+// owed appends the parent-bound ADD of every slot of inc still awaiting the
+// parent's aggregate to msgs, in slot order. It walks the incarnation's
+// 2·Pool slots one shard lock at a time — the timeout and audit paths only,
+// never the hot path — and finds nothing once inc is retired (the slots may
+// already belong to its successor).
+func (s *Switch) owed(inc *incarnation, msgs [][]byte) [][]byte {
+	base := inc.ri * 2 * s.cfg.Pool
+	for gs := base; gs < base+2*s.cfg.Pool; gs++ {
+		sh := s.shards[gs%s.nsh]
+		sh.mu.Lock()
+		if up := sh.slot[gs/s.nsh].up; up != nil && s.isLive(inc) {
+			msgs = append(msgs, up)
+		}
+		sh.mu.Unlock()
 	}
-	u.mu.Unlock()
-	if len(msgs) > 0 {
-		u.fab.SendBatch(u.port, msgs) // send errors recover via retransmit
-	}
-}
-
-func (u *uplinkJob) pending() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.out)
-}
-
-func (u *uplinkJob) retransmitPending() {
-	u.mu.Lock()
-	msgs := make([][]byte, 0, len(u.out))
-	for _, pc := range u.out {
-		msgs = append(msgs, pc.pkt)
-	}
-	u.mu.Unlock()
-	if len(msgs) == 0 {
-		return
-	}
-	u.retrans.Add(uint64(len(msgs)))
-	u.fab.SendBatch(u.port, msgs)
+	return msgs
 }
 
 // run is the uplink receiver: it drains the parent's downlink (final
@@ -199,6 +172,7 @@ func (u *uplinkJob) retransmitPending() {
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
 	vals := make([]float32, u.s.cfg.Modules) // readDownlink's decode buffer
+	var resend [][]byte
 	stalls := 0
 	for {
 		select {
@@ -208,7 +182,8 @@ func (u *uplinkJob) run() {
 		}
 		k, err := u.fab.RecvBatch(u.port, bufs, u.timeout)
 		if err == transport.ErrTimeout {
-			if u.pending() == 0 {
+			resend = u.s.owed(u.inc, resend[:0])
+			if len(resend) == 0 {
 				stalls = 0 // idle: nothing owed, a quiet parent is fine
 				continue
 			}
@@ -221,7 +196,10 @@ func (u *uplinkJob) run() {
 				u.s.Evict(u.inc.job)
 				return
 			}
-			u.retransmitPending()
+			// A datagram lost on either leg is recovered here: the slots
+			// keep every owed ADD until its aggregate installs.
+			u.retrans.Add(uint64(len(resend)))
+			u.fab.SendBatch(u.port, resend)
 			continue
 		}
 		if err != nil {
@@ -230,7 +208,9 @@ func (u *uplinkJob) run() {
 		var finals []resDone
 		final := func(chunk uint32, vals []float32, ovf bool) {
 			stalls = 0
-			finals = u.takeFinal(chunk, vals, ovf, finals)
+			if pkt, ok := u.s.installFinal(u.inc, chunk, vals, ovf); ok {
+				finals = append(finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
+			}
 		}
 		for _, msg := range bufs[:k] {
 			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, vals, final)
@@ -256,32 +236,13 @@ func (u *uplinkJob) run() {
 	}
 }
 
-// takeFinal resolves one pending uplink chunk against a parent aggregate:
-// it ORs the leaf's overflow flag into the parent's, installs the final
-// RESULT into the slot's cache (unless the leaf incarnation moved), and
-// queues it for the fan-down push.
-func (u *uplinkJob) takeFinal(chunk uint32, vals []float32, parentOvf bool, finals []resDone) []resDone {
-	u.mu.Lock()
-	pc, ok := u.out[chunk]
-	if ok {
-		delete(u.out, chunk)
-	}
-	u.mu.Unlock()
-	if !ok {
-		return finals // duplicate parent result; the cache already has it
-	}
-	pkt, ok := u.s.installFinal(u.inc, chunk, vals, parentOvf || pc.ovf)
-	if !ok {
-		return finals
-	}
-	return append(finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
-}
-
-// installFinal writes a parent aggregate into its slot's result cache as
-// the chunk's final RESULT, with the same under-lock revalidation the ADD
-// path uses: if the leaf retired the incarnation (or rebound the slot)
-// since the chunk went up, the stale aggregate is dropped.
-func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, ovf bool) ([]byte, bool) {
+// installFinal resolves an uplinked chunk against the parent's aggregate: it
+// writes the final RESULT — the parent's overflow flag ORed with the leaf's —
+// into the slot's result cache and ends the slot's uplinked state, with the
+// same under-lock revalidation the ADD path uses: if the leaf retired the
+// incarnation or rebound the slot since the chunk went up, or the slot is
+// already final (a duplicate parent result), the aggregate is dropped.
+func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, parentOvf bool) ([]byte, bool) {
 	gs := s.slotOf(inc.ri, chunk)
 	sh := s.shards[gs%s.nsh]
 	sh.mu.Lock()
@@ -290,12 +251,12 @@ func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, ov
 		return nil, false
 	}
 	st := &sh.slot[gs/s.nsh]
-	if st.chunk != int64(chunk) || !st.upPending {
+	if st.chunk != int64(chunk) || st.up == nil {
 		return nil, false
 	}
-	pkt := encodeResult(inc.job, chunk, inc.spec.Profile, vals, ovf)
+	pkt := encodeResult(inc.job, chunk, inc.spec.Profile, vals, parentOvf || st.upOvf)
 	st.cached = pkt
-	st.upPending = false
+	st.up = nil
 	s.jobs[inc.job].cacheBytes.Add(int64(len(pkt)))
 	return pkt, true
 }
@@ -319,39 +280,31 @@ func (s *Switch) pushFinals(finals []resDone) {
 	u.Push.Push(dl.Take())
 }
 
-// submitUplinks hands a batch's locally-completed chunks to their
-// incarnations' uplink clients. Runs after the shard lock rounds — the
-// clients do fabric I/O.
+// submitUplinks sends a batch's locally-completed chunks up the tree, one
+// vector per incarnation. Runs after the shard lock rounds — it is fabric
+// I/O. The slots already own the packets, so a datagram lost here (or a send
+// error) is recovered by the uplink client's retransmit round like any other.
 func (s *Switch) submitUplinks(sc *batchScratch) {
 	for i := 0; i < len(sc.ups); {
 		inc := sc.ups[i].inc
-		j := i + 1
-		for j < len(sc.ups) && sc.ups[j].inc == inc {
-			j++
+		msgs := sc.items[:0]
+		for ; i < len(sc.ups) && sc.ups[i].inc == inc; i++ {
+			msgs = append(msgs, sc.ups[i].pkt)
 		}
+		sc.items = msgs
 		// A completion observed under an incarnation retired since must
 		// not climb: the parent may already be serving its successor.
 		if s.isLive(inc) {
-			inc.up.submit(sc.ups[i:j])
+			inc.up.fab.SendBatch(inc.up.port, msgs)
 		}
-		i = j
 	}
-}
-
-// uplinkOf returns the uplink client of job's live incarnation (nil for
-// non-leaves, vacant jobs and ids outside the capacity).
-func (s *Switch) uplinkOf(job int) *uplinkJob {
-	if inc := s.current(job); inc != nil {
-		return inc.up
-	}
-	return nil
 }
 
 // UplinkRetransmits reports how many uplink ADDs the job's live uplink
 // client has retransmitted (0 for non-leaves and vacant jobs).
 func (s *Switch) UplinkRetransmits(job int) uint64 {
-	if u := s.uplinkOf(job); u != nil {
-		return u.retrans.Load()
+	if inc := s.current(job); inc != nil && inc.up != nil {
+		return inc.up.retrans.Load()
 	}
 	return 0
 }
@@ -360,8 +313,8 @@ func (s *Switch) UplinkRetransmits(job int) uint64 {
 // (0 for non-leaves and vacant jobs); tests use it to audit that a drain
 // left nothing owed.
 func (s *Switch) UplinkPending(job int) int {
-	if u := s.uplinkOf(job); u != nil {
-		return u.pending()
+	if inc := s.current(job); inc != nil && inc.up != nil {
+		return len(s.owed(inc, nil))
 	}
 	return 0
 }
@@ -375,13 +328,16 @@ func (s *Switch) UplinkPending(job int) int {
 func (s *Switch) Close() {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
-	for j, t := range s.drainTimers {
-		if t != nil {
-			t.Stop()
-			s.drainTimers[j] = nil
+	for j := range s.jobs {
+		inc := s.jobs[j].live.Load()
+		if inc == nil {
+			continue
 		}
-		if u := s.uplinkOf(j); u != nil {
-			u.stop()
+		if inc.drainTimer != nil {
+			inc.drainTimer.Stop()
+		}
+		if inc.up != nil {
+			inc.up.stop()
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package aggservice
 
 import (
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -158,7 +160,7 @@ func TestTreeAllreduceMemory(t *testing.T) {
 
 // auditSwitch checks the free-list invariant after churn: every range is
 // either live or free exactly once, and free ranges hold no leaked slot
-// state (bound chunks, cached results, quota charges, pending uplinks).
+// state (bound chunks, cached results, outstanding marks, owed uplink ADDs).
 func auditSwitch(t *testing.T, name string, s *Switch) {
 	t.Helper()
 	s.lifeMu.Lock()
@@ -184,7 +186,7 @@ func auditSwitch(t *testing.T, name string, s *Switch) {
 			sh := s.shards[gs%s.nsh]
 			sh.mu.Lock()
 			st := &sh.slot[gs/s.nsh]
-			bad := st.chunk != -1 || st.cached != nil || st.outstanding || st.upPending || st.nSeen != 0
+			bad := st.chunk != -1 || st.cached != nil || st.outstanding || st.up != nil || st.nSeen != 0
 			sh.mu.Unlock()
 			if bad {
 				t.Errorf("%s: free range %d slot %d leaked state", name, ri, gs)
@@ -327,6 +329,113 @@ func TestTreeUplinkRetransmit(t *testing.T) {
 	}
 	if _, _, completions := spine.Stats(); completions == 0 {
 		t.Error("spine completed nothing")
+	}
+}
+
+// dropOnceFabric is a leaf's scripted uplink: it drops the FIRST
+// transmission of every chunk's uplink ADD and forwards later ones to the
+// real spine fabric, logging each send vector as chunk ids together with
+// what the leaf's slots owed the parent at that moment.
+type dropOnceFabric struct {
+	transport.Fabric // the spine's fabric
+	leaf             *Switch
+
+	mu      sync.Mutex
+	dropped map[uint32]bool
+	sends   [][]uint32
+	owed    []int
+}
+
+func (f *dropOnceFabric) SendBatch(port int, pkts [][]byte) error {
+	owed := f.leaf.UplinkPending(0)
+	f.mu.Lock()
+	chunks := make([]uint32, len(pkts))
+	var pass [][]byte
+	for i, p := range pkts {
+		chunks[i] = binary.BigEndian.Uint32(p[4:])
+		if f.dropped[chunks[i]] {
+			pass = append(pass, p)
+		}
+		f.dropped[chunks[i]] = true
+	}
+	f.sends = append(f.sends, chunks)
+	f.owed = append(f.owed, owed)
+	f.mu.Unlock()
+	if len(pass) == 0 {
+		return nil
+	}
+	return f.Fabric.SendBatch(port, pass)
+}
+
+// TestTreeUplinkRetransmitFromSlots pins the slot-owned uplink state: with
+// every uplink datagram dropped once, the retransmit round must resend
+// exactly the chunks whose slots are in the uplinked state — not the one
+// still aggregating, not the ones already final — in chunk order, and the
+// owed count must return to 0 once the parent's aggregates install.
+func TestTreeUplinkRetransmitFromSlots(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 4, Modules: 1, Shards: 2,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	spineCfg := cfg
+	spineCfg.Workers = 1
+	spine, err := NewSwitch(spineCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spineFab, err := transport.NewMemory(transport.MemoryConfig{Workers: spineCfg.Ports(), BatchHandler: spine.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := &dropOnceFabric{Fabric: spineFab, dropped: make(map[uint32]bool)}
+	cfg.Uplink = &UplinkConfig{Fabric: up, Leaves: 1, Control: SwitchControl{Parent: spine},
+		Timeout: 20 * time.Millisecond, Retries: -1}
+	leaf, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.leaf = leaf
+	t.Cleanup(func() { leaf.Close(); spineFab.Close() })
+
+	adds := func(worker int, chunks ...uint32) {
+		var pkts [][]byte
+		for _, c := range chunks {
+			pkts = append(pkts, EncodeAddProfile(0, c, 0, core.DefaultProfile, []float32{1}))
+		}
+		var dl transport.DeliveryList
+		leaf.HandleBatch(worker, pkts, &dl)
+	}
+	settle := func(retrans uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for leaf.UplinkPending(0) != 0 || leaf.UplinkRetransmits(0) != retrans {
+			if time.Now().After(deadline) {
+				t.Fatalf("leaf still owes %d uplink chunks after %d retransmits (want 0 after %d)",
+					leaf.UplinkPending(0), leaf.UplinkRetransmits(0), retrans)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Chunks 0, 1 and 3 complete locally in one batch; chunk 2 stays
+	// aggregating (worker 1 never sent it).
+	adds(0, 0, 1, 2, 3)
+	adds(1, 0, 1, 3)
+	settle(3)
+	// Chunk 2 completes after the others went final.
+	adds(1, 2)
+	settle(4)
+
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	wantSends := [][]uint32{{0, 1, 3}, {0, 1, 3}, {2}, {2}}
+	wantOwed := []int{3, 3, 1, 1}
+	if !reflect.DeepEqual(up.sends, wantSends) || !reflect.DeepEqual(up.owed, wantOwed) {
+		t.Fatalf("uplink sends %v with %v owed, want %v with %v", up.sends, up.owed, wantSends, wantOwed)
+	}
+	if _, _, completions := spine.Stats(); completions != 4 {
+		t.Fatalf("spine completed %d chunks, want 4", completions)
+	}
+	// Every slot went final: a worker's duplicate replays the tree-wide sum.
+	if ds := handle(leaf, 0, EncodeAddProfile(0, 2, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
+		t.Fatalf("chunk 2 has no final RESULT to replay: %+v", ds)
 	}
 }
 

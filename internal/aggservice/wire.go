@@ -110,7 +110,7 @@ const jobSpecBytes = 2 + 3 + 5
 // other fixed layouts, each a [ver type job] header around a JobSpec.
 const (
 	jobReqBytes     = 4
-	statsReplyBytes = 4 + 1 + jobSpecBytes + 9*8
+	statsReplyBytes = 4 + 1 + jobSpecBytes + 8*8
 	jobAdmitBytes   = 4 + jobSpecBytes
 	jobAckBytes     = 4 + 2 + jobSpecBytes
 )
@@ -394,12 +394,11 @@ func encodeStatsReply(job int, st JobStats) []byte {
 	binary.BigEndian.PutUint64(pkt[15:], st.Adds)
 	binary.BigEndian.PutUint64(pkt[23:], st.Retransmits)
 	binary.BigEndian.PutUint64(pkt[31:], st.Completions)
-	binary.BigEndian.PutUint64(pkt[39:], st.QuotaDrops)
-	binary.BigEndian.PutUint64(pkt[47:], st.SchedDefers)
-	binary.BigEndian.PutUint64(pkt[55:], uint64(st.Outstanding))
-	binary.BigEndian.PutUint64(pkt[63:], st.CacheHits)
-	binary.BigEndian.PutUint64(pkt[71:], st.CacheBytes)
-	binary.BigEndian.PutUint64(pkt[79:], st.Coalesced)
+	binary.BigEndian.PutUint64(pkt[39:], st.SchedDefers)
+	binary.BigEndian.PutUint64(pkt[47:], uint64(st.Outstanding))
+	binary.BigEndian.PutUint64(pkt[55:], st.CacheHits)
+	binary.BigEndian.PutUint64(pkt[63:], st.CacheBytes)
+	binary.BigEndian.PutUint64(pkt[71:], st.Coalesced)
 	return pkt
 }
 
@@ -429,12 +428,11 @@ func DecodeStatsReply(pkt []byte) (job int, st JobStats, err error) {
 	st.Adds = binary.BigEndian.Uint64(pkt[15:])
 	st.Retransmits = binary.BigEndian.Uint64(pkt[23:])
 	st.Completions = binary.BigEndian.Uint64(pkt[31:])
-	st.QuotaDrops = binary.BigEndian.Uint64(pkt[39:])
-	st.SchedDefers = binary.BigEndian.Uint64(pkt[47:])
-	st.Outstanding = int64(binary.BigEndian.Uint64(pkt[55:]))
-	st.CacheHits = binary.BigEndian.Uint64(pkt[63:])
-	st.CacheBytes = binary.BigEndian.Uint64(pkt[71:])
-	st.Coalesced = binary.BigEndian.Uint64(pkt[79:])
+	st.SchedDefers = binary.BigEndian.Uint64(pkt[39:])
+	st.Outstanding = int64(binary.BigEndian.Uint64(pkt[47:]))
+	st.CacheHits = binary.BigEndian.Uint64(pkt[55:])
+	st.CacheBytes = binary.BigEndian.Uint64(pkt[63:])
+	st.Coalesced = binary.BigEndian.Uint64(pkt[71:])
 	return job, st, nil
 }
 
@@ -525,7 +523,7 @@ func DecodeJobAck(pkt []byte) (JobAck, error) {
 	if len(pkt) > jobAckBytes {
 		return JobAck{}, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
 	}
-	if AckStatus(pkt[4]) > AckErrBadClass {
+	if !AckStatus(pkt[4]).valid() {
 		return JobAck{}, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
 	}
 	return JobAck{

@@ -21,7 +21,7 @@ func TestWireGolden(t *testing.T) {
 	runVals := [][]float32{{0.5, 8}, {-1, 0.125}}
 	stats := JobStats{
 		Phase: PhaseDraining, Weight: 4, Profile: rne, Class: query,
-		Adds: 0x0102030405060708, Retransmits: 2, Completions: 3, QuotaDrops: 4, SchedDefers: 5,
+		Adds: 0x0102030405060708, Retransmits: 2, Completions: 3, SchedDefers: 5,
 		Outstanding: 6, CacheHits: 7, CacheBytes: 8, Coalesced: 9,
 	}
 	admit := JobAdmit{Job: 3, JobSpec: JobSpec{Weight: 4, Profile: rne, Class: query}}
@@ -74,9 +74,8 @@ func TestWireGolden(t *testing.T) {
 			}},
 		{"stats", "f2030003", EncodeStatsReq(3), nil},
 		{"reply", "f204000302000400020101000a0040" +
-			"0102030405060708" + "0000000000000002" + "0000000000000003" + "0000000000000004" +
-			"0000000000000005" + "0000000000000006" + "0000000000000007" + "0000000000000008" +
-			"0000000000000009",
+			"0102030405060708" + "0000000000000002" + "0000000000000003" + "0000000000000005" +
+			"0000000000000006" + "0000000000000007" + "0000000000000008" + "0000000000000009",
 			encodeStatsReply(3, stats),
 			func(pkt []byte) (any, any, error) {
 				j, st, err := DecodeStatsReply(pkt)

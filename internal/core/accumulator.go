@@ -257,24 +257,9 @@ func (a *Accumulator) RawState(i int) (exp uint32, man int32) {
 	return a.exps[i], a.mans[i]
 }
 
-// SetRawState installs register contents directly (used by equivalence
-// tests against the pipeline execution).
-func (a *Accumulator) SetRawState(i int, exp uint32, man int32) {
-	a.exps[i] = exp & uint32(a.cfg.Format.ExpMask())
-	m, _ := a.wrapSigned(int64(man))
-	a.mans[i] = m
-}
-
 // Reset zeroes a slot.
 func (a *Accumulator) Reset(i int) {
 	a.exps[i], a.mans[i], a.flags[i] = 0, 0, 0
-}
-
-// ResetAll zeroes every slot.
-func (a *Accumulator) ResetAll() {
-	for i := range a.mans {
-		a.Reset(i)
-	}
 }
 
 // Value64 returns the slot's exact arithmetic value as a float64: the

@@ -117,13 +117,6 @@ func (pa *PipelineAggregator) parseInto(pkt []byte, res *Result) error {
 	return nil
 }
 
-// ParseResponse decodes a response packet into a fresh Result.
-func (pa *PipelineAggregator) ParseResponse(pkt []byte) (Result, error) {
-	var r Result
-	err := pa.parseInto(pkt, &r)
-	return r, err
-}
-
 // do runs one operation through the pipeline and decodes the response into
 // res; a nil res discards it undecoded (the register side effect is all
 // the caller wanted).

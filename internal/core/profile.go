@@ -181,21 +181,6 @@ func ParseProfile(s string) (NumericProfile, error) {
 	return p, nil
 }
 
-// Pack flattens the profile into one word for atomic storage. Unpack is
-// UnpackProfile.
-func (p NumericProfile) Pack() uint32 {
-	return uint32(p.Format) | uint32(p.Guard)<<8 | uint32(p.Rounding)<<16
-}
-
-// UnpackProfile inverts NumericProfile.Pack.
-func UnpackProfile(w uint32) NumericProfile {
-	return NumericProfile{
-		Format:   ProfileFormat(w),
-		Guard:    uint8(w >> 8),
-		Rounding: ProfileRounding(w >> 16),
-	}
-}
-
 // EncodeValue converts a host float32 to the profile's wire bits,
 // right-aligned. Narrowing follows the profile's rounding mode, matching
 // what a worker NIC pipeline would emit.

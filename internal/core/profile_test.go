@@ -75,18 +75,6 @@ func TestProfileStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProfilePackUnpack(t *testing.T) {
-	for _, p := range []NumericProfile{
-		{},
-		{Format: FormatF16, Guard: 255, Rounding: RoundingRNE},
-		{Format: FormatBF16, Guard: 7},
-	} {
-		if got := UnpackProfile(p.Pack()); got != p {
-			t.Errorf("Unpack(Pack(%+v)) = %+v", p, got)
-		}
-	}
-}
-
 func TestProfileValueRoundTrip(t *testing.T) {
 	// Every representable wire value must survive decode→encode exactly;
 	// that identity is what makes host-side reference arithmetic bit-exact.

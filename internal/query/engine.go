@@ -139,86 +139,28 @@ func (e *Engine) RunSwitch(q Query) (Result, Cost, error) {
 }
 
 // runPruning streams rows through a switch that keeps per-query comparison
-// state (ordered-key registers, §6) and forwards only rows that can still
-// contribute; the master finishes exactly on the survivors. Pruning is
-// lossless for Top-N and group-max.
+// state (the ordered-key registers of prune.go) and forwards only rows that
+// can still contribute; the master finishes exactly on the survivors.
 func (e *Engine) runPruning(q Query) (Result, Cost, error) {
 	var cost Cost
-	var survivors []Row
-
+	var admit func(Row) bool
 	if q.TopN > 0 {
-		// Top-N pruner: a register array holding the N largest ordered
-		// keys seen; a row passes iff it exceeds the current minimum.
-		reg := make([]uint32, 0, q.TopN)
-		minIdx := func() int {
-			mi := 0
-			for i, k := range reg {
-				if k < reg[mi] {
-					mi = i
-				}
-			}
-			return mi
-		}
-		for w := range e.Parts {
-			rows := q.WorkerRows(e.workerView(w))
-			cost.WorkerRows += len(rows)
-			for _, r := range rows {
-				k := orderedKey(r.Val)
-				if len(reg) < q.TopN {
-					reg = append(reg, k)
-					survivors = append(survivors, r)
-					continue
-				}
-				mi := minIdx()
-				// Admit ties at the boundary (k == reg[mi]): the baseline's
-				// sortResult breaks equal values by ascending key, so a tied
-				// row may belong in the exact result; Finish resolves it.
-				if k >= reg[mi] {
-					reg[mi] = k
-					survivors = append(survivors, r)
-				}
-			}
-		}
+		p := NewTopNPruner(q.TopN)
+		admit = func(r Row) bool { return p.Admit(r.Val) }
 	} else {
 		if q.Groups <= 0 {
 			return Result{}, cost, fmt.Errorf("group-max pruning: %w", ErrNoGroups)
 		}
-		// Group-max pruner: one ordered-key register per bucket, tagged with
-		// the key that owns the current bucket max. Distinct keys can collide
-		// in a bucket (Key % Groups); a row is pruned only when the bucket
-		// max belongs to the row's OWN key, so a colliding weaker group's
-		// max always survives to the master.
-		type maxReg struct {
-			key uint32 // key owning the bucket max
-			max uint32 // ordered-key max for that key
-		}
-		reg := make(map[uint32]maxReg, q.Groups)
-		for w := range e.Parts {
-			rows := q.WorkerRows(e.workerView(w))
-			cost.WorkerRows += len(rows)
-			for _, r := range rows {
-				k := orderedKey(r.Val)
-				b := r.Key % uint32(q.Groups)
-				cur, ok := reg[b]
-				switch {
-				case !ok:
-					reg[b] = maxReg{key: r.Key, max: k}
-					survivors = append(survivors, r)
-				case cur.key == r.Key:
-					// Same key owns the bucket: the usual group-max prune.
-					if k > cur.max {
-						reg[b] = maxReg{key: r.Key, max: k}
-						survivors = append(survivors, r)
-					}
-				default:
-					// Collision: the register cannot distinguish this row's
-					// group from the owner's, so prune conservatively — the
-					// row survives, and a larger value takes over the bucket.
-					if k > cur.max {
-						reg[b] = maxReg{key: r.Key, max: k}
-					}
-					survivors = append(survivors, r)
-				}
+		p := NewGroupMaxPruner(q.Groups)
+		admit = func(r Row) bool { return p.Admit(r.Key, r.Val) }
+	}
+	var survivors []Row
+	for w := range e.Parts {
+		rows := q.WorkerRows(e.workerView(w))
+		cost.WorkerRows += len(rows)
+		for _, r := range rows {
+			if admit(r) {
+				survivors = append(survivors, r)
 			}
 		}
 	}

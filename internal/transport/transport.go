@@ -296,7 +296,8 @@ type Memory struct {
 
 // destGroups groups delivery packets per destination worker, tracking
 // first use — the routing scaffolding shared by Memory.SendBatch and the
-// UDP serve loop, so its reference-dropping reset exists exactly once.
+// UDP serve loop, so the delivery routing rule and the reference-dropping
+// reset each exist exactly once.
 type destGroups struct {
 	perDst  [][][]byte
 	touched []int
@@ -312,6 +313,20 @@ func (g *destGroups) route(w int, pkt []byte) {
 		g.touched = append(g.touched, w)
 	}
 	g.perDst[w] = append(g.perDst[w], pkt)
+}
+
+// deliver routes one delivery: a Broadcast joins every worker's group, a
+// unicast its destination's; a destination outside the fabric is dropped.
+func (g *destGroups) deliver(d Delivery) {
+	if d.Broadcast {
+		for w := range g.perDst {
+			g.route(w, d.Packet)
+		}
+		return
+	}
+	if d.Worker >= 0 && d.Worker < len(g.perDst) {
+		g.route(d.Worker, d.Packet)
+	}
 }
 
 // reset empties every touched group, dropping packet references so the
@@ -454,16 +469,7 @@ func (m *Memory) routeDown(rs *routeState, ds []Delivery) {
 			lostDown++
 			continue
 		}
-		if d.Broadcast {
-			for w := 0; w < m.workers; w++ {
-				rs.groups.route(w, d.Packet)
-			}
-			continue
-		}
-		if d.Worker < 0 || d.Worker >= m.workers {
-			continue
-		}
-		rs.groups.route(d.Worker, d.Packet)
+		rs.groups.deliver(d)
 	}
 	var delivered uint64
 	for _, w := range rs.groups.touched {

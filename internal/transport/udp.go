@@ -218,14 +218,60 @@ type UDPServer struct {
 	mu    sync.Mutex // guards addrs
 	addrs []*net.UDPAddr
 
-	// pushMu serializes Push calls so the scratch (groups, address
-	// snapshot, writer arena) has one owner; the reader pool's own
-	// deliveries do not go through it.
+	// pushMu serializes Push calls so their downlink scratch has one owner;
+	// the reader pool's own deliveries do not go through it.
 	pushMu sync.Mutex
-	pushW  batchWriter
-	groups destGroups
-	dst    []*net.UDPAddr
-	sc     sendScratch
+	push   downlink
+}
+
+// downlink is one sender's scratch for writing deliveries to the workers'
+// return paths: Push owns one (under pushMu), each reader goroutine its own.
+type downlink struct {
+	w      batchWriter
+	groups destGroups     // delivery packets grouped per destination worker
+	dst    []*net.UDPAddr // destination snapshot, filled under the address lock
+	sc     sendScratch    // datagram-assembly arena
+}
+
+func (s *UDPServer) newDownlink() downlink {
+	dl := downlink{
+		w:   newBatchWriter(s.conn, s.useMmsg, s.stats),
+		dst: make([]*net.UDPAddr, s.workers),
+	}
+	dl.groups.init(s.workers)
+	return dl
+}
+
+// flush routes a delivery vector to the worker return paths the serve loop
+// learned: grouped per destination, coalesced into batch frames (singles
+// written raw), written outside the address lock. Workers whose address is
+// not yet learned are skipped. Failed datagrams are counted (SendErrors),
+// not silently dropped; the first write error is also returned.
+func (s *UDPServer) flush(dl *downlink, ds []Delivery) error {
+	if len(ds) == 0 {
+		return nil
+	}
+	for _, d := range ds {
+		dl.groups.deliver(d)
+	}
+	s.mu.Lock()
+	for _, w := range dl.groups.touched {
+		dl.dst[w] = s.addrs[w]
+	}
+	s.mu.Unlock()
+	var firstErr error
+	for _, w := range dl.groups.touched {
+		if dl.dst[w] == nil {
+			continue
+		}
+		failed, err := writeCoalesced(dl.w, dl.dst[w], 0, dl.groups.perDst[w], false, &dl.sc)
+		s.stats.sendErrors.Add(uint64(failed))
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	dl.groups.reset()
+	return firstErr
 }
 
 // NewUDPServer wraps a bound switch socket. The caller owns conn; closing
@@ -242,10 +288,8 @@ func NewUDPServer(conn *net.UDPConn, workers int, opts ...UDPOption) (*UDPServer
 		useMmsg: o.mode.enabled(),
 		stats:   &syscallCounters{},
 		addrs:   make([]*net.UDPAddr, workers),
-		dst:     make([]*net.UDPAddr, workers),
 	}
-	s.pushW = newBatchWriter(conn, s.useMmsg, s.stats)
-	s.groups.init(workers)
+	s.push = s.newDownlink()
 	return s, nil
 }
 
@@ -280,69 +324,34 @@ func (s *UDPServer) Serve(handler BatchHandler) error {
 
 // Push implements Pusher: it routes switch-originated deliveries to the
 // worker return paths learned by the serve loop, coalescing per
-// destination exactly like handler deliveries. Workers whose address is
-// not yet learned (they never sent a datagram) are skipped — the result
-// cache replays the packet when they do.
+// destination exactly like handler deliveries (see flush). Workers that
+// never sent a datagram are skipped — the result cache replays the packet
+// when they do.
 func (s *UDPServer) Push(ds []Delivery) error {
-	if len(ds) == 0 {
-		return nil
-	}
 	s.pushMu.Lock()
 	defer s.pushMu.Unlock()
-	for _, d := range ds {
-		if d.Broadcast {
-			for w := 0; w < s.workers; w++ {
-				s.groups.route(w, d.Packet)
-			}
-			continue
-		}
-		if d.Worker >= 0 && d.Worker < s.workers {
-			s.groups.route(d.Worker, d.Packet)
-		}
-	}
-	s.mu.Lock()
-	for _, w := range s.groups.touched {
-		s.dst[w] = s.addrs[w]
-	}
-	s.mu.Unlock()
-	var firstErr error
-	for _, w := range s.groups.touched {
-		if s.dst[w] == nil {
-			continue
-		}
-		failed, err := writeCoalesced(s.pushW, s.dst[w], 0, s.groups.perDst[w], false, &s.sc)
-		s.stats.sendErrors.Add(uint64(failed))
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.groups.reset()
-	return firstErr
+	return s.flush(&s.push, ds)
 }
 
 // serveState is one reader goroutine's reusable scratch.
 type serveState struct {
-	bufs   [][]byte       // pooled datagram read buffers (cap maxUDPPayload)
-	srcs   []*net.UDPAddr // per-datagram source addresses
-	split  [][]byte       // batch-frame packet slices (aliasing a read buffer)
-	one    [1][]byte      // single-packet vector (aliasing a read buffer)
-	dl     DeliveryList   // worker deliveries, accumulated across one drain
-	odl    DeliveryList   // observer deliveries, reset per observer frame
-	groups destGroups     // delivery packets grouped per destination worker
-	dst    []*net.UDPAddr // destination snapshot, filled under the lock
-	sc     sendScratch    // datagram-assembly arena
+	bufs  [][]byte       // pooled datagram read buffers (cap maxUDPPayload)
+	srcs  []*net.UDPAddr // per-datagram source addresses
+	split [][]byte       // batch-frame packet slices (aliasing a read buffer)
+	one   [1][]byte      // single-packet vector (aliasing a read buffer)
+	dl    DeliveryList   // worker deliveries, accumulated across one drain
+	odl   DeliveryList   // observer deliveries, reset per observer frame
+	down  downlink       // the reader's own return-path writer
 }
 
 func serveReader(s *UDPServer, handler BatchHandler) {
 	st := &serveState{
 		srcs: make([]*net.UDPAddr, serveRecvBatch),
-		dst:  make([]*net.UDPAddr, s.workers),
+		down: s.newDownlink(),
 	}
 	st.bufs = getReadBufs(nil, serveRecvBatch)
 	defer putReadBufs(st.bufs)
-	st.groups.init(s.workers)
 	reader := newBatchReader(s.conn, s.useMmsg, s.stats)
-	writer := newBatchWriter(s.conn, s.useMmsg, s.stats)
 	for {
 		m, err := reader.readDatagrams(st.bufs, st.srcs)
 		if err != nil {
@@ -370,7 +379,7 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 				handler(ObserverWorker, st.one[:], &st.odl)
 				for _, d := range st.odl.Deliveries() {
 					st.one[0] = d.Packet
-					if failed, _ := writer.writeDatagrams(src, st.one[:]); failed > 0 {
+					if failed, _ := st.down.w.writeDatagrams(src, st.one[:]); failed > 0 {
 						s.stats.sendErrors.Add(uint64(failed))
 					}
 				}
@@ -399,43 +408,9 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 		}
 		// One delivery pass per drained burst: replies for every datagram
 		// the recvmmsg took are grouped per destination and written with
-		// one sendmmsg per destination.
-		deliver(s, writer, st)
+		// one sendmmsg per destination (write errors are counted by flush).
+		s.flush(&st.down, st.dl.Deliveries())
 	}
-}
-
-// deliver routes the reader's accumulated deliveries: grouped per
-// destination, coalesced into batch frames (singles written raw), written
-// outside the address lock. Failed datagrams are counted (SendErrors), not
-// silently dropped.
-func deliver(s *UDPServer, writer batchWriter, st *serveState) {
-	ds := st.dl.Deliveries()
-	if len(ds) == 0 {
-		return
-	}
-	for _, d := range ds {
-		if d.Broadcast {
-			for w := 0; w < s.workers; w++ {
-				st.groups.route(w, d.Packet)
-			}
-			continue
-		}
-		if d.Worker >= 0 && d.Worker < s.workers {
-			st.groups.route(d.Worker, d.Packet)
-		}
-	}
-	s.mu.Lock()
-	for _, w := range st.groups.touched {
-		st.dst[w] = s.addrs[w]
-	}
-	s.mu.Unlock()
-	for _, w := range st.groups.touched {
-		if st.dst[w] != nil {
-			failed, _ := writeCoalesced(writer, st.dst[w], 0, st.groups.perDst[w], false, &st.sc)
-			s.stats.sendErrors.Add(uint64(failed))
-		}
-	}
-	st.groups.reset()
 }
 
 // UDP is a Fabric over real UDP sockets on loopback (or any network): one
@@ -507,7 +482,7 @@ func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) 
 	// One counter set for the whole in-process fabric: the serve side's
 	// syscalls are part of this fabric's wire cost.
 	u.srv.stats = u.stats
-	u.srv.pushW = newBatchWriter(sw, u.srv.useMmsg, u.stats)
+	u.srv.push = u.srv.newDownlink()
 	go func() { _ = u.srv.Serve(handler) }()
 	return u, nil
 }
