@@ -27,7 +27,7 @@
 //	fpisa-query -switch 127.0.0.1:9099 -evict 1
 //
 // All switch operations exit non-zero with the error on stderr when the
-// switch refuses them (unknown job, no capacity, lifecycle disabled, …),
+// switch refuses them (unknown job, already admitted, lifecycle disabled, …),
 // so scripts can gate on the result.
 package main
 

@@ -13,7 +13,7 @@ import (
 	"fpisa/internal/transport"
 )
 
-// startSwitch serves a dynamic two-range switch on a loopback UDP socket,
+// startSwitch serves a dynamic switch on a loopback UDP socket,
 // the way fpisa-switch's main loop does, and returns its address.
 func startSwitch(t *testing.T, cfg aggservice.Config) (*aggservice.Switch, string) {
 	t.Helper()
@@ -26,7 +26,11 @@ func startSwitch(t *testing.T, cfg aggservice.Config) (*aggservice.Switch, strin
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	go func() { _ = transport.ServeConn(conn, cfg.Ports(), sw.HandleBatch) }()
+	srv, err := transport.NewUDPServer(conn, cfg.Ports())
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(sw.HandleBatch) }()
 	return sw, conn.LocalAddr().String()
 }
 

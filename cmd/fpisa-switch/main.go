@@ -7,13 +7,12 @@
 // when several jobs share the switch).
 //
 // The switch is multi-tenant: -jobs admits that many jobs at start, each
-// owning a slot-pool partition through the lifecycle indirection table,
-// -workers workers (job j's worker i sends on port j·workers+i) and its
-// own stats. Tenants need not be training jobs: -classes assigns comma-separated workload
+// owning its own 2·pool aggregation slots, -workers workers (job j's
+// worker i sends on port j·workers+i) and its own stats. Tenants need not be training jobs: -classes assigns comma-separated workload
 // classes to the initial jobs (e.g. -jobs 3 -classes
 // training,query:10:1024,telemetry:16; missing entries default to
-// training), provisioning per-range pruning registers and group
-// accumulators for query tenants or LPM-classified utilization,
+// training), provisioning per-job pruning registers and group
+// accumulators for query tenants or prefix-classified utilization,
 // heavy-hitter and histogram sketches for telemetry tenants — all
 // scheduled by the same deficit ledger and drained with fpisa-query
 // -drain. Pipeline time is shared by a per-job deficit-round-
@@ -30,13 +29,13 @@
 //
 // With -dynamic the runtime job lifecycle control plane is enabled: an
 // operator admits and evicts jobs without restarting the switch
-// (fpisa-query -admit / -evict), -capacity provisions slot ranges beyond
-// the initial tenant set, and -draintimeout bounds how long an evicted
-// job's in-flight chunks may hold its range. Every lifecycle transition
-// logs a stats line.
+// (fpisa-query -admit / -evict), -capacity provisions job ids (and their
+// ports) beyond the initial tenant set, and -draintimeout bounds how long
+// an evicted job's in-flight chunks may keep it draining. Every lifecycle
+// transition logs a stats line.
 //
 // The aggregation service is sharded across parallel pipeline replicas
-// (-shards) and the socket is drained by transport.ServeConn's reader
+// (-shards) and the socket is drained by transport.UDPServer's reader
 // pool, so packets for different slots aggregate concurrently. -mmsg
 // selects the kernel-batched wire backend (sendmmsg/recvmmsg, one syscall
 // per datagram burst; "auto" uses it where the platform supports it,
@@ -107,7 +106,7 @@ func parseOptions(args []string) (*options, error) {
 	fs := flag.NewFlagSet("fpisa-switch", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9099", "UDP listen address")
 	fs.IntVar(&o.jobs, "jobs", 1, "tenant jobs admitted at start")
-	fs.IntVar(&o.capacity, "capacity", 0, "slot ranges provisioned for runtime admission (0 = jobs, or 2x jobs with -dynamic)")
+	fs.IntVar(&o.capacity, "capacity", 0, "job ids provisioned for runtime admission (0 = jobs, or 2x jobs with -dynamic)")
 	fs.IntVar(&o.workers, "workers", 4, "number of workers per job")
 	fs.IntVar(&o.pool, "pool", 8, "aggregation slot pool per job")
 	weights := fs.String("weights", "", "comma-separated fair-scheduler weights for the initial jobs, e.g. 1,2,4 (missing = 1)")
@@ -287,17 +286,15 @@ func main() {
 		log.Fatalf("switch: %v", err)
 	}
 	// The lifecycle stats line: one log per admit / drain / release, with
-	// the slot range the indirection table assigned and the incarnation's
-	// final counters on the way out.
+	// the incarnation's wire epoch and, on the way out, its final counters.
 	sw.OnLifecycle = func(job int, ev aggservice.LifecycleEvent) {
 		st, _ := sw.JobStats(job)
-		if base, n, ok := sw.JobRange(job); ok {
-			log.Printf("lifecycle: job %d %s (slots %d..%d) adds=%d chunks=%d outstanding=%d",
-				job, ev, base, base+n-1, st.Adds, st.Completions, st.Outstanding)
-			return
+		epoch := sw.JobEpoch(job)
+		if ev == aggservice.EventEvicted {
+			epoch-- // the release already advanced the id to its next epoch
 		}
-		log.Printf("lifecycle: job %d %s adds=%d chunks=%d cacheHits=%d",
-			job, ev, st.Adds, st.Completions, st.CacheHits)
+		log.Printf("lifecycle: job %d %s (epoch %d) adds=%d chunks=%d outstanding=%d cacheHits=%d",
+			job, ev, epoch, st.Adds, st.Completions, st.Outstanding, st.CacheHits)
 	}
 
 	dyn := "static tenant set"
@@ -308,9 +305,9 @@ func main() {
 		o.modeName(), cfg.Arch.Name, sw.Shards(), conn.LocalAddr(), o.jobs, sw.Jobs(), o.workers, dyn)
 	log.Printf("wire I/O backend: %s (-mmsg %s)", srv.Backend(), o.mmsg)
 	for j := 0; j < sw.Jobs(); j++ {
-		if base, n, ok := sw.JobRange(j); ok {
-			log.Printf("  job %d: ports %d..%d, slots %d..%d, weight %d, profile %s, class %v", j,
-				cfg.Port(j, 0), cfg.Port(j, o.workers-1), base, base+n-1, sw.JobWeight(j), sw.JobProfile(j), sw.JobClass(j))
+		if sw.JobPhaseOf(j) != aggservice.PhaseVacant {
+			log.Printf("  job %d: ports %d..%d, %d slots, weight %d, profile %s, class %v", j,
+				cfg.Port(j, 0), cfg.Port(j, o.workers-1), 2*cfg.Pool, sw.JobWeight(j), sw.JobProfile(j), sw.JobClass(j))
 		}
 	}
 	log.Printf("pipeline resource report:\n%s", sw.Utilization())

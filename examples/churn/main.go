@@ -2,9 +2,9 @@
 // switch serves a long-lived training job (job 0) over real UDP sockets
 // while an operator admits and evicts other jobs mid-flight through the
 // out-of-band observer frame — the switch is never restarted, job 0's
-// all-reduce never stalls, and the evicted job's slot range is recycled
-// for the next tenant (watch the slot ranges move through the indirection
-// table). A final eviction lands mid-reduce to show workers surfacing
+// all-reduce never stalls, and an evicted tenant's slots, caches and
+// registers are dropped with its incarnation (watch the epoch of a
+// re-admitted id advance). A final eviction lands mid-reduce to show workers surfacing
 // ErrJobEvicted instead of retransmitting forever.
 //
 // The churn tenants are admitted as WEIGHTED jobs (-weight, default 4):
@@ -47,11 +47,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sw.OnLifecycle = func(job int, ev aggservice.LifecycleEvent) {
-		if base, n, ok := sw.JobRange(job); ok {
-			fmt.Printf("  [switch] job %d %s — slots %d..%d\n", job, ev, base, base+n-1)
+		if ev == aggservice.EventEvicted {
+			fmt.Printf("  [switch] job %d %s — its slots went with the incarnation, next epoch %d\n", job, ev, sw.JobEpoch(job))
 			return
 		}
-		fmt.Printf("  [switch] job %d %s — range back on the free-list\n", job, ev)
+		fmt.Printf("  [switch] job %d %s — epoch %d\n", job, ev, sw.JobEpoch(job))
 	}
 	fab, err := transport.NewUDP(cfg.Ports(), sw.HandleBatch)
 	if err != nil {
@@ -113,8 +113,8 @@ func main() {
 		results0, errs0 = reduce(0, 0, vecs0)
 	}()
 
-	// Churn: admit job 1, reduce, evict it; its freed slot range is then
-	// handed to job 2 — no restart, no disturbance to job 0.
+	// Churn: admit job 1, reduce, evict it; job 2 then joins the capacity
+	// it vacated — no restart, no disturbance to job 0.
 	fmt.Println("\n-- admit job 1 while job 0 reduces --")
 	epoch1 := admit(1)
 	vecs1 := gradients.NewGenerator(gradients.ResNet50, 2).WorkerGradients(workers, 128)
@@ -126,13 +126,13 @@ func main() {
 		st1.Adds, st1.Completions, st1.CacheBytes)
 	evict(1)
 
-	fmt.Println("\n-- admit job 2 into the recycled range --")
+	fmt.Println("\n-- admit job 2 after job 1 left --")
 	epoch2 := admit(2)
 	vecs2 := gradients.NewGenerator(gradients.BERT, 3).WorkerGradients(workers, 128)
 	if _, errs := reduce(2, epoch2, vecs2); firstErr(errs) != nil {
 		log.Fatalf("job 2: %v", firstErr(errs))
 	}
-	fmt.Println("  job 2 reduced 128 elements on job 1's former slots")
+	fmt.Println("  job 2 reduced 128 elements on fresh slots of its own")
 
 	// Evict job 2 mid-reduce: its workers learn through AckDraining
 	// notices and fail fast with ErrJobEvicted.

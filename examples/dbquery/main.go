@@ -35,8 +35,8 @@ func main() {
 		workers = 2 // per tenant
 		vecLen  = 128
 	)
-	// Job 0 is the resident training tenant; the second slot range sits in
-	// the free list until the query tenant admits over the wire.
+	// Job 0 is the resident training tenant; job id 1 stays vacant until
+	// the query tenant admits over the wire.
 	cfg := aggservice.Config{
 		Workers: workers, Pool: 8, Modules: 1, Shards: 2,
 		Jobs: 1, Capacity: 2, Dynamic: true,
@@ -247,5 +247,5 @@ func main() {
 	if _, err := operator.Evict(1); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("evicted job 1 — slot range back in the free list")
+	fmt.Println("evicted job 1 — its registers went with the incarnation, the id is vacant again")
 }

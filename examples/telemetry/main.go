@@ -3,9 +3,9 @@
 // shared multi-tenant switch over real UDP sockets, concurrently with a
 // training tenant allreducing through the same pipeline shards.
 //
-// The telemetry tenant admits with a workload-class descriptor (16 LPM
+// The telemetry tenant admits with a workload-class descriptor (16 prefix
 // traffic classes) and streams flow samples as MsgTuple batches: each
-// sample's key is LPM-classified by its top bits, its FP32 byte count
+// sample's key is classified by its top bits, its FP32 byte count
 // accumulates in the class's utilization register, and every sample feeds
 // a space-saving heavy-hitter table and a log2 size histogram. A
 // collector drains the utilization registers with read-and-reset observer
@@ -35,7 +35,7 @@ import (
 func main() {
 	const (
 		workers   = 2  // per tenant
-		classes   = 16 // LPM traffic classes (top 4 key bits)
+		classes   = 16 // traffic classes (top 4 key bits)
 		intervals = 3
 		tick      = 100 // samples between collector drains
 		vecLen    = 128

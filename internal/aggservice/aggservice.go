@@ -33,20 +33,18 @@ type Config struct {
 	// modules).
 	Modules int
 	// Shards is the number of parallel pipeline replicas the switch runs;
-	// global slots are partitioned slot → shard by slot mod Shards. 0
-	// means 1 (a single pipeline). Must not exceed the Jobs·2·Pool slots.
+	// every job's 2·Pool slots are striped across them (see shardOf). 0
+	// means 1 (a single pipeline). Must not exceed the Capacity·2·Pool
+	// slots.
 	Shards int
 	// Jobs is the number of tenant jobs admitted at construction. Each job
-	// owns the transport ports [job·Workers, (job+1)·Workers) and a 2·Pool
-	// slot range assigned from the free-list (initially job j holds range
-	// j, but after evictions and re-admissions the mapping is whatever the
-	// indirection table says). 0 means 1.
+	// owns the transport ports [job·Workers, (job+1)·Workers) and, while
+	// admitted, 2·Pool slots of its own. 0 means 1.
 	Jobs int
-	// Capacity is the number of 2·Pool slot ranges the switch provisions —
-	// the bound on concurrently admitted jobs and on the job-id space
-	// (ports are provisioned for Capacity·Workers). Ranges beyond the
-	// initially admitted Jobs sit in the free-list for runtime admission.
-	// 0 means Jobs (a static tenant set with no admission headroom).
+	// Capacity is the job-id space: the bound on concurrently admitted
+	// jobs (ports are provisioned for Capacity·Workers). Ids beyond the
+	// initially admitted Jobs are vacant until a runtime admission. 0
+	// means Jobs (a static tenant set with no admission headroom).
 	Capacity int
 	// Dynamic enables the wire control plane: MsgJobAdmit/MsgJobEvict
 	// from the out-of-band observer frame. When false those messages are
@@ -55,7 +53,7 @@ type Config struct {
 	// Switch.Admit/Evict methods work regardless.
 	Dynamic bool
 	// DrainTimeout bounds how long an evicted job's in-flight slots may
-	// keep its range: when the drain has not completed by then, the range
+	// keep it draining: when the drain has not completed by then, the job
 	// is force-released (partial sums discarded). 0 means
 	// DefaultDrainTimeout.
 	DrainTimeout time.Duration
@@ -79,7 +77,7 @@ type Config struct {
 	// (a training job — today's behavior); jobs admitted at runtime carry
 	// the class named in their admit request (JobSpec.Class). Query and
 	// telemetry jobs fold MsgTuple streams into
-	// per-range analytics registers instead of ADDs into chunk slots,
+	// per-job analytics registers instead of ADDs into chunk slots,
 	// scheduled by the same deficit-round-robin ledger (see analytics.go).
 	Classes []AdmitClass
 	// SchedRoundAge bounds a scheduler round's lifetime once a bind has
@@ -195,7 +193,7 @@ func (c Config) jobs() int {
 	return c.Jobs
 }
 
-// capacity returns the effective slot-range capacity (the job-id space).
+// capacity returns the effective job-id space.
 func (c Config) capacity() int {
 	if c.Capacity == 0 {
 		return c.jobs()
@@ -275,7 +273,7 @@ type JobStats struct {
 	Weight int
 	// Profile is the numeric profile the job's admission negotiated (the
 	// zero profile while vacant): the wire format, guard bits and rounding
-	// its slot range computes under.
+	// its slots compute under.
 	Profile core.NumericProfile
 	// Class is the workload-class descriptor the job's admission
 	// negotiated (the zero descriptor — training — while vacant). For
@@ -301,8 +299,8 @@ type JobStats struct {
 	CacheHits uint64
 	// CacheBytes is the gauge of RESULT bytes currently cached for the
 	// job. A cached RESULT lives exactly as long as its slot version — it
-	// is freed when the slot rebinds to a later chunk and when the job's
-	// range is released — so the gauge is bounded by 2·Pool entries.
+	// is freed when the slot rebinds to a later chunk and when the job is
+	// released — so the gauge is bounded by 2·Pool entries.
 	CacheBytes uint64
 	// Coalesced counts completed chunks whose RESULT rode a run-length
 	// MsgResultRun reply instead of its own per-chunk datagram — chunks
@@ -345,30 +343,29 @@ type WireRejects struct {
 	BadClass uint64
 }
 
-// incarnation is one admitted life of a job id: everything the switch binds
-// to the tenant, built by Switch.Admit and never modified afterwards (only
-// Evict touches it: the draining flag flips and the drain timer is armed).
-// It is published with one store to jobState.live and retired with one store
-// of nil, so a reader that loaded it holds a whole, consistent tenant —
-// range, arithmetic, class and register state — or none at all. Hot-path entries load it once, carry the pointer, and
-// revalidate under the shard lock by pointer identity: release retires the
-// record BEFORE resetting the range's slots under those same locks, so a
-// section that still sees its pointer live cannot be touching a re-assigned
-// slot, even when the next admission hands the same range back to the same
-// job id.
+// incarnation is one admitted life of a job id and the one home of
+// everything the switch keeps for the tenant — slots, arithmetic, class and
+// register state. Switch.Admit builds it with every slot free; its own fields
+// never change afterwards (Evict alone flips the draining flag and arms the
+// drain timer), the slots and registers behind it change under their shard's
+// lock. It is published with one store to jobState.live and retired with one
+// store of nil, which drops the tenant's state with it, so a reader holds a
+// whole tenant or none. Hot-path entries load it once, carry the pointer, and
+// revalidate under the shard lock by pointer identity: the counters,
+// scheduler ledger and downlink ports are indexed by the job id, which the
+// next incarnation inherits, so work gated under a retired record must not
+// reach them.
 type incarnation struct {
 	job int
 	// epoch is the job's release counter at admission; its low octet is
 	// the incarnation's wire epoch.
 	epoch uint64
-	// ri indexes the 2·Pool slot range the free-list assigned.
-	ri int
 	// spec is the admission as applied (weight clamped to ≥ 1).
 	spec JobSpec
-	// banks holds a training job's aggregators, one per shard: the range's
-	// slots striped onto shard k are driven by banks[k], under shard k's
-	// lock. Nil for analytics jobs.
-	banks []aggregator
+	// banks holds a training job's 2·Pool slots, one bank per shard: the
+	// slots striped onto shard k (see shardOf) are banks[k], guarded by
+	// shard k's lock. Nil for analytics jobs.
+	banks []bank
 	// an is an analytics job's register state, guarded by the home shard's
 	// lock (see homeShard). Nil for training jobs.
 	an *analyticsJob
@@ -430,21 +427,19 @@ func (js *jobState) reset() {
 	js.outstanding.Store(0)
 }
 
-// Switch is the service's switch side: N parallel FPISA pipeline replicas,
-// each owning a partition of the global slot pool plus that partition's
-// protocol state (the seen-bitmap and result cache a production P4 program
-// holds in additional registers). The global pool is first partitioned by
-// tenant job — job j owns the contiguous slots [j·2·Pool, (j+1)·2·Pool) —
-// and each job's range is striped across the shard replicas. HandleBatch
-// may be called concurrently; packets for different shards proceed in
-// parallel.
+// Switch is the service's switch side: N parallel FPISA pipeline replicas
+// (shards), each a lock and a scheduler. An admitted job owns 2·Pool slots —
+// registers plus the protocol state a production P4 program holds in
+// additional registers (the seen-bitmap and result cache) — striped across
+// the shards. HandleBatch may be called concurrently; packets for different
+// shards proceed in parallel.
 type Switch struct {
-	cfg      Config
-	nsh      int
-	njobs    int // initially admitted jobs
-	ncap     int // slot-range capacity = admissible job-id space
-	perRange int // aggregator slots per (range, shard) bank
-	util     pisa.Utilization
+	cfg     Config
+	nsh     int
+	njobs   int // initially admitted jobs
+	ncap    int // admissible job-id space
+	perBank int // slots per (job, shard) bank
+	util    pisa.Utilization
 
 	shards []*shard
 	jobs   []jobState
@@ -459,16 +454,13 @@ type Switch struct {
 
 	// OnLifecycle, when set before the switch starts handling traffic, is
 	// called on every admit / drain-begin / release transition (under the
-	// lifecycle lock — keep it fast; JobStats and JobRange are safe to
-	// call from it).
+	// lifecycle lock — keep it fast; JobStats is safe to call from it).
 	OnLifecycle func(job int, ev LifecycleEvent)
 
-	// lifeMu orders lifecycle transitions; it guards the free-list, every
-	// incarnation's drain timer, protos and every store to a jobState.live.
-	// Lock order is lifeMu → shard.mu, never the reverse: the hot path only
-	// loads live.
-	lifeMu     sync.Mutex
-	freeRanges []int
+	// lifeMu orders lifecycle transitions; it guards every incarnation's
+	// drain timer, protos and every store to a jobState.live. Lock order is
+	// lifeMu → shard.mu, never the reverse: the hot path only loads live.
+	lifeMu sync.Mutex
 
 	// scratchPool recycles the per-HandleBatch grouping state so the hot
 	// path does not allocate per packet vector.
@@ -478,29 +470,33 @@ type Switch struct {
 	rejBackpressure, rejClass                                              atomic.Uint64
 }
 
-// shard is one pipeline replica's protocol state — its stripe of the global
-// slot pool and its deficit-round-robin scheduler instance — guarded by mu.
-// The aggregators driving a range's slots on this shard hang off the owning
-// job's incarnation (incarnation.banks), which is what lets tenants run
-// different arithmetic.
+// shard is one pipeline replica: a lock and its deficit-round-robin
+// scheduler instance. mu also guards the stripe of every live incarnation's
+// slots that maps onto this shard (incarnation.banks[k]) and the analytics
+// registers of the jobs homed here.
 type shard struct {
 	mu    sync.Mutex
-	slot  []slotState
 	sched drrSched
 }
 
+// bank is the stripe of one training incarnation's slots on one shard: the
+// pipeline registers and the protocol state of the same slots, under one
+// bank-local index (local slot / Shards). Each incarnation has its own
+// aggregator, which is what lets tenants run different arithmetic.
+type bank struct {
+	agg  aggregator
+	slot []slotState
+}
+
 // slotState is the single owner of a chunk's in-flight life: free (chunk
-// -1) → aggregating (bound, outstanding) → on a tree leaf, uplinked (up set)
-// → final (cached set), until the slot rebinds to a later chunk or its range
-// is released. Nothing else in the switch records where a chunk stands.
+// -1) → aggregating → on a tree leaf, uplinked (up set) → final (cached
+// set), until the slot rebinds to a later chunk or its incarnation is
+// released. Nothing else in the switch records where a chunk stands.
 type slotState struct {
 	chunk  int64 // bound chunk id, -1 when free
 	seen   []bool
 	nSeen  int
 	cached []byte // RESULT packet, nil until complete
-	// outstanding marks the slot counted in its job's Outstanding gauge —
-	// what a drain waits on (set at bind, cleared at completion).
-	outstanding bool
 	// up is a locally-complete chunk's parent-bound ADD while the final
 	// aggregate is still at the parent switch (tree leaves only), nil
 	// otherwise: the partial sum was re-emitted up the tree, the uplink
@@ -513,9 +509,13 @@ type slotState struct {
 	upOvf bool
 }
 
-// NewSwitch provisions the shards and the slot-range free-list, then admits
-// the initial jobs through Admit — static and runtime tenants are built by
-// the same path.
+// aggregating reports whether the slot holds a chunk still waiting for
+// contributions — what the job's Outstanding gauge counts and a drain waits
+// on.
+func (st *slotState) aggregating() bool { return st.chunk >= 0 && st.nSeen < len(st.seen) }
+
+// NewSwitch provisions the shards, then admits the initial jobs through
+// Admit — static and runtime tenants are built by the same path.
 func NewSwitch(cfg Config) (*Switch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -523,34 +523,21 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	nsh := cfg.shards()
 	njobs := cfg.jobs()
 	ncap := cfg.capacity()
-	slots := ncap * 2 * cfg.Pool
-	// One (range, shard) bank covers the range's slots striped onto that
-	// shard — at most ceil(2·Pool / shards) of them.
-	perRange := (2*cfg.Pool + nsh - 1) / nsh
-	pa0, err := core.NewProfileAggregator(core.DefaultProfile, cfg.Mode, cfg.Modules, perRange, cfg.Arch)
+	// One (job, shard) bank covers the job's slots striped onto that shard —
+	// at most ceil(2·Pool / shards) of them.
+	perBank := (2*cfg.Pool + nsh - 1) / nsh
+	pa0, err := core.NewProfileAggregator(core.DefaultProfile, cfg.Mode, cfg.Modules, perBank, cfg.Arch)
 	if err != nil {
 		return nil, err
 	}
 	s := &Switch{
-		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perRange: perRange,
+		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank,
 		util:   pa0.Utilization(),
 		jobs:   make([]jobState, ncap),
 		protos: map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
 	}
-	// Admit pops the free-list's tail: descending order hands initial job j
-	// range j and leaves the rest of the capacity for runtime admission.
-	for ri := ncap - 1; ri >= 0; ri-- {
-		s.freeRanges = append(s.freeRanges, ri)
-	}
 	for k := 0; k < nsh; k++ {
-		// Shard k owns global slots k, k+nsh, k+2·nsh, …
-		nSlots := (slots - k + nsh - 1) / nsh
-		sh := &shard{slot: make([]slotState, nSlots), sched: newDRRSched(ncap, cfg.schedRoundAge())}
-		for i := range sh.slot {
-			sh.slot[i].chunk = -1
-			sh.slot[i].seen = make([]bool, cfg.Workers)
-		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, cfg.schedRoundAge())})
 	}
 	s.scratchPool.New = func() any {
 		return &batchScratch{
@@ -574,12 +561,25 @@ func (s *Switch) getProtoLocked(p core.NumericProfile) (*core.ProfileAggregator,
 	if proto, ok := s.protos[p]; ok {
 		return proto, nil
 	}
-	proto, err := core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perRange, s.cfg.Arch)
+	proto, err := core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch)
 	if err != nil {
 		return nil, err
 	}
 	s.protos[p] = proto
 	return proto, nil
+}
+
+// newBanks builds a training incarnation's per-shard banks: fresh registers
+// replicated from the profile's compiled prototype, and every slot free.
+func (s *Switch) newBanks(proto *core.ProfileAggregator) []bank {
+	banks := make([]bank, s.nsh)
+	for k := range banks {
+		banks[k] = bank{agg: proto.Replicate(), slot: make([]slotState, s.perBank)}
+		for i := range banks[k].slot {
+			banks[k].slot[i] = slotState{chunk: -1, seen: make([]bool, s.cfg.Workers)}
+		}
+	}
+	return banks
 }
 
 // Utilization exposes the compiled pipeline's resource report (identical
@@ -589,16 +589,27 @@ func (s *Switch) Utilization() pisa.Utilization { return s.util }
 // Shards returns the effective shard count.
 func (s *Switch) Shards() int { return s.nsh }
 
-// Jobs returns the admissible job-id space (the slot-range capacity); use
-// JobStats' Phase to tell live tenants from vacant ids.
+// Jobs returns the admissible job-id space (Config.Capacity); use JobStats'
+// Phase to tell live tenants from vacant ids.
 func (s *Switch) Jobs() int { return s.ncap }
 
-// slotOf maps a chunk to its global pool slot through the indirection
-// table: range ri's contiguous 2·Pool slots, indexed by SwitchML's
+// slotOf maps a chunk to its job-local slot in [0, 2·Pool): SwitchML's
 // two-bank self-clocked slot.
-func (s *Switch) slotOf(ri int, chunk uint32) int {
+func (s *Switch) slotOf(chunk uint32) int {
 	pool := uint32(s.cfg.Pool)
-	return ri*2*s.cfg.Pool + int(chunk%pool+pool*(chunk/pool%2))
+	return int(chunk%pool + pool*(chunk/pool%2))
+}
+
+// shardOf maps a job's local slot to the shard guarding it: the jobs' slots
+// laid end to end in id order and dealt round-robin over the shards, so
+// consecutive slots sit behind consecutive locks and, when Shards does not
+// divide 2·Pool, consecutive jobs start on different shards.
+func (s *Switch) shardOf(job, slot int) int { return (job*2*s.cfg.Pool + slot) % s.nsh }
+
+// slotAt returns inc's local slot; the caller holds the lock of shard
+// shardOf(inc.job, slot).
+func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
+	return &inc.banks[s.shardOf(inc.job, slot)].slot[slot/s.nsh]
 }
 
 // HandleBatch implements transport.BatchHandler: it ingests one worker's
@@ -687,7 +698,7 @@ type addReq struct {
 	pkt   []byte
 	inc   *incarnation
 	chunk uint32
-	gs    int
+	slot  int // job-local slot
 }
 
 func (s *Switch) putScratch(sc *batchScratch) {
@@ -759,8 +770,8 @@ func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *inca
 		return nil
 	}
 	// The sending port is bound to its job partition: a packet claiming
-	// another tenant's job id would reach that tenant's slot range, so it
-	// is refused before any slot state is touched.
+	// another tenant's job id would reach that tenant's slots, so it is
+	// refused before any slot state is touched.
 	if worker/s.cfg.Workers != job {
 		s.rejCrossJob.Add(1)
 		return nil
@@ -780,7 +791,7 @@ func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *inca
 	if pkt[hdrBytes] != uint8(inc.epoch) {
 		// A datagram buffered in the network from an evicted incarnation
 		// of this (re-admitted) job id: without the epoch octet it would
-		// bind a stale chunk into the fresh range (see doc.go).
+		// bind a stale chunk into the fresh incarnation (see doc.go).
 		s.rejStale.Add(1)
 		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
 		return nil
@@ -822,9 +833,9 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		return
 	}
 	if inc.an != nil {
-		// An analytics tenant owns this job id: its range holds pruning
-		// registers and group accumulators, not chunk slots — ADDs have
-		// nothing to bind into.
+		// An analytics tenant owns this job id: it holds pruning registers
+		// and group accumulators, not chunk slots — ADDs have nothing to
+		// bind into.
 		s.rejClass.Add(1)
 		out.Unicast(worker, jobNotice(inc.job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
 		return
@@ -837,8 +848,8 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *tran
 		return
 	}
 	chunk := binary.BigEndian.Uint32(pkt[4:])
-	gs := s.slotOf(inc.ri, chunk)
-	sc.queue(gs%s.nsh, addReq{pkt: pkt, inc: inc, chunk: chunk, gs: gs})
+	slot := s.slotOf(chunk)
+	sc.queue(s.shardOf(inc.job, slot), addReq{pkt: pkt, inc: inc, chunk: chunk, slot: slot})
 }
 
 // queue appends an ADD to its shard's group, tracking first use.
@@ -860,7 +871,7 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 		sh := s.shards[k]
 		sh.mu.Lock()
 		for _, idx := range sc.byShard[k] {
-			s.slotHandleLocked(sh, &sc.adds[idx], worker, sc, out)
+			s.slotHandleLocked(k, &sc.adds[idx], worker, sc, out)
 		}
 		sh.mu.Unlock()
 		for _, inc := range sc.drains {
@@ -873,25 +884,23 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 	s.submitUplinks(sc)
 }
 
-// slotHandleLocked runs the slot protocol for one queued ADD; the caller
-// holds the owning shard's lock for the whole shard group. Deliveries are
-// appended to out; deferred work that needs other locks or does I/O (drain
-// completion, uplink sends) is queued on the scratch for after the unlock.
-func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) {
+// slotHandleLocked runs the slot protocol for one queued ADD of shard k's
+// group; the caller holds that shard's lock for the whole group. Deliveries
+// are appended to out; deferred work that needs other locks or does I/O
+// (drain completion, uplink sends) is queued on the scratch for after the
+// unlock.
+func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) {
 	inc := a.inc
 	if s.retired(worker, inc, out) {
 		return
 	}
+	sh := s.shards[k]
 	job, prof := inc.job, inc.spec.Profile
 	js := &s.jobs[job]
 	wij := worker % s.cfg.Workers
-	// The shard-local protocol slot is globally striped; the aggregator
-	// index is local to the range's bank on this shard (consecutive for the
-	// range's slots here).
-	li := a.gs / s.nsh
-	ai := (a.gs - inc.ri*2*s.cfg.Pool) / s.nsh
-	agg := inc.banks[a.gs%s.nsh]
-	st := &sh.slot[li]
+	// One bank-local index names the slot's registers and its protocol state.
+	b, bi := &inc.banks[k], a.slot/s.nsh
+	st := &b.slot[bi]
 	chunk := a.chunk
 
 	fresh := int64(chunk) > st.chunk
@@ -903,7 +912,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	case fresh:
 		// First packet of a new chunk binds the slot (pool versioning).
 		// A draining job may finish chunks already in flight but binds
-		// nothing new — that is what lets its range quiesce.
+		// nothing new — that is what lets it quiesce.
 		if inc.draining.Load() {
 			s.rejDraining.Add(1)
 			out.Unicast(worker, jobNotice(job, AckDraining, uint8(inc.epoch), inc.spec.Weight))
@@ -955,13 +964,12 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 		// refunds the scheduler, so the job is not billed for work that
 		// never ran. Rebinding ends the previous slot version: its cached
 		// RESULT (or its still-owed uplink ADD) goes with it.
-		if err := agg.SetInto(ai, vals, res); err != nil {
+		if err := b.agg.SetInto(bi, vals, res); err != nil {
 			sh.sched.refund(job)
 			return
 		}
-		if !st.outstanding {
+		if !st.aggregating() {
 			js.outstanding.Add(1)
-			st.outstanding = true
 		}
 		st.chunk = int64(chunk)
 		st.up = nil
@@ -971,7 +979,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 			js.cacheBytes.Add(-int64(len(st.cached)))
 			st.cached = nil
 		}
-	} else if err := agg.AddInto(ai, vals, res); err != nil {
+	} else if err := b.agg.AddInto(bi, vals, res); err != nil {
 		return
 	}
 	st.seen[wij] = true
@@ -986,10 +994,7 @@ func (s *Switch) slotHandleLocked(sh *shard, a *addReq, worker int, sc *batchScr
 	// leaf, the final LOCAL aggregation — the tree-wide sum still needs
 	// the other leaves, so it comes back from the parent).
 	js.completions.Add(1)
-	if st.outstanding {
-		js.outstanding.Add(-1)
-		st.outstanding = false
-	}
+	js.outstanding.Add(-1)
 	anyOvf := false
 	for _, o := range res.Overflow {
 		anyOvf = anyOvf || o
@@ -1144,7 +1149,7 @@ const (
 // DefaultDrainTimeout bounds an eviction's drain phase when
 // Config.DrainTimeout is zero: generous next to the retransmit timeout, so
 // in-flight chunks normally complete, but bounded so a dead tenant cannot
-// pin a slot range forever.
+// hold its job id forever.
 const DefaultDrainTimeout = 2 * time.Second
 
 // Worker is the host side: it reduces a gradient vector through the switch.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,25 +14,23 @@ import (
 	"fpisa/internal/core"
 	"fpisa/internal/query"
 	"fpisa/internal/stats"
-	"fpisa/internal/tcam"
 	"fpisa/internal/transport"
 )
 
 // This file makes in-network query acceleration and telemetry sketches
 // first-class job types on the multi-tenant switch (paper §6–§7): a job
 // admits under a workload CLASS — training (the ADD/RESULT allreduce
-// path), query (per-range pruning registers plus FPISA group accumulators
-// driving internal/query plans), or telemetry (per-range heavy-hitter and
-// utilization sketches over internal/stats histograms and internal/tcam
-// LPM classification). Analytics tenants send MsgTuple streams instead of
+// path), query (per-job pruning registers plus FPISA group accumulators
+// driving internal/query plans), or telemetry (per-job heavy-hitter and
+// utilization sketches over internal/stats histograms, classified by the
+// key's top bits). Analytics tenants send MsgTuple streams instead of
 // ADDs, are charged against the SAME per-shard deficit-round-robin ledger
 // as training binds, and are harvested over observer MsgDrain frames.
 //
 // An analytics job's register state hangs off its incarnation record and
-// is guarded by one "home" shard's mutex — the shard its slot range's first
-// slot maps to — so the hot path's locking discipline (incarnation
-// revalidated under the shard lock, lifeMu → shard.mu order) carries over
-// unchanged.
+// is guarded by one "home" shard's mutex (see homeShard), so the hot path's
+// locking discipline (incarnation revalidated under the shard lock,
+// lifeMu → shard.mu order) carries over unchanged.
 
 // WorkloadClass is a job's workload class octet, negotiated at admission.
 type WorkloadClass uint8
@@ -43,8 +42,8 @@ const (
 	// registers (Top-N, group-max) and per-group FPISA sum accumulators.
 	ClassQuery
 	// ClassTelemetry runs in-switch sketches: per-class FPISA utilization
-	// accumulators behind a tcam LPM classifier, a heavy-hitter table,
-	// and a log histogram of sample sizes.
+	// accumulators behind a top-bits prefix classifier, a heavy-hitter
+	// table, and a log histogram of sample sizes.
 	ClassTelemetry
 )
 
@@ -69,7 +68,7 @@ type AdmitClass struct {
 	// TopN sizes the Top-N pruning register array (query class only).
 	TopN int
 	// Groups sizes the per-group state: group-max pruning buckets and sum
-	// accumulator slots for query jobs; LPM classes, heavy-hitter rows
+	// accumulator slots for query jobs; traffic classes, heavy-hitter rows
 	// and utilization slots for telemetry jobs (power of two, so classes
 	// are the key's top log2(Groups) bits).
 	Groups int
@@ -196,7 +195,7 @@ const (
 	// OpQueryAgg folds tuples into the per-group FPISA sum accumulators
 	// (group = key mod Groups); no survivors — results drain.
 	OpQueryAgg
-	// OpTelemetry classifies the key through the LPM table and folds the
+	// OpTelemetry classifies the key by its top bits and folds the
 	// value into the class's utilization accumulator, the heavy-hitter
 	// table and the size histogram.
 	OpTelemetry
@@ -265,9 +264,9 @@ type hhRow struct {
 }
 
 // analyticsJob is one analytics incarnation's register state, guarded by
-// the mutex of the shard its slot range's first slot maps to. Per-worker
-// stop-and-wait lanes make tuple folding idempotent under retransmission:
-// a batch folds exactly once, and its ack is cached for replay.
+// its job's home shard's mutex. Per-worker stop-and-wait lanes make tuple
+// folding idempotent under retransmission: a batch folds exactly once, and
+// its ack is cached for replay.
 type analyticsJob struct {
 	ac AdmitClass
 
@@ -288,10 +287,10 @@ type analyticsJob struct {
 	acc  aggregator
 	seen []bool
 
-	// Telemetry state: the LPM classifier over the key's top bits, the
-	// heavy-hitter table and the sample-size histogram.
-	lpm        *tcam.LPM[int]
-	prefixBits int
+	// Telemetry state: the classifier — Groups equal-length prefixes over
+	// the key's top bits, i.e. class = key >> classShift — the heavy-hitter
+	// table and the sample-size histogram.
+	classShift uint
 	hh         []hhRow
 	hist       *stats.LogHistogram
 
@@ -332,21 +331,9 @@ func newAnalyticsJob(ac AdmitClass, workers int, build func(slots int) (aggregat
 		an.seen = make([]bool, ac.Groups)
 	}
 	if ac.Class == ClassTelemetry {
-		bits := 0
-		for g := ac.Groups; g > 1; g >>= 1 {
-			bits++
-		}
-		an.prefixBits = bits
-		lpm, err := tcam.NewLPM[int](32)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < ac.Groups; i++ {
-			if err := lpm.Insert(uint64(i)<<(32-bits), bits, i); err != nil {
-				return nil, err
-			}
-		}
-		an.lpm = lpm
+		// Groups is a power of two (validateClass); a single class shifts the
+		// whole key out.
+		an.classShift = uint(32 - bits.TrailingZeros(uint(ac.Groups)))
 		an.hh = make([]hhRow, ac.Groups)
 		an.hist = stats.MustNewLogHistogram(telemetryHistBase, telemetryHistMinExp, telemetryHistMaxExp)
 	}
@@ -385,16 +372,14 @@ func (an *analyticsJob) foldAgg(key uint32, val float32) {
 	an.seen[g] = true
 }
 
-// foldTelemetry classifies one sample through the LPM table, adds its
-// size to the class's utilization accumulator, and feeds the heavy-hitter
-// table and the size histogram.
+// trafficClass is a telemetry key's class: its top log2(Groups) bits.
+func (an *analyticsJob) trafficClass(key uint32) int { return int(key >> an.classShift) }
+
+// foldTelemetry classifies one sample by its key's top bits, adds its size
+// to the class's utilization accumulator, and feeds the heavy-hitter table
+// and the size histogram.
 func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
-	class := 0
-	if an.prefixBits > 0 {
-		if c, ok := an.lpm.Lookup(uint64(key)); ok {
-			class = c
-		}
-	}
+	class := an.trafficClass(key)
 	an.val[0] = val
 	an.acc.AddInto(class, an.val[:], nil) //nolint:errcheck // class index is in range by construction
 	an.seen[class] = true
@@ -417,23 +402,27 @@ func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
 // and returns the ack to cache and send. Caller holds the home shard's
 // lock.
 func (an *analyticsJob) fold(job int, seq uint32, op TupleOp, pkt []byte, count int) []byte {
-	survived := make([]bool, count)
+	ack := encodeTupleAck(job, seq, count)
 	for i := 0; i < count; i++ {
 		off := tupleHdrBytes + 8*i
 		key := binary.BigEndian.Uint32(pkt[off:])
 		val := math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
+		survived := false
 		switch op {
 		case OpQueryTopN:
-			survived[i] = an.topn.Admit(val)
+			survived = an.topn.Admit(val)
 		case OpQueryGroupMax:
-			survived[i] = an.gmax.Admit(key, val)
+			survived = an.gmax.Admit(key, val)
 		case OpQueryAgg:
 			an.foldAgg(key, val)
 		case OpTelemetry:
 			an.foldTelemetry(key, val)
 		}
+		if survived {
+			setSurvivor(ack, i)
+		}
 	}
-	return encodeTupleAck(job, seq, count, func(i int) bool { return survived[i] })
+	return ack
 }
 
 // drain harvests (and resets) one kind of analytics state. Caller holds
@@ -508,7 +497,7 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	op := TupleOp(pkt[hdrBytes+1])
 	seq := binary.BigEndian.Uint32(pkt[4:])
 	wij := worker % s.cfg.Workers
-	sh := s.shards[s.homeShard(inc.ri)]
+	sh := s.shards[s.homeShard(inc.job)]
 	sh.mu.Lock()
 	if s.retired(worker, inc, out) {
 		sh.mu.Unlock()
@@ -589,7 +578,7 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	}
 	flags := pkt[5]
 	nonce := binary.BigEndian.Uint32(pkt[6:])
-	sh := s.shards[s.homeShard(inc.ri)]
+	sh := s.shards[s.homeShard(inc.job)]
 	sh.mu.Lock()
 	if !s.isLive(inc) {
 		sh.mu.Unlock()
@@ -612,12 +601,10 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	out.Unicast(worker, reply)
 }
 
-// homeShard maps a slot range to the shard whose lock guards its analytics
-// state. Ranges spread round-robin so tenants fold and drain in parallel;
-// the shard a range's first slot stripes to would be shard 0 for every
-// range whenever Shards divides 2·Pool, putting all of them behind one lock.
-func (s *Switch) homeShard(ri int) int {
-	return ri % s.nsh
+// homeShard maps a job to the shard whose lock guards its analytics state.
+// Jobs spread round-robin so tenants fold and drain in parallel.
+func (s *Switch) homeShard(job int) int {
+	return job % s.nsh
 }
 
 // JobClass reports a job id's workload-class descriptor (training for

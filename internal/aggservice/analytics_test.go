@@ -3,6 +3,7 @@ package aggservice
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"fpisa/internal/pisa"
 	"fpisa/internal/query"
 	"fpisa/internal/stats"
+	"fpisa/internal/tcam"
 	"fpisa/internal/transport"
 )
 
@@ -76,7 +78,7 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 		}
 	}
 
-	ack := encodeTupleAck(3, 99, 5, func(i int) bool { return i%2 == 0 })
+	ack := tupleAckOf(3, 99, []bool{true, false, true, false, true})
 	aj, aseq, alive, err := DecodeTupleAck(ack)
 	if err != nil || aj != 3 || aseq != 99 || len(alive) != 5 {
 		t.Fatalf("tuple ack round trip: %d %d %v %v", aj, aseq, alive, err)
@@ -163,10 +165,9 @@ func analyticsCfg(workers int, ac AdmitClass) Config {
 	}
 }
 
-// TestAnalyticsRangesSpreadOverShards: neighbouring slot ranges keep their
-// analytics state behind different shard locks. (Under the first-slot rule
-// every range landed on shard 0 whenever Shards divides 2·Pool — as here —
-// so two tenants' folds and drains serialised on one lock.)
+// TestAnalyticsRangesSpreadOverShards: neighbouring job ids keep their
+// analytics state behind different shard locks, so two tenants' folds and
+// drains do not serialise on one lock.
 func TestAnalyticsRangesSpreadOverShards(t *testing.T) {
 	sw, err := NewSwitch(analyticsCfg(1, AdmitClass{Class: ClassQuery, Groups: 4}))
 	if err != nil {
@@ -174,7 +175,7 @@ func TestAnalyticsRangesSpreadOverShards(t *testing.T) {
 	}
 	defer sw.Close()
 	if a, b := sw.homeShard(0), sw.homeShard(1); a == b {
-		t.Errorf("ranges 0 and 1 share home shard %d of %d", a, sw.Shards())
+		t.Errorf("jobs 0 and 1 share home shard %d of %d", a, sw.Shards())
 	}
 }
 
@@ -661,6 +662,41 @@ func TestMixedClassFairness(t *testing.T) {
 		}
 		if st.Completions != uint64(units[j]) {
 			t.Errorf("job %d: stats report %d batches, driver saw %d", j, st.Completions, units[j])
+		}
+	}
+}
+
+// TestTrafficClassMatchesLPM pins the telemetry classifier — a shift —
+// against the table it stands for: Groups equal-length prefixes in an
+// internal/tcam longest-prefix-match table, the test-only oracle. Boundary
+// keys sit on, just below and just above every prefix edge.
+func TestTrafficClassMatchesLPM(t *testing.T) {
+	for _, groups := range []int{1, 2, 16, 64, 2048} {
+		an, err := newAnalyticsJob(AdmitClass{Class: ClassTelemetry, Groups: groups}, 1,
+			func(int) (aggregator, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		plen := bits.TrailingZeros(uint(groups))
+		lpm, err := tcam.NewLPM[int](32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < groups; i++ {
+			if err := lpm.Insert(uint64(i)<<(32-plen), plen, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys := []uint32{0, 1, 1 << 31, 1<<31 - 1, math.MaxUint32, math.MaxUint32 - 1, 0xdeadbeef}
+		for i := 1; i < groups; i++ {
+			edge := uint32(i) << (32 - plen)
+			keys = append(keys, edge-1, edge, edge+1)
+		}
+		for _, key := range keys {
+			want, ok := lpm.Lookup(uint64(key))
+			if got := an.trafficClass(key); !ok || got != want || got >= groups {
+				t.Fatalf("groups %d key %#08x: class %d, LPM says %d (hit %v)", groups, key, got, want, ok)
+			}
 		}
 	}
 }

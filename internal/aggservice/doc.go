@@ -12,10 +12,11 @@
 // # Multi-job tenancy
 //
 // One switch serves several training jobs at once — the deployment the
-// paper's line-rate claim implies. The global slot pool is partitioned by
-// tenant: job j owns the contiguous slot range [j·2·Pool, (j+1)·2·Pool)
-// and the transport ports [j·Workers, (j+1)·Workers). Because a packet's
-// slot is derived from its authenticated (port, job) pair — and a header
+// paper's line-rate claim implies. State is partitioned by tenant: an
+// admitted job j owns 2·Pool slots of its own (registers and protocol
+// state, living on its incarnation record) and the transport ports
+// [j·Workers, (j+1)·Workers). Because a packet's slot is derived from its
+// authenticated (port, job) pair — and a header
 // job id that disagrees with the sending port's partition is rejected and
 // counted (WireRejects.CrossJob) — no tenant can read or clobber another
 // tenant's aggregation state.
@@ -55,7 +56,7 @@
 //     Config.SchedRoundAge when a budget holder goes quiet mid-round
 //     (dead workers) so nobody waits on a ghost.
 //
-// Because every job's slot range is striped evenly across the shards,
+// Because every job's slots are striped evenly across the shards,
 // per-shard fairness composes: under contention each tenant's completed-
 // chunk throughput converges to its weight share (the fairness property
 // test pins 1:2:4 within 10%, Jain's index ≥ 0.95). Eviction returns a
@@ -79,11 +80,12 @@
 // (Worker.Profile).
 //
 // On the switch, the one-pipeline-per-switch assumption is gone: each
-// shard holds a BANK of aggregators, one per slot range, installed at
-// admission and torn down at release. Compiled programs are shared, state
+// job holds a BANK per shard — an aggregator plus the protocol state of the
+// job's slots striped onto that shard — built at admission and dropped
+// with the incarnation at release. Compiled programs are shared, state
 // is not — the switch keeps one prototype aggregator per distinct profile
 // (one P4 compile each, cached across churn; core.ProfileAggregator) and
-// stamps per-range register banks off it (Replicate), so two jobs with the
+// stamps per-job register banks off it (Replicate), so two jobs with the
 // same profile share a program and two jobs with different profiles run
 // different arithmetic side by side on one switch. On the wire, ADD values
 // and RESULT sums are carried in the job's negotiated format — the 16-bit
@@ -93,28 +95,25 @@
 // # Job lifecycle (runtime control plane)
 //
 // The switch is a long-lived shared resource: jobs join and leave without
-// a restart. Slot ranges are not a static job·2·Pool formula but an
-// indirection table — Config.Capacity provisions that many 2·Pool ranges,
-// each either on a free-list or bound to a job id — and every job id moves
+// a restart. Config.Capacity is the job-id space, and every job id moves
 // through a three-state machine:
 //
 //	vacant ──admit──▶ admitted ──evict──▶ draining ──release──▶ vacant
 //
-// A live job is ONE record, the incarnation: its slot range, the JobSpec
-// the admission applied (weight, profile, class), the per-shard aggregator
-// banks or analytics registers behind it, and — on a tree leaf — its
+// A live job is ONE record, the incarnation: the JobSpec the admission
+// applied (weight, profile, class), the per-shard banks (registers plus
+// slot state) or analytics registers behind it, and — on a tree leaf — its
 // uplink client. Admit (MsgJobAdmit over the observer frame, fpisa-query
 // -admit, or the in-process Switch.Admit; Config.Jobs' initial tenants go
-// through the same call) takes a range from the free-list, builds the
-// record, zeroes the job's counters and publishes the record with a single
-// pointer store; admission fails with AckErrNoCapacity when every range is
-// held. Evict (MsgJobEvict / Switch.Evict) flags the record draining: ADDs
+// through the same call) builds the record with every slot free, zeroes the
+// job's counters and publishes the record with a single pointer store; a
+// vacant id inside the capacity is never refused for want of room. Evict
+// (MsgJobEvict / Switch.Evict) flags the record draining: ADDs
 // that would bind a NEW chunk are refused (counted in WireRejects.Draining,
 // answered with an AckDraining notice) while chunks already in flight
 // complete and deliver normally. When the last outstanding slot completes
 // — or Config.DrainTimeout expires — release retires the record with a
-// single store of nil, then resets the range (caches freed, chunks
-// unbound) and returns it to the free-list for the next admission. An
+// single store of nil; its slots, caches and registers go with it. An
 // evicted id keeps its final counters until it is re-admitted. Workers of
 // an evicted job receive MsgJobAck notices (AckDraining/AckEvicted) and
 // surface ErrJobEvicted from Reduce instead of retransmitting forever.
@@ -126,17 +125,17 @@
 //
 // In-process, a handler loads the record once, carries the pointer, and
 // every shard-locked section revalidates it by pointer identity against
-// the job's live record. Because release retires the record before it
-// resets the slots under those same locks, a handler racing an eviction
-// sees one whole incarnation or none and can never touch a re-assigned
-// range — not even when the same range comes straight back to the same
-// job id. Each release also advances the job's epoch counter, which names
+// the job's live record. A handler racing an eviction therefore sees one
+// whole incarnation or none: the slots it would touch belong to the record
+// it carries, and the id-indexed state the next incarnation inherits
+// (counters, scheduler ledger, downlink ports) is only reached while that
+// record is still the live one. Each release also advances the job's epoch counter, which names
 // the next incarnation on the wire: every ADD carries the epoch octet (the
 // release counter mod 256), and an ADD whose octet disagrees with the job's
 // current incarnation is refused as stale (WireRejects.Stale, an
 // AckEvicted notice). A datagram buffered in the network from an evicted incarnation
 // of a re-admitted job id therefore bounces instead of binding a stale
-// chunk into the fresh range — the operator hands the admit ack's epoch
+// chunk into the fresh incarnation — the operator hands the admit ack's epoch
 // (fpisa-query prints it; Switch.JobEpoch serves the in-process path) to
 // the new incarnation's workers (Worker.Epoch). Control-plane acks echo
 // the job's CURRENT epoch (that is what an admit teaches the operator);
@@ -227,7 +226,7 @@
 //
 //   - training (the zero descriptor): the gradient ADD/RESULT protocol
 //     above, unchanged.
-//   - query: in-network query acceleration (§6). The range provisions
+//   - query: in-network query acceleration (§6). The job provisions
 //     TopN ordered-key pruning registers, Groups group-max pruning
 //     buckets and Groups FPISA sum accumulators; workers stream
 //     key/value rows as MsgTuple batches under OpQueryTopN /
@@ -235,8 +234,8 @@
 //     rows still matter) or OpQueryAgg (rows fold into per-group FPISA
 //     sums and never cross to the master).
 //   - telemetry: in-switch traffic sketches (§7). Groups (a power of
-//     two) LPM traffic classes over the key's top bits (internal/tcam),
-//     a Groups-row space-saving heavy-hitter table, per-class FP32
+//     two) traffic classes — equal-length prefixes of the key's top
+//     bits — a Groups-row space-saving heavy-hitter table, per-class FP32
 //     utilization accumulators and a log2 size histogram
 //     (internal/stats), all fed by OpTelemetry samples.
 //
@@ -339,7 +338,7 @@
 // like worker traffic. An eviction at the parent propagates DOWN: the
 // leaf's uplink ADDs bounce off the draining parent as epoch-matched
 // AckDraining/AckEvicted notices, the uplink client evicts the job
-// locally, and the leaf's own drain machinery (with its free-list,
+// locally, and the leaf's own drain machinery (with its
 // timers and epoch bump) runs unchanged. A leaf-local evict deliberately
 // does NOT propagate up — sibling leaves may still feed the parent's job.
 // An unreachable parent is bounded by UplinkConfig.Timeout/Retries:

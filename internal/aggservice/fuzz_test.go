@@ -185,9 +185,7 @@ func FuzzDecodeTuples(f *testing.F) {
 // header truncation identified, nonzero padding bits past the row count
 // rejected (so every accepted ack re-encodes byte for byte).
 func FuzzDecodeTupleAck(f *testing.F) {
-	mk := func(job int, seq uint32, survivors []bool) []byte {
-		return encodeTupleAck(job, seq, len(survivors), func(i int) bool { return survivors[i] })
-	}
+	mk := tupleAckOf
 	valid := mk(1, 9, []bool{true, false, true, true, false, true, false, false, true})
 	f.Add(valid)
 	f.Add(mk(0, 0, []bool{false}))
@@ -221,7 +219,7 @@ func FuzzDecodeTupleAck(f *testing.F) {
 		if len(survivors) < 1 {
 			t.Fatal("accepted an ack with no rows")
 		}
-		re := encodeTupleAck(job, seq, len(survivors), func(i int) bool { return survivors[i] })
+		re := tupleAckOf(job, seq, survivors)
 		if !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
 		}

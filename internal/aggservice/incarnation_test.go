@@ -25,7 +25,8 @@ func evictedNotice(t *testing.T, ds []transport.Delivery, worker int) uint8 {
 // TestStaleIncarnationBouncesUnderLock pins the interleaving the pointer-
 // identity revalidation exists for, deterministically: work classified
 // under incarnation N reaches its shard-locked section only after N was
-// retired and the SAME range came back to the SAME job id as N+1.
+// retired and the SAME job id came back live as N+1: it must bounce with
+// N's epoch and leave N+1's slots and the id's counters untouched.
 func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	cfg := Config{Workers: 1, Pool: 2, Modules: 1, Shards: 2, Capacity: 1,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
@@ -34,7 +35,6 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := sw.jobs[0].live.Load()
-	oldBase, _, _ := sw.JobRange(0)
 
 	// An ADD passes the gate under incarnation N and waits in the scratch.
 	sc := sw.scratchPool.Get().(*batchScratch)
@@ -51,8 +51,8 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := sw.jobs[0].live.Load()
-	if base, _, _ := sw.JobRange(0); base != oldBase || cur == old || cur.ri != old.ri {
-		t.Fatalf("want the same range under a new record: base %d→%d", oldBase, base)
+	if cur == nil || cur == old || cur.epoch != old.epoch+1 {
+		t.Fatalf("want job 0 live under a new record: %+v → %+v", old, cur)
 	}
 
 	// The queued ADD now reaches its shard lock: it must bounce with a
@@ -63,8 +63,12 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	if got := evictedNotice(t, dl.Take(), 0); got != uint8(old.epoch) {
 		t.Fatalf("notice carries epoch %d, want the stale incarnation's %d", got, old.epoch)
 	}
-	if st, _ := sw.JobStats(0); st.Adds != 0 || st.Outstanding != 0 {
-		t.Fatalf("stale ADD leaked into the new incarnation: %+v", st)
+	if st, _ := sw.JobStats(0); st != (JobStats{Phase: PhaseAdmitted, Weight: 1}) {
+		t.Fatalf("stale ADD leaked into the new incarnation's counters: %+v", st)
+	}
+	auditSwitch(t, "after the stale ADD", sw, 0)
+	if dj := sw.shards[sw.shardOf(0, 0)].sched.jobs[0]; dj != (drrJob{}) {
+		t.Fatalf("stale ADD touched the scheduler ledger: %+v", dj)
 	}
 	if got := sw.Rejects().BadJob; got != badJob+1 {
 		t.Fatalf("BadJob = %d, want %d", got, badJob+1)
@@ -74,9 +78,9 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	// overflow set); a final carried by N's uplink client must be dropped
 	// and N's retransmit walk must find nothing, N+1's is installed with the
 	// leaf's overflow ORed in and ends the slot's uplinked state.
-	gs := sw.slotOf(cur.ri, 1)
-	sh := sw.shards[gs%sw.nsh]
-	st := &sh.slot[gs/sw.nsh]
+	slot := sw.slotOf(1)
+	sh := sw.shards[sw.shardOf(0, slot)]
+	st := sw.slotAt(cur, slot)
 	up := EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{3})
 	sh.mu.Lock()
 	st.chunk, st.up, st.upOvf = 1, up, true
@@ -164,8 +168,8 @@ func TestStaticAndRuntimeAdmissionAreOnePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if base, n, ok := sw.JobRange(j); !ok || base != j*2*cfg.Pool || n != 2*cfg.Pool || sw.JobEpoch(j) != 0 {
-			t.Fatalf("initial job %d: range (%d,%d,%v) epoch %d", j, base, n, ok, sw.JobEpoch(j))
+		if sw.JobPhaseOf(j) != PhaseAdmitted || sw.JobEpoch(j) != 0 {
+			t.Fatalf("initial job %d: phase %v epoch %d", j, sw.JobPhaseOf(j), sw.JobEpoch(j))
 		}
 	}
 	if err := sw.Admit(2, JobSpec{Weight: 3, Profile: bf16, Class: query}); err != nil {
@@ -181,9 +185,8 @@ func TestStaticAndRuntimeAdmissionAreOnePath(t *testing.T) {
 	if ack0 != ack2 {
 		t.Fatalf("acks differ:\n static %+v\nruntime %+v", ack0, ack2)
 	}
-	b0, _, _ := sw.JobRange(0)
-	if b2, _, ok := sw.JobRange(2); !ok || b2 == b0 {
-		t.Fatalf("twin's range base %d (ok=%v) vs job 0's %d", b2, ok, b0)
+	if inc0, inc2 := sw.current(0), sw.current(2); inc2 == nil || inc2 == inc0 || inc2.an == inc0.an {
+		t.Fatalf("twin shares job 0's incarnation state: %p vs %p", inc2, inc0)
 	}
 
 	// A leaf's construction-time jobs negotiate upward through the same

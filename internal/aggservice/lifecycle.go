@@ -18,15 +18,14 @@ import (
 //
 //	vacant ──Admit──▶ admitted ──Evict──▶ draining ──release──▶ vacant
 //
-// Admission builds one incarnation record — a 2·Pool slot range from the
-// free-list, the applied JobSpec and the aggregators or analytics registers
-// behind it — and publishes it with a single store to jobState.live.
-// Eviction first drains: ADDs that would bind a NEW chunk are refused
-// (counted, answered with an AckDraining notice) while chunks already in
-// flight complete normally; when the last outstanding slot completes — or
-// DrainTimeout passes — release retires the record with a single store of
-// nil, resets the range and returns it to the free-list for the next
-// admission.
+// Admission builds one incarnation record — the applied JobSpec and the
+// 2·Pool free slots or the analytics registers behind it — and publishes it
+// with a single store to jobState.live. Eviction first drains: ADDs that
+// would bind a NEW chunk are refused (counted, answered with an AckDraining
+// notice) while chunks already in flight complete normally; when the last
+// outstanding slot completes — or DrainTimeout passes — release retires the
+// record with a single store of nil, and everything the tenant held goes
+// with it.
 
 // Lifecycle errors. Admit/Evict return these; the wire control plane maps
 // them to AckStatus codes (and back, on the client).
@@ -39,8 +38,6 @@ var (
 	ErrAlreadyAdmitted = errors.New("aggservice: job already admitted")
 	// ErrJobDraining marks admit/evict racing an eviction still draining.
 	ErrJobDraining = errors.New("aggservice: job is draining")
-	// ErrNoCapacity marks an admit with an empty slot-range free-list.
-	ErrNoCapacity = errors.New("aggservice: no free slot range (evict a job or raise Capacity)")
 	// ErrLifecycleDisabled marks a wire admit/evict on a switch whose
 	// operator did not enable the runtime control plane.
 	ErrLifecycleDisabled = errors.New("aggservice: runtime lifecycle disabled (enable Config.Dynamic)")
@@ -67,10 +64,10 @@ var (
 type JobPhase uint8
 
 const (
-	// PhaseVacant: the id holds no slot range; ADDs are refused with an
+	// PhaseVacant: the id has no live incarnation; ADDs are refused with an
 	// AckEvicted notice.
 	PhaseVacant JobPhase = iota
-	// PhaseAdmitted: the id owns a slot range and aggregates normally.
+	// PhaseAdmitted: the id has a live incarnation and aggregates normally.
 	PhaseAdmitted
 	// PhaseDraining: eviction in progress — in-flight chunks may
 	// complete, new chunk binds are refused.
@@ -93,12 +90,12 @@ func (p JobPhase) String() string {
 type LifecycleEvent uint8
 
 const (
-	// EventAdmitted fires when Admit binds a job to a slot range.
+	// EventAdmitted fires when Admit publishes a job's incarnation.
 	EventAdmitted LifecycleEvent = iota
 	// EventDraining fires when Evict begins draining a job.
 	EventDraining
-	// EventEvicted fires when the drained (or timed-out) range is
-	// released back to the free-list.
+	// EventEvicted fires when the drained (or timed-out) incarnation is
+	// released and the id is vacant again.
 	EventEvicted
 )
 
@@ -137,8 +134,9 @@ const (
 	AckErrAlreadyAdmitted
 	// AckErrDraining: admit/evict while the id's old incarnation drains.
 	AckErrDraining
-	// AckErrNoCapacity: admit with an empty free-list.
-	AckErrNoCapacity
+	// Status octet 8 is retired, not reused: it named an admission refusal
+	// no switch could produce. DecodeJobAck rejects it as unknown.
+	_
 	// AckErrDisabled: the switch does not enable the wire control plane.
 	AckErrDisabled
 	// AckBackpressure is the unsolicited notice sent to a worker whose ADD
@@ -161,7 +159,7 @@ const (
 // sentinel error it stands for (nil for the success acks; the worker notices
 // AckEvicted/AckDraining both mean ErrJobEvicted). String, Err, the
 // error → status mapping in jobAck and DecodeJobAck's range check all read
-// it, so a new status is one new row.
+// it, so a new status is one new row; a retired octet is a nameless one.
 var ackTable = [...]struct {
 	name string
 	err  error
@@ -174,7 +172,6 @@ var ackTable = [...]struct {
 	AckErrNotAdmitted:     {"error: not admitted", ErrNotAdmitted},
 	AckErrAlreadyAdmitted: {"error: already admitted", ErrAlreadyAdmitted},
 	AckErrDraining:        {"error: draining", ErrJobDraining},
-	AckErrNoCapacity:      {"error: no capacity", ErrNoCapacity},
 	AckErrDisabled:        {"error: lifecycle disabled", ErrLifecycleDisabled},
 	AckBackpressure:       {"backpressure", ErrBackpressure},
 	AckErrBadProfile:      {"error: bad numeric profile", ErrBadProfile},
@@ -182,7 +179,7 @@ var ackTable = [...]struct {
 }
 
 // valid reports whether a is a status octet this wire version defines.
-func (a AckStatus) valid() bool { return int(a) < len(ackTable) }
+func (a AckStatus) valid() bool { return int(a) < len(ackTable) && ackTable[a].name != "" }
 
 func (a AckStatus) String() string {
 	if !a.valid() {
@@ -270,11 +267,11 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 	return ack
 }
 
-// Admit brings a vacant job id live under a JobSpec, allocating its slot
-// range from the free-list and zeroing its counters for the new
-// incarnation. Under contention the job's new-chunk binds get Weight shares
-// of pipeline time relative to the other admitted tenants, and every value
-// the job aggregates runs through the arithmetic Profile names. A weight of
+// Admit brings a vacant job id live under a JobSpec, building its fresh
+// incarnation and zeroing its counters. Under contention the job's
+// new-chunk binds get Weight shares of pipeline time relative to the other
+// admitted tenants, and every value the job aggregates runs through the
+// arithmetic Profile names. A weight of
 // 0 (the wire's "unspecified") is clamped to 1; weights above MaxWeight are
 // refused with ErrBadWeight; a profile that does not validate (unknown
 // octet, Headroom() < 1, or RNE without guard bits) is refused with
@@ -284,11 +281,11 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 // aggregator is fetched from the switch's per-profile program cache —
 // distinct profiles compile once per switch, and every shard of every job
 // sharing a profile shares the compiled program, replicated into one bank
-// of fresh registers per shard.
+// of fresh registers (beside the bank's free slots) per shard.
 //
 // A query or telemetry Class provisions the job's analytics state — the
-// pruning registers, FPISA group accumulators, LPM classifier, heavy-hitter
-// rows and latency histogram the class calls for — guarded by the job's
+// pruning registers, FPISA group accumulators, prefix classifier,
+// heavy-hitter rows and latency histogram the class calls for — guarded by the job's
 // home shard lock, instead of per-shard training banks. A descriptor that
 // does not validate (see Config.validateClass) is refused with ErrBadClass
 // before any state moves. Analytics classes are refused on tree leaves:
@@ -332,7 +329,7 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 		}
 		inc.up = newUplinkJob(s, inc, parentEpoch)
 	}
-	// Analytics state (pruning registers, accumulators, LPM, sketch rows)
+	// Analytics state (pruning registers, accumulators, sketch rows)
 	// is built before any lock: the FPISA compile is the slow part and must
 	// not stall other tenants' lifecycle transitions.
 	if spec.Class.Class != ClassTraining {
@@ -350,21 +347,13 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 	case PhaseDraining:
 		return fmt.Errorf("%w: job %d", ErrJobDraining, job)
 	}
-	if len(s.freeRanges) == 0 {
-		return fmt.Errorf("%w: job %d", ErrNoCapacity, job)
-	}
 	if inc.an == nil {
 		proto, err := s.getProtoLocked(spec.Profile)
 		if err != nil {
 			return fmt.Errorf("%w: job %d: %v", ErrBadProfile, job, err)
 		}
-		inc.banks = make([]aggregator, s.nsh)
-		for k := range inc.banks {
-			inc.banks[k] = proto.Replicate()
-		}
+		inc.banks = s.newBanks(proto)
 	}
-	inc.ri = s.freeRanges[len(s.freeRanges)-1]
-	s.freeRanges = s.freeRanges[:len(s.freeRanges)-1]
 	inc.epoch = js.epoch.Load()
 	js.reset()
 	js.live.Store(inc)
@@ -378,9 +367,9 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 }
 
 // Evict starts draining a live job: new chunk binds are refused from now
-// on, in-flight chunks may complete, and the slot range is released to the
-// free-list when the job quiesces — or after Config.DrainTimeout, whichever
-// comes first. Evict returns once the drain has begun (it may also already
+// on, in-flight chunks may complete, and the job is released — its id vacant
+// again — when it quiesces or after Config.DrainTimeout, whichever comes
+// first. Evict returns once the drain has begun (it may also already
 // have finished, when the job had nothing outstanding).
 func (s *Switch) Evict(job int) error {
 	if job < 0 || job >= s.ncap {
@@ -414,7 +403,7 @@ func (s *Switch) Evict(job int) error {
 // finishDrain releases a draining incarnation if it is still the live one
 // and either nothing is outstanding or force is set (the drain timed out:
 // partial sums are discarded). The hot path calls it after a completion,
-// outside the shard lock — release re-takes every shard lock it needs.
+// outside the shard lock — release takes every shard's lock in turn.
 func (s *Switch) finishDrain(inc *incarnation, force bool) {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
@@ -423,40 +412,30 @@ func (s *Switch) finishDrain(inc *incarnation, force bool) {
 	}
 }
 
-// release retires a live incarnation and returns its slot range to the
-// free-list, resetting every slot (freeing cached RESULTs and owed uplink
-// ADDs, unbinding chunks) so the next admission starts clean. Caller holds
-// lifeMu.
+// release retires a live incarnation, leaving its job id vacant. The slots
+// (bound chunks, cached RESULTs, owed uplink ADDs), registers and analytics
+// state go with the record — the next admission builds its own — while the
+// compiled program stays cached on the switch. Caller holds lifeMu.
 func (s *Switch) release(inc *incarnation) {
 	job := inc.job
 	js := &s.jobs[job]
-	// Retire before touching slots: once live no longer points at inc, the
-	// hot path's under-lock revalidation guarantees no ADD, tuple, drain or
-	// parent aggregate carrying inc can reach these slots while — or
-	// after — they reset, even if a later admission hands the same range
-	// back to this same job id. The banks and analytics registers go with
-	// the record; the compiled program stays cached on the switch.
+	// Once live no longer points at inc, the hot path's under-lock
+	// revalidation bounces every ADD, tuple, drain and parent aggregate
+	// still carrying it.
 	js.live.Store(nil)
 	js.epoch.Add(1)
 	if inc.drainTimer != nil {
 		inc.drainTimer.Stop()
 	}
-	// Aggregates the parent still owes the range's slots are stale now; a
-	// fresh admission starts a fresh uplink client.
+	// Aggregates the parent still owes are stale now; a fresh admission
+	// starts a fresh uplink client.
 	if inc.up != nil {
 		inc.up.stop()
 	}
-	base := inc.ri * 2 * s.cfg.Pool
-	for gs := base; gs < base+2*s.cfg.Pool; gs++ {
-		sh := s.shards[gs%s.nsh]
-		sh.mu.Lock()
-		st := &sh.slot[gs/s.nsh]
-		clear(st.seen)
-		*st = slotState{chunk: -1, seen: st.seen}
-		sh.mu.Unlock()
-	}
-	s.freeRanges = append(s.freeRanges, inc.ri)
-	// Return the job's unspent scheduler deficit on every shard.
+	// Return the job's unspent scheduler deficit on every shard. Having held
+	// each shard's lock after the retire, release has also outlasted every
+	// locked section that still saw inc live, so the gauges zeroed below
+	// stay zero.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.sched.forfeit(job)
@@ -476,16 +455,6 @@ func (s *Switch) current(job int) *incarnation {
 		return nil
 	}
 	return s.jobs[job].live.Load()
-}
-
-// JobRange reports the slot range the indirection table currently assigns
-// to job; ok is false when the job holds none (vacant or out of range).
-func (s *Switch) JobRange(job int) (base, n int, ok bool) {
-	inc := s.current(job)
-	if inc == nil {
-		return 0, 0, false
-	}
-	return inc.ri * 2 * s.cfg.Pool, 2 * s.cfg.Pool, true
 }
 
 // JobPhaseOf reports a job id's current lifecycle phase (PhaseVacant for

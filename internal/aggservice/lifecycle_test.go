@@ -2,6 +2,7 @@ package aggservice
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -37,16 +38,14 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 	if ph := sw.JobPhaseOf(1); ph != PhaseVacant {
 		t.Fatalf("job 1 phase = %v", ph)
 	}
-	if _, _, ok := sw.JobRange(1); ok {
-		t.Fatal("vacant job holds a range")
+	if sw.current(1) != nil {
+		t.Fatal("vacant job holds an incarnation")
 	}
 
 	if err := sw.Admit(1, JobSpec{}); err != nil {
 		t.Fatalf("admit 1: %v", err)
 	}
-	if base, n, ok := sw.JobRange(1); !ok || n != 2*cfg.Pool || base%(2*cfg.Pool) != 0 {
-		t.Fatalf("job 1 range: base=%d n=%d ok=%v", base, n, ok)
-	}
+	auditSwitch(t, "admitted", sw, 1)
 	if err := sw.Admit(1, JobSpec{}); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("re-admit: %v", err)
 	}
@@ -62,8 +61,8 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 	if err := sw.Admit(2, JobSpec{}); err != nil {
 		t.Fatalf("admit 2: %v", err)
 	}
-	// Capacity exhausted: all three ranges are held.
-	if err := sw.Evict(2); err != nil { // free one again
+	// Every id is live.
+	if err := sw.Evict(2); err != nil { // vacate one again
 		t.Fatalf("evict 2: %v", err)
 	}
 	if ph := sw.JobPhaseOf(2); ph != PhaseVacant {
@@ -81,43 +80,93 @@ func TestAdmitEvictStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sw2.Admit(1, JobSpec{}); err != nil {
-		t.Fatalf("free-list did not recycle the evicted range: %v", err)
+		t.Fatalf("re-admit of an evicted id on a full switch: %v", err)
 	}
 }
 
-// TestAdmitExhaustsFreeList pins ErrNoCapacity: more admitted jobs than
-// ranges must be refused.
-func TestAdmitExhaustsFreeList(t *testing.T) {
-	sw, err := NewSwitch(dynCfg(1, 1, 1, 2, 3))
+// auditSwitch asserts what holds of a switch's job ids whenever no handler
+// is running: a vacant id reports nothing outstanding and nothing cached,
+// and each id the caller names as freshly (re-)admitted is live on an
+// incarnation whose every slot is free — unbound, no contribution seen,
+// nothing cached, nothing owed up the tree.
+func auditSwitch(t *testing.T, name string, s *Switch, fresh ...int) {
+	t.Helper()
+	for j := 0; j < s.ncap; j++ {
+		if st, _ := s.JobStats(j); st.Phase == PhaseVacant && (st.Outstanding != 0 || st.CacheBytes != 0) {
+			t.Errorf("%s: vacant job %d reports outstanding=%d cacheBytes=%d", name, j, st.Outstanding, st.CacheBytes)
+		}
+	}
+	for _, j := range fresh {
+		inc := s.current(j)
+		if inc == nil {
+			t.Errorf("%s: job %d is not live", name, j)
+			continue
+		}
+		for slot := 0; slot < 2*s.cfg.Pool; slot++ {
+			sh := s.shards[s.shardOf(j, slot)]
+			sh.mu.Lock()
+			st := s.slotAt(inc, slot)
+			free := st.chunk == -1 && st.nSeen == 0 && st.cached == nil && st.up == nil
+			for _, seen := range st.seen {
+				free = free && !seen
+			}
+			sh.mu.Unlock()
+			if !free {
+				t.Errorf("%s: job %d's fresh incarnation has state in slot %d", name, j, slot)
+			}
+		}
+	}
+}
+
+// TestAdmitNeverRefusesVacantId churns every id of a capacity-3 switch
+// through 1000 admit/evict cycles in seeded random order, with traffic
+// bound, completed and cached in between: an admit of a vacant id is never
+// refused, and every incarnation starts with every slot free.
+func TestAdmitNeverRefusesVacantId(t *testing.T) {
+	cfg := dynCfg(1, 2, 2, 0, 3)
+	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Admit(2, JobSpec{}); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(22))
+	admits := make([]int, cfg.Capacity)
+	for step := 0; step < 2000; step++ {
+		for _, job := range rng.Perm(cfg.Capacity) {
+			if sw.JobPhaseOf(job) != PhaseVacant {
+				if err := sw.Evict(job); err != nil {
+					t.Fatalf("step %d: evict %d: %v", step, job, err)
+				}
+				continue
+			}
+			if err := sw.Admit(job, JobSpec{}); err != nil {
+				t.Fatalf("step %d: admit of vacant id %d refused: %v", step, job, err)
+			}
+			admits[job]++
+			if step%100 == 0 {
+				auditSwitch(t, "churn", sw, job)
+			}
+			// Leave state behind for the eviction to drop: completed (cached)
+			// chunks in some slots, nothing in others.
+			for c, n := 0, rng.Intn(2*cfg.Pool+1); c < n; c++ {
+				pkt := EncodeAddProfile(job, uint32(c), sw.JobEpoch(job), core.DefaultProfile, []float32{1})
+				if ds := handle(sw, cfg.Port(job, 0), pkt); len(ds) != 1 {
+					t.Fatalf("step %d: job %d chunk %d: deliveries %v", step, job, c, ds)
+				}
+			}
+		}
 	}
-	if err := sw.Evict(0); err != nil {
-		t.Fatal(err)
+	for job, n := range admits {
+		if n != 1000 {
+			t.Errorf("job %d admitted %d times, want 1000", job, n)
+		}
 	}
-	if err := sw.Admit(0, JobSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	// All 3 ranges held by jobs 0..2; no id is vacant, but prove the
-	// free-list itself empties by evicting and double-admitting.
-	if err := sw.Evict(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Admit(1, JobSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sw.freeRanges); got != 0 {
-		t.Fatalf("free ranges = %d, want 0", got)
-	}
+	auditSwitch(t, "after churn", sw)
 }
 
 // TestEvictionDrainsInFlightChunks is the drain contract: an evicted job's
 // bound chunk still completes (delivering its result), a NEW chunk is
 // refused with a counted Rejects.Draining and an AckDraining notice, and
-// the quiesced range returns to the free-list for the next admission.
+// the quiesced job is released and its id can be admitted again.
 func TestEvictionDrainsInFlightChunks(t *testing.T) {
 	cfg := dynCfg(2, 2, 2, 1, 2)
 	sw, err := NewSwitch(cfg)
@@ -153,7 +202,7 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 	if _, _, vals, _, err := DecodeResultProfile(ds[0].Packet, 1, core.DefaultProfile); err != nil || vals[0] != 3.75 {
 		t.Fatalf("drained chunk sum: vals=%v err=%v", vals, err)
 	}
-	// That completion quiesced the job: the range is released.
+	// That completion quiesced the job: it is released.
 	if ph := sw.JobPhaseOf(0); ph != PhaseVacant {
 		t.Fatalf("phase after drain = %v, want vacant", ph)
 	}
@@ -165,7 +214,7 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 	if ack, err := DecodeJobAck(ds[0].Packet); err != nil || ack.Status != AckEvicted {
 		t.Fatalf("post-evict notice: status=%v err=%v", ack.Status, err)
 	}
-	// Re-admission reuses the freed range and starts clean: chunk 0
+	// Re-admission starts clean: chunk 0
 	// aggregates only the new contributions. The fresh incarnation's wire
 	// epoch moved, so its workers must stamp the new octet...
 	if err := sw.Admit(0, JobSpec{}); err != nil {
@@ -176,7 +225,7 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 		t.Fatalf("second incarnation epoch = %d, want 1", epoch)
 	}
 	// ...and a datagram still carrying the OLD epoch bounces as stale
-	// instead of binding into the fresh range. The notice echoes the
+	// instead of binding into the fresh incarnation. The notice echoes the
 	// OFFENDING (old) epoch, so only the evicted incarnation's workers
 	// abort on it — never the fresh ones sharing the port.
 	ds = handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 9, 0, core.DefaultProfile, []float32{666}))
@@ -204,7 +253,7 @@ func TestEvictionDrainsInFlightChunks(t *testing.T) {
 }
 
 // TestDrainTimeoutForcesRelease: a drain whose in-flight chunks never
-// complete is bounded by DrainTimeout, after which the range is reclaimed.
+// complete is bounded by DrainTimeout, after which the job is released.
 func TestDrainTimeoutForcesRelease(t *testing.T) {
 	cfg := dynCfg(2, 2, 2, 1, 1)
 	cfg.DrainTimeout = 30 * time.Millisecond
@@ -222,7 +271,7 @@ func TestDrainTimeoutForcesRelease(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for sw.JobPhaseOf(0) != PhaseVacant {
 		if time.Now().After(deadline) {
-			t.Fatal("drain timeout never released the range")
+			t.Fatal("drain timeout never released the job")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -270,7 +319,7 @@ func TestChurnWhileThirdJobReduces(t *testing.T) {
 	}
 
 	// Control plane: admit job 1, reduce, evict it; then admit job 2 into
-	// the freed capacity and reduce there too — all through the observer
+	// the capacity and reduce there too — all through the observer
 	// wire messages, mid-flight of job 0.
 	control := func(pkt []byte, want AckStatus) {
 		t.Helper()
@@ -474,16 +523,10 @@ func TestReleaseFreesCaches(t *testing.T) {
 	if st, _ := sw.JobStats(0); st.CacheBytes != 0 {
 		t.Fatalf("cache survives eviction: %+v", st)
 	}
-	for _, sh := range sw.shards {
-		sh.mu.Lock()
-		for i := range sh.slot {
-			if sh.slot[i].cached != nil {
-				sh.mu.Unlock()
-				t.Fatalf("slot %d still caches a result after release", i)
-			}
-		}
-		sh.mu.Unlock()
+	if err := sw.Admit(0, JobSpec{}); err != nil {
+		t.Fatal(err)
 	}
+	auditSwitch(t, "re-admitted", sw, 0)
 }
 
 // TestWireLifecycleGating: the wire control plane is observer-only and
@@ -538,7 +581,7 @@ func TestWireLifecycleGating(t *testing.T) {
 			t.Fatalf("ack = %v (err %v), want %v", ack.Status, err, step.want)
 		}
 	}
-	// Admit until the free-list runs dry.
+	// Every id live: a further admit names a live job.
 	handle(dyn, ObserverWorker, EncodeJobEvict(0))
 	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
 	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
@@ -615,6 +658,13 @@ func TestJobAckRoundTrip(t *testing.T) {
 	for status := AckAdmitted; status <= AckBackpressure; status++ {
 		pkt := EncodeJobAck(JobAck{Job: 77, Status: status, Epoch: 3, JobSpec: JobSpec{Weight: 42}})
 		ack, err := DecodeJobAck(pkt)
+		if status == 8 {
+			// Retired octet (the former no-capacity refusal): unknown on the wire.
+			if err == nil {
+				t.Fatal("retired status octet 8 accepted")
+			}
+			continue
+		}
 		job, got, epoch, weight := ack.Job, ack.Status, ack.Epoch, ack.Weight
 		if err != nil || job != 77 || got != status || epoch != 3 || weight != 42 {
 			t.Fatalf("status %v: job=%d got=%v epoch=%d weight=%d err=%v", status, job, got, epoch, weight, err)
@@ -637,7 +687,7 @@ func TestJobAckRoundTrip(t *testing.T) {
 	if AckAdmitted.Err() != nil || AckEvicting.Err() != nil {
 		t.Fatal("success ack carries an error")
 	}
-	if !errors.Is(AckErrNoCapacity.Err(), ErrNoCapacity) || !errors.Is(AckEvicted.Err(), ErrJobEvicted) {
+	if !errors.Is(AckErrDraining.Err(), ErrJobDraining) || !errors.Is(AckEvicted.Err(), ErrJobEvicted) {
 		t.Fatal("ack error mapping broken")
 	}
 	if !errors.Is(AckBackpressure.Err(), ErrBackpressure) {
@@ -704,7 +754,7 @@ func TestLifecycleValidation(t *testing.T) {
 // tenants with mixed weights join and leave mid-run over a 10%-lossy
 // fabric while a long-lived weighted tenant reduces throughout. Nothing
 // may starve (every reduce completes with per-job counters matching its
-// load), the free-list and per-shard deficit ledgers must balance after
+// load), the per-id gauges and per-shard deficit ledgers must balance after
 // the churn, and the backpressure the contention provokes must recover —
 // deferred binds are retransmitted and complete, never wedging a tenant.
 func TestSoakWeightedChurnUnderLoss(t *testing.T) {
@@ -861,30 +911,7 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 		t.Error("soak run never exercised backpressure; contention too weak to prove recovery")
 	}
 	checkSchedInvariants(t, sw)
-	// Free-list invariant: every range accounted exactly once.
-	sw.lifeMu.Lock()
-	seen := map[int]bool{}
-	for _, ri := range sw.freeRanges {
-		if seen[ri] {
-			sw.lifeMu.Unlock()
-			t.Fatalf("range %d twice in the free-list", ri)
-		}
-		seen[ri] = true
-	}
-	for j := range sw.jobs {
-		if inc := sw.jobs[j].live.Load(); inc != nil {
-			ri := inc.ri
-			if seen[ri] {
-				sw.lifeMu.Unlock()
-				t.Fatalf("range %d both free and assigned to job %d", ri, j)
-			}
-			seen[ri] = true
-		}
-	}
-	sw.lifeMu.Unlock()
-	if len(seen) != 4 {
-		t.Fatalf("%d of 4 ranges accounted after the soak", len(seen))
-	}
+	auditSwitch(t, "after the soak", sw)
 	t.Logf("soak: %d backpressure defers, job 0 retransmits %d", r.Backpressure, st0.Retransmits)
 }
 
@@ -929,26 +956,9 @@ func TestLifecycleChurnRace(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
-	// Invariant: every range is accounted exactly once, free or assigned.
+	// Traffic raced every release: whatever is vacant now must have had its
+	// gauges zeroed after the last section that saw it live.
 	sw.lifeMu.Lock()
 	defer sw.lifeMu.Unlock()
-	seen := map[int]bool{}
-	for _, ri := range sw.freeRanges {
-		if seen[ri] {
-			t.Fatalf("range %d twice in the free-list", ri)
-		}
-		seen[ri] = true
-	}
-	for j := range sw.jobs {
-		if inc := sw.jobs[j].live.Load(); inc != nil {
-			ri := inc.ri
-			if seen[ri] {
-				t.Fatalf("range %d both free and assigned to job %d", ri, j)
-			}
-			seen[ri] = true
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("%d of 4 ranges accounted", len(seen))
-	}
+	auditSwitch(t, "after the race", sw)
 }

@@ -25,7 +25,11 @@ func serveUDP(t *testing.T, cfg Config) (*Switch, *net.UDPAddr) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	go func() { _ = transport.ServeConn(conn, cfg.Ports(), sw.HandleBatch) }()
+	srv, err := transport.NewUDPServer(conn, cfg.Ports())
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(sw.HandleBatch) }()
 	return sw, conn.LocalAddr().(*net.UDPAddr)
 }
 

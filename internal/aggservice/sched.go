@@ -12,7 +12,7 @@ import "time"
 //
 // Each shard runs its own scheduler instance under the shard lock it
 // already holds for the slot protocol, so the hot path adds no new lock
-// and no cross-shard coordination; because every job's slot range is
+// and no cross-shard coordination; because every job's slots are
 // striped evenly across the shards, per-shard fairness composes to global
 // fairness.
 //

@@ -198,7 +198,7 @@ func countPasses(t *testing.T, sw *Switch, job int) func() uint64 {
 	pipes := make([]*core.PipelineAggregator, len(banks))
 	for k := range banks {
 		pipes[k] = proto.Replicate()
-		banks[k] = pipes[k]
+		banks[k].agg = pipes[k]
 	}
 	return func() (n uint64) {
 		for _, p := range pipes {
@@ -223,17 +223,17 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	}
 	sh := sw.shards[0]
 	inc := sw.jobs[0].live.Load()
-	flaky := &flakyAgg{aggregator: inc.banks[0], failNext: 1}
-	inc.banks[0] = flaky
-	st, js := &sh.slot[0], &sw.jobs[0]
+	flaky := &flakyAgg{aggregator: inc.banks[0].agg, failNext: 1}
+	inc.banks[0].agg = flaky
+	st, js := sw.slotAt(inc, 0), &sw.jobs[0]
 	unbound := st.chunk
 
 	pkt0 := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
 	if ds := handle(sw, 0, pkt0); ds != nil {
 		t.Fatalf("failed first add returned deliveries: %v", ds)
 	}
-	if st.chunk != unbound || st.outstanding || st.seen[0] || st.nSeen != 0 {
-		t.Fatalf("failed first add bound the slot: chunk=%d outstanding=%v nSeen=%d", st.chunk, st.outstanding, st.nSeen)
+	if st.chunk != unbound || st.aggregating() || st.seen[0] || st.nSeen != 0 {
+		t.Fatalf("failed first add bound the slot: chunk=%d nSeen=%d", st.chunk, st.nSeen)
 	}
 	if n := js.outstanding.Load(); n != 0 {
 		t.Fatalf("failed first add left outstanding=%d", n)

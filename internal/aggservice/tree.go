@@ -150,14 +150,13 @@ func (u *uplinkJob) stop() { u.once.Do(func() { close(u.quit) }) }
 // owed appends the parent-bound ADD of every slot of inc still awaiting the
 // parent's aggregate to msgs, in slot order. It walks the incarnation's
 // 2·Pool slots one shard lock at a time — the timeout and audit paths only,
-// never the hot path — and finds nothing once inc is retired (the slots may
-// already belong to its successor).
+// never the hot path — and finds nothing once inc is retired (the parent may
+// already be serving its successor).
 func (s *Switch) owed(inc *incarnation, msgs [][]byte) [][]byte {
-	base := inc.ri * 2 * s.cfg.Pool
-	for gs := base; gs < base+2*s.cfg.Pool; gs++ {
-		sh := s.shards[gs%s.nsh]
+	for slot := 0; slot < 2*s.cfg.Pool; slot++ {
+		sh := s.shards[s.shardOf(inc.job, slot)]
 		sh.mu.Lock()
-		if up := sh.slot[gs/s.nsh].up; up != nil && s.isLive(inc) {
+		if up := s.slotAt(inc, slot).up; up != nil && s.isLive(inc) {
 			msgs = append(msgs, up)
 		}
 		sh.mu.Unlock()
@@ -243,14 +242,14 @@ func (u *uplinkJob) run() {
 // incarnation or rebound the slot since the chunk went up, or the slot is
 // already final (a duplicate parent result), the aggregate is dropped.
 func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, parentOvf bool) ([]byte, bool) {
-	gs := s.slotOf(inc.ri, chunk)
-	sh := s.shards[gs%s.nsh]
+	slot := s.slotOf(chunk)
+	sh := s.shards[s.shardOf(inc.job, slot)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !s.isLive(inc) {
 		return nil, false
 	}
-	st := &sh.slot[gs/s.nsh]
+	st := s.slotAt(inc, slot)
 	if st.chunk != int64(chunk) || st.up == nil {
 		return nil, false
 	}

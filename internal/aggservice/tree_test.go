@@ -158,48 +158,11 @@ func TestTreeAllreduceMemory(t *testing.T) {
 	}
 }
 
-// auditSwitch checks the free-list invariant after churn: every range is
-// either live or free exactly once, and free ranges hold no leaked slot
-// state (bound chunks, cached results, outstanding marks, owed uplink ADDs).
-func auditSwitch(t *testing.T, name string, s *Switch) {
-	t.Helper()
-	s.lifeMu.Lock()
-	free := append([]int(nil), s.freeRanges...)
-	s.lifeMu.Unlock()
-	live := 0
-	for j := 0; j < s.ncap; j++ {
-		if s.jobs[j].live.Load() != nil {
-			live++
-		}
-	}
-	if len(free)+live != s.ncap {
-		t.Errorf("%s: %d free ranges + %d live jobs != capacity %d", name, len(free), live, s.ncap)
-	}
-	seen := make(map[int]bool)
-	for _, ri := range free {
-		if seen[ri] {
-			t.Errorf("%s: range %d on the free-list twice", name, ri)
-		}
-		seen[ri] = true
-		base := ri * 2 * s.cfg.Pool
-		for gs := base; gs < base+2*s.cfg.Pool; gs++ {
-			sh := s.shards[gs%s.nsh]
-			sh.mu.Lock()
-			st := &sh.slot[gs/s.nsh]
-			bad := st.chunk != -1 || st.cached != nil || st.outstanding || st.up != nil || st.nSeen != 0
-			sh.mu.Unlock()
-			if bad {
-				t.Errorf("%s: free range %d slot %d leaked state", name, ri, gs)
-			}
-		}
-	}
-}
-
 // TestTreeSpineEvictionDrainsLeaves pins mid-tree eviction: evicting the
 // job at the SPINE propagates down through epoch-matched lifecycle notices
-// on the uplink, drains both leaves cleanly (no orphaned ranges, no leaked
-// slot state, nothing still owed upward), and the job re-admits and
-// re-runs across the whole tree afterwards.
+// on the uplink, drains both leaves cleanly (gauges zeroed, nothing still
+// owed upward), and the job re-admits on fresh slots and re-runs across the
+// whole tree afterwards.
 func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 	const nLeaves, workers = 2, 3
 	leafCfg := Config{Workers: workers, Pool: 2, Modules: 1, Shards: 2,
@@ -256,7 +219,7 @@ func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 
 	// Re-admit on each leaf — the first negotiates a fresh spine
 	// incarnation up the tree, the second finds it already admitted — and
-	// re-run from scratch on the recycled ranges.
+	// re-run from scratch on the fresh incarnations' slots.
 	epochs := make([]uint8, nLeaves)
 	for i, l := range leaves {
 		if err := l.Admit(0, JobSpec{}); err != nil {
@@ -266,7 +229,9 @@ func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 		if epochs[i] == 0 {
 			t.Errorf("leaf %d re-admitted under epoch 0 — the incarnation never moved", i)
 		}
+		auditSwitch(t, "re-admitted leaf", l, 0)
 	}
+	auditSwitch(t, "re-admitted spine", spine, 0)
 	short := gridVecs(nLeaves*workers, 64)
 	results, errs := treeReduce(leaves, fabs, leafCfg, 0, epochs, short,
 		30*time.Millisecond, 500)
@@ -283,10 +248,6 @@ func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 		if r[0] != want {
 			t.Errorf("re-admitted worker %d elem 0 = %g, want %g", i, r[0], want)
 		}
-	}
-	auditSwitch(t, "spine after re-run", spine)
-	for _, l := range leaves {
-		auditSwitch(t, "leaf after re-run", l)
 	}
 }
 

@@ -583,20 +583,18 @@ func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, key
 	return job, seq, epoch, op, keys, vals, nil
 }
 
-// encodeTupleAck builds the MsgTupleAck for one folded batch: the echoed
-// sequence number plus the survivor bitmap (bit i set = row i survived
-// pruning; all-zero for fold-only ops).
-func encodeTupleAck(job int, seq uint32, count int, survive func(i int) bool) []byte {
+// encodeTupleAck builds the MsgTupleAck for one batch of count rows: the
+// echoed sequence number plus an all-zero survivor bitmap — what a fold-only
+// op acks as is, and a pruning op marks row by row with setSurvivor.
+func encodeTupleAck(job int, seq uint32, count int) []byte {
 	pkt := make([]byte, tupleAckHdrBytes+(count+7)/8)
 	putHeader(pkt, MsgTupleAck, job, seq)
 	binary.BigEndian.PutUint16(pkt[hdrBytes:], uint16(count))
-	for i := 0; i < count; i++ {
-		if survive(i) {
-			pkt[tupleAckHdrBytes+i/8] |= 1 << (i % 8)
-		}
-	}
 	return pkt
 }
+
+// setSurvivor marks row i of a tuple ack as having survived pruning.
+func setSurvivor(ack []byte, i int) { ack[tupleAckHdrBytes+i/8] |= 1 << (i % 8) }
 
 // DecodeTupleAck parses a MsgTupleAck. Safe on arbitrary input; padding
 // bits past the row count must be zero (so a round trip is byte-exact).

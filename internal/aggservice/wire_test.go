@@ -28,7 +28,10 @@ func TestWireGolden(t *testing.T) {
 	ack := JobAck{Job: 3, Status: AckErrAlreadyAdmitted, Epoch: 9,
 		JobSpec: JobSpec{Weight: 4, Profile: bf16, Class: AdmitClass{Class: ClassTelemetry, Groups: 64}}}
 	keys, tvals := []uint32{1, 0xdeadbeef}, []float32{0.5, -3}
-	survive := func(i int) bool { return i%3 == 0 }
+	survivors := make([]bool, 10)
+	for i := range survivors {
+		survivors[i] = i%3 == 0
+	}
 	entries := []DrainEntry{{Key: 5, Val: 2}, {Key: 9, Val: 0.25}}
 
 	// run splices the cached per-chunk RESULTs, exactly as emitResults does.
@@ -99,14 +102,10 @@ func TestWireGolden(t *testing.T) {
 				return []any{j, s, e, op, k, v}, []any{3, uint32(0x0a0b0c0d), uint8(7), OpQueryGroupMax, keys, tvals}, err
 			}},
 		{"tack", "f20a00030a0b0c0d000a4902",
-			encodeTupleAck(3, 0x0a0b0c0d, 10, survive),
+			tupleAckOf(3, 0x0a0b0c0d, survivors),
 			func(pkt []byte) (any, any, error) {
 				j, s, alive, err := DecodeTupleAck(pkt)
-				want := make([]bool, 10)
-				for i := range want {
-					want[i] = survive(i)
-				}
-				return []any{j, s, alive}, []any{3, uint32(0x0a0b0c0d), want}, err
+				return []any{j, s, alive}, []any{3, uint32(0x0a0b0c0d), survivors}, err
 			}},
 		{"drain", "f20b00030101cafebabe",
 			EncodeDrain(3, DrainHeavyHitters, DrainFlagResetPrune, 0xcafebabe), nil},
@@ -138,4 +137,16 @@ func TestWireGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tupleAckOf builds the MsgTupleAck carrying a survivor bitmap, the way
+// analyticsJob.fold does: the all-zero ack first, then one bit per survivor.
+func tupleAckOf(job int, seq uint32, survivors []bool) []byte {
+	ack := encodeTupleAck(job, seq, len(survivors))
+	for i, alive := range survivors {
+		if alive {
+			setSurvivor(ack, i)
+		}
+	}
+	return ack
 }

@@ -10,11 +10,11 @@
 // Integration status: fully wired into the data path — internal/pisa
 // compiles the FPISA exponent stage onto these tables, so every aggservice
 // switch (and therefore every tree level) exercises this package on each
-// ADD. Telemetry tenants (aggservice's ClassTelemetry) additionally build
-// their traffic-class map on the LPM table: each job's flow keys are
-// classified by a prefix over the key's top bits into per-class
-// utilization registers drained over observer frames. The LPM table also
-// backs the CLZ microbenchmark in bench_test.go.
+// ADD. Telemetry tenants (aggservice's ClassTelemetry) do not: their
+// traffic classes are equal-length prefixes of the key's top bits, which
+// aggservice computes as a shift, keeping an LPM table only as the test
+// oracle that pins it. The LPM table also backs the CLZ microbenchmark in
+// bench_test.go.
 package tcam
 
 import (

@@ -73,7 +73,7 @@ type Delivery struct {
 // DeliveryList accumulates a handler invocation's output deliveries. The
 // fabric owns the list and recycles it across handler calls, so the
 // backing array is reused instead of reallocated per packet; handlers only
-// append (Unicast/Broadcast/Append).
+// append (Unicast/Broadcast).
 type DeliveryList struct {
 	ds []Delivery
 }
@@ -87,9 +87,6 @@ func (l *DeliveryList) Unicast(worker int, pkt []byte) {
 func (l *DeliveryList) Broadcast(pkt []byte) {
 	l.ds = append(l.ds, Delivery{Broadcast: true, Packet: pkt})
 }
-
-// Append appends a prebuilt delivery.
-func (l *DeliveryList) Append(d Delivery) { l.ds = append(l.ds, d) }
 
 // Len reports the number of accumulated deliveries.
 func (l *DeliveryList) Len() int { return len(l.ds) }
@@ -249,12 +246,7 @@ func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 		if r.timer == nil {
 			r.timer = time.NewTimer(remaining)
 		} else {
-			if !r.timer.Stop() {
-				select {
-				case <-r.timer.C:
-				default:
-				}
-			}
+			// go 1.23 timers: Reset leaves no stale tick in the channel.
 			r.timer.Reset(remaining)
 		}
 		select {

@@ -13,7 +13,11 @@ func perPacket(h func(worker int, pkt []byte) []Delivery) BatchHandler {
 	return func(worker int, pkts [][]byte, out *DeliveryList) {
 		for _, pkt := range pkts {
 			for _, d := range h(worker, pkt) {
-				out.Append(d)
+				if d.Broadcast {
+					out.Broadcast(d.Packet)
+				} else {
+					out.Unicast(d.Worker, d.Packet)
+				}
 			}
 		}
 	}

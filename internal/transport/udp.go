@@ -173,38 +173,9 @@ func writeCoalesced(w batchWriter, dst *net.UDPAddr, id byte, pkts [][]byte, fra
 	return failed, err
 }
 
-// ServeConn drains a switch-side UDP socket with a pool of reader
-// goroutines (one per CPU, capped at 8), each owning reusable pooled read
-// buffers, a delivery list and a datagram-assembly arena — the serve loop
-// allocates nothing per datagram in steady state. Datagrams are framed
-// either [workerID(1) payload] or as batch frames (BatchFrameID); the
-// sender's address is learned as that worker's return path, and handler
-// deliveries are coalesced per destination into batch-framed datagrams
-// (single deliveries are written raw), broadcasts going to every learned
-// address. On the kernel-batched backend each reader drains up to
-// serveRecvBatch datagrams per recvmmsg and writes each destination's
-// replies with one sendmmsg. Frames carrying ObserverID are handled
-// out-of-band (see ObserverID). Destination addresses are snapshotted
-// under the lock but written outside it, so replies from different readers
-// (and shards) proceed in parallel.
-//
-// ServeConn blocks until the socket is closed (returning nil) and errors
-// immediately on a worker count the one-byte frame cannot address;
-// transient read errors are skipped. It is the shared serve loop of the
-// UDP fabric and the fpisa-switch daemon. Callers that also need the
-// switch-originated Push downlink (aggregation-tree leaves fanning parent
-// results down outside a handler invocation) build a UDPServer instead —
-// ServeConn is NewUDPServer + Serve.
-func ServeConn(conn *net.UDPConn, workers int, handler BatchHandler, opts ...UDPOption) error {
-	srv, err := NewUDPServer(conn, workers, opts...)
-	if err != nil {
-		return err
-	}
-	return srv.Serve(handler)
-}
-
-// UDPServer is the switch side of the UDP fabric as a handle: Serve runs
-// the reader pool over the socket, and Push writes switch-ORIGINATED
+// UDPServer is the switch side of the UDP fabric as a handle — the shared
+// serve loop of the in-process UDP fabric and the fpisa-switch daemon: Serve
+// runs the reader pool over the socket, and Push writes switch-ORIGINATED
 // deliveries to the learned worker return paths outside any handler
 // invocation — the Pusher a tree leaf hands its uplink so a parent's
 // RESULT can fan down to local workers the moment it arrives, instead of
@@ -274,23 +245,29 @@ func (s *UDPServer) flush(dl *downlink, ds []Delivery) error {
 	return firstErr
 }
 
-// NewUDPServer wraps a bound switch socket. The caller owns conn; closing
-// it terminates Serve.
+// NewUDPServer wraps a bound switch socket; it errors on a worker count the
+// one-byte frame cannot address. The caller owns conn; closing it terminates
+// Serve.
 func NewUDPServer(conn *net.UDPConn, workers int, opts ...UDPOption) (*UDPServer, error) {
 	if workers < 1 || workers > MaxWorkers {
 		return nil, fmt.Errorf("transport: %d workers outside the 1..%d the one-byte frame addresses (0x%02x and 0x%02x are reserved)",
 			workers, MaxWorkers, BatchFrameID, ObserverID)
 	}
-	o := applyOptions(opts)
+	return newUDPServer(conn, workers, applyOptions(opts).mode.enabled(), &syscallCounters{}), nil
+}
+
+// newUDPServer builds a server counting its syscalls into stats (its own
+// set, or the one an in-process fabric shares between its two halves).
+func newUDPServer(conn *net.UDPConn, workers int, useMmsg bool, stats *syscallCounters) *UDPServer {
 	s := &UDPServer{
 		conn:    conn,
 		workers: workers,
-		useMmsg: o.mode.enabled(),
-		stats:   &syscallCounters{},
+		useMmsg: useMmsg,
+		stats:   stats,
 		addrs:   make([]*net.UDPAddr, workers),
 	}
 	s.push = s.newDownlink()
-	return s, nil
+	return s
 }
 
 // Backend names the datagram I/O backend this server resolved to.
@@ -300,8 +277,23 @@ func (s *UDPServer) Backend() string { return backendName(s.useMmsg) }
 // the SendErrors drop counter for the fire-and-forget downlink).
 func (s *UDPServer) SyscallStats() SyscallStats { return s.stats.snapshot() }
 
-// Serve blocks draining the socket with the reader pool until the socket
-// is closed (returning nil); see ServeConn for the frame semantics.
+// Serve drains the socket with a pool of reader goroutines (one per CPU,
+// capped at 8), each owning reusable pooled read buffers, a delivery list
+// and a datagram-assembly arena — the serve loop allocates nothing per
+// datagram in steady state. Datagrams are framed either
+// [workerID(1) payload] or as batch frames (BatchFrameID); the sender's
+// address is learned as that worker's return path, and handler deliveries
+// are coalesced per destination into batch-framed datagrams (single
+// deliveries are written raw), broadcasts going to every learned address.
+// On the kernel-batched backend each reader drains up to serveRecvBatch
+// datagrams per recvmmsg and writes each destination's replies with one
+// sendmmsg. Frames carrying ObserverID are handled out-of-band (see
+// ObserverID). Destination addresses are snapshotted under the lock but
+// written outside it, so replies from different readers (and shards)
+// proceed in parallel.
+//
+// Serve blocks until the socket is closed (returning nil); transient read
+// errors are skipped.
 func (s *UDPServer) Serve(handler BatchHandler) error {
 	if handler == nil {
 		return fmt.Errorf("transport: nil handler")
@@ -423,7 +415,7 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 // and, on the kernel-batched backend (WithMmsg), in a handful of syscalls:
 // one sendmmsg per destination per vector, one recvmmsg per drained burst.
 //
-// The switch socket is drained by ServeConn's reader pool, so concurrent
+// The switch socket is drained by a UDPServer's reader pool, so concurrent
 // datagrams reach the handler in parallel — the handler must be
 // concurrency-safe (see BatchHandler).
 //
@@ -477,12 +469,10 @@ func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) 
 		return nil, err
 	}
 	u.swConn = sw
-	// workers was validated by DialUDP, so NewUDPServer cannot error here.
-	u.srv, _ = NewUDPServer(sw, workers, opts...)
 	// One counter set for the whole in-process fabric: the serve side's
-	// syscalls are part of this fabric's wire cost.
-	u.srv.stats = u.stats
-	u.srv.push = u.srv.newDownlink()
+	// syscalls are part of this fabric's wire cost. (DialUDP validated
+	// workers.)
+	u.srv = newUDPServer(sw, workers, u.useMmsg, u.stats)
 	go func() { _ = u.srv.Serve(handler) }()
 	return u, nil
 }
@@ -680,7 +670,7 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 }
 
 // Close implements Fabric. Closing the switch socket terminates the
-// ServeConn reader pool (a DialUDP fabric owns no switch socket and only
+// server's reader pool (a DialUDP fabric owns no switch socket and only
 // closes its worker sockets).
 func (u *UDP) Close() error {
 	u.closedMu.Lock()
