@@ -104,8 +104,8 @@ func TestAdmitWithWeight(t *testing.T) {
 	if !strings.Contains(out.String(), "job 1 admitted (weight 4, profile f32/trunc, class training, epoch 0)") {
 		t.Fatalf("weighted admit output: %q", out.String())
 	}
-	if got := sw.JobWeight(1); got != 4 {
-		t.Fatalf("switch applied weight %d, want 4", got)
+	if st, _ := sw.JobStats(1); st.Weight != 4 {
+		t.Fatalf("switch applied weight %d, want 4", st.Weight)
 	}
 	out.Reset()
 	if err := queryJobStats(&out, addr, 1, probeTimeout); err != nil {
@@ -128,8 +128,8 @@ func TestAdmitWithWeight(t *testing.T) {
 	if !strings.Contains(out.String(), "(weight 1, profile f32/trunc, class training, epoch 1)") {
 		t.Fatalf("clamp output: %q", out.String())
 	}
-	if got := sw.JobWeight(1); got != 1 {
-		t.Fatalf("clamped weight = %d, want 1", got)
+	if st, _ := sw.JobStats(1); st.Weight != 1 {
+		t.Fatalf("clamped weight = %d, want 1", st.Weight)
 	}
 
 	// Out-of-space weights are refused locally, before any datagram.
@@ -156,8 +156,8 @@ func TestAdmitWithProfile(t *testing.T) {
 	if !strings.Contains(out.String(), "job 1 admitted (weight 2, profile bf16/trunc, class training, epoch 0)") {
 		t.Fatalf("profiled admit output: %q", out.String())
 	}
-	if got := sw.JobProfile(1); got.String() != "bf16/trunc" {
-		t.Fatalf("switch applied profile %s", got)
+	if st, _ := sw.JobStats(1); st.Profile.String() != "bf16/trunc" {
+		t.Fatalf("switch applied profile %s", st.Profile)
 	}
 	out.Reset()
 	if err := queryJobStats(&out, addr, 1, probeTimeout); err != nil {
@@ -199,8 +199,8 @@ func TestAdmitWithClassAndDrain(t *testing.T) {
 		t.Fatalf("class admit output: %q", out.String())
 	}
 	want := aggservice.AdmitClass{Class: aggservice.ClassQuery, TopN: 4, Groups: 64}
-	if got := sw.JobClass(1); got != want {
-		t.Fatalf("switch applied class %v, want %v", got, want)
+	if st, _ := sw.JobStats(1); st.Class != want {
+		t.Fatalf("switch applied class %v, want %v", st.Class, want)
 	}
 	out.Reset()
 	if err := queryJobStats(&out, addr, 1, probeTimeout); err != nil {

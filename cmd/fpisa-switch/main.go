@@ -137,43 +137,46 @@ func parseOptions(args []string) (*options, error) {
 	if o.parent != "" && (o.leaves < 1 || o.leaf < 0 || o.leaf >= o.leaves) {
 		return nil, fmt.Errorf("-leaf %d -leaves %d: the leaf index must name one of the parent's worker ports", o.leaf, o.leaves)
 	}
-	if *weights != "" {
-		for _, field := range strings.Split(*weights, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(field))
-			if err != nil {
-				return nil, fmt.Errorf("-weights %q: %v", *weights, err)
-			}
-			o.weights = append(o.weights, w)
-		}
-		if len(o.weights) > o.jobs {
-			return nil, fmt.Errorf("-weights names %d jobs but -jobs admits %d", len(o.weights), o.jobs)
-		}
+	if o.weights, err = parseList("weights", *weights, o.jobs, strconv.Atoi); err != nil {
+		return nil, err
 	}
-	if *profiles != "" {
-		for _, field := range strings.Split(*profiles, ",") {
-			p, err := core.ParseProfile(strings.TrimSpace(field))
-			if err != nil {
-				return nil, fmt.Errorf("-profiles %q: %v", *profiles, err)
-			}
-			o.profiles = append(o.profiles, p)
-		}
-		if len(o.profiles) > o.jobs {
-			return nil, fmt.Errorf("-profiles names %d jobs but -jobs admits %d", len(o.profiles), o.jobs)
-		}
+	if o.profiles, err = parseList("profiles", *profiles, o.jobs, core.ParseProfile); err != nil {
+		return nil, err
 	}
-	if *classes != "" {
-		for _, field := range strings.Split(*classes, ",") {
-			ac, err := aggservice.ParseClass(strings.TrimSpace(field))
-			if err != nil {
-				return nil, fmt.Errorf("-classes %q: %v", *classes, err)
-			}
-			o.classes = append(o.classes, ac)
-		}
-		if len(o.classes) > o.jobs {
-			return nil, fmt.Errorf("-classes names %d jobs but -jobs admits %d", len(o.classes), o.jobs)
-		}
+	if o.classes, err = parseList("classes", *classes, o.jobs, aggservice.ParseClass); err != nil {
+		return nil, err
 	}
 	return o, nil
+}
+
+// parseList parses a comma-separated per-job flag value — one entry for each
+// of the first len(list) initially admitted jobs, at most jobs of them.
+func parseList[T any](flag, value string, jobs int, parse func(string) (T, error)) ([]T, error) {
+	if value == "" {
+		return nil, nil
+	}
+	var list []T
+	for _, field := range strings.Split(value, ",") {
+		v, err := parse(strings.TrimSpace(field))
+		if err != nil {
+			return nil, fmt.Errorf("-%s %q: %v", flag, value, err)
+		}
+		list = append(list, v)
+	}
+	if len(list) > jobs {
+		return nil, fmt.Errorf("-%s names %d jobs but -jobs admits %d", flag, len(list), jobs)
+	}
+	return list, nil
+}
+
+// rejectsLine formats the -statsevery "rejects:" line, naming every
+// WireRejects field; it is empty while every counter is zero.
+func rejectsLine(r aggservice.WireRejects) string {
+	if r == (aggservice.WireRejects{}) {
+		return ""
+	}
+	return fmt.Sprintf("rejects: legacy=%d malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d stale=%d badClass=%d",
+		r.Legacy, r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.Stale, r.BadClass)
 }
 
 // switchConfig turns the flags into a validated service configuration.
@@ -305,9 +308,9 @@ func main() {
 		o.modeName(), cfg.Arch.Name, sw.Shards(), conn.LocalAddr(), o.jobs, sw.Jobs(), o.workers, dyn)
 	log.Printf("wire I/O backend: %s (-mmsg %s)", srv.Backend(), o.mmsg)
 	for j := 0; j < sw.Jobs(); j++ {
-		if sw.JobPhaseOf(j) != aggservice.PhaseVacant {
+		if st, _ := sw.JobStats(j); st.Phase != aggservice.PhaseVacant {
 			log.Printf("  job %d: ports %d..%d, %d slots, weight %d, profile %s, class %v", j,
-				cfg.Port(j, 0), cfg.Port(j, o.workers-1), 2*cfg.Pool, sw.JobWeight(j), sw.JobProfile(j), sw.JobClass(j))
+				cfg.Port(j, 0), cfg.Port(j, o.workers-1), 2*cfg.Pool, st.Weight, st.Profile, st.Class)
 		}
 	}
 	log.Printf("pipeline resource report:\n%s", sw.Utilization())
@@ -326,10 +329,8 @@ func main() {
 						j, st.Phase, st.Weight, st.Adds, st.Retransmits, st.Completions,
 						st.SchedDefers, st.Outstanding, st.CacheHits, st.CacheBytes, st.Coalesced)
 				}
-				r := sw.Rejects()
-				if r.Legacy+r.Malformed+r.BadJob+r.CrossJob+r.Draining+r.Backpressure+r.BadClass > 0 {
-					log.Printf("rejects: legacy=%d malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d badClass=%d",
-						r.Legacy, r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.BadClass)
+				if line := rejectsLine(sw.Rejects()); line != "" {
+					log.Print(line)
 				}
 				ss := srv.SyscallStats()
 				log.Printf("wire: syscalls=%d (sendmmsg=%d recvmmsg=%d fallback=%d) datagrams=%d dgrams/syscall=%.2f sendErrors=%d",

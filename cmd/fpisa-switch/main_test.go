@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -229,5 +231,51 @@ func TestParentGetsDefaultRetryBudget(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("leaf config does not validate: %v", err)
+	}
+}
+
+// TestParseListErrors pins the per-job list flags' shared error text.
+func TestParseListErrors(t *testing.T) {
+	for args, want := range map[string]string{
+		"-weights 1,heavy":               `-weights "1,heavy": strconv.Atoi: parsing "heavy": invalid syntax`,
+		"-jobs 2 -weights 1,2,4":         "-weights names 3 jobs but -jobs admits 2",
+		"-jobs 1 -profiles f32,bf16":     "-profiles names 2 jobs but -jobs admits 1",
+		"-jobs 1 -classes training,,":    "-classes names 3 jobs but -jobs admits 1",
+		"-jobs 2 -classes query:4:64,x:": `-classes "query:4:64,x:": aggservice: workload class "x:": want training, query:TOPN:GROUPS or telemetry:GROUPS`,
+	} {
+		if _, err := parseOptions(strings.Fields(args)); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", args, err, want)
+		}
+	}
+	o, err := parseOptions(strings.Fields("-jobs 2 -profiles f32/rne/g2,bf16/trunc -classes training,telemetry:16"))
+	if err != nil || len(o.profiles) != 2 || o.profiles[1].String() != "bf16/trunc" ||
+		len(o.classes) != 2 || o.classes[1] != (aggservice.AdmitClass{Class: aggservice.ClassTelemetry, Groups: 16}) {
+		t.Errorf("parsed profiles %v classes %v (%v)", o.profiles, o.classes, err)
+	}
+}
+
+// TestRejectsLine is the regression test for a -statsevery line that left
+// WireRejects.Stale out of both its non-zero test and its format: a switch
+// bouncing only stale-epoch datagrams must log them, and every field the
+// struct has (or grows) must be named.
+func TestRejectsLine(t *testing.T) {
+	if line := rejectsLine(aggservice.WireRejects{}); line != "" {
+		t.Errorf("all-zero counters print %q", line)
+	}
+	if line := rejectsLine(aggservice.WireRejects{Stale: 3}); !strings.Contains(line, " stale=3") {
+		t.Errorf("stale-only counters print %q", line)
+	}
+	var r aggservice.WireRejects
+	v := reflect.ValueOf(&r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(100 + i))
+	}
+	line := rejectsLine(r)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		want := fmt.Sprintf(" %s%s=%d", strings.ToLower(name[:1]), name[1:], 100+i)
+		if !strings.Contains(line, want) {
+			t.Errorf("rejects line %q does not report%s", line, want)
+		}
 	}
 }

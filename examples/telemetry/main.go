@@ -58,8 +58,9 @@ func main() {
 	}
 	defer fab.Close()
 	operator := aggservice.Observer{Addr: fab.SwitchAddr().String(), Timeout: time.Second}
+	telemetry, _ := sw.JobStats(1)
 	fmt.Printf("FPISA switch on %s: training tenant (job 0) + telemetry tenant (job 1, %v)\n",
-		operator.Addr, sw.JobClass(1))
+		operator.Addr, telemetry.Class)
 
 	// The training tenant allreduces for the whole run; telemetry must not
 	// disturb it, nor it the telemetry sketches.

@@ -1,7 +1,6 @@
 package aggservice
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -613,8 +612,8 @@ func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
 }
 
 // HandleBatch implements transport.BatchHandler: it ingests one worker's
-// whole packet vector per invocation. ADDs are validated, grouped by
-// destination shard, and each shard's
+// whole packet vector per invocation, each datagram through admit. ADDs are
+// validated, grouped by destination shard, and each shard's
 // group is processed under ONE lock acquisition — one lock round per shard
 // per batch instead of one per chunk — so a full protocol window costs as
 // many lock rounds as it spans shards. It is safe for concurrent use:
@@ -628,48 +627,99 @@ func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryL
 	sc := s.scratchPool.Get().(*batchScratch)
 	defer s.putScratch(sc)
 	for _, pkt := range pkts {
-		typ, err := wireType(pkt)
-		if err != nil {
-			s.countWireErr(err)
-			continue
-		}
-		if typ == MsgStats {
-			s.handleStats(worker, pkt, out)
-			continue
-		}
-		if typ == MsgJobAdmit || typ == MsgJobEvict {
-			s.handleLifecycle(worker, typ, pkt, out)
-			continue
-		}
-		if typ == MsgDrain {
-			s.handleDrain(worker, pkt, out)
-			continue
-		}
-		if worker == ObserverWorker {
-			// Observers may only drive the stats/lifecycle control
-			// plane: anything else is refused.
-			s.rejMalformed.Add(1)
-			continue
-		}
-		switch typ {
-		case MsgAdd:
-			s.classifyAdd(worker, pkt, sc, out)
-		case MsgTuple:
-			s.handleTuple(worker, pkt, out)
-		default:
-			s.rejMalformed.Add(1)
+		if r := s.admit(worker, pkt, sc, out); r.refused() {
+			s.refuse(worker, r, out)
 		}
 	}
 	s.processAdds(worker, sc, out)
+}
+
+// refusal is why a datagram was turned away: the WireRejects bucket it
+// counts in and, where the sender can act on it, the notice to bounce (see
+// jobNotice). The zero refusal means the datagram was taken.
+type refusal struct {
+	bucket *atomic.Uint64
+	notice []byte
+}
+
+func (r refusal) refused() bool { return r.bucket != nil }
+
+// refuse is the one place a turned-away datagram is counted and, where the
+// sender can act on it, noticed.
+func (s *Switch) refuse(worker int, r refusal, out *transport.DeliveryList) {
+	r.bucket.Add(1)
+	if r.notice != nil {
+		out.Unicast(worker, r.notice)
+	}
+}
+
+// malformed is the silent refusal of a datagram that does not parse.
+func (s *Switch) malformed() refusal { return refusal{bucket: &s.rejMalformed} }
+
+// refusal is the noticed refusal of a message that reached a live
+// incarnation, echoing its own epoch octet so only its workers act on it.
+func (inc *incarnation) refusal(bucket *atomic.Uint64, status AckStatus) refusal {
+	return refusal{bucket, jobNotice(inc.job, status, uint8(inc.epoch), inc.spec.Weight)}
+}
+
+// admit is the switch's one front door: decode the header, authorise the
+// sender by the type's msgTable row, dispatch to the type's decoder (which
+// checks the length) and handler — which receives decoded values and indexes
+// no packet.
+func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.DeliveryList) refusal {
+	typ, job, err := decodeHeader(pkt)
+	if err != nil {
+		if errors.Is(err, ErrLegacyWire) {
+			return refusal{bucket: &s.rejLegacy}
+		}
+		return s.malformed()
+	}
+	// Observers drive only the control plane, and a tenant's worker port
+	// must not drive another tenant's lifecycle: the table says who may.
+	from := fromWorker
+	if worker == ObserverWorker {
+		from = fromObserver
+	}
+	if msgTable[typ].from&from == 0 {
+		return s.malformed()
+	}
+	switch typ {
+	case MsgAdd:
+		return s.classifyAdd(worker, pkt, sc)
+	case MsgTuple:
+		return s.handleTuple(worker, pkt, out)
+	case MsgJobAdmit:
+		req, err := DecodeJobAdmit(pkt)
+		if err != nil {
+			return s.malformed()
+		}
+		s.handleLifecycle(worker, typ, req, out)
+	case MsgDrain:
+		req, err := decodeDrain(pkt)
+		if err != nil {
+			return s.malformed()
+		}
+		return s.handleDrain(worker, job, req, out)
+	case MsgStats, MsgJobEvict:
+		// The header was the whole message.
+		if decodeLen(pkt, typ) != nil {
+			return s.malformed()
+		}
+		if typ == MsgStats {
+			return s.handleStats(worker, job, out)
+		}
+		s.handleLifecycle(worker, typ, JobAdmit{Job: job}, out)
+	}
+	return refusal{}
 }
 
 // batchScratch is one HandleBatch invocation's reusable grouping state,
 // recycled through Switch.scratchPool.
 type batchScratch struct {
 	adds    []addReq
-	byShard [][]int // indices into adds, grouped by destination shard
-	touched []int   // shards with pending ADDs, in first-touch order
-	vals    []float32
+	byShard [][]int        // indices into adds, grouped by destination shard
+	touched []int          // shards with pending ADDs, in first-touch order
+	vals    []float32      // the queued ADDs' decoded values, Modules each
 	res     core.Result    // the running ADD's sums; encoded into fresh packets, never retained
 	drains  []*incarnation // draining incarnations that completed a chunk this round
 	done    []resDone      // completed chunks awaiting run-coalesced delivery
@@ -693,9 +743,9 @@ type upReq struct {
 	pkt []byte
 }
 
-// addReq is one validated ADD waiting for its shard's lock round.
+// addReq is one validated ADD waiting for its shard's lock round; the values
+// of adds[i] are vals[i·Modules : (i+1)·Modules].
 type addReq struct {
-	pkt   []byte
 	inc   *incarnation
 	chunk uint32
 	slot  int // job-local slot
@@ -708,6 +758,7 @@ func (s *Switch) putScratch(sc *batchScratch) {
 		sc.byShard[k] = sc.byShard[k][:0]
 	}
 	sc.touched = sc.touched[:0]
+	sc.vals = sc.vals[:0]
 	sc.drains = sc.drains[:0]
 	for i := range sc.done {
 		sc.done[i].pkt = nil
@@ -722,59 +773,30 @@ func (s *Switch) putScratch(sc *batchScratch) {
 	s.scratchPool.Put(sc)
 }
 
-// countWireErr buckets a decode error into the reject counters.
-func (s *Switch) countWireErr(err error) {
-	if errors.Is(err, ErrLegacyWire) {
-		s.rejLegacy.Add(1)
-		return
-	}
-	s.rejMalformed.Add(1)
-}
-
 // handleStats answers a per-job stats request to the requesting port.
-func (s *Switch) handleStats(worker int, pkt []byte, out *transport.DeliveryList) {
-	if len(pkt) != jobReqBytes {
-		s.rejMalformed.Add(1)
-		return
-	}
-	job, ok := s.requestedJob(worker, pkt, out)
-	if !ok {
-		return
+func (s *Switch) handleStats(worker, job int, out *transport.DeliveryList) refusal {
+	if job >= s.ncap {
+		// Answered, so a probe can tell "unknown job" from a lost datagram.
+		return refusal{&s.rejBadJob, jobNotice(job, AckErrUnknownJob, 0, 0)}
 	}
 	st, _ := s.JobStats(job)
 	out.Unicast(worker, encodeStatsReply(job, st))
-}
-
-// requestedJob reads the job id of a stats or drain request. An id outside
-// the switch's capacity is answered with an explicit MsgJobAck error (and
-// counted), so a probe can distinguish "unknown job" from a lost datagram.
-func (s *Switch) requestedJob(worker int, pkt []byte, out *transport.DeliveryList) (job int, ok bool) {
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	if job >= s.ncap {
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrUnknownJob, 0, 0))
-		return job, false
-	}
-	return job, true
+	return refusal{}
 }
 
 // gate is the worker-port admission check every data-plane message (ADD,
 // TUPLE) passes first: it resolves the message's job header to the live
-// incarnation the packet was sent under, or refuses it (nil) — counted, and
-// where the sender can act on it, noticed. pkt must hold at least the common
-// header through the epoch octet.
-func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *incarnation {
-	job := int(binary.BigEndian.Uint16(pkt[2:]))
+// incarnation the packet was sent under, or refuses it — where the sender
+// can act on that, with a notice.
+func (s *Switch) gate(worker, job int, epoch uint8) (*incarnation, refusal) {
 	if job >= s.ncap {
-		s.rejBadJob.Add(1)
-		return nil
+		return nil, refusal{bucket: &s.rejBadJob}
 	}
 	// The sending port is bound to its job partition: a packet claiming
 	// another tenant's job id would reach that tenant's slots, so it is
 	// refused before any slot state is touched.
 	if worker/s.cfg.Workers != job {
-		s.rejCrossJob.Add(1)
-		return nil
+		return nil, refusal{bucket: &s.rejCrossJob}
 	}
 	// Eviction notices echo the OFFENDING packet's epoch octet, not the
 	// job's current one: a worker aborts only on a notice matching its own
@@ -784,19 +806,15 @@ func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *inca
 	if inc == nil {
 		// An evicted (or never-admitted) job id on its own port: tell the
 		// worker so it can fail fast instead of retransmitting blind.
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
-		return nil
+		return nil, refusal{&s.rejBadJob, jobNotice(job, AckEvicted, epoch, 0)}
 	}
-	if pkt[hdrBytes] != uint8(inc.epoch) {
+	if epoch != uint8(inc.epoch) {
 		// A datagram buffered in the network from an evicted incarnation
 		// of this (re-admitted) job id: without the epoch octet it would
 		// bind a stale chunk into the fresh incarnation (see doc.go).
-		s.rejStale.Add(1)
-		out.Unicast(worker, jobNotice(job, AckEvicted, pkt[hdrBytes], 0))
-		return nil
+		return nil, refusal{&s.rejStale, jobNotice(job, AckEvicted, epoch, 0)}
 	}
-	return inc
+	return inc, refusal{}
 }
 
 // isLive reports whether inc is still its job's live incarnation — the
@@ -804,52 +822,39 @@ func (s *Switch) gate(worker int, pkt []byte, out *transport.DeliveryList) *inca
 // incarnation's slots or registers.
 func (s *Switch) isLive(inc *incarnation) bool { return s.jobs[inc.job].live.Load() == inc }
 
-// retired reports whether a worker's message outlived the incarnation it
-// was gated under and, if so, counts it and bounces it with a notice
-// carrying inc's own epoch octet, so only that incarnation's workers abort
-// on it. Caller holds a shard lock.
-func (s *Switch) retired(worker int, inc *incarnation, out *transport.DeliveryList) bool {
-	if s.isLive(inc) {
-		return false
-	}
-	s.rejBadJob.Add(1)
-	out.Unicast(worker, jobNotice(inc.job, AckEvicted, uint8(inc.epoch), 0))
-	return true
+// retired is the refusal of a worker's message that outlived the incarnation
+// it was gated under: the notice carries inc's own epoch octet (and no live
+// weight), so only that incarnation's workers abort on it.
+func (s *Switch) retired(inc *incarnation) refusal {
+	return refusal{&s.rejBadJob, jobNotice(inc.job, AckEvicted, uint8(inc.epoch), 0)}
 }
 
-// classifyAdd validates one ADD message against its incarnation and queues
-// it for its slot's shard; refusals are counted (and acked) here so the
-// shard lock rounds only see bindable work.
-func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch, out *transport.DeliveryList) {
-	// The exact payload length depends on the job's negotiated profile, so
-	// only the fixed header (through the epoch octet) is checked before the
-	// job is known.
-	if len(pkt) < addValOff {
-		s.rejMalformed.Add(1)
-		return
+// classifyAdd validates one ADD message against its incarnation, decodes
+// its values and queues it for its slot's shard; refusals surface here so
+// the shard lock rounds only see bindable work.
+func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
+	job, chunk, epoch, err := decodeDataHeader(pkt)
+	if err != nil {
+		return s.malformed()
 	}
-	inc := s.gate(worker, pkt, out)
+	inc, r := s.gate(worker, job, epoch)
 	if inc == nil {
-		return
+		return r
 	}
 	if inc.an != nil {
 		// An analytics tenant owns this job id: it holds pruning registers
 		// and group accumulators, not chunk slots — ADDs have nothing to
 		// bind into.
-		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(inc.job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
-		return
+		return inc.refusal(&s.rejClass, AckErrBadClass)
 	}
-	// Exact-length check against the incarnation's profile: an oversized
-	// payload would silently truncate a garbage ADD into a plausible one,
-	// so it is rejected outright along with short packets.
-	if len(pkt) != addBytes(s.cfg.Modules, inc.spec.Profile) {
-		s.rejMalformed.Add(1)
-		return
+	// The exact payload length depends on the job's negotiated profile, so
+	// it is checked only now that the job is known.
+	if sc.vals, err = decodeAddValues(pkt, s.cfg.Modules, inc.spec.Profile, sc.vals); err != nil {
+		return s.malformed()
 	}
-	chunk := binary.BigEndian.Uint32(pkt[4:])
 	slot := s.slotOf(chunk)
-	sc.queue(s.shardOf(inc.job, slot), addReq{pkt: pkt, inc: inc, chunk: chunk, slot: slot})
+	sc.queue(s.shardOf(job, slot), addReq{inc: inc, chunk: chunk, slot: slot})
+	return refusal{}
 }
 
 // queue appends an ADD to its shard's group, tracking first use.
@@ -857,7 +862,6 @@ func (sc *batchScratch) queue(shard int, a addReq) {
 	if len(sc.byShard[shard]) == 0 {
 		sc.touched = append(sc.touched, shard)
 	}
-	//fpisa:ignore retaincap scratch lifetime is bounded by the HandleBatch call: putScratch nils every pkt ref before pooling
 	sc.adds = append(sc.adds, a)
 	sc.byShard[shard] = append(sc.byShard[shard], len(sc.adds)-1)
 }
@@ -871,7 +875,10 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 		sh := s.shards[k]
 		sh.mu.Lock()
 		for _, idx := range sc.byShard[k] {
-			s.slotHandleLocked(k, &sc.adds[idx], worker, sc, out)
+			vals := sc.vals[idx*s.cfg.Modules:][:s.cfg.Modules]
+			if r := s.slotHandleLocked(k, &sc.adds[idx], vals, worker, sc, out); r.refused() {
+				s.refuse(worker, r, out)
+			}
 		}
 		sh.mu.Unlock()
 		for _, inc := range sc.drains {
@@ -888,11 +895,11 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 // group; the caller holds that shard's lock for the whole group. Deliveries
 // are appended to out; deferred work that needs other locks or does I/O
 // (drain completion, uplink sends) is queued on the scratch for after the
-// unlock.
-func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) {
+// unlock. ADDs the protocol drops by design (stale, duplicate) are not refused.
+func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, sc *batchScratch, out *transport.DeliveryList) refusal {
 	inc := a.inc
-	if s.retired(worker, inc, out) {
-		return
+	if !s.isLive(inc) {
+		return s.retired(inc)
 	}
 	sh := s.shards[k]
 	job, prof := inc.job, inc.spec.Profile
@@ -908,15 +915,13 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	case int64(chunk) < st.chunk:
 		// Stale retransmit for a chunk every worker already completed
 		// (guaranteed by the self-clocked window); ignore.
-		return
+		return refusal{}
 	case fresh:
 		// First packet of a new chunk binds the slot (pool versioning).
 		// A draining job may finish chunks already in flight but binds
 		// nothing new — that is what lets it quiesce.
 		if inc.draining.Load() {
-			s.rejDraining.Add(1)
-			out.Unicast(worker, jobNotice(job, AckDraining, uint8(inc.epoch), inc.spec.Weight))
-			return
+			return inc.refusal(&s.rejDraining, AckDraining)
 		}
 		// Binding a new chunk is the unit of pipeline time the deficit-
 		// round-robin scheduler meters: an over-deficit tenant is deferred
@@ -926,10 +931,8 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// its normal retransmit path in a later round. Retransmits of
 		// in-flight chunks never reach this branch and stay free.
 		if !sh.sched.charge(job, inc.quantum()) {
-			s.rejBackpressure.Add(1)
 			js.schedDefers.Add(1)
-			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(inc.epoch), inc.spec.Weight))
-			return
+			return inc.refusal(&s.rejBackpressure, AckBackpressure)
 		}
 	case st.seen[wij]:
 		js.retransmits.Add(1)
@@ -938,18 +941,8 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 			js.cacheHits.Add(1)
 			out.Unicast(worker, st.cached)
 		}
-		return // duplicate while aggregation is in progress
+		return refusal{} // duplicate while aggregation is in progress
 	}
-
-	// Decode the values (widened from the job's wire format — exact for
-	// the 16-bit formats) into the batch's reusable buffer; the pipeline
-	// serializes them into its own packet, so nothing retains the slice.
-	vw := prof.ValueBytes()
-	vals := sc.vals[:0]
-	for i := 0; i < s.cfg.Modules; i++ {
-		vals = append(vals, prof.GetValue(a.pkt[addValOff+vw*i:]))
-	}
-	sc.vals = vals
 
 	// Aggregate first, account afterwards: if the pipeline rejects the
 	// add, the slot must stay retransmittable — marking the worker seen
@@ -966,7 +959,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// RESULT (or its still-owed uplink ADD) goes with it.
 		if err := b.agg.SetInto(bi, vals, res); err != nil {
 			sh.sched.refund(job)
-			return
+			return refusal{}
 		}
 		if !st.aggregating() {
 			js.outstanding.Add(1)
@@ -980,14 +973,14 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 			st.cached = nil
 		}
 	} else if err := b.agg.AddInto(bi, vals, res); err != nil {
-		return
+		return refusal{}
 	}
 	st.seen[wij] = true
 	st.nSeen++
 	js.adds.Add(1)
 
 	if st.nSeen < s.cfg.Workers {
-		return
+		return refusal{}
 	}
 
 	// Last worker: the running sums are the final aggregation (for a tree
@@ -1013,7 +1006,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		st.up = EncodeAddProfile(job, chunk, inc.up.parentEpoch, prof, res.Values)
 		st.upOvf = anyOvf
 		sc.ups = append(sc.ups, upReq{inc: inc, pkt: st.up})
-		return
+		return refusal{}
 	}
 	pkt := encodeResult(job, chunk, prof, res.Values, anyOvf)
 	st.cached = pkt
@@ -1021,6 +1014,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	// Delivery is deferred to the batch-end pass so consecutive chunks
 	// completing in one batch share a run-length reply (see emitResults).
 	sc.done = append(sc.done, resDone{job: job, chunk: chunk, pkt: pkt})
+	return refusal{}
 }
 
 // emitResults delivers a batch's completed chunks, coalescing runs of ≥ 2
@@ -1191,7 +1185,7 @@ type Worker struct {
 	// narrowed to its wire format (halving the payload for the 16-bit
 	// formats) and RESULTs are decoded under it. It must match what the
 	// job's admission applied (the admit ack echoes it, as does
-	// Switch.JobProfile), or the switch rejects the ADDs as malformed.
+	// Switch.JobStats), or the switch rejects the ADDs as malformed.
 	// The zero value is the default f32 profile.
 	Profile core.NumericProfile
 	// SentPackets counts ADD messages transmitted (including

@@ -1,10 +1,8 @@
 package aggservice
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -398,17 +396,15 @@ func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
 	an.hist.Observe(float64(val))
 }
 
-// fold runs one validated tuple batch through the op's register program
+// fold runs one validated tuple batch through its op's register program
 // and returns the ack to cache and send. Caller holds the home shard's
 // lock.
-func (an *analyticsJob) fold(job int, seq uint32, op TupleOp, pkt []byte, count int) []byte {
-	ack := encodeTupleAck(job, seq, count)
-	for i := 0; i < count; i++ {
-		off := tupleHdrBytes + 8*i
-		key := binary.BigEndian.Uint32(pkt[off:])
-		val := math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
+func (an *analyticsJob) fold(job int, seq uint32, tv tupleView) []byte {
+	ack := encodeTupleAck(job, seq, tv.count())
+	for i := 0; i < tv.count(); i++ {
+		key, val := tv.row(i)
 		survived := false
-		switch op {
+		switch tv.op {
 		case OpQueryTopN:
 			survived = an.topn.Admit(val)
 		case OpQueryGroupMax:
@@ -478,37 +474,39 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 // ADD, the batch folds under the job's home shard lock — charged against
 // the same deficit-round-robin ledger as a training bind, one charge per
 // batch.
-func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList) {
-	if len(pkt) < tupleHdrBytes {
-		s.rejMalformed.Add(1)
-		return
+func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList) refusal {
+	job, seq, epoch, err := decodeDataHeader(pkt)
+	if err != nil {
+		return s.malformed()
 	}
-	inc := s.gate(worker, pkt, out)
+	inc, r := s.gate(worker, job, epoch)
 	if inc == nil {
-		return
+		return r
 	}
-	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
-	if count < 1 || count > MaxTuplesPerBatch || len(pkt) != tupleHdrBytes+8*count {
-		s.rejMalformed.Add(1)
-		return
+	tv, err := decodeTupleView(pkt)
+	if err != nil {
+		return s.malformed()
 	}
-	job := inc.job
-	js := &s.jobs[job]
-	op := TupleOp(pkt[hdrBytes+1])
-	seq := binary.BigEndian.Uint32(pkt[4:])
-	wij := worker % s.cfg.Workers
-	sh := s.shards[s.homeShard(inc.job)]
+	sh := s.shards[s.homeShard(job)]
 	sh.mu.Lock()
-	if s.retired(worker, inc, out) {
-		sh.mu.Unlock()
-		return
+	ack, r := s.tupleLocked(sh, inc, worker%s.cfg.Workers, seq, tv)
+	sh.mu.Unlock()
+	if ack != nil {
+		out.Unicast(worker, ack)
 	}
-	an := inc.an
-	if an == nil || !an.opAllowed(op) {
-		sh.mu.Unlock()
-		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
-		return
+	return r
+}
+
+// tupleLocked runs one gated tuple batch against its worker's stop-and-wait
+// lane and returns the ack to send (nil: none) or the refusal. Caller holds
+// the home shard's lock.
+func (s *Switch) tupleLocked(sh *shard, inc *incarnation, wij int, seq uint32, tv tupleView) ([]byte, refusal) {
+	if !s.isLive(inc) {
+		return nil, s.retired(inc)
+	}
+	an, js := inc.an, &s.jobs[inc.job]
+	if an == nil || !an.opAllowed(tv.op) {
+		return nil, inc.refusal(&s.rejClass, AckErrBadClass)
 	}
 	switch {
 	case seq == an.expect[wij]:
@@ -516,104 +514,69 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 		// new-chunk bind: over-deficit tenants defer (the client retries
 		// after the round turns over), so mixed-class fairness rides the
 		// same per-shard DRR ledger.
-		if !sh.sched.charge(job, inc.quantum()) {
-			sh.mu.Unlock()
+		if !sh.sched.charge(inc.job, inc.quantum()) {
 			js.schedDefers.Add(1)
-			s.rejBackpressure.Add(1)
-			out.Unicast(worker, jobNotice(job, AckBackpressure, uint8(inc.epoch), inc.spec.Weight))
-			return
+			return nil, inc.refusal(&s.rejBackpressure, AckBackpressure)
 		}
-		ack := an.fold(job, seq, op, pkt, count)
-		an.lastAck[wij] = ack
+		an.lastAck[wij] = an.fold(inc.job, seq, tv)
 		an.expect[wij] = seq + 1
-		sh.mu.Unlock()
-		js.adds.Add(uint64(count))
+		js.adds.Add(uint64(tv.count()))
 		js.completions.Add(1)
-		out.Unicast(worker, ack)
 	case seq+1 == an.expect[wij]:
 		// Retransmission of the last folded batch: replay its cached ack
 		// without folding again.
-		ack := an.lastAck[wij]
-		sh.mu.Unlock()
 		js.retransmits.Add(1)
-		if ack != nil {
+		if an.lastAck[wij] != nil {
 			js.cacheHits.Add(1)
-			out.Unicast(worker, ack)
 		}
 	default:
-		sh.mu.Unlock()
-		s.rejMalformed.Add(1)
+		// Neither the lane's next batch nor its last: a gap (dropped,
+		// awaiting the retransmit) or garbage.
+		return nil, s.malformed()
 	}
+	return an.lastAck[wij], refusal{}
 }
 
 // handleDrain serves an observer MsgDrain: harvest-and-reset one kind of
 // analytics state, with nonce-keyed replay so a lost reply does not cost
 // the harvested interval.
-func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList) {
-	if worker != ObserverWorker || len(pkt) != drainReqBytes {
-		s.rejMalformed.Add(1)
-		return
+func (s *Switch) handleDrain(worker, job int, req drainReq, out *transport.DeliveryList) refusal {
+	if job >= s.ncap {
+		return refusal{&s.rejBadJob, jobNotice(job, AckErrUnknownJob, 0, 0)}
 	}
-	kind := DrainKind(pkt[4])
-	if kind > DrainHistogram {
-		s.rejMalformed.Add(1)
-		return
-	}
-	job, ok := s.requestedJob(worker, pkt, out)
-	if !ok {
-		return
-	}
-	js := &s.jobs[job]
-	inc := js.live.Load()
-	if inc == nil {
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
-		return
-	}
-	an := inc.an
-	if an == nil {
-		s.rejClass.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrBadClass, uint8(inc.epoch), inc.spec.Weight))
-		return
-	}
-	flags := pkt[5]
-	nonce := binary.BigEndian.Uint32(pkt[6:])
-	sh := s.shards[s.homeShard(inc.job)]
+	sh := s.shards[s.homeShard(job)]
 	sh.mu.Lock()
-	if !s.isLive(inc) {
-		sh.mu.Unlock()
-		s.rejBadJob.Add(1)
-		out.Unicast(worker, jobNotice(job, AckErrNotAdmitted, 0, 0))
-		return
-	}
-	if an.lastDrainPkt != nil && an.lastDrainNonce == nonce {
-		reply := an.lastDrainPkt
-		sh.mu.Unlock()
-		js.cacheHits.Add(1)
-		out.Unicast(worker, reply)
-		return
-	}
-	entries := an.drain(kind, flags&DrainFlagResetPrune != 0)
-	reply := encodeDrainReply(job, kind, entries)
-	an.lastDrainNonce = nonce
-	an.lastDrainPkt = reply
+	reply, r := s.drainLocked(job, req)
 	sh.mu.Unlock()
-	out.Unicast(worker, reply)
+	if reply != nil {
+		out.Unicast(worker, reply)
+	}
+	return r
+}
+
+// drainLocked harvests job's analytics state — or, for a retried nonce,
+// replays the cached harvest — and returns the reply to send or the refusal.
+// Caller holds the home shard's lock.
+func (s *Switch) drainLocked(job int, req drainReq) ([]byte, refusal) {
+	inc := s.jobs[job].live.Load()
+	switch {
+	case inc == nil:
+		return nil, refusal{&s.rejBadJob, jobNotice(job, AckErrNotAdmitted, 0, 0)}
+	case inc.an == nil:
+		return nil, inc.refusal(&s.rejClass, AckErrBadClass)
+	case inc.an.lastDrainPkt != nil && inc.an.lastDrainNonce == req.nonce:
+		s.jobs[job].cacheHits.Add(1)
+	default:
+		entries := inc.an.drain(req.kind, req.flags&DrainFlagResetPrune != 0)
+		inc.an.lastDrainNonce, inc.an.lastDrainPkt = req.nonce, encodeDrainReply(job, req.kind, entries)
+	}
+	return inc.an.lastDrainPkt, refusal{}
 }
 
 // homeShard maps a job to the shard whose lock guards its analytics state.
 // Jobs spread round-robin so tenants fold and drain in parallel.
 func (s *Switch) homeShard(job int) int {
 	return job % s.nsh
-}
-
-// JobClass reports a job id's workload-class descriptor (training for
-// vacant ids and ids outside the capacity).
-func (s *Switch) JobClass(job int) AdmitClass {
-	if inc := s.current(job); inc != nil {
-		return inc.spec.Class
-	}
-	return AdmitClass{}
 }
 
 // TupleClient is an analytics tenant's worker-side sender: a stop-and-wait
@@ -705,16 +668,7 @@ func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int,
 				return nil, err
 			}
 			for _, msg := range c.bufs[:n] {
-				typ, terr := wireType(msg)
-				if terr != nil {
-					continue
-				}
-				switch typ {
-				case MsgTupleAck:
-					j, seq, alive, aerr := DecodeTupleAck(msg)
-					if aerr != nil || j != c.Job || seq != c.seq {
-						continue
-					}
+				if j, seq, alive, aerr := DecodeTupleAck(msg); aerr == nil && j == c.Job && seq == c.seq {
 					c.seq++
 					var out []int
 					for i, s := range alive {
@@ -723,23 +677,22 @@ func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int,
 						}
 					}
 					return out, nil
-				case MsgJobAck:
-					ack, aerr := DecodeJobAck(msg)
-					if aerr != nil || ack.Job != c.Job {
-						continue
+				}
+				ack, aerr := DecodeJobAck(msg)
+				if aerr != nil || ack.Job != c.Job {
+					continue
+				}
+				switch ack.Status {
+				case AckBackpressure:
+					// Transient: the DRR round turns over on the
+					// switch; fall through to the retransmit clock.
+					c.BackpressureAcks++
+				case AckEvicted, AckDraining:
+					if ack.Epoch == c.Epoch {
+						return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
 					}
-					switch ack.Status {
-					case AckBackpressure:
-						// Transient: the DRR round turns over on the
-						// switch; fall through to the retransmit clock.
-						c.BackpressureAcks++
-					case AckEvicted, AckDraining:
-						if ack.Epoch == c.Epoch {
-							return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
-						}
-					case AckErrBadClass:
-						return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrBadClass)
-					}
+				case AckErrBadClass:
+					return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrBadClass)
 				}
 			}
 		}

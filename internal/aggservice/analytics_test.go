@@ -525,8 +525,8 @@ func TestAnalyticsLifecycle(t *testing.T) {
 	if err != nil || status != AckAdmitted || gotAC != ac {
 		t.Fatalf("class admit ack: %v %v %v", status, gotAC, err)
 	}
-	if sw.JobClass(1) != ac {
-		t.Fatalf("JobClass(1) = %v", sw.JobClass(1))
+	if st, _ := sw.JobStats(1); st.Class != ac {
+		t.Fatalf("job 1 class = %v", st.Class)
 	}
 	// A bad descriptor is refused with the new status.
 	ds = handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: ClassTelemetry, Groups: 3}}}))
@@ -544,8 +544,8 @@ func TestAnalyticsLifecycle(t *testing.T) {
 	if sw.JobPhaseOf(1) != PhaseVacant {
 		t.Fatalf("phase after evict: %v", sw.JobPhaseOf(1))
 	}
-	if got := sw.JobClass(1); got != (AdmitClass{}) {
-		t.Fatalf("class survives eviction: %v", got)
+	if st, _ := sw.JobStats(1); st.Class != (AdmitClass{}) {
+		t.Fatalf("class survives eviction: %v", st.Class)
 	}
 	// Stale-epoch tuples bounce with an evicted notice.
 	ds = handle(sw, cfg.Port(1, 0), pkt)

@@ -153,10 +153,11 @@
 // from a range disjoint from the v1 type bytes (0..2): a legacy single-job
 // datagram is therefore recognized by its first byte and rejected with
 // ErrLegacyWire rather than misparsed. The second octet is the message
-// type; ADD/RESULT carry a 16-bit big-endian job id next. All integers are
-// big-endian. wire.go holds the whole protocol: exactly one encoder and
-// one decoder per message, the admission descriptor (JobSpec) and the
-// JobAdmit/JobAck message structs.
+// type; every message carries a 16-bit big-endian job id next. All integers
+// are big-endian. wire.go holds the whole protocol: msgTable, the list of
+// messages (who may send each to a switch, and its size), one encoder and at
+// most one decoder per message — the switch's included: HandleBatch parses
+// each datagram once through them and nothing else indexes a packet.
 //
 //	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
 //	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
@@ -202,12 +203,10 @@
 // (transport.BatchHandler / Fabric.SendBatch) and the UDP fabric packs a
 // vector into its own batch-framed datagrams. Message type 2, which once
 // framed several messages inside the protocol, is reserved and rejected as
-// malformed. Fixed-layout messages (reply, admit, ack) are decoded with
-// full bounds checks: a truncated frame returns a wire error wrapping
-// ErrTruncated rather than panicking the client, and the decoders are
-// fuzzed (FuzzDecodeStatsReply, FuzzDecodeJobAck, FuzzDecodeJobAdmit,
-// FuzzDecodeTuples, FuzzDecodeTupleAck, FuzzDecodeDrainReply,
-// FuzzDecodeResultRun).
+// malformed. Every decoder checks bounds first — a truncated frame
+// returns a wire error wrapping ErrTruncated rather than panicking — and is
+// fuzzed: the clients' by the FuzzDecode* targets, the switch's ingress by
+// FuzzHandleBatch.
 //
 // The v2 layouts are versioned against v1, not against each other: they
 // evolve with the repository (this revision widened the stats reply, the

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"fpisa/internal/core"
+	"fpisa/internal/pisa"
+	"fpisa/internal/transport"
 )
 
 // FuzzDecodeStatsReply fuzzes the stats codec the satellite fix hardened:
@@ -142,24 +144,9 @@ func FuzzDecodeJobAdmit(f *testing.F) {
 // accepted batch re-encodes byte for byte (the op octet is carried as-is —
 // the switch, not the decoder, validates it against the job's class).
 func FuzzDecodeTuples(f *testing.F) {
-	valid := EncodeTuples(1, 7, 2, OpQueryAgg, []uint32{3, 3, 9}, []float32{1.5, -2, 0.25})
-	f.Add(valid)
-	f.Add(EncodeTuples(0, 0, 0, OpQueryTopN, []uint32{0xFFFFFFFF}, []float32{float32(1e38)}))
-	f.Add(EncodeTuples(65535, 0xFFFFFFFF, 255, OpTelemetry, []uint32{1, 2}, []float32{64, 1500}))
-	f.Add(EncodeTuples(2, 1, 0, TupleOp(0xEE), []uint32{5}, []float32{1})) // junk op: carried, refused later
-	f.Add(valid[:len(valid)-3])                                            // truncated final row
-	f.Add(valid[:tupleHdrBytes-1])                                         // truncated header
-	f.Add(valid[:tupleHdrBytes])                                           // header only, count 3, no rows
-	f.Add(append(append([]byte(nil), valid...), 0xcc))                     // trailing byte
-	f.Add(func() []byte {                                                  // count 0
-		p := append([]byte(nil), valid...)
-		p[hdrBytes+2] = 0
-		p[hdrBytes+3] = 0
-		return p
-	}())
-	f.Add([]byte{WireVersion, MsgTuple}) // short v2
-	f.Add([]byte{MsgAdd, 0, 0, 0})       // legacy framing
-
+	for _, seed := range tupleSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		job, seq, epoch, op, keys, vals, err := DecodeTuples(pkt)
 		if err != nil {
@@ -177,6 +164,107 @@ func FuzzDecodeTuples(f *testing.F) {
 		}
 		if re := EncodeTuples(job, seq, epoch, op, keys, vals); !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
+		}
+	})
+}
+
+// tupleSeeds is FuzzDecodeTuples' seed corpus (TestTupleViewAgreesWithDecodeTuples
+// walks it too).
+func tupleSeeds() [][]byte {
+	valid := EncodeTuples(1, 7, 2, OpQueryAgg, []uint32{3, 3, 9}, []float32{1.5, -2, 0.25})
+	return [][]byte{
+		valid,
+		EncodeTuples(0, 0, 0, OpQueryTopN, []uint32{0xFFFFFFFF}, []float32{float32(1e38)}),
+		EncodeTuples(65535, 0xFFFFFFFF, 255, OpTelemetry, []uint32{1, 2}, []float32{64, 1500}),
+		EncodeTuples(2, 1, 0, TupleOp(0xEE), []uint32{5}, []float32{1}), // junk op: carried, refused later
+		valid[:len(valid)-3],                        // truncated final row
+		valid[:tupleHdrBytes-1],                     // truncated header
+		valid[:tupleHdrBytes],                       // header only, count 3, no rows
+		append(append([]byte(nil), valid...), 0xcc), // trailing byte
+		func() []byte { // count 0
+			p := append([]byte(nil), valid...)
+			p[hdrBytes+2] = 0
+			p[hdrBytes+3] = 0
+			return p
+		}(),
+		{WireVersion, MsgTuple}, // short v2
+		{MsgAdd, 0, 0, 0},       // legacy framing
+	}
+}
+
+// FuzzHandleBatch fuzzes the switch's ingress itself, not a codec beside it:
+// data is a vector of datagrams ({len(1) bytes}·n), fed from one worker port
+// and then from the observer frame into a switch serving a training and a
+// query tenant, with the control plane on and two vacant ids to admit into.
+// Whatever arrives, HandleBatch must not panic, must leave the job gauges
+// consistent, and must count at most one reject per datagram (silent drops —
+// stale and duplicate ADDs — are legal).
+func FuzzHandleBatch(f *testing.F) {
+	frame := func(pkts ...[]byte) []byte {
+		var data []byte
+		for _, p := range pkts {
+			data = append(append(data, byte(len(p))), p...)
+		}
+		return data
+	}
+	// Seeds: every golden datagram, each of its truncations, and each with
+	// its type, job, epoch and count octet perturbed.
+	for port, tc := range goldenCases() {
+		pkt := tc.packet()
+		if len(pkt) > 255 {
+			f.Fatalf("golden %s does not fit a one-byte length", tc.name)
+		}
+		f.Add(byte(port), frame(pkt))
+		for cut := range pkt {
+			f.Add(byte(port), frame(pkt[:cut]))
+		}
+		for _, off := range []int{1, 3, hdrBytes, tupleHdrBytes - 1} {
+			for _, v := range []byte{0, 1, 2, 3, 5, 6, 9, 11, 13} {
+				if off < len(pkt) {
+					p := append([]byte(nil), pkt...)
+					p[off] = v
+					f.Add(byte(port), frame(p))
+				}
+			}
+		}
+	}
+	// One well-formed session per tenant, as a multi-datagram vector.
+	f.Add(byte(0), frame(
+		EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1, 2}),
+		EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{3, 4}),
+		EncodeStatsReq(0)))
+	f.Add(byte(2), frame(
+		EncodeTuples(1, 0, 0, OpQueryAgg, []uint32{3, 9}, []float32{1.5, -2}),
+		EncodeTuples(1, 1, 0, OpQueryTopN, []uint32{4}, []float32{8}),
+		EncodeDrain(1, DrainGroups, DrainFlagResetPrune, 7),
+		EncodeJobEvict(1),
+		EncodeJobAdmit(JobAdmit{Job: 2, JobSpec: JobSpec{Weight: 2}})))
+
+	cfg := Config{
+		Workers: 2, Pool: 2, Modules: 2, Shards: 2, Jobs: 2, Capacity: 4, Dynamic: true,
+		Classes: []AdmitClass{{}, {Class: ClassQuery, TopN: 10, Groups: 64}},
+		Mode:    core.ModeApprox, Arch: pisa.ExtendedArch(), // two modules, like the golden ADDs
+	}
+	f.Fuzz(func(t *testing.T, port byte, data []byte) {
+		var pkts [][]byte
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			pkts = append(pkts, data[1:1+n])
+			data = data[1+n:]
+		}
+		sw, err := NewSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Close()
+		for _, worker := range []int{int(port) % cfg.Ports(), ObserverWorker} {
+			before := rejectTotal(sw.Rejects())
+			var dl transport.DeliveryList
+			sw.HandleBatch(worker, pkts, &dl)
+			if got := rejectTotal(sw.Rejects()) - before; got > uint64(len(pkts)) {
+				t.Fatalf("port %d: %d datagrams counted %d rejects", worker, len(pkts), got)
+			}
+			auditSwitch(t, "after the vector", sw)
 		}
 	})
 }

@@ -39,7 +39,9 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	// An ADD passes the gate under incarnation N and waits in the scratch.
 	sc := sw.scratchPool.Get().(*batchScratch)
 	var dl transport.DeliveryList
-	sw.classifyAdd(0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), sc, &dl)
+	if r := sw.classifyAdd(0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), sc); r.refused() {
+		t.Fatalf("ADD refused under the live incarnation: %+v", r)
+	}
 	if len(sc.adds) != 1 || sc.adds[0].inc != old {
 		t.Fatalf("ADD not queued under the live incarnation: %+v", sc.adds)
 	}

@@ -1,12 +1,10 @@
 package aggservice
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
-	"fpisa/internal/core"
 	"fpisa/internal/transport"
 )
 
@@ -215,29 +213,9 @@ func ackStatusOf(ok AckStatus, err error) AckStatus {
 	return AckErrUnknownJob
 }
 
-// handleLifecycle serves a wire MsgJobAdmit/MsgJobEvict. Only the
-// out-of-band observer frame may drive the control plane — a tenant's
-// worker port must not be able to evict another tenant — and only when the
-// operator enabled Config.Dynamic.
-func (s *Switch) handleLifecycle(worker int, typ byte, pkt []byte, out *transport.DeliveryList) {
-	if worker != ObserverWorker {
-		s.rejMalformed.Add(1)
-		return
-	}
-	var req JobAdmit
-	if typ == MsgJobAdmit {
-		var derr error
-		if req, derr = DecodeJobAdmit(pkt); derr != nil {
-			s.rejMalformed.Add(1)
-			return
-		}
-	} else {
-		if len(pkt) != jobReqBytes {
-			s.rejMalformed.Add(1)
-			return
-		}
-		req.Job = int(binary.BigEndian.Uint16(pkt[2:]))
-	}
+// handleLifecycle serves a wire MsgJobAdmit/MsgJobEvict (an evict names only
+// req.Job) when the operator enabled Config.Dynamic.
+func (s *Switch) handleLifecycle(worker int, typ byte, req JobAdmit, out *transport.DeliveryList) {
 	var err error
 	ok := AckAdmitted
 	switch {
@@ -470,24 +448,4 @@ func (s *Switch) JobEpoch(job int) uint8 {
 		return 0
 	}
 	return uint8(s.jobs[job].epoch.Load())
-}
-
-// JobProfile reports a job id's current numeric profile: the profile the
-// admission applied for live jobs, the default (f32) profile for vacant ids
-// and ids outside the capacity.
-func (s *Switch) JobProfile(job int) core.NumericProfile {
-	if inc := s.current(job); inc != nil {
-		return inc.spec.Profile
-	}
-	return core.DefaultProfile
-}
-
-// JobWeight reports a job id's current deficit-round-robin scheduler
-// weight: 0 for vacant ids (and ids outside the capacity), the weight the
-// admission applied otherwise.
-func (s *Switch) JobWeight(job int) int {
-	if inc := s.current(job); inc != nil {
-		return inc.spec.Weight
-	}
-	return 0
 }

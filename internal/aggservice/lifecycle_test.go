@@ -843,8 +843,8 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 		if err := sw.Admit(job, JobSpec{Weight: weight}); err != nil {
 			t.Fatalf("admit %d: %v", job, err)
 		}
-		if got := sw.JobWeight(job); got != weight {
-			t.Fatalf("job %d weight = %d, want %d", job, got, weight)
+		if st, _ := sw.JobStats(job); st.Weight != weight {
+			t.Fatalf("job %d weight = %d, want %d", job, st.Weight, weight)
 		}
 	}
 	var wg1 sync.WaitGroup

@@ -198,8 +198,8 @@ func TestAdmitProfileRejections(t *testing.T) {
 	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profF16RNE}); err != nil {
 		t.Fatalf("valid admit after refusals: %v", err)
 	}
-	if got := sw.JobProfile(1); got != profF16RNE {
-		t.Fatalf("JobProfile(1) = %v, want %v", got, profF16RNE)
+	if st, _ := sw.JobStats(1); st.Profile != profF16RNE {
+		t.Fatalf("job 1 profile = %v, want %v", st.Profile, profF16RNE)
 	}
 }
 
@@ -343,16 +343,16 @@ func TestProfileChurnReadmit(t *testing.T) {
 	if got := banks(1); got != 0 {
 		t.Fatalf("%d banks survive release", got)
 	}
-	if got := sw.JobProfile(1); got != core.DefaultProfile {
-		t.Fatalf("vacant job profile = %v", got)
+	if st, _ := sw.JobStats(1); st.Profile != core.DefaultProfile {
+		t.Fatalf("vacant job profile = %v", st.Profile)
 	}
 
 	// Re-admit the SAME id with a DIFFERENT profile.
 	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profF16RNE}); err != nil {
 		t.Fatalf("re-admit: %v", err)
 	}
-	if got := sw.JobProfile(1); got != profF16RNE {
-		t.Fatalf("re-admitted profile = %v, want %v", got, profF16RNE)
+	if st, _ := sw.JobStats(1); st.Profile != profF16RNE {
+		t.Fatalf("re-admitted profile = %v, want %v", st.Profile, profF16RNE)
 	}
 	run(1, profF16RNE)
 

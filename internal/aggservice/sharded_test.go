@@ -505,7 +505,7 @@ func TestHandleBatchGroupsShards(t *testing.T) {
 		seen[chunk] = true
 	}
 	for _, d := range ds {
-		if typ, _ := wireType(d.Packet); typ == MsgResultRun {
+		if typ, _, _ := decodeHeader(d.Packet); typ == MsgResultRun {
 			_, start, rvals, _, err := DecodeResultRun(d.Packet, 1, core.DefaultProfile)
 			if err != nil {
 				t.Fatal(err)

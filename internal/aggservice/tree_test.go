@@ -438,8 +438,8 @@ func TestTreeAdmitNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaf.Close()
-	if got, want := leaf.JobProfile(0), bf16; got != want {
-		t.Errorf("leaf runs %v, want %v", got, want)
+	if st, _ := leaf.JobStats(0); st.Profile != bf16 {
+		t.Errorf("leaf runs %v, want %v", st.Profile, bf16)
 	}
 	if spine.JobPhaseOf(0) != PhaseAdmitted {
 		t.Error("negotiation disturbed the parent's live job")

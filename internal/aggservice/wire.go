@@ -10,9 +10,11 @@ import (
 )
 
 // This file is the whole wire protocol: the message types, their layouts,
-// exactly one encoder and one decoder per message, and the one downlink
-// reader every chunk-window client (Worker.Reduce, a tree leaf's uplink)
-// decodes the switch's replies through. See doc.go for the rationale.
+// the table that lists them (msgTable), exactly one encoder and at most one
+// decoder per message — the switch's ingress included, so nothing outside
+// this file indexes a packet — and the one downlink reader every
+// chunk-window client (Worker.Reduce, a tree leaf's uplink) decodes the
+// switch's replies through. See doc.go for the rationale.
 
 // WireVersion is the leading octet of every v2 wire message. Its value is
 // chosen from a range disjoint from the v1 type bytes (0..2), so a legacy
@@ -48,10 +50,16 @@ var (
 	// ErrLegacyWire marks a v1 (pre-job-id) datagram: the old framing had
 	// no version octet, so its first byte is a v1 type (0..2).
 	ErrLegacyWire = errors.New("aggservice: legacy v1 wire framing (no job id); upgrade the client to wire v2")
-	// ErrTruncated marks a fixed-layout message (stats reply, lifecycle
-	// ack) shorter than its declared fields — decoders return it wrapped
-	// instead of indexing past the packet.
+	// ErrTruncated marks a message shorter than its declared fields —
+	// decoders return it instead of indexing past the packet: client-side
+	// wrapped in context, on the switch's ingress bare (like the other
+	// pre-built errors below), so a flood of runts allocates nothing.
 	ErrTruncated = errors.New("aggservice: truncated message")
+
+	errWireVersion = errors.New("aggservice: unknown wire version")
+	errMsgType     = errors.New("aggservice: unexpected message type")
+	errBadLength   = errors.New("aggservice: message length does not match its layout")
+	errDrainKind   = errors.New("aggservice: unknown drain kind")
 )
 
 // Wire layout (see doc.go for the rationale):
@@ -137,6 +145,54 @@ const maxDatagram = 65507
 // datagram after the tuple header.
 const MaxTuplesPerBatch = (maxDatagram - tupleHdrBytes) / 8
 
+// sender is who may send a message type to a switch.
+type sender uint8
+
+const (
+	fromWorker   sender = 1 << iota // a job's worker port
+	fromObserver                    // the out-of-band observer frame
+	fromEither          = fromWorker | fromObserver
+	fromNobody   sender = 0 // switch → client types, reserved and unassigned octets
+)
+
+// msgRow is one message type: its ARCHITECTURE.md name, who may send it to
+// a switch, and its size — exact, or the fixed part of a variable layout.
+type msgRow struct {
+	name  string
+	from  sender
+	size  int
+	exact bool
+}
+
+// msgTable is the list of messages, one row per type octet (zero rows for the
+// reserved type 2 and the unassigned octets). Switch.admit authorises senders
+// by it; every decoder — the clients' through decodeAs — checks lengths by it.
+var msgTable = [256]msgRow{
+	MsgAdd:        {"ADD", fromWorker, addValOff, false},
+	MsgResult:     {"RESULT", fromNobody, hdrBytes + 1, false},
+	MsgStats:      {"STATS request", fromEither, jobReqBytes, true},
+	MsgStatsReply: {"STATS reply", fromNobody, statsReplyBytes, true},
+	MsgJobAdmit:   {"JOB ADMIT", fromObserver, jobAdmitBytes, true},
+	MsgJobEvict:   {"JOB EVICT", fromObserver, jobReqBytes, true},
+	MsgJobAck:     {"JOB ACK", fromNobody, jobAckBytes, true},
+	MsgResultRun:  {"RESULT RUN", fromNobody, runHdrBytes, false},
+	MsgTuple:      {"TUPLE", fromWorker, tupleHdrBytes, false},
+	MsgTupleAck:   {"TUPLE ACK", fromNobody, tupleAckHdrBytes, false},
+	MsgDrain:      {"DRAIN", fromObserver, drainReqBytes, true},
+	MsgDrainReply: {"DRAIN REPLY", fromNobody, drainReplyHdrBytes, false},
+}
+
+// decodeLen checks pkt's length against the msgTable row of type typ.
+func decodeLen(pkt []byte, typ byte) error {
+	switch m := &msgTable[typ]; {
+	case len(pkt) < m.size:
+		return ErrTruncated
+	case m.exact && len(pkt) > m.size:
+		return errBadLength
+	}
+	return nil
+}
+
 // addBytes/resultBytes size a job's ADD and RESULT in its negotiated wire
 // format.
 func addBytes(modules int, prof core.NumericProfile) int {
@@ -183,19 +239,65 @@ func jobReq(typ byte, job int) []byte {
 	return pkt
 }
 
-// wireType classifies a message: it returns the v2 type byte, ErrLegacyWire
-// for v1 framing, or a generic error for garbage.
-func wireType(pkt []byte) (byte, error) {
+// decodeHeader parses the [ver type job] prefix every message starts with —
+// all there is to the requests that name only a job (STATS, JOB EVICT).
+func decodeHeader(pkt []byte) (typ byte, job int, err error) {
 	if len(pkt) < 2 {
-		return 0, fmt.Errorf("aggservice: %d-byte message", len(pkt))
+		return 0, 0, ErrTruncated
 	}
 	if pkt[0] != WireVersion {
 		if pkt[0] <= legacyMaxType {
-			return 0, ErrLegacyWire
+			return 0, 0, ErrLegacyWire
 		}
-		return 0, fmt.Errorf("aggservice: unknown wire version 0x%02x", pkt[0])
+		return 0, 0, errWireVersion
 	}
-	return pkt[1], nil
+	if len(pkt) < jobReqBytes {
+		return 0, 0, ErrTruncated
+	}
+	return pkt[1], int(binary.BigEndian.Uint16(pkt[2:])), nil
+}
+
+// decodeAs is the prologue of every client-side decoder: pkt must parse as a
+// message of type want and fit that type's msgTable row.
+func decodeAs(pkt []byte, want byte) (job int, err error) {
+	typ, job, err := decodeHeader(pkt)
+	if err == nil && typ != want {
+		err = errMsgType
+	}
+	if err == nil {
+		err = decodeLen(pkt, want)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("aggservice: bad %s (%d bytes): %w", msgTable[want].name, len(pkt), err)
+	}
+	return job, nil
+}
+
+// decodeDataHeader parses the header ADD and TUPLE share (an ADD's fixed
+// part); seq is an ADD's chunk id, a TUPLE's lane sequence number.
+func decodeDataHeader(pkt []byte) (job int, seq uint32, epoch uint8, err error) {
+	if err := decodeLen(pkt, MsgAdd); err != nil {
+		return 0, 0, 0, err
+	}
+	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), pkt[hdrBytes], nil
+}
+
+// decodeAddValues appends an ADD's values, widened from prof's wire format
+// (exact for the 16-bit formats), to dst. An oversized payload would
+// silently truncate a garbage ADD into a plausible one, so the length must
+// match the profile exactly.
+func decodeAddValues(pkt []byte, modules int, prof core.NumericProfile, dst []float32) ([]float32, error) {
+	if n := addBytes(modules, prof); len(pkt) != n {
+		if len(pkt) < n {
+			return dst, ErrTruncated
+		}
+		return dst, errBadLength
+	}
+	w := prof.ValueBytes()
+	for i := 0; i < modules; i++ {
+		dst = append(dst, prof.GetValue(pkt[addValOff+w*i:]))
+	}
+	return dst, nil
 }
 
 // JobSpec is what an admission negotiates for a job: its deficit-round-
@@ -291,21 +393,16 @@ func DecodeResultProfile(pkt []byte, modules int, prof core.NumericProfile) (job
 // decodeResultInto is DecodeResultProfile writing the len(vals) module
 // values into the caller's buffer.
 func decodeResultInto(pkt []byte, prof core.NumericProfile, vals []float32) (job int, chunk uint32, overflow bool, err error) {
-	modules := len(vals)
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, false, fmt.Errorf("bad result packet: %w", terr)
-	} else if typ != MsgResult {
-		return 0, 0, false, fmt.Errorf("aggservice: bad result packet")
+	if job, err = decodeAs(pkt, MsgResult); err != nil {
+		return 0, 0, false, err
 	}
-	if n := resultBytes(modules, prof); len(pkt) != n {
-		if len(pkt) < n {
-			return 0, 0, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
-		}
+	// The exact size depends on the negotiated profile.
+	if n := resultBytes(len(vals), prof); len(pkt) < n {
+		return 0, 0, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
+	} else if len(pkt) > n {
 		return 0, 0, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
 	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	chunk = binary.BigEndian.Uint32(pkt[4:])
-	return job, chunk, getResultBody(pkt[hdrBytes:], prof, vals), nil
+	return job, binary.BigEndian.Uint32(pkt[4:]), getResultBody(pkt[hdrBytes:], prof, vals), nil
 }
 
 // getResultBody reads one chunk's values+overflow tail — a RESULT's payload
@@ -358,19 +455,14 @@ func DecodeResultRun(pkt []byte, modules int, prof core.NumericProfile) (job int
 // decodeRunHeader validates a MsgResultRun reply and returns its header;
 // the count items are then read with runItem.
 func decodeRunHeader(pkt []byte, modules int, prof core.NumericProfile) (job int, start uint32, count int, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, 0, fmt.Errorf("bad result run: %w", terr)
-	} else if typ != MsgResultRun {
-		return 0, 0, 0, fmt.Errorf("aggservice: bad result run type")
-	}
-	if len(pkt) < runHdrBytes {
-		return 0, 0, 0, fmt.Errorf("result run %d of %d header bytes: %w", len(pkt), runHdrBytes, ErrTruncated)
+	if job, err = decodeAs(pkt, MsgResultRun); err != nil {
+		return 0, 0, 0, err
 	}
 	count = int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
 	if count < 1 || len(pkt) != runHdrBytes+count*runItemBytes(modules, prof) {
 		return 0, 0, 0, fmt.Errorf("aggservice: bad result run (%d items, %d bytes)", count, len(pkt))
 	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), count, nil
+	return job, binary.BigEndian.Uint32(pkt[4:]), count, nil
 }
 
 // runItemBytes is the size of one run item: a RESULT's values+overflow tail.
@@ -407,18 +499,9 @@ func encodeStatsReply(job int, st JobStats) []byte {
 // wrapping ErrTruncated instead of panicking the caller (fpisa-query feeds
 // this whatever the socket produced).
 func DecodeStatsReply(pkt []byte) (job int, st JobStats, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, JobStats{}, fmt.Errorf("bad stats reply: %w", terr)
-	} else if typ != MsgStatsReply {
-		return 0, JobStats{}, fmt.Errorf("aggservice: bad stats reply type")
+	if job, err = decodeAs(pkt, MsgStatsReply); err != nil {
+		return 0, JobStats{}, err
 	}
-	if len(pkt) < statsReplyBytes {
-		return 0, JobStats{}, fmt.Errorf("stats reply %d of %d bytes: %w", len(pkt), statsReplyBytes, ErrTruncated)
-	}
-	if len(pkt) > statsReplyBytes {
-		return 0, JobStats{}, fmt.Errorf("aggservice: %d trailing bytes after stats reply", len(pkt)-statsReplyBytes)
-	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
 	if pkt[4] > uint8(PhaseDraining) {
 		return 0, JobStats{}, fmt.Errorf("aggservice: unknown job phase %d in stats reply", pkt[4])
 	}
@@ -459,18 +542,11 @@ func EncodeJobAdmit(a JobAdmit) []byte {
 // admission path, not the decoder, clamps weight 0 to 1 and validates the
 // profile and class, so a round trip is byte-exact.
 func DecodeJobAdmit(pkt []byte) (JobAdmit, error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return JobAdmit{}, fmt.Errorf("bad job admit: %w", terr)
-	} else if typ != MsgJobAdmit {
-		return JobAdmit{}, fmt.Errorf("aggservice: bad job admit type")
+	job, err := decodeAs(pkt, MsgJobAdmit)
+	if err != nil {
+		return JobAdmit{}, err
 	}
-	if len(pkt) < jobAdmitBytes {
-		return JobAdmit{}, fmt.Errorf("job admit %d of %d bytes: %w", len(pkt), jobAdmitBytes, ErrTruncated)
-	}
-	if len(pkt) > jobAdmitBytes {
-		return JobAdmit{}, fmt.Errorf("aggservice: %d trailing bytes after job admit", len(pkt)-jobAdmitBytes)
-	}
-	return JobAdmit{Job: int(binary.BigEndian.Uint16(pkt[2:])), JobSpec: getJobSpec(pkt[4:])}, nil
+	return JobAdmit{Job: job, JobSpec: getJobSpec(pkt[4:])}, nil
 }
 
 // EncodeJobEvict builds an operator request to evict (drain) job.
@@ -512,22 +588,15 @@ func jobNotice(job int, status AckStatus, epoch uint8, weight int) []byte {
 // The profile and class octets are returned as carried (never validated or
 // clamped), so a round trip is byte-exact.
 func DecodeJobAck(pkt []byte) (JobAck, error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return JobAck{}, fmt.Errorf("bad job ack: %w", terr)
-	} else if typ != MsgJobAck {
-		return JobAck{}, fmt.Errorf("aggservice: bad job ack type")
-	}
-	if len(pkt) < jobAckBytes {
-		return JobAck{}, fmt.Errorf("job ack %d of %d bytes: %w", len(pkt), jobAckBytes, ErrTruncated)
-	}
-	if len(pkt) > jobAckBytes {
-		return JobAck{}, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
+	job, err := decodeAs(pkt, MsgJobAck)
+	if err != nil {
+		return JobAck{}, err
 	}
 	if !AckStatus(pkt[4]).valid() {
 		return JobAck{}, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
 	}
 	return JobAck{
-		Job:     int(binary.BigEndian.Uint16(pkt[2:])),
+		Job:     job,
 		Status:  AckStatus(pkt[4]),
 		Epoch:   pkt[5],
 		JobSpec: getJobSpec(pkt[6:]),
@@ -551,36 +620,53 @@ func EncodeTuples(job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, v
 	return pkt
 }
 
-// DecodeTuples parses a MsgTuple batch. Safe on arbitrary input: the count
-// is validated against the packet length before any row is read, and
-// truncation returns a wire error wrapping ErrTruncated. The op octet is
-// returned as carried (the switch, not the decoder, validates it against
-// the job's class), so a round trip is byte-exact.
-func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("bad tuple batch: %w", terr)
-	} else if typ != MsgTuple {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch type")
-	}
-	if len(pkt) < tupleHdrBytes {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("tuple batch %d of %d header bytes: %w", len(pkt), tupleHdrBytes, ErrTruncated)
+// tupleView is a validated MsgTuple batch, read in place by the switch's fold.
+type tupleView struct {
+	op   TupleOp
+	rows []byte // count × [key(4) valbits(4)]
+}
+
+// decodeTupleView checks a MsgTuple's row count against its length before any
+// row is read. The op octet is returned as carried: the switch validates it
+// against the job's class.
+func decodeTupleView(pkt []byte) (tupleView, error) {
+	if err := decodeLen(pkt, MsgTuple); err != nil {
+		return tupleView{}, err
 	}
 	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
-	if count < 1 || len(pkt) != tupleHdrBytes+8*count {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad tuple batch (%d rows, %d bytes)", count, len(pkt))
+	if count < 1 || count > MaxTuplesPerBatch || len(pkt) != tupleHdrBytes+8*count {
+		return tupleView{}, errBadLength
 	}
-	job = int(binary.BigEndian.Uint16(pkt[2:]))
-	seq = binary.BigEndian.Uint32(pkt[4:])
-	epoch = pkt[hdrBytes]
-	op = TupleOp(pkt[hdrBytes+1])
-	keys = make([]uint32, count)
-	vals = make([]float32, count)
-	for i := 0; i < count; i++ {
-		off := tupleHdrBytes + 8*i
-		keys[i] = binary.BigEndian.Uint32(pkt[off:])
-		vals[i] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
+	return tupleView{op: TupleOp(pkt[hdrBytes+1]), rows: pkt[tupleHdrBytes:]}, nil
+}
+
+func (v tupleView) count() int { return len(v.rows) / 8 }
+
+// row returns row i's key and value, 0 ≤ i < count().
+func (v tupleView) row(i int) (key uint32, val float32) {
+	r := v.rows[8*i : 8*i+8]
+	return binary.BigEndian.Uint32(r), math.Float32frombits(binary.BigEndian.Uint32(r[4:]))
+}
+
+// DecodeTuples parses a MsgTuple batch, copying the rows out of the view the
+// switch folds from. Safe on arbitrary input (truncation wraps
+// ErrTruncated); the op octet is returned as carried, so a round trip is
+// byte-exact.
+func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
+	if _, err = decodeAs(pkt, MsgTuple); err != nil {
+		return 0, 0, 0, 0, nil, nil, err
 	}
-	return job, seq, epoch, op, keys, vals, nil
+	job, seq, epoch, _ = decodeDataHeader(pkt) // cannot fail: a TUPLE's fixed part covers the data header
+	v, err := decodeTupleView(pkt)
+	if err != nil {
+		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad %s: %w", msgTable[MsgTuple].name, err)
+	}
+	keys = make([]uint32, v.count())
+	vals = make([]float32, v.count())
+	for i := range keys {
+		keys[i], vals[i] = v.row(i)
+	}
+	return job, seq, epoch, v.op, keys, vals, nil
 }
 
 // encodeTupleAck builds the MsgTupleAck for one batch of count rows: the
@@ -599,13 +685,8 @@ func setSurvivor(ack []byte, i int) { ack[tupleAckHdrBytes+i/8] |= 1 << (i % 8) 
 // DecodeTupleAck parses a MsgTupleAck. Safe on arbitrary input; padding
 // bits past the row count must be zero (so a round trip is byte-exact).
 func DecodeTupleAck(pkt []byte) (job int, seq uint32, survivors []bool, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, fmt.Errorf("bad tuple ack: %w", terr)
-	} else if typ != MsgTupleAck {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad tuple ack type")
-	}
-	if len(pkt) < tupleAckHdrBytes {
-		return 0, 0, nil, fmt.Errorf("tuple ack %d of %d header bytes: %w", len(pkt), tupleAckHdrBytes, ErrTruncated)
+	if job, err = decodeAs(pkt, MsgTupleAck); err != nil {
+		return 0, 0, nil, err
 	}
 	count := int(binary.BigEndian.Uint16(pkt[hdrBytes:]))
 	if count < 1 || len(pkt) != tupleAckHdrBytes+(count+7)/8 {
@@ -620,7 +701,7 @@ func DecodeTupleAck(pkt []byte) (job int, seq uint32, survivors []bool, err erro
 			return 0, 0, nil, fmt.Errorf("aggservice: nonzero padding in tuple ack bitmap")
 		}
 	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), survivors, nil
+	return job, binary.BigEndian.Uint32(pkt[4:]), survivors, nil
 }
 
 // EncodeDrain builds an observer request to harvest one kind of analytics
@@ -634,6 +715,23 @@ func EncodeDrain(job int, kind DrainKind, flags uint8, nonce uint32) []byte {
 	pkt[5] = flags
 	binary.BigEndian.PutUint32(pkt[6:], nonce)
 	return pkt
+}
+
+// drainReq is a decoded MsgDrain (see EncodeDrain).
+type drainReq struct {
+	kind  DrainKind
+	flags uint8
+	nonce uint32
+}
+
+func decodeDrain(pkt []byte) (drainReq, error) {
+	if err := decodeLen(pkt, MsgDrain); err != nil {
+		return drainReq{}, err
+	}
+	if pkt[4] > uint8(DrainHistogram) {
+		return drainReq{}, errDrainKind
+	}
+	return drainReq{kind: DrainKind(pkt[4]), flags: pkt[5], nonce: binary.BigEndian.Uint32(pkt[6:])}, nil
 }
 
 // encodeDrainReply builds the MsgDrainReply carrying the harvested
@@ -655,13 +753,8 @@ func encodeDrainReply(job int, kind DrainKind, entries []DrainEntry) []byte {
 // entry count is validated against the packet length, truncation wraps
 // ErrTruncated, and an unknown kind octet is rejected.
 func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry, err error) {
-	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, nil, fmt.Errorf("bad drain reply: %w", terr)
-	} else if typ != MsgDrainReply {
-		return 0, 0, nil, fmt.Errorf("aggservice: bad drain reply type")
-	}
-	if len(pkt) < drainReplyHdrBytes {
-		return 0, 0, nil, fmt.Errorf("drain reply %d of %d header bytes: %w", len(pkt), drainReplyHdrBytes, ErrTruncated)
+	if job, err = decodeAs(pkt, MsgDrainReply); err != nil {
+		return 0, 0, nil, err
 	}
 	if pkt[4] > uint8(DrainHistogram) {
 		return 0, 0, nil, fmt.Errorf("aggservice: unknown drain kind %d", pkt[4])
@@ -676,7 +769,7 @@ func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry
 		entries[i].Key = binary.BigEndian.Uint32(pkt[off:])
 		entries[i].Val = math.Float32frombits(binary.BigEndian.Uint32(pkt[off+4:]))
 	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), DrainKind(pkt[4]), entries, nil
+	return job, DrainKind(pkt[4]), entries, nil
 }
 
 // readDownlink decodes one downlink message for a chunk-window client — a
@@ -691,7 +784,7 @@ func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry
 // Anything else — other jobs' traffic, garbage — is dropped.
 func readDownlink(msg []byte, job int, epoch uint8, prof core.NumericProfile, vals []float32,
 	result func(chunk uint32, vals []float32, overflow bool)) (notice AckStatus, ok bool) {
-	typ, err := wireType(msg)
+	typ, _, err := decodeHeader(msg)
 	if err != nil {
 		return 0, false
 	}

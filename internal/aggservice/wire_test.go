@@ -14,6 +14,40 @@ import (
 // encoder must reproduce its golden exactly, and each decoder must read the
 // golden back to the values that produced it.
 func TestWireGolden(t *testing.T) {
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := hex.EncodeToString(tc.encoded); got != tc.golden {
+				t.Fatalf("encoder drifted from the golden bytes:\n got %s\nwant %s", got, tc.golden)
+			}
+			got, want, err := tc.decode(tc.packet())
+			if err != nil {
+				t.Fatalf("decode golden: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// goldenCase is one message's golden bytes, what its encoder produces today
+// and its decoder reading the golden back.
+type goldenCase struct {
+	name, golden string
+	encoded      []byte
+	decode       func(pkt []byte) (got, want any, err error)
+}
+
+// packet returns the golden datagram.
+func (tc goldenCase) packet() []byte {
+	pkt, err := hex.DecodeString(tc.golden)
+	if err != nil {
+		panic(err)
+	}
+	return pkt
+}
+
+func goldenCases() []goldenCase {
 	bf16 := core.NumericProfile{Format: core.FormatBF16}
 	rne := core.NumericProfile{Format: core.FormatF32, Guard: 2, Rounding: core.RoundingRNE}
 	query := AdmitClass{Class: ClassQuery, TopN: 10, Groups: 64}
@@ -42,15 +76,11 @@ func TestWireGolden(t *testing.T) {
 		})
 	}
 
-	cases := []struct {
-		name, golden string
-		encoded      []byte
-		decode       func(pkt []byte) (got, want any, err error)
-	}{
+	return []goldenCase{
 		{"add f32", "f200000301020304073fc00000c0100000",
-			EncodeAddProfile(3, 0x01020304, 7, core.DefaultProfile, vals), nil},
+			EncodeAddProfile(3, 0x01020304, 7, core.DefaultProfile, vals), decodeAdd(core.DefaultProfile, vals)},
 		{"add bf16", "f200000301020304073fc0c010",
-			EncodeAddProfile(3, 0x01020304, 7, bf16, vals), nil},
+			EncodeAddProfile(3, 0x01020304, 7, bf16, vals), decodeAdd(bf16, vals)},
 		{"result f32", "f2010003000000003fc00000c010000000",
 			encodeResult(3, 0, core.DefaultProfile, vals, false),
 			func(pkt []byte) (any, any, error) {
@@ -75,7 +105,7 @@ func TestWireGolden(t *testing.T) {
 				j, s, v, o, err := DecodeResultRun(pkt, 2, bf16)
 				return []any{j, s, v, o}, []any{3, uint32(2), runVals, []bool{false, false}}, err
 			}},
-		{"stats", "f2030003", EncodeStatsReq(3), nil},
+		{"stats", "f2030003", EncodeStatsReq(3), decodeJobReq(MsgStats)},
 		{"reply", "f204000302000400020101000a0040" +
 			"0102030405060708" + "0000000000000002" + "0000000000000003" + "0000000000000005" +
 			"0000000000000006" + "0000000000000007" + "0000000000000008" + "0000000000000009",
@@ -89,7 +119,7 @@ func TestWireGolden(t *testing.T) {
 				got, err := DecodeJobAdmit(pkt)
 				return got, admit, err
 			}},
-		{"evict", "f2060003", EncodeJobEvict(3), nil},
+		{"evict", "f2060003", EncodeJobEvict(3), decodeJobReq(MsgJobEvict)},
 		{"ack", "f2070003060900040200000200000040", EncodeJobAck(ack),
 			func(pkt []byte) (any, any, error) {
 				got, err := DecodeJobAck(pkt)
@@ -108,7 +138,12 @@ func TestWireGolden(t *testing.T) {
 				return []any{j, s, alive}, []any{3, uint32(0x0a0b0c0d), survivors}, err
 			}},
 		{"drain", "f20b00030101cafebabe",
-			EncodeDrain(3, DrainHeavyHitters, DrainFlagResetPrune, 0xcafebabe), nil},
+			EncodeDrain(3, DrainHeavyHitters, DrainFlagResetPrune, 0xcafebabe),
+			func(pkt []byte) (any, any, error) {
+				_, j, _ := decodeHeader(pkt)
+				req, err := decodeDrain(pkt)
+				return []any{j, req}, []any{3, drainReq{DrainHeavyHitters, DrainFlagResetPrune, 0xcafebabe}}, err
+			}},
 		{"dreply", "f20c00030200020000000540000000000000093e800000",
 			encodeDrainReply(3, DrainHistogram, entries),
 			func(pkt []byte) (any, any, error) {
@@ -116,26 +151,30 @@ func TestWireGolden(t *testing.T) {
 				return []any{j, k, e}, []any{3, DrainHistogram, entries}, err
 			}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := hex.EncodeToString(tc.encoded); got != tc.golden {
-				t.Fatalf("encoder drifted from the golden bytes:\n got %s\nwant %s", got, tc.golden)
-			}
-			if tc.decode == nil {
-				return // request-only message: the switch parses it inline
-			}
-			golden, err := hex.DecodeString(tc.golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want, err := tc.decode(golden)
-			if err != nil {
-				t.Fatalf("decode golden: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("decoded %+v, want %+v", got, want)
-			}
-		})
+}
+
+// decodeAdd reads a golden ADD back the way the switch does: the data header
+// its gate takes, then the values under the job's profile.
+func decodeAdd(prof core.NumericProfile, want []float32) func(pkt []byte) (got, _ any, err error) {
+	return func(pkt []byte) (any, any, error) {
+		j, c, e, err := decodeDataHeader(pkt)
+		if err != nil {
+			return nil, nil, err
+		}
+		v, err := decodeAddValues(pkt, len(want), prof, nil)
+		return []any{j, c, e, v}, []any{3, uint32(0x01020304), uint8(7), want}, err
+	}
+}
+
+// decodeJobReq reads back a request that names only a job: the header is
+// the whole message, its length the msgTable row's.
+func decodeJobReq(typ byte) func(pkt []byte) (got, _ any, err error) {
+	return func(pkt []byte) (any, any, error) {
+		if err := decodeLen(pkt, typ); err != nil {
+			return nil, nil, err
+		}
+		t, j, err := decodeHeader(pkt)
+		return []any{t, j}, []any{typ, 3}, err
 	}
 }
 

@@ -58,7 +58,7 @@ func (f *scriptFabric) SendBatch(_ int, pkts [][]byte) error {
 	}
 	chunks := make([]int, len(pkts))
 	for i, p := range pkts {
-		if typ, err := wireType(p); err != nil || typ != MsgAdd {
+		if typ, _, err := decodeHeader(p); err != nil || typ != MsgAdd {
 			f.t.Fatalf("worker sent a non-ADD % x", p)
 		}
 		chunks[i] = int(binary.BigEndian.Uint32(p[4:]))

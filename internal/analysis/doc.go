@@ -2,8 +2,8 @@
 // analysis suite: four analyzers that machine-check invariants the switch
 // data plane relies on but the compiler cannot see — lockedcall (*Locked
 // functions are only called with a lock held), mixedatomic (no field mixes
-// sync/atomic and plain access), wirebounds (every Decode* guards len()
-// before indexing and wraps ErrTruncated), and retaincap (packet handlers
+// sync/atomic and plain access), wirebounds (every Decode*/decode* guards
+// len() before indexing and wraps ErrTruncated), and retaincap (packet handlers
 // never retain delivered buffers past the call, per the fabric ownership
 // contract).
 //

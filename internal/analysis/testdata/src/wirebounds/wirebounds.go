@@ -1,5 +1,5 @@
-// Package wirebounds is fpisa-vet analyzer testdata: Decode* bounds-guard
-// ordering and ErrTruncated wrapping.
+// Package wirebounds is fpisa-vet analyzer testdata: Decode*/decode*
+// bounds-guard ordering and ErrTruncated wrapping.
 package wirebounds
 
 import (
@@ -29,6 +29,52 @@ func DecodeSliceGood(pkt []byte) ([]byte, error) {
 // DecodeDelegating never touches bytes itself. OK.
 func DecodeDelegating(pkt []byte) (byte, error) {
 	return DecodeGood(pkt)
+}
+
+// decodeGood is an unexported decoder — a switch's ingress parser — that
+// guards and returns the sentinel bare. OK.
+func decodeGood(pkt []byte) (byte, error) {
+	if len(pkt) < 2 {
+		return 0, ErrTruncated
+	}
+	return pkt[1], nil
+}
+
+// decodeLate is an unexported decoder held to the same rule: it indexes
+// before its len() guard.
+func decodeLate(pkt []byte) (byte, error) {
+	kind := pkt[4] // want `decodeLate indexes its \[\]byte input before any len\(\) guard`
+	if len(pkt) < 10 {
+		return 0, ErrTruncated
+	}
+	return kind, nil
+}
+
+// DecodeAfterDelegating indexes only after handing its input to another
+// decoder, which guards for it. OK.
+func DecodeAfterDelegating(pkt []byte) (byte, error) {
+	if _, err := decodeGood(pkt); err != nil {
+		return 0, err
+	}
+	return pkt[0], nil
+}
+
+// DecodeBeforeDelegating indexes first and delegates too late.
+func DecodeBeforeDelegating(pkt []byte) (byte, error) { // want `DecodeBeforeDelegating indexes its \[\]byte input but never returns an error wrapping ErrTruncated`
+	b := pkt[0] // want `DecodeBeforeDelegating indexes its \[\]byte input before any len\(\) guard`
+	if _, err := notADecoder2(pkt); err != nil {
+		return 0, err
+	}
+	return b, nil
+}
+
+// notADecoder2 guards, but is not a decoder by name: handing it the input
+// delegates nothing.
+func notADecoder2(pkt []byte) (byte, error) {
+	if len(pkt) < 1 {
+		return 0, ErrTruncated
+	}
+	return pkt[0], nil
 }
 
 // notADecoder is unguarded but not Decode*-named; out of scope. OK.

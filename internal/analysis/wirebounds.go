@@ -8,19 +8,23 @@ import (
 )
 
 // WireBounds enforces the PR 3 codec hardening on every wire decoder: a
-// Decode* function taking []byte input arrives straight off the network,
-// so it must check len(...) before its first index/slice of that input,
-// and its short-input path must return an error wrapping the package's
-// ErrTruncated sentinel so callers can distinguish truncation from
-// corruption.
+// Decode* or decode* function taking []byte input — the exported client-side
+// codecs and the unexported ones the switch's ingress parses through alike —
+// arrives straight off the network, so it must check len(...) before its
+// first index/slice of that input, and its short-input path must return an
+// error wrapping the package's ErrTruncated sentinel so callers can
+// distinguish truncation from corruption. A decoder may delegate both duties
+// by first handing its input to another decoder, which is held to the same
+// rule.
 var WireBounds = &Analyzer{
 	Name: "wirebounds",
-	Doc: `check that Decode* functions bounds-check and wrap ErrTruncated
+	Doc: `check that Decode*/decode* functions bounds-check and wrap ErrTruncated
 
-Every function named Decode* with a []byte parameter must call len(...) on
+Every function named Decode* or decode* with a []byte parameter must call len(...) on
 byte-slice input before its first index or slice expression over one, and
 must reference ErrTruncated (the truncation sentinel) so short inputs fail
-with a wrapped, matchable error instead of a panic or an anonymous one.`,
+with a wrapped, matchable error instead of a panic or an anonymous one —
+or pass the input to another such decoder first.`,
 	Run: runWireBounds,
 }
 
@@ -28,7 +32,7 @@ func runWireBounds(pass *Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Decode") {
+			if !ok || fn.Body == nil || !isDecoderName(fn.Name.Name) {
 				continue
 			}
 			if !hasByteSliceParam(pass, fn) {
@@ -38,6 +42,10 @@ func runWireBounds(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+func isDecoderName(name string) bool {
+	return strings.HasPrefix(name, "Decode") || strings.HasPrefix(name, "decode")
 }
 
 func hasByteSliceParam(pass *Pass, fn *ast.FuncDecl) bool {
@@ -52,7 +60,7 @@ func hasByteSliceParam(pass *Pass, fn *ast.FuncDecl) bool {
 
 func checkWireBounds(pass *Pass, fn *ast.FuncDecl) {
 	firstIndex := token.NoPos
-	firstLen := token.NoPos
+	firstGuard := token.NoPos
 	usesErrTruncated := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -65,10 +73,21 @@ func checkWireBounds(pass *Pass, fn *ast.FuncDecl) {
 				firstIndex = x.Pos()
 			}
 		case *ast.CallExpr:
-			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "len" && len(x.Args) == 1 {
-				if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin &&
-					byteSliceValue(pass, x.Args[0]) && !firstLen.IsValid() {
-					firstLen = x.Pos()
+			id, ok := x.Fun.(*ast.Ident)
+			if !ok {
+				break
+			}
+			// len(input) guards; so does handing the input to another
+			// decoder, which also takes over the truncation path.
+			_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
+			guards := isBuiltin && id.Name == "len" && len(x.Args) == 1
+			delegates := isDecoderName(id.Name)
+			for _, arg := range x.Args {
+				if (guards || delegates) && byteSliceValue(pass, arg) {
+					usesErrTruncated = usesErrTruncated || delegates
+					if !firstGuard.IsValid() {
+						firstGuard = x.Pos()
+					}
 				}
 			}
 		case *ast.Ident:
@@ -81,7 +100,7 @@ func checkWireBounds(pass *Pass, fn *ast.FuncDecl) {
 	if !firstIndex.IsValid() {
 		return // never indexes byte-slice input: delegating wrapper, nothing to guard
 	}
-	if !firstLen.IsValid() || firstLen > firstIndex {
+	if !firstGuard.IsValid() || firstGuard > firstIndex {
 		pass.Reportf(firstIndex,
 			"%s indexes its []byte input before any len() guard", fn.Name.Name)
 	}
