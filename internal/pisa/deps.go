@@ -208,8 +208,8 @@ func regUserName(c *compiled, t *cTable) string {
 func (c *compiled) tableIO(t *cTable) (reads, writes map[fieldID]bool) {
 	reads = make(map[fieldID]bool)
 	writes = make(map[fieldID]bool)
-	for _, k := range t.keyIDs {
-		reads[k] = true
+	for _, k := range t.key {
+		reads[k.id] = true
 	}
 	for _, a := range t.actions {
 		for _, ci := range a.instrs {
@@ -219,15 +219,8 @@ func (c *compiled) tableIO(t *cTable) (reads, writes map[fieldID]bool) {
 			writes[ci.dst] = true
 		}
 		if s := a.stateful; s != nil {
-			reads[s.index] = true
-			if s.hasIn {
-				reads[s.in] = true
-			}
-			if s.hasShift {
-				reads[s.shift] = true
-			}
-			if s.cond.Kind == CondPhv {
-				reads[s.condField] = true
+			for _, r := range s.reads() {
+				reads[r] = true
 			}
 			if s.output != OutNone {
 				writes[s.outField] = true

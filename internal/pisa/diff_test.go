@@ -3,6 +3,7 @@ package pisa
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -156,6 +157,213 @@ func TestDifferentialToyPrograms(t *testing.T) {
 	unset.Tables[0].Actions[0].Instrs[0].A = Imm(9)
 	for _, prog := range []Program{one, unset} {
 		DiffRun(t, prog, BaseArch(), groups, []DiffPacket{{0, []byte{1}}, {1, []byte{2}}, {2, []byte{1}}})
+	}
+}
+
+// randomProg draws a program that leans on everything the lowering must get
+// right: several tables per stage, every match kind (exact keys both narrow
+// enough for the direct index and wide enough for the sorted search),
+// default and no-default misses, action data, predicated instructions and
+// selects, stateful ops of every condition, update and output kind, and
+// writes to the forwarding builtins (multicast, drop, recirculation). Every
+// user field is parser-extracted, so any table may read any field in any
+// stage the compiler lets it: a table may not read what a table placed
+// before it in its stage writes, but it may read what it writes itself — a
+// stateful op whose index, input, shift or condition field an instruction
+// of its action rewrites is the hazard the executor holds writes back for.
+// Within a stage the tables write disjoint fields, as the compiler demands.
+func randomProg(rng *rand.Rand) Program {
+	var p Program
+	var fields []string // user fields, all readable everywhere
+	off := 0
+	for _, w := range []int{32, 32, 32, 32, 16, 16, 8, 8, 8, 8} {
+		name := fmt.Sprintf("f%d_%d", len(fields), w)
+		p.Fields = append(p.Fields, FieldDecl{Name: name, Width: w})
+		p.Parser = append(p.Parser, ExtractDecl{Field: name, Offset: off, Bytes: w / 8})
+		fields = append(fields, name)
+		off += w / 8
+	}
+	// The 8-bit fields, the last two of which nobody writes: keys that hit,
+	// register indices in range.
+	narrow, fixed := fields[6:], fields[8:]
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+
+	for _, egress := range []bool{false, true} {
+		for stage := 0; stage < 3; stage++ {
+			// Deal the stage's writable fields out to its tables, keeping a
+			// share nobody writes so every table has fields to read.
+			writable := append([]string(nil), fields[:8]...)
+			if egress {
+				writable = append(writable, FieldDrop, FieldRecirc)
+			} else {
+				writable = append(writable, FieldDrop, FieldEgressPort, FieldMcastGroup)
+			}
+			rng.Shuffle(len(writable), func(i, j int) { writable[i], writable[j] = writable[j], writable[i] })
+			tables := 1 + rng.Intn(3)
+			for ti := 0; ti < tables; ti++ {
+				taken := (ti + 1) * len(writable) / (tables + 1) // dealt to this table and those before it
+				own := writable[ti*len(writable)/(tables+1) : taken]
+				name := fmt.Sprintf("t_%v_%d_%d", egress, stage, ti)
+				td := TableDecl{Name: name, Stage: stage, Egress: egress, Kind: MatchKind(rng.Intn(4))}
+				reg := ""
+				if rng.Intn(2) == 0 {
+					reg = "r_" + name
+					p.Registers = append(p.Registers, RegisterDecl{
+						Name: reg, Width: []int{8, 16, 32}[rng.Intn(3)], Size: 4, Stage: stage, Egress: egress,
+					})
+				}
+				// Operands come from fields no table of the stage has been
+				// dealt yet (or are the instruction's own destination), so no
+				// instruction reads what another of its action, or a table
+				// placed earlier, writes.
+				var others []string
+				for _, f := range fields {
+					if !slices.Contains(writable[:taken], f) {
+						others = append(others, f)
+					}
+				}
+				// What a stateful op may read besides: its own table's fields.
+				mine := func(from, domain []string) []string {
+					for _, f := range own {
+						if slices.Contains(domain, f) {
+							from = append(from[:len(from):len(from)], f)
+						}
+					}
+					return from
+				}
+				action := func(name string, params bool) ActionDecl {
+					ad := ActionDecl{Name: name}
+					dsts := append([]string(nil), own...)
+					rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+					operand := func(dst string) Operand {
+						switch r := rng.Intn(8); {
+						case r < 4:
+							return F(pick(others))
+						case r < 5 && dst[0] == 'f':
+							return F(dst)
+						case r < 6 && params:
+							return P(rng.Intn(2))
+						default:
+							return Imm(rng.Uint32() >> uint(rng.Intn(32)))
+						}
+					}
+					for n := rng.Intn(4); n > 0 && len(dsts) > 0; n-- {
+						in := Instr{Op: Opcode(rng.Intn(int(OpCsel) + 1)), Dst: dsts[0]}
+						dsts = dsts[1:]
+						in.A, in.B = operand(in.Dst), operand(in.Dst)
+						if in.Op == OpCsel || rng.Intn(3) == 0 {
+							in.Pred, in.PredNeg = pick(others), rng.Intn(2) == 0
+						}
+						ad.Instrs = append(ad.Instrs, in)
+					}
+					if reg != "" && rng.Intn(4) != 0 {
+						so := &StatefulOp{
+							Register: reg, IndexField: pick(mine(fixed, narrow)), InField: pick(mine(others, fields)),
+							ShiftField: pick(mine(fixed, narrow)),
+							Cond: SaluCond{
+								Kind: SaluCondKind(rng.Intn(3)), Cmp: CmpOp(rng.Intn(6)), Field: pick(mine(others, fields)),
+								Off: int64(rng.Intn(9) - 4), Signed: rng.Intn(2) == 0,
+							},
+							True: SaluUpdate(rng.Intn(8)), False: SaluUpdate(rng.Intn(8)), Signed: rng.Intn(2) == 0,
+						}
+						if len(dsts) > 0 && rng.Intn(4) != 0 {
+							so.Output, so.OutputField = SaluOutput(1+rng.Intn(3)), dsts[0]
+							dsts = dsts[1:]
+						}
+						if len(dsts) > 0 && rng.Intn(2) == 0 {
+							so.OverflowField = dsts[0]
+						}
+						ad.Stateful = so
+					}
+					return ad
+				}
+
+				if td.Kind == MatchAlways {
+					td.Actions, td.Default = []ActionDecl{action("run", false)}, "run"
+					p.Tables = append(p.Tables, td)
+					continue
+				}
+				td.Key = []string{pick(fixed)}
+				if td.Kind == MatchExact && rng.Intn(2) == 0 {
+					td.Key = append(td.Key, pick(fixed)) // 16-bit key: sorted search
+				}
+				acts := 1 + rng.Intn(3)
+				for ai := 0; ai < acts; ai++ {
+					td.Actions = append(td.Actions, action(fmt.Sprintf("a%d", ai), true))
+				}
+				if rng.Intn(2) == 0 {
+					td.Actions = append(td.Actions, action("miss", false))
+					td.Default = "miss"
+				}
+				seen := map[uint64]bool{}
+				for n := 1 + rng.Intn(6); n > 0; n-- {
+					// Small key values: the packets below carry them often.
+					e := EntryDecl{
+						Value: uint64(rng.Intn(4)), Action: fmt.Sprintf("a%d", rng.Intn(acts)),
+						Params: []uint32{rng.Uint32(), uint32(rng.Intn(40))},
+					}
+					switch td.Kind {
+					case MatchExact:
+						if len(td.Key) == 2 {
+							e.Value |= uint64(rng.Intn(4)) << 8
+						}
+						if seen[e.Value] {
+							continue
+						}
+						seen[e.Value] = true
+					case MatchTernary:
+						e.Mask, e.Priority = uint64(rng.Intn(8)), rng.Intn(3)
+					case MatchLPM:
+						e.PrefixLen = rng.Intn(9)
+						e.Value <<= uint(rng.Intn(7))
+					}
+					td.Entries = append(td.Entries, e)
+				}
+				p.Tables = append(p.Tables, td)
+			}
+		}
+	}
+	return p
+}
+
+// TestDifferentialRandomPrograms holds the plan executor to the reference on
+// generated programs (randomProg): 60 seeds, each a fresh program and 400
+// packets, on the extended architecture so every shift form and the RSAW
+// update compile. Packets mix uniformly random bytes with small values that
+// hit the tables' entries and stay inside the registers, plus the occasional
+// truncated packet.
+func TestDifferentialRandomPrograms(t *testing.T) {
+	compiled := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := randomProg(rng)
+		if _, err := New(prog, ExtendedArch()); err != nil {
+			continue // over a stage budget: not this test's business
+		}
+		compiled++
+		pkts := make([]DiffPacket, 400)
+		for i := range pkts {
+			data := make([]byte, 28)
+			rng.Read(data)
+			for k := range data {
+				if rng.Intn(3) != 0 {
+					data[k] &= 3
+				}
+			}
+			if rng.Intn(32) == 0 {
+				data = data[:rng.Intn(len(data))]
+			}
+			pkts[i] = DiffPacket{Port: uint16(rng.Intn(4)), Data: data}
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			DiffRun(t, prog, ExtendedArch(), func(s *Switch) {
+				s.SetMcastGroup(1, []uint16{1, 2, 3})
+				s.SetMcastGroup(2, []uint16{5})
+			}, pkts)
+		})
+	}
+	if compiled < 30 {
+		t.Fatalf("only %d of 60 generated programs compiled", compiled)
 	}
 }
 

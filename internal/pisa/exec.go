@@ -32,6 +32,7 @@ type Switch struct {
 	c        *compiled
 	regs     []*registerArray
 	tstats   []tableStat
+	runs     [2]uint64 // completed plan runs, ingress and egress: every always-table's hits
 	mcast    map[uint16][]uint16
 	counters Counters
 	// Trace, when set, receives one call per executed table.
@@ -41,7 +42,7 @@ type Switch struct {
 	// for the lifetime contract).
 	phv      Phv        // the packet's PHV
 	spare    []*Phv     // fan-out and recirculation PHVs, see scratchPhv
-	writes   writeSet   // the running stage's pending PHV writes; grows to the busiest stage's count
+	writes   writeSet   // the running action's held-back PHV writes (see plan)
 	deparsed []byte     // backing store of the emitted packets
 	out      []Emission // the result slice
 }
@@ -71,10 +72,10 @@ func newInstance(c *compiled) *Switch {
 
 // Replicate instantiates another pipeline running the same compiled
 // program with fresh (zeroed) register state and counters. It skips the
-// compile entirely — the match tables, actions and dependency analysis are
-// shared — so building N parallel pipeline replicas costs N register
-// banks, not N compilations. Replicas process packets independently:
-// concurrent Process calls on *different* replicas are safe.
+// compile entirely — the match tables, actions, dependency analysis and
+// step plans are shared — so building N parallel pipeline replicas costs N
+// register banks, not N compilations. Replicas process packets
+// independently: concurrent Process calls on *different* replicas are safe.
 func (s *Switch) Replicate() *Switch {
 	return newInstance(s.c)
 }
@@ -103,6 +104,9 @@ func (s *Switch) TableStats(name string) (hits, misses uint64, err error) {
 		return 0, 0, fmt.Errorf("pisa: unknown table %q", name)
 	}
 	st := s.tstats[t.idx]
+	if t.decl.Kind == MatchAlways {
+		st.hits += s.runs[boolBit(t.decl.Egress)]
+	}
 	return st.hits, st.misses, nil
 }
 
@@ -151,7 +155,7 @@ func (s *Switch) ResetRegisters() {
 // ProcessScratch runs one packet through the full pipeline and returns the
 // emitted packets (possibly none if dropped, several if multicast).
 //
-// Nothing is allocated per packet: the PHVs, the stage write set, the
+// Nothing is allocated per packet: the PHVs, the held-back write set, the
 // deparse buffer and the returned slice are scratch owned by this Switch.
 // The emissions — the slice and every Packet in it — are valid until the
 // next call on this Switch, and pkt must not alias a previous result. That
@@ -209,7 +213,7 @@ func (s *Switch) process(ingressPort uint16, pkt []byte, depth int) error {
 		return err
 	}
 
-	if err := s.runGress(phv, s.c.ingress, "ingress"); err != nil {
+	if err := s.runPlan(phv, &s.c.ingressPlan); err != nil {
 		s.counters.RuntimeErrors++
 		return err
 	}
@@ -248,7 +252,7 @@ func (s *Switch) process(ingressPort uint16, pkt []byte, depth int) error {
 // and emits, recirculates or drops the deparsed packet.
 func (s *Switch) egress(phv *Phv, port uint16, pkt []byte, depth int) error {
 	phv.set(fidEgressPort, uint32(port))
-	if err := s.runGress(phv, s.c.egress, "egress"); err != nil {
+	if err := s.runPlan(phv, &s.c.egressPlan); err != nil {
 		s.counters.RuntimeErrors++
 		return err
 	}
@@ -267,46 +271,6 @@ func (s *Switch) egress(phv *Phv, port uint16, pkt []byte, depth int) error {
 	}
 	s.counters.Emitted++
 	s.out = append(s.out, Emission{Port: port, Packet: emitted})
-	return nil
-}
-
-// runGress executes one pipeline's stages. Each stage matches all its tables
-// against the stage-entry PHV and applies the writes afterwards — the
-// parallel-MAU semantics the compiler's conflict checks assume. The PHV is
-// not mutated until the stage's write set commits, so tables read it
-// directly.
-func (s *Switch) runGress(phv *Phv, stages [][]*cTable, gress string) error {
-	writes := &s.writes
-	for si, tables := range stages {
-		for _, t := range tables {
-			h, hit := t.match(phv)
-			if hit {
-				s.tstats[t.idx].hits++
-			} else {
-				s.tstats[t.idx].misses++
-			}
-			if h.action == nil {
-				continue
-			}
-			a := h.action
-			if s.Trace != nil {
-				s.Trace(gress, si, t.decl.Name, a.name)
-			}
-			for i := range a.instrs {
-				val, ok := a.instrs[i].eval(phv, h.params)
-				if ok {
-					writes.put(a.instrs[i].dst, val)
-				}
-			}
-			if a.stateful != nil {
-				if err := a.stateful.exec(s.regs, phv, writes); err != nil {
-					*writes = (*writes)[:0] // the failed stage's writes die with the packet
-					return err
-				}
-			}
-		}
-		writes.commit(phv)
-	}
 	return nil
 }
 

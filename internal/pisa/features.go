@@ -16,17 +16,35 @@
 // feature flags so programs can be compiled against both the base Tofino-
 // like architecture and the extended one.
 //
+// # How a packet runs
+//
+// compile resolves a program against the architecture, places its tables
+// into stages (checkDependencies), and lowers each gress once to a flat
+// step plan (plan.go): pre-resolved VLIW instructions, stateful-ALU steps
+// and keyed-table lookups in stage and table order. A packet is parsed into
+// the PHV, runs the ingress plan, passes the traffic manager (drop, unicast,
+// multicast fan-out), runs the egress plan per output port, and is deparsed
+// (or recirculated). Nothing on that path interprets a table declaration:
+// always-tables have dissolved into their action's steps, and what is left
+// of matching is the data-keyed lookups — exact by direct index or sorted
+// search, ternary and LPM by TCAM scan. Stage semantics are the
+// Packet-Transactions atom — every table of a stage reads the stage-entry
+// PHV — and hold by construction: a step writes the PHV directly unless a
+// later step of its stage still reads the old value, which the compiler's
+// placement rules leave possible only for an action's own stateful op; those
+// writes are held back until the op has run. TableStats, Counters and Trace
+// report per declared table exactly as a table-by-table interpreter would;
+// one lives on as the differential-test oracle (oracle_test.go, DiffRun).
+//
 // # Execution and buffer ownership
 //
-// A Switch executes packets on scratch it owns — the PHV, the running
-// stage's write set, the deparse buffer and the result slice — so the
-// per-packet path (ProcessScratch) allocates nothing. What ProcessScratch
-// returns is valid until the next call on the same Switch; Process is the
-// same execution handing out fresh copies. A Switch is therefore
+// A Switch executes packets on scratch it owns — the PHV, the held-back
+// write set, the deparse buffer and the result slice — so the per-packet
+// path (ProcessScratch) allocates nothing. What ProcessScratch returns is
+// valid until the next call on the same Switch; Process is the same
+// execution handing out fresh copies. A Switch is therefore
 // single-threaded: replicas (Replicate) share the immutable compiled
-// program and may run concurrently, one caller each. Stage semantics are
-// the Packet-Transactions atom: every table of a stage reads the
-// stage-entry PHV, and the stage's writes commit together afterwards.
+// program, plans included, and may run concurrently, one caller each.
 package pisa
 
 // Features describes the optional hardware extensions of paper §4.2.

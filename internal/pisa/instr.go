@@ -142,24 +142,6 @@ type cOperand struct {
 	param int
 }
 
-func (o cOperand) value(in *Phv, params []uint32) uint32 {
-	switch o.kind {
-	case srcField:
-		return in.get(o.field)
-	case srcParam:
-		return params[o.param]
-	default:
-		return o.imm
-	}
-}
-
-func (o cOperand) signedValue(in *Phv, params []uint32) int32 {
-	if o.kind == srcField {
-		return in.getSigned(o.field)
-	}
-	return int32(o.value(in, params))
-}
-
 // compiled instruction with resolved field IDs.
 type cInstr struct {
 	op       Opcode
@@ -169,84 +151,6 @@ type cInstr struct {
 	pred     fieldID
 	hasPred  bool
 	predNeg  bool
-}
-
-// eval computes the instruction result against the stage-entry PHV snapshot
-// and the matched entry's action data, and reports whether the write should
-// take effect.
-func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32, write bool) {
-	predVal := true
-	if ci.hasPred {
-		predVal = (in.get(ci.pred) != 0) != ci.predNeg
-	}
-	if ci.op != OpCsel && ci.hasPred && !predVal {
-		return 0, false
-	}
-
-	a := ci.a.value(in, params)
-	b := ci.b.value(in, params)
-
-	switch ci.op {
-	case OpMov:
-		val = a
-	case OpAdd:
-		val = a + b
-	case OpSub:
-		val = a - b
-	case OpAnd:
-		val = a & b
-	case OpOr:
-		val = a | b
-	case OpXor:
-		val = a ^ b
-	case OpNot:
-		val = ^a
-	case OpShl:
-		val = shl32(a, b)
-	case OpShrL:
-		val = shrl32(a, b)
-	case OpShrA:
-		val = uint32(shra32(ci.a.signedValue(in, params), b))
-	case OpMin:
-		val = minU(a, b)
-	case OpMax:
-		val = maxU(a, b)
-	case OpMinS:
-		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
-		if sa < sb {
-			val = uint32(sa)
-		} else {
-			val = uint32(sb)
-		}
-	case OpMaxS:
-		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
-		if sa > sb {
-			val = uint32(sa)
-		} else {
-			val = uint32(sb)
-		}
-	case OpEq:
-		val = boolBit(a == b)
-	case OpNe:
-		val = boolBit(a != b)
-	case OpLtU:
-		val = boolBit(a < b)
-	case OpLtS:
-		val = boolBit(ci.a.signedValue(in, params) < ci.b.signedValue(in, params))
-	case OpGeU:
-		val = boolBit(a >= b)
-	case OpGeS:
-		val = boolBit(ci.a.signedValue(in, params) >= ci.b.signedValue(in, params))
-	case OpCsel:
-		if predVal {
-			val = a
-		} else {
-			val = b
-		}
-	default:
-		panic(fmt.Sprintf("pisa: unknown opcode %v", ci.op))
-	}
-	return val, true
 }
 
 func shl32(v, by uint32) uint32 {
@@ -268,20 +172,6 @@ func shra32(v int32, by uint32) int32 {
 		by = 31
 	}
 	return v >> by
-}
-
-func minU(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func boolBit(b bool) uint32 {

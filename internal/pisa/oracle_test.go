@@ -8,15 +8,19 @@ import (
 	"testing"
 )
 
-// This file keeps the executor the package shipped before Switch owned its
-// scratch, as a test oracle: a fresh PHV per packet, a clone of it as every
-// stage's entry snapshot, a map as the stage's write set, a clone per
-// egress port, by-name builtin lookups and a freshly allocated deparse copy
-// per emission. It is deliberately the obvious transcription of the
-// Packet-Transactions stage atom — every table of a stage reads the
-// stage-entry PHV, the write set commits afterwards — and shares only the
-// parser, the table matcher, the VLIW evaluator and the stateful ALU with
-// the production executor. DiffRun holds the two to identical observable
+// This file keeps the executors the package shipped before — the one that
+// predates switch-owned scratch and, under it, the per-table interpreter that
+// predates compile's lowering to plans — as a test oracle: a fresh PHV per
+// packet, a clone of it as every stage's entry snapshot, a map as the stage's
+// write set that commits when the stage is through, every table matched,
+// counted and traced in turn, a clone per egress port, by-name builtin
+// lookups and a freshly allocated deparse copy per emission. It is
+// deliberately the obvious transcription of the Packet-Transactions stage
+// atom — every table of a stage reads the stage-entry PHV, the write set
+// commits afterwards — with its own VLIW evaluator and stateful ALU (at the
+// end of the file), which resolve operand kinds, widths, masks and sign
+// extension per packet. It shares only the parser and the keyed-table lookup
+// with the production executor. DiffRun holds the two to identical observable
 // behaviour.
 
 func refNewPhv(ft *fieldTable) *Phv {
@@ -118,7 +122,10 @@ func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable, gress string) error {
 		snapshot := refClone(phv)
 		writes := make(map[fieldID]uint32)
 		for _, t := range tables {
-			h, hit := t.match(snapshot)
+			h, hit := cHit{action: t.default_}, true
+			if t.decl.Kind != MatchAlways {
+				h, hit = t.lookup(t.buildKey(snapshot))
+			}
 			if hit {
 				s.tstats[t.idx].hits++
 			} else {
@@ -253,4 +260,275 @@ func DiffRun(t *testing.T, prog Program, arch Arch, setup func(*Switch), pkts []
 		}
 	}
 	state(len(pkts))
+}
+
+// The interpreter the reference executor runs on: the VLIW evaluator and the
+// stateful ALU as the package shipped them before compile lowered programs
+// to plans.
+
+// getSigned returns the container value sign-extended from its declared
+// width to int32.
+func (p *Phv) getSigned(id fieldID) int32 {
+	w := p.ft.width(id)
+	v := p.vals[id]
+	if w == 32 {
+		return int32(v)
+	}
+	signBit := uint32(1) << (w - 1)
+	if v&signBit != 0 {
+		return int32(v | ^widthMask(w))
+	}
+	return int32(v)
+}
+
+func (o cOperand) value(in *Phv, params []uint32) uint32 {
+	switch o.kind {
+	case srcField:
+		return in.get(o.field)
+	case srcParam:
+		return params[o.param]
+	default:
+		return o.imm
+	}
+}
+
+func (o cOperand) signedValue(in *Phv, params []uint32) int32 {
+	if o.kind == srcField {
+		return in.getSigned(o.field)
+	}
+	return int32(o.value(in, params))
+}
+
+// eval computes the instruction result against the stage-entry PHV snapshot
+// and the matched entry's action data, and reports whether the write should
+// take effect.
+func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32, write bool) {
+	predVal := true
+	if ci.hasPred {
+		predVal = (in.get(ci.pred) != 0) != ci.predNeg
+	}
+	if ci.op != OpCsel && ci.hasPred && !predVal {
+		return 0, false
+	}
+
+	a := ci.a.value(in, params)
+	b := ci.b.value(in, params)
+
+	switch ci.op {
+	case OpMov:
+		val = a
+	case OpAdd:
+		val = a + b
+	case OpSub:
+		val = a - b
+	case OpAnd:
+		val = a & b
+	case OpOr:
+		val = a | b
+	case OpXor:
+		val = a ^ b
+	case OpNot:
+		val = ^a
+	case OpShl:
+		val = shl32(a, b)
+	case OpShrL:
+		val = shrl32(a, b)
+	case OpShrA:
+		val = uint32(shra32(ci.a.signedValue(in, params), b))
+	case OpMin:
+		val = minU(a, b)
+	case OpMax:
+		val = maxU(a, b)
+	case OpMinS:
+		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
+		if sa < sb {
+			val = uint32(sa)
+		} else {
+			val = uint32(sb)
+		}
+	case OpMaxS:
+		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
+		if sa > sb {
+			val = uint32(sa)
+		} else {
+			val = uint32(sb)
+		}
+	case OpEq:
+		val = boolBit(a == b)
+	case OpNe:
+		val = boolBit(a != b)
+	case OpLtU:
+		val = boolBit(a < b)
+	case OpLtS:
+		val = boolBit(ci.a.signedValue(in, params) < ci.b.signedValue(in, params))
+	case OpGeU:
+		val = boolBit(a >= b)
+	case OpGeS:
+		val = boolBit(ci.a.signedValue(in, params) >= ci.b.signedValue(in, params))
+	case OpCsel:
+		if predVal {
+			val = a
+		} else {
+			val = b
+		}
+	default:
+		panic(fmt.Sprintf("pisa: unknown opcode %v", ci.op))
+	}
+	return val, true
+}
+
+func minU(a, b uint32) uint32 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func maxU(a, b uint32) uint32 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// signedVal sign-extends a stored value to int64 per the register width.
+func (r *registerArray) signedVal(v uint32) int64 {
+	w := r.decl.Width
+	if v&(1<<(w-1)) != 0 {
+		return int64(int32(v | ^widthMask(w)))
+	}
+	return int64(v)
+}
+
+// exec runs the stateful op against the given register bank: reads the
+// register, evaluates the predicate, applies the selected update, writes
+// back, and adds its PHV outputs to the stage's write set.
+func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes *writeSet) error {
+	r := bank[op.regID]
+	idx := in.get(op.index)
+	old, err := r.get(idx)
+	if err != nil {
+		return err
+	}
+	var inVal uint32
+	if op.hasIn {
+		inVal = in.get(op.in) & r.mask()
+	}
+
+	// Predicate.
+	pred := true
+	switch op.cond.Kind {
+	case CondAlways:
+		pred = true
+	case CondCmpOldIn:
+		var a, b int64
+		if op.cond.Signed {
+			a, b = r.signedVal(inVal), r.signedVal(old)
+		} else {
+			a, b = int64(inVal), int64(old)
+		}
+		pred = op.cond.Cmp.apply(a, b+op.cond.Off)
+	case CondPhv:
+		v := int64(in.get(op.condField))
+		if op.cond.Signed {
+			v = int64(in.getSigned(op.condField))
+		}
+		pred = op.cond.Cmp.apply(v, op.cond.Off)
+	}
+
+	upd := op.false_
+	if pred {
+		upd = op.true_
+	}
+
+	overflow := false
+	newVal := old
+	switch upd {
+	case UKeepOld:
+	case USetIn:
+		newVal = inVal
+	case UZero:
+		newVal = 0
+	case UAddIn:
+		newVal, overflow = op.addWrap(r, old, inVal)
+	case USubIn:
+		newVal, overflow = op.addWrap(r, old, (-inVal)&r.mask())
+	case UMaxIn:
+		if op.cmpGreater(r, inVal, old) {
+			newVal = inVal
+		}
+	case UMinIn:
+		if op.cmpGreater(r, old, inVal) {
+			newVal = inVal
+		}
+	case URsawAddIn:
+		var dist uint32
+		if op.hasShift {
+			dist = in.get(op.shift)
+		}
+		shifted := op.shiftRight(r, old, dist)
+		newVal, overflow = op.addWrap(r, shifted, inVal)
+	}
+	newVal &= r.mask()
+	r.vals[idx] = newVal
+
+	switch op.output {
+	case OutOld:
+		writes.put(op.outField, old)
+	case OutNew:
+		writes.put(op.outField, newVal)
+	case OutPred:
+		writes.put(op.outField, boolBit(pred))
+	}
+	if op.hasOvField {
+		writes.put(op.ovField, boolBit(overflow))
+	}
+	return nil
+}
+
+// addWrap adds within the register width and reports signed overflow when
+// the op is signed (unsigned ops never report overflow: wrapping is the
+// defined behaviour for counters).
+func (op *cStatefulOp) addWrap(r *registerArray, a, b uint32) (uint32, bool) {
+	m := r.mask()
+	sum := (a + b) & m
+	if !op.signed {
+		return sum, false
+	}
+	w := r.decl.Width
+	signBit := uint32(1) << (w - 1)
+	// Signed overflow: operands share a sign that differs from the result's.
+	if (a^b)&signBit == 0 && (a^sum)&signBit != 0 {
+		return sum, true
+	}
+	return sum, false
+}
+
+func (op *cStatefulOp) cmpGreater(r *registerArray, a, b uint32) bool {
+	if op.signed {
+		return r.signedVal(a) > r.signedVal(b)
+	}
+	return a > b
+}
+
+func (op *cStatefulOp) shiftRight(r *registerArray, v, dist uint32) uint32 {
+	w := uint32(r.decl.Width)
+	if op.signed {
+		if dist >= w {
+			dist = w - 1
+		}
+		s := r.signedVal(v) >> dist
+		return uint32(s) & r.mask()
+	}
+	if dist >= w {
+		return 0
+	}
+	return v >> dist
+}
+
+func (r *registerArray) get(i uint32) (uint32, error) {
+	if int(i) >= len(r.vals) {
+		return 0, fmt.Errorf("pisa: register %q index %d out of range %d", r.decl.Name, i, len(r.vals))
+	}
+	return r.vals[i], nil
 }

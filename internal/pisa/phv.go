@@ -124,28 +124,11 @@ func (p *Phv) set(id fieldID, v uint32) {
 	p.vals[id] = v & p.ft.masks[id]
 }
 
-// getSigned returns the container value sign-extended from its declared
-// width to int32.
-func (p *Phv) getSigned(id fieldID) int32 {
-	w := p.ft.width(id)
-	v := p.vals[id]
-	if w == 32 {
-		return int32(v)
-	}
-	signBit := uint32(1) << (w - 1)
-	if v&signBit != 0 {
-		return int32(v | ^widthMask(w))
-	}
-	return int32(v)
-}
-
-// writeSet is one stage's pending PHV writes, in write order: every table
-// of a stage reads the stage-entry PHV and the writes commit together
-// afterwards (the parallel-MAU semantics the compiler's conflict checks
-// assume). The compiler admits at most one writer per field per stage, so a
-// set holds each field at most once and never outgrows the field count;
-// were a field ever written twice, the later write would win. The backing
-// array grows to the busiest stage's write count over a replica's first
+// writeSet holds the PHV writes the executor may not apply yet, in write
+// order: an action's instruction results whose destination the action's own
+// stateful op still has to read at its stage-entry value (see plan). They
+// commit when the op has run, so a set never outgrows one action's
+// instruction count; the backing array grows to that over a replica's first
 // packets and is reused from then on.
 type writeSet []phvWrite
 

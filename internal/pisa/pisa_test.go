@@ -471,6 +471,48 @@ func TestExactMatchTable(t *testing.T) {
 	}
 }
 
+// A key wider than denseKeyBits is found by search over the sorted entries
+// rather than by direct index: two fields, the first in the key's high bits.
+func TestExactMatchWideKey(t *testing.T) {
+	prog := Program{
+		Fields: []FieldDecl{{Name: "hi", Width: 32}, {Name: "lo", Width: 8}, {Name: "out", Width: 8}},
+		Parser: []ExtractDecl{
+			{Field: "hi", Offset: 0, Bytes: 4}, {Field: "lo", Offset: 4, Bytes: 1}, {Field: "out", Offset: 5, Bytes: 1},
+		},
+		Tables: []TableDecl{{
+			Name: "t", Stage: 0, Kind: MatchExact, Key: []string{"hi", "lo"},
+			Actions: []ActionDecl{{Name: "set", Instrs: []Instr{{Op: OpMov, Dst: "out", A: P(0)}}}},
+			Entries: []EntryDecl{ // not in key order
+				{Value: 0xDEADBEEF_07, Action: "set", Params: []uint32{3}},
+				{Value: 0x00000001_00, Action: "set", Params: []uint32{1}},
+				{Value: 0xFFFFFFFF_FF, Action: "set", Params: []uint32{4}},
+				{Value: 0x00000001_01, Action: "set", Params: []uint32{2}},
+			},
+		}},
+	}
+	sw := mustSwitch(t, prog, BaseArch())
+	for _, c := range []struct {
+		hi   uint32
+		lo   byte
+		want byte
+	}{
+		{1, 0, 1}, {1, 1, 2}, {0xDEADBEEF, 7, 3}, {0xFFFFFFFF, 0xFF, 4},
+		{1, 2, 0}, {0, 1, 0}, {0xDEADBEEF, 0, 0}, // misses leave out alone
+	} {
+		pkt := binary.BigEndian.AppendUint32(nil, c.hi)
+		out, err := sw.Process(0, append(pkt, c.lo, 0))
+		if err != nil || len(out) != 1 {
+			t.Fatalf("out = %+v, %v", out, err)
+		}
+		if got := out[0].Packet[5]; got != c.want {
+			t.Errorf("key %#x/%#x: out = %d, want %d", c.hi, c.lo, got, c.want)
+		}
+	}
+	if hits, misses, _ := sw.TableStats("t"); hits != 4 || misses != 3 {
+		t.Errorf("stats = %d/%d, want 4/3", hits, misses)
+	}
+}
+
 // mcastDropProg multicasts mode-1 packets to group 7 and drops mode-2 ones.
 func mcastDropProg() Program {
 	return Program{
@@ -621,6 +663,14 @@ func TestCompileErrors(t *testing.T) {
 		prog Program
 		want string
 	}{
+		{
+			"unknown opcode",
+			Program{Fields: f, Parser: p, Tables: []TableDecl{
+				{Name: "t", Stage: 0, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpCsel + 1, Dst: "b", A: Imm(1)}}}}, Default: "x"},
+			}},
+			"unknown opcode",
+		},
 		{
 			"backward dependency",
 			Program{Fields: f, Parser: p, Tables: []TableDecl{
@@ -904,5 +954,219 @@ func TestNarrowContainerArithmetic(t *testing.T) {
 	}
 	if out[0].Packet[1] != 0 {
 		t.Error("positive 8-bit value misclassified as negative")
+	}
+}
+
+// The plan writes straight to the PHV unless a later step of the stage reads
+// the field, and its lowering relies on the compiler for what "later step"
+// can mean (see plan): a table placed after a writer in the writer's stage
+// may not read the written field — as an operand, a predicate, a match key
+// or a stateful op's index. Were this rule relaxed, those writes would have
+// to be held back too.
+func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
+	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
+	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
+	writer := TableDecl{
+		Name: "w", Stage: 0, Kind: MatchAlways,
+		Actions: []ActionDecl{{Name: "w", Instrs: []Instr{{Op: OpAdd, Dst: "x", A: F("x"), B: Imm(1)}}}}, Default: "w",
+	}
+	readers := map[string]TableDecl{
+		"operand": {Name: "r", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: F("x")}}}}, Default: "r"},
+		"predicate": {Name: "r", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: Imm(1), Pred: "x"}}}}, Default: "r"},
+		"key": {Name: "r", Stage: 0, Kind: MatchExact, Key: []string{"x"},
+			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: Imm(1)}}}},
+			Entries: []EntryDecl{{Value: 1, Action: "r"}}},
+		"salu index": {Name: "r", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{Name: "r", Stateful: &StatefulOp{
+				Register: "q", IndexField: "x", True: UZero, Output: OutOld, OutputField: "o",
+			}}}, Default: "r"},
+	}
+	for name, reader := range readers {
+		prog := Program{
+			Fields: fields, Parser: parser,
+			Registers: []RegisterDecl{{Name: "q", Width: 8, Size: 4, Stage: 0}},
+			Tables:    []TableDecl{writer, reader},
+		}
+		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), "cannot flow backward") {
+			t.Errorf("%s reading an earlier table's write in its stage: err = %v", name, err)
+		}
+		// Placed before the writer, the reader has run by the time x changes.
+		prog.Tables = []TableDecl{reader, writer}
+		if _, err := New(prog, BaseArch()); err != nil {
+			t.Errorf("%s reading ahead of the writer: %v", name, err)
+		}
+	}
+}
+
+// hazardProg is the one read-after-write the compiler admits inside a stage:
+// an action's instructions rewrite every field its own stateful op reads —
+// index, input, shift distance and condition.
+func hazardProg() Program {
+	return Program{
+		Fields: []FieldDecl{
+			{Name: "idx", Width: 8}, {Name: "in", Width: 32}, {Name: "sh", Width: 8},
+			{Name: "cf", Width: 8}, {Name: "out", Width: 32},
+		},
+		Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 4, Stage: 0}},
+		Parser: []ExtractDecl{
+			{Field: "idx", Offset: 0, Bytes: 1}, {Field: "in", Offset: 1, Bytes: 4}, {Field: "sh", Offset: 5, Bytes: 1},
+			{Field: "cf", Offset: 6, Bytes: 1}, {Field: "out", Offset: 7, Bytes: 4},
+		},
+		Tables: []TableDecl{{
+			Name: "t", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{
+				Name: "a",
+				Instrs: []Instr{
+					{Op: OpAdd, Dst: "idx", A: F("idx"), B: Imm(1)},
+					{Op: OpAdd, Dst: "in", A: F("in"), B: Imm(1000)},
+					{Op: OpAdd, Dst: "sh", A: F("sh"), B: Imm(1)},
+					{Op: OpXor, Dst: "cf", A: F("cf"), B: Imm(1)},
+				},
+				Stateful: &StatefulOp{
+					Register: "r", IndexField: "idx", InField: "in", ShiftField: "sh",
+					Cond: SaluCond{Kind: CondPhv, Field: "cf", Cmp: CmpNe},
+					True: URsawAddIn, False: UKeepOld, Output: OutNew, OutputField: "out",
+				},
+			}},
+			Default: "a",
+		}},
+	}
+}
+
+// A stateful op sees the stage-entry value of every field it reads, although
+// the instructions of its action, which the executor runs first, rewrite
+// them; the rewrites land once the op has run.
+func TestStatefulOpReadsStageEntryValues(t *testing.T) {
+	sw := mustSwitch(t, hazardProg(), ExtendedArch())
+	if err := sw.WriteRegister("r", 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	pkt := []byte{1, 0, 0, 0, 5, 1, 1, 0, 0, 0, 0} // idx 1, in 5, sh 1, cf 1
+	out, err := sw.Process(0, pkt)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("out = %+v, %v", out, err)
+	}
+	// cf != 0 at stage entry, so r[1] = (8 >> 1) + 5; with the rewritten
+	// values the op would have kept r[2].
+	if regs, _ := sw.RegisterSnapshot("r"); regs[1] != 9 || regs[2] != 0 {
+		t.Errorf("r = %v, want [0 9 0 0]", regs)
+	}
+	if want := []byte{2, 0, 0, 0x03, 0xed, 2, 0, 0, 0, 0, 9}; string(out[0].Packet) != string(want) {
+		t.Errorf("packet = % x, want % x", out[0].Packet, want)
+	}
+}
+
+// A stateful op that fails kills its packet and nothing else: register
+// updates of earlier stages stay, writes held back for the failed op are
+// dropped rather than leaked into the next packet, and the table counters
+// show how far the packet got.
+func TestStatefulErrorMidPipeline(t *testing.T) {
+	prog := Program{
+		Fields: []FieldDecl{
+			{Name: "z", Width: 8}, {Name: "idx", Width: 8}, {Name: "in", Width: 32}, {Name: "out", Width: 32},
+		},
+		Registers: []RegisterDecl{
+			{Name: "seen", Width: 32, Size: 1, Stage: 0},
+			{Name: "q", Width: 32, Size: 2, Stage: 1},
+		},
+		Parser: []ExtractDecl{
+			{Field: "z", Offset: 0, Bytes: 1}, {Field: "idx", Offset: 1, Bytes: 1},
+			{Field: "in", Offset: 2, Bytes: 4}, {Field: "out", Offset: 6, Bytes: 4},
+		},
+		Tables: []TableDecl{
+			{
+				Name: "count", Stage: 0, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "c", Stateful: &StatefulOp{
+					Register: "seen", IndexField: "z", InField: "idx", True: UAddIn,
+				}}},
+				Default: "c",
+			},
+			{
+				Name: "acc", Stage: 1, Kind: MatchAlways,
+				Actions: []ActionDecl{{
+					Name:   "a",
+					Instrs: []Instr{{Op: OpAdd, Dst: "in", A: F("in"), B: Imm(1)}}, // held back: the op reads in
+					Stateful: &StatefulOp{
+						Register: "q", IndexField: "idx", InField: "in", True: UAddIn,
+						Output: OutNew, OutputField: "out",
+					},
+				}},
+				Default: "a",
+			},
+			{
+				Name: "after", Stage: 2, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "f", Instrs: []Instr{{Op: OpMov, Dst: FieldEgressPort, A: Imm(3)}}}},
+				Default: "f",
+			},
+		},
+	}
+	sw := mustSwitch(t, prog, BaseArch())
+
+	out, err := sw.Process(0, []byte{0, 5, 0, 0, 0, 100, 0, 0, 0, 0}) // q has no element 5
+	if err == nil || !strings.Contains(err.Error(), `register "q" index 5 out of range 2`) || out != nil {
+		t.Fatalf("out = %+v, err = %v", out, err)
+	}
+	if c := sw.Counters(); c.RuntimeErrors != 1 || c.Emitted != 0 || c.Received != 1 {
+		t.Errorf("counters = %+v", c)
+	}
+	if seen, _ := sw.RegisterSnapshot("seen"); seen[0] != 5 {
+		t.Errorf("seen = %v: the earlier stage's update must stay", seen)
+	}
+
+	out, err = sw.Process(0, []byte{0, 1, 0, 0, 0, 7, 0, 0, 0, 0})
+	if err != nil || len(out) != 1 || out[0].Port != 3 {
+		t.Fatalf("out = %+v, %v", out, err)
+	}
+	if want := []byte{0, 1, 0, 0, 0, 8, 0, 0, 0, 7}; string(out[0].Packet) != string(want) {
+		t.Errorf("packet = % x, want % x", out[0].Packet, want)
+	}
+	if q, _ := sw.RegisterSnapshot("q"); q[0] != 0 || q[1] != 7 {
+		t.Errorf("q = %v, want [0 7]", q)
+	}
+	for name, want := range map[string]uint64{"count": 2, "acc": 2, "after": 1} {
+		if hits, misses, _ := sw.TableStats(name); hits != want || misses != 0 {
+			t.Errorf("table %q: %d hits, %d misses, want %d, 0", name, hits, misses, want)
+		}
+	}
+}
+
+// What a stage writes — here a stateful op's running count — the next stage
+// reads.
+func TestNextStageSeesWrite(t *testing.T) {
+	prog := Program{
+		Fields:    []FieldDecl{{Name: "z", Width: 8}, {Name: "one", Width: 8}, {Name: "cnt", Width: 32}, {Name: "dbl", Width: 32}},
+		Registers: []RegisterDecl{{Name: "ctr", Width: 32, Size: 1, Stage: 0}},
+		Parser: []ExtractDecl{
+			{Field: "z", Offset: 0, Bytes: 1}, {Field: "one", Offset: 1, Bytes: 1},
+			{Field: "cnt", Offset: 2, Bytes: 4}, {Field: "dbl", Offset: 6, Bytes: 4},
+		},
+		Tables: []TableDecl{
+			{
+				Name: "bump", Stage: 0, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "b", Stateful: &StatefulOp{
+					Register: "ctr", IndexField: "z", InField: "one", True: UAddIn, Output: OutNew, OutputField: "cnt",
+				}}},
+				Default: "b",
+			},
+			{
+				Name: "use", Stage: 1, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "u", Instrs: []Instr{
+					{Op: OpAdd, Dst: "dbl", A: F("cnt"), B: F("cnt")},
+				}}},
+				Default: "u",
+			},
+		},
+	}
+	sw := mustSwitch(t, prog, BaseArch())
+	for n := byte(1); n <= 2; n++ {
+		out, err := sw.Process(0, []byte{0, 1, 9, 9, 9, 9, 9, 9, 9, 9})
+		if err != nil || len(out) != 1 {
+			t.Fatalf("out = %+v, %v", out, err)
+		}
+		if want := []byte{0, 1, 0, 0, 0, n, 0, 0, 0, 2 * n}; string(out[0].Packet) != string(want) {
+			t.Errorf("packet %d = % x, want % x", n, out[0].Packet, want)
+		}
 	}
 }

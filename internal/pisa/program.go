@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 
 	"fpisa/internal/tcam"
 )
@@ -79,9 +80,11 @@ type compiled struct {
 	parserBits []cBitExtract
 	ingress    [][]*cTable // indexed by stage; built during checkDependencies
 	egress     [][]*cTable
-	declared   []*cTable // declaration order, both gresses
-	util       Utilization
-	tables     map[string]*cTable
+	// What the executor runs: each gress lowered to one flat step plan.
+	ingressPlan, egressPlan plan
+	declared                []*cTable // declaration order, both gresses
+	util                    Utilization
+	tables                  map[string]*cTable
 }
 
 // compile resolves and validates the program against the architecture.
@@ -117,6 +120,8 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.checkDependencies(); err != nil {
 		return nil, err
 	}
+	c.ingressPlan = c.lower(false, c.ingress)
+	c.egressPlan = c.lower(true, c.egress)
 	if err := c.accountResources(); err != nil {
 		return nil, err
 	}
@@ -272,15 +277,15 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pisa: table %q key: %w", d.Name, err)
 		}
-		t.keyIDs = append(t.keyIDs, id)
+		t.key = append(t.key, keyField{id: id})
 		t.keyBits += c.ft.width(id)
 	}
 	if t.keyBits > 64 {
 		return nil, fmt.Errorf("pisa: table %q: key wider than 64 bits unsupported by simulator", d.Name)
 	}
-	for i, shift := 0, t.keyBits; i < len(t.keyIDs); i++ {
-		shift -= c.ft.width(t.keyIDs[i])
-		t.keyShifts = append(t.keyShifts, uint(shift))
+	for i, shift := 0, t.keyBits; i < len(t.key); i++ {
+		shift -= c.ft.width(t.key[i].id)
+		t.key[i].shift = uint8(shift)
 	}
 
 	// Actions.
@@ -313,8 +318,6 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 
 	// Entries.
 	switch d.Kind {
-	case MatchExact:
-		t.exact = make(map[uint64]cHit, len(d.Entries))
 	case MatchTernary:
 		tt, err := tcam.New[cHit](t.keyBits)
 		if err != nil {
@@ -342,15 +345,26 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		case MatchAlways:
 			return nil, fmt.Errorf("pisa: table %q: always-tables take no entries", d.Name)
 		case MatchExact:
-			if _, dup := t.exact[e.Value]; dup {
+			i, dup := slices.BinarySearch(t.exactKeys, e.Value)
+			if dup {
 				return nil, fmt.Errorf("pisa: table %q: duplicate exact entry %#x", d.Name, e.Value)
 			}
-			t.exact[e.Value] = h
+			t.exactKeys = slices.Insert(t.exactKeys, i, e.Value)
+			t.exactHits = slices.Insert(t.exactHits, i, h)
 		case MatchTernary:
 			t.ternary.Insert(tcam.Entry[cHit]{Value: e.Value, Mask: e.Mask, Priority: e.Priority, Action: h})
 		case MatchLPM:
 			if err := t.lpm.Insert(e.Value, e.PrefixLen, h); err != nil {
 				return nil, fmt.Errorf("pisa: table %q: %w", d.Name, err)
+			}
+		}
+	}
+
+	if d.Kind == MatchExact && t.keyBits <= denseKeyBits {
+		t.dense = make([]uint16, 1<<t.keyBits)
+		for i, k := range t.exactKeys {
+			if k < uint64(len(t.dense)) { // a wider value can never match
+				t.dense[k] = uint16(i + 1)
 			}
 		}
 	}
@@ -397,6 +411,9 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 	}
 
 	for _, in := range ad.Instrs {
+		if in.Op < OpMov || in.Op > OpCsel {
+			return nil, fmt.Errorf("pisa: table %q action %q: unknown opcode %v", td.Name, ad.Name, in.Op)
+		}
 		ci := cInstr{op: in.Op}
 		id, err := c.ft.lookup(in.Dst)
 		if err != nil {

@@ -1,7 +1,5 @@
 package pisa
 
-import "fmt"
-
 // RegisterDecl declares a stateful register array. A register array lives in
 // exactly one pipeline stage and can be accessed by at most one stateful
 // operation per packet — the PISA constraint that forces FPISA's design
@@ -149,22 +147,6 @@ type registerArray struct {
 
 func (r *registerArray) mask() uint32 { return widthMask(r.decl.Width) }
 
-func (r *registerArray) get(i uint32) (uint32, error) {
-	if int(i) >= len(r.vals) {
-		return 0, fmt.Errorf("pisa: register %q index %d out of range %d", r.decl.Name, i, len(r.vals))
-	}
-	return r.vals[i], nil
-}
-
-// signedVal sign-extends a stored value to int64 per the register width.
-func (r *registerArray) signedVal(v uint32) int64 {
-	w := r.decl.Width
-	if v&(1<<(w-1)) != 0 {
-		return int64(int32(v | ^widthMask(w)))
-	}
-	return int64(v)
-}
-
 // compiled stateful op with resolved IDs. The register is referenced by
 // its index into the switch's register bank (not a pointer) so the same
 // compiled action can serve many pipeline replicas, each with its own
@@ -187,128 +169,18 @@ type cStatefulOp struct {
 	hasOvField bool
 }
 
-// exec runs the stateful op against the given register bank: reads the
-// register, evaluates the predicate, applies the selected update, writes
-// back, and adds its PHV outputs to the stage's write set.
-func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes *writeSet) error {
-	r := bank[op.regID]
-	idx := in.get(op.index)
-	old, err := r.get(idx)
-	if err != nil {
-		return err
-	}
-	var inVal uint32
+// reads lists the PHV fields the op reads: its register index, input, shift
+// distance and condition field.
+func (op *cStatefulOp) reads() []fieldID {
+	r := []fieldID{op.index}
 	if op.hasIn {
-		inVal = in.get(op.in) & r.mask()
+		r = append(r, op.in)
 	}
-
-	// Predicate.
-	pred := true
-	switch op.cond.Kind {
-	case CondAlways:
-		pred = true
-	case CondCmpOldIn:
-		var a, b int64
-		if op.cond.Signed {
-			a, b = r.signedVal(inVal), r.signedVal(old)
-		} else {
-			a, b = int64(inVal), int64(old)
-		}
-		pred = op.cond.Cmp.apply(a, b+op.cond.Off)
-	case CondPhv:
-		v := int64(in.get(op.condField))
-		if op.cond.Signed {
-			v = int64(in.getSigned(op.condField))
-		}
-		pred = op.cond.Cmp.apply(v, op.cond.Off)
+	if op.hasShift {
+		r = append(r, op.shift)
 	}
-
-	upd := op.false_
-	if pred {
-		upd = op.true_
+	if op.cond.Kind == CondPhv {
+		r = append(r, op.condField)
 	}
-
-	overflow := false
-	newVal := old
-	switch upd {
-	case UKeepOld:
-	case USetIn:
-		newVal = inVal
-	case UZero:
-		newVal = 0
-	case UAddIn:
-		newVal, overflow = op.addWrap(r, old, inVal)
-	case USubIn:
-		newVal, overflow = op.addWrap(r, old, (-inVal)&r.mask())
-	case UMaxIn:
-		if op.cmpGreater(r, inVal, old) {
-			newVal = inVal
-		}
-	case UMinIn:
-		if op.cmpGreater(r, old, inVal) {
-			newVal = inVal
-		}
-	case URsawAddIn:
-		var dist uint32
-		if op.hasShift {
-			dist = in.get(op.shift)
-		}
-		shifted := op.shiftRight(r, old, dist)
-		newVal, overflow = op.addWrap(r, shifted, inVal)
-	}
-	newVal &= r.mask()
-	r.vals[idx] = newVal
-
-	switch op.output {
-	case OutOld:
-		writes.put(op.outField, old)
-	case OutNew:
-		writes.put(op.outField, newVal)
-	case OutPred:
-		writes.put(op.outField, boolBit(pred))
-	}
-	if op.hasOvField {
-		writes.put(op.ovField, boolBit(overflow))
-	}
-	return nil
-}
-
-// addWrap adds within the register width and reports signed overflow when
-// the op is signed (unsigned ops never report overflow: wrapping is the
-// defined behaviour for counters).
-func (op *cStatefulOp) addWrap(r *registerArray, a, b uint32) (uint32, bool) {
-	m := r.mask()
-	sum := (a + b) & m
-	if !op.signed {
-		return sum, false
-	}
-	w := r.decl.Width
-	signBit := uint32(1) << (w - 1)
-	// Signed overflow: operands share a sign that differs from the result's.
-	if (a^b)&signBit == 0 && (a^sum)&signBit != 0 {
-		return sum, true
-	}
-	return sum, false
-}
-
-func (op *cStatefulOp) cmpGreater(r *registerArray, a, b uint32) bool {
-	if op.signed {
-		return r.signedVal(a) > r.signedVal(b)
-	}
-	return a > b
-}
-
-func (op *cStatefulOp) shiftRight(r *registerArray, v, dist uint32) uint32 {
-	w := uint32(r.decl.Width)
-	if op.signed {
-		if dist >= w {
-			dist = w - 1
-		}
-		s := r.signedVal(v) >> dist
-		return uint32(s) & r.mask()
-	}
-	if dist >= w {
-		return 0
-	}
-	return v >> dist
+	return r
 }

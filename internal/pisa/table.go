@@ -1,6 +1,10 @@
 package pisa
 
-import "fpisa/internal/tcam"
+import (
+	"slices"
+
+	"fpisa/internal/tcam"
+)
 
 // MatchKind is the match type of a table.
 type MatchKind int
@@ -86,14 +90,19 @@ type cHit struct {
 // compiled table. Immutable after compile; hit/miss counters live in the
 // Switch (indexed by idx) so replicas sharing the program count separately.
 type cTable struct {
-	decl   TableDecl
-	keyIDs []fieldID
-	// keyShifts[i] is the bit position of keyIDs[i] in the concatenated
-	// key: the widths of the fields after it.
-	keyShifts []uint
-	keyBits   int
-	actions   map[string]*cAction
-	exact     map[uint64]cHit
+	decl TableDecl
+	// key lists the key fields, each with its bit position in the
+	// concatenated key: the widths of the fields after it.
+	key     []keyField
+	keyBits int
+	actions map[string]*cAction
+	// An exact table's entries, sorted by key: exactHits[i] belongs to
+	// exactKeys[i]. A key of at most denseKeyBits is looked up by direct
+	// index instead of by search: dense[key] is 1 + its entry's position,
+	// 0 for no entry.
+	exactKeys []uint64
+	exactHits []cHit
+	dense     []uint16
 	ternary   *tcam.Table[cHit]
 	lpm       *tcam.LPM[cHit]
 	default_  *cAction
@@ -101,6 +110,20 @@ type cTable struct {
 	// idx is the table's position in declaration order, the key into the
 	// switch's per-table counters.
 	idx int
+	// end is the pc past a keyed table's steps in its gress's plan, where a
+	// miss without a default action continues.
+	end int
+}
+
+// denseKeyBits bounds the exact-match keys that get a direct index (one
+// 16-bit word per possible key). A lookup by index does not branch on the
+// key, which a search over sorted keys does on every probe — and the FPISA
+// program's exact tables all match the 8-bit opcode.
+const denseKeyBits = 8
+
+type keyField struct {
+	id    fieldID
+	shift uint8
 }
 
 type cAction struct {
@@ -110,35 +133,43 @@ type cAction struct {
 	// nParams is the number of action-data parameters the instructions
 	// reference; entries must supply at least this many.
 	nParams int
+	// start and end bound the action's steps in its gress's plan (keyed
+	// tables only; an always-table's action has no entry point). An action
+	// without steps starts past its table.
+	start, end int
 }
 
 // buildKey concatenates key field values, first field in the highest bits,
 // mirroring hardware key construction.
 func (t *cTable) buildKey(p *Phv) uint64 {
 	var k uint64
-	for i, id := range t.keyIDs {
-		k |= uint64(p.get(id)) << t.keyShifts[i]
+	for _, f := range t.key {
+		k |= uint64(p.vals[f.id]) << f.shift
 	}
 	return k
 }
 
-// match returns the action (plus its action data) to execute for the PHV
-// and whether an entry hit; a nil action means a no-op miss. It never
-// mutates the table, so replicas can match concurrently.
-func (t *cTable) match(p *Phv) (cHit, bool) {
+// lookup returns the action (plus its action data) a keyed table executes
+// for a built key and whether an entry hit; a nil action means a no-op miss.
+// It never mutates the table, so replicas can look up concurrently.
+func (t *cTable) lookup(key uint64) (cHit, bool) {
 	switch t.decl.Kind {
-	case MatchAlways:
-		return cHit{action: t.default_}, true
 	case MatchExact:
-		if h, ok := t.exact[t.buildKey(p)]; ok {
-			return h, true
+		if t.dense != nil {
+			if i := t.dense[key]; i != 0 {
+				return t.exactHits[i-1], true
+			}
+			break
+		}
+		if i, ok := slices.BinarySearch(t.exactKeys, key); ok {
+			return t.exactHits[i], true
 		}
 	case MatchTernary:
-		if h, ok := t.ternary.Lookup(t.buildKey(p)); ok {
+		if h, ok := t.ternary.Lookup(key); ok {
 			return h, true
 		}
 	case MatchLPM:
-		if h, ok := t.lpm.Lookup(t.buildKey(p)); ok {
+		if h, ok := t.lpm.Lookup(key); ok {
 			return h, true
 		}
 	}

@@ -19,7 +19,7 @@ package tcam
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Entry is one TCAM row. Type parameter A is the action payload returned on
@@ -34,15 +34,28 @@ type Entry[A any] struct {
 	Priority int
 	// Action is returned when this entry is the winning match.
 	Action A
-
-	seq int // insertion order, used as the tiebreaker
 }
 
-// Table is a priority-ordered ternary match table.
+// plane is one row's match planes: what a search compares against.
+type plane struct {
+	value, mask uint64
+}
+
+// result is the rest of a row: what orders it and what a match returns.
+type result[A any] struct {
+	priority int
+	action   A
+}
+
+// Table is a priority-ordered ternary match table. Rows are kept in match
+// order — priority descending, insertion order within a priority — so the
+// first matching row wins. A row's match planes are stored apart from its
+// result (planes[i] belongs to results[i]): a search scans 16 bytes per row
+// and touches one result, the winner's.
 type Table[A any] struct {
 	width   int
-	entries []Entry[A]
-	seq     int
+	planes  []plane
+	results []result[A]
 }
 
 // New creates a TCAM matching keys of the given bit width (1..64).
@@ -66,7 +79,7 @@ func MustNew[A any](width int) *Table[A] {
 func (t *Table[A]) Width() int { return t.width }
 
 // Len returns the number of installed entries.
-func (t *Table[A]) Len() int { return len(t.entries) }
+func (t *Table[A]) Len() int { return len(t.planes) }
 
 // keyMask returns a mask covering the table's key width.
 func (t *Table[A]) keyMask() uint64 {
@@ -79,57 +92,56 @@ func (t *Table[A]) keyMask() uint64 {
 // Insert installs an entry. Value bits outside Mask or the key width are
 // ignored for matching but normalized to zero for determinism.
 func (t *Table[A]) Insert(e Entry[A]) {
-	km := t.keyMask()
-	e.Mask &= km
-	e.Value &= e.Mask
-	e.seq = t.seq
-	t.seq++
-	t.entries = append(t.entries, e)
-	// Keep entries sorted: higher priority first, then earlier insertion.
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Priority != t.entries[j].Priority {
-			return t.entries[i].Priority > t.entries[j].Priority
+	mask := e.Mask & t.keyMask()
+	// The row goes behind every row of its priority or higher: later
+	// insertion loses ties.
+	at, _ := slices.BinarySearchFunc(t.results, e.Priority, func(row result[A], p int) int {
+		if row.priority >= p {
+			return -1
 		}
-		return t.entries[i].seq < t.entries[j].seq
+		return 1
 	})
+	t.planes = slices.Insert(t.planes, at, plane{value: e.Value & mask, mask: mask})
+	t.results = slices.Insert(t.results, at, result[A]{e.Priority, e.Action})
 }
 
 // Lookup returns the action of the winning entry for key, or ok=false when
 // nothing matches.
 func (t *Table[A]) Lookup(key uint64) (action A, ok bool) {
-	key &= t.keyMask()
-	for i := range t.entries {
-		e := &t.entries[i]
-		if key&e.Mask == e.Value {
-			return e.Action, true
+	for i, p := range t.planes {
+		if key&p.mask == p.value {
+			return t.results[i].action, true
 		}
 	}
-	var zero A
-	return zero, false
+	return action, false
 }
 
 // Delete removes all entries with the given value/mask pair and reports how
 // many were removed.
 func (t *Table[A]) Delete(value, mask uint64) int {
 	mask &= t.keyMask()
-	value &= mask
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		if e.Mask == mask && e.Value == value {
-			removed++
+	gone := plane{value: value & mask, mask: mask}
+	kept := 0
+	for i, p := range t.planes {
+		if p == gone {
 			continue
 		}
-		kept = append(kept, e)
+		t.planes[kept], t.results[kept] = p, t.results[i]
+		kept++
 	}
-	t.entries = kept
+	removed := len(t.planes) - kept
+	clear(t.results[kept:]) // drop the removed rows' references
+	t.planes, t.results = t.planes[:kept], t.results[:kept]
 	return removed
 }
 
 // Clear removes every entry.
-func (t *Table[A]) Clear() { t.entries = t.entries[:0] }
+func (t *Table[A]) Clear() {
+	clear(t.results)
+	t.planes, t.results = t.planes[:0], t.results[:0]
+}
 
 // Bits returns the TCAM storage consumed, in ternary bits (each row costs
 // 2× the key width: value plane + mask plane), used by the pipeline
 // resource allocator.
-func (t *Table[A]) Bits() int { return len(t.entries) * 2 * t.width }
+func (t *Table[A]) Bits() int { return len(t.planes) * 2 * t.width }

@@ -212,3 +212,71 @@ func TestClear(t *testing.T) {
 		t.Error("match after Clear")
 	}
 }
+
+// TestLookupMatchesNaiveOracle holds the ordered table to the definition:
+// of all rows matching a key, the highest priority wins and the earliest
+// insertion breaks ties. Seeded sequences interleave inserts (overlapping
+// masks, few distinct priorities so ties are common), deletes and clears.
+func TestLookupMatchesNaiveOracle(t *testing.T) {
+	type row struct {
+		value, mask uint64
+		prio, seq   int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const width = 12
+		tb := MustNew[int](width)
+		var rows []row
+		check := func(step int) {
+			t.Helper()
+			if tb.Len() != len(rows) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tb.Len(), len(rows))
+			}
+			for trial := 0; trial < 64; trial++ {
+				key := uint64(rng.Intn(1 << width))
+				want, found := -1, false
+				var best row
+				for _, r := range rows {
+					if key&r.mask != r.value {
+						continue
+					}
+					if !found || r.prio > best.prio || r.prio == best.prio && r.seq < best.seq {
+						best, want, found = r, r.seq, true
+					}
+				}
+				got, ok := tb.Lookup(key)
+				if ok != found || ok && got != want {
+					t.Fatalf("seed %d step %d: Lookup(%#x) = %d,%v, want %d,%v", seed, step, key, got, ok, want, found)
+				}
+			}
+		}
+		for step := 0; step < 300; step++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				tb.Clear()
+				rows = rows[:0]
+			case r < 4 && len(rows) > 0:
+				victim := rows[rng.Intn(len(rows))]
+				kept := rows[:0]
+				for _, r := range rows {
+					if r.value != victim.value || r.mask != victim.mask {
+						kept = append(kept, r)
+					}
+				}
+				if n := tb.Delete(victim.value, victim.mask); n != len(rows)-len(kept) {
+					t.Fatalf("seed %d step %d: Delete removed %d, want %d", seed, step, n, len(rows)-len(kept))
+				}
+				rows = kept
+			default:
+				// Few care bits and stray value bits outside the mask: rows
+				// overlap and normalization matters.
+				mask := uint64(rng.Intn(1<<width)) & uint64(rng.Intn(1<<width))
+				value := uint64(rng.Intn(1 << width))
+				prio := rng.Intn(4)
+				tb.Insert(Entry[int]{Value: value, Mask: mask, Priority: prio, Action: step})
+				rows = append(rows, row{value & mask, mask, prio, step})
+			}
+			check(step)
+		}
+	}
+}
