@@ -67,19 +67,27 @@ func main() {
 	// job's workers must stamp into their ADDs.
 	operator := aggservice.Observer{Addr: fab.SwitchAddr().String()}
 
-	reduce := func(job int, epoch uint8, vecs [][]float32) ([][]float32, []error) {
+	// An incarnation's workers are built once and serve all its reduces:
+	// each Reduce continues the job's chunk stream.
+	workersOf := func(job int, epoch uint8) []*aggservice.Worker {
+		wks := make([]*aggservice.Worker, workers)
+		for w := range wks {
+			wks[w] = aggservice.NewJobWorker(job, w, fab, cfg)
+			wks[w].Timeout = 50 * time.Millisecond
+			wks[w].Epoch = epoch
+		}
+		return wks
+	}
+	reduce := func(wks []*aggservice.Worker, vecs [][]float32) ([][]float32, []error) {
 		out := make([][]float32, workers)
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w, wk := range wks {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				wk := aggservice.NewJobWorker(job, w, fab, cfg)
-				wk.Timeout = 50 * time.Millisecond
-				wk.Epoch = epoch
 				out[w], errs[w] = wk.Reduce(vecs[w])
-			}(w)
+			}()
 		}
 		wg.Wait()
 		return out, errs
@@ -110,7 +118,7 @@ func main() {
 	done0 := make(chan struct{})
 	go func() {
 		defer close(done0)
-		results0, errs0 = reduce(0, 0, vecs0)
+		results0, errs0 = reduce(workersOf(0, 0), vecs0)
 	}()
 
 	// Churn: admit job 1, reduce, evict it; job 2 then joins the capacity
@@ -118,7 +126,7 @@ func main() {
 	fmt.Println("\n-- admit job 1 while job 0 reduces --")
 	epoch1 := admit(1)
 	vecs1 := gradients.NewGenerator(gradients.ResNet50, 2).WorkerGradients(workers, 128)
-	if _, errs := reduce(1, epoch1, vecs1); firstErr(errs) != nil {
+	if _, errs := reduce(workersOf(1, epoch1), vecs1); firstErr(errs) != nil {
 		log.Fatalf("job 1: %v", firstErr(errs))
 	}
 	st1, _ := sw.JobStats(1)
@@ -128,23 +136,25 @@ func main() {
 
 	fmt.Println("\n-- admit job 2 after job 1 left --")
 	epoch2 := admit(2)
+	workers2 := workersOf(2, epoch2)
 	vecs2 := gradients.NewGenerator(gradients.BERT, 3).WorkerGradients(workers, 128)
-	if _, errs := reduce(2, epoch2, vecs2); firstErr(errs) != nil {
+	if _, errs := reduce(workers2, vecs2); firstErr(errs) != nil {
 		log.Fatalf("job 2: %v", firstErr(errs))
 	}
 	fmt.Println("  job 2 reduced 128 elements on fresh slots of its own")
 
-	// Evict job 2 mid-reduce: its workers learn through AckDraining
-	// notices and fail fast with ErrJobEvicted.
+	// Evict job 2 during its next reduce: its workers learn through
+	// AckDraining notices and fail fast with ErrJobEvicted.
 	fmt.Println("\n-- evict job 2 mid-reduce --")
 	bigVecs := gradients.NewGenerator(gradients.BERT, 4).WorkerGradients(workers, 100_000)
+	st2, _ := sw.JobStats(2)
 	evicted := make(chan []error, 1)
 	go func() {
-		_, errs := reduce(2, epoch2, bigVecs)
+		_, errs := reduce(workers2, bigVecs)
 		evicted <- errs
 	}()
 	for { // wait until the reduce is demonstrably in flight
-		if st, _ := sw.JobStats(2); st.Completions > 0 {
+		if st, _ := sw.JobStats(2); st.Completions > st2.Completions {
 			break
 		}
 		time.Sleep(time.Millisecond)

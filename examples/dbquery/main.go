@@ -64,26 +64,29 @@ func main() {
 	var trainWG sync.WaitGroup
 	vecs := gradients.NewGenerator(gradients.VGG19, 5).WorkerGradients(workers, vecLen)
 	exact := gradients.AggregateExact(vecs)
+	// Its workers serve every round on the one incarnation: each Reduce
+	// continues the job's chunk stream.
+	trainers := make([]*aggservice.Worker, workers)
+	for w := range trainers {
+		trainers[w] = aggservice.NewJobWorker(0, w, fab, cfg)
+		trainers[w].Timeout = 100 * time.Millisecond
+	}
 	trainWG.Add(1)
 	go func() {
 		defer trainWG.Done()
-		trainEpoch := uint8(0)
 		for !stop.Load() {
 			var wg sync.WaitGroup
 			outs := make([][]float32, workers)
-			for w := 0; w < workers; w++ {
+			for w, wk := range trainers {
 				wg.Add(1)
-				go func(w int) {
+				go func() {
 					defer wg.Done()
-					wk := aggservice.NewJobWorker(0, w, fab, cfg)
-					wk.Timeout = 100 * time.Millisecond
-					wk.Epoch = trainEpoch
 					out, err := wk.Reduce(vecs[w])
 					if err != nil {
 						log.Fatalf("training worker %d: %v", w, err)
 					}
 					outs[w] = out
-				}(w)
+				}()
 			}
 			wg.Wait()
 			for i := range exact {
@@ -93,25 +96,13 @@ func main() {
 				}
 			}
 			rounds.Add(1)
-			// One reduce per incarnation: recycle job 0's epoch for the next
-			// round (the tree/churn lifecycle idiom), leaving job 1 untouched.
-			if err := sw.Evict(0); err != nil {
-				log.Fatalf("training recycle evict: %v", err)
-			}
-			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
-				time.Sleep(time.Millisecond)
-			}
-			if err := sw.Admit(0, aggservice.JobSpec{}); err != nil {
-				log.Fatalf("training recycle admit: %v", err)
-			}
-			trainEpoch = sw.JobEpoch(0)
 		}
 	}()
 
 	// Admit the query tenant at runtime over the observer frame. One class
 	// descriptor covers all five queries: the largest pruning register file
 	// (top-10) plus the largest group bank (1024 groups); read-and-reset
-	// drains recycle both between queries.
+	// drains clear both between queries.
 	ac := aggservice.AdmitClass{Class: aggservice.ClassQuery, TopN: 10, Groups: 1024}
 	operator := aggservice.Observer{Addr: addr, Timeout: time.Second}
 	ack, err := operator.Admit(1, aggservice.JobSpec{Class: ac})
@@ -166,7 +157,7 @@ func main() {
 		ref := eng.Reference(q)
 		var got query.Result
 		var rowsToMaster int
-		// Harvest and recycle: read-and-reset the group bank and clear the
+		// Harvest and reset: read-and-reset the group bank and clear the
 		// pruning registers so the next query starts from zero state.
 		entries, err := operator.Drain(1, aggservice.DrainGroups, aggservice.DrainFlagResetPrune)
 		if err != nil {
@@ -238,7 +229,7 @@ func main() {
 	stop.Store(true)
 	trainWG.Wait()
 	st1, _ := sw.JobStats(1)
-	fmt.Printf("\ntraining tenant stayed live throughout: %d allreduce rounds (job 0, one incarnation each)\n",
+	fmt.Printf("\ntraining tenant stayed live throughout: %d allreduce rounds (job 0, one incarnation)\n",
 		rounds.Load())
 	fmt.Printf("query tenant (%v): %d tuple batches folded (job 1)\n", st1.Class, st1.Completions)
 	if rounds.Load() == 0 {

@@ -69,26 +69,29 @@ func main() {
 	var trainWG sync.WaitGroup
 	vecs := gradients.NewGenerator(gradients.ResNet50, 3).WorkerGradients(workers, vecLen)
 	exact := gradients.AggregateExact(vecs)
+	// Its workers serve every round on the one incarnation: each Reduce
+	// continues the job's chunk stream.
+	trainers := make([]*aggservice.Worker, workers)
+	for w := range trainers {
+		trainers[w] = aggservice.NewJobWorker(0, w, fab, cfg)
+		trainers[w].Timeout = 100 * time.Millisecond
+	}
 	trainWG.Add(1)
 	go func() {
 		defer trainWG.Done()
-		epoch := uint8(0)
 		for !stop.Load() {
 			var wg sync.WaitGroup
 			outs := make([][]float32, workers)
-			for w := 0; w < workers; w++ {
+			for w, wk := range trainers {
 				wg.Add(1)
-				go func(w int) {
+				go func() {
 					defer wg.Done()
-					wk := aggservice.NewJobWorker(0, w, fab, cfg)
-					wk.Timeout = 100 * time.Millisecond
-					wk.Epoch = epoch
 					out, err := wk.Reduce(vecs[w])
 					if err != nil {
 						log.Fatalf("training worker %d: %v", w, err)
 					}
 					outs[w] = out
-				}(w)
+				}()
 			}
 			wg.Wait()
 			for i := range exact {
@@ -97,17 +100,6 @@ func main() {
 				}
 			}
 			rounds.Add(1)
-			// One reduce per incarnation: recycle job 0's epoch.
-			if err := sw.Evict(0); err != nil {
-				log.Fatalf("training recycle evict: %v", err)
-			}
-			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
-				time.Sleep(time.Millisecond)
-			}
-			if err := sw.Admit(0, aggservice.JobSpec{}); err != nil {
-				log.Fatalf("training recycle admit: %v", err)
-			}
-			epoch = sw.JobEpoch(0)
 		}
 	}()
 

@@ -12,14 +12,15 @@
 // are BIT-IDENTICAL to one flat 6-worker switch reducing the same
 // vectors.
 //
-// The lifecycle is plumbed through the hierarchy. One reduce runs per job
-// incarnation (the slot pool's chunk clock is a stream, not a counter to
-// rewind), so between runs the operator recycles the job — evict, then
-// re-admit at the leaves, which negotiates the job back up the tree. The
-// centerpiece: an operator evicts the job at the SPINE mid-reduce, the
-// eviction propagates down the uplinks (epoch-matched lifecycle notices
-// bounce the leaves' pending aggregates, each leaf drains and frees its
-// range), the workers surface ErrJobEvicted, and after re-admission the
+// One incarnation serves many reduces: the same six Workers run two
+// consecutive all-reduces, each continuing the job's chunk stream at every
+// level, and both match the flat switch. The lifecycle is plumbed through
+// the hierarchy too. The centerpiece: an operator evicts the job at the
+// SPINE mid-reduce, the eviction propagates down the uplinks
+// (epoch-matched lifecycle notices bounce the leaves' pending aggregates,
+// each leaf drains and drops its slots), the workers surface
+// ErrJobEvicted, and after re-admission at the leaves — which negotiates
+// the job back up the tree, a fresh stream at every level — new Workers'
 // re-run again matches the flat switch bit for bit.
 package main
 
@@ -130,31 +131,40 @@ func main() {
 	fmt.Printf("tree up: %d leaves x %d workers -> spine %s (full FPISA, pool %d at both levels)\n",
 		nLeaves, workers, spineAddr, leafCfg.Pool)
 
-	// treeReduce drives one all-reduce across every leaf's workers. Each
-	// run dials FRESH worker sockets at its leaf — worker processes come
-	// and go between training iterations; only the switches are long-lived.
-	treeReduce := func(epochs [nLeaves]uint8, vecs [][]float32) ([][]float32, []error) {
-		out := make([][]float32, nLeaves*workers)
-		errs := make([]error, nLeaves*workers)
+	// Each leaf's workers share one socket, dialed once: worker processes
+	// outlive the reduces, and so does each one's Worker.
+	wfabs := make([]*transport.UDP, nLeaves)
+	for li := range wfabs {
+		if wfabs[li], err = transport.DialUDP(leafFabs[li].SwitchAddr(), leafCfg.Ports()); err != nil {
+			log.Fatal(err)
+		}
+		defer wfabs[li].Close()
+	}
+	// newWorkers builds one incarnation's Workers (worker w of leaf li at
+	// index li·workers + w, stamping its leaf's epoch); they start the
+	// incarnation's chunk stream and every Reduce continues it.
+	newWorkers := func(epochs [nLeaves]uint8) []*aggservice.Worker {
+		wks := make([]*aggservice.Worker, nLeaves*workers)
+		for i := range wks {
+			li := i / workers
+			wks[i] = aggservice.NewJobWorker(0, i%workers, wfabs[li], leafCfg)
+			wks[i].Timeout = 50 * time.Millisecond
+			wks[i].Retries = 500
+			wks[i].Epoch = epochs[li]
+		}
+		return wks
+	}
+	// treeReduce drives one all-reduce across every leaf's workers.
+	treeReduce := func(wks []*aggservice.Worker, vecs [][]float32) ([][]float32, []error) {
+		out := make([][]float32, len(wks))
+		errs := make([]error, len(wks))
 		var wg sync.WaitGroup
-		for li := 0; li < nLeaves; li++ {
-			wfab, err := transport.DialUDP(leafFabs[li].SwitchAddr(), leafCfg.Ports())
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer wfab.Close()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(li, w int, fab transport.Fabric) {
-					defer wg.Done()
-					wk := aggservice.NewJobWorker(0, w, fab, leafCfg)
-					wk.Timeout = 50 * time.Millisecond
-					wk.Retries = 500
-					wk.Epoch = epochs[li]
-					idx := li*workers + w
-					out[idx], errs[idx] = wk.Reduce(vecs[idx])
-				}(li, w, wfab)
-			}
+		for i, wk := range wks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i], errs[i] = wk.Reduce(vecs[i])
+			}()
 		}
 		wg.Wait()
 		return out, errs
@@ -192,74 +202,28 @@ func main() {
 		wg.Wait()
 		return out
 	}
-	bitIdentical := func(tree, flat [][]float32) bool {
+	// allReduce runs one tree all-reduce that must succeed and match the
+	// flat switch bit for bit.
+	allReduce := func(what string, wks []*aggservice.Worker, vecs [][]float32) {
+		tree, errs := treeReduce(wks, vecs)
+		for i, err := range errs {
+			if err != nil {
+				log.Fatalf("%s: tree worker %d: %v", what, i, err)
+			}
+		}
+		flat := flatReduce(vecs)
 		for w := range tree {
 			for i := range tree[w] {
 				if tree[w][i] != flat[0][i] {
-					fmt.Printf("  MISMATCH worker %d elem %d: tree %g flat %g\n", w, i, tree[w][i], flat[0][i])
-					return false
+					log.Fatalf("%s: worker %d elem %d: tree %g, flat switch %g", what, w, i, tree[w][i], flat[0][i])
 				}
 			}
 		}
-		return true
-	}
-
-	// The operator's control path — the same observer frame fpisa-query
-	// sends, dialed at whichever switch the verb targets. A level the
-	// eviction already reached refuses a second evict; that is fine, the
-	// waitVacant that follows is the check that matters.
-	operator := func(addr *net.UDPAddr) aggservice.Observer {
-		return aggservice.Observer{Addr: addr.String()}
-	}
-	evict := func(addr *net.UDPAddr) aggservice.AckStatus {
-		ack, err := operator(addr).Evict(0)
-		if err != nil && !errors.Is(err, aggservice.ErrNotAdmitted) && !errors.Is(err, aggservice.ErrJobDraining) {
-			log.Fatal(err)
-		}
-		return ack.Status
-	}
-	waitVacant := func(switches ...*aggservice.Switch) {
-		for _, s := range switches {
-			for s.JobPhaseOf(0) != aggservice.PhaseVacant {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-	}
-	// recycle rotates the whole tree to a fresh incarnation of job 0: evict
-	// every level (the leaves are idle between runs, so the operator talks
-	// to each switch directly), then re-admit at the leaves — each leaf's
-	// admit negotiates up, so the spine's incarnation is re-created by the
-	// first leaf and joined by the second.
-	recycle := func() [nLeaves]uint8 {
-		for _, fab := range leafFabs {
-			evict(fab.SwitchAddr())
-		}
-		evict(spineAddr)
-		waitVacant(append([]*aggservice.Switch{spine}, leaves...)...)
-		var epochs [nLeaves]uint8
-		for i, fab := range leafFabs {
-			ack, err := operator(fab.SwitchAddr()).Admit(0, aggservice.JobSpec{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			epochs[i] = ack.Epoch
-			fmt.Printf("  [operator] admit job 0 at leaf %d: %v (leaf epoch %d, spine epoch %d)\n",
-				i, ack.Status, epochs[i], spine.JobEpoch(0))
-		}
-		return epochs
 	}
 
 	fmt.Println("\n-- all-reduce through the tree vs one flat switch --")
-	vecs := gridVecs(nLeaves*workers, vecLen, 0)
-	results, errs := treeReduce([nLeaves]uint8{0, 0}, vecs)
-	for i, err := range errs {
-		if err != nil {
-			log.Fatalf("tree worker %d: %v", i, err)
-		}
-	}
-	if !bitIdentical(results, flatReduce(vecs)) {
-		log.Fatal("tree aggregate diverged from the flat switch")
-	}
+	wks := newWorkers([nLeaves]uint8{0, 0})
+	allReduce("first reduce", wks, gridVecs(nLeaves*workers, vecLen, 0))
 	for i, l := range leaves {
 		st, _ := l.JobStats(0)
 		fmt.Printf("  leaf %d: chunks=%d uplink retransmits=%d coalesced result-chunks=%d\n",
@@ -269,23 +233,30 @@ func main() {
 	fmt.Printf("  spine aggregated %d chunks from %d leaf ADDs each; results BIT-IDENTICAL to the flat switch\n",
 		spineSt.Completions, nLeaves)
 
-	fmt.Println("\n-- recycle the incarnation tree-wide (one reduce per incarnation) --")
-	epochs := recycle()
+	fmt.Println("\n-- the same Workers reduce again on the same incarnation --")
+	allReduce("second reduce", wks, gridVecs(nLeaves*workers, vecLen, 3))
+	spineSt, _ = spine.JobStats(0)
+	fmt.Printf("  spine at %d chunks, epoch %d: 2 consecutive reduces on one incarnation: BIT-IDENTICAL to the flat switch\n",
+		spineSt.Completions, spine.JobEpoch(0))
 
 	fmt.Println("\n-- evict the job at the SPINE mid-reduce: the tree drains top-down --")
 	bigVecs := gridVecs(nLeaves*workers, 200_000, 1)
 	aborted := make(chan []error, 1)
 	go func() {
-		_, errs := treeReduce(epochs, bigVecs)
+		_, errs := treeReduce(wks, bigVecs)
 		aborted <- errs
 	}()
-	for { // wait until aggregates are demonstrably crossing both levels
-		if st, _ := spine.JobStats(0); st.Completions > 0 {
+	for { // wait until this reduce's aggregates are demonstrably crossing both levels
+		if st, _ := spine.JobStats(0); st.Completions > spineSt.Completions {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Printf("  [operator] evict job 0 at the spine: %v\n", evict(spineAddr))
+	ack, err := aggservice.Observer{Addr: spineAddr.String()}.Evict(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  [operator] evict job 0 at the spine: %v\n", ack.Status)
 	nEvicted := 0
 	for _, err := range <-aborted {
 		if errors.Is(err, aggservice.ErrJobEvicted) {
@@ -294,24 +265,32 @@ func main() {
 	}
 	fmt.Printf("  %d/%d workers surfaced ErrJobEvicted; waiting for every level to drain...\n",
 		nEvicted, nLeaves*workers)
-	waitVacant(append([]*aggservice.Switch{spine}, leaves...)...)
+	for _, s := range append([]*aggservice.Switch{spine}, leaves...) {
+		for s.JobPhaseOf(0) != aggservice.PhaseVacant {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	pending := 0
 	for _, l := range leaves {
 		pending += l.UplinkPending(0)
 	}
 	fmt.Printf("  every level vacant, %d uplink chunks still owed (must be 0)\n", pending)
 
+	// Re-admission at the leaves negotiates the job back up the tree — the
+	// spine's incarnation is re-created by the first leaf and joined by the
+	// second — and starts a fresh chunk stream at every level, served by a
+	// fresh set of Workers.
 	fmt.Println("\n-- re-admit and re-run: the tree survives the mid-run eviction --")
-	epochs = recycle()
-	vecs2 := gridVecs(nLeaves*workers, vecLen, 2)
-	results2, errs2 := treeReduce(epochs, vecs2)
-	for i, err := range errs2 {
+	var epochs [nLeaves]uint8
+	for i, fab := range leafFabs {
+		ack, err := aggservice.Observer{Addr: fab.SwitchAddr().String()}.Admit(0, aggservice.JobSpec{})
 		if err != nil {
-			log.Fatalf("re-admitted tree worker %d: %v", i, err)
+			log.Fatal(err)
 		}
+		epochs[i] = ack.Epoch
+		fmt.Printf("  [operator] admit job 0 at leaf %d: %v (leaf epoch %d, spine epoch %d)\n",
+			i, ack.Status, epochs[i], spine.JobEpoch(0))
 	}
-	if !bitIdentical(results2, flatReduce(vecs2)) {
-		log.Fatal("re-admitted tree aggregate diverged from the flat switch")
-	}
+	allReduce("re-admitted reduce", newWorkers(epochs), gridVecs(nLeaves*workers, vecLen, 2))
 	fmt.Println("  re-run after mid-tree eviction: BIT-IDENTICAL to the flat switch again")
 }

@@ -251,6 +251,24 @@ func (c *Config) ClampShards() {
 // Port maps (job, worker-in-job) to the transport port.
 func (c Config) Port(job, worker int) int { return job*c.Workers + worker }
 
+// span is the period of a job's chunk clock: the largest multiple of the
+// 2·Pool slots the 32-bit chunk field holds, so slotOf runs on across the
+// wrap (2³² for a power-of-two Pool).
+func (c Config) span() int64 {
+	slots := int64(2 * c.Pool)
+	return (1 << 32) / slots * slots
+}
+
+// ahead is how far chunk runs ahead of base on a chunk clock of period span:
+// their distance modulo span, by one subtract and a conditional add.
+func ahead(chunk uint32, base, span int64) int64 {
+	d := int64(chunk) - base
+	if d < 0 {
+		d += span
+	}
+	return d
+}
+
 // aggregator is the pipeline surface a shard drives — the seam that lets
 // tests inject pipeline faults. Every operation decodes into res, reusing
 // its slices (core.ProfileAggregator.AddInto); a nil res discards the
@@ -435,9 +453,10 @@ func (js *jobState) reset() {
 type Switch struct {
 	cfg     Config
 	nsh     int
-	njobs   int // initially admitted jobs
-	ncap    int // admissible job-id space
-	perBank int // slots per (job, shard) bank
+	njobs   int   // initially admitted jobs
+	ncap    int   // admissible job-id space
+	perBank int   // slots per (job, shard) bank
+	span    int64 // the chunk clock's period, Config.span
 	util    pisa.Utilization
 
 	shards []*shard
@@ -492,7 +511,7 @@ type bank struct {
 // set), until the slot rebinds to a later chunk or its incarnation is
 // released. Nothing else in the switch records where a chunk stands.
 type slotState struct {
-	chunk  int64 // bound chunk id, -1 when free
+	chunk  int64 // bound chunk id in [0, span), -1 when free
 	seen   []bool
 	nSeen  int
 	cached []byte // RESULT packet, nil until complete
@@ -530,7 +549,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	s := &Switch{
-		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank,
+		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank, span: cfg.span(),
 		util:   pa0.Utilization(),
 		jobs:   make([]jobState, ncap),
 		protos: map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
@@ -834,7 +853,7 @@ func (s *Switch) retired(inc *incarnation) refusal {
 // the shard lock rounds only see bindable work.
 func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
 	job, chunk, epoch, err := decodeDataHeader(pkt)
-	if err != nil {
+	if err != nil || int64(chunk) >= s.span {
 		return s.malformed()
 	}
 	inc, r := s.gate(worker, job, epoch)
@@ -910,9 +929,13 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 	st := &b.slot[bi]
 	chunk := a.chunk
 
-	fresh := int64(chunk) > st.chunk
+	// Serial-number arithmetic on the job's chunk clock: a free slot binds
+	// any chunk; a bound one binds a chunk less than half the span ahead of
+	// its own and drops one behind it, on either side of the wrap.
+	d := ahead(chunk, st.chunk, s.span)
+	fresh := st.chunk < 0 || (d != 0 && 2*d < s.span)
 	switch {
-	case int64(chunk) < st.chunk:
+	case !fresh && d != 0:
 		// Stale retransmit for a chunk every worker already completed
 		// (guaranteed by the self-clocked window); ignore.
 		return refusal{}
@@ -1211,6 +1234,8 @@ type Worker struct {
 	// across rounds and recovers when the loss clears. 0 means start at
 	// the Batch ceiling.
 	LastBatch int
+
+	next int64 // where the next Reduce starts on the job's chunk clock
 }
 
 // NewWorker builds a job-0 worker with the default timeout, retry budget
@@ -1236,10 +1261,11 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 // backing arrays once it returns — so the steady-state send path allocates
 // nothing per chunk.
 type sendVec struct {
-	job   int
-	epoch uint8
-	prof  core.NumericProfile
-	vec   []float32
+	job         int
+	epoch       uint8
+	prof        core.NumericProfile
+	vec         []float32
+	first, span int64 // chunk c of vec is chunk first+c, mod span, of the job's stream
 
 	msgs  [][]byte
 	arena []byte
@@ -1260,8 +1286,12 @@ func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch i
 func (sv *sendVec) add(c int) {
 	n := copy(sv.vals, sv.vec[c*len(sv.vals):])
 	clear(sv.vals[n:])
+	id := sv.first + int64(c)
+	if id >= sv.span {
+		id -= sv.span
+	}
 	start := len(sv.arena)
-	sv.arena = appendAdd(sv.arena, sv.job, uint32(c), sv.epoch, sv.prof, sv.vals)
+	sv.arena = appendAdd(sv.arena, sv.job, uint32(id), sv.epoch, sv.prof, sv.vals)
 	sv.msgs = append(sv.msgs, sv.arena[start:len(sv.arena):len(sv.arena)])
 }
 
@@ -1291,7 +1321,8 @@ func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 
 // Reduce aggregates vec with the job's other workers and returns the
 // summed vector. All of a job's workers must call Reduce with equal-length
-// vectors.
+// vectors. Each call continues the Worker's chunk stream (see doc.go), so
+// one incarnation serves every reduce of a training run.
 //
 // It is one run-to-completion loop in the caller's goroutine: send the
 // first Pool chunks, then alternate — receive a delivery vector, copy out
@@ -1323,6 +1354,12 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		return out, nil
 	}
 
+	// The next reduce starts after this one's chunks whatever the outcome:
+	// the job's workers reduce equal-length vectors, so they stay in step.
+	span := w.Cfg.span()
+	first := w.next
+	w.next = (first + int64(nChunks)) % span
+
 	// The window: chunk c is outstanding while sent[c] && !done[c]. stalls
 	// counts consecutive receive timeouts, against the retry budget.
 	sent := make([]bool, nChunks)
@@ -1350,6 +1387,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// hands the vector to the fabric. The first SendBatch error sticks in
 	// sendErr, turns later flushes into no-ops and ends the loop.
 	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, batch, vec)
+	sv.first, sv.span = first, span
 	var sendErr error
 	flush := func() {
 		if len(sv.msgs) > 0 && sendErr == nil {
@@ -1373,8 +1411,9 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// slots behind it. A streak of clean completions twice the current
 	// batch doubles it back toward the ceiling.
 	complete := func(chunk uint32, vals []float32, _ bool) {
-		c := int(chunk)
-		if c >= nChunks || done[c] {
+		off := ahead(chunk, first, span)
+		c := int(off)
+		if off >= int64(nChunks) || done[c] {
 			return
 		}
 		done[c] = true

@@ -295,11 +295,20 @@
 // in either direction. The slot is the single owner of a chunk's
 // in-flight state (slotState: free → aggregating → on a tree leaf,
 // uplinked → final): a cached RESULT lives exactly as long as its slot
-// version, freed when chunk c+2·pool rebinds the slot and when the range
-// is released, so a job caches at most 2·pool packets (size and replay
-// hits are tracked per job as CacheBytes/CacheHits).
+// version, freed when chunk c+2·pool rebinds the slot and when the
+// incarnation is released, so a job caches at most 2·pool packets (size and
+// replay hits are tracked per job as CacheBytes/CacheHits).
 //
-// A slot is recycled by overwrite, not by a reset pass: the first ADD of a
+// An incarnation serves one chunk stream, not one reduce. Chunk ids run on
+// a clock of period span = ⌊2³²/(2·pool)⌋·2·pool — the largest multiple of
+// the slot count the 32-bit field holds, so the slot mapping runs on across
+// the wrap; an ADD naming a chunk ≥ span is malformed. A slot compares
+// chunks by serial-number arithmetic modulo span: a free slot binds any
+// chunk, a bound one binds a chunk less than half the span ahead of its own
+// and drops anything behind it as stale. The self-clocked window keeps a
+// live worker within 2·pool chunks of its slot, far from that ambiguity.
+//
+// A slot is rebound by overwrite, not by a reset pass: the first ADD of a
 // new chunk passes the draining and scheduler gates, then runs ONE
 // pipeline pass (the aggregator's SetInto, opcode core.PktSet) that stores
 // its values over whatever the slot's previous chunk left — bit for bit
@@ -362,7 +371,11 @@
 // sending the chunks that vector freed (a completed chunk c opens exactly
 // chunk c+Pool's slot), with a receive timeout as the retransmit round.
 // It starts no goroutine and makes no channel, so one reduce is a strict
-// send/receive sequence a scripted fabric can step (worker_test.go). Both
+// send/receive sequence a scripted fabric can step (worker_test.go).
+// Consecutive Reduce calls on one Worker continue one chunk stream, every
+// return moving the Worker past the chunks it took, so the next reduce
+// shares the window as the second half of one long vector would. Build a
+// job's Workers once per incarnation; a new one starts at chunk 0. Both
 // directions are vectored — the chunks a received vector frees go out as
 // Fabric.SendBatch vectors the transport coalesces into batch-framed
 // datagrams, and deliveries are drained into reusable buffers

@@ -240,10 +240,21 @@ func FuzzHandleBatch(f *testing.F) {
 		EncodeJobEvict(1),
 		EncodeJobAdmit(JobAdmit{Job: 2, JobSpec: JobSpec{Weight: 2}})))
 
+	// Pool 3: the chunk clock's span (2³²−4) is not the 32-bit field's.
 	cfg := Config{
-		Workers: 2, Pool: 2, Modules: 2, Shards: 2, Jobs: 2, Capacity: 4, Dynamic: true,
+		Workers: 2, Pool: 3, Modules: 2, Shards: 2, Jobs: 2, Capacity: 4, Dynamic: true,
 		Classes: []AdmitClass{{}, {Class: ClassQuery, TopN: 10, Groups: 64}},
 		Mode:    core.ModeApprox, Arch: pisa.ExtendedArch(), // two modules, like the golden ADDs
+	}
+	// Chunk ids at the span boundary, each bound, repeated and followed by
+	// the chunk after the wrap that shares span−1's slot: span−1 is the last
+	// chunk of the clock, span and 2³²−1 are malformed.
+	add := func(chunk int64) []byte {
+		return EncodeAddProfile(0, uint32(chunk), 0, core.DefaultProfile, []float32{1, 2})
+	}
+	for _, chunk := range []int64{cfg.span() - 1, cfg.span(), 1<<32 - 1} {
+		f.Add(byte(0), frame(add(chunk), add(chunk), add(5)))
+		f.Add(byte(1), frame(add(5), add(chunk)))
 	}
 	f.Fuzz(func(t *testing.T, port byte, data []byte) {
 		var pkts [][]byte
@@ -265,6 +276,7 @@ func FuzzHandleBatch(f *testing.F) {
 				t.Fatalf("port %d: %d datagrams counted %d rejects", worker, len(pkts), got)
 			}
 			auditSwitch(t, "after the vector", sw)
+			auditChunkClock(t, sw)
 		}
 	})
 }

@@ -277,10 +277,3 @@ func (a *Accumulator) Value64(i int) float64 {
 	exp := int(a.exps[i]) - a.cfg.Format.Bias() - a.cfg.Format.ManBits - a.cfg.GuardBits
 	return math.Ldexp(float64(M), exp)
 }
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -123,8 +123,3 @@ func (h Float16) IsInf() bool { return h&0x7FFF == 0x7C00 }
 
 // Bits returns the raw packed representation.
 func (h Float16) Bits() uint16 { return uint16(h) }
-
-// F64ToF16 converts a float64 to binary16 via float32 (double rounding is
-// acceptable here: it is only used by workload generators, never by the
-// switch-side datapath).
-func F64ToF16(x float64) Float16 { return F32ToF16(float32(x)) }

@@ -35,8 +35,6 @@ type Switch struct {
 	runs     [2]uint64 // completed plan runs, ingress and egress: every always-table's hits
 	mcast    map[uint16][]uint16
 	counters Counters
-	// Trace, when set, receives one call per executed table.
-	Trace func(gress string, stage int, table, action string)
 
 	// Per-packet scratch, reused by every ProcessScratch call (see there
 	// for the lifetime contract).

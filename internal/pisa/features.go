@@ -32,9 +32,9 @@
 // PHV — and hold by construction: a step writes the PHV directly unless a
 // later step of its stage still reads the old value, which the compiler's
 // placement rules leave possible only for an action's own stateful op; those
-// writes are held back until the op has run. TableStats, Counters and Trace
-// report per declared table exactly as a table-by-table interpreter would;
-// one lives on as the differential-test oracle (oracle_test.go, DiffRun).
+// writes are held back until the op has run. TableStats and Counters report
+// per declared table exactly as a table-by-table interpreter would; one
+// lives on as the differential-test oracle (oracle_test.go, DiffRun).
 //
 // # Execution and buffer ownership
 //

@@ -76,8 +76,8 @@ func fpisaValue(rng *rand.Rand) float32 {
 // random slots and values — ±0, denormals, ±Inf, NaN, arbitrary bit
 // patterns, and long same-sign runs into one slot that overflow the
 // mantissa register — through the production and the reference executor on
-// every FPISA program, requiring identical bytes, registers, counters,
-// table statistics and traces (pisa.DiffRun).
+// every FPISA program, requiring identical bytes, registers, counters and
+// table statistics (pisa.DiffRun).
 func TestDifferentialFPISAPrograms(t *testing.T) {
 	for _, b := range fpisaBuilds(t) {
 		for _, seed := range []int64{1, 2} {

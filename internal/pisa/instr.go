@@ -80,9 +80,6 @@ func F(name string) Operand { return Operand{Field: name} }
 // Imm makes an immediate operand.
 func Imm(v uint32) Operand { return Operand{Imm: v} }
 
-// ImmS makes an immediate operand from a signed value (two's complement).
-func ImmS(v int32) Operand { return Operand{Imm: uint32(v)} }
-
 // P makes an action-data operand: the value comes from the matched entry's
 // Params[idx]. Action data lets one action implementation serve many
 // entries (one VLIW slot), but hardware shifters cannot take it as a

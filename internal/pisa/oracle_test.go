@@ -12,8 +12,8 @@ import (
 // predates switch-owned scratch and, under it, the per-table interpreter that
 // predates compile's lowering to plans — as a test oracle: a fresh PHV per
 // packet, a clone of it as every stage's entry snapshot, a map as the stage's
-// write set that commits when the stage is through, every table matched,
-// counted and traced in turn, a clone per egress port, by-name builtin
+// write set that commits when the stage is through, every table matched
+// and counted in turn, a clone per egress port, by-name builtin
 // lookups and a freshly allocated deparse copy per emission. It is
 // deliberately the obvious transcription of the Packet-Transactions stage
 // atom — every table of a stage reads the stage-entry PHV, the write set
@@ -65,7 +65,7 @@ func (s *Switch) refProcess(ingressPort uint16, pkt []byte, depth int) ([]Emissi
 		s.counters.ParserErrors++
 		return nil, err
 	}
-	if err := s.refRunGress(phv, s.c.ingress, "ingress"); err != nil {
+	if err := s.refRunGress(phv, s.c.ingress); err != nil {
 		s.counters.RuntimeErrors++
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func (s *Switch) refProcess(ingressPort uint16, pkt []byte, depth int) ([]Emissi
 	for _, port := range ports {
 		copyPhv := refClone(phv)
 		copyPhv.refSet(FieldEgressPort, uint32(port))
-		if err := s.refRunGress(copyPhv, s.c.egress, "egress"); err != nil {
+		if err := s.refRunGress(copyPhv, s.c.egress); err != nil {
 			s.counters.RuntimeErrors++
 			return nil, err
 		}
@@ -117,8 +117,8 @@ func (s *Switch) refProcess(ingressPort uint16, pkt []byte, depth int) ([]Emissi
 	return out, nil
 }
 
-func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable, gress string) error {
-	for si, tables := range stages {
+func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable) error {
+	for _, tables := range stages {
 		snapshot := refClone(phv)
 		writes := make(map[fieldID]uint32)
 		for _, t := range tables {
@@ -134,9 +134,6 @@ func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable, gress string) error {
 			a := h.action
 			if a == nil {
 				continue
-			}
-			if s.Trace != nil {
-				s.Trace(gress, si, t.decl.Name, a.name)
 			}
 			for i := range a.instrs {
 				if val, ok := a.instrs[i].eval(snapshot, h.params); ok {
@@ -193,10 +190,10 @@ type DiffPacket struct {
 // DiffRun compiles prog once and drives pkts through the production
 // executor (ProcessScratch) on one replica and the reference executor on
 // another, requiring identical observable behaviour: the error and the
-// emitted ports and bytes of every packet, the Trace call sequence and the
-// Counters after every packet, and every register's snapshot and every
-// table's hit/miss counters every 64 packets and at the end. setup (may be
-// nil) configures each replica, e.g. its multicast groups.
+// emitted ports and bytes of every packet and the Counters after every
+// packet, and every register's snapshot and every table's hit/miss counters
+// every 64 packets and at the end. setup (may be nil) configures each
+// replica, e.g. its multicast groups.
 func DiffRun(t *testing.T, prog Program, arch Arch, setup func(*Switch), pkts []DiffPacket) {
 	t.Helper()
 	sw, err := New(prog, arch)
@@ -204,13 +201,6 @@ func DiffRun(t *testing.T, prog Program, arch Arch, setup func(*Switch), pkts []
 		t.Fatalf("compile: %v", err)
 	}
 	ref := sw.Replicate()
-	var gotTrace, wantTrace []string
-	tracer := func(into *[]string) func(string, int, string, string) {
-		return func(gress string, stage int, table, action string) {
-			*into = append(*into, fmt.Sprintf("%s/%d/%s/%s", gress, stage, table, action))
-		}
-	}
-	sw.Trace, ref.Trace = tracer(&gotTrace), tracer(&wantTrace)
 	if setup != nil {
 		setup(sw)
 		setup(ref)
@@ -234,7 +224,6 @@ func DiffRun(t *testing.T, prog Program, arch Arch, setup func(*Switch), pkts []
 		}
 	}
 	for i, p := range pkts {
-		gotTrace, wantTrace = gotTrace[:0], wantTrace[:0]
 		got, gotErr := sw.ProcessScratch(p.Port, p.Data)
 		want, wantErr := ref.RefProcess(p.Port, p.Data)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -248,9 +237,6 @@ func DiffRun(t *testing.T, prog Program, arch Arch, setup func(*Switch), pkts []
 				t.Fatalf("packet %d (% x) emission %d: port %d % x, want port %d % x",
 					i, p.Data, k, got[k].Port, got[k].Packet, want[k].Port, want[k].Packet)
 			}
-		}
-		if !reflect.DeepEqual(gotTrace, wantTrace) {
-			t.Fatalf("packet %d (% x): trace %v, want %v", i, p.Data, gotTrace, wantTrace)
 		}
 		if sw.Counters() != ref.Counters() {
 			t.Fatalf("packet %d (% x): counters %+v, want %+v", i, p.Data, sw.Counters(), ref.Counters())

@@ -36,22 +36,6 @@ type plan struct {
 	// (Switch.runs) instead of bumping each table; only a run a stateful op
 	// fails counts the tables it reached one by one.
 	always []int // table idx
-	// marks are the always-tables' Trace calls, keyed by the pc they precede.
-	marks []planMark
-}
-
-// gress names the plan's pipeline the way Trace reports it.
-func (pl *plan) gress() string {
-	if pl.egress {
-		return "egress"
-	}
-	return "ingress"
-}
-
-type planMark struct {
-	pc            int
-	stage         int
-	table, action string
 }
 
 // stepKind says what a step does. Values up to OpCsel are VLIW
@@ -120,11 +104,10 @@ func (c *compiled) lower(egress bool, stages [][]*cTable) plan {
 	}
 	pl.steps = make([]step, 0, n)
 
-	for si, tables := range stages {
+	for _, tables := range stages {
 		for _, t := range tables {
 			if t.decl.Kind == MatchAlways {
 				pl.always = append(pl.always, t.idx)
-				pl.marks = append(pl.marks, planMark{len(pl.steps), si, t.decl.Name, t.default_.name})
 				c.lowerAction(&pl, t.default_)
 				continue
 			}
@@ -201,30 +184,7 @@ func (c *compiled) lowerAction(pl *plan, a *cAction) {
 func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 	vals, steps := phv.vals, pl.steps
 	var params []uint32 // the matched entry's action data
-	// The always-tables' Trace calls run between steps. stop is the next pc
-	// one of them precedes, else the plan's end, so the loop tests one pc per
-	// step.
-	var marks []planMark
-	if s.Trace != nil {
-		marks = pl.marks
-	}
-	stop := len(steps)
-	if len(marks) > 0 {
-		stop = marks[0].pc
-	}
-	for pc := 0; ; {
-		if pc == stop {
-			for ; len(marks) > 0 && marks[0].pc == pc; marks = marks[1:] {
-				s.Trace(pl.gress(), marks[0].stage, marks[0].table, marks[0].action)
-			}
-			if pc == len(steps) {
-				break
-			}
-			stop = len(steps)
-			if len(marks) > 0 {
-				stop = marks[0].pc
-			}
-		}
+	for pc := 0; pc < len(steps); {
 		st := &steps[pc]
 		pc += 1 + int(st.skip)
 
@@ -263,9 +223,6 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 			if h.action == nil {
 				pc = t.end
 				continue
-			}
-			if s.Trace != nil {
-				s.Trace(pl.gress(), t.stage, t.decl.Name, h.action.name)
 			}
 			params, pc = h.params, h.action.start
 			continue
