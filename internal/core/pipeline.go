@@ -128,16 +128,10 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) 
 		return err
 	}
 	out, err := pa.sw.ProcessScratch(1, pa.req)
-	if err != nil {
+	if err != nil || res == nil {
 		return err
 	}
-	if len(out) != 1 {
-		return fmt.Errorf("core: expected 1 response packet, got %d", len(out))
-	}
-	if res == nil {
-		return nil
-	}
-	return pa.parseInto(out[0].Packet, res)
+	return pa.parseInto(out.Packet, res)
 }
 
 // AddInto accumulates one value per module into the slot and stores the

@@ -139,7 +139,7 @@ func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program,
 	// Shared bookkeeping: packet-count register (completion detection for
 	// aggregation services) and the reflect/setup table.
 	p.Registers = append(p.Registers,
-		pisa.RegisterDecl{Name: "cnt_reg", Width: 32, Size: slots, Stage: 2},
+		pisa.RegisterDecl{Name: "cnt_reg", Width: 32, Size: slots},
 	)
 	p.Tables = append(p.Tables, pisa.TableDecl{
 		Name: "setup", Stage: 0, Kind: pisa.MatchAlways,
@@ -273,9 +273,9 @@ func addModule(p *pisa.Program, cfg Config, k, slots int, full, varShift bool, m
 	)
 
 	p.Registers = append(p.Registers,
-		pisa.RegisterDecl{Name: n("exp_reg"), Width: 8, Size: slots, Stage: 2},
-		pisa.RegisterDecl{Name: n("man_reg"), Width: 32, Size: slots, Stage: manStage},
-		pisa.RegisterDecl{Name: n("ovf_reg"), Width: 8, Size: slots, Stage: ovfStage},
+		pisa.RegisterDecl{Name: n("exp_reg"), Width: 8, Size: slots},
+		pisa.RegisterDecl{Name: n("man_reg"), Width: 32, Size: slots},
+		pisa.RegisterDecl{Name: n("ovf_reg"), Width: 8, Size: slots},
 	)
 
 	always := func(name string, stage int, egress bool, instrs ...pisa.Instr) pisa.TableDecl {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestReplicateIndependentState verifies that replicas share the compiled
-// program but nothing mutable: register state, slot sums and table
+// program but nothing mutable: register state, slot sums and switch
 // counters all diverge independently.
 func TestReplicateIndependentState(t *testing.T) {
 	pa, err := NewPipelineAggregator(DefaultFP32(ModeApprox), 1, 8, pisa.BaseArch())
@@ -53,21 +53,14 @@ func TestReplicateIndependentState(t *testing.T) {
 		t.Fatalf("replica slot: value %g count %d, want 0.25/1", r.Values[0], r.Count)
 	}
 
-	// Table counters are per-replica too: tilt the packet counts (original
+	// Switch counters are per-replica too: tilt the packet counts (original
 	// has now seen one more packet than the replica) and compare.
 	if _, err := pa.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	origHits, _, err := pa.Switch().TableStats("setup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repHits, _, err := rep.Switch().TableStats("setup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if origHits == 0 || repHits == 0 || origHits == repHits {
-		t.Fatalf("table counters not independent: original %d, replica %d", origHits, repHits)
+	orig, repl := pa.Switch().Counters().Received, rep.Switch().Counters().Received
+	if orig == 0 || repl == 0 || orig == repl {
+		t.Fatalf("switch counters not independent: original %d, replica %d", orig, repl)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 //     ingress stage for egress readers): data dependencies never flow
 //     backward (§2.3).
 //   - Two tables in the same gress and stage may not write the same field.
-//   - All stateful ops on a register must execute in the register's stage,
-//     and at most one table may access a given register (one stateful
-//     access per register per packet).
+//   - Exactly one table accesses each register (one stateful access per
+//     register per packet); the register lives in that table's stage and
+//     gress, wherever the table is placed.
 func (c *compiled) checkDependencies() error {
 	// Parser- and architecture-written fields.
 	parserWritten := make(map[fieldID]bool)
@@ -40,7 +40,7 @@ func (c *compiled) checkDependencies() error {
 		sets[t.idx].reads, sets[t.idx].writes = c.tableIO(t)
 	}
 
-	// Register access uniqueness.
+	// Register access uniqueness: each register has exactly one table.
 	regUser := make(map[string]string)
 	for _, t := range all {
 		for _, a := range t.actions {
@@ -53,6 +53,11 @@ func (c *compiled) checkDependencies() error {
 					name, u, t.decl.Name)
 			}
 			regUser[name] = t.decl.Name
+		}
+	}
+	for _, d := range c.regDecls {
+		if regUser[d.Name] == "" {
+			return fmt.Errorf("pisa: register %q: no table accesses it, so it has no stage", d.Name)
 		}
 	}
 
@@ -82,18 +87,6 @@ func (c *compiled) checkDependencies() error {
 		for _, t := range tables {
 			reads, writes := sets[t.idx].reads, sets[t.idx].writes
 
-			// Required stage from stateful register binding.
-			regStage := -1
-			for _, a := range t.actions {
-				if a.stateful != nil {
-					rs := c.regDecls[a.stateful.regID].Stage
-					if regStage != -1 && regStage != rs {
-						return nil, fmt.Errorf("pisa: table %q: actions bind registers in different stages", t.decl.Name)
-					}
-					regStage = rs
-				}
-			}
-
 			// Earliest legal stage from read dependencies.
 			min := 0
 			for f := range reads {
@@ -105,15 +98,8 @@ func (c *compiled) checkDependencies() error {
 			}
 
 			stage := t.stage
-			switch {
-			case stage == -1 && regStage != -1:
-				stage = regStage
-			case stage == -1:
+			if stage == -1 {
 				stage = min
-			}
-			if regStage != -1 && stage != regStage {
-				return nil, fmt.Errorf("pisa: table %q: declared stage %d but register %s lives in stage %d",
-					t.decl.Name, stage, regUserName(c, t), regStage)
 			}
 			if stage < min {
 				return nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
@@ -191,15 +177,6 @@ func (c *compiled) checkDependencies() error {
 		return err
 	}
 	return nil
-}
-
-func regUserName(c *compiled, t *cTable) string {
-	for _, a := range t.actions {
-		if a.stateful != nil {
-			return c.regDecls[a.stateful.regID].Name
-		}
-	}
-	return "?"
 }
 
 // tableIO returns the set of fields a table reads (keys, operands,

@@ -11,44 +11,30 @@ type FieldDecl struct {
 	Width int
 }
 
-// Builtin PHV fields available to every program. They are written by the
-// architecture (parser/TM) or control forwarding behaviour.
+// Builtin PHV fields available to every program, written by the
+// architecture or read by it to forward the packet.
 const (
-	// FieldDrop, when non-zero at the end of ingress, drops the packet.
-	FieldDrop = "_drop"
-	// FieldEgressPort selects the output port.
+	// FieldEgressPort selects the output port: the packet leaves on the
+	// port it holds at the end of ingress.
 	FieldEgressPort = "_egress_port"
-	// FieldMcastGroup, when non-zero, replicates the packet to the traffic
-	// manager multicast group of that ID.
-	FieldMcastGroup = "_mcast_group"
 	// FieldIngressPort is set by the architecture to the arrival port.
 	FieldIngressPort = "_ingress_port"
-	// FieldRecirc, when non-zero at the end of egress, re-injects the
-	// packet into the ingress pipeline (costly and bandwidth-limited on
-	// real hardware; the simulator caps iterations).
-	FieldRecirc = "_recirc"
 )
 
 // builtinFields are registered first, in this order, so their fieldIDs are
 // the compile-time constants below — the executor never looks them up by
 // name.
 var builtinFields = []FieldDecl{
-	fidDrop:        {Name: FieldDrop, Width: 8},
 	fidEgressPort:  {Name: FieldEgressPort, Width: 16},
-	fidMcastGroup:  {Name: FieldMcastGroup, Width: 16},
 	fidIngressPort: {Name: FieldIngressPort, Width: 16},
-	fidRecirc:      {Name: FieldRecirc, Width: 8},
 }
 
 // fieldID indexes into a Phv value slice.
 type fieldID int32
 
 const (
-	fidDrop fieldID = iota
-	fidEgressPort
-	fidMcastGroup
+	fidEgressPort fieldID = iota
 	fidIngressPort
-	fidRecirc
 )
 
 // fieldTable maps names to IDs and carries widths; built at compile time.
@@ -122,27 +108,4 @@ func (p *Phv) get(id fieldID) uint32 { return p.vals[id] }
 
 func (p *Phv) set(id fieldID, v uint32) {
 	p.vals[id] = v & p.ft.masks[id]
-}
-
-// writeSet holds the PHV writes the executor may not apply yet, in write
-// order: an action's instruction results whose destination the action's own
-// stateful op still has to read at its stage-entry value (see plan). They
-// commit when the op has run, so a set never outgrows one action's
-// instruction count; the backing array grows to that over a replica's first
-// packets and is reused from then on.
-type writeSet []phvWrite
-
-type phvWrite struct {
-	id  fieldID
-	val uint32
-}
-
-func (w *writeSet) put(id fieldID, v uint32) { *w = append(*w, phvWrite{id, v}) }
-
-// commit applies the pending writes to p and empties the set.
-func (w *writeSet) commit(p *Phv) {
-	for _, wr := range *w {
-		p.set(wr.id, wr.val)
-	}
-	*w = (*w)[:0]
 }

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -215,7 +216,7 @@ func TestCselAndPredication(t *testing.T) {
 func TestStatefulCounter(t *testing.T) {
 	prog := Program{
 		Fields:    []FieldDecl{{Name: "idx", Width: 8}, {Name: "inc", Width: 32}, {Name: "cnt", Width: 32}},
-		Registers: []RegisterDecl{{Name: "ctr", Width: 32, Size: 4, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "ctr", Width: 32, Size: 4}},
 		Parser: []ExtractDecl{
 			{Field: "idx", Offset: 0, Bytes: 1},
 			{Field: "inc", Offset: 1, Bytes: 4},
@@ -255,7 +256,7 @@ func TestStatefulCondCmpOldIn(t *testing.T) {
 	// Running max with OutOld: the exponent-stage pattern of FPISA.
 	prog := Program{
 		Fields:    []FieldDecl{{Name: "idx", Width: 8}, {Name: "e", Width: 8}, {Name: "old", Width: 8}},
-		Registers: []RegisterDecl{{Name: "exp", Width: 8, Size: 2, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "exp", Width: 8, Size: 2}},
 		Parser: []ExtractDecl{
 			{Field: "idx", Offset: 0, Bytes: 1},
 			{Field: "e", Offset: 1, Bytes: 1},
@@ -304,7 +305,7 @@ func TestStatefulRSAW(t *testing.T) {
 			{Name: "idx", Width: 8}, {Name: "m", Width: 32},
 			{Name: "d", Width: 8}, {Name: "out", Width: 32},
 		},
-		Registers: []RegisterDecl{{Name: "man", Width: 32, Size: 1, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "man", Width: 32, Size: 1}},
 		Parser: []ExtractDecl{
 			{Field: "idx", Offset: 0, Bytes: 1},
 			{Field: "m", Offset: 1, Bytes: 4},
@@ -355,7 +356,7 @@ func TestStatefulRSAW(t *testing.T) {
 func TestStatefulOverflowSignal(t *testing.T) {
 	prog := Program{
 		Fields:    []FieldDecl{{Name: "idx", Width: 8}, {Name: "m", Width: 32}, {Name: "ov", Width: 8}},
-		Registers: []RegisterDecl{{Name: "acc", Width: 32, Size: 1, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "acc", Width: 32, Size: 1}},
 		Parser: []ExtractDecl{
 			{Field: "idx", Offset: 0, Bytes: 1},
 			{Field: "m", Offset: 1, Bytes: 4},
@@ -465,10 +466,6 @@ func TestExactMatchTable(t *testing.T) {
 	if run(10) != 1 || run(20) != 2 || run(30) != 0xFF {
 		t.Error("exact table routing wrong")
 	}
-	hits, misses, err := sw.TableStats("t")
-	if err != nil || hits != 2 || misses != 1 {
-		t.Errorf("stats = %d/%d (%v)", hits, misses, err)
-	}
 }
 
 // A key wider than denseKeyBits is found by search over the sorted entries
@@ -508,129 +505,6 @@ func TestExactMatchWideKey(t *testing.T) {
 			t.Errorf("key %#x/%#x: out = %d, want %d", c.hi, c.lo, got, c.want)
 		}
 	}
-	if hits, misses, _ := sw.TableStats("t"); hits != 4 || misses != 3 {
-		t.Errorf("stats = %d/%d, want 4/3", hits, misses)
-	}
-}
-
-// mcastDropProg multicasts mode-1 packets to group 7 and drops mode-2 ones.
-func mcastDropProg() Program {
-	return Program{
-		Fields: []FieldDecl{{Name: "mode", Width: 8}},
-		Parser: []ExtractDecl{{Field: "mode", Offset: 0, Bytes: 1}},
-		Tables: []TableDecl{{
-			Name: "t", Stage: 0, Kind: MatchExact, Key: []string{"mode"},
-			Actions: []ActionDecl{
-				{Name: "mcast", Instrs: []Instr{{Op: OpMov, Dst: FieldMcastGroup, A: Imm(7)}}},
-				{Name: "drop", Instrs: []Instr{{Op: OpMov, Dst: FieldDrop, A: Imm(1)}}},
-			},
-			Entries: []EntryDecl{
-				{Value: 1, Action: "mcast"},
-				{Value: 2, Action: "drop"},
-			},
-		}},
-	}
-}
-
-func TestMulticastAndDrop(t *testing.T) {
-	sw := mustSwitch(t, mcastDropProg(), BaseArch())
-	sw.SetMcastGroup(7, []uint16{3, 4, 9})
-
-	out, err := sw.Process(0, []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0].Port != 3 || out[2].Port != 9 {
-		t.Errorf("mcast out = %+v", out)
-	}
-
-	out, err = sw.Process(0, []byte{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Errorf("dropped packet emitted: %+v", out)
-	}
-	if sw.Counters().Dropped != 1 {
-		t.Errorf("drop counter = %d", sw.Counters().Dropped)
-	}
-}
-
-// recircProg decrements a counter field and recirculates until it is zero.
-func recircProg() Program {
-	return Program{
-		Fields: []FieldDecl{{Name: "n", Width: 8}, {Name: "nz", Width: 8}},
-		Parser: []ExtractDecl{{Field: "n", Offset: 0, Bytes: 1}},
-		Tables: []TableDecl{
-			{
-				Name: "dec", Stage: 0, Kind: MatchAlways,
-				Actions: []ActionDecl{{Name: "dec", Instrs: []Instr{
-					{Op: OpSub, Dst: "n", A: F("n"), B: Imm(1)},
-					{Op: OpMov, Dst: FieldEgressPort, A: Imm(1)},
-				}}},
-				Default: "dec",
-			},
-			{
-				Name: "test", Stage: 1, Kind: MatchAlways,
-				Actions: []ActionDecl{{Name: "t", Instrs: []Instr{
-					{Op: OpNe, Dst: "nz", A: F("n"), B: Imm(0)},
-				}}},
-				Default: "t",
-			},
-			{
-				Name: "loop", Stage: 0, Egress: true, Kind: MatchAlways,
-				Actions: []ActionDecl{{Name: "l", Instrs: []Instr{
-					{Op: OpMov, Dst: FieldRecirc, A: F("nz")},
-				}}},
-				Default: "l",
-			},
-		},
-	}
-}
-
-func TestRecirculation(t *testing.T) {
-	sw := mustSwitch(t, recircProg(), BaseArch())
-	out, err := sw.Process(0, []byte{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Packet[0] != 0 {
-		t.Fatalf("out = %+v", out)
-	}
-	if got := sw.Counters().Recirculated; got != 2 {
-		t.Errorf("recirculated = %d, want 2", got)
-	}
-}
-
-// recircLoopProg recirculates every packet forever.
-func recircLoopProg() Program {
-	return Program{
-		Fields: []FieldDecl{{Name: "x", Width: 8}},
-		Parser: []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}},
-		Tables: []TableDecl{{
-			Name: "t", Stage: 0, Egress: true, Kind: MatchAlways,
-			Actions: []ActionDecl{{Name: "a", Instrs: []Instr{
-				{Op: OpMov, Dst: FieldRecirc, A: Imm(1)},
-			}}},
-			Default: "a",
-		}},
-	}
-}
-
-func TestRecirculationLimit(t *testing.T) {
-	sw := mustSwitch(t, recircLoopProg(), BaseArch())
-	if _, err := sw.Process(0, []byte{0}); err == nil {
-		t.Fatal("expected recirculation limit error")
-	}
-	// A looping program is a runtime error like any other: operators
-	// reading Counters() must see it.
-	c := sw.Counters()
-	if c.RuntimeErrors != 1 {
-		t.Errorf("RuntimeErrors = %d, want 1", c.RuntimeErrors)
-	}
-	if c.Recirculated != maxRecirculations || c.Emitted != 0 {
-		t.Errorf("Recirculated = %d, Emitted = %d, want %d, 0", c.Recirculated, c.Emitted, maxRecirculations)
-	}
 }
 
 // The executor addresses the builtin fields by constant fieldID; the
@@ -641,15 +515,14 @@ func TestBuiltinFieldIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]fieldID{
-		FieldDrop: fidDrop, FieldEgressPort: fidEgressPort, FieldMcastGroup: fidMcastGroup,
-		FieldIngressPort: fidIngressPort, FieldRecirc: fidRecirc,
+		FieldEgressPort: fidEgressPort, FieldIngressPort: fidIngressPort,
 	} {
 		if got, err := ft.lookup(name); err != nil || got != want {
 			t.Errorf("%s: id %d (%v), want %d", name, got, err, want)
 		}
 	}
-	if len(builtinFields) != int(fidRecirc)+1 {
-		t.Errorf("%d builtin fields, %d constants", len(builtinFields), int(fidRecirc)+1)
+	if len(builtinFields) != int(fidIngressPort)+1 {
+		t.Errorf("%d builtin fields, %d constants", len(builtinFields), int(fidIngressPort)+1)
 	}
 }
 
@@ -742,7 +615,7 @@ func TestCompileErrors(t *testing.T) {
 			"register shared by two tables",
 			Program{
 				Fields:    []FieldDecl{{Name: "i", Width: 8}},
-				Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 1, Stage: 0}},
+				Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 1}},
 				Parser:    []ExtractDecl{{Field: "i", Offset: 0, Bytes: 1}},
 				Tables: []TableDecl{
 					{Name: "t1", Stage: 0, Kind: MatchAlways,
@@ -754,17 +627,22 @@ func TestCompileErrors(t *testing.T) {
 			"one stateful access",
 		},
 		{
-			"stateful op in wrong stage",
-			Program{
-				Fields:    []FieldDecl{{Name: "i", Width: 8}},
-				Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 1, Stage: 2}},
-				Parser:    []ExtractDecl{{Field: "i", Offset: 0, Bytes: 1}},
-				Tables: []TableDecl{
-					{Name: "t1", Stage: 0, Kind: MatchAlways,
-						Actions: []ActionDecl{{Name: "x", Stateful: &StatefulOp{Register: "r", IndexField: "i", Cond: SaluCond{Kind: CondAlways}}}}, Default: "x"},
-				},
-			},
-			"lives in stage",
+			"register width",
+			Program{Fields: f, Registers: []RegisterDecl{{Name: "r", Width: 12, Size: 1}}},
+			"width 12",
+		},
+		{
+			"duplicate register",
+			Program{Fields: f, Registers: []RegisterDecl{{Name: "r", Width: 8, Size: 1}, {Name: "r", Width: 8, Size: 1}}},
+			"duplicate register",
+		},
+		{
+			"unknown register",
+			Program{Fields: f, Parser: p, Tables: []TableDecl{
+				{Name: "t", Stage: 0, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "x", Stateful: &StatefulOp{Register: "r", IndexField: "a"}}}, Default: "x"},
+			}},
+			"unknown register",
 		},
 		{
 			"duplicate field",
@@ -878,33 +756,6 @@ func TestParserShortPacket(t *testing.T) {
 	}
 }
 
-func TestRegisterControlPlane(t *testing.T) {
-	prog := Program{
-		Fields:    []FieldDecl{{Name: "i", Width: 8}},
-		Registers: []RegisterDecl{{Name: "r", Width: 16, Size: 3, Stage: 0}},
-		Parser:    []ExtractDecl{{Field: "i", Offset: 0, Bytes: 1}},
-	}
-	sw := mustSwitch(t, prog, BaseArch())
-	if err := sw.WriteRegister("r", 1, 0x1FFFF); err != nil {
-		t.Fatal(err)
-	}
-	regs, _ := sw.RegisterSnapshot("r")
-	if regs[1] != 0xFFFF { // masked to 16 bits
-		t.Errorf("reg = %#x, want 0xFFFF", regs[1])
-	}
-	if err := sw.WriteRegister("r", 5, 0); err == nil {
-		t.Error("out-of-range write accepted")
-	}
-	if err := sw.WriteRegister("zzz", 0, 0); err == nil {
-		t.Error("unknown register accepted")
-	}
-	sw.ResetRegisters()
-	regs, _ = sw.RegisterSnapshot("r")
-	if regs[1] != 0 {
-		t.Error("ResetRegisters did not clear")
-	}
-}
-
 func TestUtilizationReport(t *testing.T) {
 	sw := mustSwitch(t, forwardProg(1), BaseArch())
 	u := sw.Utilization()
@@ -957,12 +808,11 @@ func TestNarrowContainerArithmetic(t *testing.T) {
 	}
 }
 
-// The plan writes straight to the PHV unless a later step of the stage reads
-// the field, and its lowering relies on the compiler for what "later step"
-// can mean (see plan): a table placed after a writer in the writer's stage
+// The plan writes straight to the PHV and relies on the compiler for stage
+// semantics (see plan): a table placed after a writer in the writer's stage
 // may not read the written field — as an operand, a predicate, a match key
-// or a stateful op's index. Were this rule relaxed, those writes would have
-// to be held back too.
+// or a stateful op's index. Were this rule relaxed, the reader would see the
+// written value instead of the stage-entry one.
 func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
 	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
@@ -984,10 +834,9 @@ func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 			}}}, Default: "r"},
 	}
 	for name, reader := range readers {
-		prog := Program{
-			Fields: fields, Parser: parser,
-			Registers: []RegisterDecl{{Name: "q", Width: 8, Size: 4, Stage: 0}},
-			Tables:    []TableDecl{writer, reader},
+		prog := Program{Fields: fields, Parser: parser, Tables: []TableDecl{writer, reader}}
+		if reader.Actions[0].Stateful != nil {
+			prog.Registers = []RegisterDecl{{Name: "q", Width: 8, Size: 4}}
 		}
 		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), "cannot flow backward") {
 			t.Errorf("%s reading an earlier table's write in its stage: err = %v", name, err)
@@ -1000,16 +849,16 @@ func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	}
 }
 
-// hazardProg is the one read-after-write the compiler admits inside a stage:
-// an action's instructions rewrite every field its own stateful op reads —
-// index, input, shift distance and condition.
+// hazardProg is a read-after-write inside an action: its instructions
+// rewrite every field its own stateful op reads — index, input, shift
+// distance and condition.
 func hazardProg() Program {
 	return Program{
 		Fields: []FieldDecl{
 			{Name: "idx", Width: 8}, {Name: "in", Width: 32}, {Name: "sh", Width: 8},
 			{Name: "cf", Width: 8}, {Name: "out", Width: 32},
 		},
-		Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 4, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 4}},
 		Parser: []ExtractDecl{
 			{Field: "idx", Offset: 0, Bytes: 1}, {Field: "in", Offset: 1, Bytes: 4}, {Field: "sh", Offset: 5, Bytes: 1},
 			{Field: "cf", Offset: 6, Bytes: 1}, {Field: "out", Offset: 7, Bytes: 4},
@@ -1035,45 +884,53 @@ func hazardProg() Program {
 	}
 }
 
-// A stateful op sees the stage-entry value of every field it reads, although
-// the instructions of its action, which the executor runs first, rewrite
-// them; the rewrites land once the op has run.
-func TestStatefulOpReadsStageEntryValues(t *testing.T) {
-	sw := mustSwitch(t, hazardProg(), ExtendedArch())
-	if err := sw.WriteRegister("r", 1, 8); err != nil {
-		t.Fatal(err)
+// A stateful op runs against the stage-entry PHV like its action's
+// instructions, so it may not read a field one of them writes: the compiler
+// refuses it and names the field, for each of the op's reads alone, and
+// accepts the action once no instruction writes what the op reads. That
+// rule is what lets every plan step write the PHV directly.
+func TestStatefulOpReadingActionWriteRefused(t *testing.T) {
+	if _, err := New(hazardProg(), ExtendedArch()); err == nil || !strings.Contains(err.Error(), "stateful op reads field") {
+		t.Fatalf("hazardProg compiled: %v", err)
 	}
-	pkt := []byte{1, 0, 0, 0, 5, 1, 1, 0, 0, 0, 0} // idx 1, in 5, sh 1, cf 1
-	out, err := sw.Process(0, pkt)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("out = %+v, %v", out, err)
+	for i, field := range []string{"idx", "in", "sh", "cf"} {
+		prog := hazardProg()
+		a := &prog.Tables[0].Actions[0]
+		a.Instrs = a.Instrs[i : i+1]
+		_, err := New(prog, ExtendedArch())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stateful op reads field %q", field)) {
+			t.Errorf("instruction rewriting %s: err = %v", field, err)
+		}
 	}
-	// cf != 0 at stage entry, so r[1] = (8 >> 1) + 5; with the rewritten
-	// values the op would have kept r[2].
-	if regs, _ := sw.RegisterSnapshot("r"); regs[1] != 9 || regs[2] != 0 {
-		t.Errorf("r = %v, want [0 9 0 0]", regs)
+	prog := hazardProg()
+	prog.Tables[0].Actions[0].Instrs = nil
+	if _, err := New(prog, ExtendedArch()); err != nil {
+		t.Errorf("stateful op alone: %v", err)
 	}
-	if want := []byte{2, 0, 0, 0x03, 0xed, 2, 0, 0, 0, 0, 9}; string(out[0].Packet) != string(want) {
-		t.Errorf("packet = % x, want % x", out[0].Packet, want)
+	// The op may read its own output field: it reads before it writes.
+	prog.Tables[0].Actions[0].Stateful.OutputField = "in"
+	if _, err := New(prog, ExtendedArch()); err != nil {
+		t.Errorf("stateful op reading its own output: %v", err)
 	}
 }
 
 // A stateful op that fails kills its packet and nothing else: register
-// updates of earlier stages stay, writes held back for the failed op are
-// dropped rather than leaked into the next packet, and the table counters
-// show how far the packet got.
+// updates of earlier stages stay, and the writes its stage made before it
+// failed do not leak into the next packet.
 func TestStatefulErrorMidPipeline(t *testing.T) {
 	prog := Program{
 		Fields: []FieldDecl{
 			{Name: "z", Width: 8}, {Name: "idx", Width: 8}, {Name: "in", Width: 32}, {Name: "out", Width: 32},
+			{Name: "bump", Width: 32},
 		},
 		Registers: []RegisterDecl{
-			{Name: "seen", Width: 32, Size: 1, Stage: 0},
-			{Name: "q", Width: 32, Size: 2, Stage: 1},
+			{Name: "seen", Width: 32, Size: 1},
+			{Name: "q", Width: 32, Size: 2},
 		},
 		Parser: []ExtractDecl{
 			{Field: "z", Offset: 0, Bytes: 1}, {Field: "idx", Offset: 1, Bytes: 1},
 			{Field: "in", Offset: 2, Bytes: 4}, {Field: "out", Offset: 6, Bytes: 4},
+			{Field: "bump", Offset: 10, Bytes: 4},
 		},
 		Tables: []TableDecl{
 			{
@@ -1087,7 +944,7 @@ func TestStatefulErrorMidPipeline(t *testing.T) {
 				Name: "acc", Stage: 1, Kind: MatchAlways,
 				Actions: []ActionDecl{{
 					Name:   "a",
-					Instrs: []Instr{{Op: OpAdd, Dst: "in", A: F("in"), B: Imm(1)}}, // held back: the op reads in
+					Instrs: []Instr{{Op: OpAdd, Dst: "bump", A: F("in"), B: Imm(1)}}, // runs before the op fails
 					Stateful: &StatefulOp{
 						Register: "q", IndexField: "idx", InField: "in", True: UAddIn,
 						Output: OutNew, OutputField: "out",
@@ -1104,7 +961,7 @@ func TestStatefulErrorMidPipeline(t *testing.T) {
 	}
 	sw := mustSwitch(t, prog, BaseArch())
 
-	out, err := sw.Process(0, []byte{0, 5, 0, 0, 0, 100, 0, 0, 0, 0}) // q has no element 5
+	out, err := sw.Process(0, []byte{0, 5, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0}) // q has no element 5
 	if err == nil || !strings.Contains(err.Error(), `register "q" index 5 out of range 2`) || out != nil {
 		t.Fatalf("out = %+v, err = %v", out, err)
 	}
@@ -1115,21 +972,88 @@ func TestStatefulErrorMidPipeline(t *testing.T) {
 		t.Errorf("seen = %v: the earlier stage's update must stay", seen)
 	}
 
-	out, err = sw.Process(0, []byte{0, 1, 0, 0, 0, 7, 0, 0, 0, 0})
+	out, err = sw.Process(0, []byte{0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0})
 	if err != nil || len(out) != 1 || out[0].Port != 3 {
 		t.Fatalf("out = %+v, %v", out, err)
 	}
-	if want := []byte{0, 1, 0, 0, 0, 8, 0, 0, 0, 7}; string(out[0].Packet) != string(want) {
+	if want := []byte{0, 1, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0, 8}; string(out[0].Packet) != string(want) {
 		t.Errorf("packet = % x, want % x", out[0].Packet, want)
 	}
 	if q, _ := sw.RegisterSnapshot("q"); q[0] != 0 || q[1] != 7 {
 		t.Errorf("q = %v, want [0 7]", q)
 	}
-	for name, want := range map[string]uint64{"count": 2, "acc": 2, "after": 1} {
-		if hits, misses, _ := sw.TableStats(name); hits != want || misses != 0 {
-			t.Errorf("table %q: %d hits, %d misses, want %d, 0", name, hits, misses, want)
-		}
+	if c := sw.Counters(); c.RuntimeErrors != 1 || c.Emitted != 1 || c.Received != 2 {
+		t.Errorf("counters = %+v", c)
 	}
+}
+
+// A register lives in the stage and gress of the one table that accesses
+// it: an auto-placed stateful table lands after its producers and takes its
+// register there, SRAM and stateful ALU included. A register no table
+// accesses has no stage and is refused, as is one two tables access.
+func TestRegisterFollowsItsTable(t *testing.T) {
+	prog := Program{
+		Fields: []FieldDecl{
+			{Name: "a", Width: 32}, {Name: "b", Width: 32}, {Name: "idx", Width: 8},
+			{Name: "out", Width: 32}, {Name: "hi", Width: 32},
+		},
+		Registers: []RegisterDecl{{Name: "acc", Width: 32, Size: 4}, {Name: "peak", Width: 32, Size: 4}},
+		Parser: []ExtractDecl{
+			{Field: "a", Offset: 0, Bytes: 4}, {Field: "idx", Offset: 4, Bytes: 1},
+			{Field: "out", Offset: 5, Bytes: 4}, {Field: "hi", Offset: 9, Bytes: 4},
+		},
+		Tables: []TableDecl{
+			{Name: "inc", Stage: -1, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "i", Instrs: []Instr{{Op: OpAdd, Dst: "b", A: F("a"), B: Imm(1)}}}}, Default: "i"},
+			{Name: "sum", Stage: -1, Kind: MatchAlways, // reads b: stage 1
+				Actions: []ActionDecl{{Name: "s", Stateful: &StatefulOp{
+					Register: "acc", IndexField: "idx", InField: "b", True: UAddIn, Output: OutNew, OutputField: "out",
+				}}}, Default: "s"},
+			{Name: "max", Stage: 3, Egress: true, Kind: MatchAlways,
+				Actions: []ActionDecl{{Name: "m", Stateful: &StatefulOp{
+					Register: "peak", IndexField: "idx", InField: "out", True: UMaxIn, Output: OutNew, OutputField: "hi",
+				}}}, Default: "m"},
+		},
+	}
+	t.Run("placed", func(t *testing.T) {
+		sw := mustSwitch(t, prog, BaseArch())
+		for s, u := range sw.Utilization().Stages {
+			want := 0
+			if s == 1 || s == 3 {
+				want = 1
+			}
+			if u.SRAMBlocks != want || u.StatefulALUs != want {
+				t.Errorf("stage %d: %d SRAM blocks, %d stateful ALUs, want %d each", s, u.SRAMBlocks, u.StatefulALUs, want)
+			}
+		}
+		for n := byte(1); n <= 2; n++ {
+			out, err := sw.Process(0, []byte{0, 0, 0, 4, 2, 0, 0, 0, 0, 0, 0, 0, 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []byte{0, 0, 0, 4, 2, 0, 0, 0, 5 * n, 0, 0, 0, 5 * n}; string(out[0].Packet) != string(want) {
+				t.Errorf("packet %d = % x, want % x", n, out[0].Packet, want)
+			}
+		}
+	})
+	t.Run("unaccessed", func(t *testing.T) {
+		p := prog
+		p.Registers = append(p.Registers[:2:2], RegisterDecl{Name: "idle", Width: 8, Size: 1})
+		if _, err := New(p, BaseArch()); err == nil || !strings.Contains(err.Error(), `register "idle": no table accesses it`) {
+			t.Errorf("unaccessed register: err = %v", err)
+		}
+	})
+	t.Run("shared", func(t *testing.T) {
+		p := prog
+		p.Tables = append([]TableDecl(nil), prog.Tables...)
+		p.Tables[2].Actions = []ActionDecl{{Name: "m", Stateful: &StatefulOp{
+			Register: "acc", IndexField: "idx", InField: "out", True: UMaxIn, Output: OutNew, OutputField: "hi",
+		}}}
+		p.Registers = p.Registers[:1]
+		if _, err := New(p, BaseArch()); err == nil || !strings.Contains(err.Error(), "one stateful access") {
+			t.Errorf("register shared by two tables: err = %v", err)
+		}
+	})
 }
 
 // What a stage writes — here a stateful op's running count — the next stage
@@ -1137,7 +1061,7 @@ func TestStatefulErrorMidPipeline(t *testing.T) {
 func TestNextStageSeesWrite(t *testing.T) {
 	prog := Program{
 		Fields:    []FieldDecl{{Name: "z", Width: 8}, {Name: "one", Width: 8}, {Name: "cnt", Width: 32}, {Name: "dbl", Width: 32}},
-		Registers: []RegisterDecl{{Name: "ctr", Width: 32, Size: 1, Stage: 0}},
+		Registers: []RegisterDecl{{Name: "ctr", Width: 32, Size: 1}},
 		Parser: []ExtractDecl{
 			{Field: "z", Offset: 0, Bytes: 1}, {Field: "one", Offset: 1, Bytes: 1},
 			{Field: "cnt", Offset: 2, Bytes: 4}, {Field: "dbl", Offset: 6, Bytes: 4},

@@ -1,9 +1,6 @@
 package pisa
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // A plan is one gress lowered to a flat step sequence: what the executor
 // runs per packet. compile builds it once, after the dependency analysis;
@@ -18,24 +15,16 @@ import (
 // are resolved here, not per packet.
 //
 // Stage semantics — every table of a stage sees the stage-entry PHV — hold
-// by construction. A step's write goes straight to the PHV unless a later
-// step of the same stage reads the field, and checkDependencies leaves one
-// such reader possible: it refuses a table that reads what a table placed
-// before it in its stage writes (tables placed after it have not run yet),
-// and compileAction refuses an instruction that reads another's
-// destination, so only an action's own stateful op, which runs after its
-// instructions, can read what they write. Those writes alone are held back
-// on the switch's write set and committed once the op has run.
+// by construction, so every step writes the PHV directly: no later step of a
+// stage reads a field an earlier one writes. checkDependencies refuses a
+// table that reads what a table placed before it in its stage writes
+// (tables placed after it have not run yet); compileAction refuses an
+// instruction that reads another's destination, and a stateful op — which
+// runs after its action's instructions — that reads one of theirs.
 type plan struct {
-	egress bool
 	steps  []step
 	tables []*cTable  // keyed tables, indexed by a lookup step's dst
 	salus  []planSalu // stateful ops, indexed by a salu step's dst
-	// always lists the dissolved always-tables in execution order. They hit
-	// on every packet, so the executor counts completed runs of the plan
-	// (Switch.runs) instead of bumping each table; only a run a stateful op
-	// fails counts the tables it reached one by one.
-	always []int // table idx
 }
 
 // stepKind says what a step does. Values up to OpCsel are VLIW
@@ -49,10 +38,9 @@ const (
 
 // step is one plan step.
 type step struct {
-	kind     stepKind
-	hasPred  bool
-	predNeg  bool
-	deferred bool // the action's stateful op reads dst: hold the write back until it has run
+	kind    stepKind
+	hasPred bool
+	predNeg bool
 	// skip is how many steps to pass over after this one: on an action's
 	// last step, the table's remaining actions.
 	skip uint32
@@ -84,15 +72,11 @@ type planSalu struct {
 	sx      uint8  // 32 - register width: sign-extends a stored value
 	condSx  uint8  // 32 - width of a CondPhv field
 	outMask uint32 // the output field's width mask
-	// commit says the action's instructions held writes back for this op.
-	commit bool
-	// always is how many always-tables have run once this op's table has.
-	always int
 }
 
 // lower builds the plan of one gress from its placed tables.
-func (c *compiled) lower(egress bool, stages [][]*cTable) plan {
-	pl := plan{egress: egress}
+func (c *compiled) lower(stages [][]*cTable) plan {
+	var pl plan
 	n := 0
 	for _, tables := range stages {
 		for _, t := range tables {
@@ -107,7 +91,6 @@ func (c *compiled) lower(egress bool, stages [][]*cTable) plan {
 	for _, tables := range stages {
 		for _, t := range tables {
 			if t.decl.Kind == MatchAlways {
-				pl.always = append(pl.always, t.idx)
 				c.lowerAction(&pl, t.default_)
 				continue
 			}
@@ -138,11 +121,6 @@ func (c *compiled) lower(egress bool, stages [][]*cTable) plan {
 
 // lowerAction appends a's instructions and stateful op to the plan.
 func (c *compiled) lowerAction(pl *plan, a *cAction) {
-	var saluReads []fieldID
-	if a.stateful != nil {
-		saluReads = a.stateful.reads()
-	}
-	held := false
 	resolve := func(o cOperand) operand {
 		switch o.kind {
 		case srcField:
@@ -153,21 +131,17 @@ func (c *compiled) lowerAction(pl *plan, a *cAction) {
 		return operand{or: o.imm}
 	}
 	for _, ci := range a.instrs {
-		st := step{
+		pl.steps = append(pl.steps, step{
 			kind: stepKind(ci.op), dst: ci.dst, mask: c.ft.masks[ci.dst],
 			a: resolve(ci.a), b: resolve(ci.b),
 			hasPred: ci.hasPred, predNeg: ci.predNeg, pred: ci.pred,
-		}
-		st.deferred = slices.Contains(saluReads, ci.dst)
-		held = held || st.deferred
-		pl.steps = append(pl.steps, st)
+		})
 	}
 	if op := a.stateful; op != nil {
 		w := c.regDecls[op.regID].Width
 		ps := planSalu{
 			cStatefulOp: op,
 			mask:        widthMask(w), signBit: 1 << (w - 1), width: uint32(w), sx: uint8(32 - w),
-			always: len(pl.always), commit: held,
 		}
 		if op.cond.Kind == CondPhv {
 			ps.condSx = uint8(32 - c.ft.width(op.condField))
@@ -214,12 +188,7 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 			if len(t.key) != 1 {
 				key = t.buildKey(phv)
 			}
-			h, hit := t.lookup(key)
-			if hit {
-				s.tstats[t.idx].hits++
-			} else {
-				s.tstats[t.idx].misses++
-			}
+			h := t.lookup(key)
 			if h.action == nil {
 				pc = t.end
 				continue
@@ -227,16 +196,8 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 			params, pc = h.params, h.action.start
 			continue
 		case stepSalu:
-			op := &pl.salus[st.dst]
-			if err := s.salu(op, vals); err != nil {
-				s.writes = s.writes[:0] // the held-back writes die with the packet
-				for _, idx := range pl.always[:op.always] {
-					s.tstats[idx].hits++
-				}
+			if err := s.salu(&pl.salus[st.dst], vals); err != nil {
 				return err
-			}
-			if op.commit {
-				s.writes.commit(phv)
 			}
 			continue
 
@@ -286,13 +247,8 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 				v = a
 			}
 		}
-		if st.deferred {
-			s.writes.put(st.dst, v)
-		} else {
-			vals[st.dst] = v & st.mask
-		}
+		vals[st.dst] = v & st.mask
 	}
-	s.runs[boolBit(pl.egress)]++
 	return nil
 }
 

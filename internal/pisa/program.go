@@ -68,8 +68,8 @@ type cBitExtract struct {
 }
 
 // compiled is the fully resolved program. It is immutable after compile —
-// all runtime state (register arrays, table and switch counters) lives in
-// the Switch, so many pipeline replicas can share one compiled program
+// all runtime state (register arrays and switch counters) lives in the
+// Switch, so many pipeline replicas can share one compiled program
 // (Switch.Replicate).
 type compiled struct {
 	arch       Arch
@@ -84,7 +84,6 @@ type compiled struct {
 	ingressPlan, egressPlan plan
 	declared                []*cTable // declaration order, both gresses
 	util                    Utilization
-	tables                  map[string]*cTable
 }
 
 // compile resolves and validates the program against the architecture.
@@ -102,7 +101,6 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 		regIDs:  make(map[string]int),
 		ingress: make([][]*cTable, arch.IngressStages),
 		egress:  make([][]*cTable, arch.EgressStages),
-		tables:  make(map[string]*cTable),
 	}
 
 	if err := c.compileRegisters(prog.Registers); err != nil {
@@ -120,8 +118,8 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.checkDependencies(); err != nil {
 		return nil, err
 	}
-	c.ingressPlan = c.lower(false, c.ingress)
-	c.egressPlan = c.lower(true, c.egress)
+	c.ingressPlan = c.lower(c.ingress)
+	c.egressPlan = c.lower(c.egress)
 	if err := c.accountResources(); err != nil {
 		return nil, err
 	}
@@ -141,13 +139,6 @@ func (c *compiled) compileRegisters(decls []RegisterDecl) error {
 		}
 		if d.Size <= 0 {
 			return fmt.Errorf("pisa: register %q: size %d", d.Name, d.Size)
-		}
-		max := c.arch.IngressStages
-		if d.Egress {
-			max = c.arch.EgressStages
-		}
-		if d.Stage < 0 || d.Stage >= max {
-			return fmt.Errorf("pisa: register %q: stage %d out of range 0..%d", d.Name, d.Stage, max-1)
 		}
 		c.regIDs[d.Name] = len(c.regDecls)
 		c.regDecls = append(c.regDecls, d)
@@ -234,16 +225,17 @@ func (c *compiled) compileParserBits(decls []BitExtractDecl) error {
 }
 
 func (c *compiled) compileTables(decls []TableDecl) error {
+	names := make(map[string]bool)
 	for ti := range decls {
 		t, err := c.compileTable(&decls[ti])
 		if err != nil {
 			return err
 		}
-		if _, dup := c.tables[t.decl.Name]; dup {
+		if names[t.decl.Name] {
 			return fmt.Errorf("pisa: duplicate table %q", t.decl.Name)
 		}
+		names[t.decl.Name] = true
 		t.idx = len(c.declared)
-		c.tables[t.decl.Name] = t
 		c.declared = append(c.declared, t)
 	}
 	return nil
@@ -472,6 +464,14 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 		if err != nil {
 			return nil, err
 		}
+		// The op runs after the action's instructions but, like them, against
+		// the stage-entry PHV: a field they write would reach it rewritten.
+		for _, ci := range a.instrs {
+			if slices.Contains(op.reads(), ci.dst) {
+				return nil, fmt.Errorf("pisa: table %q action %q: stateful op reads field %q that an instruction of its action writes; VLIW instructions and the stateful op execute in parallel — split across stages",
+					td.Name, ad.Name, c.ft.name(ci.dst))
+			}
+		}
 		a.stateful = op
 	}
 	return a, nil
@@ -495,9 +495,6 @@ func (c *compiled) compileStateful(td *TableDecl, ad *ActionDecl, s *StatefulOp,
 	regID, ok := c.regIDs[s.Register]
 	if !ok {
 		return nil, fmt.Errorf("pisa: table %q action %q: unknown register %q", td.Name, ad.Name, s.Register)
-	}
-	if c.regDecls[regID].Egress != td.Egress {
-		return nil, fmt.Errorf("pisa: table %q action %q: register %q lives in the other gress", td.Name, ad.Name, s.Register)
 	}
 	op := &cStatefulOp{regID: regID, cond: s.Cond, true_: s.True, false_: s.False,
 		signed: s.Signed, output: s.Output}

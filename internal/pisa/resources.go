@@ -120,20 +120,10 @@ func (c *compiled) accountResources() error {
 	}
 	use := make([]StageUsage, stages)
 
-	// Register arrays consume SRAM in their stage and, when referenced by a
-	// table, a stateful ALU (counted with the table below).
-	for _, d := range c.regDecls {
-		bits := d.Size * d.Width
-		blocks := ceilDiv(bits, c.arch.Budget.SRAMBlockBits)
-		if blocks < 1 {
-			blocks = 1
-		}
-		use[d.Stage].SRAMBlocks += blocks
-	}
-
+	// A register array consumes SRAM and a stateful ALU in the stage of the
+	// one table that accesses it.
 	account := func(perStage [][]*cTable) {
 		for s, tables := range perStage {
-			statefulRegs := make(map[string]bool)
 			for _, t := range tables {
 				var tu StageUsage
 				tu.ResultBuses = 1
@@ -148,15 +138,18 @@ func (c *compiled) accountResources() error {
 					rowsPerBlock := max(1, c.arch.Budget.TCAMBlockBits/max(rowBits, 1))
 					tu.TCAMBlocks = max(1, ceilDiv(max(len(t.decl.Entries), 1), rowsPerBlock))
 				}
+				regs := make(map[int]bool)
 				for _, a := range t.actions {
 					tu.VLIWSlots += len(a.instrs)
-					if a.stateful != nil {
-						statefulRegs[c.regDecls[a.stateful.regID].Name] = true
+					if a.stateful != nil && !regs[a.stateful.regID] {
+						regs[a.stateful.regID] = true
+						d := c.regDecls[a.stateful.regID]
+						tu.SRAMBlocks += max(1, ceilDiv(d.Size*d.Width, c.arch.Budget.SRAMBlockBits))
+						tu.StatefulALUs++
 					}
 				}
 				use[s].add(tu)
 			}
-			use[s].StatefulALUs += len(statefulRegs)
 		}
 	}
 	account(c.ingress)

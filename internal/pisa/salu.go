@@ -1,19 +1,15 @@
 package pisa
 
-// RegisterDecl declares a stateful register array. A register array lives in
-// exactly one pipeline stage and can be accessed by at most one stateful
-// operation per packet — the PISA constraint that forces FPISA's design
-// (§2.3 challenge 1).
+// RegisterDecl declares a stateful register array. Exactly one table may
+// access a register, and the array lives in that table's stage and gress —
+// one stateful access per packet, the PISA constraint that forces FPISA's
+// design (§2.3 challenge 1). A register no table accesses is refused.
 type RegisterDecl struct {
 	Name string
 	// Width is the element width in bits: 8, 16 or 32.
 	Width int
 	// Size is the number of elements.
 	Size int
-	// Stage is the pipeline stage (within its gress) that owns the array.
-	Stage int
-	// Egress places the array in the egress pipeline instead of ingress.
-	Egress bool
 }
 
 // SaluCondKind selects the stateful ALU's predicate source.
@@ -114,7 +110,9 @@ const (
 // StatefulOp is one register action: a guarded read-modify-write against a
 // register array, the abstraction Tofino exposes as a RegisterAction. A
 // table action may contain at most one stateful op, and all stateful ops on
-// a given register must live in that register's stage.
+// a given register belong to one table, whose stage holds the register. An
+// op may not read a field an instruction of its own action writes: it runs
+// against the stage-entry PHV like the instructions do.
 type StatefulOp struct {
 	// Register names the target array.
 	Register string
@@ -144,8 +142,6 @@ type registerArray struct {
 	decl RegisterDecl
 	vals []uint32
 }
-
-func (r *registerArray) mask() uint32 { return widthMask(r.decl.Width) }
 
 // compiled stateful op with resolved IDs. The register is referenced by
 // its index into the switch's register bank (not a pointer) so the same

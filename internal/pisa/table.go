@@ -87,8 +87,7 @@ type cHit struct {
 	params []uint32
 }
 
-// compiled table. Immutable after compile; hit/miss counters live in the
-// Switch (indexed by idx) so replicas sharing the program count separately.
+// compiled table. Immutable after compile, so replicas can share it.
 type cTable struct {
 	decl TableDecl
 	// key lists the key fields, each with its bit position in the
@@ -107,8 +106,7 @@ type cTable struct {
 	lpm       *tcam.LPM[cHit]
 	default_  *cAction
 	stage     int
-	// idx is the table's position in declaration order, the key into the
-	// switch's per-table counters.
+	// idx is the table's position in declaration order.
 	idx int
 	// end is the pc past a keyed table's steps in its gress's plan, where a
 	// miss without a default action continues.
@@ -150,28 +148,29 @@ func (t *cTable) buildKey(p *Phv) uint64 {
 }
 
 // lookup returns the action (plus its action data) a keyed table executes
-// for a built key and whether an entry hit; a nil action means a no-op miss.
-// It never mutates the table, so replicas can look up concurrently.
-func (t *cTable) lookup(key uint64) (cHit, bool) {
+// for a built key: the hit entry's, else the default action; a nil action
+// means a no-op miss. It never mutates the table, so replicas can look up
+// concurrently.
+func (t *cTable) lookup(key uint64) cHit {
 	switch t.decl.Kind {
 	case MatchExact:
 		if t.dense != nil {
 			if i := t.dense[key]; i != 0 {
-				return t.exactHits[i-1], true
+				return t.exactHits[i-1]
 			}
 			break
 		}
 		if i, ok := slices.BinarySearch(t.exactKeys, key); ok {
-			return t.exactHits[i], true
+			return t.exactHits[i]
 		}
 	case MatchTernary:
 		if h, ok := t.ternary.Lookup(key); ok {
-			return h, true
+			return h
 		}
 	case MatchLPM:
 		if h, ok := t.lpm.Lookup(key); ok {
-			return h, true
+			return h
 		}
 	}
-	return cHit{action: t.default_}, false
+	return cHit{action: t.default_}
 }
