@@ -23,9 +23,9 @@
 // comma-separated numeric profiles to the initial jobs (e.g. -jobs 2
 // -profiles f32/rne/g2,bf16/trunc; missing entries default to f32/trunc),
 // and jobs admitted at runtime carry the profile named in fpisa-query
-// -admit -profile. Legacy v1 (job-less) clients are rejected and counted. Per-job
-// stats can be queried out-of-band with fpisa-query -switch (the 0xFF
-// observer frame).
+// -admit -profile. A datagram that is not wire v2 is dropped and counted as
+// malformed. Per-job stats can be queried out-of-band with fpisa-query
+// -switch (the 0xFF observer frame).
 //
 // With -dynamic the runtime job lifecycle control plane is enabled: an
 // operator admits and evicts jobs without restarting the switch
@@ -170,13 +170,14 @@ func parseList[T any](flag, value string, jobs int, parse func(string) (T, error
 }
 
 // rejectsLine formats the -statsevery "rejects:" line, naming every
-// WireRejects field; it is empty while every counter is zero.
+// WireRejects field but the always-zero Legacy; it is empty while every
+// counter is zero.
 func rejectsLine(r aggservice.WireRejects) string {
 	if r == (aggservice.WireRejects{}) {
 		return ""
 	}
-	return fmt.Sprintf("rejects: legacy=%d malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d stale=%d badClass=%d",
-		r.Legacy, r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.Stale, r.BadClass)
+	return fmt.Sprintf("rejects: malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d stale=%d badClass=%d",
+		r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.Stale, r.BadClass)
 }
 
 // switchConfig turns the flags into a validated service configuration.
@@ -227,10 +228,6 @@ func (o *options) uplinkConfig(fab transport.Fabric, push transport.Pusher) *agg
 		Fabric: fab, LeafID: o.leaf, Leaves: o.leaves,
 		Control: aggservice.Observer{Addr: o.parent},
 		Push:    push,
-		// The zero value means NO retries: the leaf would evict the job the
-		// first time the parent is one uplink timeout late. Negative selects
-		// the default budget, the one Worker runs with.
-		Retries: -1,
 	}
 }
 

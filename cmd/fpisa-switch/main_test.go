@@ -203,9 +203,9 @@ func TestSwitchConfigShardClamp(t *testing.T) {
 }
 
 // TestParentGetsDefaultRetryBudget is the regression test for a leaf that
-// evicted its job on the first late uplink round: UplinkConfig.Retries == 0
-// means NO retries, so -parent must ask for the default budget (negative),
-// and the resulting config must validate.
+// evicted its job on the first late uplink round: -parent must leave the
+// uplink on the default retry budget (any Retries <= 0), and the resulting
+// config must validate.
 func TestParentGetsDefaultRetryBudget(t *testing.T) {
 	o, err := parseOptions([]string{"-parent", "127.0.0.1:9099", "-leaf", "1", "-leaves", "2"})
 	if err != nil {
@@ -222,7 +222,7 @@ func TestParentGetsDefaultRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Uplink = o.uplinkConfig(fab, fab)
-	if cfg.Uplink.Retries >= 0 {
+	if cfg.Uplink.Retries > 0 {
 		t.Fatalf("uplink retries = %d: the leaf would give up after that many stalls instead of the default budget", cfg.Uplink.Retries)
 	}
 	if cfg.Uplink.LeafID != 1 || cfg.Uplink.Leaves != 2 ||
@@ -257,7 +257,7 @@ func TestParseListErrors(t *testing.T) {
 // TestRejectsLine is the regression test for a -statsevery line that left
 // WireRejects.Stale out of both its non-zero test and its format: a switch
 // bouncing only stale-epoch datagrams must log them, and every field the
-// struct has (or grows) must be named.
+// struct has (or grows) must be named — all but Legacy, which is always 0.
 func TestRejectsLine(t *testing.T) {
 	if line := rejectsLine(aggservice.WireRejects{}); line != "" {
 		t.Errorf("all-zero counters print %q", line)
@@ -273,6 +273,12 @@ func TestRejectsLine(t *testing.T) {
 	line := rejectsLine(r)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
+		if name == "Legacy" {
+			if strings.Contains(line, "legacy=") {
+				t.Errorf("rejects line %q reports the always-zero Legacy", line)
+			}
+			continue
+		}
 		want := fmt.Sprintf(" %s%s=%d", strings.ToLower(name[:1]), name[1:], 100+i)
 		if !strings.Contains(line, want) {
 			t.Errorf("rejects line %q does not report%s", line, want)

@@ -2,32 +2,19 @@
 // (internal/analysis): lockedcall, mixedatomic, wirebounds, and retaincap,
 // the four machine-checked invariants the switch data plane relies on.
 //
-// Standalone, over package patterns:
-//
 //	fpisa-vet [-run analyzer,analyzer] [packages]
 //
-// or as a go vet tool, which integrates with the build cache:
-//
-//	go vet -vettool=$(which fpisa-vet) ./...
-//
+// The packages default to ./... and are resolved in the current directory.
 // Exit status is 0 when the tree is clean, 2 when findings are reported,
 // and 1 on driver errors. False positives are suppressed in source with a
 // documented `//fpisa:ignore <analyzer> <reason>` comment.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"io"
 	"log"
 	"os"
-	"strings"
 
 	"fpisa/internal/analysis"
 )
@@ -35,175 +22,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fpisa-vet: ")
-
-	// The go vet driver probes the tool's identity (for its action cache)
-	// and flag set before handing it package config files; answer both
-	// before ordinary flag parsing.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	runSpec := flag.String("run", "", "comma-separated subset of analyzers to run (default: all)")
 	flag.Parse()
 	analyzers, err := analysis.ByName(*runSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], analyzers))
-	}
-	os.Exit(standalone(args, analyzers))
-}
-
-// printVersion implements the `-V=full` probe: at least three fields with
-// "version" second, and a third that changes whenever the tool's code
-// does, so go vet's action cache is invalidated by rebuilds. Hashing the
-// executable gives exactly that.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("sha256-%x", h.Sum(nil)[:12])
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("fpisa-vet version %s\n", id)
-}
-
-// standalone loads patterns with the go tool and runs the suite in one
-// process, the mode used by developers and the CI lint job.
-func standalone(patterns []string, analyzers []*analysis.Analyzer) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	findings, err := analysis.Run(".", patterns, analyzers)
+	findings, err := analysis.Run(".", flag.Args(), analyzers)
 	if err != nil {
-		log.Print(err)
-		return 1
+		log.Fatal(err)
 	}
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)
 	}
 	if len(findings) > 0 {
-		return 2
+		os.Exit(2)
 	}
-	return 0
-}
-
-// vetConfig is the package-unit description the go vet driver writes for
-// a vettool (see cmd/go/internal/work and x/tools unitchecker).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package unit under `go vet -vettool`.
-func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Printf("parsing %s: %v", cfgPath, err)
-		return 1
-	}
-	// The driver requires the facts file to exist even though this suite
-	// exports none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("fpisa-vet: no facts\n"), 0o666); err != nil {
-			log.Print(err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Test-variant units (IDs like "pkg.test" or "pkg [pkg.test]")
-	// re-check the same production sources plus generated test mains; the
-	// suite's invariants target production code, so skip them rather than
-	// report every finding twice.
-	if strings.Contains(cfg.ID, ".test") {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			log.Print(err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	tpkg, info, err := analysis.CheckFiles(fset, cfg.ImportPath, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		log.Printf("type-checking %s: %v", cfg.ImportPath, err)
-		return 1
-	}
-	pkg := &analysis.Package{
-		PkgPath: cfg.ImportPath,
-		Dir:     cfg.Dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}
-	findings, err := analysis.RunPackage(pkg, analyzers)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -21,52 +21,8 @@ func buildTool(t *testing.T) string {
 	return bin
 }
 
-// TestVersionProbe checks the `-V=full` handshake go vet uses to identify
-// the tool for its action cache: at least three fields, "version" second,
-// third not "devel".
-func TestVersionProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool")
-	}
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	f := strings.Fields(strings.TrimSpace(string(out)))
-	if len(f) < 3 || f[1] != "version" || f[2] == "devel" {
-		t.Fatalf("-V=full printed %q; want \"fpisa-vet version <id>\"", out)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	if strings.TrimSpace(string(out)) != "[]" {
-		t.Fatalf("-flags printed %q; want []", out)
-	}
-}
-
-// TestGoVetIntegration drives the real thing: `go vet -vettool` over the
-// whole module must come back clean.
-func TestGoVetIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and vets the module")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = filepath.Join("..", "..")
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out.String())
-	}
-}
-
-// TestStandaloneFindings runs the standalone mode against a fixture tree
-// with a known violation and checks the finding and exit status surface.
+// TestStandaloneFindings runs the tool against a fixture tree with a known
+// violation and checks the finding and exit status surface.
 func TestStandaloneFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")

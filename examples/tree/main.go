@@ -118,9 +118,6 @@ func main() {
 			Fabric: upFab, LeafID: i, Leaves: nLeaves,
 			Control: aggservice.Observer{Addr: spineAddr.String()},
 			Push:    fab,
-			// Zero would mean no retries (evict on the first late
-			// aggregate); negative selects the default budget.
-			Retries: -1,
 		}
 		if leaves[i], err = aggservice.NewSwitch(cfg); err != nil {
 			log.Fatal(err)

@@ -1,7 +1,6 @@
 package aggservice
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -169,8 +168,11 @@ func (c Config) Validate() error {
 		if u.LeafID < 0 || u.LeafID >= u.Leaves {
 			return fmt.Errorf("aggservice: uplink leaf id %d of %d leaves", u.LeafID, u.Leaves)
 		}
-		if u.Timeout < 0 {
-			return fmt.Errorf("aggservice: uplink timeout %v", u.Timeout)
+		if u.Control == nil {
+			return fmt.Errorf("aggservice: uplink without a parent control")
+		}
+		if u.Push == nil {
+			return fmt.Errorf("aggservice: uplink without a downlink pusher")
 		}
 	}
 	return nil
@@ -328,7 +330,9 @@ type JobStats struct {
 
 // WireRejects counts datagrams HandleBatch refused, by cause.
 type WireRejects struct {
-	// Legacy counts v1 (unversioned) datagrams.
+	// Legacy is always 0: a datagram that does not lead with WireVersion is
+	// Malformed. The field stays only because the benchmark harness still
+	// sums it.
 	Legacy uint64
 	// Malformed counts short, truncated or mistyped frames, including the
 	// reserved message type 2.
@@ -457,18 +461,14 @@ type Switch struct {
 	ncap    int   // admissible job-id space
 	perBank int   // slots per (job, shard) bank
 	span    int64 // the chunk clock's period, Config.span
-	util    pisa.Utilization
 
 	shards []*shard
 	jobs   []jobState
 
-	// protos caches one compiled ProfileAggregator prototype per distinct
-	// numeric profile (guarded by lifeMu): admissions replicate a cached
-	// prototype — fresh registers, shared program — so a profile compiles
-	// once for the switch's lifetime no matter how many jobs or shards run
-	// it. The default profile's prototype is built at construction and is
-	// never evicted (it also supplies the Utilization report).
-	protos map[core.NumericProfile]*core.ProfileAggregator
+	// proto is the default profile's compiled pipeline, built once at
+	// construction: every default-profile bank replicates it (fresh
+	// registers, shared program), and it supplies the Utilization report.
+	proto *core.ProfileAggregator
 
 	// OnLifecycle, when set before the switch starts handling traffic, is
 	// called on every admit / drain-begin / release transition (under the
@@ -476,7 +476,7 @@ type Switch struct {
 	OnLifecycle func(job int, ev LifecycleEvent)
 
 	// lifeMu orders lifecycle transitions; it guards every incarnation's
-	// drain timer, protos and every store to a jobState.live. Lock order is
+	// drain timer and every store to a jobState.live. Lock order is
 	// lifeMu → shard.mu, never the reverse: the hot path only loads live.
 	lifeMu sync.Mutex
 
@@ -484,8 +484,8 @@ type Switch struct {
 	// path does not allocate per packet vector.
 	scratchPool sync.Pool
 
-	rejLegacy, rejMalformed, rejBadJob, rejCrossJob, rejDraining, rejStale atomic.Uint64
-	rejBackpressure, rejClass                                              atomic.Uint64
+	rejMalformed, rejBadJob, rejCrossJob, rejDraining, rejStale atomic.Uint64
+	rejBackpressure, rejClass                                   atomic.Uint64
 }
 
 // shard is one pipeline replica: a lock and its deficit-round-robin
@@ -550,9 +550,8 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	}
 	s := &Switch{
 		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank, span: cfg.span(),
-		util:   pa0.Utilization(),
-		jobs:   make([]jobState, ncap),
-		protos: map[core.NumericProfile]*core.ProfileAggregator{core.DefaultProfile: pa0},
+		jobs:  make([]jobState, ncap),
+		proto: pa0,
 	}
 	for k := 0; k < nsh; k++ {
 		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, cfg.schedRoundAge())})
@@ -573,23 +572,18 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	return s, nil
 }
 
-// getProtoLocked returns (building and caching on first use) the compiled
-// prototype for a profile. Caller holds lifeMu.
-func (s *Switch) getProtoLocked(p core.NumericProfile) (*core.ProfileAggregator, error) {
-	if proto, ok := s.protos[p]; ok {
-		return proto, nil
+// newBanks builds a training incarnation's per-shard banks under profile p:
+// fresh registers replicated from p's prototype — the switch's compiled
+// default pipeline, or a bit-exact accumulator for every other profile — and
+// every slot free.
+func (s *Switch) newBanks(p core.NumericProfile) ([]bank, error) {
+	proto := s.proto
+	if p != core.DefaultProfile {
+		var err error
+		if proto, err = core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch); err != nil {
+			return nil, err
+		}
 	}
-	proto, err := core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch)
-	if err != nil {
-		return nil, err
-	}
-	s.protos[p] = proto
-	return proto, nil
-}
-
-// newBanks builds a training incarnation's per-shard banks: fresh registers
-// replicated from the profile's compiled prototype, and every slot free.
-func (s *Switch) newBanks(proto *core.ProfileAggregator) []bank {
 	banks := make([]bank, s.nsh)
 	for k := range banks {
 		banks[k] = bank{agg: proto.Replicate(), slot: make([]slotState, s.perBank)}
@@ -597,12 +591,12 @@ func (s *Switch) newBanks(proto *core.ProfileAggregator) []bank {
 			banks[k].slot[i] = slotState{chunk: -1, seen: make([]bool, s.cfg.Workers)}
 		}
 	}
-	return banks
+	return banks, nil
 }
 
 // Utilization exposes the compiled pipeline's resource report (identical
 // across replicas: they share one compiled program).
-func (s *Switch) Utilization() pisa.Utilization { return s.util }
+func (s *Switch) Utilization() pisa.Utilization { return s.proto.Utilization() }
 
 // Shards returns the effective shard count.
 func (s *Switch) Shards() int { return s.nsh }
@@ -688,9 +682,6 @@ func (inc *incarnation) refusal(bucket *atomic.Uint64, status AckStatus) refusal
 func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.DeliveryList) refusal {
 	typ, job, err := decodeHeader(pkt)
 	if err != nil {
-		if errors.Is(err, ErrLegacyWire) {
-			return refusal{bucket: &s.rejLegacy}
-		}
 		return s.malformed()
 	}
 	// Observers drive only the control plane, and a tenant's worker port
@@ -1145,7 +1136,6 @@ func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 // Rejects returns the wire-level reject counters.
 func (s *Switch) Rejects() WireRejects {
 	return WireRejects{
-		Legacy:       s.rejLegacy.Load(),
 		Malformed:    s.rejMalformed.Load(),
 		BadJob:       s.rejBadJob.Load(),
 		CrossJob:     s.rejCrossJob.Load(),
@@ -1170,13 +1160,10 @@ const (
 const DefaultDrainTimeout = 2 * time.Second
 
 // Worker is the host side: it reduces a gradient vector through the switch.
-// NewWorker fills the tuning fields with defaults. On a hand-built Worker,
-// Retries: 0 means literally zero retries (fail-fast) — the sentinel for
-// "apply the default" is a negative value — while Timeout and Batch treat
-// anything below their minimum meaningful value as the default (a
-// non-positive receive timeout is not a workable blocking receive on every
-// fabric). Reduce runs entirely in its caller's goroutine and updates the
-// counters as it goes, so a Worker serves one Reduce at a time.
+// NewWorker fills the tuning fields with defaults; on a hand-built Worker,
+// Timeout, Retries and Batch treat anything below their minimum meaningful
+// value as the default. Reduce runs entirely in its caller's goroutine and
+// updates the counters as it goes, so a Worker serves one Reduce at a time.
 type Worker struct {
 	// ID is the worker's index within its job, 0 ≤ ID < Cfg.Workers. The
 	// transport port is Cfg.Port(Job, ID).
@@ -1188,9 +1175,8 @@ type Worker struct {
 	// Timeout is the receive timeout per window stall. Values <= 0 apply
 	// DefaultTimeout.
 	Timeout time.Duration
-	// Retries bounds retransmission rounds per window stall. Negative
-	// applies DefaultRetries; zero gives up on the first stall without
-	// retransmitting (fail-fast).
+	// Retries bounds retransmission rounds per window stall. Values <= 0
+	// apply DefaultRetries.
 	Retries int
 	// Batch is the maximum number of chunks packed into one send vector.
 	// Values < 1 apply DefaultBatch; 1 disables batching. The EFFECTIVE
@@ -1307,13 +1293,12 @@ func (sv *sendVec) reset() {
 const recvVec = 64
 
 // retryBudget resolves a client's Timeout/Retries tuning: a non-positive
-// timeout means DefaultTimeout, negative retries mean DefaultRetries (zero
-// retries is fail-fast, not a sentinel).
+// value means the default.
 func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	if retries < 0 {
+	if retries <= 0 {
 		retries = DefaultRetries
 	}
 	return timeout, retries

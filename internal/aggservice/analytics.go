@@ -590,7 +590,8 @@ type TupleClient struct {
 	Cfg     Config
 	// Epoch is the job's incarnation octet (see Worker.Epoch).
 	Epoch uint8
-	// Timeout and Retries bound one batch's delivery; defaults as Worker.
+	// Timeout and Retries bound one batch's delivery; values <= 0 mean
+	// DefaultTimeout and DefaultRetries, as on Worker.
 	Timeout time.Duration
 	Retries int
 

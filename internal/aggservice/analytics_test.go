@@ -63,7 +63,7 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 	keys := []uint32{7, 0xFFFFFFFF, 42}
 	vals := []float32{1.5, -3.25, float32(math.Inf(1))}
 	pkt := EncodeTuples(3, 99, 2, OpQueryGroupMax, keys, vals)
-	job, seq, epoch, op, k2, v2, err := DecodeTuples(pkt)
+	job, seq, epoch, op, k2, v2, err := decodeTuples(pkt)
 	if err != nil || job != 3 || seq != 99 || epoch != 2 || op != OpQueryGroupMax {
 		t.Fatalf("tuple round trip: job=%d seq=%d epoch=%d op=%v err=%v", job, seq, epoch, op, err)
 	}
@@ -73,7 +73,7 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 		}
 	}
 	for _, mut := range [][]byte{pkt[:tupleHdrBytes-1], pkt[:len(pkt)-1], append(append([]byte{}, pkt...), 0)} {
-		if _, _, _, _, _, _, err := DecodeTuples(mut); err == nil {
+		if _, _, _, _, _, _, err := decodeTuples(mut); err == nil {
 			t.Fatalf("mutant tuple batch of %d bytes decoded", len(mut))
 		}
 	}
@@ -574,8 +574,8 @@ func TestAnalyticsLifecycle(t *testing.T) {
 func TestMixedClassFairness(t *testing.T) {
 	weights := []int{1, 2, 4}
 	cfg := Config{Workers: 1, Pool: 8, Modules: 1, Shards: 1, Jobs: 3,
-		Weights: weights,
-		Classes: []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
+		Weights:       weights,
+		Classes:       []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
 		SchedRoundAge: time.Minute,
 		Mode:          core.ModeFull, Arch: pisa.ExtendedArch(),
 	}

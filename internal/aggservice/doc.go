@@ -82,11 +82,11 @@
 // On the switch, the one-pipeline-per-switch assumption is gone: each
 // job holds a BANK per shard — an aggregator plus the protocol state of the
 // job's slots striped onto that shard — built at admission and dropped
-// with the incarnation at release. Compiled programs are shared, state
-// is not — the switch keeps one prototype aggregator per distinct profile
-// (one P4 compile each, cached across churn; core.ProfileAggregator) and
-// stamps per-job register banks off it (Replicate), so two jobs with the
-// same profile share a program and two jobs with different profiles run
+// with the incarnation at release. Only the default profile runs the
+// compiled FPISA pipeline: the switch compiles it once at construction and
+// stamps every default-profile bank's registers off it (Replicate). Every
+// other profile runs on a bit-exact accumulator built at admission
+// (core.NewProfileAggregator), so two jobs with different profiles run
 // different arithmetic side by side on one switch. On the wire, ADD values
 // and RESULT sums are carried in the job's negotiated format — the 16-bit
 // formats halve the value payload — and a worker speaking the wrong width
@@ -149,15 +149,14 @@
 //
 // # Wire format (version 2)
 //
-// Every message leads with a version octet, WireVersion = 0xF2, chosen
-// from a range disjoint from the v1 type bytes (0..2): a legacy single-job
-// datagram is therefore recognized by its first byte and rejected with
-// ErrLegacyWire rather than misparsed. The second octet is the message
-// type; every message carries a 16-bit big-endian job id next. All integers
-// are big-endian. wire.go holds the whole protocol: msgTable, the list of
-// messages (who may send each to a switch, and its size), one encoder and at
-// most one decoder per message — the switch's included: HandleBatch parses
-// each datagram once through them and nothing else indexes a packet.
+// Every message leads with a version octet, WireVersion = 0xF2; a datagram
+// that leads with anything else is malformed (WireRejects.Malformed). The
+// second octet is the message type; every message carries a 16-bit
+// big-endian job id next. All integers are big-endian. wire.go holds the
+// whole protocol: msgTable, the list of messages (who may send each to a
+// switch, and its size), one encoder and at most one decoder per message —
+// the switch's included: HandleBatch parses each datagram once through them
+// and nothing else indexes a packet.
 //
 //	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
 //	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
@@ -208,12 +207,12 @@
 // fuzzed: the clients' by the FuzzDecode* targets, the switch's ingress by
 // FuzzHandleBatch.
 //
-// The v2 layouts are versioned against v1, not against each other: they
-// evolve with the repository (this revision widened the stats reply, the
-// admit request and the ack with the workload-class octets, after earlier
-// revisions added the numeric-profile octets and the scheduler's weight
-// fields), and peers are expected to be built from the same commit —
-// mixed-commit deployments are not supported.
+// The layouts are not versioned against each other: they evolve with the
+// repository (this revision widened the stats reply, the admit request and
+// the ack with the workload-class octets, after earlier revisions added the
+// numeric-profile octets and the scheduler's weight fields), and peers are
+// expected to be built from the same commit — mixed-commit deployments are
+// not supported.
 //
 // # Workload classes (query & telemetry tenants)
 //
@@ -269,13 +268,14 @@
 //
 // The switch side is sharded across N independent pipeline replicas, the
 // way a multi-pipe ASIC stamps identical pipelines out of one P4 compile:
-// the FPISA program is compiled once and replicated per shard
-// (core.PipelineAggregator.Replicate), and the global slot pool — all
-// jobs' partitions — is striped slot → shard by slot mod N. Each shard
-// owns its own replica, its own protocol state (seen-bitmaps and result
-// caches) and its own lock, so packets addressed to different slots
-// aggregate concurrently — per-slot state independence is exactly what
-// makes switch pipelines parallel. Shards: 1 (the default) reproduces the
+// the FPISA program is compiled once and every default-profile bank
+// replicates it (core.ProfileAggregator.Replicate), and each job's 2·Pool
+// slots are striped slot → shard (see shardOf). An incarnation holds one
+// bank per shard — its registers plus the seen-bitmaps and result caches of
+// the slots striped there — and each shard's lock guards every live job's
+// bank on that shard, so packets addressed to different shards aggregate
+// concurrently — per-slot state independence is exactly what makes switch
+// pipelines parallel. Shards: 1 (the default) reproduces the
 // single-pipeline switch.
 //
 // Ingest is vectored (Switch.HandleBatch, the transport.BatchHandler):
@@ -351,8 +351,9 @@
 // does NOT propagate up — sibling leaves may still feed the parent's job.
 // An unreachable parent is bounded by UplinkConfig.Timeout/Retries:
 // after the retry budget passes with aggregates still owed, the leaf
-// evicts the job locally so its workers fail fast (a zero Retries means
-// no retries at all; deployments set it negative for the default budget).
+// evicts the job locally so its workers fail fast. Every leaf negotiates
+// its admissions through UplinkConfig.Control and fans finals down through
+// UplinkConfig.Push; NewSwitch refuses a leaf without either.
 //
 // # Control client
 //

@@ -30,7 +30,7 @@ func FuzzDecodeStatsReply(f *testing.F) {
 	f.Add(valid[:4+1+6*8])                                                                // the pre-scheduler width
 	f.Add(append(append([]byte(nil), valid...), 0xaa))                                    // trailing byte
 	f.Add([]byte{WireVersion, MsgStatsReply})                                             // header only
-	f.Add([]byte{MsgResult, 0, 0, 0})                                                     // legacy framing
+	f.Add([]byte{MsgResult, 0, 0, 0})                                                     // no version octet
 	f.Add(append([]byte(nil), valid[:4]...))                                              // fields missing entirely
 	f.Add(func() []byte { p := append([]byte(nil), valid...); p[4] = 9; return p }())     // bad phase
 	f.Add(func() []byte { p := append([]byte(nil), valid...); p[7] = 0xEE; return p }())  // junk format octet: carried, not clamped
@@ -76,7 +76,7 @@ func FuzzDecodeJobAck(f *testing.F) {
 	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, JobSpec: JobSpec{Weight: 9}})[:11]) // the pre-class 11-byte layout
 	f.Add(append(EncodeJobAck(JobAck{Job: 0, Status: AckDraining, Epoch: 2, JobSpec: JobSpec{Weight: 1, Profile: rne}}), 1, 2))
 	f.Add([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0, 0, 0, 0}) // status out of range
-	f.Add([]byte{MsgAdd, 0, 0, 0, 0})                                  // legacy framing
+	f.Add([]byte{MsgAdd, 0, 0, 0, 0})                                  // no version octet
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		ack, err := DecodeJobAck(pkt)
@@ -118,7 +118,7 @@ func FuzzDecodeJobAdmit(f *testing.F) {
 	f.Add(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}})[:1])                                                         // short v2
 	f.Add(append(EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}), 7))                                                  // trailing byte
 	f.Add(EncodeJobEvict(1))                                                                                                         // wrong type
-	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                                                   // legacy framing
+	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                                                   // no version octet
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		adm, err := DecodeJobAdmit(pkt)
@@ -138,17 +138,17 @@ func FuzzDecodeJobAdmit(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTuples fuzzes the analytics tuple-batch codec: no panics on
-// arbitrary input, header-level truncation identified as ErrTruncated, a
-// count that disagrees with the packet length rejected, and every
-// accepted batch re-encodes byte for byte (the op octet is carried as-is —
-// the switch, not the decoder, validates it against the job's class).
+// FuzzDecodeTuples fuzzes the switch's tuple-batch decoder (decodeTuples):
+// no panics on arbitrary input, header-level truncation identified as
+// ErrTruncated, a count that disagrees with the packet length rejected, and
+// every accepted batch re-encodes byte for byte (the op octet is carried
+// as-is — the switch, not the decoder, validates it against the job's class).
 func FuzzDecodeTuples(f *testing.F) {
 	for _, seed := range tupleSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		job, seq, epoch, op, keys, vals, err := DecodeTuples(pkt)
+		job, seq, epoch, op, keys, vals, err := decodeTuples(pkt)
 		if err != nil {
 			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgTuple &&
 				len(pkt) < tupleHdrBytes && !errors.Is(err, ErrTruncated) {
@@ -168,8 +168,33 @@ func FuzzDecodeTuples(f *testing.F) {
 	})
 }
 
-// tupleSeeds is FuzzDecodeTuples' seed corpus (TestTupleViewAgreesWithDecodeTuples
-// walks it too).
+// decodeTuples reads a TUPLE datagram through the switch's own parsers —
+// admit's header decode, then handleTuple's data header and row view — and
+// copies the rows out for comparison with what was encoded.
+func decodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
+	typ, _, err := decodeHeader(pkt)
+	if err == nil && typ != MsgTuple {
+		err = errMsgType
+	}
+	if err == nil {
+		job, seq, epoch, err = decodeDataHeader(pkt)
+	}
+	var tv tupleView
+	if err == nil {
+		tv, err = decodeTupleView(pkt)
+	}
+	if err != nil {
+		return 0, 0, 0, 0, nil, nil, err
+	}
+	keys = make([]uint32, tv.count())
+	vals = make([]float32, tv.count())
+	for i := range keys {
+		keys[i], vals[i] = tv.row(i)
+	}
+	return job, seq, epoch, tv.op, keys, vals, nil
+}
+
+// tupleSeeds is FuzzDecodeTuples' seed corpus.
 func tupleSeeds() [][]byte {
 	valid := EncodeTuples(1, 7, 2, OpQueryAgg, []uint32{3, 3, 9}, []float32{1.5, -2, 0.25})
 	return [][]byte{
@@ -188,7 +213,7 @@ func tupleSeeds() [][]byte {
 			return p
 		}(),
 		{WireVersion, MsgTuple}, // short v2
-		{MsgAdd, 0, 0, 0},       // legacy framing
+		{MsgAdd, 0, 0, 0},       // no version octet
 	}
 }
 
@@ -305,7 +330,7 @@ func FuzzDecodeTupleAck(f *testing.F) {
 		return p
 	}())
 	f.Add([]byte{WireVersion, MsgTupleAck}) // short v2
-	f.Add([]byte{MsgResult, 0, 0, 0})       // legacy framing
+	f.Add([]byte{MsgResult, 0, 0, 0})       // no version octet
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		job, seq, survivors, err := DecodeTupleAck(pkt)
@@ -348,7 +373,7 @@ func FuzzDecodeDrainReply(f *testing.F) {
 		return p
 	}())
 	f.Add([]byte{WireVersion, MsgDrainReply}) // short v2
-	f.Add([]byte{MsgResult, 0, 0, 0})         // legacy framing
+	f.Add([]byte{MsgResult, 0, 0, 0})         // no version octet
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		job, kind, entries, err := DecodeDrainReply(pkt)
@@ -422,7 +447,7 @@ func FuzzDecodeResultRun(f *testing.F) {
 		}())
 	}
 	f.Add(byte(0), []byte{WireVersion, MsgResult, 0, 0}) // wrong type
-	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})           // legacy framing
+	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})           // no version octet
 	f.Add(byte(0), []byte{WireVersion})                  // short v2
 
 	f.Fuzz(func(t *testing.T, sel byte, pkt []byte) {

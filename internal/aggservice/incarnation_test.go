@@ -207,7 +207,7 @@ func TestStaticAndRuntimeAdmissionAreOnePath(t *testing.T) {
 	ctl := countingControl{SwitchControl{Parent: spine}, map[int]int{}}
 	leaf, err := NewSwitch(Config{Workers: 2, Pool: 2, Modules: 1, Jobs: 2,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch(),
-		Uplink: &UplinkConfig{Fabric: spineFab, Leaves: 1, Control: ctl, Retries: -1}})
+		Uplink: &UplinkConfig{Fabric: spineFab, Leaves: 1, Control: ctl, Push: &pushLog{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

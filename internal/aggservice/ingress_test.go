@@ -113,39 +113,6 @@ func TestIngressMatrix(t *testing.T) {
 	}
 }
 
-// TestTupleViewAgreesWithDecodeTuples holds the exported tuple decoder to the
-// parser the switch runs: on every FuzzDecodeTuples seed both accept or both
-// refuse, and an accepted batch reads back the same header, op and rows.
-func TestTupleViewAgreesWithDecodeTuples(t *testing.T) {
-	for i, pkt := range tupleSeeds() {
-		job, seq, epoch, op, keys, vals, err := DecodeTuples(pkt)
-
-		// The switch's path: admit's header decode, then handleTuple's.
-		typ, _, herr := decodeHeader(pkt)
-		vjob, vseq, vepoch, derr := decodeDataHeader(pkt)
-		tv, verr := decodeTupleView(pkt)
-		taken := herr == nil && typ == MsgTuple && derr == nil && verr == nil
-
-		if taken != (err == nil) {
-			t.Errorf("seed %d: switch takes the batch = %v, DecodeTuples error = %v", i, taken, err)
-			continue
-		}
-		if !taken {
-			continue
-		}
-		if job != vjob || seq != vseq || epoch != vepoch || op != tv.op || len(keys) != tv.count() {
-			t.Errorf("seed %d: DecodeTuples (%d %d %d %v, %d rows) vs view (%d %d %d %v, %d rows)",
-				i, job, seq, epoch, op, len(keys), vjob, vseq, vepoch, tv.op, tv.count())
-			continue
-		}
-		for r := range keys {
-			if k, v := tv.row(r); k != keys[r] || v != vals[r] {
-				t.Errorf("seed %d row %d: DecodeTuples (%d, %v) vs view (%d, %v)", i, r, keys[r], vals[r], k, v)
-			}
-		}
-	}
-}
-
 // TestMessageTableMatchesArchitectureDoc keeps msgTable and ARCHITECTURE.md's
 // wire section describing the same protocol: every message has a "### NAME —"
 // layout heading, and a fixed-size message's heading states the row's size.

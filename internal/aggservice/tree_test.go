@@ -121,7 +121,7 @@ func TestTreeAllreduceMemory(t *testing.T) {
 		Mode: core.ModeFull, Arch: pisa.ExtendedArch()}
 	spineCfg := Config{Workers: nLeaves, Pool: 4, Modules: 2, Shards: 2,
 		Mode: core.ModeFull, Arch: pisa.ExtendedArch()}
-	spine, leaves, fabs := buildTree(t, leafCfg, spineCfg, nLeaves, 0, 1, 0, -1)
+	spine, leaves, fabs := buildTree(t, leafCfg, spineCfg, nLeaves, 0, 1, 0, 0)
 
 	vecs := gridVecs(nLeaves*workers, vecLen)
 	results, errs := treeReduce(leaves, fabs, leafCfg, 0, []uint8{0, 0}, vecs,
@@ -328,14 +328,50 @@ func (f *dropOnceFabric) SendBatch(port int, pkts [][]byte) error {
 	return f.Fabric.SendBatch(port, pass)
 }
 
-// TestTreeUplinkRetransmitFromSlots pins the slot-owned uplink state: with
-// every uplink datagram dropped once, the retransmit round must resend
-// exactly the chunks whose slots are in the uplinked state — not the one
-// still aggregating, not the ones already final — in chunk order, and the
-// owed count must return to 0 once the parent's aggregates install.
-func TestTreeUplinkRetransmitFromSlots(t *testing.T) {
-	cfg := Config{Workers: 2, Pool: 4, Modules: 1, Shards: 2,
-		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+// pushLog is the Pusher of a leaf whose workers the test plays by calling
+// HandleBatch itself: it keeps every final RESULT the uplink fans down.
+type pushLog struct {
+	mu sync.Mutex
+	ds []transport.Delivery
+}
+
+func (p *pushLog) Push(ds []transport.Delivery) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ds = append(p.ds, ds...)
+	return nil
+}
+
+// waitChunks waits until the pushed RESULTs and RESULT RUNs cover n chunks
+// and returns their ids in push order.
+func (p *pushLog) waitChunks(t *testing.T, n int) []uint32 {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var chunks []uint32
+		p.mu.Lock()
+		for _, d := range p.ds {
+			vals := make([]float32, 1)
+			readDownlink(d.Packet, 0, 0, core.DefaultProfile, vals, func(c uint32, _ []float32, _ bool) {
+				chunks = append(chunks, c)
+			})
+		}
+		p.mu.Unlock()
+		if len(chunks) >= n {
+			return chunks
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leaf pushed finals for chunks %v, want %d of them", chunks, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// dropOnceLeaf builds a one-leaf tree over a dropOnceFabric uplink: cfg's
+// job 0 at the leaf, the spine with one worker (the leaf), a 20 ms uplink
+// timeout and the zero Retries.
+func dropOnceLeaf(t *testing.T, cfg Config) (spine, leaf *Switch, up *dropOnceFabric, push *pushLog) {
+	t.Helper()
 	spineCfg := cfg
 	spineCfg.Workers = 1
 	spine, err := NewSwitch(spineCfg)
@@ -346,15 +382,28 @@ func TestTreeUplinkRetransmitFromSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := &dropOnceFabric{Fabric: spineFab, dropped: make(map[uint32]bool)}
-	cfg.Uplink = &UplinkConfig{Fabric: up, Leaves: 1, Control: SwitchControl{Parent: spine},
-		Timeout: 20 * time.Millisecond, Retries: -1}
-	leaf, err := NewSwitch(cfg)
-	if err != nil {
+	up = &dropOnceFabric{Fabric: spineFab, dropped: make(map[uint32]bool)}
+	push = &pushLog{}
+	cfg.Uplink = &UplinkConfig{Fabric: up, Leaves: 1, Control: SwitchControl{Parent: spine}, Push: push,
+		Timeout: 20 * time.Millisecond}
+	if leaf, err = NewSwitch(cfg); err != nil {
 		t.Fatal(err)
 	}
 	up.leaf = leaf
 	t.Cleanup(func() { leaf.Close(); spineFab.Close() })
+	return spine, leaf, up, push
+}
+
+// TestTreeUplinkRetransmitFromSlots pins the slot-owned uplink state: with
+// every uplink datagram dropped once, the retransmit round must resend
+// exactly the chunks whose slots are in the uplinked state — not the one
+// still aggregating, not the ones already final — in chunk order, and the
+// owed count must return to 0 once the parent's aggregates install and fan
+// down to the leaf's workers.
+func TestTreeUplinkRetransmitFromSlots(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 4, Modules: 1, Shards: 2,
+		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	spine, leaf, up, push := dropOnceLeaf(t, cfg)
 
 	adds := func(worker int, chunks ...uint32) {
 		var pkts [][]byte
@@ -394,10 +443,61 @@ func TestTreeUplinkRetransmitFromSlots(t *testing.T) {
 	if _, _, completions := spine.Stats(); completions != 4 {
 		t.Fatalf("spine completed %d chunks, want 4", completions)
 	}
+	if got := push.waitChunks(t, 4); !reflect.DeepEqual(got, []uint32{0, 1, 3, 2}) {
+		t.Fatalf("finals pushed for chunks %v, want [0 1 3 2]", got)
+	}
 	// Every slot went final: a worker's duplicate replays the tree-wide sum.
 	if ds := handle(leaf, 0, EncodeAddProfile(0, 2, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 		t.Fatalf("chunk 2 has no final RESULT to replay: %+v", ds)
 	}
+}
+
+// TestLeafZeroRetriesOutlastsLateParent: a leaf built with the zero
+// UplinkConfig.Retries runs the default budget, so a parent that misses one
+// uplink timeout (the first datagram is dropped) costs a retransmit, not
+// the job.
+func TestLeafZeroRetriesOutlastsLateParent(t *testing.T) {
+	cfg := Config{Workers: 1, Pool: 2, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	_, leaf, _, push := dropOnceLeaf(t, cfg)
+	handle(leaf, 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}))
+	push.waitChunks(t, 1)
+	if ph := leaf.JobPhaseOf(0); ph != PhaseAdmitted {
+		t.Fatalf("leaf job %v after one late parent round, want admitted", ph)
+	}
+	if n := leaf.UplinkRetransmits(0); n != 1 {
+		t.Fatalf("%d uplink retransmits, want 1", n)
+	}
+}
+
+// TestUplinkRequiresControlAndPush: a leaf admits every job at its parent
+// and fans every final down through its Pusher, so NewSwitch refuses an
+// Uplink without either. A negative Timeout means the default.
+func TestUplinkRequiresControlAndPush(t *testing.T) {
+	spine, err := NewSwitch(Config{Workers: 1, Pool: 2, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spine.Close()
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: 1, BatchHandler: spine.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafCfg := func(mutate func(*UplinkConfig)) Config {
+		u := &UplinkConfig{Fabric: fab, Leaves: 1, Control: SwitchControl{Parent: spine}, Push: &pushLog{}}
+		mutate(u)
+		return Config{Workers: 1, Pool: 2, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch(), Uplink: u}
+	}
+	if _, err := NewSwitch(leafCfg(func(u *UplinkConfig) { u.Control = nil })); err == nil {
+		t.Error("leaf without a ParentControl accepted")
+	}
+	if _, err := NewSwitch(leafCfg(func(u *UplinkConfig) { u.Push = nil })); err == nil {
+		t.Error("leaf without a Pusher accepted")
+	}
+	leaf, err := NewSwitch(leafCfg(func(u *UplinkConfig) { u.Timeout = -time.Second }))
+	if err != nil {
+		t.Fatalf("complete leaf config refused: %v", err)
+	}
+	leaf.Close()
 }
 
 // TestTreeAdmitNegotiation pins the admission handshake: a leaf whose
@@ -424,7 +524,7 @@ func TestTreeAdmitNegotiation(t *testing.T) {
 	leafCfg := Config{Workers: 2, Pool: 2, Modules: 1,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch(),
 		Uplink: &UplinkConfig{Fabric: spineFab, LeafID: 0, Leaves: 2,
-			Control: SwitchControl{Parent: spine}},
+			Control: SwitchControl{Parent: spine}, Push: &pushLog{}},
 	}
 	// Default f32 profile vs the parent's live bf16 job: refused at
 	// construction, before the leaf handles a packet.
@@ -483,10 +583,10 @@ func TestResultRunRoundTrip(t *testing.T) {
 		t.Errorf("overflow flags corrupted: %v", ovfs)
 	}
 	for _, bad := range [][]byte{
-		run[:5],                          // truncated header
-		run[:len(run)-1],                 // truncated last item
+		run[:5],                                // truncated header
+		run[:len(run)-1],                       // truncated last item
 		append(append([]byte{}, run...), 0xaa), // trailing byte
-		encodeResultRun(3, 7, nil),       // zero items
+		encodeResultRun(3, 7, nil),             // zero items
 	} {
 		if _, _, _, _, err := DecodeResultRun(bad, 2, prof); err == nil {
 			t.Errorf("malformed run of %d bytes accepted", len(bad))

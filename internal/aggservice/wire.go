@@ -16,10 +16,8 @@ import (
 // chunk-window client (Worker.Reduce, a tree leaf's uplink) decodes the
 // switch's replies through. See doc.go for the rationale.
 
-// WireVersion is the leading octet of every v2 wire message. Its value is
-// chosen from a range disjoint from the v1 type bytes (0..2), so a legacy
-// single-job datagram is recognized by its first byte and rejected with
-// ErrLegacyWire instead of being misparsed.
+// WireVersion is the leading octet of every wire message: a datagram that
+// starts with anything else is malformed.
 const WireVersion = 0xF2
 
 // Message types (the second octet of every v2 message). Type 2 is reserved:
@@ -40,16 +38,9 @@ const (
 	MsgDrainReply = 12 // switch → observer: harvested (key, value) entries
 )
 
-// legacyMaxType is the largest v1 type byte: v1 framing had no version
-// octet, so a datagram whose FIRST byte is at most this is a v1 message.
-const legacyMaxType = 2
-
 // Wire-format errors. Handlers count these (see WireRejects); decoders
 // return them wrapped so callers can errors.Is on the cause.
 var (
-	// ErrLegacyWire marks a v1 (pre-job-id) datagram: the old framing had
-	// no version octet, so its first byte is a v1 type (0..2).
-	ErrLegacyWire = errors.New("aggservice: legacy v1 wire framing (no job id); upgrade the client to wire v2")
 	// ErrTruncated marks a message shorter than its declared fields —
 	// decoders return it instead of indexing past the packet: client-side
 	// wrapped in context, on the switch's ingress bare (like the other
@@ -246,9 +237,6 @@ func decodeHeader(pkt []byte) (typ byte, job int, err error) {
 		return 0, 0, ErrTruncated
 	}
 	if pkt[0] != WireVersion {
-		if pkt[0] <= legacyMaxType {
-			return 0, 0, ErrLegacyWire
-		}
 		return 0, 0, errWireVersion
 	}
 	if len(pkt) < jobReqBytes {
@@ -646,27 +634,6 @@ func (v tupleView) count() int { return len(v.rows) / 8 }
 func (v tupleView) row(i int) (key uint32, val float32) {
 	r := v.rows[8*i : 8*i+8]
 	return binary.BigEndian.Uint32(r), math.Float32frombits(binary.BigEndian.Uint32(r[4:]))
-}
-
-// DecodeTuples parses a MsgTuple batch, copying the rows out of the view the
-// switch folds from. Safe on arbitrary input (truncation wraps
-// ErrTruncated); the op octet is returned as carried, so a round trip is
-// byte-exact.
-func DecodeTuples(pkt []byte) (job int, seq uint32, epoch uint8, op TupleOp, keys []uint32, vals []float32, err error) {
-	if _, err = decodeAs(pkt, MsgTuple); err != nil {
-		return 0, 0, 0, 0, nil, nil, err
-	}
-	job, seq, epoch, _ = decodeDataHeader(pkt) // cannot fail: a TUPLE's fixed part covers the data header
-	v, err := decodeTupleView(pkt)
-	if err != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("aggservice: bad %s: %w", msgTable[MsgTuple].name, err)
-	}
-	keys = make([]uint32, v.count())
-	vals = make([]float32, v.count())
-	for i := range keys {
-		keys[i], vals[i] = v.row(i)
-	}
-	return job, seq, epoch, v.op, keys, vals, nil
 }
 
 // encodeTupleAck builds the MsgTupleAck for one batch of count rows: the

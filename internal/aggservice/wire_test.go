@@ -128,7 +128,7 @@ func goldenCases() []goldenCase {
 		{"tuple", "f20900030a0b0c0d07010002000000013f000000deadbeefc0400000",
 			EncodeTuples(3, 0x0a0b0c0d, 7, OpQueryGroupMax, keys, tvals),
 			func(pkt []byte) (any, any, error) {
-				j, s, e, op, k, v, err := DecodeTuples(pkt)
+				j, s, e, op, k, v, err := decodeTuples(pkt)
 				return []any{j, s, e, op, k, v}, []any{3, uint32(0x0a0b0c0d), uint8(7), OpQueryGroupMax, keys, tvals}, err
 			}},
 		{"tack", "f20a00030a0b0c0d000a4902",

@@ -3,6 +3,7 @@ package aggservice
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -229,21 +230,23 @@ func TestReduceTimeoutRetransmits(t *testing.T) {
 	}
 }
 
-// TestReduceRetryBudget: Retries bounds CONSECUTIVE stall rounds. Zero
-// fails on the first timeout without retransmitting; two allows two
-// retransmit rounds and fails on the third timeout; progress in between
-// refills the budget.
+// TestReduceRetryBudget: Retries bounds CONSECUTIVE stall rounds. Zero is
+// the default budget; two allows two retransmit rounds and fails on the
+// third timeout; progress in between refills the budget.
 func TestReduceRetryBudget(t *testing.T) {
-	f := newScriptFabric(t, timeoutStep)
+	stalls := make([]recvStep, DefaultRetries+1)
+	for i := range stalls {
+		stalls[i] = timeoutStep
+	}
+	f := newScriptFabric(t, stalls...)
 	w, vec := scriptWorker(f, 4, 4, 12)
 	w.Retries = 0
 	_, err := w.Reduce(vec)
-	if err == nil || !strings.Contains(err.Error(), "gave up after 1 stalls") {
-		t.Fatalf("Retries 0: error %v, want a give-up after 1 stall", err)
+	if want := fmt.Sprintf("gave up after %d stalls", DefaultRetries+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Retries 0: error %v, want a give-up after %d stalls", err, DefaultRetries+1)
 	}
-	f.wantSends(1)
-	if w.SentPackets != 4 || w.BatchShrinks != 0 || w.LastBatch != 4 {
-		t.Errorf("Retries 0: %d packets, %d shrinks, batch %d; want 4, 0, 4", w.SentPackets, w.BatchShrinks, w.LastBatch)
+	if f.recvs() != DefaultRetries+1 || w.SentPackets != uint64(4+4*DefaultRetries) {
+		t.Errorf("Retries 0: %d receives, %d packets; want %d, %d", f.recvs(), w.SentPackets, DefaultRetries+1, 4+4*DefaultRetries)
 	}
 
 	f = newScriptFabric(t, timeoutStep, timeoutStep, deliver(result(0)), timeoutStep, timeoutStep, timeoutStep)
@@ -264,6 +267,24 @@ func TestReduceRetryBudget(t *testing.T) {
 	}
 	if w.SentPackets != 4+4+4+1+4+4 || w.BatchShrinks != 2 || w.LastBatch != 1 {
 		t.Errorf("Retries 2: %d packets, %d shrinks, batch %d; want 21, 2, 1", w.SentPackets, w.BatchShrinks, w.LastBatch)
+	}
+}
+
+// TestZeroRetriesRetransmit: a hand-built Worker's zero Retries is the
+// default budget, as its zero Timeout and Batch are — a stall retransmits
+// the window instead of ending the reduce.
+func TestZeroRetriesRetransmit(t *testing.T) {
+	f := newScriptFabric(t, timeoutStep, deliver(resultRun(0, 2)))
+	cfg := Config{Workers: 1, Pool: 2, Modules: scriptModules, Mode: core.ModeApprox}
+	w := &Worker{Fabric: f, Cfg: cfg, Timeout: time.Second}
+	out, err := w.Reduce([]float32{1, 2, 3, 4})
+	if err != nil {
+		t.Fatalf("a zero-Retries worker gave up on its first stall: %v", err)
+	}
+	f.wantSends(0, []int{0, 1})
+	f.wantSends(1, []int{0, 1})
+	if want := append(chunkSum(0), chunkSum(1)...); !reflect.DeepEqual(out, want) {
+		t.Errorf("output %v, want %v", out, want)
 	}
 }
 

@@ -1,18 +1,8 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -32,7 +22,7 @@ type TestingT interface {
 // matched by a finding.
 func RunTest(t TestingT, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg, err := loadTestdata(dir)
+	pkg, err := loadDir(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -111,100 +101,15 @@ func collectWants(pkg *Package) (map[wantKey][]*want, error) {
 	return wants, nil
 }
 
-// loadTestdata parses and type-checks the .go files in dir as one package,
-// resolving their (stdlib-only) imports through `go list -export`.
-func loadTestdata(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// loadDir loads the one package in dir (a testdata directory) through Load,
+// the loader fpisa-vet runs.
+func loadDir(dir string) (*Package, error) {
+	pkgs, err := Load(dir, ".")
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			importSet[p] = true
-		}
+	if len(pkgs) != 1 {
+		return nil, fmt.Errorf("%s holds %d packages, want 1", dir, len(pkgs))
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	exports, err := exportData(dir, importSet)
-	if err != nil {
-		return nil, err
-	}
-	imp := exportImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
-	})
-	pkgName := files[0].Name.Name
-	tpkg, info, err := CheckFiles(fset, pkgName, files, imp)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
-	}
-	return &Package{
-		PkgPath: pkgName,
-		Dir:     dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
-}
-
-// exportData resolves import paths to compiler export files via
-// `go list -export -deps`.
-func exportData(dir string, paths map[string]bool) (map[string]string, error) {
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}
-	var sorted []string
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
-	args = append(args, sorted...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -export %s: %v\n%s", strings.Join(sorted, " "), err, stderr.String())
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct {
-			ImportPath string
-			Export     string
-			Error      *struct{ Err string }
-		}
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
+	return pkgs[0], nil
 }

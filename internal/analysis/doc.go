@@ -15,7 +15,8 @@
 // comment; the driver rejects suppressions without a reason and flags stale
 // ones.
 //
-// Integration status: fully integrated — cmd/fpisa-vet drives the suite
-// standalone and via `go vet -vettool`, and the CI lint job runs it over
-// ./... on every push.
+// Integration status: fully integrated — cmd/fpisa-vet drives the suite over
+// package patterns through Load (the analyzer tests load their testdata
+// packages the same way), and the CI lint job runs it over ./... on every
+// push.
 package analysis

@@ -9,7 +9,7 @@ import (
 // documented, used directive suppresses its finding; an undocumented,
 // unknown, or stale one is itself reported.
 func TestIgnoreDirective(t *testing.T) {
-	pkg, err := loadTestdata(testdata("ignoredirective"))
+	pkg, err := loadDir(testdata("ignoredirective"))
 	if err != nil {
 		t.Fatal(err)
 	}

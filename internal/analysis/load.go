@@ -88,9 +88,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (string, bool) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
-		return f, ok
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
 	})
 
 	var pkgs []*Package
@@ -106,7 +109,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		tpkg, info, err := CheckFiles(fset, p.ImportPath, files, imp)
+		// Every analyzer relies on a fully populated types.Info.
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Implicits:  map[ast.Node]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Scopes:     map[ast.Node]*types.Scope{},
+		}
+		tpkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
@@ -120,37 +132,4 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
-}
-
-// exportImporter returns a types.Importer that resolves import paths to
-// compiler export-data files through find (path → export file).
-func exportImporter(fset *token.FileSet, find func(path string) (string, bool)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := find(path)
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-}
-
-// CheckFiles type-checks one package's parsed files, resolving imports
-// through imp, and returns the package with the fully populated types.Info
-// every analyzer relies on. Shared by the pattern loader, the analyzer test
-// harness, and fpisa-vet's `go vet -vettool` unit mode.
-func CheckFiles(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tpkg, info, nil
 }

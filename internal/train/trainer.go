@@ -6,6 +6,7 @@ import (
 
 	"fpisa/internal/core"
 	"fpisa/internal/fpnum"
+	"fpisa/internal/gradients"
 	"fpisa/internal/stats"
 )
 
@@ -86,28 +87,8 @@ func (r FPISAReducer) Name() string { return r.Cfg.Mode.String() }
 
 // Reduce implements Reducer.
 func (r FPISAReducer) Reduce(workers [][]float32) ([]float32, error) {
-	out, _, err := aggregate(r.Cfg, workers)
+	out, _, err := gradients.AggregateFPISA(r.Cfg, workers)
 	return out, err
-}
-
-func aggregate(cfg core.Config, workers [][]float32) ([]float32, core.Stats, error) {
-	n := len(workers[0])
-	acc, err := core.NewAccumulator(cfg, n)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	for _, w := range workers {
-		for i, v := range w {
-			if err := acc.Add(i, v); err != nil {
-				return nil, core.Stats{}, err
-			}
-		}
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = acc.ReadFloat32(i)
-	}
-	return out, acc.Stats(), nil
 }
 
 // FP16Reducer wraps another reducer, rounding worker gradients to FP16
