@@ -962,7 +962,17 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 	// add, the slot must stay retransmittable — marking the worker seen
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
-	res := &sc.res
+	// Only the ADD that completes the chunk reads the running sums; every
+	// other one passes a nil res, so the pipeline absorbs it and builds no
+	// response.
+	var res *core.Result
+	nSeen := st.nSeen + 1 // once this ADD counts
+	if fresh {
+		nSeen = 1
+	}
+	if nSeen == s.cfg.Workers {
+		res = &sc.res
+	}
 	if fresh {
 		// The first ADD of a slot version binds by overwrite: one pipeline
 		// pass stores the values over whatever the slot's previous chunk

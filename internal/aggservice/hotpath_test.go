@@ -98,9 +98,10 @@ func TestHandleBatchAllocations(t *testing.T) {
 // TestPipelinePassesPerChunk pins the pass count of the slot protocol as an
 // exact number, not a timing: every contribution costs one pipeline pass and
 // nothing else does — the first ADD of a chunk binds its slot by overwrite
-// instead of spending a read-reset pass first. Retransmits, replays and
-// refused binds never reach the pipeline, so the count does not depend on
-// scheduling.
+// instead of spending a read-reset pass first — and only the contribution
+// that completes a chunk emits, the others being absorbed (pisa.Absorb).
+// Retransmits, replays and refused binds never reach the pipeline, so the
+// counts do not depend on scheduling.
 func TestPipelinePassesPerChunk(t *testing.T) {
 	const n = 64 // chunks (Modules is 1)
 
@@ -129,20 +130,20 @@ func TestPipelinePassesPerChunk(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if got := passes(); got != 2*n {
-			t.Fatalf("%d pipeline passes for %d two-worker chunks, want %d", got, n, 2*n)
+		if got, emitted := passes(); got != 2*n || emitted != n {
+			t.Fatalf("%d pipeline passes, %d emitted for %d two-worker chunks, want %d and %d", got, emitted, n, 2*n, n)
 		}
 	})
 
 	// One worker under each of two leaves: a chunk costs one pass per leaf
-	// (each leaf's only contribution binds and completes its slot) and two
-	// at the spine.
+	// (each leaf's only contribution binds and completes its slot, so both
+	// emit) and two at the spine, one absorbed and one emitted.
 	t.Run("tree", func(t *testing.T) {
 		leafCfg := Config{Workers: 1, Pool: 4, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 		spineCfg := leafCfg
 		spineCfg.Workers = 2
 		spine, leaves, fabs := buildTree(t, leafCfg, spineCfg, 2, 0, 1, 0, -1)
-		counts := []func() uint64{countPasses(t, spine, 0)}
+		counts := []func() (uint64, uint64){countPasses(t, spine, 0)}
 		for _, l := range leaves {
 			counts = append(counts, countPasses(t, l, 0))
 		}
@@ -153,12 +154,14 @@ func TestPipelinePassesPerChunk(t *testing.T) {
 				t.Fatalf("tree worker %d: %v", i, err)
 			}
 		}
-		var got uint64
+		var got, emitted uint64
 		for _, c := range counts {
-			got += c()
+			r, e := c()
+			got, emitted = got+r, emitted+e
 		}
-		if got != 4*n {
-			t.Fatalf("%d pipeline passes for %d chunks through 2 leaves and a spine, want %d", got, n, 4*n)
+		if got != 4*n || emitted != 3*n {
+			t.Fatalf("%d pipeline passes, %d emitted for %d chunks through 2 leaves and a spine, want %d and %d",
+				got, emitted, n, 4*n, 3*n)
 		}
 	})
 }

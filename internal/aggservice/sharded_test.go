@@ -185,9 +185,10 @@ func (f *flakyAgg) SetInto(idx int, vals []float32, res *core.Result) error {
 // countPasses swaps every bank of job's live incarnation for a bare
 // compiled pipeline (core.ProfileAggregator hides its pisa.Switch; the seam
 // takes a *core.PipelineAggregator as it is) and returns a function summing
-// the packets those pipelines received: the exact number of pipeline passes
-// the job's traffic cost this switch. Call it before any traffic flows.
-func countPasses(t *testing.T, sw *Switch, job int) func() uint64 {
+// the packets those pipelines received — the exact number of pipeline passes
+// the job's traffic cost this switch — and emitted, the passes that built a
+// response. Call it before any traffic flows.
+func countPasses(t *testing.T, sw *Switch, job int) func() (received, emitted uint64) {
 	t.Helper()
 	cfg := sw.cfg
 	proto, err := core.NewPipelineAggregator(core.DefaultFP32(cfg.Mode), cfg.Modules, 2*cfg.Pool, cfg.Arch)
@@ -200,11 +201,13 @@ func countPasses(t *testing.T, sw *Switch, job int) func() uint64 {
 		pipes[k] = proto.Replicate()
 		banks[k].agg = pipes[k]
 	}
-	return func() (n uint64) {
+	return func() (received, emitted uint64) {
 		for _, p := range pipes {
-			n += p.Switch().Counters().Received
+			c := p.Switch().Counters()
+			received += c.Received
+			emitted += c.Emitted
 		}
-		return n
+		return received, emitted
 	}
 }
 

@@ -63,7 +63,8 @@ func TestIntoMatchesFreshResults(t *testing.T) {
 	}
 }
 
-// A nil Result discards the response but keeps the register side effect.
+// A nil Result discards the response but keeps the register side effect;
+// on the pipeline the pass is absorbed, emitting nothing.
 func TestIntoNilResultStillOperates(t *testing.T) {
 	for name, pa := range intoBackends(t) {
 		if err := pa.AddInto(2, []float32{9, 9, 9}, nil); err != nil {
@@ -84,6 +85,11 @@ func TestIntoNilResultStillOperates(t *testing.T) {
 		}
 		if r, _ = pa.ReadReset(2); r.Values[0] != 0 || r.Count != 0 {
 			t.Errorf("%s: after a discarded read-reset: %+v", name, r)
+		}
+		if pa.pipe != nil {
+			if c := pa.pipe.Switch().Counters(); c.Received != 5 || c.Emitted != 2 {
+				t.Errorf("%s: counters %+v, want 5 passes of which the 2 with a Result emitted", name, c)
+			}
 		}
 	}
 }
@@ -130,6 +136,8 @@ func TestIntoAllocatesNothing(t *testing.T) {
 			}
 			n++
 		})
+		// On the pipeline backend these are PipelineAggregator's …Into with
+		// a nil Result: absorbed passes (pisa.Switch.Absorb).
 		allocgate.AtMost(t, name+" discarding", 0, func() {
 			if err := pa.SetInto(n%16, vals, nil); err != nil {
 				t.Fatal(err)

@@ -15,10 +15,11 @@ import (
 //
 // An aggregator is single-threaded, like the pisa.Switch replica it owns:
 // every operation rebuilds the request in the aggregator's own packet
-// buffer and runs it through the switch's scratch (pisa.ProcessScratch).
-// The …Into operations decode the response into storage the caller
-// supplies and allocate nothing in steady state; Add/Read/ReadReset are
-// the same operations returning a fresh Result.
+// buffer and runs it through the switch's scratch (pisa.ProcessScratch, or
+// pisa.Absorb when the caller discards the response). The …Into operations
+// decode the response into storage the caller supplies and allocate
+// nothing in steady state; Add/Read/ReadReset are the same operations
+// returning a fresh Result.
 type PipelineAggregator struct {
 	sw  *pisa.Switch
 	lay Layout
@@ -118,8 +119,9 @@ func (pa *PipelineAggregator) parseInto(pkt []byte, res *Result) error {
 }
 
 // do runs one operation through the pipeline and decodes the response into
-// res; a nil res discards it undecoded (the register side effect is all
-// the caller wanted).
+// res. A nil res means the register side effect is all the caller wants:
+// the switch absorbs the packet (pisa.Switch.Absorb), running only the
+// steps that feed its registers, and no response is built.
 func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) error {
 	if idx < 0 || idx >= pa.lay.Slots {
 		return fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
@@ -127,8 +129,11 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) 
 	if err := pa.putPacket(pa.req, op, uint32(idx), vals); err != nil {
 		return err
 	}
+	if res == nil {
+		return pa.sw.Absorb(1, pa.req)
+	}
 	out, err := pa.sw.ProcessScratch(1, pa.req)
-	if err != nil || res == nil {
+	if err != nil {
 		return err
 	}
 	return pa.parseInto(out.Packet, res)
@@ -136,7 +141,8 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) 
 
 // AddInto accumulates one value per module into the slot and stores the
 // running sums in res, reusing the capacity of res.Values and
-// res.Overflow; a nil res discards them undecoded. Nothing is allocated
+// res.Overflow; with a nil res the pass computes no sums at all (the
+// switch absorbs the packet). Nothing is allocated
 // once res has grown to the module count. The operation runs on scratch
 // that is valid only until the next call on this replica (the request
 // packet here, the pisa.Switch's PHV and deparse buffer below); res is the

@@ -188,15 +188,16 @@ func (c *compiled) tableIO(t *cTable) (reads, writes map[fieldID]bool) {
 	for _, k := range t.key {
 		reads[k.id] = true
 	}
+	var buf [4]fieldID
 	for _, a := range t.actions {
-		for _, ci := range a.instrs {
-			for _, r := range actionInstrReads(ci) {
+		for i := range a.instrs {
+			for _, r := range a.instrs[i].appendReads(buf[:0]) {
 				reads[r] = true
 			}
-			writes[ci.dst] = true
+			writes[a.instrs[i].dst] = true
 		}
 		if s := a.stateful; s != nil {
-			for _, r := range s.reads() {
+			for _, r := range s.appendReads(buf[:0]) {
 				reads[r] = true
 			}
 			if s.output != OutNone {

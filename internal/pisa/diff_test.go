@@ -280,11 +280,19 @@ func randomProg(rng *rand.Rand) Program {
 // packets, on the extended architecture so every shift form and the RSAW
 // update compile; every generated program must compile. Packets mix
 // uniformly random bytes with small values that hit the tables' entries and
-// stay inside the registers, plus the occasional truncated packet.
+// stay inside the registers, plus the occasional truncated packet. An exact
+// table keyed on one of the two fields nobody writes gives a program a
+// dispatch field, so the seeds cover programs lowered to one pass and to a
+// pass per dispatch value; the count of the latter is pinned.
 func TestDifferentialRandomPrograms(t *testing.T) {
+	const wantDispatch = 48
+	dispatch := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := randomProg(rng)
+		if mustSwitch(t, prog, ExtendedArch()).c.dispatch != noDispatch {
+			dispatch++
+		}
 		pkts := make([]DiffPacket, 400)
 		for i := range pkts {
 			data := make([]byte, 28)
@@ -300,6 +308,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			pkts[i] = DiffPacket{Port: uint16(rng.Intn(4)), Data: data}
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { DiffRun(t, prog, ExtendedArch(), pkts) })
+	}
+	if dispatch != wantDispatch {
+		t.Errorf("%d of 60 programs have a dispatch field, want %d", dispatch, wantDispatch)
 	}
 }
 

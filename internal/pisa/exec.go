@@ -31,8 +31,8 @@ type Switch struct {
 	regs     []*registerArray
 	counters Counters
 
-	// Per-packet scratch, reused by every ProcessScratch call (see there
-	// for the lifetime contract).
+	// Per-packet scratch, reused by every ProcessScratch (see there for
+	// the lifetime contract) and, the PHV, by every Absorb.
 	phv      Phv    // the packet's PHV
 	deparsed []byte // backing store of the emitted packet
 }
@@ -89,26 +89,54 @@ func (s *Switch) RegisterSnapshot(name string) ([]uint32, error) {
 // (one replica per shard, driven under the shard lock). Callers that keep
 // a result use Process.
 func (s *Switch) ProcessScratch(ingressPort uint16, pkt []byte) (Emission, error) {
-	s.counters.Received++
-	phv := &s.phv
-	clear(phv.vals)
-	phv.set(fidIngressPort, uint32(ingressPort))
-
-	if err := s.parse(phv, pkt); err != nil {
-		s.counters.ParserErrors++
+	p, err := s.start(ingressPort, pkt, s.c.emit)
+	if err != nil {
 		return Emission{}, err
 	}
-	if err := s.runPlan(phv, &s.c.ingressPlan); err != nil {
+	phv := &s.phv
+	if err := s.runPlan(phv, p.ingress); err != nil {
 		s.counters.RuntimeErrors++
 		return Emission{}, err
 	}
 	port := uint16(phv.get(fidEgressPort))
-	if err := s.runPlan(phv, &s.c.egressPlan); err != nil {
+	if err := s.runPlan(phv, p.egress); err != nil {
 		s.counters.RuntimeErrors++
 		return Emission{}, err
 	}
 	s.counters.Emitted++
 	return Emission{Port: port, Packet: s.deparse(phv, pkt)}, nil
+}
+
+// Absorb runs one packet whose response nobody reads: its register effects,
+// runtime errors and counters are ProcessScratch's, but it runs only the
+// steps that feed a stateful op and nothing leaves the switch (Emitted does
+// not count it). Like ProcessScratch it allocates nothing.
+func (s *Switch) Absorb(ingressPort uint16, pkt []byte) error {
+	p, err := s.start(ingressPort, pkt, s.c.absorb)
+	if err != nil {
+		return err
+	}
+	if err = s.runPlan(&s.phv, p.ingress); err == nil {
+		err = s.runPlan(&s.phv, p.egress)
+	}
+	if err != nil {
+		s.counters.RuntimeErrors++
+	}
+	return err
+}
+
+// start counts a packet, parses it into the switch's PHV and returns the
+// pass of passes it takes.
+func (s *Switch) start(ingressPort uint16, pkt []byte, passes []pass) (*pass, error) {
+	s.counters.Received++
+	phv := &s.phv
+	clear(phv.vals)
+	phv.set(fidIngressPort, uint32(ingressPort))
+	if err := s.parse(phv, pkt); err != nil {
+		s.counters.ParserErrors++
+		return nil, err
+	}
+	return &passes[s.c.passIndex(phv)], nil
 }
 
 // Process is ProcessScratch returning a freshly allocated emission the

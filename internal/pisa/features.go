@@ -20,32 +20,46 @@
 //
 // compile resolves a program against the architecture, places its tables
 // into stages (checkDependencies) — each register in its table's stage —
-// and lowers each gress once to a flat step plan (plan.go): pre-resolved
-// VLIW instructions, stateful-ALU steps and keyed-table lookups in stage and
-// table order. A packet takes one straight path: it is parsed into the PHV,
-// runs the ingress plan, runs the egress plan on the port ingress left in
-// _egress_port, and is deparsed into exactly one packet out on that port, or
-// an error. There is no traffic manager: the FPISA program reflects every
+// and lowers both gresses to flat step plans (plan.go): pre-resolved VLIW
+// instructions, stateful-ALU steps and keyed-table lookups in stage and
+// table order, with every step the packet does not need removed. A packet
+// is parsed into the PHV, and its dispatch field — the parsed field that
+// alone keys the most exact tables and that nothing writes; for the FPISA
+// program, the op octet — picks its pass: one per value the entries name,
+// one for every other value. A table keyed on that field is no lookup in a
+// pass but the action the value selects.
+//
+// A pass takes one of two straight paths. ProcessScratch runs the emitting
+// pass: the ingress plan, the egress plan on the port ingress left in
+// _egress_port, and the deparser, giving exactly one packet out on that
+// port or an error; its plans keep the steps whose results reach the
+// deparser or _egress_port. Absorb runs the absorbing pass of a packet whose
+// response nobody reads: its plans keep only the steps that feed a stateful
+// op, nothing is deparsed and nothing leaves. Both keep every stateful op,
+// so registers, runtime errors and counters (but Emitted) are the same
+// either way. There is no traffic manager: the FPISA program reflects every
 // packet to its ingress port and never drops, multicasts or recirculates.
 //
-// Nothing on that path interprets a table declaration: always-tables have
-// dissolved into their action's steps, and what is left of matching is the
-// data-keyed lookups — exact by direct index or sorted search, ternary and
-// LPM by TCAM scan. Stage semantics are the Packet-Transactions atom — every
-// table of a stage reads the stage-entry PHV — and hold by construction, so
-// every step writes the PHV directly: the compiler refuses a table that
-// reads what a table placed before it in its stage writes, an instruction
-// that reads another's destination, and a stateful op that reads what an
-// instruction of its own action writes. The table-by-table interpreter that
-// snapshots the PHV per stage lives on as the differential-test oracle
-// (oracle_test.go, DiffRun).
+// Nothing on either path interprets a table declaration: always-tables and
+// dispatch-keyed tables have dissolved into their actions' steps, and what
+// is left of matching is the data-keyed lookups — exact by direct index or
+// sorted search, ternary and LPM by TCAM scan. Stage semantics are the
+// Packet-Transactions atom — every table of a stage reads the stage-entry
+// PHV — and hold by construction, so every step writes the PHV directly:
+// the compiler refuses a table that reads what a table placed before it in
+// its stage writes, an instruction that reads another's destination, and a
+// stateful op that reads what an instruction of its own action writes. The
+// table-by-table interpreter that snapshots the PHV per stage and runs every
+// table for every packet lives on as the differential-test oracle
+// (oracle_test.go, DiffRun), which holds both paths to it.
 //
 // # Execution and buffer ownership
 //
 // A Switch executes packets on scratch it owns — the PHV and the deparse
-// buffer — so the per-packet path (ProcessScratch) allocates nothing. The
-// Emission ProcessScratch returns is valid until the next call on the same
-// Switch; Process is the same execution handing out a fresh copy. A Switch
+// buffer — so the per-packet paths (ProcessScratch, Absorb) allocate
+// nothing. The Emission ProcessScratch returns is valid until the next call
+// on the same Switch; Process is the same execution handing out a fresh
+// copy. A Switch
 // is therefore single-threaded: replicas (Replicate) share the immutable
 // compiled program, plans included, and may run concurrently, one caller
 // each.

@@ -75,9 +75,9 @@ func fpisaValue(rng *rand.Rand) float32 {
 // TestDifferentialFPISAPrograms runs seeded ADD/SET/READ/READ_RESET mixes over
 // random slots and values — ±0, denormals, ±Inf, NaN, arbitrary bit
 // patterns, and long same-sign runs into one slot that overflow the
-// mantissa register — through the production and the reference executor on
-// every FPISA program, requiring identical bytes, registers and counters
-// (pisa.DiffRun).
+// mantissa register — through the production executor, emitting and
+// absorbing, and the reference executor on every FPISA program, requiring
+// identical bytes, registers and counters (pisa.DiffRun).
 func TestDifferentialFPISAPrograms(t *testing.T) {
 	for _, b := range fpisaBuilds(t) {
 		for _, seed := range []int64{1, 2} {
@@ -159,11 +159,12 @@ func fpisaClassValue(next func() byte) (float32, int) {
 }
 
 // fpisaStream decodes a packet sequence for build b from data. Per packet:
-// an octet picking the opcode (its low three bits: 0..3 the operations, 4 no
-// such operation, 5..7 folded onto 0..3) and the slot, an octet that one time
-// in sixteen truncates the packet so the parser refuses it, then one
-// fpisaClassValue per module. seen reports which (opcode, class) pairs of
-// module 0 the stream carried untruncated.
+// an octet picking the opcode (its low three bits: 0..3 the operations, 4 an
+// opcode octet of any value read next, 5..7 folded onto 0..3) and the slot,
+// an octet that one time in sixteen truncates the packet so the parser
+// refuses it, then one fpisaClassValue per module. seen reports which
+// (opcode, class) pairs of module 0 the stream carried untruncated, every
+// octet that is no operation counting as opcode 4.
 func fpisaStream(t testing.TB, b fpisaBuild, data []byte) (pkts []pisa.DiffPacket, seen map[[2]int]bool) {
 	pos := 0
 	next := func() byte {
@@ -178,7 +179,10 @@ func fpisaStream(t testing.TB, b fpisaBuild, data []byte) (pkts []pisa.DiffPacke
 	for pos < len(data) {
 		sel, cut := next(), next()
 		op := sel & 7
-		if op > 4 {
+		switch {
+		case op == 4:
+			op = next()
+		case op > 4:
 			op &= 3
 		}
 		var class0 int
@@ -195,7 +199,7 @@ func fpisaStream(t testing.TB, b fpisaBuild, data []byte) (pkts []pisa.DiffPacke
 		if cut < 16 {
 			pkt = pkt[:int(cut)*len(pkt)/16]
 		} else {
-			seen[[2]int{int(op), class0}] = true
+			seen[[2]int{min(int(op), 4), class0}] = true
 		}
 		pkts = append(pkts, pisa.DiffPacket{Port: uint16(cut) % 4, Data: pkt})
 	}
@@ -203,10 +207,10 @@ func fpisaStream(t testing.TB, b fpisaBuild, data []byte) (pkts []pisa.DiffPacke
 }
 
 // TestPlanEqualsReferenceOnInputClasses drives every FPISA build with seeded
-// fpisaStream sequences — all four opcodes and the unknown one, every input
-// class, truncated packets — through the plan executor and the reference
-// (pisa.DiffRun), and checks the sequences did carry every opcode × class
-// pair.
+// fpisaStream sequences — all four opcodes and unknown ones, every input
+// class, truncated packets — through the plan executor, emitting and
+// absorbing, and the reference (pisa.DiffRun), and checks the sequences did
+// carry every opcode × class pair.
 func TestPlanEqualsReferenceOnInputClasses(t *testing.T) {
 	for _, b := range fpisaBuilds(t) {
 		for _, seed := range []int64{1, 2} {
@@ -227,20 +231,22 @@ func TestPlanEqualsReferenceOnInputClasses(t *testing.T) {
 	}
 }
 
-// FuzzPlanEqualsReference lets the fuzzer write the fpisaStream; the first
-// byte picks the build.
+// FuzzPlanEqualsReference lets the fuzzer write the fpisaStream and runs it
+// on every FPISA build, emitting and absorbing (pisa.DiffRun). Its opcode
+// octets reach all 256 values, so every pass runs, the miss pass included.
 func FuzzPlanEqualsReference(f *testing.F) {
 	builds := fpisaBuilds(f)
-	f.Add([]byte{0, 0x03, 0xff, 0x02, 0x7f, 0xff, 0xff, 0x08, 0xff, 0x8e, 0, 0, 1})
-	f.Add([]byte{4, 0x00, 0x20, 0x04, 0, 0, 0, 0x85, 0x12, 0x34, 0x56, 0x03, 0x40, 0, 0, 0x9a, 0x02, 0x20})
-	f.Add([]byte{6, 0x0a, 0x05, 0x06, 0x40, 0, 0, 0x04, 0x30, 0x0d, 0x80, 0, 0})
+	f.Add([]byte{0x03, 0xff, 0x02, 0x7f, 0xff, 0xff, 0x08, 0xff, 0x8e, 0, 0, 1})
+	f.Add([]byte{0x00, 0x20, 0x04, 0, 0, 0, 0x85, 0x12, 0x34, 0x56, 0x03, 0x40, 0, 0, 0x9a, 0x02, 0x20})
+	f.Add([]byte{0x0c, 0x30, 0xc8, 0x06, 0x40, 0, 0, 0x14, 0x20, 0x02, 0x0d, 0x80, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 4096 {
+		if len(data) == 0 || len(data) > 4096 {
 			return
 		}
-		b := builds[int(data[0])%len(builds)]
-		pkts, _ := fpisaStream(t, b, data[1:])
-		pisa.DiffRun(t, b.prog, b.arch, pkts)
+		for _, b := range builds {
+			pkts, _ := fpisaStream(t, b, data)
+			pisa.DiffRun(t, b.prog, b.arch, pkts)
+		}
 	})
 }
 
@@ -257,7 +263,7 @@ func TestReplicateAllocations(t *testing.T) {
 
 // TestProcessScratchAllocatesNothing gates the executor's steady state on
 // every FPISA program: parse, both plans and deparse all run on
-// switch-owned scratch.
+// switch-owned scratch, emitting (ProcessScratch) and absorbing (Absorb).
 func TestProcessScratchAllocatesNothing(t *testing.T) {
 	for _, b := range fpisaBuilds(t) {
 		ops := []byte{core.PktAdd, core.PktRead, core.PktReadReset, core.PktSet}
@@ -280,6 +286,29 @@ func TestProcessScratchAllocatesNothing(t *testing.T) {
 			}
 			n++
 		})
+		allocgate.AtMost(t, "Absorb on "+b.name, 0, func() {
+			if err := sw.Absorb(1, pkts[n%len(pkts)]); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+	}
+}
+
+// Every FPISA build's absorbing PktAdd pass is shorter than its emitting
+// one: renormalisation and reassembly feed only the response, and the whole
+// egress only the deparser. The step counts are logged (go test -v).
+func TestAbsorbingAddPassIsShorter(t *testing.T) {
+	for _, b := range fpisaBuilds(t) {
+		sw := b.pa.Switch()
+		for _, op := range []uint8{core.PktAdd, core.PktSet, core.PktRead, core.PktReadReset, 4} {
+			emitIn, emitEg := sw.PassSteps(op, false)
+			absIn, absEg := sw.PassSteps(op, true)
+			t.Logf("%s op %d: emit %d + %d steps, absorb %d + %d", b.name, op, emitIn, emitEg, absIn, absEg)
+			if op == core.PktAdd && (absIn >= emitIn || absEg != 0) {
+				t.Errorf("%s: absorbing PktAdd runs %d + %d steps, emitting %d + %d", b.name, absIn, absEg, emitIn, emitEg)
+			}
+		}
 	}
 }
 
@@ -305,5 +334,32 @@ func TestFPISAUtilizationGolden(t *testing.T) {
 		if got := fmt.Sprint(b.pa.Utilization().Stages); got != golden[b.name] {
 			t.Errorf("%s stages:\n got %s\nwant %s", b.name, got, golden[b.name])
 		}
+	}
+}
+
+// BenchmarkCompileFPISA times compiling the FPISA program (pisa.New: every
+// plan of both variants included) on the smallest build, one FPISA-A module
+// on the base architecture, and on the largest, three on the extended one.
+func BenchmarkCompileFPISA(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		arch    pisa.Arch
+		modules int
+	}{
+		{"base-m1", pisa.BaseArch(), 1},
+		{"ext-m3", pisa.ExtendedArch(), 3},
+	} {
+		prog, _, err := core.BuildProgram(core.DefaultFP32(core.ModeApprox), bc.modules, fpisaSlots, bc.arch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := pisa.New(prog, bc.arch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -150,6 +150,21 @@ type cInstr struct {
 	predNeg  bool
 }
 
+// appendReads appends the PHV fields the instruction reads: its field
+// operands and its predicate.
+func (ci *cInstr) appendReads(r []fieldID) []fieldID {
+	if ci.a.kind == srcField {
+		r = append(r, ci.a.field)
+	}
+	if ci.b.kind == srcField {
+		r = append(r, ci.b.field)
+	}
+	if ci.hasPred {
+		r = append(r, ci.pred)
+	}
+	return r
+}
+
 func shl32(v, by uint32) uint32 {
 	if by >= 32 {
 		return 0

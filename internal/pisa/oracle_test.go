@@ -135,33 +135,43 @@ type DiffPacket struct {
 }
 
 // DiffRun compiles prog once and drives pkts through the production
-// executor (ProcessScratch) on one replica and the reference executor on
-// another, requiring identical observable behaviour: the error and the
-// emitted port and bytes of every packet and the Counters after every
-// packet, and every register's snapshot every 64 packets and at the end.
+// executor on two replicas — one emitting every packet (ProcessScratch), one
+// absorbing it (Absorb) — and the reference executor on a third, requiring
+// identical observable behaviour: the error of every packet, the emitted
+// port and bytes, the Counters after every packet (but for Emitted, which
+// absorbing never counts), and every register's snapshot every 64 packets
+// and at the end.
 func DiffRun(t *testing.T, prog Program, arch Arch, pkts []DiffPacket) {
 	t.Helper()
 	sw, err := New(prog, arch)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	ref := sw.Replicate()
+	ref, ab := sw.Replicate(), sw.Replicate()
 
 	state := func(i int) {
 		t.Helper()
 		for _, r := range prog.Registers {
 			got, _ := sw.RegisterSnapshot(r.Name)
+			absorbed, _ := ab.RegisterSnapshot(r.Name)
 			want, _ := ref.RegisterSnapshot(r.Name)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("packet %d: register %q diverged:\n got %v\nwant %v", i, r.Name, got, want)
+			}
+			if !reflect.DeepEqual(absorbed, want) {
+				t.Fatalf("packet %d: register %q diverged when absorbing:\n got %v\nwant %v", i, r.Name, absorbed, want)
 			}
 		}
 	}
 	for i, p := range pkts {
 		got, gotErr := sw.ProcessScratch(p.Port, p.Data)
+		abErr := ab.Absorb(p.Port, p.Data)
 		want, wantErr := ref.RefProcess(p.Port, p.Data)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("packet %d (% x): error %v, want %v", i, p.Data, gotErr, wantErr)
+		}
+		if fmt.Sprint(abErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("packet %d (% x): absorbing error %v, want %v", i, p.Data, abErr, wantErr)
 		}
 		if got.Port != want.Port || !bytes.Equal(got.Packet, want.Packet) {
 			t.Fatalf("packet %d (% x): port %d % x, want port %d % x",
@@ -169,6 +179,11 @@ func DiffRun(t *testing.T, prog Program, arch Arch, pkts []DiffPacket) {
 		}
 		if sw.Counters() != ref.Counters() {
 			t.Fatalf("packet %d (% x): counters %+v, want %+v", i, p.Data, sw.Counters(), ref.Counters())
+		}
+		if wantAb := ref.Counters(); ab.Counters() != (Counters{
+			Received: wantAb.Received, ParserErrors: wantAb.ParserErrors, RuntimeErrors: wantAb.RuntimeErrors,
+		}) {
+			t.Fatalf("packet %d (% x): absorbing counters %+v, want %+v but Emitted 0", i, p.Data, ab.Counters(), wantAb)
 		}
 		if i%64 == 63 {
 			state(i)

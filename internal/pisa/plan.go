@@ -1,18 +1,39 @@
 package pisa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // A plan is one gress lowered to a flat step sequence: what the executor
-// runs per packet. compile builds it once, after the dependency analysis;
-// it is part of the immutable compiled program and shared by every replica.
+// runs per packet. compile builds every plan once, after the dependency
+// analysis; they are part of the immutable compiled program and shared by
+// every replica.
+//
+// A plan is specialised to the packets that run it, the way the Packet
+// Transactions compiler transforms a packet program once instead of
+// interpreting it per packet (lowerPasses):
+//
+//   - The dispatch field — for the FPISA program, the op octet — picks a
+//     packet's pass, one per value some entry names plus one for every other
+//     value. A table keyed on that field alone is no lookup in a pass: it
+//     dissolves into the action the pass's value selects, the entry's action
+//     data bound as immediates.
+//   - A pass either emits the packet or absorbs it. An emitting plan keeps
+//     the steps whose results reach the deparser or, at the end of ingress,
+//     _egress_port; an absorbing plan keeps only the steps that feed a
+//     stateful op, since the registers are all an absorbed packet leaves
+//     behind. Every stateful op is kept either way, so registers, runtime
+//     errors and counters mean the same in both.
 //
 // The sequence follows the stages in order and, inside a stage, the tables
 // in placement order. An always-table dissolves into its action's steps. A
 // keyed table is one lookup step followed by each action's steps; the lookup
 // jumps to the matched (or default) action, whose last step skips past the
-// table. Every instruction's field ids, width mask, operand selectors and
-// sign-extension shifts and every stateful op's register mask and sign bit
-// are resolved here, not per packet.
+// table. A keyed table none of whose actions keeps a step is left out,
+// lookup and all. Every instruction's field ids, width mask, operand
+// selectors and sign-extension shifts and every stateful op's register mask
+// and sign bit are resolved here, not per packet.
 //
 // Stage semantics — every table of a stage sees the stage-entry PHV — hold
 // by construction, so every step writes the PHV directly: no later step of a
@@ -23,9 +44,21 @@ import "fmt"
 // runs after its action's instructions — that reads one of theirs.
 type plan struct {
 	steps  []step
-	tables []*cTable  // keyed tables, indexed by a lookup step's dst
-	salus  []planSalu // stateful ops, indexed by a salu step's dst
+	tables []planTable // keyed tables, indexed by a lookup step's dst
+	salus  []planSalu  // stateful ops, indexed by a salu step's dst
 }
+
+// planTable is a keyed table as one plan lays it out. Its steps end at end,
+// where a miss without a default action continues; action a's start at
+// start[a.idx], or at end when the plan keeps none of them.
+type planTable struct {
+	*cTable
+	end   int
+	start []int
+}
+
+// pass is what one packet runs: a plan per gress.
+type pass struct{ ingress, egress *plan }
 
 // stepKind says what a step does. Values up to OpCsel are VLIW
 // instructions — the kind is the Opcode — and the rest are control steps.
@@ -53,8 +86,9 @@ type step struct {
 // operand is an instruction source resolved so that reading it does not
 // branch on its kind: the value is vals[id]&and | or, where a field has
 // and = ^0, or = 0 and an immediate and = 0, or = the value. An action-data
-// operand reads params[id] instead (param). sx is 32 minus the field's
-// container width, the shift pair that sign-extends it.
+// operand reads params[id] instead (param); in a table dissolved into one
+// entry's action it is an immediate. sx is 32 minus the field's container
+// width, the shift pair that sign-extends it.
 type operand struct {
 	id      uint32
 	and, or uint32
@@ -74,64 +108,327 @@ type planSalu struct {
 	outMask uint32 // the output field's width mask
 }
 
-// lower builds the plan of one gress from its placed tables.
-func (c *compiled) lower(stages [][]*cTable) plan {
-	var pl plan
-	n := 0
-	for _, tables := range stages {
-		for _, t := range tables {
-			n++
-			for _, a := range t.actions {
-				n += len(a.instrs) + 1
-			}
-		}
-	}
-	pl.steps = make([]step, 0, n)
+// noDispatch is compiled.dispatch of a program without a dispatch field.
+const noDispatch fieldID = -1
 
-	for _, tables := range stages {
-		for _, t := range tables {
-			if t.decl.Kind == MatchAlways {
-				c.lowerAction(&pl, t.default_)
-				continue
+// passIndex returns the pass of a parsed packet.
+func (c *compiled) passIndex(phv *Phv) uint8 {
+	if c.dispatch == noDispatch {
+		return 0
+	}
+	return c.passOf[uint8(phv.vals[c.dispatch])]
+}
+
+// dispatchField picks the field whose parsed value selects a packet's pass.
+// A candidate is filled by the parser, at most 8 bits wide and written by no
+// instruction or stateful output, so every stage sees the parsed value; the
+// one that alone keys the most exact tables wins, the lower id on a tie.
+// noDispatch when no exact table is keyed on a candidate alone.
+func (c *compiled) dispatchField() fieldID {
+	parsed := make([]bool, len(c.ft.decls))
+	for _, e := range c.parser {
+		parsed[e.field] = true
+	}
+	for _, e := range c.parserBits {
+		parsed[e.field] = true
+	}
+	for _, t := range c.declared {
+		for _, a := range t.actions {
+			for i := range a.instrs {
+				parsed[a.instrs[i].dst] = false
 			}
-			lookup := step{kind: stepLookup, dst: fieldID(len(pl.tables))}
-			if len(t.key) == 1 { // the key is the field: read it as operand a
-				lookup.a = operand{id: uint32(t.key[0].id), and: ^uint32(0)}
-			}
-			pl.steps = append(pl.steps, lookup)
-			pl.tables = append(pl.tables, t)
-			for i := range t.decl.Actions {
-				a := t.actions[t.decl.Actions[i].Name]
-				a.start = len(pl.steps)
-				c.lowerAction(&pl, a)
-				a.end = len(pl.steps)
-			}
-			t.end = len(pl.steps)
-			for _, a := range t.actions {
-				if a.start == a.end {
-					a.start = t.end // nothing to run
-				} else {
-					pl.steps[a.end-1].skip = uint32(t.end - a.end)
+			if op := a.stateful; op != nil {
+				if op.output != OutNone {
+					parsed[op.outField] = false
+				}
+				if op.hasOvField {
+					parsed[op.ovField] = false
 				}
 			}
 		}
 	}
-	return pl
+	keys := make([]int, len(c.ft.decls))
+	best := noDispatch
+	for _, t := range c.declared {
+		if t.decl.Kind != MatchExact || len(t.key) != 1 {
+			continue
+		}
+		f := t.key[0].id
+		if !parsed[f] || c.ft.width(f) > 8 {
+			continue
+		}
+		keys[f]++
+		if best == noDispatch || keys[f] > keys[best] || keys[f] == keys[best] && f < best {
+			best = f
+		}
+	}
+	return best
 }
 
-// lowerAction appends a's instructions and stateful op to the plan.
-func (c *compiled) lowerAction(pl *plan, a *cAction) {
+// keyedOnDispatch reports whether t is an exact table keyed on the dispatch
+// field alone: in a pass it dissolves into one action.
+func (c *compiled) keyedOnDispatch(t *cTable) bool {
+	return t.decl.Kind == MatchExact && len(t.key) == 1 && t.key[0].id == c.dispatch
+}
+
+// dispatched reports whether t is keyed on the dispatch field alone and, if
+// so, what it runs for packets of dispatch value v (every value no entry
+// names when v < 0): a nil action is a no-op.
+func (c *compiled) dispatched(t *cTable, v int) (cHit, bool) {
+	if !c.keyedOnDispatch(t) {
+		return cHit{}, false
+	}
+	if v < 0 {
+		return cHit{action: t.default_}, true
+	}
+	return t.lookup(uint64(v)), true
+}
+
+// lowering is the scratch lowerPasses reuses for every plan.
+type lowering struct {
+	live      []bool // per pass, the fields read downstream (fieldID-indexed)
+	keep      []bool // per instruction (cAction.instr0): the plan runs it
+	keepTable []bool // per keyed table (cTable.idx): the plan looks it up
+	steps     []step
+	tables    []planTable
+	salus     []planSalu
+}
+
+// lowerPasses sets the dispatch field and lowers both gresses to the
+// emitting and the absorbing pass of every dispatch value. Liveness runs
+// backward from the end of egress: the emitting passes start from the
+// fields the deparser writes back and add _egress_port between the gresses;
+// the absorbing ones start from nothing, so only what a stateful op reads
+// becomes live.
+func (c *compiled) lowerPasses() {
+	c.dispatch = c.dispatchField()
+	values := []int{-1} // each pass's dispatch value; -1 is every value no entry names
+	if c.dispatch != noDispatch {
+		var named [256]bool
+		for _, t := range c.declared {
+			if c.keyedOnDispatch(t) {
+				for _, k := range t.exactKeys {
+					if k < uint64(len(named)) {
+						named[k] = true
+					}
+				}
+			}
+		}
+		values = values[:0]
+		for v, ok := range named {
+			if ok {
+				c.passOf[v] = uint8(len(values))
+				values = append(values, v)
+			}
+		}
+		if len(values) < len(named) {
+			for v, ok := range named {
+				if !ok {
+					c.passOf[v] = uint8(len(values))
+				}
+			}
+			values = append(values, -1)
+		}
+	}
+
+	nf := len(c.ft.decls)
+	lw := &lowering{
+		live:      make([]bool, len(values)*nf),
+		keep:      make([]bool, c.nInstrs),
+		keepTable: make([]bool, len(c.declared)),
+	}
+	for _, emitting := range []bool{true, false} {
+		clear(lw.live)
+		if emitting {
+			for i := range values {
+				for _, e := range c.parser {
+					lw.live[i*nf+int(e.field)] = lw.live[i*nf+int(e.field)] || e.wb
+				}
+			}
+		}
+		egress := c.lowerGress(c.egress, values, lw)
+		if emitting {
+			for i := range values {
+				lw.live[i*nf+int(fidEgressPort)] = true
+			}
+		}
+		ingress := c.lowerGress(c.ingress, values, lw)
+		passes := make([]pass, len(values))
+		for i := range passes {
+			passes[i] = pass{&ingress[min(i, len(ingress)-1)], &egress[min(i, len(egress)-1)]}
+		}
+		if emitting {
+			c.emit = passes
+		} else {
+			c.absorb = passes
+		}
+	}
+}
+
+// lowerGress lowers one gress for every pass: a plan each, or one they all
+// share when no table of the gress is keyed on the dispatch field alone.
+// lw.live holds, pass by pass, the fields read after the gress and is left
+// holding those read from its start.
+func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []plan {
+	nf := len(c.ft.decls)
+	shared := true
+	for _, tables := range stages {
+		for _, t := range tables {
+			shared = shared && !c.keyedOnDispatch(t)
+		}
+	}
+	if shared {
+		// The one plan keeps what any pass needs.
+		all := lw.live[:nf]
+		for i := 1; i < len(values); i++ {
+			for f, l := range lw.live[i*nf : (i+1)*nf] {
+				all[f] = all[f] || l
+			}
+		}
+		pl := c.lowerPlan(stages, -1, all, lw)
+		for i := 1; i < len(values); i++ {
+			copy(lw.live[i*nf:(i+1)*nf], all)
+		}
+		return []plan{pl}
+	}
+	plans := make([]plan, len(values))
+	for i, v := range values {
+		plans[i] = c.lowerPlan(stages, v, lw.live[i*nf:(i+1)*nf], lw)
+	}
+	return plans
+}
+
+// lowerPlan lowers one gress for packets of dispatch value v, keeping the
+// steps whose results reach live, and adds to live the fields the kept steps
+// read.
+//
+// Liveness walks the placed tables backward. A stateful op is always kept
+// and its reads become live; an instruction is kept only if its destination
+// is live, and then its operands and predicate become live; a keyed table is
+// kept only if one of its actions keeps a step, and then its key becomes
+// live. The live set only grows: a write does not end its field's liveness
+// upstream, which would be wrong for a predicated one. Walking a stage one
+// step at a time is sound in any order because no step of a stage reads a
+// value another step of that stage writes: a write made live by a read in
+// its own stage is at worst kept for nothing.
+func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowering) plan {
+	for s := len(stages) - 1; s >= 0; s-- {
+		for ti := len(stages[s]) - 1; ti >= 0; ti-- {
+			t := stages[s][ti]
+			if h, ok := c.dispatched(t, v); ok {
+				if h.action != nil {
+					lw.liveAction(h.action, live)
+				}
+				continue
+			}
+			if t.decl.Kind == MatchAlways {
+				lw.liveAction(t.default_, live)
+				continue
+			}
+			kept := false
+			for _, a := range t.actions {
+				kept = lw.liveAction(a, live) || kept
+			}
+			lw.keepTable[t.idx] = kept
+			if kept {
+				for _, k := range t.key {
+					live[k.id] = true
+				}
+			}
+		}
+	}
+
+	lw.steps, lw.tables, lw.salus = lw.steps[:0], lw.tables[:0], lw.salus[:0]
+	for _, tables := range stages {
+		for _, t := range tables {
+			if h, ok := c.dispatched(t, v); ok {
+				if h.action != nil {
+					c.lowerAction(lw, h.action, h.params)
+				}
+				continue
+			}
+			if t.decl.Kind == MatchAlways {
+				c.lowerAction(lw, t.default_, nil)
+				continue
+			}
+			if !lw.keepTable[t.idx] {
+				continue
+			}
+			lookup := step{kind: stepLookup, dst: fieldID(len(lw.tables))}
+			if len(t.key) == 1 { // the key is the field: read it as operand a
+				lookup.a = operand{id: uint32(t.key[0].id), and: ^uint32(0)}
+			}
+			lw.steps = append(lw.steps, lookup)
+			pt := planTable{cTable: t, start: make([]int, len(t.actions))}
+			for i, a := range t.actions {
+				pt.start[i] = len(lw.steps)
+				c.lowerAction(lw, a, nil)
+			}
+			pt.end = len(lw.steps)
+			for i := range pt.start {
+				end := pt.end // of action i's steps
+				if i+1 < len(pt.start) {
+					end = pt.start[i+1]
+				}
+				if pt.start[i] == end {
+					pt.start[i] = pt.end // nothing to run
+				} else {
+					lw.steps[end-1].skip = uint32(pt.end - end)
+				}
+			}
+			lw.tables = append(lw.tables, pt)
+		}
+	}
+	return plan{steps: slices.Clone(lw.steps), tables: slices.Clone(lw.tables), salus: slices.Clone(lw.salus)}
+}
+
+// liveAction marks which of a's instructions the plan keeps, adds what the
+// kept ones and a's stateful op read to live, and reports whether a keeps a
+// step.
+func (lw *lowering) liveAction(a *cAction, live []bool) bool {
+	var buf [4]fieldID
+	kept := a.stateful != nil
+	if kept {
+		for _, f := range a.stateful.appendReads(buf[:0]) {
+			live[f] = true
+		}
+	}
+	for i := range a.instrs {
+		ci := &a.instrs[i]
+		k := live[ci.dst]
+		lw.keep[a.instr0+i] = k
+		if k {
+			kept = true
+			for _, f := range ci.appendReads(buf[:0]) {
+				live[f] = true
+			}
+		}
+	}
+	return kept
+}
+
+// lowerAction appends the kept steps of a: its kept instructions, then its
+// stateful op. params binds action-data operands as immediates (a table
+// dissolved into one entry's action); nil leaves them to the matched entry.
+func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 	resolve := func(o cOperand) operand {
 		switch o.kind {
 		case srcField:
 			return operand{id: uint32(o.field), and: ^uint32(0), sx: uint8(32 - c.ft.width(o.field))}
 		case srcParam:
+			if params != nil {
+				return operand{or: params[o.param]}
+			}
 			return operand{id: uint32(o.param), param: true}
 		}
 		return operand{or: o.imm}
 	}
-	for _, ci := range a.instrs {
-		pl.steps = append(pl.steps, step{
+	for i := range a.instrs {
+		if !lw.keep[a.instr0+i] {
+			continue
+		}
+		ci := &a.instrs[i]
+		lw.steps = append(lw.steps, step{
 			kind: stepKind(ci.op), dst: ci.dst, mask: c.ft.masks[ci.dst],
 			a: resolve(ci.a), b: resolve(ci.b),
 			hasPred: ci.hasPred, predNeg: ci.predNeg, pred: ci.pred,
@@ -149,8 +446,8 @@ func (c *compiled) lowerAction(pl *plan, a *cAction) {
 		if op.output != OutNone {
 			ps.outMask = c.ft.masks[op.outField]
 		}
-		pl.steps = append(pl.steps, step{kind: stepSalu, dst: fieldID(len(pl.salus))})
-		pl.salus = append(pl.salus, ps)
+		lw.steps = append(lw.steps, step{kind: stepSalu, dst: fieldID(len(lw.salus))})
+		lw.salus = append(lw.salus, ps)
 	}
 }
 
@@ -183,7 +480,7 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 		var v uint32
 		switch st.kind {
 		case stepLookup:
-			t := pl.tables[st.dst]
+			t := &pl.tables[st.dst]
 			key := uint64(a)
 			if len(t.key) != 1 {
 				key = t.buildKey(phv)
@@ -193,7 +490,7 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 				pc = t.end
 				continue
 			}
-			params, pc = h.params, h.action.start
+			params, pc = h.params, t.start[h.action.idx]
 			continue
 		case stepSalu:
 			if err := s.salu(&pl.salus[st.dst], vals); err != nil {

@@ -80,10 +80,15 @@ type compiled struct {
 	parserBits []cBitExtract
 	ingress    [][]*cTable // indexed by stage; built during checkDependencies
 	egress     [][]*cTable
-	// What the executor runs: each gress lowered to one flat step plan.
-	ingressPlan, egressPlan plan
-	declared                []*cTable // declaration order, both gresses
-	util                    Utilization
+	declared   []*cTable // declaration order, both gresses
+	nInstrs    int       // instructions over every action (cAction.instr0)
+	// What the executor runs (plan.go): a packet's parsed dispatch field
+	// picks its pass, passOf[value] indexing emit and absorb. Without a
+	// dispatch field every packet takes pass 0.
+	dispatch     fieldID
+	passOf       [256]uint8
+	emit, absorb []pass
+	util         Utilization
 }
 
 // compile resolves and validates the program against the architecture.
@@ -118,8 +123,7 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.checkDependencies(); err != nil {
 		return nil, err
 	}
-	c.ingressPlan = c.lower(c.ingress)
-	c.egressPlan = c.lower(c.egress)
+	c.lowerPasses()
 	if err := c.accountResources(); err != nil {
 		return nil, err
 	}
@@ -245,7 +249,7 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 	if d.Name == "" {
 		return nil, fmt.Errorf("pisa: table with empty name")
 	}
-	t := &cTable{decl: *d, actions: make(map[string]*cAction)}
+	t := &cTable{decl: *d, actions: make([]*cAction, 0, len(d.Actions))}
 
 	// Keys.
 	switch d.Kind {
@@ -286,14 +290,16 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := t.actions[a.name]; dup {
+		if t.action(a.name) != nil {
 			return nil, fmt.Errorf("pisa: table %q: duplicate action %q", d.Name, a.name)
 		}
-		t.actions[a.name] = a
+		a.idx, a.instr0 = len(t.actions), c.nInstrs
+		c.nInstrs += len(a.instrs)
+		t.actions = append(t.actions, a)
 	}
 	if d.Default != "" {
-		a, ok := t.actions[d.Default]
-		if !ok {
+		a := t.action(d.Default)
+		if a == nil {
 			return nil, fmt.Errorf("pisa: table %q: unknown default action %q", d.Name, d.Default)
 		}
 		t.default_ = a
@@ -324,8 +330,8 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		t.lpm = l
 	}
 	for _, e := range d.Entries {
-		a, ok := t.actions[e.Action]
-		if !ok {
+		a := t.action(e.Action)
+		if a == nil {
 			return nil, fmt.Errorf("pisa: table %q: entry references unknown action %q", d.Name, e.Action)
 		}
 		if len(e.Params) < a.nParams {
@@ -448,8 +454,9 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 	// instruction writes would silently see the stale value — reject it.
 	// Reading one's own destination (e.g. val = val + 1) is fine: the ALU
 	// reads operands and writes the result, like any hardware ALU.
-	for i, ci := range a.instrs {
-		for _, read := range actionInstrReads(ci) {
+	var buf [4]fieldID
+	for i := range a.instrs {
+		for _, read := range a.instrs[i].appendReads(buf[:0]) {
 			for j, cj := range a.instrs {
 				if i != j && cj.dst == read {
 					return nil, fmt.Errorf("pisa: table %q action %q: instruction %d reads field %q that instruction %d writes; VLIW instructions execute in parallel — split across stages",
@@ -467,7 +474,7 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 		// The op runs after the action's instructions but, like them, against
 		// the stage-entry PHV: a field they write would reach it rewritten.
 		for _, ci := range a.instrs {
-			if slices.Contains(op.reads(), ci.dst) {
+			if slices.Contains(op.appendReads(buf[:0]), ci.dst) {
 				return nil, fmt.Errorf("pisa: table %q action %q: stateful op reads field %q that an instruction of its action writes; VLIW instructions and the stateful op execute in parallel — split across stages",
 					td.Name, ad.Name, c.ft.name(ci.dst))
 			}
@@ -475,20 +482,6 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 		a.stateful = op
 	}
 	return a, nil
-}
-
-func actionInstrReads(ci cInstr) []fieldID {
-	var r []fieldID
-	if ci.a.kind == srcField {
-		r = append(r, ci.a.field)
-	}
-	if ci.b.kind == srcField {
-		r = append(r, ci.b.field)
-	}
-	if ci.hasPred {
-		r = append(r, ci.pred)
-	}
-	return r
 }
 
 func (c *compiled) compileStateful(td *TableDecl, ad *ActionDecl, s *StatefulOp, written map[fieldID]bool) (*cStatefulOp, error) {

@@ -165,10 +165,10 @@ type cStatefulOp struct {
 	hasOvField bool
 }
 
-// reads lists the PHV fields the op reads: its register index, input, shift
-// distance and condition field.
-func (op *cStatefulOp) reads() []fieldID {
-	r := []fieldID{op.index}
+// appendReads appends the PHV fields the op reads: its register index,
+// input, shift distance and condition field.
+func (op *cStatefulOp) appendReads(r []fieldID) []fieldID {
+	r = append(r, op.index)
 	if op.hasIn {
 		r = append(r, op.in)
 	}

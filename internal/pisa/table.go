@@ -94,7 +94,7 @@ type cTable struct {
 	// concatenated key: the widths of the fields after it.
 	key     []keyField
 	keyBits int
-	actions map[string]*cAction
+	actions []*cAction // declaration order: actions[i].idx == i
 	// An exact table's entries, sorted by key: exactHits[i] belongs to
 	// exactKeys[i]. A key of at most denseKeyBits is looked up by direct
 	// index instead of by search: dense[key] is 1 + its entry's position,
@@ -108,15 +108,11 @@ type cTable struct {
 	stage     int
 	// idx is the table's position in declaration order.
 	idx int
-	// end is the pc past a keyed table's steps in its gress's plan, where a
-	// miss without a default action continues.
-	end int
 }
 
 // denseKeyBits bounds the exact-match keys that get a direct index (one
 // 16-bit word per possible key). A lookup by index does not branch on the
-// key, which a search over sorted keys does on every probe — and the FPISA
-// program's exact tables all match the 8-bit opcode.
+// key, which a search over sorted keys does on every probe.
 const denseKeyBits = 8
 
 type keyField struct {
@@ -131,10 +127,20 @@ type cAction struct {
 	// nParams is the number of action-data parameters the instructions
 	// reference; entries must supply at least this many.
 	nParams int
-	// start and end bound the action's steps in its gress's plan (keyed
-	// tables only; an always-table's action has no entry point). An action
-	// without steps starts past its table.
-	start, end int
+	// idx is the action's position in its table's declaration; instr0 is the
+	// position of its first instruction in the program's (every action's
+	// instructions in table, then action, declaration order).
+	idx, instr0 int
+}
+
+// action returns the table's action of that name, or nil.
+func (t *cTable) action(name string) *cAction {
+	for _, a := range t.actions {
+		if a.name == name {
+			return a
+		}
+	}
+	return nil
 }
 
 // buildKey concatenates key field values, first field in the highest bits,

@@ -7,14 +7,21 @@
 // the row with the highest priority wins, with earlier insertion breaking
 // ties — the same semantics as hardware TCAM row ordering.
 //
-// Integration status: fully wired into the data path — internal/pisa
-// compiles the FPISA exponent stage onto these tables, so every aggservice
-// switch (and therefore every tree level) exercises this package on each
-// ADD. Telemetry tenants (aggservice's ClassTelemetry) do not: their
-// traffic classes are equal-length prefixes of the key's top bits, which
-// aggservice computes as a shift, keeping an LPM table only as the test
-// oracle that pins it. The LPM table also backs the CLZ microbenchmark in
-// bench_test.go.
+// Integration status: wired into the data path — internal/pisa backs its
+// ternary and LPM tables with these. In the FPISA program those are each
+// module's two egress renormalisation LPMs (Fig. 5: locate the leading one,
+// then shift the mantissa and adjust the exponent) and, on the base
+// architecture only, the ingress alignment ternaries that expand the
+// variable-distance shift into per-distance actions. Every pass that builds
+// a response scans the LPMs: the ADD that completes a chunk, reads and
+// drains. An absorbed pass (pisa.Switch.Absorb: every other ADD of a chunk,
+// every analytics fold) runs no egress, so it reaches none of the LPMs, and
+// only the base architecture's alignment ternaries, which feed the
+// mantissa register. Telemetry tenants' traffic classes (aggservice's
+// ClassTelemetry) use no table: they are equal-length prefixes of the key's
+// top bits, which aggservice computes as a shift, keeping an LPM table only
+// as the test oracle that pins it. The LPM table also backs the CLZ
+// microbenchmark in bench_test.go.
 package tcam
 
 import (
