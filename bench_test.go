@@ -1,9 +1,10 @@
 package fpisa
 
-// One benchmark per paper table/figure (DESIGN.md §4) plus ablations on
-// the design choices. The benchmarks measure the regeneration cost of each
-// artifact and, via ReportMetric, surface the artifact's headline number so
-// `go test -bench . -benchmem` doubles as a summary of the reproduction.
+// One benchmark per paper table/figure (the artifacts cmd/fpisa-bench's
+// experiment list regenerates) plus ablations on the design choices. The
+// benchmarks measure the regeneration cost of each artifact and, via
+// ReportMetric, surface the artifact's headline number so `go test -bench .
+// -benchmem` doubles as a summary of the reproduction.
 
 import (
 	"fmt"
@@ -198,13 +199,13 @@ func BenchmarkAppendixA_AdvancedOps(b *testing.B) {
 func BenchmarkAblationGuardBits(b *testing.B) {
 	g := gradients.NewGenerator(gradients.VGG19, 42)
 	ws := g.WorkerGradients(8, 2000)
-	for _, guard := range []int{0, 2, 4} {
-		cfg := core.Config{Format: core.DefaultFP32(core.ModeApprox).Format,
-			RegWidth: 32, GuardBits: guard, Mode: core.ModeApprox}
+	for _, guard := range []uint8{0, 2, 4} {
+		cfg := core.DefaultFP32(core.ModeApprox)
+		cfg.Profile.Guard = guard
 		if guard > 0 {
-			cfg.Rounding = core.RoundNearestEven
+			cfg.Profile.Rounding = core.RoundingRNE
 		}
-		b.Run(map[int]string{0: "g0-trunc", 2: "g2-rne", 4: "g4-rne"}[guard], func(b *testing.B) {
+		b.Run(map[uint8]string{0: "g0-trunc", 2: "g2-rne", 4: "g4-rne"}[guard], func(b *testing.B) {
 			var med float64
 			for i := 0; i < b.N; i++ {
 				rep, err := gradients.ErrorDistribution(cfg, ws)

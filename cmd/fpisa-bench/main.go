@@ -1,5 +1,6 @@
 // Command fpisa-bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index):
+// evaluation. The experiments list below is the index of those artifacts,
+// in the order -exp all runs them:
 //
 //	fpisa-bench -exp all          # everything
 //	fpisa-bench -exp table3       # one artifact

@@ -72,7 +72,8 @@ func NewAggregator(mode Mode, n int) (*Aggregator, error) {
 
 // NewAggregatorFP16 creates an FP16-wire-format aggregator with n slots.
 func NewAggregatorFP16(mode Mode, n int) (*Aggregator, error) {
-	acc, err := core.NewAccumulator(core.DefaultFP16(mode.coreMode()), n)
+	cfg := core.Config{Profile: core.NumericProfile{Format: core.FormatF16}, Mode: mode.coreMode()}
+	acc, err := core.NewAccumulator(cfg, n)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@
 // 15-nm results the paper reports. The substitution preserves what Table 1
 // is used for: the *relative* cost of the FPISA extensions (≈ +13 % power /
 // +22–35 % area over the baseline atoms) versus a hard FPU (> 5× both).
-// See DESIGN.md §1.
 //
 // Integration status: a standalone cost model — nothing in the runtime
 // service consults it. Consumed only by cmd/fpisa-bench (Table 1

@@ -50,16 +50,18 @@ type Stats struct {
 }
 
 // Accumulator is the bit-exact software model of an FPISA register-array
-// pair: per slot, an exponent register and a signed mantissa register. It is
-// the equivalent of the paper's "C library that simulates gradient
-// aggregation using a faithful implementation of the FPISA-A addition
-// algorithm" (§5.2), plus the full-FPISA mode.
+// pair: per slot, an exponent register and a signed 32-bit mantissa
+// register. It is the equivalent of the paper's "C library that simulates
+// gradient aggregation using a faithful implementation of the FPISA-A
+// addition algorithm" (§5.2), plus the full-FPISA mode.
 type Accumulator struct {
-	cfg   Config
-	exps  []uint32 // biased exponents (ExpBits wide)
-	mans  []int32  // two's-complement mantissas, sign-extended from RegWidth
-	flags []slotFlags
-	stats Stats
+	cfg      Config
+	f        fpnum.Format // cfg.Profile's wire format
+	headroom int          // cfg.Profile.Headroom()
+	exps     []uint32     // biased exponents (ExpBits wide)
+	mans     []int32      // two's-complement mantissas
+	flags    []slotFlags
+	stats    Stats
 }
 
 type slotFlags uint8
@@ -71,17 +73,19 @@ const (
 
 // NewAccumulator allocates n slots under the given configuration.
 func NewAccumulator(cfg Config, n int) (*Accumulator, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Profile.Validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("core: accumulator size %d", n)
 	}
 	return &Accumulator{
-		cfg:   cfg,
-		exps:  make([]uint32, n),
-		mans:  make([]int32, n),
-		flags: make([]slotFlags, n),
+		cfg:      cfg,
+		f:        cfg.Profile.Format.Format(),
+		headroom: cfg.Profile.Headroom(),
+		exps:     make([]uint32, n),
+		mans:     make([]int32, n),
+		flags:    make([]slotFlags, n),
 	}, nil
 }
 
@@ -103,44 +107,24 @@ func (a *Accumulator) Config() Config { return a.cfg }
 // Stats returns a snapshot of the event counters.
 func (a *Accumulator) Stats() Stats { return a.stats }
 
-// regMask masks a value to the mantissa register width.
-func (a *Accumulator) regMask() uint32 { return widthMask32(a.cfg.RegWidth) }
+// wrap folds a 64-bit intermediate into the 32-bit register and reports
+// signed overflow.
+func wrap(x int64) (int32, bool) { return int32(x), x != int64(int32(x)) }
 
-func widthMask32(w int) uint32 {
-	if w >= 32 {
-		return ^uint32(0)
-	}
-	return 1<<w - 1
-}
-
-// wrapSigned folds a 64-bit intermediate into the register width and
-// reports signed overflow.
-func (a *Accumulator) wrapSigned(x int64) (int32, bool) {
-	w := a.cfg.RegWidth
-	lo := int64(-1) << (w - 1)
-	hi := -lo - 1
-	wrapped := x & int64(a.regMask())
-	// Sign-extend.
-	if wrapped&(1<<(w-1)) != 0 {
-		wrapped |= ^int64(a.regMask())
-	}
-	return int32(wrapped), x < lo || x > hi
-}
-
-// sar arithmetic-right-shifts within the register-width domain, clamping
-// the distance; negative values round toward negative infinity, exactly as
-// the switch's signed shifter behaves.
-func sar(v int32, by int, width int) int32 {
-	if by >= width {
-		by = width - 1
-	}
-	return v >> uint(by)
+// sar arithmetic-right-shifts a register value, clamping the distance at
+// 31; negative values round toward negative infinity, exactly as the
+// switch's signed shifter behaves. It also reports whether nonzero bits were
+// shifted out.
+func sar(v int32, by int) (int32, bool) {
+	sh := uint(min(by, regBits-1))
+	out := v >> sh
+	return out, int64(out)<<sh != int64(v)
 }
 
 // extract splits packed input bits into alignment-ready (eEff, signedMan),
 // handling denormals per IEEE (implied 0, effective exponent 1).
 func (a *Accumulator) extract(bitsIn uint32) (e uint32, m int32, special bool) {
-	f := a.cfg.Format
+	f := a.f
 	sign, exp, frac := f.Split(uint64(bitsIn))
 	if exp == f.ExpMask() { // Inf/NaN: not representable in FPISA state
 		return 0, 0, true
@@ -152,7 +136,7 @@ func (a *Accumulator) extract(bitsIn uint32) (e uint32, m int32, special bool) {
 	} else {
 		e = 1 // denormal: 0.frac × 2^(1-bias)
 	}
-	m = int32(man << uint(a.cfg.GuardBits))
+	m = int32(man << a.cfg.Profile.Guard)
 	if sign != 0 {
 		m = -m
 	}
@@ -175,15 +159,14 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 	E := a.exps[i]
 	M := a.mans[i]
 	d := int(e) - int(E)
-	w := a.cfg.RegWidth
 
 	var next int64
 	leftPath := false
 	switch {
 	case d <= 0:
 		// Incoming value is no larger: right-shift it into alignment.
-		shifted := sar(m, -d, w)
-		if int64(shifted)<<uint(min(-d, w-1)) != int64(m) {
+		shifted, inexact := sar(m, -d)
+		if inexact {
 			a.stats.InexactRightShifts++
 		}
 		next = int64(M) + int64(shifted)
@@ -192,15 +175,15 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 	case a.cfg.Mode == ModeFull:
 		// RSAW: shift the stored mantissa and accumulate in one step;
 		// the exponent register took the larger incoming exponent.
-		shifted := sar(M, d, w)
-		if int64(shifted)<<uint(min(d, w-1)) != int64(M) {
+		shifted, inexact := sar(M, d)
+		if inexact {
 			a.stats.InexactStoredShifts++
 		}
 		next = int64(shifted) + int64(m)
 		a.exps[i] = e
 		a.stats.StoredShiftPath++
 
-	case d <= a.cfg.Headroom():
+	case d <= a.headroom:
 		// FPISA-A: the stored mantissa cannot be shifted; left-shift the
 		// incoming value into the headroom and keep the exponent.
 		next = int64(M) + int64(m)<<uint(d)
@@ -218,7 +201,7 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 		a.stats.OverwritePath++
 	}
 
-	nm, ovf := a.wrapSigned(next)
+	nm, ovf := wrap(next)
 	if ovf {
 		a.flags[i] |= flagOverflow
 		a.stats.Overflows++
@@ -231,18 +214,12 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 	return nil
 }
 
-// Add accumulates a float32 (FP32 configurations only).
+// Add narrows a host float32 to the configured wire format and accumulates
+// it. A 16-bit format narrows by round-to-nearest-even whatever the
+// profile's read-out rounding.
 func (a *Accumulator) Add(i int, v float32) error {
-	switch a.cfg.Format.Name {
-	case fpnum.FP32.Name:
-		return a.AddBits(i, math.Float32bits(v))
-	case fpnum.FP16.Name:
-		return a.AddBits(i, uint32(fpnum.F32ToF16(v)))
-	case fpnum.BF16.Name:
-		return a.AddBits(i, uint32(fpnum.F32ToBF16(v)))
-	default:
-		return fmt.Errorf("core: Add unsupported for format %s", a.cfg.Format.Name)
-	}
+	narrow := NumericProfile{Format: a.cfg.Profile.Format, Rounding: RoundingRNE}
+	return a.AddBits(i, narrow.EncodeValue(v))
 }
 
 // Overflowed reports the sticky overflow flag of a slot (§3.3 signalling).
@@ -274,6 +251,6 @@ func (a *Accumulator) Value64(i int) float64 {
 	if M == 0 {
 		return 0
 	}
-	exp := int(a.exps[i]) - a.cfg.Format.Bias() - a.cfg.Format.ManBits - a.cfg.GuardBits
+	exp := int(a.exps[i]) - a.f.Bias() - a.f.ManBits - int(a.cfg.Profile.Guard)
 	return math.Ldexp(float64(M), exp)
 }

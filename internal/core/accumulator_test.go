@@ -11,40 +11,36 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := DefaultFP32(ModeApprox)
-	if err := c.Validate(); err != nil {
+	if err := c.Profile.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Headroom() != 7 {
-		t.Errorf("FP32 headroom = %d, want 7 (paper §3.3)", c.Headroom())
+	if c.Profile.Headroom() != 7 {
+		t.Errorf("FP32 headroom = %d, want 7 (paper §3.3)", c.Profile.Headroom())
 	}
-	if c.MaxSafeAdditions() != 128 {
-		t.Errorf("MaxSafeAdditions = %d, want 128 (paper §3.3)", c.MaxSafeAdditions())
-	}
-	c16 := DefaultFP16(ModeFull)
-	if err := c16.Validate(); err != nil {
+	p16 := NumericProfile{Format: FormatF16}
+	if err := p16.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c16.Headroom() != 32-1-11 {
-		t.Errorf("FP16 headroom = %d, want 20", c16.Headroom())
+	if p16.Headroom() != 32-1-11 {
+		t.Errorf("FP16 headroom = %d, want 20", p16.Headroom())
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Format: fpnum.FP32, RegWidth: 4},                              // too narrow
-		{Format: fpnum.FP32, RegWidth: 33},                             // too wide
-		{Format: fpnum.FP32, RegWidth: 32, GuardBits: -1},              // negative guard
-		{Format: fpnum.FP32, RegWidth: 32, GuardBits: 7},               // no headroom left
-		{Format: fpnum.FP64, RegWidth: 32},                             // > 32-bit wire format
-		{Format: fpnum.FP32, RegWidth: 32, Rounding: RoundNearestEven}, // RNE without guards
+		{Profile: NumericProfile{Guard: 7}},                                          // no headroom left
+		{Profile: NumericProfile{Format: FormatBF16, Guard: 255}},                    // guard bits past the register
+		{Profile: NumericProfile{Rounding: RoundingRNE}},                             // RNE without guards
+		{Profile: NumericProfile{Format: formatCount}, Mode: ModeApprox},             // unknown format
+		{Profile: NumericProfile{Rounding: roundingCount, Guard: 2}, Mode: ModeFull}, // unknown rounding
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if _, err := NewAccumulator(c, 1); err == nil {
 			t.Errorf("config %d accepted: %+v", i, c)
 		}
 	}
-	good := Config{Format: fpnum.FP32, RegWidth: 32, GuardBits: 2, Rounding: RoundNearestEven}
-	if err := good.Validate(); err != nil {
+	good := Config{Profile: NumericProfile{Guard: 2, Rounding: RoundingRNE}}
+	if _, err := NewAccumulator(good, 1); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 }
@@ -335,10 +331,9 @@ func TestApproxTracksFullOnNarrowRangeData(t *testing.T) {
 func TestGuardBitsRounding(t *testing.T) {
 	// With 3 guard bits and RNE, 1.0 + 1.5*2^-24 rounds up to 1+2^-23;
 	// truncation leaves 1.0.
-	rne := Config{Format: fpnum.FP32, RegWidth: 32, GuardBits: 3,
-		Mode: ModeApprox, Rounding: RoundNearestEven}
+	rne := Config{Profile: NumericProfile{Guard: 3, Rounding: RoundingRNE}, Mode: ModeApprox}
 	trunc := rne
-	trunc.Rounding = RoundTruncate
+	trunc.Profile.Rounding = RoundingTruncate
 
 	small := math.Float32frombits(0x33C00000) // 1.5 * 2^-24
 	up := math.Float32frombits(0x3F800001)    // 1 + 2^-23
@@ -359,7 +354,7 @@ func TestGuardBitsRounding(t *testing.T) {
 }
 
 func TestFP16Accumulation(t *testing.T) {
-	a := MustNewAccumulator(DefaultFP16(ModeApprox), 1)
+	a := MustNewAccumulator(Config{Profile: NumericProfile{Format: FormatF16}, Mode: ModeApprox}, 1)
 	a.Add(0, 1.5)
 	a.Add(0, 2.25)
 	if got := a.ReadFloat32(0); got != 3.75 {
@@ -466,7 +461,7 @@ func TestAccumulatorErrors(t *testing.T) {
 		t.Error("zero-size accumulator accepted")
 	}
 	bad := DefaultFP32(ModeApprox)
-	bad.RegWidth = 2
+	bad.Profile.Guard = 7
 	if _, err := NewAccumulator(bad, 4); err == nil {
 		t.Error("invalid config accepted")
 	}

@@ -39,11 +39,11 @@ func TestBuildProgramValidation(t *testing.T) {
 		t.Errorf("3 modules rejected on extended arch: %v", err)
 	}
 	// FP16 and guard bits are software-model-only.
-	if _, _, err := BuildProgram(DefaultFP16(ModeApprox), 1, 8, base); err == nil {
+	if _, _, err := BuildProgram(Config{Profile: NumericProfile{Format: FormatF16}, Mode: ModeApprox}, 1, 8, base); err == nil {
 		t.Error("FP16 pipeline build accepted")
 	}
 	g := DefaultFP32(ModeApprox)
-	g.GuardBits = 2
+	g.Profile.Guard = 2
 	if _, _, err := BuildProgram(g, 1, 8, base); err == nil {
 		t.Error("guard-bit pipeline build accepted")
 	}

@@ -78,8 +78,10 @@ func (r ProfileRounding) String() string {
 
 // NumericProfile is the per-job arithmetic contract negotiated at admit:
 // which wire format a job's values travel in, how many guard bits the
-// mantissa register reserves below them, and how read-out rounds. The zero
-// value is the paper's standard configuration (FP32, no guard bits,
+// 32-bit mantissa register reserves below them, and how read-out rounds.
+// It is the arithmetic half of a Config, so the switch builds a job's
+// backend, pipeline or Accumulator, from exactly what it negotiated. The
+// zero value is the paper's standard configuration (FP32, no guard bits,
 // truncating read-out), so profile-oblivious callers keep their semantics.
 type NumericProfile struct {
 	// Format selects the wire value format.
@@ -94,31 +96,24 @@ type NumericProfile struct {
 // DefaultProfile is the zero profile: f32, no guard bits, truncation.
 var DefaultProfile = NumericProfile{}
 
-// Config expands the profile into a full core.Config with the paper's
-// 32-bit mantissa registers.
-func (p NumericProfile) Config(mode Mode) Config {
-	cfg := Config{
-		Format:    p.Format.Format(),
-		RegWidth:  32,
-		GuardBits: int(p.Guard),
-		Mode:      mode,
-	}
-	if p.Rounding == RoundingRNE {
-		cfg.Rounding = RoundNearestEven
-	}
-	return cfg
-}
+// regBits is the mantissa register width: the switch's registers are 32
+// bits wide (§3.3).
+const regBits = 32
 
 // Headroom returns the spare high-order mantissa-register bits the profile
-// leaves for carry absorption (§3.3).
-func (p NumericProfile) Headroom() int { return p.Config(ModeFull).Headroom() }
+// leaves for left-shifting and carry absorption: the register minus one sign
+// bit, the explicit mantissa (fraction plus the implied 1) and the guard
+// bits. The default profile has 7 (§3.3, §4.3), so 2^7 = 128 same-exponent
+// additions of the largest mantissa fit before the register overflows.
+func (p NumericProfile) Headroom() int {
+	return regBits - 1 - (p.Format.Format().ManBits + 1) - int(p.Guard)
+}
 
 // ValueBytes returns the wire width of one value under this profile.
 func (p NumericProfile) ValueBytes() int { return p.Format.Format().Bytes() }
 
-// Validate rejects unknown format/rounding octets and any profile whose
-// expanded Config is inconsistent — in particular Headroom() < 1 and
-// round-to-nearest-even without a guard bit.
+// Validate rejects unknown format/rounding octets, a profile whose guard
+// bits leave Headroom() < 1, and round-to-nearest-even without a guard bit.
 func (p NumericProfile) Validate() error {
 	if p.Format >= formatCount {
 		return fmt.Errorf("core: unknown profile format id %d", uint8(p.Format))
@@ -126,7 +121,14 @@ func (p NumericProfile) Validate() error {
 	if p.Rounding >= roundingCount {
 		return fmt.Errorf("core: unknown profile rounding id %d", uint8(p.Rounding))
 	}
-	return p.Config(ModeFull).Validate()
+	if h := p.Headroom(); h < 1 {
+		return fmt.Errorf("core: headroom %d < 1: a %d-bit register is too narrow for %s's mantissa plus %d guard bits",
+			h, regBits, p.Format, p.Guard)
+	}
+	if p.Rounding == RoundingRNE && p.Guard < 1 {
+		return fmt.Errorf("core: round-to-nearest-even needs at least one guard bit")
+	}
+	return nil
 }
 
 // String renders the canonical spelling parsed by ParseProfile:
@@ -232,12 +234,12 @@ func (p NumericProfile) GetValue(src []byte) float32 {
 }
 
 // ProfileAggregator runs per-slot FPISA aggregation under one numeric
-// profile. The default profile drives the compiled pisa pipeline — the same
-// executable program as before this abstraction existed — while every other
+// profile. Both backends are built from the same Config{Profile, Mode}: the
+// default profile drives the compiled pisa pipeline, while every other
 // profile runs the bit-exact Accumulator model (the paper's C-library
-// equivalent; BuildProgram compiles only the standard FP32 layout). Both
-// paths share the Result surface, so shards address a bank of these without
-// caring which arithmetic backs a slot range.
+// equivalent; BuildProgram compiles only the default profile). Both paths
+// share the Result surface, so shards address a bank of these without caring
+// which arithmetic backs a slot range.
 type ProfileAggregator struct {
 	prof    NumericProfile
 	modules int
@@ -253,19 +255,17 @@ type ProfileAggregator struct {
 // default profile compiles (and owns) a pisa program; Replicate then stamps
 // out register banks without recompiling.
 func NewProfileAggregator(p NumericProfile, mode Mode, modules, slots int, arch pisa.Arch) (*ProfileAggregator, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	cfg := Config{Profile: p, Mode: mode}
 	pa := &ProfileAggregator{prof: p, modules: modules, slots: slots}
 	if p == DefaultProfile {
-		pipe, err := NewPipelineAggregator(DefaultFP32(mode), modules, slots, arch)
+		pipe, err := NewPipelineAggregator(cfg, modules, slots, arch)
 		if err != nil {
 			return nil, err
 		}
 		pa.pipe = pipe
 		return pa, nil
 	}
-	acc, err := NewAccumulator(p.Config(mode), modules*slots)
+	acc, err := NewAccumulator(cfg, modules*slots)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -170,19 +171,44 @@ func TestProfileAggregatorDefaultMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestProfileAggregatorModelMatchesAccumulator pins the model path against a
-// hand-driven Accumulator fed the same narrowed wire bits.
+// TestProfileAggregatorModelMatchesAccumulator pins every valid profile
+// (f32/f16/bf16 × trunc/rne × guard bits 0, 1 and headroom−1), in both
+// modes, against a hand-driven Accumulator built from the same Config and
+// fed the same narrowed wire bits. The default profile's aggregator is the
+// compiled pipeline, every other one the model. A slot version's first add
+// must also read back exactly its own narrowed input, which holds the
+// Accumulator itself to the profile's format and guard bits.
 func TestProfileAggregatorModelMatchesAccumulator(t *testing.T) {
-	prof := NumericProfile{Format: FormatBF16}
+	for f := FormatF32; f < formatCount; f++ {
+		for r := RoundingTruncate; r < roundingCount; r++ {
+			h := NumericProfile{Format: f}.Headroom()
+			for _, g := range []uint8{0, 1, uint8(h - 1)} {
+				prof := NumericProfile{Format: f, Guard: g, Rounding: r}
+				if prof.Validate() != nil {
+					continue // RNE without a guard bit
+				}
+				for _, mode := range []Mode{ModeApprox, ModeFull} {
+					cfg := Config{Profile: prof, Mode: mode}
+					t.Run(fmt.Sprintf("%v_%v_g%d_%v", f, r, g, mode), func(t *testing.T) {
+						checkProfileAggregator(t, cfg)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkProfileAggregator(t *testing.T, cfg Config) {
 	const modules, slots = 3, 4
-	pa, err := NewProfileAggregator(prof, ModeApprox, modules, slots, pisa.BaseArch())
+	prof := cfg.Profile
+	pa, err := NewProfileAggregator(prof, cfg.Mode, modules, slots, pisa.ExtendedArch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.Compiled() {
-		t.Fatal("non-default profile took the compiled path")
+	if pa.Compiled() != (prof == DefaultProfile) {
+		t.Fatalf("Compiled() = %v for %v", pa.Compiled(), prof)
 	}
-	ref := MustNewAccumulator(prof.Config(ModeApprox), modules*slots)
+	ref := MustNewAccumulator(cfg, modules*slots)
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 200; n++ {
 		idx := rng.Intn(slots)
@@ -191,7 +217,8 @@ func TestProfileAggregatorModelMatchesAccumulator(t *testing.T) {
 			vals[k] = float32(rng.NormFloat64()) * float32(math.Pow(2, float64(rng.Intn(8)-4)))
 		}
 		var res Result
-		if n%5 == 4 {
+		first := n%5 == 4
+		if first {
 			// A slot version's first add: the model resets, then adds.
 			for k := range vals {
 				ref.Reset(idx*modules + k)
@@ -204,12 +231,19 @@ func TestProfileAggregatorModelMatchesAccumulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, v := range vals {
-			if err := ref.AddBits(idx*modules+k, prof.EncodeValue(v)); err != nil {
+			wire := prof.EncodeValue(v)
+			if err := ref.AddBits(idx*modules+k, wire); err != nil {
 				t.Fatal(err)
 			}
 			want := ref.ReadFloat32(idx*modules + k)
 			if math.Float32bits(res.Values[k]) != math.Float32bits(want) {
 				t.Fatalf("add %d slot %d module %d: got %v want %v", n, idx, k, res.Values[k], want)
+			}
+			if res.Overflow[k] != ref.Overflowed(idx*modules+k) {
+				t.Fatalf("add %d slot %d module %d: overflow %v, model %v", n, idx, k, res.Overflow[k], ref.Overflowed(idx*modules+k))
+			}
+			if exact := prof.DecodeValue(wire); first && math.Float32bits(want) != math.Float32bits(exact) {
+				t.Fatalf("add %d: a fresh slot holding only %v reads %v", n, exact, want)
 			}
 		}
 	}

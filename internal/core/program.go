@@ -83,20 +83,15 @@ func MaxModules(arch pisa.Arch) int {
 // modules on the extended one; every per-stage maximum, every other
 // Table 3 row, the stage count and MaxModules are unchanged.
 //
-// Restrictions: the pipeline build supports FP32 with zero guard bits and
-// truncating read-out (the paper's deployed configuration). Values whose
-// renormalized exponent would leave the normal range are undefined, as in
-// the paper's P4 implementation; the software model additionally saturates.
+// Restrictions: the pipeline build supports only DefaultProfile, FP32 with
+// zero guard bits and truncating read-out (the paper's deployed
+// configuration). Values whose renormalized exponent would leave the normal
+// range are undefined, as in the paper's P4 implementation; the software
+// model additionally saturates.
 func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program, Layout, error) {
 	var lay Layout
-	if err := cfg.Validate(); err != nil {
-		return pisa.Program{}, lay, err
-	}
-	if cfg.Format.Name != fpnum.FP32.Name || cfg.RegWidth != 32 {
-		return pisa.Program{}, lay, fmt.Errorf("core: pipeline build supports FP32 in 32-bit registers (got %s/%d)", cfg.Format.Name, cfg.RegWidth)
-	}
-	if cfg.GuardBits != 0 || cfg.Rounding != RoundTruncate {
-		return pisa.Program{}, lay, fmt.Errorf("core: pipeline build supports 0 guard bits with truncating read-out")
+	if cfg.Profile != DefaultProfile {
+		return pisa.Program{}, lay, fmt.Errorf("core: pipeline build supports only the %v profile (got %v)", DefaultProfile, cfg.Profile)
 	}
 	if modules < 1 || modules > MaxModules(arch) {
 		return pisa.Program{}, lay, fmt.Errorf("core: %d modules requested; architecture %q fits %d (%s)",
@@ -178,7 +173,7 @@ func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program,
 
 	sh := &sharedInstrs{}
 	for k := 0; k < modules; k++ {
-		if err := addModule(&p, cfg, k, slots, full, varShift, manStage, ovfStage, umagStage, sh); err != nil {
+		if err := addModule(&p, k, slots, full, varShift, manStage, ovfStage, umagStage, sh); err != nil {
 			return pisa.Program{}, lay, err
 		}
 	}
@@ -229,11 +224,11 @@ func shiftHint(arch pisa.Arch) string {
 }
 
 // addModule emits the per-value dataflow for module k.
-func addModule(p *pisa.Program, cfg Config, k, slots int, full, varShift bool, manStage, ovfStage, umagStage int, sh *sharedInstrs) error {
+func addModule(p *pisa.Program, k, slots int, full, varShift bool, manStage, ovfStage, umagStage int, sh *sharedInstrs) error {
 	n := func(name string) string { return fmt.Sprintf("%s_%d", name, k) }
 	valOff := pktOffValues + pktPerModule*k
-	manBits := cfg.Format.ManBits // 23
-	H := cfg.Headroom()
+	manBits := fpnum.FP32.ManBits // 23
+	H := DefaultProfile.Headroom()
 
 	fields := []pisa.FieldDecl{
 		{Name: n("v"), Width: 32}, {Name: n("sign"), Width: 8},

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/bits"
-
-	"fpisa/internal/fpnum"
-)
+import "math/bits"
 
 // ReadBits renormalizes and assembles slot i into the configured wire
 // format (paper §3.2 "Renormalize and Assemble"): convert the signed
@@ -15,7 +10,7 @@ import (
 // state is left untouched — the paper's delayed renormalization explicitly
 // never stores the normalized value back (§3).
 func (a *Accumulator) ReadBits(i int) uint32 {
-	f := a.cfg.Format
+	f := a.f
 	if a.flags[i]&flagInvalid != 0 {
 		// Canonical quiet NaN.
 		return uint32(f.Join(0, f.ExpMask(), 1<<(f.ManBits-1)))
@@ -29,14 +24,14 @@ func (a *Accumulator) ReadBits(i int) uint32 {
 	var u uint32
 	if M < 0 {
 		sign = 1
-		u = uint32(-int64(M)) // handles the -2^(w-1) edge exactly
+		u = uint32(-int64(M)) // handles the -2^31 edge exactly
 	} else {
 		u = uint32(M)
 	}
 
 	p := 31 - bits.LeadingZeros32(u) // MSB position
 	manBits := f.ManBits
-	eOut := int(a.exps[i]) - a.cfg.GuardBits + (p - manBits)
+	eOut := int(a.exps[i]) - int(a.cfg.Profile.Guard) + (p - manBits)
 
 	var mant uint32
 	if shift := p - manBits; shift > 0 {
@@ -74,7 +69,7 @@ func (a *Accumulator) roundShift(u uint32, shift int) uint32 {
 		return 0
 	}
 	out := u >> uint(shift)
-	if a.cfg.Rounding == RoundNearestEven {
+	if a.cfg.Profile.Rounding == RoundingRNE {
 		dropped := u & (1<<uint(shift) - 1)
 		half := uint32(1) << uint(shift-1)
 		if dropped > half || (dropped == half && out&1 == 1) {
@@ -87,17 +82,7 @@ func (a *Accumulator) roundShift(u uint32, shift int) uint32 {
 // ReadFloat32 reads slot i as a float32. For FP16/BF16 configurations the
 // wire value is widened exactly.
 func (a *Accumulator) ReadFloat32(i int) float32 {
-	b := a.ReadBits(i)
-	switch a.cfg.Format.Name {
-	case fpnum.FP32.Name:
-		return math.Float32frombits(b)
-	case fpnum.FP16.Name:
-		return fpnum.Float16(b).Float32()
-	case fpnum.BF16.Name:
-		return fpnum.BFloat16(b).Float32()
-	default:
-		return float32(math.NaN())
-	}
+	return a.cfg.Profile.DecodeValue(a.ReadBits(i))
 }
 
 // ReadResetBits reads slot i and atomically zeroes it — the switch's

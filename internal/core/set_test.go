@@ -59,7 +59,7 @@ func setDiffValue(next func() byte) float32 {
 	case 1:
 		return math.Float32frombits(sign | frac) // denormal
 	case 2:
-		exp := 1 + uint32(class>>3&0xF)%uint32(DefaultFP32(ModeApprox).Headroom()+2) // 1..H+2
+		exp := 1 + uint32(class>>3&0xF)%uint32(DefaultProfile.Headroom()+2) // 1..H+2
 		return math.Float32frombits(sign | exp<<23 | frac)
 	case 3:
 		return math.Float32frombits(uint32(next())<<24 | uint32(class&0x80)<<16 | frac) // any exponent

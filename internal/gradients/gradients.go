@@ -5,8 +5,8 @@
 // which is precisely what makes FPISA-A's headroom sufficient.
 //
 // The paper records real gradient traces; offline, each model is a
-// calibrated synthetic profile (DESIGN.md §1). internal/train additionally
-// produces real gradients from actual SGD runs for cross-validation.
+// calibrated synthetic profile. internal/train additionally produces real
+// gradients from actual SGD runs for cross-validation.
 package gradients
 
 import (

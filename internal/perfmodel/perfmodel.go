@@ -3,10 +3,10 @@
 // (end-to-end training speedup). The cluster hardware — 100 Gbps RDMA
 // NICs, P100 GPUs with CUDA copy engines — is unavailable offline, so each
 // system is modeled from its protocol structure with constants calibrated
-// to the paper's testbed (DESIGN.md §1): what work each packet costs on a
-// host core, where launches serialize, and which copy engines cap
-// throughput. The *shape* conclusions (who needs how many cores, where the
-// GPU curves cross) follow from the structure, not the constants.
+// to the paper's testbed: what work each packet costs on a host core, where
+// launches serialize, and which copy engines cap throughput. The *shape*
+// conclusions (who needs how many cores, where the GPU curves cross) follow
+// from the structure, not the constants.
 //
 // Integration status: analytic only — it predicts goodput from protocol
 // structure and is not yet cross-checked against the measured throughput

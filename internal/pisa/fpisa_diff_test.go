@@ -137,7 +137,7 @@ func fpisaClassValue(next func() byte) (float32, int) {
 	class := next()
 	sign := uint32(class>>7) << 31
 	frac := (uint32(next())<<16 | uint32(next())<<8 | uint32(next())) & (1<<23 - 1)
-	headroom := uint32(core.DefaultFP32(core.ModeApprox).Headroom())
+	headroom := uint32(core.DefaultProfile.Headroom())
 	var bits uint32
 	switch class % fpisaClasses {
 	case 0: // ±0

@@ -6,8 +6,8 @@
 //
 // Datasets are deterministic generators standing in for the Big Data
 // benchmark's uservisits/rankings tables and the TPC-H tables used by Q3
-// and Q20, at a configurable scale (DESIGN.md §1); `adRevenue` and
-// `l_extendedprice` are FP32, the paper's datatype conversion.
+// and Q20, at a configurable scale; `adRevenue` and `l_extendedprice` are
+// FP32, the paper's datatype conversion.
 //
 // Integration status: wired into the multi-tenant switch. A query tenant
 // admits on aggservice with a ClassQuery workload descriptor and streams

@@ -211,10 +211,12 @@ func (s *Switch) Stats() (expPkts, dataPkts, dups uint64) {
 // exponent round, the quantization (real CPU work), the data round and the
 // dequantization.
 type Worker struct {
-	ID      int
-	Fabric  transport.Fabric
-	Cfg     Config
+	ID     int
+	Fabric transport.Fabric
+	Cfg    Config
+	// Timeout is the receive timeout per stall. Values <= 0 apply 200 ms.
 	Timeout time.Duration
+	// Retries bounds retransmission rounds per stall. Values <= 0 apply 50.
 	Retries int
 	// SentPackets counts all transmissions; QuantizeOps counts elements
 	// quantized+dequantized (the CPU cost FPISA avoids).
@@ -234,11 +236,11 @@ const (
 func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	cfg := w.Cfg
 	timeout := w.Timeout
-	if timeout == 0 {
+	if timeout <= 0 {
 		timeout = 200 * time.Millisecond
 	}
 	retries := w.Retries
-	if retries == 0 {
+	if retries <= 0 {
 		retries = 50
 	}
 

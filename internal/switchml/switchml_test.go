@@ -130,6 +130,78 @@ func TestScaleAdaptsToChunkMagnitude(t *testing.T) {
 	}
 }
 
+// stallFabric signals each receive timeout worker 0 sees on stalled.
+type stallFabric struct {
+	transport.Fabric
+	stalled chan struct{}
+}
+
+func (f stallFabric) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error) {
+	n, err := f.Fabric.RecvBatch(worker, bufs, timeout)
+	if worker == 0 && err == transport.ErrTimeout {
+		select {
+		case f.stalled <- struct{}{}:
+		default: // nobody is waiting for this stall
+		}
+	}
+	return n, err
+}
+
+// TestNonPositiveRetryBudgetMeansDefault pins that a Timeout or Retries at
+// or below zero means the default, as on aggservice.Worker: a worker with
+// Retries -1 keeps retransmitting through stalls until a late peer joins,
+// instead of giving up at the first stall.
+func TestNonPositiveRetryBudgetMeansDefault(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{
+		{"retries-1", 10 * time.Millisecond},
+		{"timeout-1-retries-1", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 2, Pool: 1, Elems: 4}
+			sw, err := NewSwitch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := stallFabric{Fabric: mem, stalled: make(chan struct{})}
+			early := &Worker{ID: 0, Fabric: fab, Cfg: cfg, Timeout: tc.timeout, Retries: -1}
+			var got []float32
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				got, err = early.Reduce([]float32{1, 2, 3, 4})
+				done <- err
+			}()
+			for stalls := 0; stalls < 2; {
+				select {
+				case <-fab.stalled:
+					stalls++
+				case err := <-done:
+					t.Fatalf("worker with Retries -1 quit after %d stalls, before its peer started: %v", stalls, err)
+				}
+			}
+			late := &Worker{ID: 1, Fabric: fab, Cfg: cfg, Timeout: 10 * time.Millisecond, Retries: 20}
+			if _, err := late.Reduce([]float32{5, 6, 7, 8}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []float32{6, 8, 10, 12} {
+				if got[i] != want {
+					t.Fatalf("elem %d = %g, want %g", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	for _, c := range []Config{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
 		if _, err := NewSwitch(c); err == nil {

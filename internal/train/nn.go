@@ -6,9 +6,9 @@
 // under FP16 gradient precision.
 //
 // The paper trains CNNs on CIFAR-10; offline we train four distinct
-// architectures on a synthetic classification task (DESIGN.md §1). The
-// claim under test — FPISA-A aggregation does not change convergence — is
-// a property of the aggregation operator exercised identically here.
+// architectures on a synthetic classification task. The claim under test —
+// FPISA-A aggregation does not change convergence — is a property of the
+// aggregation operator exercised identically here.
 package train
 
 import (
