@@ -109,8 +109,17 @@ func (p NumericProfile) Headroom() int {
 	return regBits - 1 - (p.Format.Format().ManBits + 1) - int(p.Guard)
 }
 
-// ValueBytes returns the wire width of one value under this profile.
-func (p NumericProfile) ValueBytes() int { return p.Format.Format().Bytes() }
+// ValueBytes returns the wire width of one value under this profile: 2
+// bytes for the 16-bit formats, 4 for f32 and, as Format reads it, any
+// unknown id. Every ADD and RESULT encode and decode asks, so it switches on
+// the id instead of building the fpnum.Format.
+func (p NumericProfile) ValueBytes() int {
+	switch p.Format {
+	case FormatF16, FormatBF16:
+		return 2
+	}
+	return 4
+}
 
 // Validate rejects unknown format/rounding octets, a profile whose guard
 // bits leave Headroom() < 1, and round-to-nearest-even without a guard bit.

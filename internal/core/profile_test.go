@@ -129,6 +129,14 @@ func TestProfileWirePutGet(t *testing.T) {
 	if got := p32.GetValue(buf); got != -0.3 {
 		t.Fatalf("f32 wire round trip: %v", got)
 	}
+	// ValueBytes answers without building the format: the width its
+	// descriptor gives, for every format octet, unknown ones included.
+	for f := range 256 {
+		p := NumericProfile{Format: ProfileFormat(f)}
+		if got, want := p.ValueBytes(), p.Format.Format().Bytes(); got != want {
+			t.Errorf("format %d: ValueBytes %d, want %d", f, got, want)
+		}
+	}
 }
 
 // TestProfileAggregatorDefaultMatchesPipeline pins the refactor invariant:

@@ -16,6 +16,11 @@ import (
 //   - Exactly one table accesses each register (one stateful access per
 //     register per packet); the register lives in that table's stage and
 //     gress, wherever the table is placed.
+//
+// It also flags each stage in which a table writes a field another table of
+// the stage reads (ingressHazard, egressHazard): a table placed earlier in
+// the stage may read what a later one writes, so those stages' steps keep
+// placement order.
 func (c *compiled) checkDependencies() error {
 	// Parser- and architecture-written fields.
 	parserWritten := make(map[fieldID]bool)
@@ -31,8 +36,8 @@ func (c *compiled) checkDependencies() error {
 	}
 
 	// All tables in declaration order, and each one's read and write sets,
-	// computed once: placement, the global re-validation and the conflict
-	// check below all consult them.
+	// computed once: placement, the global re-validation, the conflict check
+	// and the hazard flags below all consult them.
 	all := c.declared
 	type ioSets struct{ reads, writes map[fieldID]bool }
 	sets := make([]ioSets, len(all))
@@ -79,7 +84,7 @@ func (c *compiled) checkDependencies() error {
 		}
 	}
 
-	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, error) {
+	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, []bool, error) {
 		// writersAt[f] = stages (same gress) that write field f.
 		writersAt := make(map[fieldID][]int)
 		out := make([][]*cTable, stages)
@@ -102,11 +107,11 @@ func (c *compiled) checkDependencies() error {
 				stage = min
 			}
 			if stage < min {
-				return nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
+				return nil, nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
 					gressName, t.decl.Name, stage, min-1)
 			}
 			if stage >= stages {
-				return nil, fmt.Errorf("pisa: %s table %q: needs stage %d but the pipeline has %d stages",
+				return nil, nil, fmt.Errorf("pisa: %s table %q: needs stage %d but the pipeline has %d stages",
 					gressName, t.decl.Name, stage, stages)
 			}
 			t.stage = stage
@@ -120,28 +125,26 @@ func (c *compiled) checkDependencies() error {
 		// only sees earlier-declared writers; catch later-declared ones
 		// writing at later stages is fine, equal-or-later at same stage or
 		// earlier-stage reads of later writers are violations only if the
-		// reader's stage <= writer's stage — re-validate globally).
+		// reader's stage <= writer's stage — re-validate globally). A read of
+		// a field another table of the reader's stage writes is a hazard:
+		// within one table a pass runs one action, whose instructions read no
+		// other's destination and whose stateful op — the highest step kind,
+		// so it stays last — reads none of theirs. The conflict check below
+		// refuses two writers of a field in one stage.
+		hazard := make([]bool, stages)
 		for _, t := range tables {
 			for f := range sets[t.idx].reads {
-				if parserWritten[f] {
-					continue
-				}
-				if gressName == "egress" && ingressWrites[f] {
-					continue
-				}
-				ok := false
+				ok := parserWritten[f] || gressName == "egress" && ingressWrites[f]
 				for _, ws := range writersAt[f] {
-					if ws < t.stage {
-						ok = true
-						break
-					}
+					ok = ok || ws < t.stage
+					hazard[t.stage] = hazard[t.stage] || ws == t.stage && !sets[t.idx].writes[f]
 				}
 				if !ok {
 					if len(writersAt[f]) > 0 {
-						return nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q produced in stage %d; dependencies cannot flow backward",
+						return nil, nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q produced in stage %d; dependencies cannot flow backward",
 							gressName, t.decl.Name, t.stage, c.ft.name(f), writersAt[f][0])
 					}
-					return nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q that nothing produces",
+					return nil, nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q that nothing produces",
 						gressName, t.decl.Name, t.stage, c.ft.name(f))
 				}
 			}
@@ -159,21 +162,21 @@ func (c *compiled) checkDependencies() error {
 				sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 				for _, f := range ws {
 					if o, dup := owner[f]; dup {
-						return nil, fmt.Errorf("pisa: %s stage %d: tables %q and %q both write field %q",
+						return nil, nil, fmt.Errorf("pisa: %s stage %d: tables %q and %q both write field %q",
 							gressName, s, o, t.decl.Name, c.ft.name(f))
 					}
 					owner[f] = t.decl.Name
 				}
 			}
 		}
-		return out, nil
+		return out, hazard, nil
 	}
 
 	var err error
-	if c.ingress, err = assign(ingress, c.arch.IngressStages, "ingress"); err != nil {
+	if c.ingress, c.ingressHazard, err = assign(ingress, c.arch.IngressStages, "ingress"); err != nil {
 		return err
 	}
-	if c.egress, err = assign(egress, c.arch.EgressStages, "egress"); err != nil {
+	if c.egress, c.egressHazard, err = assign(egress, c.arch.EgressStages, "egress"); err != nil {
 		return err
 	}
 	return nil

@@ -46,8 +46,12 @@ func New(prog Program, arch Arch) (*Switch, error) {
 	return newInstance(c), nil
 }
 
+// newInstance stamps a switch whose PHV holds the fields and, past them,
+// the slots the plans read operands from, the constants filled in.
 func newInstance(c *compiled) *Switch {
-	return &Switch{c: c, regs: c.newRegisterBank(), phv: newPhv(c.ft)}
+	vals := make([]uint32, c.constBase+len(c.consts))
+	copy(vals[c.constBase:], c.consts)
+	return &Switch{c: c, regs: c.newRegisterBank(), phv: Phv{vals: vals, ft: c.ft}}
 }
 
 // Replicate instantiates another pipeline running the same compiled
@@ -126,11 +130,12 @@ func (s *Switch) Absorb(ingressPort uint16, pkt []byte) error {
 }
 
 // start counts a packet, parses it into the switch's PHV and returns the
-// pass of passes it takes.
+// pass of passes it takes. It clears only the fields: every other slot a
+// plan reads is a constant or written earlier in the same pass.
 func (s *Switch) start(ingressPort uint16, pkt []byte, passes []pass) (*pass, error) {
 	s.counters.Received++
 	phv := &s.phv
-	clear(phv.vals)
+	clear(phv.vals[:s.c.paramBase])
 	phv.set(fidIngressPort, uint32(ingressPort))
 	if err := s.parse(phv, pkt); err != nil {
 		s.counters.ParserErrors++
@@ -152,40 +157,70 @@ func (s *Switch) Process(ingressPort uint16, pkt []byte) ([]Emission, error) {
 // parse extracts configured byte ranges into PHV fields. Network hardware
 // parses big-endian; extracts flagged HostLittleEndian are converted by the
 // §4.2 parser extension (compilation guaranteed the feature is present).
+//
+// A packet of at least parseLen bytes — every well-formed FPISA packet — is
+// checked once: each byte extract is loaded as is, and each bit field
+// through its one big-endian window (layoutParser). A shorter one is
+// checked extract by extract, which names the first that does not fit.
 func (s *Switch) parse(phv *Phv, pkt []byte) error {
-	for _, e := range s.c.parser {
+	c := s.c
+	if len(pkt) < c.parseLen {
+		return s.parseChecked(phv, pkt)
+	}
+	vals := phv.vals
+	for i := range c.parser {
+		e := &c.parser[i]
+		vals[e.field] = e.load(pkt)
+	}
+	for i := range c.parserBits {
+		e := &c.parserBits[i]
+		var v uint32
+		if e.wide {
+			v = uint32(binary.BigEndian.Uint64(pkt[e.win:]) >> e.shift)
+		} else {
+			v = binary.BigEndian.Uint32(pkt[e.win:]) >> e.shift
+		}
+		vals[e.field] = v & e.mask
+	}
+	return nil
+}
+
+// parseChecked is parse for a packet shorter than parseLen.
+func (s *Switch) parseChecked(phv *Phv, pkt []byte) error {
+	for i := range s.c.parser {
+		e := &s.c.parser[i]
 		if e.offset+e.bytes > len(pkt) {
 			return fmt.Errorf("pisa: parser: packet too short: need %d bytes for field %q, have %d",
 				e.offset+e.bytes, s.c.ft.name(e.field), len(pkt))
 		}
-		b := pkt[e.offset : e.offset+e.bytes]
-		var v uint32
-		switch e.bytes {
-		case 1:
-			v = uint32(b[0])
-		case 2:
-			if e.le {
-				v = uint32(binary.LittleEndian.Uint16(b))
-			} else {
-				v = uint32(binary.BigEndian.Uint16(b))
-			}
-		case 4:
-			if e.le {
-				v = binary.LittleEndian.Uint32(b)
-			} else {
-				v = binary.BigEndian.Uint32(b)
-			}
-		}
-		phv.set(e.field, v)
+		phv.vals[e.field] = e.load(pkt)
 	}
 	for _, e := range s.c.parserBits {
 		end := (e.bitOffset + e.bits + 7) / 8
 		if end > len(pkt) {
 			return fmt.Errorf("pisa: parser: packet too short for bit field %q", s.c.ft.name(e.field))
 		}
-		phv.set(e.field, extractBits(pkt, e.bitOffset, e.bits))
+		phv.vals[e.field] = extractBits(pkt, e.bitOffset, e.bits)
 	}
 	return nil
+}
+
+// load reads the extract from pkt, which holds it. The value fills the
+// field's container exactly.
+func (e *cExtract) load(pkt []byte) uint32 {
+	b := pkt[e.offset : e.offset+e.bytes]
+	switch {
+	case e.bytes == 1:
+		return uint32(b[0])
+	case e.bytes == 2 && e.le:
+		return uint32(binary.LittleEndian.Uint16(b))
+	case e.bytes == 2:
+		return uint32(binary.BigEndian.Uint16(b))
+	case e.le:
+		return binary.LittleEndian.Uint32(b)
+	default:
+		return binary.BigEndian.Uint32(b)
+	}
 }
 
 // extractBits reads a network-bit-order bit range of 1..32 bits: bit 0 is

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -43,6 +44,39 @@ func TestParserBitExtracts(t *testing.T) {
 	}
 	if got := binary.BigEndian.Uint32(out[0].Packet[4:]); got != 0x400000 {
 		t.Errorf("frac = %#x, want 0x400000", got)
+	}
+}
+
+// A bit field of every alignment and width, the only extract of its
+// program, parses as refParse does from every packet length up to two past
+// its extent: through a 4- or 8-byte window pulled back inside the extent
+// once the packet holds ParseLen bytes, extract by extract below that.
+// ParseLen is the extent whenever the extent fits the window.
+func TestParserBitWindowsEveryAlignment(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := len(builtinFields) // the program's one field
+	pkt := make([]byte, 12)
+	for off := 0; off < 40; off++ {
+		for n := 1; n <= 32; n++ {
+			sw := mustSwitch(t, Program{
+				Fields:     []FieldDecl{{Name: "f", Width: 32}},
+				ParserBits: []BitExtractDecl{{Field: "f", BitOffset: off, Bits: n}},
+			}, BaseArch())
+			extent, window := (off+n+7)/8, 4
+			if extent-off/8 > 4 {
+				window = 8
+			}
+			if extent >= window && sw.ParseLen() != extent {
+				t.Errorf("bits %d+%d: ParseLen %d, want the %d-byte extent", off, n, sw.ParseLen(), extent)
+			}
+			for l := 0; l <= extent+2; l++ {
+				rng.Read(pkt)
+				got, want, gotErr, wantErr := sw.ParseFields(pkt[:l])
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got[f] != want[f] {
+					t.Fatalf("bits %d+%d, % x: f = %#x, %v; want %#x, %v", off, n, pkt[:l], got[f], gotErr, want[f], wantErr)
+				}
+			}
+		}
 	}
 }
 

@@ -43,15 +43,30 @@
 // Nothing on either path interprets a table declaration: always-tables and
 // dispatch-keyed tables have dissolved into their actions' steps, and what
 // is left of matching is the data-keyed lookups — exact by direct index or
-// sorted search, ternary and LPM by TCAM scan. Stage semantics are the
-// Packet-Transactions atom — every table of a stage reads the stage-entry
-// PHV — and hold by construction, so every step writes the PHV directly:
-// the compiler refuses a table that reads what a table placed before it in
-// its stage writes, an instruction that reads another's destination, and a
-// stateful op that reads what an instruction of its own action writes. The
-// table-by-table interpreter that snapshots the PHV per stage and runs every
-// table for every packet lives on as the differential-test oracle
-// (oracle_test.go, DiffRun), which holds both paths to it.
+// sorted search, ternary and LPM by TCAM scan. A lookup that would scan the
+// same TCAM rows for the same, unwritten key as one earlier in its plan —
+// each FPISA module's renorm_m after its renorm_e — scans nothing and takes
+// the earlier lookup's matched row. A packet no shorter than the program's
+// extract extent is length-checked once and each bit field read through one
+// big-endian window; a shorter one is checked extract by extract.
+//
+// Every operand is a PHV slot. Past the fields the PHV holds the matched
+// entry's action data, one matched-row slot per table and a read-only slot
+// per distinct immediate, so a step reads its operands as two indexed loads
+// whatever their kind. Stage semantics are the Packet-Transactions atom —
+// every table of a stage reads the stage-entry PHV — and hold by
+// construction, so every step writes the PHV directly: the compiler refuses
+// a table that reads what a table placed before it in its stage writes, an
+// instruction that reads another's destination, and a stateful op that
+// reads what an instruction of its own action writes. The same atom makes
+// the order of a stage's steps free but for one case, which
+// checkDependencies flags per stage: a table that reads what a table placed
+// after it writes. A stage without that hazard and without a lookup runs
+// its steps grouped by kind, so the executor's opcode switch repeats its
+// case. The table-by-table interpreter that snapshots the PHV per stage and
+// runs every table for every packet lives on, with its own parser, as the
+// differential-test oracle (oracle_test.go, DiffRun), which holds both
+// paths to it.
 //
 // # Execution and buffer ownership
 //

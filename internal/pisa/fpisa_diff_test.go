@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"fpisa/internal/allocgate"
@@ -297,16 +299,82 @@ func TestProcessScratchAllocatesNothing(t *testing.T) {
 
 // Every FPISA build's absorbing PktAdd pass is shorter than its emitting
 // one: renormalisation and reassembly feed only the response, and the whole
-// egress only the deparser. The step counts are logged (go test -v).
+// egress only the deparser. Every pass's step counts are pinned, per build
+// and per opcode — PktAdd, PktSet, PktRead, PktReadReset, then one no entry
+// names — as emitting ingress+egress / absorbing ingress+egress: grouping a
+// stage's steps by kind or reusing a lookup's row moves no step in or out
+// of a plan.
 func TestAbsorbingAddPassIsShorter(t *testing.T) {
-	for _, b := range fpisaBuilds(t) {
+	golden := map[string]string{
+		"FPISA-A/tofino-like-base/m1":     "58+37/50+0 58+37/50+0 16+37/4+0 16+37/4+0 12+37/0+0",
+		"FPISA-A/tofino-like-extended/m1": "27+8/19+0 27+8/19+0 16+8/4+0 16+8/4+0 12+8/0+0",
+		"FPISA-A/tofino-like-extended/m2": "51+16/36+0 51+16/36+0 30+16/7+0 30+16/7+0 23+16/0+0",
+		"FPISA-A/tofino-like-extended/m3": "75+24/53+0 75+24/53+0 44+24/10+0 44+24/10+0 34+24/0+0",
+		"FPISA/tofino-like-extended/m1":   "25+8/17+0 24+8/16+0 16+8/4+0 16+8/4+0 12+8/0+0",
+		"FPISA/tofino-like-extended/m2":   "47+16/32+0 45+16/30+0 30+16/7+0 30+16/7+0 23+16/0+0",
+		"FPISA/tofino-like-extended/m3":   "69+24/47+0 66+24/44+0 44+24/10+0 44+24/10+0 34+24/0+0",
+	}
+	builds := fpisaBuilds(t)
+	if len(builds) != len(golden) {
+		t.Errorf("%d FPISA builds, %d pinned", len(builds), len(golden))
+	}
+	for _, b := range builds {
 		sw := b.pa.Switch()
+		var counts []string
 		for _, op := range []uint8{core.PktAdd, core.PktSet, core.PktRead, core.PktReadReset, 4} {
 			emitIn, emitEg := sw.PassSteps(op, false)
 			absIn, absEg := sw.PassSteps(op, true)
-			t.Logf("%s op %d: emit %d + %d steps, absorb %d + %d", b.name, op, emitIn, emitEg, absIn, absEg)
+			counts = append(counts, fmt.Sprintf("%d+%d/%d+%d", emitIn, emitEg, absIn, absEg))
 			if op == core.PktAdd && (absIn >= emitIn || absEg != 0) {
 				t.Errorf("%s: absorbing PktAdd runs %d + %d steps, emitting %d + %d", b.name, absIn, absEg, emitIn, emitEg)
+			}
+		}
+		if got := strings.Join(counts, " "); got != golden[b.name] {
+			t.Errorf("%s steps per opcode, emitting/absorbing:\n got %s\nwant %s", b.name, got, golden[b.name])
+		}
+	}
+}
+
+// Each module's two renormalisation LPMs scan one TCAM between them: in
+// every emitting pass of every FPISA build, each module's renorm_m reuses
+// the row its renorm_e matched (same key u_mag, same 31 prefixes, nothing
+// writes u_mag in between), and no other lookup reuses one. Absorbing
+// passes run no egress, so they reuse none.
+func TestRenormalisationScansOnce(t *testing.T) {
+	for _, b := range fpisaBuilds(t) {
+		sw := b.pa.Switch()
+		for _, op := range []uint8{core.PktAdd, core.PktSet, core.PktRead, core.PktReadReset, 4} {
+			if got := sw.ReusedLookups(op, false); got != b.modules {
+				t.Errorf("%s op %d: %d emitting lookups reuse a row, want %d", b.name, op, got, b.modules)
+			}
+			if got := sw.ReusedLookups(op, true); got != 0 {
+				t.Errorf("%s op %d: %d absorbing lookups reuse a row, want 0", b.name, op, got)
+			}
+		}
+	}
+}
+
+// TestParserMatchesReferenceAtEveryLength parses random bytes of every
+// length from 0 to two past the packet size on every FPISA build: the
+// parser — one length check from ParseLen on, one per extract below it —
+// must return refParse's error text and fill every field as refParse does.
+// ParseLen is the packet size, so every well-formed packet is checked once.
+func TestParserMatchesReferenceAtEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, b := range fpisaBuilds(t) {
+		sw := b.pa.Switch().Replicate()
+		size := core.PacketBytes(b.modules)
+		if sw.ParseLen() != size {
+			t.Errorf("%s: parse checks each extract below %d bytes, want the %d-byte packet size", b.name, sw.ParseLen(), size)
+		}
+		for n := 0; n <= size+2; n++ {
+			for range 16 {
+				pkt := make([]byte, n)
+				rng.Read(pkt)
+				got, want, gotErr, wantErr := sw.ParseFields(pkt)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+					t.Fatalf("%s, % x: parsed %v, %v; want %v, %v", b.name, pkt, got, gotErr, want, wantErr)
+				}
 			}
 		}
 	}
@@ -359,6 +427,44 @@ func BenchmarkCompileFPISA(b *testing.B) {
 				if _, err := pisa.New(prog, bc.arch); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkChunkPasses times one chunk's pipeline passes as a two-worker
+// job runs them, on every FPISA build: the first ADD binds the slot and is
+// absorbed (a PktSet through Absorb), the second completes the chunk and is
+// emitted (a PktAdd through ProcessScratch). Chunks cycle over 4 slots; one
+// op is one chunk, so ns/op is ns per chunk.
+func BenchmarkChunkPasses(b *testing.B) {
+	const slots = 4
+	for _, bc := range fpisaBuilds(b) {
+		var set, add [slots][]byte
+		vals := make([]float32, bc.modules)
+		for s := range slots {
+			for k := range vals {
+				vals[k] = float32(s+1) * float32(math.Ldexp(1.25, k-s))
+			}
+			var err error
+			if set[s], err = bc.pa.Packet(core.PktSet, uint32(s), vals); err != nil {
+				b.Fatal(err)
+			}
+			if add[s], err = bc.pa.Packet(core.PktAdd, uint32(s), vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			sw, n := bc.pa.Switch().Replicate(), 0
+			for b.Loop() {
+				s := n % slots
+				if err := sw.Absorb(1, set[s]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sw.ProcessScratch(1, add[s]); err != nil {
+					b.Fatal(err)
+				}
+				n++
 			}
 		})
 	}

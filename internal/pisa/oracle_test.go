@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,9 +19,10 @@ import (
 // atom — every table of a stage reads the stage-entry PHV, the write set
 // commits afterwards — with its own VLIW evaluator and stateful ALU (at the
 // end of the file), which resolve operand kinds, widths, masks and sign
-// extension per packet. It shares only the parser and the keyed-table lookup
-// with the production executor. DiffRun holds the two to identical observable
-// behaviour.
+// extension per packet — and with its own parser (refParse), which checks
+// every extract against the packet and reads a bit field bit by bit. It
+// shares only the keyed-table lookup with the production executor. DiffRun
+// holds the two to identical observable behaviour.
 
 func refNewPhv(ft *fieldTable) *Phv {
 	return &Phv{vals: make([]uint32, len(ft.decls)), ft: ft}
@@ -56,7 +58,7 @@ func (s *Switch) RefProcess(ingressPort uint16, pkt []byte) (Emission, error) {
 	phv := refNewPhv(s.c.ft)
 	phv.refSet(FieldIngressPort, uint32(ingressPort))
 
-	if err := s.parse(phv, pkt); err != nil {
+	if err := s.refParse(phv, pkt); err != nil {
 		s.counters.ParserErrors++
 		return Emission{}, err
 	}
@@ -80,7 +82,7 @@ func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable) error {
 		for _, t := range tables {
 			h := cHit{action: t.default_}
 			if t.decl.Kind != MatchAlways {
-				h = t.lookup(t.buildKey(snapshot))
+				h = t.lookup(t.buildKey(snapshot.vals))
 			}
 			a := h.action
 			if a == nil {
@@ -127,6 +129,59 @@ func (s *Switch) refDeparse(phv *Phv, pkt []byte) []byte {
 	}
 	return out
 }
+
+// refParse is the parser as the package shipped it before parse learned to
+// check a packet's length once: every extract checked against the packet in
+// turn, the first that does not fit named in the error. A bit field is read
+// one bit at a time.
+func (s *Switch) refParse(phv *Phv, pkt []byte) error {
+	for _, e := range s.c.parser {
+		if e.offset+e.bytes > len(pkt) {
+			return fmt.Errorf("pisa: parser: packet too short: need %d bytes for field %q, have %d",
+				e.offset+e.bytes, s.c.ft.name(e.field), len(pkt))
+		}
+		b := pkt[e.offset : e.offset+e.bytes]
+		var v uint32
+		switch {
+		case e.bytes == 1:
+			v = uint32(b[0])
+		case e.bytes == 2 && e.le:
+			v = uint32(binary.LittleEndian.Uint16(b))
+		case e.bytes == 2:
+			v = uint32(binary.BigEndian.Uint16(b))
+		case e.le:
+			v = binary.LittleEndian.Uint32(b)
+		default:
+			v = binary.BigEndian.Uint32(b)
+		}
+		phv.vals[e.field] = v & widthMask(phv.ft.width(e.field))
+	}
+	for _, e := range s.c.parserBits {
+		if (e.bitOffset+e.bits+7)/8 > len(pkt) {
+			return fmt.Errorf("pisa: parser: packet too short for bit field %q", s.c.ft.name(e.field))
+		}
+		var v uint32
+		for bit := e.bitOffset; bit < e.bitOffset+e.bits; bit++ {
+			v = v<<1 | uint32(pkt[bit/8]>>(7-bit%8)&1)
+		}
+		phv.vals[e.field] = v
+	}
+	return nil
+}
+
+// ParseFields parses pkt with the production parser, into the switch's
+// PHV, and with refParse, into a fresh one, and returns each side's field
+// values and error.
+func (s *Switch) ParseFields(pkt []byte) (got, want []uint32, gotErr, wantErr error) {
+	clear(s.phv.vals[:s.c.paramBase])
+	gotErr = s.parse(&s.phv, pkt)
+	ref := refNewPhv(s.c.ft)
+	wantErr = s.refParse(ref, pkt)
+	return slices.Clone(s.phv.vals[:s.c.paramBase]), ref.vals, gotErr, wantErr
+}
+
+// ParseLen returns the packet length from which parse checks no extract.
+func (s *Switch) ParseLen() int { return s.c.parseLen }
 
 // DiffPacket is one input of a differential run.
 type DiffPacket struct {

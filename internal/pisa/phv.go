@@ -94,14 +94,12 @@ func widthMask(width int) uint32 {
 }
 
 // Phv is one packet's header vector: the container values indexed by
-// fieldID. Values are stored masked to their declared width.
+// fieldID, stored masked to their declared width. A switch's PHV goes on
+// past the fields with the slots its plans read operands from (compiled's
+// paramBase, rowBase and constBase).
 type Phv struct {
 	vals []uint32
 	ft   *fieldTable
-}
-
-func newPhv(ft *fieldTable) Phv {
-	return Phv{vals: make([]uint32, len(ft.decls)), ft: ft}
 }
 
 func (p *Phv) get(id fieldID) uint32 { return p.vals[id] }

@@ -31,17 +31,22 @@ import (
 // keyed table is one lookup step followed by each action's steps; the lookup
 // jumps to the matched (or default) action, whose last step skips past the
 // table. A keyed table none of whose actions keeps a step is left out,
-// lookup and all. Every instruction's field ids, width mask, operand
-// selectors and sign-extension shifts and every stateful op's register mask
-// and sign bit are resolved here, not per packet.
+// lookup and all. A stage that keeps no lookup and has no hazard
+// (checkDependencies: no table of it writes a field another table of it
+// reads) runs its steps grouped by kind — a stable sort, which leaves each
+// stateful op after every instruction — so the executor's switch takes the
+// same case step after step. Every instruction's operand slots, width mask
+// and sign-extension shifts and every stateful op's register mask and sign
+// bit are resolved here, not per packet.
 //
 // Stage semantics — every table of a stage sees the stage-entry PHV — hold
 // by construction, so every step writes the PHV directly: no later step of a
 // stage reads a field an earlier one writes. checkDependencies refuses a
 // table that reads what a table placed before it in its stage writes
-// (tables placed after it have not run yet); compileAction refuses an
-// instruction that reads another's destination, and a stateful op — which
-// runs after its action's instructions — that reads one of theirs.
+// (tables placed after it have not run yet, which is why a stage with a
+// hazard keeps placement order); compileAction refuses an instruction that
+// reads another's destination, and a stateful op — which runs after its
+// action's instructions — that reads one of theirs.
 type plan struct {
 	steps  []step
 	tables []planTable // keyed tables, indexed by a lookup step's dst
@@ -50,11 +55,19 @@ type plan struct {
 
 // planTable is a keyed table as one plan lays it out. Its steps end at end,
 // where a miss without a default action continues; action a's start at
-// start[a.idx], or at end when the plan keeps none of them.
+// start[a.idx], or at end when the plan keeps none of them. row is the PHV
+// slot of the table's matched row (a position in rows, noRow for a miss):
+// the lookup stores what it matches there. A table with reuse set matches
+// nothing: an earlier lookup of the plan keyed on the same field, which no
+// step since has written, scanned the same TCAM rows and left its row in
+// that slot, and this table runs its own action for that row — a module's
+// renorm_m after its renorm_e.
 type planTable struct {
 	*cTable
 	end   int
 	start []int
+	row   uint32
+	reuse bool
 }
 
 // pass is what one packet runs: a plan per gress.
@@ -83,17 +96,14 @@ type step struct {
 	pred fieldID
 }
 
-// operand is an instruction source resolved so that reading it does not
-// branch on its kind: the value is vals[id]&and | or, where a field has
-// and = ^0, or = 0 and an immediate and = 0, or = the value. An action-data
-// operand reads params[id] instead (param); in a table dissolved into one
-// entry's action it is an immediate. sx is 32 minus the field's container
-// width, the shift pair that sign-extends it.
+// operand is an instruction source: the PHV slot holding its value (a
+// field, a parameter's action-data slot, or an immediate's constant slot;
+// an unused operand reads the constant 0) and sx, 32 minus a field's
+// container width and 0 for the others, the shift pair that sign-extends
+// it. Reading an operand does not branch on its kind.
 type operand struct {
-	id      uint32
-	and, or uint32
-	sx      uint8
-	param   bool
+	id uint32
+	sx uint8
 }
 
 // planSalu is a stateful op with everything derived from the register and
@@ -184,23 +194,81 @@ func (c *compiled) dispatched(t *cTable, v int) (cHit, bool) {
 	return t.lookup(uint64(v)), true
 }
 
-// lowering is the scratch lowerPasses reuses for every plan.
-type lowering struct {
-	live      []bool // per pass, the fields read downstream (fieldID-indexed)
-	keep      []bool // per instruction (cAction.instr0): the plan runs it
-	keepTable []bool // per keyed table (cTable.idx): the plan looks it up
-	steps     []step
-	tables    []planTable
-	salus     []planSalu
+// rowClasses returns, per ternary or LPM table, the first declared table
+// keyed on the same one field whose entries declare the same match rows, in
+// the same order, as its own (sameRows): a key matches the entry at the
+// same index in both. A table with no such table before it, exact and
+// multi-field ones among them, is its own class.
+func (c *compiled) rowClasses() []int {
+	class := make([]int, len(c.declared))
+	for i, t := range c.declared {
+		class[i] = i
+		if t.ternary == nil && t.lpm == nil || len(t.key) != 1 {
+			continue
+		}
+		for _, u := range c.declared[:i] {
+			if sameRows(t, u) {
+				class[i] = u.idx
+				break
+			}
+		}
+	}
+	return class
 }
 
-// lowerPasses sets the dispatch field and lowers both gresses to the
-// emitting and the absorbing pass of every dispatch value. Liveness runs
-// backward from the end of egress: the emitting passes start from the
-// fields the deparser writes back and add _egress_port between the gresses;
-// the absorbing ones start from nothing, so only what a stateful op reads
-// becomes live.
+// sameRows reports whether u is a table of t's match kind keyed on the same
+// one field that declares the same match rows in the same order: value,
+// mask, prefix length and priority. Both TCAMs then hold the same rows in
+// the same order, each naming its entry's index (compileTable).
+func sameRows(t, u *cTable) bool {
+	if u.decl.Kind != t.decl.Kind || len(u.key) != 1 || u.key[0].id != t.key[0].id || len(u.decl.Entries) != len(t.decl.Entries) {
+		return false
+	}
+	for i := range t.decl.Entries {
+		e, f := &t.decl.Entries[i], &u.decl.Entries[i]
+		if e.Value != f.Value || e.Mask != f.Mask || e.PrefixLen != f.PrefixLen || e.Priority != f.Priority {
+			return false
+		}
+	}
+	return true
+}
+
+// lowering is the scratch lowerPasses reuses for every plan.
+type lowering struct {
+	live      []bool            // per pass, the fields read downstream (fieldID-indexed)
+	keep      []bool            // per instruction (cAction.instr0): the plan runs it
+	keepTable []bool            // per keyed table (cTable.idx): the plan looks it up
+	constOf   map[uint32]uint32 // immediate → its PHV slot
+	zero      operand           // the slot of the constant 0: what an unused operand reads
+	class     []int             // per declared table: rowClasses
+	// lastOf is, per class, 1 + the index in tables of the plan's latest
+	// lookup of that class so far, 0 for none; lookupAt is each table's
+	// lookup step position.
+	lastOf   []int
+	lookupAt []int
+	grouped  []step // groupByKind's scratch
+	steps    []step
+	tables   []planTable
+	salus    []planSalu
+}
+
+// lowerPasses lays out the PHV slots past the fields, sets the dispatch
+// field and lowers both gresses to the emitting and the absorbing pass of
+// every dispatch value. Liveness runs backward from the end of egress: the
+// emitting passes start from the fields the deparser writes back and add
+// _egress_port between the gresses; the absorbing ones start from nothing,
+// so only what a stateful op reads becomes live.
 func (c *compiled) lowerPasses() {
+	nParams := 0
+	for _, t := range c.declared {
+		for _, a := range t.actions {
+			nParams = max(nParams, a.nParams)
+		}
+	}
+	c.paramBase = len(c.ft.decls)
+	c.rowBase = c.paramBase + nParams
+	c.constBase = c.rowBase + len(c.declared)
+
 	c.dispatch = c.dispatchField()
 	values := []int{-1} // each pass's dispatch value; -1 is every value no entry names
 	if c.dispatch != noDispatch {
@@ -236,7 +304,11 @@ func (c *compiled) lowerPasses() {
 		live:      make([]bool, len(values)*nf),
 		keep:      make([]bool, c.nInstrs),
 		keepTable: make([]bool, len(c.declared)),
+		constOf:   make(map[uint32]uint32),
+		class:     c.rowClasses(),
+		lastOf:    make([]int, len(c.declared)),
 	}
+	lw.zero = operand{id: c.constSlot(lw, 0)}
 	for _, emitting := range []bool{true, false} {
 		clear(lw.live)
 		if emitting {
@@ -246,13 +318,13 @@ func (c *compiled) lowerPasses() {
 				}
 			}
 		}
-		egress := c.lowerGress(c.egress, values, lw)
+		egress := c.lowerGress(c.egress, c.egressHazard, values, lw)
 		if emitting {
 			for i := range values {
 				lw.live[i*nf+int(fidEgressPort)] = true
 			}
 		}
-		ingress := c.lowerGress(c.ingress, values, lw)
+		ingress := c.lowerGress(c.ingress, c.ingressHazard, values, lw)
 		passes := make([]pass, len(values))
 		for i := range passes {
 			passes[i] = pass{&ingress[min(i, len(ingress)-1)], &egress[min(i, len(egress)-1)]}
@@ -265,11 +337,23 @@ func (c *compiled) lowerPasses() {
 	}
 }
 
+// constSlot returns the PHV slot that holds the immediate v, adding one to
+// consts if no slot holds it yet.
+func (c *compiled) constSlot(lw *lowering, v uint32) uint32 {
+	id, ok := lw.constOf[v]
+	if !ok {
+		id = uint32(c.constBase + len(c.consts))
+		lw.constOf[v] = id
+		c.consts = append(c.consts, v)
+	}
+	return id
+}
+
 // lowerGress lowers one gress for every pass: a plan each, or one they all
 // share when no table of the gress is keyed on the dispatch field alone.
 // lw.live holds, pass by pass, the fields read after the gress and is left
 // holding those read from its start.
-func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []plan {
+func (c *compiled) lowerGress(stages [][]*cTable, hazard []bool, values []int, lw *lowering) []plan {
 	nf := len(c.ft.decls)
 	shared := true
 	for _, tables := range stages {
@@ -285,7 +369,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []
 				all[f] = all[f] || l
 			}
 		}
-		pl := c.lowerPlan(stages, -1, all, lw)
+		pl := c.lowerPlan(stages, hazard, -1, all, lw)
 		for i := 1; i < len(values); i++ {
 			copy(lw.live[i*nf:(i+1)*nf], all)
 		}
@@ -293,7 +377,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []
 	}
 	plans := make([]plan, len(values))
 	for i, v := range values {
-		plans[i] = c.lowerPlan(stages, v, lw.live[i*nf:(i+1)*nf], lw)
+		plans[i] = c.lowerPlan(stages, hazard, v, lw.live[i*nf:(i+1)*nf], lw)
 	}
 	return plans
 }
@@ -311,7 +395,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []
 // step at a time is sound in any order because no step of a stage reads a
 // value another step of that stage writes: a write made live by a read in
 // its own stage is at worst kept for nothing.
-func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowering) plan {
+func (c *compiled) lowerPlan(stages [][]*cTable, hazard []bool, v int, live []bool, lw *lowering) plan {
 	for s := len(stages) - 1; s >= 0; s-- {
 		for ti := len(stages[s]) - 1; ti >= 0; ti-- {
 			t := stages[s][ti]
@@ -338,8 +422,10 @@ func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowerin
 		}
 	}
 
-	lw.steps, lw.tables, lw.salus = lw.steps[:0], lw.tables[:0], lw.salus[:0]
-	for _, tables := range stages {
+	lw.steps, lw.tables, lw.salus, lw.lookupAt = lw.steps[:0], lw.tables[:0], lw.salus[:0], lw.lookupAt[:0]
+	clear(lw.lastOf)
+	for s, tables := range stages {
+		first, lookups := len(lw.steps), len(lw.tables)
 		for _, t := range tables {
 			if h, ok := c.dispatched(t, v); ok {
 				if h.action != nil {
@@ -354,12 +440,18 @@ func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowerin
 			if !lw.keepTable[t.idx] {
 				continue
 			}
-			lookup := step{kind: stepLookup, dst: fieldID(len(lw.tables))}
+			lookup := step{kind: stepLookup, dst: fieldID(len(lw.tables)), a: lw.zero, b: lw.zero}
 			if len(t.key) == 1 { // the key is the field: read it as operand a
-				lookup.a = operand{id: uint32(t.key[0].id), and: ^uint32(0)}
+				lookup.a = operand{id: uint32(t.key[0].id)}
 			}
+			pt := planTable{cTable: t, start: make([]int, len(t.actions)), row: uint32(c.rowBase + t.idx)}
+			class := lw.class[t.idx]
+			if j := lw.lastOf[class] - 1; j >= 0 && !lw.writes(t.key[0].id, lw.lookupAt[j]+1) {
+				pt.row, pt.reuse = lw.tables[j].row, true
+			}
+			lw.lastOf[class] = len(lw.tables) + 1
+			lw.lookupAt = append(lw.lookupAt, len(lw.steps))
 			lw.steps = append(lw.steps, lookup)
-			pt := planTable{cTable: t, start: make([]int, len(t.actions))}
 			for i, a := range t.actions {
 				pt.start[i] = len(lw.steps)
 				c.lowerAction(lw, a, nil)
@@ -378,8 +470,52 @@ func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowerin
 			}
 			lw.tables = append(lw.tables, pt)
 		}
+		if len(lw.tables) == lookups && !hazard[s] {
+			lw.groupByKind(lw.steps[first:])
+		}
 	}
 	return plan{steps: slices.Clone(lw.steps), tables: slices.Clone(lw.tables), salus: slices.Clone(lw.salus)}
+}
+
+// groupByKind sorts steps stably by kind: a counting sort over the few
+// kinds, through lw.grouped, unless they are in order already.
+func (lw *lowering) groupByKind(steps []step) {
+	var at [stepLookup + 1]int
+	sorted := true
+	for i, st := range steps {
+		at[st.kind]++
+		sorted = sorted && (i == 0 || steps[i-1].kind <= st.kind)
+	}
+	if sorted {
+		return
+	}
+	sum := 0
+	for k, n := range at {
+		at[k], sum = sum, sum+n
+	}
+	lw.grouped = append(lw.grouped[:0], steps...)
+	for _, st := range lw.grouped {
+		steps[at[st.kind]] = st
+		at[st.kind]++
+	}
+}
+
+// writes reports whether a step lowered from position from on writes f.
+func (lw *lowering) writes(f fieldID, from int) bool {
+	for _, st := range lw.steps[from:] {
+		switch {
+		case st.kind <= stepKind(OpCsel):
+			if st.dst == f {
+				return true
+			}
+		case st.kind == stepSalu:
+			op := &lw.salus[st.dst]
+			if op.output != OutNone && op.outField == f || op.hasOvField && op.ovField == f {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // liveAction marks which of a's instructions the plan keeps, adds what the
@@ -409,19 +545,20 @@ func (lw *lowering) liveAction(a *cAction, live []bool) bool {
 
 // lowerAction appends the kept steps of a: its kept instructions, then its
 // stateful op. params binds action-data operands as immediates (a table
-// dissolved into one entry's action); nil leaves them to the matched entry.
+// dissolved into one entry's action); nil leaves them to the action-data
+// slots the matched entry fills.
 func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 	resolve := func(o cOperand) operand {
 		switch o.kind {
 		case srcField:
-			return operand{id: uint32(o.field), and: ^uint32(0), sx: uint8(32 - c.ft.width(o.field))}
+			return operand{id: uint32(o.field), sx: uint8(32 - c.ft.width(o.field))}
 		case srcParam:
 			if params != nil {
-				return operand{or: params[o.param]}
+				return operand{id: c.constSlot(lw, params[o.param])}
 			}
-			return operand{id: uint32(o.param), param: true}
+			return operand{id: uint32(c.paramBase + o.param)}
 		}
-		return operand{or: o.imm}
+		return operand{id: c.constSlot(lw, o.imm)}
 	}
 	for i := range a.instrs {
 		if !lw.keep[a.instr0+i] {
@@ -446,7 +583,7 @@ func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 		if op.output != OutNone {
 			ps.outMask = c.ft.masks[op.outField]
 		}
-		lw.steps = append(lw.steps, step{kind: stepSalu, dst: fieldID(len(lw.salus))})
+		lw.steps = append(lw.steps, step{kind: stepSalu, dst: fieldID(len(lw.salus)), a: lw.zero, b: lw.zero})
 		lw.salus = append(lw.salus, ps)
 	}
 }
@@ -454,14 +591,14 @@ func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 // runPlan executes one gress on phv.
 func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 	vals, steps := phv.vals, pl.steps
-	var params []uint32 // the matched entry's action data
+	params := vals[s.c.paramBase:] // the matched entry's action data goes here
 	for pc := 0; pc < len(steps); {
 		st := &steps[pc]
 		pc += 1 + int(st.skip)
 
 		// Control steps carry no predicate and, but for a lookup's one-field
-		// key, zero immediates as operands: what precedes the switch is idle
-		// for them.
+		// key, read the constant 0 as operands: what precedes the switch is
+		// idle for them.
 		predVal := true
 		if st.hasPred {
 			predVal = (vals[st.pred] != 0) != st.predNeg
@@ -469,28 +606,27 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 				continue
 			}
 		}
-		a := vals[st.a.id]&st.a.and | st.a.or
-		b := vals[st.b.id]&st.b.and | st.b.or
-		if st.a.param {
-			a = params[st.a.id]
-		}
-		if st.b.param {
-			b = params[st.b.id]
-		}
+		a, b := vals[st.a.id], vals[st.b.id]
 		var v uint32
 		switch st.kind {
 		case stepLookup:
 			t := &pl.tables[st.dst]
-			key := uint64(a)
-			if len(t.key) != 1 {
-				key = t.buildKey(phv)
+			row := vals[t.row]
+			if !t.reuse {
+				key := uint64(a)
+				if len(t.key) != 1 {
+					key = t.buildKey(vals)
+				}
+				row = t.match(key)
+				vals[t.row] = row
 			}
-			h := t.lookup(key)
+			h := t.hit(row)
 			if h.action == nil {
 				pc = t.end
 				continue
 			}
-			params, pc = h.params, t.start[h.action.idx]
+			copy(params, h.params[:h.action.nParams])
+			pc = t.start[h.action.idx]
 			continue
 		case stepSalu:
 			if err := s.salu(&pl.salus[st.dst], vals); err != nil {

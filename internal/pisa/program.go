@@ -65,6 +65,13 @@ type cBitExtract struct {
 	field     fieldID
 	bitOffset int
 	bits      int
+	// The big-endian window parse reads the field through when the packet
+	// holds parseLen bytes: 4 bytes from win, or 8 when wide, shifted right
+	// by shift and masked to bits.
+	win   int
+	wide  bool
+	shift uint8
+	mask  uint32
 }
 
 // compiled is the fully resolved program. It is immutable after compile —
@@ -78,17 +85,30 @@ type compiled struct {
 	regIDs     map[string]int
 	parser     []cExtract
 	parserBits []cBitExtract
-	ingress    [][]*cTable // indexed by stage; built during checkDependencies
-	egress     [][]*cTable
-	declared   []*cTable // declaration order, both gresses
-	nInstrs    int       // instructions over every action (cAction.instr0)
+	// parseLen is the packet length from which parse checks no extract
+	// against the packet: the program's extract extent (layoutParser).
+	parseLen int
+	ingress  [][]*cTable // indexed by stage; built during checkDependencies
+	egress   [][]*cTable
+	// Per stage of each gress: a table of the stage writes a field another
+	// table of it reads, so the stage's steps keep placement order
+	// (checkDependencies).
+	ingressHazard, egressHazard []bool
+	declared                    []*cTable // declaration order, both gresses
+	nInstrs                     int       // instructions over every action (cAction.instr0)
 	// What the executor runs (plan.go): a packet's parsed dispatch field
 	// picks its pass, passOf[value] indexing emit and absorb. Without a
 	// dispatch field every packet takes pass 0.
 	dispatch     fieldID
 	passOf       [256]uint8
 	emit, absorb []pass
-	util         Utilization
+	// The PHV slots past the fields that plans read operands from: action
+	// data from paramBase, one matched-row slot per declared table from
+	// rowBase (rowBase + cTable.idx), and from constBase the immediates,
+	// consts, which every switch's PHV holds from newInstance on.
+	paramBase, rowBase, constBase int
+	consts                        []uint32
+	util                          Utilization
 }
 
 // compile resolves and validates the program against the architecture.
@@ -117,6 +137,7 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.compileParserBits(prog.ParserBits); err != nil {
 		return nil, err
 	}
+	c.layoutParser()
 	if err := c.compileTables(prog.Tables); err != nil {
 		return nil, err
 	}
@@ -228,6 +249,35 @@ func (c *compiled) compileParserBits(decls []BitExtractDecl) error {
 	return nil
 }
 
+// layoutParser sets parseLen to the extract extent — the end of the last
+// byte any extract reads — and places each bit field's window: 4 bytes from
+// its first byte, 8 when it straddles more than 4, pulled back to end at the
+// extent where it would run past it. So every FPISA packet, the last
+// module's fields included, is parsed with one length check. Only a program
+// whose extent is shorter than a window has a parseLen past it: a packet of
+// the extent's length is then parsed on the checked path.
+func (c *compiled) layoutParser() {
+	for _, e := range c.parser {
+		c.parseLen = max(c.parseLen, e.offset+e.bytes)
+	}
+	for _, e := range c.parserBits {
+		c.parseLen = max(c.parseLen, (e.bitOffset+e.bits+7)/8)
+	}
+	extent := c.parseLen
+	for i := range c.parserBits {
+		e := &c.parserBits[i]
+		first, end := e.bitOffset/8, (e.bitOffset+e.bits+7)/8
+		size := 4
+		if end-first > size {
+			size, e.wide = 8, true
+		}
+		e.win = max(0, min(first, extent-size))
+		e.shift = uint8((e.win+size)*8 - e.bitOffset - e.bits)
+		e.mask = widthMask(e.bits)
+		c.parseLen = max(c.parseLen, e.win+size)
+	}
+}
+
 func (c *compiled) compileTables(decls []TableDecl) error {
 	names := make(map[string]bool)
 	for ti := range decls {
@@ -317,18 +367,19 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 	// Entries.
 	switch d.Kind {
 	case MatchTernary:
-		tt, err := tcam.New[cHit](t.keyBits)
+		tt, err := tcam.New[uint32](t.keyBits)
 		if err != nil {
 			return nil, fmt.Errorf("pisa: table %q: %w", d.Name, err)
 		}
 		t.ternary = tt
 	case MatchLPM:
-		l, err := tcam.NewLPM[cHit](t.keyBits)
+		l, err := tcam.NewLPM[uint32](t.keyBits)
 		if err != nil {
 			return nil, fmt.Errorf("pisa: table %q: %w", d.Name, err)
 		}
 		t.lpm = l
 	}
+	t.rows = make([]cHit, 0, len(d.Entries))
 	for _, e := range d.Entries {
 		a := t.action(e.Action)
 		if a == nil {
@@ -348,13 +399,15 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 				return nil, fmt.Errorf("pisa: table %q: duplicate exact entry %#x", d.Name, e.Value)
 			}
 			t.exactKeys = slices.Insert(t.exactKeys, i, e.Value)
-			t.exactHits = slices.Insert(t.exactHits, i, h)
+			t.rows = slices.Insert(t.rows, i, h)
 		case MatchTernary:
-			t.ternary.Insert(tcam.Entry[cHit]{Value: e.Value, Mask: e.Mask, Priority: e.Priority, Action: h})
+			t.ternary.Insert(tcam.Entry[uint32]{Value: e.Value, Mask: e.Mask, Priority: e.Priority, Action: uint32(len(t.rows))})
+			t.rows = append(t.rows, h)
 		case MatchLPM:
-			if err := t.lpm.Insert(e.Value, e.PrefixLen, h); err != nil {
+			if err := t.lpm.Insert(e.Value, e.PrefixLen, uint32(len(t.rows))); err != nil {
 				return nil, fmt.Errorf("pisa: table %q: %w", d.Name, err)
 			}
+			t.rows = append(t.rows, h)
 		}
 	}
 

@@ -95,15 +95,17 @@ type cTable struct {
 	key     []keyField
 	keyBits int
 	actions []*cAction // declaration order: actions[i].idx == i
-	// An exact table's entries, sorted by key: exactHits[i] belongs to
-	// exactKeys[i]. A key of at most denseKeyBits is looked up by direct
-	// index instead of by search: dense[key] is 1 + its entry's position,
-	// 0 for no entry.
+	// rows holds a keyed table's entries, indexed by the row match returns:
+	// an exact table's sorted by key (rows[i] belongs to exactKeys[i]), a
+	// ternary or LPM table's in declaration order, each TCAM row's action
+	// being its entry's index. An exact key of at most denseKeyBits is
+	// looked up by direct index instead of by search: dense[key] is 1 + its
+	// entry's position, 0 for no entry.
+	rows      []cHit
 	exactKeys []uint64
-	exactHits []cHit
 	dense     []uint16
-	ternary   *tcam.Table[cHit]
-	lpm       *tcam.LPM[cHit]
+	ternary   *tcam.Table[uint32]
+	lpm       *tcam.LPM[uint32]
 	default_  *cAction
 	stage     int
 	// idx is the table's position in declaration order.
@@ -145,38 +147,49 @@ func (t *cTable) action(name string) *cAction {
 
 // buildKey concatenates key field values, first field in the highest bits,
 // mirroring hardware key construction.
-func (t *cTable) buildKey(p *Phv) uint64 {
+func (t *cTable) buildKey(vals []uint32) uint64 {
 	var k uint64
 	for _, f := range t.key {
-		k |= uint64(p.vals[f.id]) << f.shift
+		k |= uint64(vals[f.id]) << f.shift
 	}
 	return k
 }
 
-// lookup returns the action (plus its action data) a keyed table executes
-// for a built key: the hit entry's, else the default action; a nil action
-// means a no-op miss. It never mutates the table, so replicas can look up
-// concurrently.
-func (t *cTable) lookup(key uint64) cHit {
+// noRow is the row match returns for a key no entry matches.
+const noRow = ^uint32(0)
+
+// match returns the row in rows of the entry a built key hits, or noRow. It
+// never mutates the table, so replicas can look up concurrently.
+func (t *cTable) match(key uint64) uint32 {
 	switch t.decl.Kind {
 	case MatchExact:
 		if t.dense != nil {
-			if i := t.dense[key]; i != 0 {
-				return t.exactHits[i-1]
-			}
-			break
+			return uint32(t.dense[key]) - 1 // 0, no entry, wraps to noRow
 		}
 		if i, ok := slices.BinarySearch(t.exactKeys, key); ok {
-			return t.exactHits[i]
+			return uint32(i)
 		}
 	case MatchTernary:
-		if h, ok := t.ternary.Lookup(key); ok {
-			return h
+		if i, ok := t.ternary.Lookup(key); ok {
+			return i
 		}
 	case MatchLPM:
-		if h, ok := t.lpm.Lookup(key); ok {
-			return h
+		if i, ok := t.lpm.Lookup(key); ok {
+			return i
 		}
+	}
+	return noRow
+}
+
+// hit returns the action (plus its action data) the table executes for the
+// row match returned: the entry's, or the default action for noRow; a nil
+// action means a no-op miss.
+func (t *cTable) hit(row uint32) cHit {
+	if row < uint32(len(t.rows)) {
+		return t.rows[row]
 	}
 	return cHit{action: t.default_}
 }
+
+// lookup returns what the table executes for a built key.
+func (t *cTable) lookup(key uint64) cHit { return t.hit(t.match(key)) }

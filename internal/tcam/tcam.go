@@ -14,7 +14,10 @@
 // architecture only, the ingress alignment ternaries that expand the
 // variable-distance shift into per-distance actions. Every pass that builds
 // a response scans the LPMs: the ADD that completes a chunk, reads and
-// drains. An absorbed pass (pisa.Switch.Absorb: every other ADD of a chunk,
+// drains. It scans each module's pair once: the two declare the same rows
+// for the same key, and a row's action is its entry's index, so the second
+// (renorm_m) takes the index the first (renorm_e) matched and runs its own
+// action for that entry. An absorbed pass (pisa.Switch.Absorb: every other ADD of a chunk,
 // every analytics fold) runs no egress, so it reaches none of the LPMs, and
 // only the base architecture's alignment ternaries, which feed the
 // mantissa register. Telemetry tenants' traffic classes (aggservice's
@@ -30,8 +33,8 @@ import (
 )
 
 // Entry is one TCAM row. Type parameter A is the action payload returned on
-// a match (for the pipeline simulator this is an action identifier; for the
-// CLZ unit it is a shift distance).
+// a match (for the pipeline simulator this is the entry's index in its
+// table's declaration; for the CLZ unit it is a shift distance).
 type Entry[A any] struct {
 	// Value holds the match bits; only bits selected by Mask are compared.
 	Value uint64
