@@ -381,7 +381,7 @@ func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
 	an.val[0] = val
 	an.acc.AddInto(class, an.val[:], nil) //nolint:errcheck // class index is in range by construction
 	an.seen[class] = true
-	row := &an.hh[key%uint32(len(an.hh))]
+	row := &an.hh[key&uint32(len(an.hh)-1)] // len(hh) = Groups, a power of two
 	switch {
 	case !row.used:
 		*row = hhRow{key: key, hits: val, used: true}
@@ -452,12 +452,14 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 			return entries[i].Key < entries[j].Key
 		})
 	case DrainHistogram:
+		// The histogram's edges were computed once at admission; the drain
+		// reads the counts against them and zeroes the counts in place.
 		for _, b := range an.hist.Bins() {
 			if b.Count > 0 {
 				entries = append(entries, DrainEntry{Key: uint32(b.Exp), Val: float32(b.Count)})
 			}
 		}
-		an.hist = stats.MustNewLogHistogram(telemetryHistBase, telemetryHistMinExp, telemetryHistMaxExp)
+		an.hist.Reset()
 	}
 	if resetPrune {
 		if an.topn != nil {

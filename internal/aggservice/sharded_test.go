@@ -584,3 +584,62 @@ func TestShardValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentWorkersReuseScratch: two Workers of one job reduce 4096
+// elements at once on a 2-shard Memory switch. Consecutive chunks stripe
+// across the shards, so every send vector's HandleBatch groups its ADDs by
+// shard in a pooled batchScratch; a grouping left stale in a recycled
+// scratch loses or replays ADDs, which a lossless fabric shows as a
+// switch-side retransmit, a worker retransmit or a stall. The reduce must
+// be bit-exact with none of them.
+func TestConcurrentWorkersReuseScratch(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 16, Modules: 1, Shards: 2, Mode: core.ModeFull, Arch: pisa.ExtendedArch()}
+	const n = 4096
+	vecs := gridVecs(cfg.Workers, n)
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	workers := make([]*Worker, cfg.Workers)
+	results := make([][]float32, cfg.Workers)
+	errs := make([]error, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		// A stall is a failure here, so a long timeout and a short retry
+		// budget: no loaded host times out a lossless exchange, and a
+		// broken grouping fails in seconds.
+		workers[w] = &Worker{ID: w, Fabric: fab, Cfg: cfg, Timeout: time.Second, Retries: 3}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w], errs[w] = workers[w].Reduce(vecs[w])
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	for w := range results {
+		for i, got := range results[w] {
+			if want := vecs[0][i] + vecs[1][i]; got != want {
+				t.Fatalf("worker %d elem %d = %g, want %g", w, i, got, want)
+			}
+		}
+	}
+	if st, _ := sw.JobStats(0); st.Retransmits != 0 || st.Completions != n || st.Adds != 2*n {
+		t.Fatalf("switch saw retransmits=%d completions=%d adds=%d, want 0/%d/%d",
+			st.Retransmits, st.Completions, st.Adds, n, 2*n)
+	}
+	for w, wk := range workers {
+		if wk.SentPackets != n {
+			t.Fatalf("worker %d sent %d ADDs for %d chunks", w, wk.SentPackets, n)
+		}
+	}
+}

@@ -11,21 +11,33 @@
 // output consumed by cmd/fpisa-bench and examples/allreduce and the
 // analysis shaping in internal/gradients, internal/train, and
 // internal/perfmodel.
+//
+// A LogHistogram's bins are its stored edges: NewLogHistogram computes
+// base^e once for every boundary, Observe bins a sample from its binary
+// exponent and two or three comparisons against those edges — no math.Log
+// or math.Pow per sample — and Bins reports the same edges as Lo and Hi, so
+// binning and reporting cannot disagree. Reset zeroes the counts in place
+// and keeps the edges, for a drain that re-arms the histogram.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
-// LogHistogram buckets positive values by log-base exponent: bin i covers
-// [base^(minExp+i), base^(minExp+i+1)).
+// LogHistogram buckets positive values by log-base exponent. Its bin
+// edges are data: NewLogHistogram stores edge k = base^(minExp+k) for
+// every boundary, and bin i is exactly [edge i, edge i+1) — the same Lo
+// and Hi that Bins reports. Observe makes no transcendental call, and
+// Reset zeroes the counts while keeping the edges.
 type LogHistogram struct {
-	Base   float64
-	MinExp int
-	MaxExp int
+	base   float64
+	minExp int
+	edges  []float64 // base^minExp … base^maxExp, one per bin boundary
+	estMul int64     // 1/log2(base) in 32.32 fixed point: (e·estMul)>>32 estimates floor(e/log2(base))
 	bins   []uint64
 	zeros  uint64
 	under  uint64
@@ -36,13 +48,20 @@ type LogHistogram struct {
 // NewLogHistogram creates a histogram with one bin per integer exponent in
 // [minExp, maxExp).
 func NewLogHistogram(base float64, minExp, maxExp int) (*LogHistogram, error) {
-	if base <= 1 {
-		return nil, fmt.Errorf("stats: log base %g must exceed 1", base)
+	if !(base > 1) || math.IsInf(base, 1) {
+		return nil, fmt.Errorf("stats: log base %g must be finite and exceed 1", base)
 	}
 	if maxExp <= minExp {
 		return nil, fmt.Errorf("stats: empty exponent range [%d,%d)", minExp, maxExp)
 	}
-	return &LogHistogram{Base: base, MinExp: minExp, MaxExp: maxExp,
+	edges := make([]float64, maxExp-minExp+1)
+	for i := range edges {
+		edges[i] = math.Pow(base, float64(minExp+i))
+	}
+	// Capping the scale at 2^20 keeps e·estMul inside int64 for every
+	// binary exponent; a base closer to 1 than that only walks further.
+	estMul := int64(math.Ldexp(min(1/math.Log2(base), 1<<20), 32))
+	return &LogHistogram{base: base, minExp: minExp, edges: edges, estMul: estMul,
 		bins: make([]uint64, maxExp-minExp)}, nil
 }
 
@@ -58,27 +77,57 @@ func MustNewLogHistogram(base float64, minExp, maxExp int) *LogHistogram {
 // Observe adds one sample. Non-positive and NaN samples land in the zero
 // bucket (exact zeros are common in error distributions and reported
 // separately); +Inf lands in the overflow bucket.
+//
+// The sample's binary exponent, floor(log2 v), scaled by 1/log2(base)
+// estimates its bin; comparisons against the stored edges then make the
+// bin exact. The estimate is exact for base 2 and within a bin for any
+// larger base, so a sample costs two or three comparisons; a base below 2
+// can take up to ⌈1/log2(base)⌉ more.
 func (h *LogHistogram) Observe(v float64) {
 	h.total++
-	if v <= 0 || math.IsNaN(v) {
+	if !(v > 0) {
 		h.zeros++
 		return
 	}
-	if math.IsInf(v, 1) {
-		// math.Log(+Inf) = +Inf, and float64->int conversion of +Inf is
-		// platform-dependent (min-int on amd64) — bucket it explicitly.
+	// floor(log2 v) straight from the exponent field; v > 0, so the sign
+	// bit is clear.
+	b := math.Float64bits(v)
+	e := int64(b>>52) - 1023
+	switch e {
+	case 1024: // +Inf
 		h.over++
 		return
+	case -1023: // subnormal: v = b·2^-1074
+		e = -1011 - int64(bits.LeadingZeros64(b))
 	}
-	e := int(math.Floor(math.Log(v) / math.Log(h.Base)))
-	switch {
-	case e < h.MinExp:
+	// p counts the edges at or below v: 0 is underflow, len(edges) overflow.
+	edges := h.edges
+	p := len(edges)
+	if est := (e*h.estMul)>>32 - int64(h.minExp) + 1; est < 0 {
+		p = 0
+	} else if est < int64(p) {
+		p = int(est)
+	}
+	for p > 0 && v < edges[p-1] {
+		p--
+	}
+	for p < len(edges) && v >= edges[p] {
+		p++
+	}
+	switch p {
+	case 0:
 		h.under++
-	case e >= h.MaxExp:
+	case len(edges):
 		h.over++
 	default:
-		h.bins[e-h.MinExp]++
+		h.bins[p-1]++
 	}
+}
+
+// Reset zeroes every count and keeps the edges.
+func (h *LogHistogram) Reset() {
+	clear(h.bins)
+	h.zeros, h.under, h.over, h.total = 0, 0, 0, 0
 }
 
 // Total returns the sample count.
@@ -89,7 +138,8 @@ func (h *LogHistogram) Zeros() uint64 { return h.zeros }
 
 // Bin is one histogram bucket.
 type Bin struct {
-	// Lo and Hi are the bucket bounds (base^exp).
+	// Lo and Hi are the bucket bounds, the histogram's stored edges
+	// base^Exp and base^(Exp+1).
 	Lo, Hi float64
 	// Exp is the low bound's exponent.
 	Exp int
@@ -102,8 +152,7 @@ type Bin struct {
 func (h *LogHistogram) Bins() []Bin {
 	out := make([]Bin, len(h.bins))
 	for i, c := range h.bins {
-		e := h.MinExp + i
-		b := Bin{Lo: math.Pow(h.Base, float64(e)), Hi: math.Pow(h.Base, float64(e+1)), Exp: e, Count: c}
+		b := Bin{Lo: h.edges[i], Hi: h.edges[i+1], Exp: h.minExp + i, Count: c}
 		if h.total > 0 {
 			b.Frequency = float64(c) / float64(h.total)
 		}
@@ -123,7 +172,7 @@ func (h *LogHistogram) FractionBelow(exp int) float64 {
 	}
 	sum := h.under
 	for i, c := range h.bins {
-		if h.MinExp+i >= exp {
+		if h.minExp+i >= exp {
 			break
 		}
 		sum += c
@@ -138,7 +187,7 @@ func (h *LogHistogram) FractionBetween(lo, hi int) float64 {
 	}
 	var sum uint64
 	for i, c := range h.bins {
-		e := h.MinExp + i
+		e := h.minExp + i
 		if e >= lo && e < hi {
 			sum += c
 		}
@@ -167,7 +216,7 @@ func (h *LogHistogram) String() string {
 		if maxFreq > 0 {
 			width = int(bin.Frequency / maxFreq * 50)
 		}
-		fmt.Fprintf(&b, "%5g^%-5d %7.4f %s\n", h.Base, bin.Exp, bin.Frequency, strings.Repeat("#", width))
+		fmt.Fprintf(&b, "%5g^%-5d %7.4f %s\n", h.base, bin.Exp, bin.Frequency, strings.Repeat("#", width))
 	}
 	return b.String()
 }
