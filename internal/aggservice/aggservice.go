@@ -1188,12 +1188,17 @@ type Worker struct {
 	// Retries bounds retransmission rounds per window stall. Values <= 0
 	// apply DefaultRetries.
 	Retries int
-	// Batch is the maximum number of chunks packed into one send vector.
-	// Values < 1 apply DefaultBatch; 1 disables batching. The EFFECTIVE
-	// batch size adapts at runtime between 1 and Batch, sized from the
-	// observed ack/retransmit ratio: each retransmit round halves it
-	// (loss means smaller bursts recover faster), and a clean run of acks
-	// doubles it back toward Batch (see BatchShrinks/BatchGrows).
+	// Batch is the ceiling of the EFFECTIVE batch size, which splits the
+	// initial window and every retransmit round into send vectors and is
+	// the flush threshold between downlink messages. It does not cap the
+	// chunks one reply frees: a RESULT RUN's freed chunks always leave in
+	// one vector, so the switch's own coalescing sets the send grain.
+	// Values < 1 apply DefaultBatch; 1 disables batching of the initial
+	// window and retransmits. The effective size adapts at runtime between
+	// 1 and Batch, sized from the observed ack/retransmit ratio: each
+	// retransmit round halves it (loss means smaller bursts recover
+	// faster), and a clean run of acks doubles it back toward Batch (see
+	// BatchShrinks/BatchGrows).
 	Batch int
 	// Epoch is the job incarnation octet stamped into every ADD. It is 0
 	// for a job's first incarnation; workers of a re-admitted job id must
@@ -1255,7 +1260,9 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 // The packets are encoded back to back into one arena that is rewound after
 // every flush — Fabric.SendBatch lets the caller reuse pkts and their
 // backing arrays once it returns — so the steady-state send path allocates
-// nothing per chunk.
+// nothing per chunk. A vector holds at most (batch−1)+pool ADDs: what an
+// earlier message of the same receive left below the flush threshold, plus
+// one reply that frees the whole window.
 type sendVec struct {
 	job         int
 	epoch       uint8
@@ -1268,12 +1275,13 @@ type sendVec struct {
 	vals  []float32 // one chunk's values; the vector's tail chunk is zero-padded
 }
 
-// newSendVec sizes the arena for a full batch, so it never grows.
-func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch int, vec []float32) *sendVec {
+// newSendVec sizes the arena for the largest vector, so it never grows.
+func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch, pool int, vec []float32) *sendVec {
+	n := batch - 1 + pool
 	return &sendVec{
 		job: job, epoch: epoch, prof: prof, vec: vec,
-		msgs:  make([][]byte, 0, batch),
-		arena: make([]byte, 0, batch*addBytes(modules, prof)),
+		msgs:  make([][]byte, 0, n),
+		arena: make([]byte, 0, n*addBytes(modules, prof)),
 		vals:  make([]float32, modules),
 	}
 }
@@ -1321,7 +1329,9 @@ func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 //
 // It is one run-to-completion loop in the caller's goroutine: send the
 // first Pool chunks, then alternate — receive a delivery vector, copy out
-// every chunk it completes and queue chunk c+Pool for each, flush once. A
+// every chunk each message completes and queue chunk c+Pool for each,
+// flushing between messages once the batch size is queued and once at the
+// vector's end. So the chunks one reply frees leave in one send vector. A
 // receive timeout is a stall round: retransmit what is outstanding, give
 // up after Retries of them in a row. The effective batch size adapts
 // between 1 and Batch (see Worker.Batch). The counters and LastBatch are
@@ -1379,9 +1389,10 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	}
 
 	// The send side: queue encodes chunk c into the send vector, flush
-	// hands the vector to the fabric. The first SendBatch error sticks in
-	// sendErr, turns later flushes into no-ops and ends the loop.
-	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, batch, vec)
+	// hands the vector to the fabric, and flushFull flushes once the vector
+	// holds the batch size. The first SendBatch error sticks in sendErr,
+	// turns later flushes into no-ops and ends the loop.
+	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, batch, pool, vec)
 	sv.first, sv.span = first, span
 	var sendErr error
 	flush := func() {
@@ -1392,12 +1403,14 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		}
 		sv.reset()
 	}
-	queue := func(c int) {
-		sv.add(c)
-		sent[c] = true
+	flushFull := func() {
 		if len(sv.msgs) >= cur {
 			flush()
 		}
+	}
+	queue := func(c int) {
+		sv.add(c)
+		sent[c] = true
 	}
 
 	// complete takes chunk c's aggregated values, whichever downlink
@@ -1429,6 +1442,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// Initial window: the first pool chunks are ungated.
 	for c := 0; c < nChunks && c < pool; c++ {
 		queue(c)
+		flushFull()
 	}
 	flush()
 
@@ -1446,6 +1460,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 			for c := range sent {
 				if sent[c] && !done[c] {
 					queue(c)
+					flushFull()
 				}
 			}
 			flush()
@@ -1457,6 +1472,10 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		backedOff := false
 		for _, msg := range bufs[:k] {
 			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, decoded, complete)
+			// Between messages: once a batch is queued it goes out, so a
+			// deep receive does not hold the whole window back, but the
+			// chunks one message freed are never split.
+			flushFull()
 			if !ok {
 				continue
 			}
@@ -1484,8 +1503,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 				}
 			}
 		}
-		// One flush per received vector: the whole freed window shares
-		// send vectors the fabric coalesces.
+		// The vector's end flushes the remainder.
 		flush()
 	}
 	if sendErr != nil {

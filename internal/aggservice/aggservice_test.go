@@ -17,7 +17,7 @@ import (
 func handle(s *Switch, worker int, pkt []byte) []transport.Delivery {
 	var dl transport.DeliveryList
 	s.HandleBatch(worker, [][]byte{pkt}, &dl)
-	return dl.Take()
+	return dl.Deliveries()
 }
 
 // runReduction drives W workers through one all-reduce over the in-memory

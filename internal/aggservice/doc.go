@@ -376,6 +376,13 @@
 // Pool chunks, then alternates between receiving a delivery vector and
 // sending the chunks that vector freed (a completed chunk c opens exactly
 // chunk c+Pool's slot), with a receive timeout as the retransmit round.
+// The send grain follows the switch's replies: the chunks one downlink
+// message frees always leave in one send vector, however many a RESULT
+// RUN carries, and between messages the vector goes out once it holds the
+// adaptive batch size; what is left goes out when the received vector
+// ends. So a switch that coalesced a burst into one run gets one vector
+// back, and a fabric that delivers replies one by one keeps vectors near
+// the batch size.
 // It starts no goroutine and makes no channel, so one reduce is a strict
 // send/receive sequence a scripted fabric can step (worker_test.go).
 // Consecutive Reduce calls on one Worker continue one chunk stream, every
@@ -392,7 +399,9 @@
 // the same function a tree leaf's uplink uses (readDownlink), so a
 // downlink message is taught to the protocol once.
 //
-// The batch size adapts to the observed ack/retransmit ratio between 1
+// The batch size — the initial window's and every retransmit round's
+// vector size, and the flush threshold between messages — adapts to the
+// observed ack/retransmit ratio between 1
 // and Worker.Batch: every retransmit round halves it (under loss, smaller
 // bursts localize the damage and recover faster) and a clean streak of
 // completions doubles it back (on a clean pipe, bigger vectors amortize

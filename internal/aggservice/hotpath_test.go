@@ -187,7 +187,7 @@ func TestSendVecReusesItsArena(t *testing.T) {
 	for i := range vec {
 		vec[i] = float32(i%97) * 0.25
 	}
-	sv := newSendVec(0, 7, prof, modules, batch, vec)
+	sv := newSendVec(0, 7, prof, modules, batch, pool, vec)
 	fab := &nullFabric{}
 
 	sv.add(5)
@@ -229,6 +229,39 @@ func TestSendVecReusesItsArena(t *testing.T) {
 		}
 		sv.reset()
 	})
+}
+
+// TestSendVecHoldsAWholeWindow: the largest vector Reduce builds — Batch−1
+// ADDs left below the flush threshold by earlier messages of a receive, plus
+// one reply that frees the whole window — fits the arena newSendVec sized,
+// so not even the first such vector grows it, and a stream of them
+// allocates nothing.
+func TestSendVecHoldsAWholeWindow(t *testing.T) {
+	const modules, batch, pool, chunks = 3, 8, 64, 200
+	vec := make([]float32, modules*chunks)
+	for i := range vec {
+		vec[i] = float32(i)
+	}
+	sv := newSendVec(0, 0, core.DefaultProfile, modules, batch, pool, vec)
+	arena, msgs := cap(sv.arena), cap(sv.msgs)
+	fab := &nullFabric{}
+	c := 0
+	send := func() {
+		for i := 0; i < batch-1+pool; i++ {
+			sv.add(c % chunks)
+			c++
+		}
+		if err := fab.SendBatch(0, sv.msgs); err != nil {
+			t.Fatal(err)
+		}
+		sv.reset()
+	}
+	send()
+	if cap(sv.arena) != arena || cap(sv.msgs) != msgs {
+		t.Fatalf("a %d-ADD vector grew the arena from %d to %d bytes and the vector from %d to %d",
+			batch-1+pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
+	}
+	allocgate.AtMost(t, "send path (per (Batch-1)+Pool vector)", 0, send)
 }
 
 // TestCachedResultSurvivesScratchReuse is the aliasing regression for the

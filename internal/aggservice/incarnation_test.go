@@ -62,7 +62,7 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	badJob := sw.Rejects().BadJob
 	sw.processAdds(0, sc, &dl)
 	sw.putScratch(sc)
-	if got := evictedNotice(t, dl.Take(), 0); got != uint8(old.epoch) {
+	if got := evictedNotice(t, dl.Deliveries(), 0); got != uint8(old.epoch) {
 		t.Fatalf("notice carries epoch %d, want the stale incarnation's %d", got, old.epoch)
 	}
 	if st, _ := sw.JobStats(0); st != (JobStats{Phase: PhaseAdmitted, Weight: 1}) {

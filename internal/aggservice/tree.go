@@ -122,6 +122,12 @@ type uplinkJob struct {
 	once sync.Once
 
 	retrans atomic.Uint64
+
+	// The receiver's reusable scratch: the final RESULTs one received
+	// vector installed, and the delivery pass that fans them down.
+	finals []resDone
+	sc     batchScratch
+	dl     transport.DeliveryList
 }
 
 // newUplinkJob builds (without starting) the uplink client for a leaf
@@ -168,6 +174,12 @@ func (u *uplinkJob) run() {
 	vals := make([]float32, u.s.cfg.Modules) // readDownlink's decode buffer
 	var resend [][]byte
 	stalls := 0
+	final := func(chunk uint32, vals []float32, ovf bool) {
+		stalls = 0
+		if pkt, ok := u.s.installFinal(u.inc, chunk, vals, ovf); ok {
+			u.finals = append(u.finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
+		}
+	}
 	for {
 		select {
 		case <-u.quit:
@@ -199,13 +211,6 @@ func (u *uplinkJob) run() {
 		if err != nil {
 			return // fabric closed
 		}
-		var finals []resDone
-		final := func(chunk uint32, vals []float32, ovf bool) {
-			stalls = 0
-			if pkt, ok := u.s.installFinal(u.inc, chunk, vals, ovf); ok {
-				finals = append(finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
-			}
-		}
 		for _, msg := range bufs[:k] {
 			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, vals, final)
 			if !ok {
@@ -216,7 +221,7 @@ func (u *uplinkJob) run() {
 				// A mid-tree eviction propagating down: the parent refuses
 				// this job's uplink, so drain the leaf too. Evict → release
 				// closes u.quit; push what already arrived first.
-				u.s.pushFinals(finals)
+				u.pushFinals()
 				u.s.Evict(u.inc.job)
 				return
 			case AckBackpressure:
@@ -226,7 +231,7 @@ func (u *uplinkJob) run() {
 				stalls = 0
 			}
 		}
-		u.s.pushFinals(finals)
+		u.pushFinals()
 	}
 }
 
@@ -255,17 +260,22 @@ func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, pa
 	return pkt, true
 }
 
-// pushFinals fans a round of final RESULTs down to the leaf's own workers
-// through the fabric's push path, coalescing consecutive chunks into run
-// replies exactly like the handler's delivery pass.
-func (s *Switch) pushFinals(finals []resDone) {
-	if len(finals) == 0 {
+// pushFinals fans the final RESULTs one received vector installed down to
+// the leaf's own workers through the fabric's push path, coalescing
+// consecutive chunks into run replies exactly like the handler's delivery
+// pass. Push routes synchronously, so the scratch is reused at once.
+func (u *uplinkJob) pushFinals() {
+	if len(u.finals) == 0 {
 		return
 	}
-	var dl transport.DeliveryList
-	sc := &batchScratch{done: finals}
-	s.emitResults(sc, &dl)
-	s.cfg.Uplink.Push.Push(dl.Take())
+	u.sc.done = u.finals
+	u.s.emitResults(&u.sc, &u.dl)
+	u.s.cfg.Uplink.Push.Push(u.dl.Deliveries())
+	u.dl.Reset()
+	clear(u.sc.items)
+	u.sc.items = u.sc.items[:0]
+	clear(u.finals)
+	u.finals = u.finals[:0]
 }
 
 // submitUplinks sends a batch's locally-completed chunks up the tree, one

@@ -200,6 +200,29 @@ func TestReduceResultOpensSlot(t *testing.T) {
 	}
 }
 
+// TestReduceReplyIsOneVector: the chunks one reply frees leave in one send
+// vector, however far past Batch they reach; messages of one receive share a
+// vector until it holds Batch ADDs, and a full one goes out before the next
+// message is read.
+func TestReduceReplyIsOneVector(t *testing.T) {
+	f := newScriptFabric(t,
+		deliver(resultRun(0, 8)),
+		deliver(resultRun(8, 3), resultRun(11, 3)),
+		deliver(resultRun(14, 4), resultRun(18, 4)),
+	)
+	w, vec := scriptWorker(f, 8, 4, 40)
+	if _, err := w.Reduce(vec); !errors.Is(err, errScriptEnd) {
+		t.Fatalf("Reduce error %v, want the script's end", err)
+	}
+	f.wantSends(0, []int{0, 1, 2, 3}, []int{4, 5, 6, 7})
+	f.wantSends(1, []int{8, 9, 10, 11, 12, 13, 14, 15})
+	f.wantSends(2, []int{16, 17, 18, 19, 20, 21})
+	f.wantSends(3, []int{22, 23, 24, 25}, []int{26, 27, 28, 29})
+	if w.SentPackets != 30 || w.SentDatagrams != 6 || w.LastBatch != 4 {
+		t.Errorf("%d packets in %d vectors, batch %d; want 30, 6, 4", w.SentPackets, w.SentDatagrams, w.LastBatch)
+	}
+}
+
 // TestReduceTimeoutRetransmits: a stall round halves the batch and resends
 // exactly the sent-and-not-done chunks, in vectors of the halved size.
 func TestReduceTimeoutRetransmits(t *testing.T) {

@@ -19,7 +19,10 @@
 //     buffers (no per-target copy) and copies each packet exactly once, into
 //     the receiver's reusable buffer, at RecvBatch time;
 //   - the UDP fabric coalesces a send vector into batch-framed datagrams and
-//     drains its sockets with pooled read buffers;
+//     drains its sockets with pooled read buffers; its serve loop hands each
+//     worker's packets of one drained burst to the handler as ONE vector,
+//     whatever datagrams they came in, so the switch answers a burst with
+//     one run reply per job;
 //   - receive timeouts use a reusable time.Timer per ring instead of a
 //     time.After allocation per call.
 //
@@ -104,18 +107,6 @@ func (l *DeliveryList) Reset() {
 	l.ds = l.ds[:0]
 }
 
-// Take detaches and returns the accumulated deliveries (nil when empty),
-// leaving the list empty, for callers that hand ownership of the slice on
-// (a Pusher's input).
-func (l *DeliveryList) Take() []Delivery {
-	if len(l.ds) == 0 {
-		return nil
-	}
-	ds := l.ds
-	l.ds = nil
-	return ds
-}
-
 // BatchHandler is the switch's packet function: it consumes one worker's
 // packet vector and appends any deliveries to out. Fabrics may invoke the
 // handler from several goroutines at once — a multi-pipe switch processes
@@ -150,7 +141,9 @@ type Fabric interface {
 type Pusher interface {
 	// Push routes deliveries exactly like handler output (per-destination
 	// coalescing, broadcast fan-out). Ownership of every Delivery.Packet
-	// passes to the fabric, as with handler deliveries.
+	// passes to the fabric, as with handler deliveries; the ds slice itself
+	// does not — Push routes it before returning and keeps no reference,
+	// so the caller may reuse it (a DeliveryList it Resets) at once.
 	Push(ds []Delivery) error
 }
 
@@ -286,10 +279,11 @@ type Memory struct {
 	sent, lostUp, lostDown, delivered uint64
 }
 
-// destGroups groups delivery packets per destination worker, tracking
-// first use — the routing scaffolding shared by Memory.SendBatch and the
-// UDP serve loop, so the delivery routing rule and the reference-dropping
-// reset each exist exactly once.
+// destGroups groups packets per worker, tracking first use — the routing
+// scaffolding shared by Memory.SendBatch and the UDP serve loop, so the
+// delivery routing rule and the reference-dropping reset each exist exactly
+// once. The serve loop also groups a drained burst's packets per SENDING
+// worker with it (see burst).
 type destGroups struct {
 	perDst  [][][]byte
 	touched []int

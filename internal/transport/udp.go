@@ -286,11 +286,13 @@ func (s *UDPServer) SyscallStats() SyscallStats { return s.stats.snapshot() }
 // are coalesced per destination into batch-framed datagrams (single
 // deliveries are written raw), broadcasts going to every learned address.
 // On the kernel-batched backend each reader drains up to serveRecvBatch
-// datagrams per recvmmsg and writes each destination's replies with one
-// sendmmsg. Frames carrying ObserverID are handled out-of-band (see
-// ObserverID). Destination addresses are snapshotted under the lock but
-// written outside it, so replies from different readers (and shards)
-// proceed in parallel.
+// datagrams per recvmmsg (the per-datagram backend one per read), hands
+// each worker's packets of that burst to the handler in ONE invocation, in
+// arrival order, and writes each destination's replies with one sendmmsg.
+// Frames carrying ObserverID are handled out-of-band (see ObserverID), as
+// barriers: the packets gathered before one are handled first.
+// Destination addresses are snapshotted under the lock but written outside
+// it, so replies from different readers (and shards) proceed in parallel.
 //
 // Serve blocks until the socket is closed (returning nil); transient read
 // errors are skipped.
@@ -329,10 +331,7 @@ func (s *UDPServer) Push(ds []Delivery) error {
 type serveState struct {
 	bufs  [][]byte       // pooled datagram read buffers (cap maxUDPPayload)
 	srcs  []*net.UDPAddr // per-datagram source addresses
-	split [][]byte       // batch-frame packet slices (aliasing a read buffer)
-	one   [1][]byte      // single-packet vector (aliasing a read buffer)
-	dl    DeliveryList   // worker deliveries, accumulated across one drain
-	odl   DeliveryList   // observer deliveries, reset per observer frame
+	burst burst          // the drained burst's dispatch
 	down  downlink       // the reader's own return-path writer
 }
 
@@ -341,6 +340,16 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 		srcs: make([]*net.UDPAddr, serveRecvBatch),
 		down: s.newDownlink(),
 	}
+	var one [1][]byte // an observer reply, written as a datagram of its own
+	st.burst = newBurst(s.workers, handler, s.learn, func(src *net.UDPAddr, ds []Delivery) {
+		for _, d := range ds {
+			one[0] = d.Packet
+			if failed, _ := st.down.w.writeDatagrams(src, one[:]); failed > 0 {
+				s.stats.sendErrors.Add(uint64(failed))
+			}
+		}
+		one[0] = nil
+	})
 	st.bufs = getReadBufs(nil, serveRecvBatch)
 	defer putReadBufs(st.bufs)
 	reader := newBatchReader(s.conn, s.useMmsg, s.stats)
@@ -356,53 +365,108 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		st.dl.Reset()
-		for i := 0; i < m; i++ {
-			buf, src := st.bufs[i], st.srcs[i]
-			if len(buf) < 1 || src == nil {
-				continue
-			}
-			switch buf[0] {
-			case ObserverID:
-				// Out-of-band observer: replies go to the sender only, and
-				// its address never becomes a worker return path.
-				st.odl.Reset()
-				st.one[0] = buf[1:]
-				handler(ObserverWorker, st.one[:], &st.odl)
-				for _, d := range st.odl.Deliveries() {
-					st.one[0] = d.Packet
-					if failed, _ := st.down.w.writeDatagrams(src, st.one[:]); failed > 0 {
-						s.stats.sendErrors.Add(uint64(failed))
-					}
-				}
-			case BatchFrameID:
-				id, pkts, err := splitBatchFrame(buf, st.split)
-				st.split = pkts[:0]
-				if err != nil || int(id) >= s.workers {
-					continue
-				}
-				worker := int(id)
-				s.mu.Lock()
-				s.addrs[worker] = src
-				s.mu.Unlock()
-				handler(worker, pkts, &st.dl)
-			default:
-				worker := int(buf[0])
-				if worker >= s.workers {
-					continue
-				}
-				s.mu.Lock()
-				s.addrs[worker] = src
-				s.mu.Unlock()
-				st.one[0] = buf[1:]
-				handler(worker, st.one[:], &st.dl)
-			}
-		}
+		st.burst.dispatch(st.bufs[:m], st.srcs[:m])
 		// One delivery pass per drained burst: replies for every datagram
 		// the recvmmsg took are grouped per destination and written with
 		// one sendmmsg per destination (write errors are counted by flush).
-		s.flush(&st.down, st.dl.Deliveries())
+		s.flush(&st.down, st.burst.dl.Deliveries())
 	}
+}
+
+// learn records the return path of every worker about to run: addrs[w] is
+// the source of w's latest datagram in the burst.
+func (s *UDPServer) learn(ws []int, addrs []*net.UDPAddr) {
+	s.mu.Lock()
+	for _, w := range ws {
+		s.addrs[w] = addrs[w]
+	}
+	s.mu.Unlock()
+}
+
+// burst is the serve loop's per-burst dispatch, apart from any socket: it
+// hands each worker's packets of one drained burst to the handler as ONE
+// vector, so the switch sees the burst a worker sent as one batch and can
+// coalesce its completions into one run reply per job.
+type burst struct {
+	workers int
+	handler BatchHandler
+	// learn records the return paths of the workers ws whose groups are
+	// about to run: addrs[w] is where w's latest datagram came from.
+	learn func(ws []int, addrs []*net.UDPAddr)
+	// reply writes an observer frame's deliveries back to its sender.
+	reply func(src *net.UDPAddr, ds []Delivery)
+
+	groups destGroups     // the burst's packets per sending worker, in arrival order
+	addrs  []*net.UDPAddr // each grouped worker's latest source address
+	split  [][]byte       // batch-frame packet slices (aliasing a read buffer)
+	one    [1][]byte      // an observer frame's packet vector
+	dl     DeliveryList   // worker deliveries, accumulated across one burst
+	odl    DeliveryList   // observer deliveries, reset per observer frame
+}
+
+func newBurst(workers int, handler BatchHandler, learn func([]int, []*net.UDPAddr), reply func(*net.UDPAddr, []Delivery)) burst {
+	b := burst{workers: workers, handler: handler, learn: learn, reply: reply, addrs: make([]*net.UDPAddr, workers)}
+	b.groups.init(workers)
+	return b
+}
+
+// dispatch runs one drained burst, bufs[i] having come from srcs[i]: every
+// worker's packets — raw single frames [workerID payload] and batch frames
+// alike — reach the handler as one vector in arrival order, the workers in
+// the order of their first packet. An observer frame (ObserverID) is a
+// barrier: the groups gathered before it run first, so a control frame
+// keeps its place in the burst; its replies go to reply, and its sender
+// never becomes a worker return path. Worker deliveries accumulate in b.dl,
+// valid until the next dispatch. Frames that do not parse, name no known
+// worker or carry no packet are dropped.
+func (b *burst) dispatch(bufs [][]byte, srcs []*net.UDPAddr) {
+	b.dl.Reset()
+	for i, buf := range bufs {
+		src := srcs[i]
+		if len(buf) < 1 || src == nil {
+			continue
+		}
+		switch buf[0] {
+		case ObserverID:
+			b.run()
+			b.odl.Reset()
+			b.one[0] = buf[1:]
+			b.handler(ObserverWorker, b.one[:], &b.odl)
+			b.one[0] = nil
+			b.reply(src, b.odl.Deliveries())
+		case BatchFrameID:
+			id, pkts, err := splitBatchFrame(buf, b.split)
+			b.split = pkts[:0]
+			if err != nil || int(id) >= b.workers || len(pkts) == 0 {
+				continue
+			}
+			for _, pkt := range pkts {
+				b.groups.route(int(id), pkt)
+			}
+			b.addrs[id] = src
+		default:
+			worker := int(buf[0])
+			if worker >= b.workers {
+				continue
+			}
+			b.groups.route(worker, buf[1:])
+			b.addrs[worker] = src
+		}
+	}
+	b.run()
+}
+
+// run hands every gathered group to the handler, one call per worker, and
+// empties the groups.
+func (b *burst) run() {
+	if len(b.groups.touched) == 0 {
+		return
+	}
+	b.learn(b.groups.touched, b.addrs)
+	for _, w := range b.groups.touched {
+		b.handler(w, b.groups.perDst[w], &b.dl)
+	}
+	b.groups.reset()
 }
 
 // UDP is a Fabric over real UDP sockets on loopback (or any network): one
