@@ -1,10 +1,13 @@
 // Command fpisa-vet runs the repository's custom static-analysis suite
-// (internal/analysis): lockedcall, mixedatomic, wirebounds, and retaincap,
-// the four machine-checked invariants the switch data plane relies on.
+// (internal/analysis): lockedcall, mixedatomic, wirebounds, retaincap and
+// callerless, the five machine-checked invariants of the switch data plane
+// and of the code under internal/.
 //
 //	fpisa-vet [-run analyzer,analyzer] [packages]
 //
-// The packages default to ./... and are resolved in the current directory.
+// The packages default to ./... and are resolved in the current directory;
+// callerless always judges callers over the whole module and its bench/
+// module, and reports on the matched packages only.
 // Exit status is 0 when the tree is clean, 2 when findings are reported,
 // and 1 on driver errors. False positives are suppressed in source with a
 // documented `//fpisa:ignore <analyzer> <reason>` comment.

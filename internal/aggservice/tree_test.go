@@ -550,11 +550,6 @@ func TestTreeAdmitNegotiation(t *testing.T) {
 // malformed shapes a hostile peer could send.
 func TestResultRunRoundTrip(t *testing.T) {
 	prof := core.DefaultProfile
-	items := [][]byte{
-		EncodeAddProfile(3, 7, 0, prof, []float32{1.5, -2}),  // only for sizing
-		EncodeAddProfile(3, 8, 0, prof, []float32{0.25, 16}), // (see below)
-	}
-	_ = items
 	// Build cached-RESULT-shaped items the way the switch does.
 	mk := func(chunk uint32, vals []float32, ovf bool) []byte {
 		pkt := make([]byte, resultBytes(len(vals), prof))

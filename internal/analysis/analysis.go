@@ -5,13 +5,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Analyzer is one machine-checked invariant: a name (used on the command
 // line and in //fpisa:ignore directives), a doc string describing the rule,
-// and a Run function that inspects one type-checked package.
+// and either a Run function that inspects one type-checked package or a
+// RunModule function that sees the whole module at once.
 //
 // The shape deliberately mirrors golang.org/x/tools/go/analysis so the
 // suite can be ported onto the upstream framework if the dependency ever
@@ -25,6 +27,10 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the Pass.
 	Run func(*Pass) error
+	// RunModule, set instead of Run, inspects the whole module at once
+	// (Pass.Packages, Pass.Bench); the driver keeps only the findings in
+	// the packages its patterns match.
+	RunModule func(*Pass) error
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -34,6 +40,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Packages and Bench are a RunModule pass's view instead: every
+	// package of the module and, when the module root holds a bench/
+	// module of its own, every package of that one.
+	Packages, Bench []*Package
 
 	findings *[]Finding
 }
@@ -60,7 +70,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full fpisa-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockedCall, MixedAtomic, WireBounds, RetainCap}
+	return []*Analyzer{LockedCall, MixedAtomic, WireBounds, RetainCap, Callerless}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockedcall,wirebounds")
@@ -96,12 +106,15 @@ func names(as []*Analyzer) string {
 	return strings.Join(ns, ", ")
 }
 
-// RunPackage runs the analyzers over one loaded package, applies the
-// package's //fpisa:ignore directives, and returns the surviving findings
-// (plus any directive-misuse findings) sorted by position.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	var raw []Finding
+// runPackage runs the per-package analyzers over one loaded package, adds
+// raw (the whole-module analyzers' findings in it), applies the package's
+// //fpisa:ignore directives, and returns the surviving findings (plus any
+// directive-misuse findings) sorted by position.
+func runPackage(pkg *Package, analyzers []*Analyzer, raw []Finding) ([]Finding, error) {
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -129,15 +142,39 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 }
 
 // Run loads the packages matching patterns (resolved in dir) and runs the
-// analyzers over every package in the main module.
+// analyzers over every package in the main module. A whole-module analyzer
+// always sees the enclosing module and its bench/ module, but only its
+// findings in the matched packages are returned.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
+	var moduleFindings []Finding
+	var root, bench []*Package
+	for _, a := range analyzers {
+		if a.RunModule == nil || len(pkgs) == 0 {
+			continue
+		}
+		if root == nil {
+			if root, bench, err = loadModule(pkgs[0].ModuleDir); err != nil {
+				return nil, err
+			}
+		}
+		// Load type-checks every package it returns in one file set.
+		pass := &Pass{Analyzer: a, Fset: root[0].Fset, Packages: root, Bench: bench, findings: &moduleFindings}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+		}
+	}
+	byDir := map[string][]Finding{}
+	for _, f := range moduleFindings {
+		dir := filepath.Dir(f.Pos.Filename)
+		byDir[dir] = append(byDir[dir], f)
+	}
 	var out []Finding
 	for _, pkg := range pkgs {
-		fs, err := RunPackage(pkg, analyzers)
+		fs, err := runPackage(pkg, analyzers, byDir[pkg.Dir])
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -10,19 +13,62 @@ func testdata(name string) string {
 }
 
 func TestLockedCall(t *testing.T) {
-	RunTest(t, testdata("lockedcall"), LockedCall)
+	runTest(t, testdata("lockedcall"), LockedCall)
 }
 
 func TestMixedAtomic(t *testing.T) {
-	RunTest(t, testdata("mixedatomic"), MixedAtomic)
+	runTest(t, testdata("mixedatomic"), MixedAtomic)
 }
 
 func TestWireBounds(t *testing.T) {
-	RunTest(t, testdata("wirebounds"), WireBounds)
+	runTest(t, testdata("wirebounds"), WireBounds)
 }
 
 func TestRetainCap(t *testing.T) {
-	RunTest(t, testdata("retaincap"), RetainCap)
+	runTest(t, testdata("retaincap"), RetainCap)
+}
+
+// TestCallerless runs the fixture module: one declaration per rule in
+// internal/a, a tool under cmd/, another package's test, and a bench/
+// module of its own.
+func TestCallerless(t *testing.T) {
+	runTest(t, testdata("callerless"), Callerless)
+}
+
+// TestCallerlessBenchOnly checks that what only the fixture's bench/
+// module uses is classed bench-only rather than reported.
+func TestCallerlessBenchOnly(t *testing.T) {
+	root, bench, err := loadModule(testdata("callerless"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := classify(root, bench).benchOnly
+	if want := []string{"callerlessfixture/internal/a.BenchOnly"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bench-only class = %v, want %v", got, want)
+	}
+}
+
+// TestCallerlessBenchOnlyGolden pins the repository's bench-only class:
+// the symbols under internal/ that only bench/ uses, and so that an
+// ordinary change must keep compiling with the same meaning. A change that
+// moves bench/ off one (or onto a new one) edits the golden file with it.
+func TestCallerlessBenchOnlyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module and bench/")
+	}
+	root, bench, err := loadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(classify(root, bench).benchOnly, "\n") + "\n"
+	golden := filepath.Join("testdata", "callerless_bench_only.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("bench-only class differs from %s:\ngot:\n%swant:\n%s", golden, got, want)
+	}
 }
 
 func TestByName(t *testing.T) {

@@ -1,11 +1,12 @@
 // Package analysis implements fpisa-vet, the repository's custom static
-// analysis suite: four analyzers that machine-check invariants the switch
-// data plane relies on but the compiler cannot see — lockedcall (*Locked
-// functions are only called with a lock held), mixedatomic (no field mixes
-// sync/atomic and plain access), wirebounds (every Decode*/decode* guards
-// len() before indexing and wraps ErrTruncated), and retaincap (packet handlers
-// never retain delivered buffers past the call, per the fabric ownership
-// contract).
+// analysis suite: five analyzers that machine-check invariants the compiler
+// cannot see — lockedcall (*Locked functions are only called with a lock
+// held), mixedatomic (no field mixes sync/atomic and plain access),
+// wirebounds (every Decode*/decode* guards len() before indexing and wraps
+// ErrTruncated), retaincap (packet handlers never retain delivered buffers
+// past the call, per the fabric ownership contract), and callerless (code
+// under internal/ has a caller besides its own package's tests; a
+// whole-module analyzer that also loads the bench/ module).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf) but is self-contained on the standard library: packages are

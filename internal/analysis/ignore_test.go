@@ -9,11 +9,7 @@ import (
 // documented, used directive suppresses its finding; an undocumented,
 // unknown, or stale one is itself reported.
 func TestIgnoreDirective(t *testing.T) {
-	pkg, err := loadDir(testdata("ignoredirective"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunPackage(pkg, []*Analyzer{LockedCall})
+	findings, err := Run(testdata("ignoredirective"), []string{"./..."}, []*Analyzer{LockedCall})
 	if err != nil {
 		t.Fatal(err)
 	}

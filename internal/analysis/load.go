@@ -18,24 +18,31 @@ import (
 
 // Package is one parsed and type-checked package under analysis.
 type Package struct {
-	PkgPath string
-	Dir     string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	PkgPath   string
+	Module    string // path of the module the package belongs to
+	ModuleDir string // and that module's root directory
+	Dir       string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	// TestFiles are the package directory's _test.go files, parsed but not
+	// type-checked: analyzers may only match them syntactically.
+	TestFiles []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	CgoFiles   []string
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
-	DepOnly    bool
+	ImportPath   string
+	Dir          string
+	Export       string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Module       *struct{ Path, Dir string }
+	Error        *struct{ Err string }
+	DepOnly      bool
 }
 
 // Load resolves patterns with the go tool (run in dir), type-checks every
@@ -53,7 +60,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Module,Error,DepOnly",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,Module,Error,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -101,13 +108,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: %w", err)
-			}
-			files = append(files, f)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		testFiles, err := parseFiles(fset, p.Dir, append(p.TestGoFiles, p.XTestGoFiles...))
+		if err != nil {
+			return nil, err
 		}
 		// Every analyzer relies on a fully populated types.Info.
 		info := &types.Info{
@@ -123,13 +130,42 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			PkgPath: p.ImportPath,
-			Dir:     p.Dir,
-			Fset:    fset,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
+			PkgPath:   p.ImportPath,
+			Module:    p.Module.Path,
+			ModuleDir: p.Module.Dir,
+			Dir:       p.Dir,
+			Fset:      fset,
+			Files:     files,
+			TestFiles: testFiles,
+			Types:     tpkg,
+			Info:      info,
 		})
 	}
 	return pkgs, nil
+}
+
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// loadModule loads every package of the module rooted at top and, when
+// top holds a bench/ module of its own, every package of that one.
+func loadModule(top string) (root, bench []*Package, err error) {
+	if root, err = Load(top, "./..."); err != nil {
+		return nil, nil, err
+	}
+	benchDir := filepath.Join(top, "bench")
+	if _, err := os.Stat(filepath.Join(benchDir, "go.mod")); err != nil {
+		return root, nil, nil
+	}
+	bench, err = Load(benchDir, "./...")
+	return root, bench, err
 }

@@ -104,11 +104,6 @@ func (u Unit) Synthesize(lib Library) Result {
 	return r
 }
 
-// MeetsTiming reports whether the unit closes timing at the given clock.
-func (r Result) MeetsTiming(freqGHz float64) bool {
-	return r.MinDelayPs <= 1000.0/freqGHz
-}
-
 // DefaultALU is Banzai's baseline stateless integer ALU: adder, boolean
 // logic, fixed-distance shifter, comparator and operand/result muxing.
 func DefaultALU() Unit {
@@ -180,15 +175,6 @@ func ALUPlusFPU() Unit {
 		Block{Name: "fpu-pipeline-regs", Gates: 2843, Activity: 0.55, LeakScale: 0.745, DelayPs: 136, OnPath: true},
 	)
 	return u
-}
-
-// Multiplier is the Appendix A integer multiplier atom; the paper reports
-// overhead "approximately the same as an adder and a boolean module".
-func Multiplier() Unit {
-	return Unit{Name: "Integer multiplier", Blocks: []Block{
-		{Name: "partial-products", Gates: 300, Activity: 1.1, DelayPs: 95, OnPath: true},
-		{Name: "reduction-tree", Gates: 130, Activity: 0.9, DelayPs: 38, OnPath: true},
-	}}
 }
 
 // Table1 synthesizes the five units of paper Table 1 in paper order.

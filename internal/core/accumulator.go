@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"fpisa/internal/fpnum"
 )
@@ -225,32 +224,7 @@ func (a *Accumulator) Add(i int, v float32) error {
 // Overflowed reports the sticky overflow flag of a slot (§3.3 signalling).
 func (a *Accumulator) Overflowed(i int) bool { return a.flags[i]&flagOverflow != 0 }
 
-// Invalid reports whether a slot absorbed a NaN/Inf input.
-func (a *Accumulator) Invalid(i int) bool { return a.flags[i]&flagInvalid != 0 }
-
-// RawState returns the internal (exponent, mantissa) pair of a slot — the
-// exact register contents a switch would hold.
-func (a *Accumulator) RawState(i int) (exp uint32, man int32) {
-	return a.exps[i], a.mans[i]
-}
-
 // Reset zeroes a slot.
 func (a *Accumulator) Reset(i int) {
 	a.exps[i], a.mans[i], a.flags[i] = 0, 0, 0
-}
-
-// Value64 returns the slot's exact arithmetic value as a float64: the
-// denormalized register pair interpreted as man × 2^(exp − bias −
-// mantissaBits − guardBits). Exact for every reachable state; used by the
-// error analysis so FPISA error is not conflated with FP32 packing error.
-func (a *Accumulator) Value64(i int) float64 {
-	if a.flags[i]&flagInvalid != 0 {
-		return math.NaN()
-	}
-	M := a.mans[i]
-	if M == 0 {
-		return 0
-	}
-	exp := int(a.exps[i]) - a.f.Bias() - a.f.ManBits - int(a.cfg.Profile.Guard)
-	return math.Ldexp(float64(M), exp)
 }

@@ -14,11 +14,6 @@ import (
 // prescribes: exponent arithmetic on integer ALUs plus small lookup tables
 // for the mantissa part.
 
-// CompareKey32 returns the monotonic integer comparison key for an FP32
-// value: one sign test plus one XOR, both single-MAU integer operations —
-// how FPISA implements FP comparison for query pruning (§6).
-func CompareKey32(v float32) uint32 { return fpnum.OrderedKey32(v) }
-
 // MulExponentAdd multiplies two FP32 values the Appendix A way: exponents
 // add as integers, mantissas multiply as integers (the Banzai integer-
 // multiplier atom), then one renormalization shift. Subnormal inputs and

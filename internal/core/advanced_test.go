@@ -134,15 +134,6 @@ func TestSqrtTableErrorBudget(t *testing.T) {
 	}
 }
 
-func TestCompareKey32Ordering(t *testing.T) {
-	vals := []float32{-1e30, -2, -1e-10, 0, 1e-10, 2, 1e30}
-	for i := 1; i < len(vals); i++ {
-		if CompareKey32(vals[i-1]) >= CompareKey32(vals[i]) {
-			t.Errorf("keys not ordered at %g < %g", vals[i-1], vals[i])
-		}
-	}
-}
-
 func TestTableValidation(t *testing.T) {
 	if _, err := NewLog2Table(2); err == nil {
 		t.Error("log2 bits=2 accepted")

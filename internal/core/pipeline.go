@@ -39,9 +39,6 @@ func NewPipelineAggregator(cfg Config, modules, slots int, arch pisa.Arch) (*Pip
 	return &PipelineAggregator{sw: sw, lay: lay, req: make([]byte, lay.PacketBytes)}, nil
 }
 
-// Layout returns the compiled layout.
-func (pa *PipelineAggregator) Layout() Layout { return pa.lay }
-
 // Replicate builds another pipeline running the same compiled FPISA
 // program with fresh register state — the way a multi-pipe switch ASIC
 // stamps identical pipelines out of one P4 compile. It costs one register

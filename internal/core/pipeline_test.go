@@ -198,7 +198,8 @@ func TestPipelineEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := math.Float32frombits(model.ReadResetBits(slot))
+					want := math.Float32frombits(model.ReadBits(slot))
+					model.Reset(slot)
 					if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
 						t.Fatalf("step %d: readreset mismatch", step)
 					}

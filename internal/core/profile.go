@@ -286,10 +286,6 @@ func NewProfileAggregator(p NumericProfile, mode Mode, modules, slots int, arch 
 // Profile returns the profile this aggregator was built for.
 func (pa *ProfileAggregator) Profile() NumericProfile { return pa.prof }
 
-// Compiled reports whether this profile runs on the compiled pisa pipeline
-// (true only for the default profile).
-func (pa *ProfileAggregator) Compiled() bool { return pa.pipe != nil }
-
 // Utilization returns the compiled resource report; the zero report for
 // model-backed profiles, which consume no pipeline stages.
 func (pa *ProfileAggregator) Utilization() pisa.Utilization {

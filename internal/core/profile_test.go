@@ -146,7 +146,7 @@ func TestProfileAggregatorDefaultMatchesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pa.Compiled() {
+	if pa.pipe == nil {
 		t.Fatal("default profile did not take the compiled path")
 	}
 	ref, err := NewPipelineAggregator(DefaultFP32(ModeApprox), 2, 4, pisa.ExtendedArch())
@@ -213,8 +213,8 @@ func checkProfileAggregator(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.Compiled() != (prof == DefaultProfile) {
-		t.Fatalf("Compiled() = %v for %v", pa.Compiled(), prof)
+	if compiled := pa.pipe != nil; compiled != (prof == DefaultProfile) {
+		t.Fatalf("compiled pipeline = %v for %v", compiled, prof)
 	}
 	ref := MustNewAccumulator(cfg, modules*slots)
 	rng := rand.New(rand.NewSource(11))

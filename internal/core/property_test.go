@@ -9,11 +9,10 @@ import (
 
 // normalFloat maps arbitrary bits into the normal FP32 range used by the
 // property tests (away from read-out saturation).
-func normalFloat(bits uint32, rng *rand.Rand) float32 {
+func normalFloat(bits uint32) float32 {
 	exp := 90 + bits%70 // biased 90..159
 	frac := bits & 0x7FFFFF
 	sign := bits >> 31
-	_ = rng
 	return math.Float32frombits(sign<<31 | exp<<23 | frac)
 }
 
@@ -23,8 +22,8 @@ func normalFloat(bits uint32, rng *rand.Rand) float32 {
 func TestPropertyFullModePerOpErrorBound(t *testing.T) {
 	f := func(b1, b2 uint32) bool {
 		a := MustNewAccumulator(DefaultFP32(ModeFull), 1)
-		v1 := normalFloat(b1, nil)
-		v2 := normalFloat(b2, nil)
+		v1 := normalFloat(b1)
+		v2 := normalFloat(b2)
 		a.Add(0, v1)
 		before := a.Value64(0)
 		e, _ := a.RawState(0)
@@ -56,7 +55,7 @@ func TestPropertyMonotonicPositiveAdds(t *testing.T) {
 		a := MustNewAccumulator(DefaultFP32(ModeFull), 1)
 		prev := a.Value64(0)
 		for i := 0; i < int(n%32)+1; i++ {
-			v := normalFloat(rng.Uint32()&0x7FFFFFFF, nil) // positive
+			v := normalFloat(rng.Uint32() & 0x7FFFFFFF) // positive
 			a.Add(0, v)
 			if a.Overflowed(0) {
 				return true
@@ -110,7 +109,7 @@ func TestPropertyApproxErrorBounded(t *testing.T) {
 		a := MustNewAccumulator(DefaultFP32(ModeApprox), 1)
 		var exact, maxMag float64
 		for i := 0; i < 8; i++ {
-			v := normalFloat(rng.Uint32(), nil)
+			v := normalFloat(rng.Uint32())
 			a.Add(0, v)
 			exact += float64(v)
 			if m := math.Abs(exact); m > maxMag {

@@ -84,11 +84,3 @@ func (a *Accumulator) roundShift(u uint32, shift int) uint32 {
 func (a *Accumulator) ReadFloat32(i int) float32 {
 	return a.cfg.Profile.DecodeValue(a.ReadBits(i))
 }
-
-// ReadResetBits reads slot i and atomically zeroes it — the switch's
-// read-and-reset register action used when an aggregation slot completes.
-func (a *Accumulator) ReadResetBits(i int) uint32 {
-	v := a.ReadBits(i)
-	a.Reset(i)
-	return v
-}

@@ -15,8 +15,8 @@ func TestReplicateIndependentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := pa.Replicate()
-	if rep.Layout() != pa.Layout() {
-		t.Fatalf("replica layout %+v differs from original %+v", rep.Layout(), pa.Layout())
+	if rep.lay != pa.lay {
+		t.Fatalf("replica layout %+v differs from original %+v", rep.lay, pa.lay)
 	}
 
 	if _, err := pa.Add(3, []float32{1.5}); err != nil {

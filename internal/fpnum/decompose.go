@@ -35,18 +35,6 @@ func (p Parts32) ExplicitMantissa() uint32 {
 	return p.Frac | 1<<23
 }
 
-// SignedMantissa returns the explicit mantissa in two's-complement signed
-// form, the representation FPISA stores in its 32-bit mantissa register
-// (§3.1). guardBits shifts the magnitude left to reserve rounding guard
-// bits below it (Appendix A.1).
-func (p Parts32) SignedMantissa(guardBits uint) int32 {
-	m := int32(p.ExplicitMantissa() << guardBits)
-	if p.Sign != 0 {
-		return -m
-	}
-	return m
-}
-
 // IsZero reports whether the decomposition encodes ±0.
 func (p Parts32) IsZero() bool { return p.Exp == 0 && p.Frac == 0 }
 
@@ -58,7 +46,3 @@ func (p Parts32) IsInf() bool { return p.Exp == 0xFF && p.Frac == 0 }
 
 // IsSubnormal reports whether the decomposition encodes a subnormal.
 func (p Parts32) IsSubnormal() bool { return p.Exp == 0 && p.Frac != 0 }
-
-// Float64Value returns the exact real value as a float64 (every FP32 value
-// is exactly representable).
-func (p Parts32) Float64Value() float64 { return float64(Compose32(p)) }

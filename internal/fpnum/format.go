@@ -1,7 +1,6 @@
 // Package fpnum provides the floating-point number kernel used throughout the
 // FPISA reproduction: format descriptors, bit-level pack/unpack for FP16,
-// bfloat16, FP32 and FP64, monotonic ordering keys, ULP distances and exact
-// reference summation algorithms.
+// bfloat16 and FP32, the monotonic ordering key and the exact reference sum.
 //
 // Everything in this package is host-side arithmetic. The switch-side
 // representation (decoupled exponent + signed mantissa) lives in
@@ -25,16 +24,12 @@ type Format struct {
 }
 
 // Predefined formats. BF16 is bfloat16 (truncated FP32); the others are the
-// IEEE 754 binary16/32/64 interchange formats.
+// IEEE 754 binary16/32 interchange formats.
 var (
 	FP16 = Format{Name: "FP16", Bits: 16, ExpBits: 5, ManBits: 10}
 	BF16 = Format{Name: "BF16", Bits: 16, ExpBits: 8, ManBits: 7}
 	FP32 = Format{Name: "FP32", Bits: 32, ExpBits: 8, ManBits: 23}
-	FP64 = Format{Name: "FP64", Bits: 64, ExpBits: 11, ManBits: 52}
 )
-
-// Bias returns the exponent bias (2^(ExpBits-1) - 1).
-func (f Format) Bias() int { return 1<<(f.ExpBits-1) - 1 }
 
 // MaxBiasedExp returns the largest finite biased exponent value
 // (all-ones is reserved for Inf/NaN).
@@ -54,11 +49,6 @@ func (f Format) String() string {
 	return fmt.Sprintf("%s(e%dm%d)", f.Name, f.ExpBits, f.ManBits)
 }
 
-// Valid reports whether the format is internally consistent.
-func (f Format) Valid() bool {
-	return f.Bits == 1+f.ExpBits+f.ManBits && f.ExpBits >= 2 && f.ManBits >= 1 && f.Bits%8 == 0
-}
-
 // Split extracts (sign, biasedExp, fraction) from a packed value of this
 // format, right-aligned in bits.
 func (f Format) Split(bits uint64) (sign uint64, exp uint64, frac uint64) {
@@ -72,28 +62,4 @@ func (f Format) Split(bits uint64) (sign uint64, exp uint64, frac uint64) {
 // Out-of-range fields are masked to width.
 func (f Format) Join(sign, exp, frac uint64) uint64 {
 	return (sign&1)<<(f.Bits-1) | (exp&f.ExpMask())<<f.ManBits | frac&f.ManMask()
-}
-
-// IsNaNBits reports whether the packed value encodes a NaN.
-func (f Format) IsNaNBits(bits uint64) bool {
-	_, e, m := f.Split(bits)
-	return e == f.ExpMask() && m != 0
-}
-
-// IsInfBits reports whether the packed value encodes ±Inf.
-func (f Format) IsInfBits(bits uint64) bool {
-	_, e, m := f.Split(bits)
-	return e == f.ExpMask() && m == 0
-}
-
-// IsZeroBits reports whether the packed value encodes ±0.
-func (f Format) IsZeroBits(bits uint64) bool {
-	_, e, m := f.Split(bits)
-	return e == 0 && m == 0
-}
-
-// IsSubnormalBits reports whether the packed value encodes a subnormal.
-func (f Format) IsSubnormalBits(bits uint64) bool {
-	_, e, m := f.Split(bits)
-	return e == 0 && m != 0
 }

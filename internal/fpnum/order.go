@@ -14,44 +14,3 @@ func OrderedKey32(x float32) uint32 {
 	}
 	return b ^ 0x80000000
 }
-
-// OrderedKeyBits32 is OrderedKey32 operating directly on packed bits, the
-// form used inside the switch pipeline where values are already raw fields.
-func OrderedKeyBits32(b uint32) uint32 {
-	if b&0x80000000 != 0 {
-		return ^b
-	}
-	return b ^ 0x80000000
-}
-
-// FromOrderedKey32 inverts OrderedKeyBits32.
-func FromOrderedKey32(k uint32) uint32 {
-	if k&0x80000000 != 0 {
-		return k ^ 0x80000000
-	}
-	return ^k
-}
-
-// OrderedKey16 is the binary16 analogue of OrderedKey32.
-func OrderedKey16(h Float16) uint16 {
-	b := uint16(h)
-	if b&0x8000 != 0 {
-		return ^b
-	}
-	return b ^ 0x8000
-}
-
-// Less32 reports x < y using the ordered-key transform. For non-NaN inputs
-// it agrees with the native < operator except that it defines -0 < +0.
-func Less32(x, y float32) bool { return OrderedKey32(x) < OrderedKey32(y) }
-
-// ULPDistance32 returns the number of representable FP32 values strictly
-// between a and b, plus one if they differ — i.e. the distance in units in
-// the last place. NaN inputs yield the distance between their key encodings.
-func ULPDistance32(a, b float32) uint64 {
-	ka, kb := uint64(OrderedKey32(a)), uint64(OrderedKey32(b))
-	if ka > kb {
-		return ka - kb
-	}
-	return kb - ka
-}

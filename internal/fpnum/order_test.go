@@ -2,7 +2,6 @@ package fpnum
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -30,68 +29,5 @@ func TestOrderedKey32AgreesWithLess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOrderedKeyInverse(t *testing.T) {
-	f := func(b uint32) bool {
-		return FromOrderedKey32(OrderedKeyBits32(b)) == b
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOrderedKey16Monotonic(t *testing.T) {
-	// Collect all finite FP16 values, sort by float value, check key order.
-	type pair struct {
-		f float32
-		k uint16
-	}
-	var ps []pair
-	for i := 0; i <= 0xFFFF; i++ {
-		h := Float16(i)
-		if h.IsNaN() {
-			continue
-		}
-		ps = append(ps, pair{h.Float32(), OrderedKey16(h)})
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].f != ps[j].f {
-			return ps[i].f < ps[j].f
-		}
-		return ps[i].k < ps[j].k
-	})
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].f < ps[i].f && ps[i-1].k >= ps[i].k {
-			t.Fatalf("key16 not monotonic: %g(%#x) vs %g(%#x)",
-				ps[i-1].f, ps[i-1].k, ps[i].f, ps[i].k)
-		}
-	}
-}
-
-func TestULPDistance32(t *testing.T) {
-	if d := ULPDistance32(1.0, 1.0); d != 0 {
-		t.Errorf("ULP(1,1) = %d", d)
-	}
-	next := math.Float32frombits(math.Float32bits(1.0) + 1)
-	if d := ULPDistance32(1.0, next); d != 1 {
-		t.Errorf("ULP(1,nextafter) = %d", d)
-	}
-	if d := ULPDistance32(0, float32(math.Copysign(0, -1))); d != 1 {
-		t.Errorf("ULP(+0,-0) = %d, want 1", d)
-	}
-	// Symmetry.
-	if ULPDistance32(1, 2) != ULPDistance32(2, 1) {
-		t.Error("ULP distance not symmetric")
-	}
-}
-
-func TestLess32(t *testing.T) {
-	if !Less32(-1, 1) || Less32(1, -1) || Less32(2, 2) {
-		t.Error("Less32 basic ordering wrong")
-	}
-	if !Less32(float32(math.Copysign(0, -1)), 0) {
-		t.Error("Less32 should order -0 < +0")
 	}
 }

@@ -1,78 +1,14 @@
 package fpnum
 
-// Reference summation algorithms. The FPISA error analysis (Fig. 8) compares
-// switch-side aggregation against an exact reference; we provide several so
-// tests can distinguish FPISA error from ordinary FP32 accumulation error.
-
-// NaiveSum32 accumulates in float32, left to right — what a straightforward
-// end-host reduction does and the "default addition" baseline of Fig. 9.
-func NaiveSum32(xs []float32) float32 {
-	var s float32
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Sum64of32 accumulates float32 inputs in a float64 accumulator. For vector
 // lengths up to the number of workers in the paper's experiments (≤ 2^29
 // terms) this is exact to well below half an FP32 ulp and serves as the
-// "exact" reference.
+// "exact" reference the FPISA error analysis (Fig. 8) compares switch-side
+// aggregation against.
 func Sum64of32(xs []float32) float64 {
 	var s float64
 	for _, x := range xs {
 		s += float64(x)
 	}
 	return s
-}
-
-// KahanSum32 is compensated summation in float32.
-func KahanSum32(xs []float32) float32 {
-	var sum, c float32
-	for _, x := range xs {
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
-	}
-	return sum
-}
-
-// NeumaierSum64 is Neumaier's improved compensated summation in float64,
-// exact for every workload in this repository. Used as the gold reference
-// when float64 naive accumulation is itself in doubt.
-func NeumaierSum64(xs []float64) float64 {
-	var sum, c float64
-	for _, x := range xs {
-		t := sum + x
-		if abs64(sum) >= abs64(x) {
-			c += (sum - t) + x
-		} else {
-			c += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + c
-}
-
-// PairwiseSum32 sums by recursive halving, the error profile of tree
-// all-reduce implementations.
-func PairwiseSum32(xs []float32) float32 {
-	switch len(xs) {
-	case 0:
-		return 0
-	case 1:
-		return xs[0]
-	case 2:
-		return xs[0] + xs[1]
-	}
-	mid := len(xs) / 2
-	return PairwiseSum32(xs[:mid]) + PairwiseSum32(xs[mid:])
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

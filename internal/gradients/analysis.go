@@ -46,21 +46,6 @@ func AggregateExact(workers [][]float32) []float64 {
 	return out
 }
 
-// AggregateFP32Sequential sums element-wise in float32, worker order — the
-// "default addition" the paper compares against in Fig. 8/9.
-func AggregateFP32Sequential(workers [][]float32) []float32 {
-	n := len(workers[0])
-	out := make([]float32, n)
-	for i := 0; i < n; i++ {
-		var s float32
-		for w := range workers {
-			s += workers[w][i]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // ErrorReport is the Fig. 8 artifact: the distribution of absolute
 // aggregation error of FPISA(-A) versus exact addition, plus the error-
 // source accounting.

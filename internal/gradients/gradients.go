@@ -10,7 +10,6 @@
 package gradients
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -82,16 +81,6 @@ func All() []Profile {
 // Fig7Profiles lists the three models whose ratio distributions Fig. 7
 // plots.
 func Fig7Profiles() []Profile { return []Profile{VGG19, DeepLight, LSTM} }
-
-// ByName returns the profile with the given name.
-func ByName(name string) (Profile, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("gradients: unknown model %q", name)
-}
 
 // Generator produces worker gradient vectors under a profile.
 type Generator struct {

@@ -93,43 +93,10 @@ func ScaleExpFor(maxBiasedExp, workers int) int {
 	return 30 - lg - (maxBiasedExp - 126)
 }
 
-// Quantize converts floats to fixed point: dst[i] = round(src[i] · 2^s),
-// saturating at the int32 range. This is the CPU work SwitchML spends its
-// cores on (§5.2.3).
-func Quantize(dst []int32, src []float32, scaleExp int) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("payload: quantize length mismatch %d vs %d", len(dst), len(src))
-	}
-	scale := math.Ldexp(1, scaleExp)
-	for i, v := range src {
-		f := math.RoundToEven(float64(v) * scale)
-		switch {
-		case f >= math.MaxInt32:
-			dst[i] = math.MaxInt32
-		case f <= math.MinInt32:
-			dst[i] = math.MinInt32
-		default:
-			dst[i] = int32(f)
-		}
-	}
-	return nil
-}
-
-// Dequantize converts fixed point back to float: dst[i] = src[i] · 2^-s.
-func Dequantize(dst []float32, src []int32, scaleExp int) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("payload: dequantize length mismatch %d vs %d", len(dst), len(src))
-	}
-	scale := math.Ldexp(1, -scaleExp)
-	for i, v := range src {
-		dst[i] = float32(float64(v) * scale)
-	}
-	return nil
-}
-
 // QuantizeToWire performs SwitchML's full host TX pipeline for one chunk:
-// quantize and emit big-endian int32s into wire. FPISA skips all of this —
-// its TX path is a straight copy (§5.2.3).
+// quantize (round(src[i] · 2^s), saturating at the int32 range) and emit
+// big-endian int32s into wire — the CPU work SwitchML spends its cores on.
+// FPISA skips all of this: its TX path is a straight copy (§5.2.3).
 func QuantizeToWire(wire []byte, src []float32, scaleExp int) error {
 	if len(wire) < 4*len(src) {
 		return fmt.Errorf("payload: wire buffer %d short of %d", len(wire), 4*len(src))
@@ -174,17 +141,6 @@ func FloatsToWire(wire []byte, src []float32) error {
 	}
 	for i, v := range src {
 		binary.BigEndian.PutUint32(wire[4*i:], math.Float32bits(v))
-	}
-	return nil
-}
-
-// FloatsFromWire parses big-endian FP32s.
-func FloatsFromWire(dst []float32, wire []byte) error {
-	if len(wire) < 4*len(dst) {
-		return fmt.Errorf("payload: wire buffer %d short of %d", len(wire), 4*len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(wire[4*i:]))
 	}
 	return nil
 }

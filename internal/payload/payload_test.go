@@ -2,6 +2,7 @@ package payload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,10 +96,7 @@ func TestScaleExpNoOverflow(t *testing.T) {
 		s := ScaleExpFor(maxExp, workers)
 		// Sum `workers` copies of the largest-magnitude quantized values;
 		// must not overflow int64->int32 range.
-		q := make([]int32, len(block))
-		if err := Quantize(q, block, s); err != nil {
-			t.Fatal(err)
-		}
+		q := quantize(t, block, s)
 		var sum int64
 		var maxAbs int64
 		for _, v := range q {
@@ -122,12 +120,12 @@ func TestQuantizeRoundTripPrecision(t *testing.T) {
 		src[i] = float32(rng.NormFloat64())
 	}
 	s := ScaleExpFor(MaxBiasedExp(src), 8)
-	q := make([]int32, len(src))
+	wire := make([]byte, 4*len(src))
 	back := make([]float32, len(src))
-	if err := Quantize(q, src, s); err != nil {
+	if err := QuantizeToWire(wire, src, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := Dequantize(back, q, s); err != nil {
+	if err := DequantizeFromWire(back, wire, s); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -138,21 +136,18 @@ func TestQuantizeRoundTripPrecision(t *testing.T) {
 }
 
 func TestQuantizeSaturates(t *testing.T) {
-	q := make([]int32, 2)
-	if err := Quantize(q, []float32{1e30, -1e30}, 10); err != nil {
-		t.Fatal(err)
-	}
+	q := quantize(t, []float32{1e30, -1e30}, 10)
 	if q[0] != math.MaxInt32 || q[1] != math.MinInt32 {
 		t.Errorf("saturation: %v", q)
 	}
 }
 
 func TestLengthValidation(t *testing.T) {
-	if err := Quantize(make([]int32, 2), make([]float32, 3), 0); err == nil {
-		t.Error("length mismatch accepted")
+	if err := QuantizeToWire(make([]byte, 8), make([]float32, 3), 0); err == nil {
+		t.Error("short wire accepted")
 	}
-	if err := Dequantize(make([]float32, 2), make([]int32, 3), 0); err == nil {
-		t.Error("length mismatch accepted")
+	if err := DequantizeFromWire(make([]float32, 3), make([]byte, 8), 0); err == nil {
+		t.Error("short wire accepted")
 	}
 	if err := FloatsToWire(make([]byte, 4), make([]float32, 2)); err == nil {
 		t.Error("short wire accepted")
@@ -165,15 +160,12 @@ func TestWireRoundTrips(t *testing.T) {
 	if err := FloatsToWire(wire, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float32, 4)
-	if err := FloatsFromWire(dst, wire); err != nil {
-		t.Fatal(err)
-	}
 	for i := range src {
-		if dst[i] != src[i] {
-			t.Errorf("elem %d: %g != %g", i, dst[i], src[i])
+		if got := math.Float32frombits(binary.BigEndian.Uint32(wire[4*i:])); got != src[i] {
+			t.Errorf("elem %d: %g != %g", i, got, src[i])
 		}
 	}
+	dst := make([]float32, 4)
 
 	// Quantized wire round trip.
 	s := ScaleExpFor(MaxBiasedExp(src), 2)
@@ -196,4 +188,19 @@ func TestWireRoundTrips(t *testing.T) {
 	if math.Float32frombits(uint32(wire[0])|uint32(wire[1])<<8|uint32(wire[2])<<16|uint32(wire[3])<<24) != 1.5 {
 		t.Error("CopyWire not little-endian")
 	}
+}
+
+// quantize runs QuantizeToWire and reads the fixed-point values back off
+// the wire.
+func quantize(t *testing.T, src []float32, scaleExp int) []int32 {
+	t.Helper()
+	wire := make([]byte, 4*len(src))
+	if err := QuantizeToWire(wire, src, scaleExp); err != nil {
+		t.Fatal(err)
+	}
+	q := make([]int32, len(src))
+	for i := range q {
+		q[i] = int32(binary.BigEndian.Uint32(wire[4*i:]))
+	}
+	return q
 }

@@ -674,7 +674,7 @@ func TestCompileErrors(t *testing.T) {
 func TestAutoStageAssignment(t *testing.T) {
 	prog := Program{
 		Fields: []FieldDecl{{Name: "a", Width: 32}, {Name: "b", Width: 32}, {Name: "c", Width: 32}},
-		Parser: []ExtractDecl{{Field: "a", Offset: 0, Bytes: 4}},
+		Parser: []ExtractDecl{{Field: "a", Offset: 0, Bytes: 4}, {Field: "c", Offset: 4, Bytes: 4}},
 		Tables: []TableDecl{
 			{Name: "t1", Stage: -1, Kind: MatchAlways,
 				Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpAdd, Dst: "b", A: F("a"), B: Imm(1)}}}}, Default: "x"},
@@ -686,16 +686,16 @@ func TestAutoStageAssignment(t *testing.T) {
 	if got := sw.Utilization().StagesUsed(); got != 2 {
 		t.Errorf("stages used = %d, want 2 (t2 must follow t1)", got)
 	}
-	// And the chain computes correctly.
-	pkt := make([]byte, 4)
+	// And the chain computes correctly: c, written back, carries a+2.
+	pkt := make([]byte, 8)
 	binary.BigEndian.PutUint32(pkt, 40)
-	out, err := sw.Process(0, pkt)
+	out, err := sw.ProcessScratch(0, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = out
-	regsFree := sw.Counters()
-	_ = regsFree
+	if got := binary.BigEndian.Uint32(out.Packet[4:]); got != 42 {
+		t.Errorf("emitted c = %d, want 42 (a+2 through b)", got)
+	}
 }
 
 func TestResourceBudgetEnforced(t *testing.T) {

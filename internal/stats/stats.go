@@ -234,16 +234,6 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// YAt returns the Y value for an exact X, or ok=false.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
-}
-
 // FormatTable renders a set of series sharing X values as a column table.
 func FormatTable(xLabel string, series []Series) string {
 	var b strings.Builder
@@ -267,18 +257,6 @@ func FormatTable(xLabel string, series []Series) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation on a

@@ -18,15 +18,6 @@ func NewLPM[A any](width int) (*LPM[A], error) {
 	return &LPM[A]{t: t}, nil
 }
 
-// MustNewLPM is NewLPM, panicking on error.
-func MustNewLPM[A any](width int) *LPM[A] {
-	l, err := NewLPM[A](width)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Insert installs a prefix of the given length (0..width). The prefix is the
 // high-order bits of the key, i.e. prefix/length in CIDR terms.
 func (l *LPM[A]) Insert(prefix uint64, length int, action A) error {

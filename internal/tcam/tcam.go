@@ -76,15 +76,6 @@ func New[A any](width int) (*Table[A], error) {
 	return &Table[A]{width: width}, nil
 }
 
-// MustNew is New, panicking on error; for static table construction.
-func MustNew[A any](width int) *Table[A] {
-	t, err := New[A](width)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Width returns the key width in bits.
 func (t *Table[A]) Width() int { return t.width }
 
@@ -124,31 +115,6 @@ func (t *Table[A]) Lookup(key uint64) (action A, ok bool) {
 		}
 	}
 	return action, false
-}
-
-// Delete removes all entries with the given value/mask pair and reports how
-// many were removed.
-func (t *Table[A]) Delete(value, mask uint64) int {
-	mask &= t.keyMask()
-	gone := plane{value: value & mask, mask: mask}
-	kept := 0
-	for i, p := range t.planes {
-		if p == gone {
-			continue
-		}
-		t.planes[kept], t.results[kept] = p, t.results[i]
-		kept++
-	}
-	removed := len(t.planes) - kept
-	clear(t.results[kept:]) // drop the removed rows' references
-	t.planes, t.results = t.planes[:kept], t.results[:kept]
-	return removed
-}
-
-// Clear removes every entry.
-func (t *Table[A]) Clear() {
-	clear(t.results)
-	t.planes, t.results = t.planes[:0], t.results[:0]
 }
 
 // Bits returns the TCAM storage consumed, in ternary bits (each row costs

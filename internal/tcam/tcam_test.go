@@ -21,7 +21,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestExactMatchViaFullMask(t *testing.T) {
-	tb := MustNew[string](16)
+	tb := mustNew[string](16)
 	tb.Insert(Entry[string]{Value: 0xBEEF, Mask: 0xFFFF, Action: "beef"})
 	tb.Insert(Entry[string]{Value: 0xCAFE, Mask: 0xFFFF, Action: "cafe"})
 
@@ -34,7 +34,7 @@ func TestExactMatchViaFullMask(t *testing.T) {
 }
 
 func TestWildcardAndPriority(t *testing.T) {
-	tb := MustNew[string](8)
+	tb := mustNew[string](8)
 	tb.Insert(Entry[string]{Value: 0x00, Mask: 0x00, Priority: 0, Action: "default"})
 	tb.Insert(Entry[string]{Value: 0xF0, Mask: 0xF0, Priority: 10, Action: "highnib"})
 	tb.Insert(Entry[string]{Value: 0xFF, Mask: 0xFF, Priority: 20, Action: "exact"})
@@ -55,7 +55,7 @@ func TestWildcardAndPriority(t *testing.T) {
 }
 
 func TestInsertionOrderTiebreak(t *testing.T) {
-	tb := MustNew[string](8)
+	tb := mustNew[string](8)
 	tb.Insert(Entry[string]{Value: 0, Mask: 0, Priority: 5, Action: "first"})
 	tb.Insert(Entry[string]{Value: 0, Mask: 0, Priority: 5, Action: "second"})
 	if a, _ := tb.Lookup(0x42); a != "first" {
@@ -63,24 +63,8 @@ func TestInsertionOrderTiebreak(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tb := MustNew[int](8)
-	tb.Insert(Entry[int]{Value: 0x10, Mask: 0xF0, Action: 1})
-	tb.Insert(Entry[int]{Value: 0x10, Mask: 0xF0, Action: 2})
-	tb.Insert(Entry[int]{Value: 0x20, Mask: 0xF0, Action: 3})
-	if n := tb.Delete(0x10, 0xF0); n != 2 {
-		t.Errorf("Delete removed %d, want 2", n)
-	}
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tb.Len())
-	}
-	if _, ok := tb.Lookup(0x15); ok {
-		t.Error("deleted entry still matches")
-	}
-}
-
 func TestBitsAccounting(t *testing.T) {
-	tb := MustNew[int](32)
+	tb := mustNew[int](32)
 	tb.Insert(Entry[int]{Value: 1, Mask: 0xFFFFFFFF})
 	tb.Insert(Entry[int]{Value: 2, Mask: 0xFFFFFFFF})
 	if got := tb.Bits(); got != 2*2*32 {
@@ -89,7 +73,7 @@ func TestBitsAccounting(t *testing.T) {
 }
 
 func TestValueNormalization(t *testing.T) {
-	tb := MustNew[int](8)
+	tb := mustNew[int](8)
 	// Value bits outside the mask must be ignored.
 	tb.Insert(Entry[int]{Value: 0xFF, Mask: 0x0F, Action: 9})
 	if a, ok := tb.Lookup(0x0F); !ok || a != 9 {
@@ -98,7 +82,7 @@ func TestValueNormalization(t *testing.T) {
 }
 
 func TestWidth64(t *testing.T) {
-	tb := MustNew[int](64)
+	tb := mustNew[int](64)
 	tb.Insert(Entry[int]{Value: ^uint64(0), Mask: ^uint64(0), Action: 1})
 	if _, ok := tb.Lookup(^uint64(0)); !ok {
 		t.Error("64-bit full match failed")
@@ -106,7 +90,7 @@ func TestWidth64(t *testing.T) {
 }
 
 func TestLPMLongestWins(t *testing.T) {
-	l := MustNewLPM[string](32)
+	l := mustNewLPM[string](32)
 	// Mirror of a routing table: 10.0.0.0/8, 10.1.0.0/16, default.
 	check := func(err error) {
 		t.Helper()
@@ -134,7 +118,7 @@ func TestLPMLongestWins(t *testing.T) {
 }
 
 func TestLPMInvalidLength(t *testing.T) {
-	l := MustNewLPM[int](16)
+	l := mustNewLPM[int](16)
 	if err := l.Insert(0, 17, 0); err == nil {
 		t.Error("length > width accepted")
 	}
@@ -201,22 +185,11 @@ func TestCLZWidth24(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	tb := MustNew[int](8)
-	tb.Insert(Entry[int]{Value: 1, Mask: 0xFF, Action: 1})
-	tb.Clear()
-	if tb.Len() != 0 {
-		t.Error("Clear did not empty table")
-	}
-	if _, ok := tb.Lookup(1); ok {
-		t.Error("match after Clear")
-	}
-}
-
 // TestLookupMatchesNaiveOracle holds the ordered table to the definition:
 // of all rows matching a key, the highest priority wins and the earliest
-// insertion breaks ties. Seeded sequences interleave inserts (overlapping
-// masks, few distinct priorities so ties are common), deletes and clears.
+// insertion breaks ties. Seeded sequences of inserts (overlapping masks,
+// few distinct priorities so ties are common) start over on a fresh table
+// now and then.
 func TestLookupMatchesNaiveOracle(t *testing.T) {
 	type row struct {
 		value, mask uint64
@@ -225,7 +198,7 @@ func TestLookupMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const width = 12
-		tb := MustNew[int](width)
+		tb := mustNew[int](width)
 		var rows []row
 		check := func(step int) {
 			t.Helper()
@@ -251,22 +224,10 @@ func TestLookupMatchesNaiveOracle(t *testing.T) {
 			}
 		}
 		for step := 0; step < 300; step++ {
-			switch r := rng.Intn(20); {
-			case r == 0:
-				tb.Clear()
+			switch rng.Intn(20) {
+			case 0:
+				tb = mustNew[int](width)
 				rows = rows[:0]
-			case r < 4 && len(rows) > 0:
-				victim := rows[rng.Intn(len(rows))]
-				kept := rows[:0]
-				for _, r := range rows {
-					if r.value != victim.value || r.mask != victim.mask {
-						kept = append(kept, r)
-					}
-				}
-				if n := tb.Delete(victim.value, victim.mask); n != len(rows)-len(kept) {
-					t.Fatalf("seed %d step %d: Delete removed %d, want %d", seed, step, n, len(rows)-len(kept))
-				}
-				rows = kept
 			default:
 				// Few care bits and stray value bits outside the mask: rows
 				// overlap and normalization matters.
@@ -279,4 +240,20 @@ func TestLookupMatchesNaiveOracle(t *testing.T) {
 			check(step)
 		}
 	}
+}
+
+func mustNew[A any](width int) *Table[A] {
+	t, err := New[A](width)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+func mustNewLPM[A any](width int) *LPM[A] {
+	l, err := NewLPM[A](width)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
