@@ -144,29 +144,17 @@ func NewSwitchSim(mode Mode, modules, slots int, extended bool) (*SwitchSim, err
 // Add sends an ADD packet carrying one value per module and returns the
 // running sums.
 func (s *SwitchSim) Add(slot int, vals []float32) ([]float32, error) {
-	r, err := s.pa.Add(slot, vals)
-	if err != nil {
-		return nil, err
-	}
-	return r.Values, nil
+	return s.pa.Add(slot, vals)
 }
 
 // Read sends a READ packet.
 func (s *SwitchSim) Read(slot int) ([]float32, error) {
-	r, err := s.pa.Read(slot)
-	if err != nil {
-		return nil, err
-	}
-	return r.Values, nil
+	return s.pa.Read(slot)
 }
 
 // ReadReset sends a READ+RESET packet.
 func (s *SwitchSim) ReadReset(slot int) ([]float32, error) {
-	r, err := s.pa.ReadReset(slot)
-	if err != nil {
-		return nil, err
-	}
-	return r.Values, nil
+	return s.pa.ReadReset(slot)
 }
 
 // Utilization renders the compiled program's resource report (the paper's

@@ -272,14 +272,14 @@ func ahead(chunk uint32, base, span int64) int64 {
 }
 
 // aggregator is the pipeline surface a shard drives — the seam that lets
-// tests inject pipeline faults. Every operation decodes into res, reusing
-// its slices (core.ProfileAggregator.AddInto); a nil res discards the
-// response unread. SetInto is the first ADD of a slot version: it adds
-// into the slot as if freshly zeroed, in the same single pass.
+// tests inject pipeline faults. It moves wire bytes
+// (core.ProfileAggregator.AddInto): an ADD's value region in, the sums out
+// into a non-nil out, and the overflow bit the wire carries. SetInto is the
+// first ADD of a slot version: it adds into the slot as if freshly zeroed.
 type aggregator interface {
-	AddInto(idx int, vals []float32, res *core.Result) error
-	SetInto(idx int, vals []float32, res *core.Result) error
-	ReadResetInto(idx int, res *core.Result) error
+	AddInto(idx int, vals, out []byte) (ovf bool, err error)
+	SetInto(idx int, vals, out []byte) (ovf bool, err error)
+	ReadResetInto(idx int, out []byte) (ovf bool, err error)
 }
 
 // JobStats is one tenant job's protocol counters.
@@ -557,10 +557,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, cfg.schedRoundAge())})
 	}
 	s.scratchPool.New = func() any {
-		return &batchScratch{
-			byShard: make([][]int, nsh),
-			vals:    make([]float32, 0, cfg.Modules),
-		}
+		return &batchScratch{byShard: make([][]int, nsh)}
 	}
 	for j := 0; j < njobs; j++ {
 		spec := JobSpec{Weight: cfg.weightOf(j), Profile: cfg.profileOf(j), Class: cfg.classOf(j)}
@@ -634,7 +631,7 @@ func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
 // worker is the transport port (job·Workers + worker-in-job), or
 // ObserverWorker for out-of-band control traffic.
 func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryList) {
-	if worker < ObserverWorker || worker >= s.cfg.Ports() {
+	if worker < ObserverWorker || worker >= s.ncap*s.cfg.Workers { // Config.Ports
 		return
 	}
 	sc := s.scratchPool.Get().(*batchScratch)
@@ -729,8 +726,6 @@ type batchScratch struct {
 	adds    []addReq
 	byShard [][]int        // indices into adds, grouped by destination shard
 	touched []int          // shards with pending ADDs, in first-touch order
-	vals    []float32      // the queued ADDs' decoded values, Modules each
-	res     core.Result    // the running ADD's sums; encoded into fresh packets, never retained
 	drains  []*incarnation // draining incarnations that completed a chunk this round
 	done    []resDone      // completed chunks awaiting run-coalesced delivery
 	ups     []upReq        // completed chunks awaiting uplink re-emission (tree leaves)
@@ -753,12 +748,13 @@ type upReq struct {
 	pkt []byte
 }
 
-// addReq is one validated ADD waiting for its shard's lock round; the values
-// of adds[i] are vals[i·Modules : (i+1)·Modules].
+// addReq is one validated ADD waiting for its shard's lock round; vals
+// views the datagram's value region, for this HandleBatch call only.
 type addReq struct {
 	inc   *incarnation
 	chunk uint32
 	slot  int // job-local slot
+	vals  []byte
 }
 
 func (s *Switch) putScratch(sc *batchScratch) {
@@ -768,7 +764,6 @@ func (s *Switch) putScratch(sc *batchScratch) {
 		sc.byShard[k] = sc.byShard[k][:0]
 	}
 	sc.touched = sc.touched[:0]
-	sc.vals = sc.vals[:0]
 	sc.drains = sc.drains[:0]
 	for i := range sc.done {
 		sc.done[i].pkt = nil
@@ -839,9 +834,9 @@ func (s *Switch) retired(inc *incarnation) refusal {
 	return refusal{&s.rejBadJob, jobNotice(inc.job, AckEvicted, uint8(inc.epoch), 0)}
 }
 
-// classifyAdd validates one ADD message against its incarnation, decodes
-// its values and queues it for its slot's shard; refusals surface here so
-// the shard lock rounds only see bindable work.
+// classifyAdd validates one ADD message against its incarnation and queues
+// it, with a view of its values, for its slot's shard; refusals surface
+// here so the shard lock rounds only see bindable work.
 func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
 	job, chunk, epoch, err := decodeDataHeader(pkt)
 	if err != nil || int64(chunk) >= s.span {
@@ -859,11 +854,12 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
 	}
 	// The exact payload length depends on the job's negotiated profile, so
 	// it is checked only now that the job is known.
-	if sc.vals, err = decodeAddValues(pkt, s.cfg.Modules, inc.spec.Profile, sc.vals); err != nil {
+	vals, err := addValues(pkt, s.cfg.Modules, inc.spec.Profile)
+	if err != nil {
 		return s.malformed()
 	}
 	slot := s.slotOf(chunk)
-	sc.queue(s.shardOf(job, slot), addReq{inc: inc, chunk: chunk, slot: slot})
+	sc.queue(s.shardOf(job, slot), addReq{inc: inc, chunk: chunk, slot: slot, vals: vals})
 	return refusal{}
 }
 
@@ -885,8 +881,7 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 		sh := s.shards[k]
 		sh.mu.Lock()
 		for _, idx := range sc.byShard[k] {
-			vals := sc.vals[idx*s.cfg.Modules:][:s.cfg.Modules]
-			if r := s.slotHandleLocked(k, &sc.adds[idx], vals, worker, sc, out); r.refused() {
+			if r := s.slotHandleLocked(k, &sc.adds[idx], worker, sc, out); r.refused() {
 				s.refuse(worker, r, out)
 			}
 		}
@@ -906,7 +901,7 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 // are appended to out; deferred work that needs other locks or does I/O
 // (drain completion, uplink sends) is queued on the scratch for after the
 // unlock. ADDs the protocol drops by design (stale, duplicate) are not refused.
-func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, sc *batchScratch, out *transport.DeliveryList) refusal {
+func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) refusal {
 	inc := a.inc
 	if !s.isLive(inc) {
 		return s.retired(inc)
@@ -962,17 +957,23 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 	// add, the slot must stay retransmittable — marking the worker seen
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
-	// Only the ADD that completes the chunk reads the running sums; every
-	// other one passes a nil res, so the pipeline absorbs it and builds no
-	// response.
-	var res *core.Result
+	// Only the ADD that completes the chunk reads the running sums, straight
+	// into the packet they leave in (the RESULT, or a leaf's uplink ADD);
+	// every other one passes a nil out, so the pipeline absorbs it.
+	var pkt, sums []byte
 	nSeen := st.nSeen + 1 // once this ADD counts
 	if fresh {
 		nSeen = 1
 	}
 	if nSeen == s.cfg.Workers {
-		res = &sc.res
+		if s.cfg.Uplink != nil {
+			pkt, sums = newAdd(job, chunk, inc.up.parentEpoch, s.cfg.Modules, prof)
+		} else {
+			pkt, sums = newResult(job, chunk, s.cfg.Modules, prof)
+		}
 	}
+	var ovf bool
+	var err error
 	if fresh {
 		// The first ADD of a slot version binds by overwrite: one pipeline
 		// pass stores the values over whatever the slot's previous chunk
@@ -981,7 +982,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 		// refunds the scheduler, so the job is not billed for work that
 		// never ran. Rebinding ends the previous slot version: its cached
 		// RESULT (or its still-owed uplink ADD) goes with it.
-		if err := b.agg.SetInto(bi, vals, res); err != nil {
+		if ovf, err = b.agg.SetInto(bi, a.vals, sums); err != nil {
 			sh.sched.refund(job)
 			return refusal{}
 		}
@@ -996,7 +997,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 			js.cacheBytes.Add(-int64(len(st.cached)))
 			st.cached = nil
 		}
-	} else if err := b.agg.AddInto(bi, vals, res); err != nil {
+	} else if ovf, err = b.agg.AddInto(bi, a.vals, sums); err != nil {
 		return refusal{}
 	}
 	st.seen[wij] = true
@@ -1012,10 +1013,6 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 	// the other leaves, so it comes back from the parent).
 	js.completions.Add(1)
 	js.outstanding.Add(-1)
-	anyOvf := false
-	for _, o := range res.Overflow {
-		anyOvf = anyOvf || o
-	}
 	if inc.draining.Load() {
 		sc.drains = append(sc.drains, inc)
 	}
@@ -1027,12 +1024,12 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, vals []float32, worker int, 
 		// answers retransmits silently, and the uplink client resends it
 		// on timeout until the parent's aggregate returns and installs the
 		// final RESULT (see installFinal).
-		st.up = EncodeAddProfile(job, chunk, inc.up.parentEpoch, prof, res.Values)
-		st.upOvf = anyOvf
-		sc.ups = append(sc.ups, upReq{inc: inc, pkt: st.up})
+		st.up = pkt
+		st.upOvf = ovf
+		sc.ups = append(sc.ups, upReq{inc: inc, pkt: pkt})
 		return refusal{}
 	}
-	pkt := encodeResult(job, chunk, prof, res.Values, anyOvf)
+	putOverflow(pkt, ovf)
 	st.cached = pkt
 	js.cacheBytes.Add(int64(len(pkt)))
 	// Delivery is deferred to the batch-end pass so consecutive chunks
@@ -1264,38 +1261,36 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 // earlier message of the same receive left below the flush threshold, plus
 // one reply that frees the whole window.
 type sendVec struct {
-	job         int
-	epoch       uint8
-	prof        core.NumericProfile
-	vec         []float32
-	first, span int64 // chunk c of vec is chunk first+c, mod span, of the job's stream
+	job, modules int
+	epoch        uint8
+	prof         core.NumericProfile
+	vec          []float32
+	first, span  int64 // chunk c of vec is chunk first+c, mod span, of the job's stream
 
 	msgs  [][]byte
 	arena []byte
-	vals  []float32 // one chunk's values; the vector's tail chunk is zero-padded
 }
 
 // newSendVec sizes the arena for the largest vector, so it never grows.
 func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch, pool int, vec []float32) *sendVec {
 	n := batch - 1 + pool
 	return &sendVec{
-		job: job, epoch: epoch, prof: prof, vec: vec,
+		job: job, modules: modules, epoch: epoch, prof: prof, vec: vec,
 		msgs:  make([][]byte, 0, n),
 		arena: make([]byte, 0, n*addBytes(modules, prof)),
-		vals:  make([]float32, modules),
 	}
 }
 
-// add encodes chunk c of the vector as the next ADD.
+// add encodes chunk c of the vector as the next ADD; the vector's tail
+// chunk is zero-padded.
 func (sv *sendVec) add(c int) {
-	n := copy(sv.vals, sv.vec[c*len(sv.vals):])
-	clear(sv.vals[n:])
+	m := sv.modules
 	id := sv.first + int64(c)
 	if id >= sv.span {
 		id -= sv.span
 	}
 	start := len(sv.arena)
-	sv.arena = appendAdd(sv.arena, sv.job, uint32(id), sv.epoch, sv.prof, sv.vals)
+	sv.arena = appendAdd(sv.arena, sv.job, uint32(id), sv.epoch, sv.prof, m, sv.vec[c*m:min(len(sv.vec), (c+1)*m)])
 	sv.msgs = append(sv.msgs, sv.arena[start:len(sv.arena):len(sv.arena)])
 }
 
@@ -1418,7 +1413,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// per-slot self-clocking, so one straggling chunk never blocks the
 	// slots behind it. A streak of clean completions twice the current
 	// batch doubles it back toward the ceiling.
-	complete := func(chunk uint32, vals []float32, _ bool) {
+	complete := func(chunk uint32, vals []byte, _ bool) {
 		off := ahead(chunk, first, span)
 		c := int(off)
 		if off >= int64(nChunks) || done[c] {
@@ -1427,7 +1422,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		done[c] = true
 		nDone++
 		stalls = 0
-		copy(out[c*modules:min(len(vec), (c+1)*modules)], vals)
+		w.Profile.GetValues(out[c*modules:min(len(vec), (c+1)*modules)], vals)
 		cleanAcks++
 		if cur < batch && cleanAcks >= 2*cur {
 			cur = min(2*cur, batch)
@@ -1447,7 +1442,6 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	flush()
 
 	bufs := make([][]byte, recvVec)
-	decoded := make([]float32, modules) // readDownlink's reused decode buffer
 	for nDone < nChunks && sendErr == nil {
 		k, err := w.Fabric.RecvBatch(port, bufs, timeout)
 		if err == transport.ErrTimeout {
@@ -1471,7 +1465,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		}
 		backedOff := false
 		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, decoded, complete)
+			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, modules, complete)
 			// Between messages: once a batch is queued it goes out, so a
 			// deep receive does not hold the whole window back, but the
 			// chunks one message freed are never split.

@@ -296,7 +296,8 @@ type analyticsJob struct {
 	lastDrainNonce uint32
 	lastDrainPkt   []byte
 
-	val [1]float32 // scratch for single-value accumulator adds
+	prof core.NumericProfile
+	val  [4]byte // one wire value under prof: a folded tuple's, a drained sum
 }
 
 // telemetry histogram shape: power-of-two bins over the positive float32
@@ -309,10 +310,11 @@ const (
 
 // newAnalyticsJob builds one analytics tenant's register state; build
 // supplies the per-group accumulator bank (compiled under the job's
-// numeric profile, one scalar slot per group).
-func newAnalyticsJob(ac AdmitClass, workers int, build func(slots int) (aggregator, error)) (*analyticsJob, error) {
+// numeric profile prof, one scalar slot per group).
+func newAnalyticsJob(ac AdmitClass, prof core.NumericProfile, workers int, build func(slots int) (aggregator, error)) (*analyticsJob, error) {
 	an := &analyticsJob{
 		ac:      ac,
+		prof:    prof,
 		expect:  make([]uint32, workers),
 		lastAck: make([][]byte, workers),
 	}
@@ -343,7 +345,7 @@ func newAnalyticsJob(ac AdmitClass, workers int, build func(slots int) (aggregat
 // scalar slot per group, so the default profile runs the same compiled §4
 // pipeline arithmetic as internal/query's switch plan, bit for bit.
 func (s *Switch) buildAnalytics(ac AdmitClass, prof core.NumericProfile) (*analyticsJob, error) {
-	return newAnalyticsJob(ac, s.cfg.Workers, func(slots int) (aggregator, error) {
+	return newAnalyticsJob(ac, prof, s.cfg.Workers, func(slots int) (aggregator, error) {
 		return core.NewProfileAggregator(prof, s.cfg.Mode, 1, slots, s.cfg.Arch)
 	})
 }
@@ -365,8 +367,8 @@ func (an *analyticsJob) opAllowed(op TupleOp) bool {
 // foldAgg adds one row into its group's FPISA sum accumulator.
 func (an *analyticsJob) foldAgg(key uint32, val float32) {
 	g := key % uint32(an.ac.Groups)
-	an.val[0] = val
-	an.acc.AddInto(int(g), an.val[:], nil) //nolint:errcheck // slot index is in range by construction
+	an.prof.PutValue(an.val[:], val)
+	an.acc.AddInto(int(g), an.val[:an.prof.ValueBytes()], nil) //nolint:errcheck // slot index is in range by construction
 	an.seen[g] = true
 }
 
@@ -378,8 +380,8 @@ func (an *analyticsJob) trafficClass(key uint32) int { return int(key >> an.clas
 // and the size histogram.
 func (an *analyticsJob) foldTelemetry(key uint32, val float32) {
 	class := an.trafficClass(key)
-	an.val[0] = val
-	an.acc.AddInto(class, an.val[:], nil) //nolint:errcheck // class index is in range by construction
+	an.prof.PutValue(an.val[:], val)
+	an.acc.AddInto(class, an.val[:an.prof.ValueBytes()], nil) //nolint:errcheck // class index is in range by construction
 	an.seen[class] = true
 	row := &an.hh[key&uint32(len(an.hh)-1)] // len(hh) = Groups, a power of two
 	switch {
@@ -427,15 +429,15 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 	var entries []DrainEntry
 	switch kind {
 	case DrainGroups:
-		var r core.Result
+		sum := an.val[:an.prof.ValueBytes()]
 		for g := range an.seen {
 			if !an.seen[g] {
 				continue
 			}
-			if err := an.acc.ReadResetInto(g, &r); err != nil || len(r.Values) == 0 {
+			if _, err := an.acc.ReadResetInto(g, sum); err != nil {
 				continue
 			}
-			entries = append(entries, DrainEntry{Key: uint32(g), Val: r.Values[0]})
+			entries = append(entries, DrainEntry{Key: uint32(g), Val: an.prof.GetValue(sum)})
 			an.seen[g] = false
 		}
 	case DrainHeavyHitters:

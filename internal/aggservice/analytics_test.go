@@ -672,7 +672,7 @@ func TestMixedClassFairness(t *testing.T) {
 // keys sit on, just below and just above every prefix edge.
 func TestTrafficClassMatchesLPM(t *testing.T) {
 	for _, groups := range []int{1, 2, 16, 64, 2048} {
-		an, err := newAnalyticsJob(AdmitClass{Class: ClassTelemetry, Groups: groups}, 1,
+		an, err := newAnalyticsJob(AdmitClass{Class: ClassTelemetry, Groups: groups}, core.DefaultProfile, 1,
 			func(int) (aggregator, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)

@@ -317,12 +317,12 @@
 // scheduler and leaves the slot unbound, so the sender's
 // retransmit binds it as if nothing had happened. Every later worker's
 // ADD is one AddInto pass, duplicates and replays are answered before the
-// pipeline, so a chunk costs exactly one pass per contribution. Only the
-// ADD that completes the chunk reads the running sums: it alone passes a
-// Result and runs an emitting pass, while every other one passes nil and
-// the pipeline absorbs it (pisa.Switch.Absorb), running only the steps that
-// feed the slot's registers — one absorbed and one emitted pass per
-// two-worker chunk.
+// pipeline, so a chunk costs exactly one pass per contribution, on the
+// ADD's value bytes as sent. Only the ADD that completes the chunk reads
+// the sums, into its fresh RESULT (a leaf's uplink ADD), in an emitting
+// pass; every other one passes nil and the pipeline absorbs it, running
+// only the steps that feed the slot's registers — one absorbed and one
+// emitted pass per two-worker chunk.
 //
 // # Aggregation trees (uplink role)
 //

@@ -87,7 +87,8 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	sh.mu.Lock()
 	st.chunk, st.up, st.upOvf = 1, up, true
 	sh.mu.Unlock()
-	if pkt, ok := sw.installFinal(old, 1, []float32{3}, false); ok || pkt != nil || st.cached != nil {
+	three := core.DefaultProfile.AppendValues(nil, []float32{3}) // the parent's value bytes
+	if pkt, ok := sw.installFinal(old, 1, three, false); ok || pkt != nil || st.cached != nil {
 		t.Fatal("stale final installed into the new incarnation's slot")
 	}
 	if owed := sw.owed(old, nil); len(owed) != 0 {
@@ -96,14 +97,14 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	if owed := sw.owed(cur, nil); len(owed) != 1 || &owed[0][0] != &up[0] {
 		t.Fatalf("live incarnation owes %d uplink ADDs, want the slot's one", len(owed))
 	}
-	pkt, ok := sw.installFinal(cur, 1, []float32{3}, false)
+	pkt, ok := sw.installFinal(cur, 1, three, false)
 	if !ok || st.cached == nil || st.up != nil {
 		t.Fatal("live final not installed")
 	}
 	if _, _, _, ovf, err := DecodeResultProfile(pkt, 1, core.DefaultProfile); err != nil || !ovf {
 		t.Fatalf("final lost the leaf's overflow flag: ovf=%v err=%v", ovf, err)
 	}
-	if _, ok := sw.installFinal(cur, 1, []float32{3}, false); ok || len(sw.owed(cur, nil)) != 0 {
+	if _, ok := sw.installFinal(cur, 1, three, false); ok || len(sw.owed(cur, nil)) != 0 {
 		t.Fatal("duplicate parent result re-installed a final slot")
 	}
 }

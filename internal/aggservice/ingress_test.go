@@ -111,6 +111,25 @@ func TestIngressMatrix(t *testing.T) {
 			}
 		}
 	}
+
+	// Outside the port range HandleBatch was built for — one past the last
+	// port, one below the observer frame — every datagram is dropped before
+	// the front door: no reply, and no counter ticks.
+	for typ, pkt := range packets {
+		for _, port := range []int{cfg.Ports(), ObserverWorker - 1} {
+			sw, err := NewSwitch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := handle(sw, port, pkt)
+			sw.Close()
+			adds, retrans, done := sw.Stats()
+			if len(ds) != 0 || rejectTotal(sw.Rejects()) != 0 || adds+retrans+done != 0 {
+				t.Errorf("type %d from port %d: replies %+v, rejects %+v, stats %d/%d/%d; want a silent drop",
+					typ, port, ds, sw.Rejects(), adds, retrans, done)
+			}
+		}
+	}
 }
 
 // TestMessageTableMatchesArchitectureDoc keeps msgTable and ARCHITECTURE.md's

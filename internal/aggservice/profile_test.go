@@ -58,7 +58,7 @@ func hostReduce(t *testing.T, cfg Config, prof core.NumericProfile, vecs [][]flo
 		for k := 0; k < m; k++ {
 			// The switch narrows the register read-back onto the RESULT
 			// wire; the worker widens it back. Apply the same round trip.
-			out[base+k] = prof.DecodeValue(prof.EncodeValue(r.Values[k]))
+			out[base+k] = prof.DecodeValue(prof.EncodeValue(r[k]))
 		}
 	}
 	return out

@@ -168,18 +168,18 @@ func (f *flakyAgg) fault() error {
 	return nil
 }
 
-func (f *flakyAgg) AddInto(idx int, vals []float32, res *core.Result) error {
+func (f *flakyAgg) AddInto(idx int, vals, out []byte) (bool, error) {
 	if err := f.fault(); err != nil {
-		return err
+		return false, err
 	}
-	return f.aggregator.AddInto(idx, vals, res)
+	return f.aggregator.AddInto(idx, vals, out)
 }
 
-func (f *flakyAgg) SetInto(idx int, vals []float32, res *core.Result) error {
+func (f *flakyAgg) SetInto(idx int, vals, out []byte) (bool, error) {
 	if err := f.fault(); err != nil {
-		return err
+		return false, err
 	}
-	return f.aggregator.SetInto(idx, vals, res)
+	return f.aggregator.SetInto(idx, vals, out)
 }
 
 // countPasses swaps every bank of job's live incarnation for a bare

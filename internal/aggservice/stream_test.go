@@ -253,7 +253,7 @@ func TestSlotSerialComparison(t *testing.T) {
 			switch {
 			case len(ds) == 1 && after.CacheHits == before.CacheHits+1:
 				got = "replay"
-				if _, chunk, _, err := decodeResultInto(ds[0].Packet, core.DefaultProfile, make([]float32, 1)); err != nil || int64(chunk) != tc.bound {
+				if _, chunk, _, _, err := decodeResultValues(ds[0].Packet, 1, core.DefaultProfile); err != nil || int64(chunk) != tc.bound {
 					t.Fatalf("replayed chunk %d (%v), want %d", chunk, err, tc.bound)
 				}
 			case len(ds) == 0 && after.Outstanding == 1 && st.chunk == tc.sent:

@@ -171,10 +171,9 @@ func (s *Switch) owed(inc *incarnation, msgs [][]byte) [][]byte {
 // over an unreachable parent.
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
-	vals := make([]float32, u.s.cfg.Modules) // readDownlink's decode buffer
 	var resend [][]byte
 	stalls := 0
-	final := func(chunk uint32, vals []float32, ovf bool) {
+	final := func(chunk uint32, vals []byte, ovf bool) {
 		stalls = 0
 		if pkt, ok := u.s.installFinal(u.inc, chunk, vals, ovf); ok {
 			u.finals = append(u.finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
@@ -212,7 +211,7 @@ func (u *uplinkJob) run() {
 			return // fabric closed
 		}
 		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, vals, final)
+			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, u.s.cfg.Modules, final)
 			if !ok {
 				continue
 			}
@@ -235,13 +234,14 @@ func (u *uplinkJob) run() {
 	}
 }
 
-// installFinal resolves an uplinked chunk against the parent's aggregate: it
-// writes the final RESULT — the parent's overflow flag ORed with the leaf's —
-// into the slot's result cache and ends the slot's uplinked state, with the
-// same under-lock revalidation the ADD path uses: if the leaf retired the
-// incarnation or rebound the slot since the chunk went up, or the slot is
-// already final (a duplicate parent result), the aggregate is dropped.
-func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, parentOvf bool) ([]byte, bool) {
+// installFinal resolves an uplinked chunk against the parent's aggregate:
+// it caches the final RESULT — the parent's value bytes copied, its
+// overflow flag ORed with the leaf's — and ends the slot's uplinked state,
+// with the same under-lock revalidation the ADD path uses: if the leaf
+// retired the incarnation or rebound the slot since the chunk went up, or
+// the slot is already final (a duplicate parent result), the aggregate is
+// dropped.
+func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, parentOvf bool) ([]byte, bool) {
 	slot := s.slotOf(chunk)
 	sh := s.shards[s.shardOf(inc.job, slot)]
 	sh.mu.Lock()
@@ -253,7 +253,9 @@ func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []float32, pa
 	if st.chunk != int64(chunk) || st.up == nil {
 		return nil, false
 	}
-	pkt := encodeResult(inc.job, chunk, inc.spec.Profile, vals, parentOvf || st.upOvf)
+	pkt, out := newResult(inc.job, chunk, s.cfg.Modules, inc.spec.Profile)
+	copy(out, vals)
+	putOverflow(pkt, parentOvf || st.upOvf)
 	st.cached = pkt
 	st.up = nil
 	s.jobs[inc.job].cacheBytes.Add(int64(len(pkt)))

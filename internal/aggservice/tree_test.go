@@ -351,8 +351,7 @@ func (p *pushLog) waitChunks(t *testing.T, n int) []uint32 {
 		var chunks []uint32
 		p.mu.Lock()
 		for _, d := range p.ds {
-			vals := make([]float32, 1)
-			readDownlink(d.Packet, 0, 0, core.DefaultProfile, vals, func(c uint32, _ []float32, _ bool) {
+			readDownlink(d.Packet, 0, 0, core.DefaultProfile, 1, func(c uint32, _ []byte, _ bool) {
 				chunks = append(chunks, c)
 			})
 		}

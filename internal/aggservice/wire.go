@@ -270,22 +270,18 @@ func decodeDataHeader(pkt []byte) (job int, seq uint32, epoch uint8, err error) 
 	return int(binary.BigEndian.Uint16(pkt[2:])), binary.BigEndian.Uint32(pkt[4:]), pkt[hdrBytes], nil
 }
 
-// decodeAddValues appends an ADD's values, widened from prof's wire format
-// (exact for the 16-bit formats), to dst. An oversized payload would
-// silently truncate a garbage ADD into a plausible one, so the length must
-// match the profile exactly.
-func decodeAddValues(pkt []byte, modules int, prof core.NumericProfile, dst []float32) ([]float32, error) {
+// addValues returns a view of an ADD's value region, in prof's wire format
+// as the worker sent it. An oversized payload would silently truncate a
+// garbage ADD into a plausible one, so the length must match the profile
+// exactly.
+func addValues(pkt []byte, modules int, prof core.NumericProfile) ([]byte, error) {
 	if n := addBytes(modules, prof); len(pkt) != n {
 		if len(pkt) < n {
-			return dst, ErrTruncated
+			return nil, ErrTruncated
 		}
-		return dst, errBadLength
+		return nil, errBadLength
 	}
-	w := prof.ValueBytes()
-	for i := 0; i < modules; i++ {
-		dst = append(dst, prof.GetValue(pkt[addValOff+w*i:]))
-	}
-	return dst, nil
+	return pkt[addValOff:], nil
 }
 
 // JobSpec is what an admission negotiates for a job: its deficit-round-
@@ -333,74 +329,69 @@ func getJobSpec(src []byte) JobSpec {
 // echoes the current one), with the values narrowed to the job's negotiated
 // wire format — 16-bit formats halve the payload.
 func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
-	return appendAdd(make([]byte, 0, addBytes(len(vals), prof)), job, chunk, epoch, prof, vals)
+	return appendAdd(make([]byte, 0, addBytes(len(vals), prof)), job, chunk, epoch, prof, len(vals), vals)
 }
 
-// appendAdd appends one ADD (see EncodeAddProfile) to dst and returns the
-// extended slice — the form a sender uses to encode a whole send vector
-// into one reused arena.
-func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.NumericProfile, vals []float32) []byte {
-	w := prof.ValueBytes()
+// appendAdd appends one ADD of modules values (see EncodeAddProfile) to dst
+// and returns the extended slice — the form a sender uses to encode a whole
+// send vector into one reused arena. Values past len(vals) are +0.
+func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.NumericProfile, modules int, vals []float32) []byte {
 	n := len(dst)
-	dst = append(dst, make([]byte, addValOff+w*len(vals))...)
-	pkt := dst[n:]
-	putHeader(pkt, MsgAdd, job, chunk)
-	pkt[hdrBytes] = epoch
-	for i, v := range vals {
-		prof.PutValue(pkt[addValOff+w*i:], v)
-	}
-	return dst
+	dst = append(dst, make([]byte, addValOff)...)
+	putHeader(dst[n:], MsgAdd, job, chunk)
+	dst[n+hdrBytes] = epoch
+	dst = prof.AppendValues(dst, vals)
+	return append(dst, make([]byte, prof.ValueBytes()*(modules-len(vals)))...)
 }
 
-// encodeResult builds a chunk's RESULT in the job's wire format. The values
-// are already representable in it (the aggregator read them out under the
-// profile), so the narrowing is the identity.
-func encodeResult(job int, chunk uint32, prof core.NumericProfile, vals []float32, overflow bool) []byte {
-	w := prof.ValueBytes()
-	pkt := make([]byte, resultBytes(len(vals), prof))
+// newAdd allocates a tree leaf's ADD to its parent, header written, and
+// returns it with its value region for the aggregator to write into.
+func newAdd(job int, chunk uint32, epoch uint8, modules int, prof core.NumericProfile) (pkt, vals []byte) {
+	pkt = appendAdd(nil, job, chunk, epoch, prof, modules, nil)
+	return pkt, pkt[addValOff:]
+}
+
+// newResult allocates a chunk's RESULT, header written, and returns it with
+// its value region for the aggregator to write into (see putOverflow).
+func newResult(job int, chunk uint32, modules int, prof core.NumericProfile) (pkt, vals []byte) {
+	pkt = make([]byte, resultBytes(modules, prof))
 	putHeader(pkt, MsgResult, job, chunk)
-	for i, v := range vals {
-		prof.PutValue(pkt[hdrBytes+w*i:], v)
+	return pkt, pkt[hdrBytes : len(pkt)-1]
+}
+
+// putOverflow sets a RESULT's trailing overflow octet.
+func putOverflow(pkt []byte, ovf bool) {
+	if ovf {
+		pkt[len(pkt)-1] = 1
 	}
-	if overflow {
-		pkt[hdrBytes+w*len(vals)] = 1
-	}
-	return pkt
 }
 
 // DecodeResultProfile parses a RESULT packet in the job's negotiated wire
 // format, widening 16-bit values to float32 exactly.
 func DecodeResultProfile(pkt []byte, modules int, prof core.NumericProfile) (job int, chunk uint32, vals []float32, overflow bool, err error) {
-	vals = make([]float32, modules)
-	if job, chunk, overflow, err = decodeResultInto(pkt, prof, vals); err != nil {
+	job, chunk, region, overflow, err := decodeResultValues(pkt, modules, prof)
+	if err != nil {
 		return 0, 0, nil, false, err
 	}
+	vals = make([]float32, modules)
+	prof.GetValues(vals, region)
 	return job, chunk, vals, overflow, nil
 }
 
-// decodeResultInto is DecodeResultProfile writing the len(vals) module
-// values into the caller's buffer.
-func decodeResultInto(pkt []byte, prof core.NumericProfile, vals []float32) (job int, chunk uint32, overflow bool, err error) {
+// decodeResultValues validates a RESULT under the job's negotiated profile —
+// its exact size depends on it — and returns its value region (a view into
+// pkt) and overflow flag.
+func decodeResultValues(pkt []byte, modules int, prof core.NumericProfile) (job int, chunk uint32, vals []byte, overflow bool, err error) {
 	if job, err = decodeAs(pkt, MsgResult); err != nil {
-		return 0, 0, false, err
+		return 0, 0, nil, false, err
 	}
-	// The exact size depends on the negotiated profile.
-	if n := resultBytes(len(vals), prof); len(pkt) < n {
-		return 0, 0, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
+	if n := resultBytes(modules, prof); len(pkt) < n {
+		return 0, 0, nil, false, fmt.Errorf("result packet %d of %d bytes: %w", len(pkt), n, ErrTruncated)
 	} else if len(pkt) > n {
-		return 0, 0, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
+		return 0, 0, nil, false, fmt.Errorf("aggservice: result packet %d bytes, want %d", len(pkt), n)
 	}
-	return job, binary.BigEndian.Uint32(pkt[4:]), getResultBody(pkt[hdrBytes:], prof, vals), nil
-}
-
-// getResultBody reads one chunk's values+overflow tail — a RESULT's payload
-// or one RESULT RUN item — into vals and returns the overflow flag.
-func getResultBody(body []byte, prof core.NumericProfile, vals []float32) (overflow bool) {
-	w := prof.ValueBytes()
-	for i := range vals {
-		vals[i] = prof.GetValue(body[w*i:])
-	}
-	return body[w*len(vals)] != 0
+	vals, overflow = splitBody(pkt[hdrBytes:])
+	return job, binary.BigEndian.Uint32(pkt[4:]), vals, overflow, nil
 }
 
 // encodeResultRun splices consecutive chunks' RESULT payloads into one
@@ -434,8 +425,10 @@ func DecodeResultRun(pkt []byte, modules int, prof core.NumericProfile) (job int
 	vals = make([][]float32, count)
 	ovfs = make([]bool, count)
 	for i := range vals {
+		var region []byte
+		region, ovfs[i] = runItem(pkt, i, modules, prof)
 		vals[i] = make([]float32, modules)
-		ovfs[i] = getResultBody(runItem(pkt, i, modules, prof), prof, vals[i])
+		prof.GetValues(vals[i], region)
 	}
 	return job, start, vals, ovfs, nil
 }
@@ -458,9 +451,17 @@ func runItemBytes(modules int, prof core.NumericProfile) int {
 	return resultBytes(modules, prof) - hdrBytes
 }
 
-// runItem returns item i's values+overflow body of a validated run reply.
-func runItem(pkt []byte, i, modules int, prof core.NumericProfile) []byte {
-	return pkt[runHdrBytes+i*runItemBytes(modules, prof):]
+// splitBody splits one chunk's values+overflow body — a RESULT's tail or a
+// RESULT RUN item — into its value region and overflow flag.
+func splitBody(body []byte) (vals []byte, overflow bool) {
+	return body[:len(body)-1], body[len(body)-1] != 0
+}
+
+// runItem returns item i of a validated run reply: its value region (a
+// view into pkt) and overflow flag.
+func runItem(pkt []byte, i, modules int, prof core.NumericProfile) (vals []byte, overflow bool) {
+	n := runItemBytes(modules, prof)
+	return splitBody(pkt[runHdrBytes+i*n:][:n])
 }
 
 // EncodeStatsReq builds a per-job stats request.
@@ -742,15 +743,16 @@ func DecodeDrainReply(pkt []byte) (job int, kind DrainKind, entries []DrainEntry
 // readDownlink decodes one downlink message for a chunk-window client — a
 // Worker, or a tree leaf's uplink playing the worker role one level up —
 // of (job, epoch) under prof. Each aggregated chunk a RESULT or RESULT RUN
-// carries is decoded into vals (one entry per module, the client's reused
-// buffer) and handed to result, which must copy what it keeps: the next
-// chunk overwrites vals. A lifecycle or scheduler notice is returned
+// carries is handed to result as its value region — the modules wire
+// values, a view into msg that result must copy what it keeps of — and
+// its overflow flag.
+// A lifecycle or scheduler notice is returned
 // with ok set, but only one for the client's OWN incarnation: the switch
 // echoes the offending ADD's epoch, so a notice bounced off a stale
 // straggler's datagram never steers a fresh client sharing the port.
 // Anything else — other jobs' traffic, garbage — is dropped.
-func readDownlink(msg []byte, job int, epoch uint8, prof core.NumericProfile, vals []float32,
-	result func(chunk uint32, vals []float32, overflow bool)) (notice AckStatus, ok bool) {
+func readDownlink(msg []byte, job int, epoch uint8, prof core.NumericProfile, modules int,
+	result func(chunk uint32, vals []byte, overflow bool)) (notice AckStatus, ok bool) {
 	typ, _, err := decodeHeader(msg)
 	if err != nil {
 		return 0, false
@@ -760,15 +762,15 @@ func readDownlink(msg []byte, job int, epoch uint8, prof core.NumericProfile, va
 		ack, err := DecodeJobAck(msg)
 		return ack.Status, err == nil && ack.Job == job && ack.Epoch == epoch
 	case MsgResult:
-		j, chunk, ovf, err := decodeResultInto(msg, prof, vals)
+		j, chunk, vals, ovf, err := decodeResultValues(msg, modules, prof)
 		if err == nil && j == job {
 			result(chunk, vals, ovf)
 		}
 	case MsgResultRun:
-		j, start, count, err := decodeRunHeader(msg, len(vals), prof)
+		j, start, count, err := decodeRunHeader(msg, modules, prof)
 		if err == nil && j == job {
 			for i := 0; i < count; i++ {
-				ovf := getResultBody(runItem(msg, i, len(vals), prof), prof, vals)
+				vals, ovf := runItem(msg, i, modules, prof)
 				result(start+uint32(i), vals, ovf)
 			}
 		}

@@ -153,6 +153,19 @@ func goldenCases() []goldenCase {
 	}
 }
 
+// encodeResult builds a chunk's RESULT from host values. The switch never
+// holds a sum as a float — its aggregator writes the wire bytes straight
+// into newResult's value region — but a test states its expectations as
+// floats.
+func encodeResult(job int, chunk uint32, prof core.NumericProfile, vals []float32, overflow bool) []byte {
+	pkt, region := newResult(job, chunk, len(vals), prof)
+	for i, v := range vals {
+		prof.PutValue(region[prof.ValueBytes()*i:], v)
+	}
+	putOverflow(pkt, overflow)
+	return pkt
+}
+
 // decodeAdd reads a golden ADD back the way the switch does: the data header
 // its gate takes, then the values under the job's profile.
 func decodeAdd(prof core.NumericProfile, want []float32) func(pkt []byte) (got, _ any, err error) {
@@ -161,8 +174,13 @@ func decodeAdd(prof core.NumericProfile, want []float32) func(pkt []byte) (got, 
 		if err != nil {
 			return nil, nil, err
 		}
-		v, err := decodeAddValues(pkt, len(want), prof, nil)
-		return []any{j, c, e, v}, []any{3, uint32(0x01020304), uint8(7), want}, err
+		region, err := addValues(pkt, len(want), prof)
+		if err != nil {
+			return nil, nil, err
+		}
+		v := make([]float32, len(want))
+		prof.GetValues(v, region)
+		return []any{j, c, e, v}, []any{3, uint32(0x01020304), uint8(7), want}, nil
 	}
 }
 

@@ -37,19 +37,19 @@
 // valid one. The Accumulator converts between host float32 and wire bits
 // through the profile's EncodeValue and DecodeValue, as the wire codec does.
 //
-// # Result storage
+// # Wire bytes in, wire bytes out
 //
 // Both aggregation backends (PipelineAggregator on the compiled pipeline,
 // ProfileAggregator's accumulator bank for every other profile) expose one
-// operation set in two forms. AddInto/SetInto/ReadInto/ReadResetInto decode the
-// response into a Result the caller supplies, reusing its slices, and
-// allocate nothing in steady state; the pipeline scratch they run on (the
-// aggregator's request packet, the pisa.Switch's PHV and deparse buffer) is
-// valid only until the next call on the same replica, which is why the
-// response is copied out into caller storage before the call returns. A
-// nil *Result discards the response undecoded. Add/Read/ReadReset are thin
-// wrappers returning a fresh Result. An aggregator, like the pisa.Switch
-// replica under it, serves one caller at a time.
+// operation set in two forms. AddInto/SetInto/ReadResetInto take an ADD's
+// value region as it arrived (the profile's wire format, big-endian), write
+// the sums into the caller's out in that format and return the one
+// overflow bit the wire carries, allocating nothing; the pipeline scratch
+// they run on is valid only until the next call on the same replica, so
+// the sums are copied out before the call returns. A nil out discards the
+// response unbuilt. Add/Read/ReadReset are the host edge: float32 wrappers.
+// An aggregator, like the pisa.Switch replica under it, serves one caller
+// at a time.
 package core
 
 // Mode selects between the full design and the FPISA-A approximation.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"fpisa/internal/pisa"
 )
@@ -17,9 +16,9 @@ import (
 // every operation rebuilds the request in the aggregator's own packet
 // buffer and runs it through the switch's scratch (pisa.ProcessScratch, or
 // pisa.Absorb when the caller discards the response). The …Into operations
-// decode the response into storage the caller supplies and allocate
-// nothing in steady state; Add/Read/ReadReset are the same operations
-// returning a fresh Result.
+// move wire bytes — big-endian FP32, four bytes per module — between the
+// caller's buffers and those packets and allocate nothing; Add/Read/
+// ReadReset are the same operations on host float32 slices.
 type PipelineAggregator struct {
 	sw  *pisa.Switch
 	lay Layout
@@ -55,138 +54,118 @@ func (pa *PipelineAggregator) Switch() *pisa.Switch { return pa.sw }
 // Utilization returns the compiled resource report (paper Table 3).
 func (pa *PipelineAggregator) Utilization() pisa.Utilization { return pa.sw.Utilization() }
 
-// Result is one pipeline operation's response.
-type Result struct {
-	// Values holds the per-module renormalized FP32 results: for Add the
-	// running sums after the addition, for Read/ReadReset the stored sums.
-	Values []float32
-	// Overflow holds the per-module sticky overflow flags (§3.3).
-	Overflow []bool
-	// Count is the slot's add counter (after the operation).
-	Count uint32
-}
-
-// resize sets Values and Overflow to one entry per module, reusing their
-// capacity.
-func (r *Result) resize(modules int) {
-	if cap(r.Values) < modules || cap(r.Overflow) < modules {
-		r.Values = make([]float32, modules)
-		r.Overflow = make([]bool, modules)
-	}
-	r.Values, r.Overflow = r.Values[:modules], r.Overflow[:modules]
-}
-
-// putPacket builds a raw FPISA packet in pkt (PacketBytes long).
-func (pa *PipelineAggregator) putPacket(pkt []byte, op byte, idx uint32, vals []float32) error {
-	if len(vals) > pa.lay.Modules {
-		return fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.lay.Modules)
-	}
+// putPacket builds a raw FPISA packet in pkt from checked vals; missing
+// modules carry +0.
+func (pa *PipelineAggregator) putPacket(pkt []byte, op byte, idx uint32, vals []byte) {
 	clear(pkt)
 	pkt[pktOffOp] = op
 	binary.BigEndian.PutUint32(pkt[pktOffIdx:], idx)
-	for k, v := range vals {
-		binary.BigEndian.PutUint32(pkt[pktOffValues+pktPerModule*k:], math.Float32bits(v))
+	for k := 0; 4*k < len(vals); k++ {
+		binary.BigEndian.PutUint32(pkt[pktOffValues+pktPerModule*k:], binary.BigEndian.Uint32(vals[4*k:]))
+	}
+}
+
+// checkBuffers accepts at most modules values w (2 or 4) bytes wide in
+// vals, and an out, if any, with room for all of them.
+func checkBuffers(vals, out []byte, w, modules int) error {
+	if len(vals)&(w-1) != 0 || len(vals) > w*modules || out != nil && len(out) < w*modules {
+		return fmt.Errorf("core: %d value bytes in, %d out, for %d %d-byte values", len(vals), len(out), modules, w)
 	}
 	return nil
 }
 
-// Packet builds a raw FPISA packet; exported for transports and daemons.
+// Packet builds a raw FPISA packet from host values; exported for
+// transports and daemons.
 func (pa *PipelineAggregator) Packet(op byte, idx uint32, vals []float32) ([]byte, error) {
-	pkt := make([]byte, pa.lay.PacketBytes)
-	if err := pa.putPacket(pkt, op, idx, vals); err != nil {
+	v := DefaultProfile.AppendValues(nil, vals)
+	if err := checkBuffers(v, nil, 4, pa.lay.Modules); err != nil {
 		return nil, err
 	}
+	pkt := make([]byte, pa.lay.PacketBytes)
+	pa.putPacket(pkt, op, idx, v)
 	return pkt, nil
 }
 
-// parseInto decodes a response packet into res, reusing the
-// capacity of res.Values and res.Overflow.
-func (pa *PipelineAggregator) parseInto(pkt []byte, res *Result) error {
-	if len(pkt) < pa.lay.PacketBytes {
-		return fmt.Errorf("core: short response: %d < %d", len(pkt), pa.lay.PacketBytes)
-	}
-	res.resize(pa.lay.Modules)
-	res.Count = binary.BigEndian.Uint32(pkt[pktOffCnt:])
-	for k := 0; k < pa.lay.Modules; k++ {
-		off := pktOffValues + pktPerModule*k
-		res.Values[k] = math.Float32frombits(binary.BigEndian.Uint32(pkt[off:]))
-		res.Overflow[k] = pkt[off+4] != 0
-	}
-	return nil
-}
-
-// do runs one operation through the pipeline and decodes the response into
-// res. A nil res means the register side effect is all the caller wants:
+// do runs one operation through the pipeline and copies the response's
+// values into out, reporting whether any module's sticky overflow flag is
+// set. A nil out means the register side effect is all the caller wants:
 // the switch absorbs the packet (pisa.Switch.Absorb), running only the
 // steps that feed its registers, and no response is built.
-func (pa *PipelineAggregator) do(op byte, idx int, vals []float32, res *Result) error {
+func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, err error) {
 	if idx < 0 || idx >= pa.lay.Slots {
-		return fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
+		return false, fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
 	}
-	if err := pa.putPacket(pa.req, op, uint32(idx), vals); err != nil {
-		return err
+	if err := checkBuffers(vals, out, 4, pa.lay.Modules); err != nil {
+		return false, err
 	}
-	if res == nil {
-		return pa.sw.Absorb(1, pa.req)
+	pa.putPacket(pa.req, op, uint32(idx), vals)
+	if out == nil {
+		return false, pa.sw.Absorb(1, pa.req)
 	}
-	out, err := pa.sw.ProcessScratch(1, pa.req)
+	resp, err := pa.sw.ProcessScratch(1, pa.req)
 	if err != nil {
-		return err
+		return false, err
 	}
-	return pa.parseInto(out.Packet, res)
+	for k := 0; k < pa.lay.Modules; k++ {
+		v := resp.Packet[pktOffValues+pktPerModule*k:]
+		binary.BigEndian.PutUint32(out[4*k:], binary.BigEndian.Uint32(v))
+		ovf = ovf || v[4] != 0
+	}
+	return ovf, nil
 }
 
-// AddInto accumulates one value per module into the slot and stores the
-// running sums in res, reusing the capacity of res.Values and
-// res.Overflow; with a nil res the pass computes no sums at all (the
-// switch absorbs the packet). Nothing is allocated
-// once res has grown to the module count. The operation runs on scratch
-// that is valid only until the next call on this replica (the request
-// packet here, the pisa.Switch's PHV and deparse buffer below); res is the
-// caller's storage, decoded before the call returns, and stays valid
-// afterwards.
-func (pa *PipelineAggregator) AddInto(idx int, vals []float32, res *Result) error {
-	return pa.do(PktAdd, idx, vals, res)
+// AddInto accumulates vals — big-endian FP32, at most one per module — into
+// the slot, writes the running sums into out in the same format and returns
+// the OR of the modules' sticky overflow flags. With a nil out the switch
+// absorbs the packet: no sums, ovf false. Nothing is allocated; the request
+// packet and the pisa.Switch's PHV and deparse buffer are scratch, valid
+// until the next call on this replica, and out is written before return.
+func (pa *PipelineAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err error) {
+	return pa.do(PktAdd, idx, vals, out)
 }
 
 // SetInto is AddInto into a slot treated as freshly zeroed: whatever the
 // slot held is overwritten in the same single pipeline pass (PktSet), and
-// res and the slot's registers end up exactly as ReadResetInto followed by
+// out and the slot's registers end up exactly as ReadResetInto followed by
 // AddInto leave them. See AddInto for the storage contract.
-func (pa *PipelineAggregator) SetInto(idx int, vals []float32, res *Result) error {
-	return pa.do(PktSet, idx, vals, res)
+func (pa *PipelineAggregator) SetInto(idx int, vals, out []byte) (ovf bool, err error) {
+	return pa.do(PktSet, idx, vals, out)
 }
 
-// ReadInto stores the slot's renormalized sums in res without modifying
+// ReadInto writes the slot's renormalized sums into out without modifying
 // state; see AddInto for the storage contract.
-func (pa *PipelineAggregator) ReadInto(idx int, res *Result) error {
-	return pa.do(PktRead, idx, nil, res)
+func (pa *PipelineAggregator) ReadInto(idx int, out []byte) (ovf bool, err error) {
+	return pa.do(PktRead, idx, nil, out)
 }
 
-// ReadResetInto stores the sums in res and zeroes the slot and its
+// ReadResetInto writes the sums into out and zeroes the slot and its
 // counters; see AddInto for the storage contract.
-func (pa *PipelineAggregator) ReadResetInto(idx int, res *Result) error {
-	return pa.do(PktReadReset, idx, nil, res)
+func (pa *PipelineAggregator) ReadResetInto(idx int, out []byte) (ovf bool, err error) {
+	return pa.do(PktReadReset, idx, nil, out)
+}
+
+// hostOp runs one …Into operation on host values: vals narrowed to wire
+// bytes in, the sums widened back out as a fresh slice.
+func hostOp(p NumericProfile, modules int, vals []float32, op func(vals, out []byte) (bool, error)) ([]float32, error) {
+	out := make([]byte, p.ValueBytes()*modules)
+	if _, err := op(p.AppendValues(nil, vals), out); err != nil {
+		return nil, err
+	}
+	return p.values(out), nil
 }
 
 // Add accumulates one value per module into the slot and returns the
-// running sums in a fresh Result.
-func (pa *PipelineAggregator) Add(idx int, vals []float32) (Result, error) {
-	var r Result
-	err := pa.AddInto(idx, vals, &r)
-	return r, err
+// running sums.
+func (pa *PipelineAggregator) Add(idx int, vals []float32) ([]float32, error) {
+	return hostOp(DefaultProfile, pa.lay.Modules, vals, func(v, out []byte) (bool, error) { return pa.AddInto(idx, v, out) })
 }
 
 // Read returns the slot's renormalized sums without modifying state.
-func (pa *PipelineAggregator) Read(idx int) (Result, error) {
-	var r Result
-	err := pa.ReadInto(idx, &r)
-	return r, err
+func (pa *PipelineAggregator) Read(idx int) ([]float32, error) {
+	return hostOp(DefaultProfile, pa.lay.Modules, nil, func(_, out []byte) (bool, error) { return pa.ReadInto(idx, out) })
 }
 
 // ReadReset returns the sums and zeroes the slot and its counters.
-func (pa *PipelineAggregator) ReadReset(idx int) (Result, error) {
-	var r Result
-	err := pa.ReadResetInto(idx, &r)
-	return r, err
+func (pa *PipelineAggregator) ReadReset(idx int) ([]float32, error) {
+	return hostOp(DefaultProfile, pa.lay.Modules, nil, func(_, out []byte) (bool, error) { return pa.ReadResetInto(idx, out) })
 }

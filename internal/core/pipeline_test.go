@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -58,6 +59,20 @@ func newAgg(t *testing.T, mode Mode, arch pisa.Arch, modules, slots int) *Pipeli
 	return pa
 }
 
+// wire32 encodes host values as the byte form's big-endian FP32 region.
+func wire32(vals ...float32) []byte { return DefaultProfile.AppendValues(nil, vals) }
+
+// reg reads one element of a named register array, e.g. the slot's add
+// counter (cnt_reg) or module k's sticky overflow flag (ovf_reg_k).
+func reg(t testing.TB, pa *PipelineAggregator, name string, i int) uint32 {
+	t.Helper()
+	r, err := pa.Switch().RegisterSnapshot(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r[i]
+}
+
 func TestPipelineFig4Example(t *testing.T) {
 	pa := newAgg(t, ModeApprox, pisa.BaseArch(), 1, 4)
 	if _, err := pa.Add(0, []float32{3.0}); err != nil {
@@ -67,11 +82,11 @@ func TestPipelineFig4Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 4.0 {
-		t.Errorf("3+1 = %g, want 4", r.Values[0])
+	if r[0] != 4.0 {
+		t.Errorf("3+1 = %g, want 4", r[0])
 	}
-	if r.Count != 2 {
-		t.Errorf("count = %d, want 2", r.Count)
+	if c := reg(t, pa, "cnt_reg", 0); c != 2 {
+		t.Errorf("count = %d, want 2", c)
 	}
 	// Register state matches the software model's denormalized form.
 	exp, _ := pa.Switch().RegisterSnapshot("exp_reg_0")
@@ -89,19 +104,19 @@ func TestPipelineReadAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 3.5 || r.Count != 2 {
-		t.Errorf("read = %g cnt %d", r.Values[0], r.Count)
+	if c := reg(t, pa, "cnt_reg", 2); r[0] != 3.5 || c != 2 {
+		t.Errorf("read = %g cnt %d", r[0], c)
 	}
 	r, err = pa.ReadReset(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 3.5 || r.Count != 2 {
-		t.Errorf("readreset = %g cnt %d", r.Values[0], r.Count)
+	if r[0] != 3.5 {
+		t.Errorf("readreset = %g", r[0])
 	}
 	r, _ = pa.Read(2)
-	if r.Values[0] != 0 || r.Count != 0 {
-		t.Errorf("after reset: %g cnt %d", r.Values[0], r.Count)
+	if c := reg(t, pa, "cnt_reg", 2); r[0] != 0 || c != 0 {
+		t.Errorf("after reset: %g cnt %d", r[0], c)
 	}
 }
 
@@ -114,38 +129,37 @@ func TestPipelineMultiModule(t *testing.T) {
 	}
 	want := []float32{3, 30, 300}
 	for k, w := range want {
-		if r.Values[k] != w {
-			t.Errorf("module %d = %g, want %g", k, r.Values[k], w)
+		if r[k] != w {
+			t.Errorf("module %d = %g, want %g", k, r[k], w)
 		}
 	}
 }
 
 func TestPipelineOverflowSticky(t *testing.T) {
 	pa := newAgg(t, ModeApprox, pisa.BaseArch(), 1, 1)
-	maxMant := math.Float32frombits(0x3FFFFFFF)
-	var r Result
+	maxMant := wire32(math.Float32frombits(0x3FFFFFFF))
+	out := make([]byte, 4)
+	var ovf bool
 	var err error
 	for i := 0; i < 129; i++ {
-		r, err = pa.Add(0, []float32{maxMant})
+		ovf, err = pa.AddInto(0, maxMant, out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 128 && r.Overflow[0] {
+		if i < 128 && ovf {
 			t.Fatalf("overflow flagged after %d adds", i+1)
 		}
 	}
-	if !r.Overflow[0] {
+	if !ovf || reg(t, pa, "ovf_reg_0", 0) == 0 {
 		t.Error("129th max-mantissa add did not flag overflow")
 	}
 	// Sticky: later benign packets still report it.
-	r, _ = pa.Read(0)
-	if !r.Overflow[0] {
+	if ovf, _ = pa.ReadInto(0, out); !ovf {
 		t.Error("overflow flag not sticky across reads")
 	}
 	// ReadReset clears it.
 	pa.ReadReset(0)
-	r, _ = pa.Read(0)
-	if r.Overflow[0] {
+	if ovf, _ = pa.ReadInto(0, out); ovf || reg(t, pa, "ovf_reg_0", 0) != 0 {
 		t.Error("overflow flag survived reset")
 	}
 }
@@ -189,9 +203,9 @@ func TestPipelineEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := math.Float32frombits(model.ReadBits(slot))
-					if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
+					if math.Float32bits(r[0]) != math.Float32bits(want) {
 						t.Fatalf("step %d: read %g (%#x) vs model %g (%#x)",
-							step, r.Values[0], math.Float32bits(r.Values[0]), want, math.Float32bits(want))
+							step, r[0], math.Float32bits(r[0]), want, math.Float32bits(want))
 					}
 				case 1: // read-reset
 					r, err := pa.ReadReset(slot)
@@ -200,18 +214,19 @@ func TestPipelineEquivalence(t *testing.T) {
 					}
 					want := math.Float32frombits(model.ReadBits(slot))
 					model.Reset(slot)
-					if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
+					if math.Float32bits(r[0]) != math.Float32bits(want) {
 						t.Fatalf("step %d: readreset mismatch", step)
 					}
 				default: // add; roll 2 is a slot version's first add (PktSet)
 					v := randVal()
-					var r Result
+					out := make([]byte, 4)
+					var ovf bool
 					var err error
 					if roll == 2 {
 						model.Reset(slot)
-						err = pa.SetInto(slot, []float32{v}, &r)
+						ovf, err = pa.SetInto(slot, wire32(v), out)
 					} else {
-						r, err = pa.Add(slot, []float32{v})
+						ovf, err = pa.AddInto(slot, wire32(v), out)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -227,13 +242,12 @@ func TestPipelineEquivalence(t *testing.T) {
 						t.Fatalf("step %d: add %g: pipeline E=%d M=%#x vs model E=%d M=%#x",
 							step, v, exps[slot], mans[slot], e, uint32(m))
 					}
-					// And the renormalized response.
-					want := math.Float32frombits(model.ReadBits(slot))
-					if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
-						t.Fatalf("step %d: add response %g vs model %g", step, r.Values[0], want)
+					// And the renormalized response, as wire bits.
+					if got, want := binary.BigEndian.Uint32(out), model.ReadBits(slot); got != want {
+						t.Fatalf("step %d: add response %#x vs model %#x", step, got, want)
 					}
-					if r.Overflow[0] != model.Overflowed(slot) {
-						t.Fatalf("step %d: overflow flag %v vs model %v", step, r.Overflow[0], model.Overflowed(slot))
+					if ovf != model.Overflowed(slot) {
+						t.Fatalf("step %d: overflow flag %v vs model %v", step, ovf, model.Overflowed(slot))
 					}
 				}
 			}
@@ -253,9 +267,9 @@ func TestPipelineDenormalInputs(t *testing.T) {
 	model.Add(0, sub)
 	r, _ := pa.Read(0)
 	want := math.Float32frombits(model.ReadBits(0))
-	if math.Float32bits(r.Values[0]) != math.Float32bits(want) {
+	if math.Float32bits(r[0]) != math.Float32bits(want) {
 		t.Errorf("denormal sum: pipeline %#x vs model %#x",
-			math.Float32bits(r.Values[0]), math.Float32bits(want))
+			math.Float32bits(r[0]), math.Float32bits(want))
 	}
 }
 

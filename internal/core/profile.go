@@ -226,20 +226,52 @@ func (p NumericProfile) DecodeValue(bits uint32) float32 {
 }
 
 // PutValue writes one wire value at dst (big-endian, ValueBytes wide).
-func (p NumericProfile) PutValue(dst []byte, v float32) {
-	if p.ValueBytes() == 2 {
-		binary.BigEndian.PutUint16(dst, uint16(p.EncodeValue(v)))
-		return
-	}
-	binary.BigEndian.PutUint32(dst, p.EncodeValue(v))
-}
+func (p NumericProfile) PutValue(dst []byte, v float32) { p.putBits(dst, p.EncodeValue(v)) }
 
 // GetValue reads one wire value at src (big-endian, ValueBytes wide).
-func (p NumericProfile) GetValue(src []byte) float32 {
+func (p NumericProfile) GetValue(src []byte) float32 { return p.DecodeValue(p.getBits(src)) }
+
+// putBits writes one value's right-aligned wire bits at dst, big-endian.
+func (p NumericProfile) putBits(dst []byte, bits uint32) {
 	if p.ValueBytes() == 2 {
-		return p.DecodeValue(uint32(binary.BigEndian.Uint16(src)))
+		binary.BigEndian.PutUint16(dst, uint16(bits))
+		return
 	}
-	return p.DecodeValue(binary.BigEndian.Uint32(src))
+	binary.BigEndian.PutUint32(dst, bits)
+}
+
+// getBits reads one value's wire bits at src, right-aligned.
+func (p NumericProfile) getBits(src []byte) uint32 {
+	if p.ValueBytes() == 2 {
+		return uint32(binary.BigEndian.Uint16(src))
+	}
+	return binary.BigEndian.Uint32(src)
+}
+
+// AppendValues appends vals, each narrowed to one wire value, to dst.
+func (p NumericProfile) AppendValues(dst []byte, vals []float32) []byte {
+	w := p.ValueBytes()
+	for _, v := range vals {
+		n := len(dst)
+		dst = append(dst, make([]byte, w)...)
+		p.PutValue(dst[n:], v)
+	}
+	return dst
+}
+
+// GetValues widens the len(dst) wire values at the front of src into dst.
+func (p NumericProfile) GetValues(dst []float32, src []byte) {
+	w := p.ValueBytes()
+	for i := range dst {
+		dst[i] = p.GetValue(src[w*i:])
+	}
+}
+
+// values widens a region of wire values to a fresh float32 slice.
+func (p NumericProfile) values(src []byte) []float32 {
+	out := make([]float32, len(src)/p.ValueBytes())
+	p.GetValues(out, src)
+	return out
 }
 
 // ProfileAggregator runs per-slot FPISA aggregation under one numeric
@@ -247,17 +279,15 @@ func (p NumericProfile) GetValue(src []byte) float32 {
 // default profile drives the compiled pisa pipeline, while every other
 // profile runs the bit-exact Accumulator model (the paper's C-library
 // equivalent; BuildProgram compiles only the default profile). Both paths
-// share the Result surface, so shards address a bank of these without caring
-// which arithmetic backs a slot range.
+// take and write the profile's wire bytes, so shards address a bank of
+// these without caring which arithmetic backs a slot range.
 type ProfileAggregator struct {
 	prof    NumericProfile
 	modules int
 	slots   int
 
 	pipe *PipelineAggregator // compiled path (default profile only)
-
-	acc    *Accumulator // model path
-	counts []uint32
+	acc  *Accumulator        // model path
 }
 
 // NewProfileAggregator builds the aggregation backend for one profile. The
@@ -279,7 +309,6 @@ func NewProfileAggregator(p NumericProfile, mode Mode, modules, slots int, arch 
 		return nil, err
 	}
 	pa.acc = acc
-	pa.counts = make([]uint32, slots)
 	return pa, nil
 }
 
@@ -305,99 +334,90 @@ func (pa *ProfileAggregator) Replicate() *ProfileAggregator {
 		return out
 	}
 	out.acc = MustNewAccumulator(pa.acc.Config(), pa.modules*pa.slots)
-	out.counts = make([]uint32, pa.slots)
 	return out
 }
 
-func (pa *ProfileAggregator) checkIdx(idx int) error {
+// check validates a model-path operation's slot and buffers.
+func (pa *ProfileAggregator) check(idx int, vals, out []byte) error {
 	if idx < 0 || idx >= pa.slots {
 		return fmt.Errorf("core: slot %d out of range %d", idx, pa.slots)
 	}
-	return nil
+	return checkBuffers(vals, out, pa.prof.ValueBytes(), pa.modules)
 }
 
-// readInto assembles the model path's Result for a slot.
-func (pa *ProfileAggregator) readInto(idx int, res *Result) {
-	res.resize(pa.modules)
-	res.Count = pa.counts[idx]
+// readOut writes a slot's ReadBits into out and returns the OR of the
+// modules' sticky overflow flags.
+func (pa *ProfileAggregator) readOut(idx int, out []byte) (ovf bool) {
+	w := pa.prof.ValueBytes()
 	for k := 0; k < pa.modules; k++ {
 		i := idx*pa.modules + k
-		res.Values[k] = pa.acc.ReadFloat32(i)
-		res.Overflow[k] = pa.acc.Overflowed(i)
+		pa.prof.putBits(out[w*k:], pa.acc.ReadBits(i))
+		ovf = ovf || pa.acc.Overflowed(i)
 	}
+	return ovf
 }
 
-// AddInto accumulates one value per module into the slot and stores the
-// running sums in res, exactly as PipelineAggregator.AddInto does: res's
-// slices are reused, a nil res discards the sums unread, and nothing is
-// allocated in steady state. Values arrive as host float32; the model path
-// narrows them to the profile's wire format first, so results are
-// bit-identical to a host reference that feeds AddBits(EncodeValue(v)).
-func (pa *ProfileAggregator) AddInto(idx int, vals []float32, res *Result) error {
+// AddInto is PipelineAggregator.AddInto in the profile's wire format. The
+// model path feeds the wire bits to AddBits as they came and writes
+// ReadBits out, bit-identical to a host reference doing the same.
+func (pa *ProfileAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err error) {
 	if pa.pipe != nil {
-		return pa.pipe.AddInto(idx, vals, res)
+		return pa.pipe.AddInto(idx, vals, out)
 	}
-	if err := pa.checkIdx(idx); err != nil {
-		return err
+	if err := pa.check(idx, vals, out); err != nil {
+		return false, err
 	}
-	if len(vals) > pa.modules {
-		return fmt.Errorf("core: %d values exceed %d modules", len(vals), pa.modules)
-	}
-	for k, v := range vals {
-		if err := pa.acc.AddBits(idx*pa.modules+k, pa.prof.EncodeValue(v)); err != nil {
-			return err
+	w := pa.prof.ValueBytes()
+	for k := 0; w*k < len(vals); k++ {
+		if err := pa.acc.AddBits(idx*pa.modules+k, pa.prof.getBits(vals[w*k:])); err != nil {
+			return false, err
 		}
 	}
-	pa.counts[idx]++
-	if res != nil {
-		pa.readInto(idx, res)
+	if out == nil {
+		return false, nil
 	}
-	return nil
+	return pa.readOut(idx, out), nil
 }
 
 // SetInto is AddInto into a slot treated as freshly zeroed — the first ADD
 // of a slot version. The compiled path overwrites the slot in one pipeline
-// pass (PktSet); the model path resets, then adds. Either way res and the
+// pass (PktSet); the model path resets, then adds. Either way out and the
 // slot end up exactly as ReadResetInto followed by AddInto leave them.
-func (pa *ProfileAggregator) SetInto(idx int, vals []float32, res *Result) error {
+func (pa *ProfileAggregator) SetInto(idx int, vals, out []byte) (ovf bool, err error) {
 	if pa.pipe != nil {
-		return pa.pipe.SetInto(idx, vals, res)
+		return pa.pipe.SetInto(idx, vals, out)
 	}
-	if err := pa.ReadResetInto(idx, nil); err != nil {
-		return err
+	if _, err := pa.ReadResetInto(idx, nil); err != nil {
+		return false, err
 	}
-	return pa.AddInto(idx, vals, res)
+	return pa.AddInto(idx, vals, out)
 }
 
-// ReadResetInto stores the sums in res and zeroes the slot and its
-// counter; see AddInto for the storage contract.
-func (pa *ProfileAggregator) ReadResetInto(idx int, res *Result) error {
+// ReadResetInto writes the sums into out and zeroes the slot; see AddInto
+// for the storage contract.
+func (pa *ProfileAggregator) ReadResetInto(idx int, out []byte) (ovf bool, err error) {
 	if pa.pipe != nil {
-		return pa.pipe.ReadResetInto(idx, res)
+		return pa.pipe.ReadResetInto(idx, out)
 	}
-	if err := pa.checkIdx(idx); err != nil {
-		return err
+	if err := pa.check(idx, nil, out); err != nil {
+		return false, err
 	}
-	if res != nil {
-		pa.readInto(idx, res)
+	if out != nil {
+		ovf = pa.readOut(idx, out)
 	}
 	for k := 0; k < pa.modules; k++ {
 		pa.acc.Reset(idx*pa.modules + k)
 	}
-	pa.counts[idx] = 0
-	return nil
+	return ovf, nil
 }
 
-// Add is AddInto returning a fresh Result the caller may keep.
-func (pa *ProfileAggregator) Add(idx int, vals []float32) (Result, error) {
-	var r Result
-	err := pa.AddInto(idx, vals, &r)
-	return r, err
+// Add accumulates host values, narrowed to the profile's wire format, into
+// the slot and returns the running sums widened back to float32.
+func (pa *ProfileAggregator) Add(idx int, vals []float32) ([]float32, error) {
+	return hostOp(pa.prof, pa.modules, vals, func(v, out []byte) (bool, error) { return pa.AddInto(idx, v, out) })
 }
 
-// ReadReset is ReadResetInto returning a fresh Result the caller may keep.
-func (pa *ProfileAggregator) ReadReset(idx int) (Result, error) {
-	var r Result
-	err := pa.ReadResetInto(idx, &r)
-	return r, err
+// ReadReset returns the slot's sums widened to float32 and zeroes the slot.
+func (pa *ProfileAggregator) ReadReset(idx int) ([]float32, error) {
+	return hostOp(pa.prof, pa.modules, nil, func(_, out []byte) (bool, error) { return pa.ReadResetInto(idx, out) })
 }

@@ -162,18 +162,18 @@ func TestProfileAggregatorDefaultMatchesPipeline(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		for k := range want.Values {
-			if math.Float32bits(got.Values[k]) != math.Float32bits(want.Values[k]) {
-				t.Fatalf("add %d slot %d module %d: %v != %v", n, idx, k, got.Values[k], want.Values[k])
+		for k := range want {
+			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+				t.Fatalf("add %d slot %d module %d: %v != %v", n, idx, k, got[k], want[k])
 			}
 		}
 	}
 	for idx := 0; idx < 4; idx++ {
 		got, _ := pa.ReadReset(idx)
 		want, _ := ref.ReadReset(idx)
-		for k := range want.Values {
-			if math.Float32bits(got.Values[k]) != math.Float32bits(want.Values[k]) {
-				t.Fatalf("readreset slot %d: %v != %v", idx, got.Values, want.Values)
+		for k := range want {
+			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+				t.Fatalf("readreset slot %d: %v != %v", idx, got, want)
 			}
 		}
 	}
@@ -182,7 +182,8 @@ func TestProfileAggregatorDefaultMatchesPipeline(t *testing.T) {
 // TestProfileAggregatorModelMatchesAccumulator pins every valid profile
 // (f32/f16/bf16 × trunc/rne × guard bits 0, 1 and headroom−1), in both
 // modes, against a hand-driven Accumulator built from the same Config and
-// fed the same narrowed wire bits. The default profile's aggregator is the
+// fed the same narrowed wire bits: the sums, every module's sticky
+// overflow flag and the one overflow bit the byte form reports. The default profile's aggregator is the
 // compiled pipeline, every other one the model. A slot version's first add
 // must also read back exactly its own narrowed input, which holds the
 // Accumulator itself to the profile's format and guard bits.
@@ -224,54 +225,104 @@ func checkProfileAggregator(t *testing.T, cfg Config) {
 		for k := range vals {
 			vals[k] = float32(rng.NormFloat64()) * float32(math.Pow(2, float64(rng.Intn(8)-4)))
 		}
-		var res Result
+		out := make([]byte, prof.ValueBytes()*modules)
+		var ovf bool
+		var res []float32
 		first := n%5 == 4
-		if first {
+		switch {
+		case first:
 			// A slot version's first add: the model resets, then adds.
 			for k := range vals {
 				ref.Reset(idx*modules + k)
 			}
-			err = pa.SetInto(idx, vals, &res)
-		} else {
+			ovf, err = pa.SetInto(idx, prof.AppendValues(nil, vals), out)
+			res = prof.values(out)
+		case n%2 == 0:
+			ovf, err = pa.AddInto(idx, prof.AppendValues(nil, vals), out)
+			res = prof.values(out)
+		default:
 			res, err = pa.Add(idx, vals)
+			ovf = anyOverflowed(t, pa, idx)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantOvf := false
 		for k, v := range vals {
 			wire := prof.EncodeValue(v)
 			if err := ref.AddBits(idx*modules+k, wire); err != nil {
 				t.Fatal(err)
 			}
 			want := ref.ReadFloat32(idx*modules + k)
-			if math.Float32bits(res.Values[k]) != math.Float32bits(want) {
-				t.Fatalf("add %d slot %d module %d: got %v want %v", n, idx, k, res.Values[k], want)
+			if math.Float32bits(res[k]) != math.Float32bits(want) {
+				t.Fatalf("add %d slot %d module %d: got %v want %v", n, idx, k, res[k], want)
 			}
-			if res.Overflow[k] != ref.Overflowed(idx*modules+k) {
-				t.Fatalf("add %d slot %d module %d: overflow %v, model %v", n, idx, k, res.Overflow[k], ref.Overflowed(idx*modules+k))
+			if got := overflowed(t, pa, idx, k); got != ref.Overflowed(idx*modules+k) {
+				t.Fatalf("add %d slot %d module %d: overflow %v, model %v", n, idx, k, got, ref.Overflowed(idx*modules+k))
 			}
+			wantOvf = wantOvf || ref.Overflowed(idx*modules+k)
 			if exact := prof.DecodeValue(wire); first && math.Float32bits(want) != math.Float32bits(exact) {
 				t.Fatalf("add %d: a fresh slot holding only %v reads %v", n, exact, want)
 			}
 		}
-	}
-	// ReadReset drains both the sums and the counter.
-	res, err := pa.ReadReset(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count == 0 {
-		t.Fatal("expected a nonzero count before reset")
-	}
-	res2, _ := pa.ReadReset(1)
-	if res2.Count != 0 {
-		t.Fatalf("count %d after reset", res2.Count)
-	}
-	for _, v := range res2.Values {
-		if v != 0 {
-			t.Fatalf("values %v after reset", res2.Values)
+		if ovf != wantOvf {
+			t.Fatalf("add %d slot %d: overflow bit %v, model %v", n, idx, ovf, wantOvf)
 		}
 	}
+	// ReadReset drains the sums and the slot's state: the add counter on
+	// the compiled path, the register pair on the model path.
+	if slotClear(t, pa, 1) {
+		t.Fatal("expected a nonzero slot state before reset")
+	}
+	if _, err := pa.ReadReset(1); err != nil {
+		t.Fatal(err)
+	}
+	res2, _ := pa.ReadReset(1)
+	if !slotClear(t, pa, 1) {
+		t.Fatal("slot state survived the reset")
+	}
+	for _, v := range res2 {
+		if v != 0 {
+			t.Fatalf("values %v after reset", res2)
+		}
+	}
+}
+
+// overflowed reads module k's sticky overflow flag of slot idx from the
+// backend's state: its ovf_reg_k register on the compiled path, the
+// Accumulator on the model path.
+func overflowed(t *testing.T, pa *ProfileAggregator, idx, k int) bool {
+	if pa.pipe != nil {
+		return reg(t, pa.pipe, fmt.Sprintf("ovf_reg_%d", k), idx) != 0
+	}
+	return pa.acc.Overflowed(idx*pa.modules + k)
+}
+
+// anyOverflowed is the OR of a slot's per-module overflow flags: the bit
+// the wire carries.
+func anyOverflowed(t *testing.T, pa *ProfileAggregator, idx int) bool {
+	for k := 0; k < pa.modules; k++ {
+		if overflowed(t, pa, idx, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// slotClear reports whether a slot holds nothing: a zero add counter
+// (cnt_reg) on the compiled path, zero registers and flags in every module
+// on the model path.
+func slotClear(t *testing.T, pa *ProfileAggregator, idx int) bool {
+	if pa.pipe != nil {
+		return reg(t, pa.pipe, "cnt_reg", idx) == 0
+	}
+	for k := 0; k < pa.modules; k++ {
+		i := idx*pa.modules + k
+		if e, m := pa.acc.RawState(i); e != 0 || m != 0 || pa.acc.flags[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestProfileAggregatorReplicateIndependence(t *testing.T) {
@@ -284,15 +335,19 @@ func TestProfileAggregatorReplicateIndependence(t *testing.T) {
 		if _, err := a.Add(0, []float32{1}); err != nil {
 			t.Fatal(err)
 		}
+		fresh := slotClear(t, b, 0)
 		rb, err := b.ReadReset(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rb.Values[0] != 0 || rb.Count != 0 {
-			t.Fatalf("%v: replica b saw replica a's state: %+v", prof, rb)
+		if rb[0] != 0 || !fresh {
+			t.Fatalf("%v: replica b saw replica a's state: %v", prof, rb)
+		}
+		if slotClear(t, a, 0) {
+			t.Fatalf("%v: replica a's slot is clear after an add", prof)
 		}
 		ra, _ := a.ReadReset(0)
-		if ra.Values[0] != 1 {
+		if ra[0] != 1 {
 			t.Fatalf("%v: replica a lost its state: %+v", prof, ra)
 		}
 	}
@@ -329,7 +384,7 @@ func medianProfileError(t *testing.T, prof NumericProfile, seed int64) float64 {
 		if denom < 1e-12 {
 			denom = 1e-12
 		}
-		errs = append(errs, math.Abs(float64(res.Values[0])-ref)/denom)
+		errs = append(errs, math.Abs(float64(res[0])-ref)/denom)
 	}
 	sort.Float64s(errs)
 	return errs[len(errs)/2]

@@ -30,16 +30,16 @@ func TestReplicateIndependentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 0 || r.Count != 0 {
-		t.Fatalf("replica slot not fresh: value %g count %d", r.Values[0], r.Count)
+	if c := reg(t, rep, "cnt_reg", 3); r[0] != 0 || c != 0 {
+		t.Fatalf("replica slot not fresh: value %g count %d", r[0], c)
 	}
 	// The original accumulated.
 	r, err = pa.Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 3.5 || r.Count != 2 {
-		t.Fatalf("original slot: value %g count %d, want 3.5/2", r.Values[0], r.Count)
+	if c := reg(t, pa, "cnt_reg", 3); r[0] != 3.5 || c != 2 {
+		t.Fatalf("original slot: value %g count %d, want 3.5/2", r[0], c)
 	}
 	// The replica aggregates independently and correctly.
 	if _, err := rep.Add(3, []float32{0.25}); err != nil {
@@ -49,8 +49,8 @@ func TestReplicateIndependentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values[0] != 0.25 || r.Count != 1 {
-		t.Fatalf("replica slot: value %g count %d, want 0.25/1", r.Values[0], r.Count)
+	if c := reg(t, rep, "cnt_reg", 3); r[0] != 0.25 || c != 1 {
+		t.Fatalf("replica slot: value %g count %d, want 0.25/1", r[0], c)
 	}
 
 	// Switch counters are per-replica too: tilt the packet counts (original
@@ -94,8 +94,8 @@ func TestReplicateConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Count != 13 { // 50 adds round-robined over 4 slots: slot 0 gets 13
-			t.Fatalf("replica %d slot 0 count %d, want 13", i, res.Count)
+		if c := reg(t, r, "cnt_reg", 0); c != 13 || res[0] != 13 { // 50 adds round-robined over 4 slots: slot 0 gets 13
+			t.Fatalf("replica %d slot 0 count %d sum %g, want 13", i, c, res[0])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -72,8 +73,9 @@ func setDiffValue(next func() byte) float32 {
 // runSetDiff decodes an operation sequence from ops and drives two replicas
 // of b through it: set runs every first-ADD as one SetInto pass, twin as
 // ReadResetInto + AddInto. Plain adds, reads and read-resets interleave on
-// the same few slots. After every operation the responses (values, overflow
-// flags, count) and all four register arrays must be identical.
+// the same few slots. After every operation the responses (the value bytes
+// and the overflow bit) and all four register arrays — the add counter
+// among them — must be identical.
 func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
 	set, twin := b.proto.Replicate(), b.proto.Replicate()
 	pos := 0
@@ -89,39 +91,42 @@ func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
 		regs = append(regs, fmt.Sprintf("exp_reg_%d", k), fmt.Sprintf("man_reg_%d", k), fmt.Sprintf("ovf_reg_%d", k))
 	}
 	vals := make([]float32, b.modules)
-	var got, want Result
+	got, want := make([]byte, 4*b.modules), make([]byte, 4*b.modules)
 	for step := 0; pos < len(ops); step++ {
 		op := next()
 		slot := int(op) % setDiffSlots
 		kind := (op >> 2) % 8
+		var ovfSet, ovfTwin bool
 		var errSet, errTwin error
 		switch {
 		case kind < 6: // 0..2 set, 3..5 add
 			for k := range vals {
 				vals[k] = setDiffValue(next)
 			}
-			in := vals[:1+int(op>>5)%b.modules] // short packets zero-fill the rest
+			in := wire32(vals[:1+int(op>>5)%b.modules]...) // short packets zero-fill the rest
 			if kind < 3 {
-				errSet = set.SetInto(slot, in, &got)
-				if errTwin = twin.ReadResetInto(slot, nil); errTwin == nil {
-					errTwin = twin.AddInto(slot, in, &want)
+				ovfSet, errSet = set.SetInto(slot, in, got)
+				if _, errTwin = twin.ReadResetInto(slot, nil); errTwin == nil {
+					ovfTwin, errTwin = twin.AddInto(slot, in, want)
 				}
 			} else {
-				errSet, errTwin = set.AddInto(slot, in, &got), twin.AddInto(slot, in, &want)
+				ovfSet, errSet = set.AddInto(slot, in, got)
+				ovfTwin, errTwin = twin.AddInto(slot, in, want)
 			}
 		case kind == 6:
-			errSet, errTwin = set.ReadInto(slot, &got), twin.ReadInto(slot, &want)
+			ovfSet, errSet = set.ReadInto(slot, got)
+			ovfTwin, errTwin = twin.ReadInto(slot, want)
 		default:
-			errSet, errTwin = set.ReadResetInto(slot, &got), twin.ReadResetInto(slot, &want)
+			ovfSet, errSet = set.ReadResetInto(slot, got)
+			ovfTwin, errTwin = twin.ReadResetInto(slot, want)
 		}
 		if errSet != nil || errTwin != nil {
 			t.Fatalf("%s step %d: %v / %v", b.name, step, errSet, errTwin)
 		}
-		// Compare bits, not floats: NaN results must match too.
-		if !reflect.DeepEqual(valueBits(got), valueBits(want)) ||
-			!reflect.DeepEqual(got.Overflow, want.Overflow) || got.Count != want.Count {
-			t.Fatalf("%s step %d (op %#x slot %d vals %x): set %+v, reset+add %+v",
-				b.name, step, op, slot, valueBits(Result{Values: vals}), got, want)
+		// Compare wire bytes, not floats: NaN results must match too.
+		if !bytes.Equal(got, want) || ovfSet != ovfTwin {
+			t.Fatalf("%s step %d (op %#x slot %d vals %x): set %x/%v, reset+add %x/%v",
+				b.name, step, op, slot, wire32(vals...), got, ovfSet, want, ovfTwin)
 		}
 		for _, name := range regs {
 			a, errA := set.Switch().RegisterSnapshot(name)
@@ -134,14 +139,6 @@ func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
 			}
 		}
 	}
-}
-
-func valueBits(r Result) []uint32 {
-	bits := make([]uint32, len(r.Values))
-	for i, v := range r.Values {
-		bits[i] = math.Float32bits(v)
-	}
-	return bits
 }
 
 // TestSetEqualsResetAdd is the bind-by-overwrite contract: on every
