@@ -1,8 +1,8 @@
 // Command fpisa-switch runs a standalone FPISA aggregation switch daemon
-// over UDP. Workers frame packets with a one-byte worker-port ID followed
-// by the aggservice wire format v2 (one message per framed packet; the
-// transport's 0xFE batch frame coalesces several per datagram); the
-// daemon answers results to the senders' addresses (broadcasting
+// over UDP. Every datagram is one transport frame, [id(1) count(2)
+// {len(2) msg}·count], whose id is the sender's worker port and whose
+// packets are aggservice wire v2 messages; the daemon answers results, in
+// frames of its own, to the senders' addresses (broadcasting
 // completions to every registered worker, or to the owning job's ports
 // when several jobs share the switch).
 //
@@ -25,7 +25,7 @@
 // and jobs admitted at runtime carry the profile named in fpisa-query
 // -admit -profile. A datagram that is not wire v2 is dropped and counted as
 // malformed. Per-job stats can be queried out-of-band with fpisa-query
-// -switch (the 0xFF observer frame).
+// -switch (an observer frame: frame id 0xFF).
 //
 // With -dynamic the runtime job lifecycle control plane is enabled: an
 // operator admits and evicts jobs without restarting the switch
@@ -50,7 +50,7 @@
 // leaf count) and releases results to its own workers only when the
 // parent's aggregate returns. -leaf/-leaves name this switch's worker
 // port at the parent; admission is negotiated up the tree (the leaf's
-// initial jobs are admitted at the parent over the 0xFF observer frame
+// initial jobs are admitted at the parent over an observer frame
 // before the leaf starts serving, echoing the parent incarnation epoch
 // that fences every cross-level datagram). Both levels must run the same
 // -pool. See examples/tree for a full 2-level deployment.

@@ -173,5 +173,8 @@ func MaxModules(extended bool) int {
 }
 
 // Version identifies the reproduction. 1.1 redesigned the transport layer
-// around vectored zero-copy I/O and adaptive batching.
-const Version = "fpisa-repro 1.1 (NSDI'22 reproduction)"
+// around vectored zero-copy I/O and adaptive batching. 1.2 gives every UDP
+// datagram one frame layout, [id count {len pkt}·count]; a 1.1 peer's
+// unframed single-packet and 0xFE batch datagrams are now dropped as
+// malformed.
+const Version = "fpisa-repro 1.2 (NSDI'22 reproduction)"

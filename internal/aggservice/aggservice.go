@@ -14,13 +14,6 @@ import (
 // MaxJobs bounds the job-id space: the wire carries a 16-bit job field.
 const MaxJobs = 1 << 16
 
-// ObserverWorker is the pseudo worker index a transport passes to
-// HandleBatch for out-of-band observers (the UDP fabric's 0xFF frame).
-// Observers may only drive the control plane (stats, lifecycle, drains);
-// deliveries addressed to ObserverWorker are routed back to the requesting
-// address.
-const ObserverWorker = transport.ObserverWorker
-
 // Config parameterizes the service.
 type Config struct {
 	// Workers is the number of participating workers per job.
@@ -629,9 +622,11 @@ func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
 // many lock rounds as it spans shards. It is safe for concurrent use:
 // only the shards owning the batch's slots are locked, one at a time.
 // worker is the transport port (job·Workers + worker-in-job), or
-// ObserverWorker for out-of-band control traffic.
+// transport.ObserverWorker for an out-of-band observer, which may only
+// drive the control plane (stats, lifecycle, drains) and gets every reply
+// back whatever worker it is addressed to.
 func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryList) {
-	if worker < ObserverWorker || worker >= s.ncap*s.cfg.Workers { // Config.Ports
+	if worker < transport.ObserverWorker || worker >= s.ncap*s.cfg.Workers { // Config.Ports
 		return
 	}
 	sc := s.scratchPool.Get().(*batchScratch)
@@ -684,7 +679,7 @@ func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.
 	// Observers drive only the control plane, and a tenant's worker port
 	// must not drive another tenant's lifecycle: the table says who may.
 	from := fromWorker
-	if worker == ObserverWorker {
+	if worker == transport.ObserverWorker {
 		from = fromObserver
 	}
 	if msgTable[typ].from&from == 0 {

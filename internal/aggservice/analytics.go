@@ -643,64 +643,48 @@ func (c *TupleClient) Send(op TupleOp, keys []uint32, vals []float32) ([]int, er
 // backing off on scheduler backpressure.
 func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int, error) {
 	timeout, retries := retryBudget(c.Timeout, c.Retries)
-	port := c.Cfg.Port(c.Job, c.ID)
 	pkt := EncodeTuples(c.Job, c.seq, c.Epoch, op, keys, vals)
 	if c.bufs == nil {
 		c.bufs = make([][]byte, recvVec)
 	}
-	first := true
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := c.Fabric.SendBatch(port, [][]byte{pkt}); err != nil {
-			return nil, err
-		}
-		if first {
-			c.SentBatches++
-			first = false
-		} else {
-			c.Retransmits++
-		}
-		deadline := time.Now().Add(timeout)
-		for {
-			left := time.Until(deadline)
-			if left <= 0 {
-				break
-			}
-			n, err := c.Fabric.RecvBatch(port, c.bufs, left)
-			if err == transport.ErrTimeout {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			for _, msg := range c.bufs[:n] {
-				if j, seq, alive, aerr := DecodeTupleAck(msg); aerr == nil && j == c.Job && seq == c.seq {
-					c.seq++
-					var out []int
-					for i, s := range alive {
-						if i < len(keys) && s {
-							out = append(out, i)
-						}
-					}
-					return out, nil
-				}
-				ack, aerr := DecodeJobAck(msg)
-				if aerr != nil || ack.Job != c.Job {
-					continue
-				}
-				switch ack.Status {
-				case AckBackpressure:
-					// Transient: the DRR round turns over on the
-					// switch; fall through to the retransmit clock.
-					c.BackpressureAcks++
-				case AckEvicted, AckDraining:
-					if ack.Epoch == c.Epoch {
-						return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
-					}
-				case AckErrBadClass:
-					return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrBadClass)
+	var out []int
+	sends, err := stopAndWait(c.Fabric, c.Cfg.Port(c.Job, c.ID), pkt, retries+1, timeout, c.bufs, func(msg []byte, _ int) (bool, error) {
+		if j, seq, alive, aerr := DecodeTupleAck(msg); aerr == nil && j == c.Job && seq == c.seq {
+			for i, s := range alive {
+				if i < len(keys) && s {
+					out = append(out, i)
 				}
 			}
+			return true, nil
 		}
+		ack, aerr := DecodeJobAck(msg)
+		if aerr != nil || ack.Job != c.Job {
+			return false, nil
+		}
+		switch ack.Status {
+		case AckBackpressure:
+			// Transient: the DRR round turns over on the switch; wait
+			// out the retransmit clock.
+			c.BackpressureAcks++
+		case AckEvicted, AckDraining:
+			if ack.Epoch == c.Epoch {
+				return true, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
+			}
+		case AckErrBadClass:
+			return true, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrBadClass)
+		}
+		return false, nil
+	})
+	if sends > 0 {
+		c.SentBatches++
+		c.Retransmits += uint64(sends - 1)
 	}
-	return nil, fmt.Errorf("aggservice: job %d worker %d tuple batch %d undelivered after %d attempts", c.Job, c.ID, c.seq, retries+1)
+	switch {
+	case errors.Is(err, errNoReply):
+		return nil, fmt.Errorf("aggservice: job %d worker %d tuple batch %d undelivered after %d attempts", c.Job, c.ID, c.seq, sends)
+	case err != nil:
+		return nil, err
+	}
+	c.seq++
+	return out, nil
 }

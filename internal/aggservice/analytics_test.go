@@ -183,7 +183,7 @@ func TestAnalyticsRangesSpreadOverShards(t *testing.T) {
 // in-process switch.
 func drainVia(t *testing.T, sw *Switch, job int, kind DrainKind, flags uint8, nonce uint32) []DrainEntry {
 	t.Helper()
-	ds := handle(sw, ObserverWorker, EncodeDrain(job, kind, flags, nonce))
+	ds := handle(sw, transport.ObserverWorker, EncodeDrain(job, kind, flags, nonce))
 	if len(ds) != 1 {
 		t.Fatalf("drain deliveries: %v", ds)
 	}
@@ -497,7 +497,7 @@ func TestClassEnforcement(t *testing.T) {
 		t.Fatalf("BadClass rejects %d → %d, want +4", before, got)
 	}
 	// Drain against a training job.
-	ds := handle(sw, ObserverWorker, EncodeDrain(0, DrainGroups, 0, 1))
+	ds := handle(sw, transport.ObserverWorker, EncodeDrain(0, DrainGroups, 0, 1))
 	expectAck(ds, AckErrBadClass)
 	// The provisioned op still works.
 	pkt := EncodeTuples(1, 0, 0, OpQueryTopN, []uint32{1}, []float32{1})
@@ -516,7 +516,7 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac := AdmitClass{Class: ClassQuery, TopN: 2, Groups: 8}
-	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 2, Class: ac}}))
+	ds := handle(sw, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 2, Class: ac}}))
 	if len(ds) != 1 {
 		t.Fatalf("admit deliveries: %v", ds)
 	}
@@ -529,7 +529,7 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatalf("job 1 class = %v", st.Class)
 	}
 	// A bad descriptor is refused with the new status.
-	ds = handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: ClassTelemetry, Groups: 3}}}))
+	ds = handle(sw, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1, Class: AdmitClass{Class: ClassTelemetry, Groups: 3}}}))
 	if ack, _ := DecodeJobAck(ds[0].Packet); ack.Status != AckErrBadClass {
 		t.Fatalf("bad class admit ack: %v", ack.Status)
 	}

@@ -197,12 +197,13 @@
 // validation is the admission path's job, so a decode/encode round trip is
 // byte-exact even for frames the switch would refuse.
 //
-// One datagram-level message is one protocol message: coalescing lives
-// BELOW this wire format — packets cross the transport as VECTORS
-// (transport.BatchHandler / Fabric.SendBatch) and the UDP fabric packs a
-// vector into its own batch-framed datagrams. Message type 2, which once
-// framed several messages inside the protocol, is reserved and rejected as
-// malformed. Every decoder checks bounds first — a truncated frame
+// One packet is one protocol message: coalescing lives BELOW this wire
+// format — packets cross the transport as VECTORS (transport.BatchHandler /
+// Fabric.SendBatch) and the UDP fabric packs a vector into its own frames.
+// This package never sees a frame; it sizes what must cross as one datagram
+// by the fabric's budget, transport.FrameCapacity. Message type 2, which
+// once framed several messages inside the protocol, is reserved and
+// rejected as malformed. Every decoder checks bounds first — a truncated frame
 // returns a wire error wrapping ErrTruncated rather than panicking — and is
 // fuzzed: the clients' by the FuzzDecode* targets, the switch's ingress by
 // FuzzHandleBatch.
@@ -363,11 +364,15 @@
 // # Control client
 //
 // Observer is the one client of the out-of-band control plane: Admit,
-// Evict, Stats and Drain each run the same observer-framed request/retry
-// exchange (a fixed attempt budget; a definitive refusal is returned, not
-// retried away; a retransmitted admit or evict that finds its work already
-// done reports the success it was). fpisa-query, the examples and a leaf's
-// ParentControl all go through it.
+// Evict, Stats and Drain each send one request through a socket the
+// transport dials for observers (transport.DialObserver, whose frames the
+// switch answers to the sender without learning it as a worker) and wait
+// for the reply (a fixed attempt budget; a definitive refusal is returned,
+// not retried away; a retransmitted admit or evict that finds its work
+// already done reports the success it was). fpisa-query, the examples and a
+// leaf's ParentControl all go through it. The wait is stopAndWait, the loop
+// a TupleClient's batches run too: it resends on timeout only, so a stray
+// or stale datagram costs no attempt.
 //
 // # Host side
 //
@@ -390,9 +395,9 @@
 // shares the window as the second half of one long vector would. Build a
 // job's Workers once per incarnation; a new one starts at chunk 0. Both
 // directions are vectored — the chunks a received vector frees go out as
-// Fabric.SendBatch vectors the transport coalesces into batch-framed
-// datagrams, and deliveries are drained into reusable buffers
-// (Fabric.RecvBatch), so steady-state receiving allocates nothing.
+// Fabric.SendBatch vectors the transport coalesces into frames, and
+// deliveries are drained into reusable buffers (Fabric.RecvBatch), so
+// steady-state receiving allocates nothing.
 // Workers carry their job id and incarnation epoch in every ADD and
 // filter results to their own job. The decode step — notices filtered by
 // job and epoch, RESULT and RESULT RUN bodies handed out per chunk — is

@@ -293,7 +293,7 @@ func FuzzHandleBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer sw.Close()
-		for _, worker := range []int{int(port) % cfg.Ports(), ObserverWorker} {
+		for _, worker := range []int{int(port) % cfg.Ports(), transport.ObserverWorker} {
 			before := rejectTotal(sw.Rejects())
 			var dl transport.DeliveryList
 			sw.HandleBatch(worker, pkts, &dl)

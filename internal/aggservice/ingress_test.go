@@ -9,6 +9,7 @@ import (
 
 	"fpisa/internal/core"
 	"fpisa/internal/pisa"
+	"fpisa/internal/transport"
 )
 
 // rejectTotal sums every WireRejects bucket, including ones added later.
@@ -79,7 +80,7 @@ func TestIngressMatrix(t *testing.T) {
 	senders := [3]struct {
 		name string
 		port int
-	}{{"own port", cfg.Port(0, 0)}, {"other tenant's port", cfg.Port(1, 0)}, {"observer", ObserverWorker}}
+	}{{"own port", cfg.Port(0, 0)}, {"other tenant's port", cfg.Port(1, 0)}, {"observer", transport.ObserverWorker}}
 	for typ, pkt := range packets {
 		for col, from := range senders {
 			sw, err := NewSwitch(cfg)
@@ -116,7 +117,7 @@ func TestIngressMatrix(t *testing.T) {
 	// port, one below the observer frame — every datagram is dropped before
 	// the front door: no reply, and no counter ticks.
 	for typ, pkt := range packets {
-		for _, port := range []int{cfg.Ports(), ObserverWorker - 1} {
+		for _, port := range []int{cfg.Ports(), transport.ObserverWorker - 1} {
 			sw, err := NewSwitch(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -279,7 +279,7 @@ func TestReservedType2Rejected(t *testing.T) {
 	cfg := Config{Workers: 1, Pool: 1, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 	add := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})
 	frame := append([]byte{WireVersion, 2, 0, 1, 0, byte(len(add))}, add...)
-	for _, port := range []int{0, ObserverWorker} {
+	for _, port := range []int{0, transport.ObserverWorker} {
 		sw, err := NewSwitch(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +309,7 @@ func TestStatsOverTheWire(t *testing.T) {
 	if ds := handle(sw, cfg.Port(1, 0), EncodeAddProfile(1, 0, 0, core.DefaultProfile, []float32{2.5})); len(ds) != 1 {
 		t.Fatalf("deliveries: %v", ds)
 	}
-	for _, port := range []int{0, ObserverWorker} {
+	for _, port := range []int{0, transport.ObserverWorker} {
 		ds := handle(sw, port, EncodeStatsReq(1))
 		if len(ds) != 1 || ds[0].Broadcast || ds[0].Worker != port {
 			t.Fatalf("port %d: stats deliveries %v", port, ds)
@@ -324,7 +324,7 @@ func TestStatsOverTheWire(t *testing.T) {
 	}
 	// Observers are read-only; stats for unknown jobs are answered with an
 	// explicit MsgJobAck error (and counted), so probes can gate on it.
-	if ds := handle(sw, ObserverWorker, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); ds != nil {
+	if ds := handle(sw, transport.ObserverWorker, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); ds != nil {
 		t.Fatalf("observer ADD accepted: %v", ds)
 	}
 	before := sw.Rejects().BadJob

@@ -323,7 +323,7 @@ func TestChurnWhileThirdJobReduces(t *testing.T) {
 	// wire messages, mid-flight of job 0.
 	control := func(pkt []byte, want AckStatus) {
 		t.Helper()
-		ds := handle(sw, ObserverWorker, pkt)
+		ds := handle(sw, transport.ObserverWorker, pkt)
 		if len(ds) != 1 {
 			t.Fatalf("control deliveries: %v", ds)
 		}
@@ -538,7 +538,7 @@ func TestWireLifecycleGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
+	ds := handle(sw, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
 	if len(ds) != 1 {
 		t.Fatalf("disabled admit deliveries: %v", ds)
 	}
@@ -573,7 +573,7 @@ func TestWireLifecycleGating(t *testing.T) {
 		{EncodeJobAdmit(JobAdmit{Job: 9, JobSpec: JobSpec{Weight: 1}}), AckErrUnknownJob},
 		{EncodeJobEvict(9), AckErrUnknownJob},
 	} {
-		ds := handle(dyn, ObserverWorker, step.pkt)
+		ds := handle(dyn, transport.ObserverWorker, step.pkt)
 		if len(ds) != 1 {
 			t.Fatalf("step %v: deliveries %v", step.want, ds)
 		}
@@ -582,10 +582,10 @@ func TestWireLifecycleGating(t *testing.T) {
 		}
 	}
 	// Every id live: a further admit names a live job.
-	handle(dyn, ObserverWorker, EncodeJobEvict(0))
-	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
-	handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
-	ds = handle(dyn, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
+	handle(dyn, transport.ObserverWorker, EncodeJobEvict(0))
+	handle(dyn, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
+	handle(dyn, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1}}))
+	ds = handle(dyn, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, JobSpec: JobSpec{Weight: 1}}))
 	if ack, _ := DecodeJobAck(ds[0].Packet); ack.Status != AckErrAlreadyAdmitted {
 		t.Fatalf("ack = %v", ack.Status)
 	}

@@ -3,7 +3,6 @@ package aggservice
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 const observerAttempts = 5
 
 // Observer is the client of a switch's out-of-band control plane: it speaks
-// the UDP fabric's observer frame, so a probe never disturbs a worker's
+// through transport.DialObserver, so a probe never disturbs a worker's
 // learned return path. It is what fpisa-query, the examples and a tree
 // leaf's admission negotiation (ParentControl) all drive a remote switch
 // through. Admit and Evict need the switch to enable Config.Dynamic.
@@ -26,13 +25,9 @@ type Observer struct {
 	Timeout time.Duration
 }
 
-// exchange sends one observer-framed request about job and hands each
-// datagram that comes back to reply until reply reports the exchange done,
-// resending on timeout and on stray datagrams. reply receives the
-// zero-based send attempt the datagram arrived under (attempt > 0 means the
-// request was retransmitted, so the switch may have applied an earlier
-// copy); its error on a done exchange is the result — a definitive refusal
-// is not retried away.
+// exchange runs one stop-and-wait request about job over a fresh observer
+// socket (see stopAndWait); reply's error on a done exchange is the result,
+// so a definitive refusal is not retried away.
 func (o Observer) exchange(job int, req []byte, reply func(pkt []byte, attempt int) (done bool, err error)) error {
 	if job < 0 || job >= MaxJobs {
 		return fmt.Errorf("aggservice: job %d outside the 16-bit job-id space", job)
@@ -41,37 +36,53 @@ func (o Observer) exchange(job int, req []byte, reply func(pkt []byte, attempt i
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	addr, err := net.ResolveUDPAddr("udp", o.Addr)
+	fab, err := transport.DialObserver(o.Addr)
 	if err != nil {
 		return err
 	}
-	conn, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		return err
+	defer fab.Close()
+	_, err = stopAndWait(fab, 0, req, observerAttempts, timeout, make([][]byte, 4), reply)
+	if errors.Is(err, errNoReply) {
+		return fmt.Errorf("aggservice: no usable reply from %s after %d attempts", o.Addr, observerAttempts)
 	}
-	defer conn.Close()
-	frame := append([]byte{transport.ObserverID}, req...)
-	buf := make([]byte, maxDatagram)
-	for attempt := 0; attempt < observerAttempts; attempt++ {
-		if _, err := conn.Write(frame); err != nil {
-			return err
+	return err
+}
+
+// errNoReply is stopAndWait's error when every attempt timed out.
+var errNoReply = errors.New("aggservice: no reply")
+
+// stopAndWait is the clients' one request loop (an Observer's exchange, a
+// TupleClient's batch): it sends req on port and hands every message that
+// comes back to reply until reply reports done, resending req whenever
+// timeout passes first, attempts sends in all — a message reply does not
+// claim costs no attempt. reply gets the zero-based attempt its message
+// arrived under (> 0: the peer may have acted on an earlier copy); its error
+// on done is the result. sends counts the requests that went out.
+func stopAndWait(f transport.Fabric, port int, req []byte, attempts int, timeout time.Duration, bufs [][]byte,
+	reply func(msg []byte, attempt int) (done bool, err error)) (sends int, err error) {
+	vec := [][]byte{req}
+	for attempt := 0; attempt < attempts; attempt++ {
+		if err := f.SendBatch(port, vec); err != nil {
+			return sends, err
 		}
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
+		sends++
+		deadline := time.Now().Add(timeout)
+		for left := timeout; left > 0; left = time.Until(deadline) {
+			n, err := f.RecvBatch(port, bufs, left)
+			if err == transport.ErrTimeout {
+				break
 			}
-			return err
-		}
-		if done, rerr := reply(buf[:n], attempt); done {
-			return rerr
+			if err != nil {
+				return sends, err
+			}
+			for _, msg := range bufs[:n] {
+				if done, rerr := reply(msg, attempt); done {
+					return sends, rerr
+				}
+			}
 		}
 	}
-	return fmt.Errorf("aggservice: no usable reply from %s after %d attempts", o.Addr, observerAttempts)
+	return sends, errNoReply
 }
 
 // refusal decodes the MsgJobAck a switch answers a stats or drain request

@@ -34,14 +34,27 @@ func serveUDP(t *testing.T, cfg Config) (*Switch, *net.UDPAddr) {
 }
 
 // lossyRelay forwards one client's datagrams to the switch and the switch's
-// replies back, dropping the first dropReplies replies. requests counts the
-// datagrams forwarded up, so a test can tell a retry from a single shot.
+// replies back, dropping the first dropReplies replies and writing strays
+// stray datagrams to the client ahead of every reply it forwards. requests
+// counts the datagrams forwarded up, so a test can tell a retry from a
+// single shot.
 type lossyRelay struct {
 	addr     string
 	requests atomic.Int64
 }
 
-func newLossyRelay(t *testing.T, sw *net.UDPAddr, dropReplies int64) *lossyRelay {
+// strayDatagram is the i-th datagram a relay slips in ahead of a reply: a
+// well-formed frame carrying another job's JOBACK, or bytes that are no
+// frame at all.
+func strayDatagram(i int) []byte {
+	if i%2 == 1 {
+		return []byte{WireVersion, MsgJobAck}
+	}
+	ack := EncodeJobAck(JobAck{Job: 9, Status: AckErrUnknownJob})
+	return append([]byte{0, 0, 1, 0, byte(len(ack))}, ack...) // [id count(2) len(2) pkt]
+}
+
+func newLossyRelay(t *testing.T, sw *net.UDPAddr, dropReplies int64, strays int) *lossyRelay {
 	t.Helper()
 	front, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -55,7 +68,7 @@ func newLossyRelay(t *testing.T, sw *net.UDPAddr, dropReplies int64) *lossyRelay
 	r := &lossyRelay{addr: front.LocalAddr().String()}
 	var client atomic.Pointer[net.UDPAddr]
 	go func() { // client → switch
-		buf := make([]byte, maxDatagram)
+		buf := make([]byte, 1<<16)
 		for {
 			n, from, err := front.ReadFromUDP(buf)
 			if err != nil {
@@ -67,7 +80,7 @@ func newLossyRelay(t *testing.T, sw *net.UDPAddr, dropReplies int64) *lossyRelay
 		}
 	}()
 	go func() { // switch → client, minus the dropped replies
-		buf := make([]byte, maxDatagram)
+		buf := make([]byte, 1<<16)
 		var replies int64
 		for {
 			n, err := back.Read(buf)
@@ -76,6 +89,9 @@ func newLossyRelay(t *testing.T, sw *net.UDPAddr, dropReplies int64) *lossyRelay
 			}
 			if replies++; replies <= dropReplies {
 				continue
+			}
+			for i := 0; i < strays; i++ {
+				front.WriteToUDP(strayDatagram(i), client.Load())
 			}
 			front.WriteToUDP(buf[:n], client.Load())
 		}
@@ -150,7 +166,7 @@ func TestObserverRetriesLostReply(t *testing.T) {
 	cfg := observerCfg()
 	sw, addr := serveUDP(t, cfg)
 	via := func(drop int64) (Observer, *lossyRelay) {
-		r := newLossyRelay(t, addr, drop)
+		r := newLossyRelay(t, addr, drop, 0)
 		return Observer{Addr: r.addr, Timeout: 50 * time.Millisecond}, r
 	}
 
@@ -187,12 +203,29 @@ func TestObserverRefusalIsNotRetried(t *testing.T) {
 	cfg := observerCfg()
 	cfg.Dynamic = false
 	_, addr := serveUDP(t, cfg)
-	relay := newLossyRelay(t, addr, 0)
+	relay := newLossyRelay(t, addr, 0, 0)
 	o := Observer{Addr: relay.addr, Timeout: 500 * time.Millisecond}
 	if _, err := o.Admit(1, JobSpec{}); !errors.Is(err, ErrLifecycleDisabled) {
 		t.Fatalf("admit on a static switch: %v", err)
 	}
 	if n := relay.requests.Load(); n != 1 {
 		t.Fatalf("refused admit took %d sends, want 1", n)
+	}
+}
+
+// TestObserverSkipsStrayDatagrams: datagrams that are not the awaited reply
+// — another exchange's frame, or no frame at all — cost no attempt. With as
+// many strays ahead of the reply as the exchange has attempts, the stats
+// request still succeeds on its first send.
+func TestObserverSkipsStrayDatagrams(t *testing.T) {
+	cfg := observerCfg()
+	_, addr := serveUDP(t, cfg)
+	relay := newLossyRelay(t, addr, 0, observerAttempts)
+	o := Observer{Addr: relay.addr, Timeout: 500 * time.Millisecond}
+	if st, err := o.Stats(0); err != nil || st.Phase != PhaseAdmitted {
+		t.Fatalf("stats behind %d stray datagrams: %+v %v", observerAttempts, st, err)
+	}
+	if n := relay.requests.Load(); n != 1 {
+		t.Fatalf("stats took %d sends, want 1", n)
 	}
 }

@@ -140,7 +140,7 @@ func TestStatsReplyCarriesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := handle(sw, ObserverWorker, EncodeStatsReq(0))
+	ds := handle(sw, transport.ObserverWorker, EncodeStatsReq(0))
 	if len(ds) != 1 {
 		t.Fatalf("stats query returned %d deliveries", len(ds))
 	}
@@ -178,7 +178,7 @@ func TestAdmitProfileRejections(t *testing.T) {
 		if err := sw.Admit(1, JobSpec{Weight: 1, Profile: tc.prof}); !errors.Is(err, ErrBadProfile) {
 			t.Fatalf("%s: Admit = %v, want ErrBadProfile", tc.name, err)
 		}
-		ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1, Profile: tc.prof}}))
+		ds := handle(sw, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 1, Profile: tc.prof}}))
 		if len(ds) != 1 {
 			t.Fatalf("%s: wire admit returned %d deliveries", tc.name, len(ds))
 		}
@@ -212,7 +212,7 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := handle(sw, ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 3, Profile: profBF16}}))
+	ds := handle(sw, transport.ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, JobSpec: JobSpec{Weight: 3, Profile: profBF16}}))
 	if len(ds) != 1 {
 		t.Fatalf("admit returned %d deliveries", len(ds))
 	}

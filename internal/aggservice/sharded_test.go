@@ -423,18 +423,17 @@ func TestNegativeSentinelsApplyDefaults(t *testing.T) {
 
 // TestMaxBatchFitsResultDatagram pins the batch bound to the downlink: a
 // full ADD batch can complete every chunk at once, and the coalesced
-// RESULT batch plus the UDP worker-frame byte must still fit a datagram.
+// RESULT batch must still fit one datagram by the fabric's budget.
 func TestMaxBatchFitsResultDatagram(t *testing.T) {
 	for _, modules := range []int{1, 3, 64} {
 		n := maxBatchChunks(modules)
 		if n < 1 {
 			t.Fatalf("modules=%d: batch bound %d", modules, n)
 		}
-		const frameHdr = 4 // transport batch-frame header
-		resultBatch := frameHdr + n*(2+resultBytes(modules, core.DefaultProfile))
-		if resultBatch+1 > maxDatagram {
-			t.Errorf("modules=%d: %d-chunk result batch is %d bytes, exceeds %d",
-				modules, n, resultBatch+1, maxDatagram)
+		size := resultBytes(modules, core.DefaultProfile)
+		if fit := transport.FrameCapacity(size); n > fit {
+			t.Errorf("modules=%d: %d-chunk result batch, but one datagram carries %d RESULTs of %d bytes",
+				modules, n, fit, size)
 		}
 	}
 }

@@ -58,3 +58,42 @@ func TestReduceOverUDP(t *testing.T) {
 		}
 	}
 }
+
+// TestTupleBatchAtBudgetOverUDP sends the largest tuple batch the wire
+// allows, MaxTuplesPerBatch rows, through a real UDP switch: it must cross as
+// one datagram and fold every row. The bound is derived from the fabric's
+// datagram budget (transport.FrameCapacity); a bound that did not follow a
+// change of the frame's overhead would make this send fail.
+func TestTupleBatchAtBudgetOverUDP(t *testing.T) {
+	cfg := analyticsCfg(1, AdmitClass{Class: ClassQuery, Groups: MaxAnalyticsRegisters})
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	fab, err := transport.NewUDP(cfg.Ports(), sw.HandleBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	keys := make([]uint32, MaxTuplesPerBatch)
+	vals := make([]float32, MaxTuplesPerBatch)
+	for i := range keys {
+		keys[i], vals[i] = uint32(i%MaxAnalyticsRegisters), 1
+	}
+	cl := NewTupleClient(1, 0, fab, cfg)
+	cl.Timeout = 500 * time.Millisecond
+	if _, err := cl.Send(OpQueryAgg, keys, vals); err != nil {
+		t.Fatalf("%d-row batch: %v", len(keys), err)
+	}
+	if cl.SentBatches != 1 {
+		t.Fatalf("%d rows went out as %d batches, want 1", len(keys), cl.SentBatches)
+	}
+	var sum float32
+	for _, e := range drainVia(t, sw, 1, DrainGroups, 0, 1) {
+		sum += e.Val
+	}
+	if sum != float32(len(keys)) {
+		t.Fatalf("drained rows sum to %g, want %d", sum, len(keys))
+	}
+}

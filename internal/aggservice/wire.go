@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"fpisa/internal/core"
+	"fpisa/internal/transport"
 )
 
 // This file is the whole wire protocol: the message types, their layouts,
@@ -129,12 +131,12 @@ const (
 	drainReplyHdrBytes = 7  // [ver type job(2) kind count(2)]
 )
 
-// maxDatagram is the largest payload the UDP fabric can carry.
-const maxDatagram = 65507
-
-// MaxTuplesPerBatch is how many 8-byte (key, value) tuples fit one
-// datagram after the tuple header.
-const MaxTuplesPerBatch = (maxDatagram - tupleHdrBytes) / 8
+// MaxTuplesPerBatch is how many 8-byte (key, value) tuples one MsgTuple
+// carries: the most whose batch still fits a datagram of the UDP fabric
+// (searched within the 16-bit count field).
+var MaxTuplesPerBatch = sort.Search(1<<16, func(n int) bool {
+	return transport.FrameCapacity(tupleHdrBytes+8*(n+1)) == 0
+})
 
 // sender is who may send a message type to a switch.
 type sender uint8
@@ -196,18 +198,12 @@ func resultBytes(modules int, prof core.NumericProfile) int {
 // maxBatchChunks bounds how many chunks ride one send vector (and one run
 // reply). The binding constraint is the *downlink*: a full ADD vector can
 // complete every chunk at once, and the coalesced RESULT vector (sized for
-// the widest, f32, format: one byte larger per message than its ADD, two
-// bytes of length prefix each, four bytes of transport batch-frame header)
-// must still fit a datagram — a run reply that did not would be
-// undeliverable and stall the protocol for good. The transport's own frame
-// splitting keeps multi-message vectors safe regardless.
+// the widest, f32, format: one byte larger per message than its ADD) must
+// still fit one datagram by the fabric's budget — a run reply that did not
+// would be undeliverable and stall the protocol for good. The transport's
+// own frame splitting keeps multi-message vectors safe regardless.
 func maxBatchChunks(modules int) int {
-	const frameHdr = 4 // transport batch-frame header
-	n := (maxDatagram - frameHdr) / (2 + resultBytes(modules, core.DefaultProfile))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, transport.FrameCapacity(resultBytes(modules, core.DefaultProfile)))
 }
 
 // putJobHeader writes the [ver type job] prefix every message starts with.

@@ -1,7 +1,7 @@
 package transport
 
 // Kernel-batched datagram I/O. The UDP fabric coalesces packet vectors in
-// user space (batch frames), but a frame-spanning vector still used to pay
+// user space (frames), but a frame-spanning vector still used to pay
 // one syscall per datagram on every wire path. The batchWriter/batchReader
 // seam below fixes that: on Linux the mmsg backend submits a whole
 // datagram vector to the kernel with one sendmmsg/recvmmsg call, and every

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"sort"
 	"testing"
@@ -71,7 +70,7 @@ func TestWriterFallbackParity(t *testing.T) {
 		bytes.Repeat([]byte{0x5A}, 33000),
 		{},
 	}
-	run := func(t *testing.T, useMmsg bool, frameSingle bool) [][]byte {
+	run := func(t *testing.T, useMmsg bool, id byte) [][]byte {
 		t.Helper()
 		sink := newCollectConn(t)
 		src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -82,21 +81,30 @@ func TestWriterFallbackParity(t *testing.T) {
 		stats := &syscallCounters{}
 		w := newBatchWriter(src, useMmsg, stats)
 		var sc sendScratch
-		failed, err := writeCoalesced(w, sink.addr(), 7, pkts, frameSingle, &sc)
+		failed, err := writeCoalesced(w, sink.addr(), id, pkts, &sc)
 		if err != nil || failed != 0 {
 			t.Fatalf("writeCoalesced: failed=%d err=%v", failed, err)
 		}
-		want := len(gatherCoalesced(&sendScratch{}, 7, pkts, frameSingle))
+		want := len(gatherCoalesced(&sendScratch{}, id, pkts))
 		got := sink.drain(t, want)
 		// UDP does not guarantee cross-datagram ordering on delivery;
 		// compare as a multiset.
 		sort.Slice(got, func(i, j int) bool { return bytes.Compare(got[i], got[j]) < 0 })
 		return got
 	}
-	for _, frameSingle := range []bool{false, true} {
-		t.Run(fmt.Sprintf("frameSingle=%v", frameSingle), func(t *testing.T) {
-			mmsg := run(t, true, frameSingle)
-			loop := run(t, false, frameSingle)
+	// The two senders of the fabric: the switch's downlink frames under id
+	// 0, a worker's uplink under its own id. The case names are the ones
+	// the suite has always reported for these two directions.
+	for _, tc := range []struct {
+		name string
+		id   byte
+	}{
+		{"frameSingle=false", 0}, // downlink
+		{"frameSingle=true", 7},  // uplink
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mmsg := run(t, true, tc.id)
+			loop := run(t, false, tc.id)
 			if len(mmsg) != len(loop) {
 				t.Fatalf("datagram counts differ: mmsg=%d loop=%d", len(mmsg), len(loop))
 			}
@@ -222,7 +230,7 @@ func TestDeliverCountsSendErrors(t *testing.T) {
 func TestMmsgRecvBatchBurst(t *testing.T) {
 	u, err := NewUDP(1, perPacket(func(w int, p []byte) []Delivery {
 		// Reply with 3 packets too large to share a frame: the downlink
-		// must emit them as 3 raw datagrams.
+		// must emit them as 3 datagrams.
 		return []Delivery{
 			{Worker: w, Packet: append(bytes.Repeat([]byte{1}, 40000), p...)},
 			{Worker: w, Packet: append(bytes.Repeat([]byte{2}, 40000), p...)},
@@ -311,29 +319,35 @@ func TestReadBufPool(t *testing.T) {
 }
 
 // TestGatherCoalesced pins the datagram layout the parity test depends on:
-// greedy frame packing, oversized singles alone, frameSingle on/off.
+// greedy frame packing up to FrameCapacity, a lone packet framed like any
+// other, oversized packets alone.
 func TestGatherCoalesced(t *testing.T) {
 	var sc sendScratch
 	small := [][]byte{[]byte("a"), []byte("b")}
-	dgrams := gatherCoalesced(&sc, 3, small, true)
-	if len(dgrams) != 1 || dgrams[0][0] != BatchFrameID {
-		t.Fatalf("two small packets should share one batch frame, got %d datagrams", len(dgrams))
+	dgrams := gatherCoalesced(&sc, 3, small)
+	if len(dgrams) != 1 || !bytes.Equal(dgrams[0], []byte("\x03\x00\x02\x00\x01a\x00\x01b")) {
+		t.Fatalf("two small packets should share one frame, got %x", dgrams)
 	}
-	lone := [][]byte{[]byte("solo")}
-	dgrams = gatherCoalesced(&sc, 3, lone, true)
-	if len(dgrams) != 1 || !bytes.Equal(dgrams[0], []byte("\x03solo")) {
-		t.Fatalf("framed single mismatch: %x", dgrams[0])
+	dgrams = gatherCoalesced(&sc, 3, [][]byte{[]byte("solo")})
+	if len(dgrams) != 1 || !bytes.Equal(dgrams[0], []byte("\x03\x00\x01\x00\x04solo")) {
+		t.Fatalf("lone packet frame mismatch: %x", dgrams)
 	}
-	dgrams = gatherCoalesced(&sc, 3, lone, false)
-	if len(dgrams) != 1 || !bytes.Equal(dgrams[0], []byte("solo")) {
-		t.Fatalf("raw single mismatch: %x", dgrams[0])
+	// FrameCapacity packets of one size fill one datagram; one more spills.
+	const size = 1000
+	fill := make([][]byte, FrameCapacity(size)+1)
+	for i := range fill {
+		fill[i] = make([]byte, size)
+	}
+	dgrams = gatherCoalesced(&sc, 3, fill)
+	if len(dgrams) != 2 || len(dgrams[0]) > maxUDPPayload || len(dgrams[1]) != frameHdr+lenPrefix+size {
+		t.Fatalf("%d packets of %d B: %d datagrams, the last %d B", len(fill), size, len(dgrams), len(dgrams[len(dgrams)-1]))
 	}
 	huge := make([]byte, maxUDPPayload+100)
-	dgrams = gatherCoalesced(&sc, 3, [][]byte{[]byte("x"), huge, []byte("y")}, false)
+	dgrams = gatherCoalesced(&sc, 3, [][]byte{[]byte("x"), huge, []byte("y")})
 	if len(dgrams) != 3 {
 		t.Fatalf("oversized middle packet should split into 3 datagrams, got %d", len(dgrams))
 	}
-	if len(dgrams[1]) != len(huge) {
-		t.Fatalf("oversized datagram length %d, want %d", len(dgrams[1]), len(huge))
+	if len(dgrams[1]) != frameHdr+lenPrefix+len(huge) {
+		t.Fatalf("oversized datagram length %d, want %d", len(dgrams[1]), frameHdr+lenPrefix+len(huge))
 	}
 }

@@ -43,16 +43,13 @@ func (l *callLog) snapshot() ([]handlerCall, int) {
 	return append([]handlerCall(nil), l.calls...), l.pkts
 }
 
-// rawFrame is a single-packet uplink frame [workerID payload].
-func rawFrame(worker byte, pkt string) []byte { return append([]byte{worker}, pkt...) }
-
-// batchFrame is a batch-framed uplink datagram from worker.
-func batchFrame(worker byte, pkts ...string) []byte {
+// frame is the datagram carrying pkts from id (a worker or observerID).
+func frame(id byte, pkts ...string) []byte {
 	vec := make([][]byte, len(pkts))
 	for i, p := range pkts {
 		vec[i] = []byte(p)
 	}
-	return appendBatchFrame(nil, worker, vec)
+	return appendFrame(nil, id, vec)
 }
 
 func udpAddr(port int) *net.UDPAddr {
@@ -62,11 +59,12 @@ func udpAddr(port int) *net.UDPAddr {
 // TestServeBurstGroupsPerWorker: one drained burst reaches the handler as one
 // vector per worker, in arrival order, the workers in the order of their
 // first packet; an observer frame runs the groups gathered before it first;
-// malformed frames, unknown workers and source-less datagrams are dropped;
+// malformed frames (a pre-1.2 unframed [id payload] datagram among them),
+// unknown workers and source-less datagrams are dropped;
 // each worker's return path is the source of its latest datagram.
 func TestServeBurstGroupsPerWorker(t *testing.T) {
 	a0, a1, a0b, obs := udpAddr(1000), udpAddr(1001), udpAddr(1002), udpAddr(2000)
-	truncated := batchFrame(1, "x", "y")
+	truncated := frame(1, "x", "y")
 	for _, tc := range []struct {
 		name  string
 		bufs  [][]byte
@@ -77,8 +75,8 @@ func TestServeBurstGroupsPerWorker(t *testing.T) {
 		{
 			name: "observer barrier",
 			bufs: [][]byte{
-				batchFrame(0, "a", "b", "c"), rawFrame(1, "d"), rawFrame(0, "e"),
-				append([]byte{ObserverID}, "stats"...), batchFrame(0, "f", "g"),
+				frame(0, "a", "b", "c"), frame(1, "d"), frame(0, "e"),
+				frame(observerID, "stats"), frame(0, "f", "g"),
 			},
 			srcs: []*net.UDPAddr{a0, a1, a0b, obs, a0},
 			calls: []handlerCall{
@@ -91,11 +89,11 @@ func TestServeBurstGroupsPerWorker(t *testing.T) {
 		{
 			name: "malformed frames dropped",
 			bufs: [][]byte{
-				rawFrame(2, "h"), {}, rawFrame(3, "unknown worker"), batchFrame(7, "unknown"),
-				truncated[:len(truncated)-1], batchFrame(1), rawFrame(1, "no source"),
-				batchFrame(2, "i", "j"), rawFrame(1, ""),
+				frame(2, "h"), {}, []byte("\x02raw"), frame(3, "unknown worker"), frame(7, "unknown"),
+				truncated[:len(truncated)-1], frame(1), frame(1, "no source"),
+				frame(2, "i", "j"), frame(1, ""),
 			},
-			srcs: []*net.UDPAddr{a0, a0, a0, a0, a0, a0, nil, a0b, a1},
+			srcs: []*net.UDPAddr{a0, a0, a0, a0, a0, a0, a0, nil, a0b, a1},
 			calls: []handlerCall{
 				{2, []string{"h", "i", "j"}}, {1, []string{""}},
 			},
@@ -103,7 +101,7 @@ func TestServeBurstGroupsPerWorker(t *testing.T) {
 		},
 		{
 			name:  "observer only",
-			bufs:  [][]byte{{ObserverID}},
+			bufs:  [][]byte{frame(observerID, "")},
 			srcs:  []*net.UDPAddr{obs},
 			calls: []handlerCall{{ObserverWorker, []string{""}}},
 			addrs: []*net.UDPAddr{nil, nil, nil},
@@ -181,8 +179,8 @@ func TestServeOneHandlerCallPerWorker(t *testing.T) {
 				from int
 				b    []byte
 			}{
-				{0, batchFrame(0, "a", "b")}, {1, rawFrame(1, "c")}, {0, rawFrame(0, "d")},
-				{1, batchFrame(1, "e", "f", "g")}, {0, rawFrame(0, "h")},
+				{0, frame(0, "a", "b")}, {1, frame(1, "c")}, {0, frame(0, "d")},
+				{1, frame(1, "e", "f", "g")}, {0, frame(0, "h")},
 			}
 			for _, d := range dgrams {
 				if _, err := socks[d.from].Write(d.b); err != nil {
@@ -229,33 +227,28 @@ func TestServeOneHandlerCallPerWorker(t *testing.T) {
 }
 
 // referenceDispatch is the datagram-by-datagram serve loop the grouped
-// dispatch replaces: one handler call per datagram, the return path learned
-// per datagram, an observer's replies written at once.
+// dispatch replaces: each datagram read by refFrame, one handler call per
+// datagram, the return path learned per datagram, an observer's replies
+// written at once.
 func referenceDispatch(workers int, bufs [][]byte, srcs []*net.UDPAddr, handler BatchHandler,
 	addrs []*net.UDPAddr, reply func(*net.UDPAddr, []Delivery), dl *DeliveryList) {
 	for i, buf := range bufs {
-		src := srcs[i]
-		if len(buf) < 1 || src == nil {
+		id, strs, _, ok := refFrame(buf)
+		if !ok || srcs[i] == nil || len(strs) == 0 {
 			continue
 		}
-		switch buf[0] {
-		case ObserverID:
+		pkts := make([][]byte, len(strs))
+		for j, p := range strs {
+			pkts[j] = []byte(p)
+		}
+		switch {
+		case id == observerID:
 			var odl DeliveryList
-			handler(ObserverWorker, [][]byte{buf[1:]}, &odl)
-			reply(src, odl.Deliveries())
-		case BatchFrameID:
-			id, pkts, err := splitBatchFrame(buf, nil)
-			if err != nil || int(id) >= workers || len(pkts) == 0 {
-				continue
-			}
-			addrs[id] = src
+			handler(ObserverWorker, pkts, &odl)
+			reply(srcs[i], odl.Deliveries())
+		case int(id) < workers:
+			addrs[id] = srcs[i]
 			handler(int(id), pkts, dl)
-		default:
-			if int(buf[0]) >= workers {
-				continue
-			}
-			addrs[buf[0]] = src
-			handler(int(buf[0]), [][]byte{buf[1:]}, dl)
 		}
 	}
 }
@@ -278,10 +271,12 @@ func runBurst(bufs [][]byte, srcs []*net.UDPAddr, grouped bool) burstRun {
 	r := burstRun{segments: []map[int][]string{{}}, calls: []int{0}, routed: map[int][]string{}}
 	handler := func(w int, pkts [][]byte, out *DeliveryList) {
 		if w == ObserverWorker {
-			r.observer = append(r.observer, string(pkts[0]))
+			for _, p := range pkts {
+				r.observer = append(r.observer, string(p))
+				out.Unicast(0, append([]byte("obs:"), p...))
+			}
 			r.segments = append(r.segments, map[int][]string{})
 			r.calls = append(r.calls, 0)
-			out.Unicast(0, append([]byte("obs:"), pkts[0]...))
 			return
 		}
 		seg := r.segments[len(r.segments)-1]
@@ -360,11 +355,11 @@ func FuzzServeBurst(f *testing.F) {
 		}
 		return raw
 	}
-	f.Add(enc(batchFrame(0, "a", "b", "c"), rawFrame(1, "d"), rawFrame(0, "e"),
-		append([]byte{ObserverID}, "s"...), batchFrame(0, "f", "g")))
-	f.Add(enc(rawFrame(2, "\x04x"), batchFrame(1, "\x01", "\x03"), []byte{ObserverID}, rawFrame(2, "\x02")))
-	f.Add(enc(batchFrame(1), batchFrame(9, "x"), rawFrame(5, "y"), []byte{BatchFrameID, 0, 0, 3}))
-	f.Add([]byte{3, 2, 0, 'z', 0, 2, 1, 'q'})
+	f.Add(enc(frame(0, "a", "b", "c"), frame(1, "d"), frame(0, "e"),
+		frame(observerID, "s", "t"), frame(0, "f", "g")))
+	f.Add(enc(frame(2, "\x04x"), frame(1, "\x01", "\x03"), frame(observerID, ""), frame(2, "\x02")))
+	f.Add(enc(frame(1), frame(9, "x"), frame(5, "y"), []byte{0, 0, 3}))
+	f.Add([]byte{3, 5, 0, 0, 1, 0, 0, 0, 6, 1, 0, 1, 0, 1, 'q'})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// raw is a burst: {src(1) len(1) datagram}*; src 3 means none.

@@ -18,13 +18,18 @@
 //   - the Memory fabric enqueues delivery REFERENCES into per-worker ring
 //     buffers (no per-target copy) and copies each packet exactly once, into
 //     the receiver's reusable buffer, at RecvBatch time;
-//   - the UDP fabric coalesces a send vector into batch-framed datagrams and
-//     drains its sockets with pooled read buffers; its serve loop hands each
-//     worker's packets of one drained burst to the handler as ONE vector,
-//     whatever datagrams they came in, so the switch answers a burst with
-//     one run reply per job;
+//   - the UDP fabric coalesces a send vector into frames and drains its
+//     sockets with pooled read buffers; its serve loop hands each worker's
+//     packets of one drained burst to the handler as ONE vector, whatever
+//     datagrams they came in, so the switch answers a burst with one run
+//     reply per job;
 //   - receive timeouts use a reusable time.Timer per ring instead of a
 //     time.After allocation per call.
+//
+// Every UDP datagram, in both directions, is one frame: [id(1) count(2)
+// {len(2) pkt}·count], big-endian, id being the sending worker, 0xFF for an
+// observer (DialObserver), and 0 on the downlink. Only this package knows
+// the layout; callers size what must cross as one datagram by FrameCapacity.
 //
 // Below the framing, the UDP fabric batches at the KERNEL boundary too:
 // on Linux amd64/arm64 the batchWriter/batchReader seam submits whole

@@ -2,6 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,8 +219,8 @@ func TestMemoryConcurrentSenders(t *testing.T) {
 
 func TestBatchFrameRoundTrip(t *testing.T) {
 	pkts := [][]byte{{1, 2, 3}, {}, {0xF2, 9}, bytes.Repeat([]byte{7}, 300)}
-	frame := appendBatchFrame(nil, 17, pkts)
-	id, got, err := splitBatchFrame(frame, nil)
+	frame := appendFrame(nil, 17, pkts)
+	id, got, err := decodeFrame(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +235,99 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 			t.Errorf("pkt %d = %v, want %v", i, got[i], pkts[i])
 		}
 	}
-	// Corruptions must error, not panic.
+	// Corruptions must error, not panic; a short datagram is a truncation.
 	for _, bad := range [][]byte{frame[:2], frame[:len(frame)-1], append(append([]byte(nil), frame...), 9)} {
-		if _, _, err := splitBatchFrame(bad, nil); err == nil {
+		_, _, err := decodeFrame(bad, nil)
+		if err == nil {
 			t.Errorf("corrupt frame %d bytes accepted", len(bad))
+		}
+		if short := len(bad) < len(frame); errors.Is(err, ErrTruncated) != short {
+			t.Errorf("%d of %d bytes: %v", len(bad), len(frame), err)
+		}
+	}
+}
+
+// TestFrameGolden pins the bytes of every datagram on the wire, as the
+// fabric's own halves write them: a worker's uplink frame with one and with
+// two packets, the switch's downlink frame, and an observer's request and
+// the switch's reply to it. Every one is [id(1) count(2) {len(2) pkt}·count].
+func TestFrameGolden(t *testing.T) {
+	mustHex := func(s string) []byte {
+		b, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	req := []byte{0xF2, 0x03, 0x00, 0x01}
+	// Uplink and observer request: what DialUDP and DialObserver send.
+	sink := newCollectConn(t)
+	up, err := DialUDP(sink.addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	obs, err := DialObserver(sink.addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.Close()
+	for _, tc := range []struct {
+		name string
+		f    Fabric
+		port int
+		pkts [][]byte
+		want string
+	}{
+		{"uplink, 1 packet", up, 2, [][]byte{req}, "02 0001 0004 f2030001"},
+		{"uplink, 2 packets", up, 2, [][]byte{{0xA1}, {0xB2, 0xC3}}, "02 0002 0001 a1 0002 b2c3"},
+		{"observer request", obs, 0, [][]byte{req}, "ff 0001 0004 f2030001"},
+	} {
+		if err := tc.f.SendBatch(tc.port, tc.pkts); err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.drain(t, 1)[0]; !bytes.Equal(got, mustHex(tc.want)) {
+			t.Errorf("%s: % x, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	// Downlink and observer reply: what the serve loop writes back.
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	srv, err := NewUDPServer(conn, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_ = srv.Serve(func(w int, pkts [][]byte, out *DeliveryList) {
+			out.Unicast(w, []byte{0xF2, 0x04, byte(len(pkts))})
+		})
+	}()
+	client, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	buf := make([]byte, maxUDPPayload)
+	for _, tc := range []struct{ name, send, want string }{
+		{"downlink", "02 0002 0001 a1 0002 b2c3", "00 0001 0003 f20402"},
+		{"observer reply", "ff 0001 0004 f2030001", "00 0001 0003 f20401"},
+	} {
+		if _, err := client.Write(mustHex(tc.send)); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(buf[:n], mustHex(tc.want)) {
+			t.Errorf("%s: % x, want %s", tc.name, buf[:n], tc.want)
 		}
 	}
 }
@@ -289,7 +382,7 @@ func TestUDPFabric(t *testing.T) {
 }
 
 // TestUDPBatchCoalescing pins the wire shape: a send vector crosses as one
-// batch-framed datagram, is handled as one vector, and the coalesced
+// frame, is handled as one vector, and the coalesced
 // replies drain in one RecvBatch.
 func TestUDPBatchCoalescing(t *testing.T) {
 	var mu sync.Mutex
@@ -332,7 +425,7 @@ func TestUDPBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestUDPRecvBatchCarryover: a batch frame larger than the caller's buffer
+// TestUDPRecvBatchCarryover: a frame larger than the caller's buffer
 // vector must not drop packets — the overflow is served by the next call.
 func TestUDPRecvBatchCarryover(t *testing.T) {
 	u, err := NewUDP(1, func(w int, pkts [][]byte, out *DeliveryList) {

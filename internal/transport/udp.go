@@ -10,37 +10,36 @@ import (
 	"time"
 )
 
-// ObserverID is the reserved frame byte for out-of-band observers (e.g.
-// fpisa-query's stats probe): the handler is invoked with worker index
-// ObserverWorker (-1), the sender's address is NOT learned as a worker
-// return path, and every delivery the handler returns is written straight
-// back to the sender.
+// Every datagram is one frame, [id(1) count(2) {len(2) pkt}·count] (see the
+// package doc).
 const (
-	ObserverID     = 0xFF
-	ObserverWorker = -1
+	frameHdr      = 3     // id + count
+	lenPrefix     = 2     // each packet's length
+	maxUDPPayload = 65507 // the largest datagram payload UDP carries
+	// observerID is an out-of-band observer's frame id: its packets reach
+	// the handler as ObserverWorker, its address is never learned as a
+	// worker's return path, and the handler's deliveries go back to it.
+	observerID = 0xFF
 )
 
-// BatchFrameID is the reserved frame byte that marks a batch-framed
-// datagram: several packets coalesced into one wire datagram,
-//
-//	batch frame = [BatchFrameID(1) id(1) count(2) { len(2) pkt }·count]
-//
-// where id is the sending worker on the uplink and ignored on the
-// downlink. Downlink single packets are written raw (unframed), so
-// payloads must not begin with BatchFrameID — the aggservice wire format
-// (version octet 0xF2) satisfies this by construction.
-const BatchFrameID = 0xFE
+// ObserverWorker is the worker index the handler sees for an observer frame.
+const ObserverWorker = -1
 
-// batchFrameHdr is the fixed batch-frame header; each framed packet adds a
-// two-byte length prefix.
-const batchFrameHdr = 4
+// MaxWorkers is how many worker ports the frame id addresses (observerID is
+// reserved).
+const MaxWorkers = 255
 
-// maxUDPPayload is the largest datagram payload a batch frame may occupy.
-const maxUDPPayload = 65507
+// ErrTruncated is wrapped by the error of a datagram shorter than its frame
+// header or than the packet lengths it claims.
+var ErrTruncated = errors.New("transport: truncated frame")
 
-// MaxWorkers is the largest worker count the one-byte frame can address,
-// with ObserverID and BatchFrameID reserved.
-const MaxWorkers = 254
+// FrameCapacity is the fabric's datagram budget: how many packets of size
+// bytes one frame carries (0 when even one does not fit). A vector that must
+// cross as one datagram — a switch's run reply, a tuple batch — is sized by
+// it.
+func FrameCapacity(size int) int {
+	return (maxUDPPayload - frameHdr) / (lenPrefix + size)
+}
 
 // UDPOption configures a UDP fabric half (NewUDP, DialUDP, NewUDPServer).
 type UDPOption func(*udpOptions)
@@ -65,43 +64,41 @@ func applyOptions(opts []UDPOption) udpOptions {
 	return o
 }
 
-// appendBatchFrame appends one batch frame carrying pkts to dst.
-func appendBatchFrame(dst []byte, id byte, pkts [][]byte) []byte {
-	dst = append(dst, BatchFrameID, id, 0, 0)
-	binary.BigEndian.PutUint16(dst[len(dst)-2:], uint16(len(pkts)))
+// appendFrame appends the frame carrying pkts to dst.
+func appendFrame(dst []byte, id byte, pkts [][]byte) []byte {
+	dst = binary.BigEndian.AppendUint16(append(dst, id), uint16(len(pkts)))
 	for _, pkt := range pkts {
-		var l [2]byte
-		binary.BigEndian.PutUint16(l[:], uint16(len(pkt)))
-		dst = append(dst, l[:]...)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(pkt)))
 		dst = append(dst, pkt...)
 	}
 	return dst
 }
 
-// splitBatchFrame parses a batch frame, appending packet slices (aliasing
-// frame) onto into[:0].
-func splitBatchFrame(frame []byte, into [][]byte) (id byte, pkts [][]byte, err error) {
-	if len(frame) < batchFrameHdr || frame[0] != BatchFrameID {
-		return 0, nil, fmt.Errorf("transport: bad batch frame header")
+// decodeFrame parses one datagram, appending its packets (aliasing frame)
+// onto into[:0]. A frame that ends inside its header or a packet wraps
+// ErrTruncated; one with bytes after its last packet is malformed.
+func decodeFrame(frame []byte, into [][]byte) (id byte, pkts [][]byte, err error) {
+	if len(frame) < frameHdr {
+		return 0, nil, fmt.Errorf("transport: %d-byte datagram: %w", len(frame), ErrTruncated)
 	}
-	id = frame[1]
-	count := int(binary.BigEndian.Uint16(frame[2:]))
+	id = frame[0]
+	count := int(binary.BigEndian.Uint16(frame[1:]))
 	pkts = into[:0]
-	off := batchFrameHdr
+	off := frameHdr
 	for i := 0; i < count; i++ {
-		if off+2 > len(frame) {
-			return 0, nil, fmt.Errorf("transport: batch frame truncated at packet %d", i)
+		if off+lenPrefix > len(frame) {
+			return 0, nil, fmt.Errorf("transport: frame ends before packet %d of %d: %w", i, count, ErrTruncated)
 		}
 		l := int(binary.BigEndian.Uint16(frame[off:]))
-		off += 2
+		off += lenPrefix
 		if off+l > len(frame) {
-			return 0, nil, fmt.Errorf("transport: batch frame packet %d exceeds datagram", i)
+			return 0, nil, fmt.Errorf("transport: frame packet %d overruns the datagram: %w", i, ErrTruncated)
 		}
 		pkts = append(pkts, frame[off:off+l])
 		off += l
 	}
 	if off != len(frame) {
-		return 0, nil, fmt.Errorf("transport: %d trailing bytes after batch frame", len(frame)-off)
+		return 0, nil, fmt.Errorf("transport: %d trailing bytes after frame", len(frame)-off)
 	}
 	return id, pkts, nil
 }
@@ -120,36 +117,24 @@ type sendScratch struct {
 // offsets, not slices, because the arena may reallocate while growing.
 type dgramSpan struct{ off, end int }
 
-// gatherCoalesced assembles the wire datagrams carrying pkts into sc and
-// returns the datagram vector (valid until the next call): a batch frame
-// per greedy ≤ maxUDPPayload group, a lone packet as a single frame —
-// [id payload] when frameSingle is set (uplink), raw otherwise (downlink).
-// An oversized single packet (> maxUDPPayload) is still emitted as its own
-// datagram so the send path can fail it loudly instead of dropping it.
-func gatherCoalesced(sc *sendScratch, id byte, pkts [][]byte, frameSingle bool) [][]byte {
+// gatherCoalesced assembles the frames carrying pkts into sc and returns the
+// datagram vector (valid until the next call): one frame per greedy
+// ≤ maxUDPPayload group. A packet too large for any frame still gets one of
+// its own, so the send path fails it loudly instead of dropping it.
+func gatherCoalesced(sc *sendScratch, id byte, pkts [][]byte) [][]byte {
 	sc.arena = sc.arena[:0]
 	sc.spans = sc.spans[:0]
 	for len(pkts) > 0 {
-		// Greedy split: take the longest prefix that fits one datagram.
-		k := 0
-		size := batchFrameHdr
-		for k < len(pkts) && size+2+len(pkts[k]) <= maxUDPPayload {
-			size += 2 + len(pkts[k])
+		// Greedy split: the longest prefix that fits one datagram, and
+		// never less than one packet.
+		k, size := 1, frameHdr+lenPrefix+len(pkts[0])
+		for k < len(pkts) && size+lenPrefix+len(pkts[k]) <= maxUDPPayload {
+			size += lenPrefix + len(pkts[k])
 			k++
 		}
 		start := len(sc.arena)
-		if k <= 1 {
-			// A single packet (or one too large to share a frame) rides
-			// alone: framed on the uplink, raw on the downlink.
-			if frameSingle {
-				sc.arena = append(sc.arena, id)
-			}
-			sc.arena = append(sc.arena, pkts[0]...)
-			pkts = pkts[1:]
-		} else {
-			sc.arena = appendBatchFrame(sc.arena, id, pkts[:k])
-			pkts = pkts[k:]
-		}
+		sc.arena = appendFrame(sc.arena, id, pkts[:k])
+		pkts = pkts[k:]
 		sc.spans = append(sc.spans, dgramSpan{start, len(sc.arena)})
 	}
 	sc.dgrams = sc.dgrams[:0]
@@ -159,17 +144,15 @@ func gatherCoalesced(sc *sendScratch, id byte, pkts [][]byte, frameSingle bool) 
 	return sc.dgrams
 }
 
-// writeCoalesced coalesces pkts into wire datagrams and writes them to dst
-// through the backend writer — one sendmmsg for the whole vector on the
+// writeCoalesced frames pkts into datagrams and writes them to dst through
+// the backend writer — one sendmmsg for the whole vector on the
 // kernel-batched path, one syscall per datagram on the fallback. Every
 // datagram is attempted; the failed count and first error are returned so
 // fire-and-forget callers can account drops instead of losing them.
-func writeCoalesced(w batchWriter, dst *net.UDPAddr, id byte, pkts [][]byte, frameSingle bool, sc *sendScratch) (failed int, err error) {
-	dgrams := gatherCoalesced(sc, id, pkts, frameSingle)
+func writeCoalesced(w batchWriter, dst *net.UDPAddr, id byte, pkts [][]byte, sc *sendScratch) (failed int, err error) {
+	dgrams := gatherCoalesced(sc, id, pkts)
 	failed, err = w.writeDatagrams(dst, dgrams)
-	for i := range sc.dgrams {
-		sc.dgrams[i] = nil
-	}
+	clear(sc.dgrams)
 	return failed, err
 }
 
@@ -214,8 +197,8 @@ func (s *UDPServer) newDownlink() downlink {
 }
 
 // flush routes a delivery vector to the worker return paths the serve loop
-// learned: grouped per destination, coalesced into batch frames (singles
-// written raw), written outside the address lock. Workers whose address is
+// learned: grouped per destination, coalesced into frames, written outside
+// the address lock. Workers whose address is
 // not yet learned are skipped. Failed datagrams are counted (SendErrors),
 // not silently dropped; the first write error is also returned.
 func (s *UDPServer) flush(dl *downlink, ds []Delivery) error {
@@ -235,9 +218,7 @@ func (s *UDPServer) flush(dl *downlink, ds []Delivery) error {
 		if dl.dst[w] == nil {
 			continue
 		}
-		failed, err := writeCoalesced(dl.w, dl.dst[w], 0, dl.groups.perDst[w], false, &dl.sc)
-		s.stats.sendErrors.Add(uint64(failed))
-		if err != nil && firstErr == nil {
+		if err := dl.write(dl.dst[w], dl.groups.perDst[w], s.stats); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -245,13 +226,20 @@ func (s *UDPServer) flush(dl *downlink, ds []Delivery) error {
 	return firstErr
 }
 
+// write frames pkts to dst (the downlink id is 0), counting failed
+// datagrams in stats.
+func (dl *downlink) write(dst *net.UDPAddr, pkts [][]byte, stats *syscallCounters) error {
+	failed, err := writeCoalesced(dl.w, dst, 0, pkts, &dl.sc)
+	stats.sendErrors.Add(uint64(failed))
+	return err
+}
+
 // NewUDPServer wraps a bound switch socket; it errors on a worker count the
-// one-byte frame cannot address. The caller owns conn; closing it terminates
-// Serve.
+// one-byte frame id cannot address. The caller owns conn; closing it
+// terminates Serve.
 func NewUDPServer(conn *net.UDPConn, workers int, opts ...UDPOption) (*UDPServer, error) {
-	if workers < 1 || workers > MaxWorkers {
-		return nil, fmt.Errorf("transport: %d workers outside the 1..%d the one-byte frame addresses (0x%02x and 0x%02x are reserved)",
-			workers, MaxWorkers, BatchFrameID, ObserverID)
+	if err := checkWorkers(workers); err != nil {
+		return nil, err
 	}
 	return newUDPServer(conn, workers, applyOptions(opts).mode.enabled(), &syscallCounters{}), nil
 }
@@ -280,17 +268,17 @@ func (s *UDPServer) SyscallStats() SyscallStats { return s.stats.snapshot() }
 // Serve drains the socket with a pool of reader goroutines (one per CPU,
 // capped at 8), each owning reusable pooled read buffers, a delivery list
 // and a datagram-assembly arena — the serve loop allocates nothing per
-// datagram in steady state. Datagrams are framed either
-// [workerID(1) payload] or as batch frames (BatchFrameID); the sender's
-// address is learned as that worker's return path, and handler deliveries
-// are coalesced per destination into batch-framed datagrams (single
-// deliveries are written raw), broadcasts going to every learned address.
+// datagram in steady state. Every datagram is one frame (see frameHdr); the
+// sender's address is learned as the frame id's worker return path, and
+// handler deliveries are coalesced per destination into frames, broadcasts
+// going to every learned address.
 // On the kernel-batched backend each reader drains up to serveRecvBatch
 // datagrams per recvmmsg (the per-datagram backend one per read), hands
 // each worker's packets of that burst to the handler in ONE invocation, in
 // arrival order, and writes each destination's replies with one sendmmsg.
-// Frames carrying ObserverID are handled out-of-band (see ObserverID), as
-// barriers: the packets gathered before one are handled first.
+// Frames carrying observerID are handled out-of-band (see observerID), as
+// barriers: the packets gathered before one are handled first, and the
+// replies go back to the sender through the same frame writer.
 // Destination addresses are snapshotted under the lock but written outside
 // it, so replies from different readers (and shards) proceed in parallel.
 //
@@ -340,15 +328,14 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 		srcs: make([]*net.UDPAddr, serveRecvBatch),
 		down: s.newDownlink(),
 	}
-	var one [1][]byte // an observer reply, written as a datagram of its own
+	var replies [][]byte // an observer frame's reply packets
 	st.burst = newBurst(s.workers, handler, s.learn, func(src *net.UDPAddr, ds []Delivery) {
 		for _, d := range ds {
-			one[0] = d.Packet
-			if failed, _ := st.down.w.writeDatagrams(src, one[:]); failed > 0 {
-				s.stats.sendErrors.Add(uint64(failed))
-			}
+			replies = append(replies, d.Packet)
 		}
-		one[0] = nil
+		_ = st.down.write(src, replies, s.stats) // counted; the observer resends
+		clear(replies)
+		replies = replies[:0]
 	})
 	st.bufs = getReadBufs(nil, serveRecvBatch)
 	defer putReadBufs(st.bufs)
@@ -398,8 +385,7 @@ type burst struct {
 
 	groups destGroups     // the burst's packets per sending worker, in arrival order
 	addrs  []*net.UDPAddr // each grouped worker's latest source address
-	split  [][]byte       // batch-frame packet slices (aliasing a read buffer)
-	one    [1][]byte      // an observer frame's packet vector
+	split  [][]byte       // a frame's packet slices (aliasing a read buffer)
 	dl     DeliveryList   // worker deliveries, accumulated across one burst
 	odl    DeliveryList   // observer deliveries, reset per observer frame
 }
@@ -411,47 +397,39 @@ func newBurst(workers int, handler BatchHandler, learn func([]int, []*net.UDPAdd
 }
 
 // dispatch runs one drained burst, bufs[i] having come from srcs[i]: every
-// worker's packets — raw single frames [workerID payload] and batch frames
-// alike — reach the handler as one vector in arrival order, the workers in
-// the order of their first packet. An observer frame (ObserverID) is a
-// barrier: the groups gathered before it run first, so a control frame
-// keeps its place in the burst; its replies go to reply, and its sender
-// never becomes a worker return path. Worker deliveries accumulate in b.dl,
-// valid until the next dispatch. Frames that do not parse, name no known
-// worker or carry no packet are dropped.
+// worker's packets reach the handler as one vector in arrival order, the
+// workers in the order of their first packet. An observer frame
+// (observerID) is a barrier: the groups gathered before it run first, so a
+// control frame keeps its place in the burst; its replies go to reply, and
+// its sender never becomes a worker return path. Worker deliveries
+// accumulate in b.dl, valid until the next dispatch. Datagrams that do not
+// parse, name no known worker or carry no packet are dropped.
 func (b *burst) dispatch(bufs [][]byte, srcs []*net.UDPAddr) {
 	b.dl.Reset()
 	for i, buf := range bufs {
-		src := srcs[i]
-		if len(buf) < 1 || src == nil {
+		id, pkts, err := decodeFrame(buf, b.split)
+		if err != nil {
 			continue
 		}
-		switch buf[0] {
-		case ObserverID:
+		b.split = pkts[:0]
+		src := srcs[i]
+		if src == nil || len(pkts) == 0 {
+			continue
+		}
+		if id == observerID {
 			b.run()
 			b.odl.Reset()
-			b.one[0] = buf[1:]
-			b.handler(ObserverWorker, b.one[:], &b.odl)
-			b.one[0] = nil
+			b.handler(ObserverWorker, pkts, &b.odl)
 			b.reply(src, b.odl.Deliveries())
-		case BatchFrameID:
-			id, pkts, err := splitBatchFrame(buf, b.split)
-			b.split = pkts[:0]
-			if err != nil || int(id) >= b.workers || len(pkts) == 0 {
-				continue
-			}
-			for _, pkt := range pkts {
-				b.groups.route(int(id), pkt)
-			}
-			b.addrs[id] = src
-		default:
-			worker := int(buf[0])
-			if worker >= b.workers {
-				continue
-			}
-			b.groups.route(worker, buf[1:])
-			b.addrs[worker] = src
+			continue
 		}
+		if int(id) >= b.workers {
+			continue
+		}
+		for _, pkt := range pkts {
+			b.groups.route(int(id), pkt)
+		}
+		b.addrs[id] = src
 	}
 	b.run()
 }
@@ -470,11 +448,11 @@ func (b *burst) run() {
 }
 
 // UDP is a Fabric over real UDP sockets on loopback (or any network): one
-// switch socket, one socket per worker. Worker identity is carried in a
-// one-byte frame header so the switch can map datagrams to logical ports,
-// like the ingress-port metadata a real switch derives from the wire.
-// SendBatch coalesces the packet vector into batch-framed datagrams and
-// RecvBatch drains the worker socket into the caller's reusable buffers,
+// switch socket, one socket per worker. Worker identity is carried in the
+// frame's id octet so the switch can map datagrams to logical ports, like
+// the ingress-port metadata a real switch derives from the wire.
+// SendBatch coalesces the packet vector into frames and RecvBatch drains
+// the worker socket into the caller's reusable buffers,
 // so a full protocol window crosses the wire in a handful of datagrams —
 // and, on the kernel-batched backend (WithMmsg), in a handful of syscalls:
 // one sendmmsg per destination per vector, one recvmmsg per drained burst.
@@ -487,8 +465,11 @@ func (b *burst) run() {
 // worker half dialed at a REMOTE switch socket (another process's
 // fpisa-switch, or another switch in an aggregation tree), so swConn and
 // srv are nil and Push reports that there is nothing to push through.
+// DialObserver builds the same half with one port that sends observer
+// frames.
 type UDP struct {
 	workers  int
+	observer bool // port 0 frames with observerID (DialObserver)
 	useMmsg  bool
 	stats    *syscallCounters
 	swAddr   *net.UDPAddr
@@ -509,7 +490,7 @@ type sendState struct {
 }
 
 // recvState is one worker's reusable downlink receiving context plus the
-// overflow queue for batch frames larger than the caller's buffer vector.
+// overflow queue for frames larger than the caller's buffer vector.
 type recvState struct {
 	mu      sync.Mutex
 	reader  batchReader
@@ -548,12 +529,8 @@ func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) 
 // addr and RecvBatch drains the local sockets. Push errors: a dialed
 // fabric has no switch side to originate deliveries from.
 func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("transport: workers %d", workers)
-	}
-	if workers > MaxWorkers {
-		return nil, fmt.Errorf("transport: %d workers exceed the %d the one-byte frame addresses (0x%02x and 0x%02x are reserved)",
-			workers, MaxWorkers, BatchFrameID, ObserverID)
+	if err := checkWorkers(workers); err != nil {
+		return nil, err
 	}
 	if addr == nil {
 		return nil, fmt.Errorf("transport: nil switch address")
@@ -568,8 +545,14 @@ func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
 		send:    make([]sendState, workers),
 		recv:    make([]recvState, workers),
 	}
+	// Loopback sockets for a loopback switch; any other (an operator's
+	// Observer, a leaf's parent on another host) needs every interface.
+	local := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	if ip := addr.IP.To4(); ip == nil || !ip.IsLoopback() {
+		local = nil
+	}
 	for i := range u.conns {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		c, err := net.ListenUDP("udp", local)
 		if err != nil {
 			u.Close()
 			return nil, err
@@ -579,6 +562,32 @@ func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
 		u.recv[i].reader = newBatchReader(c, u.useMmsg, u.stats)
 	}
 	return u, nil
+}
+
+// DialObserver dials the switch socket at addr ("host:port") as an
+// out-of-band observer: a one-port fabric whose port 0 sends observer frames,
+// so the switch answers each request to this socket and never learns it as
+// a worker's return path. It is the socket an Observer exchanges through.
+func DialObserver(addr string, opts ...UDPOption) (*UDP, error) {
+	a, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	u, err := DialUDP(a, 1, opts...)
+	if err != nil {
+		return nil, err
+	}
+	u.observer = true
+	return u, nil
+}
+
+// checkWorkers refuses a worker count the one-byte frame id cannot address.
+func checkWorkers(workers int) error {
+	if workers < 1 || workers > MaxWorkers {
+		return fmt.Errorf("transport: %d workers outside the 1..%d the one-byte frame id addresses (0x%02x is the observer's)",
+			workers, MaxWorkers, observerID)
+	}
+	return nil
 }
 
 // SwitchAddr returns the switch socket's address (the dialed address for a
@@ -621,8 +630,7 @@ func (u *UDP) Push(ds []Delivery) error {
 	return u.srv.Push(ds)
 }
 
-// SendBatch implements Fabric, coalescing the vector into batch-framed
-// datagrams (a lone packet rides the legacy [workerID payload] frame) and
+// SendBatch implements Fabric, coalescing the vector into frames and
 // submitting them with one sendmmsg on the kernel-batched backend. Failed
 // datagrams are counted in SyscallStats.SendErrors as well as returned.
 func (u *UDP) SendBatch(worker int, pkts [][]byte) error {
@@ -635,7 +643,11 @@ func (u *UDP) SendBatch(worker int, pkts [][]byte) error {
 	st := &u.send[worker]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	failed, err := writeCoalesced(st.writer, u.swAddr, byte(worker), pkts, true, &st.sc)
+	id := byte(worker)
+	if u.observer {
+		id = observerID
+	}
+	failed, err := writeCoalesced(st.writer, u.swAddr, id, pkts, &st.sc)
 	u.stats.sendErrors.Add(uint64(failed))
 	return err
 }
@@ -643,9 +655,9 @@ func (u *UDP) SendBatch(worker int, pkts [][]byte) error {
 // RecvBatch implements Fabric: it blocks up to timeout for the first
 // datagram, then keeps draining the socket without blocking until the
 // buffer vector is full or the socket is empty (one recvmmsg can take a
-// whole burst on the kernel-batched backend). Batch frames are split into
-// their packets; packets beyond len(bufs) are carried over to the next
-// call rather than dropped.
+// whole burst on the kernel-batched backend). Frames are split into their
+// packets, datagrams that are not frames dropped; packets beyond len(bufs)
+// are carried over to the next call rather than dropped.
 func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error) {
 	if worker < 0 || worker >= u.workers {
 		return 0, fmt.Errorf("transport: worker %d out of range", worker)
@@ -701,32 +713,19 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 			}
 			return 0, err
 		}
-		for i := 0; i < m; i++ {
-			dgram := st.kbufs[i]
-			if len(dgram) < 1 {
-				continue
+		for _, dgram := range st.kbufs[:m] {
+			_, pkts, err := decodeFrame(dgram, st.split)
+			if err != nil {
+				continue // not a frame: drop, like a corrupt datagram
 			}
-			if dgram[0] == BatchFrameID {
-				_, pkts, err := splitBatchFrame(dgram, st.split)
-				st.split = pkts[:0]
-				if err != nil {
-					continue // malformed frame: drop, like a corrupt datagram
+			st.split = pkts[:0]
+			for _, pkt := range pkts {
+				if n < len(bufs) {
+					bufs[n] = append(bufs[n][:0], pkt...)
+					n++
+				} else {
+					st.pending = append(st.pending, append([]byte(nil), pkt...))
 				}
-				for _, pkt := range pkts {
-					if n < len(bufs) {
-						bufs[n] = append(bufs[n][:0], pkt...)
-						n++
-					} else {
-						st.pending = append(st.pending, append([]byte(nil), pkt...))
-					}
-				}
-				continue
-			}
-			if n < len(bufs) {
-				bufs[n] = append(bufs[n][:0], dgram...)
-				n++
-			} else {
-				st.pending = append(st.pending, append([]byte(nil), dgram...))
 			}
 		}
 	}
