@@ -550,11 +550,11 @@ func BenchmarkUDPFabricThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveBatch measures a full single-worker all-reduce through
-// the vectored Memory fabric with the adaptive batch controller, on a
-// clean path and under 10% injected loss — the pkts/s the protocol
-// sustains while the batch size self-tunes, plus where it settles.
-func BenchmarkAdaptiveBatch(b *testing.B) {
+// BenchmarkLossRecovery measures a full single-worker all-reduce through
+// the vectored Memory fabric, on a clean path and under 10% injected
+// uplink loss — the pkts/s the protocol sustains while the retransmit
+// rounds recover every lost ADD.
+func BenchmarkLossRecovery(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		loss float64
@@ -570,7 +570,6 @@ func BenchmarkAdaptiveBatch(b *testing.B) {
 				vec[i] = float32(i%13) * 0.5
 			}
 			var pkts uint64
-			var lastBatch int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer() // switch construction is not the protocol cost
@@ -586,7 +585,6 @@ func BenchmarkAdaptiveBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				w := aggservice.NewWorker(0, fab, cfg)
-				w.Batch = 32
 				w.Timeout = 2 * time.Millisecond
 				w.Retries = 100_000
 				b.StartTimer()
@@ -595,12 +593,10 @@ func BenchmarkAdaptiveBatch(b *testing.B) {
 				}
 				b.StopTimer()
 				pkts += w.SentPackets
-				lastBatch = w.LastBatch
 				fab.Close()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
-			b.ReportMetric(float64(lastBatch), "final-batch")
 		})
 	}
 }

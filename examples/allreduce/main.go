@@ -93,17 +93,15 @@ func main() {
 	fmt.Printf("both jobs reduced %d elements each in %v over one shared switch\n",
 		vecLen, elapsed.Round(time.Millisecond))
 	for j := 0; j < jobs; j++ {
-		var pkts, dgrams, shrinks, grows uint64
-		last := 0
+		var pkts, dgrams uint64
+		largest := 0
 		for _, wk := range wks[j] {
 			pkts += wk.SentPackets
 			dgrams += wk.SentDatagrams
-			shrinks += wk.BatchShrinks
-			grows += wk.BatchGrows
-			last = wk.LastBatch
+			largest = max(largest, wk.LastBatch)
 		}
-		fmt.Printf("job %d adaptive batching: %d ADDs in %d send vectors (%.1f chunks/vector), batch %d at finish (shrinks=%d grows=%d)\n",
-			j, pkts, dgrams, float64(pkts)/float64(max(dgrams, 1)), last, shrinks, grows)
+		fmt.Printf("job %d send vectors: %d ADDs in %d vectors (%.1f chunks/vector, largest %d)\n",
+			j, pkts, dgrams, float64(pkts)/float64(max(dgrams, 1)), largest)
 	}
 
 	for j := 0; j < jobs; j++ {

@@ -930,9 +930,9 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// Binding a new chunk is the unit of pipeline time the deficit-
 		// round-robin scheduler meters: an over-deficit tenant is deferred
 		// while other demanding tenants hold unspent budget, told with an
-		// AckBackpressure notice (so its worker shrinks the adaptive batch
-		// instead of hammering retransmits), and recovers the chunk through
-		// its normal retransmit path in a later round. Retransmits of
+		// AckBackpressure notice (so its worker waits instead of hammering
+		// retransmits), and recovers the chunk through its normal
+		// retransmit path in a later round. Retransmits of
 		// in-flight chunks never reach this branch and stay free.
 		if !sh.sched.charge(job, inc.quantum()) {
 			js.schedDefers.Add(1)
@@ -1152,7 +1152,6 @@ func (s *Switch) Rejects() WireRejects {
 const (
 	DefaultTimeout = 200 * time.Millisecond
 	DefaultRetries = 50
-	DefaultBatch   = 8
 )
 
 // DefaultDrainTimeout bounds an eviction's drain phase when
@@ -1163,9 +1162,9 @@ const DefaultDrainTimeout = 2 * time.Second
 
 // Worker is the host side: it reduces a gradient vector through the switch.
 // NewWorker fills the tuning fields with defaults; on a hand-built Worker,
-// Timeout, Retries and Batch treat anything below their minimum meaningful
-// value as the default. Reduce runs entirely in its caller's goroutine and
-// updates the counters as it goes, so a Worker serves one Reduce at a time.
+// Timeout and Retries treat anything at or below zero as the default.
+// Reduce runs entirely in its caller's goroutine and updates the counters
+// as it goes, so a Worker serves one Reduce at a time.
 type Worker struct {
 	// ID is the worker's index within its job, 0 ≤ ID < Cfg.Workers. The
 	// transport port is Cfg.Port(Job, ID).
@@ -1180,18 +1179,6 @@ type Worker struct {
 	// Retries bounds retransmission rounds per window stall. Values <= 0
 	// apply DefaultRetries.
 	Retries int
-	// Batch is the ceiling of the EFFECTIVE batch size, which splits the
-	// initial window and every retransmit round into send vectors and is
-	// the flush threshold between downlink messages. It does not cap the
-	// chunks one reply frees: a RESULT RUN's freed chunks always leave in
-	// one vector, so the switch's own coalescing sets the send grain.
-	// Values < 1 apply DefaultBatch; 1 disables batching of the initial
-	// window and retransmits. The effective size adapts at runtime between
-	// 1 and Batch, sized from the observed ack/retransmit ratio: each
-	// retransmit round halves it (loss means smaller bursts recover
-	// faster), and a clean run of acks doubles it back toward Batch (see
-	// BatchShrinks/BatchGrows).
-	Batch int
 	// Epoch is the job incarnation octet stamped into every ADD. It is 0
 	// for a job's first incarnation; workers of a re-admitted job id must
 	// carry the epoch echoed in the admit ack (or Switch.JobEpoch), or
@@ -1205,34 +1192,31 @@ type Worker struct {
 	// The zero value is the default f32 profile.
 	Profile core.NumericProfile
 	// SentPackets counts ADD messages transmitted (including
-	// retransmits), one per chunk transmission regardless of batching.
+	// retransmits), one per chunk transmission.
 	SentPackets uint64
-	// SentDatagrams counts send-vector flushes — wire datagrams when the
-	// whole vector fits one (the fabric splits oversized vectors
-	// transparently). With batching it is smaller than SentPackets by up
-	// to the batch factor.
+	// SentDatagrams counts send vectors: one for the initial window, one
+	// per received delivery vector that freed a slot, and one per
+	// retransmit round. A vector is one wire datagram when it fits one;
+	// the fabric splits a larger one transparently.
 	SentDatagrams uint64
-	// BatchShrinks and BatchGrows count the adaptive controller's
-	// halvings (on retransmit rounds and scheduler backpressure notices)
-	// and doublings (on clean ack runs).
-	BatchShrinks, BatchGrows uint64
+	// BatchShrinks is always 0: Reduce has no batch size to shrink. It is
+	// kept, like LastBatch, only because the bench/ module reads it.
+	BatchShrinks uint64
 	// BackpressureAcks counts AckBackpressure notices received: the
 	// switch's deficit-round-robin scheduler deferred one of this worker's
-	// new-chunk binds. Each notice backs the adaptive batch off (see
-	// BatchShrinks); the deferred chunk is recovered by the normal
-	// retransmit path once the job's deficit replenishes.
+	// new-chunk binds. A notice refills the stall budget; the deferred
+	// chunk is recovered by the normal retransmit path once the job's
+	// deficit replenishes.
 	BackpressureAcks uint64
-	// LastBatch is the adaptive batch size Reduce last ran at; it seeds
-	// the next Reduce, so a worker on a lossy path stays conservative
-	// across rounds and recovers when the loss clears. 0 means start at
-	// the Batch ceiling.
+	// LastBatch is the largest send vector, in ADDs, the last Reduce sent:
+	// at most Cfg.Pool.
 	LastBatch int
 
 	next int64 // where the next Reduce starts on the job's chunk clock
 }
 
-// NewWorker builds a job-0 worker with the default timeout, retry budget
-// and batch size.
+// NewWorker builds a job-0 worker with the default timeout and retry
+// budget.
 func NewWorker(id int, fabric transport.Fabric, cfg Config) *Worker {
 	return NewJobWorker(0, id, fabric, cfg)
 }
@@ -1243,7 +1227,7 @@ func NewWorker(id int, fabric transport.Fabric, cfg Config) *Worker {
 func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 	return &Worker{
 		ID: id, Job: job, Fabric: fabric, Cfg: cfg,
-		Timeout: DefaultTimeout, Retries: DefaultRetries, Batch: DefaultBatch,
+		Timeout: DefaultTimeout, Retries: DefaultRetries,
 		Profile: cfg.profileOf(job),
 	}
 }
@@ -1252,9 +1236,9 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 // The packets are encoded back to back into one arena that is rewound after
 // every flush — Fabric.SendBatch lets the caller reuse pkts and their
 // backing arrays once it returns — so the steady-state send path allocates
-// nothing per chunk. A vector holds at most (batch−1)+pool ADDs: what an
-// earlier message of the same receive left below the flush threshold, plus
-// one reply that frees the whole window.
+// nothing per chunk. A vector holds at most Pool ADDs: at most Pool chunks
+// are outstanding, and a vector carries the initial window, the slots one
+// received vector freed, or a retransmit round's outstanding chunks.
 type sendVec struct {
 	job, modules int
 	epoch        uint8
@@ -1267,12 +1251,11 @@ type sendVec struct {
 }
 
 // newSendVec sizes the arena for the largest vector, so it never grows.
-func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, batch, pool int, vec []float32) *sendVec {
-	n := batch - 1 + pool
+func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, pool int, vec []float32) *sendVec {
 	return &sendVec{
 		job: job, modules: modules, epoch: epoch, prof: prof, vec: vec,
-		msgs:  make([][]byte, 0, n),
-		arena: make([]byte, 0, n*addBytes(modules, prof)),
+		msgs:  make([][]byte, 0, pool),
+		arena: make([]byte, 0, pool*addBytes(modules, prof)),
 	}
 }
 
@@ -1317,15 +1300,15 @@ func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 // vectors. Each call continues the Worker's chunk stream (see doc.go), so
 // one incarnation serves every reduce of a training run.
 //
-// It is one run-to-completion loop in the caller's goroutine: send the
-// first Pool chunks, then alternate — receive a delivery vector, copy out
-// every chunk each message completes and queue chunk c+Pool for each,
-// flushing between messages once the batch size is queued and once at the
-// vector's end. So the chunks one reply frees leave in one send vector. A
-// receive timeout is a stall round: retransmit what is outstanding, give
-// up after Retries of them in a row. The effective batch size adapts
-// between 1 and Batch (see Worker.Batch). The counters and LastBatch are
-// current on every return, errors included.
+// It is one run-to-completion loop in the caller's goroutine that sends at
+// the protocol's own events only: the first Pool chunks go out as one
+// vector, then it alternates — receive a delivery vector, copy out every
+// chunk its messages complete and queue chunk c+Pool for each, and send
+// what was queued as one vector when the received vector ends. A receive
+// timeout is a stall round: retransmit what is outstanding as one vector,
+// give up after Retries of them in a row. Pool bounds every vector;
+// splitting one into datagrams is the fabric's job. The counters and
+// LastBatch are current on every return, errors included.
 func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	if w.Job < 0 || w.Job >= w.Cfg.capacity() {
 		return nil, fmt.Errorf("aggservice: job %d outside the switch's %d-job capacity", w.Job, w.Cfg.capacity())
@@ -1337,11 +1320,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	modules := w.Cfg.Modules
 	pool := w.Cfg.Pool
 	timeout, retries := retryBudget(w.Timeout, w.Retries)
-	batch := w.Batch
-	if batch < 1 {
-		batch = DefaultBatch
-	}
-	batch = min(batch, maxBatchChunks(modules))
+	w.LastBatch = 0
 
 	nChunks := (len(vec) + modules - 1) / modules
 	out := make([]float32, len(vec))
@@ -1361,42 +1340,20 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	done := make([]bool, nChunks)
 	nDone, stalls := 0, 0
 
-	// cur is the adaptive batch size, seeded from the last Reduce so a
-	// lossy path stays conservative across rounds; cleanAcks is the
-	// completion streak since the last stall, the grow signal.
-	cur := w.LastBatch
-	if cur < 1 || cur > batch {
-		cur = batch
-	}
-	cleanAcks := 0
-	defer func() { w.LastBatch = cur }()
-	shrink := func() {
-		if cur > 1 {
-			cur /= 2
-			w.BatchShrinks++
-		}
-		cleanAcks = 0
-	}
-
-	// The send side: queue encodes chunk c into the send vector, flush
-	// hands the vector to the fabric, and flushFull flushes once the vector
-	// holds the batch size. The first SendBatch error sticks in sendErr,
-	// turns later flushes into no-ops and ends the loop.
-	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, batch, pool, vec)
+	// The send side: queue encodes chunk c into the send vector and flush
+	// hands the vector to the fabric. The first SendBatch error sticks in
+	// sendErr, turns later flushes into no-ops and ends the loop.
+	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, pool, vec)
 	sv.first, sv.span = first, span
 	var sendErr error
 	flush := func() {
 		if len(sv.msgs) > 0 && sendErr == nil {
 			w.SentPackets += uint64(len(sv.msgs))
 			w.SentDatagrams++
+			w.LastBatch = max(w.LastBatch, len(sv.msgs))
 			sendErr = w.Fabric.SendBatch(port, sv.msgs)
 		}
 		sv.reset()
-	}
-	flushFull := func() {
-		if len(sv.msgs) >= cur {
-			flush()
-		}
 	}
 	queue := func(c int) {
 		sv.add(c)
@@ -1406,8 +1363,7 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// complete takes chunk c's aggregated values, whichever downlink
 	// message carried them, and opens exactly chunk c+pool's window slot —
 	// per-slot self-clocking, so one straggling chunk never blocks the
-	// slots behind it. A streak of clean completions twice the current
-	// batch doubles it back toward the ceiling.
+	// slots behind it.
 	complete := func(chunk uint32, vals []byte, _ bool) {
 		off := ahead(chunk, first, span)
 		c := int(off)
@@ -1418,12 +1374,6 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		nDone++
 		stalls = 0
 		w.Profile.GetValues(out[c*modules:min(len(vec), (c+1)*modules)], vals)
-		cleanAcks++
-		if cur < batch && cleanAcks >= 2*cur {
-			cur = min(2*cur, batch)
-			w.BatchGrows++
-			cleanAcks = 0
-		}
 		if c+pool < nChunks {
 			queue(c + pool)
 		}
@@ -1432,7 +1382,6 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	// Initial window: the first pool chunks are ungated.
 	for c := 0; c < nChunks && c < pool; c++ {
 		queue(c)
-		flushFull()
 	}
 	flush()
 
@@ -1443,13 +1392,10 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 			if stalls++; stalls > retries {
 				return nil, fmt.Errorf("aggservice: job %d worker %d gave up after %d stalls", w.Job, w.ID, stalls)
 			}
-			// A stall means retransmits are due: halve the batch so the
-			// recovery burst is small, then resend what is outstanding.
-			shrink()
+			// A stall round: resend what is outstanding.
 			for c := range sent {
 				if sent[c] && !done[c] {
 					queue(c)
-					flushFull()
 				}
 			}
 			flush()
@@ -1458,13 +1404,8 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 		if err != nil {
 			return nil, err
 		}
-		backedOff := false
 		for _, msg := range bufs[:k] {
 			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, modules, complete)
-			// Between messages: once a batch is queued it goes out, so a
-			// deep receive does not hold the whole window back, but the
-			// chunks one message freed are never split.
-			flushFull()
 			if !ok {
 				continue
 			}
@@ -1478,21 +1419,15 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 				// The scheduler deferred a bind: our job is over its
 				// deficit while other tenants hold budget. The switch is
 				// demonstrably alive and the job admitted, so this wait
-				// must not eat the retry budget. Back the batch off (once
-				// per received vector, however many notices it carries) so
-				// the next burst fits the replenished deficit, but do NOT
-				// retransmit — the deferred chunk is recovered by the
-				// timeout path once the round turns over, and hammering it
-				// now would only be deferred again.
+				// must not eat the retry budget. Do NOT retransmit — the
+				// deferred chunk is recovered by the timeout path once the
+				// round turns over, and hammering it now would only be
+				// deferred again.
 				w.BackpressureAcks++
 				stalls = 0
-				if !backedOff {
-					shrink()
-					backedOff = true
-				}
 			}
 		}
-		// The vector's end flushes the remainder.
+		// The vector's end sends the slots its messages freed.
 		flush()
 	}
 	if sendErr != nil {

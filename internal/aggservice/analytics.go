@@ -639,8 +639,9 @@ func (c *TupleClient) Send(op TupleOp, keys []uint32, vals []float32) ([]int, er
 	return survivors, nil
 }
 
-// sendOne delivers one wire batch stop-and-wait, retrying on loss and
-// backing off on scheduler backpressure.
+// sendOne delivers one wire batch stop-and-wait, resending it once per
+// receive timeout. A scheduler backpressure notice is counted and waited
+// out: the batch goes again when the timeout expires.
 func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int, error) {
 	timeout, retries := retryBudget(c.Timeout, c.Retries)
 	pkt := EncodeTuples(c.Job, c.seq, c.Epoch, op, keys, vals)

@@ -48,9 +48,9 @@
 //     demand this round still holds budget: the ADD is dropped, counted
 //     (WireRejects.Backpressure, JobStats.SchedDefers) and answered with
 //     an AckBackpressure notice echoing the offending ADD's epoch. The
-//     worker halves its adaptive batch on the notice — backing off
-//     instead of hammering retransmits — and recovers the chunk through
-//     its normal timeout path once the round turns over.
+//     worker counts the notice and retransmits nothing — it does not
+//     hammer a deferred bind — and recovers the chunk through its normal
+//     timeout path once the round turns over.
 //   - The round advances the moment no demanding tenant holds budget
 //     (work conservation: a lone tenant is never throttled), or after
 //     Config.SchedRoundAge when a budget holder goes quiet mid-round
@@ -381,13 +381,13 @@
 // Pool chunks, then alternates between receiving a delivery vector and
 // sending the chunks that vector freed (a completed chunk c opens exactly
 // chunk c+Pool's slot), with a receive timeout as the retransmit round.
-// The send grain follows the switch's replies: the chunks one downlink
-// message frees always leave in one send vector, however many a RESULT
-// RUN carries, and between messages the vector goes out once it holds the
-// adaptive batch size; what is left goes out when the received vector
-// ends. So a switch that coalesced a burst into one run gets one vector
-// back, and a fabric that delivers replies one by one keeps vectors near
-// the batch size.
+// The window is the send grain: Reduce sends at the protocol's own events
+// only — the initial window as one vector, the chunks one received
+// delivery vector frees as one vector when it ends, and each retransmit
+// round's outstanding chunks as one vector. At most Pool chunks are
+// outstanding, so Pool bounds every vector. A switch that coalesced a
+// burst into one run gets one vector back, and a vector larger than one
+// datagram is the fabric's to split (see transport.FrameCapacity).
 // It starts no goroutine and makes no channel, so one reduce is a strict
 // send/receive sequence a scripted fabric can step (worker_test.go).
 // Consecutive Reduce calls on one Worker continue one chunk stream, every
@@ -403,14 +403,4 @@
 // job and epoch, RESULT and RESULT RUN bodies handed out per chunk — is
 // the same function a tree leaf's uplink uses (readDownlink), so a
 // downlink message is taught to the protocol once.
-//
-// The batch size — the initial window's and every retransmit round's
-// vector size, and the flush threshold between messages — adapts to the
-// observed ack/retransmit ratio between 1
-// and Worker.Batch: every retransmit round halves it (under loss, smaller
-// bursts localize the damage and recover faster) and a clean streak of
-// completions doubles it back (on a clean pipe, bigger vectors amortize
-// per-datagram overhead). The controller's activity is observable as
-// Worker.BatchShrinks/BatchGrows/LastBatch, and the size survives across
-// Reduce calls so a lossy path stays conservative between rounds.
 package aggservice

@@ -176,18 +176,18 @@ func (f *nullFabric) RecvBatch(int, [][]byte, time.Duration) (int, error) {
 func (f *nullFabric) Close() error { return nil }
 
 // TestSendVecReusesItsArena covers the worker's send path: encoding a full
-// batch and flushing it allocates nothing per chunk, a re-encoded chunk is
+// window and flushing it allocates nothing per chunk, a re-encoded chunk is
 // byte-identical however often the arena was rewound in between, and the
 // vector's tail chunk is zero-padded even though its value buffer last
 // held a full chunk.
 func TestSendVecReusesItsArena(t *testing.T) {
-	const modules, batch, pool = 3, 8, 4
+	const modules, pool = 3, 8
 	prof := core.NumericProfile{Format: core.FormatBF16}
 	vec := make([]float32, modules*40+1) // 41 chunks, the last one a single value
 	for i := range vec {
 		vec[i] = float32(i%97) * 0.25
 	}
-	sv := newSendVec(0, 7, prof, modules, batch, pool, vec)
+	sv := newSendVec(0, 7, prof, modules, pool, vec)
 	fab := &nullFabric{}
 
 	sv.add(5)
@@ -196,9 +196,9 @@ func TestSendVecReusesItsArena(t *testing.T) {
 		t.Fatalf("chunk 5 encoded % x, want % x", first, want)
 	}
 	sv.reset()
-	for c := 6; c < 6+3*pool; c++ { // ≥ 2·Pool further chunks through the arena
+	for c := 6; c < 6+2*pool+3; c++ { // > 2·Pool further chunks through the arena
 		sv.add(c)
-		if len(sv.msgs) == batch {
+		if len(sv.msgs) == pool {
 			fab.SendBatch(0, sv.msgs)
 			sv.reset()
 		}
@@ -219,8 +219,8 @@ func TestSendVecReusesItsArena(t *testing.T) {
 	sv.reset()
 
 	c := 0
-	allocgate.AtMost(t, "send path (per 8-chunk batch)", 0, func() {
-		for i := 0; i < batch; i++ {
+	allocgate.AtMost(t, "send path (per 8-chunk window)", 0, func() {
+		for i := 0; i < pool; i++ {
 			sv.add(c % 41)
 			c++
 		}
@@ -231,23 +231,22 @@ func TestSendVecReusesItsArena(t *testing.T) {
 	})
 }
 
-// TestSendVecHoldsAWholeWindow: the largest vector Reduce builds — Batch−1
-// ADDs left below the flush threshold by earlier messages of a receive, plus
-// one reply that frees the whole window — fits the arena newSendVec sized,
-// so not even the first such vector grows it, and a stream of them
-// allocates nothing.
+// TestSendVecHoldsAWholeWindow: the largest vector Reduce builds — Pool
+// ADDs, the initial window, a retransmit round of it or a received vector
+// that frees it all — fits the arena newSendVec sized, so not even the
+// first such vector grows it, and a stream of them allocates nothing.
 func TestSendVecHoldsAWholeWindow(t *testing.T) {
-	const modules, batch, pool, chunks = 3, 8, 64, 200
+	const modules, pool, chunks = 3, 64, 200
 	vec := make([]float32, modules*chunks)
 	for i := range vec {
 		vec[i] = float32(i)
 	}
-	sv := newSendVec(0, 0, core.DefaultProfile, modules, batch, pool, vec)
+	sv := newSendVec(0, 0, core.DefaultProfile, modules, pool, vec)
 	arena, msgs := cap(sv.arena), cap(sv.msgs)
 	fab := &nullFabric{}
 	c := 0
 	send := func() {
-		for i := 0; i < batch-1+pool; i++ {
+		for i := 0; i < pool; i++ {
 			sv.add(c % chunks)
 			c++
 		}
@@ -259,9 +258,9 @@ func TestSendVecHoldsAWholeWindow(t *testing.T) {
 	send()
 	if cap(sv.arena) != arena || cap(sv.msgs) != msgs {
 		t.Fatalf("a %d-ADD vector grew the arena from %d to %d bytes and the vector from %d to %d",
-			batch-1+pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
+			pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
 	}
-	allocgate.AtMost(t, "send path (per (Batch-1)+Pool vector)", 0, send)
+	allocgate.AtMost(t, "send path (per Pool-ADD vector)", 0, send)
 }
 
 // TestCachedResultSurvivesScratchReuse is the aliasing regression for the

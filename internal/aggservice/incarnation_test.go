@@ -2,6 +2,7 @@ package aggservice
 
 import (
 	"testing"
+	"time"
 
 	"fpisa/internal/core"
 	"fpisa/internal/pisa"
@@ -215,5 +216,57 @@ func TestStaticAndRuntimeAdmissionAreOnePath(t *testing.T) {
 	defer leaf.Close()
 	if len(ctl.calls) != 2 || ctl.calls[0] != 1 || ctl.calls[1] != 1 {
 		t.Fatalf("parent admissions per job = %v, want one each for jobs 0 and 1", ctl.calls)
+	}
+}
+
+// TestStaleNoticeDoesNotKillFreshWorker: a datagram buffered from an
+// evicted incarnation bounces with a notice echoing ITS epoch — the
+// re-admitted incarnation's worker, mid-reduce on the same port, must
+// ignore that notice and complete (the outage the wire epoch exists to
+// prevent must not be reintroduced by its own error path).
+func TestStaleNoticeDoesNotKillFreshWorker(t *testing.T) {
+	cfg := Config{Workers: 1, Pool: 4, Modules: 1, Shards: 2,
+		Capacity: 1, Jobs: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Evict and re-admit job 0 so the live incarnation is epoch 1.
+	if err := sw.Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Admit(0, JobSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	if e := sw.JobEpoch(0); e != 1 {
+		t.Fatalf("epoch = %d, want 1", e)
+	}
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: 1, BatchHandler: sw.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+
+	w := NewWorker(0, fab, cfg)
+	w.Epoch = 1
+	w.Timeout = 20 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Reduce(make([]float32, 64))
+		done <- err
+	}()
+	// The stale straggler: epoch-0 ADDs landing on the same port while the
+	// fresh worker reduces. Each bounces with an epoch-0 notice the fresh
+	// worker must ignore.
+	for i := 0; i < 20; i++ {
+		if err := fab.SendBatch(0, [][]byte{EncodeAddProfile(0, uint32(100+i), 0, core.DefaultProfile, []float32{1})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("fresh worker killed by a stale straggler's notice: %v", err)
+	}
+	if r := sw.Rejects(); r.Stale == 0 {
+		t.Fatal("stale ADDs were not counted")
 	}
 }

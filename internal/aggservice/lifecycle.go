@@ -139,8 +139,8 @@ const (
 	AckErrDisabled
 	// AckBackpressure is the unsolicited notice sent to a worker whose ADD
 	// tried to bind a new chunk while its job was over its deficit-round-
-	// robin budget: the bind is deferred, not lost — the worker backs its
-	// adaptive batch off and recovers the chunk by retransmit once the
+	// robin budget: the bind is deferred, not lost — the worker sends
+	// nothing in answer and recovers the chunk by retransmit once the
 	// scheduler round turns over.
 	AckBackpressure
 	// AckErrBadProfile: the admit carried a numeric profile that does not

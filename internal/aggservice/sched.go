@@ -27,9 +27,9 @@ import "time"
 //   - An over-deficit bind is DEFERRED while another job that has shown
 //     demand this round still holds unspent deficit: the packet is dropped,
 //     counted (WireRejects.Backpressure, JobStats.SchedDefers) and answered
-//     with an AckBackpressure notice so the sender shrinks its adaptive
-//     batch instead of hammering retransmits. The sender's normal
-//     timeout/retransmit path recovers the chunk in a later round.
+//     with an AckBackpressure notice so the sender waits instead of
+//     hammering retransmits. The sender's normal timeout/retransmit path
+//     recovers the chunk in a later round.
 //   - The round advances as soon as no demanding job holds deficit — the
 //     work-conserving exit: a lone flooding tenant advances rounds freely —
 //     or after Config.SchedRoundAge, which bounds the stall when a budget-

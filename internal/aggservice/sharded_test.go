@@ -349,7 +349,7 @@ func (f *holFabric) Close() error { return nil }
 func TestNoHeadOfLineBlocking(t *testing.T) {
 	cfg := Config{Workers: 1, Pool: 4, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 	fab := &holFabric{replies: make(chan []byte, 64)}
-	w := &Worker{ID: 0, Fabric: fab, Cfg: cfg, Timeout: 100 * time.Millisecond, Retries: 50, Batch: 1}
+	w := &Worker{ID: 0, Fabric: fab, Cfg: cfg, Timeout: 100 * time.Millisecond, Retries: 50}
 	vec := make([]float32, 8)
 	for i := range vec {
 		vec[i] = float32(i + 1)
@@ -404,7 +404,7 @@ func TestNegativeSentinelsApplyDefaults(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := &Worker{ID: i, Fabric: fab, Cfg: cfg, Timeout: -1, Retries: -1, Batch: -1}
+			w := &Worker{ID: i, Fabric: fab, Cfg: cfg, Timeout: -1, Retries: -1}
 			results[i], errs[i] = w.Reduce(vec)
 		}(i)
 	}

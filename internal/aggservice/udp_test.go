@@ -59,6 +59,65 @@ func TestReduceOverUDP(t *testing.T) {
 	}
 }
 
+// TestReduceWindowWiderThanAFrameOverUDP: a Pool wider than one frame
+// carries (maxBatchChunks(Modules)) sends a send vector of Pool ADDs that
+// no single datagram holds. Reduce leaves the split to the UDP fabric, so
+// the sums must still come back bit-exact — a fabric that framed the whole
+// vector as one datagram would lose the window.
+func TestReduceWindowWiderThanAFrameOverUDP(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 4400, Modules: 1, Shards: 4, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	if fit := maxBatchChunks(cfg.Modules); cfg.Pool <= fit {
+		t.Fatalf("Pool %d fits one frame (%d chunks); the test needs a wider window", cfg.Pool, fit)
+	}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	fab, err := transport.NewUDP(cfg.Workers, sw.HandleBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+
+	n := 3 * cfg.Pool * cfg.Modules
+	vecs := make([][]float32, cfg.Workers)
+	for w := range vecs {
+		vecs[w] = make([]float32, n)
+		for i := range vecs[w] {
+			vecs[w][i] = float32(w+1) + float32(i%97)*0.5
+		}
+	}
+	results := make([][]float32, cfg.Workers)
+	errs := make([]error, cfg.Workers)
+	wks := make([]*Worker, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := range wks {
+		wks[w] = &Worker{ID: w, Fabric: fab, Cfg: cfg, Timeout: 200 * time.Millisecond, Retries: 5}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w], errs[w] = wks[w].Reduce(vecs[w])
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	for w := range results {
+		for i := range vecs[0] {
+			if want := vecs[0][i] + vecs[1][i]; results[w][i] != want {
+				t.Fatalf("worker %d elem %d = %g, want %g", w, i, results[w][i], want)
+			}
+		}
+		if wks[w].LastBatch != cfg.Pool {
+			t.Errorf("worker %d: largest send vector %d ADDs, want the %d-chunk window", w, wks[w].LastBatch, cfg.Pool)
+		}
+	}
+}
+
 // TestTupleBatchAtBudgetOverUDP sends the largest tuple batch the wire
 // allows, MaxTuplesPerBatch rows, through a real UDP switch: it must cross as
 // one datagram and fold every row. The bound is derived from the fabric's

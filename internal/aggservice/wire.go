@@ -195,13 +195,11 @@ func resultBytes(modules int, prof core.NumericProfile) int {
 	return hdrBytes + prof.ValueBytes()*modules + 1
 }
 
-// maxBatchChunks bounds how many chunks ride one send vector (and one run
-// reply). The binding constraint is the *downlink*: a full ADD vector can
-// complete every chunk at once, and the coalesced RESULT vector (sized for
-// the widest, f32, format: one byte larger per message than its ADD) must
-// still fit one datagram by the fabric's budget — a run reply that did not
-// would be undeliverable and stall the protocol for good. The transport's
-// own frame splitting keeps multi-message vectors safe regardless.
+// maxBatchChunks bounds how many chunks one RESULT RUN reply carries. A
+// run is one message, so it must fit one datagram by the fabric's budget
+// (sized for the widest, f32, format) — a run reply that did not would be
+// undeliverable and stall the protocol for good. Send vectors need no such
+// bound: the transport splits a multi-message vector into frames.
 func maxBatchChunks(modules int) int {
 	return max(1, transport.FrameCapacity(resultBytes(modules, core.DefaultProfile)))
 }

@@ -109,10 +109,9 @@ const scriptModules = 2
 
 // scriptWorker builds a job-0 worker over f for a vector of nChunks
 // two-module chunks, with v[i] = i+1.
-func scriptWorker(f *scriptFabric, pool, batch, nChunks int) (*Worker, []float32) {
+func scriptWorker(f *scriptFabric, pool, nChunks int) (*Worker, []float32) {
 	cfg := Config{Workers: 1, Pool: pool, Modules: scriptModules, Mode: core.ModeApprox}
 	w := NewWorker(0, f, cfg)
-	w.Batch = batch
 	w.Timeout = time.Second
 	vec := make([]float32, nChunks*scriptModules)
 	for i := range vec {
@@ -140,27 +139,30 @@ func resultRun(start, count int) []byte {
 func notice(status AckStatus, epoch uint8) []byte { return jobNotice(0, status, epoch, 1) }
 
 // TestReduceInitialWindow: before receiving anything the worker sends
-// exactly chunks [0, Pool) in vectors of at most Batch — and an error exit
-// still leaves the counters current.
+// exactly chunks [0, Pool), as one vector — and an error exit still leaves
+// the counters current.
 func TestReduceInitialWindow(t *testing.T) {
 	f := newScriptFabric(t)
-	w, vec := scriptWorker(f, 8, 3, 20)
+	w, vec := scriptWorker(f, 8, 20)
 	if _, err := w.Reduce(vec); !errors.Is(err, errScriptEnd) {
 		t.Fatalf("Reduce error %v, want the script's end", err)
 	}
-	f.wantSends(0, []int{0, 1, 2}, []int{3, 4, 5}, []int{6, 7})
-	if w.SentPackets != 8 || w.SentDatagrams != 3 || w.LastBatch != 3 {
-		t.Errorf("after the error exit: %d packets, %d vectors, batch %d; want 8, 3, 3",
+	f.wantSends(0, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	if w.SentPackets != 8 || w.SentDatagrams != 1 || w.LastBatch != 8 {
+		t.Errorf("after the error exit: %d packets, %d vectors, largest %d; want 8, 1, 8",
 			w.SentPackets, w.SentDatagrams, w.LastBatch)
 	}
 
 	// A vector shorter than the window sends all of it and no more.
 	f = newScriptFabric(t)
-	w, vec = scriptWorker(f, 8, 8, 3)
+	w, vec = scriptWorker(f, 8, 3)
 	if _, err := w.Reduce(vec[:5]); !errors.Is(err, errScriptEnd) { // 3 chunks, the last one half full
 		t.Fatalf("Reduce error %v, want the script's end", err)
 	}
 	f.wantSends(0, []int{0, 1, 2})
+	if w.SentDatagrams != 1 || w.LastBatch != 3 {
+		t.Errorf("short vector: %d vectors, largest %d; want 1, 3", w.SentDatagrams, w.LastBatch)
+	}
 }
 
 // TestReduceResultOpensSlot: a RESULT for chunk c puts ADD c+Pool into the
@@ -174,7 +176,7 @@ func TestReduceResultOpensSlot(t *testing.T) {
 		deliver(resultRun(4, 4)),
 		deliver(resultRun(8, 3), result(11)),
 	)
-	w, vec := scriptWorker(f, 4, 4, 12)
+	w, vec := scriptWorker(f, 4, 12)
 	vec = vec[:len(vec)-1] // the tail chunk carries one value
 	out, err := w.Reduce(vec)
 	if err != nil {
@@ -195,36 +197,37 @@ func TestReduceResultOpensSlot(t *testing.T) {
 	if !reflect.DeepEqual(out, want[:23]) {
 		t.Errorf("output %v, want %v", out, want[:23])
 	}
-	if w.SentPackets != 12 || w.SentDatagrams != 4 || w.BatchShrinks != 0 {
-		t.Errorf("%d packets in %d vectors, %d shrinks; want 12, 4, 0", w.SentPackets, w.SentDatagrams, w.BatchShrinks)
+	if w.SentPackets != 12 || w.SentDatagrams != 4 || w.LastBatch != 4 {
+		t.Errorf("%d packets in %d vectors, largest %d; want 12, 4, 4", w.SentPackets, w.SentDatagrams, w.LastBatch)
 	}
 }
 
-// TestReduceReplyIsOneVector: the chunks one reply frees leave in one send
-// vector, however far past Batch they reach; messages of one receive share a
-// vector until it holds Batch ADDs, and a full one goes out before the next
-// message is read.
+// TestReduceReplyIsOneVector: the chunks one received vector frees leave in
+// one send vector, sent when that vector ends — whether one RESULT RUN,
+// several runs or a string of single RESULTs freed them.
 func TestReduceReplyIsOneVector(t *testing.T) {
 	f := newScriptFabric(t,
 		deliver(resultRun(0, 8)),
 		deliver(resultRun(8, 3), resultRun(11, 3)),
 		deliver(resultRun(14, 4), resultRun(18, 4)),
+		deliver(result(22), result(23), result(24), result(25), result(26), result(27), result(28), result(29)),
 	)
-	w, vec := scriptWorker(f, 8, 4, 40)
+	w, vec := scriptWorker(f, 8, 40)
 	if _, err := w.Reduce(vec); !errors.Is(err, errScriptEnd) {
 		t.Fatalf("Reduce error %v, want the script's end", err)
 	}
-	f.wantSends(0, []int{0, 1, 2, 3}, []int{4, 5, 6, 7})
+	f.wantSends(0, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	f.wantSends(1, []int{8, 9, 10, 11, 12, 13, 14, 15})
 	f.wantSends(2, []int{16, 17, 18, 19, 20, 21})
-	f.wantSends(3, []int{22, 23, 24, 25}, []int{26, 27, 28, 29})
-	if w.SentPackets != 30 || w.SentDatagrams != 6 || w.LastBatch != 4 {
-		t.Errorf("%d packets in %d vectors, batch %d; want 30, 6, 4", w.SentPackets, w.SentDatagrams, w.LastBatch)
+	f.wantSends(3, []int{22, 23, 24, 25, 26, 27, 28, 29})
+	f.wantSends(4, []int{30, 31, 32, 33, 34, 35, 36, 37})
+	if w.SentPackets != 38 || w.SentDatagrams != 5 || w.LastBatch != 8 {
+		t.Errorf("%d packets in %d vectors, largest %d; want 38, 5, 8", w.SentPackets, w.SentDatagrams, w.LastBatch)
 	}
 }
 
-// TestReduceTimeoutRetransmits: a stall round halves the batch and resends
-// exactly the sent-and-not-done chunks, in vectors of the halved size.
+// TestReduceTimeoutRetransmits: a stall round resends exactly the
+// sent-and-not-done chunks, as one vector.
 func TestReduceTimeoutRetransmits(t *testing.T) {
 	f := newScriptFabric(t,
 		deliver(result(1)),
@@ -233,23 +236,19 @@ func TestReduceTimeoutRetransmits(t *testing.T) {
 		timeoutStep,
 		deliver(resultRun(0, 1), resultRun(2, 2)),
 	)
-	w, vec := scriptWorker(f, 4, 4, 12)
+	w, vec := scriptWorker(f, 4, 12)
 	if _, err := w.Reduce(vec); !errors.Is(err, errScriptEnd) {
 		t.Fatalf("Reduce error %v, want the script's end", err)
 	}
 	f.wantSends(1, []int{5})
-	f.wantSends(2, []int{0, 2}, []int{3, 5})
-	f.wantSends(3, []int{0}, []int{2}, []int{3}, []int{5})
-	f.wantSends(4, []int{0}, []int{2}, []int{3}, []int{5}) // the batch floor is 1
-	// Chunks 0, 2 and 3 complete in one vector: three clean completions at
-	// batch 1 grow it to 2 after the second, so 4 leaves alone and 6, 7
-	// share the vector's closing flush.
-	f.wantSends(5, []int{4}, []int{6, 7})
-	if w.BatchShrinks != 2 || w.BatchGrows != 1 || w.LastBatch != 2 {
-		t.Errorf("%d shrinks, %d grows, batch %d; want 2, 1, 2", w.BatchShrinks, w.BatchGrows, w.LastBatch)
-	}
-	if w.SentPackets != 4+1+3*4+3 {
-		t.Errorf("%d ADDs sent, want %d", w.SentPackets, 4+1+3*4+3)
+	f.wantSends(2, []int{0, 2, 3, 5})
+	f.wantSends(3, []int{0, 2, 3, 5})
+	f.wantSends(4, []int{0, 2, 3, 5})
+	// Chunks 0, 2 and 3 complete in one vector: their freed slots share
+	// the vector's closing flush.
+	f.wantSends(5, []int{4, 6, 7})
+	if w.SentPackets != 4+1+3*4+3 || w.SentDatagrams != 6 || w.LastBatch != 4 {
+		t.Errorf("%d ADDs in %d vectors, largest %d; want %d, 6, 4", w.SentPackets, w.SentDatagrams, w.LastBatch, 4+1+3*4+3)
 	}
 }
 
@@ -262,40 +261,41 @@ func TestReduceRetryBudget(t *testing.T) {
 		stalls[i] = timeoutStep
 	}
 	f := newScriptFabric(t, stalls...)
-	w, vec := scriptWorker(f, 4, 4, 12)
+	w, vec := scriptWorker(f, 4, 12)
 	w.Retries = 0
 	_, err := w.Reduce(vec)
 	if want := fmt.Sprintf("gave up after %d stalls", DefaultRetries+1); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Retries 0: error %v, want a give-up after %d stalls", err, DefaultRetries+1)
 	}
-	if f.recvs() != DefaultRetries+1 || w.SentPackets != uint64(4+4*DefaultRetries) {
-		t.Errorf("Retries 0: %d receives, %d packets; want %d, %d", f.recvs(), w.SentPackets, DefaultRetries+1, 4+4*DefaultRetries)
+	if f.recvs() != DefaultRetries+1 || w.SentPackets != uint64(4+4*DefaultRetries) || w.SentDatagrams != uint64(1+DefaultRetries) {
+		t.Errorf("Retries 0: %d receives, %d packets in %d vectors; want %d, %d, %d",
+			f.recvs(), w.SentPackets, w.SentDatagrams, DefaultRetries+1, 4+4*DefaultRetries, 1+DefaultRetries)
 	}
 
 	f = newScriptFabric(t, timeoutStep, timeoutStep, deliver(result(0)), timeoutStep, timeoutStep, timeoutStep)
-	w, vec = scriptWorker(f, 4, 4, 12)
+	w, vec = scriptWorker(f, 4, 12)
 	w.Retries = 2
 	_, err = w.Reduce(vec)
 	if err == nil || !strings.Contains(err.Error(), "gave up after 3 stalls") {
 		t.Fatalf("Retries 2: error %v, want a give-up after 3 stalls", err)
 	}
-	f.wantSends(1, []int{0, 1}, []int{2, 3})
-	f.wantSends(2, []int{0}, []int{1}, []int{2}, []int{3})
+	f.wantSends(1, []int{0, 1, 2, 3})
+	f.wantSends(2, []int{0, 1, 2, 3})
 	f.wantSends(3, []int{4})
-	f.wantSends(4, []int{1}, []int{2}, []int{3}, []int{4})
-	f.wantSends(5, []int{1}, []int{2}, []int{3}, []int{4})
+	f.wantSends(4, []int{1, 2, 3, 4})
+	f.wantSends(5, []int{1, 2, 3, 4})
 	f.wantSends(6)
 	if f.recvs() != 6 {
 		t.Errorf("Retries 2: %d receives, want 6", f.recvs())
 	}
-	if w.SentPackets != 4+4+4+1+4+4 || w.BatchShrinks != 2 || w.LastBatch != 1 {
-		t.Errorf("Retries 2: %d packets, %d shrinks, batch %d; want 21, 2, 1", w.SentPackets, w.BatchShrinks, w.LastBatch)
+	if w.SentPackets != 4+4+4+1+4+4 || w.SentDatagrams != 6 || w.LastBatch != 4 {
+		t.Errorf("Retries 2: %d packets in %d vectors, largest %d; want 21, 6, 4", w.SentPackets, w.SentDatagrams, w.LastBatch)
 	}
 }
 
 // TestZeroRetriesRetransmit: a hand-built Worker's zero Retries is the
-// default budget, as its zero Timeout and Batch are — a stall retransmits
-// the window instead of ending the reduce.
+// default budget, as its zero Timeout is — a stall retransmits the window
+// instead of ending the reduce.
 func TestZeroRetriesRetransmit(t *testing.T) {
 	f := newScriptFabric(t, timeoutStep, deliver(resultRun(0, 2)))
 	cfg := Config{Workers: 1, Pool: 2, Modules: scriptModules, Mode: core.ModeApprox}
@@ -312,8 +312,8 @@ func TestZeroRetriesRetransmit(t *testing.T) {
 }
 
 // TestReduceBackpressureNotice: AckBackpressure is counted per notice,
-// halves the batch once per received vector, retransmits nothing and
-// refills the stall budget.
+// retransmits nothing and refills the stall budget; the stall rounds
+// around it each resend the window as one vector.
 func TestReduceBackpressureNotice(t *testing.T) {
 	f := newScriptFabric(t,
 		timeoutStep, // stall 1 of 1
@@ -321,19 +321,19 @@ func TestReduceBackpressureNotice(t *testing.T) {
 		timeoutStep, // stall 1 of 1 again: the notices refilled the budget
 		timeoutStep,
 	)
-	w, vec := scriptWorker(f, 8, 8, 16)
+	w, vec := scriptWorker(f, 8, 16)
 	w.Retries = 1
 	_, err := w.Reduce(vec)
 	if err == nil || !strings.Contains(err.Error(), "gave up after 2 stalls") {
 		t.Fatalf("error %v, want a give-up after 2 stalls", err)
 	}
-	f.wantSends(1, []int{0, 1, 2, 3}, []int{4, 5, 6, 7}) // batch 8 → 4
-	f.wantSends(2)                                       // batch 4 → 2, nothing resent
-	f.wantSends(3, []int{0}, []int{1}, []int{2}, []int{3}, []int{4}, []int{5}, []int{6}, []int{7})
+	f.wantSends(1, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	f.wantSends(2) // nothing resent
+	f.wantSends(3, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	f.wantSends(4)
-	if w.BackpressureAcks != 2 || w.BatchShrinks != 3 || w.LastBatch != 1 {
-		t.Errorf("%d backpressure acks, %d shrinks, batch %d; want 2 (the epoch-9 notice is not ours), 3, 1",
-			w.BackpressureAcks, w.BatchShrinks, w.LastBatch)
+	if w.BackpressureAcks != 2 || w.SentDatagrams != 3 {
+		t.Errorf("%d backpressure acks, %d vectors; want 2 (the epoch-9 notice is not ours), 3",
+			w.BackpressureAcks, w.SentDatagrams)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestReduceEvictionNotice(t *testing.T) {
 			deliver(notice(status, 1), result(0)),
 			deliver(result(1), notice(status, 0), result(2)),
 		)
-		w, vec := scriptWorker(f, 4, 4, 12)
+		w, vec := scriptWorker(f, 4, 12)
 		if _, err := w.Reduce(vec); !errors.Is(err, ErrJobEvicted) {
 			t.Fatalf("status %d: error %v, want ErrJobEvicted", status, err)
 		}
@@ -363,18 +363,18 @@ func TestReduceEvictionNotice(t *testing.T) {
 // sit out a full receive timeout first.)
 func TestReduceSendErrorReturnsAtOnce(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		failSend       int
-		script         []recvStep
-		recvs, packets int
+		name                    string
+		failSend                int
+		script                  []recvStep
+		recvs, packets, vectors int
 	}{
-		{"initial window", 1, []recvStep{{block: true}}, 0, 4},
-		{"freed slot", 2, []recvStep{deliver(result(0), result(1)), {block: true}}, 1, 6},
-		{"retransmit", 2, []recvStep{timeoutStep, {block: true}}, 1, 6},
+		{"initial window", 1, []recvStep{{block: true}}, 0, 4, 1},
+		{"freed slot", 2, []recvStep{deliver(result(0), result(1)), {block: true}}, 1, 6, 2},
+		{"retransmit", 2, []recvStep{timeoutStep, {block: true}}, 1, 8, 2},
 	} {
 		f := newScriptFabric(t, tc.script...)
 		f.failSend = tc.failSend
-		w, vec := scriptWorker(f, 4, 4, 12)
+		w, vec := scriptWorker(f, 4, 12)
 		start := time.Now()
 		_, err := w.Reduce(vec)
 		if took := time.Since(start); took > w.Timeout/2 {
@@ -388,6 +388,10 @@ func TestReduceSendErrorReturnsAtOnce(t *testing.T) {
 		}
 		if w.SentPackets != uint64(tc.packets) {
 			t.Errorf("%s: SentPackets %d, want %d (the failed vector counts as sent)", tc.name, w.SentPackets, tc.packets)
+		}
+		if w.SentDatagrams != uint64(tc.vectors) || f.nSends != tc.vectors {
+			t.Errorf("%s: %d vectors counted, %d SendBatch calls; want %d (none after the failure)",
+				tc.name, w.SentDatagrams, f.nSends, tc.vectors)
 		}
 	}
 }
