@@ -71,12 +71,6 @@ type Config struct {
 	// per-job analytics registers instead of ADDs into chunk slots,
 	// scheduled by the same deficit-round-robin ledger (see analytics.go).
 	Classes []AdmitClass
-	// SchedRoundAge bounds a scheduler round's lifetime once a bind has
-	// been deferred: when a tenant that showed demand this round holds
-	// unspent deficit but stops binding (dead workers),
-	// deferred tenants wait at most this long before the round is forced
-	// over. 0 means DefaultSchedRoundAge.
-	SchedRoundAge time.Duration
 	// Mode selects FPISA or FPISA-A.
 	Mode core.Mode
 	// Arch is the switch architecture.
@@ -116,9 +110,6 @@ func (c Config) Validate() error {
 		if w < 0 || w > MaxWeight {
 			return fmt.Errorf("aggservice: job %d weight %d outside [0, %d]", j, w, MaxWeight)
 		}
-	}
-	if c.SchedRoundAge < 0 {
-		return fmt.Errorf("aggservice: scheduler round age %v", c.SchedRoundAge)
 	}
 	if len(c.Profiles) > c.jobs() {
 		return fmt.Errorf("aggservice: %d profiles for %d initially admitted jobs", len(c.Profiles), c.jobs())
@@ -201,14 +192,6 @@ func (c Config) drainTimeout() time.Duration {
 		return DefaultDrainTimeout
 	}
 	return c.DrainTimeout
-}
-
-// schedRoundAge returns the effective scheduler round-age bound.
-func (c Config) schedRoundAge() time.Duration {
-	if c.SchedRoundAge == 0 {
-		return DefaultSchedRoundAge
-	}
-	return c.SchedRoundAge
 }
 
 // weightOf returns the effective scheduler weight of initially admitted
@@ -547,7 +530,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		proto: pa0,
 	}
 	for k := 0; k < nsh; k++ {
-		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, cfg.schedRoundAge())})
+		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, schedRoundAge)})
 	}
 	s.scratchPool.New = func() any {
 		return &batchScratch{byShard: make([][]int, nsh)}

@@ -574,15 +574,15 @@ func TestAnalyticsLifecycle(t *testing.T) {
 func TestMixedClassFairness(t *testing.T) {
 	weights := []int{1, 2, 4}
 	cfg := Config{Workers: 1, Pool: 8, Modules: 1, Shards: 1, Jobs: 3,
-		Weights:       weights,
-		Classes:       []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
-		SchedRoundAge: time.Minute,
-		Mode:          core.ModeFull, Arch: pisa.ExtendedArch(),
+		Weights: weights,
+		Classes: []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
+		Mode:    core.ModeFull, Arch: pisa.ExtendedArch(),
 	}
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSchedRoundAge(sw, time.Minute)
 	const (
 		heavyTarget = 2048
 		burst       = 8 // offered load per tenant per sweep

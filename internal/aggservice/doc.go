@@ -53,7 +53,7 @@
 //     timeout path once the round turns over.
 //   - The round advances the moment no demanding tenant holds budget
 //     (work conservation: a lone tenant is never throttled), or after
-//     Config.SchedRoundAge when a budget holder goes quiet mid-round
+//     a 3 ms round age when a budget holder goes quiet mid-round
 //     (dead workers) so nobody waits on a ghost.
 //
 // Because every job's slots are striped evenly across the shards,

@@ -766,11 +766,11 @@ func TestSoakWeightedChurnUnderLoss(t *testing.T) {
 	// is backpressured until the others spend their budget, which is the
 	// behavior this soak exists to stress. Still far below the workers'
 	// starvation budget (20ms timeout × 2000 retries).
-	cfg.SchedRoundAge = 50 * time.Millisecond
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSchedRoundAge(sw, 50*time.Millisecond)
 	fab, err := transport.NewMemory(transport.MemoryConfig{
 		Workers: cfg.Ports(), BatchHandler: sw.HandleBatch,
 		UplinkLoss: 0.10, DownlinkLoss: 0.10, Seed: 23,

@@ -32,8 +32,8 @@ import "time"
 //     recovers the chunk in a later round.
 //   - The round advances as soon as no demanding job holds deficit — the
 //     work-conserving exit: a lone flooding tenant advances rounds freely —
-//     or after Config.SchedRoundAge, which bounds the stall when a budget-
-//     holding tenant goes quiet mid-round (crashed worker).
+//     or after schedRoundAge, which bounds the stall when a budget-holding
+//     tenant goes quiet mid-round (crashed worker).
 //
 // Eviction returns unspent deficit: release() forfeits the job's budget on
 // every shard so a dead tenant's leftover deficit can neither block the
@@ -45,12 +45,12 @@ import "time"
 // weight-1 tenant still binds a useful burst per round.
 const drrQuantum = 8
 
-// DefaultSchedRoundAge bounds a round's lifetime once a bind has been
-// deferred (Config.SchedRoundAge = 0): if a demanding job holds unspent
-// deficit but stops binding (its workers died), deferred tenants wait at
-// most this long before the round is forced over. Well under the workers' retransmit timeouts,
-// so a forced advance is invisible to the protocol.
-const DefaultSchedRoundAge = 3 * time.Millisecond
+// schedRoundAge bounds a round's lifetime once a bind has been deferred: if
+// a demanding job holds unspent deficit but stops binding (its workers
+// died), deferred tenants wait at most this long before the round is forced
+// over. Well under the workers' retransmit timeouts, so a forced advance is
+// invisible to the protocol.
+const schedRoundAge = 3 * time.Millisecond
 
 // MaxWeight bounds a job's scheduler weight: the wire carries 16 bits.
 const MaxWeight = 1<<16 - 1
@@ -58,7 +58,8 @@ const MaxWeight = 1<<16 - 1
 // drrSched is one shard's scheduler state, guarded by the owning shard's
 // mutex (it has no lock of its own).
 type drrSched struct {
-	// maxAge is the round-age stall bound (Config.SchedRoundAge resolved).
+	// maxAge is the round-age stall bound: schedRoundAge on a switch's
+	// shards.
 	maxAge time.Duration
 	// round is the current round number. Rounds start at 1 so a zeroed
 	// drrJob.seenRound can never alias a live round.

@@ -10,6 +10,16 @@ import (
 	"fpisa/internal/transport"
 )
 
+// setSchedRoundAge sets every shard's round-age stall bound, in place of
+// schedRoundAge. Call it before traffic starts.
+func setSchedRoundAge(sw *Switch, age time.Duration) {
+	for _, sh := range sw.shards {
+		sh.mu.Lock()
+		sh.sched.maxAge = age
+		sh.mu.Unlock()
+	}
+}
+
 // checkSchedInvariants audits every shard's scheduler ledger. Call it only
 // on a quiesced switch (no concurrent traffic or lifecycle activity): the
 // holders count must equal the demanding budget-holders it summarizes,
@@ -156,18 +166,19 @@ func jainIndex(x []uint32, w []int) float64 {
 // TestFairnessWeightedThroughput is the fairness property test: three jobs
 // with weights {1,2,4} flood one shared switch; each job's completed-chunk
 // throughput must match its weight share within 10%, with Jain's index
-// over the weight-normalized shares at least 0.95. SchedRoundAge is set
+// over the weight-normalized shares at least 0.95. The round age is set
 // far beyond the test's runtime so the shares are governed purely by the
 // deficit ledger, not the stall bound.
 func TestFairnessWeightedThroughput(t *testing.T) {
 	weights := []int{1, 2, 4}
 	cfg := Config{Workers: 1, Pool: 8, Modules: 1, Shards: 2, Jobs: len(weights),
-		Weights: weights, SchedRoundAge: time.Minute,
-		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+		Weights: weights,
+		Mode:    core.ModeApprox, Arch: pisa.BaseArch()}
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSchedRoundAge(sw, time.Minute)
 	const heavyTarget = 2048
 	chunks := floodWeighted(t, sw, cfg, func(c []uint32) bool { return c[2] >= heavyTarget })
 
@@ -207,12 +218,13 @@ func TestFairnessWeightedThroughput(t *testing.T) {
 func TestFairnessEqualWeights(t *testing.T) {
 	weights := []int{1, 1, 1}
 	cfg := Config{Workers: 1, Pool: 8, Modules: 1, Shards: 2, Jobs: len(weights),
-		Weights: weights, SchedRoundAge: time.Minute,
-		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+		Weights: weights,
+		Mode:    core.ModeApprox, Arch: pisa.BaseArch()}
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSchedRoundAge(sw, time.Minute)
 	chunks := floodWeighted(t, sw, cfg, func(c []uint32) bool {
 		return c[0]+c[1]+c[2] >= 3072
 	})
@@ -262,11 +274,11 @@ func TestSchedulerWorkConserving(t *testing.T) {
 func TestEvictionReturnsDeficit(t *testing.T) {
 	cfg := dynCfg(1, 16, 1, 2, 2)
 	cfg.Weights = []int{1, 1}
-	cfg.SchedRoundAge = time.Hour // the forfeit, not the clock, must unblock
 	sw, err := NewSwitch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSchedRoundAge(sw, time.Hour) // the forfeit, not the clock, must unblock
 	// Job 0 shows demand and leaves most of its quantum unspent.
 	if ds := handle(sw, cfg.Port(0, 0), EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1})); !delivered(ds, MsgResult) {
 		t.Fatalf("job 0 bind failed: %v", ds)

@@ -16,9 +16,9 @@ import (
 // every operation rebuilds the request in the aggregator's own packet
 // buffer and runs it through the switch's scratch (pisa.ProcessScratch, or
 // pisa.Absorb when the caller discards the response). The …Into operations
-// move wire bytes — big-endian FP32, four bytes per module — between the
-// caller's buffers and those packets and allocate nothing; Add/Read/
-// ReadReset are the same operations on host float32 slices.
+// copy wire bytes — big-endian FP32, four per module, the packets' own value
+// layout — between the caller's buffers and those packets and allocate
+// nothing; Add/Read/ReadReset are the same operations on host float32s.
 type PipelineAggregator struct {
 	sw  *pisa.Switch
 	lay Layout
@@ -54,15 +54,13 @@ func (pa *PipelineAggregator) Switch() *pisa.Switch { return pa.sw }
 // Utilization returns the compiled resource report (paper Table 3).
 func (pa *PipelineAggregator) Utilization() pisa.Utilization { return pa.sw.Utilization() }
 
-// putPacket builds a raw FPISA packet in pkt from checked vals; missing
-// modules carry +0.
-func (pa *PipelineAggregator) putPacket(pkt []byte, op byte, idx uint32, vals []byte) {
+// putPacket builds a raw FPISA packet in pkt from checked vals, whose bytes
+// are the packet's value region as is; missing modules carry +0.
+func putPacket(pkt []byte, op byte, idx uint32, vals []byte) {
 	clear(pkt)
 	pkt[pktOffOp] = op
 	binary.BigEndian.PutUint32(pkt[pktOffIdx:], idx)
-	for k := 0; 4*k < len(vals); k++ {
-		binary.BigEndian.PutUint32(pkt[pktOffValues+pktPerModule*k:], binary.BigEndian.Uint32(vals[4*k:]))
-	}
+	copy(pkt[pktOffValues:], vals)
 }
 
 // checkBuffers accepts at most modules values w (2 or 4) bytes wide in
@@ -82,7 +80,7 @@ func (pa *PipelineAggregator) Packet(op byte, idx uint32, vals []float32) ([]byt
 		return nil, err
 	}
 	pkt := make([]byte, pa.lay.PacketBytes)
-	pa.putPacket(pkt, op, idx, v)
+	putPacket(pkt, op, idx, v)
 	return pkt, nil
 }
 
@@ -98,7 +96,7 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, 
 	if err := checkBuffers(vals, out, 4, pa.lay.Modules); err != nil {
 		return false, err
 	}
-	pa.putPacket(pa.req, op, uint32(idx), vals)
+	putPacket(pa.req, op, uint32(idx), vals)
 	if out == nil {
 		return false, pa.sw.Absorb(1, pa.req)
 	}
@@ -106,10 +104,10 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, 
 	if err != nil {
 		return false, err
 	}
-	for k := 0; k < pa.lay.Modules; k++ {
-		v := resp.Packet[pktOffValues+pktPerModule*k:]
-		binary.BigEndian.PutUint32(out[4*k:], binary.BigEndian.Uint32(v))
-		ovf = ovf || v[4] != 0
+	values := resp.Packet[pktOffValues:]
+	copy(out, values[:4*pa.lay.Modules])
+	for _, f := range values[4*pa.lay.Modules:] {
+		ovf = ovf || f != 0
 	}
 	return ovf, nil
 }

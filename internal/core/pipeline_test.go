@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -132,6 +133,31 @@ func TestPipelineMultiModule(t *testing.T) {
 		if r[k] != w {
 			t.Errorf("module %d = %g, want %g", k, r[k], w)
 		}
+	}
+}
+
+// TestPacketLayoutGolden pins the FPISA packet of a multi-module build: the
+// op, idx, cnt header, then every module's big-endian FP32 value in one
+// region — an ADD's value region as the wire carries it — then one overflow
+// octet per module. The switch answers in the same layout, cnt counting the
+// contribution and the header otherwise as it came.
+func TestPacketLayoutGolden(t *testing.T) {
+	pa := newAgg(t, ModeApprox, pisa.ExtendedArch(), 3, 4)
+	req, err := pa.Packet(PktAdd, 3, []float32{1.5, -2, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "00 00 00 00 03 00 00 00 00 3f c0 00 00 c0 00 00 00 3e 80 00 00 00 00 00"
+	if got := fmt.Sprintf("% x", req); got != want {
+		t.Errorf("request  % x\nwant     %s", req, want)
+	}
+	resp, err := pa.Switch().ProcessScratch(1, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantResp = "00 00 00 00 03 00 00 00 01 3f c0 00 00 c0 00 00 00 3e 80 00 00 00 00 00"
+	if got := fmt.Sprintf("% x", resp.Packet); got != wantResp {
+		t.Errorf("response % x\nwant     %s", resp.Packet, wantResp)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fpisa/internal/fpnum"
 	"fpisa/internal/pisa"
@@ -30,11 +31,10 @@ const (
 	pktOffIdx    = 1
 	pktOffCnt    = 5
 	pktOffValues = 9
-	pktPerModule = 5 // 4-byte value + 1-byte overflow flag
 )
 
 // PacketBytes returns the FPISA packet size for a module count.
-func PacketBytes(modules int) int { return pktOffValues + pktPerModule*modules }
+func PacketBytes(modules int) int { return pktOffValues + 5*modules }
 
 // Layout describes a built pipeline program.
 type Layout struct {
@@ -60,7 +60,13 @@ func MaxModules(arch pisa.Arch) int {
 
 // BuildProgram emits the FPISA dataflow of paper Fig. 2 as a PISA program:
 //
-//	packet:  op(1) | idx(4) | cnt(4) | { value(4) ovf(1) } × modules
+//	packet:  op(1) | idx(4) | cnt(4) | value(4) × modules | ovf(1) × modules
+//
+// The values are laid out as the wire's value region, so they move with one
+// copy; op, idx and cnt lead them as a header, the way Tofino carries
+// bridged metadata. Each module keeps the sticky overflow register Table 3
+// counts and its own octet, which the wire ORs into one. The deparser writes
+// back what tables write — cnt, values, overflow octets — not op or idx.
 //
 // Ingress splits each FP32 value into sign/exponent/fraction (parser bit
 // extracts), converts the mantissa to signed two's complement, compares the
@@ -173,7 +179,7 @@ func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program,
 
 	sh := &sharedInstrs{}
 	for k := 0; k < modules; k++ {
-		if err := addModule(&p, k, slots, full, varShift, manStage, ovfStage, umagStage, sh); err != nil {
+		if err := addModule(&p, k, modules, slots, full, varShift, manStage, ovfStage, umagStage, sh); err != nil {
 			return pisa.Program{}, lay, err
 		}
 	}
@@ -223,10 +229,10 @@ func shiftHint(arch pisa.Arch) string {
 	return "emulated variable shifts exhaust the per-stage VLIW slots"
 }
 
-// addModule emits the per-value dataflow for module k.
-func addModule(p *pisa.Program, k, slots int, full, varShift bool, manStage, ovfStage, umagStage int, sh *sharedInstrs) error {
+// addModule emits the per-value dataflow for module k of modules.
+func addModule(p *pisa.Program, k, modules, slots int, full, varShift bool, manStage, ovfStage, umagStage int, sh *sharedInstrs) error {
 	n := func(name string) string { return fmt.Sprintf("%s_%d", name, k) }
-	valOff := pktOffValues + pktPerModule*k
+	valOff := pktOffValues + 4*k
 	manBits := fpnum.FP32.ManBits // 23
 	H := DefaultProfile.Headroom()
 
@@ -259,7 +265,7 @@ func addModule(p *pisa.Program, k, slots int, full, varShift bool, manStage, ovf
 
 	p.Parser = append(p.Parser,
 		pisa.ExtractDecl{Field: n("v"), Offset: valOff, Bytes: 4},
-		pisa.ExtractDecl{Field: n("ovf"), Offset: valOff + 4, Bytes: 1},
+		pisa.ExtractDecl{Field: n("ovf"), Offset: pktOffValues + 4*modules + k, Bytes: 1},
 	)
 	p.ParserBits = append(p.ParserBits,
 		pisa.BitExtractDecl{Field: n("sign"), BitOffset: valOff * 8, Bits: 1},
@@ -649,7 +655,7 @@ func addRenormalize(p *pisa.Program, n func(string) string, varShift bool, manBi
 				name = "npass"
 				instr = pisa.Instr{Op: pisa.OpMov, Dst: n("m_norm"), A: pisa.F(n("u_mag"))}
 			}
-			if !hasAction(renormM.Actions, name) {
+			if !slices.ContainsFunc(renormM.Actions, func(a pisa.ActionDecl) bool { return a.Name == name }) {
 				renormM.Actions = append(renormM.Actions, pisa.ActionDecl{Name: name, Instrs: []pisa.Instr{instr}})
 			}
 			entryM.Action = name
@@ -665,13 +671,4 @@ func addRenormalize(p *pisa.Program, n func(string) string, varShift bool, manBi
 		})
 	}
 	p.Tables = append(p.Tables, renormM, renormE)
-}
-
-func hasAction(actions []pisa.ActionDecl, name string) bool {
-	for _, a := range actions {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
 }

@@ -10,7 +10,7 @@ func TestArchPresets(t *testing.T) {
 	if base.Features != (Features{}) {
 		t.Error("base arch has extensions enabled")
 	}
-	want := Features{VariableShift: true, RSAW: true, ParserEndianness: true}
+	want := Features{VariableShift: true, RSAW: true}
 	if ext.Features != want {
 		t.Errorf("extended features = %+v", ext.Features)
 	}

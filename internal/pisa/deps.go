@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,15 +13,14 @@ import (
 //     architecture, or a table in an earlier stage of the same gress (any
 //     ingress stage for egress readers): data dependencies never flow
 //     backward (§2.3).
-//   - Two tables in the same gress and stage may not write the same field.
+//   - Two tables in the same gress and stage may not write the same field,
+//     and no table may read a field another table of its stage writes,
+//     whichever is placed first: every table of a stage reads the
+//     stage-entry PHV, so tables that depend on each other go in different
+//     stages (the Packet-Transactions atom).
 //   - Exactly one table accesses each register (one stateful access per
 //     register per packet); the register lives in that table's stage and
 //     gress, wherever the table is placed.
-//
-// It also flags each stage in which a table writes a field another table of
-// the stage reads (ingressHazard, egressHazard): a table placed earlier in
-// the stage may read what a later one writes, so those stages' steps keep
-// placement order.
 func (c *compiled) checkDependencies() error {
 	// Parser- and architecture-written fields.
 	parserWritten := make(map[fieldID]bool)
@@ -36,8 +36,8 @@ func (c *compiled) checkDependencies() error {
 	}
 
 	// All tables in declaration order, and each one's read and write sets,
-	// computed once: placement, the global re-validation, the conflict check
-	// and the hazard flags below all consult them.
+	// computed once: placement, the global re-validation and the conflict
+	// check below all consult them.
 	all := c.declared
 	type ioSets struct{ reads, writes map[fieldID]bool }
 	sets := make([]ioSets, len(all))
@@ -84,7 +84,7 @@ func (c *compiled) checkDependencies() error {
 		}
 	}
 
-	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, []bool, error) {
+	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, error) {
 		// writersAt[f] = stages (same gress) that write field f.
 		writersAt := make(map[fieldID][]int)
 		out := make([][]*cTable, stages)
@@ -107,11 +107,11 @@ func (c *compiled) checkDependencies() error {
 				stage = min
 			}
 			if stage < min {
-				return nil, nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
+				return nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
 					gressName, t.decl.Name, stage, min-1)
 			}
 			if stage >= stages {
-				return nil, nil, fmt.Errorf("pisa: %s table %q: needs stage %d but the pipeline has %d stages",
+				return nil, fmt.Errorf("pisa: %s table %q: needs stage %d but the pipeline has %d stages",
 					gressName, t.decl.Name, stage, stages)
 			}
 			t.stage = stage
@@ -121,30 +121,31 @@ func (c *compiled) checkDependencies() error {
 			}
 		}
 
-		// Cross-check reads against all writers (declaration order above
-		// only sees earlier-declared writers; catch later-declared ones
-		// writing at later stages is fine, equal-or-later at same stage or
-		// earlier-stage reads of later writers are violations only if the
-		// reader's stage <= writer's stage — re-validate globally). A read of
-		// a field another table of the reader's stage writes is a hazard:
-		// within one table a pass runs one action, whose instructions read no
-		// other's destination and whose stateful op — the highest step kind,
-		// so it stays last — reads none of theirs. The conflict check below
-		// refuses two writers of a field in one stage.
-		hazard := make([]bool, stages)
+		// Cross-check reads against all writers: declaration order above
+		// only sees earlier-declared writers, so a later-declared one in an
+		// earlier stage is fine, one in a later stage is a backward read, and
+		// one in the reader's stage is refused whichever is placed first. A
+		// table may read what it writes itself: a pass runs one of its
+		// actions, whose instructions read no other's destination and whose
+		// stateful op reads none of theirs (compileAction). The conflict
+		// check below refuses two writers of a field in one stage.
 		for _, t := range tables {
 			for f := range sets[t.idx].reads {
 				ok := parserWritten[f] || gressName == "egress" && ingressWrites[f]
 				for _, ws := range writersAt[f] {
 					ok = ok || ws < t.stage
-					hazard[t.stage] = hazard[t.stage] || ws == t.stage && !sets[t.idx].writes[f]
+					if ws == t.stage && !sets[t.idx].writes[f] {
+						w := out[ws][slices.IndexFunc(out[ws], func(u *cTable) bool { return sets[u.idx].writes[f] })]
+						return nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q, which table %q of its stage writes; every table of a stage reads the stage-entry PHV, so the reader must follow the writer's stage",
+							gressName, t.decl.Name, ws, c.ft.name(f), w.decl.Name)
+					}
 				}
 				if !ok {
 					if len(writersAt[f]) > 0 {
-						return nil, nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q produced in stage %d; dependencies cannot flow backward",
+						return nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q produced in stage %d; dependencies cannot flow backward",
 							gressName, t.decl.Name, t.stage, c.ft.name(f), writersAt[f][0])
 					}
-					return nil, nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q that nothing produces",
+					return nil, fmt.Errorf("pisa: %s table %q (stage %d): reads field %q that nothing produces",
 						gressName, t.decl.Name, t.stage, c.ft.name(f))
 				}
 			}
@@ -162,21 +163,21 @@ func (c *compiled) checkDependencies() error {
 				sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 				for _, f := range ws {
 					if o, dup := owner[f]; dup {
-						return nil, nil, fmt.Errorf("pisa: %s stage %d: tables %q and %q both write field %q",
+						return nil, fmt.Errorf("pisa: %s stage %d: tables %q and %q both write field %q",
 							gressName, s, o, t.decl.Name, c.ft.name(f))
 					}
 					owner[f] = t.decl.Name
 				}
 			}
 		}
-		return out, hazard, nil
+		return out, nil
 	}
 
 	var err error
-	if c.ingress, c.ingressHazard, err = assign(ingress, c.arch.IngressStages, "ingress"); err != nil {
+	if c.ingress, err = assign(ingress, c.arch.IngressStages, "ingress"); err != nil {
 		return err
 	}
-	if c.egress, c.egressHazard, err = assign(egress, c.arch.EgressStages, "egress"); err != nil {
+	if c.egress, err = assign(egress, c.arch.EgressStages, "egress"); err != nil {
 		return err
 	}
 	return nil

@@ -10,19 +10,21 @@ import (
 // sameStageProg runs two tables in stage 0 — one stateless, one with a
 // stateful op whose register index comes from the packet — and a third in
 // stage 1 that consumes both write sets. An index ≥ 4 fails the stage after
-// the first table already queued its writes.
+// the first table already queued its writes. The two stage-0 tables read the
+// same fields and write disjoint ones that neither reads.
 func sameStageProg() Program {
 	return Program{
 		Fields: []FieldDecl{
 			{Name: "a", Width: 32}, {Name: "b", Width: 32}, {Name: "idx", Width: 8},
 			{Name: "x", Width: 32}, {Name: "y", Width: 16}, {Name: "old", Width: 32}, {Name: "ovf", Width: 8},
+			{Name: "c", Width: 8},
 		},
 		Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 4}},
 		Parser: []ExtractDecl{
 			{Field: "a", Offset: 0, Bytes: 4}, {Field: "b", Offset: 4, Bytes: 4},
 			{Field: "idx", Offset: 8, Bytes: 1}, {Field: "x", Offset: 9, Bytes: 4},
 			{Field: "y", Offset: 13, Bytes: 2}, {Field: "old", Offset: 15, Bytes: 4},
-			{Field: "ovf", Offset: 19, Bytes: 1},
+			{Field: "ovf", Offset: 19, Bytes: 1}, {Field: "c", Offset: 20, Bytes: 1},
 		},
 		Tables: []TableDecl{
 			{
@@ -39,10 +41,8 @@ func sameStageProg() Program {
 			{
 				Name: "acc", Stage: 0, Kind: MatchAlways,
 				Actions: []ActionDecl{{
-					Name: "acc",
-					// sum, placed before this table in the stage, reads b:
-					// it must see the stage-entry value.
-					Instrs: []Instr{{Op: OpAdd, Dst: "b", A: F("b"), B: Imm(1)}},
+					Name:   "acc",
+					Instrs: []Instr{{Op: OpAdd, Dst: "c", A: F("b"), B: Imm(1)}},
 					Stateful: &StatefulOp{
 						Register: "r", IndexField: "idx", InField: "a",
 						True: UAddIn, Signed: true,
@@ -55,7 +55,7 @@ func sameStageProg() Program {
 				Name: "mix", Stage: 1, Kind: MatchAlways,
 				Actions: []ActionDecl{{Name: "mix", Instrs: []Instr{
 					{Op: OpSub, Dst: "a", A: F("x"), B: F("old")},
-					{Op: OpMov, Dst: "b", A: F("y")},
+					{Op: OpXor, Dst: "b", A: F("y"), B: F("c")},
 				}}},
 				Default: "mix",
 			},
@@ -74,7 +74,7 @@ func TestDifferentialToyPrograms(t *testing.T) {
 		pktLen int
 	}{
 		{"forward", forwardProg(1), 4},
-		{"same-stage", sameStageProg(), 20},
+		{"same-stage", sameStageProg(), 21},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2} {
@@ -106,11 +106,11 @@ func TestDifferentialToyPrograms(t *testing.T) {
 // selects, stateful ops of every condition, update and output kind, and
 // writes to the egress port. Every user field is parser-extracted, so any
 // table may read any field in any stage the compiler lets it: a table may
-// not read what a table placed before it in its stage writes, but it may
-// read what it writes itself — a stateful op may read its own output field
-// or a field another action of its table writes, though never one an
-// instruction of its own action writes, which the compiler refuses. Within a
-// stage the tables write disjoint fields, as the compiler demands.
+// not read what another table of its stage writes, but it may read what it
+// writes itself — a stateful op may read its own output field or a field
+// another action of its table writes, though never one an instruction of its
+// own action writes, which the compiler refuses. Within a stage the tables
+// write disjoint fields, as the compiler demands.
 func randomProg(rng *rand.Rand) Program {
 	var p Program
 	var fields []string // user fields, all readable everywhere
@@ -160,13 +160,13 @@ func randomProg(rng *rand.Rand) Program {
 					}
 					p.Tables = append(p.Tables, td)
 				}
-				// Operands come from fields no table of the stage has been
-				// dealt yet (or are the instruction's own destination), so no
-				// instruction reads what another of its action, or a table
-				// placed earlier, writes.
+				// Operands come from fields no table of the stage is dealt
+				// (or are the instruction's own destination), so no
+				// instruction reads what another of its action, or another
+				// table of its stage, writes.
 				var others []string
 				for _, f := range fields {
-					if !slices.Contains(writable[:taken], f) {
+					if !slices.Contains(writable[:tables*len(writable)/(tables+1)], f) {
 						others = append(others, f)
 					}
 				}

@@ -154,9 +154,8 @@ func (s *Switch) Process(ingressPort uint16, pkt []byte) ([]Emission, error) {
 	return []Emission{{Port: e.Port, Packet: append([]byte(nil), e.Packet...)}}, nil
 }
 
-// parse extracts configured byte ranges into PHV fields. Network hardware
-// parses big-endian; extracts flagged HostLittleEndian are converted by the
-// §4.2 parser extension (compilation guaranteed the feature is present).
+// parse extracts configured byte ranges into PHV fields, big-endian as the
+// wire carries them.
 //
 // A packet of at least parseLen bytes — every well-formed FPISA packet — is
 // checked once: each byte extract is loaded as is, and each bit field
@@ -209,15 +208,11 @@ func (s *Switch) parseChecked(phv *Phv, pkt []byte) error {
 // field's container exactly.
 func (e *cExtract) load(pkt []byte) uint32 {
 	b := pkt[e.offset : e.offset+e.bytes]
-	switch {
-	case e.bytes == 1:
+	switch e.bytes {
+	case 1:
 		return uint32(b[0])
-	case e.bytes == 2 && e.le:
-		return uint32(binary.LittleEndian.Uint16(b))
-	case e.bytes == 2:
+	case 2:
 		return uint32(binary.BigEndian.Uint16(b))
-	case e.le:
-		return binary.LittleEndian.Uint32(b)
 	default:
 		return binary.BigEndian.Uint32(b)
 	}
@@ -235,33 +230,23 @@ func extractBits(pkt []byte, bitOff, bits int) uint32 {
 	return uint32(w>>uint(end*8-bitOff-bits)) & widthMask(bits)
 }
 
-// deparse writes PHV fields back into a copy of the original packet in the
-// switch's deparse buffer. parse already refused any packet too short for an
-// extract, so every writeback is in range.
+// deparse copies the packet into the switch's deparse buffer and writes
+// back, big-endian, the extracts some table writes (compiled.deparser);
+// every other byte leaves as it arrived. parse already refused any packet
+// too short for an extract, so every writeback is in range.
 func (s *Switch) deparse(phv *Phv, pkt []byte) []byte {
 	s.deparsed = append(s.deparsed[:0], pkt...)
 	out := s.deparsed
-	for _, e := range s.c.parser {
-		if !e.wb {
-			continue
-		}
+	for _, e := range s.c.deparser {
 		v := phv.get(e.field)
 		b := out[e.offset : e.offset+e.bytes]
 		switch e.bytes {
 		case 1:
 			b[0] = byte(v)
 		case 2:
-			if e.le {
-				binary.LittleEndian.PutUint16(b, uint16(v))
-			} else {
-				binary.BigEndian.PutUint16(b, uint16(v))
-			}
+			binary.BigEndian.PutUint16(b, uint16(v))
 		case 4:
-			if e.le {
-				binary.LittleEndian.PutUint32(b, v)
-			} else {
-				binary.BigEndian.PutUint32(b, v)
-			}
+			binary.BigEndian.PutUint32(b, v)
 		}
 	}
 	return out

@@ -12,9 +12,13 @@
 // instructions take only immediate distances and there is no
 // count-leading-zeros instruction.
 //
-// The paper's three proposed hardware extensions (§4.2) are modeled as
-// feature flags so programs can be compiled against both the base Tofino-
-// like architecture and the extended one.
+// Two of the paper's three proposed hardware extensions (§4.2), variable
+// shifts and the read-shift-add-write unit, are modeled as feature flags so
+// programs can be compiled against both the base Tofino-like architecture
+// and the extended one. The third, a parser that converts little-endian
+// host payloads, is modeled only as the host cost it would save (Fig. 6,
+// internal/payload): every worker encodes its values big-endian, as the
+// wire carries them, so the parser and the deparser know one byte order.
 //
 // # How a packet runs
 //
@@ -56,17 +60,18 @@
 // whatever their kind. Stage semantics are the Packet-Transactions atom —
 // every table of a stage reads the stage-entry PHV — and hold by
 // construction, so every step writes the PHV directly: the compiler refuses
-// a table that reads what a table placed before it in its stage writes, an
-// instruction that reads another's destination, and a stateful op that
-// reads what an instruction of its own action writes. The same atom makes
-// the order of a stage's steps free but for one case, which
-// checkDependencies flags per stage: a table that reads what a table placed
-// after it writes. A stage without that hazard and without a lookup runs
-// its steps grouped by kind, so the executor's opcode switch repeats its
-// case. The table-by-table interpreter that snapshots the PHV per stage and
-// runs every table for every packet lives on, with its own parser, as the
+// a table that reads a field another table of its stage writes, whichever
+// is placed first, an instruction that reads another's destination, and a
+// stateful op that reads what an instruction of its own action writes. The
+// order of a stage's steps is then free, and a stage without a lookup runs
+// them grouped by kind, so the executor's opcode switch repeats its case.
+// The table-by-table interpreter that snapshots the PHV per stage and runs
+// every table for every packet lives on, with its own parser, as the
 // differential-test oracle (oracle_test.go, DiffRun), which holds both
 // paths to it.
+//
+// The deparser writes back a byte extract exactly when some table writes
+// its field; every other byte leaves as it arrived.
 //
 // # Execution and buffer ownership
 //
@@ -80,7 +85,8 @@
 // each.
 package pisa
 
-// Features describes the optional hardware extensions of paper §4.2.
+// Features describes the optional hardware extensions of paper §4.2 that
+// change what a program may express.
 type Features struct {
 	// VariableShift enables the 2-operand shift instruction
 	// (shl/shr reg.distance, reg.value). Without it, variable-distance
@@ -91,10 +97,6 @@ type Features struct {
 	// a register to be right-shifted and accumulated in a single stage.
 	// Without it only FPISA-A (the approximation of §4.3) is expressible.
 	RSAW bool
-	// ParserEndianness enables the @convert_endianness parser/deparser
-	// annotation, letting hosts transmit little-endian payloads without
-	// software byte swapping.
-	ParserEndianness bool
 }
 
 // Budget describes per-stage hardware resources, calibrated so the resource
@@ -148,11 +150,11 @@ func BaseArch() Arch {
 	}
 }
 
-// ExtendedArch returns the same architecture with all three §4.2 extensions
-// enabled — the target for full FPISA.
+// ExtendedArch returns the same architecture with the modeled §4.2
+// extensions enabled — the target for full FPISA.
 func ExtendedArch() Arch {
 	a := BaseArch()
 	a.Name = "tofino-like-extended"
-	a.Features = Features{VariableShift: true, RSAW: true, ParserEndianness: true}
+	a.Features = Features{VariableShift: true, RSAW: true}
 	return a
 }

@@ -108,21 +108,14 @@ func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable) error {
 
 func (s *Switch) refDeparse(phv *Phv, pkt []byte) []byte {
 	out := append([]byte(nil), pkt...)
-	for _, e := range s.c.parser {
-		if !e.wb {
-			continue
-		}
+	for _, e := range s.c.deparser {
 		v := phv.vals[e.field]
 		b := out[e.offset : e.offset+e.bytes]
-		switch {
-		case e.bytes == 1:
+		switch e.bytes {
+		case 1:
 			b[0] = byte(v)
-		case e.bytes == 2 && e.le:
-			binary.LittleEndian.PutUint16(b, uint16(v))
-		case e.bytes == 2:
+		case 2:
 			binary.BigEndian.PutUint16(b, uint16(v))
-		case e.le:
-			binary.LittleEndian.PutUint32(b, v)
 		default:
 			binary.BigEndian.PutUint32(b, v)
 		}
@@ -142,15 +135,11 @@ func (s *Switch) refParse(phv *Phv, pkt []byte) error {
 		}
 		b := pkt[e.offset : e.offset+e.bytes]
 		var v uint32
-		switch {
-		case e.bytes == 1:
+		switch e.bytes {
+		case 1:
 			v = uint32(b[0])
-		case e.bytes == 2 && e.le:
-			v = uint32(binary.LittleEndian.Uint16(b))
-		case e.bytes == 2:
+		case 2:
 			v = uint32(binary.BigEndian.Uint16(b))
-		case e.le:
-			v = binary.LittleEndian.Uint32(b)
 		default:
 			v = binary.BigEndian.Uint32(b)
 		}

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -607,11 +608,6 @@ func TestCompileErrors(t *testing.T) {
 			"unknown field",
 		},
 		{
-			"little endian without feature",
-			Program{Fields: f, Parser: []ExtractDecl{{Field: "a", Offset: 0, Bytes: 4, HostLittleEndian: true}}},
-			"ParserEndianness",
-		},
-		{
 			"register shared by two tables",
 			Program{
 				Fields:    []FieldDecl{{Name: "i", Width: 8}},
@@ -718,34 +714,6 @@ func TestResourceBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestEndiannessExtension(t *testing.T) {
-	prog := Program{
-		Fields: []FieldDecl{{Name: "v", Width: 32}, {Name: "w", Width: 32}},
-		Parser: []ExtractDecl{
-			{Field: "v", Offset: 0, Bytes: 4, HostLittleEndian: true},
-			{Field: "w", Offset: 4, Bytes: 4},
-		},
-		Tables: []TableDecl{{
-			Name: "t", Stage: 0, Kind: MatchAlways,
-			Actions: []ActionDecl{{Name: "x", Instrs: []Instr{
-				{Op: OpAdd, Dst: "v", A: F("v"), B: Imm(1)},
-			}}},
-			Default: "x",
-		}},
-	}
-	sw := mustSwitch(t, prog, ExtendedArch())
-	pkt := make([]byte, 8)
-	binary.LittleEndian.PutUint32(pkt, 41) // host little-endian payload
-	out, err := sw.Process(0, pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deparser writes the incremented value back in little-endian.
-	if got := binary.LittleEndian.Uint32(out[0].Packet); got != 42 {
-		t.Errorf("LE value = %d, want 42", got)
-	}
-}
-
 func TestParserShortPacket(t *testing.T) {
 	sw := mustSwitch(t, forwardProg(0), BaseArch())
 	if _, err := sw.Process(0, []byte{1, 2}); err == nil {
@@ -809,10 +777,12 @@ func TestNarrowContainerArithmetic(t *testing.T) {
 }
 
 // The plan writes straight to the PHV and relies on the compiler for stage
-// semantics (see plan): a table placed after a writer in the writer's stage
-// may not read the written field — as an operand, a predicate, a match key
-// or a stateful op's index. Were this rule relaxed, the reader would see the
-// written value instead of the stage-entry one.
+// semantics (see plan): no table may read a field another table of its stage
+// writes — as an operand, a predicate, a match key or a stateful op's index
+// — whichever of the two is placed first. Were this rule relaxed, a reader
+// placed after the writer would see the written value instead of the
+// stage-entry one, and grouping a stage's steps by kind could move a reader
+// placed first after the writer.
 func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
 	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
@@ -841,11 +811,51 @@ func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), "cannot flow backward") {
 			t.Errorf("%s reading an earlier table's write in its stage: err = %v", name, err)
 		}
-		// Placed before the writer, the reader has run by the time x changes.
+		// Placed before the writer, the reader is refused too, by name.
 		prog.Tables = []TableDecl{reader, writer}
-		if _, err := New(prog, BaseArch()); err != nil {
-			t.Errorf("%s reading ahead of the writer: %v", name, err)
+		want := `ingress table "r" (stage 0): reads field "x", which table "w" of its stage writes`
+		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s reading ahead of the writer: err = %v, want it to say %s", name, err, want)
 		}
+		// A stage later, it reads the written value.
+		prog.Tables[0].Stage = 1
+		if _, err := New(prog, BaseArch()); err != nil {
+			t.Errorf("%s reading in the writer's next stage: %v", name, err)
+		}
+	}
+}
+
+// A byte extract is written back exactly when some table writes its field,
+// so only written-back extracts must not overlap. Here the 32-bit w and the
+// 8-bit r share byte 1; a table writes w and none writes r, so the program
+// compiles, w leaves incremented — its low byte only — and r's byte leaves
+// as it came. Once a table writes r too, the two writebacks overlap and the
+// program is refused.
+func TestWritebackFollowsTheWriters(t *testing.T) {
+	prog := Program{
+		Fields: []FieldDecl{{Name: "w", Width: 32}, {Name: "r", Width: 8}, {Name: "t", Width: 8}},
+		Parser: []ExtractDecl{{Field: "w", Offset: 0, Bytes: 4}, {Field: "r", Offset: 1, Bytes: 1}, {Field: "t", Offset: 4, Bytes: 1}},
+		Tables: []TableDecl{{
+			Name: "inc", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{Name: "inc", Instrs: []Instr{
+				{Op: OpAdd, Dst: "w", A: F("w"), B: Imm(1)},
+				{Op: OpAdd, Dst: "t", A: F("r"), B: Imm(1)},
+			}}},
+			Default: "inc",
+		}},
+	}
+	sw := mustSwitch(t, prog, BaseArch())
+	out, err := sw.Process(0, []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0x10, 0x20, 0x30, 0x41, 0x21, 0x60}; !bytes.Equal(out[0].Packet, want) {
+		t.Errorf("packet = % x, want % x", out[0].Packet, want)
+	}
+
+	prog.Tables[0].Actions[0].Instrs[1].Dst = "r"
+	if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), "writeback range overlaps") {
+		t.Errorf("overlapping writebacks: err = %v", err)
 	}
 }
 

@@ -31,22 +31,22 @@ import (
 // keyed table is one lookup step followed by each action's steps; the lookup
 // jumps to the matched (or default) action, whose last step skips past the
 // table. A keyed table none of whose actions keeps a step is left out,
-// lookup and all. A stage that keeps no lookup and has no hazard
-// (checkDependencies: no table of it writes a field another table of it
-// reads) runs its steps grouped by kind — a stable sort, which leaves each
-// stateful op after every instruction — so the executor's switch takes the
-// same case step after step. Every instruction's operand slots, width mask
-// and sign-extension shifts and every stateful op's register mask and sign
-// bit are resolved here, not per packet.
+// lookup and all. A stage that keeps no lookup runs its steps grouped by
+// kind — a stable sort, which leaves each stateful op after every
+// instruction — so the executor's switch takes the same case step after
+// step. Every instruction's operand slots, width mask and sign-extension
+// shifts and every stateful op's register mask and sign bit are resolved
+// here, not per packet.
 //
 // Stage semantics — every table of a stage sees the stage-entry PHV — hold
-// by construction, so every step writes the PHV directly: no later step of a
-// stage reads a field an earlier one writes. checkDependencies refuses a
-// table that reads what a table placed before it in its stage writes
-// (tables placed after it have not run yet, which is why a stage with a
-// hazard keeps placement order); compileAction refuses an instruction that
-// reads another's destination, and a stateful op — which runs after its
-// action's instructions — that reads one of theirs.
+// by construction, so every step writes the PHV directly and a stage's
+// steps may run in any order that keeps each stateful op after its
+// action's instructions: no step of a stage reads a field another step of
+// it writes. checkDependencies refuses a table that reads a field another
+// table of its stage writes, whichever is placed first; compileAction
+// refuses an instruction that reads another's destination, and a stateful
+// op — which runs after its action's instructions — that reads one of
+// theirs.
 type plan struct {
 	steps  []step
 	tables []planTable // keyed tables, indexed by a lookup step's dst
@@ -142,20 +142,8 @@ func (c *compiled) dispatchField() fieldID {
 	for _, e := range c.parserBits {
 		parsed[e.field] = true
 	}
-	for _, t := range c.declared {
-		for _, a := range t.actions {
-			for i := range a.instrs {
-				parsed[a.instrs[i].dst] = false
-			}
-			if op := a.stateful; op != nil {
-				if op.output != OutNone {
-					parsed[op.outField] = false
-				}
-				if op.hasOvField {
-					parsed[op.ovField] = false
-				}
-			}
-		}
+	for f, w := range c.writtenFields() {
+		parsed[f] = parsed[f] && !w
 	}
 	keys := make([]int, len(c.ft.decls))
 	best := noDispatch
@@ -313,18 +301,18 @@ func (c *compiled) lowerPasses() {
 		clear(lw.live)
 		if emitting {
 			for i := range values {
-				for _, e := range c.parser {
-					lw.live[i*nf+int(e.field)] = lw.live[i*nf+int(e.field)] || e.wb
+				for _, e := range c.deparser {
+					lw.live[i*nf+int(e.field)] = true
 				}
 			}
 		}
-		egress := c.lowerGress(c.egress, c.egressHazard, values, lw)
+		egress := c.lowerGress(c.egress, values, lw)
 		if emitting {
 			for i := range values {
 				lw.live[i*nf+int(fidEgressPort)] = true
 			}
 		}
-		ingress := c.lowerGress(c.ingress, c.ingressHazard, values, lw)
+		ingress := c.lowerGress(c.ingress, values, lw)
 		passes := make([]pass, len(values))
 		for i := range passes {
 			passes[i] = pass{&ingress[min(i, len(ingress)-1)], &egress[min(i, len(egress)-1)]}
@@ -353,7 +341,7 @@ func (c *compiled) constSlot(lw *lowering, v uint32) uint32 {
 // share when no table of the gress is keyed on the dispatch field alone.
 // lw.live holds, pass by pass, the fields read after the gress and is left
 // holding those read from its start.
-func (c *compiled) lowerGress(stages [][]*cTable, hazard []bool, values []int, lw *lowering) []plan {
+func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []plan {
 	nf := len(c.ft.decls)
 	shared := true
 	for _, tables := range stages {
@@ -369,7 +357,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, hazard []bool, values []int, l
 				all[f] = all[f] || l
 			}
 		}
-		pl := c.lowerPlan(stages, hazard, -1, all, lw)
+		pl := c.lowerPlan(stages, -1, all, lw)
 		for i := 1; i < len(values); i++ {
 			copy(lw.live[i*nf:(i+1)*nf], all)
 		}
@@ -377,7 +365,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, hazard []bool, values []int, l
 	}
 	plans := make([]plan, len(values))
 	for i, v := range values {
-		plans[i] = c.lowerPlan(stages, hazard, v, lw.live[i*nf:(i+1)*nf], lw)
+		plans[i] = c.lowerPlan(stages, v, lw.live[i*nf:(i+1)*nf], lw)
 	}
 	return plans
 }
@@ -395,7 +383,7 @@ func (c *compiled) lowerGress(stages [][]*cTable, hazard []bool, values []int, l
 // step at a time is sound in any order because no step of a stage reads a
 // value another step of that stage writes: a write made live by a read in
 // its own stage is at worst kept for nothing.
-func (c *compiled) lowerPlan(stages [][]*cTable, hazard []bool, v int, live []bool, lw *lowering) plan {
+func (c *compiled) lowerPlan(stages [][]*cTable, v int, live []bool, lw *lowering) plan {
 	for s := len(stages) - 1; s >= 0; s-- {
 		for ti := len(stages[s]) - 1; ti >= 0; ti-- {
 			t := stages[s][ti]
@@ -424,7 +412,7 @@ func (c *compiled) lowerPlan(stages [][]*cTable, hazard []bool, v int, live []bo
 
 	lw.steps, lw.tables, lw.salus, lw.lookupAt = lw.steps[:0], lw.tables[:0], lw.salus[:0], lw.lookupAt[:0]
 	clear(lw.lastOf)
-	for s, tables := range stages {
+	for _, tables := range stages {
 		first, lookups := len(lw.steps), len(lw.tables)
 		for _, t := range tables {
 			if h, ok := c.dispatched(t, v); ok {
@@ -470,7 +458,7 @@ func (c *compiled) lowerPlan(stages [][]*cTable, hazard []bool, v int, live []bo
 			}
 			lw.tables = append(lw.tables, pt)
 		}
-		if len(lw.tables) == lookups && !hazard[s] {
+		if len(lw.tables) == lookups {
 			lw.groupByKind(lw.steps[first:])
 		}
 	}

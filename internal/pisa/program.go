@@ -7,8 +7,10 @@ import (
 	"fpisa/internal/tcam"
 )
 
-// ExtractDecl tells the parser to extract a packet byte range into a PHV
-// field (and the deparser to write it back on emission).
+// ExtractDecl tells the parser to extract a big-endian packet byte range
+// into a PHV field. The deparser writes the field back on emission exactly
+// when some table writes it; the bytes of an extract no table writes leave
+// as they arrived.
 type ExtractDecl struct {
 	// Field names the destination PHV field.
 	Field string
@@ -17,14 +19,6 @@ type ExtractDecl struct {
 	// Bytes is the extracted width: 1, 2 or 4; it must match the field's
 	// container width.
 	Bytes int
-	// HostLittleEndian marks the bytes as little-endian host data. Network
-	// hardware natively parses big-endian; accepting little-endian payload
-	// requires the ParserEndianness extension (the @convert_endianness
-	// annotation of §4.2). Without it, compilation fails and hosts must
-	// byte-swap in software (the Fig. 6 overhead).
-	HostLittleEndian bool
-	// NoWriteback excludes the field from deparsing (read-only metadata).
-	NoWriteback bool
 }
 
 // BitExtractDecl tells the parser to extract an arbitrary bit range into a
@@ -57,8 +51,6 @@ type cExtract struct {
 	field  fieldID
 	offset int
 	bytes  int
-	le     bool
-	wb     bool
 }
 
 type cBitExtract struct {
@@ -85,17 +77,16 @@ type compiled struct {
 	regIDs     map[string]int
 	parser     []cExtract
 	parserBits []cBitExtract
+	// deparser is the byte extracts some table writes, in parser order:
+	// what the deparser writes back (deriveWritebacks).
+	deparser []cExtract
 	// parseLen is the packet length from which parse checks no extract
 	// against the packet: the program's extract extent (layoutParser).
 	parseLen int
 	ingress  [][]*cTable // indexed by stage; built during checkDependencies
 	egress   [][]*cTable
-	// Per stage of each gress: a table of the stage writes a field another
-	// table of it reads, so the stage's steps keep placement order
-	// (checkDependencies).
-	ingressHazard, egressHazard []bool
-	declared                    []*cTable // declaration order, both gresses
-	nInstrs                     int       // instructions over every action (cAction.instr0)
+	declared []*cTable // declaration order, both gresses
+	nInstrs  int       // instructions over every action (cAction.instr0)
 	// What the executor runs (plan.go): a packet's parsed dispatch field
 	// picks its pass, passOf[value] indexing emit and absorb. Without a
 	// dispatch field every packet takes pass 0.
@@ -139,6 +130,9 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	}
 	c.layoutParser()
 	if err := c.compileTables(prog.Tables); err != nil {
+		return nil, err
+	}
+	if err := c.deriveWritebacks(); err != nil {
 		return nil, err
 	}
 	if err := c.checkDependencies(); err != nil {
@@ -193,8 +187,6 @@ func (c *compiled) newRegisterBank() []*registerArray {
 }
 
 func (c *compiled) compileParser(decls []ExtractDecl) error {
-	type span struct{ lo, hi int }
-	var writebacks []span
 	for _, d := range decls {
 		id, err := c.ft.lookup(d.Field)
 		if err != nil {
@@ -210,23 +202,51 @@ func (c *compiled) compileParser(decls []ExtractDecl) error {
 		if d.Offset < 0 {
 			return fmt.Errorf("pisa: parser: field %q: negative offset", d.Field)
 		}
-		if d.HostLittleEndian && !c.arch.Features.ParserEndianness {
-			return fmt.Errorf("pisa: parser: field %q: little-endian payload requires the ParserEndianness extension; without it hosts must convert byte order in software", d.Field)
-		}
-		if !d.NoWriteback {
-			s := span{d.Offset, d.Offset + d.Bytes}
-			for _, o := range writebacks {
-				if s.lo < o.hi && o.lo < s.hi {
-					return fmt.Errorf("pisa: parser: field %q: writeback range overlaps another extract", d.Field)
-				}
-			}
-			writebacks = append(writebacks, s)
-		}
-		c.parser = append(c.parser, cExtract{
-			field: id, offset: d.Offset, bytes: d.Bytes, le: d.HostLittleEndian, wb: !d.NoWriteback,
-		})
+		c.parser = append(c.parser, cExtract{field: id, offset: d.Offset, bytes: d.Bytes})
 	}
 	return nil
+}
+
+// deriveWritebacks fills deparser with the byte extracts whose field some
+// table writes and refuses two of them over one byte, whose writebacks
+// would race. Extracts no table writes may overlap anything: their bytes
+// leave as they came.
+func (c *compiled) deriveWritebacks() error {
+	written := c.writtenFields()
+	for _, e := range c.parser {
+		if !written[e.field] {
+			continue
+		}
+		for _, o := range c.deparser {
+			if e.offset < o.offset+o.bytes && o.offset < e.offset+e.bytes {
+				return fmt.Errorf("pisa: parser: field %q: writeback range overlaps field %q's", c.ft.name(e.field), c.ft.name(o.field))
+			}
+		}
+		c.deparser = append(c.deparser, e)
+	}
+	return nil
+}
+
+// writtenFields reports, per field, whether an instruction or a stateful
+// output of some table writes it.
+func (c *compiled) writtenFields() []bool {
+	written := make([]bool, len(c.ft.decls))
+	for _, t := range c.declared {
+		for _, a := range t.actions {
+			for i := range a.instrs {
+				written[a.instrs[i].dst] = true
+			}
+			if op := a.stateful; op != nil {
+				if op.output != OutNone {
+					written[op.outField] = true
+				}
+				if op.hasOvField {
+					written[op.ovField] = true
+				}
+			}
+		}
+	}
+	return written
 }
 
 func (c *compiled) compileParserBits(decls []BitExtractDecl) error {

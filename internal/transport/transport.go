@@ -351,8 +351,9 @@ type MemoryConfig struct {
 	UplinkLoss   float64
 	DownlinkLoss float64
 	Seed         int64
-	// QueueDepth bounds each worker's delivery ring (default 1024);
-	// overflowing deliveries are dropped, as a NIC ring would.
+	// QueueDepth bounds each worker's delivery ring (0 means 1024; a
+	// negative depth is refused); overflowing deliveries are dropped, as a
+	// NIC ring would.
 	QueueDepth int
 }
 
@@ -366,6 +367,9 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	}
 	if cfg.UplinkLoss < 0 || cfg.UplinkLoss >= 1 || cfg.DownlinkLoss < 0 || cfg.DownlinkLoss >= 1 {
 		return nil, fmt.Errorf("transport: loss probabilities must be in [0,1)")
+	}
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("transport: queue depth %d", cfg.QueueDepth)
 	}
 	depth := cfg.QueueDepth
 	if depth == 0 {

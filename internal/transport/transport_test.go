@@ -179,6 +179,9 @@ func TestMemoryValidation(t *testing.T) {
 	if _, err := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), UplinkLoss: 1.0}); err == nil {
 		t.Error("loss=1 accepted")
 	}
+	if _, err := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), QueueDepth: -1}); err == nil {
+		t.Error("negative queue depth accepted")
+	}
 	m, _ := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler)})
 	defer m.Close()
 	if err := send(m, 5, nil); err == nil {
