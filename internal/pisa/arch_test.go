@@ -40,9 +40,9 @@ func TestOpcodeStrings(t *testing.T) {
 	if Opcode(999).String() == "" {
 		t.Error("unknown opcode should still render")
 	}
-	// Instr.String renders operands and predicates.
-	in := Instr{Op: OpAdd, Dst: "x", A: F("a"), B: Imm(3), Pred: "p", PredNeg: true}
-	if s := in.String(); s != "add x, a, #3 if !p" {
+	// Instr.String renders operands and a csel's selector.
+	in := Instr{Op: OpCsel, Dst: "x", A: F("a"), B: Imm(3), Pred: "p"}
+	if s := in.String(); s != "csel x, a, #3 if p" {
 		t.Errorf("Instr.String() = %q", s)
 	}
 	if P(2).debug() != "$2" {

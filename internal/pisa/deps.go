@@ -6,21 +6,22 @@ import (
 	"sort"
 )
 
-// checkDependencies assigns stages to auto-placed tables and validates the
-// PISA dataflow constraints:
+// checkDependencies files every table under the stage it names and
+// validates the PISA dataflow constraints against every table's reads and
+// writes at once, so the result does not depend on declaration order:
 //
 //   - A field read in stage s must be produced by the parser, the
 //     architecture, or a table in an earlier stage of the same gress (any
 //     ingress stage for egress readers): data dependencies never flow
 //     backward (§2.3).
 //   - Two tables in the same gress and stage may not write the same field,
-//     and no table may read a field another table of its stage writes,
-//     whichever is placed first: every table of a stage reads the
-//     stage-entry PHV, so tables that depend on each other go in different
-//     stages (the Packet-Transactions atom).
+//     and no table may read a field another table of its stage writes:
+//     every table of a stage reads the stage-entry PHV, so tables that
+//     depend on each other go in different stages (the Packet-Transactions
+//     atom).
 //   - Exactly one table accesses each register (one stateful access per
 //     register per packet); the register lives in that table's stage and
-//     gress, wherever the table is placed.
+//     gress.
 func (c *compiled) checkDependencies() error {
 	// Parser- and architecture-written fields.
 	parserWritten := make(map[fieldID]bool)
@@ -36,8 +37,8 @@ func (c *compiled) checkDependencies() error {
 	}
 
 	// All tables in declaration order, and each one's read and write sets,
-	// computed once: placement, the global re-validation and the conflict
-	// check below all consult them.
+	// computed once: the read check and the conflict check below consult
+	// them.
 	all := c.declared
 	type ioSets struct{ reads, writes map[fieldID]bool }
 	sets := make([]ioSets, len(all))
@@ -84,51 +85,24 @@ func (c *compiled) checkDependencies() error {
 		}
 	}
 
-	assign := func(tables []*cTable, stages int, gressName string) ([][]*cTable, error) {
+	check := func(tables []*cTable, stages int, gressName string) ([][]*cTable, error) {
 		// writersAt[f] = stages (same gress) that write field f.
 		writersAt := make(map[fieldID][]int)
 		out := make([][]*cTable, stages)
-
 		for _, t := range tables {
-			reads, writes := sets[t.idx].reads, sets[t.idx].writes
-
-			// Earliest legal stage from read dependencies.
-			min := 0
-			for f := range reads {
-				for _, ws := range writersAt[f] {
-					if ws+1 > min {
-						min = ws + 1
-					}
-				}
-			}
-
-			stage := t.stage
-			if stage == -1 {
-				stage = min
-			}
-			if stage < min {
-				return nil, fmt.Errorf("pisa: %s table %q: placed in stage %d but reads fields produced in stage %d; dependencies cannot flow backward",
-					gressName, t.decl.Name, stage, min-1)
-			}
-			if stage >= stages {
-				return nil, fmt.Errorf("pisa: %s table %q: needs stage %d but the pipeline has %d stages",
-					gressName, t.decl.Name, stage, stages)
-			}
-			t.stage = stage
-			out[stage] = append(out[stage], t)
-			for f := range writes {
-				writersAt[f] = append(writersAt[f], stage)
+			out[t.stage] = append(out[t.stage], t)
+			for f := range sets[t.idx].writes {
+				writersAt[f] = append(writersAt[f], t.stage)
 			}
 		}
 
-		// Cross-check reads against all writers: declaration order above
-		// only sees earlier-declared writers, so a later-declared one in an
-		// earlier stage is fine, one in a later stage is a backward read, and
-		// one in the reader's stage is refused whichever is placed first. A
-		// table may read what it writes itself: a pass runs one of its
-		// actions, whose instructions read no other's destination and whose
-		// stateful op reads none of theirs (compileAction). The conflict
-		// check below refuses two writers of a field in one stage.
+		// Every read against every writer of its field: one in an earlier
+		// stage produces it, one in a later stage alone would be a backward
+		// read, and one in the reader's stage is refused. A table may read
+		// what it writes itself: a pass runs one of its actions, whose
+		// instructions read no other's destination and whose stateful op
+		// reads none of theirs (compileAction). The conflict check below
+		// refuses two writers of a field in one stage.
 		for _, t := range tables {
 			for f := range sets[t.idx].reads {
 				ok := parserWritten[f] || gressName == "egress" && ingressWrites[f]
@@ -174,17 +148,17 @@ func (c *compiled) checkDependencies() error {
 	}
 
 	var err error
-	if c.ingress, err = assign(ingress, c.arch.IngressStages, "ingress"); err != nil {
+	if c.ingress, err = check(ingress, c.arch.IngressStages, "ingress"); err != nil {
 		return err
 	}
-	if c.egress, err = assign(egress, c.arch.EgressStages, "egress"); err != nil {
+	if c.egress, err = check(egress, c.arch.EgressStages, "egress"); err != nil {
 		return err
 	}
 	return nil
 }
 
-// tableIO returns the set of fields a table reads (keys, operands,
-// predicates, stateful inputs) and writes (instruction dsts, stateful
+// tableIO returns the set of fields a table reads (keys, operands, csel
+// selectors, stateful inputs) and writes (instruction dsts, stateful
 // outputs).
 func (c *compiled) tableIO(t *cTable) (reads, writes map[fieldID]bool) {
 	reads = make(map[fieldID]bool)

@@ -33,7 +33,7 @@ func sameStageProg() Program {
 				Name: "sum", Stage: 0, Kind: MatchExact, Key: []string{"idx"},
 				Actions: []ActionDecl{{Name: "sum", Instrs: []Instr{
 					{Op: OpAdd, Dst: "x", A: F("a"), B: F("b")},
-					{Op: OpXor, Dst: "y", A: F("a"), B: F("b")},
+					{Op: OpSub, Dst: "y", A: F("a"), B: F("b")},
 					{Op: OpMov, Dst: FieldEgressPort, A: Imm(2)},
 				}}},
 				Entries: []EntryDecl{{Value: 0, Action: "sum"}, {Value: 1, Action: "sum"}, {Value: 2, Action: "sum"}, {Value: 4, Action: "sum"}},
@@ -55,7 +55,7 @@ func sameStageProg() Program {
 				Name: "mix", Stage: 1, Kind: MatchAlways,
 				Actions: []ActionDecl{{Name: "mix", Instrs: []Instr{
 					{Op: OpSub, Dst: "a", A: F("x"), B: F("old")},
-					{Op: OpXor, Dst: "b", A: F("y"), B: F("c")},
+					{Op: OpOr, Dst: "b", A: F("y"), B: F("c")},
 				}}},
 				Default: "mix",
 			},
@@ -102,8 +102,8 @@ func TestDifferentialToyPrograms(t *testing.T) {
 // randomProg draws a program that leans on everything the lowering must get
 // right: several tables per stage, every match kind (exact keys both narrow
 // enough for the direct index and wide enough for the sorted search),
-// default and no-default misses, action data, predicated instructions and
-// selects, stateful ops of every condition, update and output kind, and
+// default and no-default misses, action data, every opcode (csel with its
+// selector), stateful ops of every condition, update and output kind, and
 // writes to the egress port. Every user field is parser-extracted, so any
 // table may read any field in any stage the compiler lets it: a table may
 // not read what another table of its stage writes, but it may read what it
@@ -200,8 +200,8 @@ func randomProg(rng *rand.Rand) Program {
 						in := Instr{Op: Opcode(rng.Intn(int(OpCsel) + 1)), Dst: dsts[0]}
 						dsts = dsts[1:]
 						in.A, in.B = operand(in.Dst), operand(in.Dst)
-						if in.Op == OpCsel || rng.Intn(3) == 0 {
-							in.Pred, in.PredNeg = pick(others), rng.Intn(2) == 0
+						if in.Op == OpCsel {
+							in.Pred = pick(others)
 						}
 						ad.Instrs = append(ad.Instrs, in)
 					}
@@ -210,13 +210,15 @@ func randomProg(rng *rand.Rand) Program {
 							Register: reg, IndexField: pick(mine(fixed, narrow)), InField: pick(mine(others, fields)),
 							ShiftField: pick(mine(fixed, narrow)),
 							Cond: SaluCond{
-								Kind: SaluCondKind(rng.Intn(3)), Cmp: CmpOp(rng.Intn(6)), Field: pick(mine(others, fields)),
-								Off: int64(rng.Intn(9) - 4), Signed: rng.Intn(2) == 0,
+								Kind: SaluCondKind(rng.Intn(int(CondPhv) + 1)), Cmp: CmpOp(rng.Intn(int(CmpGt) + 1)),
+								Field: pick(mine(others, fields)), Off: int64(rng.Intn(9) - 4),
 							},
-							True: SaluUpdate(rng.Intn(8)), False: SaluUpdate(rng.Intn(8)), Signed: rng.Intn(2) == 0,
+							True:   SaluUpdate(rng.Intn(int(URsawAddIn) + 1)),
+							False:  SaluUpdate(rng.Intn(int(URsawAddIn) + 1)),
+							Signed: rng.Intn(2) == 0,
 						}
 						if len(dsts) > 0 && rng.Intn(4) != 0 {
-							so.Output, so.OutputField = SaluOutput(1+rng.Intn(3)), dsts[0]
+							so.Output, so.OutputField = SaluOutput(1+rng.Intn(int(OutNew))), dsts[0]
 							dsts = dsts[1:]
 						}
 						if len(dsts) > 0 && rng.Intn(2) == 0 {
@@ -285,7 +287,7 @@ func randomProg(rng *rand.Rand) Program {
 // dispatch field, so the seeds cover programs lowered to one pass and to a
 // pass per dispatch value; the count of the latter is pinned.
 func TestDifferentialRandomPrograms(t *testing.T) {
-	const wantDispatch = 48
+	const wantDispatch = 51
 	dispatch := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -67,9 +67,6 @@ func (s *Switch) Replicate() *Switch {
 // Utilization returns the compiled resource report (paper Table 3).
 func (s *Switch) Utilization() Utilization { return s.c.util }
 
-// Arch returns the architecture the program was compiled against.
-func (s *Switch) Arch() Arch { return s.c.arch }
-
 // Counters returns a snapshot of the switch counters.
 func (s *Switch) Counters() Counters { return s.counters }
 

@@ -10,7 +10,10 @@
 // execute in parallel (so a value computed by one instruction is not visible
 // to another in the same stage); and — on the base architecture — shift
 // instructions take only immediate distances and there is no
-// count-leading-zeros instruction.
+// count-leading-zeros instruction. The instruction set is the one the FPISA
+// program (internal/core) compiles to: twelve VLIW opcodes, of which only
+// the conditional select takes a predicate, and stateful ALUs with six
+// updates and two comparisons. The compiler refuses anything outside it.
 //
 // Two of the paper's three proposed hardware extensions (§4.2), variable
 // shifts and the read-shift-add-write unit, are modeled as feature flags so
@@ -22,11 +25,12 @@
 //
 // # How a packet runs
 //
-// compile resolves a program against the architecture, places its tables
-// into stages (checkDependencies) — each register in its table's stage —
-// and lowers both gresses to flat step plans (plan.go): pre-resolved VLIW
-// instructions, stateful-ALU steps and keyed-table lookups in stage and
-// table order, with every step the packet does not need removed. A packet
+// compile resolves a program against the architecture, checks the stages
+// the program states (checkDependencies) — each register in its table's
+// stage — and lowers both gresses to flat step plans (plan.go):
+// pre-resolved VLIW instructions, stateful-ALU steps and keyed-table
+// lookups in stage and table order, with every step the packet does not
+// need removed. A packet
 // is parsed into the PHV, and its dispatch field — the parsed field that
 // alone keys the most exact tables and that nothing writes; for the FPISA
 // program, the op octet — picks its pass: one per value the entries name,
@@ -61,7 +65,7 @@
 // every table of a stage reads the stage-entry PHV — and hold by
 // construction, so every step writes the PHV directly: the compiler refuses
 // a table that reads a field another table of its stage writes, whichever
-// is placed first, an instruction that reads another's destination, and a
+// is declared first, an instruction that reads another's destination, and a
 // stateful op that reads what an instruction of its own action writes. The
 // order of a stage's steps is then free, and a stage without a lookup runs
 // them grouped by kind, so the executor's opcode switch repeats its case.

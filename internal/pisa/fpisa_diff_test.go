@@ -1,6 +1,7 @@
 package pisa_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -401,6 +402,33 @@ func TestFPISAUtilizationGolden(t *testing.T) {
 	for _, b := range builds {
 		if got := fmt.Sprint(b.pa.Utilization().Stages); got != golden[b.name] {
 			t.Errorf("%s stages:\n got %s\nwant %s", b.name, got, golden[b.name])
+		}
+	}
+}
+
+// TestFPISAPlanDigest pins what every FPISA build runs: the SHA-256 of its
+// plan dump (PlanDump) — every emitting and absorbing pass's steps, lookup
+// tables and stateful ops, the constants, the PHV slot bases and the
+// dispatch index. A change to the ISA, the stage check or the lowering must
+// leave every packet's steps exactly as they are; a changed immediate in
+// the program builder changes the digest.
+func TestFPISAPlanDigest(t *testing.T) {
+	golden := map[string]string{
+		"FPISA-A/tofino-like-base/m1":     "dd2175aa06fc7eeac6149438e5138daee644cb27f0a90331f8bdec8cd247b495",
+		"FPISA-A/tofino-like-extended/m1": "3130bfcc63881f2d0b835bbca5096e96d1f604c34be5f5b3d05bdc40faab4139",
+		"FPISA-A/tofino-like-extended/m2": "05958fa84288804280471291aed0904e58bfcc8d97fb8f9e261fb176255bb23e",
+		"FPISA-A/tofino-like-extended/m3": "20308b1ab2a39c93d5a58e7aeee8aaba878ad6de73a3153a5d568d981fa8bbd6",
+		"FPISA/tofino-like-extended/m1":   "4ea0341b3843d4ae9ded844f70adac49a947c8426e49e55edbe31b0eeb53385d",
+		"FPISA/tofino-like-extended/m2":   "767e216bdd0e64f2705610a20fbc04d77dd21e814216447c5c1473969f3d7b15",
+		"FPISA/tofino-like-extended/m3":   "678600234d78e3f89cd5178c2f5b9c71833e17d16c2b274417e399c973d86416",
+	}
+	builds := fpisaBuilds(t)
+	if len(builds) != len(golden) {
+		t.Errorf("%d FPISA builds, %d pinned", len(builds), len(golden))
+	}
+	for _, b := range builds {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.pa.Switch().PlanDump()))); got != golden[b.name] {
+			t.Errorf("%s plan digest %s, want %s", b.name, got, golden[b.name])
 		}
 	}
 }

@@ -2,11 +2,11 @@ package pisa
 
 import "fmt"
 
-// Opcode enumerates the operations of the stateless VLIW ALUs. These mirror
-// the integer operations PISA match-action stages provide (§2.1): moves,
-// add/subtract, bitwise logic, shifts and comparisons. There is deliberately
-// no count-leading-zeros and no multiply — the paper's point is that FP must
-// be built from exactly this set.
+// Opcode enumerates the operations of the stateless VLIW ALUs: the integer
+// operations of a PISA match-action stage (§2.1) that the FPISA program
+// emits — moves, add/subtract, or, shifts, comparisons and a conditional
+// select. There is deliberately no count-leading-zeros and no multiply —
+// the paper's point is that FP must be built from such a set.
 type Opcode int
 
 const (
@@ -16,12 +16,8 @@ const (
 	OpAdd
 	// OpSub sets Dst = A - B.
 	OpSub
-	// OpAnd, OpOr, OpXor are bitwise logic.
-	OpAnd
+	// OpOr sets Dst = A | B.
 	OpOr
-	OpXor
-	// OpNot sets Dst = ^A.
-	OpNot
 	// OpShl shifts A left by B bits. A field-typed B requires the
 	// VariableShift feature (§4.2); otherwise B must be an immediate.
 	OpShl
@@ -30,30 +26,21 @@ const (
 	// OpShrA is an arithmetic right shift (sign bit of the container
 	// width replicates), same B rules as OpShl.
 	OpShrA
-	// OpMin/OpMax are unsigned minimum/maximum.
-	OpMin
-	OpMax
-	// OpMinS/OpMaxS are signed minimum/maximum.
-	OpMinS
-	OpMaxS
 	// Comparison ops set Dst to 1 or 0.
 	OpEq
 	OpNe
-	OpLtU // unsigned A < B
 	OpLtS // signed A < B
-	OpGeU // unsigned A >= B
 	OpGeS // signed A >= B
-	// OpCsel sets Dst = (Pred != 0) ? A : B. This is the single-write
+	// OpCsel sets Dst = (PHV[Pred] != 0) ? A : B. This is the single-write
 	// conditional-select hardware provides in place of two predicated
-	// writes to the same container.
+	// writes to the same container, and the only instruction that takes a
+	// predicate.
 	OpCsel
 )
 
 var opNames = map[Opcode]string{
-	OpMov: "mov", OpAdd: "add", OpSub: "sub", OpAnd: "and", OpOr: "or",
-	OpXor: "xor", OpNot: "not", OpShl: "shl", OpShrL: "shrl", OpShrA: "shra",
-	OpMin: "min", OpMax: "max", OpMinS: "mins", OpMaxS: "maxs",
-	OpEq: "eq", OpNe: "ne", OpLtU: "ltu", OpLtS: "lts", OpGeU: "geu",
+	OpMov: "mov", OpAdd: "add", OpSub: "sub", OpOr: "or", OpShl: "shl",
+	OpShrL: "shrl", OpShrA: "shra", OpEq: "eq", OpNe: "ne", OpLtS: "lts",
 	OpGeS: "ges", OpCsel: "csel",
 }
 
@@ -95,20 +82,15 @@ type Instr struct {
 	Dst string
 	A   Operand
 	B   Operand
-	// Pred optionally predicates the instruction (or selects for OpCsel):
-	// the instruction takes effect only when (PHV[Pred] != 0) != PredNeg.
-	Pred    string
-	PredNeg bool
+	// Pred is OpCsel's selector field, which it requires; no other
+	// instruction takes one.
+	Pred string
 }
 
 func (in Instr) String() string {
 	s := fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.A.debug(), in.B.debug())
 	if in.Pred != "" {
-		neg := ""
-		if in.PredNeg {
-			neg = "!"
-		}
-		s += fmt.Sprintf(" if %s%s", neg, in.Pred)
+		s += " if " + in.Pred
 	}
 	return s
 }
@@ -141,17 +123,14 @@ type cOperand struct {
 
 // compiled instruction with resolved field IDs.
 type cInstr struct {
-	op       Opcode
-	dst      fieldID
-	dstWidth int
-	a, b     cOperand
-	pred     fieldID
-	hasPred  bool
-	predNeg  bool
+	op   Opcode
+	dst  fieldID
+	a, b cOperand
+	pred fieldID // OpCsel's selector
 }
 
 // appendReads appends the PHV fields the instruction reads: its field
-// operands and its predicate.
+// operands and, for OpCsel, its selector.
 func (ci *cInstr) appendReads(r []fieldID) []fieldID {
 	if ci.a.kind == srcField {
 		r = append(r, ci.a.field)
@@ -159,7 +138,7 @@ func (ci *cInstr) appendReads(r []fieldID) []fieldID {
 	if ci.b.kind == srcField {
 		r = append(r, ci.b.field)
 	}
-	if ci.hasPred {
+	if ci.op == OpCsel {
 		r = append(r, ci.pred)
 	}
 	return r

@@ -89,9 +89,7 @@ func (s *Switch) refRunGress(phv *Phv, stages [][]*cTable) error {
 				continue
 			}
 			for i := range a.instrs {
-				if val, ok := a.instrs[i].eval(snapshot, h.params); ok {
-					writes[a.instrs[i].dst] = val
-				}
+				writes[a.instrs[i].dst] = a.instrs[i].eval(snapshot, h.params)
 			}
 			if a.stateful != nil {
 				if err := a.stateful.exec(s.regs, snapshot, writes); err != nil {
@@ -274,17 +272,8 @@ func (o cOperand) signedValue(in *Phv, params []uint32) int32 {
 }
 
 // eval computes the instruction result against the stage-entry PHV snapshot
-// and the matched entry's action data, and reports whether the write should
-// take effect.
-func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32, write bool) {
-	predVal := true
-	if ci.hasPred {
-		predVal = (in.get(ci.pred) != 0) != ci.predNeg
-	}
-	if ci.op != OpCsel && ci.hasPred && !predVal {
-		return 0, false
-	}
-
+// and the matched entry's action data.
+func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32) {
 	a := ci.a.value(in, params)
 	b := ci.b.value(in, params)
 
@@ -295,52 +284,24 @@ func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32, write bool) {
 		val = a + b
 	case OpSub:
 		val = a - b
-	case OpAnd:
-		val = a & b
 	case OpOr:
 		val = a | b
-	case OpXor:
-		val = a ^ b
-	case OpNot:
-		val = ^a
 	case OpShl:
 		val = shl32(a, b)
 	case OpShrL:
 		val = shrl32(a, b)
 	case OpShrA:
 		val = uint32(shra32(ci.a.signedValue(in, params), b))
-	case OpMin:
-		val = minU(a, b)
-	case OpMax:
-		val = maxU(a, b)
-	case OpMinS:
-		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
-		if sa < sb {
-			val = uint32(sa)
-		} else {
-			val = uint32(sb)
-		}
-	case OpMaxS:
-		sa, sb := ci.a.signedValue(in, params), ci.b.signedValue(in, params)
-		if sa > sb {
-			val = uint32(sa)
-		} else {
-			val = uint32(sb)
-		}
 	case OpEq:
 		val = boolBit(a == b)
 	case OpNe:
 		val = boolBit(a != b)
-	case OpLtU:
-		val = boolBit(a < b)
 	case OpLtS:
 		val = boolBit(ci.a.signedValue(in, params) < ci.b.signedValue(in, params))
-	case OpGeU:
-		val = boolBit(a >= b)
 	case OpGeS:
 		val = boolBit(ci.a.signedValue(in, params) >= ci.b.signedValue(in, params))
 	case OpCsel:
-		if predVal {
+		if in.get(ci.pred) != 0 {
 			val = a
 		} else {
 			val = b
@@ -348,21 +309,7 @@ func (ci *cInstr) eval(in *Phv, params []uint32) (val uint32, write bool) {
 	default:
 		panic(fmt.Sprintf("pisa: unknown opcode %v", ci.op))
 	}
-	return val, true
-}
-
-func minU(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
+	return val
 }
 
 // signedVal sign-extends a stored value to int64 per the register width.
@@ -395,19 +342,9 @@ func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes map[fieldID]u
 	case CondAlways:
 		pred = true
 	case CondCmpOldIn:
-		var a, b int64
-		if op.cond.Signed {
-			a, b = r.signedVal(inVal), r.signedVal(old)
-		} else {
-			a, b = int64(inVal), int64(old)
-		}
-		pred = op.cond.Cmp.apply(a, b+op.cond.Off)
+		pred = op.cond.Cmp.apply(int64(inVal), int64(old)+op.cond.Off)
 	case CondPhv:
-		v := int64(in.get(op.condField))
-		if op.cond.Signed {
-			v = int64(in.getSigned(op.condField))
-		}
-		pred = op.cond.Cmp.apply(v, op.cond.Off)
+		pred = op.cond.Cmp.apply(int64(in.get(op.condField)), op.cond.Off)
 	}
 
 	upd := op.false_
@@ -425,14 +362,8 @@ func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes map[fieldID]u
 		newVal = 0
 	case UAddIn:
 		newVal, overflow = op.addWrap(r, old, inVal)
-	case USubIn:
-		newVal, overflow = op.addWrap(r, old, (-inVal)&r.mask())
 	case UMaxIn:
 		if op.cmpGreater(r, inVal, old) {
-			newVal = inVal
-		}
-	case UMinIn:
-		if op.cmpGreater(r, old, inVal) {
 			newVal = inVal
 		}
 	case URsawAddIn:
@@ -451,8 +382,6 @@ func (op *cStatefulOp) exec(bank []*registerArray, in *Phv, writes map[fieldID]u
 		writes[op.outField] = old
 	case OutNew:
 		writes[op.outField] = newVal
-	case OutPred:
-		writes[op.outField] = boolBit(pred)
 	}
 	if op.hasOvField {
 		writes[op.ovField] = boolBit(overflow)

@@ -104,19 +104,11 @@ func TestALUSemantics(t *testing.T) {
 		{"add-wrap", OpAdd, 0xFFFFFFFF, 2, 1},
 		{"sub", OpSub, 10, 3, 7},
 		{"sub-borrow", OpSub, 0, 1, 0xFFFFFFFF},
-		{"and", OpAnd, 0xFF00FF00, 0x0FF00FF0, 0x0F000F00},
 		{"or", OpOr, 0xF0, 0x0F, 0xFF},
-		{"xor", OpXor, 0xFF, 0x0F, 0xF0},
-		{"min", OpMin, 3, 9, 3},
-		{"max", OpMax, 3, 9, 9},
-		{"minS", OpMinS, 0xFFFFFFFF /* -1 */, 1, 0xFFFFFFFF},
-		{"maxS", OpMaxS, 0xFFFFFFFF /* -1 */, 1, 1},
 		{"eq-true", OpEq, 7, 7, 1},
 		{"eq-false", OpEq, 7, 8, 0},
 		{"ne", OpNe, 7, 8, 1},
-		{"ltu", OpLtU, 1, 0xFFFFFFFF, 1},
 		{"lts", OpLtS, 0xFFFFFFFF, 1, 1}, // -1 < 1 signed
-		{"geu", OpGeU, 0xFFFFFFFF, 1, 1},
 		{"ges", OpGeS, 1, 0xFFFFFFFF, 1}, // 1 >= -1 signed
 	}
 	for _, c := range cases {
@@ -188,7 +180,8 @@ func TestCselAndPredication(t *testing.T) {
 			Name: "t", Stage: 0, Kind: MatchAlways,
 			Actions: []ActionDecl{{Name: "run", Instrs: []Instr{
 				{Op: OpCsel, Dst: "sel", A: F("a"), B: F("b"), Pred: "p"},
-				{Op: OpMov, Dst: "pr", A: Imm(99), Pred: "p", PredNeg: true},
+				// A write predicated on !p is a csel keeping the old value.
+				{Op: OpCsel, Dst: "pr", A: F("pr"), B: Imm(99), Pred: "p"},
 			}}},
 			Default: "run",
 		}},
@@ -531,6 +524,14 @@ func TestCompileErrors(t *testing.T) {
 	base := BaseArch()
 	f := []FieldDecl{{Name: "a", Width: 32}, {Name: "b", Width: 32}}
 	p := []ExtractDecl{{Field: "a", Offset: 0, Bytes: 4}}
+	// salu is a one-table program running op on register r, indexed by a
+	// and fed with it.
+	salu := func(op StatefulOp) Program {
+		op.Register, op.IndexField, op.InField = "r", "a", "a"
+		return Program{Fields: f, Parser: p, Registers: []RegisterDecl{{Name: "r", Width: 32, Size: 1}}, Tables: []TableDecl{
+			{Name: "t", Stage: 0, Kind: MatchAlways, Actions: []ActionDecl{{Name: "x", Stateful: &op}}, Default: "x"},
+		}}
+	}
 
 	cases := []struct {
 		name string
@@ -646,6 +647,42 @@ func TestCompileErrors(t *testing.T) {
 			"duplicate field",
 		},
 		{
+			"stage out of range",
+			Program{Fields: f, Parser: p, Tables: []TableDecl{
+				{Name: "t", Stage: -1, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpMov, Dst: "b", A: Imm(1)}}}}, Default: "x"},
+			}},
+			"stage -1 out of range 0..11",
+		},
+		{
+			"pred on a non-csel instruction",
+			Program{Fields: f, Parser: p, Tables: []TableDecl{
+				{Name: "t", Stage: 0, Kind: MatchAlways,
+					Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpMov, Dst: "b", A: Imm(1), Pred: "a"}}}}, Default: "x"},
+			}},
+			"mov takes no Pred field",
+		},
+		{
+			"unknown stateful condition kind",
+			salu(StatefulOp{Cond: SaluCond{Kind: CondPhv + 1}}),
+			"unknown stateful condition kind",
+		},
+		{
+			"unknown stateful comparison",
+			salu(StatefulOp{Cond: SaluCond{Kind: CondCmpOldIn, Cmp: CmpGt + 1}}),
+			"unknown stateful comparison",
+		},
+		{
+			"unknown stateful update",
+			salu(StatefulOp{True: URsawAddIn + 1}),
+			"unknown stateful update",
+		},
+		{
+			"unknown stateful output",
+			salu(StatefulOp{Output: OutNew + 1, OutputField: "b"}),
+			"unknown stateful output",
+		},
+		{
 			"csel without pred",
 			Program{Fields: f, Parser: p, Tables: []TableDecl{
 				{Name: "t", Stage: 0, Kind: MatchAlways,
@@ -667,30 +704,29 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestAutoStageAssignment(t *testing.T) {
-	prog := Program{
-		Fields: []FieldDecl{{Name: "a", Width: 32}, {Name: "b", Width: 32}, {Name: "c", Width: 32}},
-		Parser: []ExtractDecl{{Field: "a", Offset: 0, Bytes: 4}, {Field: "c", Offset: 4, Bytes: 4}},
-		Tables: []TableDecl{
-			{Name: "t1", Stage: -1, Kind: MatchAlways,
-				Actions: []ActionDecl{{Name: "x", Instrs: []Instr{{Op: OpAdd, Dst: "b", A: F("a"), B: Imm(1)}}}}, Default: "x"},
-			{Name: "t2", Stage: -1, Kind: MatchAlways,
-				Actions: []ActionDecl{{Name: "y", Instrs: []Instr{{Op: OpAdd, Dst: "c", A: F("b"), B: Imm(1)}}}}, Default: "y"},
-		},
+// The stage check sees every writer of a field whatever the declaration
+// order: r reads x in stage 3, after w1 writes it in stage 1 and before w5
+// rewrites it in stage 5, so r sees w1's value however the three tables are
+// declared.
+func TestStageCheckIgnoresDeclarationOrder(t *testing.T) {
+	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
+	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
+	mov := func(name string, stage int, dst string, a Operand) TableDecl {
+		return TableDecl{Name: name, Stage: stage, Kind: MatchAlways, Default: "run",
+			Actions: []ActionDecl{{Name: "run", Instrs: []Instr{{Op: OpMov, Dst: dst, A: a}}}}}
 	}
-	sw := mustSwitch(t, prog, BaseArch())
-	if got := sw.Utilization().StagesUsed(); got != 2 {
-		t.Errorf("stages used = %d, want 2 (t2 must follow t1)", got)
-	}
-	// And the chain computes correctly: c, written back, carries a+2.
-	pkt := make([]byte, 8)
-	binary.BigEndian.PutUint32(pkt, 40)
-	out, err := sw.ProcessScratch(0, pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint32(out.Packet[4:]); got != 42 {
-		t.Errorf("emitted c = %d, want 42 (a+2 through b)", got)
+	w1, w5 := mov("w1", 1, "x", Imm(7)), mov("w5", 5, "x", Imm(9))
+	r := TableDecl{Name: "r", Stage: 3, Kind: MatchAlways, Default: "run",
+		Actions: []ActionDecl{{Name: "run", Instrs: []Instr{{Op: OpAdd, Dst: "o", A: F("x"), B: Imm(1)}}}}}
+	for _, order := range [][]TableDecl{{w1, r, w5}, {w1, w5, r}} {
+		sw := mustSwitch(t, Program{Fields: fields, Parser: parser, Tables: order}, BaseArch())
+		out, err := sw.Process(0, []byte{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []byte{9, 8}; !bytes.Equal(out[0].Packet, want) {
+			t.Errorf("declared %s %s %s: packet % x, want % x", order[0].Name, order[1].Name, order[2].Name, out[0].Packet, want)
+		}
 	}
 }
 
@@ -778,11 +814,11 @@ func TestNarrowContainerArithmetic(t *testing.T) {
 
 // The plan writes straight to the PHV and relies on the compiler for stage
 // semantics (see plan): no table may read a field another table of its stage
-// writes — as an operand, a predicate, a match key or a stateful op's index
-// — whichever of the two is placed first. Were this rule relaxed, a reader
-// placed after the writer would see the written value instead of the
-// stage-entry one, and grouping a stage's steps by kind could move a reader
-// placed first after the writer.
+// writes — as an operand, a csel selector, a match key or a stateful op's
+// index — whichever of the two is declared first. Were this rule relaxed, a
+// reader declared after the writer would see the written value instead of
+// the stage-entry one, and grouping a stage's steps by kind could move a
+// reader declared first after the writer.
 func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
 	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
@@ -793,8 +829,8 @@ func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	readers := map[string]TableDecl{
 		"operand": {Name: "r", Stage: 0, Kind: MatchAlways,
 			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: F("x")}}}}, Default: "r"},
-		"predicate": {Name: "r", Stage: 0, Kind: MatchAlways,
-			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: Imm(1), Pred: "x"}}}}, Default: "r"},
+		"selector": {Name: "r", Stage: 0, Kind: MatchAlways,
+			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpCsel, Dst: "o", A: Imm(1), B: Imm(0), Pred: "x"}}}}, Default: "r"},
 		"key": {Name: "r", Stage: 0, Kind: MatchExact, Key: []string{"x"},
 			Actions: []ActionDecl{{Name: "r", Instrs: []Instr{{Op: OpMov, Dst: "o", A: Imm(1)}}}},
 			Entries: []EntryDecl{{Value: 1, Action: "r"}}},
@@ -803,17 +839,17 @@ func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 				Register: "q", IndexField: "x", True: UZero, Output: OutOld, OutputField: "o",
 			}}}, Default: "r"},
 	}
+	want := `ingress table "r" (stage 0): reads field "x", which table "w" of its stage writes`
 	for name, reader := range readers {
 		prog := Program{Fields: fields, Parser: parser, Tables: []TableDecl{writer, reader}}
 		if reader.Actions[0].Stateful != nil {
 			prog.Registers = []RegisterDecl{{Name: "q", Width: 8, Size: 4}}
 		}
-		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), "cannot flow backward") {
-			t.Errorf("%s reading an earlier table's write in its stage: err = %v", name, err)
+		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s reading an earlier table's write in its stage: err = %v, want it to say %s", name, err, want)
 		}
-		// Placed before the writer, the reader is refused too, by name.
+		// Declared before the writer, the reader is refused the same way.
 		prog.Tables = []TableDecl{reader, writer}
-		want := `ingress table "r" (stage 0): reads field "x", which table "w" of its stage writes`
 		if _, err := New(prog, BaseArch()); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s reading ahead of the writer: err = %v, want it to say %s", name, err, want)
 		}
@@ -881,7 +917,7 @@ func hazardProg() Program {
 					{Op: OpAdd, Dst: "idx", A: F("idx"), B: Imm(1)},
 					{Op: OpAdd, Dst: "in", A: F("in"), B: Imm(1000)},
 					{Op: OpAdd, Dst: "sh", A: F("sh"), B: Imm(1)},
-					{Op: OpXor, Dst: "cf", A: F("cf"), B: Imm(1)},
+					{Op: OpOr, Dst: "cf", A: F("cf"), B: Imm(1)},
 				},
 				Stateful: &StatefulOp{
 					Register: "r", IndexField: "idx", InField: "in", ShiftField: "sh",
@@ -998,9 +1034,9 @@ func TestStatefulErrorMidPipeline(t *testing.T) {
 }
 
 // A register lives in the stage and gress of the one table that accesses
-// it: an auto-placed stateful table lands after its producers and takes its
-// register there, SRAM and stateful ALU included. A register no table
-// accesses has no stage and is refused, as is one two tables access.
+// it: a stateful table in the stage after its producer takes its register
+// there, SRAM and stateful ALU included. A register no table accesses has
+// no stage and is refused, as is one two tables access.
 func TestRegisterFollowsItsTable(t *testing.T) {
 	prog := Program{
 		Fields: []FieldDecl{
@@ -1013,9 +1049,9 @@ func TestRegisterFollowsItsTable(t *testing.T) {
 			{Field: "out", Offset: 5, Bytes: 4}, {Field: "hi", Offset: 9, Bytes: 4},
 		},
 		Tables: []TableDecl{
-			{Name: "inc", Stage: -1, Kind: MatchAlways,
+			{Name: "inc", Stage: 0, Kind: MatchAlways,
 				Actions: []ActionDecl{{Name: "i", Instrs: []Instr{{Op: OpAdd, Dst: "b", A: F("a"), B: Imm(1)}}}}, Default: "i"},
-			{Name: "sum", Stage: -1, Kind: MatchAlways, // reads b: stage 1
+			{Name: "sum", Stage: 1, Kind: MatchAlways, // reads b
 				Actions: []ActionDecl{{Name: "s", Stateful: &StatefulOp{
 					Register: "acc", IndexField: "idx", InField: "b", True: UAddIn, Output: OutNew, OutputField: "out",
 				}}}, Default: "s"},

@@ -27,7 +27,7 @@ import (
 //     errors and counters mean the same in both.
 //
 // The sequence follows the stages in order and, inside a stage, the tables
-// in placement order. An always-table dissolves into its action's steps. A
+// in declaration order. An always-table dissolves into its action's steps. A
 // keyed table is one lookup step followed by each action's steps; the lookup
 // jumps to the matched (or default) action, whose last step skips past the
 // table. A keyed table none of whose actions keeps a step is left out,
@@ -43,7 +43,7 @@ import (
 // steps may run in any order that keeps each stateful op after its
 // action's instructions: no step of a stage reads a field another step of
 // it writes. checkDependencies refuses a table that reads a field another
-// table of its stage writes, whichever is placed first; compileAction
+// table of its stage writes, whichever is declared first; compileAction
 // refuses an instruction that reads another's destination, and a stateful
 // op — which runs after its action's instructions — that reads one of
 // theirs.
@@ -84,16 +84,14 @@ const (
 
 // step is one plan step.
 type step struct {
-	kind    stepKind
-	hasPred bool
-	predNeg bool
+	kind stepKind
 	// skip is how many steps to pass over after this one: on an action's
 	// last step, the table's remaining actions.
 	skip uint32
 	dst  fieldID
 	mask uint32 // dst's width mask
 	a, b operand
-	pred fieldID
+	pred fieldID // a csel's selector
 }
 
 // operand is an instruction source: the PHV slot holding its value (a
@@ -114,7 +112,6 @@ type planSalu struct {
 	signBit uint32
 	width   uint32
 	sx      uint8  // 32 - register width: sign-extends a stored value
-	condSx  uint8  // 32 - width of a CondPhv field
 	outMask uint32 // the output field's width mask
 }
 
@@ -374,12 +371,17 @@ func (c *compiled) lowerGress(stages [][]*cTable, values []int, lw *lowering) []
 // steps whose results reach live, and adds to live the fields the kept steps
 // read.
 //
-// Liveness walks the placed tables backward. A stateful op is always kept
+// Liveness walks the staged tables backward. A stateful op is always kept
 // and its reads become live; an instruction is kept only if its destination
-// is live, and then its operands and predicate become live; a keyed table is
-// kept only if one of its actions keeps a step, and then its key becomes
-// live. The live set only grows: a write does not end its field's liveness
-// upstream, which would be wrong for a predicated one. Walking a stage one
+// is live, and then its operands and csel selector become live; a keyed
+// table is kept only if one of its actions keeps a step, and then its key
+// becomes live. The live set only grows: a write does not end its field's
+// liveness upstream. Ending it is sound only at a write every packet of the
+// pass makes — an always-table's or a dissolved table's action, not a keyed
+// table's, whose lookup may pick another action — and there it would drop
+// only steps whose values are overwritten before anything reads them. The
+// FPISA program has no such step, so ending liveness there lowers the same
+// plans, and the monotone set needs no such distinction. Walking a stage one
 // step at a time is sound in any order because no step of a stage reads a
 // value another step of that stage writes: a write made live by a read in
 // its own stage is at worst kept for nothing.
@@ -555,8 +557,7 @@ func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 		ci := &a.instrs[i]
 		lw.steps = append(lw.steps, step{
 			kind: stepKind(ci.op), dst: ci.dst, mask: c.ft.masks[ci.dst],
-			a: resolve(ci.a), b: resolve(ci.b),
-			hasPred: ci.hasPred, predNeg: ci.predNeg, pred: ci.pred,
+			a: resolve(ci.a), b: resolve(ci.b), pred: ci.pred,
 		})
 	}
 	if op := a.stateful; op != nil {
@@ -564,9 +565,6 @@ func (c *compiled) lowerAction(lw *lowering, a *cAction, params []uint32) {
 		ps := planSalu{
 			cStatefulOp: op,
 			mask:        widthMask(w), signBit: 1 << (w - 1), width: uint32(w), sx: uint8(32 - w),
-		}
-		if op.cond.Kind == CondPhv {
-			ps.condSx = uint8(32 - c.ft.width(op.condField))
 		}
 		if op.output != OutNone {
 			ps.outMask = c.ft.masks[op.outField]
@@ -584,16 +582,8 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 		st := &steps[pc]
 		pc += 1 + int(st.skip)
 
-		// Control steps carry no predicate and, but for a lookup's one-field
-		// key, read the constant 0 as operands: what precedes the switch is
-		// idle for them.
-		predVal := true
-		if st.hasPred {
-			predVal = (vals[st.pred] != 0) != st.predNeg
-			if !predVal && st.kind != stepKind(OpCsel) {
-				continue
-			}
-		}
+		// Control steps read, but for a lookup's one-field key, the constant
+		// 0 as operands: the loads are idle for them.
 		a, b := vals[st.a.id], vals[st.b.id]
 		var v uint32
 		switch st.kind {
@@ -628,43 +618,25 @@ func (s *Switch) runPlan(phv *Phv, pl *plan) error {
 			v = a + b
 		case stepKind(OpSub):
 			v = a - b
-		case stepKind(OpAnd):
-			v = a & b
 		case stepKind(OpOr):
 			v = a | b
-		case stepKind(OpXor):
-			v = a ^ b
-		case stepKind(OpNot):
-			v = ^a
 		case stepKind(OpShl):
 			v = shl32(a, b)
 		case stepKind(OpShrL):
 			v = shrl32(a, b)
 		case stepKind(OpShrA):
 			v = uint32(shra32(signExtend(a, st.a.sx), b))
-		case stepKind(OpMin):
-			v = min(a, b)
-		case stepKind(OpMax):
-			v = max(a, b)
-		case stepKind(OpMinS):
-			v = uint32(min(signExtend(a, st.a.sx), signExtend(b, st.b.sx)))
-		case stepKind(OpMaxS):
-			v = uint32(max(signExtend(a, st.a.sx), signExtend(b, st.b.sx)))
 		case stepKind(OpEq):
 			v = boolBit(a == b)
 		case stepKind(OpNe):
 			v = boolBit(a != b)
-		case stepKind(OpLtU):
-			v = boolBit(a < b)
 		case stepKind(OpLtS):
 			v = boolBit(signExtend(a, st.a.sx) < signExtend(b, st.b.sx))
-		case stepKind(OpGeU):
-			v = boolBit(a >= b)
 		case stepKind(OpGeS):
 			v = boolBit(signExtend(a, st.a.sx) >= signExtend(b, st.b.sx))
 		case stepKind(OpCsel):
 			v = b
-			if predVal {
+			if vals[st.pred] != 0 {
 				v = a
 			}
 		}
@@ -694,17 +666,9 @@ func (s *Switch) salu(op *planSalu, vals []uint32) error {
 	pred := true
 	switch op.cond.Kind {
 	case CondCmpOldIn:
-		a, b := int64(in), int64(old)
-		if op.cond.Signed {
-			a, b = int64(signExtend(in, op.sx)), int64(signExtend(old, op.sx))
-		}
-		pred = op.cond.Cmp.apply(a, b+op.cond.Off)
+		pred = op.cond.Cmp.apply(int64(in), int64(old)+op.cond.Off)
 	case CondPhv:
-		v := int64(vals[op.condField])
-		if op.cond.Signed {
-			v = int64(signExtend(vals[op.condField], op.condSx))
-		}
-		pred = op.cond.Cmp.apply(v, op.cond.Off)
+		pred = op.cond.Cmp.apply(int64(vals[op.condField]), op.cond.Off)
 	}
 	upd := op.false_
 	if pred {
@@ -720,14 +684,8 @@ func (s *Switch) salu(op *planSalu, vals []uint32) error {
 		newVal = 0
 	case UAddIn:
 		newVal, overflow = op.add(old, in)
-	case USubIn:
-		newVal, overflow = op.add(old, -in&op.mask)
 	case UMaxIn:
 		if op.greater(in, old) {
-			newVal = in
-		}
-	case UMinIn:
-		if op.greater(old, in) {
 			newVal = in
 		}
 	case URsawAddIn:
@@ -745,8 +703,6 @@ func (s *Switch) salu(op *planSalu, vals []uint32) error {
 		vals[op.outField] = old & op.outMask
 	case OutNew:
 		vals[op.outField] = newVal & op.outMask
-	case OutPred:
-		vals[op.outField] = boolBit(pred)
 	}
 	if op.hasOvField {
 		vals[op.ovField] = boolBit(overflow)

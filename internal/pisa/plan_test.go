@@ -52,7 +52,7 @@ func twoLPMProg(write bool) Program {
 	second := TableDecl{
 		Name: "second", Stage: 2, Kind: MatchLPM, Key: []string{"m"},
 		Actions: []ActionDecl{
-			{Name: "b", Instrs: []Instr{{Op: OpXor, Dst: "y", A: F("y"), B: P(0)}}},
+			{Name: "b", Instrs: []Instr{{Op: OpSub, Dst: "y", A: F("y"), B: P(0)}}},
 			{Name: "miss", Instrs: []Instr{{Op: OpMov, Dst: "y", A: Imm(7)}}},
 		},
 		Default: "miss",

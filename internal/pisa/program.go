@@ -440,16 +440,14 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		}
 	}
 
-	// Stage assignment happens in checkDependencies (needs writer info);
-	// record the declared stage for now.
-	t.stage = d.Stage
-	max := c.arch.IngressStages
+	stages := c.arch.IngressStages
 	if d.Egress {
-		max = c.arch.EgressStages
+		stages = c.arch.EgressStages
 	}
-	if d.Stage != -1 && (d.Stage < 0 || d.Stage >= max) {
-		return nil, fmt.Errorf("pisa: table %q: stage %d out of range 0..%d", d.Name, d.Stage, max-1)
+	if d.Stage < 0 || d.Stage >= stages {
+		return nil, fmt.Errorf("pisa: table %q: stage %d out of range 0..%d", d.Name, d.Stage, stages-1)
 	}
+	t.stage = d.Stage
 	return t, nil
 }
 
@@ -490,7 +488,7 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 		if err != nil {
 			return nil, fmt.Errorf("pisa: table %q action %q: dst: %w", td.Name, ad.Name, err)
 		}
-		ci.dst, ci.dstWidth = id, c.ft.width(id)
+		ci.dst = id
 		if written[id] {
 			return nil, fmt.Errorf("pisa: table %q action %q: field %q written twice; hardware allows one write per container per stage (use csel)",
 				td.Name, ad.Name, in.Dst)
@@ -510,14 +508,15 @@ func (c *compiled) compileAction(td *TableDecl, ad *ActionDecl) (*cAction, error
 			return nil, fmt.Errorf("pisa: table %q action %q: %v distance must be a compile-time immediate on this architecture; field or action-data distances require the VariableShift extension (§4.2) — expand into per-distance match entries instead",
 				td.Name, ad.Name, in.Op)
 		}
-		if in.Pred != "" {
-			pid, err := c.ft.lookup(in.Pred)
-			if err != nil {
+		switch {
+		case in.Op != OpCsel && in.Pred != "":
+			return nil, fmt.Errorf("pisa: table %q action %q: %v takes no Pred field; only csel is predicated", td.Name, ad.Name, in.Op)
+		case in.Op == OpCsel && in.Pred == "":
+			return nil, fmt.Errorf("pisa: table %q action %q: csel needs a Pred field", td.Name, ad.Name)
+		case in.Op == OpCsel:
+			if ci.pred, err = c.ft.lookup(in.Pred); err != nil {
 				return nil, fmt.Errorf("pisa: table %q action %q: pred: %w", td.Name, ad.Name, err)
 			}
-			ci.pred, ci.hasPred, ci.predNeg = pid, true, in.PredNeg
-		} else if in.Op == OpCsel {
-			return nil, fmt.Errorf("pisa: table %q action %q: csel needs a Pred field", td.Name, ad.Name)
 		}
 		a.instrs = append(a.instrs, ci)
 	}
@@ -561,6 +560,16 @@ func (c *compiled) compileStateful(td *TableDecl, ad *ActionDecl, s *StatefulOp,
 	regID, ok := c.regIDs[s.Register]
 	if !ok {
 		return nil, fmt.Errorf("pisa: table %q action %q: unknown register %q", td.Name, ad.Name, s.Register)
+	}
+	switch {
+	case s.Cond.Kind < CondAlways || s.Cond.Kind > CondPhv:
+		return nil, fmt.Errorf("pisa: table %q action %q: unknown stateful condition kind %d", td.Name, ad.Name, s.Cond.Kind)
+	case s.Cond.Cmp < CmpNe || s.Cond.Cmp > CmpGt:
+		return nil, fmt.Errorf("pisa: table %q action %q: unknown stateful comparison %d", td.Name, ad.Name, s.Cond.Cmp)
+	case s.True < UKeepOld || s.True > URsawAddIn || s.False < UKeepOld || s.False > URsawAddIn:
+		return nil, fmt.Errorf("pisa: table %q action %q: unknown stateful update: True %d, False %d", td.Name, ad.Name, s.True, s.False)
+	case s.Output < OutNone || s.Output > OutNew:
+		return nil, fmt.Errorf("pisa: table %q action %q: unknown stateful output %d", td.Name, ad.Name, s.Output)
 	}
 	op := &cStatefulOp{regID: regID, cond: s.Cond, true_: s.True, false_: s.False,
 		signed: s.Signed, output: s.Output}

@@ -29,33 +29,20 @@ const (
 type CmpOp int
 
 const (
-	CmpEq CmpOp = iota
-	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
+	CmpNe CmpOp = iota // a != b
+	CmpGt              // a > b
 )
 
 func (c CmpOp) apply(a, b int64) bool {
-	switch c {
-	case CmpEq:
-		return a == b
-	case CmpNe:
-		return a != b
-	case CmpLt:
-		return a < b
-	case CmpLe:
-		return a <= b
-	case CmpGt:
+	if c == CmpGt {
 		return a > b
-	case CmpGe:
-		return a >= b
 	}
-	return false
+	return a != b
 }
 
-// SaluCond is the stateful ALU predicate.
+// SaluCond is the stateful ALU predicate. Its operands compare unsigned,
+// zero-extended from their widths: the FPISA program compares biased
+// exponents and 0/1 flags.
 type SaluCond struct {
 	Kind SaluCondKind
 	// Cmp is the comparison operator for CondCmpOldIn / CondPhv.
@@ -65,8 +52,6 @@ type SaluCond struct {
 	// Off is the constant addend: CondCmpOldIn evaluates in CMP (old+Off);
 	// CondPhv evaluates PHV[Field] CMP Off.
 	Off int64
-	// Signed selects signed interpretation of old/in for the comparison.
-	Signed bool
 }
 
 // SaluUpdate selects how the stored value is recomputed.
@@ -79,14 +64,10 @@ const (
 	USetIn
 	// UAddIn accumulates: new = old + in.
 	UAddIn
-	// USubIn sets new = old - in.
-	USubIn
 	// UZero clears the register (used to reset aggregation slots on read).
 	UZero
 	// UMaxIn sets new = max(old, in).
 	UMaxIn
-	// UMinIn sets new = min(old, in).
-	UMinIn
 	// URsawAddIn is the paper's read-shift-add-write extension (§4.2):
 	// new = (old >> PHV[ShiftField]) + in, with an arithmetic shift when
 	// Signed. Compiling it requires Features.RSAW.
@@ -103,8 +84,6 @@ const (
 	OutOld
 	// OutNew outputs the post-update value.
 	OutNew
-	// OutPred outputs the predicate as 0/1.
-	OutPred
 )
 
 // StatefulOp is one register action: a guarded read-modify-write against a

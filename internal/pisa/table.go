@@ -64,8 +64,9 @@ type EntryDecl struct {
 // TableDecl declares one logical match-action table.
 type TableDecl struct {
 	Name string
-	// Stage places the table in a specific stage of its gress; -1 lets the
-	// compiler choose the earliest stage satisfying dependencies.
+	// Stage is the table's stage in its gress, 0 up to the gress's stage
+	// count minus one; every table names one, and the compiler checks the
+	// dataflow against it rather than choosing.
 	Stage int
 	// Egress places the table in the egress pipeline.
 	Egress bool
