@@ -16,7 +16,7 @@
 // aggregation service (a multi-tenant sharded switch with a runtime job
 // lifecycle), and the transport fabrics it runs over — a vectored,
 // buffer-reusing I/O contract (internal/transport's SendBatch/RecvBatch/
-// BatchHandler) that moves packet vectors per pipeline pass instead of one
+// BatchHandler) that moves packet vectors per handler call instead of one
 // datagram and two copies at a time. The cmd/fpisa-bench tool regenerates
 // every table and figure of the paper's evaluation; cmd/fpisa-switch and
 // cmd/fpisa-query run and operate the service over real sockets.

@@ -247,8 +247,8 @@ func ahead(chunk uint32, base, span int64) int64 {
 	return d
 }
 
-// aggregator is the pipeline surface a shard drives — the seam that lets
-// tests inject pipeline faults. It moves wire bytes
+// aggregator is the arithmetic surface a shard drives — the seam that lets
+// tests inject faults and count operations. It moves wire bytes
 // (core.ProfileAggregator.AddInto): an ADD's value region in, the sums out
 // into a non-nil out, and the overflow bit the wire carries. SetInto is the
 // first ADD of a slot version: it adds into the slot as if freshly zeroed.
@@ -275,7 +275,7 @@ type JobStats struct {
 	// analytics jobs Adds counts tuples folded and Completions counts
 	// tuple batches.
 	Class AdmitClass
-	// Adds counts values aggregated into the pipeline for this job.
+	// Adds counts values aggregated into the switch for this job.
 	Adds uint64
 	// Retransmits counts duplicate ADDs observed — the switch-side view
 	// of the job's retransmission traffic.
@@ -441,10 +441,11 @@ type Switch struct {
 	shards []*shard
 	jobs   []jobState
 
-	// proto is the default profile's compiled pipeline, built once at
-	// construction: every default-profile bank replicates it (fresh
-	// registers, shared program), and it supplies the Utilization report.
-	proto *core.ProfileAggregator
+	// util is the resource report of the default FPISA program, compiled
+	// once at construction for Config's Mode, Modules and Arch: the
+	// witness that the configured shape fits the switch. No packet runs
+	// through it; every bank sums on a core.ProfileAggregator.
+	util pisa.Utilization
 
 	// OnLifecycle, when set before the switch starts handling traffic, is
 	// called on every admit / drain-begin / release transition (under the
@@ -474,7 +475,7 @@ type shard struct {
 }
 
 // bank is the stripe of one training incarnation's slots on one shard: the
-// pipeline registers and the protocol state of the same slots, under one
+// aggregator's registers and the protocol state of the same slots, under one
 // bank-local index (local slot / Shards). Each incarnation has its own
 // aggregator, which is what lets tenants run different arithmetic.
 type bank struct {
@@ -520,14 +521,14 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	// One (job, shard) bank covers the job's slots striped onto that shard —
 	// at most ceil(2·Pool / shards) of them.
 	perBank := (2*cfg.Pool + nsh - 1) / nsh
-	pa0, err := core.NewProfileAggregator(core.DefaultProfile, cfg.Mode, cfg.Modules, perBank, cfg.Arch)
+	util, err := compile(cfg, perBank)
 	if err != nil {
 		return nil, err
 	}
 	s := &Switch{
 		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank, span: cfg.span(),
-		jobs:  make([]jobState, ncap),
-		proto: pa0,
+		jobs: make([]jobState, ncap),
+		util: util,
 	}
 	for k := 0; k < nsh; k++ {
 		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, schedRoundAge)})
@@ -545,17 +546,30 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	return s, nil
 }
 
+// compile builds and compiles the default FPISA program for the configured
+// mode, module count and architecture, with a bank's slots, and returns its
+// resource report. A shape the switch cannot hold — more modules than
+// core.MaxModules(arch), or full FPISA without the RSAW extension — fails
+// here, before any job is admitted.
+func compile(cfg Config, slots int) (pisa.Utilization, error) {
+	prog, _, err := core.BuildProgram(core.DefaultFP32(cfg.Mode), cfg.Modules, slots, cfg.Arch)
+	if err != nil {
+		return pisa.Utilization{}, err
+	}
+	sw, err := pisa.New(prog, cfg.Arch)
+	if err != nil {
+		return pisa.Utilization{}, fmt.Errorf("aggservice: FPISA program failed to compile: %w", err)
+	}
+	return sw.Utilization(), nil
+}
+
 // newBanks builds a training incarnation's per-shard banks under profile p:
-// fresh registers replicated from p's prototype — the switch's compiled
-// default pipeline, or a bit-exact accumulator for every other profile — and
-// every slot free.
+// one accumulator bank per shard, replicated from a prototype built from
+// the job's Config, and every slot free.
 func (s *Switch) newBanks(p core.NumericProfile) ([]bank, error) {
-	proto := s.proto
-	if p != core.DefaultProfile {
-		var err error
-		if proto, err = core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch); err != nil {
-			return nil, err
-		}
+	proto, err := core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch)
+	if err != nil {
+		return nil, err
 	}
 	banks := make([]bank, s.nsh)
 	for k := range banks {
@@ -567,9 +581,9 @@ func (s *Switch) newBanks(p core.NumericProfile) ([]bank, error) {
 	return banks, nil
 }
 
-// Utilization exposes the compiled pipeline's resource report (identical
-// across replicas: they share one compiled program).
-func (s *Switch) Utilization() pisa.Utilization { return s.proto.Utilization() }
+// Utilization is the resource report of the default FPISA program compiled
+// for this switch's shape (the paper's Table 3 layout).
+func (s *Switch) Utilization() pisa.Utilization { return s.util }
 
 // Shards returns the effective shard count.
 func (s *Switch) Shards() int { return s.nsh }
@@ -931,13 +945,13 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		return refusal{} // duplicate while aggregation is in progress
 	}
 
-	// Aggregate first, account afterwards: if the pipeline rejects the
+	// Aggregate first, account afterwards: if the aggregator rejects the
 	// add, the slot must stay retransmittable — marking the worker seen
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
 	// Only the ADD that completes the chunk reads the running sums, straight
 	// into the packet they leave in (the RESULT, or a leaf's uplink ADD);
-	// every other one passes a nil out, so the pipeline absorbs it.
+	// every other one passes a nil out, so no response is built.
 	var pkt, sums []byte
 	nSeen := st.nSeen + 1 // once this ADD counts
 	if fresh {
@@ -953,9 +967,9 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	var ovf bool
 	var err error
 	if fresh {
-		// The first ADD of a slot version binds by overwrite: one pipeline
-		// pass stores the values over whatever the slot's previous chunk
-		// left, and the slot is bound only once that pass has succeeded —
+		// The first ADD of a slot version binds by overwrite: one SetInto
+		// stores the values over whatever the slot's previous chunk
+		// left, and the slot is bound only once that call has succeeded —
 		// a failed one leaves the slot's protocol state as it was and
 		// refunds the scheduler, so the job is not billed for work that
 		// never ran. Rebinding ends the previous slot version: its cached

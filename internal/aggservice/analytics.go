@@ -280,8 +280,8 @@ type analyticsJob struct {
 
 	// Per-group FPISA sum accumulators (query sums / telemetry per-class
 	// utilization): one scalar slot per group, running the job's
-	// negotiated arithmetic on the compiled pipeline for the default
-	// profile. seen marks touched groups so drains skip cold ones.
+	// negotiated arithmetic. seen marks touched groups so drains skip cold
+	// ones.
 	acc  aggregator
 	seen []bool
 
@@ -309,8 +309,8 @@ const (
 )
 
 // newAnalyticsJob builds one analytics tenant's register state; build
-// supplies the per-group accumulator bank (compiled under the job's
-// numeric profile prof, one scalar slot per group).
+// supplies the per-group accumulator bank (under the job's numeric profile
+// prof, one scalar slot per group).
 func newAnalyticsJob(ac AdmitClass, prof core.NumericProfile, workers int, build func(slots int) (aggregator, error)) (*analyticsJob, error) {
 	an := &analyticsJob{
 		ac:      ac,
@@ -340,10 +340,10 @@ func newAnalyticsJob(ac AdmitClass, prof core.NumericProfile, workers int, build
 	return an, nil
 }
 
-// buildAnalytics constructs one analytics job's register state, compiling
-// its per-group accumulator bank under the job's numeric profile — one
-// scalar slot per group, so the default profile runs the same compiled §4
-// pipeline arithmetic as internal/query's switch plan, bit for bit.
+// buildAnalytics constructs one analytics job's register state: its
+// per-group accumulator bank under the job's numeric profile, one scalar
+// slot per group, on the same core.Accumulator arithmetic as
+// internal/query's switch plan, bit for bit. Admission compiles nothing.
 func (s *Switch) buildAnalytics(ac AdmitClass, prof core.NumericProfile) (*analyticsJob, error) {
 	return newAnalyticsJob(ac, prof, s.cfg.Workers, func(slots int) (aggregator, error) {
 		return core.NewProfileAggregator(prof, s.cfg.Mode, 1, slots, s.cfg.Arch)

@@ -63,7 +63,7 @@
 // tenant's unspent deficit on every shard — a leaving job can neither
 // block the round nor hand leftover budget to the id's next incarnation.
 //
-// # Numeric profiles (per-job compiled arithmetic)
+// # Numeric profiles (per-job arithmetic)
 //
 // Precision is a per-tenant resource, negotiated at admission the same way
 // pipeline time is: weights share time, profiles share precision. A
@@ -82,12 +82,15 @@
 // On the switch, the one-pipeline-per-switch assumption is gone: each
 // job holds a BANK per shard — an aggregator plus the protocol state of the
 // job's slots striped onto that shard — built at admission and dropped
-// with the incarnation at release. Only the default profile runs the
-// compiled FPISA pipeline: the switch compiles it once at construction and
-// stamps every default-profile bank's registers off it (Replicate). Every
-// other profile runs on a bit-exact accumulator built at admission
+// with the incarnation at release. Every bank, whatever its profile, is a
+// bit-exact accumulator built at admission from the job's Config
 // (core.NewProfileAggregator), so two jobs with different profiles run
-// different arithmetic side by side on one switch. On the wire, ADD values
+// different arithmetic side by side on one switch. The compiled FPISA
+// program serves no packet: the switch compiles the default program once
+// at construction, for the configured Mode, Modules and Arch, as the
+// witness that the shape fits (a shape that does not is refused there) and
+// as the Utilization report, and core's differential tests hold the
+// accumulator to it. On the wire, ADD values
 // and RESULT sums are carried in the job's negotiated format — the 16-bit
 // formats halve the value payload — and a worker speaking the wrong width
 // for its job is refused as malformed rather than mis-decoded.
@@ -269,9 +272,9 @@
 //
 // The switch side is sharded across N independent pipeline replicas, the
 // way a multi-pipe ASIC stamps identical pipelines out of one P4 compile:
-// the FPISA program is compiled once and every default-profile bank
-// replicates it (core.ProfileAggregator.Replicate), and each job's 2·Pool
-// slots are striped slot → shard (see shardOf). An incarnation holds one
+// each job's banks are replicas of one accumulator bank
+// (core.ProfileAggregator.Replicate), and each job's 2·Pool slots are
+// striped slot → shard (see shardOf). An incarnation holds one
 // bank per shard — its registers plus the seen-bitmaps and result caches of
 // the slots striped there — and each shard's lock guards every live job's
 // bank on that shard, so packets addressed to different shards aggregate
@@ -309,21 +312,21 @@
 // and drops anything behind it as stale. The self-clocked window keeps a
 // live worker within 2·pool chunks of its slot, far from that ambiguity.
 //
-// A slot is rebound by overwrite, not by a reset pass: the first ADD of a
-// new chunk passes the draining and scheduler gates, then runs ONE
-// pipeline pass (the aggregator's SetInto, opcode core.PktSet) that stores
-// its values over whatever the slot's previous chunk left — bit for bit
-// what a read-reset followed by an add would leave. Only when that pass
-// has succeeded is the slot bound to the chunk; a failed pass refunds the
-// scheduler and leaves the slot unbound, so the sender's
+// A slot is rebound by overwrite, not by a reset: the first ADD of a new
+// chunk passes the draining and scheduler gates, then runs ONE aggregator
+// operation (SetInto; on the compiled program, one core.PktSet pass) that
+// stores its values over whatever the slot's previous chunk left — bit for
+// bit what a read-reset followed by an add would leave. Only when that
+// operation has succeeded is the slot bound to the chunk; a failed one
+// refunds the scheduler and leaves the slot unbound, so the sender's
 // retransmit binds it as if nothing had happened. Every later worker's
-// ADD is one AddInto pass, duplicates and replays are answered before the
-// pipeline, so a chunk costs exactly one pass per contribution, on the
-// ADD's value bytes as sent. Only the ADD that completes the chunk reads
-// the sums, into its fresh RESULT (a leaf's uplink ADD), in an emitting
-// pass; every other one passes nil and the pipeline absorbs it, running
-// only the steps that feed the slot's registers — one absorbed and one
-// emitted pass per two-worker chunk.
+// ADD is one AddInto, duplicates and replays are answered before the
+// aggregator, so a chunk costs exactly one aggregator operation per
+// contribution, on the ADD's value bytes as sent. Only the ADD that
+// completes the chunk reads the sums, into its fresh RESULT (a leaf's
+// uplink ADD); every other one passes a nil out and no response is built
+// — one discarding and one reading operation per two-worker chunk
+// (TestAggregatorOpsPerChunk).
 //
 // # Aggregation trees (uplink role)
 //

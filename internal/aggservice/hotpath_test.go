@@ -31,17 +31,17 @@ func (b addBatch) retarget(first uint32) {
 	}
 }
 
-// TestHandleBatchAllocations gates the switch side of the hot path on both
-// aggregator backends: an ADD batch that completes nothing allocates
-// nothing (validate, shard lock round and the SetInto pass that binds each
-// chunk all run on pooled or replica-owned scratch), and a completing batch
-// (the second worker's AddInto passes) allocates
+// TestHandleBatchAllocations gates the switch side of the hot path under a
+// 4-byte and a 2-byte profile: an ADD batch that completes nothing
+// allocates nothing (validate, shard lock round and the SetInto that binds
+// each chunk all run on pooled or bank-owned state), and a completing batch
+// (the second worker's AddInto calls) allocates
 // only what outlives the call — each chunk's cached RESULT and the run
 // reply that carries consecutive ones.
 func TestHandleBatchAllocations(t *testing.T) {
 	for name, prof := range map[string]core.NumericProfile{
-		"pipeline":    core.DefaultProfile,
-		"accumulator": {Format: core.FormatBF16},
+		"f32":  core.DefaultProfile,
+		"bf16": {Format: core.FormatBF16},
 	} {
 		cfg := Config{
 			Workers: 2, Pool: 64, Modules: 3, Shards: 2, Mode: core.ModeApprox, Arch: pisa.ExtendedArch(),
@@ -95,14 +95,14 @@ func TestHandleBatchAllocations(t *testing.T) {
 	}
 }
 
-// TestPipelinePassesPerChunk pins the pass count of the slot protocol as an
-// exact number, not a timing: every contribution costs one pipeline pass and
-// nothing else does — the first ADD of a chunk binds its slot by overwrite
-// instead of spending a read-reset pass first — and only the contribution
-// that completes a chunk emits, the others being absorbed (pisa.Absorb).
-// Retransmits, replays and refused binds never reach the pipeline, so the
-// counts do not depend on scheduling.
-func TestPipelinePassesPerChunk(t *testing.T) {
+// TestAggregatorOpsPerChunk pins the aggregator cost of the slot protocol as
+// an exact number, not a timing: every contribution costs one aggregator
+// operation and nothing else does — the first ADD of a chunk binds its slot
+// with SetInto instead of spending a ReadResetInto first — and only the
+// contribution that completes a chunk passes an out, the others discarding
+// the response unbuilt. Retransmits, replays and refused binds never reach
+// the aggregator, so the counts do not depend on scheduling.
+func TestAggregatorOpsPerChunk(t *testing.T) {
 	const n = 64 // chunks (Modules is 1)
 
 	t.Run("flat", func(t *testing.T) {
@@ -112,7 +112,7 @@ func TestPipelinePassesPerChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sw.Close()
-		passes := countPasses(t, sw, 0)
+		ops := countOps(sw, 0)
 		fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
 		if err != nil {
 			t.Fatal(err)
@@ -130,22 +130,22 @@ func TestPipelinePassesPerChunk(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if got, emitted := passes(); got != 2*n || emitted != n {
-			t.Fatalf("%d pipeline passes, %d emitted for %d two-worker chunks, want %d and %d", got, emitted, n, 2*n, n)
+		if got, emitted := ops(); got != 2*n || emitted != n {
+			t.Fatalf("%d aggregator operations, %d with an out, for %d two-worker chunks, want %d and %d", got, emitted, n, 2*n, n)
 		}
 	})
 
-	// One worker under each of two leaves: a chunk costs one pass per leaf
-	// (each leaf's only contribution binds and completes its slot, so both
-	// emit) and two at the spine, one absorbed and one emitted.
+	// One worker under each of two leaves: a chunk costs one operation per
+	// leaf (each leaf's only contribution binds and completes its slot, so
+	// both write a response) and two at the spine, one of them with an out.
 	t.Run("tree", func(t *testing.T) {
 		leafCfg := Config{Workers: 1, Pool: 4, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 		spineCfg := leafCfg
 		spineCfg.Workers = 2
 		spine, leaves, fabs := buildTree(t, leafCfg, spineCfg, 2, 0, 1, 0, -1)
-		counts := []func() (uint64, uint64){countPasses(t, spine, 0)}
+		counts := []func() (uint64, uint64){countOps(spine, 0)}
 		for _, l := range leaves {
-			counts = append(counts, countPasses(t, l, 0))
+			counts = append(counts, countOps(l, 0))
 		}
 		_, errs := treeReduce(leaves, fabs, leafCfg, 0, []uint8{0, 0}, gridVecs(len(leaves), n),
 			50*time.Millisecond, 500)
@@ -160,7 +160,7 @@ func TestPipelinePassesPerChunk(t *testing.T) {
 			got, emitted = got+r, emitted+e
 		}
 		if got != 4*n || emitted != 3*n {
-			t.Fatalf("%d pipeline passes, %d emitted for %d chunks through 2 leaves and a spine, want %d and %d",
+			t.Fatalf("%d aggregator operations, %d with an out, for %d chunks through 2 leaves and a spine, want %d and %d",
 				got, emitted, n, 4*n, 3*n)
 		}
 	})
@@ -265,8 +265,7 @@ func TestSendVecHoldsAWholeWindow(t *testing.T) {
 
 // TestCachedResultSurvivesScratchReuse is the aliasing regression for the
 // switch: a completed chunk's cached RESULT is a packet of its own, not a
-// view of the pooled batch scratch, the aggregator's Result or the pipeline
-// replica's deparse buffer. Complete chunk 0, push ≥ 2·Pool further chunks
+// view of the pooled batch scratch or the aggregator's state. Complete chunk 0, push ≥ 2·Pool further chunks
 // through the same shard (the rest of the job's own window and 2·Pool of a
 // second tenant), then retransmit chunk 0: the replay must be the bytes
 // first delivered.

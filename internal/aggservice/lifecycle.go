@@ -256,9 +256,9 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 // ErrBadProfile before any state moves.
 //
 // The zero Class admits a training tenant: one bank of fresh registers
-// (beside the bank's free slots) per shard. Under the default profile every
-// bank replicates the switch's one compiled pipeline; any other profile runs
-// on a bit-exact accumulator (core.NewProfileAggregator).
+// (beside the bank's free slots) per shard, each a bit-exact accumulator
+// bank under the job's profile (core.NewProfileAggregator), whatever the
+// profile.
 //
 // A query or telemetry Class provisions the job's analytics state — the
 // pruning registers, FPISA group accumulators, prefix classifier,
@@ -303,9 +303,9 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 		}
 		inc.up = newUplinkJob(s, inc, parentEpoch)
 	}
-	// Analytics state (pruning registers, accumulators, sketch rows)
-	// is built before any lock: the FPISA compile is the slow part and must
-	// not stall other tenants' lifecycle transitions.
+	// Analytics state (pruning registers, accumulators, sketch rows) is
+	// built before any lock, so allocating it does not stall other
+	// tenants' lifecycle transitions.
 	if spec.Class.Class != ClassTraining {
 		var err error
 		if inc.an, err = s.buildAnalytics(spec.Class, spec.Profile); err != nil {

@@ -398,3 +398,55 @@ func TestWorkerProfileMismatchRejected(t *testing.T) {
 		t.Fatalf("matched ADD deliveries: %v", ds)
 	}
 }
+
+// TestDefaultProfileReadsOutSubnormalAndOverflowingSums reduces, on a
+// default-profile switch, three elements whose sums the compiled FPISA
+// program cannot assemble: two subnormals and one past FLT_MAX. Every
+// profile serves from the accumulator, so the RESULTs carry its bytes —
+// the subnormals exactly, the overflow saturated to +Inf — where a
+// pipeline-backed switch answered 0xf5000000, 0 and a NaN (0x7fffffff).
+func TestDefaultProfileReadsOutSubnormalAndOverflowingSums(t *testing.T) {
+	cfg := Config{Workers: 2, Pool: 4, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	sw, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Workers, BatchHandler: sw.HandleBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	bits := func(b ...uint32) []float32 {
+		v := make([]float32, len(b))
+		for i := range b {
+			v[i] = math.Float32frombits(b[i])
+		}
+		return v
+	}
+	vecs := [][]float32{
+		bits(0x00000001, 0, 0x7f7fffff), // 1.4e-45, 0, FLT_MAX
+		bits(0, 0x00400000, 0x7f7fffff), // 0, 5.9e-39, FLT_MAX
+	}
+	want := []uint32{0x00000001, 0x00400000, 0x7f800000}
+	res := make([][]float32, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := range vecs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var err error
+			if res[w], err = NewWorker(w, fab, cfg).Reduce(vecs[w]); err != nil {
+				t.Errorf("worker %d: %v", w, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, r := range res {
+		for i, v := range r {
+			if got := math.Float32bits(v); got != want[i] {
+				t.Errorf("worker %d element %d: RESULT %#08x, want %#08x", w, i, got, want[i])
+			}
+		}
+	}
+}

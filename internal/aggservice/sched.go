@@ -122,7 +122,7 @@ func (d *drrSched) charge(job int, quantum int64) bool {
 }
 
 // refund returns one charged bind to job — the undo for a bind that was
-// admitted by the scheduler but then refused by the pipeline, so the job is
+// admitted by the scheduler but then refused by the aggregator, so the job is
 // not billed for work that never ran. Caller holds the shard lock.
 func (d *drrSched) refund(job int) {
 	j := &d.jobs[job]

@@ -153,7 +153,7 @@ func TestShardedReduceUnderLoss(t *testing.T) {
 	}
 }
 
-// flakyAgg injects pipeline faults into a shard's aggregator: the next
+// flakyAgg injects faults into a shard's aggregator: the next
 // failNext adding passes (a slot version's first ADD or a later one) fail.
 type flakyAgg struct {
 	aggregator
@@ -163,7 +163,7 @@ type flakyAgg struct {
 func (f *flakyAgg) fault() error {
 	if f.failNext > 0 {
 		f.failNext--
-		return errors.New("injected pipeline fault")
+		return errors.New("injected aggregator fault")
 	}
 	return nil
 }
@@ -182,37 +182,50 @@ func (f *flakyAgg) SetInto(idx int, vals, out []byte) (bool, error) {
 	return f.aggregator.SetInto(idx, vals, out)
 }
 
-// countPasses swaps every bank of job's live incarnation for a bare
-// compiled pipeline (core.ProfileAggregator hides its pisa.Switch; the seam
-// takes a *core.PipelineAggregator as it is) and returns a function summing
-// the packets those pipelines received — the exact number of pipeline passes
-// the job's traffic cost this switch — and emitted, the passes that built a
-// response. Call it before any traffic flows.
-func countPasses(t *testing.T, sw *Switch, job int) func() (received, emitted uint64) {
-	t.Helper()
-	cfg := sw.cfg
-	proto, err := core.NewPipelineAggregator(core.DefaultFP32(cfg.Mode), cfg.Modules, 2*cfg.Pool, cfg.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banks := sw.jobs[job].live.Load().banks
-	pipes := make([]*core.PipelineAggregator, len(banks))
-	for k := range banks {
-		pipes[k] = proto.Replicate()
-		banks[k].agg = pipes[k]
-	}
-	return func() (received, emitted uint64) {
-		for _, p := range pipes {
-			c := p.Switch().Counters()
-			received += c.Received
-			emitted += c.Emitted
-		}
-		return received, emitted
+// countingAgg counts the operations one bank's aggregator runs, and how
+// many of them were handed an out to write a response into.
+type countingAgg struct {
+	aggregator
+	ops, emitted *atomic.Uint64
+}
+
+func (c countingAgg) count(out []byte) {
+	c.ops.Add(1)
+	if out != nil {
+		c.emitted.Add(1)
 	}
 }
 
-// TestAddFailureLeavesSlotRetransmittable covers a failed pipeline pass on
-// both halves of a chunk. A failed FIRST add (the pass that binds the slot
+func (c countingAgg) AddInto(idx int, vals, out []byte) (bool, error) {
+	c.count(out)
+	return c.aggregator.AddInto(idx, vals, out)
+}
+
+func (c countingAgg) SetInto(idx int, vals, out []byte) (bool, error) {
+	c.count(out)
+	return c.aggregator.SetInto(idx, vals, out)
+}
+
+func (c countingAgg) ReadResetInto(idx int, out []byte) (bool, error) {
+	c.count(out)
+	return c.aggregator.ReadResetInto(idx, out)
+}
+
+// countOps wraps every bank of job's live incarnation in a countingAgg and
+// returns a function reading the totals: the aggregator operations the
+// job's traffic cost this switch, and how many of them wrote a response.
+// Call it before any traffic flows.
+func countOps(sw *Switch, job int) func() (ops, emitted uint64) {
+	var nops, nemitted atomic.Uint64
+	banks := sw.jobs[job].live.Load().banks
+	for k := range banks {
+		banks[k].agg = countingAgg{aggregator: banks[k].agg, ops: &nops, emitted: &nemitted}
+	}
+	return func() (uint64, uint64) { return nops.Load(), nemitted.Load() }
+}
+
+// TestAddFailureLeavesSlotRetransmittable covers a failed aggregator call on
+// both halves of a chunk. A failed FIRST add (the call that binds the slot
 // by overwrite) must leave the slot unbound and every ledger the bind
 // charged back where it was, so the retransmit binds as if nothing had
 // happened. A failed LATER add must not mark the worker's contribution as

@@ -22,9 +22,13 @@
 //
 // The package contains both a bit-exact software model (Accumulator) — the
 // equivalent of the paper's C library used for the §5.2 training studies —
-// and a builder that emits the same algorithm as a pisa.Program, so the
-// pipeline execution can be checked against the model instruction for
-// instruction.
+// and a builder that emits the same algorithm as a pisa.Program. The model
+// is what serves: the aggregation service, the query engine and the
+// training studies all sum on it. The
+// program is the compile-time oracle — it decides whether a shape fits a
+// switch and what it costs (Table 3) — and the differential checker of the
+// model (TestPipelineEquivalence), as the paper checks feasibility by
+// compiling and measures its applications by emulation (§6).
 //
 // # One arithmetic descriptor
 //
@@ -39,9 +43,9 @@
 //
 // # Wire bytes in, wire bytes out
 //
-// Both aggregation backends (PipelineAggregator on the compiled pipeline,
-// ProfileAggregator's accumulator bank for every other profile) expose one
-// operation set in two forms. AddInto/SetInto/ReadResetInto take an ADD's
+// Both aggregators (PipelineAggregator on the compiled pipeline, and
+// ProfileAggregator, the accumulator bank that serves every profile) expose
+// one operation set in two forms. AddInto/SetInto/ReadResetInto take an ADD's
 // value region as it arrived (the profile's wire format, big-endian), write
 // the sums into the caller's out in that format and return the one
 // overflow bit the wire carries, allocating nothing; the pipeline scratch

@@ -9,20 +9,43 @@ import (
 	"fpisa/internal/pisa"
 )
 
-// intoBackends builds one aggregator per backend: the compiled pipeline
-// (default profile) and the accumulator model (bf16).
-func intoBackends(t *testing.T) map[string]*ProfileAggregator {
+// intoAgg is the operation set both aggregators share: the …Into byte form
+// and the float32 host edge.
+type intoAgg interface {
+	AddInto(idx int, vals, out []byte) (bool, error)
+	SetInto(idx int, vals, out []byte) (bool, error)
+	ReadResetInto(idx int, out []byte) (bool, error)
+	Add(idx int, vals []float32) ([]float32, error)
+	ReadReset(idx int) ([]float32, error)
+}
+
+// intoBackend builds fresh aggregators of one kind with 3 modules and 16
+// slots, and names the profile of their wire bytes.
+type intoBackend struct {
+	prof  NumericProfile
+	build func() intoAgg
+}
+
+// intoBackends lists the compiled pipeline (PipelineAggregator) and the
+// accumulator bank that serves (ProfileAggregator) under the default and
+// the bf16 profile.
+func intoBackends(t *testing.T) map[string]intoBackend {
 	t.Helper()
-	out := make(map[string]*ProfileAggregator)
-	for name, prof := range map[string]NumericProfile{
-		"pipeline":    DefaultProfile,
-		"accumulator": {Format: FormatBF16},
-	} {
-		pa, err := NewProfileAggregator(prof, ModeApprox, 3, 16, pisa.ExtendedArch())
+	out := map[string]intoBackend{"pipeline": {DefaultProfile, func() intoAgg {
+		pa, err := NewPipelineAggregator(DefaultFP32(ModeApprox), 3, 16, pisa.ExtendedArch())
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = pa
+		return pa
+	}}}
+	for name, prof := range map[string]NumericProfile{"accumulator-f32": DefaultProfile, "accumulator-bf16": {Format: FormatBF16}} {
+		out[name] = intoBackend{prof, func() intoAgg {
+			pa, err := NewProfileAggregator(prof, ModeApprox, 3, 16, pisa.ExtendedArch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pa
+		}}
 	}
 	return out
 }
@@ -32,9 +55,8 @@ func intoBackends(t *testing.T) map[string]*ProfileAggregator {
 // form, and require the same responses — with the Into side writing into
 // one out buffer reused for the whole run.
 func TestIntoMatchesFreshResults(t *testing.T) {
-	for name, fresh := range intoBackends(t) {
-		into := fresh.Replicate()
-		p := fresh.Profile()
+	for name, b := range intoBackends(t) {
+		fresh, into, p := b.build(), b.build(), b.prof
 		out := make([]byte, p.ValueBytes()*3)
 		for i := 0; i < 200; i++ {
 			slot := i % 5
@@ -73,8 +95,9 @@ func TestIntoMatchesFreshResults(t *testing.T) {
 // A nil out discards the response but keeps the register side effect; on
 // the pipeline the pass is absorbed, emitting nothing.
 func TestIntoNilResultStillOperates(t *testing.T) {
-	for name, pa := range intoBackends(t) {
-		p := pa.Profile()
+	for name, b := range intoBackends(t) {
+		pa, p := b.build(), b.prof
+		pipe, _ := pa.(*PipelineAggregator)
 		if _, err := pa.AddInto(2, p.AppendValues(nil, []float32{9, 9, 9}), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +111,8 @@ func TestIntoNilResultStillOperates(t *testing.T) {
 		if r[0] != 2 || r[2] != 3 {
 			t.Errorf("%s: after a discarded add and set: %v", name, r)
 		}
-		if pa.pipe != nil {
-			if c := reg(t, pa.pipe, "cnt_reg", 2); c != 2 {
+		if pipe != nil {
+			if c := reg(t, pipe, "cnt_reg", 2); c != 2 {
 				t.Errorf("%s: count %d after a discarded add and set, want 2", name, c)
 			}
 		}
@@ -99,11 +122,11 @@ func TestIntoNilResultStillOperates(t *testing.T) {
 		if r, _ = pa.ReadReset(2); r[0] != 0 {
 			t.Errorf("%s: after a discarded read-reset: %v", name, r)
 		}
-		if pa.pipe != nil {
-			if c := reg(t, pa.pipe, "cnt_reg", 2); c != 0 {
+		if pipe != nil {
+			if c := reg(t, pipe, "cnt_reg", 2); c != 0 {
 				t.Errorf("%s: count %d after a discarded read-reset", name, c)
 			}
-			if c := pa.pipe.Switch().Counters(); c.Received != 5 || c.Emitted != 2 {
+			if c := pipe.Switch().Counters(); c.Received != 5 || c.Emitted != 2 {
 				t.Errorf("%s: counters %+v, want 5 passes of which the 2 with an out emitted", name, c)
 			}
 		}
@@ -113,7 +136,8 @@ func TestIntoNilResultStillOperates(t *testing.T) {
 // A float32 result must not alias aggregator or pipeline scratch: it stays
 // put while the aggregator keeps working.
 func TestFreshResultsSurviveLaterOperations(t *testing.T) {
-	for name, pa := range intoBackends(t) {
+	for name, b := range intoBackends(t) {
+		pa := b.build()
 		kept, err := pa.Add(1, []float32{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
@@ -130,8 +154,8 @@ func TestFreshResultsSurviveLaterOperations(t *testing.T) {
 }
 
 func TestIntoAllocatesNothing(t *testing.T) {
-	for name, pa := range intoBackends(t) {
-		p := pa.Profile()
+	for name, b := range intoBackends(t) {
+		pa, p := b.build(), b.prof
 		out := make([]byte, p.ValueBytes()*3)
 		vals := p.AppendValues(nil, []float32{1, -2, 0.5})
 		n := 0
@@ -167,5 +191,71 @@ func TestIntoAllocatesNothing(t *testing.T) {
 			}
 			n++
 		})
+	}
+}
+
+// BenchmarkAggregatorPaths times one AddInto on the compiled pipeline
+// (PipelineAggregator) against the accumulator bank that serves
+// (ProfileAggregator), FPISA-A at one module on the base and the extended
+// architecture and at three on the extended one, emitting (an out) and
+// absorbing (a nil out); the bank also runs bf16 at the same module count.
+// Slots cycle over 16 and values alternate sign per pass, so sums stay
+// bounded however long it runs.
+func BenchmarkAggregatorPaths(b *testing.B) {
+	const slots = 16
+	for _, shape := range []struct {
+		name    string
+		arch    pisa.Arch
+		modules int
+	}{
+		{"base-m1", pisa.BaseArch(), 1},
+		{"ext-m1", pisa.ExtendedArch(), 1},
+		{"ext-m3", pisa.ExtendedArch(), 3},
+	} {
+		pipe, err := NewPipelineAggregator(DefaultFP32(ModeApprox), shape.modules, slots, shape.arch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		type backend struct {
+			name string
+			prof NumericProfile
+			agg  intoAgg
+		}
+		backends := []backend{{"pipeline", DefaultProfile, pipe}}
+		for _, prof := range []NumericProfile{DefaultProfile, {Format: FormatBF16}} {
+			pa, err := NewProfileAggregator(prof, ModeApprox, shape.modules, slots, shape.arch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			backends = append(backends, backend{"accumulator-" + prof.Format.String(), prof, pa})
+		}
+		for _, be := range backends {
+			vals := make([]float32, shape.modules)
+			for k := range vals {
+				vals[k] = float32(k+1) / 8
+			}
+			pos := be.prof.AppendValues(nil, vals)
+			for k := range vals {
+				vals[k] = -vals[k]
+			}
+			neg := be.prof.AppendValues(nil, vals)
+			for _, out := range [][]byte{make([]byte, len(pos)), nil} {
+				name := shape.name + "/" + be.name + "/emit"
+				if out == nil {
+					name = shape.name + "/" + be.name + "/absorb"
+				}
+				b.Run(name, func(b *testing.B) {
+					for n := 0; n < b.N; n++ {
+						in := pos
+						if n/slots%2 == 1 {
+							in = neg
+						}
+						if _, err := be.agg.AddInto(n%slots, in, out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

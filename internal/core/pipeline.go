@@ -38,16 +38,6 @@ func NewPipelineAggregator(cfg Config, modules, slots int, arch pisa.Arch) (*Pip
 	return &PipelineAggregator{sw: sw, lay: lay, req: make([]byte, lay.PacketBytes)}, nil
 }
 
-// Replicate builds another pipeline running the same compiled FPISA
-// program with fresh register state — the way a multi-pipe switch ASIC
-// stamps identical pipelines out of one P4 compile. It costs one register
-// bank instead of a full recompile, making per-shard replicas cheap for
-// sharded aggregation services. The replica's state is independent:
-// concurrent operations on different replicas are safe.
-func (pa *PipelineAggregator) Replicate() *PipelineAggregator {
-	return &PipelineAggregator{sw: pa.sw.Replicate(), lay: pa.lay, req: make([]byte, pa.lay.PacketBytes)}
-}
-
 // Switch exposes the underlying simulated switch (registers, counters).
 func (pa *PipelineAggregator) Switch() *pisa.Switch { return pa.sw }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -58,6 +59,14 @@ func newAgg(t *testing.T, mode Mode, arch pisa.Arch, modules, slots int) *Pipeli
 		t.Fatal(err)
 	}
 	return pa
+}
+
+// Replicate builds another aggregator on the same compiled program with
+// fresh register state (pisa.Switch.Replicate): one register bank instead
+// of a recompile, so the differential tests run every input on fresh
+// replicas of one build.
+func (pa *PipelineAggregator) Replicate() *PipelineAggregator {
+	return &PipelineAggregator{sw: pa.sw.Replicate(), lay: pa.lay, req: make([]byte, pa.lay.PacketBytes)}
 }
 
 // wire32 encodes host values as the byte form's big-endian FP32 region.
@@ -190,95 +199,203 @@ func TestPipelineOverflowSticky(t *testing.T) {
 	}
 }
 
-// TestPipelineEquivalence is the central property test: the pipeline
-// execution must be bit-identical to the software model, add for add, set
-// for set and read for read, in both modes.
-func TestPipelineEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		mode Mode
-		arch pisa.Arch
-	}{
-		{"approx-base", ModeApprox, pisa.BaseArch()},
-		{"approx-extended", ModeApprox, pisa.ExtendedArch()},
-		{"full-extended", ModeFull, pisa.ExtendedArch()},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			const slots = 4
-			pa := newAgg(t, c.mode, c.arch, 1, slots)
-			model := MustNewAccumulator(DefaultFP32(c.mode), slots)
-			rng := rand.New(rand.NewSource(99))
+// buildSlots is the slot count of every differential test's builds.
+const buildSlots = 4
 
-			randVal := func() float32 {
-				// Normal-range values with varied exponents (including
-				// gaps beyond the headroom to exercise every path), kept
-				// clear of read-out overflow/underflow.
-				exp := 100 + rng.Intn(56) // biased 100..155
-				frac := rng.Uint32() & 0x7FFFFF
-				sign := rng.Uint32() & 1
-				return math.Float32frombits(uint32(sign)<<31 | uint32(exp)<<23 | frac)
-			}
+// pipelineBuild is one compiled FPISA configuration.
+type pipelineBuild struct {
+	name    string
+	mode    Mode
+	arch    pisa.Arch
+	modules int
+	proto   *PipelineAggregator
+}
 
-			for step := 0; step < 3000; step++ {
-				slot := rng.Intn(slots)
-				switch roll := rng.Intn(10); roll {
-				case 0: // read
-					r, err := pa.Read(slot)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := math.Float32frombits(model.ReadBits(slot))
-					if math.Float32bits(r[0]) != math.Float32bits(want) {
-						t.Fatalf("step %d: read %g (%#x) vs model %g (%#x)",
-							step, r[0], math.Float32bits(r[0]), want, math.Float32bits(want))
-					}
-				case 1: // read-reset
-					r, err := pa.ReadReset(slot)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := math.Float32frombits(model.ReadBits(slot))
-					model.Reset(slot)
-					if math.Float32bits(r[0]) != math.Float32bits(want) {
-						t.Fatalf("step %d: readreset mismatch", step)
-					}
-				default: // add; roll 2 is a slot version's first add (PktSet)
-					v := randVal()
-					out := make([]byte, 4)
-					var ovf bool
-					var err error
-					if roll == 2 {
-						model.Reset(slot)
-						ovf, err = pa.SetInto(slot, wire32(v), out)
-					} else {
-						ovf, err = pa.AddInto(slot, wire32(v), out)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := model.Add(slot, v); err != nil {
-						t.Fatal(err)
-					}
-					// Compare raw register state bit for bit.
-					e, m := model.RawState(slot)
-					exps, _ := pa.Switch().RegisterSnapshot("exp_reg_0")
-					mans, _ := pa.Switch().RegisterSnapshot("man_reg_0")
-					if exps[slot] != e || int32(mans[slot]) != m {
-						t.Fatalf("step %d: add %g: pipeline E=%d M=%#x vs model E=%d M=%#x",
-							step, v, exps[slot], mans[slot], e, uint32(m))
-					}
-					// And the renormalized response, as wire bits.
-					if got, want := binary.BigEndian.Uint32(out), model.ReadBits(slot); got != want {
-						t.Fatalf("step %d: add response %#x vs model %#x", step, got, want)
-					}
-					if ovf != model.Overflowed(slot) {
-						t.Fatalf("step %d: overflow flag %v vs model %v", step, ovf, model.Overflowed(slot))
-					}
+// pipelineBuilds compiles every architecture × mode × module count the
+// builder accepts — full FPISA needs the extended architecture, the base
+// architecture fits one module — and names each mode-arch[-mN].
+func pipelineBuilds(t testing.TB) (builds []pipelineBuild) {
+	for _, arch := range []pisa.Arch{pisa.BaseArch(), pisa.ExtendedArch()} {
+		for _, mode := range []Mode{ModeApprox, ModeFull} {
+			for modules := 1; modules <= MaxModules(arch); modules++ {
+				pa, err := NewPipelineAggregator(DefaultFP32(mode), modules, buildSlots, arch)
+				if err != nil {
+					continue
 				}
+				name := map[Mode]string{ModeApprox: "approx", ModeFull: "full"}[mode] + "-" +
+					strings.TrimPrefix(arch.Name, "tofino-like-")
+				if modules > 1 {
+					name += fmt.Sprintf("-m%d", modules)
+				}
+				builds = append(builds, pipelineBuild{name: name, mode: mode, arch: arch, modules: modules, proto: pa})
+			}
+		}
+	}
+	if len(builds) != 7 { // base: approx×1; extended: approx×3 + full×3
+		t.Fatalf("%d FPISA configurations compiled, want 7", len(builds))
+	}
+	return builds
+}
+
+// inDomain reports whether an FP32 read-out lies where the compiled
+// program assembles it correctly: zero or normal. BuildProgram mis-assembles
+// a subnormal read-out and wraps one that overflows the exponent instead of
+// saturating it to ±Inf, and it carries no NaN.
+func inDomain(bits uint32) bool {
+	exp := bits >> 23 & 0xff
+	return exp != 0xff && (exp != 0 || bits<<1 == 0)
+}
+
+// runPipelineDiff decodes an operation sequence from ops and drives it
+// through a replica of b's compiled pipeline and through the accumulator
+// bank that serves the same Config (ProfileAggregator). An op octet picks
+// the slot (bits 0–1), the operation (bits 2–4: 0–2 set, 3–4 add, 5 a
+// cancelling add, 6 read, 7 read-reset), how many of a set's or add's
+// values it leaves out (bits 5–6, modulo the module count; the wire
+// zero-fills a short chunk) and whether it emits or absorbs (bit 7: a nil
+// out). Each value follows as streamValue decodes it, except that a
+// cancelling add's value is its module's negated read-out with fraction
+// bits flipped by an octet at a bit offset (the next two octets), which
+// leaves residues whose leading one lands anywhere in the mantissa
+// register. After every emitting operation the value bytes of each module
+// and the overflow bit must be identical, within the program's domain: a
+// module whose accumulator read-out is subnormal, ±Inf or NaN is not
+// compared, nor is the overflow bit (an OR over the modules) beside it,
+// and the slot is reset on both sides before the next operation.
+func runPipelineDiff(t testing.TB, b pipelineBuild, ops []byte) {
+	pipe := b.proto.Replicate()
+	acc, err := NewProfileAggregator(DefaultProfile, b.mode, b.modules, buildSlots, b.arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 0
+	next := func() byte {
+		if pos >= len(ops) {
+			return 0
+		}
+		pos++
+		return ops[pos-1]
+	}
+	vals := make([]float32, b.modules)
+	got, want, state := make([]byte, 4*b.modules), make([]byte, 4*b.modules), make([]byte, 4*b.modules)
+	for step := 0; pos < len(ops); step++ {
+		op := next()
+		slot := int(op) % buildSlots
+		kind := (op >> 2) % 8
+		outP, outA := got, want
+		if op&0x80 != 0 {
+			outP, outA = nil, nil
+		}
+		clear(vals)
+		var in []byte
+		var ovfP, ovfA bool
+		var errP, errA error
+		switch {
+		case kind < 6:
+			acc.readOut(slot, state)
+			for k := range vals[:b.modules-int(op>>5&3)%b.modules] {
+				if kind == 5 {
+					flip := uint32(next()) << (next() % 23) & (1<<23 - 1)
+					vals[k] = math.Float32frombits(binary.BigEndian.Uint32(state[4*k:]) ^ 1<<31 ^ flip)
+				} else {
+					vals[k] = streamValue(next)
+				}
+			}
+			in = wire32(vals...)
+			if kind < 3 {
+				ovfP, errP = pipe.SetInto(slot, in, outP)
+				ovfA, errA = acc.SetInto(slot, in, outA)
+			} else {
+				ovfP, errP = pipe.AddInto(slot, in, outP)
+				ovfA, errA = acc.AddInto(slot, in, outA)
+			}
+		case kind == 6:
+			ovfP, errP = pipe.ReadInto(slot, outP)
+			if outA != nil {
+				ovfA = acc.readOut(slot, outA)
+			}
+		default:
+			ovfP, errP = pipe.ReadResetInto(slot, outP)
+			ovfA, errA = acc.ReadResetInto(slot, outA)
+		}
+		if errP != nil || errA != nil {
+			t.Fatalf("%s step %d: %v / %v", b.name, step, errP, errA)
+		}
+		acc.readOut(slot, state) // what the slot reads out now, on the accumulator
+		domain := true
+		for k := 0; k < b.modules; k++ {
+			v := binary.BigEndian.Uint32(state[4*k:])
+			if !inDomain(v) {
+				domain = false
+				continue
+			}
+			if outP != nil && !bytes.Equal(got[4*k:4*k+4], want[4*k:4*k+4]) {
+				t.Fatalf("%s step %d (op %#x slot %d vals %x): module %d pipeline %x, accumulator %x",
+					b.name, step, op, slot, in, k, got[4*k:4*k+4], want[4*k:4*k+4])
+			}
+		}
+		if outP == nil && (ovfP || ovfA) {
+			t.Fatalf("%s step %d: an absorbed operation reported overflow (%v / %v)", b.name, step, ovfP, ovfA)
+		}
+		if domain && ovfP != ovfA {
+			t.Fatalf("%s step %d (op %#x slot %d vals %x): overflow bit pipeline %v, accumulator %v",
+				b.name, step, op, slot, in, ovfP, ovfA)
+		}
+		if !domain {
+			if _, err := pipe.ReadResetInto(slot, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := acc.ReadResetInto(slot, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// pipelineDiffOps returns a run of same-exponent full-mantissa adds into
+// slot 0, which overflows every module's mantissa register, followed by a
+// seeded random operation stream.
+func pipelineDiffOps(seed int64, modules int) (ops []byte) {
+	for i := 0; i < 200; i++ {
+		ops = append(ops, 0x0c) // an emitting add into slot 0, every module
+		for k := 0; k < modules; k++ {
+			ops = append(ops, 0x04, 0x7f, 0xff, 0xff) // biased exponent 100, every fraction bit
+		}
+	}
+	random := make([]byte, 20000)
+	rand.New(rand.NewSource(seed)).Read(random)
+	return append(ops, random...)
+}
+
+// TestPipelineEquivalence is the differential that lets the accumulator
+// serve every profile: on every compiled configuration the pipeline and the
+// accumulator bank answer every set, add, read and read-reset, emitting or
+// absorbing, with the same wire bytes and overflow bit wherever the
+// program is defined (runPipelineDiff).
+func TestPipelineEquivalence(t *testing.T) {
+	for _, b := range pipelineBuilds(t) {
+		t.Run(b.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 2, 3} {
+				runPipelineDiff(t, b, pipelineDiffOps(seed, b.modules))
 			}
 		})
 	}
+}
+
+// FuzzPipelineMatchesAccumulator lets the fuzzer pick the operation
+// sequence of TestPipelineEquivalence; the first byte picks the
+// configuration.
+func FuzzPipelineMatchesAccumulator(f *testing.F) {
+	builds := pipelineBuilds(f)
+	f.Add([]byte{0, 0x00, 0x02, 0x7f, 0xff, 0xff, 0x0c, 0x82, 0, 0, 1, 0x18, 0x98})    // a set, a denormal add, a read
+	f.Add([]byte{3, 0x6c, 0x04, 0x7f, 0xff, 0xff, 0x8c, 0x03, 0x12, 0x34, 0x56, 0x1c}) // a short add, an absorbed add
+	f.Add(append([]byte{6}, pipelineDiffOps(1, 3)[:2000]...))                          // a register overflow
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 4096 {
+			return
+		}
+		runPipelineDiff(t, builds[int(data[0])%len(builds)], data[1:])
+	})
 }
 
 func TestPipelineDenormalInputs(t *testing.T) {

@@ -80,9 +80,9 @@ func (r ProfileRounding) String() string {
 // which wire format a job's values travel in, how many guard bits the
 // 32-bit mantissa register reserves below them, and how read-out rounds.
 // It is the arithmetic half of a Config, so the switch builds a job's
-// backend, pipeline or Accumulator, from exactly what it negotiated. The
-// zero value is the paper's standard configuration (FP32, no guard bits,
-// truncating read-out), so profile-oblivious callers keep their semantics.
+// Accumulator from exactly what it negotiated. The zero value is the
+// paper's standard configuration (FP32, no guard bits, truncating
+// read-out), so profile-oblivious callers keep their semantics.
 type NumericProfile struct {
 	// Format selects the wire value format.
 	Format ProfileFormat
@@ -275,69 +275,40 @@ func (p NumericProfile) values(src []byte) []float32 {
 }
 
 // ProfileAggregator runs per-slot FPISA aggregation under one numeric
-// profile. Both backends are built from the same Config{Profile, Mode}: the
-// default profile drives the compiled pisa pipeline, while every other
-// profile runs the bit-exact Accumulator model (the paper's C-library
-// equivalent; BuildProgram compiles only the default profile). Both paths
-// take and write the profile's wire bytes, so shards address a bank of
-// these without caring which arithmetic backs a slot range.
+// profile on the bit-exact Accumulator model (the paper's C-library
+// equivalent, §5.2), built from the Config{Profile, Mode} the job
+// negotiated. It serves every profile, the default one included; the
+// compiled program (BuildProgram, PipelineAggregator) is the compile-time
+// resource oracle and the differential checker of this model. Its
+// operations take and write the profile's wire bytes.
 type ProfileAggregator struct {
 	prof    NumericProfile
 	modules int
 	slots   int
-
-	pipe *PipelineAggregator // compiled path (default profile only)
-	acc  *Accumulator        // model path
+	acc     *Accumulator
 }
 
-// NewProfileAggregator builds the aggregation backend for one profile. The
-// default profile compiles (and owns) a pisa program; Replicate then stamps
-// out register banks without recompiling.
-func NewProfileAggregator(p NumericProfile, mode Mode, modules, slots int, arch pisa.Arch) (*ProfileAggregator, error) {
-	cfg := Config{Profile: p, Mode: mode}
-	pa := &ProfileAggregator{prof: p, modules: modules, slots: slots}
-	if p == DefaultProfile {
-		pipe, err := NewPipelineAggregator(cfg, modules, slots, arch)
-		if err != nil {
-			return nil, err
-		}
-		pa.pipe = pipe
-		return pa, nil
-	}
-	acc, err := NewAccumulator(cfg, modules*slots)
+// NewProfileAggregator builds the aggregation bank for one profile: modules
+// values per slot, slots slots. The accumulator runs any module count on
+// any architecture, so arch is not consulted; whether the default program
+// fits a switch is decided where it is compiled (BuildProgram).
+func NewProfileAggregator(p NumericProfile, mode Mode, modules, slots int, _ pisa.Arch) (*ProfileAggregator, error) {
+	acc, err := NewAccumulator(Config{Profile: p, Mode: mode}, modules*slots)
 	if err != nil {
 		return nil, err
 	}
-	pa.acc = acc
-	return pa, nil
-}
-
-// Profile returns the profile this aggregator was built for.
-func (pa *ProfileAggregator) Profile() NumericProfile { return pa.prof }
-
-// Utilization returns the compiled resource report; the zero report for
-// model-backed profiles, which consume no pipeline stages.
-func (pa *ProfileAggregator) Utilization() pisa.Utilization {
-	if pa.pipe != nil {
-		return pa.pipe.Utilization()
-	}
-	return pisa.Utilization{}
+	return &ProfileAggregator{prof: p, modules: modules, slots: slots, acc: acc}, nil
 }
 
 // Replicate stamps out an independent register bank running the same
-// arithmetic: the compiled program is shared (one P4 compile per profile),
-// state is not.
+// arithmetic: same Config and shape, fresh state.
 func (pa *ProfileAggregator) Replicate() *ProfileAggregator {
-	out := &ProfileAggregator{prof: pa.prof, modules: pa.modules, slots: pa.slots}
-	if pa.pipe != nil {
-		out.pipe = pa.pipe.Replicate()
-		return out
-	}
+	out := *pa
 	out.acc = MustNewAccumulator(pa.acc.Config(), pa.modules*pa.slots)
-	return out
+	return &out
 }
 
-// check validates a model-path operation's slot and buffers.
+// check validates an operation's slot and buffers.
 func (pa *ProfileAggregator) check(idx int, vals, out []byte) error {
 	if idx < 0 || idx >= pa.slots {
 		return fmt.Errorf("core: slot %d out of range %d", idx, pa.slots)
@@ -357,13 +328,10 @@ func (pa *ProfileAggregator) readOut(idx int, out []byte) (ovf bool) {
 	return ovf
 }
 
-// AddInto is PipelineAggregator.AddInto in the profile's wire format. The
-// model path feeds the wire bits to AddBits as they came and writes
-// ReadBits out, bit-identical to a host reference doing the same.
+// AddInto is PipelineAggregator.AddInto in the profile's wire format: it
+// feeds the wire bits to AddBits as they came and writes ReadBits out,
+// bit-identical to a host reference doing the same.
 func (pa *ProfileAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err error) {
-	if pa.pipe != nil {
-		return pa.pipe.AddInto(idx, vals, out)
-	}
 	if err := pa.check(idx, vals, out); err != nil {
 		return false, err
 	}
@@ -380,13 +348,9 @@ func (pa *ProfileAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err e
 }
 
 // SetInto is AddInto into a slot treated as freshly zeroed — the first ADD
-// of a slot version. The compiled path overwrites the slot in one pipeline
-// pass (PktSet); the model path resets, then adds. Either way out and the
-// slot end up exactly as ReadResetInto followed by AddInto leave them.
+// of a slot version: it resets, then adds, so out and the slot end up
+// exactly as ReadResetInto followed by AddInto leave them.
 func (pa *ProfileAggregator) SetInto(idx int, vals, out []byte) (ovf bool, err error) {
-	if pa.pipe != nil {
-		return pa.pipe.SetInto(idx, vals, out)
-	}
 	if _, err := pa.ReadResetInto(idx, nil); err != nil {
 		return false, err
 	}
@@ -396,9 +360,6 @@ func (pa *ProfileAggregator) SetInto(idx int, vals, out []byte) (ovf bool, err e
 // ReadResetInto writes the sums into out and zeroes the slot; see AddInto
 // for the storage contract.
 func (pa *ProfileAggregator) ReadResetInto(idx int, out []byte) (ovf bool, err error) {
-	if pa.pipe != nil {
-		return pa.pipe.ReadResetInto(idx, out)
-	}
 	if err := pa.check(idx, nil, out); err != nil {
 		return false, err
 	}

@@ -91,9 +91,15 @@ func MaxModules(arch pisa.Arch) int {
 //
 // Restrictions: the pipeline build supports only DefaultProfile, FP32 with
 // zero guard bits and truncating read-out (the paper's deployed
-// configuration). Values whose renormalized exponent would leave the normal
-// range are undefined, as in the paper's P4 implementation; the software
-// model additionally saturates.
+// configuration). Its domain is a read-out that is zero or normal, as in
+// the paper's P4 implementation: a read-out that would be subnormal is
+// mis-assembled (a sum of 2^-149 reads 0xf5000000, one of 2^-127 reads 0)
+// and one that overflows the exponent wraps instead of saturating to ±Inf
+// (FLT_MAX + FLT_MAX reads 0x7fffffff, a NaN); NaN and Inf inputs are not
+// screened. The Accumulator
+// gives every such slot its IEEE answer, and it is what serves; the program
+// is compiled for its resources and checked against the Accumulator inside
+// its domain (TestPipelineEquivalence).
 func BuildProgram(cfg Config, modules, slots int, arch pisa.Arch) (pisa.Program, Layout, error) {
 	var lay Layout
 	if cfg.Profile != DefaultProfile {

@@ -7,49 +7,15 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"fpisa/internal/pisa"
 )
 
-const setDiffSlots = 4
-
-// setDiffBuild is one compiled FPISA configuration.
-type setDiffBuild struct {
-	name    string
-	modules int
-	proto   *PipelineAggregator
-}
-
-// setDiffBuilds compiles every architecture × mode × module count the
-// builder accepts (full FPISA needs the extended architecture, the base
-// architecture fits one module).
-func setDiffBuilds(t testing.TB) (builds []setDiffBuild) {
-	for _, arch := range []pisa.Arch{pisa.BaseArch(), pisa.ExtendedArch()} {
-		for _, mode := range []Mode{ModeApprox, ModeFull} {
-			for modules := 1; modules <= MaxModules(arch); modules++ {
-				pa, err := NewPipelineAggregator(DefaultFP32(mode), modules, setDiffSlots, arch)
-				if err != nil {
-					continue
-				}
-				builds = append(builds, setDiffBuild{
-					name: fmt.Sprintf("%s/%v/m%d", arch.Name, mode, modules), modules: modules, proto: pa,
-				})
-			}
-		}
-	}
-	if len(builds) < 7 { // base: approx×1; extended: approx×3 + full×3
-		t.Fatalf("only %d FPISA configurations compiled", len(builds))
-	}
-	return builds
-}
-
-// setDiffValue decodes one input value from at most five bytes of the op
+// streamValue decodes one input value from at most five bytes of the op
 // stream: a class octet, then the bits the class leaves free. The classes
 // are the inputs the first ADD of a slot treats specially — ±0, denormals
 // (effective exponent 1), exponents at and just past the FPISA-A headroom,
 // where exp_set's predicate flips — plus the whole bit-pattern space and a
 // mid range in which sums stay finite.
-func setDiffValue(next func() byte) float32 {
+func streamValue(next func() byte) float32 {
 	class := next()
 	sign := uint32(class>>7) << 31
 	frac := uint32(next())<<16 | uint32(next())<<8 | uint32(next())
@@ -76,7 +42,7 @@ func setDiffValue(next func() byte) float32 {
 // the same few slots. After every operation the responses (the value bytes
 // and the overflow bit) and all four register arrays — the add counter
 // among them — must be identical.
-func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
+func runSetDiff(t testing.TB, b pipelineBuild, ops []byte) {
 	set, twin := b.proto.Replicate(), b.proto.Replicate()
 	pos := 0
 	next := func() byte {
@@ -94,14 +60,14 @@ func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
 	got, want := make([]byte, 4*b.modules), make([]byte, 4*b.modules)
 	for step := 0; pos < len(ops); step++ {
 		op := next()
-		slot := int(op) % setDiffSlots
+		slot := int(op) % buildSlots
 		kind := (op >> 2) % 8
 		var ovfSet, ovfTwin bool
 		var errSet, errTwin error
 		switch {
 		case kind < 6: // 0..2 set, 3..5 add
 			for k := range vals {
-				vals[k] = setDiffValue(next)
+				vals[k] = streamValue(next)
 			}
 			in := wire32(vals[:1+int(op>>5)%b.modules]...) // short packets zero-fill the rest
 			if kind < 3 {
@@ -145,7 +111,7 @@ func runSetDiff(t testing.TB, b setDiffBuild, ops []byte) {
 // compiled configuration, one PktSet pass leaves the response and the
 // registers bit-for-bit as a read-reset pass followed by an add pass does.
 func TestSetEqualsResetAdd(t *testing.T) {
-	for _, b := range setDiffBuilds(t) {
+	for _, b := range pipelineBuilds(t) {
 		for _, seed := range []int64{1, 2, 3} {
 			ops := make([]byte, 6000)
 			rand.New(rand.NewSource(seed)).Read(ops)
@@ -157,7 +123,7 @@ func TestSetEqualsResetAdd(t *testing.T) {
 // FuzzSetEqualsResetAdd lets the fuzzer pick the operation sequence; the
 // first byte picks the configuration.
 func FuzzSetEqualsResetAdd(f *testing.F) {
-	builds := setDiffBuilds(f)
+	builds := pipelineBuilds(f)
 	f.Add([]byte{0, 0x00, 0x02, 0x7f, 0xff, 0xff, 0x0c, 0x82, 0, 0, 1, 0x18})
 	f.Add([]byte{3, 0x01, 0x0a, 0, 0, 0, 0x01, 0x03, 0x12, 0x34, 0x56, 0x7f, 0x1d})
 	f.Add([]byte{6, 0x42, 0x04, 0x40, 0, 0, 0x0d, 0x80, 0, 0, 0, 0x0e, 0xff, 0xff, 0xff, 0x46, 0x1a})

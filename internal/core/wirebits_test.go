@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"math"
 	"testing"
 
 	"fpisa/internal/pisa"
@@ -68,11 +66,11 @@ func decodeWireBitsOps(data []byte, w int) (ops []wireBitsOp) {
 
 // FuzzAggregatorWireBits drives ProfileAggregator's byte form with
 // arbitrary wire bit patterns — ±0, subnormals, ±Inf, NaN payloads — under
-// every admitted profile × mode. On the model path the out bytes and the
-// overflow bit must equal, bit for bit, an Accumulator fed the same bits by
-// AddBits and read by ReadBits/Overflowed, encoded here with
-// encoding/binary. The default profile runs the compiled pipeline, which
-// is held instead to its own float32 wrapper on the same (finite) inputs.
+// every admitted profile × mode, the default one included. The out bytes
+// and the overflow bit must equal, bit for bit, an Accumulator fed the same
+// bits by AddBits and read by ReadBits/Overflowed, encoded here with
+// encoding/binary. FuzzPipelineMatchesAccumulator holds the compiled
+// pipeline to the default profile's bank.
 func FuzzAggregatorWireBits(f *testing.F) {
 	f.Add([]byte{0x60, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00})             // ±0, a subnormal
 	f.Add([]byte{0x44, 0x7f, 0x80, 0x00, 0x00, 0x24, 0xff, 0xc0, 0x12, 0x34, 0x0c, 0x3f, 0x80, 0, 0})       // +Inf, a NaN payload
@@ -87,8 +85,8 @@ func FuzzAggregatorWireBits(f *testing.F) {
 	// FPISA-A's left shift: module 1 holds 1.99…, then takes a full
 	// mantissa 2^7 larger — the shifted sum overflows the f32 register.
 	f.Add([]byte{0x24, 0, 0, 0, 0, 0x3f, 0xff, 0xff, 0xff, 0x24, 0, 0, 0, 0, 0x43, 0x7f, 0xff, 0xff})
-	// One prototype per configuration, compiled once: every input runs on
-	// fresh replicas of it.
+	// One prototype per configuration: every input runs on fresh replicas
+	// of it.
 	var protos []*ProfileAggregator
 	for _, cfg := range wireBitsConfigs() {
 		pa, err := NewProfileAggregator(cfg.Profile, cfg.Mode, wireBitsModules, wireBitsSlots, pisa.ExtendedArch())
@@ -102,11 +100,7 @@ func FuzzAggregatorWireBits(f *testing.F) {
 			return
 		}
 		for _, proto := range protos {
-			if proto.pipe != nil {
-				checkPipelineWireBits(t, proto, data)
-			} else {
-				checkModelWireBits(t, proto, data)
-			}
+			checkModelWireBits(t, proto, data)
 		}
 	})
 }
@@ -175,76 +169,6 @@ func checkModelWireBits(t *testing.T, proto *ProfileAggregator, data []byte) {
 		if !bytes.Equal(got, want) || ovf != wantOvf {
 			t.Fatalf("%v/%v step %d (op %d slot %d vals %x): out %x ovf %v, Accumulator %x ovf %v",
 				p, mode, step, o.kind, o.slot, o.vals, got, ovf, want, wantOvf)
-		}
-	}
-}
-
-// checkPipelineWireBits runs the default profile's compiled pipeline twice
-// over the same operations: once through the byte form, once through the
-// float32 wrapper on a replica, with every non-finite input made finite
-// (its top exponent bit cleared) first.
-func checkPipelineWireBits(t *testing.T, proto *ProfileAggregator, data []byte) {
-	pa, twin := proto.Replicate(), proto.Replicate()
-	mode := pa.pipe.lay.Mode
-	got := make([]byte, 4*wireBitsModules)
-	for step, o := range decodeWireBitsOps(data, 4) {
-		host := make([]float32, len(o.vals)/4)
-		for k := range host {
-			v := binary.BigEndian.Uint32(o.vals[4*k:])
-			if v>>23&0xff == 0xff {
-				v &^= 1 << 30
-				binary.BigEndian.PutUint32(o.vals[4*k:], v)
-			}
-			host[k] = math.Float32frombits(v)
-		}
-		var out []byte
-		if !o.absorb {
-			out = got
-		}
-		// The overflow bit is the OR of the slot's ovf_reg_k registers after
-		// an add, before a read-reset clears them.
-		ovfRegs := func() (any bool) {
-			for k := 0; k < wireBitsModules; k++ {
-				any = any || reg(t, twin.pipe, fmt.Sprintf("ovf_reg_%d", k), o.slot) != 0
-			}
-			return any
-		}
-		var ovf, wantOvf bool
-		var want []float32
-		var err, errTwin error
-		switch o.kind {
-		case 0:
-			ovf, err = pa.SetInto(o.slot, o.vals, out)
-			if _, errTwin = twin.ReadReset(o.slot); errTwin == nil {
-				want, errTwin = twin.Add(o.slot, host)
-			}
-			wantOvf = ovfRegs()
-		case 3:
-			wantOvf = ovfRegs()
-			ovf, err = pa.ReadResetInto(o.slot, out)
-			want, errTwin = twin.ReadReset(o.slot)
-		default:
-			ovf, err = pa.AddInto(o.slot, o.vals, out)
-			want, errTwin = twin.Add(o.slot, host)
-			wantOvf = ovfRegs()
-		}
-		if err != nil || errTwin != nil {
-			t.Fatalf("%v step %d: %v / %v", mode, step, err, errTwin)
-		}
-		if o.absorb {
-			if ovf {
-				t.Fatalf("%v step %d: a nil out reported overflow", mode, step)
-			}
-			continue
-		}
-		for k := 0; k < wireBitsModules; k++ {
-			if math.Float32bits(want[k]) != binary.BigEndian.Uint32(got[4*k:]) {
-				t.Fatalf("%v step %d (op %d slot %d vals %x): out %x, float wrapper %v",
-					mode, step, o.kind, o.slot, o.vals, got, want)
-			}
-		}
-		if ovf != wantOvf {
-			t.Fatalf("%v step %d: overflow bit %v, registers say %v", mode, step, ovf, wantOvf)
 		}
 	}
 }
