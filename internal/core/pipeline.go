@@ -14,11 +14,11 @@ import (
 //
 // An aggregator is single-threaded, like the pisa.Switch replica it owns:
 // every operation rebuilds the request in the aggregator's own packet
-// buffer and runs it through the switch's scratch (pisa.ProcessScratch, or
-// pisa.Absorb when the caller discards the response). The …Into operations
-// copy wire bytes — big-endian FP32, four per module, the packets' own value
-// layout — between the caller's buffers and those packets and allocate
-// nothing; Add/Read/ReadReset are the same operations on host float32s.
+// buffer and runs it through the switch's scratch (pisa.ProcessScratch).
+// The …Into operations copy wire bytes — big-endian FP32, four per module,
+// the packets' own value layout — between the caller's buffers and those
+// packets and allocate nothing; Add/Read/ReadReset are the same operations
+// on host float32s.
 type PipelineAggregator struct {
 	sw  *pisa.Switch
 	lay Layout
@@ -77,8 +77,7 @@ func (pa *PipelineAggregator) Packet(op byte, idx uint32, vals []float32) ([]byt
 // do runs one operation through the pipeline and copies the response's
 // values into out, reporting whether any module's sticky overflow flag is
 // set. A nil out means the register side effect is all the caller wants:
-// the switch absorbs the packet (pisa.Switch.Absorb), running only the
-// steps that feed its registers, and no response is built.
+// the response is dropped.
 func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, err error) {
 	if idx < 0 || idx >= pa.lay.Slots {
 		return false, fmt.Errorf("core: slot %d out of range %d", idx, pa.lay.Slots)
@@ -87,11 +86,8 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, 
 		return false, err
 	}
 	putPacket(pa.req, op, uint32(idx), vals)
-	if out == nil {
-		return false, pa.sw.Absorb(1, pa.req)
-	}
 	resp, err := pa.sw.ProcessScratch(1, pa.req)
-	if err != nil {
+	if err != nil || out == nil {
 		return false, err
 	}
 	values := resp.Packet[pktOffValues:]
@@ -104,8 +100,8 @@ func (pa *PipelineAggregator) do(op byte, idx int, vals, out []byte) (ovf bool, 
 
 // AddInto accumulates vals — big-endian FP32, at most one per module — into
 // the slot, writes the running sums into out in the same format and returns
-// the OR of the modules' sticky overflow flags. With a nil out the switch
-// absorbs the packet: no sums, ovf false. Nothing is allocated; the request
+// the OR of the modules' sticky overflow flags. With a nil out the
+// response is dropped: no sums, ovf false. Nothing is allocated; the request
 // packet and the pisa.Switch's PHV and deparse buffer are scratch, valid
 // until the next call on this replica, and out is written before return.
 func (pa *PipelineAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err error) {

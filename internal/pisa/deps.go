@@ -99,7 +99,7 @@ func (c *compiled) checkDependencies() error {
 		// Every read against every writer of its field: one in an earlier
 		// stage produces it, one in a later stage alone would be a backward
 		// read, and one in the reader's stage is refused. A table may read
-		// what it writes itself: a pass runs one of its actions, whose
+		// what it writes itself: a packet runs one of its actions, whose
 		// instructions read no other's destination and whose stateful op
 		// reads none of theirs (compileAction). The conflict check below
 		// refuses two writers of a field in one stage.

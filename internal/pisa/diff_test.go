@@ -1,9 +1,12 @@
 package pisa
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -63,23 +66,74 @@ func sameStageProg() Program {
 	}
 }
 
-// TestDifferentialToyPrograms holds the executor to the reference semantics
-// (oracle_test.go) on the package's toy programs: unicast, same-stage
-// multi-table writes, and parser and mid-stage runtime errors. Inputs are
-// seeded; a failure names the packet index.
+// toyModel is a hand-written Go transcription of a toy program: it runs one
+// packet against the model's registers and returns the port and bytes the
+// switch must emit, or which error it must return ("parser" or "runtime").
+type toyModel func(regs []uint32, pkt []byte) (port uint16, out []byte, fail string)
+
+// forwardModel is forwardProg(addend): val += addend, out on port 5.
+func forwardModel(addend uint32) toyModel {
+	return func(_ []uint32, pkt []byte) (uint16, []byte, string) {
+		if len(pkt) < 4 {
+			return 0, nil, "parser"
+		}
+		out := slices.Clone(pkt)
+		binary.BigEndian.PutUint32(out, binary.BigEndian.Uint32(pkt)+addend)
+		return 5, out, ""
+	}
+}
+
+// sameStageModel is sameStageProg: stage 0's two tables both read the
+// parsed fields, and stage 1 reads what both wrote.
+func sameStageModel(r []uint32, pkt []byte) (uint16, []byte, string) {
+	if len(pkt) < 21 {
+		return 0, nil, "parser"
+	}
+	be := binary.BigEndian
+	a, b, idx := be.Uint32(pkt), be.Uint32(pkt[4:]), pkt[8]
+	x, y := be.Uint32(pkt[9:]), be.Uint16(pkt[13:])
+	if int(idx) >= len(r) { // acc's register index: the packet dies in stage 0
+		return 0, nil, "runtime"
+	}
+	var port uint16
+	if idx != 3 { // sum's entries
+		x, y, port = a+b, uint16(a-b), 2
+	}
+	c := byte(b + 1)
+	old := r[idx]
+	r[idx] = old + a
+	ovf := int64(int32(old))+int64(int32(a)) != int64(int32(r[idx]))
+	out := slices.Clone(pkt)
+	be.PutUint32(out, x-old)
+	be.PutUint32(out[4:], uint32(y)|uint32(c))
+	be.PutUint32(out[9:], x)
+	be.PutUint16(out[13:], y)
+	be.PutUint32(out[15:], old)
+	out[19], out[20] = byte(boolBit(ovf)), c
+	return port, out, ""
+}
+
+// TestDifferentialToyPrograms holds the executor to a hand-written model of
+// each of the package's toy programs (toyModel): unicast, same-stage
+// multi-table writes read by the next stage, signed register overflow, and
+// parser and mid-stage runtime errors. Every packet's error kind, port and
+// bytes, the counters after every packet and the registers every 64
+// packets and at the end must match. Inputs are seeded; a failure names the
+// packet index.
 func TestDifferentialToyPrograms(t *testing.T) {
 	cases := []struct {
 		name   string
 		prog   Program
+		model  toyModel
 		pktLen int
 	}{
-		{"forward", forwardProg(1), 4},
-		{"same-stage", sameStageProg(), 21},
+		{"forward", forwardProg(1), forwardModel(1), 4},
+		{"same-stage", sameStageProg(), sameStageModel, 21},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2} {
 			rng := rand.New(rand.NewSource(seed))
-			pkts := make([]DiffPacket, 300)
+			pkts := make([]toyPacket, 300)
 			for i := range pkts {
 				data := make([]byte, tc.pktLen)
 				rng.Read(data)
@@ -92,15 +146,67 @@ func TestDifferentialToyPrograms(t *testing.T) {
 				if rng.Intn(16) == 0 {
 					data = data[:rng.Intn(len(data))] // parser error
 				}
-				pkts[i] = DiffPacket{Port: uint16(rng.Intn(4)), Data: data}
+				pkts[i] = toyPacket{port: uint16(rng.Intn(4)), data: data}
 			}
-			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) { DiffRun(t, tc.prog, BaseArch(), pkts) })
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				sw := mustSwitch(t, tc.prog, BaseArch())
+				var regs []uint32
+				if len(tc.prog.Registers) > 0 {
+					regs = make([]uint32, tc.prog.Registers[0].Size)
+				}
+				var want Counters
+				for i, p := range pkts {
+					got, err := sw.ProcessScratch(p.port, p.data)
+					port, out, fail := tc.model(regs, p.data)
+					want.Received++
+					switch fail {
+					case "":
+						want.Emitted++
+					case "parser":
+						want.ParserErrors++
+					default:
+						want.RuntimeErrors++
+					}
+					if errKind(err) != fail {
+						t.Fatalf("packet %d (% x): error %v, want a %q error", i, p.data, err, fail)
+					}
+					if err == nil && (got.Port != port || !bytes.Equal(got.Packet, out)) {
+						t.Fatalf("packet %d (% x): port %d % x, want port %d % x", i, p.data, got.Port, got.Packet, port, out)
+					}
+					if sw.Counters() != want {
+						t.Fatalf("packet %d: counters %+v, want %+v", i, sw.Counters(), want)
+					}
+					if regs != nil && (i%64 == 63 || i == len(pkts)-1) {
+						if got, _ := sw.RegisterSnapshot("r"); !slices.Equal(got, regs) {
+							t.Fatalf("packet %d: register r %v, want %v", i, got, regs)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-// randomProg draws a program that leans on everything the lowering must get
-// right: several tables per stage, every match kind (exact keys both narrow
+// toyPacket is one input packet and the port it arrives on.
+type toyPacket struct {
+	port uint16
+	data []byte
+}
+
+// errKind names what kind of error ProcessScratch returned: "" for none,
+// "parser" for a packet the parser refused, "runtime" for any other.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case strings.HasPrefix(err.Error(), "pisa: parser:"):
+		return "parser"
+	}
+	return "runtime"
+}
+
+// randomProg draws a program that leans on everything the compiler checks
+// and the executor runs: several tables per stage, every match kind (exact keys both narrow
 // enough for the direct index and wide enough for the sorted search),
 // default and no-default misses, action data, every opcode (csel with its
 // selector), stateful ops of every condition, update and output kind, and
@@ -277,25 +383,20 @@ func randomProg(rng *rand.Rand) Program {
 	return p
 }
 
-// TestDifferentialRandomPrograms holds the plan executor to the reference on
-// generated programs (randomProg): 60 seeds, each a fresh program and 400
-// packets, on the extended architecture so every shift form and the RSAW
-// update compile; every generated program must compile. Packets mix
-// uniformly random bytes with small values that hit the tables' entries and
-// stay inside the registers, plus the occasional truncated packet. An exact
-// table keyed on one of the two fields nobody writes gives a program a
-// dispatch field, so the seeds cover programs lowered to one pass and to a
-// pass per dispatch value; the count of the latter is pinned.
+// TestDifferentialRandomPrograms compiles and runs generated programs
+// (randomProg): 60 seeds, each a fresh program and 400 packets, on the
+// extended architecture so every shift form and the RSAW update compile;
+// every generated program must compile. Packets mix uniformly random bytes
+// with small values that hit the tables' entries and stay inside the
+// registers, plus the occasional truncated packet. No packet may panic the
+// executor, each must tick exactly the counter its outcome names — Emitted
+// for an emission as long as the packet, ParserErrors for a parser error,
+// RuntimeErrors for any other — and Received must equal their sum.
 func TestDifferentialRandomPrograms(t *testing.T) {
-	const wantDispatch = 51
-	dispatch := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := randomProg(rng)
-		if mustSwitch(t, prog, ExtendedArch()).c.dispatch != noDispatch {
-			dispatch++
-		}
-		pkts := make([]DiffPacket, 400)
+		pkts := make([]toyPacket, 400)
 		for i := range pkts {
 			data := make([]byte, 28)
 			rng.Read(data)
@@ -307,12 +408,34 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			if rng.Intn(32) == 0 {
 				data = data[:rng.Intn(len(data))]
 			}
-			pkts[i] = DiffPacket{Port: uint16(rng.Intn(4)), Data: data}
+			pkts[i] = toyPacket{port: uint16(rng.Intn(4)), data: data}
 		}
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { DiffRun(t, prog, ExtendedArch(), pkts) })
-	}
-	if dispatch != wantDispatch {
-		t.Errorf("%d of 60 programs have a dispatch field, want %d", dispatch, wantDispatch)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			sw := mustSwitch(t, prog, ExtendedArch())
+			for i, p := range pkts {
+				before := sw.Counters()
+				out, err := sw.ProcessScratch(p.port, p.data)
+				want := before
+				want.Received++
+				switch errKind(err) {
+				case "":
+					want.Emitted++
+					if len(out.Packet) != len(p.data) {
+						t.Fatalf("packet %d: emitted %d bytes of %d", i, len(out.Packet), len(p.data))
+					}
+				case "parser":
+					want.ParserErrors++
+				default:
+					want.RuntimeErrors++
+				}
+				if got := sw.Counters(); got != want {
+					t.Fatalf("packet %d (% x, %v): counters %+v, want %+v", i, p.data, err, got, want)
+				}
+			}
+			if c := sw.Counters(); c.Received != c.Emitted+c.ParserErrors+c.RuntimeErrors {
+				t.Errorf("counters %+v: Received is not Emitted + ParserErrors + RuntimeErrors", c)
+			}
+		})
 	}
 }
 

@@ -32,8 +32,8 @@ type Switch struct {
 	counters Counters
 
 	// Per-packet scratch, reused by every ProcessScratch (see there for
-	// the lifetime contract) and, the PHV, by every Absorb.
-	phv      Phv    // the packet's PHV
+	// the lifetime contract).
+	phv      phv    // the packet's header vector
 	deparsed []byte // backing store of the emitted packet
 }
 
@@ -46,20 +46,17 @@ func New(prog Program, arch Arch) (*Switch, error) {
 	return newInstance(c), nil
 }
 
-// newInstance stamps a switch whose PHV holds the fields and, past them,
-// the slots the plans read operands from, the constants filled in.
+// newInstance stamps a switch with fresh registers and its own PHV.
 func newInstance(c *compiled) *Switch {
-	vals := make([]uint32, c.constBase+len(c.consts))
-	copy(vals[c.constBase:], c.consts)
-	return &Switch{c: c, regs: c.newRegisterBank(), phv: Phv{vals: vals, ft: c.ft}}
+	return &Switch{c: c, regs: c.newRegisterBank(), phv: phv{vals: make([]uint32, len(c.ft.decls)), ft: c.ft}}
 }
 
 // Replicate instantiates another pipeline running the same compiled
 // program with fresh (zeroed) register state and counters. It skips the
-// compile entirely — the match tables, actions, dependency analysis and
-// step plans are shared — so building N parallel pipeline replicas costs N
-// register banks, not N compilations. Replicas process packets
-// independently: concurrent Process calls on *different* replicas are safe.
+// compile entirely — the match tables, actions and dependency analysis are
+// shared — so building N parallel pipeline replicas costs N register
+// banks, not N compilations. Replicas process packets independently:
+// concurrent Process calls on *different* replicas are safe.
 func (s *Switch) Replicate() *Switch {
 	return newInstance(s.c)
 }
@@ -80,65 +77,34 @@ func (s *Switch) RegisterSnapshot(name string) ([]uint32, error) {
 }
 
 // ProcessScratch runs one packet through the pipeline — parse, ingress,
-// egress on the port ingress chose, deparse — and returns the one packet
-// that leaves the switch.
+// egress, deparse — and returns the one packet that leaves the switch, on
+// the port ingress left in _egress_port.
 //
 // Nothing is allocated per packet: the PHV and the deparse buffer are
 // scratch owned by this Switch. The emitted Packet is valid until the next
 // call on this Switch, and pkt must not alias a previous result. That
 // contract is sound because a switch is single-threaded by construction
-// (one replica per shard, driven under the shard lock). Callers that keep
-// a result use Process.
+// (one replica per caller). Callers that keep a result use Process.
 func (s *Switch) ProcessScratch(ingressPort uint16, pkt []byte) (Emission, error) {
-	p, err := s.start(ingressPort, pkt, s.c.emit)
+	s.counters.Received++
+	p := &s.phv
+	clear(p.vals)
+	p.set(fidIngressPort, uint32(ingressPort))
+	if err := s.parse(pkt); err != nil {
+		s.counters.ParserErrors++
+		return Emission{}, err
+	}
+	err := s.runGress(s.c.ingress)
+	port := uint16(p.get(fidEgressPort))
+	if err == nil {
+		err = s.runGress(s.c.egress)
+	}
 	if err != nil {
-		return Emission{}, err
-	}
-	phv := &s.phv
-	if err := s.runPlan(phv, p.ingress); err != nil {
-		s.counters.RuntimeErrors++
-		return Emission{}, err
-	}
-	port := uint16(phv.get(fidEgressPort))
-	if err := s.runPlan(phv, p.egress); err != nil {
 		s.counters.RuntimeErrors++
 		return Emission{}, err
 	}
 	s.counters.Emitted++
-	return Emission{Port: port, Packet: s.deparse(phv, pkt)}, nil
-}
-
-// Absorb runs one packet whose response nobody reads: its register effects,
-// runtime errors and counters are ProcessScratch's, but it runs only the
-// steps that feed a stateful op and nothing leaves the switch (Emitted does
-// not count it). Like ProcessScratch it allocates nothing.
-func (s *Switch) Absorb(ingressPort uint16, pkt []byte) error {
-	p, err := s.start(ingressPort, pkt, s.c.absorb)
-	if err != nil {
-		return err
-	}
-	if err = s.runPlan(&s.phv, p.ingress); err == nil {
-		err = s.runPlan(&s.phv, p.egress)
-	}
-	if err != nil {
-		s.counters.RuntimeErrors++
-	}
-	return err
-}
-
-// start counts a packet, parses it into the switch's PHV and returns the
-// pass of passes it takes. It clears only the fields: every other slot a
-// plan reads is a constant or written earlier in the same pass.
-func (s *Switch) start(ingressPort uint16, pkt []byte, passes []pass) (*pass, error) {
-	s.counters.Received++
-	phv := &s.phv
-	clear(phv.vals[:s.c.paramBase])
-	phv.set(fidIngressPort, uint32(ingressPort))
-	if err := s.parse(phv, pkt); err != nil {
-		s.counters.ParserErrors++
-		return nil, err
-	}
-	return &passes[s.c.passIndex(phv)], nil
+	return Emission{Port: port, Packet: s.deparse(pkt)}, nil
 }
 
 // Process is ProcessScratch returning a freshly allocated emission the
@@ -151,52 +117,63 @@ func (s *Switch) Process(ingressPort uint16, pkt []byte) ([]Emission, error) {
 	return []Emission{{Port: e.Port, Packet: append([]byte(nil), e.Packet...)}}, nil
 }
 
-// parse extracts configured byte ranges into PHV fields, big-endian as the
-// wire carries them.
+// runGress runs one gress on the switch's PHV: its stages in order, each
+// stage's tables in declaration order. An always-table runs its default
+// action; a keyed table looks its key up and runs the action that selects
+// — the matched entry's with its action data, else the default, else
+// nothing. An action runs its instructions, then its stateful op.
 //
-// A packet of at least parseLen bytes — every well-formed FPISA packet — is
-// checked once: each byte extract is loaded as is, and each bit field
-// through its one big-endian window (layoutParser). A shorter one is
-// checked extract by extract, which names the first that does not fit.
-func (s *Switch) parse(phv *Phv, pkt []byte) error {
-	c := s.c
-	if len(pkt) < c.parseLen {
-		return s.parseChecked(phv, pkt)
-	}
-	vals := phv.vals
-	for i := range c.parser {
-		e := &c.parser[i]
-		vals[e.field] = e.load(pkt)
-	}
-	for i := range c.parserBits {
-		e := &c.parserBits[i]
-		var v uint32
-		if e.wide {
-			v = uint32(binary.BigEndian.Uint64(pkt[e.win:]) >> e.shift)
-		} else {
-			v = binary.BigEndian.Uint32(pkt[e.win:]) >> e.shift
+// Every write goes straight into the PHV, yet every table of a stage reads
+// the stage-entry PHV, as the Packet-Transactions stage atom demands:
+// compile refuses every read a write of the same stage could reach — a
+// table reading a field another table of its stage writes
+// (checkDependencies), an instruction reading another's destination, and a
+// stateful op reading what an instruction of its own action writes
+// (compileAction). A register error ends the packet where it happens.
+func (s *Switch) runGress(stages [][]*cTable) error {
+	p := &s.phv
+	for _, tables := range stages {
+		for _, t := range tables {
+			h := cHit{action: t.default_}
+			if t.decl.Kind != MatchAlways {
+				h = t.lookup(t.buildKey(p.vals))
+			}
+			a := h.action
+			if a == nil {
+				continue
+			}
+			for i := range a.instrs {
+				ci := &a.instrs[i]
+				p.set(ci.dst, ci.eval(p, h.params))
+			}
+			if a.stateful != nil {
+				if err := a.stateful.exec(s.regs, p); err != nil {
+					return err
+				}
+			}
 		}
-		vals[e.field] = v & e.mask
 	}
 	return nil
 }
 
-// parseChecked is parse for a packet shorter than parseLen.
-func (s *Switch) parseChecked(phv *Phv, pkt []byte) error {
-	for i := range s.c.parser {
-		e := &s.c.parser[i]
+// parse extracts configured byte and bit ranges into PHV fields,
+// big-endian as the wire carries them. Every extract is checked against the
+// packet in turn, and the first that does not fit is named in the error.
+func (s *Switch) parse(pkt []byte) error {
+	c, p := s.c, &s.phv
+	for i := range c.parser {
+		e := &c.parser[i]
 		if e.offset+e.bytes > len(pkt) {
 			return fmt.Errorf("pisa: parser: packet too short: need %d bytes for field %q, have %d",
-				e.offset+e.bytes, s.c.ft.name(e.field), len(pkt))
+				e.offset+e.bytes, c.ft.name(e.field), len(pkt))
 		}
-		phv.vals[e.field] = e.load(pkt)
+		p.vals[e.field] = e.load(pkt)
 	}
-	for _, e := range s.c.parserBits {
-		end := (e.bitOffset + e.bits + 7) / 8
-		if end > len(pkt) {
-			return fmt.Errorf("pisa: parser: packet too short for bit field %q", s.c.ft.name(e.field))
+	for _, e := range c.parserBits {
+		if (e.bitOffset+e.bits+7)/8 > len(pkt) {
+			return fmt.Errorf("pisa: parser: packet too short for bit field %q", c.ft.name(e.field))
 		}
-		phv.vals[e.field] = extractBits(pkt, e.bitOffset, e.bits)
+		p.vals[e.field] = extractBits(pkt, e.bitOffset, e.bits)
 	}
 	return nil
 }
@@ -231,11 +208,11 @@ func extractBits(pkt []byte, bitOff, bits int) uint32 {
 // back, big-endian, the extracts some table writes (compiled.deparser);
 // every other byte leaves as it arrived. parse already refused any packet
 // too short for an extract, so every writeback is in range.
-func (s *Switch) deparse(phv *Phv, pkt []byte) []byte {
+func (s *Switch) deparse(pkt []byte) []byte {
 	s.deparsed = append(s.deparsed[:0], pkt...)
 	out := s.deparsed
 	for _, e := range s.c.deparser {
-		v := phv.get(e.field)
+		v := s.phv.get(e.field)
 		b := out[e.offset : e.offset+e.bytes]
 		switch e.bytes {
 		case 1:

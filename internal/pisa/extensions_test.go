@@ -2,7 +2,6 @@ package pisa
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -47,33 +46,38 @@ func TestParserBitExtracts(t *testing.T) {
 	}
 }
 
-// A bit field of every alignment and width, the only extract of its
-// program, parses as refParse does from every packet length up to two past
-// its extent: through a 4- or 8-byte window pulled back inside the extent
-// once the packet holds ParseLen bytes, extract by extract below that.
-// ParseLen is the extent whenever the extent fits the window.
+// TestParserBitWindowsEveryAlignment holds the parser to an in-test
+// reference. A bit field of every alignment 0–39 and width 1–32, the only
+// extract of its program, reads as a bit-by-bit read of the packet from
+// every length that holds it, up to two past its extent; every shorter
+// length is refused with an error naming the field.
 func TestParserBitWindowsEveryAlignment(t *testing.T) {
+	bitRead := func(pkt []byte, off, n int) (v uint32) {
+		for bit := off; bit < off+n; bit++ {
+			v = v<<1 | uint32(pkt[bit/8]>>(7-bit%8)&1)
+		}
+		return v
+	}
 	rng := rand.New(rand.NewSource(3))
-	f := len(builtinFields) // the program's one field
 	pkt := make([]byte, 12)
 	for off := 0; off < 40; off++ {
 		for n := 1; n <= 32; n++ {
-			sw := mustSwitch(t, Program{
+			sw, err := New(Program{
 				Fields:     []FieldDecl{{Name: "f", Width: 32}},
 				ParserBits: []BitExtractDecl{{Field: "f", BitOffset: off, Bits: n}},
 			}, BaseArch())
-			extent, window := (off+n+7)/8, 4
-			if extent-off/8 > 4 {
-				window = 8
+			if err != nil {
+				t.Fatal(err)
 			}
-			if extent >= window && sw.ParseLen() != extent {
-				t.Errorf("bits %d+%d: ParseLen %d, want the %d-byte extent", off, n, sw.ParseLen(), extent)
-			}
+			extent := (off + n + 7) / 8
 			for l := 0; l <= extent+2; l++ {
 				rng.Read(pkt)
-				got, want, gotErr, wantErr := sw.ParseFields(pkt[:l])
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got[f] != want[f] {
-					t.Fatalf("bits %d+%d, % x: f = %#x, %v; want %#x, %v", off, n, pkt[:l], got[f], gotErr, want[f], wantErr)
+				got, err := sw.ParseField(pkt[:l], "f")
+				switch {
+				case l < extent && (err == nil || !strings.Contains(err.Error(), `"f"`)):
+					t.Fatalf("bits %d+%d, %d bytes: error %v, want one naming f", off, n, l, err)
+				case l >= extent && (err != nil || got != bitRead(pkt, off, n)):
+					t.Fatalf("bits %d+%d, % x: f = %#x, %v; want %#x", off, n, pkt[:l], got, err, bitRead(pkt, off, n))
 				}
 			}
 		}

@@ -25,68 +25,37 @@
 //
 // # How a packet runs
 //
-// compile resolves a program against the architecture, checks the stages
-// the program states (checkDependencies) — each register in its table's
-// stage — and lowers both gresses to flat step plans (plan.go):
-// pre-resolved VLIW instructions, stateful-ALU steps and keyed-table
-// lookups in stage and table order, with every step the packet does not
-// need removed. A packet
-// is parsed into the PHV, and its dispatch field — the parsed field that
-// alone keys the most exact tables and that nothing writes; for the FPISA
-// program, the op octet — picks its pass: one per value the entries name,
-// one for every other value. A table keyed on that field is no lookup in a
-// pass but the action the value selects.
-//
-// A pass takes one of two straight paths. ProcessScratch runs the emitting
-// pass: the ingress plan, the egress plan on the port ingress left in
-// _egress_port, and the deparser, giving exactly one packet out on that
-// port or an error; its plans keep the steps whose results reach the
-// deparser or _egress_port. Absorb runs the absorbing pass of a packet whose
-// response nobody reads: its plans keep only the steps that feed a stateful
-// op, nothing is deparsed and nothing leaves. Both keep every stateful op,
-// so registers, runtime errors and counters (but Emitted) are the same
-// either way. There is no traffic manager: the FPISA program reflects every
+// compile resolves a program against the architecture — fields, registers,
+// parser, tables, actions and entries — checks the stages the program
+// states (checkDependencies), each register in its table's stage, and
+// reports the resources it uses (Table 3). ProcessScratch then runs each
+// packet as the program states it: the parser extracts every byte and bit
+// range into the PHV, checking each against the packet; each gress runs
+// its stages in order and each stage's tables in declaration order, an
+// always-table its default action, a keyed table the action its key
+// selects (exact by sorted search, ternary and LPM by TCAM scan), an
+// action its instructions and then its stateful op; the packet leaves on
+// the port ingress left in _egress_port, exactly one packet out or an
+// error. There is no traffic manager: the FPISA program reflects every
 // packet to its ingress port and never drops, multicasts or recirculates.
 //
-// Nothing on either path interprets a table declaration: always-tables and
-// dispatch-keyed tables have dissolved into their actions' steps, and what
-// is left of matching is the data-keyed lookups — exact by direct index or
-// sorted search, ternary and LPM by TCAM scan. A lookup that would scan the
-// same TCAM rows for the same, unwritten key as one earlier in its plan —
-// each FPISA module's renorm_m after its renorm_e — scans nothing and takes
-// the earlier lookup's matched row. A packet no shorter than the program's
-// extract extent is length-checked once and each bit field read through one
-// big-endian window; a shorter one is checked extract by extract.
-//
-// Every operand is a PHV slot. Past the fields the PHV holds the matched
-// entry's action data, one matched-row slot per table and a read-only slot
-// per distinct immediate, so a step reads its operands as two indexed loads
-// whatever their kind. Stage semantics are the Packet-Transactions atom —
-// every table of a stage reads the stage-entry PHV — and hold by
-// construction, so every step writes the PHV directly: the compiler refuses
-// a table that reads a field another table of its stage writes, whichever
-// is declared first, an instruction that reads another's destination, and a
-// stateful op that reads what an instruction of its own action writes. The
-// order of a stage's steps is then free, and a stage without a lookup runs
-// them grouped by kind, so the executor's opcode switch repeats its case.
-// The table-by-table interpreter that snapshots the PHV per stage and runs
-// every table for every packet lives on, with its own parser, as the
-// differential-test oracle (oracle_test.go, DiffRun), which holds both
-// paths to it.
-//
-// The deparser writes back a byte extract exactly when some table writes
-// its field; every other byte leaves as it arrived.
+// Every write goes straight into the PHV, and stage semantics — the
+// Packet-Transactions atom, in which every table of a stage reads the
+// stage-entry PHV — hold by construction: the compiler refuses a table that
+// reads a field another table of its stage writes, whichever is declared
+// first, an instruction that reads another's destination, and a stateful op
+// that reads what an instruction of its own action writes. The deparser
+// writes back a byte extract exactly when some table writes its field;
+// every other byte leaves as it arrived.
 //
 // # Execution and buffer ownership
 //
 // A Switch executes packets on scratch it owns — the PHV and the deparse
-// buffer — so the per-packet paths (ProcessScratch, Absorb) allocate
-// nothing. The Emission ProcessScratch returns is valid until the next call
-// on the same Switch; Process is the same execution handing out a fresh
-// copy. A Switch
-// is therefore single-threaded: replicas (Replicate) share the immutable
-// compiled program, plans included, and may run concurrently, one caller
-// each.
+// buffer — so ProcessScratch allocates nothing. The Emission it returns is
+// valid until the next call on the same Switch; Process is the same
+// execution handing out a fresh copy. A Switch is therefore
+// single-threaded: replicas (Replicate) share the immutable compiled
+// program and may run concurrently, one caller each.
 package pisa
 
 // Features describes the optional hardware extensions of paper §4.2 that

@@ -144,6 +144,62 @@ func (ci *cInstr) appendReads(r []fieldID) []fieldID {
 	return r
 }
 
+// value returns the operand's value: its field's, the matched entry's
+// action data or the immediate.
+func (o *cOperand) value(p *phv, params []uint32) uint32 {
+	switch o.kind {
+	case srcField:
+		return p.get(o.field)
+	case srcParam:
+		return params[o.param]
+	}
+	return o.imm
+}
+
+// signed returns the operand's value sign-extended from its width: a
+// field's container width, 32 bits for action data and immediates.
+func (o *cOperand) signed(p *phv, params []uint32) int32 {
+	if o.kind == srcField {
+		return p.signed(o.field)
+	}
+	return int32(o.value(p, params))
+}
+
+// eval computes the instruction's result from the PHV and the matched
+// entry's action data.
+func (ci *cInstr) eval(p *phv, params []uint32) uint32 {
+	a, b := ci.a.value(p, params), ci.b.value(p, params)
+	switch ci.op {
+	case OpMov:
+		return a
+	case OpAdd:
+		return a + b
+	case OpSub:
+		return a - b
+	case OpOr:
+		return a | b
+	case OpShl:
+		return shl32(a, b)
+	case OpShrL:
+		return shrl32(a, b)
+	case OpShrA:
+		return uint32(shra32(ci.a.signed(p, params), b))
+	case OpEq:
+		return boolBit(a == b)
+	case OpNe:
+		return boolBit(a != b)
+	case OpLtS:
+		return boolBit(ci.a.signed(p, params) < ci.b.signed(p, params))
+	case OpGeS:
+		return boolBit(ci.a.signed(p, params) >= ci.b.signed(p, params))
+	}
+	// OpCsel, the one opcode left: compile refuses any other.
+	if p.get(ci.pred) != 0 {
+		return a
+	}
+	return b
+}
+
 func shl32(v, by uint32) uint32 {
 	if by >= 32 {
 		return 0

@@ -29,7 +29,7 @@ var builtinFields = []FieldDecl{
 	fidIngressPort: {Name: FieldIngressPort, Width: 16},
 }
 
-// fieldID indexes into a Phv value slice.
+// fieldID indexes into a phv's values.
 type fieldID int32
 
 const (
@@ -41,7 +41,7 @@ const (
 type fieldTable struct {
 	byName map[string]fieldID
 	decls  []FieldDecl
-	masks  []uint32 // widthMask(decls[id].Width), precomputed for Phv.set
+	masks  []uint32 // widthMask(decls[id].Width), precomputed for phv.set
 }
 
 func newFieldTable(userFields []FieldDecl) (*fieldTable, error) {
@@ -93,17 +93,24 @@ func widthMask(width int) uint32 {
 	return 1<<width - 1
 }
 
-// Phv is one packet's header vector: the container values indexed by
-// fieldID, stored masked to their declared width. A switch's PHV goes on
-// past the fields with the slots its plans read operands from (compiled's
-// paramBase, rowBase and constBase).
-type Phv struct {
+// phv is one packet's header vector: the container values indexed by
+// fieldID, stored masked to their declared width.
+type phv struct {
 	vals []uint32
 	ft   *fieldTable
 }
 
-func (p *Phv) get(id fieldID) uint32 { return p.vals[id] }
+func (p *phv) get(id fieldID) uint32 { return p.vals[id] }
 
-func (p *Phv) set(id fieldID, v uint32) {
+func (p *phv) set(id fieldID, v uint32) {
 	p.vals[id] = v & p.ft.masks[id]
+}
+
+// signed returns the field's value sign-extended from its container width.
+func (p *phv) signed(id fieldID) int32 { return signExtend(p.vals[id], p.ft.width(id)) }
+
+// signExtend widens a value held in the low width bits to int32.
+func signExtend(v uint32, width int) int32 {
+	sx := 32 - width
+	return int32(v<<sx) >> sx
 }

@@ -431,6 +431,96 @@ func TestLPMTableInPipeline(t *testing.T) {
 	}
 }
 
+// twoLPMProg has two LPM tables on m that declare the same prefixes — the
+// shape of each FPISA module's renorm_e and renorm_m — in stages 0 and 2,
+// each running its own action with its own action data per prefix; the
+// second has a default action, and every entry carries more action data
+// than its action reads. With write, a stage-1 table shifts m between them.
+func twoLPMProg(write bool) Program {
+	p := Program{
+		Fields: []FieldDecl{{Name: "m", Width: 32}, {Name: "x", Width: 32}, {Name: "y", Width: 32}},
+		Parser: []ExtractDecl{{Field: "m", Offset: 0, Bytes: 4}, {Field: "x", Offset: 4, Bytes: 4}, {Field: "y", Offset: 8, Bytes: 4}},
+	}
+	first := TableDecl{
+		Name: "first", Stage: 0, Kind: MatchLPM, Key: []string{"m"},
+		Actions: []ActionDecl{{Name: "a", Instrs: []Instr{{Op: OpAdd, Dst: "x", A: F("x"), B: P(0)}}}},
+	}
+	second := TableDecl{
+		Name: "second", Stage: 2, Kind: MatchLPM, Key: []string{"m"},
+		Actions: []ActionDecl{
+			{Name: "b", Instrs: []Instr{{Op: OpSub, Dst: "y", A: F("y"), B: P(0)}}},
+			{Name: "miss", Instrs: []Instr{{Op: OpMov, Dst: "y", A: Imm(7)}}},
+		},
+		Default: "miss",
+	}
+	for i, l := range lpmPrefixLens {
+		prefix := uint64(1) << (32 - l)
+		first.Entries = append(first.Entries, EntryDecl{Value: prefix, PrefixLen: l, Action: "a", Params: []uint32{uint32(i + 1), 99}})
+		second.Entries = append(second.Entries, EntryDecl{Value: prefix, PrefixLen: l, Action: "b", Params: []uint32{uint32(10 * (i + 1)), 99}})
+	}
+	p.Tables = []TableDecl{first, second}
+	if write {
+		p.Tables = append(p.Tables, TableDecl{
+			Name: "shift", Stage: 1, Kind: MatchAlways, Default: "shift",
+			Actions: []ActionDecl{{Name: "shift", Instrs: []Instr{{Op: OpShrL, Dst: "m", A: F("m"), B: Imm(4)}}}},
+		})
+	}
+	return p
+}
+
+// lpmPrefixLens are twoLPMProg's prefixes: entry i matches the keys whose
+// top lpmPrefixLens[i] bits are 0…01.
+var lpmPrefixLens = []int{1, 9, 24}
+
+// Two LPM tables that declare the same rows on one key each match the key
+// as it stands at their stage and run their own action with their own
+// entry's action data, ignoring the data past what the action reads; a miss
+// runs the second's default action and leaves the first's field alone.
+// With m shifted between them, the second matches the shifted key.
+func TestLPMRowReuse(t *testing.T) {
+	match := func(m uint32) int { // the entry m hits, -1 for none
+		for i, l := range lpmPrefixLens {
+			if m>>(32-l) == 1 {
+				return i
+			}
+		}
+		return -1
+	}
+	var keys []uint32
+	for _, l := range lpmPrefixLens {
+		lo := uint32(1) << (32 - l)
+		keys = append(keys, lo, lo|(lo-1), lo|(lo-1)/3, lo<<4, lo>>4, lo-1)
+	}
+	keys = append(keys, 0, 0xffffffff, 0x7fffffff)
+	for _, write := range []bool{false, true} {
+		sw := mustSwitch(t, twoLPMProg(write), BaseArch())
+		for _, m := range keys {
+			wantX, wantY := uint32(1000), uint32(7)
+			if i := match(m); i >= 0 {
+				wantX += uint32(i + 1)
+			}
+			second := m
+			if write {
+				second >>= 4
+			}
+			if i := match(second); i >= 0 {
+				wantY = 1000 - uint32(10*(i+1))
+			}
+			pkt := binary.BigEndian.AppendUint32(nil, m)
+			pkt = binary.BigEndian.AppendUint32(pkt, 1000)
+			pkt = binary.BigEndian.AppendUint32(pkt, 1000)
+			out, err := sw.Process(0, pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := binary.BigEndian.Uint32(out[0].Packet[4:]), binary.BigEndian.Uint32(out[0].Packet[8:])
+			if x != wantX || y != wantY {
+				t.Errorf("m written %v, key %#x: x %d y %d, want x %d y %d", write, m, x, y, wantX, wantY)
+			}
+		}
+	}
+}
+
 func TestExactMatchTable(t *testing.T) {
 	prog := Program{
 		Fields: []FieldDecl{{Name: "k", Width: 8}, {Name: "out", Width: 8}},
@@ -462,8 +552,8 @@ func TestExactMatchTable(t *testing.T) {
 	}
 }
 
-// A key wider than denseKeyBits is found by search over the sorted entries
-// rather than by direct index: two fields, the first in the key's high bits.
+// A two-field key is concatenated with the first field in its high bits
+// and found among entries declared out of key order.
 func TestExactMatchWideKey(t *testing.T) {
 	prog := Program{
 		Fields: []FieldDecl{{Name: "hi", Width: 32}, {Name: "lo", Width: 8}, {Name: "out", Width: 8}},
@@ -812,13 +902,12 @@ func TestNarrowContainerArithmetic(t *testing.T) {
 	}
 }
 
-// The plan writes straight to the PHV and relies on the compiler for stage
-// semantics (see plan): no table may read a field another table of its stage
-// writes — as an operand, a csel selector, a match key or a stateful op's
-// index — whichever of the two is declared first. Were this rule relaxed, a
-// reader declared after the writer would see the written value instead of
-// the stage-entry one, and grouping a stage's steps by kind could move a
-// reader declared first after the writer.
+// The executor writes straight to the PHV and relies on the compiler for
+// stage semantics (see runGress): no table may read a field another table of
+// its stage writes — as an operand, a csel selector, a match key or a
+// stateful op's index — whichever of the two is declared first. Were this
+// rule relaxed, a reader declared after the writer would see the written
+// value instead of the stage-entry one.
 func TestSameStageReadOfEarlierWriteRejected(t *testing.T) {
 	fields := []FieldDecl{{Name: "x", Width: 8}, {Name: "o", Width: 8}}
 	parser := []ExtractDecl{{Field: "x", Offset: 0, Bytes: 1}, {Field: "o", Offset: 1, Bytes: 1}}
@@ -934,7 +1023,7 @@ func hazardProg() Program {
 // instructions, so it may not read a field one of them writes: the compiler
 // refuses it and names the field, for each of the op's reads alone, and
 // accepts the action once no instruction writes what the op reads. That
-// rule is what lets every plan step write the PHV directly.
+// rule is what lets every instruction write the PHV directly.
 func TestStatefulOpReadingActionWriteRefused(t *testing.T) {
 	if _, err := New(hazardProg(), ExtendedArch()); err == nil || !strings.Contains(err.Error(), "stateful op reads field") {
 		t.Fatalf("hazardProg compiled: %v", err)

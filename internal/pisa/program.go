@@ -57,13 +57,6 @@ type cBitExtract struct {
 	field     fieldID
 	bitOffset int
 	bits      int
-	// The big-endian window parse reads the field through when the packet
-	// holds parseLen bytes: 4 bytes from win, or 8 when wide, shifted right
-	// by shift and masked to bits.
-	win   int
-	wide  bool
-	shift uint8
-	mask  uint32
 }
 
 // compiled is the fully resolved program. It is immutable after compile —
@@ -80,26 +73,10 @@ type compiled struct {
 	// deparser is the byte extracts some table writes, in parser order:
 	// what the deparser writes back (deriveWritebacks).
 	deparser []cExtract
-	// parseLen is the packet length from which parse checks no extract
-	// against the packet: the program's extract extent (layoutParser).
-	parseLen int
 	ingress  [][]*cTable // indexed by stage; built during checkDependencies
 	egress   [][]*cTable
 	declared []*cTable // declaration order, both gresses
-	nInstrs  int       // instructions over every action (cAction.instr0)
-	// What the executor runs (plan.go): a packet's parsed dispatch field
-	// picks its pass, passOf[value] indexing emit and absorb. Without a
-	// dispatch field every packet takes pass 0.
-	dispatch     fieldID
-	passOf       [256]uint8
-	emit, absorb []pass
-	// The PHV slots past the fields that plans read operands from: action
-	// data from paramBase, one matched-row slot per declared table from
-	// rowBase (rowBase + cTable.idx), and from constBase the immediates,
-	// consts, which every switch's PHV holds from newInstance on.
-	paramBase, rowBase, constBase int
-	consts                        []uint32
-	util                          Utilization
+	util     Utilization
 }
 
 // compile resolves and validates the program against the architecture.
@@ -128,7 +105,6 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.compileParserBits(prog.ParserBits); err != nil {
 		return nil, err
 	}
-	c.layoutParser()
 	if err := c.compileTables(prog.Tables); err != nil {
 		return nil, err
 	}
@@ -138,7 +114,6 @@ func compile(prog Program, arch Arch) (*compiled, error) {
 	if err := c.checkDependencies(); err != nil {
 		return nil, err
 	}
-	c.lowerPasses()
 	if err := c.accountResources(); err != nil {
 		return nil, err
 	}
@@ -269,35 +244,6 @@ func (c *compiled) compileParserBits(decls []BitExtractDecl) error {
 	return nil
 }
 
-// layoutParser sets parseLen to the extract extent — the end of the last
-// byte any extract reads — and places each bit field's window: 4 bytes from
-// its first byte, 8 when it straddles more than 4, pulled back to end at the
-// extent where it would run past it. So every FPISA packet, the last
-// module's fields included, is parsed with one length check. Only a program
-// whose extent is shorter than a window has a parseLen past it: a packet of
-// the extent's length is then parsed on the checked path.
-func (c *compiled) layoutParser() {
-	for _, e := range c.parser {
-		c.parseLen = max(c.parseLen, e.offset+e.bytes)
-	}
-	for _, e := range c.parserBits {
-		c.parseLen = max(c.parseLen, (e.bitOffset+e.bits+7)/8)
-	}
-	extent := c.parseLen
-	for i := range c.parserBits {
-		e := &c.parserBits[i]
-		first, end := e.bitOffset/8, (e.bitOffset+e.bits+7)/8
-		size := 4
-		if end-first > size {
-			size, e.wide = 8, true
-		}
-		e.win = max(0, min(first, extent-size))
-		e.shift = uint8((e.win+size)*8 - e.bitOffset - e.bits)
-		e.mask = widthMask(e.bits)
-		c.parseLen = max(c.parseLen, e.win+size)
-	}
-}
-
 func (c *compiled) compileTables(decls []TableDecl) error {
 	names := make(map[string]bool)
 	for ti := range decls {
@@ -363,8 +309,6 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 		if t.action(a.name) != nil {
 			return nil, fmt.Errorf("pisa: table %q: duplicate action %q", d.Name, a.name)
 		}
-		a.idx, a.instr0 = len(t.actions), c.nInstrs
-		c.nInstrs += len(a.instrs)
 		t.actions = append(t.actions, a)
 	}
 	if d.Default != "" {
@@ -428,15 +372,6 @@ func (c *compiled) compileTable(d *TableDecl) (*cTable, error) {
 				return nil, fmt.Errorf("pisa: table %q: %w", d.Name, err)
 			}
 			t.rows = append(t.rows, h)
-		}
-	}
-
-	if d.Kind == MatchExact && t.keyBits <= denseKeyBits {
-		t.dense = make([]uint16, 1<<t.keyBits)
-		for i, k := range t.exactKeys {
-			if k < uint64(len(t.dense)) { // a wider value can never match
-				t.dense[k] = uint16(i + 1)
-			}
 		}
 	}
 

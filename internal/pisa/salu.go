@@ -1,5 +1,7 @@
 package pisa
 
+import "fmt"
+
 // RegisterDecl declares a stateful register array. Exactly one table may
 // access a register, and the array lives in that table's stage and gress —
 // one stateful access per packet, the PISA constraint that forces FPISA's
@@ -158,4 +160,96 @@ func (op *cStatefulOp) appendReads(r []fieldID) []fieldID {
 		r = append(r, op.condField)
 	}
 	return r
+}
+
+// exec runs the op on its register in bank: reads the element the index
+// field names, evaluates the predicate, applies the selected update, writes
+// back and drives the op's PHV outputs.
+func (op *cStatefulOp) exec(bank []*registerArray, p *phv) error {
+	r := bank[op.regID]
+	idx := p.get(op.index)
+	if int(idx) >= len(r.vals) {
+		return fmt.Errorf("pisa: register %q index %d out of range %d", r.decl.Name, idx, len(r.vals))
+	}
+	w := r.decl.Width
+	old := r.vals[idx]
+	var in uint32
+	if op.hasIn {
+		in = p.get(op.in) & widthMask(w)
+	}
+
+	pred := true
+	switch op.cond.Kind {
+	case CondCmpOldIn:
+		pred = op.cond.Cmp.apply(int64(in), int64(old)+op.cond.Off)
+	case CondPhv:
+		pred = op.cond.Cmp.apply(int64(p.get(op.condField)), op.cond.Off)
+	}
+	upd := op.false_
+	if pred {
+		upd = op.true_
+	}
+
+	overflow := false
+	newVal := old
+	switch upd {
+	case USetIn:
+		newVal = in
+	case UZero:
+		newVal = 0
+	case UAddIn:
+		newVal, overflow = op.add(w, old, in)
+	case UMaxIn:
+		if op.greater(w, in, old) {
+			newVal = in
+		}
+	case URsawAddIn:
+		var dist uint32
+		if op.hasShift {
+			dist = p.get(op.shift)
+		}
+		newVal, overflow = op.add(w, op.shiftRight(w, old, dist), in)
+	}
+	r.vals[idx] = newVal
+
+	switch op.output {
+	case OutOld:
+		p.set(op.outField, old)
+	case OutNew:
+		p.set(op.outField, newVal)
+	}
+	if op.hasOvField {
+		p.set(op.ovField, boolBit(overflow))
+	}
+	return nil
+}
+
+// add adds within the register width w and reports signed overflow when
+// the op is signed (unsigned ops never report overflow: wrapping is the
+// defined behaviour for counters).
+func (op *cStatefulOp) add(w int, a, b uint32) (uint32, bool) {
+	signBit := uint32(1) << (w - 1)
+	sum := (a + b) & widthMask(w)
+	// Signed overflow: operands share a sign that differs from the result's.
+	return sum, op.signed && (a^b)&signBit == 0 && (a^sum)&signBit != 0
+}
+
+// greater compares two register-width values, signed when the op is.
+func (op *cStatefulOp) greater(w int, a, b uint32) bool {
+	if op.signed {
+		return signExtend(a, w) > signExtend(b, w)
+	}
+	return a > b
+}
+
+// shiftRight shifts a register-width value right by dist: arithmetically,
+// the distance clamped to w-1, when the op is signed, else logically.
+func (op *cStatefulOp) shiftRight(w int, v, dist uint32) uint32 {
+	if op.signed {
+		return uint32(signExtend(v, w)>>min(dist, uint32(w-1))) & widthMask(w)
+	}
+	if dist >= uint32(w) {
+		return 0
+	}
+	return v >> dist
 }

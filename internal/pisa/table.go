@@ -95,16 +95,13 @@ type cTable struct {
 	// concatenated key: the widths of the fields after it.
 	key     []keyField
 	keyBits int
-	actions []*cAction // declaration order: actions[i].idx == i
-	// rows holds a keyed table's entries, indexed by the row match returns:
-	// an exact table's sorted by key (rows[i] belongs to exactKeys[i]), a
-	// ternary or LPM table's in declaration order, each TCAM row's action
-	// being its entry's index. An exact key of at most denseKeyBits is
-	// looked up by direct index instead of by search: dense[key] is 1 + its
-	// entry's position, 0 for no entry.
+	actions []*cAction // declaration order
+	// rows holds a keyed table's entries, indexed by the row a lookup
+	// matches: an exact table's sorted by key (rows[i] belongs to
+	// exactKeys[i]), a ternary or LPM table's in declaration order, each
+	// TCAM row's action being its entry's index.
 	rows      []cHit
 	exactKeys []uint64
-	dense     []uint16
 	ternary   *tcam.Table[uint32]
 	lpm       *tcam.LPM[uint32]
 	default_  *cAction
@@ -112,11 +109,6 @@ type cTable struct {
 	// idx is the table's position in declaration order.
 	idx int
 }
-
-// denseKeyBits bounds the exact-match keys that get a direct index (one
-// 16-bit word per possible key). A lookup by index does not branch on the
-// key, which a search over sorted keys does on every probe.
-const denseKeyBits = 8
 
 type keyField struct {
 	id    fieldID
@@ -130,10 +122,6 @@ type cAction struct {
 	// nParams is the number of action-data parameters the instructions
 	// reference; entries must supply at least this many.
 	nParams int
-	// idx is the action's position in its table's declaration; instr0 is the
-	// position of its first instruction in the program's (every action's
-	// instructions in table, then action, declaration order).
-	idx, instr0 int
 }
 
 // action returns the table's action of that name, or nil.
@@ -156,41 +144,25 @@ func (t *cTable) buildKey(vals []uint32) uint64 {
 	return k
 }
 
-// noRow is the row match returns for a key no entry matches.
-const noRow = ^uint32(0)
-
-// match returns the row in rows of the entry a built key hits, or noRow. It
-// never mutates the table, so replicas can look up concurrently.
-func (t *cTable) match(key uint64) uint32 {
+// lookup returns the action (plus its action data) the table executes for
+// a built key: the matched entry's, or the default action on a miss; a nil
+// action means a no-op miss. It never mutates the table, so replicas can
+// look up concurrently.
+func (t *cTable) lookup(key uint64) cHit {
+	var row uint32
+	ok := false
 	switch t.decl.Kind {
 	case MatchExact:
-		if t.dense != nil {
-			return uint32(t.dense[key]) - 1 // 0, no entry, wraps to noRow
-		}
-		if i, ok := slices.BinarySearch(t.exactKeys, key); ok {
-			return uint32(i)
-		}
+		var i int
+		i, ok = slices.BinarySearch(t.exactKeys, key)
+		row = uint32(i)
 	case MatchTernary:
-		if i, ok := t.ternary.Lookup(key); ok {
-			return i
-		}
+		row, ok = t.ternary.Lookup(key)
 	case MatchLPM:
-		if i, ok := t.lpm.Lookup(key); ok {
-			return i
-		}
+		row, ok = t.lpm.Lookup(key)
 	}
-	return noRow
-}
-
-// hit returns the action (plus its action data) the table executes for the
-// row match returned: the entry's, or the default action for noRow; a nil
-// action means a no-op miss.
-func (t *cTable) hit(row uint32) cHit {
-	if row < uint32(len(t.rows)) {
-		return t.rows[row]
+	if !ok {
+		return cHit{action: t.default_}
 	}
-	return cHit{action: t.default_}
+	return t.rows[row]
 }
-
-// lookup returns what the table executes for a built key.
-func (t *cTable) lookup(key uint64) cHit { return t.hit(t.match(key)) }

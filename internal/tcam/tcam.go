@@ -7,24 +7,19 @@
 // the row with the highest priority wins, with earlier insertion breaking
 // ties — the same semantics as hardware TCAM row ordering.
 //
-// Integration status: wired into the data path — internal/pisa backs its
-// ternary and LPM tables with these. In the FPISA program those are each
-// module's two egress renormalisation LPMs (Fig. 5: locate the leading one,
-// then shift the mantissa and adjust the exponent) and, on the base
-// architecture only, the ingress alignment ternaries that expand the
-// variable-distance shift into per-distance actions. Every pass that builds
-// a response scans the LPMs: the ADD that completes a chunk, reads and
-// drains. It scans each module's pair once: the two declare the same rows
-// for the same key, and a row's action is its entry's index, so the second
-// (renorm_m) takes the index the first (renorm_e) matched and runs its own
-// action for that entry. An absorbed pass (pisa.Switch.Absorb: every other ADD of a chunk,
-// every analytics fold) runs no egress, so it reaches none of the LPMs, and
-// only the base architecture's alignment ternaries, which feed the
-// mantissa register. Telemetry tenants' traffic classes (aggservice's
-// ClassTelemetry) use no table: they are equal-length prefixes of the key's
-// top bits, which aggservice computes as a shift, keeping an LPM table only
-// as the test oracle that pins it. The LPM table also backs the CLZ
-// microbenchmark in bench_test.go.
+// Integration status: internal/pisa backs its ternary and LPM tables with
+// these. In the FPISA program those are each module's two egress
+// renormalisation LPMs (Fig. 5: locate the leading one, then shift the
+// mantissa and adjust the exponent), which declare the same rows for the
+// same key and each scan them, and, on the base architecture only, the
+// ingress alignment ternaries that expand the variable-distance shift into
+// per-distance actions. No served packet runs the FPISA program: the
+// switch sums on core's Accumulator, and pisa runs packets for tests,
+// fpisa.SwitchSim and the benchmarks. Telemetry tenants' traffic classes
+// (aggservice's ClassTelemetry) use no table: they are equal-length
+// prefixes of the key's top bits, which aggservice computes as a shift,
+// keeping an LPM table only as the test oracle that pins it. The LPM table
+// also backs the CLZ microbenchmark in bench_test.go.
 package tcam
 
 import (
