@@ -2,6 +2,7 @@ package aggservice
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -441,10 +442,12 @@ type Switch struct {
 	shards []*shard
 	jobs   []jobState
 
-	// util is the resource report of the default FPISA program, compiled
-	// once at construction for Config's Mode, Modules and Arch: the
-	// witness that the configured shape fits the switch. No packet runs
-	// through it; every bank sums on a core.ProfileAggregator.
+	// util is the resource report of the default FPISA program for this
+	// switch's shape (compiled once per shape per process, see compile):
+	// the witness that the configured shape fits the switch.
+	// Switches of one shape share its Stages; Utilization hands out copies.
+	// No packet runs through the program; every bank sums on a
+	// core.ProfileAggregator.
 	util pisa.Utilization
 
 	// OnLifecycle, when set before the switch starts handling traffic, is
@@ -509,8 +512,10 @@ type slotState struct {
 // on.
 func (st *slotState) aggregating() bool { return st.chunk >= 0 && st.nSeen < len(st.seen) }
 
-// NewSwitch provisions the shards, then admits the initial jobs through
-// Admit — static and runtime tenants are built by the same path.
+// NewSwitch checks that the configured shape fits (compile), provisions the
+// shards, then admits the initial jobs through Admit — static and runtime
+// tenants are built by the same path. Only the first switch of a shape in a
+// process pays for compiling the FPISA program.
 func NewSwitch(cfg Config) (*Switch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -546,12 +551,38 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	return s, nil
 }
 
+// shape is everything compile reads of a Config: switches with equal shapes
+// compile the identical program.
+type shape struct {
+	mode    core.Mode
+	modules int
+	slots   int
+	arch    pisa.Arch
+}
+
+// compiled holds the resource report of every shape compiled so far in this
+// process. Only successes are stored, so a refused shape is compiled, and
+// refused, again on every call.
+var (
+	compiledMu sync.Mutex
+	compiled   = map[shape]pisa.Utilization{}
+)
+
 // compile builds and compiles the default FPISA program for the configured
 // mode, module count and architecture, with a bank's slots, and returns its
 // resource report. A shape the switch cannot hold — more modules than
-// core.MaxModules(arch), or full FPISA without the RSAW extension — fails
-// here, before any job is admitted.
+// core.MaxModules(arch), full FPISA without the RSAW extension, or more
+// register SRAM than a stage holds — fails here, before any job is admitted.
+// The program is a compile-time artifact, so it is compiled once per shape
+// per process; every later switch of that shape reuses the report.
 func compile(cfg Config, slots int) (pisa.Utilization, error) {
+	key := shape{mode: cfg.Mode, modules: cfg.Modules, slots: slots, arch: cfg.Arch}
+	compiledMu.Lock()
+	u, ok := compiled[key]
+	compiledMu.Unlock()
+	if ok {
+		return u, nil
+	}
 	prog, _, err := core.BuildProgram(core.DefaultFP32(cfg.Mode), cfg.Modules, slots, cfg.Arch)
 	if err != nil {
 		return pisa.Utilization{}, err
@@ -560,7 +591,11 @@ func compile(cfg Config, slots int) (pisa.Utilization, error) {
 	if err != nil {
 		return pisa.Utilization{}, fmt.Errorf("aggservice: FPISA program failed to compile: %w", err)
 	}
-	return sw.Utilization(), nil
+	u = sw.Utilization()
+	compiledMu.Lock()
+	compiled[key] = u
+	compiledMu.Unlock()
+	return u, nil
 }
 
 // newBanks builds a training incarnation's per-shard banks under profile p:
@@ -571,19 +606,28 @@ func (s *Switch) newBanks(p core.NumericProfile) ([]bank, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := s.cfg.Workers
 	banks := make([]bank, s.nsh)
 	for k := range banks {
 		banks[k] = bank{agg: proto.Replicate(), slot: make([]slotState, s.perBank)}
+		// One seen array per bank; each slot's flags are a capped window of
+		// it, so clear and len act on that slot's Workers flags only.
+		seen := make([]bool, s.perBank*w)
 		for i := range banks[k].slot {
-			banks[k].slot[i] = slotState{chunk: -1, seen: make([]bool, s.cfg.Workers)}
+			banks[k].slot[i] = slotState{chunk: -1, seen: seen[i*w : (i+1)*w : (i+1)*w]}
 		}
 	}
 	return banks, nil
 }
 
 // Utilization is the resource report of the default FPISA program compiled
-// for this switch's shape (the paper's Table 3 layout).
-func (s *Switch) Utilization() pisa.Utilization { return s.util }
+// for this switch's shape (the paper's Table 3 layout). Its Stages are a
+// copy: switches of one shape share the report.
+func (s *Switch) Utilization() pisa.Utilization {
+	u := s.util
+	u.Stages = slices.Clone(u.Stages)
+	return u
+}
 
 // Shards returns the effective shard count.
 func (s *Switch) Shards() int { return s.nsh }

@@ -86,11 +86,12 @@
 // bit-exact accumulator built at admission from the job's Config
 // (core.NewProfileAggregator), so two jobs with different profiles run
 // different arithmetic side by side on one switch. The compiled FPISA
-// program serves no packet: the switch compiles the default program once
-// at construction, for the configured Mode, Modules and Arch, as the
-// witness that the shape fits (a shape that does not is refused there) and
-// as the Utilization report, and core's differential tests hold the
-// accumulator to it. On the wire, ADD values
+// program serves no packet: it is compiled once per shape per process
+// (Mode, Modules, a bank's slots and Arch), by the first switch of that
+// shape, as the witness that the shape fits and as the Utilization report;
+// later switches of the shape reuse the report. A shape that does not fit
+// is compiled, and refused, on every construction. core's differential
+// tests hold the accumulator to the program. On the wire, ADD values
 // and RESULT sums are carried in the job's negotiated format — the 16-bit
 // formats halve the value payload — and a worker speaking the wrong width
 // for its job is refused as malformed rather than mis-decoded.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"fpisa/internal/fpnum"
 	"fpisa/internal/pisa"
@@ -237,7 +238,8 @@ func shiftHint(arch pisa.Arch) string {
 
 // addModule emits the per-value dataflow for module k of modules.
 func addModule(p *pisa.Program, k, modules, slots int, full, varShift bool, manStage, ovfStage, umagStage int, sh *sharedInstrs) error {
-	n := func(name string) string { return fmt.Sprintf("%s_%d", name, k) }
+	sfx := "_" + strconv.Itoa(k)
+	n := func(name string) string { return name + sfx }
 	valOff := pktOffValues + 4*k
 	manBits := fpnum.FP32.ManBits // 23
 	H := DefaultProfile.Headroom()
@@ -510,7 +512,7 @@ func addAlignment(p *pisa.Program, n func(string) string, full, varShift bool, m
 		Value: 0x00010000, Mask: 0xFFFF0000, Priority: 100, Action: "pass_ovw",
 	})
 	for k := 1; k <= H; k++ {
-		name := fmt.Sprintf("shl_%d", k)
+		name := "shl_" + strconv.Itoa(k)
 		left.Actions = append(left.Actions, pisa.ActionDecl{
 			Name:   name,
 			Instrs: []pisa.Instr{{Op: pisa.OpShl, Dst: n("m_sh"), A: pisa.F(n("m_in")), B: pisa.Imm(uint32(k))}},
@@ -536,7 +538,7 @@ func addAlignment(p *pisa.Program, n func(string) string, full, varShift bool, m
 		Value: 0x01000000, Mask: 0xFFFFFFFF, Priority: 10, Action: "pass_r", // dist 0
 	})
 	for k := 1; k <= manBits; k++ {
-		name := fmt.Sprintf("shr_%d", k)
+		name := "shr_" + strconv.Itoa(k)
 		right.Actions = append(right.Actions, pisa.ActionDecl{
 			Name:   name,
 			Instrs: []pisa.Instr{{Op: pisa.OpShrA, Dst: n("m_sh"), A: pisa.F(n("m_in")), B: pisa.Imm(uint32(k))}},
@@ -652,10 +654,10 @@ func addRenormalize(p *pisa.Program, n func(string) string, varShift bool, manBi
 			var instr pisa.Instr
 			switch {
 			case shift > 0:
-				name = fmt.Sprintf("nshr_%d", shift)
+				name = "nshr_" + strconv.Itoa(shift)
 				instr = pisa.Instr{Op: pisa.OpShrL, Dst: n("m_norm"), A: pisa.F(n("u_mag")), B: pisa.Imm(uint32(shift))}
 			case shift < 0:
-				name = fmt.Sprintf("nshl_%d", -shift)
+				name = "nshl_" + strconv.Itoa(-shift)
 				instr = pisa.Instr{Op: pisa.OpShl, Dst: n("m_norm"), A: pisa.F(n("u_mag")), B: pisa.Imm(uint32(-shift))}
 			default:
 				name = "npass"

@@ -274,7 +274,7 @@ type Memory struct {
 	// deliveries land.
 	closeMu sync.RWMutex
 	mu      sync.Mutex // guards the RNG, counters and closed flag
-	rng     *rand.Rand
+	rng     *rand.Rand // nil on a lossless fabric: only a loss draw reads it
 	rings   []*ring
 	closed  bool
 
@@ -350,7 +350,8 @@ type MemoryConfig struct {
 	BatchHandler BatchHandler
 	UplinkLoss   float64
 	DownlinkLoss float64
-	Seed         int64
+	// Seed seeds the loss RNG; a lossless fabric builds none.
+	Seed int64
 	// QueueDepth bounds each worker's delivery ring (0 means 1024; a
 	// negative depth is refused); overflowing deliveries are dropped, as a
 	// NIC ring would.
@@ -380,8 +381,10 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 		handler: cfg.BatchHandler,
 		uplinkP: cfg.UplinkLoss,
 		downP:   cfg.DownlinkLoss,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		rings:   make([]*ring, cfg.Workers),
+	}
+	if m.uplinkP > 0 || m.downP > 0 {
+		m.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for i := range m.rings {
 		m.rings[i] = newRing(depth)
