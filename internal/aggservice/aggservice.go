@@ -1082,8 +1082,13 @@ func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 	if len(sc.done) == 0 {
 		return
 	}
-	// Insertion sort by (job, chunk): completion order already tracks
-	// chunk order closely, and sort.Slice would allocate on the hot path.
+	// Insertion sort by (job, chunk); sort.Slice would allocate on the hot
+	// path. With one shard, completion order tracks chunk order closely.
+	// With Shards ≥ 2 it does not: processAdds completes a batch shard by
+	// shard, so a window's consecutive chunks arrive grouped by shard —
+	// with two, every chunk of one slot parity before any of the other
+	// (even slots, then odd, when the batch's first ADD has an even slot)
+	// — and each later group is sorted back in past the earlier ones.
 	d := sc.done
 	for i := 1; i < len(d); i++ {
 		for j := i; j > 0 && (d[j].job < d[j-1].job ||

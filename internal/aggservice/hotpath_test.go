@@ -3,6 +3,7 @@ package aggservice
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -234,33 +235,38 @@ func TestSendVecReusesItsArena(t *testing.T) {
 // TestSendVecHoldsAWholeWindow: the largest vector Reduce builds — Pool
 // ADDs, the initial window, a retransmit round of it or a received vector
 // that frees it all — fits the arena newSendVec sized, so not even the
-// first such vector grows it, and a stream of them allocates nothing.
+// first such vector grows it, and a stream of them allocates nothing: for
+// f32 and bf16 values at one and three modules.
 func TestSendVecHoldsAWholeWindow(t *testing.T) {
-	const modules, pool, chunks = 3, 64, 200
-	vec := make([]float32, modules*chunks)
-	for i := range vec {
-		vec[i] = float32(i)
-	}
-	sv := newSendVec(0, 0, core.DefaultProfile, modules, pool, vec)
-	arena, msgs := cap(sv.arena), cap(sv.msgs)
-	fab := &nullFabric{}
-	c := 0
-	send := func() {
-		for i := 0; i < pool; i++ {
-			sv.add(c % chunks)
-			c++
+	const pool, chunks = 64, 200
+	for _, prof := range []core.NumericProfile{core.DefaultProfile, {Format: core.FormatBF16}} {
+		for _, modules := range []int{1, 3} {
+			vec := make([]float32, modules*chunks)
+			for i := range vec {
+				vec[i] = float32(i)
+			}
+			sv := newSendVec(0, 0, prof, modules, pool, vec)
+			arena, msgs := cap(sv.arena), cap(sv.msgs)
+			fab := &nullFabric{}
+			c := 0
+			send := func() {
+				for i := 0; i < pool; i++ {
+					sv.add(c % chunks)
+					c++
+				}
+				if err := fab.SendBatch(0, sv.msgs); err != nil {
+					t.Fatal(err)
+				}
+				sv.reset()
+			}
+			send()
+			if cap(sv.arena) != arena || cap(sv.msgs) != msgs {
+				t.Fatalf("%v m%d: a %d-ADD vector grew the arena from %d to %d bytes and the vector from %d to %d",
+					prof, modules, pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
+			}
+			allocgate.AtMost(t, fmt.Sprintf("%v m%d send path (per Pool-ADD vector)", prof, modules), 0, send)
 		}
-		if err := fab.SendBatch(0, sv.msgs); err != nil {
-			t.Fatal(err)
-		}
-		sv.reset()
 	}
-	send()
-	if cap(sv.arena) != arena || cap(sv.msgs) != msgs {
-		t.Fatalf("a %d-ADD vector grew the arena from %d to %d bytes and the vector from %d to %d",
-			pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
-	}
-	allocgate.AtMost(t, "send path (per Pool-ADD vector)", 0, send)
 }
 
 // TestCachedResultSurvivesScratchReuse is the aliasing regression for the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fpisa/internal/core"
@@ -328,14 +329,19 @@ func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfi
 
 // appendAdd appends one ADD of modules values (see EncodeAddProfile) to dst
 // and returns the extended slice — the form a sender uses to encode a whole
-// send vector into one reused arena. Values past len(vals) are +0.
+// send vector into one reused arena. Values past len(vals) are +0. The
+// slice grows once; the header and values overwrite what the arena held,
+// so only the padding is zeroed.
 func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.NumericProfile, modules int, vals []float32) []byte {
-	n := len(dst)
-	dst = append(dst, make([]byte, addValOff)...)
+	n, size := len(dst), addBytes(modules, prof)
+	dst = slices.Grow(dst, size)[:n+size]
 	putHeader(dst[n:], MsgAdd, job, chunk)
 	dst[n+hdrBytes] = epoch
-	dst = prof.AppendValues(dst, vals)
-	return append(dst, make([]byte, prof.ValueBytes()*(modules-len(vals)))...)
+	// The grown capacity holds the values, so AppendValues writes them in
+	// place behind the header.
+	filled := prof.AppendValues(dst[:n+addValOff], vals)
+	clear(dst[len(filled):])
+	return dst
 }
 
 // newAdd allocates a tree leaf's ADD to its parent, header written, and

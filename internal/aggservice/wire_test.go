@@ -2,6 +2,7 @@ package aggservice
 
 import (
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -206,4 +207,45 @@ func tupleAckOf(job int, seq uint32, survivors []bool) []byte {
 		}
 	}
 	return ack
+}
+
+// BenchmarkWireCodec times a worker's codec on both ends of a chunk:
+// encoding a 64-ADD window into one arena (appendAdd, as sendVec does) and
+// decoding a 64-item RESULT RUN into the output vector (readDownlink and
+// GetValues, as Reduce's complete does), f32 and bf16 at one and three
+// modules. One op is one window; ns/chunk divides it by 64.
+func BenchmarkWireCodec(b *testing.B) {
+	const window = 64
+	for _, prof := range []core.NumericProfile{core.DefaultProfile, {Format: core.FormatBF16}} {
+		for _, modules := range []int{1, 3} {
+			vec := make([]float32, window*modules)
+			for i := range vec {
+				vec[i] = float32(i) * 0.37
+			}
+			items := make([][]byte, window)
+			for c := range items {
+				pkt, vals := newResult(0, uint32(c), modules, prof)
+				prof.AppendValues(vals[:0], vec[c*modules:(c+1)*modules])
+				items[c] = pkt
+			}
+			run := encodeResultRun(0, 0, items)
+			arena := make([]byte, 0, window*addBytes(modules, prof))
+			out := make([]float32, len(vec))
+			complete := func(chunk uint32, vals []byte, _ bool) {
+				c := int(chunk)
+				prof.GetValues(out[c*modules:(c+1)*modules], vals)
+			}
+			b.Run(fmt.Sprintf("%v/m%d", prof.Format, modules), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					arena = arena[:0]
+					for c := 0; c < window; c++ {
+						arena = appendAdd(arena, 0, uint32(c), 0, prof, modules, vec[c*modules:(c+1)*modules])
+					}
+					readDownlink(run, 0, 0, prof, modules, complete)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/chunk")
+			})
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"fpisa/internal/fpnum"
-)
+import "fmt"
 
 // Stats counts FPISA addition events, the observability behind the paper's
 // §5.2.1 error-source analysis (rounding vs. overwrite vs. left-shift).
@@ -55,12 +51,22 @@ type Stats struct {
 // addition algorithm" (§5.2), plus the full-FPISA mode.
 type Accumulator struct {
 	cfg      Config
-	f        fpnum.Format // cfg.Profile's wire format
-	headroom int          // cfg.Profile.Headroom()
-	exps     []uint32     // biased exponents (ExpBits wide)
-	mans     []int32      // two's-complement mantissas
-	flags    []slotFlags
-	stats    Stats
+	headroom int // cfg.Profile.Headroom()
+
+	// The wire format's field constants, fixed at construction so that
+	// add and ReadBits shift and mask by them instead of rebuilding the
+	// format's masks for every value.
+	manBits uint   // fraction bits
+	expMask uint32 // biased-exponent field mask, right-aligned
+	signPos uint   // sign bit position
+	guard   uint   // guard bits below the mantissa
+	implied uint32 // the implied one, 1 << manBits
+	rne     bool   // read-out rounds to nearest even
+
+	exps  []uint32 // biased exponents (ExpBits wide)
+	mans  []int32  // two's-complement mantissas
+	flags []slotFlags
+	stats Stats
 }
 
 type slotFlags uint8
@@ -78,10 +84,16 @@ func NewAccumulator(cfg Config, n int) (*Accumulator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: accumulator size %d", n)
 	}
+	f := cfg.Profile.Format.Format()
 	return &Accumulator{
 		cfg:      cfg,
-		f:        cfg.Profile.Format.Format(),
 		headroom: cfg.Profile.Headroom(),
+		manBits:  uint(f.ManBits),
+		expMask:  uint32(f.ExpMask()),
+		signPos:  uint(f.Bits - 1),
+		guard:    uint(cfg.Profile.Guard),
+		implied:  1 << f.ManBits,
+		rne:      cfg.Profile.Rounding == RoundingRNE,
 		exps:     make([]uint32, n),
 		mans:     make([]int32, n),
 		flags:    make([]slotFlags, n),
@@ -123,20 +135,18 @@ func sar(v int32, by int) (int32, bool) {
 // extract splits packed input bits into alignment-ready (eEff, signedMan),
 // handling denormals per IEEE (implied 0, effective exponent 1).
 func (a *Accumulator) extract(bitsIn uint32) (e uint32, m int32, special bool) {
-	f := a.f
-	sign, exp, frac := f.Split(uint64(bitsIn))
-	if exp == f.ExpMask() { // Inf/NaN: not representable in FPISA state
+	e = bitsIn >> a.manBits & a.expMask
+	if e == a.expMask { // Inf/NaN: not representable in FPISA state
 		return 0, 0, true
 	}
-	man := uint32(frac)
-	e = uint32(exp)
-	if exp != 0 {
-		man |= 1 << f.ManBits
+	man := bitsIn & (a.implied - 1)
+	if e != 0 {
+		man |= a.implied
 	} else {
 		e = 1 // denormal: 0.frac × 2^(1-bias)
 	}
-	m = int32(man << a.cfg.Profile.Guard)
-	if sign != 0 {
+	m = int32(man << a.guard)
+	if bitsIn>>a.signPos&1 != 0 {
 		m = -m
 	}
 	return e, m, false
@@ -148,11 +158,18 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 	if i < 0 || i >= len(a.mans) {
 		return fmt.Errorf("core: slot %d out of range %d", i, len(a.mans))
 	}
+	a.add(i, bitsIn)
+	return nil
+}
+
+// add is AddBits on a slot the caller has range-checked: the per-value
+// kernel ProfileAggregator runs over a slot's modules.
+func (a *Accumulator) add(i int, bitsIn uint32) {
 	e, m, special := a.extract(bitsIn)
 	if special {
 		a.flags[i] |= flagInvalid
 		a.stats.SpecialInputs++
-		return nil
+		return
 	}
 
 	E := a.exps[i]
@@ -210,7 +227,6 @@ func (a *Accumulator) AddBits(i int, bitsIn uint32) error {
 	}
 	a.mans[i] = nm
 	a.stats.Adds++
-	return nil
 }
 
 // Add narrows a host float32 to the configured wire format and accumulates

@@ -486,7 +486,8 @@ func (a *Accumulator) Value64(i int) float64 {
 	if M == 0 {
 		return 0
 	}
-	bias := 1<<(a.f.ExpBits-1) - 1
-	exp := int(a.exps[i]) - bias - a.f.ManBits - int(a.cfg.Profile.Guard)
+	f := a.cfg.Profile.Format.Format()
+	bias := 1<<(f.ExpBits-1) - 1
+	exp := int(a.exps[i]) - bias - f.ManBits - int(a.cfg.Profile.Guard)
 	return math.Ldexp(float64(M), exp)
 }

@@ -54,6 +54,20 @@
 // response unbuilt. Add/Read/ReadReset are the host edge: float32 wrappers.
 // An aggregator, like the pisa.Switch replica under it, serves one caller
 // at a time.
+//
+// # The per-chunk kernel
+//
+// The accumulator bank's operations are tight loops over fixed constants.
+// NewAccumulator derives the profile's field constants once — fraction
+// bits, exponent mask, sign position, guard bits and the implied one — and
+// stores them in the Accumulator; its unexported add and ReadBits shift and
+// mask by them rather than rebuilding an fpnum.Format per value, and
+// AddBits is add behind a range check. ProfileAggregator's AddInto, SetInto
+// and ReadResetInto check the slot and buffers once and run one loop over
+// the slot's modules, reading and writing big-endian words of the
+// profile's width. NumericProfile.AppendValues and GetValues grow or read
+// a whole region at once. A _test.go reference (refAccumulator) keeps the
+// per-value field-by-field arithmetic the kernel is held to.
 package core
 
 // Mode selects between the full design and the FPISA-A approximation.

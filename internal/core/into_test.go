@@ -194,6 +194,19 @@ func TestIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestValueCodecAllocatesNothing: AppendValues into a buffer with room for
+// the values and GetValues into a slice of their length allocate nothing,
+// in every format.
+func TestValueCodecAllocatesNothing(t *testing.T) {
+	vals := []float32{1, -2, 0.5, 3e-5, 65504, -0.1, 7, 8}
+	for _, p := range []NumericProfile{DefaultProfile, {Format: FormatF16, Guard: 1, Rounding: RoundingRNE}, {Format: FormatBF16}} {
+		buf := make([]byte, 0, p.ValueBytes()*len(vals))
+		dst := make([]float32, len(vals))
+		allocgate.AtMost(t, p.String()+" AppendValues", 0, func() { buf = p.AppendValues(buf[:0], vals) })
+		allocgate.AtMost(t, p.String()+" GetValues", 0, func() { p.GetValues(dst, buf) })
+	}
+}
+
 // BenchmarkAggregatorPaths times one AddInto on the compiled pipeline
 // (PipelineAggregator) against the accumulator bank that serves
 // (ProfileAggregator), FPISA-A at one module on the base and the extended

@@ -246,6 +246,18 @@ func inDomain(bits uint32) bool {
 	return exp != 0xff && (exp != 0 || bits<<1 == 0)
 }
 
+// readSlot writes slot idx's read-out into out, as a read would, and
+// returns the OR of its modules' sticky overflow flags.
+func readSlot(pa *ProfileAggregator, idx int, out []byte) (ovf bool) {
+	w := pa.prof.ValueBytes()
+	for k := 0; k < pa.modules; k++ {
+		if pa.readOut(idx*pa.modules+k, k, w, out) {
+			ovf = true
+		}
+	}
+	return ovf
+}
+
 // runPipelineDiff decodes an operation sequence from ops and drives it
 // through a replica of b's compiled pipeline and through the accumulator
 // bank that serves the same Config (ProfileAggregator). An op octet picks
@@ -292,7 +304,7 @@ func runPipelineDiff(t testing.TB, b pipelineBuild, ops []byte) {
 		var errP, errA error
 		switch {
 		case kind < 6:
-			acc.readOut(slot, state)
+			readSlot(acc, slot, state)
 			for k := range vals[:b.modules-int(op>>5&3)%b.modules] {
 				if kind == 5 {
 					flip := uint32(next()) << (next() % 23) & (1<<23 - 1)
@@ -312,7 +324,7 @@ func runPipelineDiff(t testing.TB, b pipelineBuild, ops []byte) {
 		case kind == 6:
 			ovfP, errP = pipe.ReadInto(slot, outP)
 			if outA != nil {
-				ovfA = acc.readOut(slot, outA)
+				ovfA = readSlot(acc, slot, outA)
 			}
 		default:
 			ovfP, errP = pipe.ReadResetInto(slot, outP)
@@ -321,7 +333,7 @@ func runPipelineDiff(t testing.TB, b pipelineBuild, ops []byte) {
 		if errP != nil || errA != nil {
 			t.Fatalf("%s step %d: %v / %v", b.name, step, errP, errA)
 		}
-		acc.readOut(slot, state) // what the slot reads out now, on the accumulator
+		readSlot(acc, slot, state) // what the slot reads out now, on the accumulator
 		domain := true
 		for k := 0; k < b.modules; k++ {
 			v := binary.BigEndian.Uint32(state[4*k:])

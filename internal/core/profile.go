@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -226,35 +227,31 @@ func (p NumericProfile) DecodeValue(bits uint32) float32 {
 }
 
 // PutValue writes one wire value at dst (big-endian, ValueBytes wide).
-func (p NumericProfile) PutValue(dst []byte, v float32) { p.putBits(dst, p.EncodeValue(v)) }
+func (p NumericProfile) PutValue(dst []byte, v float32) {
+	putWord(dst, 0, p.ValueBytes(), p.EncodeValue(v))
+}
 
 // GetValue reads one wire value at src (big-endian, ValueBytes wide).
-func (p NumericProfile) GetValue(src []byte) float32 { return p.DecodeValue(p.getBits(src)) }
-
-// putBits writes one value's right-aligned wire bits at dst, big-endian.
-func (p NumericProfile) putBits(dst []byte, bits uint32) {
-	if p.ValueBytes() == 2 {
-		binary.BigEndian.PutUint16(dst, uint16(bits))
-		return
-	}
-	binary.BigEndian.PutUint32(dst, bits)
+func (p NumericProfile) GetValue(src []byte) float32 {
+	return p.DecodeValue(word(src, 0, p.ValueBytes()))
 }
 
-// getBits reads one value's wire bits at src, right-aligned.
-func (p NumericProfile) getBits(src []byte) uint32 {
-	if p.ValueBytes() == 2 {
-		return uint32(binary.BigEndian.Uint16(src))
-	}
-	return binary.BigEndian.Uint32(src)
-}
-
-// AppendValues appends vals, each narrowed to one wire value, to dst.
+// AppendValues appends vals, each narrowed to one wire value, to dst. The
+// slice grows once; f32 values are written as their bits, the 16-bit
+// formats narrow through EncodeValue.
 func (p NumericProfile) AppendValues(dst []byte, vals []float32) []byte {
 	w := p.ValueBytes()
-	for _, v := range vals {
-		n := len(dst)
-		dst = append(dst, make([]byte, w)...)
-		p.PutValue(dst[n:], v)
+	n := len(dst)
+	dst = slices.Grow(dst, w*len(vals))[:n+w*len(vals)]
+	region := dst[n:]
+	if w == 4 {
+		for i, v := range vals {
+			binary.BigEndian.PutUint32(region[4*i:], math.Float32bits(v))
+		}
+		return dst
+	}
+	for i, v := range vals {
+		binary.BigEndian.PutUint16(region[2*i:], uint16(p.EncodeValue(v)))
 	}
 	return dst
 }
@@ -262,8 +259,15 @@ func (p NumericProfile) AppendValues(dst []byte, vals []float32) []byte {
 // GetValues widens the len(dst) wire values at the front of src into dst.
 func (p NumericProfile) GetValues(dst []float32, src []byte) {
 	w := p.ValueBytes()
+	src = src[:w*len(dst)]
+	if w == 4 {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
+		}
+		return
+	}
 	for i := range dst {
-		dst[i] = p.GetValue(src[w*i:])
+		dst[i] = p.DecodeValue(uint32(binary.BigEndian.Uint16(src[2*i:])))
 	}
 }
 
@@ -308,66 +312,90 @@ func (pa *ProfileAggregator) Replicate() *ProfileAggregator {
 	return &out
 }
 
-// check validates an operation's slot and buffers.
-func (pa *ProfileAggregator) check(idx int, vals, out []byte) error {
+// check validates an operation's slot and buffers and returns the slot's
+// first module and the width of one value; every operation runs it once.
+func (pa *ProfileAggregator) check(idx int, vals, out []byte) (base, w int, err error) {
 	if idx < 0 || idx >= pa.slots {
-		return fmt.Errorf("core: slot %d out of range %d", idx, pa.slots)
+		return 0, 0, fmt.Errorf("core: slot %d out of range %d", idx, pa.slots)
 	}
-	return checkBuffers(vals, out, pa.prof.ValueBytes(), pa.modules)
+	w = pa.prof.ValueBytes()
+	return idx * pa.modules, w, checkBuffers(vals, out, w, pa.modules)
 }
 
-// readOut writes a slot's ReadBits into out and returns the OR of the
-// modules' sticky overflow flags.
-func (pa *ProfileAggregator) readOut(idx int, out []byte) (ovf bool) {
-	w := pa.prof.ValueBytes()
-	for k := 0; k < pa.modules; k++ {
-		i := idx*pa.modules + k
-		pa.prof.putBits(out[w*k:], pa.acc.ReadBits(i))
-		ovf = ovf || pa.acc.Overflowed(i)
+// word reads value k of a region of w-byte big-endian wire values.
+func word(b []byte, k, w int) uint32 {
+	if w == 2 {
+		return uint32(binary.BigEndian.Uint16(b[2*k:]))
 	}
-	return ovf
+	return binary.BigEndian.Uint32(b[4*k:])
+}
+
+// putWord writes value k of a region of w-byte big-endian wire values.
+func putWord(b []byte, k, w int, v uint32) {
+	if w == 2 {
+		binary.BigEndian.PutUint16(b[2*k:], uint16(v))
+		return
+	}
+	binary.BigEndian.PutUint32(b[4*k:], v)
+}
+
+// readOut writes module i's ReadBits as value k of out and reports its
+// sticky overflow flag.
+func (pa *ProfileAggregator) readOut(i, k, w int, out []byte) bool {
+	putWord(out, k, w, pa.acc.ReadBits(i))
+	return pa.acc.Overflowed(i)
 }
 
 // AddInto is PipelineAggregator.AddInto in the profile's wire format: it
-// feeds the wire bits to AddBits as they came and writes ReadBits out,
-// bit-identical to a host reference doing the same.
+// feeds the wire bits to the accumulator as they came and writes ReadBits
+// out, bit-identical to a host reference doing the same.
 func (pa *ProfileAggregator) AddInto(idx int, vals, out []byte) (ovf bool, err error) {
-	if err := pa.check(idx, vals, out); err != nil {
-		return false, err
-	}
-	w := pa.prof.ValueBytes()
-	for k := 0; w*k < len(vals); k++ {
-		if err := pa.acc.AddBits(idx*pa.modules+k, pa.prof.getBits(vals[w*k:])); err != nil {
-			return false, err
-		}
-	}
-	if out == nil {
-		return false, nil
-	}
-	return pa.readOut(idx, out), nil
+	return pa.addInto(idx, vals, out, false)
 }
 
 // SetInto is AddInto into a slot treated as freshly zeroed — the first ADD
-// of a slot version: it resets, then adds, so out and the slot end up
-// exactly as ReadResetInto followed by AddInto leave them.
+// of a slot version: each module is reset in place, then added to, so out
+// and the slot end up exactly as ReadResetInto followed by AddInto leave
+// them.
 func (pa *ProfileAggregator) SetInto(idx int, vals, out []byte) (ovf bool, err error) {
-	if _, err := pa.ReadResetInto(idx, nil); err != nil {
+	return pa.addInto(idx, vals, out, true)
+}
+
+// addInto is AddInto, or SetInto when set: one loop over the slot's
+// modules resets each (if set), adds its value if vals has one, and, with
+// an out, reads the module back.
+func (pa *ProfileAggregator) addInto(idx int, vals, out []byte, set bool) (ovf bool, err error) {
+	base, w, err := pa.check(idx, vals, out)
+	if err != nil {
 		return false, err
 	}
-	return pa.AddInto(idx, vals, out)
+	n := len(vals) / w
+	for k := 0; k < pa.modules; k++ {
+		if set {
+			pa.acc.Reset(base + k)
+		}
+		if k < n {
+			pa.acc.add(base+k, word(vals, k, w))
+		}
+		if out != nil && pa.readOut(base+k, k, w, out) {
+			ovf = true
+		}
+	}
+	return ovf, nil
 }
 
 // ReadResetInto writes the sums into out and zeroes the slot; see AddInto
 // for the storage contract.
 func (pa *ProfileAggregator) ReadResetInto(idx int, out []byte) (ovf bool, err error) {
-	if err := pa.check(idx, nil, out); err != nil {
+	base, w, err := pa.check(idx, nil, out)
+	if err != nil {
 		return false, err
 	}
-	if out != nil {
-		ovf = pa.readOut(idx, out)
-	}
 	for k := 0; k < pa.modules; k++ {
-		pa.acc.Reset(idx*pa.modules + k)
+		if out != nil && pa.readOut(base+k, k, w, out) {
+			ovf = true
+		}
+		pa.acc.Reset(base + k)
 	}
 	return ovf, nil
 }

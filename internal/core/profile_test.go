@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -139,6 +141,53 @@ func TestProfileWirePutGet(t *testing.T) {
 	}
 }
 
+// TestValueCodecMatchesPerValue holds the region codec to the per-value
+// conversions, encoded here with encoding/binary: AppendValues behind a
+// prefix it must keep writes each value's EncodeValue bits big-endian, and
+// GetValues widens each through DecodeValue — for every format and
+// rounding, on ±0, subnormals, ±Inf, NaN payloads and random bit patterns.
+func TestValueCodecMatchesPerValue(t *testing.T) {
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -2.5, 1e-40, -3e-45, 6e-8, 65520,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc00001), math.Float32frombits(0xff800123)}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 64; i++ {
+		vals = append(vals, math.Float32frombits(rng.Uint32()))
+	}
+	prefix := []byte{0xde, 0xad, 0xbe}
+	for f := FormatF32; f < formatCount; f++ {
+		for r := RoundingTruncate; r < roundingCount; r++ {
+			p := NumericProfile{Format: f, Rounding: r}
+			w := p.ValueBytes()
+			want := append([]byte(nil), prefix...)
+			for _, v := range vals {
+				if w == 2 {
+					want = binary.BigEndian.AppendUint16(want, uint16(p.EncodeValue(v)))
+				} else {
+					want = binary.BigEndian.AppendUint32(want, p.EncodeValue(v))
+				}
+			}
+			got := p.AppendValues(append([]byte(nil), prefix...), vals)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v: AppendValues % x, want % x", p, got, want)
+			}
+			back := make([]float32, len(vals))
+			p.GetValues(back, got[len(prefix):])
+			for i := range back {
+				at := got[len(prefix)+w*i:]
+				var bits uint32
+				if w == 2 {
+					bits = uint32(binary.BigEndian.Uint16(at))
+				} else {
+					bits = binary.BigEndian.Uint32(at)
+				}
+				if g, e := math.Float32bits(back[i]), math.Float32bits(p.DecodeValue(bits)); g != e {
+					t.Fatalf("%v: GetValues value %d = %#x, want %#x", p, i, g, e)
+				}
+			}
+		}
+	}
+}
+
 // TestProfileAggregatorDefaultMatchesPipeline holds the default profile's
 // accumulator bank to the compiled pipeline, bit for bit, on the float32
 // host edge over normal-range values (TestPipelineEquivalence covers the
@@ -180,11 +229,12 @@ func TestProfileAggregatorDefaultMatchesPipeline(t *testing.T) {
 
 // TestProfileAggregatorModelMatchesAccumulator pins every valid profile
 // (f32/f16/bf16 × trunc/rne × guard bits 0, 1 and headroom−1), in both
-// modes, against a hand-driven Accumulator built from the same Config and
-// fed the same narrowed wire bits: the sums, every module's sticky
-// overflow flag and the one overflow bit the byte form reports. A slot version's first add
-// must also read back exactly its own narrowed input, which holds the
-// Accumulator itself to the profile's format and guard bits.
+// modes, against a hand-driven refAccumulator (the per-value reference)
+// built from the same Config and fed the same narrowed wire bits: the sums,
+// every module's sticky overflow flag, the one overflow bit the byte form
+// reports and the Stats. A slot version's first add must also read back
+// exactly its own narrowed input, which holds the Accumulator itself to the
+// profile's format and guard bits.
 func TestProfileAggregatorModelMatchesAccumulator(t *testing.T) {
 	for f := FormatF32; f < formatCount; f++ {
 		for r := RoundingTruncate; r < roundingCount; r++ {
@@ -212,7 +262,7 @@ func checkProfileAggregator(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := MustNewAccumulator(cfg, modules*slots)
+	ref := newRefAccumulator(cfg, modules*slots)
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 200; n++ {
 		idx := rng.Intn(slots)
@@ -245,10 +295,8 @@ func checkProfileAggregator(t *testing.T, cfg Config) {
 		wantOvf := false
 		for k, v := range vals {
 			wire := prof.EncodeValue(v)
-			if err := ref.AddBits(idx*modules+k, wire); err != nil {
-				t.Fatal(err)
-			}
-			want := ref.ReadFloat32(idx*modules + k)
+			ref.AddBits(idx*modules+k, wire)
+			want := prof.DecodeValue(ref.ReadBits(idx*modules + k))
 			if math.Float32bits(res[k]) != math.Float32bits(want) {
 				t.Fatalf("add %d slot %d module %d: got %v want %v", n, idx, k, res[k], want)
 			}
@@ -262,6 +310,9 @@ func checkProfileAggregator(t *testing.T, cfg Config) {
 		}
 		if ovf != wantOvf {
 			t.Fatalf("add %d slot %d: overflow bit %v, model %v", n, idx, ovf, wantOvf)
+		}
+		if st := pa.acc.Stats(); st != ref.stats {
+			t.Fatalf("add %d: stats %+v, model %+v", n, st, ref.stats)
 		}
 	}
 	// ReadReset drains the sums and the slot's state: every module's

@@ -10,33 +10,32 @@ import "math/bits"
 // state is left untouched — the paper's delayed renormalization explicitly
 // never stores the normalized value back (§3).
 func (a *Accumulator) ReadBits(i int) uint32 {
-	f := a.f
 	if a.flags[i]&flagInvalid != 0 {
 		// Canonical quiet NaN.
-		return uint32(f.Join(0, f.ExpMask(), 1<<(f.ManBits-1)))
+		return a.expMask<<a.manBits | a.implied>>1
 	}
 	M := a.mans[i]
 	if M == 0 {
 		return 0 // +0
 	}
 
-	var sign uint64
+	var sign uint32
 	var u uint32
 	if M < 0 {
-		sign = 1
+		sign = 1 << a.signPos
 		u = uint32(-int64(M)) // handles the -2^31 edge exactly
 	} else {
 		u = uint32(M)
 	}
 
 	p := 31 - bits.LeadingZeros32(u) // MSB position
-	manBits := f.ManBits
-	eOut := int(a.exps[i]) - int(a.cfg.Profile.Guard) + (p - manBits)
+	manBits := int(a.manBits)
+	eOut := int(a.exps[i]) - int(a.guard) + (p - manBits)
 
 	var mant uint32
 	if shift := p - manBits; shift > 0 {
 		mant = a.roundShift(u, shift)
-		if mant == 1<<uint(manBits+1) {
+		if mant == a.implied<<1 {
 			// Rounding carried past the canonical width.
 			mant >>= 1
 			eOut++
@@ -46,21 +45,21 @@ func (a *Accumulator) ReadBits(i int) uint32 {
 	}
 
 	switch {
-	case eOut >= int(f.ExpMask()):
+	case eOut >= int(a.expMask):
 		// Exponent overflow: saturate to ±Inf.
 		a.stats.ReadOverflows++
-		return uint32(f.Join(sign, f.ExpMask(), 0))
+		return sign | a.expMask<<a.manBits
 	case eOut <= 0:
 		// Gradual underflow into the denormal range (truncating; the
 		// guard-bit rounding path does not extend below the format).
 		a.stats.ReadUnderflows++
 		extra := 1 - eOut
 		if extra > manBits+1 {
-			return uint32(f.Join(sign, 0, 0)) // flushes to signed zero
+			return sign // flushes to signed zero
 		}
-		return uint32(f.Join(sign, 0, uint64(mant>>uint(extra))))
+		return sign | mant>>uint(extra)&(a.implied-1)
 	}
-	return uint32(f.Join(sign, uint64(eOut), uint64(mant)))
+	return sign | uint32(eOut)<<a.manBits | mant&(a.implied-1)
 }
 
 // roundShift drops `shift` low bits of u per the configured rounding mode.
@@ -69,7 +68,7 @@ func (a *Accumulator) roundShift(u uint32, shift int) uint32 {
 		return 0
 	}
 	out := u >> uint(shift)
-	if a.cfg.Profile.Rounding == RoundingRNE {
+	if a.rne {
 		dropped := u & (1<<uint(shift) - 1)
 		half := uint32(1) << uint(shift-1)
 		if dropped > half || (dropped == half && out&1 == 1) {

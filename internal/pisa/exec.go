@@ -3,6 +3,7 @@ package pisa
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Emission is one packet leaving the switch.
@@ -61,8 +62,14 @@ func (s *Switch) Replicate() *Switch {
 	return newInstance(s.c)
 }
 
-// Utilization returns the compiled resource report (paper Table 3).
-func (s *Switch) Utilization() Utilization { return s.c.util }
+// Utilization returns the compiled resource report (paper Table 3). The
+// report is a copy: the compiled program behind it is shared by every
+// Replicate, so editing one caller's report changes no one else's.
+func (s *Switch) Utilization() Utilization {
+	u := s.c.util
+	u.Stages = slices.Clone(u.Stages)
+	return u
+}
 
 // Counters returns a snapshot of the switch counters.
 func (s *Switch) Counters() Counters { return s.counters }

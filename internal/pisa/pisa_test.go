@@ -872,6 +872,23 @@ func TestUtilizationReport(t *testing.T) {
 	}
 }
 
+// TestUtilizationIsPerCaller: the report a replica returns is its
+// caller's own. Editing one replica's report must leave another replica's
+// report, and the first replica's next one, as compiled.
+func TestUtilizationIsPerCaller(t *testing.T) {
+	sw := mustSwitch(t, forwardProg(1), BaseArch())
+	replica := sw.Replicate()
+	want := fmt.Sprint(sw.Utilization().Stages)
+	u := replica.Utilization()
+	u.Stages[0].VLIWSlots += 100
+	if got := fmt.Sprint(sw.Utilization().Stages); got != want {
+		t.Errorf("editing a replica's report changed the original's: %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(replica.Utilization().Stages); got != want {
+		t.Errorf("editing a report changed the replica's next one: %s, want %s", got, want)
+	}
+}
+
 func TestNarrowContainerArithmetic(t *testing.T) {
 	// 8-bit container wraps at 256 and sign-extends for signed ops.
 	prog := Program{

@@ -12,6 +12,7 @@ package query
 type TopNPruner struct {
 	reg []uint32 // len N; the first n are filled
 	n   int
+	mi  int // index of the first minimum once all N are filled
 }
 
 // NewTopNPruner provisions n ≥ 1 ordered-key registers.
@@ -20,25 +21,37 @@ func NewTopNPruner(n int) *TopNPruner { return &TopNPruner{reg: make([]uint32, n
 // Admit runs one row's value through the registers and reports whether the
 // row survives. Ties at the boundary are admitted: the master's Finish
 // breaks equal values by ascending key, so a tied row may belong in the
-// exact result.
+// exact result. An admitted row replaces the first minimum, whose index is
+// kept and recomputed only when a register changes, so a pruned row costs
+// one comparison.
 func (p *TopNPruner) Admit(val float32) bool {
 	k := orderedKey(val)
 	if p.n < len(p.reg) {
 		p.reg[p.n] = k
 		p.n++
+		if p.n == len(p.reg) {
+			p.findMin()
+		}
 		return true
 	}
-	mi := 0
+	if k < p.reg[p.mi] {
+		return false
+	}
+	if k > p.reg[p.mi] {
+		p.reg[p.mi] = k
+		p.findMin()
+	}
+	return true
+}
+
+// findMin points mi at the first minimum of the registers.
+func (p *TopNPruner) findMin() {
+	p.mi = 0
 	for i, r := range p.reg {
-		if r < p.reg[mi] {
-			mi = i
+		if r < p.reg[p.mi] {
+			p.mi = i
 		}
 	}
-	if k >= p.reg[mi] {
-		p.reg[mi] = k
-		return true
-	}
-	return false
 }
 
 // Reset empties the registers.

@@ -3,6 +3,8 @@ package query
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -344,6 +346,77 @@ func TestTopNBoundaryTie(t *testing.T) {
 	}
 	if want.Entries[0] != (KV{Key: 1, Val: 10}) || want.Entries[1] != (KV{Key: 3, Val: 10}) {
 		t.Fatalf("reference itself wrong: %v", want.Entries)
+	}
+}
+
+// scanTopN is the Top-N pruner as a linear scan: every full-register row
+// looks for the first minimum afresh, replaces it when the row reaches it
+// (ties admitted), and survives exactly then.
+type scanTopN struct {
+	reg []uint32
+	n   int
+}
+
+func (p *scanTopN) admit(val float32) bool {
+	k := orderedKey(val)
+	if p.n < len(p.reg) {
+		p.reg[p.n] = k
+		p.n++
+		return true
+	}
+	mi := 0
+	for i, r := range p.reg {
+		if r < p.reg[mi] {
+			mi = i
+		}
+	}
+	if k >= p.reg[mi] {
+		p.reg[mi] = k
+		return true
+	}
+	return false
+}
+
+// TestTopNPrunerMatchesLinearScan: the pruner that keeps its minimum's
+// index forwards exactly the rows the linear scan forwards, in order, on
+// random Top-N streams over two workers drawn from a few values — so ties
+// at and above the minimum are the common case. Each row's key is its
+// position, so a survivor names the row it was.
+func TestTopNPrunerMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got []Row
+	keep := func(rows []Row, _ int) Result {
+		got = rows
+		return Result{}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(8)
+		values := []float32{-3, -1, 0, 1, 2, 2.5, float32(math.Copysign(0, -1))}[:2+rng.Intn(6)]
+		parts := make([][]Row, 2)
+		key := uint32(0)
+		for w := range parts {
+			for i := 0; i < 150; i++ {
+				parts[w] = append(parts[w], Row{Key: key, Val: values[rng.Intn(len(values))]})
+				key++
+			}
+		}
+		q, e := rowQuery(Descriptor{Name: "scan", Method: Pruning}, n, 0, keep, parts...)
+		got = nil
+		if _, _, err := e.RunSwitch(q); err != nil {
+			t.Fatal(err)
+		}
+		model := &scanTopN{reg: make([]uint32, n)}
+		var want []Row
+		for _, rows := range parts {
+			for _, r := range rows {
+				if model.admit(r.Val) {
+					want = append(want, r)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (N=%d, values %v): survivors %v, linear scan %v", trial, n, values, got, want)
+		}
 	}
 }
 
