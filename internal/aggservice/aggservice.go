@@ -486,25 +486,16 @@ type bank struct {
 	slot []slotState
 }
 
-// slotState is the single owner of a chunk's in-flight life: free (chunk
-// -1) → aggregating → on a tree leaf, uplinked (up set) → final (cached
-// set), until the slot rebinds to a later chunk or its incarnation is
-// released. Nothing else in the switch records where a chunk stands.
+// slotState is a chunk's in-flight life at the switch: free (chunk -1) →
+// aggregating → complete → final (cached set), until the slot rebinds to a
+// later chunk or its incarnation is released. On a tree leaf a complete
+// chunk waits for the parent's aggregate with nothing cached; its uplink ADD
+// is owed by the incarnation's uplink sender (see tree.go).
 type slotState struct {
 	chunk  int64 // bound chunk id in [0, span), -1 when free
 	seen   []bool
 	nSeen  int
-	cached []byte // RESULT packet, nil until complete
-	// up is a locally-complete chunk's parent-bound ADD while the final
-	// aggregate is still at the parent switch (tree leaves only), nil
-	// otherwise: the partial sum was re-emitted up the tree, the uplink
-	// client retransmits this packet on timeout, and the slot caches nothing
-	// until the parent's RESULT comes back down (see installFinal). The
-	// packet is immutable once encoded — it is sent outside the shard lock.
-	up []byte
-	// upOvf is the leaf-level overflow of the chunk in up, ORed into the
-	// final RESULT's flag.
-	upOvf bool
+	cached []byte // RESULT packet, nil until final
 }
 
 // aggregating reports whether the slot holds a chunk still waiting for
@@ -764,7 +755,7 @@ type batchScratch struct {
 	touched []int          // shards with pending ADDs, in first-touch order
 	drains  []*incarnation // draining incarnations that completed a chunk this round
 	done    []resDone      // completed chunks awaiting run-coalesced delivery
-	ups     []upReq        // completed chunks awaiting uplink re-emission (tree leaves)
+	ups     []upReq        // completed chunks awaiting their uplink offer (tree leaves)
 	items   [][]byte       // packet-vector scratch: emitResults' run splices, then submitUplinks' send vectors
 }
 
@@ -776,12 +767,14 @@ type resDone struct {
 	pkt   []byte
 }
 
-// upReq is one locally-complete chunk whose partial sum must be re-emitted
-// to the parent switch once the shard lock is released (see tree.go); pkt is
-// the slot's parent-bound ADD (slotState.up).
+// upReq is one locally-complete chunk whose partial sum is offered to the
+// uplink sender once the shard lock is released (see tree.go): pkt is its
+// parent-bound ADD, ovf the leaf-level overflow of the sum.
 type upReq struct {
-	inc *incarnation // leaf incarnation the completion was observed under
-	pkt []byte
+	inc   *incarnation // leaf incarnation the completion was observed under
+	chunk uint32
+	pkt   []byte
+	ovf   bool
 }
 
 // addReq is one validated ADD waiting for its shard's lock round; vals
@@ -1017,7 +1010,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// a failed one leaves the slot's protocol state as it was and
 		// refunds the scheduler, so the job is not billed for work that
 		// never ran. Rebinding ends the previous slot version: its cached
-		// RESULT (or its still-owed uplink ADD) goes with it.
+		// RESULT goes with it.
 		if ovf, err = b.agg.SetInto(bi, a.vals, sums); err != nil {
 			sh.sched.refund(job)
 			return refusal{}
@@ -1026,7 +1019,6 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 			js.outstanding.Add(1)
 		}
 		st.chunk = int64(chunk)
-		st.up = nil
 		clear(st.seen)
 		st.nSeen = 0
 		if st.cached != nil {
@@ -1053,16 +1045,11 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		sc.drains = append(sc.drains, inc)
 	}
 	if s.cfg.Uplink != nil {
-		// Tree leaf: the local sum is a partial aggregate. Re-emit it as
-		// an ADD to the parent, stamped with the parent-level incarnation
-		// epoch (the send is queued for after the shard unlock — it is
-		// fabric I/O) and cache nothing yet: the slot owns the packet,
-		// answers retransmits silently, and the uplink client resends it
-		// on timeout until the parent's aggregate returns and installs the
-		// final RESULT (see installFinal).
-		st.up = pkt
-		st.upOvf = ovf
-		sc.ups = append(sc.ups, upReq{inc: inc, pkt: pkt})
+		// Tree leaf: the local sum is a partial aggregate, an ADD to the
+		// parent under the parent-level epoch, offered to the uplink sender
+		// after the shard unlock (submitUplinks). The slot caches nothing
+		// and answers retransmits silently until the final installs.
+		sc.ups = append(sc.ups, upReq{inc: inc, chunk: chunk, pkt: pkt, ovf: ovf})
 		return refusal{}
 	}
 	putOverflow(pkt, ovf)
@@ -1259,6 +1246,13 @@ type Worker struct {
 	LastBatch int
 
 	next int64 // where the next Reduce starts on the job's chunk clock
+
+	// What Reduce keeps across calls, so a steady-state reduce allocates
+	// only its output (see rewind and entry).
+	snd  addSender
+	win  []byte
+	send [][]byte
+	bufs [][]byte
 }
 
 // NewWorker builds a job-0 worker with the default timeout and retry
@@ -1278,52 +1272,6 @@ func NewJobWorker(job, id int, fabric transport.Fabric, cfg Config) *Worker {
 	}
 }
 
-// sendVec is one Reduce's outgoing ADD vector over the input vector vec.
-// The packets are encoded back to back into one arena that is rewound after
-// every flush — Fabric.SendBatch lets the caller reuse pkts and their
-// backing arrays once it returns — so the steady-state send path allocates
-// nothing per chunk. A vector holds at most Pool ADDs: at most Pool chunks
-// are outstanding, and a vector carries the initial window, the slots one
-// received vector freed, or a retransmit round's outstanding chunks.
-type sendVec struct {
-	job, modules int
-	epoch        uint8
-	prof         core.NumericProfile
-	vec          []float32
-	first, span  int64 // chunk c of vec is chunk first+c, mod span, of the job's stream
-
-	msgs  [][]byte
-	arena []byte
-}
-
-// newSendVec sizes the arena for the largest vector, so it never grows.
-func newSendVec(job int, epoch uint8, prof core.NumericProfile, modules, pool int, vec []float32) *sendVec {
-	return &sendVec{
-		job: job, modules: modules, epoch: epoch, prof: prof, vec: vec,
-		msgs:  make([][]byte, 0, pool),
-		arena: make([]byte, 0, pool*addBytes(modules, prof)),
-	}
-}
-
-// add encodes chunk c of the vector as the next ADD; the vector's tail
-// chunk is zero-padded.
-func (sv *sendVec) add(c int) {
-	m := sv.modules
-	id := sv.first + int64(c)
-	if id >= sv.span {
-		id -= sv.span
-	}
-	start := len(sv.arena)
-	sv.arena = appendAdd(sv.arena, sv.job, uint32(id), sv.epoch, sv.prof, m, sv.vec[c*m:min(len(sv.vec), (c+1)*m)])
-	sv.msgs = append(sv.msgs, sv.arena[start:len(sv.arena):len(sv.arena)])
-}
-
-// reset rewinds the vector once SendBatch has returned.
-func (sv *sendVec) reset() {
-	sv.msgs = sv.msgs[:0]
-	sv.arena = sv.arena[:0]
-}
-
 // recvVec is a receive loop's reusable buffer-vector size: how many
 // deliveries one RecvBatch may drain. Buffers are recycled across calls,
 // so steady-state receiving allocates nothing.
@@ -1341,6 +1289,25 @@ func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 	return timeout, retries
 }
 
+// rewind readies the sender (nothing owed), window entries, send vector and
+// receive buffers for the next reduce, reusing the last one's.
+func (w *Worker) rewind(span int64, retries int) {
+	w.snd.reset(w.Job, w.Epoch, w.Profile, w.Cfg.Modules, w.Cfg.Pool, span, retries)
+	n := 2 * w.Cfg.Pool * addBytes(w.Cfg.Modules, w.Profile)
+	w.win = slices.Grow(w.win[:0], n)[:n]
+	w.send = slices.Grow(w.send[:0], w.Cfg.Pool)
+	w.bufs = slices.Grow(w.bufs[:0], recvVec)[:recvVec]
+}
+
+// entry encodes chunk id's ADD of vals (a short tail zero-padded) into window
+// entry id mod 2·Pool and returns it; a retransmit resends those bytes (see
+// doc.go, "Buffer ownership").
+func (w *Worker) entry(id uint32, vals []float32) []byte {
+	size := addBytes(w.Cfg.Modules, w.Profile)
+	e := int(id%uint32(2*w.Cfg.Pool)) * size
+	return appendAdd(w.win[e:e:e+size], w.Job, id, w.Epoch, w.Profile, w.Cfg.Modules, vals)
+}
+
 // Reduce aggregates vec with the job's other workers and returns the
 // summed vector. All of a job's workers must call Reduce with equal-length
 // vectors. Each call continues the Worker's chunk stream (see doc.go), so
@@ -1349,12 +1316,11 @@ func retryBudget(timeout time.Duration, retries int) (time.Duration, int) {
 // It is one run-to-completion loop in the caller's goroutine that sends at
 // the protocol's own events only: the first Pool chunks go out as one
 // vector, then it alternates — receive a delivery vector, copy out every
-// chunk its messages complete and queue chunk c+Pool for each, and send
-// what was queued as one vector when the received vector ends. A receive
-// timeout is a stall round: retransmit what is outstanding as one vector,
-// give up after Retries of them in a row. Pool bounds every vector;
-// splitting one into datagrams is the fabric's job. The counters and
-// LastBatch are current on every return, errors included.
+// chunk its messages complete and offer chunk c+Pool for each, and send
+// what was offered as one vector when the received vector ends. What is
+// owed, each timeout's retransmit round and the give-up after Retries in a
+// row are the addSender's. The counters and LastBatch are current on every
+// return, errors included.
 func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	if w.Job < 0 || w.Job >= w.Cfg.capacity() {
 		return nil, fmt.Errorf("aggservice: job %d outside the switch's %d-job capacity", w.Job, w.Cfg.capacity())
@@ -1380,100 +1346,63 @@ func (w *Worker) Reduce(vec []float32) ([]float32, error) {
 	first := w.next
 	w.next = (first + int64(nChunks)) % span
 
-	// The window: chunk c is outstanding while sent[c] && !done[c]. stalls
-	// counts consecutive receive timeouts, against the retry budget.
-	sent := make([]bool, nChunks)
-	done := make([]bool, nChunks)
-	nDone, stalls := 0, 0
+	w.rewind(span, retries)
 
-	// The send side: queue encodes chunk c into the send vector and flush
-	// hands the vector to the fabric. The first SendBatch error sticks in
-	// sendErr, turns later flushes into no-ops and ends the loop.
-	sv := newSendVec(w.Job, w.Epoch, w.Profile, modules, pool, vec)
-	sv.first, sv.span = first, span
+	// flush hands what was offered to the fabric. The first SendBatch error
+	// sticks in sendErr, turns later flushes into no-ops and ends the loop.
+	send := w.send
 	var sendErr error
 	flush := func() {
-		if len(sv.msgs) > 0 && sendErr == nil {
-			w.SentPackets += uint64(len(sv.msgs))
+		if len(send) > 0 && sendErr == nil {
+			w.SentPackets += uint64(len(send))
 			w.SentDatagrams++
-			w.LastBatch = max(w.LastBatch, len(sv.msgs))
-			sendErr = w.Fabric.SendBatch(port, sv.msgs)
+			w.LastBatch = max(w.LastBatch, len(send))
+			sendErr = w.Fabric.SendBatch(port, send)
 		}
-		sv.reset()
+		send = send[:0]
 	}
-	queue := func(c int) {
-		sv.add(c)
-		sent[c] = true
-	}
-
-	// complete takes chunk c's aggregated values, whichever downlink
-	// message carried them, and opens exactly chunk c+pool's window slot —
-	// per-slot self-clocking, so one straggling chunk never blocks the
-	// slots behind it.
-	complete := func(chunk uint32, vals []byte, _ bool) {
-		off := ahead(chunk, first, span)
-		c := int(off)
-		if off >= int64(nChunks) || done[c] {
-			return
+	offer := func(c int) {
+		id := first + int64(c)
+		if id >= span { // no divide per chunk: first < span, c < span
+			id -= span
 		}
-		done[c] = true
-		nDone++
-		stalls = 0
+		send = w.snd.offer(send, uint32(id), w.entry(uint32(id), vec[c*modules:min(len(vec), (c+1)*modules)]), false)
+	}
+	// final takes an owed chunk's values, from whichever downlink message,
+	// and opens exactly chunk c+pool's slot — per-slot self-clocking, so a
+	// straggler never blocks the slots behind it. The oldest chunk not yet
+	// final is always owed, so the loop runs while anything is.
+	final := func(chunk uint32, vals []byte, _ bool) {
+		c := int(ahead(chunk, first, span))
 		w.Profile.GetValues(out[c*modules:min(len(vec), (c+1)*modules)], vals)
 		if c+pool < nChunks {
-			queue(c + pool)
+			offer(c + pool)
 		}
 	}
 
 	// Initial window: the first pool chunks are ungated.
 	for c := 0; c < nChunks && c < pool; c++ {
-		queue(c)
+		offer(c)
 	}
 	flush()
 
-	bufs := make([][]byte, recvVec)
-	for nDone < nChunks && sendErr == nil {
-		k, err := w.Fabric.RecvBatch(port, bufs, timeout)
-		if err == transport.ErrTimeout {
-			if stalls++; stalls > retries {
-				return nil, fmt.Errorf("aggservice: job %d worker %d gave up after %d stalls", w.Job, w.ID, stalls)
+	for w.snd.owed > 0 && sendErr == nil {
+		k, err := w.Fabric.RecvBatch(port, w.bufs, timeout)
+		switch {
+		case err == transport.ErrTimeout:
+			if send, err = w.snd.onTimeout(send); err != nil {
+				return nil, fmt.Errorf("aggservice: job %d worker %d %w", w.Job, w.ID, err)
 			}
-			// A stall round: resend what is outstanding.
-			for c := range sent {
-				if sent[c] && !done[c] {
-					queue(c)
-				}
-			}
-			flush()
-			continue
-		}
-		if err != nil {
+		case err != nil:
 			return nil, err
-		}
-		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, w.Job, w.Epoch, w.Profile, modules, complete)
-			if !ok {
-				continue
-			}
-			switch notice {
-			case AckEvicted, AckDraining:
-				// The switch refuses our chunks because the job is
-				// draining or already evicted. There is no recovering by
-				// retransmit — fail fast.
-				return nil, fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, ErrJobEvicted)
-			case AckBackpressure:
-				// The scheduler deferred a bind: our job is over its
-				// deficit while other tenants hold budget. The switch is
-				// demonstrably alive and the job admitted, so this wait
-				// must not eat the retry budget. Do NOT retransmit — the
-				// deferred chunk is recovered by the timeout path once the
-				// round turns over, and hammering it now would only be
-				// deferred again.
-				w.BackpressureAcks++
-				stalls = 0
+		default:
+			var bp int
+			bp, err = w.snd.onDownlink(w.bufs[:k], final)
+			w.BackpressureAcks += uint64(bp)
+			if err != nil { // draining or evicted: fail fast
+				return nil, fmt.Errorf("job %d worker %d: %w", w.Job, w.ID, err)
 			}
 		}
-		// The vector's end sends the slots its messages freed.
 		flush()
 	}
 	if sendErr != nil {

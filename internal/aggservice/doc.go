@@ -297,9 +297,9 @@
 // mod 2), a worker sends chunk c only after receiving the result of chunk
 // c−pool, and duplicate packets for completed chunks are answered from a
 // per-slot result cache — which makes the protocol robust to packet loss
-// in either direction. The slot is the single owner of a chunk's
-// in-flight state (slotState: free → aggregating → on a tree leaf,
-// uplinked → final): a cached RESULT lives exactly as long as its slot
+// in either direction. The slot holds a chunk's in-flight state
+// (slotState: free → aggregating → complete → final): a cached RESULT
+// lives exactly as long as its slot
 // version, freed when chunk c+2·pool rebinds the slot and when the
 // incarnation is released, so a job caches at most 2·pool packets (size and
 // replay hits are tracked per job as CacheBytes/CacheHits).
@@ -332,38 +332,28 @@
 // # Aggregation trees (uplink role)
 //
 // Switches compose into a multi-level aggregation tree — the paper's
-// rack → spine scale-out, where fan-in multiplies per level. A switch
-// configured with Config.Uplink is a LEAF: a locally-completed chunk is a
-// PARTIAL sum, so instead of answering its own workers the leaf re-emits
-// it as an ADD to a parent switch (UplinkConfig.Fabric, parent port
-// job·Leaves + LeafID) and releases the final RESULT downward only when
-// the parent's aggregate returns. Until then the slot holds the uplink ADD
-// itself, which is all the per-chunk state the uplink client's retransmit
-// round needs. The parent needs no tree code: it is an
-// ordinary Switch whose "workers" are the leaves, which is also what lets
-// trees nest — a mid-tier switch is both a parent to its children and a
-// leaf of its own Uplink. Levels must share one Pool so the self-clocked
-// windows stay in lockstep (see tree.go).
+// rack → spine scale-out. A switch configured with Config.Uplink is a LEAF
+// and a worker of its parent: a locally-completed chunk is a PARTIAL sum,
+// which the leaf offers as an ADD to the same addSender a Worker runs
+// (parent port job·Leaves + LeafID on UplinkConfig.Fabric), and the final
+// RESULT goes down to the leaf's workers only when the parent's aggregate
+// returns. The parent is an ordinary Switch whose workers are the leaves,
+// so trees nest. Levels share one Pool: a leaf worker sends chunk c only
+// after chunk c−Pool's final, so the uplink never runs more than Pool
+// chunks ahead of the parent's window.
 //
-// Lifecycle and numeric-profile semantics thread through the hierarchy.
 // Admitting a job on a leaf first negotiates the same job, weight and
-// profile at the parent (ParentControl: SwitchControl in process,
-// Observer over the observer frame; a job another leaf already
-// admitted is joined, a profile mismatch is refused before any local
-// state moves), and the parent's ack supplies the PARENT-LEVEL
-// incarnation epoch stamped into every uplink ADD — each tree level
-// fences stale cross-level datagrams with its own epoch octet, exactly
-// like worker traffic. An eviction at the parent propagates DOWN: the
-// leaf's uplink ADDs bounce off the draining parent as epoch-matched
-// AckDraining/AckEvicted notices, the uplink client evicts the job
-// locally, and the leaf's own drain machinery (with its
-// timers and epoch bump) runs unchanged. A leaf-local evict deliberately
-// does NOT propagate up — sibling leaves may still feed the parent's job.
-// An unreachable parent is bounded by UplinkConfig.Timeout/Retries:
-// after the retry budget passes with aggregates still owed, the leaf
-// evicts the job locally so its workers fail fast. Every leaf negotiates
-// its admissions through UplinkConfig.Control and fans finals down through
-// UplinkConfig.Push; NewSwitch refuses a leaf without either.
+// profile at the parent (ParentControl: SwitchControl in process, Observer
+// over the observer frame; a job another leaf already admitted is joined, a
+// profile mismatch is refused before any local state moves), and the
+// parent's ack supplies the parent-level incarnation epoch stamped into
+// every uplink ADD. An eviction at the parent propagates DOWN: the leaf's
+// uplink ADDs bounce as epoch-matched AckDraining/AckEvicted notices and the
+// leaf evicts the job locally; a leaf-local evict does NOT propagate up —
+// sibling leaves may still feed the parent's job. The uplink spends its
+// retry budget (UplinkConfig.Timeout/Retries) by the Worker's rule: when it
+// runs out with aggregates owed, the leaf evicts the job so its workers fail
+// fast. NewSwitch refuses a leaf without UplinkConfig.Control or Push.
 //
 // # Control client
 //
@@ -381,30 +371,31 @@
 // # Host side
 //
 // Worker.Reduce is one run-to-completion loop in its caller's goroutine —
-// the polling-loop shape of the paper's DPDK worker: it sends the first
-// Pool chunks, then alternates between receiving a delivery vector and
-// sending the chunks that vector freed (a completed chunk c opens exactly
-// chunk c+Pool's slot), with a receive timeout as the retransmit round.
-// The window is the send grain: Reduce sends at the protocol's own events
-// only — the initial window as one vector, the chunks one received
-// delivery vector frees as one vector when it ends, and each retransmit
-// round's outstanding chunks as one vector. At most Pool chunks are
-// outstanding, so Pool bounds every vector. A switch that coalesced a
-// burst into one run gets one vector back, and a vector larger than one
-// datagram is the fabric's to split (see transport.FrameCapacity).
-// It starts no goroutine and makes no channel, so one reduce is a strict
-// send/receive sequence a scripted fabric can step (worker_test.go).
-// Consecutive Reduce calls on one Worker continue one chunk stream, every
-// return moving the Worker past the chunks it took, so the next reduce
-// shares the window as the second half of one long vector would. Build a
-// job's Workers once per incarnation; a new one starts at chunk 0. Both
-// directions are vectored — the chunks a received vector frees go out as
-// Fabric.SendBatch vectors the transport coalesces into frames, and
-// deliveries are drained into reusable buffers (Fabric.RecvBatch), so
-// steady-state receiving allocates nothing.
-// Workers carry their job id and incarnation epoch in every ADD and
-// filter results to their own job. The decode step — notices filtered by
-// job and epoch, RESULT and RESULT RUN bodies handed out per chunk — is
-// the same function a tree leaf's uplink uses (readDownlink), so a
-// downlink message is taught to the protocol once.
+// the polling-loop shape of the paper's DPDK worker, with no goroutine or
+// channel, so a scripted fabric can step it (worker_test.go). It sends the
+// first Pool chunks as one vector, then the chunks each received vector
+// frees (the final of chunk c offers chunk c+Pool) as one vector; its
+// addSender owes each chunk until its final and turns a receive timeout into
+// one retransmit vector or, after Retries in a row, the give-up. Pool bounds
+// every vector; one larger than a datagram is the fabric's to split
+// (transport.FrameCapacity). Consecutive Reduce calls on one Worker continue
+// one chunk stream on one reused window; build a job's Workers once per
+// incarnation — a new one starts at chunk 0. The decode step — notices
+// filtered by job and epoch, RESULT and RESULT RUN bodies handed out per
+// chunk — is readDownlink, which both senders step.
+//
+// # Buffer ownership
+//
+// A Worker encodes each chunk once, into window entry chunk mod 2·Pool, and
+// a retransmit resends those bytes. Reduce is one goroutine, and the entry
+// of chunk c is rewritten only for chunk c+2·Pool, offered at c+Pool's
+// final, itself offered at c's: c is owed no more and no send of it is
+// running (SendBatch lets the caller reuse its input once it returns). A
+// leaf's uplink ADD is written once, by the completing ADD's aggregator pass
+// under the shard lock; HandleBatch then offers it under the uplink mutex,
+// and the receiver reads it for a retransmit round under the same mutex,
+// which orders the write before every resend. Each step appends to a vector
+// its caller owns and sends after releasing the mutex, so a vector one
+// goroutine got stays its own while another steps the sender
+// (TestSenderFramesSurviveReuse holds a stale reference across both).
 package aggservice

@@ -176,11 +176,12 @@ func (f *nullFabric) RecvBatch(int, [][]byte, time.Duration) (int, error) {
 }
 func (f *nullFabric) Close() error { return nil }
 
-// TestSendVecReusesItsArena covers the worker's send path: encoding a full
-// window and flushing it allocates nothing per chunk, a re-encoded chunk is
-// byte-identical however often the arena was rewound in between, and the
-// vector's tail chunk is zero-padded even though its value buffer last
-// held a full chunk.
+// TestSendVecReusesItsArena covers the worker's send path on its window
+// entries: a chunk is encoded once, into its entry; an owed chunk's resend
+// is byte-identical after 2·Pool−1 further chunks went through the other
+// entries; the vector's tail chunk is zero-padded even though its entry last
+// held a full chunk; and a full window offered and then resent allocates
+// nothing.
 func TestSendVecReusesItsArena(t *testing.T) {
 	const modules, pool = 3, 8
 	prof := core.NumericProfile{Format: core.FormatBF16}
@@ -188,55 +189,59 @@ func TestSendVecReusesItsArena(t *testing.T) {
 	for i := range vec {
 		vec[i] = float32(i%97) * 0.25
 	}
-	sv := newSendVec(0, 7, prof, modules, pool, vec)
-	fab := &nullFabric{}
+	chunk := func(c int) []float32 { return vec[c*modules : min(len(vec), (c+1)*modules)] }
+	w := NewWorker(0, &nullFabric{}, Config{Workers: 1, Pool: pool, Modules: modules, Mode: core.ModeApprox})
+	w.Profile, w.Epoch = prof, 7
+	w.rewind(w.Cfg.span(), 1)
 
-	sv.add(5)
-	first := append([]byte(nil), sv.msgs[0]...)
+	send := w.snd.offer(nil, 5, w.entry(5, chunk(5)), false)
+	first := append([]byte(nil), send[0]...)
 	if want := EncodeAddProfile(0, 5, 7, prof, vec[15:18]); !bytes.Equal(first, want) {
 		t.Fatalf("chunk 5 encoded % x, want % x", first, want)
 	}
-	sv.reset()
-	for c := 6; c < 6+2*pool+3; c++ { // > 2·Pool further chunks through the arena
-		sv.add(c)
-		if len(sv.msgs) == pool {
-			fab.SendBatch(0, sv.msgs)
-			sv.reset()
+	for c := 6; c < 5+2*pool; c++ { // every other entry
+		w.snd.offer(nil, uint32(c), w.entry(uint32(c), chunk(c)), false)
+	}
+	resend, err := w.snd.onTimeout(nil)
+	if err != nil || len(resend) != 2*pool || !bytes.Equal(resend[0], first) {
+		t.Fatalf("resend of %d ADDs (%v) leads with % x, want chunk 5's first send % x", len(resend), err, resend[0], first)
+	}
+	for i := 0; i+1 < len(resend); i++ {
+		if bytes.Equal(resend[i], resend[i+1]) {
+			t.Errorf("resent ADDs %d and %d share bytes", i, i+1)
 		}
 	}
-	sv.add(5) // the retransmit
-	if again := sv.msgs[len(sv.msgs)-1]; !bytes.Equal(again, first) {
-		t.Errorf("chunk 5 re-encoded % x, first % x", again, first)
-	}
-	sv.add(40)
-	if got, want := sv.msgs[len(sv.msgs)-1], EncodeAddProfile(0, 40, 7, prof, []float32{vec[120], 0, 0}); !bytes.Equal(got, want) {
+	w.entry(8, chunk(8))
+	if got, want := w.entry(40, chunk(40)), EncodeAddProfile(0, 40, 7, prof, []float32{vec[120], 0, 0}); !bytes.Equal(got, want) {
 		t.Errorf("tail chunk encoded % x, want % x", got, want)
 	}
-	for i := 0; i+1 < len(sv.msgs); i++ {
-		if bytes.Equal(sv.msgs[i], sv.msgs[i+1]) {
-			t.Errorf("messages %d and %d share bytes", i, i+1)
-		}
-	}
-	sv.reset()
 
+	fab := &nullFabric{}
 	c := 0
-	allocgate.AtMost(t, "send path (per 8-chunk window)", 0, func() {
+	allocgate.AtMost(t, "send path (a Pool-chunk window offered, then resent)", 0, func() {
+		w.rewind(w.Cfg.span(), 1)
+		send := w.send
 		for i := 0; i < pool; i++ {
-			sv.add(c % 41)
+			send = w.snd.offer(send, uint32(c), w.entry(uint32(c), chunk(c%41)), false)
 			c++
 		}
-		if err := fab.SendBatch(0, sv.msgs); err != nil {
+		if err := fab.SendBatch(0, send); err != nil {
 			t.Fatal(err)
 		}
-		sv.reset()
+		if send, err = w.snd.onTimeout(send[:0]); err != nil || len(send) != pool {
+			t.Fatalf("resent %d ADDs (%v), want %d", len(send), err, pool)
+		}
+		if err := fab.SendBatch(0, send); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
 // TestSendVecHoldsAWholeWindow: the largest vector Reduce builds — Pool
 // ADDs, the initial window, a retransmit round of it or a received vector
-// that frees it all — fits the arena newSendVec sized, so not even the
-// first such vector grows it, and a stream of them allocates nothing: for
-// f32 and bf16 values at one and three modules.
+// that frees it all — fits the send vector and window entries rewind sized,
+// so not even the first such vector grows them, and a stream of them
+// allocates nothing: for f32 and bf16 values at one and three modules.
 func TestSendVecHoldsAWholeWindow(t *testing.T) {
 	const pool, chunks = 64, 200
 	for _, prof := range []core.NumericProfile{core.DefaultProfile, {Format: core.FormatBF16}} {
@@ -245,26 +250,34 @@ func TestSendVecHoldsAWholeWindow(t *testing.T) {
 			for i := range vec {
 				vec[i] = float32(i)
 			}
-			sv := newSendVec(0, 0, prof, modules, pool, vec)
-			arena, msgs := cap(sv.arena), cap(sv.msgs)
+			w := NewWorker(0, &nullFabric{}, Config{Workers: 1, Pool: pool, Modules: modules, Mode: core.ModeApprox})
+			w.Profile = prof
+			w.rewind(w.Cfg.span(), 1)
+			win, vector := cap(w.win), cap(w.send)
 			fab := &nullFabric{}
 			c := 0
-			send := func() {
+			round := func() {
+				w.rewind(w.Cfg.span(), 1)
+				send := w.send
 				for i := 0; i < pool; i++ {
-					sv.add(c % chunks)
+					k := c % chunks
+					send = w.snd.offer(send, uint32(c), w.entry(uint32(c), vec[k*modules:(k+1)*modules]), false)
 					c++
 				}
-				if err := fab.SendBatch(0, sv.msgs); err != nil {
+				if err := fab.SendBatch(0, send); err != nil {
 					t.Fatal(err)
 				}
-				sv.reset()
+				send, _ = w.snd.onTimeout(send[:0])
+				if err := fab.SendBatch(0, send); err != nil {
+					t.Fatal(err)
+				}
 			}
-			send()
-			if cap(sv.arena) != arena || cap(sv.msgs) != msgs {
-				t.Fatalf("%v m%d: a %d-ADD vector grew the arena from %d to %d bytes and the vector from %d to %d",
-					prof, modules, pool, arena, cap(sv.arena), msgs, cap(sv.msgs))
+			round()
+			if cap(w.win) != win || cap(w.send) != vector {
+				t.Fatalf("%v m%d: a %d-ADD vector grew the window entries from %d to %d bytes and the vector from %d to %d",
+					prof, modules, pool, win, cap(w.win), vector, cap(w.send))
 			}
-			allocgate.AtMost(t, fmt.Sprintf("%v m%d send path (per Pool-ADD vector)", prof, modules), 0, send)
+			allocgate.AtMost(t, fmt.Sprintf("%v m%d send path (per Pool-ADD vector, sent and resent)", prof, modules), 0, round)
 		}
 	}
 }

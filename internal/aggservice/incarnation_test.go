@@ -1,6 +1,7 @@
 package aggservice
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -77,37 +78,160 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 		t.Fatalf("BadJob = %d, want %d", got, badJob+1)
 	}
 
-	// installFinal / owed: a slot of N+1 holds an uplinked chunk (leaf
-	// overflow set); a final carried by N's uplink client must be dropped
-	// and N's retransmit walk must find nothing, N+1's is installed with the
-	// leaf's overflow ORed in and ends the slot's uplinked state.
+	// installFinal: a slot of N+1 holds a locally complete chunk; a final
+	// carried by N's uplink client must be dropped, and N+1's is installed
+	// once, with the overflow bit its sender ORed in.
 	slot := sw.slotOf(1)
 	sh := sw.shards[sw.shardOf(0, slot)]
 	st := sw.slotAt(cur, slot)
-	up := EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{3})
 	sh.mu.Lock()
-	st.chunk, st.up, st.upOvf = 1, up, true
+	st.chunk = 1
 	sh.mu.Unlock()
 	three := core.DefaultProfile.AppendValues(nil, []float32{3}) // the parent's value bytes
-	if pkt, ok := sw.installFinal(old, 1, three, false); ok || pkt != nil || st.cached != nil {
+	if pkt, ok := sw.installFinal(old, 1, three, true); ok || pkt != nil || st.cached != nil {
 		t.Fatal("stale final installed into the new incarnation's slot")
 	}
-	if owed := sw.owed(old, nil); len(owed) != 0 {
-		t.Fatalf("retired incarnation still owes %d uplink ADDs", len(owed))
-	}
-	if owed := sw.owed(cur, nil); len(owed) != 1 || &owed[0][0] != &up[0] {
-		t.Fatalf("live incarnation owes %d uplink ADDs, want the slot's one", len(owed))
-	}
-	pkt, ok := sw.installFinal(cur, 1, three, false)
-	if !ok || st.cached == nil || st.up != nil {
+	pkt, ok := sw.installFinal(cur, 1, three, true)
+	if !ok || st.cached == nil {
 		t.Fatal("live final not installed")
 	}
 	if _, _, _, ovf, err := DecodeResultProfile(pkt, 1, core.DefaultProfile); err != nil || !ovf {
 		t.Fatalf("final lost the leaf's overflow flag: ovf=%v err=%v", ovf, err)
 	}
-	if _, ok := sw.installFinal(cur, 1, three, false); ok || len(sw.owed(cur, nil)) != 0 {
+	if _, ok := sw.installFinal(cur, 1, three, true); ok {
 		t.Fatal("duplicate parent result re-installed a final slot")
 	}
+}
+
+// TestRetiredUplinkOwesNothing: a leaf incarnation's debts to the parent go
+// with it. A chunk completed under incarnation N is owed by N's uplink
+// sender and resent on a timeout; once N is retired, its receiver's next
+// timeout resends nothing and ends it, the re-admitted id (N+1) owes the
+// parent nothing, a completion still queued under N is neither offered nor
+// sent, and a parent final reaching N's sender installs nothing into N+1's
+// slot. N+1's own debt is paid by exactly one install, however often the
+// parent repeats the final.
+func TestRetiredUplinkOwesNothing(t *testing.T) {
+	cfg := Config{Workers: 1, Pool: 2, Modules: 1, Mode: core.ModeApprox, Arch: pisa.BaseArch()}
+	spine, err := NewSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := &tickParent{tick: make(chan struct{}), closed: make(chan struct{})}
+	leafCfg := cfg
+	leafCfg.Uplink = &UplinkConfig{Fabric: up, Leaves: 1, Control: SwitchControl{Parent: spine}, Push: &pushLog{}}
+	leaf, err := NewSwitch(leafCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { leaf.Close(); up.Close() }()
+	waitSent := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); up.count() != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d uplink ADDs sent, want %d", up.count(), n)
+			}
+		}
+	}
+
+	old := leaf.current(0)
+	handle(leaf, 0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}))
+	if n := leaf.UplinkPending(0); n != 1 || up.count() != 1 {
+		t.Fatalf("completed chunk: %d owed, %d sent; want 1, 1", n, up.count())
+	}
+	up.tick <- struct{}{} // a timeout: the owed ADD is resent
+	waitSent(2)
+	if err := leaf.Evict(0); err != nil {
+		t.Fatal(err)
+	}
+	up.tick <- struct{}{} // N's receiver wakes retired: no resend, and it ends
+	select {
+	case up.tick <- struct{}{}:
+		t.Fatal("the retired incarnation's uplink receiver is still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	waitSent(2)
+	if err := leaf.Admit(0, JobSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	cur := leaf.current(0)
+	if n := leaf.UplinkPending(0); n != 0 {
+		t.Fatalf("re-admitted leaf owes %d uplink ADDs", n)
+	}
+
+	sc := leaf.scratchPool.Get().(*batchScratch)
+	sc.ups = append(sc.ups, upReq{inc: old, chunk: 1, pkt: EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{1})})
+	leaf.submitUplinks(sc)
+	leaf.putScratch(sc)
+	if up.count() != 2 || old.up.snd.owed != 1 {
+		t.Fatalf("a completion queued under the retired incarnation climbed: %d sent, %d owed by it", up.count(), old.up.snd.owed)
+	}
+
+	installs := 0
+	final := func(chunk uint32, vals []byte, ovf bool) {
+		if _, ok := leaf.installFinal(old, chunk, vals, ovf); ok {
+			installs++
+		}
+	}
+	old.up.mu.Lock()
+	_, err = old.up.snd.onDownlink([][]byte{result1(0, 5)}, final)
+	old.up.mu.Unlock()
+	if err != nil || installs != 0 {
+		t.Fatalf("retired incarnation's final: %d installs (%v), want none", installs, err)
+	}
+
+	handle(leaf, 0, EncodeAddProfile(0, 0, uint8(cur.epoch), core.DefaultProfile, []float32{2}))
+	if n := leaf.UplinkPending(0); n != 1 {
+		t.Fatalf("live incarnation owes %d uplink ADDs, want 1", n)
+	}
+	final = func(chunk uint32, vals []byte, ovf bool) {
+		if _, ok := leaf.installFinal(cur, chunk, vals, ovf); ok {
+			installs++
+		}
+	}
+	cur.up.mu.Lock()
+	_, err = cur.up.snd.onDownlink([][]byte{result1(0, 5), result1(0, 5)}, final)
+	cur.up.mu.Unlock()
+	if err != nil || installs != 1 || leaf.UplinkPending(0) != 0 {
+		t.Fatalf("live final: %d installs (%v), %d still owed; want 1, 0", installs, err, leaf.UplinkPending(0))
+	}
+}
+
+// result1 is a one-module f32 RESULT of job 0.
+func result1(chunk uint32, v float32) []byte {
+	return encodeResult(0, chunk, core.DefaultProfile, []float32{v}, false)
+}
+
+// tickParent is an uplink to a parent that never answers: it counts the
+// ADDs sent, and each receive times out when the test sends on tick.
+type tickParent struct {
+	tick, closed chan struct{}
+	mu           sync.Mutex
+	sent         int
+}
+
+func (f *tickParent) SendBatch(_ int, pkts [][]byte) error {
+	f.mu.Lock()
+	f.sent += len(pkts)
+	f.mu.Unlock()
+	return nil
+}
+
+func (f *tickParent) RecvBatch(int, [][]byte, time.Duration) (int, error) {
+	select {
+	case <-f.tick:
+		return 0, transport.ErrTimeout
+	case <-f.closed:
+		return 0, transport.ErrClosed
+	}
+}
+
+func (f *tickParent) Close() error { close(f.closed); return nil }
+
+func (f *tickParent) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sent
 }
 
 // TestEvictedIdKeepsCountersUntilReadmit pins what JobStats documents: an

@@ -386,9 +386,9 @@ func (s *Switch) finishDrain(inc *incarnation, force bool) {
 }
 
 // release retires a live incarnation, leaving its job id vacant. The slots
-// (bound chunks, cached RESULTs, owed uplink ADDs), registers and analytics
-// state go with the record — the next admission builds its own. Caller holds
-// lifeMu.
+// (bound chunks, cached RESULTs), registers, analytics state and uplink
+// sender go with the record — the next admission builds its own. Caller
+// holds lifeMu.
 func (s *Switch) release(inc *incarnation) {
 	job := inc.job
 	js := &s.jobs[job]

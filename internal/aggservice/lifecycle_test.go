@@ -106,7 +106,7 @@ func auditSwitch(t *testing.T, name string, s *Switch, fresh ...int) {
 			sh := s.shards[s.shardOf(j, slot)]
 			sh.mu.Lock()
 			st := s.slotAt(inc, slot)
-			free := st.chunk == -1 && st.nSeen == 0 && st.cached == nil && st.up == nil
+			free := st.chunk == -1 && st.nSeen == 0 && st.cached == nil
 			for _, seen := range st.seen {
 				free = free && !seen
 			}
@@ -114,6 +114,9 @@ func auditSwitch(t *testing.T, name string, s *Switch, fresh ...int) {
 			if !free {
 				t.Errorf("%s: job %d's fresh incarnation has state in slot %d", name, j, slot)
 			}
+		}
+		if n := s.UplinkPending(j); n != 0 {
+			t.Errorf("%s: job %d's fresh incarnation owes %d uplink ADDs", name, j, n)
 		}
 	}
 }

@@ -10,35 +10,12 @@ import (
 	"fpisa/internal/transport"
 )
 
-// This file composes switches into an aggregation tree (the paper's
-// rack → spine scaling story): a switch configured with an Uplink is a
-// LEAF whose locally-completed chunks are PARTIAL sums. Instead of
-// answering its own workers, the leaf re-emits each completed chunk as an
-// ADD to a parent switch — playing the worker role one level up, on the
-// same wire protocol, fabrics and incarnation epochs the real workers use
-// — and fans the parent's aggregate back down to its own workers only when
-// it returns. The parent needs no tree code at all: it is an ordinary
-// Switch whose "workers" are the leaves (Workers = the leaf count), which
-// is also what lets trees nest — a mid-tier switch is simply both a parent
-// to its children and a leaf of its own Uplink.
-//
-// Lifecycle composes the same way. Admitting a job on a leaf first
-// negotiates the same job/weight/profile at the parent (ParentControl), so
-// the whole path a chunk climbs runs one arithmetic; the parent's admit
-// ack supplies the parent-level incarnation epoch the uplink ADDs must
-// stamp, fencing stale cross-level datagrams exactly like worker traffic.
-// An eviction at the parent propagates DOWN: the leaf's uplink ADDs bounce
-// off the draining parent with epoch-matched AckDraining/AckEvicted
-// notices, the uplink client evicts the job locally, and the leaf's own
-// vacant→admitted→draining machine drains its workers. A leaf-local evict
-// deliberately does NOT propagate up — other leaves may still feed the
-// parent's job.
-//
-// The self-clocked window needs no new machinery, but it does need the
-// SAME Pool at every level: a leaf worker only sends chunk c after
-// receiving chunk c−Pool's final result, which required the parent round
-// trip, so the leaf's uplink never runs more than Pool chunks ahead of the
-// parent's window. Configure tree levels with equal Pool.
+// This file composes switches into an aggregation tree (doc.go,
+// "Aggregation trees"). A leaf is a worker of its parent: its uplink client
+// feeds each locally complete partial sum to the addSender Worker.Reduce
+// runs, and adds only what a leaf alone does — installing the parent's
+// aggregates as final RESULTs, fanning them down, and evicting the job when
+// the parent refuses it or stays silent for the retry budget.
 
 // UplinkConfig makes a Switch a leaf of an aggregation tree.
 type UplinkConfig struct {
@@ -102,13 +79,9 @@ func admitUp(ctl ParentControl, job int, spec JobSpec) (uint8, error) {
 	return ack.Epoch, nil
 }
 
-// uplinkJob is one leaf incarnation's uplink client: the Worker-like state
-// machine that re-emits the job's partial sums to the parent, retransmits
-// them on timeout, and installs the parent's aggregates as the job's final
-// RESULTs. It keeps no per-chunk state of its own — which chunks are owed,
-// and the ADDs to resend for them, live in the incarnation's slots
-// (slotState.up). It lives on the incarnation record (incarnation.up): Admit
-// starts it, release stops it, and a re-admission gets a fresh one.
+// uplinkJob is one leaf incarnation's uplink client. It lives on the
+// incarnation record (incarnation.up): Admit starts it, release stops it,
+// and a re-admission gets a fresh one.
 type uplinkJob struct {
 	s           *Switch
 	inc         *incarnation // leaf incarnation this client serves
@@ -116,12 +89,17 @@ type uplinkJob struct {
 	fab         transport.Fabric
 	port        int // parent port: job·Leaves + LeafID
 	timeout     time.Duration
-	retries     int
 
 	quit chan struct{}
 	once sync.Once
 
 	retrans atomic.Uint64
+
+	// mu serialises the sender's steps: HandleBatch goroutines offer under
+	// it (submitUplinks), the receiver takes finals and timeouts under it.
+	// No other lock is taken and no fabric call runs under it.
+	mu  sync.Mutex
+	snd addSender
 
 	// The receiver's reusable scratch: the final RESULTs one received
 	// vector installed, and the delivery pass that fans them down.
@@ -135,113 +113,84 @@ type uplinkJob struct {
 func newUplinkJob(s *Switch, inc *incarnation, parentEpoch uint8) *uplinkJob {
 	u := s.cfg.Uplink
 	timeout, retries := retryBudget(u.Timeout, u.Retries)
-	return &uplinkJob{
+	up := &uplinkJob{
 		s: s, inc: inc,
 		parentEpoch: parentEpoch,
 		fab:         u.Fabric,
 		port:        inc.job*u.Leaves + u.LeafID,
 		timeout:     timeout,
-		retries:     retries,
 		quit:        make(chan struct{}),
 	}
+	up.snd.reset(inc.job, parentEpoch, inc.spec.Profile, s.cfg.Modules, s.cfg.Pool, s.span, retries)
+	return up
 }
 
 func (u *uplinkJob) stop() { u.once.Do(func() { close(u.quit) }) }
 
-// owed appends the parent-bound ADD of every slot of inc still awaiting the
-// parent's aggregate to msgs, in slot order. It walks the incarnation's
-// 2·Pool slots one shard lock at a time — the timeout and audit paths only,
-// never the hot path — and finds nothing once inc is retired (the parent may
-// already be serving its successor).
-func (s *Switch) owed(inc *incarnation, msgs [][]byte) [][]byte {
-	for slot := 0; slot < 2*s.cfg.Pool; slot++ {
-		sh := s.shards[s.shardOf(inc.job, slot)]
-		sh.mu.Lock()
-		if up := s.slotAt(inc, slot).up; up != nil && s.isLive(inc) {
-			msgs = append(msgs, up)
-		}
-		sh.mu.Unlock()
-	}
-	return msgs
-}
-
-// run is the uplink receiver: it drains the parent's downlink (final
-// RESULTs, run replies, lifecycle notices) and drives the retransmit
-// clock. It exits on stop(), on a fabric error, or after evicting the job
-// over an unreachable parent.
+// run is the uplink receiver: it steps the sender with the parent's
+// downlink and each receive timeout, and sends the retransmit rounds. It
+// exits on stop() — checked after every wait, so a retired incarnation's
+// owed ADDs never reach a parent that may serve its successor — on a
+// fabric error, or after evicting the job.
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
 	var resend [][]byte
-	stalls := 0
-	final := func(chunk uint32, vals []byte, ovf bool) {
-		stalls = 0
-		if pkt, ok := u.s.installFinal(u.inc, chunk, vals, ovf); ok {
-			u.finals = append(u.finals, resDone{job: u.inc.job, chunk: chunk, pkt: pkt})
-		}
-	}
+	var paid []paidFinal
+	take := func(chunk uint32, vals []byte, ovf bool) { paid = append(paid, paidFinal{chunk, vals, ovf}) }
 	for {
+		k, err := u.fab.RecvBatch(u.port, bufs, u.timeout)
 		select {
 		case <-u.quit:
-			return
+			return // released (or the switch closed) while it waited
 		default:
 		}
-		k, err := u.fab.RecvBatch(u.port, bufs, u.timeout)
-		if err == transport.ErrTimeout {
-			resend = u.s.owed(u.inc, resend[:0])
-			if len(resend) == 0 {
-				stalls = 0 // idle: nothing owed, a quiet parent is fine
-				continue
-			}
-			stalls++
-			if stalls > u.retries {
-				// The parent owes us aggregates and has answered nothing
-				// for the whole retry budget: declare it unreachable and
-				// tear the job down locally so the leaf's workers fail
-				// fast instead of stalling forever.
-				u.s.Evict(u.inc.job)
-				return
-			}
-			// A datagram lost on either leg is recovered here: the slots
-			// keep every owed ADD until its aggregate installs.
-			u.retrans.Add(uint64(len(resend)))
-			u.fab.SendBatch(u.port, resend)
-			continue
-		}
-		if err != nil {
+		if err != nil && err != transport.ErrTimeout {
 			return // fabric closed
 		}
-		for _, msg := range bufs[:k] {
-			notice, ok := readDownlink(msg, u.inc.job, u.parentEpoch, u.inc.spec.Profile, u.s.cfg.Modules, final)
-			if !ok {
-				continue
-			}
-			switch notice {
-			case AckEvicted, AckDraining:
-				// A mid-tree eviction propagating down: the parent refuses
-				// this job's uplink, so drain the leaf too. Evict → release
-				// closes u.quit; push what already arrived first.
-				u.pushFinals()
-				u.s.Evict(u.inc.job)
-				return
-			case AckBackpressure:
-				// The parent's fair scheduler deferred a bind; the chunk
-				// stays pending and the retransmit clock recovers it next
-				// round. The parent is alive.
-				stalls = 0
+		resend, paid = resend[:0], paid[:0]
+		u.mu.Lock()
+		if err == nil {
+			_, err = u.snd.onDownlink(bufs[:k], take)
+		} else {
+			resend, err = u.snd.onTimeout(resend)
+		}
+		u.mu.Unlock()
+		// Installed after the unlock, so a handler offering completions
+		// never waits on a shard lock or an allocation.
+		for _, f := range paid {
+			if pkt, ok := u.s.installFinal(u.inc, f.chunk, f.vals, f.ovf); ok {
+				u.finals = append(u.finals, resDone{job: u.inc.job, chunk: f.chunk, pkt: pkt})
 			}
 		}
 		u.pushFinals()
+		if err != nil {
+			// The parent evicted the job, or is unreachable: evict it here
+			// so the leaf's workers fail fast. Evict → release closes u.quit.
+			u.s.Evict(u.inc.job)
+			return
+		}
+		if len(resend) > 0 {
+			u.retrans.Add(uint64(len(resend)))
+			u.fab.SendBatch(u.port, resend)
+		}
 	}
 }
 
-// installFinal resolves an uplinked chunk against the parent's aggregate:
-// it caches the final RESULT — the parent's value bytes copied, its
-// overflow flag ORed with the leaf's — and ends the slot's uplinked state,
-// with the same under-lock revalidation the ADD path uses: if the leaf
-// retired the incarnation or rebound the slot since the chunk went up, or
-// the slot is already final (a duplicate parent result), the aggregate is
-// dropped.
-func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, parentOvf bool) ([]byte, bool) {
+// paidFinal is a parent final the sender took for an owed chunk; vals
+// views the received buffer, which holds until the receiver's next wait.
+type paidFinal struct {
+	chunk uint32
+	vals  []byte
+	ovf   bool
+}
+
+// installFinal resolves an owed chunk against the parent's aggregate: it
+// caches the final RESULT — the parent's value bytes copied, with ovf (the
+// parent's flag ORed with the leaf's) — with the same under-lock
+// revalidation the ADD path uses: if the leaf retired the incarnation or
+// rebound the slot since the chunk went up, or the slot is already final,
+// the aggregate is dropped.
+func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, ovf bool) ([]byte, bool) {
 	slot := s.slotOf(chunk)
 	sh := s.shards[s.shardOf(inc.job, slot)]
 	sh.mu.Lock()
@@ -250,14 +199,13 @@ func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, paren
 		return nil, false
 	}
 	st := s.slotAt(inc, slot)
-	if st.chunk != int64(chunk) || st.up == nil {
+	if st.chunk != int64(chunk) || st.cached != nil {
 		return nil, false
 	}
 	pkt, out := newResult(inc.job, chunk, s.cfg.Modules, inc.spec.Profile)
 	copy(out, vals)
-	putOverflow(pkt, parentOvf || st.upOvf)
+	putOverflow(pkt, ovf)
 	st.cached = pkt
-	st.up = nil
 	s.jobs[inc.job].cacheBytes.Add(int64(len(pkt)))
 	return pkt, true
 }
@@ -280,22 +228,30 @@ func (u *uplinkJob) pushFinals() {
 	u.finals = u.finals[:0]
 }
 
-// submitUplinks sends a batch's locally-completed chunks up the tree, one
-// vector per incarnation. Runs after the shard lock rounds — it is fabric
-// I/O. The slots already own the packets, so a datagram lost here (or a send
-// error) is recovered by the uplink client's retransmit round like any other.
+// submitUplinks offers a batch's locally-completed chunks to their
+// incarnations' uplink senders and sends what the senders return, one
+// vector per incarnation. It runs after the shard lock rounds, and sends
+// after the uplink mutex is released — it is fabric I/O. From the offer on
+// the sender owes each packet, so a datagram lost here (or a send error) is
+// recovered by its retransmit round like any other.
 func (s *Switch) submitUplinks(sc *batchScratch) {
 	for i := 0; i < len(sc.ups); {
 		inc := sc.ups[i].inc
+		u := inc.up
 		msgs := sc.items[:0]
-		for ; i < len(sc.ups) && sc.ups[i].inc == inc; i++ {
-			msgs = append(msgs, sc.ups[i].pkt)
-		}
-		sc.items = msgs
+		u.mu.Lock()
 		// A completion observed under an incarnation retired since must
 		// not climb: the parent may already be serving its successor.
-		if s.isLive(inc) {
-			inc.up.fab.SendBatch(inc.up.port, msgs)
+		live := s.isLive(inc)
+		for ; i < len(sc.ups) && sc.ups[i].inc == inc; i++ {
+			if up := &sc.ups[i]; live {
+				msgs = u.snd.offer(msgs, up.chunk, up.pkt, up.ovf)
+			}
+		}
+		u.mu.Unlock()
+		sc.items = msgs
+		if len(msgs) > 0 {
+			u.fab.SendBatch(u.port, msgs)
 		}
 	}
 }
@@ -314,7 +270,9 @@ func (s *Switch) UplinkRetransmits(job int) uint64 {
 // left nothing owed.
 func (s *Switch) UplinkPending(job int) int {
 	if inc := s.current(job); inc != nil && inc.up != nil {
-		return len(s.owed(inc, nil))
+		inc.up.mu.Lock()
+		defer inc.up.mu.Unlock()
+		return inc.up.snd.owed
 	}
 	return 0
 }

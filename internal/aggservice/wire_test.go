@@ -210,10 +210,10 @@ func tupleAckOf(job int, seq uint32, survivors []bool) []byte {
 }
 
 // BenchmarkWireCodec times a worker's codec on both ends of a chunk:
-// encoding a 64-ADD window into one arena (appendAdd, as sendVec does) and
-// decoding a 64-item RESULT RUN into the output vector (readDownlink and
-// GetValues, as Reduce's complete does), f32 and bf16 at one and three
-// modules. One op is one window; ns/chunk divides it by 64.
+// encoding a 64-ADD window into one arena (appendAdd, as into Reduce's
+// window entries) and decoding a 64-item RESULT RUN into the output vector
+// (readDownlink and GetValues, as Reduce's final does), f32 and bf16 at one
+// and three modules. One op is one window; ns/chunk divides it by 64.
 func BenchmarkWireCodec(b *testing.B) {
 	const window = 64
 	for _, prof := range []core.NumericProfile{core.DefaultProfile, {Format: core.FormatBF16}} {
