@@ -7,6 +7,7 @@ package fpisa
 // -benchmem` doubles as a summary of the reproduction.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -286,11 +287,31 @@ func BenchmarkAblationQuantizeVsCopy(b *testing.B) {
 	})
 }
 
-// handleOne drives one packet through the switch's vectored handler,
-// recycling dl across calls the way a fabric does.
-func handleOne(sw *aggservice.Switch, dl *transport.DeliveryList, worker int, pkt []byte) {
-	dl.Reset()
-	sw.HandleBatch(worker, [][]byte{pkt}, dl)
+// addLoop is one benchmark goroutine's reused ADDs, one per job, each
+// encoded once and renumbered in place, and the one-packet vector and
+// delivery list it hands the switch — recycled the way a fabric recycles
+// them, so the measured loop allocates nothing of its own.
+type addLoop struct {
+	adds [][]byte
+	vec  [][]byte
+	dl   transport.DeliveryList
+}
+
+func newAddLoop(jobs int, prof core.NumericProfile, vals []float32) *addLoop {
+	l := &addLoop{vec: make([][]byte, 1)}
+	for j := 0; j < jobs; j++ {
+		l.adds = append(l.adds, aggservice.EncodeAddProfile(j, 0, 0, prof, vals))
+	}
+	return l
+}
+
+// handle drives job's ADD of chunk through the switch's vectored handler
+// from port worker.
+func (l *addLoop) handle(sw *aggservice.Switch, worker, job int, chunk uint32) {
+	binary.BigEndian.PutUint32(l.adds[job][4:], chunk) // the ADD's chunk field
+	l.vec[0] = l.adds[job]
+	l.dl.Reset()
+	sw.HandleBatch(worker, l.vec, &l.dl)
 }
 
 // BenchmarkShardedSwitch measures aggregation-service packet throughput
@@ -311,11 +332,9 @@ func BenchmarkShardedSwitch(b *testing.B) {
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				vals := []float32{1.5}
-				var dl transport.DeliveryList
+				l := newAddLoop(1, core.DefaultProfile, []float32{1.5})
 				for pb.Next() {
-					c := uint32(next.Add(1) - 1)
-					handleOne(sw, &dl, 0, aggservice.EncodeAddProfile(0, c, 0, core.DefaultProfile, vals))
+					l.handle(sw, 0, 0, uint32(next.Add(1)-1))
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -336,11 +355,9 @@ func BenchmarkShardedSwitch(b *testing.B) {
 		var next atomic.Uint64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			vals := []float32{1.5}
-			var dl transport.DeliveryList
+			l := newAddLoop(1, prof, []float32{1.5})
 			for pb.Next() {
-				c := uint32(next.Add(1) - 1)
-				handleOne(sw, &dl, 0, aggservice.EncodeAddProfile(0, c, 0, prof, vals))
+				l.handle(sw, 0, 0, uint32(next.Add(1)-1))
 			}
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -604,7 +621,7 @@ func BenchmarkLossRecovery(b *testing.B) {
 // BenchmarkMultiJobSwitch measures tenancy overhead: the same packet load
 // spread across N jobs sharing one sharded switch. Per-job slot partitions
 // keep the shard math identical, so throughput should hold as jobs grow —
-// the per-job atomics are the only added cost.
+// each job's counters live in its own per-shard blocks.
 func BenchmarkMultiJobSwitch(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%djob", jobs), func(b *testing.B) {
@@ -617,13 +634,11 @@ func BenchmarkMultiJobSwitch(b *testing.B) {
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				vals := []float32{1.5}
-				var dl transport.DeliveryList
+				l := newAddLoop(jobs, core.DefaultProfile, []float32{1.5})
 				for pb.Next() {
 					n := next.Add(1) - 1
 					job := int(n) % jobs
-					c := uint32(n) / uint32(jobs)
-					handleOne(sw, &dl, cfg.Port(job, 0), aggservice.EncodeAddProfile(job, c, 0, core.DefaultProfile, vals))
+					l.handle(sw, cfg.Port(job, 0), job, uint32(n)/uint32(jobs))
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")

@@ -290,13 +290,14 @@ type JobStats struct {
 	SchedDefers uint64
 	// Outstanding is the gauge of slots currently aggregating.
 	Outstanding int64
-	// CacheHits counts duplicate ADDs answered from a slot's cached
-	// RESULT packet (the loss-recovery replay path).
+	// CacheHits counts duplicate ADDs answered from a slot's final RESULT
+	// (the loss-recovery replay path).
 	CacheHits uint64
-	// CacheBytes is the gauge of RESULT bytes currently cached for the
-	// job. A cached RESULT lives exactly as long as its slot version — it
-	// is freed when the slot rebinds to a later chunk and when the job is
-	// released — so the gauge is bounded by 2·Pool entries.
+	// CacheBytes is the gauge of final-RESULT bytes the job's slot regions
+	// hold: a slot holds its chunk's final RESULT from completion (or, on a
+	// tree leaf, from the parent's aggregate) until it rebinds to a later
+	// chunk or the job is released, so the gauge is bounded by 2·Pool
+	// RESULTs. The regions themselves are preallocated at admission.
 	CacheBytes uint64
 	// Coalesced counts completed chunks whose RESULT rode a run-length
 	// MsgResultRun reply instead of its own per-chunk datagram — chunks
@@ -370,6 +371,8 @@ type incarnation struct {
 	// up is a tree leaf's uplink client for this incarnation (see tree.go).
 	// Nil on a switch without an Uplink.
 	up *uplinkJob
+	// ctr is the incarnation's protocol counters (see jobCounters).
+	ctr *jobCounters
 	// draining is set by Evict: in-flight chunks may complete, new binds
 	// are refused.
 	draining atomic.Bool
@@ -393,42 +396,59 @@ func (inc *incarnation) phase() JobPhase {
 // per-weight-unit bind budget.
 func (inc *incarnation) quantum() int64 { return int64(inc.spec.Weight) * drrQuantum }
 
-// jobState is a job id's live incarnation plus its counters; all atomic so
-// shards (and the hot path racing the control plane) touch them without a
-// shared lock. The counters belong to the id, not the incarnation: an
-// evicted id keeps its last incarnation's totals until the next Admit
-// zeroes them.
+// jobState is a job id's live incarnation, the counters of its latest one
+// and its release count. The pointers are atomic, so the hot path (and the
+// control plane racing it) load them without a shared lock.
 type jobState struct {
-	adds, retransmits, completions atomic.Uint64
-	schedDefers                    atomic.Uint64
-	cacheHits                      atomic.Uint64
-	coalesced                      atomic.Uint64
-	cacheBytes                     atomic.Int64
-	outstanding                    atomic.Int64
 	// live is the job's current incarnation, nil while the id is vacant.
 	// Stored under lifeMu (Admit publishes, release retires), loaded
 	// lock-free everywhere.
 	live atomic.Pointer[incarnation]
-	// epoch counts releases; it names the next incarnation's wire octet.
+	// ctr is the counters of the id's latest incarnation, live or released:
+	// an evicted id reports its last incarnation's totals until the next
+	// Admit replaces them. Stored under lifeMu by Admit.
+	ctr atomic.Pointer[jobCounters]
+	// epoch counts releases; it names the next incarnation's wire epoch.
 	epoch atomic.Uint64
 }
 
-// reset zeroes a jobState's counters for a fresh incarnation.
-func (js *jobState) reset() {
-	js.adds.Store(0)
-	js.retransmits.Store(0)
-	js.completions.Store(0)
-	js.schedDefers.Store(0)
-	js.cacheHits.Store(0)
-	js.coalesced.Store(0)
-	js.cacheBytes.Store(0)
-	js.outstanding.Store(0)
+// cacheLine is the padding unit that keeps one shard's counters off the
+// cache line of another's.
+const cacheLine = 64
+
+// counters is one incarnation's protocol counters on one shard, guarded by
+// that shard's lock: the locked sections that bind, complete, replay and
+// fold bump plain integers in memory no other shard's goroutine writes.
+// The gauges never go negative: a slot binds and completes on one shard.
+type counters struct {
+	adds, retransmits, completions, schedDefers, cacheHits uint64
+	outstanding, cacheBytes                                int64
+	_                                                      [cacheLine - 7*8]byte
+}
+
+// jobCounters is one incarnation's counters: a padded block per shard and
+// the coalesced count emitResults adds once per run reply, outside any
+// shard lock. Admit builds it zeroed; it outlives the incarnation through
+// jobState.ctr.
+type jobCounters struct {
+	coalesced atomic.Uint64
+	_         [cacheLine - 8]byte
+	shard     []counters // block k is guarded by shard k's lock
+}
+
+// counters returns the counters JobStats reports for the id: its live
+// incarnation's, else its latest released one's (nil if never admitted).
+func (js *jobState) counters(inc *incarnation) *jobCounters {
+	if inc != nil {
+		return inc.ctr
+	}
+	return js.ctr.Load()
 }
 
 // Switch is the service's switch side: N parallel FPISA pipeline replicas
 // (shards), each a lock and a scheduler. An admitted job owns 2·Pool slots —
 // registers plus the protocol state a production P4 program holds in
-// additional registers (the seen-bitmap and result cache) — striped across
+// additional registers (the seen-bitmap and the final RESULT) — striped across
 // the shards. HandleBatch may be called concurrently; packets for different
 // shards proceed in parallel.
 type Switch struct {
@@ -487,15 +507,19 @@ type bank struct {
 }
 
 // slotState is a chunk's in-flight life at the switch: free (chunk -1) →
-// aggregating → complete → final (cached set), until the slot rebinds to a
-// later chunk or its incarnation is released. On a tree leaf a complete
-// chunk waits for the parent's aggregate with nothing cached; its uplink ADD
-// is owed by the incarnation's uplink sender (see tree.go).
+// aggregating → complete → final (final set, its RESULT in res), until the
+// slot rebinds to a later chunk or its incarnation is released. On a tree
+// leaf a complete chunk waits for the parent's aggregate, not final; its
+// uplink ADD is owed by the incarnation's uplink sender (see tree.go).
 type slotState struct {
-	chunk  int64 // bound chunk id in [0, span), -1 when free
-	seen   []bool
-	nSeen  int
-	cached []byte // RESULT packet, nil until final
+	chunk int64 // bound chunk id in [0, span), -1 when free
+	seen  []bool
+	nSeen int
+	final bool
+	// res is the slot's window of its bank's RESULT region: the final
+	// RESULT while final is set. Written and read only under the shard
+	// lock; what leaves the lock is a copy in a DeliveryList's arena.
+	res []byte
 }
 
 // aggregating reports whether the slot holds a chunk still waiting for
@@ -591,21 +615,24 @@ func compile(cfg Config, slots int) (pisa.Utilization, error) {
 
 // newBanks builds a training incarnation's per-shard banks under profile p:
 // one accumulator bank per shard, replicated from a prototype built from
-// the job's Config, and every slot free.
+// the job's Config, every slot free, and one preallocated RESULT region per
+// bank, a RESULT's bytes per slot.
 func (s *Switch) newBanks(p core.NumericProfile) ([]bank, error) {
 	proto, err := core.NewProfileAggregator(p, s.cfg.Mode, s.cfg.Modules, s.perBank, s.cfg.Arch)
 	if err != nil {
 		return nil, err
 	}
-	w := s.cfg.Workers
+	w, rb := s.cfg.Workers, resultBytes(s.cfg.Modules, p)
 	banks := make([]bank, s.nsh)
 	for k := range banks {
 		banks[k] = bank{agg: proto.Replicate(), slot: make([]slotState, s.perBank)}
-		// One seen array per bank; each slot's flags are a capped window of
-		// it, so clear and len act on that slot's Workers flags only.
+		// One seen array and one RESULT region per bank; each slot's flags
+		// and RESULT are capped windows of them, so clear, len and copy act
+		// on that slot's own bytes only.
 		seen := make([]bool, s.perBank*w)
+		res := make([]byte, s.perBank*rb)
 		for i := range banks[k].slot {
-			banks[k].slot[i] = slotState{chunk: -1, seen: seen[i*w : (i+1)*w : (i+1)*w]}
+			banks[k].slot[i] = slotState{chunk: -1, seen: seen[i*w : (i+1)*w : (i+1)*w], res: res[i*rb : (i+1)*rb : (i+1)*rb]}
 		}
 	}
 	return banks, nil
@@ -760,16 +787,18 @@ type batchScratch struct {
 }
 
 // resDone is one completed chunk's RESULT waiting for the batch-end
-// delivery pass, where consecutive chunks coalesce into run replies.
+// delivery pass, where consecutive chunks coalesce into run replies: pkt is
+// a copy in the delivery list's arena, never the slot's region.
 type resDone struct {
-	job   int
+	inc   *incarnation
 	chunk uint32
 	pkt   []byte
 }
 
 // upReq is one locally-complete chunk whose partial sum is offered to the
 // uplink sender once the shard lock is released (see tree.go): pkt is its
-// parent-bound ADD, ovf the leaf-level overflow of the sum.
+// parent-bound ADD, built in the handler's delivery arena, ovf the
+// leaf-level overflow of the sum.
 type upReq struct {
 	inc   *incarnation // leaf incarnation the completion was observed under
 	chunk uint32
@@ -794,9 +823,7 @@ func (s *Switch) putScratch(sc *batchScratch) {
 	}
 	sc.touched = sc.touched[:0]
 	sc.drains = sc.drains[:0]
-	for i := range sc.done {
-		sc.done[i].pkt = nil
-	}
+	clear(sc.done)
 	sc.done = sc.done[:0]
 	clear(sc.ups)
 	sc.ups = sc.ups[:0]
@@ -927,9 +954,12 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 
 // slotHandleLocked runs the slot protocol for one queued ADD of shard k's
 // group; the caller holds that shard's lock for the whole group. Deliveries
-// are appended to out; deferred work that needs other locks or does I/O
-// (drain completion, uplink sends) is queued on the scratch for after the
-// unlock. ADDs the protocol drops by design (stale, duplicate) are not refused.
+// are built in out's arena and appended to out; deferred work that needs
+// other locks or does I/O (drain completion, uplink sends) is queued on the
+// scratch for after the unlock. ADDs the protocol drops by design (stale,
+// duplicate) are not refused. Everything it writes besides the delivery
+// list is owned by shard k: the slot, its RESULT region and the
+// incarnation's counter block k.
 func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) refusal {
 	inc := a.inc
 	if !s.isLive(inc) {
@@ -937,7 +967,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	}
 	sh := s.shards[k]
 	job, prof := inc.job, inc.spec.Profile
-	js := &s.jobs[job]
+	c := &inc.ctr.shard[k]
 	wij := worker % s.cfg.Workers
 	// One bank-local index names the slot's registers and its protocol state.
 	b, bi := &inc.banks[k], a.slot/s.nsh
@@ -969,15 +999,15 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// retransmit path in a later round. Retransmits of
 		// in-flight chunks never reach this branch and stay free.
 		if !sh.sched.charge(job, inc.quantum()) {
-			js.schedDefers.Add(1)
+			c.schedDefers++
 			return inc.refusal(&s.rejBackpressure, AckBackpressure)
 		}
 	case st.seen[wij]:
-		js.retransmits.Add(1)
-		if st.cached != nil {
-			// The worker missed the broadcast; replay the result.
-			js.cacheHits.Add(1)
-			out.Unicast(worker, st.cached)
+		c.retransmits++
+		if st.final {
+			// The worker missed the broadcast; replay a copy of the result.
+			c.cacheHits++
+			out.Unicast(worker, copyInto(out, st.res))
 		}
 		return refusal{} // duplicate while aggregation is in progress
 	}
@@ -987,8 +1017,10 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	// before a failed add would drop its contribution for good while the
 	// protocol believes it arrived, completing the chunk with a wrong sum.
 	// Only the ADD that completes the chunk reads the running sums, straight
-	// into the packet they leave in (the RESULT, or a leaf's uplink ADD);
-	// every other one passes a nil out, so no response is built.
+	// into the packet they leave in (the RESULT, or a leaf's uplink ADD),
+	// built in out's arena; every other one passes a nil out, so no
+	// response is built. The slot's region is written only once the chunk
+	// has completed, so a failed call leaves a final slot's RESULT intact.
 	var pkt, sums []byte
 	nSeen := st.nSeen + 1 // once this ADD counts
 	if fresh {
@@ -996,9 +1028,13 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	}
 	if nSeen == s.cfg.Workers {
 		if s.cfg.Uplink != nil {
-			pkt, sums = newAdd(job, chunk, inc.up.parentEpoch, s.cfg.Modules, prof)
+			pkt = out.Alloc(addBytes(s.cfg.Modules, prof))
+			putAddHeader(pkt, job, chunk, inc.up.parentEpoch)
+			sums = pkt[addValOff:]
 		} else {
-			pkt, sums = newResult(job, chunk, s.cfg.Modules, prof)
+			pkt = out.Alloc(len(st.res))
+			putHeader(pkt, MsgResult, job, chunk)
+			sums = pkt[hdrBytes : len(pkt)-1]
 		}
 	}
 	var ovf bool
@@ -1009,28 +1045,28 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 		// left, and the slot is bound only once that call has succeeded —
 		// a failed one leaves the slot's protocol state as it was and
 		// refunds the scheduler, so the job is not billed for work that
-		// never ran. Rebinding ends the previous slot version: its cached
+		// never ran. Rebinding ends the previous slot version: its final
 		// RESULT goes with it.
 		if ovf, err = b.agg.SetInto(bi, a.vals, sums); err != nil {
 			sh.sched.refund(job)
 			return refusal{}
 		}
 		if !st.aggregating() {
-			js.outstanding.Add(1)
+			c.outstanding++
 		}
 		st.chunk = int64(chunk)
 		clear(st.seen)
 		st.nSeen = 0
-		if st.cached != nil {
-			js.cacheBytes.Add(-int64(len(st.cached)))
-			st.cached = nil
+		if st.final {
+			c.cacheBytes -= int64(len(st.res))
+			st.final = false
 		}
 	} else if ovf, err = b.agg.AddInto(bi, a.vals, sums); err != nil {
 		return refusal{}
 	}
 	st.seen[wij] = true
 	st.nSeen++
-	js.adds.Add(1)
+	c.adds++
 
 	if st.nSeen < s.cfg.Workers {
 		return refusal{}
@@ -1039,32 +1075,42 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	// Last worker: the running sums are the final aggregation (for a tree
 	// leaf, the final LOCAL aggregation — the tree-wide sum still needs
 	// the other leaves, so it comes back from the parent).
-	js.completions.Add(1)
-	js.outstanding.Add(-1)
+	c.completions++
+	c.outstanding--
 	if inc.draining.Load() {
 		sc.drains = append(sc.drains, inc)
 	}
 	if s.cfg.Uplink != nil {
 		// Tree leaf: the local sum is a partial aggregate, an ADD to the
 		// parent under the parent-level epoch, offered to the uplink sender
-		// after the shard unlock (submitUplinks). The slot caches nothing
-		// and answers retransmits silently until the final installs.
+		// after the shard unlock (submitUplinks). The slot is not final
+		// and answers retransmits silently until the parent's final installs.
 		sc.ups = append(sc.ups, upReq{inc: inc, chunk: chunk, pkt: pkt, ovf: ovf})
 		return refusal{}
 	}
 	putOverflow(pkt, ovf)
-	st.cached = pkt
-	js.cacheBytes.Add(int64(len(pkt)))
+	copy(st.res, pkt)
+	st.final = true
+	c.cacheBytes += int64(len(st.res))
 	// Delivery is deferred to the batch-end pass so consecutive chunks
 	// completing in one batch share a run-length reply (see emitResults).
-	sc.done = append(sc.done, resDone{job: job, chunk: chunk, pkt: pkt})
+	sc.done = append(sc.done, resDone{inc: inc, chunk: chunk, pkt: pkt})
 	return refusal{}
 }
 
+// copyInto returns a copy of pkt built in out's arena: how a slot's RESULT
+// leaves the shard lock.
+func copyInto(out *transport.DeliveryList, pkt []byte) []byte {
+	p := out.Alloc(len(pkt))
+	copy(p, pkt)
+	return p
+}
+
 // emitResults delivers a batch's completed chunks, coalescing runs of ≥ 2
-// consecutive chunks of one job into run-length MsgResultRun replies — the
-// per-chunk packets stay individually cached for the replay path, only the
-// broadcast downlink shares datagrams. Called after the shard lock rounds.
+// consecutive chunks of one job into run-length MsgResultRun replies built
+// in out's arena — the slots keep their own RESULTs for the replay path,
+// only the broadcast downlink shares datagrams. Called after the shard lock
+// rounds, on arena copies only.
 func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 	if len(sc.done) == 0 {
 		return
@@ -1078,8 +1124,8 @@ func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 	// — and each later group is sorted back in past the earlier ones.
 	d := sc.done
 	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && (d[j].job < d[j-1].job ||
-			(d[j].job == d[j-1].job && d[j].chunk < d[j-1].chunk)); j-- {
+		for j := i; j > 0 && (d[j].inc.job < d[j-1].inc.job ||
+			(d[j].inc.job == d[j-1].inc.job && d[j].chunk < d[j-1].chunk)); j-- {
 			d[j], d[j-1] = d[j-1], d[j]
 		}
 	}
@@ -1090,21 +1136,24 @@ func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 		maxRun = 65535
 	}
 	for i := 0; i < len(d); {
+		job := d[i].inc.job
 		j := i + 1
-		for j < len(d) && j-i < maxRun && d[j].job == d[i].job &&
+		for j < len(d) && j-i < maxRun && d[j].inc.job == job &&
 			d[j].chunk == d[i].chunk+uint32(j-i) {
 			j++
 		}
 		if j-i == 1 {
-			s.deliverToJob(d[i].job, d[i].pkt, out)
+			s.deliverToJob(job, d[i].pkt, out)
 		} else {
 			items := sc.items[:0]
 			for k := i; k < j; k++ {
 				items = append(items, d[k].pkt)
 			}
 			sc.items = items
-			s.jobs[d[i].job].coalesced.Add(uint64(j - i))
-			s.deliverToJob(d[i].job, encodeResultRun(d[i].job, d[i].chunk, items), out)
+			d[i].inc.ctr.coalesced.Add(uint64(j - i))
+			run := out.Alloc(runBytes(items))
+			putResultRun(run, job, d[i].chunk, items)
+			s.deliverToJob(job, run, out)
 		}
 		i = j
 	}
@@ -1126,46 +1175,70 @@ func (s *Switch) deliverToJob(job int, pkt []byte, out *transport.DeliveryList) 
 }
 
 // Stats returns protocol counters summed across jobs: total values
-// aggregated, duplicate ADDs observed and chunks completed.
+// aggregated, duplicate ADDs observed and chunks completed. It takes each
+// shard's lock once and sums that shard's block of every job.
 func (s *Switch) Stats() (adds, dups, completions uint64) {
-	for j := range s.jobs {
-		js := &s.jobs[j]
-		adds += js.adds.Load()
-		dups += js.retransmits.Load()
-		completions += js.completions.Load()
+	for k, sh := range s.shards {
+		sh.mu.Lock()
+		for j := range s.jobs {
+			js := &s.jobs[j]
+			if c := js.counters(js.live.Load()); c != nil {
+				b := &c.shard[k]
+				adds += b.adds
+				dups += b.retransmits
+				completions += b.completions
+			}
+		}
+		sh.mu.Unlock()
 	}
 	return adds, dups, completions
 }
 
-// JobStats returns one job's counters; ok is false for a job id outside
-// the switch's capacity. A vacant id inside the capacity answers with
-// Phase == PhaseVacant, a zero Weight/Profile/Class, and the counters its
-// last incarnation ended on (only the Outstanding and CacheBytes gauges
-// are zeroed at release); the next Admit resets them.
+// JobStats returns one job's counters, each block read under its shard's
+// lock; ok is false for a job id outside the switch's capacity. A vacant
+// id inside the capacity answers with Phase == PhaseVacant, a zero
+// Weight/Profile/Class, the counters its last incarnation ended on, and the
+// Outstanding and CacheBytes gauges at 0 (a released incarnation holds no
+// slot); the next Admit starts fresh counters.
 func (s *Switch) JobStats(job int) (st JobStats, ok bool) {
 	if job < 0 || job >= s.ncap {
 		return JobStats{}, false
 	}
 	js := &s.jobs[job]
-	cb := js.cacheBytes.Load()
-	if cb < 0 {
-		cb = 0 // release zeroes the gauge; racing decrements may transiently undershoot
+	inc := js.live.Load()
+	if c := js.counters(inc); c != nil {
+		for k, sh := range s.shards {
+			sh.mu.Lock()
+			b := c.shard[k]
+			sh.mu.Unlock()
+			st.Adds += b.adds
+			st.Retransmits += b.retransmits
+			st.Completions += b.completions
+			st.SchedDefers += b.schedDefers
+			st.CacheHits += b.cacheHits
+			st.Outstanding += b.outstanding
+			st.CacheBytes += uint64(b.cacheBytes)
+		}
+		st.Coalesced = c.coalesced.Load()
 	}
-	st = JobStats{
-		Adds:        js.adds.Load(),
-		Retransmits: js.retransmits.Load(),
-		Completions: js.completions.Load(),
-		SchedDefers: js.schedDefers.Load(),
-		Outstanding: js.outstanding.Load(),
-		CacheHits:   js.cacheHits.Load(),
-		CacheBytes:  uint64(cb),
-		Coalesced:   js.coalesced.Load(),
+	if inc == nil {
+		st.Outstanding, st.CacheBytes = 0, 0
+		return st, true
 	}
-	if inc := js.live.Load(); inc != nil {
-		st.Phase = inc.phase()
-		st.Weight, st.Profile, st.Class = inc.spec.Weight, inc.spec.Profile, inc.spec.Class
-	}
+	st.Phase = inc.phase()
+	st.Weight, st.Profile, st.Class = inc.spec.Weight, inc.spec.Profile, inc.spec.Class
 	return st, true
+}
+
+// outstanding sums inc's Outstanding gauge under each shard's lock. The
+// caller holds lifeMu (lock order lifeMu → shard).
+func (s *Switch) outstanding(inc *incarnation) (n int64) {
+	for k, sh := range s.shards {
+		sh.mu.Lock()
+		n += inc.ctr.shard[k].outstanding
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Rejects returns the wire-level reject counters.

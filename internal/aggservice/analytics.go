@@ -508,7 +508,7 @@ func (s *Switch) tupleLocked(sh *shard, inc *incarnation, wij int, seq uint32, t
 	if !s.isLive(inc) {
 		return nil, s.retired(inc)
 	}
-	an, js := inc.an, &s.jobs[inc.job]
+	an, c := inc.an, &inc.ctr.shard[s.homeShard(inc.job)]
 	if an == nil || !an.opAllowed(tv.op) {
 		return nil, inc.refusal(&s.rejClass, AckErrBadClass)
 	}
@@ -519,19 +519,19 @@ func (s *Switch) tupleLocked(sh *shard, inc *incarnation, wij int, seq uint32, t
 		// after the round turns over), so mixed-class fairness rides the
 		// same per-shard DRR ledger.
 		if !sh.sched.charge(inc.job, inc.quantum()) {
-			js.schedDefers.Add(1)
+			c.schedDefers++
 			return nil, inc.refusal(&s.rejBackpressure, AckBackpressure)
 		}
 		an.lastAck[wij] = an.fold(inc.job, seq, tv)
 		an.expect[wij] = seq + 1
-		js.adds.Add(uint64(tv.count()))
-		js.completions.Add(1)
+		c.adds += uint64(tv.count())
+		c.completions++
 	case seq+1 == an.expect[wij]:
 		// Retransmission of the last folded batch: replay its cached ack
 		// without folding again.
-		js.retransmits.Add(1)
+		c.retransmits++
 		if an.lastAck[wij] != nil {
-			js.cacheHits.Add(1)
+			c.cacheHits++
 		}
 	default:
 		// Neither the lane's next batch nor its last: a gap (dropped,
@@ -569,7 +569,7 @@ func (s *Switch) drainLocked(job int, req drainReq) ([]byte, refusal) {
 	case inc.an == nil:
 		return nil, inc.refusal(&s.rejClass, AckErrBadClass)
 	case inc.an.lastDrainPkt != nil && inc.an.lastDrainNonce == req.nonce:
-		s.jobs[job].cacheHits.Add(1)
+		inc.ctr.shard[s.homeShard(job)].cacheHits++
 	default:
 		entries := inc.an.drain(req.kind, req.flags&DrainFlagResetPrune != 0)
 		inc.an.lastDrainNonce, inc.an.lastDrainPkt = req.nonce, encodeDrainReply(job, req.kind, entries)

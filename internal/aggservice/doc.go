@@ -22,12 +22,15 @@
 // tenant's aggregation state.
 //
 // Each job carries its own Stats (values aggregated, retransmits observed,
-// chunks completed, scheduler defers, outstanding-slot gauge, result-cache
-// hits and bytes), queryable in process (Switch.JobStats) or over the wire
-// (MsgStats/MsgStatsReply, used by fpisa-query). Pipeline time is shared
-// by the deficit-round-robin scheduler below, and — because the deficit
-// and every counter are per job — one tenant hitting its limits never
-// stalls another.
+// chunks completed, scheduler defers, outstanding-slot gauge, result
+// replays and the bytes of final RESULTs its slots hold), queryable in
+// process (Switch.JobStats) or over the wire (MsgStats/MsgStatsReply, used
+// by fpisa-query). The counters are kept per (incarnation, shard): a
+// cache-line-padded block per shard, bumped as plain integers under the
+// shard lock the slot protocol already holds, and summed block by block
+// under each shard's lock when read. Pipeline time is shared by the
+// deficit-round-robin scheduler below, and — because the deficit and every
+// counter are per job — one tenant hitting its limits never stalls another.
 //
 // # Fair scheduling (deficit round robin)
 //
@@ -43,7 +46,7 @@
 //   - On a job's first bind attempt of a scheduler round, its deficit is
 //     replenished to Weight · 8 binds (lazily, so idle tenants cost
 //     nothing). Each bind spends one unit; retransmits of in-flight
-//     chunks and cached-result replays are free.
+//     chunks and final-RESULT replays are free.
 //   - An over-deficit bind is DEFERRED while another tenant that showed
 //     demand this round still holds budget: the ADD is dropped, counted
 //     (WireRejects.Backpressure, JobStats.SchedDefers) and answered with
@@ -186,7 +189,7 @@
 // batch completes consecutive chunks of a job, the switch answers a single
 // run carrying count ≥ 2 result bodies for chunks start..start+count−1
 // instead of count individual RESULTs (JobStats.Coalesced counts chunks
-// delivered this way). Each chunk's RESULT stays individually cached, so
+// delivered this way). Each chunk's RESULT stays in its own slot, so
 // retransmit-driven replays still answer per chunk.
 //
 // W is the job's negotiated value width: 4 bytes under the f32 profile, 2
@@ -276,11 +279,12 @@
 // each job's banks are replicas of one accumulator bank
 // (core.ProfileAggregator.Replicate), and each job's 2·Pool slots are
 // striped slot → shard (see shardOf). An incarnation holds one
-// bank per shard — its registers plus the seen-bitmaps and result caches of
-// the slots striped there — and each shard's lock guards every live job's
-// bank on that shard, so packets addressed to different shards aggregate
-// concurrently — per-slot state independence is exactly what makes switch
-// pipelines parallel. Shards: 1 (the default) reproduces the
+// bank per shard — its registers plus the seen-bitmaps and RESULT regions of
+// the slots striped there — and one counter block per shard, and each
+// shard's lock guards every live job's bank and block on that shard, so
+// packets addressed to different shards aggregate concurrently without
+// writing a byte another shard writes — per-slot state independence is
+// exactly what makes switch pipelines parallel. Shards: 1 (the default) reproduces the
 // single-pipeline switch.
 //
 // Ingest is vectored (Switch.HandleBatch, the transport.BatchHandler):
@@ -295,14 +299,14 @@
 // Slot management follows SwitchML's self-clocked pool with two banks:
 // within its partition, chunk c uses slot (c mod pool) + pool·((c/pool)
 // mod 2), a worker sends chunk c only after receiving the result of chunk
-// c−pool, and duplicate packets for completed chunks are answered from a
-// per-slot result cache — which makes the protocol robust to packet loss
-// in either direction. The slot holds a chunk's in-flight state
-// (slotState: free → aggregating → complete → final): a cached RESULT
-// lives exactly as long as its slot
-// version, freed when chunk c+2·pool rebinds the slot and when the
-// incarnation is released, so a job caches at most 2·pool packets (size and
-// replay hits are tracked per job as CacheBytes/CacheHits).
+// c−pool, and duplicate packets for completed chunks are answered from the
+// slot's own state — which makes the protocol robust to packet loss in
+// either direction. The slot holds a chunk's in-flight state (slotState:
+// free → aggregating → complete → final): a final slot holds its RESULT in
+// its window of the bank's RESULT region, preallocated at admission, until
+// chunk c+2·pool rebinds the slot or the incarnation is released, so a job
+// holds at most 2·pool final RESULTs (their bytes and the replays are
+// tracked per job as CacheBytes/CacheHits).
 //
 // An incarnation serves one chunk stream, not one reduce. Chunk ids run on
 // a clock of period span = ⌊2³²/(2·pool)⌋·2·pool — the largest multiple of
@@ -386,16 +390,39 @@
 //
 // # Buffer ownership
 //
+// A completed chunk writes only memory its shard or its caller owns, and
+// allocates nothing. Under the shard lock the completing ADD's aggregator
+// pass reads the sums into a packet built in the handler's delivery list
+// (transport.DeliveryList.Alloc): the RESULT, or on a tree leaf the ADD to
+// the parent. A flat switch then copies the RESULT into the slot's RESULT
+// region and marks the slot final; a replay copies the region into the
+// replaying call's list; a leaf's installFinal writes the parent's final
+// into the region and copies it out into the receiver's list. All three
+// touch the region under the shard lock, and what leaves the lock is the
+// copy, so a delivery never aliases a slot: another goroutine rebinding the
+// slot later rewrites the region, never a packet the fabric still holds.
+// The run replies emitResults coalesces are built in the same list. The
+// fabric borrows the list's packets until it resets the list: Memory copies
+// each into a ring slot's buffer before SendBatch returns, the UDP serve
+// loop writes a burst's deliveries before its next dispatch, and Push
+// copies or writes before it returns, after which the leaf's receiver
+// resets its list.
+//
 // A Worker encodes each chunk once, into window entry chunk mod 2·Pool, and
 // a retransmit resends those bytes. Reduce is one goroutine, and the entry
 // of chunk c is rewritten only for chunk c+2·Pool, offered at c+Pool's
 // final, itself offered at c's: c is owed no more and no send of it is
 // running (SendBatch lets the caller reuse its input once it returns). A
-// leaf's uplink ADD is written once, by the completing ADD's aggregator pass
-// under the shard lock; HandleBatch then offers it under the uplink mutex,
-// and the receiver reads it for a retransmit round under the same mutex,
-// which orders the write before every resend. Each step appends to a vector
-// its caller owns and sends after releasing the mutex, so a vector one
+// leaf's uplink client has the same window, 2·Pool ADDs: HandleBatch copies
+// each completion's ADD from its delivery list into entry chunk mod 2·Pool
+// under the uplink mutex and offers the entry, then sends the list's own
+// copy after releasing the mutex (the list lives until HandleBatch
+// returns). The receiver takes a retransmit round out of the window under
+// the same mutex, into its own buffer, and sends that: every access to a
+// window entry is ordered by the mutex. Each step appends to a vector its
+// caller owns and sends after releasing the mutex, so a vector one
 // goroutine got stays its own while another steps the sender
-// (TestSenderFramesSurviveReuse holds a stale reference across both).
+// (TestSenderFramesSurviveReuse holds a stale reference across both;
+// TestDeliveryOutlivesSlotReuse and TestLeafOwedAddSurvivesArenaReuse hold
+// a delivery across the slot's and the arena's next use).
 package aggservice

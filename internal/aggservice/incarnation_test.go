@@ -88,17 +88,17 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	st.chunk = 1
 	sh.mu.Unlock()
 	three := core.DefaultProfile.AppendValues(nil, []float32{3}) // the parent's value bytes
-	if pkt, ok := sw.installFinal(old, 1, three, true); ok || pkt != nil || st.cached != nil {
+	if pkt, ok := sw.installFinal(old, 1, three, true, &dl); ok || pkt != nil || st.final {
 		t.Fatal("stale final installed into the new incarnation's slot")
 	}
-	pkt, ok := sw.installFinal(cur, 1, three, true)
-	if !ok || st.cached == nil {
+	pkt, ok := sw.installFinal(cur, 1, three, true, &dl)
+	if !ok || !st.final {
 		t.Fatal("live final not installed")
 	}
 	if _, _, _, ovf, err := DecodeResultProfile(pkt, 1, core.DefaultProfile); err != nil || !ovf {
 		t.Fatalf("final lost the leaf's overflow flag: ovf=%v err=%v", ovf, err)
 	}
-	if _, ok := sw.installFinal(cur, 1, three, true); ok {
+	if _, ok := sw.installFinal(cur, 1, three, true, &dl); ok {
 		t.Fatal("duplicate parent result re-installed a final slot")
 	}
 }
@@ -168,8 +168,9 @@ func TestRetiredUplinkOwesNothing(t *testing.T) {
 	}
 
 	installs := 0
+	var dl transport.DeliveryList
 	final := func(chunk uint32, vals []byte, ovf bool) {
-		if _, ok := leaf.installFinal(old, chunk, vals, ovf); ok {
+		if _, ok := leaf.installFinal(old, chunk, vals, ovf, &dl); ok {
 			installs++
 		}
 	}
@@ -185,7 +186,7 @@ func TestRetiredUplinkOwesNothing(t *testing.T) {
 		t.Fatalf("live incarnation owes %d uplink ADDs, want 1", n)
 	}
 	final = func(chunk uint32, vals []byte, ovf bool) {
-		if _, ok := leaf.installFinal(cur, chunk, vals, ovf); ok {
+		if _, ok := leaf.installFinal(cur, chunk, vals, ovf, &dl); ok {
 			installs++
 		}
 	}

@@ -246,7 +246,7 @@ func (s *Switch) jobAck(job int, ok AckStatus, err error) JobAck {
 }
 
 // Admit brings a vacant job id live under a JobSpec, building its fresh
-// incarnation and zeroing its counters. Under contention the job's
+// incarnation with zeroed counters. Under contention the job's
 // new-chunk binds get Weight shares of pipeline time relative to the other
 // admitted tenants, and every value the job aggregates runs through the
 // arithmetic Profile names. A weight of
@@ -328,7 +328,8 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 		}
 	}
 	inc.epoch = js.epoch.Load()
-	js.reset()
+	inc.ctr = &jobCounters{shard: make([]counters, s.nsh)}
+	js.ctr.Store(inc.ctr)
 	js.live.Store(inc)
 	if inc.up != nil {
 		go inc.up.run()
@@ -362,7 +363,7 @@ func (s *Switch) Evict(job int) error {
 	if s.OnLifecycle != nil {
 		s.OnLifecycle(job, EventDraining)
 	}
-	if js.outstanding.Load() == 0 {
+	if s.outstanding(inc) == 0 {
 		s.release(inc)
 		return nil
 	}
@@ -380,7 +381,7 @@ func (s *Switch) Evict(job int) error {
 func (s *Switch) finishDrain(inc *incarnation, force bool) {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
-	if s.isLive(inc) && (force || s.jobs[inc.job].outstanding.Load() == 0) {
+	if s.isLive(inc) && (force || s.outstanding(inc) == 0) {
 		s.release(inc)
 	}
 }
@@ -407,15 +408,13 @@ func (s *Switch) release(inc *incarnation) {
 	}
 	// Return the job's unspent scheduler deficit on every shard. Having held
 	// each shard's lock after the retire, release has also outlasted every
-	// locked section that still saw inc live, so the gauges zeroed below
-	// stay zero.
+	// locked section that still saw inc live, so inc's counters are final;
+	// JobStats reports the vacant id's gauges as 0.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.sched.forfeit(job)
 		sh.mu.Unlock()
 	}
-	js.outstanding.Store(0)
-	js.cacheBytes.Store(0)
 	if s.OnLifecycle != nil {
 		s.OnLifecycle(job, EventEvicted)
 	}

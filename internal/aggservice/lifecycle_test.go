@@ -106,7 +106,7 @@ func auditSwitch(t *testing.T, name string, s *Switch, fresh ...int) {
 			sh := s.shards[s.shardOf(j, slot)]
 			sh.mu.Lock()
 			st := s.slotAt(inc, slot)
-			free := st.chunk == -1 && st.nSeen == 0 && st.cached == nil
+			free := st.chunk == -1 && st.nSeen == 0 && !st.final
 			for _, seen := range st.seen {
 				free = free && !seen
 			}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -443,66 +445,136 @@ func TestReduceAllocationFlatInLength(t *testing.T) {
 	}
 }
 
+// steadyRows are the steady-state reduce shapes: one switch at base-m1 and
+// ext-m3, and a 2-leaf tree of one-worker leaves at base-m1.
+var steadyRows = []struct {
+	name string
+	cfg  Config
+	tree bool
+}{
+	{"f32-base-m1", Config{Workers: 2, Pool: 64, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}, false},
+	{"ext-m3", Config{Workers: 2, Pool: 64, Modules: 3, Shards: 2, Mode: core.ModeFull, Arch: pisa.ExtendedArch()}, false},
+	{"tree-2leaf-m1", Config{Workers: 1, Pool: 64, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}, true},
+}
+
+// steadyReducer returns one reduce of a chunks-chunk vector by every worker
+// at once, the workers of steadyWorkers reused.
+func steadyReducer(tb testing.TB, workers []*Worker, modules, chunks int) func() {
+	vec := make([]float32, chunks*modules)
+	for i := range vec {
+		vec[i] = float32(i%251) / 256
+	}
+	errs := make([]error, len(workers))
+	return func() {
+		var wg sync.WaitGroup
+		for i, w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = w.Reduce(vec)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSteadyReduceAllocationFlatInLength: a steady-state reduce through a
+// switch — flat, and a 2-leaf tree — makes as many allocations at 4096
+// chunks as at 64: the switch builds every RESULT, run reply and uplink ADD
+// in memory its shard, a delivery list or an uplink window owns, and the
+// Memory rings copy into buffers they keep. The garbage collector is off
+// while counting, so a sync.Pool is not emptied under the count; the
+// allowance, one allocation per 32 chunks of the longer vector, absorbs
+// ring slot buffers still growing and the test binary's other goroutines,
+// where one allocation per completed chunk would exceed it 32 times over.
+// Skipped under -race, whose instrumentation allocates.
+func TestSteadyReduceAllocationFlatInLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const short, long = 64, 4096
+	for _, i := range []int{0, 2} { // f32-base-m1 and tree-2leaf-m1
+		row := steadyRows[i]
+		t.Run(row.name, func(t *testing.T) {
+			perReduce := func(chunks int) uint64 {
+				workers, closeAll := steadyWorkers(t, row.cfg, row.tree)
+				defer closeAll()
+				reduce := steadyReducer(t, workers, row.cfg.Modules, chunks)
+				for i := 0; i < 3; i++ {
+					reduce()
+				}
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				best := ^uint64(0)
+				var before, after runtime.MemStats
+				for trial := 0; trial < 5; trial++ {
+					runtime.ReadMemStats(&before)
+					for i := 0; i < 4; i++ {
+						reduce()
+					}
+					runtime.ReadMemStats(&after)
+					best = min(best, (after.Mallocs-before.Mallocs)/4)
+				}
+				return best
+			}
+			s, l := perReduce(short), perReduce(long)
+			t.Logf("allocations per reduce: %d at %d chunks, %d at %d", s, short, l, long)
+			if l > s+long/32 {
+				t.Fatalf("a %d-chunk reduce makes %d allocations, a %d-chunk one %d", long, l, short, s)
+			}
+		})
+	}
+}
+
 // BenchmarkSteadyReduce is a training loop's steady state in package: one
 // switch (or a 2-leaf tree) and its Workers built once and reused over many
 // reduces on transport.Memory. One op is one reduce of a 4096-chunk vector
-// by every worker at once; ns/chunk and allocs/chunk divide it by 4096.
+// by every worker at once; ns/chunk, cpu-ns/chunk (the process's user and
+// system time, from getrusage) and allocs/chunk divide it by 4096.
 func BenchmarkSteadyReduce(b *testing.B) {
-	const chunks, pool = 4096, 64
-	for _, row := range []struct {
-		name string
-		cfg  Config
-		tree bool
-	}{
-		{"f32-base-m1", Config{Workers: 2, Pool: pool, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}, false},
-		{"ext-m3", Config{Workers: 2, Pool: pool, Modules: 3, Shards: 2, Mode: core.ModeFull, Arch: pisa.ExtendedArch()}, false},
-		{"tree-2leaf-m1", Config{Workers: 1, Pool: pool, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()}, true},
-	} {
+	const chunks = 4096
+	for _, row := range steadyRows {
 		b.Run(row.name, func(b *testing.B) {
 			workers, closeAll := steadyWorkers(b, row.cfg, row.tree)
 			defer closeAll()
-			vec := make([]float32, chunks*row.cfg.Modules)
-			for i := range vec {
-				vec[i] = float32(i%251) / 256
-			}
-			reduce := func() {
-				var wg sync.WaitGroup
-				errs := make([]error, len(workers))
-				for i, w := range workers {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_, errs[i] = w.Reduce(vec)
-					}()
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			reduce := steadyReducer(b, workers, row.cfg.Modules, chunks)
 			reduce() // warm: window state and fabric buffers grown
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			cpu0 := cpuTime(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				reduce()
 			}
 			b.StopTimer()
+			cpu := cpuTime(b) - cpu0
 			runtime.ReadMemStats(&after)
 			n := float64(b.N) * chunks
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/chunk")
+			b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/chunk")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/chunk")
 		})
 	}
 }
 
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // steadyWorkers builds cfg's job 0 over Memory — flat, or as two leaves of
 // cfg.Workers workers each under one spine — and returns its Workers and
 // a function that closes every switch and fabric.
-func steadyWorkers(b *testing.B, cfg Config, tree bool) ([]*Worker, func()) {
+func steadyWorkers(b testing.TB, cfg Config, tree bool) ([]*Worker, func()) {
 	b.Helper()
 	var closers []func()
 	closeAll := func() {

@@ -241,7 +241,8 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	inc := sw.jobs[0].live.Load()
 	flaky := &flakyAgg{aggregator: inc.banks[0].agg, failNext: 1}
 	inc.banks[0].agg = flaky
-	st, js := sw.slotAt(inc, 0), &sw.jobs[0]
+	st := sw.slotAt(inc, 0)
+	outstanding := func() int64 { js, _ := sw.JobStats(0); return js.Outstanding }
 	unbound := st.chunk
 
 	pkt0 := EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1.5})
@@ -251,7 +252,7 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	if st.chunk != unbound || st.aggregating() || st.seen[0] || st.nSeen != 0 {
 		t.Fatalf("failed first add bound the slot: chunk=%d nSeen=%d", st.chunk, st.nSeen)
 	}
-	if n := js.outstanding.Load(); n != 0 {
+	if n := outstanding(); n != 0 {
 		t.Fatalf("failed first add left outstanding=%d", n)
 	}
 	if d := sh.sched.jobs[0].deficit; d != inc.quantum() {
@@ -265,8 +266,8 @@ func TestAddFailureLeavesSlotRetransmittable(t *testing.T) {
 	if ds := handle(sw, 0, pkt0); ds != nil {
 		t.Fatalf("retransmit should not complete the chunk yet: %v", ds)
 	}
-	if st.chunk != 0 || !st.seen[0] || st.nSeen != 1 || js.outstanding.Load() != 1 {
-		t.Fatalf("retransmit did not bind: chunk=%d nSeen=%d outstanding=%d", st.chunk, st.nSeen, js.outstanding.Load())
+	if st.chunk != 0 || !st.seen[0] || st.nSeen != 1 || outstanding() != 1 {
+		t.Fatalf("retransmit did not bind: chunk=%d nSeen=%d outstanding=%d", st.chunk, st.nSeen, outstanding())
 	}
 
 	// The second worker's add fails: the slot stays bound, the worker unseen.

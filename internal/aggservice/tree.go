@@ -100,12 +100,19 @@ type uplinkJob struct {
 	// No other lock is taken and no fabric call runs under it.
 	mu  sync.Mutex
 	snd addSender
+	// win is the sender's 2·Pool window entries, one ADD each, entry chunk
+	// mod 2·Pool holding the owed ADD of that chunk: written (submitUplinks)
+	// and read (a retransmit round) only under mu.
+	win []byte
 
 	// The receiver's reusable scratch: the final RESULTs one received
-	// vector installed, and the delivery pass that fans them down.
-	finals []resDone
-	sc     batchScratch
-	dl     transport.DeliveryList
+	// vector installed, the delivery list they and their run replies are
+	// built in, the delivery pass that fans them down, and the copy of a
+	// retransmit round taken out of the window.
+	finals    []resDone
+	sc        batchScratch
+	dl        transport.DeliveryList
+	resendBuf []byte
 }
 
 // newUplinkJob builds (without starting) the uplink client for a leaf
@@ -120,6 +127,7 @@ func newUplinkJob(s *Switch, inc *incarnation, parentEpoch uint8) *uplinkJob {
 		port:        inc.job*u.Leaves + u.LeafID,
 		timeout:     timeout,
 		quit:        make(chan struct{}),
+		win:         make([]byte, 2*s.cfg.Pool*addBytes(s.cfg.Modules, inc.spec.Profile)),
 	}
 	up.snd.reset(inc.job, parentEpoch, inc.spec.Profile, s.cfg.Modules, s.cfg.Pool, s.span, retries)
 	return up
@@ -153,13 +161,15 @@ func (u *uplinkJob) run() {
 			_, err = u.snd.onDownlink(bufs[:k], take)
 		} else {
 			resend, err = u.snd.onTimeout(resend)
+			// The round is sent after the unlock: take it out of the window.
+			u.resendBuf = detach(u.resendBuf, resend)
 		}
 		u.mu.Unlock()
 		// Installed after the unlock, so a handler offering completions
-		// never waits on a shard lock or an allocation.
+		// never waits on a shard lock.
 		for _, f := range paid {
-			if pkt, ok := u.s.installFinal(u.inc, f.chunk, f.vals, f.ovf); ok {
-				u.finals = append(u.finals, resDone{job: u.inc.job, chunk: f.chunk, pkt: pkt})
+			if pkt, ok := u.s.installFinal(u.inc, f.chunk, f.vals, f.ovf, &u.dl); ok {
+				u.finals = append(u.finals, resDone{inc: u.inc, chunk: f.chunk, pkt: pkt})
 			}
 		}
 		u.pushFinals()
@@ -185,35 +195,39 @@ type paidFinal struct {
 }
 
 // installFinal resolves an owed chunk against the parent's aggregate: it
-// caches the final RESULT — the parent's value bytes copied, with ovf (the
-// parent's flag ORed with the leaf's) — with the same under-lock
-// revalidation the ADD path uses: if the leaf retired the incarnation or
-// rebound the slot since the chunk went up, or the slot is already final,
-// the aggregate is dropped.
-func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, ovf bool) ([]byte, bool) {
+// writes the final RESULT — the parent's value bytes copied, with ovf (the
+// parent's flag ORed with the leaf's) — into the slot's region and returns
+// a copy built in out's arena, with the same under-lock revalidation the
+// ADD path uses: if the leaf retired the incarnation or rebound the slot
+// since the chunk went up, or the slot is already final, the aggregate is
+// dropped.
+func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, ovf bool, out *transport.DeliveryList) ([]byte, bool) {
 	slot := s.slotOf(chunk)
-	sh := s.shards[s.shardOf(inc.job, slot)]
+	k := s.shardOf(inc.job, slot)
+	sh := s.shards[k]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !s.isLive(inc) {
 		return nil, false
 	}
 	st := s.slotAt(inc, slot)
-	if st.chunk != int64(chunk) || st.cached != nil {
+	if st.chunk != int64(chunk) || st.final {
 		return nil, false
 	}
-	pkt, out := newResult(inc.job, chunk, s.cfg.Modules, inc.spec.Profile)
-	copy(out, vals)
-	putOverflow(pkt, ovf)
-	st.cached = pkt
-	s.jobs[inc.job].cacheBytes.Add(int64(len(pkt)))
-	return pkt, true
+	putHeader(st.res, MsgResult, inc.job, chunk)
+	copy(st.res[hdrBytes:len(st.res)-1], vals)
+	putOverflow(st.res, ovf)
+	st.final = true
+	inc.ctr.shard[k].cacheBytes += int64(len(st.res))
+	return copyInto(out, st.res), true
 }
 
 // pushFinals fans the final RESULTs one received vector installed down to
 // the leaf's own workers through the fabric's push path, coalescing
 // consecutive chunks into run replies exactly like the handler's delivery
-// pass. Push routes synchronously, so the scratch is reused at once.
+// pass. Push copies or writes every packet before it returns, so the
+// delivery list (and the arena the finals were copied into) is reset, and
+// the scratch reused, at once.
 func (u *uplinkJob) pushFinals() {
 	if len(u.finals) == 0 {
 		return
@@ -231,9 +245,12 @@ func (u *uplinkJob) pushFinals() {
 // submitUplinks offers a batch's locally-completed chunks to their
 // incarnations' uplink senders and sends what the senders return, one
 // vector per incarnation. It runs after the shard lock rounds, and sends
-// after the uplink mutex is released — it is fabric I/O. From the offer on
-// the sender owes each packet, so a datagram lost here (or a send error) is
-// recovered by its retransmit round like any other.
+// after the uplink mutex is released — it is fabric I/O. Each ADD was
+// built in the handler's delivery arena; the sender keeps a copy in the
+// uplink window, written under the mutex, while the send carries the
+// arena's bytes, which the handler's caller keeps until the call returns.
+// From the offer on the sender owes each packet, so a datagram lost here
+// (or a send error) is recovered by its retransmit round like any other.
 func (s *Switch) submitUplinks(sc *batchScratch) {
 	for i := 0; i < len(sc.ups); {
 		inc := sc.ups[i].inc
@@ -245,7 +262,8 @@ func (s *Switch) submitUplinks(sc *batchScratch) {
 		live := s.isLive(inc)
 		for ; i < len(sc.ups) && sc.ups[i].inc == inc; i++ {
 			if up := &sc.ups[i]; live {
-				msgs = u.snd.offer(msgs, up.chunk, up.pkt, up.ovf)
+				msgs = u.snd.offer(msgs, up.chunk, u.entry(up.chunk, up.pkt), up.ovf)
+				msgs[len(msgs)-1] = up.pkt
 			}
 		}
 		u.mu.Unlock()
@@ -254,6 +272,30 @@ func (s *Switch) submitUplinks(sc *batchScratch) {
 			u.fab.SendBatch(u.port, msgs)
 		}
 	}
+}
+
+// entry copies pkt, chunk's ADD, into its window entry and returns the
+// entry. Caller holds u.mu.
+func (u *uplinkJob) entry(chunk uint32, pkt []byte) []byte {
+	n := len(u.win) / len(u.snd.ring)
+	e := int(chunk%uint32(len(u.snd.ring))) * n
+	copy(u.win[e:e+n], pkt)
+	return u.win[e : e+n : e+n]
+}
+
+// detach copies pkts into buf, pointing each at its copy, and returns the
+// grown buf: the packets then outlive the lock their originals need.
+func detach(buf []byte, pkts [][]byte) []byte {
+	buf = buf[:0]
+	for _, p := range pkts {
+		buf = append(buf, p...)
+	}
+	off := 0
+	for i, p := range pkts {
+		pkts[i] = buf[off : off+len(p) : off+len(p)]
+		off += len(p)
+	}
+	return buf
 }
 
 // UplinkRetransmits reports how many uplink ADDs the job's live uplink

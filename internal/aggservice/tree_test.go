@@ -338,7 +338,10 @@ type pushLog struct {
 func (p *pushLog) Push(ds []transport.Delivery) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ds = append(p.ds, ds...)
+	for _, d := range ds { // borrowed: a Pusher copies before it returns
+		d.Packet = append([]byte(nil), d.Packet...)
+		p.ds = append(p.ds, d)
+	}
 	return nil
 }
 

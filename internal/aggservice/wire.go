@@ -335,8 +335,7 @@ func EncodeAddProfile(job int, chunk uint32, epoch uint8, prof core.NumericProfi
 func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.NumericProfile, modules int, vals []float32) []byte {
 	n, size := len(dst), addBytes(modules, prof)
 	dst = slices.Grow(dst, size)[:n+size]
-	putHeader(dst[n:], MsgAdd, job, chunk)
-	dst[n+hdrBytes] = epoch
+	putAddHeader(dst[n:], job, chunk, epoch)
 	// The grown capacity holds the values, so AppendValues writes them in
 	// place behind the header.
 	filled := prof.AppendValues(dst[:n+addValOff], vals)
@@ -344,23 +343,16 @@ func appendAdd(dst []byte, job int, chunk uint32, epoch uint8, prof core.Numeric
 	return dst
 }
 
-// newAdd allocates a tree leaf's ADD to its parent, header written, and
-// returns it with its value region for the aggregator to write into.
-func newAdd(job int, chunk uint32, epoch uint8, modules int, prof core.NumericProfile) (pkt, vals []byte) {
-	pkt = appendAdd(nil, job, chunk, epoch, prof, modules, nil)
-	return pkt, pkt[addValOff:]
+// putAddHeader writes an ADD's header and epoch octet, the bytes before its
+// value region.
+func putAddHeader(pkt []byte, job int, chunk uint32, epoch uint8) {
+	putHeader(pkt, MsgAdd, job, chunk)
+	pkt[hdrBytes] = epoch
 }
 
-// newResult allocates a chunk's RESULT, header written, and returns it with
-// its value region for the aggregator to write into (see putOverflow).
-func newResult(job int, chunk uint32, modules int, prof core.NumericProfile) (pkt, vals []byte) {
-	pkt = make([]byte, resultBytes(modules, prof))
-	putHeader(pkt, MsgResult, job, chunk)
-	return pkt, pkt[hdrBytes : len(pkt)-1]
-}
-
-// putOverflow sets a RESULT's trailing overflow octet.
+// putOverflow writes a RESULT's trailing overflow octet.
 func putOverflow(pkt []byte, ovf bool) {
+	pkt[len(pkt)-1] = 0
 	if ovf {
 		pkt[len(pkt)-1] = 1
 	}
@@ -394,23 +386,28 @@ func decodeResultValues(pkt []byte, modules int, prof core.NumericProfile) (job 
 	return job, binary.BigEndian.Uint32(pkt[4:]), vals, overflow, nil
 }
 
-// encodeResultRun splices consecutive chunks' RESULT payloads into one
-// run-length MsgResultRun reply: items[i] is chunk start+i's cached RESULT
-// packet, whose values+overflow tail is carried verbatim (the tail is
-// already in the job's wire format, so the splice is a copy, not a
-// re-encode).
-func encodeResultRun(job int, start uint32, items [][]byte) []byte {
+// runBytes sizes the MsgResultRun reply that carries items, consecutive
+// chunks' RESULT packets.
+func runBytes(items [][]byte) int {
 	n := runHdrBytes
 	for _, p := range items {
 		n += len(p) - hdrBytes
 	}
-	run := make([]byte, runHdrBytes, n)
+	return n
+}
+
+// putResultRun splices consecutive chunks' RESULT payloads into run, a
+// runBytes(items)-byte MsgResultRun reply: items[i] is chunk start+i's
+// RESULT packet, whose values+overflow tail is carried verbatim (the tail
+// is already in the job's wire format, so the splice is a copy, not a
+// re-encode).
+func putResultRun(run []byte, job int, start uint32, items [][]byte) {
 	putHeader(run, MsgResultRun, job, start)
 	binary.BigEndian.PutUint16(run[hdrBytes:], uint16(len(items)))
+	off := runHdrBytes
 	for _, p := range items {
-		run = append(run, p[hdrBytes:]...)
+		off += copy(run[off:], p[hdrBytes:])
 	}
-	return run
 }
 
 // DecodeResultRun parses a MsgResultRun reply in the job's negotiated wire

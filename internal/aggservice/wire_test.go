@@ -154,9 +154,25 @@ func goldenCases() []goldenCase {
 	}
 }
 
+// newResult allocates a chunk's RESULT, header written, and returns it with
+// its value region — the layout the switch builds in a delivery arena.
+func newResult(job int, chunk uint32, modules int, prof core.NumericProfile) (pkt, vals []byte) {
+	pkt = make([]byte, resultBytes(modules, prof))
+	putHeader(pkt, MsgResult, job, chunk)
+	return pkt, pkt[hdrBytes : len(pkt)-1]
+}
+
+// encodeResultRun allocates the RESULT RUN the switch builds in a delivery
+// arena for items, chunk start+i's RESULT each.
+func encodeResultRun(job int, start uint32, items [][]byte) []byte {
+	run := make([]byte, runBytes(items))
+	putResultRun(run, job, start, items)
+	return run
+}
+
 // encodeResult builds a chunk's RESULT from host values. The switch never
 // holds a sum as a float — its aggregator writes the wire bytes straight
-// into newResult's value region — but a test states its expectations as
+// into a RESULT's value region — but a test states its expectations as
 // floats.
 func encodeResult(job int, chunk uint32, prof core.NumericProfile, vals []float32, overflow bool) []byte {
 	pkt, region := newResult(job, chunk, len(vals), prof)

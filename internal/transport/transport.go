@@ -15,9 +15,9 @@
 // reproduction move gradients without a heap allocation and two copies per
 // datagram:
 //
-//   - the Memory fabric enqueues delivery REFERENCES into per-worker ring
-//     buffers (no per-target copy) and copies each packet exactly once, into
-//     the receiver's reusable buffer, at RecvBatch time;
+//   - the Memory fabric copies each delivery into a buffer its worker ring's
+//     slot owns (reused once grown, as a NIC descriptor ring's are) and
+//     again, into the receiver's reusable buffer, at RecvBatch time;
 //   - the UDP fabric coalesces a send vector into frames and drains its
 //     sockets with pooled read buffers; its serve loop hands each worker's
 //     packets of one drained burst to the handler as ONE vector, whatever
@@ -40,17 +40,29 @@
 //
 // # Ownership rules
 //
-// Batching only stays zero-copy under explicit buffer ownership:
+// Batching stays allocation-free under explicit buffer ownership:
 //
 //   - SendBatch: the caller keeps ownership of pkts and may reuse them as
 //     soon as the call returns. The handler runs synchronously within
 //     SendBatch/the serve loop and MUST NOT retain the input slices past
 //     its return.
-//   - BatchHandler deliveries: ownership of every Delivery.Packet passes to
-//     the fabric, which may hold it until delivery (the Memory ring stores
-//     the reference, a result cache may replay it later). Handlers must
-//     treat a delivered packet as immutable and must not alias the input
-//     pkts into a delivery — copy into a fresh buffer instead.
+//   - BatchHandler deliveries are BORROWED: the fabric reads every
+//     Delivery.Packet before it resets the list, and keeps no reference
+//     after that. A handler builds its replies in the list's own arena
+//     (DeliveryList.Alloc), or hands over bytes it leaves unchanged until
+//     the reset; it must not alias the input pkts into a delivery. The
+//     happens-before edges: Memory.SendBatch runs the handler, then copies
+//     each packet into a buffer its ring slot owns (under the ring lock),
+//     then resets the list, all in the sender's goroutine; the UDP serve
+//     loop's reader runs a drained burst's handler calls, writes their
+//     deliveries, and only then resets the list for its next burst. So a
+//     delivery never aliases switch state the next handler call may
+//     rewrite. The copies bound a Memory ring's memory: QueueDepth slot
+//     buffers per worker, each grown on first use and then at least
+//     doubled only when a larger delivery lands in it, so under
+//     2 × depth × the largest delivery bytes.
+//   - Push follows the same rule: the fabric copies or writes every packet
+//     before Push returns, so the caller may reset its list at once.
 //   - RecvBatch: packets are copied into the caller's bufs (growing them as
 //     needed, so nil buffers work); the caller owns them outright.
 package transport
@@ -80,10 +92,32 @@ type Delivery struct {
 
 // DeliveryList accumulates a handler invocation's output deliveries. The
 // fabric owns the list and recycles it across handler calls, so the
-// backing array is reused instead of reallocated per packet; handlers only
-// append (Unicast/Broadcast).
+// backing array — and the arena Alloc hands out — is reused instead of
+// reallocated per packet; handlers only append (Unicast/Broadcast) and
+// allocate (Alloc).
 type DeliveryList struct {
-	ds []Delivery
+	ds    []Delivery
+	arena []byte
+}
+
+// minArena is the first arena block's size: a few windows of small
+// replies, so a handler's first Alloc does not grow the arena again at once.
+const minArena = 1024
+
+// Alloc returns n bytes the list owns until its next Reset: room to build a
+// delivery in without a heap allocation per packet. The bytes are not
+// zeroed — they hold what an earlier use of the list left — so the caller
+// writes all n. A block too small for n is replaced by a larger one;
+// packets already handed out keep the old block until Reset drops them, so
+// a steady state that fits the block allocates nothing.
+func (l *DeliveryList) Alloc(n int) []byte {
+	off := len(l.arena)
+	if off+n > cap(l.arena) {
+		l.arena = make([]byte, 0, max(2*cap(l.arena), n, minArena))
+		off = 0
+	}
+	l.arena = l.arena[:off+n]
+	return l.arena[off : off+n : off+n]
 }
 
 // Unicast appends a delivery addressed to one worker.
@@ -99,17 +133,19 @@ func (l *DeliveryList) Broadcast(pkt []byte) {
 // Len reports the number of accumulated deliveries.
 func (l *DeliveryList) Len() int { return len(l.ds) }
 
-// Deliveries exposes the accumulated deliveries; the slice is valid until
-// the next Reset.
+// Deliveries exposes the accumulated deliveries; the slice, and the packets
+// built by Alloc, are valid until the next Reset.
 func (l *DeliveryList) Deliveries() []Delivery { return l.ds }
 
 // Reset empties the list, keeping capacity but dropping packet references
-// so recycled lists do not pin delivered buffers.
+// so recycled lists do not pin delivered buffers, and rewinds the arena:
+// the next Alloc reuses the bytes earlier deliveries were built in.
 func (l *DeliveryList) Reset() {
 	for i := range l.ds {
 		l.ds[i].Packet = nil
 	}
 	l.ds = l.ds[:0]
+	l.arena = l.arena[:0]
 }
 
 // BatchHandler is the switch's packet function: it consumes one worker's
@@ -145,20 +181,25 @@ type Fabric interface {
 // fan down to the leaf's own workers.
 type Pusher interface {
 	// Push routes deliveries exactly like handler output (per-destination
-	// coalescing, broadcast fan-out). Ownership of every Delivery.Packet
-	// passes to the fabric, as with handler deliveries; the ds slice itself
-	// does not — Push routes it before returning and keeps no reference,
-	// so the caller may reuse it (a DeliveryList it Resets) at once.
+	// coalescing, broadcast fan-out). The packets are borrowed, as handler
+	// deliveries are: Push copies (Memory, into its ring slots) or writes
+	// (UDP) every one before it returns and keeps no reference to them or
+	// to ds, so the caller may rewrite both — Reset the DeliveryList they
+	// were built in — at once.
 	Push(ds []Delivery) error
 }
 
-// ring is one worker's delivery queue: a fixed-capacity FIFO of packet
-// references. Pushes drop on overflow, as a NIC ring would; pops copy into
-// the receiver's buffers. The receive timeout reuses one timer per ring
-// instead of allocating a time.After channel per call.
+// ring is one worker's delivery queue: a fixed number of slots, each owning
+// a buffer that a push copies its delivery into — sized on the slot's first
+// use, at least doubled when a larger delivery lands there, and otherwise
+// reused, as a NIC descriptor ring owns its buffers. So the ring holds under
+// 2 × depth × the largest delivery bytes, and a pushed delivery never
+// aliases the handler's memory. Pushes drop on overflow, as a NIC ring
+// would; pops copy into the receiver's buffers. The receive timeout reuses
+// one timer per ring instead of allocating a time.After channel per call.
 type ring struct {
 	mu     sync.Mutex
-	buf    [][]byte
+	buf    [][]byte // slot buffers, each as long as its last delivery; live: [head, head+n) mod len
 	head   int
 	n      int
 	closed bool          // the fabric closed: an empty ring fails pops instead of blocking
@@ -174,8 +215,8 @@ func newRing(depth int) *ring {
 	return &ring{buf: make([][]byte, depth), notify: make(chan struct{}, 1)}
 }
 
-// pushN enqueues packet references, returning how many fit before the ring
-// overflowed.
+// pushN copies packets into the ring's slot buffers, returning how many fit
+// before the ring overflowed.
 func (r *ring) pushN(pkts [][]byte) int {
 	r.mu.Lock()
 	accepted := 0
@@ -183,7 +224,17 @@ func (r *ring) pushN(pkts [][]byte) int {
 		if r.n == len(r.buf) {
 			break
 		}
-		r.buf[(r.head+r.n)%len(r.buf)] = pkt
+		i := r.head + r.n
+		if i >= len(r.buf) {
+			i -= len(r.buf)
+		}
+		b := r.buf[i]
+		if len(pkt) > cap(b) {
+			b = make([]byte, 0, max(len(pkt), 2*cap(b)))
+		}
+		b = b[:len(pkt)]
+		copy(b, pkt)
+		r.buf[i] = b
 		r.n++
 		accepted++
 	}
@@ -223,11 +274,11 @@ func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 		if r.n > 0 {
 			k := min(len(bufs), r.n)
 			for i := 0; i < k; i++ {
-				pkt := r.buf[r.head]
-				r.buf[r.head] = nil
-				r.head = (r.head + 1) % len(r.buf)
+				bufs[i] = append(bufs[i][:0], r.buf[r.head]...)
+				if r.head++; r.head == len(r.buf) {
+					r.head = 0
+				}
 				r.n--
-				bufs[i] = append(bufs[i][:0], pkt...)
 			}
 			r.mu.Unlock()
 			return k, nil
@@ -261,8 +312,9 @@ func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 // RNG for reproducible loss patterns. The handler runs *outside* the
 // fabric lock, so workers sending concurrently drive the switch
 // concurrently — the fabric only serializes the RNG and its counters.
-// Deliveries land in per-worker rings by reference; the only copy happens
-// into the receiver's reusable buffers at RecvBatch time.
+// Deliveries are copied into the per-worker rings' slot buffers at push and
+// into the receiver's reusable buffers at RecvBatch time, so a handler's
+// reply memory is free again once SendBatch returns.
 type Memory struct {
 	workers int
 	handler BatchHandler
@@ -447,8 +499,8 @@ func (m *Memory) SendBatch(worker int, pkts [][]byte) error {
 
 // routeDown runs the downlink half of a delivery vector: one loss-RNG lock
 // round for the whole vector, per-destination grouping, and one ring lock
-// per destination. Packets are enqueued by reference — the receiver copies
-// into its own buffers at RecvBatch time.
+// per destination. Packets are copied into the rings' slot buffers, so
+// the caller may reset the list the deliveries were built in on return.
 func (m *Memory) routeDown(rs *routeState, ds []Delivery) {
 	if len(ds) == 0 {
 		return

@@ -122,6 +122,47 @@ func TestMemoryRecvBatchReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestMemoryRingCopiesAtPush: deliveries are borrowed. The rings copy each
+// at push, so a handler that rewrites its reply memory once SendBatch has
+// returned (here: the list's arena, through slices it kept) changes nothing
+// RecvBatch returns, on any of a broadcast's destinations.
+func TestMemoryRingCopiesAtPush(t *testing.T) {
+	var kept [][]byte
+	m, err := NewMemory(MemoryConfig{Workers: 2, BatchHandler: func(w int, pkts [][]byte, out *DeliveryList) {
+		for _, pkt := range pkts {
+			p := out.Alloc(len(pkt))
+			copy(p, pkt)
+			kept = append(kept, p)
+			out.Broadcast(p)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sent := [][]byte{{1, 2, 3}, {4, 5}}
+	if err := m.SendBatch(0, sent); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range kept {
+		for i := range p {
+			p[i] = 0xEE
+		}
+	}
+	for w := 0; w < 2; w++ {
+		bufs := make([][]byte, 4)
+		n, err := m.RecvBatch(w, bufs, time.Second)
+		if err != nil || n != len(sent) {
+			t.Fatalf("worker %d: %d packets (%v), want %d", w, n, err, len(sent))
+		}
+		for i, want := range sent {
+			if !bytes.Equal(bufs[i], want) {
+				t.Errorf("worker %d packet %d = % x, want % x", w, i, bufs[i], want)
+			}
+		}
+	}
+}
+
 func TestMemoryBroadcast(t *testing.T) {
 	m, _ := NewMemory(MemoryConfig{Workers: 3, BatchHandler: perPacket(func(w int, pkt []byte) []Delivery {
 		return []Delivery{{Broadcast: true, Packet: append([]byte(nil), pkt...)}}
