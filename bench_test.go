@@ -9,7 +9,6 @@ package fpisa
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,41 +249,31 @@ func leadingZeros32(x uint32) int {
 	return n
 }
 
-// BenchmarkAblationQuantizeVsCopy contrasts SwitchML's per-element host
-// work with FPISA's — the root cause of the Fig. 10 core-count gap.
+// BenchmarkAblationQuantizeVsCopy times each CPU system's per-element host
+// work, TX plus RX over one 16 KB block (perfmodel.HostWork, the kernels
+// fpisa-bench -exp fig10 derives its measured rates from) — the root cause
+// of the Fig. 10 core-count gap.
 func BenchmarkAblationQuantizeVsCopy(b *testing.B) {
-	src := make([]float32, 4096)
-	rng := rand.New(rand.NewSource(2))
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
+	src := gradients.NewGenerator(gradients.VGG19, 2).WorkerGradients(1, perfmodel.HostBlockElems)[0]
 	wire := make([]byte, 4*len(src))
-	scale := payload.ScaleExpFor(payload.MaxBiasedExp(src), 8)
-
-	b.Run("switchml-quantize", func(b *testing.B) {
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if err := payload.QuantizeToWire(wire, src, scale); err != nil {
-				b.Fatal(err)
+	dst := make([]float32, len(src))
+	for _, c := range []struct {
+		name string
+		sys  perfmodel.System
+	}{
+		{"switchml-quantize", perfmodel.SwitchMLCPU},
+		{"fpisa-serialize", perfmodel.FPISACPU},
+		{"fpisa-opt-copy", perfmodel.FPISACPUOpt},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(wire)))
+			for i := 0; i < b.N; i++ {
+				if err := perfmodel.HostWork(c.sys, wire, dst, src); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("fpisa-serialize", func(b *testing.B) {
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if err := payload.FloatsToWire(wire, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fpisa-opt-copy", func(b *testing.B) {
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if err := payload.CopyWire(wire, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // addLoop is one benchmark goroutine's reused ADDs, one per job, each

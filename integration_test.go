@@ -1,9 +1,11 @@
 package fpisa
 
-// Cross-system integration test: the same gradient vectors reduced through
-// the SwitchML baseline and the FPISA aggregation service must agree with
-// each other and with the exact sums, while FPISA uses half the protocol
-// packets and none of the quantization work — §5.2.3 measured end to end.
+// End-to-end integration test: gradient vectors reduced through the FPISA
+// aggregation service, its Workers and the Memory fabric must agree with
+// the exact sums up to FPISA-A's rounding and its rare documented
+// overwrites, in one ADD per chunk. (SwitchML's second, exponent round per
+// chunk is stated in internal/perfmodel's doc; its host work is
+// perfmodel.HostWork.)
 
 import (
 	"math"
@@ -15,11 +17,10 @@ import (
 	"fpisa/internal/core"
 	"fpisa/internal/gradients"
 	"fpisa/internal/pisa"
-	"fpisa/internal/switchml"
 	"fpisa/internal/transport"
 )
 
-func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
+func TestFPISAEndToEnd(t *testing.T) {
 	const (
 		workers = 4
 		vecLen  = 64
@@ -28,35 +29,6 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 	vecs := gen.WorkerGradients(workers, vecLen)
 	exact := gradients.AggregateExact(vecs)
 
-	// --- SwitchML baseline ---
-	smlCfg := switchml.Config{Workers: workers, Pool: 4, Elems: 8}
-	smlSwitch, err := switchml.NewSwitch(smlCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smlFab, err := transport.NewMemory(transport.MemoryConfig{Workers: workers, BatchHandler: smlSwitch.HandleBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smlResults := make([][]float32, workers)
-	smlWorkers := make([]*switchml.Worker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		smlWorkers[w] = &switchml.Worker{ID: w, Fabric: smlFab, Cfg: smlCfg, Timeout: 50 * time.Millisecond}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out, err := smlWorkers[w].Reduce(vecs[w])
-			if err != nil {
-				t.Errorf("switchml worker %d: %v", w, err)
-				return
-			}
-			smlResults[w] = out
-		}(w)
-	}
-	wg.Wait()
-
-	// --- FPISA service ---
 	fpCfg := aggservice.Config{Workers: workers, Pool: 4, Modules: 1, Shards: 4,
 		Mode: core.ModeApprox, Arch: pisa.BaseArch()}
 	fpSwitch, err := aggservice.NewSwitch(fpCfg)
@@ -69,6 +41,7 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 	}
 	fpResults := make([][]float32, workers)
 	fpWorkers := make([]*aggservice.Worker, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		fpWorkers[w] = aggservice.NewWorker(w, fpFab, fpCfg)
 		fpWorkers[w].Timeout = 50 * time.Millisecond
@@ -88,13 +61,10 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 		t.Fatal("worker reductions failed")
 	}
 
-	// Numerical agreement with the exact sums (quantization tolerance for
-	// SwitchML; FPISA-A rounding plus its rare documented overwrites).
+	// Numerical agreement with the exact sums: FPISA-A rounding plus its
+	// rare documented overwrites.
 	fpLarge := 0
 	for i := 0; i < vecLen; i++ {
-		if d := math.Abs(float64(smlResults[0][i]) - exact[i]); d > 1e-4+1e-3*math.Abs(exact[i]) {
-			t.Errorf("switchml elem %d: %g vs exact %g", i, smlResults[0][i], exact[i])
-		}
 		if d := math.Abs(float64(fpResults[0][i]) - exact[i]); d > 1e-4+1e-3*math.Abs(exact[i]) {
 			fpLarge++
 		}
@@ -103,20 +73,7 @@ func TestSwitchMLvsFPISAEndToEnd(t *testing.T) {
 		t.Errorf("fpisa had %d/%d large-error elements", fpLarge, vecLen)
 	}
 
-	// Protocol structure: SwitchML pays two uplink packets per chunk
-	// (exponent + data) and per-element quantization; FPISA pays one
-	// small packet per element-chunk and zero conversions.
-	expPkts, dataPkts, _ := smlSwitch.Stats()
-	if expPkts != dataPkts {
-		t.Errorf("switchml rounds unbalanced: %d exp vs %d data", expPkts, dataPkts)
-	}
-	if smlWorkers[0].QuantizeOps == 0 {
-		t.Error("switchml did no quantization work")
-	}
-	smlChunks := (vecLen + smlCfg.Elems - 1) / smlCfg.Elems
-	if got := smlWorkers[0].SentPackets; got != uint64(2*smlChunks) {
-		t.Errorf("switchml worker sent %d packets, want %d (two rounds/chunk)", got, 2*smlChunks)
-	}
+	// Protocol structure: one ADD per element-chunk.
 	fpChunks := vecLen / fpCfg.Modules
 	if got := fpWorkers[0].SentPackets; got != uint64(fpChunks) {
 		t.Errorf("fpisa worker sent %d packets, want %d (one round/chunk)", got, fpChunks)

@@ -5,9 +5,10 @@
 // admission (internal/core) and broadcasts each chunk's sum when the last
 // worker's packet arrives.
 //
-// Compared to the SwitchML baseline (internal/switchml) there is no
-// quantization, no scaling-factor round and no host-side format conversion
-// — exactly the §5.2.3 protocol difference that frees worker CPU cores.
+// Compared to the SwitchML baseline there is no quantization, no
+// scaling-factor round and no host-side format conversion — exactly the
+// §5.2.3 protocol difference that frees worker CPU cores
+// (internal/perfmodel's HostWork measures each system's host work).
 //
 // # Multi-job tenancy
 //

@@ -11,8 +11,9 @@
 // Integration status: these kernels model the host-side cost argument; the
 // live aggservice wire path deliberately avoids them (values travel in the
 // job's negotiated numeric profile, no byte-swapping or fixed-point round
-// trip). Consumed by internal/switchml (the SwitchML baseline),
-// cmd/fpisa-bench (Fig. 6 regeneration), and bench_test.go.
+// trip). Consumed by internal/perfmodel (HostWork, the per-element host
+// work Fig. 10's measured rates time), cmd/fpisa-bench (Fig. 6
+// regeneration), and bench_test.go.
 package payload
 
 import (
@@ -96,7 +97,7 @@ func ScaleExpFor(maxBiasedExp, workers int) int {
 // QuantizeToWire performs SwitchML's full host TX pipeline for one chunk:
 // quantize (round(src[i] · 2^s), saturating at the int32 range) and emit
 // big-endian int32s into wire — the CPU work SwitchML spends its cores on.
-// FPISA skips all of this: its TX path is a straight copy (§5.2.3).
+// FPISA skips all of this: its TX path only serializes (§5.2.3).
 func QuantizeToWire(wire []byte, src []float32, scaleExp int) error {
 	if len(wire) < 4*len(src) {
 		return fmt.Errorf("payload: wire buffer %d short of %d", len(wire), 4*len(src))
@@ -132,21 +133,10 @@ func DequantizeFromWire(dst []float32, wire []byte, scaleExp int) error {
 	return nil
 }
 
-// FloatsToWire is FPISA's host TX pipeline: a plain big-endian serialize
-// (and with the §4.2 parser-endianness extension, even this byte swap
-// disappears — see CopyWire).
-func FloatsToWire(wire []byte, src []float32) error {
-	if len(wire) < 4*len(src) {
-		return fmt.Errorf("payload: wire buffer %d short of %d", len(wire), 4*len(src))
-	}
-	for i, v := range src {
-		binary.BigEndian.PutUint32(wire[4*i:], math.Float32bits(v))
-	}
-	return nil
-}
-
-// CopyWire is the zero-conversion path enabled by in-parser endianness
-// conversion: raw memcpy of native-order floats.
+// CopyWire is the host TX work left once the parser converts endianness
+// (§4.2): it stores each float's bits in the host's native little-endian
+// order, one element at a time. It still copies every element; the paper's
+// zero-copy path does not.
 func CopyWire(wire []byte, src []float32) error {
 	if len(wire) < 4*len(src) {
 		return fmt.Errorf("payload: wire buffer %d short of %d", len(wire), 4*len(src))

@@ -1,11 +1,13 @@
 package perfmodel
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 
 	"fpisa/internal/gradients"
+	"fpisa/internal/payload"
 )
 
 func TestFig10CoreCounts(t *testing.T) {
@@ -31,20 +33,6 @@ func TestFig10FewerCoresClaim(t *testing.T) {
 	hi := float64(sml-r.CoresToLineRate(FPISACPUOpt, 16<<10)) / float64(sml)
 	if math.Abs(lo-0.25) > 1e-9 || math.Abs(hi-0.75) > 1e-9 {
 		t.Errorf("fewer-cores range = %.0f%%..%.0f%%, want 25%%..75%%", lo*100, hi*100)
-	}
-}
-
-func TestFig10ImbalanceDip(t *testing.T) {
-	// Footnote 7: SwitchML/CPU with 5 cores dips below its 4-core value.
-	r := DefaultRates()
-	g4 := r.Goodput(SwitchMLCPU, 4, 16<<10)
-	g5 := r.Goodput(SwitchMLCPU, 5, 16<<10)
-	g6 := r.Goodput(SwitchMLCPU, 6, 16<<10)
-	if g5 >= g4 {
-		t.Errorf("no 5-core dip: g4=%g g5=%g", g4, g5)
-	}
-	if g6 < g4 {
-		t.Errorf("dip did not recover: g6=%g", g6)
 	}
 }
 
@@ -80,8 +68,7 @@ func TestFig10CurvesMonotone(t *testing.T) {
 	r := DefaultRates()
 	for _, s := range Fig10Left(r, 10) {
 		for i := 1; i < len(s.Y); i++ {
-			// Only the modeled 5-core dip may decrease.
-			if s.Y[i] < s.Y[i-1] && !(s.Name == "SwitchML/CPU" && s.X[i] == 5) {
+			if s.Y[i] < s.Y[i-1] {
 				t.Errorf("%s not monotone at %g cores", s.Name, s.X[i])
 			}
 		}
@@ -89,6 +76,109 @@ func TestFig10CurvesMonotone(t *testing.T) {
 	right := Fig10Right(r, Fig10Sizes())
 	if len(right) != 5 {
 		t.Fatalf("fig10 right has %d series", len(right))
+	}
+}
+
+// paperNs is host ns per element in the ratios of the paper's per-core
+// goodputs.
+func paperNs() map[System]float64 {
+	return map[System]float64{SwitchMLCPU: 1 / 24.5, FPISACPU: 1.0 / 33, FPISACPUOpt: 1.0 / 95}
+}
+
+func TestMeasuredRatesReproducePaper(t *testing.T) {
+	r, err := MeasuredRates(paperNs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := DefaultRates()
+	for _, c := range []struct {
+		sys       System
+		got, want float64
+		cores     int
+	}{
+		{SwitchMLCPU, r.SwitchMLCPUPerCore, d.SwitchMLCPUPerCore, 4},
+		{FPISACPU, r.FPISACPUPerCore, d.FPISACPUPerCore, 3},
+		{FPISACPUOpt, r.FPISAOptPerCore, d.FPISAOptPerCore, 1},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s per core = %g, DefaultRates has %g", c.sys.Name(), c.got, c.want)
+		}
+		if n := r.CoresToLineRate(c.sys, 16<<10); n != c.cores {
+			t.Errorf("%s cores to line rate = %d, want %d", c.sys.Name(), n, c.cores)
+		}
+	}
+}
+
+func TestMeasuredRatesMoveOnlyTheSlowedSystem(t *testing.T) {
+	ns := paperNs()
+	base, err := MeasuredRates(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns[SwitchMLCPU] *= 2
+	slow, err := MeasuredRates(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, s := base.CoresToLineRate(SwitchMLCPU, 16<<10), slow.CoresToLineRate(SwitchMLCPU, 16<<10); s <= b {
+		t.Errorf("doubling SwitchML's cost left its cores to line rate at %d (was %d)", s, b)
+	}
+	for _, sys := range []System{FPISACPU, FPISACPUOpt, FPISAGPU, SwitchMLGPU} {
+		for c := 1; c <= 10; c++ {
+			if g, want := slow.Goodput(sys, c, 16<<10), base.Goodput(sys, c, 16<<10); g != want {
+				t.Errorf("%s at %d cores moved from %g to %g", sys.Name(), c, want, g)
+			}
+		}
+	}
+}
+
+func TestMeasuredRatesRejectMissingCost(t *testing.T) {
+	for _, sys := range CPUSystems() {
+		ns := paperNs()
+		delete(ns, sys)
+		if _, err := MeasuredRates(ns); err == nil {
+			t.Errorf("no cost for %s accepted", sys.Name())
+		}
+		ns[sys] = 0
+		if _, err := MeasuredRates(ns); err == nil {
+			t.Errorf("zero cost for %s accepted", sys.Name())
+		}
+	}
+}
+
+// TestHostWork checks that each CPU system's host work does what its
+// kernels promise: SwitchML round-trips within one quantization step,
+// FPISA-A/CPU exactly through big-endian wire values, and the Opt copy
+// leaves native little-endian floats on the wire.
+func TestHostWork(t *testing.T) {
+	src := gradients.NewGenerator(gradients.VGG19, 3).WorkerGradients(1, 64)[0]
+	step := math.Ldexp(1, -payload.ScaleExpFor(payload.MaxBiasedExp(src), hostWorkers))
+	for _, sys := range CPUSystems() {
+		wire := make([]byte, 4*len(src))
+		dst := make([]float32, len(src))
+		if err := HostWork(sys, wire, dst, src); err != nil {
+			t.Fatalf("%s: %v", sys.Name(), err)
+		}
+		for i, v := range src {
+			var ok bool
+			switch sys {
+			case SwitchMLCPU:
+				ok = math.Abs(float64(dst[i]-v)) <= step
+			case FPISACPU:
+				ok = dst[i] == v && binary.BigEndian.Uint32(wire[4*i:]) == math.Float32bits(v)
+			case FPISACPUOpt:
+				ok = dst[i] == 0 && binary.LittleEndian.Uint32(wire[4*i:]) == math.Float32bits(v)
+			}
+			if !ok {
+				t.Fatalf("%s elem %d: %g -> wire % x -> %g", sys.Name(), i, v, wire[4*i:4*i+4], dst[i])
+			}
+		}
+		if err := HostWork(sys, wire[:4*len(src)-1], dst, src); err == nil {
+			t.Errorf("%s accepted a short wire", sys.Name())
+		}
+	}
+	if err := HostWork(FPISAGPU, make([]byte, 4), make([]float32, 1), []float32{1}); err == nil {
+		t.Error("a GPU system ran host work")
 	}
 }
 
