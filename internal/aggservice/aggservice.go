@@ -25,9 +25,9 @@ type Config struct {
 	// modules).
 	Modules int
 	// Shards is the number of parallel pipeline replicas the switch runs;
-	// every job's 2·Pool slots are striped across them (see shardOf). 0
-	// means 1 (a single pipeline). Must not exceed the Capacity·2·Pool
-	// slots.
+	// every job's 2·Pool slots are laid over them in blocks of consecutive
+	// slots (see locate). 0 means 1 (a single pipeline). Must not exceed the
+	// Capacity·2·Pool slots.
 	Shards int
 	// Jobs is the number of tenant jobs admitted at construction. Each job
 	// owns the transport ports [job·Workers, (job+1)·Workers) and, while
@@ -362,9 +362,12 @@ type incarnation struct {
 	// spec is the admission as applied (weight clamped to ≥ 1).
 	spec JobSpec
 	// banks holds a training job's 2·Pool slots, one bank per shard: the
-	// slots striped onto shard k (see shardOf) are banks[k], guarded by
+	// block of slots laid onto shard k (see locate) is banks[k], guarded by
 	// shard k's lock. Nil for analytics jobs.
 	banks []bank
+	// base is where the job's slots start in the shard layout's cycle:
+	// job·2·Pool mod len(Switch.layout).
+	base int
 	// an is an analytics job's register state, guarded by the home shard's
 	// lock (see homeShard). Nil for training jobs.
 	an *analyticsJob
@@ -448,16 +451,20 @@ func (js *jobState) counters(inc *incarnation) *jobCounters {
 // Switch is the service's switch side: N parallel FPISA pipeline replicas
 // (shards), each a lock and a scheduler. An admitted job owns 2·Pool slots —
 // registers plus the protocol state a production P4 program holds in
-// additional registers (the seen-bitmap and the final RESULT) — striped across
-// the shards. HandleBatch may be called concurrently; packets for different
-// shards proceed in parallel.
+// additional registers (the seen-bitmap and the final RESULT) — laid over the
+// shards in blocks. HandleBatch may be called concurrently; packets for
+// different shards proceed in parallel.
 type Switch struct {
 	cfg     Config
 	nsh     int
-	njobs   int   // initially admitted jobs
-	ncap    int   // admissible job-id space
-	perBank int   // slots per (job, shard) bank
-	span    int64 // the chunk clock's period, Config.span
+	njobs   int    // initially admitted jobs
+	ncap    int    // admissible job-id space
+	perBank int    // slots per (job, shard) bank
+	slots   uint32 // a job's 2·Pool slots: the chunk → slot modulus
+	span    int64  // the chunk clock's period, Config.span
+	// layout places one cycle of the global slot order on the shards (see
+	// locate); built once, never grown.
+	layout []slotLoc
 
 	shards []*shard
 	jobs   []jobState
@@ -489,7 +496,7 @@ type Switch struct {
 }
 
 // shard is one pipeline replica: a lock and its deficit-round-robin
-// scheduler instance. mu also guards the stripe of every live incarnation's
+// scheduler instance. mu also guards the block of every live incarnation's
 // slots that maps onto this shard (incarnation.banks[k]) and the analytics
 // registers of the jobs homed here.
 type shard struct {
@@ -497,9 +504,9 @@ type shard struct {
 	sched drrSched
 }
 
-// bank is the stripe of one training incarnation's slots on one shard: the
+// bank is the block of one training incarnation's slots on one shard: the
 // aggregator's registers and the protocol state of the same slots, under one
-// bank-local index (local slot / Shards). Each incarnation has its own
+// bank-local index (see locate). Each incarnation has its own
 // aggregator, which is what lets tenants run different arithmetic.
 type bank struct {
 	agg  aggregator
@@ -538,7 +545,7 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	nsh := cfg.shards()
 	njobs := cfg.jobs()
 	ncap := cfg.capacity()
-	// One (job, shard) bank covers the job's slots striped onto that shard —
+	// One (job, shard) bank covers the job's block of slots on that shard —
 	// at most ceil(2·Pool / shards) of them.
 	perBank := (2*cfg.Pool + nsh - 1) / nsh
 	util, err := compile(cfg, perBank)
@@ -546,9 +553,14 @@ func NewSwitch(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	s := &Switch{
-		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank, span: cfg.span(),
-		jobs: make([]jobState, ncap),
-		util: util,
+		cfg: cfg, nsh: nsh, njobs: njobs, ncap: ncap, perBank: perBank,
+		slots: uint32(2 * cfg.Pool), span: cfg.span(),
+		layout: make([]slotLoc, perBank*nsh),
+		jobs:   make([]jobState, ncap),
+		util:   util,
+	}
+	for g := range s.layout {
+		s.layout[g] = slotLoc{shard: g / perBank, idx: g % perBank}
 	}
 	for k := 0; k < nsh; k++ {
 		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, schedRoundAge)})
@@ -655,22 +667,30 @@ func (s *Switch) Shards() int { return s.nsh }
 func (s *Switch) Jobs() int { return s.ncap }
 
 // slotOf maps a chunk to its job-local slot in [0, 2·Pool): SwitchML's
-// two-bank self-clocked slot.
-func (s *Switch) slotOf(chunk uint32) int {
-	pool := uint32(s.cfg.Pool)
-	return int(chunk%pool + pool*(chunk/pool%2))
-}
+// two-bank self-clocked slot, chunks c and c+Pool in different halves.
+func (s *Switch) slotOf(chunk uint32) int { return int(chunk % s.slots) }
 
-// shardOf maps a job's local slot to the shard guarding it: the jobs' slots
-// laid end to end in id order and dealt round-robin over the shards, so
-// consecutive slots sit behind consecutive locks and, when Shards does not
-// divide 2·Pool, consecutive jobs start on different shards.
-func (s *Switch) shardOf(job, slot int) int { return (job*2*s.cfg.Pool + slot) % s.nsh }
+// slotLoc is where a job-local slot lives: the shard whose lock guards it and
+// its index in the incarnation's bank on that shard.
+type slotLoc struct{ shard, idx int }
 
-// slotAt returns inc's local slot; the caller holds the lock of shard
-// shardOf(inc.job, slot).
-func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
-	return &inc.banks[s.shardOf(inc.job, slot)].slot[slot/s.nsh]
+// locate places inc's local slot. The jobs' slots are laid end to end in id
+// order, g = job·2·Pool + slot, and dealt to the shards in blocks of perBank
+// consecutive slots: shard (g / perBank) mod Shards, bank index g mod
+// perBank. So consecutive chunks share a shard until a block ends: a
+// Pool-aligned window sits in one bank when Shards ≤ 2, and a shard's share
+// of any in-order window is a run of consecutive chunks. When Shards
+// divides 2·Pool every job has the same block of 2·Pool/Shards slots on each
+// shard. Two slots of one job on one shard with one index would be
+// Shards·perBank ≥ 2·Pool apart, so a job's placement is injective. The layout repeats every
+// Shards·perBank slots and inc.base is the job's offset into that cycle, so
+// the lookup divides nothing.
+func (s *Switch) locate(inc *incarnation, slot int) slotLoc {
+	g := inc.base + slot
+	if g >= len(s.layout) {
+		g -= len(s.layout)
+	}
+	return s.layout[g]
 }
 
 // HandleBatch implements transport.BatchHandler: it ingests one worker's
@@ -678,8 +698,9 @@ func (s *Switch) slotAt(inc *incarnation, slot int) *slotState {
 // validated, grouped by destination shard, and each shard's
 // group is processed under ONE lock acquisition — one lock round per shard
 // per batch instead of one per chunk — so a full protocol window costs as
-// many lock rounds as it spans shards. It is safe for concurrent use:
-// only the shards owning the batch's slots are locked, one at a time.
+// many lock rounds as it spans shards: one, for a Pool-aligned window on up
+// to two shards (see locate). It is safe for concurrent use: only the shards
+// owning the batch's slots are locked, one at a time.
 // worker is the transport port (job·Workers + worker-in-job), or
 // transport.ObserverWorker for an out-of-band observer, which may only
 // drive the control plane (stats, lifecycle, drains) and gets every reply
@@ -688,14 +709,25 @@ func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryL
 	if worker < transport.ObserverWorker || worker >= s.ncap*s.cfg.Workers { // Config.Ports
 		return
 	}
+	p := s.portOf(worker)
 	sc := s.scratchPool.Get().(*batchScratch)
 	defer s.putScratch(sc)
 	for _, pkt := range pkts {
-		if r := s.admit(worker, pkt, sc, out); r.refused() {
+		if r := s.admit(p, pkt, sc, out); r.refused() {
 			s.refuse(worker, r, out)
 		}
 	}
-	s.processAdds(worker, sc, out)
+	s.processAdds(p, sc, out)
+}
+
+// port is a sending transport port split once per HandleBatch: id is where
+// replies go, job the job partition the port is bound to and wij the
+// worker's index within that job. The observer's split is never read: it
+// may send no data-plane message.
+type port struct{ id, job, wij int }
+
+func (s *Switch) portOf(worker int) port {
+	return port{id: worker, job: worker / s.cfg.Workers, wij: worker % s.cfg.Workers}
 }
 
 // refusal is why a datagram was turned away: the WireRejects bucket it
@@ -730,7 +762,7 @@ func (inc *incarnation) refusal(bucket *atomic.Uint64, status AckStatus) refusal
 // sender by the type's msgTable row, dispatch to the type's decoder (which
 // checks the length) and handler — which receives decoded values and indexes
 // no packet.
-func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.DeliveryList) refusal {
+func (s *Switch) admit(p port, pkt []byte, sc *batchScratch, out *transport.DeliveryList) refusal {
 	typ, job, err := decodeHeader(pkt)
 	if err != nil {
 		return s.malformed()
@@ -738,7 +770,7 @@ func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.
 	// Observers drive only the control plane, and a tenant's worker port
 	// must not drive another tenant's lifecycle: the table says who may.
 	from := fromWorker
-	if worker == transport.ObserverWorker {
+	if p.id == transport.ObserverWorker {
 		from = fromObserver
 	}
 	if msgTable[typ].from&from == 0 {
@@ -746,30 +778,30 @@ func (s *Switch) admit(worker int, pkt []byte, sc *batchScratch, out *transport.
 	}
 	switch typ {
 	case MsgAdd:
-		return s.classifyAdd(worker, pkt, sc)
+		return s.classifyAdd(p.job, pkt, sc)
 	case MsgTuple:
-		return s.handleTuple(worker, pkt, out)
+		return s.handleTuple(p, pkt, out)
 	case MsgJobAdmit:
 		req, err := DecodeJobAdmit(pkt)
 		if err != nil {
 			return s.malformed()
 		}
-		s.handleLifecycle(worker, typ, req, out)
+		s.handleLifecycle(p.id, typ, req, out)
 	case MsgDrain:
 		req, err := decodeDrain(pkt)
 		if err != nil {
 			return s.malformed()
 		}
-		return s.handleDrain(worker, job, req, out)
+		return s.handleDrain(p.id, job, req, out)
 	case MsgStats, MsgJobEvict:
 		// The header was the whole message.
 		if decodeLen(pkt, typ) != nil {
 			return s.malformed()
 		}
 		if typ == MsgStats {
-			return s.handleStats(worker, job, out)
+			return s.handleStats(p.id, job, out)
 		}
-		s.handleLifecycle(worker, typ, JobAdmit{Job: job}, out)
+		s.handleLifecycle(p.id, typ, JobAdmit{Job: job}, out)
 	}
 	return refusal{}
 }
@@ -811,7 +843,7 @@ type upReq struct {
 type addReq struct {
 	inc   *incarnation
 	chunk uint32
-	slot  int // job-local slot
+	idx   int // the slot's index in its shard's bank (see locate)
 	vals  []byte
 }
 
@@ -848,15 +880,16 @@ func (s *Switch) handleStats(worker, job int, out *transport.DeliveryList) refus
 // gate is the worker-port admission check every data-plane message (ADD,
 // TUPLE) passes first: it resolves the message's job header to the live
 // incarnation the packet was sent under, or refuses it — where the sender
-// can act on that, with a notice.
-func (s *Switch) gate(worker, job int, epoch uint8) (*incarnation, refusal) {
+// can act on that, with a notice. portJob is the sending port's job
+// partition.
+func (s *Switch) gate(portJob, job int, epoch uint8) (*incarnation, refusal) {
 	if job >= s.ncap {
 		return nil, refusal{bucket: &s.rejBadJob}
 	}
 	// The sending port is bound to its job partition: a packet claiming
 	// another tenant's job id would reach that tenant's slots, so it is
 	// refused before any slot state is touched.
-	if worker/s.cfg.Workers != job {
+	if portJob != job {
 		return nil, refusal{bucket: &s.rejCrossJob}
 	}
 	// Eviction notices echo the OFFENDING packet's epoch octet, not the
@@ -890,15 +923,16 @@ func (s *Switch) retired(inc *incarnation) refusal {
 	return refusal{&s.rejBadJob, jobNotice(inc.job, AckEvicted, uint8(inc.epoch), 0)}
 }
 
-// classifyAdd validates one ADD message against its incarnation and queues
-// it, with a view of its values, for its slot's shard; refusals surface
-// here so the shard lock rounds only see bindable work.
-func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
+// classifyAdd validates one ADD message, sent from a port of job partition
+// portJob, against its incarnation and queues it, with a view of its values
+// and its slot placed, for its slot's shard; refusals surface here so the
+// shard lock rounds only see bindable work.
+func (s *Switch) classifyAdd(portJob int, pkt []byte, sc *batchScratch) refusal {
 	job, chunk, epoch, err := decodeDataHeader(pkt)
 	if err != nil || int64(chunk) >= s.span {
 		return s.malformed()
 	}
-	inc, r := s.gate(worker, job, epoch)
+	inc, r := s.gate(portJob, job, epoch)
 	if inc == nil {
 		return r
 	}
@@ -914,8 +948,8 @@ func (s *Switch) classifyAdd(worker int, pkt []byte, sc *batchScratch) refusal {
 	if err != nil {
 		return s.malformed()
 	}
-	slot := s.slotOf(chunk)
-	sc.queue(s.shardOf(job, slot), addReq{inc: inc, chunk: chunk, slot: slot, vals: vals})
+	loc := s.locate(inc, s.slotOf(chunk))
+	sc.queue(loc.shard, addReq{inc: inc, chunk: chunk, idx: loc.idx, vals: vals})
 	return refusal{}
 }
 
@@ -928,17 +962,17 @@ func (sc *batchScratch) queue(shard int, a addReq) {
 	sc.byShard[shard] = append(sc.byShard[shard], len(sc.adds)-1)
 }
 
-// processAdds drives the queued ADDs shard by shard: one lock round per
-// shard covers that shard's whole share of the batch. Drain completions
-// collected under a shard's lock run right after it is released (they take
-// lifeMu and other shard locks).
-func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.DeliveryList) {
+// processAdds drives the queued ADDs shard by shard, in first-touch order:
+// one lock round per shard covers that shard's whole share of the batch, in
+// arrival order. Drain completions collected under a shard's lock run right
+// after it is released (they take lifeMu and other shard locks).
+func (s *Switch) processAdds(p port, sc *batchScratch, out *transport.DeliveryList) {
 	for _, k := range sc.touched {
 		sh := s.shards[k]
 		sh.mu.Lock()
 		for _, idx := range sc.byShard[k] {
-			if r := s.slotHandleLocked(k, &sc.adds[idx], worker, sc, out); r.refused() {
-				s.refuse(worker, r, out)
+			if r := s.slotHandleLocked(k, &sc.adds[idx], p, sc, out); r.refused() {
+				s.refuse(p.id, r, out)
 			}
 		}
 		sh.mu.Unlock()
@@ -960,7 +994,7 @@ func (s *Switch) processAdds(worker int, sc *batchScratch, out *transport.Delive
 // duplicate) are not refused. Everything it writes besides the delivery
 // list is owned by shard k: the slot, its RESULT region and the
 // incarnation's counter block k.
-func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch, out *transport.DeliveryList) refusal {
+func (s *Switch) slotHandleLocked(k int, a *addReq, p port, sc *batchScratch, out *transport.DeliveryList) refusal {
 	inc := a.inc
 	if !s.isLive(inc) {
 		return s.retired(inc)
@@ -968,9 +1002,8 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	sh := s.shards[k]
 	job, prof := inc.job, inc.spec.Profile
 	c := &inc.ctr.shard[k]
-	wij := worker % s.cfg.Workers
 	// One bank-local index names the slot's registers and its protocol state.
-	b, bi := &inc.banks[k], a.slot/s.nsh
+	b, bi := &inc.banks[k], a.idx
 	st := &b.slot[bi]
 	chunk := a.chunk
 
@@ -1002,12 +1035,12 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 			c.schedDefers++
 			return inc.refusal(&s.rejBackpressure, AckBackpressure)
 		}
-	case st.seen[wij]:
+	case st.seen[p.wij]:
 		c.retransmits++
 		if st.final {
 			// The worker missed the broadcast; replay a copy of the result.
 			c.cacheHits++
-			out.Unicast(worker, copyInto(out, st.res))
+			out.Unicast(p.id, copyInto(out, st.res))
 		}
 		return refusal{} // duplicate while aggregation is in progress
 	}
@@ -1064,7 +1097,7 @@ func (s *Switch) slotHandleLocked(k int, a *addReq, worker int, sc *batchScratch
 	} else if ovf, err = b.agg.AddInto(bi, a.vals, sums); err != nil {
 		return refusal{}
 	}
-	st.seen[wij] = true
+	st.seen[p.wij] = true
 	st.nSeen++
 	c.adds++
 
@@ -1106,29 +1139,20 @@ func copyInto(out *transport.DeliveryList, pkt []byte) []byte {
 	return p
 }
 
-// emitResults delivers a batch's completed chunks, coalescing runs of ≥ 2
-// consecutive chunks of one job into run-length MsgResultRun replies built
-// in out's arena — the slots keep their own RESULTs for the replay path,
-// only the broadcast downlink shares datagrams. Called after the shard lock
-// rounds, on arena copies only.
+// emitResults delivers a batch's completed chunks in completion order,
+// coalescing runs of ≥ 2 consecutive chunks of one job into run-length
+// MsgResultRun replies built in out's arena — the slots keep their own
+// RESULTs for the replay path, only the broadcast downlink shares datagrams.
+// Called after the shard lock rounds, on arena copies only. Completion order
+// is first-touched shard, then arrival order, and the shards hold blocks of
+// consecutive slots (see locate), so an in-order window, a retransmit round
+// and a parent's RESULT RUN complete in chunk order; a batch that arrives
+// out of order only splits into more runs.
 func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 	if len(sc.done) == 0 {
 		return
 	}
-	// Insertion sort by (job, chunk); sort.Slice would allocate on the hot
-	// path. With one shard, completion order tracks chunk order closely.
-	// With Shards ≥ 2 it does not: processAdds completes a batch shard by
-	// shard, so a window's consecutive chunks arrive grouped by shard —
-	// with two, every chunk of one slot parity before any of the other
-	// (even slots, then odd, when the batch's first ADD has an even slot)
-	// — and each later group is sorted back in past the earlier ones.
 	d := sc.done
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && (d[j].inc.job < d[j-1].inc.job ||
-			(d[j].inc.job == d[j-1].inc.job && d[j].chunk < d[j-1].chunk)); j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 	// A run reply must fit a datagram like a result batch would; the
 	// 16-bit item count bounds it regardless.
 	maxRun := maxBatchChunks(s.cfg.Modules)

@@ -478,12 +478,12 @@ func (an *analyticsJob) drain(kind DrainKind, resetPrune bool) []DrainEntry {
 // ADD, the batch folds under the job's home shard lock — charged against
 // the same deficit-round-robin ledger as a training bind, one charge per
 // batch.
-func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList) refusal {
+func (s *Switch) handleTuple(p port, pkt []byte, out *transport.DeliveryList) refusal {
 	job, seq, epoch, err := decodeDataHeader(pkt)
 	if err != nil {
 		return s.malformed()
 	}
-	inc, r := s.gate(worker, job, epoch)
+	inc, r := s.gate(p.job, job, epoch)
 	if inc == nil {
 		return r
 	}
@@ -493,10 +493,10 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	}
 	sh := s.shards[s.homeShard(job)]
 	sh.mu.Lock()
-	ack, r := s.tupleLocked(sh, inc, worker%s.cfg.Workers, seq, tv)
+	ack, r := s.tupleLocked(sh, inc, p.wij, seq, tv)
 	sh.mu.Unlock()
 	if ack != nil {
-		out.Unicast(worker, ack)
+		out.Unicast(p.id, ack)
 	}
 	return r
 }

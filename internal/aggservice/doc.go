@@ -56,14 +56,16 @@
 //     hammer a deferred bind — and recovers the chunk through its normal
 //     timeout path once the round turns over.
 //   - The round advances the moment no demanding tenant holds budget
-//     (work conservation: a lone tenant is never throttled), or after
-//     a 3 ms round age when a budget holder goes quiet mid-round
-//     (dead workers) so nobody waits on a ghost.
+//     (work conservation: a lone tenant is never throttled, and reads no
+//     clock), or 3 ms after the round's first deferral when a budget
+//     holder goes quiet mid-round (dead workers) so nobody waits on a
+//     ghost.
 //
-// Because every job's slots are striped evenly across the shards,
-// per-shard fairness composes: under contention each tenant's completed-
-// chunk throughput converges to its weight share (the fairness property
-// test pins 1:2:4 within 10%, Jain's index ≥ 0.95). Eviction returns a
+// Because each shard holds an equal block of every job's slots (when
+// Shards divides 2·Pool) and a job's chunk stream cycles through all of
+// them, per-shard fairness composes: under contention each tenant's
+// completed-chunk throughput converges to its weight share (the fairness
+// property test pins 1:2:4 within 10%, Jain's index ≥ 0.95). Eviction returns a
 // tenant's unspent deficit on every shard — a leaving job can neither
 // block the round nor hand leftover budget to the id's next incarnation.
 //
@@ -85,7 +87,7 @@
 //
 // On the switch, the one-pipeline-per-switch assumption is gone: each
 // job holds a BANK per shard — an aggregator plus the protocol state of the
-// job's slots striped onto that shard — built at admission and dropped
+// job's block of slots on that shard — built at admission and dropped
 // with the incarnation at release. Every bank, whatever its profile, is a
 // bit-exact accumulator built at admission from the job's Config
 // (core.NewProfileAggregator), so two jobs with different profiles run
@@ -278,10 +280,11 @@
 // The switch side is sharded across N independent pipeline replicas, the
 // way a multi-pipe ASIC stamps identical pipelines out of one P4 compile:
 // each job's banks are replicas of one accumulator bank
-// (core.ProfileAggregator.Replicate), and each job's 2·Pool slots are
-// striped slot → shard (see shardOf). An incarnation holds one
-// bank per shard — its registers plus the seen-bitmaps and RESULT regions of
-// the slots striped there — and one counter block per shard, and each
+// (core.ProfileAggregator.Replicate), and the jobs' slots, laid end to end
+// in id order, are dealt to the shards in blocks of perBank =
+// ceil(2·Pool/Shards) consecutive slots (see Switch.locate). An incarnation
+// holds one bank per shard — its registers plus the seen-bitmaps and RESULT
+// regions of its block there — and one counter block per shard, and each
 // shard's lock guards every live job's bank and block on that shard, so
 // packets addressed to different shards aggregate concurrently without
 // writing a byte another shard writes — per-slot state independence is
@@ -293,7 +296,13 @@
 // destination shard, and each shard's share of the batch runs under ONE
 // lock acquisition — one lock round per shard per batch rather than one
 // per chunk, the packet-vector-per-pipeline-pass shape SwitchML-class
-// data planes aggregate at.
+// data planes aggregate at. Because the shards hold blocks, a window of
+// consecutive chunks meets as few locks as it spans blocks (a Pool-aligned
+// window on up to two shards meets one), and each shard's share completes
+// as a run of consecutive chunks, so a batch's completions come out in
+// chunk order for the run replies without a sort. A leaf installs the
+// parent's finals the same way (installFinals): one hold of a shard's lock
+// per run of finals on it.
 //
 // # Slot protocol
 //
@@ -397,7 +406,7 @@
 // (transport.DeliveryList.Alloc): the RESULT, or on a tree leaf the ADD to
 // the parent. A flat switch then copies the RESULT into the slot's RESULT
 // region and marks the slot final; a replay copies the region into the
-// replaying call's list; a leaf's installFinal writes the parent's final
+// replaying call's list; a leaf's installFinals writes the parent's final
 // into the region and copies it out into the receiver's list. All three
 // touch the region under the shard lock, and what leaves the lock is the
 // copy, so a delivery never aliases a slot: another goroutine rebinding the

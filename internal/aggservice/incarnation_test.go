@@ -62,7 +62,7 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	// The queued ADD now reaches its shard lock: it must bounce with a
 	// notice naming N's epoch octet and leave N+1 untouched.
 	badJob := sw.Rejects().BadJob
-	sw.processAdds(0, sc, &dl)
+	sw.processAdds(sw.portOf(0), sc, &dl)
 	sw.putScratch(sc)
 	if got := evictedNotice(t, dl.Deliveries(), 0); got != uint8(old.epoch) {
 		t.Fatalf("notice carries epoch %d, want the stale incarnation's %d", got, old.epoch)
@@ -78,7 +78,7 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 		t.Fatalf("BadJob = %d, want %d", got, badJob+1)
 	}
 
-	// installFinal: a slot of N+1 holds a locally complete chunk; a final
+	// installFinals: a slot of N+1 holds a locally complete chunk; a final
 	// carried by N's uplink client must be dropped, and N+1's is installed
 	// once, with the overflow bit its sender ORed in.
 	slot := sw.slotOf(1)
@@ -87,18 +87,18 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	sh.mu.Lock()
 	st.chunk = 1
 	sh.mu.Unlock()
-	three := core.DefaultProfile.AppendValues(nil, []float32{3}) // the parent's value bytes
-	if pkt, ok := sw.installFinal(old, 1, three, true, &dl); ok || pkt != nil || st.final {
+	three := []paidFinal{{chunk: 1, vals: core.DefaultProfile.AppendValues(nil, []float32{3}), ovf: true}} // the parent's value bytes
+	if done := sw.installFinals(old, three, nil, &dl); len(done) != 0 || st.final {
 		t.Fatal("stale final installed into the new incarnation's slot")
 	}
-	pkt, ok := sw.installFinal(cur, 1, three, true, &dl)
-	if !ok || !st.final {
+	done := sw.installFinals(cur, three, nil, &dl)
+	if len(done) != 1 || !st.final {
 		t.Fatal("live final not installed")
 	}
-	if _, _, _, ovf, err := DecodeResultProfile(pkt, 1, core.DefaultProfile); err != nil || !ovf {
+	if _, _, _, ovf, err := DecodeResultProfile(done[0].pkt, 1, core.DefaultProfile); err != nil || !ovf {
 		t.Fatalf("final lost the leaf's overflow flag: ovf=%v err=%v", ovf, err)
 	}
-	if _, ok := sw.installFinal(cur, 1, three, true, &dl); ok {
+	if done := sw.installFinals(cur, three, nil, &dl); len(done) != 0 {
 		t.Fatal("duplicate parent result re-installed a final slot")
 	}
 }
@@ -167,16 +167,13 @@ func TestRetiredUplinkOwesNothing(t *testing.T) {
 		t.Fatalf("a completion queued under the retired incarnation climbed: %d sent, %d owed by it", up.count(), old.up.snd.owed)
 	}
 
-	installs := 0
 	var dl transport.DeliveryList
-	final := func(chunk uint32, vals []byte, ovf bool) {
-		if _, ok := leaf.installFinal(old, chunk, vals, ovf, &dl); ok {
-			installs++
-		}
-	}
+	var paid []paidFinal
+	final := func(chunk uint32, vals []byte, ovf bool) { paid = append(paid, paidFinal{chunk, vals, ovf}) }
 	old.up.mu.Lock()
 	_, err = old.up.snd.onDownlink([][]byte{result1(0, 5)}, final)
 	old.up.mu.Unlock()
+	installs := len(leaf.installFinals(old, paid, nil, &dl))
 	if err != nil || installs != 0 {
 		t.Fatalf("retired incarnation's final: %d installs (%v), want none", installs, err)
 	}
@@ -185,14 +182,11 @@ func TestRetiredUplinkOwesNothing(t *testing.T) {
 	if n := leaf.UplinkPending(0); n != 1 {
 		t.Fatalf("live incarnation owes %d uplink ADDs, want 1", n)
 	}
-	final = func(chunk uint32, vals []byte, ovf bool) {
-		if _, ok := leaf.installFinal(cur, chunk, vals, ovf, &dl); ok {
-			installs++
-		}
-	}
+	paid = paid[:0]
 	cur.up.mu.Lock()
 	_, err = cur.up.snd.onDownlink([][]byte{result1(0, 5), result1(0, 5)}, final)
 	cur.up.mu.Unlock()
+	installs += len(leaf.installFinals(cur, paid, nil, &dl))
 	if err != nil || installs != 1 || leaf.UplinkPending(0) != 0 {
 		t.Fatalf("live final: %d installs (%v), %d still owed; want 1, 0", installs, err, leaf.UplinkPending(0))
 	}

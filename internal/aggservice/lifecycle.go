@@ -289,7 +289,7 @@ func (s *Switch) Admit(job int, spec JobSpec) error {
 	if err := s.cfg.validateClass(spec.Class); err != nil {
 		return fmt.Errorf("job %d: %w", job, err)
 	}
-	inc := &incarnation{job: job, spec: spec}
+	inc := &incarnation{job: job, spec: spec, base: job * int(s.slots) % len(s.layout)}
 	// A tree leaf negotiates the admission UP the tree before it takes
 	// effect locally: the parent must run the same job under the same
 	// profile before any partial sum can climb, and its ack names the

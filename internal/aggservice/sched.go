@@ -12,9 +12,11 @@ import "time"
 //
 // Each shard runs its own scheduler instance under the shard lock it
 // already holds for the slot protocol, so the hot path adds no new lock
-// and no cross-shard coordination; because every job's slots are
-// striped evenly across the shards, per-shard fairness composes to global
-// fairness.
+// and no cross-shard coordination. Per-shard fairness composes to global
+// fairness because each shard holds an equal block of every job's slots
+// (when Shards divides 2·Pool; see Switch.locate) and a job's chunk stream
+// cycles through all of its slots: over 2·Pool chunks every job binds the
+// same share on each shard, though one window's binds may meet one shard.
 //
 // The algorithm is the lazy-round variant of classic DRR:
 //
@@ -31,9 +33,10 @@ import "time"
 //     hammering retransmits. The sender's normal timeout/retransmit path
 //     recovers the chunk in a later round.
 //   - The round advances as soon as no demanding job holds deficit — the
-//     work-conserving exit: a lone flooding tenant advances rounds freely —
-//     or after schedRoundAge, which bounds the stall when a budget-holding
-//     tenant goes quiet mid-round (crashed worker).
+//     work-conserving exit: a lone flooding tenant advances rounds freely,
+//     reading no clock — or schedRoundAge after the round's first
+//     deferral, which bounds the stall when a budget-holding tenant goes
+//     quiet mid-round (crashed worker).
 //
 // Eviction returns unspent deficit: release() forfeits the job's budget on
 // every shard so a dead tenant's leftover deficit can neither block the
@@ -64,8 +67,9 @@ type drrSched struct {
 	// round is the current round number. Rounds start at 1 so a zeroed
 	// drrJob.seenRound can never alias a live round.
 	round uint64
-	// roundStart is when the current round began; only consulted on the
-	// deferral path (the maxAge stall bound).
+	// roundStart is when the current round first deferred a bind, zero
+	// until it does: the maxAge stall bound counts from there, so a round
+	// nobody defers never reads the clock.
 	roundStart time.Time
 	// holders counts jobs that have shown demand this round AND still hold
 	// unspent deficit — the O(1) round-advance test.
@@ -84,7 +88,7 @@ type drrJob struct {
 }
 
 func newDRRSched(ncap int, maxAge time.Duration) drrSched {
-	return drrSched{maxAge: maxAge, round: 1, roundStart: time.Now(), jobs: make([]drrJob, ncap)}
+	return drrSched{maxAge: maxAge, round: 1, jobs: make([]drrJob, ncap)}
 }
 
 // charge spends one new-chunk bind from job's deficit, replenishing
@@ -103,14 +107,22 @@ func (d *drrSched) charge(job int, quantum int64) bool {
 		d.holders++
 	}
 	if j.deficit <= 0 {
-		if d.holders > 0 && time.Since(d.roundStart) < d.maxAge {
-			return false // another demander still owns this round's budget
+		if d.holders > 0 {
+			// Another demander still owns this round's budget: defer, until
+			// the round has stalled maxAge past its first deferral.
+			if d.roundStart.IsZero() {
+				d.roundStart = time.Now()
+				return false
+			}
+			if time.Since(d.roundStart) < d.maxAge {
+				return false
+			}
 		}
 		// Work conservation: nobody (demanding) holds budget, or the round
 		// stalled past its age bound — start the next round and serve.
 		d.round++
 		d.holders = 1
-		d.roundStart = time.Now()
+		d.roundStart = time.Time{}
 		j.seenRound = d.round
 		j.deficit = quantum
 	}

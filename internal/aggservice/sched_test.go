@@ -128,6 +128,40 @@ func TestDRRSchedUnit(t *testing.T) {
 	}
 }
 
+// TestDRRLoneTenantReadsNoClock: rounds that defer nothing never stamp a
+// round age, so a lone tenant's binds read no clock. The first deferral
+// stamps it and the next round starts unstamped.
+func TestDRRLoneTenantReadsNoClock(t *testing.T) {
+	d := newDRRSched(2, time.Minute)
+	for i := 0; i < 10_000; i++ {
+		if !d.charge(0, drrQuantum) {
+			t.Fatalf("lone job deferred at bind %d", i)
+		}
+	}
+	if d.round < 10_000/drrQuantum {
+		t.Fatalf("round = %d after 10⁴ lone binds", d.round)
+	}
+	if !d.roundStart.IsZero() {
+		t.Fatalf("lone binds stamped the round age: %v", d.roundStart)
+	}
+
+	// Job 1 holds budget while job 0 spends out: job 0's next bind is the
+	// round's first deferral.
+	for i := 0; i < drrQuantum; i++ {
+		d.charge(0, drrQuantum)
+	}
+	d.charge(1, drrQuantum)
+	if d.charge(0, drrQuantum) || d.roundStart.IsZero() {
+		t.Fatalf("first deferral: roundStart %v", d.roundStart)
+	}
+	for d.jobs[1].deficit > 0 {
+		d.charge(1, drrQuantum)
+	}
+	if !d.charge(0, drrQuantum) || !d.roundStart.IsZero() {
+		t.Fatalf("the next round carries the last one's age: %v", d.roundStart)
+	}
+}
+
 // floodWeighted floods one switch from every admitted job simultaneously —
 // a single deterministic round-robin driver, so throughput shares are
 // governed by the scheduler, not the Go scheduler — until stop returns

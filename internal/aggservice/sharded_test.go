@@ -599,8 +599,8 @@ func TestShardValidation(t *testing.T) {
 }
 
 // TestConcurrentWorkersReuseScratch: two Workers of one job reduce 4096
-// elements at once on a 2-shard Memory switch. Consecutive chunks stripe
-// across the shards, so every send vector's HandleBatch groups its ADDs by
+// elements at once on a 2-shard Memory switch. A send vector that crosses
+// a block boundary spans both shards, so its HandleBatch groups its ADDs by
 // shard in a pooled batchScratch; a grouping left stale in a recycled
 // scratch loses or replays ADDs, which a lossless fabric shows as a
 // switch-side retransmit, a worker retransmit or a stall. The reduce must

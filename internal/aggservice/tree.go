@@ -167,11 +167,7 @@ func (u *uplinkJob) run() {
 		u.mu.Unlock()
 		// Installed after the unlock, so a handler offering completions
 		// never waits on a shard lock.
-		for _, f := range paid {
-			if pkt, ok := u.s.installFinal(u.inc, f.chunk, f.vals, f.ovf, &u.dl); ok {
-				u.finals = append(u.finals, resDone{inc: u.inc, chunk: f.chunk, pkt: pkt})
-			}
-		}
+		u.finals = u.s.installFinals(u.inc, paid, u.finals, &u.dl)
 		u.pushFinals()
 		if err != nil {
 			// The parent evicted the job, or is unreachable: evict it here
@@ -194,32 +190,44 @@ type paidFinal struct {
 	ovf   bool
 }
 
-// installFinal resolves an owed chunk against the parent's aggregate: it
-// writes the final RESULT — the parent's value bytes copied, with ovf (the
-// parent's flag ORed with the leaf's) — into the slot's region and returns
-// a copy built in out's arena, with the same under-lock revalidation the
-// ADD path uses: if the leaf retired the incarnation or rebound the slot
-// since the chunk went up, or the slot is already final, the aggregate is
-// dropped.
-func (s *Switch) installFinal(inc *incarnation, chunk uint32, vals []byte, ovf bool, out *transport.DeliveryList) ([]byte, bool) {
-	slot := s.slotOf(chunk)
-	k := s.shardOf(inc.job, slot)
-	sh := s.shards[k]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !s.isLive(inc) {
-		return nil, false
+// installFinals resolves owed chunks against the parent's aggregates: for
+// each paid final it writes the final RESULT — the parent's value bytes
+// copied, with ovf (the parent's flag ORed with the leaf's) — into the
+// slot's region and appends a copy built in out's arena to done, which it
+// returns. A run of consecutive finals on one shard installs under one hold
+// of that shard's lock, as an ADD batch's share does, and each final
+// revalidates as the ADD path does: if the leaf retired the incarnation or
+// rebound the slot since the chunk went up, or the slot is already final,
+// that aggregate is dropped.
+func (s *Switch) installFinals(inc *incarnation, paid []paidFinal, done []resDone, out *transport.DeliveryList) []resDone {
+	held := -1
+	for _, f := range paid {
+		loc := s.locate(inc, s.slotOf(f.chunk))
+		if loc.shard != held {
+			if held >= 0 {
+				s.shards[held].mu.Unlock()
+			}
+			held = loc.shard
+			s.shards[held].mu.Lock()
+		}
+		if !s.isLive(inc) {
+			continue
+		}
+		st := &inc.banks[held].slot[loc.idx]
+		if st.chunk != int64(f.chunk) || st.final {
+			continue
+		}
+		putHeader(st.res, MsgResult, inc.job, f.chunk)
+		copy(st.res[hdrBytes:len(st.res)-1], f.vals)
+		putOverflow(st.res, f.ovf)
+		st.final = true
+		inc.ctr.shard[held].cacheBytes += int64(len(st.res))
+		done = append(done, resDone{inc: inc, chunk: f.chunk, pkt: copyInto(out, st.res)})
 	}
-	st := s.slotAt(inc, slot)
-	if st.chunk != int64(chunk) || st.final {
-		return nil, false
+	if held >= 0 {
+		s.shards[held].mu.Unlock()
 	}
-	putHeader(st.res, MsgResult, inc.job, chunk)
-	copy(st.res[hdrBytes:len(st.res)-1], vals)
-	putOverflow(st.res, ovf)
-	st.final = true
-	inc.ctr.shard[k].cacheBytes += int64(len(st.res))
-	return copyInto(out, st.res), true
+	return done
 }
 
 // pushFinals fans the final RESULTs one received vector installed down to

@@ -57,10 +57,11 @@
 //     loop's reader runs a drained burst's handler calls, writes their
 //     deliveries, and only then resets the list for its next burst. So a
 //     delivery never aliases switch state the next handler call may
-//     rewrite. The copies bound a Memory ring's memory: QueueDepth slot
-//     buffers per worker, each grown on first use and then at least
-//     doubled only when a larger delivery lands in it, so under
-//     2 × depth × the largest delivery bytes.
+//     rewrite. The copies bound a Memory ring's memory: at most QueueDepth
+//     slot buffers per worker (the slot array doubles from empty as the
+//     backlog grows), each grown on first use and then at least doubled
+//     only when a larger delivery lands in it, so under 2 × depth × the
+//     largest delivery bytes.
 //   - Push follows the same rule: the fabric copies or writes every packet
 //     before Push returns, so the caller may reset its list at once.
 //   - RecvBatch: packets are copied into the caller's bufs (growing them as
@@ -189,17 +190,21 @@ type Pusher interface {
 	Push(ds []Delivery) error
 }
 
-// ring is one worker's delivery queue: a fixed number of slots, each owning
-// a buffer that a push copies its delivery into — sized on the slot's first
+// ring is one worker's delivery queue: up to depth slots, each owning a
+// buffer that a push copies its delivery into — sized on the slot's first
 // use, at least doubled when a larger delivery lands there, and otherwise
-// reused, as a NIC descriptor ring owns its buffers. So the ring holds under
-// 2 × depth × the largest delivery bytes, and a pushed delivery never
-// aliases the handler's memory. Pushes drop on overflow, as a NIC ring
-// would; pops copy into the receiver's buffers. The receive timeout reuses
-// one timer per ring instead of allocating a time.After channel per call.
+// reused, as a NIC descriptor ring owns its buffers. The slot array itself
+// is sized on first use too, and doubled (up to depth) when a push finds
+// it full, so a ring costs what its deepest backlog used. So the ring holds
+// under 2 × depth × the largest delivery bytes, and a pushed delivery never
+// aliases the handler's memory. Pushes drop once depth deliveries are
+// queued, as a NIC ring would; pops copy into the receiver's buffers. The
+// receive timeout reuses one timer per ring instead of allocating a
+// time.After channel per call.
 type ring struct {
 	mu     sync.Mutex
 	buf    [][]byte // slot buffers, each as long as its last delivery; live: [head, head+n) mod len
+	depth  int      // the most slots buf grows to
 	head   int
 	n      int
 	closed bool          // the fabric closed: an empty ring fails pops instead of blocking
@@ -212,7 +217,19 @@ type ring struct {
 }
 
 func newRing(depth int) *ring {
-	return &ring{buf: make([][]byte, depth), notify: make(chan struct{}, 1)}
+	return &ring{depth: depth, notify: make(chan struct{}, 1)}
+}
+
+// ringFirstSlots is how many slots a ring's first push provides.
+const ringFirstSlots = 8
+
+// grow doubles the full slot array, up to depth, moving the live slots and
+// their buffers to its front in order. Caller holds r.mu.
+func (r *ring) grow() {
+	buf := make([][]byte, min(max(2*len(r.buf), ringFirstSlots), r.depth))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 // pushN copies packets into the ring's slot buffers, returning how many fit
@@ -222,7 +239,10 @@ func (r *ring) pushN(pkts [][]byte) int {
 	accepted := 0
 	for _, pkt := range pkts {
 		if r.n == len(r.buf) {
-			break
+			if len(r.buf) == r.depth {
+				break
+			}
+			r.grow()
 		}
 		i := r.head + r.n
 		if i >= len(r.buf) {

@@ -163,6 +163,51 @@ func TestMemoryRingCopiesAtPush(t *testing.T) {
 	}
 }
 
+// TestMemoryRingDropsAtQueueDepth: a ring grows its slot array as its
+// backlog does, and still drops exactly the deliveries past QueueDepth — here
+// a depth no doubling lands on, reached across a wrapped head — delivering
+// the rest in order.
+func TestMemoryRingDropsAtQueueDepth(t *testing.T) {
+	const depth = 100
+	m, err := NewMemory(MemoryConfig{Workers: 1, BatchHandler: perPacket(echoHandler), QueueDepth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	push := func(from, to int) {
+		t.Helper()
+		ds := make([]Delivery, 0, to-from)
+		for i := from; i < to; i++ {
+			ds = append(ds, Delivery{Worker: 0, Packet: []byte{byte(i), byte(i >> 8)}})
+		}
+		if err := m.Push(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bufs := make([][]byte, 2*depth)
+	push(0, 5)
+	if n, err := m.RecvBatch(0, bufs[:3], time.Second); err != nil || n != 3 {
+		t.Fatalf("popped %d (%v), want 3", n, err)
+	}
+	push(5, 255) // 2 queued + 250 pushed: 98 fit
+	if _, _, lost, delivered := m.Stats(); lost != 250-(depth-2) || delivered != 5+depth-2 {
+		t.Fatalf("lost %d, delivered %d; want %d and %d", lost, delivered, 250-(depth-2), 5+depth-2)
+	}
+	n, err := m.RecvBatch(0, bufs, time.Second)
+	if err != nil || n != depth {
+		t.Fatalf("drained %d (%v), want %d", n, err, depth)
+	}
+	for i := 0; i < n; i++ {
+		if want := []byte{byte(3 + i), byte((3 + i) >> 8)}; !bytes.Equal(bufs[i], want) {
+			t.Fatalf("delivery %d = % x, want % x", i, bufs[i], want)
+		}
+	}
+	push(255, 255+depth+1) // the grown ring takes depth again, no more
+	if n, _ := m.RecvBatch(0, bufs, time.Second); n != depth {
+		t.Fatalf("refilled ring held %d, want %d", n, depth)
+	}
+}
+
 func TestMemoryBroadcast(t *testing.T) {
 	m, _ := NewMemory(MemoryConfig{Workers: 3, BatchHandler: perPacket(func(w int, pkt []byte) []Delivery {
 		return []Delivery{{Broadcast: true, Packet: append([]byte(nil), pkt...)}}
