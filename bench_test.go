@@ -465,7 +465,8 @@ func BenchmarkFabricThroughput(b *testing.B) {
 // loop. The headline metric is syscalls/op — kernel entries per packet,
 // measured from the fabric's own SyscallStats across both halves of the
 // round trip — alongside the achieved datagrams per syscall and allocs/op
-// (the pooled read buffers must keep the steady state allocation-free).
+// (the read buffers each port and serve reader keeps must keep the steady
+// state allocation-free).
 // Loopback drops bursts under pressure, so lost replies are retransmitted
 // rather than waited for; both backends run the identical loss loop.
 func BenchmarkUDPFabricThroughput(b *testing.B) {

@@ -487,10 +487,6 @@ type Switch struct {
 	// lifeMu → shard.mu, never the reverse: the hot path only loads live.
 	lifeMu sync.Mutex
 
-	// scratchPool recycles the per-HandleBatch grouping state so the hot
-	// path does not allocate per packet vector.
-	scratchPool sync.Pool
-
 	rejMalformed, rejBadJob, rejCrossJob, rejDraining, rejStale atomic.Uint64
 	rejBackpressure, rejClass                                   atomic.Uint64
 }
@@ -564,9 +560,6 @@ func NewSwitch(cfg Config) (*Switch, error) {
 	}
 	for k := 0; k < nsh; k++ {
 		s.shards = append(s.shards, &shard{sched: newDRRSched(ncap, schedRoundAge)})
-	}
-	s.scratchPool.New = func() any {
-		return &batchScratch{byShard: make([][]int, nsh)}
 	}
 	for j := 0; j < njobs; j++ {
 		spec := JobSpec{Weight: cfg.weightOf(j), Profile: cfg.profileOf(j), Class: cfg.classOf(j)}
@@ -695,12 +688,12 @@ func (s *Switch) locate(inc *incarnation, slot int) slotLoc {
 
 // HandleBatch implements transport.BatchHandler: it ingests one worker's
 // whole packet vector per invocation, each datagram through admit. ADDs are
-// validated, grouped by destination shard, and each shard's
-// group is processed under ONE lock acquisition — one lock round per shard
-// per batch instead of one per chunk — so a full protocol window costs as
-// many lock rounds as it spans shards: one, for a Pool-aligned window on up
-// to two shards (see locate). It is safe for concurrent use: only the shards
-// owning the batch's slots are locked, one at a time.
+// validated and queued, then run in arrival order, each run of consecutive
+// ADDs on one shard under ONE hold of that shard's lock — not one per chunk
+// — so an in-order window costs as many lock rounds as it spans shards: one,
+// for a Pool-aligned window on up to two shards (see locate). It is safe for
+// concurrent use on different lists: only the shards owning the batch's
+// slots are locked, one at a time. Its scratch lives in out.Lane.
 // worker is the transport port (job·Workers + worker-in-job), or
 // transport.ObserverWorker for an out-of-band observer, which may only
 // drive the control plane (stats, lifecycle, drains) and gets every reply
@@ -710,8 +703,12 @@ func (s *Switch) HandleBatch(worker int, pkts [][]byte, out *transport.DeliveryL
 		return
 	}
 	p := s.portOf(worker)
-	sc := s.scratchPool.Get().(*batchScratch)
-	defer s.putScratch(sc)
+	sc, _ := out.Lane.(*batchScratch)
+	if sc == nil {
+		sc = new(batchScratch)
+		out.Lane = sc
+	}
+	defer sc.reset()
 	for _, pkt := range pkts {
 		if r := s.admit(p, pkt, sc, out); r.refused() {
 			s.refuse(worker, r, out)
@@ -806,16 +803,15 @@ func (s *Switch) admit(p port, pkt []byte, sc *batchScratch, out *transport.Deli
 	return refusal{}
 }
 
-// batchScratch is one HandleBatch invocation's reusable grouping state,
-// recycled through Switch.scratchPool.
+// batchScratch is one HandleBatch invocation's reusable state, kept in the
+// calling lane's DeliveryList.Lane and emptied before the call returns;
+// nothing in it is sized by the switch.
 type batchScratch struct {
-	adds    []addReq
-	byShard [][]int        // indices into adds, grouped by destination shard
-	touched []int          // shards with pending ADDs, in first-touch order
-	drains  []*incarnation // draining incarnations that completed a chunk this round
-	done    []resDone      // completed chunks awaiting run-coalesced delivery
-	ups     []upReq        // completed chunks awaiting their uplink offer (tree leaves)
-	items   [][]byte       // packet-vector scratch: emitResults' run splices, then submitUplinks' send vectors
+	adds   []addReq       // validated ADDs, in arrival order
+	drains []*incarnation // draining incarnations that completed a chunk this round
+	done   []resDone      // completed chunks awaiting run-coalesced delivery
+	ups    []upReq        // completed chunks awaiting their uplink offer (tree leaves)
+	items  [][]byte       // packet-vector scratch: emitResults' run splices, then submitUplinks' send vectors
 }
 
 // resDone is one completed chunk's RESULT waiting for the batch-end
@@ -843,27 +839,22 @@ type upReq struct {
 type addReq struct {
 	inc   *incarnation
 	chunk uint32
-	idx   int // the slot's index in its shard's bank (see locate)
+	loc   slotLoc
 	vals  []byte
 }
 
-func (s *Switch) putScratch(sc *batchScratch) {
+// reset empties the scratch, dropping every reference it took — the ADDs'
+// views of the caller's packets included — before HandleBatch returns.
+func (sc *batchScratch) reset() {
 	clear(sc.adds)
 	sc.adds = sc.adds[:0]
-	for _, k := range sc.touched {
-		sc.byShard[k] = sc.byShard[k][:0]
-	}
-	sc.touched = sc.touched[:0]
 	sc.drains = sc.drains[:0]
 	clear(sc.done)
 	sc.done = sc.done[:0]
 	clear(sc.ups)
 	sc.ups = sc.ups[:0]
-	for i := range sc.items {
-		sc.items[i] = nil
-	}
+	clear(sc.items)
 	sc.items = sc.items[:0]
-	s.scratchPool.Put(sc)
 }
 
 // handleStats answers a per-job stats request to the requesting port.
@@ -948,30 +939,24 @@ func (s *Switch) classifyAdd(portJob int, pkt []byte, sc *batchScratch) refusal 
 	if err != nil {
 		return s.malformed()
 	}
-	loc := s.locate(inc, s.slotOf(chunk))
-	sc.queue(loc.shard, addReq{inc: inc, chunk: chunk, idx: loc.idx, vals: vals})
+	sc.adds = append(sc.adds, addReq{inc: inc, chunk: chunk, loc: s.locate(inc, s.slotOf(chunk)), vals: vals})
 	return refusal{}
 }
 
-// queue appends an ADD to its shard's group, tracking first use.
-func (sc *batchScratch) queue(shard int, a addReq) {
-	if len(sc.byShard[shard]) == 0 {
-		sc.touched = append(sc.touched, shard)
-	}
-	sc.adds = append(sc.adds, a)
-	sc.byShard[shard] = append(sc.byShard[shard], len(sc.adds)-1)
-}
-
-// processAdds drives the queued ADDs shard by shard, in first-touch order:
-// one lock round per shard covers that shard's whole share of the batch, in
-// arrival order. Drain completions collected under a shard's lock run right
-// after it is released (they take lifeMu and other shard locks).
+// processAdds drives the queued ADDs in arrival order, holding a shard's
+// lock across each run of consecutive ADDs on that shard, as installFinals
+// does: every sender's window, retransmit round and burst arrives in chunk
+// order, and the shards hold blocks of consecutive slots (see locate), so a
+// batch takes one lock round per shard it spans. Drain completions
+// collected under a shard's lock run right after it is released (they take
+// lifeMu and other shard locks).
 func (s *Switch) processAdds(p port, sc *batchScratch, out *transport.DeliveryList) {
-	for _, k := range sc.touched {
+	for i := 0; i < len(sc.adds); {
+		k := sc.adds[i].loc.shard
 		sh := s.shards[k]
 		sh.mu.Lock()
-		for _, idx := range sc.byShard[k] {
-			if r := s.slotHandleLocked(k, &sc.adds[idx], p, sc, out); r.refused() {
+		for ; i < len(sc.adds) && sc.adds[i].loc.shard == k; i++ {
+			if r := s.slotHandleLocked(&sc.adds[i], p, sc, out); r.refused() {
 				s.refuse(p.id, r, out)
 			}
 		}
@@ -986,24 +971,25 @@ func (s *Switch) processAdds(p port, sc *batchScratch, out *transport.DeliveryLi
 	s.submitUplinks(sc)
 }
 
-// slotHandleLocked runs the slot protocol for one queued ADD of shard k's
-// group; the caller holds that shard's lock for the whole group. Deliveries
+// slotHandleLocked runs the slot protocol for one queued ADD; the caller
+// holds the lock of its shard, k below, for the ADD's whole run. Deliveries
 // are built in out's arena and appended to out; deferred work that needs
 // other locks or does I/O (drain completion, uplink sends) is queued on the
 // scratch for after the unlock. ADDs the protocol drops by design (stale,
 // duplicate) are not refused. Everything it writes besides the delivery
 // list is owned by shard k: the slot, its RESULT region and the
 // incarnation's counter block k.
-func (s *Switch) slotHandleLocked(k int, a *addReq, p port, sc *batchScratch, out *transport.DeliveryList) refusal {
+func (s *Switch) slotHandleLocked(a *addReq, p port, sc *batchScratch, out *transport.DeliveryList) refusal {
 	inc := a.inc
 	if !s.isLive(inc) {
 		return s.retired(inc)
 	}
+	k := a.loc.shard
 	sh := s.shards[k]
 	job, prof := inc.job, inc.spec.Profile
 	c := &inc.ctr.shard[k]
 	// One bank-local index names the slot's registers and its protocol state.
-	b, bi := &inc.banks[k], a.idx
+	b, bi := &inc.banks[k], a.loc.idx
 	st := &b.slot[bi]
 	chunk := a.chunk
 
@@ -1144,10 +1130,9 @@ func copyInto(out *transport.DeliveryList, pkt []byte) []byte {
 // MsgResultRun replies built in out's arena — the slots keep their own
 // RESULTs for the replay path, only the broadcast downlink shares datagrams.
 // Called after the shard lock rounds, on arena copies only. Completion order
-// is first-touched shard, then arrival order, and the shards hold blocks of
-// consecutive slots (see locate), so an in-order window, a retransmit round
-// and a parent's RESULT RUN complete in chunk order; a batch that arrives
-// out of order only splits into more runs.
+// is arrival order, so an in-order window, a retransmit round and a parent's
+// RESULT RUN complete in chunk order; a batch that arrives out of order only
+// splits into more runs.
 func (s *Switch) emitResults(sc *batchScratch, out *transport.DeliveryList) {
 	if len(sc.done) == 0 {
 		return

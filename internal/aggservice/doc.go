@@ -291,18 +291,21 @@
 // exactly what makes switch pipelines parallel. Shards: 1 (the default) reproduces the
 // single-pipeline switch.
 //
-// Ingest is vectored (Switch.HandleBatch, the transport.BatchHandler):
-// a worker's whole packet vector is validated once, grouped by
-// destination shard, and each shard's share of the batch runs under ONE
-// lock acquisition — one lock round per shard per batch rather than one
-// per chunk, the packet-vector-per-pipeline-pass shape SwitchML-class
-// data planes aggregate at. Because the shards hold blocks, a window of
-// consecutive chunks meets as few locks as it spans blocks (a Pool-aligned
-// window on up to two shards meets one), and each shard's share completes
-// as a run of consecutive chunks, so a batch's completions come out in
-// chunk order for the run replies without a sort. A leaf installs the
-// parent's finals the same way (installFinals): one hold of a shard's lock
-// per run of finals on it.
+// Ingest is vectored (Switch.HandleBatch, the transport.BatchHandler): a
+// worker's packet vector is validated once and its ADDs run in arrival
+// order, each run of consecutive ADDs on one shard under ONE hold of that
+// shard's lock — the packet-vector-per-pipeline-pass shape SwitchML-class
+// data planes aggregate at. Every sender sends in chunk order and the
+// shards hold blocks, so a window meets as few locks as it spans blocks
+// (a Pool-aligned window on up to two shards meets one) and completes in
+// chunk order for the run replies, without a sort; a leaf installs the
+// parent's finals the same way (installFinals). A call's scratch belongs
+// to the calling lane, as a packet's state to the pipeline port running
+// it: it lives in the caller's DeliveryList.Lane, which each fabric keeps
+// per lane (a Memory port, a UDP serve reader), and holds nothing sized by
+// the switch. HandleBatch clears its ADDs' views of the caller's packets
+// before it returns, and the fabric reuses a packet only after that, so no
+// view reaches the lane's next call.
 //
 // # Slot protocol
 //

@@ -35,7 +35,7 @@ func (b addBatch) retarget(first uint32) {
 // TestHandleBatchAllocations gates the switch side of the hot path under a
 // 4-byte and a 2-byte profile: an ADD batch allocates nothing, whether it
 // completes nothing (validate, shard lock round and the SetInto that binds
-// each chunk all run on pooled or bank-owned state) or completes its chunks
+// each chunk all run on lane-kept or bank-owned state) or completes its chunks
 // (the second worker's AddInto calls write each RESULT into the delivery
 // list's arena and the slot's region, and the run reply that carries
 // consecutive ones is built in the arena too).
@@ -93,6 +93,78 @@ func TestHandleBatchAllocations(t *testing.T) {
 			t.Fatalf("%s: nothing completed", name)
 		}
 		sw.Close()
+	}
+}
+
+// TestOneDeliveryListServesTwoSwitches hands one DeliveryList — and so one
+// lane's scratch — in turn to a 1-shard and a 4-shard switch. Nothing the
+// scratch keeps is sized by a switch or survives a call, so each switch
+// sees only its own batches: a window completes as one run reply with the
+// right sums, and nothing is refused.
+func TestOneDeliveryListServesTwoSwitches(t *testing.T) {
+	const pool = 8
+	var sws []*Switch
+	for _, shards := range []int{1, 4} {
+		sw, err := NewSwitch(Config{Workers: 2, Pool: pool, Modules: 1, Shards: shards, Mode: core.ModeApprox, Arch: pisa.BaseArch()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Close()
+		sws = append(sws, sw)
+	}
+	var dl transport.DeliveryList
+	for round := uint32(0); round < 3; round++ {
+		for _, sw := range sws {
+			w0 := newAddBatch(2*pool, core.DefaultProfile, []float32{1})
+			w1 := newAddBatch(2*pool, core.DefaultProfile, []float32{2})
+			w0.retarget(round * 2 * pool)
+			w1.retarget(round * 2 * pool)
+			sw.HandleBatch(0, w0, &dl)
+			if dl.Len() != 0 {
+				t.Fatalf("round %d, %d shards: a half-aggregated window delivered %d packets", round, sw.Shards(), dl.Len())
+			}
+			sw.HandleBatch(1, w1, &dl)
+			if dl.Len() != 1 {
+				t.Fatalf("round %d, %d shards: a completing window delivered %d packets, want one run reply", round, sw.Shards(), dl.Len())
+			}
+			_, start, vals, _, err := DecodeResultRun(dl.Deliveries()[0].Packet, 1, core.DefaultProfile)
+			if err != nil || start != round*2*pool || len(vals) != 2*pool {
+				t.Fatalf("round %d, %d shards: run from %d of %d chunks, %v", round, sw.Shards(), start, len(vals), err)
+			}
+			for i, v := range vals {
+				if v[0] != 3 {
+					t.Fatalf("round %d, %d shards: chunk %d sums to %g, want 3", round, sw.Shards(), i, v[0])
+				}
+			}
+			dl.Reset()
+			if r := sw.Rejects(); r != (WireRejects{}) {
+				t.Fatalf("%d shards refused ADDs: %+v", sw.Shards(), r)
+			}
+		}
+	}
+}
+
+// TestAddViewsDoNotOutliveTheCall: the ADDs HandleBatch queued in its
+// lane's scratch view the caller's packets, which the fabric reuses once
+// the call returns; every view is gone by then, so none can reach the
+// lane's next batch.
+func TestAddViewsDoNotOutliveTheCall(t *testing.T) {
+	sw, err := NewSwitch(Config{Workers: 2, Pool: 8, Modules: 1, Shards: 2, Mode: core.ModeApprox, Arch: pisa.BaseArch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	var dl transport.DeliveryList
+	batch := newAddBatch(8, core.DefaultProfile, []float32{1})
+	sw.HandleBatch(0, batch, &dl)
+	sc, ok := dl.Lane.(*batchScratch)
+	if !ok || cap(sc.adds) < len(batch) {
+		t.Fatalf("the lane keeps no scratch of the call: %T", dl.Lane)
+	}
+	for i, a := range sc.adds[:cap(sc.adds)] {
+		if a.vals != nil || a.inc != nil {
+			t.Fatalf("queued ADD %d survives the call: %+v", i, a)
+		}
 	}
 }
 
@@ -284,7 +356,7 @@ func TestSendVecHoldsAWholeWindow(t *testing.T) {
 
 // TestCachedResultSurvivesScratchReuse is the aliasing regression for the
 // switch: a completed chunk's final RESULT lives in its slot's own region,
-// not in the pooled batch scratch or the aggregator's state. Complete chunk 0, push ≥ 2·Pool further chunks
+// not in the lane's batch scratch or the aggregator's state. Complete chunk 0, push ≥ 2·Pool further chunks
 // through the same shard (the rest of the job's own window and 2·Pool of a
 // second tenant), then retransmit chunk 0: the replay must be the bytes
 // first delivered.

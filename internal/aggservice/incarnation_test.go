@@ -39,7 +39,7 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	old := sw.jobs[0].live.Load()
 
 	// An ADD passes the gate under incarnation N and waits in the scratch.
-	sc := sw.scratchPool.Get().(*batchScratch)
+	sc := new(batchScratch)
 	var dl transport.DeliveryList
 	if r := sw.classifyAdd(0, EncodeAddProfile(0, 0, 0, core.DefaultProfile, []float32{1}), sc); r.refused() {
 		t.Fatalf("ADD refused under the live incarnation: %+v", r)
@@ -63,7 +63,7 @@ func TestStaleIncarnationBouncesUnderLock(t *testing.T) {
 	// notice naming N's epoch octet and leave N+1 untouched.
 	badJob := sw.Rejects().BadJob
 	sw.processAdds(sw.portOf(0), sc, &dl)
-	sw.putScratch(sc)
+	sc.reset()
 	if got := evictedNotice(t, dl.Deliveries(), 0); got != uint8(old.epoch) {
 		t.Fatalf("notice carries epoch %d, want the stale incarnation's %d", got, old.epoch)
 	}
@@ -159,10 +159,10 @@ func TestRetiredUplinkOwesNothing(t *testing.T) {
 		t.Fatalf("re-admitted leaf owes %d uplink ADDs", n)
 	}
 
-	sc := leaf.scratchPool.Get().(*batchScratch)
+	sc := new(batchScratch)
 	sc.ups = append(sc.ups, upReq{inc: old, chunk: 1, pkt: EncodeAddProfile(0, 1, 0, core.DefaultProfile, []float32{1})})
 	leaf.submitUplinks(sc)
-	leaf.putScratch(sc)
+	sc.reset()
 	if up.count() != 2 || old.up.snd.owed != 1 {
 		t.Fatalf("a completion queued under the retired incarnation climbed: %d sent, %d owed by it", up.count(), old.up.snd.owed)
 	}

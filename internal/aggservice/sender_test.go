@@ -485,14 +485,16 @@ func steadyReducer(tb testing.TB, workers []*Worker, modules, chunks int) func()
 
 // TestSteadyReduceAllocationFlatInLength: a steady-state reduce through a
 // switch — flat, and a 2-leaf tree — makes as many allocations at 4096
-// chunks as at 64: the switch builds every RESULT, run reply and uplink ADD
-// in memory its shard, a delivery list or an uplink window owns, and the
-// Memory rings copy into buffers they keep. The garbage collector is off
-// while counting, so a sync.Pool is not emptied under the count; the
-// allowance, one allocation per 32 chunks of the longer vector, absorbs
-// ring slot buffers still growing and the test binary's other goroutines,
-// where one allocation per completed chunk would exceed it 32 times over.
-// Skipped under -race, whose instrumentation allocates.
+// chunks as at 64, and the same number at GOMAXPROCS 1, 2 and 4: the switch
+// builds every RESULT, run reply and uplink ADD in memory its shard, a
+// delivery list or an uplink window owns, each HandleBatch call's scratch
+// is kept by the Memory port's lane that calls it, and the rings copy into
+// buffers they keep — no count depends on which P a goroutine runs on. The
+// garbage collector is off while counting; the allowance, one allocation
+// per 32 chunks of the longer vector, absorbs ring slot buffers still
+// growing and the test binary's other goroutines, where one allocation per
+// completed chunk would exceed it 32 times over. Skipped under -race, whose
+// instrumentation allocates.
 func TestSteadyReduceAllocationFlatInLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -521,10 +523,20 @@ func TestSteadyReduceAllocationFlatInLength(t *testing.T) {
 				}
 				return best
 			}
-			s, l := perReduce(short), perReduce(long)
-			t.Logf("allocations per reduce: %d at %d chunks, %d at %d", s, short, l, long)
-			if l > s+long/32 {
-				t.Fatalf("a %d-chunk reduce makes %d allocations, a %d-chunk one %d", long, l, short, s)
+			var first [2]uint64
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				s, l := perReduce(short), perReduce(long)
+				runtime.GOMAXPROCS(prev)
+				t.Logf("GOMAXPROCS %d: allocations per reduce: %d at %d chunks, %d at %d", procs, s, short, l, long)
+				if l > s+long/32 {
+					t.Fatalf("GOMAXPROCS %d: a %d-chunk reduce makes %d allocations, a %d-chunk one %d", procs, long, l, short, s)
+				}
+				if procs == 1 {
+					first = [2]uint64{s, l}
+				} else if first != [2]uint64{s, l} {
+					t.Fatalf("GOMAXPROCS %d: %d and %d allocations per reduce, at GOMAXPROCS 1 %d and %d", procs, s, l, first[0], first[1])
+				}
 			}
 		})
 	}

@@ -600,11 +600,12 @@ func TestShardValidation(t *testing.T) {
 
 // TestConcurrentWorkersReuseScratch: two Workers of one job reduce 4096
 // elements at once on a 2-shard Memory switch. A send vector that crosses
-// a block boundary spans both shards, so its HandleBatch groups its ADDs by
-// shard in a pooled batchScratch; a grouping left stale in a recycled
-// scratch loses or replays ADDs, which a lossless fabric shows as a
-// switch-side retransmit, a worker retransmit or a stall. The reduce must
-// be bit-exact with none of them.
+// a block boundary spans both shards, so its HandleBatch takes one lock
+// hold per shard run, queueing its ADDs in the batchScratch its port's lane
+// keeps across calls; a queue left stale from the lane's previous call
+// loses or replays ADDs, which a lossless fabric shows as a switch-side
+// retransmit, a worker retransmit or a stall. The reduce must be bit-exact
+// with none of them.
 func TestConcurrentWorkersReuseScratch(t *testing.T) {
 	cfg := Config{Workers: 2, Pool: 16, Modules: 1, Shards: 2, Mode: core.ModeFull, Arch: pisa.ExtendedArch()}
 	const n = 4096

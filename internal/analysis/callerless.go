@@ -17,10 +17,11 @@ var Callerless = &Analyzer{
 
 A func, method, struct field, const, var or type in a non-test file under
 <module>/internal/ needs a user: non-test code of the module or of its bench/
-module, a _test.go file in another package directory (matched by name), or
-used code. A method of a used type is used when String, Error or an interface
-non-test code mentions has a method of its name. What only bench/ uses is no
-finding but the bench-only class.`,
+module, a _test.go file in another package directory (type-checked, so a
+same-named object of another type does not count), or used code. A method of
+a used type is used when String, Error or an interface non-test code
+mentions has a method of its name. What only bench/ uses is no finding but
+the bench-only class.`,
 	RunModule: func(pass *Pass) error {
 		for _, s := range classify(pass.Packages, pass.Bench).dead {
 			pass.Reportf(s.ident.Pos(), "%s is callerless: only its own package's tests or other callerless code use it", s.name(false))
@@ -31,11 +32,12 @@ finding but the bench-only class.`,
 
 // symbol is one declaration in callerless's scope.
 type symbol struct {
-	pkg   *Package
-	ident *ast.Ident
-	owner string   // the type a method or field belongs to
-	recv  string   // a method's receiver type, keyed
-	refs  []string // keys of the objects the declaration references
+	pkg    *Package
+	ident  *ast.Ident
+	owner  string // the type a method or field belongs to
+	of     string // and that type, keyed
+	method bool
+	refs   []string // keys of the objects the declaration references
 }
 
 // name is pkg.Owner.Name, the package given by its import path when long.
@@ -52,7 +54,7 @@ func (s *symbol) name(long bool) string {
 
 // callerlessResult splits the unused symbols: dead (in no order) have no
 // user at all; benchOnly, by long name and sorted, are used by bench/ and
-// nothing else.
+// nothing else, a bench-only type's methods and fields going with it.
 type callerlessResult struct {
 	dead      []*symbol
 	benchOnly []string
@@ -66,7 +68,7 @@ func classify(root, bench []*Package) callerlessResult {
 	for _, pkg := range root {
 		for _, f := range pkg.Files {
 			if !strings.HasPrefix(pkg.PkgPath, pkg.Module+"/internal/") {
-				roots = append(roots, refsOf(pkg, f)...)
+				roots = append(roots, refsOf(pkg.Fset, pkg.Info, f)...)
 				continue
 			}
 			for _, d := range f.Decls {
@@ -76,12 +78,12 @@ func classify(root, bench []*Package) callerlessResult {
 	}
 	for _, pkg := range bench {
 		for _, f := range pkg.Files {
-			benchRefs = append(benchRefs, refsOf(pkg, f)...)
+			benchRefs = append(benchRefs, refsOf(pkg.Fset, pkg.Info, f)...)
 		}
 	}
 
 	// The method names of the interfaces non-test code mentions, and the
-	// names each directory's tests select (x.Name) or key (Name: v).
+	// objects each directory's tests use from another directory's code.
 	ifaces := map[string]bool{"String": true, "Error": true}
 	var visit func(t types.Type)
 	visit = func(t types.Type) {
@@ -96,32 +98,15 @@ func classify(root, bench []*Package) callerlessResult {
 			}
 		}
 	}
-	testNames := map[string]map[string]bool{}
 	for _, pkg := range append(append([]*Package(nil), root...), bench...) {
 		for _, tv := range pkg.Info.Types {
 			visit(tv.Type)
 		}
-		names := map[string]bool{}
-		testNames[pkg.Dir] = names
 		for _, f := range pkg.TestFiles {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					names[x.Sel.Name] = true
-				case *ast.KeyValueExpr:
-					if id, ok := x.Key.(*ast.Ident); ok {
-						names[id.Name] = true
-					}
+			for _, k := range refsOf(pkg.Fset, pkg.testInfo, f) {
+				if s := syms[k]; s != nil && s.pkg.Dir != pkg.Dir {
+					roots = append(roots, k)
 				}
-				return true
-			})
-		}
-	}
-	for k, s := range syms {
-		for dir, names := range testNames {
-			if dir != s.pkg.Dir && s.ident.IsExported() && names[s.ident.Name] {
-				roots = append(roots, k)
-				break
 			}
 		}
 	}
@@ -134,9 +119,10 @@ func classify(root, bench []*Package) callerlessResult {
 			r.dead = append(r.dead, s)
 		}
 	}
+	// A member of a bench-only type is listed with its type, not apart.
 	seen := map[*symbol]bool{}
 	for _, k := range benchRefs {
-		if s := syms[k]; s != nil && !live[s] && !seen[s] {
+		if s := syms[k]; s != nil && !live[s] && !seen[s] && (s.of == "" || live[syms[s.of]]) {
 			seen[s] = true
 			r.benchOnly = append(r.benchOnly, s.name(true))
 		}
@@ -152,7 +138,7 @@ func declare(pkg *Package, decl ast.Decl, syms map[string]*symbol) (roots []stri
 	add := func(id *ast.Ident, owner string, body ast.Node) *symbol {
 		s := &symbol{pkg: pkg, ident: id, owner: owner}
 		if body != nil {
-			s.refs = refsOf(pkg, body)
+			s.refs = refsOf(pkg.Fset, pkg.Info, body)
 		}
 		syms[objKey(pkg.Fset, pkg.Info.Defs[id])] = s
 		return s
@@ -167,9 +153,10 @@ func declare(pkg *Package, decl ast.Decl, syms map[string]*symbol) (roots []stri
 				t = p.Elem()
 			}
 			named := t.(*types.Named).Obj()
-			add(d.Name, named.Name(), d).recv = objKey(pkg.Fset, named)
+			s := add(d.Name, named.Name(), d)
+			s.of, s.method = objKey(pkg.Fset, named), true
 		case d.Name.Name == "init":
-			return refsOf(pkg, d)
+			return refsOf(pkg.Fset, pkg.Info, d)
 		default:
 			add(d.Name, "", d)
 		}
@@ -179,7 +166,7 @@ func declare(pkg *Package, decl ast.Decl, syms map[string]*symbol) (roots []stri
 			case *ast.ValueSpec:
 				for _, id := range sp.Names {
 					if id.Name == "_" {
-						roots = append(roots, refsOf(pkg, sp)...)
+						roots = append(roots, refsOf(pkg.Fset, pkg.Info, sp)...)
 					} else {
 						add(id, "", sp)
 					}
@@ -195,15 +182,15 @@ func declare(pkg *Package, decl ast.Decl, syms map[string]*symbol) (roots []stri
 				// stay with the type.
 				s := add(sp.Name, "", nil)
 				if sp.TypeParams != nil {
-					s.refs = refsOf(pkg, sp.TypeParams)
+					s.refs = refsOf(pkg.Fset, pkg.Info, sp.TypeParams)
 				}
 				for _, field := range st.Fields.List {
 					if len(field.Names) == 0 || field.Names[0].Name == "_" {
-						s.refs = append(s.refs, refsOf(pkg, field.Type)...)
+						s.refs = append(s.refs, refsOf(pkg.Fset, pkg.Info, field.Type)...)
 					}
 					for _, id := range field.Names {
 						if id.Name != "_" {
-							add(id, sp.Name.Name, field.Type)
+							add(id, sp.Name.Name, field.Type).of = objKey(pkg.Fset, pkg.Info.Defs[sp.Name])
 						}
 					}
 				}
@@ -228,7 +215,7 @@ func reach(syms map[string]*symbol, roots []string, ifaces map[string]bool) map[
 			}
 		}
 		for k, s := range syms {
-			if s.recv != "" && !live[s] && ifaces[s.ident.Name] && live[syms[s.recv]] {
+			if s.method && !live[s] && ifaces[s.ident.Name] && live[syms[s.of]] {
 				queue = append(queue, k)
 			}
 		}
@@ -236,24 +223,25 @@ func reach(syms map[string]*symbol, roots []string, ifaces map[string]bool) map[
 	return live
 }
 
-// refsOf returns the keys of the objects n references, counting every
-// field of a struct that an unkeyed composite literal fills.
-func refsOf(pkg *Package, n ast.Node) []string {
+// refsOf returns the keys of the objects n references, as info resolved
+// them, counting every field of a struct that an unkeyed composite literal
+// fills.
+func refsOf(fset *token.FileSet, info *types.Info, n ast.Node) []string {
 	var refs []string
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.Ident:
-			if obj := pkg.Info.Uses[x]; obj != nil && obj.Pkg() != nil {
-				refs = append(refs, objKey(pkg.Fset, obj))
+			if obj := info.Uses[x]; obj != nil && obj.Pkg() != nil {
+				refs = append(refs, objKey(fset, obj))
 			}
 		case *ast.CompositeLit:
-			st, ok := pkg.Info.TypeOf(x).Underlying().(*types.Struct)
+			st, ok := info.TypeOf(x).Underlying().(*types.Struct)
 			if !ok || len(x.Elts) == 0 {
 				break
 			}
 			if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
 				for i := 0; i < st.NumFields(); i++ {
-					refs = append(refs, objKey(pkg.Fset, st.Field(i)))
+					refs = append(refs, objKey(fset, st.Field(i)))
 				}
 			}
 		}

@@ -10,5 +10,5 @@ import (
 
 func main() {
 	sq := a.Square{Side: 2}
-	fmt.Println(sq, a.Total([]a.Shape{sq}), a.Config{Used: 1}.Used, a.Used(), b.B())
+	fmt.Println(sq, a.Total([]a.Shape{sq}), a.Config{Used: 1}.Used, a.Used(), b.B(), a.Meter(3))
 }

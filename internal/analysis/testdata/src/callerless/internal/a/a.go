@@ -12,6 +12,15 @@ func helper() int { return 1 } // want "a.helper is callerless"
 // OtherTestUsed is test-support API: another package's test uses it.
 func OtherTestUsed() int { return 2 }
 
+// XTestUsed is test-support API another package's external test uses.
+func XTestUsed() int { return 7 }
+
+// Meter is used by the tool; only its Len method's name is also the name of
+// a method another package's test calls, on a type of its own.
+type Meter int
+
+func (m Meter) Len() int { return int(m) } // want "a.Meter.Len is callerless"
+
 // Shape is the interface the tool reaches Square through.
 type Shape interface{ Area() float64 }
 

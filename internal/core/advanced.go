@@ -77,9 +77,6 @@ func NewMulTable(manBits int) (*MulTable, error) {
 	return t, nil
 }
 
-// Entries returns the table size (the in-switch SRAM cost).
-func (t *MulTable) Entries() int { return len(t.table) }
-
 // Mul multiplies two FP32 values with mantissas truncated to the table
 // width. The relative error is bounded by ~2^(1-manBits).
 func (t *MulTable) Mul(a, b float32) float32 {
@@ -132,9 +129,6 @@ func NewLog2Table(bits int) (*Log2Table, error) {
 	return t, nil
 }
 
-// Entries returns the table size.
-func (t *Log2Table) Entries() int { return len(t.table) }
-
 // Log2 approximates log2(x) for positive finite x: the integer exponent
 // part comes straight from the FP32 exponent field; the fractional part is
 // one table lookup.
@@ -171,9 +165,6 @@ func NewSqrtTable(bits int) (*SqrtTable, error) {
 	}
 	return t, nil
 }
-
-// Entries returns the table size.
-func (t *SqrtTable) Entries() int { return len(t.table) }
 
 // Sqrt approximates sqrt(x) for positive finite normal x.
 func (t *SqrtTable) Sqrt(x float32) float32 {

@@ -59,8 +59,8 @@ func TestMulTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.Entries() != 65536 {
-		t.Errorf("entries = %d", mt.Entries())
+	if len(mt.table) != 65536 {
+		t.Errorf("entries = %d", len(mt.table))
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 5000; i++ {
@@ -85,8 +85,8 @@ func TestLog2TableErrorBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt.Entries() >= 2000 {
-		t.Errorf("log2 table has %d entries, paper budget < 2000", lt.Entries())
+	if len(lt.table) >= 2000 {
+		t.Errorf("log2 table has %d entries, paper budget < 2000", len(lt.table))
 	}
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 20000; i++ {
@@ -108,8 +108,8 @@ func TestSqrtTableErrorBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries() > 2048 {
-		t.Errorf("sqrt table has %d entries", st.Entries())
+	if len(st.table) > 2048 {
+		t.Errorf("sqrt table has %d entries", len(st.table))
 	}
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 20000; i++ {

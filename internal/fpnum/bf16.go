@@ -40,12 +40,3 @@ func F32ToBF16Truncate(x float32) BFloat16 {
 func (b BFloat16) Float32() float32 {
 	return math.Float32frombits(uint32(b) << 16)
 }
-
-// IsNaN reports whether b encodes a NaN.
-func (b BFloat16) IsNaN() bool { return b&0x7F80 == 0x7F80 && b&0x7F != 0 }
-
-// IsInf reports whether b encodes ±Inf.
-func (b BFloat16) IsInf() bool { return b&0x7FFF == 0x7F80 }
-
-// Bits returns the raw packed representation.
-func (b BFloat16) Bits() uint16 { return uint16(b) }

@@ -120,6 +120,3 @@ func (h Float16) IsNaN() bool { return h&0x7C00 == 0x7C00 && h&0x3FF != 0 }
 
 // IsInf reports whether h encodes ±Inf.
 func (h Float16) IsInf() bool { return h&0x7FFF == 0x7C00 }
-
-// Bits returns the raw packed representation.
-func (h Float16) Bits() uint16 { return uint16(h) }

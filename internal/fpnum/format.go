@@ -31,10 +31,6 @@ var (
 	FP32 = Format{Name: "FP32", Bits: 32, ExpBits: 8, ManBits: 23}
 )
 
-// MaxBiasedExp returns the largest finite biased exponent value
-// (all-ones is reserved for Inf/NaN).
-func (f Format) MaxBiasedExp() int { return 1<<f.ExpBits - 2 }
-
 // ExpMask returns the biased-exponent field mask (right-aligned).
 func (f Format) ExpMask() uint64 { return 1<<f.ExpBits - 1 }
 

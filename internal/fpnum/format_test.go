@@ -13,15 +13,6 @@ func TestFormatConstantsValid(t *testing.T) {
 	}
 }
 
-func TestFormatMaxBiasedExp(t *testing.T) {
-	if got := FP32.MaxBiasedExp(); got != 254 {
-		t.Errorf("FP32.MaxBiasedExp() = %d, want 254", got)
-	}
-	if got := FP16.MaxBiasedExp(); got != 30 {
-		t.Errorf("FP16.MaxBiasedExp() = %d, want 30", got)
-	}
-}
-
 func TestFormatSplitJoinRoundTrip(t *testing.T) {
 	values := []uint64{0, 1, 0x3F800000, 0x80000000, 0x7F800001, 0xFFFFFFFF}
 	for _, v := range values {

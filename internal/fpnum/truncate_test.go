@@ -20,14 +20,14 @@ func TestBF16TruncateNaNPreserved(t *testing.T) {
 		{"high-payload", math.Float32frombits(0x7FC1_0000)},
 	}
 	for _, tc := range cases {
-		if got := F32ToBF16Truncate(tc.in); !got.IsNaN() {
+		if got := F32ToBF16Truncate(tc.in); !bf16IsNaN(got) {
 			t.Errorf("%s: F32ToBF16Truncate(%#08x) = %#04x, not a NaN",
-				tc.name, math.Float32bits(tc.in), got.Bits())
+				tc.name, math.Float32bits(tc.in), uint16(got))
 		}
 		// The RNE path must preserve NaN-ness for the same inputs.
-		if got := F32ToBF16(tc.in); !got.IsNaN() {
+		if got := F32ToBF16(tc.in); !bf16IsNaN(got) {
 			t.Errorf("%s: F32ToBF16(%#08x) = %#04x, not a NaN",
-				tc.name, math.Float32bits(tc.in), got.Bits())
+				tc.name, math.Float32bits(tc.in), uint16(got))
 		}
 	}
 }
@@ -35,10 +35,10 @@ func TestBF16TruncateNaNPreserved(t *testing.T) {
 func TestBF16TruncateInfStaysInf(t *testing.T) {
 	// The NaN fix must not disturb genuine infinities.
 	if got := F32ToBF16Truncate(float32(math.Inf(1))); got != 0x7F80 {
-		t.Fatalf("+Inf truncated to %#04x, want 0x7F80", got.Bits())
+		t.Fatalf("+Inf truncated to %#04x, want 0x7F80", uint16(got))
 	}
 	if got := F32ToBF16Truncate(float32(math.Inf(-1))); got != 0xFF80 {
-		t.Fatalf("-Inf truncated to %#04x, want 0xFF80", got.Bits())
+		t.Fatalf("-Inf truncated to %#04x, want 0xFF80", uint16(got))
 	}
 }
 
@@ -55,12 +55,12 @@ func TestBF16TruncateRoundsTowardZero(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if got := F32ToBF16Truncate(tc.in); got != tc.want {
-			t.Errorf("F32ToBF16Truncate(%v) = %#04x, want %#04x", tc.in, got.Bits(), tc.want)
+			t.Errorf("F32ToBF16Truncate(%v) = %#04x, want %#04x", tc.in, uint16(got), tc.want)
 		}
 	}
 	// Confirm the divergence from RNE on the half-way-up case.
 	if got := F32ToBF16(math.Float32frombits(0x3F81_8000)); got != 0x3F82 {
-		t.Fatalf("F32ToBF16 half-way case = %#04x, want 0x3F82", got.Bits())
+		t.Fatalf("F32ToBF16 half-way case = %#04x, want 0x3F82", uint16(got))
 	}
 }
 
@@ -71,10 +71,10 @@ func TestF16TruncateNaNPreserved(t *testing.T) {
 		float32(math.NaN()),
 	} {
 		if got := F32ToF16Truncate(in); !got.IsNaN() {
-			t.Errorf("F32ToF16Truncate(%#08x) = %#04x, not a NaN", math.Float32bits(in), got.Bits())
+			t.Errorf("F32ToF16Truncate(%#08x) = %#04x, not a NaN", math.Float32bits(in), uint16(got))
 		}
 		if got := F32ToF16(in); !got.IsNaN() {
-			t.Errorf("F32ToF16(%#08x) = %#04x, not a NaN", math.Float32bits(in), got.Bits())
+			t.Errorf("F32ToF16(%#08x) = %#04x, not a NaN", math.Float32bits(in), uint16(got))
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestF16TruncateRoundsTowardZero(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if got := F32ToF16Truncate(tc.in); got != tc.want {
-			t.Errorf("F32ToF16Truncate(%v) = %#04x, want %#04x", tc.in, got.Bits(), tc.want)
+			t.Errorf("F32ToF16Truncate(%v) = %#04x, want %#04x", tc.in, uint16(got), tc.want)
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestF16TruncateExhaustiveAgainstRNE(t *testing.T) {
 			continue
 		}
 		if got := F32ToF16Truncate(f); got != h {
-			t.Fatalf("round trip %#04x -> %v -> %#04x", u, f, got.Bits())
+			t.Fatalf("round trip %#04x -> %v -> %#04x", u, f, uint16(got))
 		}
 	}
 }

@@ -36,12 +36,6 @@ func (l *LPM[A]) Insert(prefix uint64, length int, action A) error {
 // Lookup returns the action of the longest matching prefix.
 func (l *LPM[A]) Lookup(key uint64) (A, bool) { return l.t.Lookup(key) }
 
-// Len returns the number of installed prefixes.
-func (l *LPM[A]) Len() int { return l.t.Len() }
-
-// Bits returns the ternary storage consumed.
-func (l *LPM[A]) Bits() int { return l.t.Bits() }
-
 // CLZ is a count-leading-zeros unit built from an LPM table, the mechanism
 // of paper Fig. 5: entry i has only bit (width-1-i) set with an (i+1)-bit
 // prefix mask, so key k matches entry i exactly when k has i leading zeros.
@@ -88,12 +82,3 @@ func (c *CLZ) Count(key uint64) int {
 	}
 	return n
 }
-
-// Width returns the key width.
-func (c *CLZ) Width() int { return c.width }
-
-// Entries returns the number of TCAM rows consumed.
-func (c *CLZ) Entries() int { return c.lpm.Len() }
-
-// Bits returns the ternary storage consumed.
-func (c *CLZ) Bits() int { return c.lpm.Bits() }

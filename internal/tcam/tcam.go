@@ -74,9 +74,6 @@ func New[A any](width int) (*Table[A], error) {
 // Width returns the key width in bits.
 func (t *Table[A]) Width() int { return t.width }
 
-// Len returns the number of installed entries.
-func (t *Table[A]) Len() int { return len(t.planes) }
-
 // keyMask returns a mask covering the table's key width.
 func (t *Table[A]) keyMask() uint64 {
 	if t.width == 64 {
@@ -111,8 +108,3 @@ func (t *Table[A]) Lookup(key uint64) (action A, ok bool) {
 	}
 	return action, false
 }
-
-// Bits returns the TCAM storage consumed, in ternary bits (each row costs
-// 2× the key width: value plane + mask plane), used by the pipeline
-// resource allocator.
-func (t *Table[A]) Bits() int { return len(t.planes) * 2 * t.width }

@@ -63,15 +63,6 @@ func TestInsertionOrderTiebreak(t *testing.T) {
 	}
 }
 
-func TestBitsAccounting(t *testing.T) {
-	tb := mustNew[int](32)
-	tb.Insert(Entry[int]{Value: 1, Mask: 0xFFFFFFFF})
-	tb.Insert(Entry[int]{Value: 2, Mask: 0xFFFFFFFF})
-	if got := tb.Bits(); got != 2*2*32 {
-		t.Errorf("Bits = %d, want %d", got, 2*2*32)
-	}
-}
-
 func TestValueNormalization(t *testing.T) {
 	tb := mustNew[int](8)
 	// Value bits outside the mask must be ignored.
@@ -162,14 +153,11 @@ func TestCLZEntryBudget(t *testing.T) {
 	// The paper's Fig. 5 table: width+1 rows for a 32-bit key (one per
 	// leading-zero count plus default) — tiny compared to switch TCAM.
 	c := MustNewCLZ(32)
-	if c.Entries() != 33 {
-		t.Errorf("CLZ entries = %d, want 33", c.Entries())
+	if n := len(c.lpm.t.planes); n != 33 {
+		t.Errorf("CLZ entries = %d, want 33", n)
 	}
-	if c.Width() != 32 {
-		t.Errorf("CLZ width = %d", c.Width())
-	}
-	if c.Bits() != 33*2*32 {
-		t.Errorf("CLZ bits = %d", c.Bits())
+	if c.width != 32 {
+		t.Errorf("CLZ width = %d", c.width)
 	}
 }
 
@@ -202,8 +190,8 @@ func TestLookupMatchesNaiveOracle(t *testing.T) {
 		var rows []row
 		check := func(step int) {
 			t.Helper()
-			if tb.Len() != len(rows) {
-				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tb.Len(), len(rows))
+			if len(tb.planes) != len(rows) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, len(tb.planes), len(rows))
 			}
 			for trial := 0; trial < 64; trial++ {
 				key := uint64(rng.Intn(1 << width))

@@ -218,16 +218,19 @@ func (r *loopReader) readDatagrams(bufs [][]byte, srcs []*net.UDPAddr) (int, err
 }
 
 // serveRecvBatch is K for the switch-side drain: up to this many datagrams
-// per recvmmsg into the pooled read buffers.
+// per recvmmsg into a serve reader's read buffers.
 const serveRecvBatch = 32
 
-// workerRecvBatch bounds the per-RecvBatch pooled buffer vector on the
-// worker side.
+// workerRecvBatch is how many read buffers a worker port keeps: the most
+// datagrams one RecvBatch reads per kernel entry.
 const workerRecvBatch = 16
 
 // readBufPool recycles maxUDPPayload-sized datagram read buffers across
-// serve readers, RecvBatch calls and fabric generations, so neither a
-// reader-pool spin-up nor a steady-state receive allocates buffer memory.
+// fabric generations: a serve reader takes its buffers when it starts and
+// returns them when it exits, a UDP port on its first RecvBatch and at
+// Close. So a fabric built after another one closed — a benchmark builds
+// one per trial — reuses the last one's buffers instead of allocating
+// megabytes, and no receive touches the pool.
 var readBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, maxUDPPayload)

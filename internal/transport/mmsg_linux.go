@@ -84,6 +84,12 @@ type mmsgWriter struct {
 	rsa    syscall.RawSockaddrInet6
 	msgs   []mmsghdr
 	iovs   []syscall.Iovec
+
+	// One syscall's operands and results: send, bound once at construction,
+	// reads and writes them, so a call builds no closure.
+	off, n int
+	errno  syscall.Errno
+	send   func(fd uintptr) bool
 }
 
 // newMmsgWriter builds the kernel-batched writer, or nil when the raw
@@ -93,7 +99,16 @@ func newMmsgWriter(conn *net.UDPConn, stats *syscallCounters) batchWriter {
 	if err != nil {
 		return nil
 	}
-	return &mmsgWriter{rc: rc, stats: stats, loop: loopWriter{conn: conn, stats: stats}}
+	w := &mmsgWriter{rc: rc, stats: stats, loop: loopWriter{conn: conn, stats: stats}}
+	w.send = w.sendOnce
+	return w
+}
+
+// sendOnce is the RawConn.Write callback: one sendmmsg of msgs[off:].
+func (w *mmsgWriter) sendOnce(fd uintptr) bool {
+	w.stats.sendmmsg.Add(1)
+	w.n, w.errno = sendmmsgOnce(fd, w.msgs[w.off:])
+	return w.errno != syscall.EAGAIN && w.errno != syscall.EINTR
 }
 
 func (w *mmsgWriter) writeDatagrams(dst *net.UDPAddr, dgrams [][]byte) (int, error) {
@@ -125,19 +140,14 @@ func (w *mmsgWriter) writeDatagrams(dst *net.UDPAddr, dgrams [][]byte) (int, err
 	}
 	failed := 0
 	var firstErr error
-	off := 0
-	for off < len(w.msgs) {
-		var n int
-		var errno syscall.Errno
-		err := w.rc.Write(func(fd uintptr) bool {
-			w.stats.sendmmsg.Add(1)
-			n, errno = sendmmsgOnce(fd, w.msgs[off:])
-			return errno != syscall.EAGAIN && errno != syscall.EINTR
-		})
+	w.off = 0
+	for w.off < len(w.msgs) {
+		err := w.rc.Write(w.send)
+		n, errno := w.n, w.errno
 		if err != nil {
 			// The conn itself failed (closed, deadline): nothing more goes
 			// out this call.
-			failed += len(w.msgs) - off
+			failed += len(w.msgs) - w.off
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -148,7 +158,7 @@ func (w *mmsgWriter) writeDatagrams(dst *net.UDPAddr, dgrams [][]byte) (int, err
 				// Kernel without sendmmsg: latch the portable loop for the
 				// rest of this writer's life.
 				w.broken = true
-				f, lerr := w.loop.writeDatagrams(dst, dgrams[off:])
+				f, lerr := w.loop.writeDatagrams(dst, dgrams[w.off:])
 				if firstErr == nil {
 					firstErr = lerr
 				}
@@ -160,11 +170,11 @@ func (w *mmsgWriter) writeDatagrams(dst *net.UDPAddr, dgrams [][]byte) (int, err
 			if firstErr == nil {
 				firstErr = errno
 			}
-			off++
+			w.off++
 			continue
 		}
 		w.stats.sentDgrams.Add(uint64(n))
-		off += n
+		w.off += n
 	}
 	// Drop buffer refs so the scratch does not pin caller arenas.
 	for i := range w.iovs {
@@ -183,6 +193,11 @@ type mmsgReader struct {
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
 	addrs map[[19]byte]*net.UDPAddr
+
+	// One syscall's operands and results, as mmsgWriter's.
+	k, n  int
+	errno syscall.Errno
+	recv  func(fd uintptr) bool
 }
 
 // newMmsgReader builds the kernel-batched reader, or nil when the raw
@@ -192,13 +207,22 @@ func newMmsgReader(conn *net.UDPConn, stats *syscallCounters) batchReader {
 	if err != nil {
 		return nil
 	}
-	return &mmsgReader{
+	r := &mmsgReader{
 		rc: rc, stats: stats,
 		msgs:  make([]mmsghdr, serveRecvBatch),
 		iovs:  make([]syscall.Iovec, serveRecvBatch),
 		names: make([]syscall.RawSockaddrInet6, serveRecvBatch),
 		addrs: make(map[[19]byte]*net.UDPAddr),
 	}
+	r.recv = r.recvOnce
+	return r
+}
+
+// recvOnce is the RawConn.Read callback: one recvmmsg into msgs[:k].
+func (r *mmsgReader) recvOnce(fd uintptr) bool {
+	r.stats.recvmmsg.Add(1)
+	r.n, r.errno = recvmmsgOnce(fd, r.msgs[:r.k])
+	return r.errno != syscall.EAGAIN && r.errno != syscall.EINTR
 }
 
 func (r *mmsgReader) readDatagrams(bufs [][]byte, srcs []*net.UDPAddr) (int, error) {
@@ -216,13 +240,9 @@ func (r *mmsgReader) readDatagrams(bufs [][]byte, srcs []*net.UDPAddr) (int, err
 			Iov:     &r.iovs[i], Iovlen: 1,
 		}}
 	}
-	var n int
-	var errno syscall.Errno
-	err := r.rc.Read(func(fd uintptr) bool {
-		r.stats.recvmmsg.Add(1)
-		n, errno = recvmmsgOnce(fd, r.msgs[:k])
-		return errno != syscall.EAGAIN && errno != syscall.EINTR
-	})
+	r.k = k
+	err := r.rc.Read(r.recv)
+	n, errno := r.n, r.errno
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"fpisa/internal/allocgate"
 )
 
 // collectConn binds a loopback socket and drains every datagram it receives
@@ -293,6 +295,37 @@ func TestParseMmsgMode(t *testing.T) {
 	if MmsgOn.String() != "on" || MmsgOff.String() != "off" || MmsgAuto.String() != "auto" {
 		t.Fatal("MmsgMode.String mismatch")
 	}
+}
+
+// TestUDPRoundTripAllocations gates the UDP data path on the default
+// backend: one packet up through SendBatch, the serve loop and an echoing
+// handler, and back through RecvBatch into a 16-buffer vector. A port keeps
+// its read buffers from its first receive to Close, and the mmsg backend's
+// syscall callbacks are bound once, so the round trip allocates at most the
+// one error the socket builds when RecvBatch's follow-up non-blocking read
+// finds nothing more.
+func TestUDPRoundTripAllocations(t *testing.T) {
+	u, err := NewUDP(1, func(w int, pkts [][]byte, out *DeliveryList) {
+		for _, pkt := range pkts {
+			reply := out.Alloc(len(pkt))
+			copy(reply, pkt)
+			out.Unicast(w, reply)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	vec := [][]byte{{0xF2, 1, 2, 3}}
+	bufs := make([][]byte, 16)
+	allocgate.AtMost(t, "UDP round trip", 1, func() {
+		if err := u.SendBatch(0, vec); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := u.RecvBatch(0, bufs, 5*time.Second); err != nil || n != 1 || !bytes.Equal(bufs[0], vec[0]) {
+			t.Fatalf("round trip: %d packets %q, %v", n, bufs[:n], err)
+		}
+	})
 }
 
 // TestReadBufPool asserts the pooled buffers keep their full capacity

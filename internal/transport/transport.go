@@ -18,11 +18,15 @@
 //   - the Memory fabric copies each delivery into a buffer its worker ring's
 //     slot owns (reused once grown, as a NIC descriptor ring's are) and
 //     again, into the receiver's reusable buffer, at RecvBatch time;
+//   - every lane — a Memory port, a UDP serve reader — owns its scratch:
+//     the DeliveryList its handler calls fill (whose Lane field keeps the
+//     handler's own scratch), and no send or receive takes a sync.Pool;
 //   - the UDP fabric coalesces a send vector into frames and drains its
-//     sockets with pooled read buffers; its serve loop hands each worker's
-//     packets of one drained burst to the handler as ONE vector, whatever
-//     datagrams they came in, so the switch answers a burst with one run
-//     reply per job;
+//     sockets into read buffers each port and serve reader keeps (taken
+//     from and returned to readBufPool only when one starts and ends); its
+//     serve loop hands each worker's packets of one drained burst to the
+//     handler as ONE vector, whatever datagrams they came in, so the switch
+//     answers a burst with one run reply per job;
 //   - receive timeouts use a reusable time.Timer per ring instead of a
 //     time.After allocation per call.
 //
@@ -95,10 +99,14 @@ type Delivery struct {
 // fabric owns the list and recycles it across handler calls, so the
 // backing array — and the arena Alloc hands out — is reused instead of
 // reallocated per packet; handlers only append (Unicast/Broadcast) and
-// allocate (Alloc).
+// allocate (Alloc). A fabric keeps one list per lane — a Memory port, a UDP
+// serve reader — so the calls one list serves never overlap.
 type DeliveryList struct {
 	ds    []Delivery
 	arena []byte
+	// Lane is the handler's scratch for the list's lane, kept across calls
+	// and never read by the fabric; it must not outlive a call's packets.
+	Lane any
 }
 
 // minArena is the first arena block's size: a few windows of small
@@ -232,12 +240,13 @@ func (r *ring) grow() {
 	r.buf, r.head = buf, 0
 }
 
-// pushN copies packets into the ring's slot buffers, returning how many fit
-// before the ring overflowed.
-func (r *ring) pushN(pkts [][]byte) int {
+// pushN copies the deliveries' packets into the ring's slot buffers,
+// returning how many fit before the ring overflowed.
+func (r *ring) pushN(ds []Delivery) int {
 	r.mu.Lock()
 	accepted := 0
-	for _, pkt := range pkts {
+	for _, d := range ds {
+		pkt := d.Packet
 		if r.n == len(r.buf) {
 			if len(r.buf) == r.depth {
 				break
@@ -329,90 +338,37 @@ func (r *ring) pop(bufs [][]byte, timeout time.Duration) (int, error) {
 
 // Memory is an in-memory fabric with independent loss probabilities on the
 // uplink (worker→switch) and downlink (switch→worker), driven by a seeded
-// RNG for reproducible loss patterns. The handler runs *outside* the
-// fabric lock, so workers sending concurrently drive the switch
-// concurrently — the fabric only serializes the RNG and its counters.
-// Deliveries are copied into the per-worker rings' slot buffers at push and
-// into the receiver's reusable buffers at RecvBatch time, so a handler's
-// reply memory is free again once SendBatch returns.
+// RNG for reproducible loss patterns. Each port owns a send lane, and Push
+// one more: the DeliveryList its handler calls fill, a lossy fabric's loss
+// scratch, its counters and a closed flag, under a lock a SendBatch holds
+// throughout, handler included. So one port's handler calls never overlap
+// while different ports drive the switch concurrently, like parallel
+// pipelines, and a lossless SendBatch locks only its lane and the rings it
+// delivers to; the fabric lock guards only the loss RNG. Deliveries
+// are copied into the per-worker rings' slot buffers at push and into the
+// receiver's reusable buffers at RecvBatch time, so a handler's reply
+// memory is free again once SendBatch returns.
 type Memory struct {
 	workers int
 	handler BatchHandler
 	uplinkP float64
 	downP   float64
-	// closeMu is read-held for a SendBatch's whole duration (handler
-	// included) and write-held by Close, which therefore still acts as a
-	// barrier: once Close returns, no handler is running and no further
-	// deliveries land.
-	closeMu sync.RWMutex
-	mu      sync.Mutex // guards the RNG, counters and closed flag
+	mu      sync.Mutex // guards the RNG
 	rng     *rand.Rand // nil on a lossless fabric: only a loss draw reads it
 	rings   []*ring
-	closed  bool
+	lanes   []lane // lanes[w] is port w's send lane, lanes[workers] Push's
+}
 
-	routePool sync.Pool // *routeState: per-SendBatch routing scratch
+// lane is one sender's state on the Memory fabric, all under mu, which
+// Close too takes to set closed: it waits out a send in progress.
+type lane struct {
+	mu     sync.Mutex
+	closed bool
+	dl     DeliveryList // the handler's deliveries; a handler may keep scratch in dl.Lane
+	alive  [][]byte     // the uplink survivors of a lossy fabric
+	drops  []bool       // the downlink drop decisions of a lossy fabric
 
-	// Stats
 	sent, lostUp, lostDown, delivered uint64
-}
-
-// destGroups groups packets per worker, tracking first use — the routing
-// scaffolding shared by Memory.SendBatch and the UDP serve loop, so the
-// delivery routing rule and the reference-dropping reset each exist exactly
-// once. The serve loop also groups a drained burst's packets per SENDING
-// worker with it (see burst).
-type destGroups struct {
-	perDst  [][][]byte
-	touched []int
-}
-
-func (g *destGroups) init(workers int) {
-	g.perDst = make([][][]byte, workers)
-}
-
-// route appends pkt to worker w's pending group.
-func (g *destGroups) route(w int, pkt []byte) {
-	if len(g.perDst[w]) == 0 {
-		g.touched = append(g.touched, w)
-	}
-	g.perDst[w] = append(g.perDst[w], pkt)
-}
-
-// deliver routes one delivery: a Broadcast joins every worker's group, a
-// unicast its destination's; a destination outside the fabric is dropped.
-func (g *destGroups) deliver(d Delivery) {
-	if d.Broadcast {
-		for w := range g.perDst {
-			g.route(w, d.Packet)
-		}
-		return
-	}
-	if d.Worker >= 0 && d.Worker < len(g.perDst) {
-		g.route(d.Worker, d.Packet)
-	}
-}
-
-// reset empties every touched group, dropping packet references so the
-// recycled scaffolding does not pin delivered buffers.
-func (g *destGroups) reset() {
-	for _, w := range g.touched {
-		group := g.perDst[w]
-		for i := range group {
-			group[i] = nil
-		}
-		g.perDst[w] = group[:0]
-	}
-	g.touched = g.touched[:0]
-}
-
-// routeState is a SendBatch invocation's reusable scratch: the delivery
-// list handed to the handler, per-destination packet groups, and the
-// per-delivery loss decisions.
-type routeState struct {
-	dl     DeliveryList
-	groups destGroups
-	drops  []bool
-	alive  [][]byte
 }
 
 // MemoryConfig configures the in-memory fabric.
@@ -454,6 +410,7 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 		uplinkP: cfg.UplinkLoss,
 		downP:   cfg.DownlinkLoss,
 		rings:   make([]*ring, cfg.Workers),
+		lanes:   make([]lane, cfg.Workers+1),
 	}
 	if m.uplinkP > 0 || m.downP > 0 {
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -461,20 +418,14 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	for i := range m.rings {
 		m.rings[i] = newRing(depth)
 	}
-	m.routePool.New = func() any {
-		rs := &routeState{}
-		rs.groups.init(cfg.Workers)
-		return rs
-	}
 	return m, nil
 }
 
 // SendBatch implements Fabric. The handler runs synchronously in the
-// caller's goroutine but outside the fabric lock: concurrent senders
-// exercise the switch's own concurrency (per-shard locks), like parallel
-// pipelines. The whole vector costs one loss-RNG lock round, one handler
-// invocation and one ring lock per destination — not one of each per
-// packet.
+// caller's goroutine under the port's lane lock: senders on different ports
+// exercise the switch's own concurrency (per-shard locks). The whole vector
+// costs one handler invocation and one ring lock per run of deliveries to
+// one destination — not one of each per packet.
 func (m *Memory) SendBatch(worker int, pkts [][]byte) error {
 	if worker < 0 || worker >= m.workers {
 		return fmt.Errorf("transport: worker %d out of range %d", worker, m.workers)
@@ -482,76 +433,85 @@ func (m *Memory) SendBatch(worker int, pkts [][]byte) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-
-	rs := m.routePool.Get().(*routeState)
-	defer m.putRoute(rs)
-
-	// Uplink loss: one lock round decides the whole vector.
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	l := &m.lanes[worker]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return ErrClosed
 	}
-	m.sent += uint64(len(pkts))
+	l.sent += uint64(len(pkts))
 	alive := pkts
 	if m.uplinkP > 0 {
-		rs.alive = rs.alive[:0]
+		// Uplink loss: one RNG lock round decides the whole vector.
+		m.mu.Lock()
 		for _, pkt := range pkts {
 			if m.rng.Float64() < m.uplinkP {
-				m.lostUp++
+				l.lostUp++
 				continue
 			}
-			rs.alive = append(rs.alive, pkt)
+			l.alive = append(l.alive, pkt)
 		}
-		alive = rs.alive
+		m.mu.Unlock()
+		alive = l.alive
 	}
-	m.mu.Unlock()
 	if len(alive) == 0 {
 		return nil // silently lost, like the wire
 	}
-
-	m.handler(worker, alive, &rs.dl)
-	m.routeDown(rs, rs.dl.Deliveries())
+	m.handler(worker, alive, &l.dl)
+	m.routeDown(l, l.dl.Deliveries())
+	l.dl.Reset()
+	clear(l.alive)
+	l.alive = l.alive[:0]
 	return nil
 }
 
-// routeDown runs the downlink half of a delivery vector: one loss-RNG lock
-// round for the whole vector, per-destination grouping, and one ring lock
-// per destination. Packets are copied into the rings' slot buffers, so
-// the caller may reset the list the deliveries were built in on return.
-func (m *Memory) routeDown(rs *routeState, ds []Delivery) {
+// routeDown runs the downlink half of a delivery vector on lane l, whose
+// lock the caller holds: one RNG lock round on a lossy fabric, then one
+// ring lock per run of deliveries to one worker (a broadcast: per worker).
+// Packets are copied into the rings' slot buffers, so the caller may reset
+// the list on return. A destination outside the fabric is dropped.
+func (m *Memory) routeDown(l *lane, ds []Delivery) {
 	if len(ds) == 0 {
 		return
 	}
-	rs.drops = rs.drops[:0]
-	if m.downP > 0 {
+	lossy := m.downP > 0
+	if lossy {
 		m.mu.Lock()
 		for range ds {
-			rs.drops = append(rs.drops, m.rng.Float64() < m.downP)
+			l.drops = append(l.drops, m.rng.Float64() < m.downP)
 		}
 		m.mu.Unlock()
 	}
-	var lostDown uint64
-	for i, d := range ds {
-		if len(rs.drops) > 0 && rs.drops[i] {
-			lostDown++
+	for i := 0; i < len(ds); {
+		if lossy && l.drops[i] {
+			l.lostDown++
+			i++
 			continue
 		}
-		rs.groups.deliver(d)
+		d := ds[i]
+		j := i + 1
+		switch {
+		case d.Broadcast:
+			for _, r := range m.rings {
+				l.push(r, ds[i:j])
+			}
+		case d.Worker >= 0 && d.Worker < m.workers:
+			for j < len(ds) && !ds[j].Broadcast && ds[j].Worker == d.Worker && !(lossy && l.drops[j]) {
+				j++
+			}
+			l.push(m.rings[d.Worker], ds[i:j])
+		}
+		i = j
 	}
-	var delivered uint64
-	for _, w := range rs.groups.touched {
-		group := rs.groups.perDst[w]
-		accepted := m.rings[w].pushN(group)
-		delivered += uint64(accepted)
-		lostDown += uint64(len(group) - accepted) // ring overflow = drop
-	}
-	m.mu.Lock()
-	m.delivered += delivered
-	m.lostDown += lostDown
-	m.mu.Unlock()
+	l.drops = l.drops[:0]
+}
+
+// push rings ds into r, counting what it accepted as delivered and what
+// overflowed the ring as lost.
+func (l *lane) push(r *ring, ds []Delivery) {
+	accepted := r.pushN(ds)
+	l.delivered += uint64(accepted)
+	l.lostDown += uint64(len(ds) - accepted)
 }
 
 // Push implements Pusher: switch-originated deliveries enter the worker
@@ -559,31 +519,14 @@ func (m *Memory) routeDown(rs *routeState, ds []Delivery) {
 // seeded downlink loss — a pushed packet is as droppable as a replied one,
 // which is what the tree retransmit tests lean on.
 func (m *Memory) Push(ds []Delivery) error {
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
+	l := &m.lanes[m.workers]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return ErrClosed
 	}
-	rs := m.routePool.Get().(*routeState)
-	defer m.putRoute(rs)
-	m.routeDown(rs, ds)
+	m.routeDown(l, ds)
 	return nil
-}
-
-// putRoute resets a routeState (dropping packet references) and returns it
-// to the pool.
-func (m *Memory) putRoute(rs *routeState) {
-	rs.groups.reset()
-	for i := range rs.alive {
-		rs.alive[i] = nil
-	}
-	rs.alive = rs.alive[:0]
-	rs.drops = rs.drops[:0]
-	rs.dl.Reset()
-	m.routePool.Put(rs)
 }
 
 // RecvBatch implements Fabric.
@@ -595,17 +538,18 @@ func (m *Memory) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (in
 }
 
 // Close implements Fabric. It waits for in-flight SendBatches (and their
-// handler invocations) to drain; do not call Close from inside a handler.
-// Deliveries already ringed remain receivable; once a ring is empty,
-// RecvBatch returns ErrClosed — at once, and also to a receiver already
-// blocked in it, as closing the sockets does on the UDP fabric — so no
-// receiver goroutine outlives the fabric by its timeout.
+// handler invocations) and Pushes, each lane's; do not call Close from
+// inside a handler. Deliveries already ringed remain receivable; once a
+// ring is empty, RecvBatch returns ErrClosed — at once, and also to a
+// receiver already blocked in it, as closing the sockets does on the UDP
+// fabric — so no receiver goroutine outlives the fabric by its timeout.
 func (m *Memory) Close() error {
-	m.closeMu.Lock()
-	defer m.closeMu.Unlock()
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		l.mu.Lock()
+		l.closed = true
+		l.mu.Unlock()
+	}
 	for _, r := range m.rings {
 		r.close()
 	}
@@ -613,9 +557,13 @@ func (m *Memory) Close() error {
 }
 
 // Stats returns fabric counters: packets sent by workers, losses in each
-// direction and deliveries enqueued.
+// direction and deliveries enqueued, summed over the lanes.
 func (m *Memory) Stats() (sent, lostUp, lostDown, delivered uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sent, m.lostUp, m.lostDown, m.delivered
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		l.mu.Lock()
+		sent, lostUp, lostDown, delivered = sent+l.sent, lostUp+l.lostUp, lostDown+l.lostDown, delivered+l.delivered
+		l.mu.Unlock()
+	}
+	return sent, lostUp, lostDown, delivered
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -303,6 +304,107 @@ func TestMemoryConcurrentSenders(t *testing.T) {
 	wg.Wait()
 	if count != 400 {
 		t.Errorf("handler saw %d packets, want 400", count)
+	}
+}
+
+// TestMemoryPortLaneSerializesHandler: two goroutines drive one port, as a
+// tree leaf's HandleBatch goroutines and its uplink receiver drive the
+// uplink port. The port's lane runs one handler call at a time — the
+// handler keeps unguarded state in its list's Lane field, which the race
+// detector would flag on an overlap — and every packet is delivered once.
+func TestMemoryPortLaneSerializesHandler(t *testing.T) {
+	const senders, perSender = 2, 500
+	var busy atomic.Int32
+	m, err := NewMemory(MemoryConfig{Workers: 1, QueueDepth: senders * perSender,
+		BatchHandler: func(w int, pkts [][]byte, out *DeliveryList) {
+			if busy.Add(1) != 1 {
+				t.Error("two handler calls overlap on one port")
+			}
+			calls, _ := out.Lane.(*int)
+			if calls == nil {
+				calls = new(int)
+				out.Lane = calls
+			}
+			*calls++
+			for _, pkt := range pkts {
+				reply := out.Alloc(len(pkt))
+				copy(reply, pkt)
+				out.Unicast(w, reply)
+			}
+			busy.Add(-1)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if err := send(m, 0, []byte{byte(g), byte(i >> 8), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]int{}
+	bufs := make([][]byte, 64)
+	for len(seen) < senders*perSender {
+		n, err := m.RecvBatch(0, bufs, time.Second)
+		if err != nil {
+			t.Fatalf("after %d distinct packets: %v", len(seen), err)
+		}
+		for _, b := range bufs[:n] {
+			if seen[string(b)]++; seen[string(b)] > 1 {
+				t.Fatalf("packet %x delivered twice", b)
+			}
+		}
+	}
+	if sent, _, _, delivered := m.Stats(); sent != senders*perSender || delivered != sent {
+		t.Fatalf("stats: sent %d delivered %d, want %d each", sent, delivered, senders*perSender)
+	}
+}
+
+// TestMemoryCloseIsABarrier: Close waits for a handler running inside
+// SendBatch, and once it has returned no send or push gets through.
+func TestMemoryCloseIsABarrier(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	m, err := NewMemory(MemoryConfig{Workers: 2, BatchHandler: func(w int, pkts [][]byte, out *DeliveryList) {
+		close(entered)
+		<-release
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- send(m, 0, []byte{1}) }()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if err := <-sent; err != nil {
+		t.Fatalf("the send Close waited for: %v", err)
+	}
+	for w := 0; w < 2; w++ {
+		if err := send(m, w, []byte{2}); err != ErrClosed {
+			t.Fatalf("SendBatch on port %d after Close: %v, want ErrClosed", w, err)
+		}
+	}
+	if err := m.Push([]Delivery{{Worker: 0, Packet: []byte{3}}}); err != ErrClosed {
+		t.Fatalf("Push after Close: %v, want ErrClosed", err)
 	}
 }
 

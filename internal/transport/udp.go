@@ -103,6 +103,54 @@ func decodeFrame(frame []byte, into [][]byte) (id byte, pkts [][]byte, err error
 	return id, pkts, nil
 }
 
+// destGroups groups packets per worker, tracking first use: a downlink
+// groups deliveries per destination with it, so each destination's replies
+// go out as one frame vector, and a burst groups a drained burst's packets
+// per SENDING worker (see burst).
+type destGroups struct {
+	perDst  [][][]byte
+	touched []int
+}
+
+func (g *destGroups) init(workers int) {
+	g.perDst = make([][][]byte, workers)
+}
+
+// route appends pkt to worker w's pending group.
+func (g *destGroups) route(w int, pkt []byte) {
+	if len(g.perDst[w]) == 0 {
+		g.touched = append(g.touched, w)
+	}
+	g.perDst[w] = append(g.perDst[w], pkt)
+}
+
+// deliver routes one delivery: a Broadcast joins every worker's group, a
+// unicast its destination's; a destination outside the fabric is dropped.
+func (g *destGroups) deliver(d Delivery) {
+	if d.Broadcast {
+		for w := range g.perDst {
+			g.route(w, d.Packet)
+		}
+		return
+	}
+	if d.Worker >= 0 && d.Worker < len(g.perDst) {
+		g.route(d.Worker, d.Packet)
+	}
+}
+
+// reset empties every touched group, dropping packet references so the
+// recycled scaffolding does not pin delivered buffers.
+func (g *destGroups) reset() {
+	for _, w := range g.touched {
+		group := g.perDst[w]
+		for i := range group {
+			group[i] = nil
+		}
+		g.perDst[w] = group[:0]
+	}
+	g.touched = g.touched[:0]
+}
+
 // sendScratch is a sending context's reusable datagram-assembly arena: the
 // coalesced wire datagrams are materialized here so a whole vector can be
 // handed to the batch writer at once (one sendmmsg), instead of one
@@ -266,7 +314,7 @@ func (s *UDPServer) Backend() string { return backendName(s.useMmsg) }
 func (s *UDPServer) SyscallStats() SyscallStats { return s.stats.snapshot() }
 
 // Serve drains the socket with a pool of reader goroutines (one per CPU,
-// capped at 8), each owning reusable pooled read buffers, a delivery list
+// capped at 8), each owning reusable read buffers, a delivery list
 // and a datagram-assembly arena — the serve loop allocates nothing per
 // datagram in steady state. Every datagram is one frame (see frameHdr); the
 // sender's address is learned as the frame id's worker return path, and
@@ -317,7 +365,7 @@ func (s *UDPServer) Push(ds []Delivery) error {
 
 // serveState is one reader goroutine's reusable scratch.
 type serveState struct {
-	bufs  [][]byte       // pooled datagram read buffers (cap maxUDPPayload)
+	bufs  [][]byte       // datagram read buffers (cap maxUDPPayload), from readBufPool until the reader exits
 	srcs  []*net.UDPAddr // per-datagram source addresses
 	burst burst          // the drained burst's dispatch
 	down  downlink       // the reader's own return-path writer
@@ -492,9 +540,13 @@ type sendState struct {
 // recvState is one worker's reusable downlink receiving context plus the
 // overflow queue for frames larger than the caller's buffer vector.
 type recvState struct {
-	mu      sync.Mutex
-	reader  batchReader
-	kbufs   [][]byte // pooled per-call datagram buffers (headers reused)
+	mu     sync.Mutex
+	reader batchReader
+	// kbufs are the port's workerRecvBatch datagram buffers: taken from
+	// readBufPool on its first RecvBatch, kept, and returned by Close, which
+	// sets closed.
+	kbufs   [][]byte
+	closed  bool
 	split   [][]byte
 	pending [][]byte // owned copies carried over to the next RecvBatch
 }
@@ -677,12 +729,13 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 	if n == len(bufs) {
 		return n, nil
 	}
-	k := len(bufs) - n
-	if k > workerRecvBatch {
-		k = workerRecvBatch
+	if st.closed {
+		return n, net.ErrClosed
 	}
-	st.kbufs = getReadBufs(st.kbufs, k)
-	defer func() { putReadBufs(st.kbufs) }()
+	if st.kbufs == nil {
+		st.kbufs = getReadBufs(nil, workerRecvBatch)
+	}
+	kbufs := st.kbufs[:min(len(bufs)-n, workerRecvBatch)]
 	c := u.conns[worker]
 	// The blocking deadline is absolute, computed ONCE: a stream of
 	// malformed or zero-length datagrams must consume the caller's
@@ -700,7 +753,7 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 		if err := c.SetReadDeadline(dl); err != nil {
 			return n, err
 		}
-		m, err := st.reader.readDatagrams(st.kbufs, nil)
+		m, err := st.reader.readDatagrams(kbufs, nil)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				if n == 0 {
@@ -713,7 +766,7 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 			}
 			return 0, err
 		}
-		for _, dgram := range st.kbufs[:m] {
+		for _, dgram := range kbufs[:m] {
 			_, pkts, err := decodeFrame(dgram, st.split)
 			if err != nil {
 				continue // not a frame: drop, like a corrupt datagram
@@ -734,7 +787,8 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 
 // Close implements Fabric. Closing the switch socket terminates the
 // server's reader pool (a DialUDP fabric owns no switch socket and only
-// closes its worker sockets).
+// closes its worker sockets). Once a port's socket is closed, a RecvBatch
+// in progress returns, and the port's read buffers go back to the pool.
 func (u *UDP) Close() error {
 	u.closedMu.Lock()
 	defer u.closedMu.Unlock()
@@ -749,6 +803,13 @@ func (u *UDP) Close() error {
 		if c != nil {
 			c.Close()
 		}
+	}
+	for i := range u.recv {
+		st := &u.recv[i]
+		st.mu.Lock()
+		putReadBufs(st.kbufs)
+		st.kbufs, st.closed = nil, true
+		st.mu.Unlock()
 	}
 	return nil
 }
